@@ -4,8 +4,10 @@
 //!   both streams vs the "tree" strawman that deep-copies it per
 //!   consumer (Section 5 of the paper: DAG-structured plans are the
 //!   price of bypass operators — and worth paying).
-//! * **Negative-stream fusion** — Eqv. 5's `σ_p` applied while the
-//!   bypass join emits vs materializing the raw |L|·|R| stream first.
+//! * **Stage-chain fusion** — the `⟕ → σ → Π` run above Q4's bypass
+//!   join folded into the join's emit step (DESIGN.md §7) vs
+//!   materializing the raw |L|·|R| negative stream and every widening
+//!   of it first.
 //! * **Join ordering** — the canonical `σ(R×S×T)` region executed with
 //!   and without the greedy join-tree pass (on a tiny instance; without
 //!   it, even 200-row tables produce 8M-tuple intermediates).
@@ -14,7 +16,7 @@ use std::sync::Arc;
 
 use bypass_bench::timing::{criterion_group, criterion_main, Criterion};
 
-use bypass_bench::{rst_database, Q1, Q2};
+use bypass_bench::{rst_database, Q1, Q2, Q4};
 use bypass_core::{Database, Strategy};
 use bypass_exec::{evaluate_with, physical_plan_with, ExecOptions, PlanOptions};
 use bypass_unnest::ablation::unshare_bypass;
@@ -46,43 +48,28 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| run_logical(&db, &unshared, PlanOptions::default()))
     });
 
-    // --- negative-stream fusion (Eqv. 5 shape via COUNT(DISTINCT *)) --
-    // Small instance: the unfused variant materializes ~|R|·|S| rows.
+    // --- stage-chain fusion (the paper's linear query Q4) -------------
+    // Small instance: the unfused variant materializes ~|R|·|S| rows,
+    // twice.
     let db_small = rst_database(0.02, 0.02, 42);
-    let eqv5 = prepared(
-        &db_small,
-        "SELECT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
-         WHERE a2 = b2 OR b4 > 1500)",
-    );
-    group.bench_function("eqv5_fused_neg_filter", |b| {
-        b.iter(|| run_logical(&db_small, &eqv5, PlanOptions::default()))
+    let q4 = prepared(&db_small, Q4);
+    let unfused = PlanOptions {
+        fuse_stage_chains: false,
+    };
+    group.bench_function("q4_fused_stage_chains", |b| {
+        b.iter(|| run_logical(&db_small, &q4, PlanOptions::default()))
     });
-    group.bench_function("eqv5_unfused_neg_filter", |b| {
-        b.iter(|| {
-            run_logical(
-                &db_small,
-                &eqv5,
-                PlanOptions {
-                    fuse_neg_filters: false,
-                },
-            )
-        })
+    group.bench_function("q4_unfused_stage_chains", |b| {
+        b.iter(|| run_logical(&db_small, &q4, unfused))
     });
 
     // --- correctness anchors (outside timing, cheap): both ablated
     // variants must return the same rows.
     let base = run_logical(&db, &shared, PlanOptions::default());
     assert_eq!(base, run_logical(&db, &unshared, PlanOptions::default()));
-    let f = run_logical(&db_small, &eqv5, PlanOptions::default());
     assert_eq!(
-        f,
-        run_logical(
-            &db_small,
-            &eqv5,
-            PlanOptions {
-                fuse_neg_filters: false
-            }
-        )
+        run_logical(&db_small, &q4, PlanOptions::default()),
+        run_logical(&db_small, &q4, unfused)
     );
 
     // --- Q2 under the strategies, as a cross-check that the bypass

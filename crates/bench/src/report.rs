@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bypass_exec::{NodeMetrics, PhysKind, PhysNode};
+use bypass_exec::{LineSource, NodeMetrics, PhysNode};
 
 /// A simple column-aligned table: one header row, labelled data rows.
 #[derive(Debug, Default)]
@@ -91,77 +91,20 @@ impl Table {
 // EXPLAIN ANALYZE profile table
 // ---------------------------------------------------------------------
 
-/// One flattened operator row of a [`profile_table`].
-struct ProfileRow {
-    depth: usize,
-    label: String,
-    metrics: Option<NodeMetrics>,
-    shared: bool,
-}
-
-fn flatten_plan(
-    n: &Arc<PhysNode>,
-    depth: usize,
-    label_prefix: &str,
-    metrics: &HashMap<usize, NodeMetrics>,
-    seen: &mut HashMap<usize, usize>,
-    next_id: &mut usize,
-    out: &mut Vec<ProfileRow>,
-) {
-    let ptr = Arc::as_ptr(n) as usize;
-    // DAG-shared bypass nodes appear once with their metrics; later
-    // references render as a `(shared #k)` row with no counters, so the
-    // exclusive-time percentages still sum to ~100.
-    let is_bypass = matches!(
-        n.kind,
-        PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
-    );
-    if is_bypass {
-        if let Some(id) = seen.get(&ptr) {
-            out.push(ProfileRow {
-                depth,
-                label: format!("{label_prefix}{} (shared #{id})", n.name()),
-                metrics: None,
-                shared: true,
-            });
-            return;
-        }
-    }
-    let mut label = format!("{label_prefix}{}", n.name());
-    if is_bypass {
-        let id = *next_id;
-        *next_id += 1;
-        seen.insert(ptr, id);
-        label.push_str(&format!(" (#{id})"));
-    }
-    out.push(ProfileRow {
-        depth,
-        label,
-        metrics: metrics.get(&ptr).cloned(),
-        shared: false,
-    });
-    for sq in n.expr_subplans() {
-        flatten_plan(sq, depth + 1, "subquery: ", metrics, seen, next_id, out);
-    }
-    for c in n.children() {
-        flatten_plan(c, depth + 1, "", metrics, seen, next_id, out);
-    }
-}
-
 /// Render an EXPLAIN ANALYZE-style profile: one row per operator with
 /// call count, output rows, inclusive time, exclusive (self) time and
 /// the operator's share of total runtime. The tree shape is kept via
 /// indentation; percentages are computed against the root's inclusive
 /// time, so the `self` column surfaces where a plan actually spends its
 /// cycles (the thing the inline tree annotation of
-/// `Database::explain_analyze` makes hard to eyeball).
+/// `Database::explain_analyze` makes hard to eyeball). DAG-shared bypass
+/// nodes appear once with their metrics and as counter-less
+/// `(shared #k)` rows afterwards, so the exclusive-time percentages
+/// still sum to ~100; a fused stage (`fused→#k`) reports the rows it
+/// received and passed on — its time is part of join #k's.
 pub fn profile_table(root: &Arc<PhysNode>, metrics: &HashMap<usize, NodeMetrics>) -> String {
-    let mut rows = Vec::new();
-    flatten_plan(root, 0, "", metrics, &mut HashMap::new(), &mut 1, &mut rows);
-    let total_nanos = metrics
-        .get(&(Arc::as_ptr(root) as usize))
-        .map(|m| m.nanos)
-        .unwrap_or(0);
+    let metrics_of = |n: &PhysNode| metrics.get(&(n as *const PhysNode as usize));
+    let total_nanos = metrics_of(root).map_or(0, |m| m.nanos);
     let mut table = Table::new(
         "per-operator profile (times in ms; % of root inclusive time)",
         vec![
@@ -175,9 +118,19 @@ pub fn profile_table(root: &Arc<PhysNode>, metrics: &HashMap<usize, NodeMetrics>
             "split".into(),
         ],
     );
-    for r in &rows {
-        let label = format!("{}{}", "  ".repeat(r.depth), r.label);
-        let cells = match &r.metrics {
+    for line in root.lines(false) {
+        let mut label = format!("{}{}", "  ".repeat(line.depth), line.label);
+        // `[calls, rows]` known, the timing and stream columns not.
+        let counts_only = |calls: String, rows: u64| {
+            let mut cells = vec![calls, rows.to_string()];
+            cells.extend(vec![String::from("-"); 6]);
+            cells
+        };
+        let node_metrics = match line.source {
+            LineSource::Node(n) => metrics_of(n),
+            _ => None,
+        };
+        let cells = match node_metrics {
             Some(m) => {
                 // A zero root inclusive time (sub-ns plan on an empty
                 // instance, or an unmeasured root) makes every share
@@ -209,12 +162,19 @@ pub fn profile_table(root: &Arc<PhysNode>, metrics: &HashMap<usize, NodeMetrics>
                     split,
                 ]
             }
-            None if r.shared => vec!["-".into(); 8],
-            None => {
-                let mut cells: Vec<String> = vec!["0".into(), "0".into()];
-                cells.extend(vec![String::from("-"); 6]);
-                cells
-            }
+            None => match line.source {
+                LineSource::Shared | LineSource::Header => vec!["-".into(); 8],
+                LineSource::Stage { host, index } => {
+                    match metrics_of(host).and_then(|m| m.stages.get(index)) {
+                        Some(st) => {
+                            label.push_str(&format!(" in={}", st.rows_in));
+                            counts_only("-".into(), st.rows_out)
+                        }
+                        None => counts_only("0".into(), 0),
+                    }
+                }
+                LineSource::Node(_) => counts_only("0".into(), 0),
+            },
         };
         table.row(label, cells);
     }

@@ -72,8 +72,14 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cases {}  strategy runs {}  parallel-vs-serial runs {}  vectorized-vs-row runs {}  nested {}",
-        report.cases, report.strategy_runs, report.par_runs, report.batch_runs, report.nested_queries
+        "cases {}  strategy runs {}  parallel-vs-serial runs {}  vectorized-vs-row runs {}  \
+         fused-vs-unfused runs {}  nested {}",
+        report.cases,
+        report.strategy_runs,
+        report.par_runs,
+        report.batch_runs,
+        report.fuse_runs,
+        report.nested_queries
     );
     println!("{}", report.coverage_table());
 

@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use bypass_core::{DataType, Database, Relation, RunLimits, Strategy, TableBuilder, Value};
+use bypass_exec::{physical_plan_with, ExecContext, PlanOptions};
 use bypass_types::Result;
 
 use crate::prop::DEFAULT_SEED;
@@ -1221,6 +1222,10 @@ pub struct OracleReport {
     /// `batch_rows = 0` and `batch_rows = BATCH_AXIS_ROWS` compared for
     /// identical rows + counters); 0 when the axis is disabled.
     pub batch_runs: u64,
+    /// Fused-vs-unfused axis executions (one prepared plan compiled
+    /// with and without stage-chain fusion, compared for identical rows
+    /// and typed errors).
+    pub fuse_runs: u64,
     /// How many generated queries contained a nested block.
     pub nested_queries: u32,
     /// Coverage tag → hit count over the scheduled cases (structural
@@ -1397,6 +1402,7 @@ struct CaseStats {
     strategy_runs: u64,
     par_runs: u64,
     batch_runs: u64,
+    fuse_runs: u64,
 }
 
 /// Derive the deterministic base seed for `case` within a run. Cases
@@ -1431,6 +1437,7 @@ fn run_case(
         strategy_runs: 0,
         par_runs: 0,
         batch_runs: 0,
+        fuse_runs: 0,
     };
     for &strategy in &cfg.strategies {
         stats.strategy_runs += 1;
@@ -1440,15 +1447,20 @@ fn run_case(
             )));
         }
     }
-    if cfg.par_axis {
-        for &strategy in &cfg.strategies {
-            stats.par_runs += 1;
-            if let Some(detail) = par_divergence(&db, &sql, strategy) {
-                // No query shrinking for this axis: the divergence is a
-                // property of the executor (serial vs morsel-parallel),
-                // not of the rewrite, and the case replays exactly from
-                // its seed.
-                let profiles = vec![profile_summary(&db, &sql, strategy)];
+    // The executor axes. No query shrinking here: a divergence is a
+    // property of the executor (serial vs morsel-parallel, vectorized
+    // vs row-at-a-time, fused vs unfused), not of the rewrite, and the
+    // case replays exactly from its seed.
+    type Axis = fn(&Database, &str, Strategy) -> Option<String>;
+    let axes: [(bool, Axis, &mut u64); 3] = [
+        (cfg.par_axis, par_divergence, &mut stats.par_runs),
+        (cfg.batch_axis, batch_divergence, &mut stats.batch_runs),
+        (true, fuse_divergence, &mut stats.fuse_runs),
+    ];
+    for (enabled, diverges, runs) in axes {
+        for &strategy in cfg.strategies.iter().filter(|_| enabled) {
+            *runs += 1;
+            if let Some(detail) = diverges(&db, &sql, strategy) {
                 return Err(Box::new(Mismatch {
                     case_seed: seed,
                     case,
@@ -1463,35 +1475,7 @@ fn run_case(
                         render_rows(&s),
                         render_rows(&t)
                     ),
-                    profiles,
-                }));
-            }
-        }
-    }
-    if cfg.batch_axis {
-        for &strategy in &cfg.strategies {
-            stats.batch_runs += 1;
-            if let Some(detail) = batch_divergence(&db, &sql, strategy) {
-                // As with the parallel axis: the divergence is a
-                // property of the executor (vectorized vs row-at-a-
-                // time), not of the rewrite — no query shrinking, the
-                // case replays exactly from its seed.
-                let profiles = vec![profile_summary(&db, &sql, strategy)];
-                return Err(Box::new(Mismatch {
-                    case_seed: seed,
-                    case,
-                    strategy,
-                    sql: sql.clone(),
-                    fingerprint: bypass_core::fingerprint_sql(&sql).unwrap_or(0),
-                    minimized_sql: sql.clone(),
-                    detail,
-                    instance: format!(
-                        "    r: {}\n    s: {}\n    t: {}",
-                        render_rows(&r),
-                        render_rows(&s),
-                        render_rows(&t)
-                    ),
-                    profiles,
+                    profiles: vec![profile_summary(&db, &sql, strategy)],
                 }));
             }
         }
@@ -1612,6 +1596,67 @@ fn batch_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<Stri
     }
 }
 
+/// The fused-vs-unfused oracle axis: the same prepared logical plan
+/// compiled with and without stage-chain fusion (the one
+/// [`PlanOptions`] switch) must produce the identical row *sequence* —
+/// a fused stage sees rows in the order its standalone operator would —
+/// and fail with the same typed [`bypass_types::Error`] variant
+/// (messages may name a different first offender: a fused pipeline
+/// interleaves its stages row by row, DESIGN.md §7). Fusion removes
+/// governor charges, so counters differ *between* the two plans by
+/// design; the unfused plan's own counters must still be worker-count
+/// independent (the fused plan is the default the parallel axis runs).
+fn fuse_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
+    // Cost-based resolves to a candidate this axis covers anyway.
+    if strategy == Strategy::CostBased {
+        return None;
+    }
+    let prepared = db.logical_plan(sql).and_then(|c| strategy.prepare(&c));
+    bypass_unnest::take_outcomes();
+    // Queries the engine rejects are skipped, as in `divergence`.
+    let logical = prepared.ok()?;
+    let run = |fuse_stage_chains: bool, threads: usize| {
+        let physical =
+            physical_plan_with(&logical, db.catalog(), PlanOptions { fuse_stage_chains })?;
+        let mut options = strategy.exec_options();
+        options.threads = threads;
+        if threads > 1 {
+            options.morsel_rows = PAR_AXIS_MORSEL_ROWS;
+        }
+        let mut ctx = ExecContext::new(options);
+        let rows = ctx.eval_plan(&physical)?;
+        Ok::<_, bypass_types::Error>((rows, ctx.counters()))
+    };
+    let (fused, unfused) = (run(true, 1), run(false, 1));
+    match (&fused, &unfused) {
+        (Ok((fr, _)), Ok((ur, uc))) => {
+            if fr.rows() != ur.rows() {
+                return Some(format!(
+                    "fused row sequence diverges from unfused: unfused {} rows, fused {} rows",
+                    ur.len(),
+                    fr.len()
+                ));
+            }
+            match run(false, PAR_AXIS_THREADS) {
+                Ok((pr, pc)) if pr.rows() == ur.rows() && pc == *uc => None,
+                Ok((_, pc)) => Some(format!(
+                    "unfused plan depends on the worker count: serial {uc:?}, parallel {pc:?}"
+                )),
+                Err(e) => Some(format!(
+                    "parallel unfused run fails where serial succeeds: {e}"
+                )),
+            }
+        }
+        (Err(fe), Err(ue)) => {
+            (std::mem::discriminant(fe) != std::mem::discriminant(ue)).then(|| {
+                format!("fused and unfused runs fail differently: unfused `{ue}`, fused `{fe}`")
+            })
+        }
+        (Ok(_), Err(e)) => Some(format!("unfused run fails where fused succeeds: {e}")),
+        (Err(e), Ok(_)) => Some(format!("fused run fails where unfused succeeds: {e}")),
+    }
+}
+
 /// Run the differential oracle with the default executor.
 pub fn run_differential(cfg: &OracleConfig) -> std::result::Result<OracleReport, Box<Mismatch>> {
     run_differential_with(cfg, &DefaultExecutor)
@@ -1628,6 +1673,7 @@ pub fn run_differential_with(
         strategy_runs: 0,
         par_runs: 0,
         batch_runs: 0,
+        fuse_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
@@ -1637,6 +1683,7 @@ pub fn run_differential_with(
         report.strategy_runs += stats.strategy_runs;
         report.par_runs += stats.par_runs;
         report.batch_runs += stats.batch_runs;
+        report.fuse_runs += stats.fuse_runs;
         if stats.nested {
             report.nested_queries += 1;
         }
@@ -1683,6 +1730,7 @@ pub fn run_differential_parallel(
         strategy_runs: 0,
         par_runs: 0,
         batch_runs: 0,
+        fuse_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
@@ -1690,6 +1738,7 @@ pub fn run_differential_parallel(
         report.strategy_runs += s.strategy_runs;
         report.par_runs += s.par_runs;
         report.batch_runs += s.batch_runs;
+        report.fuse_runs += s.fuse_runs;
         if s.nested {
             report.nested_queries += 1;
         }

@@ -335,7 +335,22 @@ impl QueryProfile {
             "-- governor: peak_memory={} bytes, checkpoints={}\n",
             c.peak_memory_bytes, c.checkpoints
         ));
+        out.push_str(&format!(
+            "-- teardown={:.3}ms\n",
+            self.teardown_nanos() as f64 / 1e6
+        ));
         out
+    }
+
+    /// The part of the execute phase no operator accounts for: what ran
+    /// after the root operator returned — freeing the memoized bypass
+    /// streams, subquery caches and batch scratch the run left behind.
+    pub fn teardown_nanos(&self) -> u128 {
+        let root = self
+            .metrics
+            .get(&(Arc::as_ptr(&self.physical) as usize))
+            .map_or(0, |m| m.nanos);
+        self.phases.execute.saturating_sub(root)
     }
 }
 

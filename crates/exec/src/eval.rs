@@ -10,7 +10,8 @@ use bypass_types::{
 
 use crate::agg::{create_accumulator, Accumulator, AggSpec};
 use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr};
-use crate::node::{PhysKind, PhysNode};
+use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
+use crate::row::{Row, RowView};
 use crate::vector::{
     chain_bindable, cmp_op_truth, compile_chain, ranked_order, ChainOrder, ChainStats,
     CompiledChain, EPOCH_ROWS,
@@ -234,6 +235,28 @@ struct PendingCounters {
     /// Chained σ/σ± only: per-disjunct reach/decide counters, indexed
     /// by syntactic disjunct position.
     disjuncts: Vec<DisjunctMetrics>,
+    /// Joins with stage chains only: rows in/out per fused stage.
+    stages: Vec<StageMetrics>,
+}
+
+/// Rows one fused stage received and passed on. Semantic counts —
+/// batch size and worker count independent — and all EXPLAIN ANALYZE
+/// can say about a stage: its time is inside the hosting join's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageMetrics {
+    pub rows_in: u64,
+    pub rows_out: u64,
+}
+
+/// Elementwise commutative fold of per-stage counters.
+fn merge_stages(into: &mut Vec<StageMetrics>, from: &[StageMetrics]) {
+    if into.len() < from.len() {
+        into.resize(from.len(), StageMetrics::default());
+    }
+    for (a, b) in into.iter_mut().zip(from) {
+        a.rows_in += b.rows_in;
+        a.rows_out += b.rows_out;
+    }
 }
 
 /// Per-disjunct counters of a chained filter predicate: how many rows
@@ -297,6 +320,9 @@ pub struct NodeMetrics {
     /// `hits / evals` is the observed decide selectivity driving the
     /// adaptive BestD ordering. Empty for unchained operators.
     pub disjuncts: Vec<DisjunctMetrics>,
+    /// Joins with fused stage chains only: rows in/out per stage, in
+    /// chain order (a bypass join lists its positive chain first).
+    pub stages: Vec<StageMetrics>,
 }
 
 impl NodeMetrics {
@@ -506,6 +532,114 @@ impl JoinHashTable {
             }
             None
         })
+    }
+}
+
+/// A [`JoinSpec`] ready to probe: build side evaluated and, for a hash
+/// join, hashed. Immutable during the probe loop, so morsel workers
+/// share it.
+struct Probe<'p> {
+    right: Arc<Relation>,
+    on: ProbeOn<'p>,
+    /// Outer joins: the right side an unmatched left row is padded with.
+    pad: Option<Tuple>,
+}
+
+enum ProbeOn<'p> {
+    Loop(Option<&'p PhysExpr>),
+    Hash {
+        left_keys: &'p [PhysExpr],
+        table: JoinHashTable,
+        residual: Option<&'p PhysExpr>,
+    },
+}
+
+impl Probe<'_> {
+    /// Pairs the probe visits per left row: what the morsel gate of a
+    /// join loop counts.
+    fn pairs_per_row(&self) -> usize {
+        match self.on {
+            ProbeOn::Loop(_) => self.right.len(),
+            ProbeOn::Hash { .. } => 1,
+        }
+    }
+}
+
+/// One [`Stage`] of a chain, ready to run.
+enum LiveStage<'p> {
+    Filter(&'p PhysExpr),
+    Project(&'p [PhysExpr]),
+    Map(&'p PhysExpr),
+    Probe(Probe<'p>),
+}
+
+/// The fused joins among `stages`.
+fn probes<'s, 'p>(stages: &'s [LiveStage<'p>]) -> impl Iterator<Item = &'s Probe<'p>> {
+    stages.iter().filter_map(|s| match s {
+        LiveStage::Probe(p) => Some(p),
+        _ => None,
+    })
+}
+
+/// What one morsel of a join pipeline produced: the rows that left the
+/// last stage — the only ones materialized — and how many reached each
+/// stage on the way.
+struct Sink {
+    rows: Vec<Tuple>,
+    /// Rows that entered stage `k` of the chain.
+    reached: Vec<u64>,
+    reverify: u64,
+    /// Reusable value buffers, one per pipeline level (`0`: the hosting
+    /// join, `k + 1`: stage `k`): a hash probe's key, a Π's output row.
+    scratch: Vec<Vec<Value>>,
+}
+
+impl Sink {
+    fn new(stages: usize) -> Sink {
+        Sink {
+            rows: Vec::new(),
+            reached: vec![0; stages],
+            reverify: 0,
+            scratch: vec![Vec::new(); stages + 1],
+        }
+    }
+
+    /// Fold per-morsel sinks in morsel (= input) order; the single-part
+    /// case is the serial path and moves the buffer.
+    fn merge(mut parts: Vec<Sink>) -> Sink {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let mut all = Sink::new(parts.first().map_or(0, |p| p.reached.len()));
+        all.rows.reserve(parts.iter().map(|p| p.rows.len()).sum());
+        for p in parts {
+            all.rows.extend(p.rows);
+            all.reverify += p.reverify;
+            for (a, b) in all.reached.iter_mut().zip(&p.reached) {
+                *a += b;
+            }
+        }
+        all
+    }
+
+    /// Rows pushed into the pipeline: what reached the first stage, or
+    /// — without stages — what was materialized.
+    fn entered(&self) -> u64 {
+        self.reached
+            .first()
+            .copied()
+            .unwrap_or(self.rows.len() as u64)
+    }
+
+    /// A stage's output is the next stage's input; the last stage's is
+    /// what got materialized.
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        let outs = self.reached.iter().skip(1).copied();
+        self.reached
+            .iter()
+            .zip(outs.chain(std::iter::once(self.rows.len() as u64)))
+            .map(|(&rows_in, rows_out)| StageMetrics { rows_in, rows_out })
+            .collect()
     }
 }
 
@@ -806,9 +940,11 @@ impl ExecContext {
             && node.children().into_iter().all(|c| self.plan_par_safe(c))
     }
 
-    /// Should this operator's loop over `total` input rows fan out?
-    fn morsel_gate(&mut self, node: &Arc<PhysNode>, total: usize) -> bool {
-        self.options.threads > 1 && total > self.options.morsel_rows && self.par_safe_node(node)
+    /// Should this operator's loop fan out? `work` is what the loop
+    /// iterates over in total: input rows, or — for a nested-loop join —
+    /// pairs.
+    fn morsel_gate(&mut self, node: &Arc<PhysNode>, work: usize) -> bool {
+        self.options.threads > 1 && work > self.options.morsel_rows && self.par_safe_node(node)
     }
 
     /// Record/replay mode: with a fault plan or a byte budget armed the
@@ -942,7 +1078,26 @@ impl ExecContext {
         P: Send,
         F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
     {
-        if !self.morsel_gate(node, total) {
+        self.run_weighted_morsels(node, total, 1, body)
+    }
+
+    /// [`Self::run_morsels`] for a loop that does `weight` units of
+    /// work per input row (a nested-loop join visits |R| pairs per left
+    /// row): the gate and the morsel size count work, not rows, so a
+    /// 232 × 500 pair loop fans out although 232 rows alone would not.
+    fn run_weighted_morsels<P, F>(
+        &mut self,
+        node: &Arc<PhysNode>,
+        total: usize,
+        weight: usize,
+        body: F,
+    ) -> Result<Vec<P>>
+    where
+        P: Send,
+        F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
+    {
+        let weight = weight.max(1);
+        if !self.morsel_gate(node, total.saturating_mul(weight)) {
             return Ok(vec![body(self, 0..total)?]);
         }
         let threads = self.options.threads;
@@ -950,7 +1105,8 @@ impl ExecContext {
         let template = self.worker_options();
         // Aim for ~4 morsels per worker (pull-based balancing without
         // tiny fragments), capped at the configured morsel size.
-        let chunk = (total / (threads * 4)).clamp(1, self.options.morsel_rows);
+        let cap = (self.options.morsel_rows / weight).max(1);
+        let chunk = (total / (threads * 4)).clamp(1, cap);
         let ranges: Vec<std::ops::Range<usize>> = (0..total)
             .step_by(chunk)
             .map(|s| s..(s + chunk).min(total))
@@ -1000,11 +1156,13 @@ impl ExecContext {
                     m.build_rows += wm.build_rows;
                     m.reverify += wm.reverify;
                     merge_disjuncts(&mut m.disjuncts, &wm.disjuncts);
+                    merge_stages(&mut m.stages, &wm.stages);
                 }
             }
             self.pending.build_rows += out.pending.build_rows;
             self.pending.reverify += out.pending.reverify;
             merge_disjuncts(&mut self.pending.disjuncts, &out.pending.disjuncts);
+            merge_stages(&mut self.pending.stages, &out.pending.stages);
             // Workers never probe memo caches (asserted above), but a
             // nested non-memoized subplan evaluated on a worker may
             // contain its own disjunctive chain; its semantic totals
@@ -1040,20 +1198,6 @@ impl ExecContext {
             payload,
             skipped: false,
         }
-    }
-
-    /// Concatenate morsel outputs, re-applying the intermediate-size
-    /// guard over the merged total when the loop actually fanned out
-    /// (each morsel only guarded its local buffer). The serial path —
-    /// exactly one part — keeps the pre-parallel guard sequence
-    /// unchanged.
-    fn concat_checked(&self, parts: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
-        let fanned_out = parts.len() > 1;
-        let out = concat_rows(parts);
-        if fanned_out {
-            self.check_size(out.len())?;
-        }
-        Ok(out)
     }
 
     // -----------------------------------------------------------------
@@ -1378,6 +1522,7 @@ impl ExecContext {
             m.build_rows += pend.build_rows;
             m.reverify += pend.reverify;
             merge_disjuncts(&mut m.disjuncts, &pend.disjuncts);
+            merge_stages(&mut m.stages, &pend.stages);
         }
         result
     }
@@ -1399,16 +1544,7 @@ impl ExecContext {
                     Relation::new(schema, pos)
                 } else {
                     let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        let mut out = Vec::new();
-                        for t in &rows[range] {
-                            ctx.tick()?;
-                            if ctx.eval_truth(predicate, t)?.is_true() {
-                                // Shared-row: refcount bump, not a value copy.
-                                ctx.charge(SHARED_ROW_BYTES)?;
-                                out.push(t.clone());
-                            }
-                        }
-                        Ok(out)
+                        ctx.filter_rows(predicate, &rows[range])
                     })?;
                     Relation::new(schema, concat_rows(parts))
                 }
@@ -1476,165 +1612,37 @@ impl ExecContext {
                 })?;
                 Relation::new(schema, concat_rows(parts))
             }
-            PhysKind::NLJoin {
-                left,
-                right,
-                predicate,
-            } => {
+            PhysKind::Join { left, spec, chain } => {
                 let l = self.eval_node(left, local)?;
-                let r = self.eval_node(right, local)?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::new();
-                    for lt in &l.rows()[range] {
-                        ctx.check_size(out.len())?;
-                        for rt in r.rows() {
-                            ctx.tick()?;
-                            match predicate {
-                                None => {
-                                    let joined = lt.concat(rt);
-                                    ctx.charge(tuple_bytes(&joined))?;
-                                    out.push(joined);
-                                }
-                                Some(p) => {
-                                    let joined = lt.concat(rt);
-                                    if ctx.eval_truth(p, &joined)?.is_true() {
-                                        ctx.charge(tuple_bytes(&joined))?;
-                                        out.push(joined);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Ok(out)
-                })?;
-                let out = self.concat_checked(parts)?;
-                Relation::new(schema, out)
-            }
-            PhysKind::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-            } => {
-                let l = self.eval_node(left, local)?;
-                let r = self.eval_node(right, local)?;
-                // Build stays on the master (charge order is
-                // insertion order); the immutable table is shared by
+                // Build sides stay on the master (charge order is
+                // insertion order); the immutable tables are shared by
                 // the probe morsels.
-                let table = self.build_hash_table(&r, right_keys)?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::new();
-                    let mut probe = Vec::with_capacity(left_keys.len());
-                    let mut reverify = 0u64;
-                    for lt in &l.rows()[range] {
-                        ctx.tick()?;
-                        let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? else {
-                            continue; // NULL keys never match
-                        };
-                        for ri in table.probe(hash, &probe, &mut reverify) {
-                            let joined = lt.concat(&r.rows()[ri]);
-                            if let Some(p) = residual {
-                                if !ctx.eval_truth(p, &joined)?.is_true() {
-                                    continue;
-                                }
-                            }
-                            ctx.charge(tuple_bytes(&joined))?;
-                            out.push(joined);
+                let join = self.open_probe(spec, local)?;
+                let stages = self.open_chain(chain, local)?;
+                let parts = self.run_weighted_morsels(
+                    node,
+                    l.len(),
+                    join.pairs_per_row(),
+                    |ctx, range| {
+                        let mut sink = Sink::new(stages.len());
+                        for lt in &l.rows()[range] {
+                            ctx.check_size(sink.rows.len())?;
+                            ctx.probe(&join, &RowView::new(lt.values()), &stages, 0, &mut sink)?;
                         }
-                    }
-                    if ctx.metrics.is_some() {
-                        ctx.pending.reverify += reverify;
-                    }
-                    Ok(out)
-                })?;
-                if self.metrics.is_some() {
-                    self.pending.build_rows += table.row_ids.len() as u64;
+                        Ok(sink)
+                    },
+                )?;
+                let fanned_out = parts.len() > 1;
+                let sink = Sink::merge(parts);
+                if fanned_out {
+                    self.check_size(sink.rows.len())?;
                 }
-                // The key arena dies with the table at end of arm.
-                self.release(table.charged);
-                Relation::new(schema, concat_rows(parts))
-            }
-            PhysKind::HashOuterJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                defaults,
-            } => {
-                let l = self.eval_node(left, local)?;
-                let r = self.eval_node(right, local)?;
-                let table = self.build_hash_table(&r, right_keys)?;
-                let pad = padded_right(r.schema().arity(), defaults);
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::new();
-                    let mut probe = Vec::with_capacity(left_keys.len());
-                    let mut reverify = 0u64;
-                    for lt in &l.rows()[range] {
-                        ctx.tick()?;
-                        let mut matched = false;
-                        if let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? {
-                            for ri in table.probe(hash, &probe, &mut reverify) {
-                                let joined = lt.concat(&r.rows()[ri]);
-                                if let Some(p) = residual {
-                                    if !ctx.eval_truth(p, &joined)?.is_true() {
-                                        continue;
-                                    }
-                                }
-                                matched = true;
-                                ctx.charge(tuple_bytes(&joined))?;
-                                out.push(joined);
-                            }
-                        }
-                        if !matched {
-                            let padded = lt.concat(&pad);
-                            ctx.charge(tuple_bytes(&padded))?;
-                            out.push(padded);
-                        }
-                    }
-                    if ctx.metrics.is_some() {
-                        ctx.pending.reverify += reverify;
-                    }
-                    Ok(out)
-                })?;
+                self.close_probes(std::iter::once(&join).chain(probes(&stages)));
                 if self.metrics.is_some() {
-                    self.pending.build_rows += table.row_ids.len() as u64;
+                    self.pending.reverify += sink.reverify;
+                    self.pending.stages = sink.stage_metrics();
                 }
-                self.release(table.charged);
-                Relation::new(schema, concat_rows(parts))
-            }
-            PhysKind::NLOuterJoin {
-                left,
-                right,
-                predicate,
-                defaults,
-            } => {
-                let l = self.eval_node(left, local)?;
-                let r = self.eval_node(right, local)?;
-                let pad = padded_right(r.schema().arity(), defaults);
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::new();
-                    for lt in &l.rows()[range] {
-                        let mut matched = false;
-                        for rt in r.rows() {
-                            ctx.tick()?;
-                            let joined = lt.concat(rt);
-                            if ctx.eval_truth(predicate, &joined)?.is_true() {
-                                matched = true;
-                                ctx.charge(tuple_bytes(&joined))?;
-                                out.push(joined);
-                            }
-                        }
-                        if !matched {
-                            let padded = lt.concat(&pad);
-                            ctx.charge(tuple_bytes(&padded))?;
-                            out.push(padded);
-                        }
-                    }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                Relation::new(schema, sink.rows)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let input = self.eval_node(input, local)?;
@@ -1724,7 +1732,7 @@ impl ExecContext {
                         let lk = ctx.eval_expr(left_key, lt)?;
                         let mut acc = create_accumulator(agg);
                         let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
-                        for (rk, rt) in &right_kv {
+                        for &(ref rk, rt) in &right_kv {
                             ctx.tick()?;
                             if value_truth(&eval_binop(*cmp, &lk, rk)?).is_true() {
                                 let v = match &agg.arg {
@@ -1872,49 +1880,57 @@ impl ExecContext {
             // Drain the per-call scratch exactly like `eval_node` does;
             // σ± chains deposit their per-disjunct counters here.
             let pend = std::mem::take(&mut self.pending);
-            if let (Some(metrics), Ok((pos, neg))) = (self.metrics.as_mut(), &result) {
+            if let (Some(metrics), Ok(((pos, neg), routed))) = (self.metrics.as_mut(), &result) {
                 let m = metrics.entry(ptr).or_default();
-                let total = (pos.len() + neg.len()) as u64;
+                let handed_on = (pos.len() + neg.len()) as u64;
                 m.calls += 1;
-                m.rows += total;
+                m.rows += routed[0] + routed[1];
                 m.nanos += elapsed;
                 m.self_nanos += elapsed.saturating_sub(children);
                 m.build_rows += pend.build_rows;
                 m.reverify += pend.reverify;
                 merge_disjuncts(&mut m.disjuncts, &pend.disjuncts);
-                // The bypass-specific split: the negative stream is
-                // the quantity the paper's cost argument needs small.
-                m.pos_rows += pos.len() as u64;
-                m.neg_rows += neg.len() as u64;
+                merge_stages(&mut m.stages, &pend.stages);
+                // The bypass-specific split — what the operator itself
+                // routed to each side, before any fused stage: the
+                // negative stream is the quantity the paper's cost
+                // argument needs small.
+                m.pos_rows += routed[0];
+                m.neg_rows += routed[1];
                 // σ± splits by refcount bump; ⋈± materializes the
-                // concatenated pairs.
+                // pairs that survive its stage chains.
                 if matches!(source.kind, PhysKind::BypassFilter { .. }) {
-                    m.rows_shared += total;
+                    m.rows_shared += handed_on;
                 } else {
-                    m.rows_materialized += total;
+                    m.rows_materialized += handed_on;
                 }
             }
         }
-        let dual = result?;
+        let (dual, _) = result?;
         local.insert(ptr, dual.clone());
         Ok(dual)
     }
 
-    fn eval_bypass_inner(&mut self, source: &Arc<PhysNode>, local: &mut Local) -> Result<Dual> {
+    /// Both streams of a bypass operator, plus how many rows the
+    /// operator routed to each (more than the streams hold when a fused
+    /// stage chain dropped some on the way).
+    fn eval_bypass_inner(
+        &mut self,
+        source: &Arc<PhysNode>,
+        local: &mut Local,
+    ) -> Result<(Dual, [u64; 2])> {
         let schema = source.schema.clone();
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
                 let rows = input.rows();
-                if let Some(chain) = self.chain_for(source, predicate, input.schema().arity()) {
+                let (pos, neg) = if let Some(chain) =
+                    self.chain_for(source, predicate, input.schema().arity())
+                {
                     // Vectorized dual-stream split: two selection
                     // vectors over one shared batch, gathered into
                     // pos/neg in input order.
-                    let (pos, neg) = self.run_chain(source, &input, &chain, true)?;
-                    (
-                        Arc::new(Relation::new(schema.clone(), pos)),
-                        Arc::new(Relation::new(schema, neg)),
-                    )
+                    self.run_chain(source, &input, &chain, true)?
                 } else {
                     // Each morsel splits into its own pos/neg buffers;
                     // concatenating them in morsel order reproduces the
@@ -1935,45 +1951,39 @@ impl ExecContext {
                         }
                         Ok((pos, neg))
                     })?;
-                    let (pos, neg) = concat_dual(parts);
-                    (
-                        Arc::new(Relation::new(schema.clone(), pos)),
-                        Arc::new(Relation::new(schema, neg)),
-                    )
-                }
+                    concat_dual(parts)
+                };
+                let routed = [pos.len() as u64, neg.len() as u64];
+                let dual = (
+                    Arc::new(Relation::new(schema.clone(), pos)),
+                    Arc::new(Relation::new(schema, neg)),
+                );
+                (dual, routed)
             }
             PhysKind::BypassNLJoin {
                 left,
                 right,
                 predicate,
-                neg_filter,
+                pos,
+                neg,
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let parts = self.run_morsels(source, l.len(), |ctx, range| {
-                    let mut pos = Vec::new();
-                    let mut neg = Vec::new();
+                let pos_stages = self.open_chain(pos, local)?;
+                let neg_stages = self.open_chain(neg, local)?;
+                let parts = self.run_weighted_morsels(source, l.len(), r.len(), |ctx, range| {
+                    let mut pos = Sink::new(pos_stages.len());
+                    let mut neg = Sink::new(neg_stages.len());
                     for lt in &l.rows()[range] {
-                        ctx.check_size(pos.len().max(neg.len()))?;
+                        ctx.check_size(pos.rows.len().max(neg.rows.len()))?;
+                        let left = RowView::new(lt.values());
                         for rt in r.rows() {
                             ctx.tick()?;
-                            let joined = lt.concat(rt);
-                            if ctx.eval_truth(predicate, &joined)?.is_true() {
-                                ctx.charge(tuple_bytes(&joined))?;
-                                pos.push(joined);
+                            let pair = left.with(rt.values());
+                            if ctx.eval_truth(predicate, &pair)?.is_true() {
+                                ctx.emit(&pair, &pos_stages, 0, &mut pos)?;
                             } else {
-                                match neg_filter {
-                                    None => {
-                                        ctx.charge(tuple_bytes(&joined))?;
-                                        neg.push(joined);
-                                    }
-                                    Some(f) => {
-                                        if ctx.eval_truth(f, &joined)?.is_true() {
-                                            ctx.charge(tuple_bytes(&joined))?;
-                                            neg.push(joined);
-                                        }
-                                    }
-                                }
+                                ctx.emit(&pair, &neg_stages, 0, &mut neg)?;
                             }
                         }
                     }
@@ -1982,15 +1992,24 @@ impl ExecContext {
                 // Morsels guard their local buffers; a parallel run
                 // adds one post-merge check over the combined size (the
                 // serial path keeps the exact per-left-row guard).
-                let n_parts = parts.len();
-                let (pos, neg) = concat_dual(parts);
-                if n_parts > 1 {
-                    self.check_size(pos.len().max(neg.len()))?;
+                let fanned_out = parts.len() > 1;
+                let (pos_parts, neg_parts): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+                let (pos_sink, neg_sink) = (Sink::merge(pos_parts), Sink::merge(neg_parts));
+                let routed = [pos_sink.entered(), neg_sink.entered()];
+                if fanned_out {
+                    self.check_size(pos_sink.rows.len().max(neg_sink.rows.len()))?;
                 }
-                (
-                    Arc::new(Relation::new(schema.clone(), pos)),
-                    Arc::new(Relation::new(schema, neg)),
-                )
+                self.close_probes(probes(&pos_stages).chain(probes(&neg_stages)));
+                if self.metrics.is_some() {
+                    self.pending.reverify += pos_sink.reverify + neg_sink.reverify;
+                    self.pending.stages = pos_sink.stage_metrics();
+                    self.pending.stages.extend(neg_sink.stage_metrics());
+                }
+                let stream = |chain: &Option<Chain>, sink: Sink| {
+                    let schema = chain.as_ref().map_or(&schema, |c| &c.schema).clone();
+                    Arc::new(Relation::new(schema, sink.rows))
+                };
+                ((stream(pos, pos_sink), stream(neg, neg_sink)), routed)
             }
             _ => {
                 return Err(Error::execution(
@@ -2216,6 +2235,176 @@ impl ExecContext {
         Ok(Relation::new(schema, out))
     }
 
+    // ----- join pipelines (DESIGN.md §7) ---------------------------------
+    //
+    // A join loop never builds a pair it does not emit: it evaluates
+    // its predicate on a borrowed `RowView` of the two rows, pushes
+    // matches through the stage chain fused into it — still on the
+    // view — and materializes (and charges) only what leaves the last
+    // stage. Every stage ticks once per row it receives, exactly as the
+    // standalone operator would; the charges of the intermediate
+    // relations are what disappears.
+
+    /// Evaluate a join's build side and make it probe-ready. Runs on
+    /// the master before the loop fans out.
+    fn open_probe<'p>(&mut self, spec: &'p JoinSpec, local: &mut Local) -> Result<Probe<'p>> {
+        let right = self.eval_node(&spec.right, local)?;
+        let on = match &spec.on {
+            JoinOn::Loop(predicate) => ProbeOn::Loop(predicate.as_ref()),
+            JoinOn::Hash {
+                left_keys,
+                right_keys,
+                residual,
+            } => ProbeOn::Hash {
+                left_keys,
+                table: self.build_hash_table(&right, right_keys)?,
+                residual: residual.as_ref(),
+            },
+        };
+        let pad = spec
+            .defaults
+            .as_ref()
+            .map(|d| padded_right(right.schema().arity(), d));
+        Ok(Probe { right, on, pad })
+    }
+
+    /// Make a stage chain runnable: open the build sides of its fused
+    /// joins, in chain order.
+    fn open_chain<'p>(
+        &mut self,
+        chain: &'p Option<Chain>,
+        local: &mut Local,
+    ) -> Result<Vec<LiveStage<'p>>> {
+        chain
+            .iter()
+            .flat_map(|c| &c.stages)
+            .map(|stage| {
+                Ok(match stage {
+                    Stage::Filter(p) => LiveStage::Filter(p),
+                    Stage::Project(exprs) => LiveStage::Project(exprs),
+                    Stage::Map(e) => LiveStage::Map(e),
+                    Stage::Probe(spec) => LiveStage::Probe(self.open_probe(spec, local)?),
+                })
+            })
+            .collect()
+    }
+
+    /// The pipeline is done: the hash tables' key arenas die with it.
+    fn close_probes<'s, 'p: 's>(&mut self, probes: impl Iterator<Item = &'s Probe<'p>>) {
+        for probe in probes {
+            if let ProbeOn::Hash { table, .. } = &probe.on {
+                if self.metrics.is_some() {
+                    self.pending.build_rows += table.row_ids.len() as u64;
+                }
+                self.release(table.charged);
+            }
+        }
+    }
+
+    /// Join one left row against `probe`'s build side and hand every
+    /// emitted pair to stage `next` of `stages`.
+    fn probe(
+        &mut self,
+        probe: &Probe<'_>,
+        left: &RowView<'_>,
+        stages: &[LiveStage<'_>],
+        next: usize,
+        sink: &mut Sink,
+    ) -> Result<()> {
+        let build = probe.right.rows();
+        let mut matched = false;
+        match &probe.on {
+            ProbeOn::Loop(predicate) => {
+                for rt in build {
+                    self.tick()?;
+                    let pair = left.with(rt.values());
+                    let hit = match predicate {
+                        None => true,
+                        Some(p) => self.eval_truth(p, &pair)?.is_true(),
+                    };
+                    if hit {
+                        matched = true;
+                        self.emit(&pair, stages, next, sink)?;
+                    }
+                }
+            }
+            ProbeOn::Hash {
+                left_keys,
+                table,
+                residual,
+            } => {
+                self.tick()?;
+                // The key buffer leaves the sink while the pairs it
+                // matched travel down the chain (which borrows the sink).
+                let mut key = std::mem::take(&mut sink.scratch[next]);
+                // NULL keys never match.
+                if let Some(hash) = self.eval_key_into(left_keys, left, &mut key)? {
+                    let mut reverify = 0;
+                    for ri in table.probe(hash, &key, &mut reverify) {
+                        let pair = left.with(build[ri].values());
+                        if let Some(p) = residual {
+                            if !self.eval_truth(p, &pair)?.is_true() {
+                                continue;
+                            }
+                        }
+                        matched = true;
+                        self.emit(&pair, stages, next, sink)?;
+                    }
+                    sink.reverify += reverify;
+                }
+                sink.scratch[next] = key;
+            }
+        }
+        if let (false, Some(pad)) = (matched, &probe.pad) {
+            self.emit(&left.with(pad.values()), stages, next, sink)?;
+        }
+        Ok(())
+    }
+
+    /// Push one row into stage `at` of the chain; past the last stage
+    /// the row has survived — materialize and charge it.
+    fn emit(
+        &mut self,
+        row: &RowView<'_>,
+        stages: &[LiveStage<'_>],
+        at: usize,
+        sink: &mut Sink,
+    ) -> Result<()> {
+        let Some(stage) = stages.get(at) else {
+            let row = row.to_tuple();
+            self.charge(tuple_bytes(&row))?;
+            sink.rows.push(row);
+            return Ok(());
+        };
+        sink.reached[at] += 1;
+        match stage {
+            LiveStage::Filter(predicate) => {
+                self.tick()?;
+                if self.eval_truth(predicate, row)?.is_true() {
+                    self.emit(row, stages, at + 1, sink)?;
+                }
+                Ok(())
+            }
+            LiveStage::Map(expr) => {
+                self.tick()?;
+                let v = [self.eval_expr(expr, row)?];
+                self.emit(&row.with(&v), stages, at + 1, sink)
+            }
+            LiveStage::Project(exprs) => {
+                self.tick()?;
+                let mut out = std::mem::take(&mut sink.scratch[at + 1]);
+                out.clear();
+                for e in *exprs {
+                    out.push(self.eval_expr(e, row)?);
+                }
+                let done = self.emit(&RowView::new(&out), stages, at + 1, sink);
+                sink.scratch[at + 1] = out;
+                done
+            }
+            LiveStage::Probe(probe) => self.probe(probe, row, stages, at + 1, sink),
+        }
+    }
+
     /// Single-pass build of the join hash table: per build row, evaluate
     /// the key into a scratch buffer; NULL keys are skipped entirely
     /// (they can never match); surviving keys move into the flat arena.
@@ -2252,10 +2441,10 @@ impl ExecContext {
     /// Evaluate join keys into `buf` and return their precomputed hash;
     /// `None` when any key is NULL (never matches). `buf` is cleared
     /// first so callers can reuse one buffer across rows.
-    fn eval_key_into(
+    fn eval_key_into<R: Row>(
         &mut self,
         keys: &[PhysExpr],
-        t: &Tuple,
+        t: &R,
         buf: &mut Vec<Value>,
     ) -> Result<Option<u64>> {
         buf.clear();
@@ -2269,9 +2458,27 @@ impl ExecContext {
         Ok(Some(fxhash::hash_values(buf)))
     }
 
+    /// σ's row-at-a-time loop — the canonical plans' innermost loop
+    /// (one pass over the inner table per outer row). Out of line:
+    /// inlined into `eval_node_inner`'s match it ran ~6 % slower per row
+    /// once the join arms grew (benchmark workload `rst_canonical`).
+    #[inline(never)]
+    fn filter_rows(&mut self, predicate: &PhysExpr, rows: &[Tuple]) -> Result<Vec<Tuple>> {
+        let mut out = Vec::new();
+        for t in rows {
+            self.tick()?;
+            if self.eval_truth(predicate, t)?.is_true() {
+                // Shared-row: refcount bump, not a value copy.
+                self.charge(SHARED_ROW_BYTES)?;
+                out.push(t.clone());
+            }
+        }
+        Ok(out)
+    }
+
     // ----- expression evaluation ---------------------------------------
 
-    pub fn eval_truth(&mut self, e: &PhysExpr, t: &Tuple) -> Result<Truth> {
+    pub fn eval_truth<R: Row>(&mut self, e: &PhysExpr, t: &R) -> Result<Truth> {
         // Borrow-only fast path first: the canonical plans of Fig. 7
         // evaluate tens of millions of simple comparison predicates per
         // query, and the general evaluator pays for owned `Value`
@@ -2290,7 +2497,7 @@ impl ExecContext {
     /// (subqueries, arithmetic, LIKE, out-of-range references, …); the
     /// caller then falls back to [`Self::eval_expr`], which reproduces
     /// the same semantics and reports proper errors.
-    fn truth_fast(&self, e: &PhysExpr, t: &Tuple) -> Option<Truth> {
+    fn truth_fast<R: Row>(&self, e: &PhysExpr, t: &R) -> Option<Truth> {
         use bypass_algebra::BinOp;
         match e {
             PhysExpr::Binary { op, left, right } => match op {
@@ -2355,7 +2562,7 @@ impl ExecContext {
 
     /// Borrowed view of a leaf operand; `None` for anything that is not
     /// a (valid) column, outer or literal reference.
-    fn value_ref<'a>(&'a self, e: &'a PhysExpr, t: &'a Tuple) -> Option<&'a Value> {
+    fn value_ref<'a, R: Row>(&'a self, e: &'a PhysExpr, t: &'a R) -> Option<&'a Value> {
         match e {
             PhysExpr::Column(i) => t.get(*i),
             PhysExpr::Literal(v) => Some(v),
@@ -2369,7 +2576,7 @@ impl ExecContext {
         }
     }
 
-    pub fn eval_expr(&mut self, e: &PhysExpr, t: &Tuple) -> Result<Value> {
+    pub fn eval_expr<R: Row>(&mut self, e: &PhysExpr, t: &R) -> Result<Value> {
         Ok(match e {
             PhysExpr::Column(i) => t
                 .get(*i)
@@ -2529,12 +2736,12 @@ impl ExecContext {
     /// Evaluate a nested plan for the current tuple, honoring the memo
     /// options. The current tuple is pushed onto the binding stack so
     /// `Outer { depth: 1 }` references inside the subplan see it.
-    fn eval_subquery(
+    fn eval_subquery<R: Row>(
         &mut self,
         plan: &Arc<PhysNode>,
         correlated: bool,
         outer_keys: &[usize],
-        t: &Tuple,
+        t: &R,
     ) -> Result<Arc<Relation>> {
         let ptr = Arc::as_ptr(plan) as usize;
         if !correlated && self.options.memo_uncorrelated {
@@ -2552,7 +2759,7 @@ impl ExecContext {
         }
         if correlated && self.options.memo_correlated && !outer_keys.is_empty() {
             // Memo probe without materializing a key: hash (plan ptr,
-            // correlation values) straight off the outer tuple, then
+            // correlation values) straight off the outer row, then
             // compare candidate entries value-by-value.
             let hash = corr_hash(ptr, outer_keys, t);
             if let Some(entries) = self.corr.get(&hash) {
@@ -2566,7 +2773,10 @@ impl ExecContext {
             self.counters.memo_corr_misses += 1;
             let r = self.run_nested(plan, t)?;
             // Materialize the key only on first miss (shared-row Tuple).
-            let key = t.key_tuple(outer_keys);
+            let key: Tuple = outer_keys
+                .iter()
+                .map(|&i| corr_value(t, i).clone())
+                .collect();
             self.charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
             self.corr
                 .entry(hash)
@@ -2577,9 +2787,10 @@ impl ExecContext {
         self.run_nested(plan, t)
     }
 
-    fn run_nested(&mut self, plan: &Arc<PhysNode>, t: &Tuple) -> Result<Arc<Relation>> {
-        // Shared-row: binding the outer tuple is a refcount bump.
-        self.outer.push(t.clone());
+    fn run_nested<R: Row>(&mut self, plan: &Arc<PhysNode>, t: &R) -> Result<Arc<Relation>> {
+        // Shared-row: binding an outer tuple is a refcount bump (a join
+        // pair under a subquery predicate is materialized here).
+        self.outer.push(t.to_tuple());
         let before = self.used_bytes;
         let result = self.eval_plan(plan);
         self.outer.pop();
@@ -2633,21 +2844,32 @@ fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
         .collect()
 }
 
+/// Correlation column `i` of the outer row; the planner resolved it
+/// against that row's schema.
+#[inline]
+fn corr_value<R: Row>(t: &R, i: usize) -> &Value {
+    t.get(i).expect("correlation key within the outer row")
+}
+
 /// Precomputed FxHash of `(plan ptr, t[outer_keys...])`, matching the
 /// hash of the stored correlation key tuples.
-fn corr_hash(ptr: usize, outer_keys: &[usize], t: &Tuple) -> u64 {
+fn corr_hash<R: Row>(ptr: usize, outer_keys: &[usize], t: &R) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = bypass_types::FxHasher::default();
     h.write_usize(ptr);
     h.write_usize(outer_keys.len());
     for &i in outer_keys {
-        t[i].hash(&mut h);
+        corr_value(t, i).hash(&mut h);
     }
     h.finish()
 }
 
-fn corr_key_matches(key: &Tuple, outer_keys: &[usize], t: &Tuple) -> bool {
-    key.arity() == outer_keys.len() && outer_keys.iter().enumerate().all(|(k, &i)| key[k] == t[i])
+fn corr_key_matches<R: Row>(key: &Tuple, outer_keys: &[usize], t: &R) -> bool {
+    key.arity() == outer_keys.len()
+        && outer_keys
+            .iter()
+            .enumerate()
+            .all(|(k, &i)| key[k] == *corr_value(t, i))
 }
 
 /// The padded right-hand tuple for unmatched outer-join rows: NULLs with
@@ -2688,6 +2910,52 @@ mod tests {
 
     fn run(node: &Arc<PhysNode>) -> Relation {
         evaluate(node).unwrap()
+    }
+
+    fn join(
+        left: Arc<PhysNode>,
+        right: Arc<PhysNode>,
+        on: JoinOn,
+        schema: Schema,
+    ) -> Arc<PhysNode> {
+        outer_join(left, right, on, None, schema)
+    }
+
+    fn outer_join(
+        left: Arc<PhysNode>,
+        right: Arc<PhysNode>,
+        on: JoinOn,
+        defaults: Option<Vec<(usize, Value)>>,
+        schema: Schema,
+    ) -> Arc<PhysNode> {
+        PhysNode::new(
+            PhysKind::Join {
+                left,
+                spec: JoinSpec {
+                    right,
+                    on,
+                    defaults,
+                },
+                chain: None,
+            },
+            schema,
+        )
+    }
+
+    fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
+        JoinOn::Hash {
+            left_keys: vec![PhysExpr::Column(left_key)],
+            right_keys: vec![PhysExpr::Column(right_key)],
+            residual: None,
+        }
+    }
+
+    fn cmp(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
+        PhysExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        }
     }
 
     #[test]
@@ -2766,28 +3034,13 @@ mod tests {
             Field::new("a", DataType::Int),
             Field::new("b", DataType::Int),
         ]);
-        let hash = PhysNode::new(
-            PhysKind::HashJoin {
-                left: l.clone(),
-                right: r.clone(),
-                left_keys: vec![PhysExpr::Column(0)],
-                right_keys: vec![PhysExpr::Column(0)],
-                residual: None,
-            },
-            out_schema.clone(),
-        );
-        let nl = PhysNode::new(
-            PhysKind::NLJoin {
-                left: l,
-                right: r,
-                predicate: Some(PhysExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Column(1)),
-                }),
-            },
-            out_schema,
-        );
+        let hash = join(l.clone(), r.clone(), hash_on(0, 0), out_schema.clone());
+        let on = JoinOn::Loop(Some(cmp(
+            BinOp::Eq,
+            PhysExpr::Column(0),
+            PhysExpr::Column(1),
+        )));
+        let nl = join(l, r, on, out_schema);
         let (h, n) = (run(&hash), run(&nl));
         assert_eq!(h.len(), 5); // 2×2 matches + 1
         assert!(h.bag_eq(&n));
@@ -2802,17 +3055,7 @@ mod tests {
             Field::new("k", DataType::Int),
             Field::new("g", DataType::Int),
         ]);
-        let oj = PhysNode::new(
-            PhysKind::HashOuterJoin {
-                left: l,
-                right: r,
-                left_keys: vec![PhysExpr::Column(0)],
-                right_keys: vec![PhysExpr::Column(0)],
-                residual: None,
-                defaults: vec![(1, Value::Int(0))],
-            },
-            schema,
-        );
+        let oj = outer_join(l, r, hash_on(0, 0), Some(vec![(1, Value::Int(0))]), schema);
         let out = run(&oj);
         assert_eq!(out.len(), 2);
         // Matched row keeps its g; unmatched gets NULL key and default 0
@@ -3033,50 +3276,83 @@ mod tests {
     }
 
     #[test]
-    fn bypass_join_with_fused_neg_filter() {
+    fn bypass_join_runs_both_stage_chains_on_the_pair_view() {
         let l = int_rel("l", &["a"], &[&[1], &[2]]);
         let r = int_rel("r", &["b", "c"], &[&[1, 100], &[9, 2000]]);
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::new("b", DataType::Int),
-            Field::new("c", DataType::Int),
-        ]);
+        let g = int_rel("g", &["k", "n"], &[&[9, 5]]);
+        let int = |n: &str| Field::new(n, DataType::Int);
+        let schema = Schema::new(vec![int("a"), int("b"), int("c")]);
+        // Negative pairs (1,9,2000) (2,1,100) (2,9,2000) ⟕_{b=k} g with
+        // n defaulting to 0, then σ_{n=0}, then Π_{a,n}: only the padded
+        // row survives, carrying the default through the fused filter.
+        let neg = Chain {
+            stages: vec![
+                Stage::Probe(JoinSpec {
+                    right: g,
+                    on: hash_on(1, 0),
+                    defaults: Some(vec![(1, Value::Int(0))]),
+                }),
+                Stage::Filter(cmp(
+                    BinOp::Eq,
+                    PhysExpr::Column(4),
+                    PhysExpr::Literal(Value::Int(0)),
+                )),
+                Stage::Project(vec![PhysExpr::Column(0), PhysExpr::Column(4)]),
+            ],
+            schema: Schema::new(vec![int("a"), int("n")]),
+        };
+        // Positive pair (1,1,100) extended by a + b.
+        let pos = Chain {
+            stages: vec![Stage::Map(cmp(
+                BinOp::Add,
+                PhysExpr::Column(0),
+                PhysExpr::Column(1),
+            ))],
+            schema: schema.extended(int("s")),
+        };
         let bj = PhysNode::new(
             PhysKind::BypassNLJoin {
                 left: l,
                 right: r,
-                predicate: PhysExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Column(1)),
+                predicate: cmp(BinOp::Eq, PhysExpr::Column(0), PhysExpr::Column(1)),
+                pos: Some(pos),
+                neg: Some(neg),
+            },
+            schema.clone(),
+        );
+        let tap = |positive| {
+            PhysNode::new(
+                PhysKind::Stream {
+                    source: bj.clone(),
+                    positive,
                 },
-                neg_filter: Some(PhysExpr::Binary {
-                    op: BinOp::Gt,
-                    left: Box::new(PhysExpr::Column(2)),
-                    right: Box::new(PhysExpr::Literal(Value::Int(1500))),
-                }),
+                schema.clone(),
+            )
+        };
+        let ints = |vs: &[i64]| Tuple::new(vs.iter().map(|&v| Value::Int(v)).collect());
+        assert_eq!(run(&tap(true)).rows(), &[ints(&[1, 1, 100, 2])]);
+        assert_eq!(run(&tap(false)).rows(), &[ints(&[2, 0])]);
+
+        let union = PhysNode::new(
+            PhysKind::UnionAll {
+                left: tap(false),
+                right: tap(false),
             },
-            schema.clone(),
+            Schema::new(vec![int("a"), int("n")]),
         );
-        let pos = PhysNode::new(
-            PhysKind::Stream {
-                source: bj.clone(),
-                positive: true,
-            },
-            schema.clone(),
+        let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
+        assert_eq!(ctx.eval_plan(&union).unwrap().len(), 2);
+        let m = &ctx.take_metrics()[&(Arc::as_ptr(&bj) as usize)];
+        // What the join routed, not what survived the chains.
+        assert_eq!((m.calls, m.pos_rows, m.neg_rows), (1, 1, 3));
+        assert_eq!(m.rows_materialized, 2);
+        let stage = |rows_in, rows_out| StageMetrics { rows_in, rows_out };
+        assert_eq!(
+            m.stages,
+            vec![stage(1, 1), stage(3, 3), stage(3, 1), stage(1, 1)],
+            "χ of the positive chain, then ⟕ σ Π of the negative"
         );
-        let neg = PhysNode::new(
-            PhysKind::Stream {
-                source: bj,
-                positive: false,
-            },
-            schema,
-        );
-        let p = run(&pos);
-        let n = run(&neg);
-        assert_eq!(p.len(), 1, "one equality match");
-        // Negative pairs: (1,9),(2,1),(2,9); only c>1500 survive: (1,9),(2,9).
-        assert_eq!(n.len(), 2);
+        assert_eq!((m.build_rows, m.reverify), (1, 0));
     }
 
     #[test]
@@ -3148,16 +3424,7 @@ mod tests {
             Field::new("a", DataType::Int),
             Field::new("b", DataType::Int),
         ]);
-        let join = PhysNode::new(
-            PhysKind::HashJoin {
-                left: l,
-                right: r,
-                left_keys: vec![PhysExpr::Column(0)],
-                right_keys: vec![PhysExpr::Column(0)],
-                residual: None,
-            },
-            out_schema,
-        );
+        let join = join(l, r, hash_on(0, 0), out_schema);
         let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
         let out = ctx.eval_plan(&join).unwrap();
         assert_eq!(out.len(), 5);
@@ -3287,23 +3554,9 @@ mod tests {
             Field::new("x", DataType::Int),
             Field::new("y", DataType::Int),
         ]);
-        let j1 = PhysNode::new(
-            PhysKind::NLJoin {
-                left: a.clone(),
-                right: b.clone(),
-                predicate: None,
-            },
-            schema2.clone(),
-        );
+        let j1 = join(a.clone(), b.clone(), JoinOn::Loop(None), schema2.clone());
         let schema3 = schema2.extended(Field::new("z", DataType::Int));
-        let j2 = PhysNode::new(
-            PhysKind::NLJoin {
-                left: j1,
-                right: a,
-                predicate: None,
-            },
-            schema3,
-        );
+        let j2 = join(j1, a, JoinOn::Loop(None), schema3);
         let err = evaluate_with(
             &j2,
             ExecOptions {
@@ -3334,21 +3587,15 @@ mod tests {
             Field::new("y", DataType::Int),
             Field::new("z", DataType::Int),
         ]);
-        let join = PhysNode::new(
-            PhysKind::NLJoin {
-                left: a,
-                right: b,
-                predicate: Some(PhysExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Column(2)),
-                }),
-            },
-            schema3.clone(),
-        );
+        let on = JoinOn::Loop(Some(cmp(
+            BinOp::Eq,
+            PhysExpr::Column(0),
+            PhysExpr::Column(2),
+        )));
+        let joined = join(a, b, on, schema3.clone());
         let filter = PhysNode::new(
             PhysKind::Filter {
-                input: join,
+                input: joined,
                 predicate: PhysExpr::Binary {
                     op: BinOp::Gt,
                     left: Box::new(PhysExpr::Column(1)),

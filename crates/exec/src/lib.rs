@@ -6,7 +6,11 @@
 //! operator produces *two* materialized streams which are memoized so a
 //! shared node is evaluated exactly once per plan evaluation — and it
 //! preserves the asymptotic behaviour the paper measures (nested-loop
-//! canonical plans vs hash-based unnested plans).
+//! canonical plans vs hash-based unnested plans). The one exception is
+//! the boundary above a join: the single-consumer streaming operators
+//! there run inside the join's loop as a fused [`Chain`] of [`Stage`]s
+//! over borrowed [`RowView`]s, and only rows leaving the chain are
+//! materialized.
 //!
 //! Nested query blocks embedded in selection predicates are evaluated by
 //! the expression interpreter: for every outer tuple, the subquery's
@@ -20,13 +24,15 @@ mod eval;
 mod expr;
 mod node;
 mod plan;
+mod row;
 pub mod vector;
 
 pub use agg::{create_accumulator, Accumulator, AggSpec};
 pub use eval::{
     evaluate, evaluate_shared, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters,
-    ExecOptions, NodeMetrics,
+    ExecOptions, NodeMetrics, StageMetrics,
 };
 pub use expr::{value_truth, PhysExpr};
-pub use node::{PhysKind, PhysNode};
+pub use node::{Chain, JoinOn, JoinSpec, LineSource, PhysKind, PhysNode, PlanLine, Stage};
 pub use plan::{physical_plan, physical_plan_with, PlanOptions, Resolver};
+pub use row::{Row, RowView};

@@ -21,6 +21,124 @@ impl PhysNode {
     }
 }
 
+/// How a join finds, for one probe (left) row, its partners among the
+/// rows of a materialized build (right) side — shared by the join
+/// operators themselves and by joins fused into another join's stage
+/// chain ([`Stage::Probe`]).
+#[derive(Debug)]
+pub struct JoinSpec {
+    /// Build side: evaluated (and, for a hash join, hashed) before the
+    /// probe loop starts.
+    pub right: Arc<PhysNode>,
+    pub on: JoinOn,
+    /// `Some` makes this a left outerjoin: an unmatched left row is
+    /// emitted once, its right side NULL-padded except for the
+    /// `(right_column_index, value)` overrides — the `g: f(∅)` defaults
+    /// of the paper's ⟕ operator.
+    pub defaults: Option<Vec<(usize, Value)>>,
+}
+
+/// The matching method of a [`JoinSpec`].
+#[derive(Debug)]
+pub enum JoinOn {
+    /// Nested loop over every build row; `None` is a cross product.
+    Loop(Option<PhysExpr>),
+    /// Hash equi-join with optional residual predicate over the pair.
+    Hash {
+        left_keys: Vec<PhysExpr>,
+        right_keys: Vec<PhysExpr>,
+        residual: Option<PhysExpr>,
+    },
+}
+
+impl JoinSpec {
+    pub fn name(&self) -> &'static str {
+        match (&self.on, &self.defaults) {
+            (JoinOn::Loop(None), None) => "CrossJoin",
+            (JoinOn::Loop(_), None) => "NLJoin",
+            (JoinOn::Loop(_), Some(_)) => "NLOuterJoin",
+            (JoinOn::Hash { .. }, None) => "HashJoin",
+            (JoinOn::Hash { .. }, Some(_)) => "HashOuterJoin",
+        }
+    }
+
+    fn exprs(&self) -> Vec<&PhysExpr> {
+        match &self.on {
+            JoinOn::Loop(p) => p.iter().collect(),
+            JoinOn::Hash {
+                left_keys,
+                right_keys,
+                residual,
+            } => left_keys
+                .iter()
+                .chain(right_keys)
+                .chain(residual.iter())
+                .collect(),
+        }
+    }
+}
+
+/// One streaming operator folded into a join's emit step (DESIGN.md
+/// §7): it sees each row the join (or the stage before it) emits as a
+/// borrowed view and passes zero or more rows on, without an
+/// intermediate relation. All stage expressions are subquery-free.
+#[derive(Debug)]
+pub enum Stage {
+    /// σ_p.
+    Filter(PhysExpr),
+    /// Π.
+    Project(Vec<PhysExpr>),
+    /// χ.
+    Map(PhysExpr),
+    /// A further join whose probe (left) input is the chain.
+    Probe(JoinSpec),
+}
+
+impl Stage {
+    pub fn name(&self) -> &'static str {
+        match self {
+            Stage::Filter(_) => "Filter",
+            Stage::Project(_) => "Project",
+            Stage::Map(_) => "Map",
+            Stage::Probe(spec) => spec.name(),
+        }
+    }
+
+    fn exprs(&self) -> Vec<&PhysExpr> {
+        match self {
+            Stage::Filter(e) | Stage::Map(e) => vec![e],
+            Stage::Project(es) => es.iter().collect(),
+            Stage::Probe(spec) => spec.exprs(),
+        }
+    }
+}
+
+/// The maximal run of single-consumer [`Stage`]s directly above a join
+/// (or above one stream of a bypass join), bottom-up, plus the schema
+/// of the rows leaving the last of them. Only those rows are ever
+/// materialized.
+#[derive(Debug)]
+pub struct Chain {
+    pub stages: Vec<Stage>,
+    pub schema: Schema,
+}
+
+impl Chain {
+    fn builds(chain: &Option<Chain>) -> impl Iterator<Item = &Arc<PhysNode>> {
+        chain
+            .iter()
+            .flat_map(|c| &c.stages)
+            .filter_map(|s| match s {
+                Stage::Probe(spec) => Some(&spec.right),
+                _ => None,
+            })
+    }
+
+    fn exprs(chain: &Option<Chain>) -> impl Iterator<Item = &PhysExpr> {
+        chain.iter().flat_map(|c| &c.stages).flat_map(Stage::exprs)
+    }
+}
+
 /// Physical operator kinds.
 #[derive(Debug)]
 pub enum PhysKind {
@@ -36,38 +154,13 @@ pub enum PhysKind {
         input: Arc<PhysNode>,
         exprs: Vec<PhysExpr>,
     },
-    /// Nested-loop join; `predicate == None` is a cross product.
-    NLJoin {
+    /// Inner or left outer join, nested-loop or hash (see [`JoinSpec`]).
+    /// Pairs are matched on a borrowed view of the two rows and pushed
+    /// through `chain`; only what leaves it is materialized.
+    Join {
         left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
-        predicate: Option<PhysExpr>,
-    },
-    /// Hash equi-join with optional residual predicate.
-    HashJoin {
-        left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
-        left_keys: Vec<PhysExpr>,
-        right_keys: Vec<PhysExpr>,
-        residual: Option<PhysExpr>,
-    },
-    /// Left outerjoin (hash, equi keys) with per-column default values
-    /// for unmatched left tuples: right side is NULL-padded except for
-    /// the `(right_column_index, value)` overrides — the `g: f(∅)`
-    /// defaults of the paper's ⟕ operator.
-    HashOuterJoin {
-        left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
-        left_keys: Vec<PhysExpr>,
-        right_keys: Vec<PhysExpr>,
-        residual: Option<PhysExpr>,
-        defaults: Vec<(usize, Value)>,
-    },
-    /// Left outerjoin fallback for non-equi predicates.
-    NLOuterJoin {
-        left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
-        predicate: PhysExpr,
-        defaults: Vec<(usize, Value)>,
+        spec: JoinSpec,
+        chain: Option<Chain>,
     },
     /// Unary grouping Γ (hash) / scalar aggregation when `keys` is empty.
     HashAggregate {
@@ -125,15 +218,16 @@ pub enum PhysKind {
         input: Arc<PhysNode>,
         predicate: PhysExpr,
     },
-    /// ⋈± — nested-loop bypass join. `neg_filter` is an optional fused
-    /// selection applied to negative-stream pairs *before* they are
-    /// materialized (Eqv. 5 plans filter the huge negative stream by the
-    /// cheap predicate p; fusing avoids materializing |L|·|R| tuples).
+    /// ⋈± — nested-loop bypass join. Each stream has its own stage
+    /// chain: Eqv. 5 plans widen and filter the |L|·|R| negative stream
+    /// right above the join, and with the chain fused none of it is
+    /// materialized.
     BypassNLJoin {
         left: Arc<PhysNode>,
         right: Arc<PhysNode>,
         predicate: PhysExpr,
-        neg_filter: Option<PhysExpr>,
+        pos: Option<Chain>,
+        neg: Option<Chain>,
     },
     /// Consumes one stream of a bypass operator.
     Stream {
@@ -160,7 +254,9 @@ impl PhysNode {
         walk(self, &mut HashSet::new())
     }
 
-    pub fn children(&self) -> Vec<&Arc<PhysNode>> {
+    /// The operator's own inputs, without the build sides of joins
+    /// fused into its stage chains.
+    fn inputs(&self) -> Vec<&Arc<PhysNode>> {
         match &self.kind {
             PhysKind::Scan { .. } => vec![],
             PhysKind::Filter { input, .. }
@@ -173,11 +269,8 @@ impl PhysNode {
             | PhysKind::Limit { input, .. }
             | PhysKind::Alias { input }
             | PhysKind::BypassFilter { input, .. } => vec![input],
-            PhysKind::NLJoin { left, right, .. }
-            | PhysKind::HashJoin { left, right, .. }
-            | PhysKind::HashOuterJoin { left, right, .. }
-            | PhysKind::NLOuterJoin { left, right, .. }
-            | PhysKind::BinaryGroupEq { left, right, .. }
+            PhysKind::Join { left, spec, .. } => vec![left, &spec.right],
+            PhysKind::BinaryGroupEq { left, right, .. }
             | PhysKind::BinaryGroupTheta { left, right, .. }
             | PhysKind::UnionAll { left, right }
             | PhysKind::BypassNLJoin { left, right, .. } => vec![left, right],
@@ -185,7 +278,21 @@ impl PhysNode {
         }
     }
 
-    /// The expressions evaluated by this operator.
+    /// Every plan this operator evaluates: its inputs, then the build
+    /// sides of the joins fused into its stage chains.
+    pub fn children(&self) -> Vec<&Arc<PhysNode>> {
+        let mut out = self.inputs();
+        match &self.kind {
+            PhysKind::Join { chain, .. } => out.extend(Chain::builds(chain)),
+            PhysKind::BypassNLJoin { pos, neg, .. } => {
+                out.extend(Chain::builds(pos).chain(Chain::builds(neg)))
+            }
+            _ => {}
+        }
+        out
+    }
+
+    /// The expressions evaluated by this operator, fused stages included.
     pub fn exprs(&self) -> Vec<&PhysExpr> {
         match &self.kind {
             PhysKind::Scan { .. }
@@ -199,24 +306,11 @@ impl PhysNode {
                 vec![predicate]
             }
             PhysKind::Project { exprs, .. } => exprs.iter().collect(),
-            PhysKind::NLJoin { predicate, .. } => predicate.iter().collect(),
-            PhysKind::HashJoin {
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            }
-            | PhysKind::HashOuterJoin {
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => left_keys
-                .iter()
-                .chain(right_keys)
-                .chain(residual.iter())
+            PhysKind::Join { spec, chain, .. } => spec
+                .exprs()
+                .into_iter()
+                .chain(Chain::exprs(chain))
                 .collect(),
-            PhysKind::NLOuterJoin { predicate, .. } => vec![predicate],
             PhysKind::HashAggregate { keys, aggs, .. } => keys
                 .iter()
                 .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
@@ -241,10 +335,12 @@ impl PhysNode {
             PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
             PhysKind::BypassNLJoin {
                 predicate,
-                neg_filter,
+                pos,
+                neg,
                 ..
             } => std::iter::once(predicate)
-                .chain(neg_filter.iter())
+                .chain(Chain::exprs(pos))
+                .chain(Chain::exprs(neg))
                 .collect(),
         }
     }
@@ -263,13 +359,7 @@ impl PhysNode {
             PhysKind::Scan { .. } => "Scan",
             PhysKind::Filter { .. } => "Filter",
             PhysKind::Project { .. } => "Project",
-            PhysKind::NLJoin {
-                predicate: None, ..
-            } => "CrossJoin",
-            PhysKind::NLJoin { .. } => "NLJoin",
-            PhysKind::HashJoin { .. } => "HashJoin",
-            PhysKind::HashOuterJoin { .. } => "HashOuterJoin",
-            PhysKind::NLOuterJoin { .. } => "NLOuterJoin",
+            PhysKind::Join { spec, .. } => spec.name(),
             PhysKind::HashAggregate { .. } => "HashAggregate",
             PhysKind::BinaryGroupEq { .. } => "BinaryGroup(eq)",
             PhysKind::BinaryGroupTheta { .. } => "BinaryGroup(θ)",
@@ -292,149 +382,264 @@ impl PhysNode {
         }
     }
 
+    /// The stage chain whose rows leave its host through this node — a
+    /// join's own chain, or the chain of the bypass-join stream this
+    /// `Stream` node taps.
+    fn exit_chain(&self) -> Option<ExitChain<'_>> {
+        let (host, chain, offset) = match &self.kind {
+            PhysKind::Join {
+                chain: Some(chain), ..
+            } => (self, chain, 0),
+            PhysKind::Stream { source, positive } => match &source.kind {
+                PhysKind::BypassNLJoin { pos, neg, .. } => {
+                    let host: &PhysNode = source;
+                    match (positive, pos, neg) {
+                        (true, Some(chain), _) => (host, chain, 0),
+                        (false, _, Some(chain)) => {
+                            (host, chain, pos.as_ref().map_or(0, |c| c.stages.len()))
+                        }
+                        _ => return None,
+                    }
+                }
+                _ => return None,
+            },
+            _ => return None,
+        };
+        Some(ExitChain {
+            exit: self,
+            host,
+            chain,
+            offset,
+        })
+    }
+
+    /// The operator tree as display lines, top-down: DAG-shared bypass
+    /// operators appear once (`(#k)`) and as `(shared #k)` afterwards;
+    /// fused stages stay where the unfused plan has them, marked
+    /// `fused→#k` with the number of the join that runs them. Every
+    /// renderer — EXPLAIN, EXPLAIN ANALYZE, the profile table — is a
+    /// formatter over these lines. A subquery plan hangs below a
+    /// `subquery:` line of its own (`subquery_headers`, the EXPLAIN
+    /// layout) or carries `subquery: ` in its root's label (the table
+    /// layout, one row per operator).
+    pub fn lines(&self, subquery_headers: bool) -> Vec<PlanLine<'_>> {
+        let mut w = LineWalker {
+            subquery_headers,
+            ..LineWalker::default()
+        };
+        w.node(self, 0, "");
+        w.out
+    }
+
     /// EXPLAIN ANALYZE rendering: operator tree annotated with the
     /// collected runtime counters (calls, total rows, inclusive wall
-    /// time, and exclusive/self time with child time subtracted).
+    /// time, and exclusive/self time with child time subtracted). Fused
+    /// stages report the rows they received and passed on; their time
+    /// is part of the hosting join's.
     pub fn explain_with_metrics(
-        self: &std::sync::Arc<Self>,
+        &self,
         metrics: &std::collections::HashMap<usize, crate::eval::NodeMetrics>,
     ) -> String {
-        use std::collections::HashMap;
-        fn walk(
-            n: &Arc<PhysNode>,
-            depth: usize,
-            out: &mut String,
-            seen: &mut HashMap<*const PhysNode, usize>,
-            next: &mut usize,
-            metrics: &HashMap<usize, crate::eval::NodeMetrics>,
-        ) {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            out.push_str(n.name());
-            let is_bypass = matches!(
-                n.kind,
-                PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
-            );
-            let ptr = Arc::as_ptr(n);
-            if is_bypass {
-                if let Some(id) = seen.get(&ptr) {
-                    out.push_str(&format!(" (shared #{id})\n"));
-                    return;
-                }
-                let id = *next;
-                *next += 1;
-                seen.insert(ptr, id);
-                out.push_str(&format!(" (#{id})"));
-            }
-            match metrics.get(&(ptr as usize)) {
-                Some(m) => {
-                    out.push_str(&format!(
-                        "  [calls={} rows={} time={:.3}ms self={:.3}ms",
-                        m.calls,
-                        m.rows,
-                        m.total_ms(),
-                        m.self_ms()
-                    ));
-                    if is_bypass {
-                        let split = m
-                            .split_ratio()
-                            .map(|r| format!("{:.1}%", r * 100.0))
-                            .unwrap_or_else(|| "-".to_string());
-                        out.push_str(&format!(
-                            " pos={} neg={} split={split}",
-                            m.pos_rows, m.neg_rows
-                        ));
-                    }
-                    if m.build_rows > 0 || m.reverify > 0 {
-                        out.push_str(&format!(" build={} reverify={}", m.build_rows, m.reverify));
-                    }
-                    if !m.disjuncts.is_empty() {
-                        // Per-disjunct selectivities (syntactic order):
-                        // `evals` counts rows that reached the term,
-                        // `hits` rows it decided. Counter-derived, so
-                        // deterministic — unlike the `ms` timings.
-                        out.push_str(" disjuncts=[");
-                        for (i, d) in m.disjuncts.iter().enumerate() {
-                            if i > 0 {
-                                out.push(' ');
-                            }
-                            let sel = if d.evals > 0 {
-                                format!("{:.1}%", d.hits as f64 / d.evals as f64 * 100.0)
-                            } else {
-                                "-".to_string()
-                            };
-                            out.push_str(&format!(
-                                "#{i} evals={} hits={} sel={sel}",
-                                d.evals, d.hits
-                            ));
+        let mut out = String::new();
+        for line in self.lines(true) {
+            out.push_str(&"  ".repeat(line.depth));
+            out.push_str(&line.label);
+            match line.source {
+                LineSource::Shared | LineSource::Header => {}
+                LineSource::Stage { host, index } => {
+                    match metrics
+                        .get(&(host as *const PhysNode as usize))
+                        .and_then(|m| m.stages.get(index))
+                    {
+                        Some(st) => {
+                            out.push_str(&format!("  [in={} out={}]", st.rows_in, st.rows_out))
                         }
-                        out.push(']');
+                        None => out.push_str("  [not executed]"),
                     }
-                    out.push(']');
                 }
-                None => out.push_str("  [not executed]"),
+                LineSource::Node(n) => match metrics.get(&(n as *const PhysNode as usize)) {
+                    Some(m) => annotate(&mut out, n, m),
+                    None => out.push_str("  [not executed]"),
+                },
             }
             out.push('\n');
-            for sq in n.expr_subplans() {
-                for _ in 0..depth + 1 {
-                    out.push_str("  ");
-                }
-                out.push_str("subquery:\n");
-                walk(sq, depth + 2, out, seen, next, metrics);
-            }
-            for c in n.children() {
-                walk(c, depth + 1, out, seen, next, metrics);
-            }
         }
-        let mut out = String::new();
-        walk(self, 0, &mut out, &mut HashMap::new(), &mut 1, metrics);
         out
     }
 
     /// Physical EXPLAIN: indented operator names with DAG sharing marks.
     pub fn explain(&self) -> String {
-        use std::collections::HashMap;
-        fn walk(
-            n: &PhysNode,
-            depth: usize,
-            out: &mut String,
-            seen: &mut HashMap<*const PhysNode, usize>,
-            next: &mut usize,
-        ) {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            out.push_str(n.name());
-            let is_bypass = matches!(
-                n.kind,
-                PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
-            );
-            if is_bypass {
-                let ptr = n as *const PhysNode;
-                if let Some(id) = seen.get(&ptr) {
-                    out.push_str(&format!(" (shared #{id})\n"));
-                    return;
-                }
-                let id = *next;
-                *next += 1;
-                seen.insert(ptr, id);
-                out.push_str(&format!(" (#{id})"));
-            }
-            out.push('\n');
-            for sq in n.expr_subplans() {
-                for _ in 0..depth + 1 {
-                    out.push_str("  ");
-                }
-                out.push_str("subquery:\n");
-                walk(sq, depth + 2, out, seen, next);
-            }
-            for c in n.children() {
-                walk(c, depth + 1, out, seen, next);
-            }
-        }
         let mut out = String::new();
-        walk(self, 0, &mut out, &mut HashMap::new(), &mut 1);
+        for line in self.lines(true) {
+            out.push_str(&"  ".repeat(line.depth));
+            out.push_str(&line.label);
+            out.push('\n');
+        }
         out
     }
+}
+
+/// One line of [`PhysNode::lines`].
+pub struct PlanLine<'a> {
+    pub depth: usize,
+    /// Operator name plus its marks (`subquery: ` prefix, `(#k)`,
+    /// `(shared #k)`, `fused→#k`).
+    pub label: String,
+    pub source: LineSource<'a>,
+}
+
+/// What a [`PlanLine`] stands for — where its runtime counters live.
+pub enum LineSource<'a> {
+    /// An operator with its own `NodeMetrics` entry.
+    Node(&'a PhysNode),
+    /// A later reference to an already listed bypass operator.
+    Shared,
+    /// The `subquery:` line above a subquery plan.
+    Header,
+    /// Entry `index` of `host`'s `NodeMetrics::stages`.
+    Stage { host: &'a PhysNode, index: usize },
+}
+
+/// A fused chain as seen from the node its rows leave through.
+#[derive(Clone, Copy)]
+struct ExitChain<'a> {
+    exit: &'a PhysNode,
+    host: &'a PhysNode,
+    chain: &'a Chain,
+    /// Of the chain's first stage in the host's stage list
+    /// (`NodeMetrics::stages`: positive chain first).
+    offset: usize,
+}
+
+#[derive(Default)]
+struct LineWalker<'a> {
+    out: Vec<PlanLine<'a>>,
+    /// Numbers of bypass operators and chain hosts, in first-mention order.
+    ids: std::collections::HashMap<*const PhysNode, usize>,
+    listed: std::collections::HashSet<*const PhysNode>,
+    subquery_headers: bool,
+}
+
+impl<'a> LineWalker<'a> {
+    fn id(&mut self, n: &PhysNode) -> usize {
+        let next = self.ids.len() + 1;
+        *self.ids.entry(n).or_insert(next)
+    }
+
+    fn node(&mut self, n: &'a PhysNode, depth: usize, prefix: &str) {
+        match n.exit_chain() {
+            Some(fused) => self.stage(fused, fused.chain.stages.len() - 1, depth, prefix),
+            None => self.operator(n, depth, prefix),
+        }
+    }
+
+    /// Stage `k` of a chain, then what feeds it (the stage below, or the
+    /// node the chain hangs off), then — for a fused join — its build
+    /// side: the shape of the unfused tree.
+    fn stage(&mut self, fused: ExitChain<'a>, k: usize, depth: usize, prefix: &str) {
+        let id = self.id(fused.host);
+        let stage = &fused.chain.stages[k];
+        self.out.push(PlanLine {
+            depth,
+            label: format!("{prefix}{} fused→#{id}", stage.name()),
+            source: LineSource::Stage {
+                host: fused.host,
+                index: fused.offset + k,
+            },
+        });
+        match k {
+            0 => self.operator(fused.exit, depth + 1, ""),
+            _ => self.stage(fused, k - 1, depth + 1, ""),
+        }
+        if let Stage::Probe(spec) = stage {
+            self.node(&spec.right, depth + 1, "");
+        }
+    }
+
+    fn operator(&mut self, n: &'a PhysNode, depth: usize, prefix: &str) {
+        let mut label = format!("{prefix}{}", n.name());
+        let is_bypass = matches!(
+            n.kind,
+            PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
+        );
+        let is_host = matches!(n.kind, PhysKind::Join { chain: Some(_), .. });
+        if is_bypass || is_host {
+            let id = self.id(n);
+            if !self.listed.insert(n) && is_bypass {
+                self.out.push(PlanLine {
+                    depth,
+                    label: format!("{label} (shared #{id})"),
+                    source: LineSource::Shared,
+                });
+                return;
+            }
+            label.push_str(&format!(" (#{id})"));
+        }
+        self.out.push(PlanLine {
+            depth,
+            label,
+            source: LineSource::Node(n),
+        });
+        for sq in n.expr_subplans() {
+            if self.subquery_headers {
+                self.out.push(PlanLine {
+                    depth: depth + 1,
+                    label: "subquery:".to_string(),
+                    source: LineSource::Header,
+                });
+                self.node(sq, depth + 2, "");
+            } else {
+                self.node(sq, depth + 1, "subquery: ");
+            }
+        }
+        for c in n.inputs() {
+            self.node(c, depth + 1, "");
+        }
+    }
+}
+
+/// The `[calls=… rows=… …]` block of one EXPLAIN ANALYZE line.
+fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
+    out.push_str(&format!(
+        "  [calls={} rows={} time={:.3}ms self={:.3}ms",
+        m.calls,
+        m.rows,
+        m.total_ms(),
+        m.self_ms()
+    ));
+    if matches!(
+        n.kind,
+        PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
+    ) {
+        let split = m
+            .split_ratio()
+            .map(|r| format!("{:.1}%", r * 100.0))
+            .unwrap_or_else(|| "-".to_string());
+        out.push_str(&format!(
+            " pos={} neg={} split={split}",
+            m.pos_rows, m.neg_rows
+        ));
+    }
+    if m.build_rows > 0 || m.reverify > 0 {
+        out.push_str(&format!(" build={} reverify={}", m.build_rows, m.reverify));
+    }
+    if !m.disjuncts.is_empty() {
+        // Per-disjunct selectivities (syntactic order): `evals` counts
+        // rows that reached the term, `hits` rows it decided.
+        // Counter-derived, so deterministic — unlike the `ms` timings.
+        out.push_str(" disjuncts=[");
+        for (i, d) in m.disjuncts.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            let sel = if d.evals > 0 {
+                format!("{:.1}%", d.hits as f64 / d.evals as f64 * 100.0)
+            } else {
+                "-".to_string()
+            };
+            out.push_str(&format!("#{i} evals={} hits={} sel={sel}", d.evals, d.hits));
+        }
+        out.push(']');
+    }
+    out.push(']');
 }

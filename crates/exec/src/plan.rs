@@ -1,36 +1,37 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bypass_algebra::{AggCall, BinOp, ColumnRef, LogicalPlan, Scalar, Stream};
 use bypass_catalog::Catalog;
-use bypass_types::{Error, Relation, Result, Schema, Tuple, Value};
+use bypass_types::{Error, Relation, Result, Schema, Tuple};
 
 use crate::agg::AggSpec;
 use crate::expr::PhysExpr;
-use crate::node::{PhysKind, PhysNode};
+use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 
 /// Physical planning options — the defaults are what the engine always
-/// uses; the ablation benchmarks flip individual optimizations off to
-/// measure their contribution.
+/// uses; the ablation benchmark and the fused-vs-unfused oracle axis
+/// flip the switch off to measure and cross-check its contribution.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Fuse `σ_p(Stream⁻(⋈±))` into the bypass join's negative emission
-    /// (avoids materializing the raw |L|·|R| stream).
-    pub fuse_neg_filters: bool,
+    /// Fold the streaming operators directly above a join (or above one
+    /// stream of a bypass join) into that join's emit step, so only the
+    /// rows leaving the last of them are materialized (DESIGN.md §7).
+    pub fuse_stage_chains: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            fuse_neg_filters: true,
+            fuse_stage_chains: true,
         }
     }
 }
 
 /// Compile a logical plan into a physical one: resolve all column names
 /// to positions, bind scans to catalog storage, pick join strategies
-/// (hash for equi predicates, nested-loop otherwise) and preserve the
-/// bypass DAG structure.
+/// (hash for equi predicates, nested-loop otherwise), preserve the
+/// bypass DAG structure and fuse stage chains into their joins.
 pub fn physical_plan(logical: &Arc<LogicalPlan>, catalog: &Catalog) -> Result<Arc<PhysNode>> {
     physical_plan_with(logical, catalog, PlanOptions::default())
 }
@@ -44,71 +45,179 @@ pub fn physical_plan_with(
     let mut resolver = Resolver {
         catalog,
         scopes: Vec::new(),
+        options,
     };
-    let mut fusions = HashMap::new();
-    if options.fuse_neg_filters {
-        collect_neg_filter_fusions(logical, &mut fusions);
-    }
-    let mut memo = HashMap::new();
-    resolver.plan_node(logical, &fusions, &mut memo)
+    resolver.plan_block(logical)
 }
 
-/// Fusable patterns: `Filter(Stream⁻(BypassJoin))`. The filter predicate
-/// is applied while the bypass join *emits* negative pairs, so the raw
-/// |L|·|R| negative stream is never materialized (essential for Eqv. 5
-/// plans). Key: bypass-join pointer → (filter-node pointer, predicate).
-type Fusions = HashMap<*const LogicalPlan, (*const LogicalPlan, Scalar)>;
+type Ptr = *const LogicalPlan;
 
-fn collect_neg_filter_fusions(plan: &Arc<LogicalPlan>, out: &mut Fusions) {
-    let mut candidates: Fusions = HashMap::new();
-    let mut filter_count: HashMap<*const LogicalPlan, usize> = HashMap::new();
-    let mut neg_consumers: HashMap<*const LogicalPlan, usize> = HashMap::new();
-    walk_fusions(plan, &mut candidates, &mut filter_count, &mut neg_consumers);
-    // Only fuse when the negative stream has exactly one consumer and
-    // that consumer is exactly one Filter — otherwise another reader
-    // would observe a pre-filtered stream.
-    for (ptr, entry) in candidates {
-        if filter_count.get(&ptr) == Some(&1) && neg_consumers.get(&ptr) == Some(&1) {
-            out.insert(ptr, entry);
+/// The stage chains of one query block (a subquery is its own block,
+/// compiled with its own chains in `resolve_subquery`).
+///
+/// A chain starts at an *exit* — an inner/outer/cross join, or the one
+/// `Stream` node tapping a stream of a bypass join — and climbs while
+/// the current node has exactly one consumer and that consumer streams
+/// it: a subquery-free σ, Π or χ over it, or a subquery-free join whose
+/// *left* input it is. Anything else (a second consumer, a blocking
+/// operator, a subquery) ends the chain.
+#[derive(Default)]
+struct BlockChains<'a> {
+    /// Host join → the logical stage nodes of its chains, bottom-up
+    /// (`[0]`: a join's only chain / the positive stream's, `[1]`: the
+    /// negative stream's).
+    hosts: HashMap<Ptr, [Vec<&'a Arc<LogicalPlan>>; 2]>,
+    /// Top stage of a chain → the exit its rows leave the host through;
+    /// the top stage compiles to that node.
+    tops: HashMap<Ptr, &'a Arc<LogicalPlan>>,
+}
+
+fn is_join(plan: &LogicalPlan) -> bool {
+    matches!(
+        plan,
+        LogicalPlan::Join { .. } | LogicalPlan::OuterJoin { .. } | LogicalPlan::CrossJoin { .. }
+    )
+}
+
+impl<'a> BlockChains<'a> {
+    fn collect(root: &'a Arc<LogicalPlan>) -> BlockChains<'a> {
+        // Consumers per node (one entry per edge), nodes in post-order:
+        // a join that is a stage of a deeper join's chain is claimed by
+        // it before it could start a chain of its own.
+        let mut consumers: HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>> = HashMap::new();
+        let mut order = Vec::new();
+        let mut seen = HashSet::new();
+        post_order(root, &mut seen, &mut consumers, &mut order);
+
+        let mut chains = BlockChains::default();
+        let mut staged: HashSet<Ptr> = HashSet::new();
+        let mut bypass_hosts = Vec::new();
+        for exit in order {
+            let (host, slot) = match exit.as_ref() {
+                p if is_join(p) && !staged.contains(&Arc::as_ptr(exit)) => (exit, 0),
+                LogicalPlan::Stream { source, stream }
+                    if matches!(source.as_ref(), LogicalPlan::BypassJoin { .. }) =>
+                {
+                    // A second tap of the same stream would observe the
+                    // chain's output instead of the join's.
+                    let taps = consumers[&Arc::as_ptr(source)]
+                        .iter()
+                        .filter(|c| matches!(c.as_ref(), LogicalPlan::Stream { stream: s, .. } if s == stream))
+                        .count();
+                    if taps != 1 {
+                        continue;
+                    }
+                    bypass_hosts.push(source);
+                    (source, (*stream == Stream::Negative) as usize)
+                }
+                _ => continue,
+            };
+            let mut chain = Vec::new();
+            let mut cur = exit;
+            while let Some([consumer]) = consumers.get(&Arc::as_ptr(cur)).map(Vec::as_slice) {
+                if !streams(consumer, cur) {
+                    break;
+                }
+                chain.push(*consumer);
+                cur = consumer;
+            }
+            if chain.is_empty() {
+                continue;
+            }
+            staged.extend(chain.iter().map(|s| Arc::as_ptr(s)));
+            chains.tops.insert(Arc::as_ptr(cur), exit);
+            chains.hosts.entry(Arc::as_ptr(host)).or_default()[slot] = chain;
         }
+        for host in bypass_hosts {
+            chains.break_cycles(host);
+        }
+        chains
     }
-}
 
-fn walk_fusions(
-    plan: &Arc<LogicalPlan>,
-    candidates: &mut Fusions,
-    filter_count: &mut HashMap<*const LogicalPlan, usize>,
-    neg_consumers: &mut HashMap<*const LogicalPlan, usize>,
-) {
-    if let LogicalPlan::Filter { input, predicate } = plan.as_ref() {
-        if let LogicalPlan::Stream {
-            source,
-            stream: Stream::Negative,
-        } = input.as_ref()
-        {
-            if matches!(source.as_ref(), LogicalPlan::BypassJoin { .. })
-                && !predicate.contains_subquery()
-            {
-                let ptr = Arc::as_ptr(source);
-                candidates.insert(ptr, (Arc::as_ptr(plan), predicate.clone()));
-                *filter_count.entry(ptr).or_insert(0) += 1;
+    /// A bypass join runs when its first stream is tapped, and with it
+    /// both chains — including the build sides of their fused joins. A
+    /// build side that (through any fused dependency) taps the same
+    /// bypass join would need its result while producing it: cut the
+    /// chain below that stage. The stages above it compile unfused.
+    fn break_cycles(&mut self, host: &'a Arc<LogicalPlan>) {
+        let key = Arc::as_ptr(host);
+        for slot in 0..2 {
+            let Some(chain) = self.hosts.get(&key).map(|c| c[slot].clone()) else {
+                return;
+            };
+            let cut = chain.iter().position(|stage| {
+                is_join(stage) && self.reaches(stage.children()[1], key, &mut HashSet::new())
+            });
+            if let Some(cut) = cut {
+                let top = chain.last().expect("cut implies a stage");
+                let exit = self
+                    .tops
+                    .remove(&Arc::as_ptr(top))
+                    .expect("chain has a top");
+                if cut > 0 {
+                    self.tops.insert(Arc::as_ptr(chain[cut - 1]), exit);
+                }
+                self.hosts.get_mut(&key).expect("host recorded")[slot].truncate(cut);
             }
         }
     }
-    if let LogicalPlan::Stream {
-        source,
-        stream: Stream::Negative,
-    } = plan.as_ref()
-    {
-        if matches!(source.as_ref(), LogicalPlan::BypassJoin { .. }) {
-            *neg_consumers.entry(Arc::as_ptr(source)).or_insert(0) += 1;
+
+    /// Does evaluating `plan` evaluate `target` — through its children
+    /// or through the build sides fused into the chains of a join it
+    /// contains?
+    fn reaches(&self, plan: &Arc<LogicalPlan>, target: Ptr, seen: &mut HashSet<Ptr>) -> bool {
+        let ptr = Arc::as_ptr(plan);
+        if ptr == target {
+            return true;
         }
+        if !seen.insert(ptr) {
+            return false;
+        }
+        let fused_builds = self
+            .hosts
+            .get(&ptr)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|stage| is_join(stage))
+            .map(|stage| stage.children()[1]);
+        plan.children()
+            .into_iter()
+            .chain(fused_builds)
+            .any(|c| self.reaches(c, target, seen))
     }
+}
+
+fn post_order<'a>(
+    plan: &'a Arc<LogicalPlan>,
+    seen: &mut HashSet<Ptr>,
+    consumers: &mut HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>>,
+    order: &mut Vec<&'a Arc<LogicalPlan>>,
+) {
+    if !seen.insert(Arc::as_ptr(plan)) {
+        return;
+    }
+    // Subquery plans inside expressions are separate blocks.
     for c in plan.children() {
-        walk_fusions(c, candidates, filter_count, neg_consumers);
+        consumers.entry(Arc::as_ptr(c)).or_default().push(plan);
+        post_order(c, seen, consumers, order);
     }
-    // Do not descend into subquery plans: each subquery is compiled with
-    // its own fusion map in `resolve_subquery`.
+    order.push(plan);
+}
+
+/// Is `consumer` a streaming stage over `input`?
+fn streams(consumer: &LogicalPlan, input: &Arc<LogicalPlan>) -> bool {
+    let subquery_free = consumer.exprs().iter().all(|e| !e.contains_subquery());
+    let streamed = match consumer {
+        LogicalPlan::Filter { input: i, .. }
+        | LogicalPlan::Project { input: i, .. }
+        | LogicalPlan::Map { input: i, .. } => i,
+        LogicalPlan::Join { left, .. }
+        | LogicalPlan::OuterJoin { left, .. }
+        | LogicalPlan::CrossJoin { left, .. } => left,
+        _ => return false,
+    };
+    subquery_free && Arc::ptr_eq(streamed, input)
 }
 
 /// The name resolver / physical planner. `scopes` is the stack of outer
@@ -118,6 +227,7 @@ fn walk_fusions(
 pub struct Resolver<'a> {
     catalog: &'a Catalog,
     scopes: Vec<Schema>,
+    options: PlanOptions,
 }
 
 impl<'a> Resolver<'a> {
@@ -127,21 +237,50 @@ impl<'a> Resolver<'a> {
         Resolver {
             catalog,
             scopes: Vec::new(),
+            options: PlanOptions::default(),
         }
     }
 }
 
-type Memo = HashMap<*const LogicalPlan, Arc<PhysNode>>;
+/// Per-block planning state: the block's stage chains and the
+/// logical → physical memo that preserves DAG sharing.
+struct Block<'a> {
+    chains: BlockChains<'a>,
+    memo: HashMap<Ptr, Arc<PhysNode>>,
+}
 
 impl<'a> Resolver<'a> {
+    /// Compile one query block (the root plan, or a subquery plan under
+    /// the scopes pushed for it).
+    fn plan_block(&mut self, plan: &Arc<LogicalPlan>) -> Result<Arc<PhysNode>> {
+        let chains = if self.options.fuse_stage_chains {
+            BlockChains::collect(plan)
+        } else {
+            BlockChains::default()
+        };
+        let mut block = Block {
+            chains,
+            memo: HashMap::new(),
+        };
+        self.plan_node(plan, &mut block)
+    }
+
     fn plan_node(
         &mut self,
         plan: &Arc<LogicalPlan>,
-        fusions: &Fusions,
-        memo: &mut Memo,
+        block: &mut Block<'_>,
     ) -> Result<Arc<PhysNode>> {
-        if let Some(done) = memo.get(&Arc::as_ptr(plan)) {
+        let ptr = Arc::as_ptr(plan);
+        if let Some(done) = block.memo.get(&ptr) {
             return Ok(done.clone());
+        }
+        // The top stage of a fused chain compiles to the node the
+        // chain's rows leave their join through; the stages below it
+        // exist only inside that join.
+        if let Some(exit) = block.chains.tops.get(&ptr).copied() {
+            let node = self.plan_node(exit, block)?;
+            block.memo.insert(ptr, node.clone());
+            return Ok(node);
         }
         let schema = plan.schema();
         let node = match plan.as_ref() {
@@ -161,20 +300,7 @@ impl<'a> Resolver<'a> {
                 schema,
             ),
             LogicalPlan::Filter { input, predicate } => {
-                // A filter that was fused into a bypass join's negative
-                // stream compiles to just its input.
-                if let LogicalPlan::Stream {
-                    source,
-                    stream: Stream::Negative,
-                } = input.as_ref()
-                {
-                    if let Some((filter_ptr, _)) = fusions.get(&Arc::as_ptr(source)) {
-                        if *filter_ptr == Arc::as_ptr(plan) {
-                            return self.plan_node(input, fusions, memo);
-                        }
-                    }
-                }
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 let pred = self.resolve(predicate, &input.schema())?;
                 PhysNode::new(
                     PhysKind::Filter {
@@ -185,12 +311,8 @@ impl<'a> Resolver<'a> {
                 )
             }
             LogicalPlan::Project { input, exprs } => {
-                let child = self.plan_node(input, fusions, memo)?;
-                let in_schema = input.schema();
-                let exprs = exprs
-                    .iter()
-                    .map(|(e, _)| self.resolve(e, &in_schema))
-                    .collect::<Result<Vec<_>>>()?;
+                let child = self.plan_node(input, block)?;
+                let exprs = self.resolve_projection(exprs, &input.schema())?;
                 PhysNode::new(
                     PhysKind::Project {
                         input: child,
@@ -199,97 +321,25 @@ impl<'a> Resolver<'a> {
                     schema,
                 )
             }
-            LogicalPlan::CrossJoin { left, right } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
+            LogicalPlan::CrossJoin { left, .. }
+            | LogicalPlan::Join { left, .. }
+            | LogicalPlan::OuterJoin { left, .. } => {
+                let l = self.plan_node(left, block)?;
+                let spec = self.join_spec(plan, block)?;
+                let chain = self.chain(ptr, 0, block)?;
+                // The node's schema is that of the rows it hands on.
+                let schema = chain.as_ref().map_or(schema, |c| c.schema.clone());
                 PhysNode::new(
-                    PhysKind::NLJoin {
+                    PhysKind::Join {
                         left: l,
-                        right: r,
-                        predicate: None,
+                        spec,
+                        chain,
                     },
                     schema,
                 )
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-            } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
-                let (lk, rk, residual) =
-                    self.split_equi_keys(predicate, &left.schema(), &right.schema())?;
-                if lk.is_empty() {
-                    let pred = self.resolve(predicate, &plan.input_schema())?;
-                    PhysNode::new(
-                        PhysKind::NLJoin {
-                            left: l,
-                            right: r,
-                            predicate: Some(pred),
-                        },
-                        schema,
-                    )
-                } else {
-                    PhysNode::new(
-                        PhysKind::HashJoin {
-                            left: l,
-                            right: r,
-                            left_keys: lk,
-                            right_keys: rk,
-                            residual,
-                        },
-                        schema,
-                    )
-                }
-            }
-            LogicalPlan::OuterJoin {
-                left,
-                right,
-                predicate,
-                defaults,
-            } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
-                let right_schema = right.schema();
-                let defaults = defaults
-                    .iter()
-                    .map(|(name, v)| {
-                        right_schema
-                            .resolve(None, name)
-                            .map(|i| (i, v.clone()))
-                            .map_err(|e| Error::plan(format!("outerjoin default column: {e}")))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let (lk, rk, residual) =
-                    self.split_equi_keys(predicate, &left.schema(), &right_schema)?;
-                if lk.is_empty() {
-                    let pred = self.resolve(predicate, &plan.input_schema())?;
-                    PhysNode::new(
-                        PhysKind::NLOuterJoin {
-                            left: l,
-                            right: r,
-                            predicate: pred,
-                            defaults,
-                        },
-                        schema,
-                    )
-                } else {
-                    PhysNode::new(
-                        PhysKind::HashOuterJoin {
-                            left: l,
-                            right: r,
-                            left_keys: lk,
-                            right_keys: rk,
-                            residual,
-                            defaults,
-                        },
-                        schema,
-                    )
-                }
-            }
             LogicalPlan::Aggregate { input, keys, aggs } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 let in_schema = input.schema();
                 let keys = keys
                     .iter()
@@ -317,8 +367,8 @@ impl<'a> Resolver<'a> {
                 agg,
                 ..
             } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
+                let l = self.plan_node(left, block)?;
+                let r = self.plan_node(right, block)?;
                 let lk = self.resolve(left_key, &left.schema())?;
                 let rk = self.resolve(right_key, &right.schema())?;
                 let agg = self.resolve_agg(agg, &right.schema())?;
@@ -349,7 +399,7 @@ impl<'a> Resolver<'a> {
                 PhysNode::new(kind, schema)
             }
             LogicalPlan::Map { input, expr, .. } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 let e = self.resolve(expr, &input.schema())?;
                 PhysNode::new(
                     PhysKind::Map {
@@ -360,15 +410,15 @@ impl<'a> Resolver<'a> {
                 )
             }
             LogicalPlan::Numbering { input, .. } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 PhysNode::new(PhysKind::Numbering { input: child }, schema)
             }
             LogicalPlan::Distinct { input } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 PhysNode::new(PhysKind::Distinct { input: child }, schema)
             }
             LogicalPlan::Limit { input, n } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 PhysNode::new(
                     PhysKind::Limit {
                         input: child,
@@ -378,11 +428,11 @@ impl<'a> Resolver<'a> {
                 )
             }
             LogicalPlan::Alias { input, .. } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 PhysNode::new(PhysKind::Alias { input: child }, schema)
             }
             LogicalPlan::Sort { input, keys } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 let in_schema = input.schema();
                 let keys = keys
                     .iter()
@@ -391,8 +441,8 @@ impl<'a> Resolver<'a> {
                 PhysNode::new(PhysKind::Sort { input: child, keys }, schema)
             }
             LogicalPlan::Union { left, right } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
+                let l = self.plan_node(left, block)?;
+                let r = self.plan_node(right, block)?;
                 if l.schema.arity() != r.schema.arity() {
                     return Err(Error::plan(format!(
                         "union arity mismatch: {} vs {}",
@@ -403,7 +453,7 @@ impl<'a> Resolver<'a> {
                 PhysNode::new(PhysKind::UnionAll { left: l, right: r }, schema)
             }
             LogicalPlan::BypassFilter { input, predicate } => {
-                let child = self.plan_node(input, fusions, memo)?;
+                let child = self.plan_node(input, block)?;
                 let pred = self.resolve(predicate, &input.schema())?;
                 PhysNode::new(
                     PhysKind::BypassFilter {
@@ -418,37 +468,133 @@ impl<'a> Resolver<'a> {
                 right,
                 predicate,
             } => {
-                let l = self.plan_node(left, fusions, memo)?;
-                let r = self.plan_node(right, fusions, memo)?;
-                let combined = plan.input_schema();
-                let pred = self.resolve(predicate, &combined)?;
-                let neg_filter = fusions
-                    .get(&Arc::as_ptr(plan))
-                    .map(|(_, f)| self.resolve(f, &combined))
-                    .transpose()?;
+                let l = self.plan_node(left, block)?;
+                let r = self.plan_node(right, block)?;
+                let pred = self.resolve(predicate, &plan.input_schema())?;
+                let pos = self.chain(ptr, 0, block)?;
+                let neg = self.chain(ptr, 1, block)?;
                 PhysNode::new(
                     PhysKind::BypassNLJoin {
                         left: l,
                         right: r,
                         predicate: pred,
-                        neg_filter,
+                        pos,
+                        neg,
                     },
                     schema,
                 )
             }
             LogicalPlan::Stream { source, stream } => {
-                let src = self.plan_node(source, fusions, memo)?;
+                let src = self.plan_node(source, block)?;
+                let positive = *stream == Stream::Positive;
+                // A tapped stream carries what leaves its stage chain.
+                let schema = match &src.kind {
+                    PhysKind::BypassNLJoin { pos, neg, .. } => {
+                        let chain = if positive { pos } else { neg };
+                        chain.as_ref().map_or(schema, |c| c.schema.clone())
+                    }
+                    _ => schema,
+                };
                 PhysNode::new(
                     PhysKind::Stream {
                         source: src,
-                        positive: *stream == Stream::Positive,
+                        positive,
                     },
                     schema,
                 )
             }
         };
-        memo.insert(Arc::as_ptr(plan), node.clone());
+        block.memo.insert(ptr, node.clone());
         Ok(node)
+    }
+
+    fn resolve_projection(
+        &mut self,
+        exprs: &[(Scalar, Option<String>)],
+        input: &Schema,
+    ) -> Result<Vec<PhysExpr>> {
+        exprs.iter().map(|(e, _)| self.resolve(e, input)).collect()
+    }
+
+    /// The [`JoinSpec`] of an inner/outer/cross join node: plan its
+    /// build side, then pick hash (equi conjuncts) or nested loop.
+    fn join_spec(&mut self, join: &Arc<LogicalPlan>, block: &mut Block<'_>) -> Result<JoinSpec> {
+        let (left, right, predicate, defaults) = match join.as_ref() {
+            LogicalPlan::CrossJoin { left, right } => (left, right, None, None),
+            LogicalPlan::Join {
+                left,
+                right,
+                predicate,
+            } => (left, right, Some(predicate), None),
+            LogicalPlan::OuterJoin {
+                left,
+                right,
+                predicate,
+                defaults,
+            } => (left, right, Some(predicate), Some(defaults)),
+            _ => return Err(Error::plan("join_spec: not a join node")),
+        };
+        let r = self.plan_node(right, block)?;
+        let right_schema = right.schema();
+        let defaults = defaults
+            .map(|defaults| {
+                defaults
+                    .iter()
+                    .map(|(name, v)| {
+                        right_schema
+                            .resolve(None, name)
+                            .map(|i| (i, v.clone()))
+                            .map_err(|e| Error::plan(format!("outerjoin default column: {e}")))
+                    })
+                    .collect::<Result<Vec<_>>>()
+            })
+            .transpose()?;
+        let on = match predicate {
+            None => JoinOn::Loop(None),
+            Some(predicate) => {
+                let (lk, rk, residual) =
+                    self.split_equi_keys(predicate, &left.schema(), &right_schema)?;
+                if lk.is_empty() {
+                    JoinOn::Loop(Some(self.resolve(predicate, &join.input_schema())?))
+                } else {
+                    JoinOn::Hash {
+                        left_keys: lk,
+                        right_keys: rk,
+                        residual,
+                    }
+                }
+            }
+        };
+        Ok(JoinSpec {
+            right: r,
+            on,
+            defaults,
+        })
+    }
+
+    /// Compile chain `slot` of the join at `host`, if it has one.
+    fn chain(&mut self, host: Ptr, slot: usize, block: &mut Block<'_>) -> Result<Option<Chain>> {
+        let logical = match block.chains.hosts.get(&host) {
+            Some(chains) if !chains[slot].is_empty() => chains[slot].clone(),
+            _ => return Ok(None),
+        };
+        let mut stages = Vec::with_capacity(logical.len());
+        for stage in &logical {
+            stages.push(match stage.as_ref() {
+                LogicalPlan::Filter { input, predicate } => {
+                    Stage::Filter(self.resolve(predicate, &input.schema())?)
+                }
+                LogicalPlan::Project { input, exprs } => {
+                    Stage::Project(self.resolve_projection(exprs, &input.schema())?)
+                }
+                LogicalPlan::Map { input, expr, .. } => {
+                    Stage::Map(self.resolve(expr, &input.schema())?)
+                }
+                _ => Stage::Probe(self.join_spec(stage, block)?),
+            });
+        }
+        let schema = logical.last().expect("non-empty chain").schema();
+        Ok(Some(Chain { stages, schema }))
     }
 
     /// Split a join predicate into hash keys and a residual: conjuncts of
@@ -653,10 +799,7 @@ impl<'a> Resolver<'a> {
             outer_keys.clear();
         }
         self.scopes.push(local.clone());
-        let mut fusions = HashMap::new();
-        collect_neg_filter_fusions(plan, &mut fusions);
-        let mut memo = HashMap::new();
-        let result = self.plan_node(plan, &fusions, &mut memo);
+        let result = self.plan_block(plan);
         self.scopes.pop();
         Ok((result?, correlated, outer_keys))
     }
@@ -673,7 +816,3 @@ impl<'a> Resolver<'a> {
         })
     }
 }
-
-// Allow `Value` to be used in defaults without re-import noise.
-#[allow(unused)]
-fn _value_type_anchor(_: Value) {}

@@ -1,0 +1,111 @@
+use bypass_types::{Tuple, Value};
+
+/// What the expression interpreter needs from a row: positional access
+/// and, for the rare consumer that must own it (a subquery's outer
+/// binding, a memo key), a shared-buffer copy.
+///
+/// [`Tuple`] is the single-segment row every materialized relation
+/// holds; its impl is a direct slice index, so the canonical interpreter
+/// loop compiles to exactly the code it was before rows became generic.
+/// [`RowView`] is the borrowed concatenation the join loops evaluate
+/// predicates on.
+pub trait Row {
+    fn get(&self, i: usize) -> Option<&Value>;
+
+    /// An owned copy: a refcount bump for a [`Tuple`], one allocation
+    /// for a view.
+    fn to_tuple(&self) -> Tuple;
+}
+
+impl Row for Tuple {
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Value> {
+        Tuple::get(self, i)
+    }
+
+    #[inline]
+    fn to_tuple(&self) -> Tuple {
+        self.clone()
+    }
+}
+
+/// A borrowed row `seg₀ ◦ seg₁ ◦ … ◦ segₖ`: the left row of a join, the
+/// build row it is paired with, values a fused χ appended. Widening is
+/// O(1) — a view links to the one it extends instead of copying it —
+/// and nothing is allocated until a survivor is materialized with
+/// [`Row::to_tuple`].
+#[derive(Clone, Copy)]
+pub struct RowView<'a> {
+    prev: Option<&'a RowView<'a>>,
+    /// Arity of `prev`: columns below it resolve there.
+    base: usize,
+    seg: &'a [Value],
+}
+
+impl<'a> RowView<'a> {
+    pub fn new(seg: &'a [Value]) -> RowView<'a> {
+        RowView {
+            prev: None,
+            base: 0,
+            seg,
+        }
+    }
+
+    /// `self ◦ seg`.
+    pub fn with<'b>(&'b self, seg: &'b [Value]) -> RowView<'b>
+    where
+        'a: 'b,
+    {
+        RowView {
+            prev: Some(self),
+            base: self.base + self.seg.len(),
+            seg,
+        }
+    }
+}
+
+impl Row for RowView<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Value> {
+        let mut v = self;
+        while i < v.base {
+            v = v.prev?;
+        }
+        v.seg.get(i - v.base)
+    }
+
+    fn to_tuple(&self) -> Tuple {
+        match self.prev {
+            None => self.seg.iter().cloned().collect(),
+            Some(p) if p.prev.is_none() => Tuple::from_pair(p.seg, self.seg),
+            // Three or more segments: index through the links. A mapped
+            // range is exact-size, so this is still one allocation.
+            Some(_) => (0..self.base + self.seg.len())
+                .map(|i| self.get(i).expect("index below arity").clone())
+                .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ints(vs: &[i64]) -> Vec<Value> {
+        vs.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    #[test]
+    fn view_indexes_across_segments_and_materializes_in_order() {
+        let (a, b, c) = (ints(&[1, 2]), ints(&[]), ints(&[3]));
+        let va = RowView::new(&a);
+        let vb = va.with(&b);
+        let vc = vb.with(&c);
+        assert_eq!(vc.get(0), Some(&Value::Int(1)));
+        assert_eq!(vc.get(2), Some(&Value::Int(3)));
+        assert_eq!(vc.get(3), None);
+        assert_eq!(vc.to_tuple(), Tuple::new(ints(&[1, 2, 3])));
+        assert_eq!(vb.to_tuple(), Tuple::new(a.clone()));
+        assert_eq!(va.to_tuple(), Tuple::new(a.clone()));
+    }
+}

@@ -8,7 +8,9 @@
 //! * binary grouping with θ== agrees with its nested-loop variant and
 //!   handles empty groups with `f(∅)`,
 //! * the outerjoin-with-defaults has exactly the left cardinality when
-//!   the right side has unique keys.
+//!   the right side has unique keys,
+//! * a stage chain fused into a join's emit step returns exactly the
+//!   rows of the same operators run one after another.
 //!
 //! Runs on the in-tree `bypass-check` harness; failures print a
 //! `BYPASS_CHECK_SEED=…` line that replays the minimized input.
@@ -17,7 +19,9 @@ use std::sync::Arc;
 
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_check::{forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen};
-use bypass_exec::{evaluate, AggSpec, PhysExpr, PhysKind, PhysNode};
+use bypass_exec::{
+    evaluate, AggSpec, Chain, JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, Stage,
+};
 use bypass_types::{DataType, Field, Relation, Schema, Tuple, Value};
 
 const CASES: u32 = 64;
@@ -59,6 +63,36 @@ fn cmp(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
         op,
         left: Box::new(l),
         right: Box::new(r),
+    }
+}
+
+fn join(
+    left: Arc<PhysNode>,
+    right: Arc<PhysNode>,
+    on: JoinOn,
+    defaults: Option<Vec<(usize, Value)>>,
+    schema: Schema,
+) -> Arc<PhysNode> {
+    let spec = JoinSpec {
+        right,
+        on,
+        defaults,
+    };
+    PhysNode::new(
+        PhysKind::Join {
+            left,
+            spec,
+            chain: None,
+        },
+        schema,
+    )
+}
+
+fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
+    JoinOn::Hash {
+        left_keys: vec![col(left_key)],
+        right_keys: vec![col(right_key)],
+        residual: None,
     }
 }
 
@@ -111,20 +145,14 @@ fn bypass_join_partitions_cross_product() {
                     left: l.clone(),
                     right: r.clone(),
                     predicate: cmp(BinOp::Eq, col(0), col(2)),
-                    neg_filter: None,
+                    pos: None,
+                    neg: None,
                 },
                 joined_schema.clone(),
             );
             let pos = evaluate(&stream(&bypass, true)).unwrap();
             let neg = evaluate(&stream(&bypass, false)).unwrap();
-            let cross = PhysNode::new(
-                PhysKind::NLJoin {
-                    left: l,
-                    right: r,
-                    predicate: None,
-                },
-                joined_schema,
-            );
+            let cross = join(l, r, JoinOn::Loop(None), None, joined_schema);
             let cross = evaluate(&cross).unwrap();
             assert_eq!(pos.len() + neg.len(), cross.len());
             assert!(pos.disjoint_union(neg).bag_eq(&cross));
@@ -146,24 +174,9 @@ fn hash_join_equals_nl_join() {
             let l = rel2("l", xs, ys);
             let r = rel2("r", zs, ws);
             let schema = l.schema.concat(&r.schema);
-            let hash = PhysNode::new(
-                PhysKind::HashJoin {
-                    left: l.clone(),
-                    right: r.clone(),
-                    left_keys: vec![col(0)],
-                    right_keys: vec![col(0)],
-                    residual: None,
-                },
-                schema.clone(),
-            );
-            let nl = PhysNode::new(
-                PhysKind::NLJoin {
-                    left: l,
-                    right: r,
-                    predicate: Some(cmp(BinOp::Eq, col(0), col(2))),
-                },
-                schema,
-            );
+            let hash = join(l.clone(), r.clone(), hash_on(0, 0), None, schema.clone());
+            let on = JoinOn::Loop(Some(cmp(BinOp::Eq, col(0), col(2))));
+            let nl = join(l, r, on, None, schema);
             assert!(evaluate(&hash).unwrap().bag_eq(&evaluate(&nl).unwrap()));
         },
     );
@@ -231,17 +244,8 @@ fn outer_join_unique_keys_has_left_cardinality() {
             let payload: Vec<Option<i64>> = (0..5).map(|i| Some(i * 100)).collect();
             let r = rel2("r", &keys, &payload);
             let schema = l.schema.concat(&r.schema);
-            let oj = PhysNode::new(
-                PhysKind::HashOuterJoin {
-                    left: l.clone(),
-                    right: r,
-                    left_keys: vec![col(0)],
-                    right_keys: vec![col(0)],
-                    residual: None,
-                    defaults: vec![(1, Value::Int(0))],
-                },
-                schema,
-            );
+            let defaults = Some(vec![(1, Value::Int(0))]);
+            let oj = join(l.clone(), r, hash_on(0, 0), defaults, schema);
             let out = evaluate(&oj).unwrap();
             assert_eq!(out.len(), evaluate(&l).unwrap().len());
             // Unmatched rows carry the default, matched rows the payload.
@@ -278,6 +282,103 @@ fn distinct_is_idempotent_and_bounded() {
             let twice = evaluate(&d2).unwrap();
             assert!(once.bag_eq(&twice));
             assert!(once.len() <= evaluate(&scan).unwrap().len());
+        },
+    );
+}
+
+/// `Π_{x, z, s}(χ_{s: x + z}(σ_{z ≥ t}(⋈±⁻_{l.x = r.x}(l, r) ⟕_{l.y = g.x} g)))`
+/// with the `⟕ σ χ Π` run once as standalone operators over the
+/// materialized negative stream and once as that stream's stage chain:
+/// same rows in the same order, NULL keys, padded defaults and all.
+#[test]
+fn fused_stage_chain_equals_standalone_operators() {
+    forall_cases(
+        CASES,
+        &tuple4(
+            tuple2(arb_column(8), arb_column(8)),
+            tuple2(arb_column(6), arb_column(6)),
+            tuple2(arb_column(5), arb_column(5)),
+            int_range(0, 7),
+        ),
+        |((lx, ly), (rx, ry), (gx, gy), threshold)| {
+            let l = rel2("l", lx, ly);
+            let r = rel2("r", rx, ry);
+            let g = rel2("g", gx, gy);
+            let pair = l.schema.concat(&r.schema);
+            let wide = pair.concat(&g.schema);
+            let mapped = wide.extended(Field::new("s", DataType::Int));
+            let out = Schema::new(vec![
+                Field::new("x", DataType::Int),
+                Field::new("z", DataType::Int),
+                Field::new("s", DataType::Int),
+            ]);
+            let spec = || JoinSpec {
+                right: g.clone(),
+                on: hash_on(1, 0),
+                defaults: Some(vec![(1, Value::Int(0))]),
+            };
+            let keep = || {
+                cmp(
+                    BinOp::GtEq,
+                    col(5),
+                    PhysExpr::Literal(Value::Int(*threshold)),
+                )
+            };
+            let sum = || cmp(BinOp::Add, col(0), col(5));
+            let picks = || vec![col(0), col(5), col(6)];
+            let bypass = |neg| {
+                PhysNode::new(
+                    PhysKind::BypassNLJoin {
+                        left: l.clone(),
+                        right: r.clone(),
+                        predicate: cmp(BinOp::Eq, col(0), col(2)),
+                        pos: None,
+                        neg,
+                    },
+                    pair.clone(),
+                )
+            };
+            let fused = bypass(Some(Chain {
+                stages: vec![
+                    Stage::Probe(spec()),
+                    Stage::Filter(keep()),
+                    Stage::Map(sum()),
+                    Stage::Project(picks()),
+                ],
+                schema: out.clone(),
+            }));
+            let fused = evaluate(&stream(&fused, false)).unwrap();
+
+            let oj = PhysNode::new(
+                PhysKind::Join {
+                    left: stream(&bypass(None), false),
+                    spec: spec(),
+                    chain: None,
+                },
+                wide.clone(),
+            );
+            let filter = PhysNode::new(
+                PhysKind::Filter {
+                    input: oj,
+                    predicate: keep(),
+                },
+                wide,
+            );
+            let map = PhysNode::new(
+                PhysKind::Map {
+                    input: filter,
+                    expr: sum(),
+                },
+                mapped,
+            );
+            let project = PhysNode::new(
+                PhysKind::Project {
+                    input: map,
+                    exprs: picks(),
+                },
+                out,
+            );
+            assert_eq!(fused.rows(), evaluate(&project).unwrap().rows());
         },
     );
 }

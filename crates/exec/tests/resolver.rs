@@ -3,8 +3,10 @@
 
 use bypass_algebra::{AggCall, BinOp, LogicalPlan, PlanBuilder, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
-use bypass_exec::{evaluate, physical_plan};
-use bypass_types::{DataType, Value};
+use bypass_exec::{
+    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecOptions, PlanOptions,
+};
+use bypass_types::{DataType, Error, ResourceKind, Value};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -238,28 +240,157 @@ fn indirect_correlation_is_rejected() {
     assert!(out.is_ok(), "canonical evaluation handles depth-2: {out:?}");
 }
 
+fn unfused(plan: &std::sync::Arc<LogicalPlan>, c: &Catalog) -> bypass_types::Relation {
+    let options = PlanOptions {
+        fuse_stage_chains: false,
+    };
+    let phys = physical_plan_with(plan, c, options).unwrap();
+    assert!(!phys.explain().contains("fused"), "{}", phys.explain());
+    evaluate(&phys).unwrap()
+}
+
 #[test]
-fn fused_neg_filter_only_when_single_consumer() {
+fn stage_chain_fuses_only_single_consumer_streams() {
     let c = catalog();
-    // Eqv.5-like shape with a single consumer: fusion applies.
+    let bypass = || {
+        scan(&c, "r").bypass_join(
+            scan(&c, "s"),
+            Scalar::qcol("r", "a2").eq(Scalar::qcol("s", "b2")),
+        )
+    };
+    let keep = || Scalar::qcol("s", "b4").gt(Scalar::lit(1i64));
+    // Eqv. 5-like shape, one consumer of the negative stream: its σ
+    // runs inside the bypass join.
+    let (pos, neg) = bypass();
+    let plan = pos.union(neg.filter(keep())).build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    let text = phys.explain();
+    assert!(text.contains("Filter fused→#1"), "{text}");
+    assert!(text.contains("BypassNLJoin (#1)"), "{text}");
+    assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
+
+    // Two consumers of the same negative tap: the second one must see
+    // the join's stream, not the filtered one.
+    let (pos, neg) = bypass();
+    let neg = neg.build();
+    let filtered = PlanBuilder::from_plan(neg.clone()).filter(keep());
+    let plan = pos
+        .union(filtered)
+        .union(PlanBuilder::from_plan(neg))
+        .build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    assert!(!phys.explain().contains("fused"), "{}", phys.explain());
+    assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
+}
+
+/// `max_intermediate_rows` guards what a join loop *materializes*: the
+/// standalone join builds all 36 pairs and trips the cap, the fused
+/// one only the 12 rows its σ lets through (DESIGN.md §7) — until the
+/// survivors alone exceed it.
+#[test]
+fn row_cap_counts_the_survivors_of_a_fused_chain() {
+    let c = catalog();
+    let plan = |min_b4: i64| {
+        scan(&c, "r")
+            .cross_join(scan(&c, "s"))
+            .filter(Scalar::qcol("s", "b4").gt(Scalar::lit(min_b4)))
+            .build()
+    };
+    let run = |plan: &std::sync::Arc<LogicalPlan>, fuse_stage_chains: bool| {
+        let phys = physical_plan_with(plan, &c, PlanOptions { fuse_stage_chains }).unwrap();
+        let capped = ExecOptions {
+            max_intermediate_rows: Some(12),
+            ..ExecOptions::default()
+        };
+        evaluate_with(&phys, capped)
+    };
+    let tripped = |r: bypass_types::Result<bypass_types::Relation>| {
+        matches!(
+            r,
+            Err(Error::ResourceExhausted {
+                resource: ResourceKind::Rows,
+                limit: 12,
+                ..
+            })
+        )
+    };
+    // b4 > 2 keeps 2 of the 6 `s` rows.
+    assert_eq!(run(&plan(2), true).unwrap().len(), 12);
+    assert!(tripped(run(&plan(2), false)));
+    // b4 > -1 keeps every pair: fused or not, the cap trips.
+    assert!(tripped(run(&plan(-1), true)));
+    assert!(tripped(run(&plan(-1), false)));
+}
+
+#[test]
+fn stage_chain_climbs_through_probe_joins_and_stops_at_subqueries() {
+    let c = catalog();
+    let sub = scan(&c, "t")
+        .aggregate(vec![], vec![(AggCall::count_star(), "n".into())])
+        .build();
+    // σ_subquery(Π(σ(r ⋈ s) ⟕ t)): everything up to the subquery filter
+    // is one chain of the inner join; the outer join is its probe stage.
+    let plan = scan(&c, "r")
+        .join(
+            scan(&c, "s"),
+            Scalar::qcol("r", "a1").lt(Scalar::qcol("s", "b1")),
+        )
+        .filter(Scalar::qcol("s", "b4").gt(Scalar::lit(0i64)))
+        .outer_join(
+            scan(&c, "t"),
+            Scalar::qcol("s", "b2").eq(Scalar::qcol("t", "c2")),
+            vec![("c3".to_string(), Value::Int(-1))],
+        )
+        .project(vec![
+            (Scalar::qcol("r", "a1"), None),
+            (Scalar::qcol("t", "c3"), None),
+        ])
+        .filter(Scalar::qcol("t", "c3").lt(Scalar::Subquery(sub)))
+        .build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    let text = phys.explain();
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    assert_eq!(
+        &lines[..6],
+        &[
+            "Filter",
+            "subquery:",
+            "HashAggregate",
+            "Scan",
+            "Project fused→#1",
+            "HashOuterJoin fused→#1",
+        ],
+        "{text}"
+    );
+    assert!(text.contains("Filter fused→#1"), "{text}");
+    assert!(text.contains("NLJoin (#1)"), "{text}");
+    assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
+}
+
+#[test]
+fn stage_chain_is_cut_where_a_build_side_taps_its_own_bypass_join() {
+    let c = catalog();
     let (pos, neg) = scan(&c, "r").bypass_join(
         scan(&c, "s"),
         Scalar::qcol("r", "a2").eq(Scalar::qcol("s", "b2")),
     );
-    let filtered_neg = neg.filter(Scalar::qcol("s", "b4").gt(Scalar::lit(1i64)));
-    let plan = pos.union(filtered_neg).build();
+    // σ(⋈±⁻) ⋈ Γ(⋈±⁺): the probe's build side needs the positive
+    // stream of the very join that would run the probe. The σ below
+    // stays fused, the join above it does not.
+    let counts = pos.aggregate(
+        vec![Scalar::qcol("r", "a1")],
+        vec![(AggCall::count_star(), "n".into())],
+    );
+    let plan = neg
+        .filter(Scalar::qcol("s", "b4").gt(Scalar::lit(1i64)))
+        .join(
+            counts.aliased("g"),
+            Scalar::qcol("r", "a3").eq(Scalar::qcol("g", "a1")),
+        )
+        .build();
     let phys = physical_plan(&plan, &c).unwrap();
     let text = phys.explain();
-    // The Filter disappeared into the bypass join.
-    assert!(
-        !text.contains("Filter"),
-        "neg filter should be fused:\n{text}"
-    );
-    // Result matches the unfused evaluation.
-    let LogicalPlan::Union { left, right } = plan.as_ref() else {
-        panic!()
-    };
-    let _ = (left, right);
-    let fused = evaluate(&phys).unwrap();
-    assert!(fused.len() <= 36);
+    assert!(text.contains("Filter fused→#"), "{text}");
+    assert!(!text.contains("HashJoin fused"), "{text}");
+    assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
 }

@@ -39,9 +39,10 @@ fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Apply `f` to every item, running up to `threads` scoped workers, and
-/// return the results **in input order**. `threads <= 1` runs inline
-/// (no spawn); panics in workers propagate to the caller.
+/// Apply `f` to every item on up to `threads` workers — the calling
+/// thread plus `threads − 1` scoped threads — and return the results
+/// **in input order**. `threads <= 1` runs inline (no spawn); panics in
+/// workers propagate to the caller.
 pub fn scoped_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -57,32 +58,30 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
-    std::thread::scope(|scope| {
-        // Split the result buffer into one-slot views handed out by
-        // index; each worker owns the slots it claims via the counter.
-        // A Mutex-free design needs unsafe or per-slot locks; instead
-        // each worker collects (index, result) pairs and the main
-        // thread scatters them afterwards — still O(n), no contention.
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut got: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    got.push((i, f(i, &items[i])));
-                }
-                got
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("worker panicked") {
-                slots[i] = Some(r);
+    // Workers (and the caller) pull the next index from one counter and
+    // collect `(index, result)` pairs; the caller scatters them into the
+    // result slots afterwards — O(n), no locks, no unsafe.
+    let pull = || {
+        let mut got: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            got.push((i, f(i, &items[i])));
+        }
+        got
+    };
+    std::thread::scope(|scope| {
+        // The calling thread is worker 0: spawn one thread fewer and
+        // pull alongside them instead of idling in `join`.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(pull)).collect();
+        let mut done = pull();
+        for h in handles {
+            done.extend(h.join().expect("worker panicked"));
+        }
+        for (i, r) in done {
+            slots[i] = Some(r);
         }
     });
     slots

@@ -37,6 +37,12 @@ impl Tuple {
         }
     }
 
+    /// `a ◦ b` over borrowed value slices, cloned straight into the
+    /// shared buffer — one allocation (a join pair that survived).
+    pub fn from_pair(a: &[Value], b: &[Value]) -> Self {
+        a.iter().chain(b.iter()).cloned().collect()
+    }
+
     pub fn empty() -> Self {
         // `Arc::from([])` allocates a header only; cheap enough that a
         // shared static is not worth the OnceLock.
@@ -63,33 +69,21 @@ impl Tuple {
 
     /// Tuple concatenation `self ◦ other`.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple {
-            values: values.into(),
-        }
+        Tuple::from_pair(&self.values, &other.values)
     }
 
     /// Append a single value (the χ / ν operators extend tuples by one).
     pub fn extended(&self, v: Value) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + 1);
-        values.extend_from_slice(&self.values);
-        values.push(v);
-        Tuple {
-            values: values.into(),
-        }
+        self.values
+            .iter()
+            .cloned()
+            .chain(std::iter::once(v))
+            .collect()
     }
 
     /// Keep only the columns at `indices`, in that order (projection Π).
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices
-                .iter()
-                .map(|&i| self.values[i].clone())
-                .collect::<Vec<_>>()
-                .into(),
-        }
+        indices.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Extract a (cloneable) key for hashing/grouping from `indices`.
@@ -100,7 +94,7 @@ impl Tuple {
     /// Extract a key as a shared-buffer [`Tuple`] (memo keys keep the
     /// refcounted representation instead of a fresh `Vec`).
     pub fn key_tuple(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(self.key(indices))
+        self.project(indices)
     }
 
     /// Does this tuple share its buffer with `other`? (Diagnostic for
@@ -123,6 +117,8 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// Exact-size iterators (slices, `chain`, `map`, `once`, `drain`) fill
+/// the shared buffer directly: one allocation per row.
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
         Tuple {

@@ -52,12 +52,20 @@ cargo fmt --all -- --check
 echo "==> bench gating smoke (scripts/bench.sh smoke)"
 scripts/bench.sh smoke
 
+echo "==> benchmark smoke (benchmark/run.sh --quick)"
+# The performance record's own harness at a twentieth of its run length:
+# all five workloads end to end, every statement's bag hash checked
+# against benchmark/expected.tsv (nonzero exit on any failed or wrong
+# statement). Timings are printed, not gated — that is the driver's job.
+benchmark/run.sh --quick > /dev/null
+
 echo "==> widened differential oracle (pinned seed, full strategy matrix)"
 # 2000 grammar-generated queries (multi-level nesting, derived inner
 # tables, ORDER BY/LIMIT) x 7 strategies with coverage-guided
-# scheduling. Prints the per-fingerprint coverage table and fails on any
-# mismatch or any under-covered Eqv. 1-5 / structural shape. The seed is
-# pinned so CI failures replay exactly:
+# scheduling, each also run parallel-vs-serial, vectorized-vs-row and
+# fused-vs-unfused. Prints the per-fingerprint coverage table and fails
+# on any mismatch or any under-covered Eqv. 1-5 / structural shape. The
+# seed is pinned so CI failures replay exactly:
 #   BYPASS_CHECK_SEED=<reported case seed> BYPASS_CHECK_CASES=1 \
 #       cargo test --test differential
 BYPASS_CHECK_SEED=0xB1A5 BYPASS_CHECK_CASES=2000 \

@@ -133,20 +133,29 @@ fn physical_q1_uses_hash_operators_and_shared_bypass() {
 }
 
 #[test]
-fn physical_q4_fuses_neg_filter_into_bypass_join() {
+fn physical_q4_fuses_the_negative_stream_pipeline_into_its_bypass_join() {
     let db = db();
     let text = db.explain(Q4, Strategy::Unnested).unwrap();
-    // The Eqv. 5 plan contains the bypass NL join; the σ_p on the
-    // negative stream is fused (no Filter directly above Stream(-)).
-    assert!(text.contains("BypassNLJoin"), "{text}");
+    // The Eqv. 5 plan contains the bypass NL join, and the ⟕ → σ → Π run
+    // over its negative stream is that join's stage chain: the three
+    // operators stay visible, in place, marked with the join's number.
     let physical = text.split("-- physical plan").nth(1).unwrap();
-    for window in physical.lines().collect::<Vec<_>>().windows(2) {
-        let (parent, child) = (window[0].trim(), window[1].trim());
-        assert!(
-            !(child.starts_with("Stream(-)") && parent.starts_with("Filter")),
-            "negative stream filter should be fused:\n{text}"
-        );
-    }
+    let lines: Vec<&str> = physical.lines().map(str::trim).collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("Project fused→#"))
+        .unwrap_or_else(|| panic!("no fused chain:\n{text}"));
+    let host = lines[at].rsplit("fused→").next().unwrap();
+    assert_eq!(
+        &lines[at + 1..at + 5],
+        &[
+            format!("Filter fused→{host}"),
+            format!("HashOuterJoin fused→{host}"),
+            "Stream(-)".to_string(),
+            format!("BypassNLJoin (shared {host})"),
+        ],
+        "{text}"
+    );
 }
 
 #[test]

@@ -14,6 +14,15 @@ const Q1: &str = "SELECT DISTINCT * FROM r \
                   WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
                      OR a4 > 1500";
 
+/// The benchmark's Q4 (`rst_linear`): the paper's linear query plus a
+/// plain disjunct. Unnested, the `⟕ → σ → Π` run over the inner bypass
+/// join's negative stream is one fused stage chain (DESIGN.md §7).
+const Q4: &str = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                              WHERE a2 = b2 \
+                                 OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
+                     OR a4 > 1500";
+
 fn q1_database(strategy: Strategy) -> Database {
     let mut db = Database::new().with_default_strategy(strategy);
     rst::register(db.catalog_mut(), &rst::generate(0.05, 0.05, 42)).unwrap();
@@ -64,58 +73,62 @@ fn timed_out_prepared_reexecutes_cleanly() {
 
 /// A memory budget below the query's deterministic peak trips with the
 /// typed Memory error; a budget at the measured peak passes. Both
-/// outcomes leave the `Database` fully usable.
+/// outcomes leave the `Database` fully usable. Q4 checks the same on a
+/// fused plan, where the peak is what the chain's survivors occupy, not
+/// the |R|·|S| negative stream (44.7 MB before fusion).
 #[test]
 fn memory_budget_is_byte_accurate_at_the_measured_peak() {
     let db = q1_database(Strategy::Unnested);
-    let (reference, counters) = db
-        .run_governed(Q1, Strategy::Unnested, &RunLimits::default())
-        .unwrap();
-    let peak = counters.peak_memory_bytes;
-    assert!(peak > 0);
+    for (sql, peak_below) in [(Q1, u64::MAX), (Q4, 8 << 20)] {
+        let (reference, counters) = db
+            .run_governed(sql, Strategy::Unnested, &RunLimits::default())
+            .unwrap();
+        let peak = counters.peak_memory_bytes;
+        assert!(peak > 0 && peak < peak_below, "peak {peak} bytes for {sql}");
 
-    // Budget exactly at the peak: passes (the guard is `used > cap`).
-    let (at_cap, at_cap_counters) = db
-        .run_governed(
-            Q1,
-            Strategy::Unnested,
-            &RunLimits {
-                max_memory_bytes: Some(peak),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert!(at_cap.bag_eq(&reference));
-    assert_eq!(
-        at_cap_counters.peak_memory_bytes, peak,
-        "byte model is deterministic"
-    );
+        // Budget exactly at the peak: passes (the guard is `used > cap`).
+        let (at_cap, at_cap_counters) = db
+            .run_governed(
+                sql,
+                Strategy::Unnested,
+                &RunLimits {
+                    max_memory_bytes: Some(peak),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert!(at_cap.bag_eq(&reference));
+        assert_eq!(
+            at_cap_counters.peak_memory_bytes, peak,
+            "byte model is deterministic"
+        );
 
-    // One byte less: trips, with limit/observed in the typed error.
-    let err = db
-        .run_governed(
-            Q1,
-            Strategy::Unnested,
-            &RunLimits {
-                max_memory_bytes: Some(peak - 1),
-                ..Default::default()
-            },
-        )
-        .expect_err("budget one byte under the peak must trip");
-    match err {
-        Error::ResourceExhausted {
-            resource: ResourceKind::Memory,
-            limit,
-            observed,
-        } => {
-            assert_eq!(limit, peak - 1);
-            assert!(observed > limit, "observed {observed} <= limit {limit}");
+        // One byte less: trips, with limit/observed in the typed error.
+        let err = db
+            .run_governed(
+                sql,
+                Strategy::Unnested,
+                &RunLimits {
+                    max_memory_bytes: Some(peak - 1),
+                    ..Default::default()
+                },
+            )
+            .expect_err("budget one byte under the peak must trip");
+        match err {
+            Error::ResourceExhausted {
+                resource: ResourceKind::Memory,
+                limit,
+                observed,
+            } => {
+                assert_eq!(limit, peak - 1);
+                assert!(observed > limit, "observed {observed} <= limit {limit}");
+            }
+            other => panic!("wrong error: {other}"),
         }
-        other => panic!("wrong error: {other}"),
-    }
 
-    // The database is untouched: the same query still answers.
-    assert!(db.sql(Q1).unwrap().bag_eq(&reference));
+        // The database is untouched: the same query still answers.
+        assert!(db.sql(sql).unwrap().bag_eq(&reference));
+    }
 }
 
 /// Cancelling one query must not perturb a concurrent one: two workers

@@ -2,7 +2,7 @@
 //! plane (shared-row tuples, FxHash join/aggregate/memo kernels,
 //! `Arc`-shared scans) must be invisible to query results.
 //!
-//! Three angles:
+//! Four angles:
 //!
 //! 1. **Bag equality across the strategy matrix** — ≥200 grammar-
 //!    generated nested queries on random NULL-heavy instances, every
@@ -15,8 +15,9 @@
 //!    worker count. This is the determinism contract of
 //!    `bypass_types::par`: results return in input order and the lowest
 //!    failing index wins.
-//! 3. **Worker-count independence of morsel-driven execution** — one
-//!    query executed at 1, 2 and 8 intra-query workers must produce the
+//! 3. **Worker-count independence of morsel-driven execution** — Q1
+//!    and a fused Q4 plan (a stage chain inside a bypass join, DESIGN.md
+//!    §7) executed at 1, 2 and 8 intra-query workers must produce the
 //!    identical row sequence, `ExecCounters`, `QueryProfile` counters
 //!    and (timing-stripped) EXPLAIN ANALYZE report. This is the
 //!    determinism contract of the morsel executor (DESIGN.md §7):
@@ -119,10 +120,95 @@ const Q1_ORDERED: &str = "SELECT DISTINCT * FROM r \
                              OR a4 > 1500 \
                           ORDER BY a1, a2, a3, a4 LIMIT 50";
 
-fn morsel_database() -> Database {
+/// The paper's linear query Q4 with the benchmark's plain disjunct:
+/// under `Unnested` the `⟕ → σ → Π` run above the inner bypass join is
+/// one fused stage chain (DESIGN.md §7), so its tick/charge sequence,
+/// stage counters and `fused→#k` report lines are part of what must not
+/// depend on workers or batch size.
+const Q4: &str = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                              WHERE a2 = b2 \
+                                 OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
+                     OR a4 > 1500";
+
+fn rst_database(sf: f64) -> Database {
     let mut db = Database::new();
-    rst::register(db.catalog_mut(), &rst::generate(0.05, 0.05, 42)).unwrap();
+    rst::register(db.catalog_mut(), &rst::generate(sf, sf, 42)).unwrap();
     db
+}
+
+fn morsel_database() -> Database {
+    rst_database(0.05)
+}
+
+/// The (instance, query) pairs of angles 3 and 4. Q4 runs on a smaller
+/// instance: its canonical plan is cubic.
+fn cases() -> Vec<(Database, &'static str)> {
+    let q4_db = rst_database(0.01);
+    let report = q4_db.explain_analyze(Q4, Strategy::Unnested).unwrap();
+    assert!(
+        report.contains("HashOuterJoin fused→#") && report.contains("Filter fused→#"),
+        "Q4's negative stream must run as a fused stage chain:\n{report}"
+    );
+    vec![
+        (morsel_database(), Q1),
+        (morsel_database(), Q1_ORDERED),
+        (q4_db, Q4),
+    ]
+}
+
+/// The profile-comparison subset of [`cases`]: the ordered variant adds
+/// nothing per operator.
+fn profiled_cases() -> Vec<(Database, &'static str)> {
+    let mut all = cases();
+    all.remove(1);
+    all
+}
+
+/// Two profiles of one query agree in everything but wall time: output
+/// cardinality, query-wide counters, dual-stream totals and the
+/// per-operator counters. The metric maps are keyed by plan-node
+/// pointer, which differs across runs, so the sorted multiset of
+/// counter tuples is compared — per-disjunct reach/decide counters of
+/// adaptive chains and in/out rows of fused stages included.
+fn assert_same_profile(profile: &bypass::QueryProfile, reference: &bypass::QueryProfile, at: &str) {
+    #[allow(clippy::type_complexity)]
+    fn metric_multiset(
+        p: &bypass::QueryProfile,
+    ) -> Vec<(u64, u64, u64, u64, Vec<(u64, u64)>, Vec<(u64, u64)>)> {
+        let mut v: Vec<_> = p
+            .metrics
+            .values()
+            .map(|m| {
+                (
+                    m.calls,
+                    m.rows,
+                    m.pos_rows,
+                    m.neg_rows,
+                    m.disjuncts.iter().map(|d| (d.evals, d.hits)).collect(),
+                    m.stages.iter().map(|s| (s.rows_in, s.rows_out)).collect(),
+                )
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+    assert_eq!(profile.strategy, reference.strategy);
+    assert_eq!(profile.rows, reference.rows, "output cardinality ({at})");
+    assert_eq!(
+        profile.counters, reference.counters,
+        "profile counters ({at})"
+    );
+    assert_eq!(
+        profile.bypass_totals(),
+        reference.bypass_totals(),
+        "dual-stream totals ({at})"
+    );
+    assert_eq!(
+        metric_multiset(profile),
+        metric_multiset(reference),
+        "per-operator counters ({at})"
+    );
 }
 
 /// `RunLimits` that pin the intra-query worker count and force morsel
@@ -172,9 +258,9 @@ fn strip_timings(report: &str) -> String {
 /// depend on how the input was partitioned.
 #[test]
 fn executor_rows_and_counters_are_worker_count_independent() {
-    let db = morsel_database();
+    let cases = cases();
     for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
+        for (db, sql) in &cases {
             let (ref_rows, ref_counters) =
                 db.run_governed(sql, strategy, &worker_limits(1)).unwrap();
             for threads in [2, 8] {
@@ -202,46 +288,22 @@ fn executor_rows_and_counters_are_worker_count_independent() {
 /// and the per-operator calls/rows/pos/neg multiset.
 #[test]
 fn query_profiles_are_worker_count_independent() {
-    // The per-node metric map is keyed by plan-node pointer, which
-    // differs across runs; compare the sorted multiset of counter
-    // tuples instead.
-    fn metric_multiset(p: &bypass::QueryProfile) -> Vec<(u64, u64, u64, u64)> {
-        let mut v: Vec<_> = p
-            .metrics
-            .values()
-            .map(|m| (m.calls, m.rows, m.pos_rows, m.neg_rows))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-    let db = morsel_database();
+    let cases = profiled_cases();
     for strategy in Strategy::all() {
-        let reference = db
-            .profile_governed(Q1, strategy, &worker_limits(1))
-            .unwrap();
-        for threads in [2, 8] {
-            let profile = db
-                .profile_governed(Q1, strategy, &worker_limits(threads))
+        for (db, sql) in &cases {
+            let reference = db
+                .profile_governed(sql, strategy, &worker_limits(1))
                 .unwrap();
-            assert_eq!(profile.strategy, reference.strategy);
-            assert_eq!(
-                profile.rows, reference.rows,
-                "output cardinality ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                profile.counters, reference.counters,
-                "profile counters ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                profile.bypass_totals(),
-                reference.bypass_totals(),
-                "dual-stream totals ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                metric_multiset(&profile),
-                metric_multiset(&reference),
-                "per-operator calls/rows ({strategy}, threads={threads})"
-            );
+            for threads in [2, 8] {
+                let profile = db
+                    .profile_governed(sql, strategy, &worker_limits(threads))
+                    .unwrap();
+                assert_same_profile(
+                    &profile,
+                    &reference,
+                    &format!("{strategy}, threads={threads}"),
+                );
+            }
         }
     }
 }
@@ -252,9 +314,9 @@ fn query_profiles_are_worker_count_independent() {
 /// tokens are stripped.
 #[test]
 fn explain_analyze_snapshots_are_worker_count_independent() {
-    let db = morsel_database();
+    let cases = cases();
     for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
+        for (db, sql) in &cases {
             let reference = strip_timings(
                 &db.profile_governed(sql, strategy, &worker_limits(1))
                     .unwrap()
@@ -303,9 +365,9 @@ fn batch_limits(batch: usize, threads: usize) -> RunLimits {
 /// evaluation the counters never see.
 #[test]
 fn executor_rows_and_counters_are_batch_size_independent() {
-    let db = morsel_database();
+    let cases = cases();
     for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
+        for (db, sql) in &cases {
             let (ref_rows, ref_counters) =
                 db.run_governed(sql, strategy, &batch_limits(0, 1)).unwrap();
             for batch in [1, 2, 64] {
@@ -336,56 +398,20 @@ fn executor_rows_and_counters_are_batch_size_independent() {
 /// reach/decide counters of adaptive chains.
 #[test]
 fn query_profiles_are_batch_size_independent() {
-    // Pointer-keyed metric maps differ across runs; compare sorted
-    // multisets. Disjunct counters ride along so the adaptive ordering
-    // is proven identical in row and batch mode, not just the output.
-    #[allow(clippy::type_complexity)]
-    fn metric_multiset(p: &bypass::QueryProfile) -> Vec<(u64, u64, u64, u64, Vec<(u64, u64)>)> {
-        let mut v: Vec<_> = p
-            .metrics
-            .values()
-            .map(|m| {
-                (
-                    m.calls,
-                    m.rows,
-                    m.pos_rows,
-                    m.neg_rows,
-                    m.disjuncts.iter().map(|d| (d.evals, d.hits)).collect(),
-                )
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    }
-    let db = morsel_database();
+    let cases = profiled_cases();
     for strategy in Strategy::all() {
-        let reference = db
-            .profile_governed(Q1, strategy, &batch_limits(0, 1))
-            .unwrap();
-        for batch in [1, 2, 64] {
-            for threads in [1, 8] {
-                let profile = db
-                    .profile_governed(Q1, strategy, &batch_limits(batch, threads))
-                    .unwrap();
-                assert_eq!(profile.strategy, reference.strategy);
-                assert_eq!(
-                    profile.rows, reference.rows,
-                    "output cardinality ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    profile.counters, reference.counters,
-                    "profile counters ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    profile.bypass_totals(),
-                    reference.bypass_totals(),
-                    "dual-stream totals ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    metric_multiset(&profile),
-                    metric_multiset(&reference),
-                    "per-operator counters ({strategy}, batch={batch}, threads={threads})"
-                );
+        for (db, sql) in &cases {
+            let reference = db
+                .profile_governed(sql, strategy, &batch_limits(0, 1))
+                .unwrap();
+            for batch in [1, 2, 64] {
+                for threads in [1, 8] {
+                    let profile = db
+                        .profile_governed(sql, strategy, &batch_limits(batch, threads))
+                        .unwrap();
+                    let at = format!("{strategy}, batch={batch}, threads={threads}");
+                    assert_same_profile(&profile, &reference, &at);
+                }
             }
         }
     }
@@ -396,9 +422,9 @@ fn query_profiles_are_batch_size_independent() {
 /// 0, 1, 2 and 64 once timing tokens are stripped.
 #[test]
 fn explain_analyze_snapshots_are_batch_size_independent() {
-    let db = morsel_database();
+    let cases = cases();
     for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
+        for (db, sql) in &cases {
             let reference = strip_timings(
                 &db.profile_governed(sql, strategy, &batch_limits(0, 1))
                     .unwrap()
