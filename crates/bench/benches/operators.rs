@@ -5,8 +5,35 @@
 
 use bypass_bench::timing::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use std::sync::Arc;
+
+use bypass_algebra::AggFunc;
 use bypass_bench::rst_database;
 use bypass_core::Strategy;
+use bypass_datagen::rst;
+use bypass_exec::{evaluate, AggSpec, PhysExpr, PhysKind, PhysNode};
+use bypass_types::{DataType, Field, Relation, Schema};
+
+/// `Γ_{b2; COUNT([DISTINCT] *)}(s)`.
+fn group_by_b2(s: &Arc<Relation>, distinct: bool) -> Arc<PhysNode> {
+    let scan = PhysNode::new(PhysKind::Scan { data: s.clone() }, s.schema().clone());
+    let schema = Schema::new(vec![
+        Field::new("b2", DataType::Int),
+        Field::new("g", DataType::Int),
+    ]);
+    PhysNode::new(
+        PhysKind::HashAggregate {
+            input: scan,
+            keys: vec![PhysExpr::Column(1)],
+            aggs: vec![AggSpec {
+                func: AggFunc::Count,
+                distinct,
+                arg: None,
+            }],
+        },
+        schema,
+    )
+}
 
 fn bench_operators(c: &mut Criterion) {
     let mut group = c.benchmark_group("operators");
@@ -26,9 +53,29 @@ fn bench_operators(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    // Unary grouping Γ.
-    group.bench_function("hash_group_1k", |b| {
-        b.iter(|| db.sql("SELECT COUNT(*) FROM s WHERE b2 = 100").unwrap())
+    // Unary grouping Γ on `b2` (physical plan built directly), with a
+    // constant-state and a DISTINCT aggregate: ~850 groups at 1k rows,
+    // ~2900 at 10k.
+    for (rows, sf) in [("1k", 0.1), ("10k", 1.0)] {
+        let s = Arc::new(rst::table('b', sf, 43));
+        for (name, distinct) in [("hash_group", false), ("hash_group_distinct", true)] {
+            let plan = group_by_b2(&s, distinct);
+            group.bench_function(format!("{name}_{rows}"), |b| {
+                b.iter(|| evaluate(&plan).unwrap())
+            });
+        }
+    }
+    // Inner hash join with the small input on the left: 100 × 10 000.
+    let (small, big) = (rst::table('a', 0.01, 42), rst::table('b', 1.0, 43));
+    let mut lopsided = bypass_core::Database::new();
+    lopsided.catalog_mut().register("r", small).unwrap();
+    lopsided.catalog_mut().register("s", big).unwrap();
+    group.bench_function("hash_join_small_left_big_right", |b| {
+        b.iter(|| {
+            lopsided
+                .sql("SELECT COUNT(*) FROM r, s WHERE a1 = b1")
+                .unwrap()
+        })
     });
     // Duplicate elimination.
     group.bench_function("distinct_1k", |b| {

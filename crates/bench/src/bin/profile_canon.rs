@@ -219,6 +219,12 @@ fn push_operators(
             m.build_rows, m.reverify
         ));
     }
+    if m.input_rows > 0 {
+        out.push_str(&format!(
+            ",\"input_rows\":{},\"groups\":{}",
+            m.input_rows, m.groups
+        ));
+    }
     if !m.disjuncts.is_empty() {
         out.push_str(",\"disjuncts\":[");
         for (i, d) in m.disjuncts.iter().enumerate() {

@@ -1,9 +1,10 @@
+use std::borrow::Cow;
+
 use bypass_algebra::AggFunc;
-use bypass_types::{
-    tuple_bytes, value_heap_bytes, Error, FxHashSet, Result, Tuple, Value, VALUE_BYTES,
-};
+use bypass_types::{tuple_bytes, value_heap_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
 
 use crate::expr::PhysExpr;
+use crate::hash::DistinctSet;
 
 /// A resolved aggregate call: function, DISTINCT flag and the (optional)
 /// argument expression. `arg == None` aggregates whole input tuples
@@ -15,22 +16,20 @@ pub struct AggSpec {
     pub arg: Option<PhysExpr>,
 }
 
-/// Streaming accumulator for one aggregate over one group.
+/// Streaming state of one aggregate over one group — a few words, no
+/// heap. DISTINCT is not a property of the accumulator: it is a gate in
+/// front of it ([`AggStates::fold`]).
 ///
 /// SQL semantics: `COUNT(*)` counts rows, `COUNT(e)` counts non-NULL
 /// values, SUM/AVG/MIN/MAX ignore NULLs, every aggregate except COUNT
 /// yields NULL over an empty (or all-NULL) input — the `f(∅)` values the
 /// outerjoin defaults must reproduce.
 #[derive(Debug)]
-pub enum Accumulator {
+enum Accumulator {
     CountRows { n: i64 },
-    CountDistinctRows { seen: FxHashSet<Tuple> },
     CountValues { n: i64 },
-    CountDistinctValues { seen: FxHashSet<Value> },
     Sum { acc: Option<Value> },
-    SumDistinct { seen: FxHashSet<Value> },
     Avg { sum: f64, n: i64 },
-    AvgDistinct { seen: FxHashSet<Value> },
     Min { acc: Option<Value> },
     Max { acc: Option<Value> },
 }
@@ -38,192 +37,204 @@ pub enum Accumulator {
 impl AggSpec {
     /// `true` when this aggregate can never raise a *value* error:
     /// COUNT (all variants) only counts, and MIN/MAX fold via the
-    /// total-order `sql_cmp` — neither `update` nor `finish` performs
-    /// fallible arithmetic. SUM can overflow and AVG type-errors on
-    /// non-numeric input, so both stay fallible. Used by the adaptive
-    /// predicate reordering (`crate::vector`) to prove a scalar
-    /// subquery safe to hoist.
+    /// total-order `sql_cmp` — `update` performs no fallible arithmetic.
+    /// SUM can overflow and AVG type-errors on non-numeric input, so
+    /// both stay fallible. Used by the adaptive predicate reordering
+    /// (`crate::vector`) to prove a scalar subquery safe to hoist.
     pub fn infallible(&self) -> bool {
         matches!(self.func, AggFunc::Count | AggFunc::Min | AggFunc::Max)
     }
-}
 
-/// Build the accumulator matching an [`AggSpec`].
-pub fn create_accumulator(spec: &AggSpec) -> Accumulator {
-    match (spec.func, spec.distinct, spec.arg.is_some()) {
-        (AggFunc::Count, false, false) => Accumulator::CountRows { n: 0 },
-        (AggFunc::Count, true, false) => Accumulator::CountDistinctRows {
-            seen: FxHashSet::default(),
-        },
-        (AggFunc::Count, false, true) => Accumulator::CountValues { n: 0 },
-        (AggFunc::Count, true, true) => Accumulator::CountDistinctValues {
-            seen: FxHashSet::default(),
-        },
-        (AggFunc::Sum, false, _) => Accumulator::Sum { acc: None },
-        (AggFunc::Sum, true, _) => Accumulator::SumDistinct {
-            seen: FxHashSet::default(),
-        },
-        (AggFunc::Avg, false, _) => Accumulator::Avg { sum: 0.0, n: 0 },
-        (AggFunc::Avg, true, _) => Accumulator::AvgDistinct {
-            seen: FxHashSet::default(),
-        },
-        // MIN/MAX are duplicate-insensitive; DISTINCT is a no-op.
-        (AggFunc::Min, _, _) => Accumulator::Min { acc: None },
-        (AggFunc::Max, _, _) => Accumulator::Max { acc: None },
+    /// The aggregate over no rows at all: `f(∅)`.
+    pub(crate) fn empty_value(&self) -> Value {
+        Accumulator::new(self).finish()
     }
 }
 
 impl Accumulator {
-    /// Fold one row into the accumulator. `value` is the evaluated
-    /// argument (ignored by the whole-row COUNT variants, which use
-    /// `tuple`).
-    ///
-    /// Returns the bytes of state newly *retained* by this update under
-    /// the deterministic byte model: the DISTINCT variants grow a hash
-    /// set without bound, so each first-seen value reports its cost and
-    /// the executor's governor charges it against the memory budget.
-    /// Constant-state accumulators always report 0.
-    pub fn update(&mut self, tuple: &Tuple, value: Option<&Value>) -> Result<u64> {
-        let mut retained = 0u64;
+    fn new(spec: &AggSpec) -> Accumulator {
+        match (spec.func, spec.arg.is_some()) {
+            (AggFunc::Count, false) => Accumulator::CountRows { n: 0 },
+            (AggFunc::Count, true) => Accumulator::CountValues { n: 0 },
+            (AggFunc::Sum, _) => Accumulator::Sum { acc: None },
+            (AggFunc::Avg, _) => Accumulator::Avg { sum: 0.0, n: 0 },
+            (AggFunc::Min, _) => Accumulator::Min { acc: None },
+            (AggFunc::Max, _) => Accumulator::Max { acc: None },
+        }
+    }
+
+    /// Fold one row in; `value` is its evaluated argument (absent for
+    /// `COUNT(*)`).
+    fn update(&mut self, value: Option<&Value>) -> Result<()> {
+        if let Accumulator::CountRows { n } = self {
+            *n += 1;
+            return Ok(());
+        }
+        let Some(v) = value.filter(|v| !v.is_null()) else {
+            return Ok(());
+        };
         match self {
-            Accumulator::CountRows { n } => *n += 1,
-            Accumulator::CountDistinctRows { seen } => {
-                let bytes = tuple_bytes(tuple);
-                if seen.insert(tuple.clone()) {
-                    retained = bytes;
-                }
-            }
-            Accumulator::CountValues { n } => {
-                if value.is_some_and(|v| !v.is_null()) {
-                    *n += 1;
-                }
-            }
-            Accumulator::CountDistinctValues { seen } => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let bytes = VALUE_BYTES + value_heap_bytes(v);
-                        if seen.insert(v.clone()) {
-                            retained = bytes;
-                        }
-                    }
-                }
-            }
+            Accumulator::CountRows { .. } => {}
+            Accumulator::CountValues { n } => *n += 1,
             Accumulator::Sum { acc } => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        *acc = Some(match acc.take() {
-                            None => v.clone(),
-                            Some(a) => a.add(v)?,
-                        });
-                    }
-                }
-            }
-            Accumulator::SumDistinct { seen } | Accumulator::AvgDistinct { seen } => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let bytes = VALUE_BYTES + value_heap_bytes(v);
-                        if seen.insert(v.clone()) {
-                            retained = bytes;
-                        }
-                    }
-                }
+                *acc = Some(match acc.take() {
+                    None => v.clone(),
+                    Some(a) => a.add(v)?,
+                });
             }
             Accumulator::Avg { sum, n } => {
-                if let Some(v) = value {
-                    match v {
-                        Value::Null => {}
-                        Value::Int(i) => {
-                            *sum += *i as f64;
-                            *n += 1;
-                        }
-                        Value::Float(x) => {
-                            *sum += *x;
-                            *n += 1;
-                        }
-                        other => {
-                            return Err(Error::type_err(format!(
-                                "avg over non-numeric value {other}"
-                            )))
-                        }
+                *sum += match v {
+                    Value::Int(i) => *i as f64,
+                    Value::Float(x) => *x,
+                    other => {
+                        return Err(Error::type_err(format!(
+                            "avg over non-numeric value {other}"
+                        )))
                     }
-                }
+                };
+                *n += 1;
             }
-            Accumulator::Min { acc } => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let replace = match acc.as_ref() {
-                            None => true,
-                            Some(a) => matches!(v.sql_cmp(a), Some(std::cmp::Ordering::Less)),
-                        };
-                        if replace {
-                            *acc = Some(v.clone());
-                        }
+            Accumulator::Min { acc } => keep_extreme(acc, v, std::cmp::Ordering::Less),
+            Accumulator::Max { acc } => keep_extreme(acc, v, std::cmp::Ordering::Greater),
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Value {
+        match self {
+            Accumulator::CountRows { n } | Accumulator::CountValues { n } => Value::Int(n),
+            Accumulator::Avg { n: 0, .. } => Value::Null,
+            Accumulator::Avg { sum, n } => Value::Float(sum / n as f64),
+            Accumulator::Sum { acc } | Accumulator::Min { acc } | Accumulator::Max { acc } => {
+                acc.unwrap_or(Value::Null)
+            }
+        }
+    }
+}
+
+/// MIN/MAX step: `v` replaces the current extreme when it compares
+/// `wanted` to it.
+fn keep_extreme(acc: &mut Option<Value>, v: &Value, wanted: std::cmp::Ordering) {
+    let replace = match acc.as_ref() {
+        None => true,
+        Some(a) => v.sql_cmp(a) == Some(wanted),
+    };
+    if replace {
+        *acc = Some(v.clone());
+    }
+}
+
+/// What one DISTINCT aggregate has already folded, across every group
+/// of its operator: whole rows for `COUNT(DISTINCT *)`, argument values
+/// otherwise.
+enum Seen {
+    Rows(DistinctSet<Tuple>),
+    Values(DistinctSet<Value>),
+}
+
+impl Seen {
+    /// MIN/MAX are duplicate-insensitive: DISTINCT is a no-op there.
+    fn new(spec: &AggSpec, rows: usize) -> Option<Seen> {
+        let gated = spec.distinct && !matches!(spec.func, AggFunc::Min | AggFunc::Max);
+        gated.then(|| match spec.arg {
+            None => Seen::Rows(DistinctSet::with_capacity(rows)),
+            Some(_) => Seen::Values(DistinctSet::with_capacity(rows)),
+        })
+    }
+}
+
+/// The aggregation state of one operator: the accumulators of all its
+/// groups in one arena indexed by group id, and one [`DistinctSet`] per
+/// DISTINCT aggregate (not per group).
+pub(crate) struct AggStates<'p> {
+    specs: &'p [AggSpec],
+    /// Group `g`'s accumulator for aggregate `j` is
+    /// `accs[g * specs.len() + j]`.
+    accs: Vec<Accumulator>,
+    seen: Vec<Option<Seen>>,
+}
+
+impl<'p> AggStates<'p> {
+    /// No groups yet. `rows` is how many rows are about to be folded in
+    /// at most: the DISTINCT sets — which typically keep most of them —
+    /// are sized for it up front (0: grow on demand).
+    pub(crate) fn new(specs: &'p [AggSpec], rows: usize) -> AggStates<'p> {
+        AggStates {
+            specs,
+            accs: Vec::new(),
+            seen: specs.iter().map(|spec| Seen::new(spec, rows)).collect(),
+        }
+    }
+
+    /// Open the next group (ids count up from 0).
+    pub(crate) fn push_group(&mut self) {
+        self.accs.extend(self.specs.iter().map(Accumulator::new));
+    }
+
+    /// Back to a single empty group 0, keeping the memory.
+    pub(crate) fn reset(&mut self) {
+        self.accs.clear();
+        self.push_group();
+        for seen in self.seen.iter_mut().flatten() {
+            match seen {
+                Seen::Rows(set) => set.clear(),
+                Seen::Values(set) => set.clear(),
+            }
+        }
+    }
+
+    /// Fold `row` into every aggregate of group `g`; `arg` evaluates an
+    /// aggregate's argument expression over the row (the whole-row
+    /// COUNTs have none).
+    ///
+    /// Returns the bytes of state newly *retained* under the
+    /// deterministic byte model: a DISTINCT set grows without bound, so
+    /// each first-seen row or value reports its cost for the governor to
+    /// charge. Everything else is constant state and reports 0.
+    ///
+    /// A DISTINCT aggregate folds a value the moment it is first seen,
+    /// so SUM/AVG(DISTINCT) add in first-appearance order — a float
+    /// total is a function of the input order alone, not of a set's
+    /// iteration order — and an overflow or type error is raised at the
+    /// row that causes it, as without DISTINCT.
+    #[inline]
+    pub(crate) fn fold<'a>(
+        &mut self,
+        g: u32,
+        row: &'a Tuple,
+        mut arg: impl FnMut(&PhysExpr) -> Result<Cow<'a, Value>>,
+    ) -> Result<u64> {
+        let n = self.specs.len();
+        let accs = &mut self.accs[g as usize * n..][..n];
+        let mut retained = 0;
+        for ((acc, seen), spec) in accs.iter_mut().zip(&mut self.seen).zip(self.specs) {
+            let value = match &spec.arg {
+                Some(e) => Some(arg(e)?),
+                None => None,
+            };
+            let value = value.as_deref();
+            match seen {
+                None => {}
+                Some(Seen::Rows(set)) => {
+                    if !set.insert(g, row) {
+                        continue;
                     }
+                    retained += tuple_bytes(row);
                 }
+                Some(Seen::Values(set)) => match value.filter(|v| !v.is_null()) {
+                    Some(v) if set.insert(g, v) => retained += VALUE_BYTES + value_heap_bytes(v),
+                    _ => continue,
+                },
             }
-            Accumulator::Max { acc } => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let replace = match acc.as_ref() {
-                            None => true,
-                            Some(a) => matches!(v.sql_cmp(a), Some(std::cmp::Ordering::Greater)),
-                        };
-                        if replace {
-                            *acc = Some(v.clone());
-                        }
-                    }
-                }
-            }
+            acc.update(value)?;
         }
         Ok(retained)
     }
 
-    /// Final aggregate value.
-    pub fn finish(self) -> Result<Value> {
-        Ok(match self {
-            Accumulator::CountRows { n } | Accumulator::CountValues { n } => Value::Int(n),
-            Accumulator::CountDistinctRows { seen } => Value::Int(seen.len() as i64),
-            Accumulator::CountDistinctValues { seen } => Value::Int(seen.len() as i64),
-            Accumulator::Sum { acc } => acc.unwrap_or(Value::Null),
-            Accumulator::SumDistinct { seen } => {
-                let mut acc: Option<Value> = None;
-                for v in seen {
-                    acc = Some(match acc.take() {
-                        None => v,
-                        Some(a) => a.add(&v)?,
-                    });
-                }
-                acc.unwrap_or(Value::Null)
-            }
-            Accumulator::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
-            Accumulator::AvgDistinct { seen } => {
-                if seen.is_empty() {
-                    Value::Null
-                } else {
-                    let mut sum = 0.0;
-                    let n = seen.len() as f64;
-                    for v in seen {
-                        match v {
-                            Value::Int(i) => sum += i as f64,
-                            Value::Float(x) => sum += x,
-                            other => {
-                                return Err(Error::type_err(format!(
-                                    "avg over non-numeric value {other}"
-                                )))
-                            }
-                        }
-                    }
-                    Value::Float(sum / n)
-                }
-            }
-            Accumulator::Min { acc } | Accumulator::Max { acc } => acc.unwrap_or(Value::Null),
-        })
+    /// The final aggregate values, group after group. Leaves no groups
+    /// behind; [`Self::reset`] makes the state usable again.
+    pub(crate) fn finish(&mut self) -> impl Iterator<Item = Value> + '_ {
+        self.accs.drain(..).map(Accumulator::finish)
     }
 }
 
@@ -239,22 +250,32 @@ mod tests {
         }
     }
 
-    fn run(spec: &AggSpec, values: &[Value]) -> Value {
-        let mut acc = create_accumulator(spec);
+    /// One group over single-column rows; returns the value and the
+    /// retained bytes.
+    fn run_retained(spec: &AggSpec, values: &[Value]) -> (Value, u64) {
+        let specs = [spec.clone()];
+        let mut states = AggStates::new(&specs, 0);
+        states.push_group();
+        let mut retained = 0;
         for v in values {
             let t = Tuple::new(vec![v.clone()]);
-            acc.update(&t, Some(v)).unwrap();
+            retained += states.fold(0, &t, |_| Ok(Cow::Borrowed(v))).unwrap();
         }
-        acc.finish().unwrap()
+        let value = states.finish().next().unwrap();
+        (value, retained)
+    }
+
+    fn run(spec: &AggSpec, values: &[Value]) -> Value {
+        run_retained(spec, values).0
     }
 
     #[test]
     fn count_star_counts_rows_including_nulls() {
-        let mut acc = create_accumulator(&spec(AggFunc::Count, false, false));
-        for v in [Value::Int(1), Value::Null] {
-            acc.update(&Tuple::new(vec![v]), None).unwrap();
-        }
-        assert_eq!(acc.finish().unwrap(), Value::Int(2));
+        let v = run(
+            &spec(AggFunc::Count, false, false),
+            &[Value::Int(1), Value::Null],
+        );
+        assert_eq!(v, Value::Int(2));
     }
 
     #[test]
@@ -268,17 +289,56 @@ mod tests {
 
     #[test]
     fn count_distinct_rows_and_values() {
-        let mut acc = create_accumulator(&spec(AggFunc::Count, true, false));
-        for v in [1, 1, 2] {
-            acc.update(&Tuple::new(vec![Value::Int(v)]), None).unwrap();
-        }
-        assert_eq!(acc.finish().unwrap(), Value::Int(2));
+        let ints = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        let (v, retained) = run_retained(&spec(AggFunc::Count, true, false), &ints(&[1, 1, 2]));
+        assert_eq!(v, Value::Int(2));
+        // Two first-seen one-column rows.
+        assert_eq!(retained, 2 * tuple_bytes(&Tuple::new(ints(&[1]))));
 
-        let v = run(
+        let (v, retained) = run_retained(
             &spec(AggFunc::Count, true, true),
-            &[Value::Int(1), Value::Int(1), Value::Null, Value::Int(3)],
+            &[
+                Value::Int(1),
+                Value::Int(1),
+                Value::Null,
+                Value::text("abc"),
+            ],
         );
         assert_eq!(v, Value::Int(2));
+        assert_eq!(retained, 2 * VALUE_BYTES + 3);
+    }
+
+    #[test]
+    fn distinct_sets_are_per_group() {
+        // The same row in two groups counts once in each.
+        let specs = [spec(AggFunc::Count, true, false)];
+        let mut states = AggStates::new(&specs, 0);
+        states.push_group();
+        states.push_group();
+        let t = Tuple::new(vec![Value::Int(7)]);
+        for g in [0, 1, 0, 1, 1] {
+            states.fold(g, &t, |_| unreachable!()).unwrap();
+        }
+        assert_eq!(
+            states.finish().collect::<Vec<_>>(),
+            vec![Value::Int(1), Value::Int(1)]
+        );
+    }
+
+    #[test]
+    fn reset_forgets_the_distinct_set() {
+        let specs = [spec(AggFunc::Count, true, false)];
+        let mut states = AggStates::new(&specs, 0);
+        let t = Tuple::new(vec![Value::Int(7)]);
+        for _ in 0..2 {
+            states.reset();
+            assert_eq!(
+                states.fold(0, &t, |_| unreachable!()).unwrap(),
+                tuple_bytes(&t)
+            );
+            assert_eq!(states.fold(0, &t, |_| unreachable!()).unwrap(), 0);
+        }
+        assert_eq!(states.finish().collect::<Vec<_>>(), vec![Value::Int(1)]);
     }
 
     #[test]
@@ -292,6 +352,46 @@ mod tests {
             run(&spec(AggFunc::Sum, false, true), &[Value::Null]),
             Value::Null
         );
+        assert_eq!(spec(AggFunc::Sum, true, true).empty_value(), Value::Null);
+        assert_eq!(
+            spec(AggFunc::Count, true, false).empty_value(),
+            Value::Int(0)
+        );
+    }
+
+    #[test]
+    fn distinct_sum_and_avg_add_in_first_appearance_order() {
+        // (1e16 + 1) - 1e16 = 0 in doubles; any other order of the three
+        // distinct values gives 1.
+        let vals = [1e16, 1.0, 1e16, -1e16, 1.0].map(Value::Float);
+        assert_eq!(
+            run(&spec(AggFunc::Sum, true, true), &vals),
+            Value::Float(0.0)
+        );
+        assert_eq!(
+            run(&spec(AggFunc::Avg, true, true), &vals),
+            Value::Float(0.0)
+        );
+    }
+
+    #[test]
+    fn distinct_sum_and_avg_fail_at_the_offending_row() {
+        let fold_all = |func, values: &[Value]| -> Vec<bool> {
+            let specs = [spec(func, true, true)];
+            let mut states = AggStates::new(&specs, 0);
+            states.push_group();
+            values
+                .iter()
+                .map(|v| {
+                    let t = Tuple::new(vec![v.clone()]);
+                    states.fold(0, &t, |_| Ok(Cow::Borrowed(v))).is_ok()
+                })
+                .collect()
+        };
+        let overflow = [Value::Int(i64::MAX), Value::Int(i64::MAX), Value::Int(1)];
+        assert_eq!(fold_all(AggFunc::Sum, &overflow), [true, true, false]);
+        let text = [Value::Int(1), Value::text("x"), Value::Int(2)];
+        assert_eq!(fold_all(AggFunc::Avg, &text), [true, false, true]);
     }
 
     #[test]
@@ -313,7 +413,8 @@ mod tests {
         let vals = [Value::Int(5), Value::Null, Value::Int(2), Value::Int(9)];
         assert_eq!(run(&spec(AggFunc::Min, false, true), &vals), Value::Int(2));
         assert_eq!(run(&spec(AggFunc::Max, false, true), &vals), Value::Int(9));
-        assert_eq!(run(&spec(AggFunc::Min, true, true), &vals), Value::Int(2));
+        let (v, retained) = run_retained(&spec(AggFunc::Min, true, true), &vals);
+        assert_eq!((v, retained), (Value::Int(2), 0));
         assert_eq!(run(&spec(AggFunc::Min, false, true), &[]), Value::Null);
     }
 

@@ -1,15 +1,16 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bypass_types::{
-    batch_rows_or, compare_tuples, fxhash, par, tuple_bytes, Batch, CancelToken, Error, FaultKind,
+    batch_rows_or, compare_tuples, par, tuple_bytes, Batch, CancelToken, Error, FaultKind,
     FxHashMap, GovEvent, InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple,
     Value, BATCH_ROWS, SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
-use crate::agg::{create_accumulator, Accumulator, AggSpec};
 use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr};
+use crate::hash::{CorrMemo, JoinTable, KeyReader, KeyRef};
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{Row, RowView};
 use crate::vector::{
@@ -136,11 +137,11 @@ pub struct ExecContext {
     outer: Vec<Tuple>,
     /// Cache for uncorrelated subquery plans (pointer-keyed).
     uncorr: FxHashMap<usize, Arc<Relation>>,
-    /// Cache for correlated subquery plans, bucketed by a *precomputed*
+    /// Cache for correlated subquery plans, found by a *precomputed*
     /// FxHash of `(plan pointer, correlation values)`. Entries store the
     /// correlation key as a shared-row [`Tuple`]; memo hits compare
     /// values in place and allocate nothing.
-    corr: FxHashMap<u64, Vec<(usize, Tuple, Arc<Relation>)>>,
+    corr: CorrMemo,
     deadline: Option<Instant>,
     ticks: u32,
     /// Governor checkpoint counter: incremented on every [`tick`]
@@ -232,6 +233,8 @@ impl ExecCounters {
 struct PendingCounters {
     build_rows: u64,
     reverify: u64,
+    input_rows: u64,
+    groups: u64,
     /// Chained σ/σ± only: per-disjunct reach/decide counters, indexed
     /// by syntactic disjunct position.
     disjuncts: Vec<DisjunctMetrics>,
@@ -313,8 +316,13 @@ pub struct NodeMetrics {
     /// Hash joins only: entries inserted into the build-side table.
     pub build_rows: u64,
     /// Hash joins only: probe candidates whose full key comparison
-    /// failed after a hash-bucket match (collision re-verifies).
+    /// failed after a hash-tag match (collision re-verifies).
     pub reverify: u64,
+    /// Γ: rows consumed; hash joins: rows that probed the table. With
+    /// `self_nanos` this is the operator's ns/row.
+    pub input_rows: u64,
+    /// Γ only: groups produced.
+    pub groups: u64,
     /// Chained σ/σ± only (predicates with ≥ 2 disjuncts/conjuncts):
     /// per-disjunct reach/decide counters in *syntactic* order —
     /// `hits / evals` is the observed decide selectivity driving the
@@ -347,16 +355,21 @@ impl NodeMetrics {
         let total = self.pos_rows + self.neg_rows;
         (total > 0).then(|| self.neg_rows as f64 / total as f64)
     }
+
+    /// Fold in what one call of the operator's arm deposited.
+    fn absorb(&mut self, pend: &PendingCounters) {
+        self.build_rows += pend.build_rows;
+        self.reverify += pend.reverify;
+        self.input_rows += pend.input_rows;
+        self.groups += pend.groups;
+        merge_disjuncts(&mut self.disjuncts, &pend.disjuncts);
+        merge_stages(&mut self.stages, &pend.stages);
+    }
 }
 
 /// Amortized per-entry overhead of the join hash table beyond the key
-/// values themselves: chain link + row id + bucket-slot share.
+/// values themselves: row id + group id + index-slot share.
 const JOIN_ENTRY_BYTES: u64 = 16;
-
-/// Fixed state of one aggregate accumulator (enum tag + payload; the
-/// DISTINCT variants additionally report their set growth through
-/// [`Accumulator::update`]).
-const ACC_BYTES: u64 = 48;
 
 /// Amortized per-entry overhead of a memo-cache insertion (hash-map
 /// slot + `Arc` handle + counters).
@@ -422,7 +435,7 @@ impl<P> MorselOut<P> {
 /// Concatenate per-morsel row buffers in morsel (= input) order. The
 /// single-part case is the serial path: the buffer is moved, not
 /// copied.
-fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+pub(crate) fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     if parts.len() == 1 {
         return parts.pop().unwrap();
     }
@@ -460,86 +473,11 @@ type Dual = (Arc<Relation>, Arc<Relation>);
 /// current outer bindings).
 type Local = FxHashMap<usize, Dual>;
 
-/// Hash table over the build side of a hash join: rows are bucketed by
-/// a precomputed FxHash of their key values. Key values live in one
-/// flat arena (`width` values per entry) — no per-row `Vec<Value>`
-/// allocation, single pass over the build input.
-struct JoinHashTable {
-    width: usize,
-    /// hash → (first, last) entry of the bucket chain. Buckets are
-    /// intrusive singly-linked lists through `next` instead of
-    /// `Vec<u32>` values: one-entry buckets (the common case — chains
-    /// only form on hash-equal keys) cost zero extra allocations, and
-    /// the tail pointer keeps appends O(1) *in insertion order*, so
-    /// multi-match probes still yield build rows in row order.
-    buckets: FxHashMap<u64, (u32, u32)>,
-    /// entry → next entry of the same bucket (`NO_ENTRY` terminates).
-    next: Vec<u32>,
-    /// entry → build-relation row id.
-    row_ids: Vec<u32>,
-    /// Flat key arena: entry `e`'s key is `keys[e*width .. (e+1)*width]`.
-    keys: Vec<Value>,
-    /// Governor bytes charged while building this table (key arena +
-    /// per-entry overhead); released by the join arm when the table's
-    /// scope ends.
-    charged: u64,
-}
-
-const NO_ENTRY: u32 = u32::MAX;
-
-impl JoinHashTable {
-    fn entry_key(&self, e: u32) -> &[Value] {
-        let s = e as usize * self.width;
-        &self.keys[s..s + self.width]
-    }
-
-    /// Append an entry to the bucket chain for `hash`.
-    fn insert(&mut self, hash: u64, row_id: u32) {
-        let e = self.row_ids.len() as u32;
-        self.row_ids.push(row_id);
-        self.next.push(NO_ENTRY);
-        match self.buckets.entry(hash) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                let (_, tail) = *o.get();
-                self.next[tail as usize] = e;
-                o.get_mut().1 = e;
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((e, e));
-            }
-        }
-    }
-
-    /// Build-relation row ids whose key equals `key` (hash precomputed).
-    /// Collision re-verifies are counted into `reverify`, a caller-local
-    /// accumulator — the table itself stays immutable (and therefore
-    /// `Sync`) during the probe phase, so morsel workers can share it.
-    fn probe<'a>(
-        &'a self,
-        hash: u64,
-        key: &'a [Value],
-        reverify: &'a mut u64,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let mut cur = self.buckets.get(&hash).map_or(NO_ENTRY, |&(head, _)| head);
-        std::iter::from_fn(move || {
-            while cur != NO_ENTRY {
-                let e = cur;
-                cur = self.next[e as usize];
-                if self.entry_key(e) == key {
-                    return Some(self.row_ids[e as usize] as usize);
-                }
-                *reverify += 1;
-            }
-            None
-        })
-    }
-}
-
 /// A [`JoinSpec`] ready to probe: build side evaluated and, for a hash
 /// join, hashed. Immutable during the probe loop, so morsel workers
 /// share it.
 struct Probe<'p> {
-    right: Arc<Relation>,
+    build: Arc<Relation>,
     on: ProbeOn<'p>,
     /// Outer joins: the right side an unmatched left row is padded with.
     pad: Option<Tuple>,
@@ -548,18 +486,21 @@ struct Probe<'p> {
 enum ProbeOn<'p> {
     Loop(Option<&'p PhysExpr>),
     Hash {
-        left_keys: &'p [PhysExpr],
-        table: JoinHashTable,
+        probe_keys: KeyReader<'p>,
+        table: JoinTable,
         residual: Option<&'p PhysExpr>,
+        /// Governor bytes charged while building the table (per-entry
+        /// overhead + key values); released when the pipeline closes.
+        charged: u64,
     },
 }
 
 impl Probe<'_> {
-    /// Pairs the probe visits per left row: what the morsel gate of a
-    /// join loop counts.
+    /// Pairs the probe visits per probing row: what the morsel gate of
+    /// a join loop counts.
     fn pairs_per_row(&self) -> usize {
         match self.on {
-            ProbeOn::Loop(_) => self.right.len(),
+            ProbeOn::Loop(_) => self.build.len(),
             ProbeOn::Hash { .. } => 1,
         }
     }
@@ -570,13 +511,13 @@ enum LiveStage<'p> {
     Filter(&'p PhysExpr),
     Project(&'p [PhysExpr]),
     Map(&'p PhysExpr),
-    Probe(Probe<'p>),
+    Probe(Box<Probe<'p>>),
 }
 
 /// The fused joins among `stages`.
 fn probes<'s, 'p>(stages: &'s [LiveStage<'p>]) -> impl Iterator<Item = &'s Probe<'p>> {
     stages.iter().filter_map(|s| match s {
-        LiveStage::Probe(p) => Some(p),
+        LiveStage::Probe(p) => Some(&**p),
         _ => None,
     })
 }
@@ -652,7 +593,7 @@ impl ExecContext {
             child_nanos: Vec::new(),
             outer: Vec::new(),
             uncorr: FxHashMap::default(),
-            corr: FxHashMap::default(),
+            corr: CorrMemo::default(),
             deadline,
             ticks: 0,
             checkpoints: 0,
@@ -695,7 +636,7 @@ impl ExecContext {
     /// enforces the wall-clock deadline. The checkpoint *index*
     /// depends only on plan + data, never on timing.
     #[inline]
-    fn tick(&mut self) -> Result<()> {
+    pub(crate) fn tick(&mut self) -> Result<()> {
         if self.gov_log.is_some() {
             self.log_tick();
         }
@@ -793,7 +734,7 @@ impl ExecContext {
     /// injected (and cancellation observed) exactly at materialization
     /// points, not just row boundaries.
     #[inline]
-    fn charge(&mut self, bytes: u64) -> Result<()> {
+    pub(crate) fn charge(&mut self, bytes: u64) -> Result<()> {
         if let Some(log) = &mut self.gov_log {
             log.push(GovEvent::Charge(bytes));
         }
@@ -831,7 +772,7 @@ impl ExecContext {
     /// decorations, group maps) to the budget when its scope ends.
     /// Releases are not checkpoints — nothing can fail while freeing.
     #[inline]
-    fn release(&mut self, bytes: u64) {
+    pub(crate) fn release(&mut self, bytes: u64) {
         if let Some(log) = &mut self.gov_log {
             log.push(GovEvent::Release(bytes));
         }
@@ -1049,7 +990,7 @@ impl ExecContext {
             child_nanos: vec![0],
             outer: self.outer.clone(),
             uncorr: FxHashMap::default(),
-            corr: FxHashMap::default(),
+            corr: CorrMemo::default(),
             deadline: self.deadline,
             ticks: 0,
             checkpoints: 0,
@@ -1073,7 +1014,12 @@ impl ExecContext {
     /// sequence identical to the pre-parallel executor) or across the
     /// worker pool in fixed-size morsels. Returns the per-morsel
     /// payloads in input order; the caller concatenates.
-    fn run_morsels<P, F>(&mut self, node: &Arc<PhysNode>, total: usize, body: F) -> Result<Vec<P>>
+    pub(crate) fn run_morsels<P, F>(
+        &mut self,
+        node: &Arc<PhysNode>,
+        total: usize,
+        body: F,
+    ) -> Result<Vec<P>>
     where
         P: Send,
         F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
@@ -1155,12 +1101,16 @@ impl ExecContext {
                     m.rows_materialized += wm.rows_materialized;
                     m.build_rows += wm.build_rows;
                     m.reverify += wm.reverify;
+                    m.input_rows += wm.input_rows;
+                    m.groups += wm.groups;
                     merge_disjuncts(&mut m.disjuncts, &wm.disjuncts);
                     merge_stages(&mut m.stages, &wm.stages);
                 }
             }
             self.pending.build_rows += out.pending.build_rows;
             self.pending.reverify += out.pending.reverify;
+            self.pending.input_rows += out.pending.input_rows;
+            self.pending.groups += out.pending.groups;
             merge_disjuncts(&mut self.pending.disjuncts, &out.pending.disjuncts);
             merge_stages(&mut self.pending.stages, &out.pending.stages);
             // Workers never probe memo caches (asserted above), but a
@@ -1519,10 +1469,7 @@ impl ExecContext {
             } else {
                 m.rows_materialized += rel.len() as u64;
             }
-            m.build_rows += pend.build_rows;
-            m.reverify += pend.reverify;
-            merge_disjuncts(&mut m.disjuncts, &pend.disjuncts);
-            merge_stages(&mut m.stages, &pend.stages);
+            m.absorb(&pend);
         }
         result
     }
@@ -1617,7 +1564,7 @@ impl ExecContext {
                 // Build sides stay on the master (charge order is
                 // insertion order); the immutable tables are shared by
                 // the probe morsels.
-                let join = self.open_probe(spec, local)?;
+                let join = self.open_probe(spec, Some(&l), local)?;
                 let stages = self.open_chain(chain, local)?;
                 let parts = self.run_weighted_morsels(
                     node,
@@ -1625,9 +1572,9 @@ impl ExecContext {
                     join.pairs_per_row(),
                     |ctx, range| {
                         let mut sink = Sink::new(stages.len());
-                        for lt in &l.rows()[range] {
+                        for t in &l.rows()[range] {
                             ctx.check_size(sink.rows.len())?;
-                            ctx.probe(&join, &RowView::new(lt.values()), &stages, 0, &mut sink)?;
+                            ctx.probe(&join, &RowView::new(t.values()), &stages, 0, &mut sink)?;
                         }
                         Ok(sink)
                     },
@@ -1641,12 +1588,20 @@ impl ExecContext {
                 if self.metrics.is_some() {
                     self.pending.reverify += sink.reverify;
                     self.pending.stages = sink.stage_metrics();
+                    if matches!(join.on, ProbeOn::Hash { .. }) {
+                        self.pending.input_rows += l.len() as u64;
+                    }
                 }
                 Relation::new(schema, sink.rows)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let input = self.eval_node(input, local)?;
-                self.hash_aggregate(node, &input, keys, aggs, schema)?
+                let out = self.hash_aggregate(&input, keys, aggs, schema)?;
+                if self.metrics.is_some() {
+                    self.pending.input_rows += input.len() as u64;
+                    self.pending.groups += out.len() as u64;
+                }
+                out
             }
             PhysKind::BinaryGroupEq {
                 left,
@@ -1657,54 +1612,7 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                // Aggregate the right side per distinct key, once.
-                let mut groups: FxHashMap<Value, Accumulator> = FxHashMap::default();
-                let mut scratch = 0u64; // group-map bytes, released below
-                for rt in r.rows() {
-                    self.tick()?;
-                    let k = self.eval_expr(right_key, rt)?;
-                    if k.is_null() {
-                        continue; // θ over NULL never matches
-                    }
-                    if !groups.contains_key(&k) {
-                        let bytes = VALUE_BYTES + bypass_types::value_heap_bytes(&k) + ACC_BYTES;
-                        self.charge(bytes)?;
-                        scratch += bytes;
-                    }
-                    let acc = groups.entry(k).or_insert_with(|| create_accumulator(agg));
-                    let v = match &agg.arg {
-                        Some(a) => Some(self.eval_expr(a, rt)?),
-                        None => None,
-                    };
-                    let grown = acc.update(rt, v.as_ref())?;
-                    if grown != 0 {
-                        self.charge(grown)?;
-                        scratch += grown;
-                    }
-                }
-                let finished: FxHashMap<Value, Value> = groups
-                    .into_iter()
-                    .map(|(k, acc)| Ok((k, acc.finish()?)))
-                    .collect::<Result<_>>()?;
-                let empty = create_accumulator(agg).finish()?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for lt in &l.rows()[range] {
-                        ctx.tick()?;
-                        let k = ctx.eval_expr(left_key, lt)?;
-                        let g = if k.is_null() {
-                            empty.clone()
-                        } else {
-                            finished.get(&k).cloned().unwrap_or_else(|| empty.clone())
-                        };
-                        let row = lt.extended(g);
-                        ctx.charge(tuple_bytes(&row))?;
-                        out.push(row);
-                    }
-                    Ok(out)
-                })?;
-                self.release(scratch);
-                Relation::new(schema, concat_rows(parts))
+                self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema)?
             }
             PhysKind::BinaryGroupTheta {
                 left,
@@ -1716,45 +1624,7 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let mut right_kv: Vec<(Value, &Tuple)> = Vec::with_capacity(r.len());
-                let mut scratch = 0u64; // key decoration, released below
-                for rt in r.rows() {
-                    self.tick()?;
-                    let k = self.eval_expr(right_key, rt)?;
-                    let bytes = VALUE_BYTES + bypass_types::value_heap_bytes(&k);
-                    self.charge(bytes)?;
-                    scratch += bytes;
-                    right_kv.push((k, rt));
-                }
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for lt in &l.rows()[range] {
-                        let lk = ctx.eval_expr(left_key, lt)?;
-                        let mut acc = create_accumulator(agg);
-                        let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
-                        for &(ref rk, rt) in &right_kv {
-                            ctx.tick()?;
-                            if value_truth(&eval_binop(*cmp, &lk, rk)?).is_true() {
-                                let v = match &agg.arg {
-                                    Some(a) => Some(ctx.eval_expr(a, rt)?),
-                                    None => None,
-                                };
-                                let grown = acc.update(rt, v.as_ref())?;
-                                if grown != 0 {
-                                    ctx.charge(grown)?;
-                                    acc_bytes += grown;
-                                }
-                            }
-                        }
-                        let row = lt.extended(acc.finish()?);
-                        ctx.release(acc_bytes);
-                        ctx.charge(tuple_bytes(&row))?;
-                        out.push(row);
-                    }
-                    Ok(out)
-                })?;
-                self.release(scratch);
-                Relation::new(schema, concat_rows(parts))
+                self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema)?
             }
             PhysKind::Map { input, expr } => {
                 let input = self.eval_node(input, local)?;
@@ -1887,10 +1757,7 @@ impl ExecContext {
                 m.rows += routed[0] + routed[1];
                 m.nanos += elapsed;
                 m.self_nanos += elapsed.saturating_sub(children);
-                m.build_rows += pend.build_rows;
-                m.reverify += pend.reverify;
-                merge_disjuncts(&mut m.disjuncts, &pend.disjuncts);
-                merge_stages(&mut m.stages, &pend.stages);
+                m.absorb(&pend);
                 // The bypass-specific split — what the operator itself
                 // routed to each side, before any fused stage: the
                 // negative stream is the quantity the paper's cost
@@ -2019,222 +1886,6 @@ impl ExecContext {
         })
     }
 
-    fn hash_aggregate(
-        &mut self,
-        node: &Arc<PhysNode>,
-        input: &Relation,
-        keys: &[PhysExpr],
-        aggs: &[AggSpec],
-        schema: bypass_types::Schema,
-    ) -> Result<Relation> {
-        if self.morsel_gate(node, input.len()) {
-            return self.hash_aggregate_parallel(node, input, keys, aggs, schema);
-        }
-        if keys.is_empty() {
-            // Scalar aggregation: exactly one output row, even for empty
-            // input (f(∅)).
-            let mut accs: Vec<Accumulator> = aggs.iter().map(create_accumulator).collect();
-            for t in input.rows() {
-                self.tick()?;
-                for (acc, spec) in accs.iter_mut().zip(aggs) {
-                    let v = match &spec.arg {
-                        Some(a) => Some(self.eval_expr(a, t)?),
-                        None => None,
-                    };
-                    acc.update(t, v.as_ref())?;
-                }
-            }
-            let vals = accs
-                .into_iter()
-                .map(|a| a.finish())
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(Relation::new(schema, vec![Tuple::new(vals)]));
-        }
-        // Grouped aggregation. Groups live in flat arenas in first-
-        // appearance order (the deterministic output order): group `g`'s
-        // key occupies `key_arena[g*width..]` and its accumulators
-        // `accs[g*naggs..]`, so a new group costs zero per-group heap
-        // allocations (amortized arena growth only). The hash side maps
-        // the *precomputed* key hash to an intrusive chain of group
-        // indices; the key is evaluated into a reused scratch buffer and
-        // moved — not cloned — into the arena exactly once, when the
-        // group first appears.
-        let width = keys.len();
-        let naggs = aggs.len();
-        let mut key_arena: Vec<Value> = Vec::new();
-        let mut accs: Vec<Accumulator> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new(); // group → next group with equal hash
-        let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut keybuf: Vec<Value> = Vec::with_capacity(width);
-        for t in input.rows() {
-            self.tick()?;
-            keybuf.clear();
-            for k in keys {
-                let v = self.eval_expr(k, t)?;
-                keybuf.push(v);
-            }
-            let hash = fxhash::hash_values(&keybuf);
-            let mut found = None;
-            let mut cur = heads.get(&hash).copied();
-            while let Some(g) = cur {
-                let s = g as usize * width;
-                if key_arena[s..s + width] == keybuf[..] {
-                    found = Some(g as usize);
-                    break;
-                }
-                let nxt = chain[g as usize];
-                cur = (nxt != u32::MAX).then_some(nxt);
-            }
-            let gi = match found {
-                Some(g) => g,
-                None => {
-                    let g = chain.len();
-                    // Prepend to the hash chain (group order is kept by
-                    // the arenas, not the chains).
-                    let prev = heads.insert(hash, g as u32);
-                    chain.push(prev.unwrap_or(u32::MAX));
-                    key_arena.append(&mut keybuf);
-                    accs.extend(aggs.iter().map(create_accumulator));
-                    g
-                }
-            };
-            for (j, spec) in aggs.iter().enumerate() {
-                let v = match &spec.arg {
-                    Some(a) => Some(self.eval_expr(a, t)?),
-                    None => None,
-                };
-                accs[gi * naggs + j].update(t, v.as_ref())?;
-            }
-        }
-        let ngroups = chain.len();
-        let mut out = Vec::with_capacity(ngroups);
-        let mut key_iter = key_arena.into_iter();
-        let mut acc_iter = accs.into_iter();
-        for _ in 0..ngroups {
-            let mut vals: Vec<Value> = Vec::with_capacity(width + naggs);
-            vals.extend(key_iter.by_ref().take(width));
-            for _ in 0..naggs {
-                // invariant: `accs` holds exactly `ngroups * naggs`
-                // accumulators — one batch of `naggs` is pushed in the
-                // same statement that grows `chain` by one group, so
-                // this iterator cannot run dry. (The fault oracle
-                // never reached this expect; kept as an invariant.)
-                let a = acc_iter.next().expect("arena length mismatch");
-                vals.push(a.finish()?);
-            }
-            out.push(Tuple::new(vals));
-        }
-        Ok(Relation::new(schema, out))
-    }
-
-    /// Parallel two-phase aggregation (callers have already passed the
-    /// morsel gate): phase 1 fans the per-row expression work — group
-    /// keys, key hash, aggregate arguments — across the worker pool in
-    /// morsel order; phase 2 runs the order-sensitive grouping serially
-    /// on the master over the precomputed entries. Phase 2 performs no
-    /// expression evaluation and no governor operations (the serial
-    /// aggregate never charges bytes), so the complete governor
-    /// sequence is produced by phase 1's in-order replay — identical
-    /// to a serial run, as are first-appearance group order and
-    /// accumulator update order.
-    fn hash_aggregate_parallel(
-        &mut self,
-        node: &Arc<PhysNode>,
-        input: &Relation,
-        keys: &[PhysExpr],
-        aggs: &[AggSpec],
-        schema: bypass_types::Schema,
-    ) -> Result<Relation> {
-        let rows = input.rows();
-        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-            let mut entries = Vec::with_capacity(range.len());
-            for t in &rows[range] {
-                ctx.tick()?;
-                let mut kv = Vec::with_capacity(keys.len());
-                for k in keys {
-                    kv.push(ctx.eval_expr(k, t)?);
-                }
-                let hash = fxhash::hash_values(&kv);
-                let mut args = Vec::with_capacity(aggs.len());
-                for spec in aggs {
-                    args.push(match &spec.arg {
-                        Some(a) => Some(ctx.eval_expr(a, t)?),
-                        None => None,
-                    });
-                }
-                entries.push((kv, hash, args));
-            }
-            Ok(entries)
-        })?;
-        let mut rows_it = rows.iter();
-        if keys.is_empty() {
-            // Scalar aggregation over the precomputed arguments, in row
-            // order.
-            let mut accs: Vec<Accumulator> = aggs.iter().map(create_accumulator).collect();
-            for (_, _, args) in parts.into_iter().flatten() {
-                let t = rows_it.next().expect("one entry per input row");
-                for (acc, v) in accs.iter_mut().zip(&args) {
-                    acc.update(t, v.as_ref())?;
-                }
-            }
-            let vals = accs
-                .into_iter()
-                .map(|a| a.finish())
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(Relation::new(schema, vec![Tuple::new(vals)]));
-        }
-        // Grouped: identical arena layout and first-appearance order as
-        // the serial path (see `hash_aggregate`).
-        let width = keys.len();
-        let naggs = aggs.len();
-        let mut key_arena: Vec<Value> = Vec::new();
-        let mut accs: Vec<Accumulator> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new();
-        let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
-        for (mut kv, hash, args) in parts.into_iter().flatten() {
-            let t = rows_it.next().expect("one entry per input row");
-            let mut found = None;
-            let mut cur = heads.get(&hash).copied();
-            while let Some(g) = cur {
-                let s = g as usize * width;
-                if key_arena[s..s + width] == kv[..] {
-                    found = Some(g as usize);
-                    break;
-                }
-                let nxt = chain[g as usize];
-                cur = (nxt != u32::MAX).then_some(nxt);
-            }
-            let gi = match found {
-                Some(g) => g,
-                None => {
-                    let g = chain.len();
-                    let prev = heads.insert(hash, g as u32);
-                    chain.push(prev.unwrap_or(u32::MAX));
-                    key_arena.append(&mut kv);
-                    accs.extend(aggs.iter().map(create_accumulator));
-                    g
-                }
-            };
-            for (j, v) in args.into_iter().enumerate() {
-                accs[gi * naggs + j].update(t, v.as_ref())?;
-            }
-        }
-        let ngroups = chain.len();
-        let mut out = Vec::with_capacity(ngroups);
-        let mut key_iter = key_arena.into_iter();
-        let mut acc_iter = accs.into_iter();
-        for _ in 0..ngroups {
-            let mut vals: Vec<Value> = Vec::with_capacity(width + naggs);
-            vals.extend(key_iter.by_ref().take(width));
-            for _ in 0..naggs {
-                let a = acc_iter.next().expect("arena length mismatch");
-                vals.push(a.finish()?);
-            }
-            out.push(Tuple::new(vals));
-        }
-        Ok(Relation::new(schema, out))
-    }
-
     // ----- join pipelines (DESIGN.md §7) ---------------------------------
     //
     // A join loop never builds a pair it does not emit: it evaluates
@@ -2245,27 +1896,56 @@ impl ExecContext {
     // standalone operator would; the charges of the intermediate
     // relations are what disappears.
 
-    /// Evaluate a join's build side and make it probe-ready. Runs on
-    /// the master before the loop fans out.
-    fn open_probe<'p>(&mut self, spec: &'p JoinSpec, local: &mut Local) -> Result<Probe<'p>> {
+    /// Evaluate a join's right input and make the join probe-ready. Runs
+    /// on the master before the loop fans out. `left` is the join's
+    /// evaluated left input — absent for a join fused into a chain, whose
+    /// left input is a stream. An inner hash join with the smaller input
+    /// on the left keys its table by *that* input and inserts only the
+    /// right rows that have one of its keys; ties, outer joins and fused
+    /// joins hash the whole right input.
+    fn open_probe<'p>(
+        &mut self,
+        spec: &'p JoinSpec,
+        left: Option<&Arc<Relation>>,
+        local: &mut Local,
+    ) -> Result<Probe<'p>> {
         let right = self.eval_node(&spec.right, local)?;
-        let on = match &spec.on {
-            JoinOn::Loop(predicate) => ProbeOn::Loop(predicate.as_ref()),
-            JoinOn::Hash {
-                left_keys,
-                right_keys,
-                residual,
-            } => ProbeOn::Hash {
-                left_keys,
-                table: self.build_hash_table(&right, right_keys)?,
-                residual: residual.as_ref(),
-            },
-        };
         let pad = spec
             .defaults
             .as_ref()
             .map(|d| padded_right(right.schema().arity(), d));
-        Ok(Probe { right, on, pad })
+        let (left_keys, right_keys, residual) = match &spec.on {
+            JoinOn::Loop(predicate) => {
+                return Ok(Probe {
+                    build: right,
+                    on: ProbeOn::Loop(predicate.as_ref()),
+                    pad,
+                })
+            }
+            JoinOn::Hash {
+                left_keys,
+                right_keys,
+                residual,
+            } => (left_keys, right_keys, residual.as_ref()),
+        };
+        let probe_keys = KeyReader::new(left_keys);
+        // Reading the left keys ahead of the probe must not be able to
+        // raise an error the probe would have raised later (or never):
+        // plain column reads only.
+        let smaller_left = left
+            .filter(|l| pad.is_none() && l.len() < right.len() && probe_keys.borrows())
+            .map(|l| (&**l, &probe_keys));
+        let (table, charged) = self.build_hash_table(&right, right_keys, smaller_left)?;
+        Ok(Probe {
+            build: right,
+            on: ProbeOn::Hash {
+                probe_keys,
+                table,
+                residual,
+                charged,
+            },
+            pad,
+        })
     }
 
     /// Make a stage chain runnable: open the build sides of its fused
@@ -2283,7 +1963,9 @@ impl ExecContext {
                     Stage::Filter(p) => LiveStage::Filter(p),
                     Stage::Project(exprs) => LiveStage::Project(exprs),
                     Stage::Map(e) => LiveStage::Map(e),
-                    Stage::Probe(spec) => LiveStage::Probe(self.open_probe(spec, local)?),
+                    Stage::Probe(spec) => {
+                        LiveStage::Probe(Box::new(self.open_probe(spec, None, local)?))
+                    }
                 })
             })
             .collect()
@@ -2292,16 +1974,16 @@ impl ExecContext {
     /// The pipeline is done: the hash tables' key arenas die with it.
     fn close_probes<'s, 'p: 's>(&mut self, probes: impl Iterator<Item = &'s Probe<'p>>) {
         for probe in probes {
-            if let ProbeOn::Hash { table, .. } = &probe.on {
+            if let ProbeOn::Hash { table, charged, .. } = &probe.on {
                 if self.metrics.is_some() {
-                    self.pending.build_rows += table.row_ids.len() as u64;
+                    self.pending.build_rows += table.len() as u64;
                 }
-                self.release(table.charged);
+                self.release(*charged);
             }
         }
     }
 
-    /// Join one left row against `probe`'s build side and hand every
+    /// Join one probing row against `probe`'s build side and hand every
     /// emitted pair to stage `next` of `stages`.
     fn probe(
         &mut self,
@@ -2311,7 +1993,7 @@ impl ExecContext {
         next: usize,
         sink: &mut Sink,
     ) -> Result<()> {
-        let build = probe.right.rows();
+        let build = probe.build.rows();
         let mut matched = false;
         match &probe.on {
             ProbeOn::Loop(predicate) => {
@@ -2329,19 +2011,20 @@ impl ExecContext {
                 }
             }
             ProbeOn::Hash {
-                left_keys,
+                probe_keys,
                 table,
                 residual,
+                ..
             } => {
                 self.tick()?;
                 // The key buffer leaves the sink while the pairs it
                 // matched travel down the chain (which borrows the sink).
-                let mut key = std::mem::take(&mut sink.scratch[next]);
+                let mut keybuf = std::mem::take(&mut sink.scratch[next]);
                 // NULL keys never match.
-                if let Some(hash) = self.eval_key_into(left_keys, left, &mut key)? {
+                if let Some((hash, key)) = self.read_key(probe_keys, left, &mut keybuf, false)? {
                     let mut reverify = 0;
-                    for ri in table.probe(hash, &key, &mut reverify) {
-                        let pair = left.with(build[ri].values());
+                    for &bi in table.matches(hash, key, &mut reverify) {
+                        let pair = left.with(build[bi as usize].values());
                         if let Some(p) = residual {
                             if !self.eval_truth(p, &pair)?.is_true() {
                                 continue;
@@ -2352,7 +2035,7 @@ impl ExecContext {
                     }
                     sink.reverify += reverify;
                 }
-                sink.scratch[next] = key;
+                sink.scratch[next] = keybuf;
             }
         }
         if let (false, Some(pad)) = (matched, &probe.pad) {
@@ -2405,57 +2088,112 @@ impl ExecContext {
         }
     }
 
-    /// Single-pass build of the join hash table: per build row, evaluate
-    /// the key into a scratch buffer; NULL keys are skipped entirely
-    /// (they can never match); surviving keys move into the flat arena.
-    fn build_hash_table(&mut self, rel: &Relation, keys: &[PhysExpr]) -> Result<JoinHashTable> {
-        let mut table = JoinHashTable {
-            width: keys.len(),
-            buckets: FxHashMap::with_capacity_and_hasher(rel.len(), Default::default()),
-            next: Vec::with_capacity(rel.len()),
-            row_ids: Vec::with_capacity(rel.len()),
-            keys: Vec::with_capacity(rel.len() * keys.len()),
-            charged: 0,
-        };
-        let mut keybuf: Vec<Value> = Vec::with_capacity(keys.len());
+    /// Single-pass build of a join hash table, plus the bytes charged
+    /// for it: one tick per build row; rows with a NULL key are skipped
+    /// (they can never match); every other row charges its entry overhead
+    /// and key values, whether or not its key is new.
+    ///
+    /// With `only` — the (smaller) probing input and its key columns —
+    /// the table is keyed by *that* input's distinct keys, each charged
+    /// once, and a build row is inserted, and its entry charged, only if
+    /// a probing row will ask for it. The table answers every probe as
+    /// the full one would, so the join emits the same rows in the same
+    /// order whichever way it was built.
+    fn build_hash_table(
+        &mut self,
+        rel: &Relation,
+        keys: &[PhysExpr],
+        only: Option<(&Relation, &KeyReader<'_>)>,
+    ) -> Result<(JoinTable, u64)> {
+        let reader = KeyReader::new(keys);
+        let key_bytes = keys.len() as u64 * VALUE_BYTES;
+        let distinct_keys = only.map_or(rel.len(), |(probing, _)| probing.len());
+        let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
+        let mut charged = 0;
+        let mut keybuf: Vec<Value> = Vec::new();
+        if let Some((probing, probe_keys)) = only {
+            for t in probing.rows() {
+                match self.read_key(probe_keys, t, &mut keybuf, false)? {
+                    Some((hash, key)) if table.admit(hash, key) => {
+                        let bytes = key_bytes + key.heap_bytes();
+                        self.charge(bytes)?;
+                        charged += bytes;
+                    }
+                    _ => {}
+                }
+            }
+        }
         for (i, t) in rel.rows().iter().enumerate() {
             self.tick()?;
-            let Some(hash) = self.eval_key_into(keys, t, &mut keybuf)? else {
+            let Some((hash, key)) = self.read_key(&reader, t, &mut keybuf, false)? else {
                 continue;
             };
-            // Charge the key arena growth: inline slots + text heap +
-            // per-entry chain overhead. The join arm releases
-            // `table.charged` when the table dies.
-            let mut bytes = JOIN_ENTRY_BYTES + keybuf.len() as u64 * VALUE_BYTES;
-            for v in &keybuf {
-                bytes += bypass_types::value_heap_bytes(v);
-            }
+            let bytes = if only.is_none() {
+                table.insert(hash, key, i);
+                JOIN_ENTRY_BYTES + key_bytes + key.heap_bytes()
+            } else if table.insert_admitted(hash, key, i) {
+                JOIN_ENTRY_BYTES
+            } else {
+                continue;
+            };
             self.charge(bytes)?;
-            table.charged += bytes;
-            table.keys.append(&mut keybuf);
-            table.insert(hash, i as u32);
+            charged += bytes;
         }
-        Ok(table)
+        table.seal();
+        Ok((table, charged))
     }
 
-    /// Evaluate join keys into `buf` and return their precomputed hash;
-    /// `None` when any key is NULL (never matches). `buf` is cleared
-    /// first so callers can reuse one buffer across rows.
-    fn eval_key_into<R: Row>(
+    /// One row's key under `reader`, with its hash: columns are borrowed
+    /// from the row, computed keys land in `buf`. With `nulls_match`
+    /// unset (joins) a NULL key value yields `None` at once — the key
+    /// expressions after it are not evaluated.
+    pub(crate) fn read_key<'a, R: Row>(
         &mut self,
-        keys: &[PhysExpr],
-        t: &R,
-        buf: &mut Vec<Value>,
-    ) -> Result<Option<u64>> {
-        buf.clear();
-        for k in keys {
-            let v = self.eval_expr(k, t)?;
-            if v.is_null() {
-                return Ok(None);
+        reader: &'a KeyReader<'_>,
+        row: &'a R,
+        buf: &'a mut Vec<Value>,
+        nulls_match: bool,
+    ) -> Result<Option<(u64, KeyRef<'a, R>)>> {
+        let key = match reader {
+            KeyReader::Cols(cols) => {
+                for &c in cols {
+                    match row.get(c) {
+                        None => return Err(Error::execution(format!("column #{c} out of range"))),
+                        Some(v) if v.is_null() && !nulls_match => return Ok(None),
+                        Some(_) => {}
+                    }
+                }
+                KeyRef::Cols(row, cols)
             }
-            buf.push(v);
+            KeyReader::Exprs(exprs) => {
+                buf.clear();
+                for e in *exprs {
+                    let v = self.eval_expr(e, row)?;
+                    if v.is_null() && !nulls_match {
+                        return Ok(None);
+                    }
+                    buf.push(v);
+                }
+                KeyRef::Vals(buf)
+            }
+        };
+        Ok(Some((key.hash(), key)))
+    }
+
+    /// `e` over `row`: borrowed from the row when `e` is a plain column
+    /// reference, evaluated otherwise.
+    #[inline]
+    pub(crate) fn eval_cow<'a, R: Row>(
+        &mut self,
+        e: &PhysExpr,
+        row: &'a R,
+    ) -> Result<Cow<'a, Value>> {
+        if let PhysExpr::Column(i) = e {
+            if let Some(v) = row.get(*i) {
+                return Ok(Cow::Borrowed(v));
+            }
         }
-        Ok(Some(fxhash::hash_values(buf)))
+        self.eval_expr(e, row).map(Cow::Owned)
     }
 
     /// σ's row-at-a-time loop — the canonical plans' innermost loop
@@ -2762,13 +2500,10 @@ impl ExecContext {
             // correlation values) straight off the outer row, then
             // compare candidate entries value-by-value.
             let hash = corr_hash(ptr, outer_keys, t);
-            if let Some(entries) = self.corr.get(&hash) {
-                for (p, key, rel) in entries {
-                    if *p == ptr && corr_key_matches(key, outer_keys, t) {
-                        self.counters.memo_corr_hits += 1;
-                        return Ok(rel.clone());
-                    }
-                }
+            let hit = |key: &Tuple| corr_key_matches(key, outer_keys, t);
+            if let Some(rel) = self.corr.get(hash, ptr, hit) {
+                self.counters.memo_corr_hits += 1;
+                return Ok(rel.clone());
             }
             self.counters.memo_corr_misses += 1;
             let r = self.run_nested(plan, t)?;
@@ -2778,10 +2513,7 @@ impl ExecContext {
                 .map(|&i| corr_value(t, i).clone())
                 .collect();
             self.charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
-            self.corr
-                .entry(hash)
-                .or_default()
-                .push((ptr, key, r.clone()));
+            self.corr.insert(hash, ptr, key, r.clone());
             return Ok(r);
         }
         self.run_nested(plan, t)
@@ -2883,12 +2615,13 @@ fn padded_right(arity: usize, defaults: &[(usize, Value)]) -> Tuple {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::agg::AggSpec;
     use bypass_algebra::{AggFunc, BinOp};
     use bypass_types::{DataType, Field, Schema};
 
-    fn int_rel(name: &str, cols: &[&str], rows: &[&[i64]]) -> Arc<PhysNode> {
+    pub(crate) fn int_rel(name: &str, cols: &[&str], rows: &[&[i64]]) -> Arc<PhysNode> {
         let schema = Schema::new(
             cols.iter()
                 .map(|c| Field::qualified(name, *c, DataType::Int))
@@ -2908,7 +2641,7 @@ mod tests {
         )
     }
 
-    fn run(node: &Arc<PhysNode>) -> Relation {
+    pub(crate) fn run(node: &Arc<PhysNode>) -> Relation {
         evaluate(node).unwrap()
     }
 
@@ -3063,176 +2796,6 @@ mod tests {
         let unmatched = out.rows().iter().find(|t| t[0] == Value::Int(9)).unwrap();
         assert!(unmatched[1].is_null());
         assert_eq!(unmatched[2], Value::Int(0));
-    }
-
-    #[test]
-    fn scalar_aggregate_on_empty_input() {
-        let empty = int_rel("e", &["x"], &[]);
-        let schema = Schema::new(vec![
-            Field::new("c", DataType::Int),
-            Field::new("s", DataType::Int),
-        ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: empty,
-                keys: vec![],
-                aggs: vec![
-                    AggSpec {
-                        func: AggFunc::Count,
-                        distinct: false,
-                        arg: None,
-                    },
-                    AggSpec {
-                        func: AggFunc::Sum,
-                        distinct: false,
-                        arg: Some(PhysExpr::Column(0)),
-                    },
-                ],
-            },
-            schema,
-        );
-        let out = run(&agg);
-        assert_eq!(out.len(), 1, "scalar agg always yields one row");
-        assert_eq!(out.rows()[0][0], Value::Int(0));
-        assert!(out.rows()[0][1].is_null());
-    }
-
-    #[test]
-    fn grouped_aggregate() {
-        let scan = int_rel("r", &["k", "v"], &[&[1, 10], &[2, 20], &[1, 30]]);
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("s", DataType::Int),
-        ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: scan,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Sum,
-                    distinct: false,
-                    arg: Some(PhysExpr::Column(1)),
-                }],
-            },
-            schema,
-        );
-        let out = run(&agg);
-        assert_eq!(out.len(), 2);
-        // First-appearance order: key 1 first.
-        assert_eq!(out.rows()[0].values(), &[Value::Int(1), Value::Int(40)]);
-        assert_eq!(out.rows()[1].values(), &[Value::Int(2), Value::Int(20)]);
-    }
-
-    #[test]
-    fn grouped_aggregate_null_and_text_keys() {
-        // NULL groups with NULL (structural key equality) and text keys
-        // exercise the precomputed-hash bucket path with collisions in
-        // type rank.
-        let schema_in = Schema::new(vec![
-            Field::new("k", DataType::Text),
-            Field::new("v", DataType::Int),
-        ]);
-        let rel = Relation::new(
-            schema_in.clone(),
-            vec![
-                Tuple::new(vec![Value::text("a"), Value::Int(1)]),
-                Tuple::new(vec![Value::Null, Value::Int(2)]),
-                Tuple::new(vec![Value::text("a"), Value::Int(3)]),
-                Tuple::new(vec![Value::Null, Value::Int(4)]),
-            ],
-        );
-        let scan = PhysNode::new(
-            PhysKind::Scan {
-                data: Arc::new(rel),
-            },
-            schema_in,
-        );
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Text),
-            Field::new("s", DataType::Int),
-        ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: scan,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Sum,
-                    distinct: false,
-                    arg: Some(PhysExpr::Column(1)),
-                }],
-            },
-            schema,
-        );
-        let out = run(&agg);
-        assert_eq!(out.len(), 2, "NULL forms one group: {out}");
-        assert_eq!(out.rows()[0].values(), &[Value::text("a"), Value::Int(4)]);
-        assert_eq!(out.rows()[1].values(), &[Value::Null, Value::Int(6)]);
-    }
-
-    #[test]
-    fn binary_group_eq_handles_empty_groups() {
-        let l = int_rel("l", &["a"], &[&[1], &[3]]);
-        let r = int_rel("r", &["b"], &[&[1], &[1]]);
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::new("g", DataType::Int),
-        ]);
-        let bg = PhysNode::new(
-            PhysKind::BinaryGroupEq {
-                left: l,
-                right: r,
-                left_key: PhysExpr::Column(0),
-                right_key: PhysExpr::Column(0),
-                agg: AggSpec {
-                    func: AggFunc::Count,
-                    distinct: false,
-                    arg: None,
-                },
-            },
-            schema,
-        );
-        let out = run(&bg);
-        assert_eq!(out.rows()[0].values(), &[Value::Int(1), Value::Int(2)]);
-        assert_eq!(
-            out.rows()[1].values(),
-            &[Value::Int(3), Value::Int(0)],
-            "empty group gets f(∅) = 0 — no count bug"
-        );
-    }
-
-    #[test]
-    fn binary_group_theta_less_than() {
-        let l = int_rel("l", &["a"], &[&[1], &[2], &[3]]);
-        let r = int_rel("r", &["b"], &[&[1], &[2], &[3]]);
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::new("n", DataType::Int),
-        ]);
-        let bg = PhysNode::new(
-            PhysKind::BinaryGroupTheta {
-                left: l,
-                right: r,
-                left_key: PhysExpr::Column(0),
-                right_key: PhysExpr::Column(0),
-                cmp: BinOp::Gt, // count right values with a > b
-                agg: AggSpec {
-                    func: AggFunc::Count,
-                    distinct: false,
-                    arg: None,
-                },
-            },
-            schema,
-        );
-        let out = run(&bg);
-        let counts: Vec<i64> = out
-            .rows()
-            .iter()
-            .map(|t| match t[1] {
-                Value::Int(i) => i,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(counts, vec![0, 1, 2]);
     }
 
     #[test]

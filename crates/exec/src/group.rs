@@ -1,0 +1,490 @@
+//! The grouping operators: unary Γ (hash grouping, or scalar aggregation
+//! without keys) and the binary groupings Γᵇ of the paper's Fig. 1.
+//!
+//! All three keep their groups in a [`KeyTable`] — dense ids in
+//! first-appearance order, which is Γ's output order — and their
+//! aggregate state in an [`AggStates`] arena indexed by those ids.
+
+use std::sync::Arc;
+
+use bypass_algebra::BinOp;
+use bypass_types::{
+    tuple_bytes, value_heap_bytes, Relation, Result, Schema, Tuple, Value, VALUE_BYTES,
+};
+
+use crate::agg::{AggSpec, AggStates};
+use crate::eval::{concat_rows, ExecContext};
+use crate::expr::{eval_binop, value_truth, PhysExpr};
+use crate::hash::{KeyReader, KeyRef, KeyTable};
+use crate::node::PhysNode;
+
+/// Fixed state of one aggregate accumulator in the byte model (the
+/// DISTINCT sets additionally report their growth through
+/// [`AggStates::fold`]).
+const ACC_BYTES: u64 = 48;
+
+/// Γ's groups and their aggregate state.
+struct Groups<'p> {
+    /// `None` for a scalar aggregation: one group, there from the start
+    /// (`f(∅)` over empty input), and nothing to hash.
+    table: Option<KeyTable>,
+    states: AggStates<'p>,
+}
+
+impl<'p> Groups<'p> {
+    fn new(width: usize, aggs: &'p [AggSpec], rows: usize) -> Groups<'p> {
+        let mut states = AggStates::new(aggs, rows);
+        let table = (width > 0).then(|| KeyTable::new(width));
+        if table.is_none() {
+            states.push_group();
+        }
+        Groups { table, states }
+    }
+
+    /// The group of the row whose key is `key`, opened if new.
+    #[inline]
+    fn of<R: crate::row::Row>(&mut self, hash: u64, key: KeyRef<'_, R>) -> u32 {
+        let table = self.table.as_mut().expect("keyed grouping");
+        let (g, created) = table.intern(hash, key);
+        if created {
+            self.states.push_group();
+        }
+        g
+    }
+
+    /// One output row per group, `key ◦ aggregates`, in first-appearance
+    /// order.
+    fn into_rows(self, width: usize, naggs: usize) -> Vec<Tuple> {
+        let ngroups = self.table.as_ref().map_or(1, KeyTable::len);
+        let mut keys = self
+            .table
+            .map_or_else(Vec::new, KeyTable::into_keys)
+            .into_iter();
+        let mut states = self.states;
+        let mut values = states.finish();
+        (0..ngroups)
+            .map(|_| {
+                keys.by_ref()
+                    .take(width)
+                    .chain(values.by_ref().take(naggs))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+impl ExecContext {
+    /// Γ over a materialized input: one pass on the master, grouping in
+    /// place. Keys and arguments that are plain columns are read off the
+    /// row; a fan-out would hand rows to workers and values back for
+    /// less work than that costs (DESIGN.md §7).
+    pub(crate) fn hash_aggregate(
+        &mut self,
+        input: &Relation,
+        keys: &[PhysExpr],
+        aggs: &[AggSpec],
+        schema: Schema,
+    ) -> Result<Relation> {
+        let rows = input.rows();
+        let width = keys.len();
+        let reader = KeyReader::new(keys);
+        let mut groups = Groups::new(width, aggs, rows.len());
+        let mut keybuf = Vec::new();
+        for t in rows {
+            self.tick()?;
+            let g = if width == 0 {
+                0
+            } else {
+                let (hash, key) = self
+                    .read_key(&reader, t, &mut keybuf, true)?
+                    .expect("grouping keys keep their NULLs");
+                groups.of(hash, key)
+            };
+            groups.states.fold(g, t, |a| self.eval_cow(a, t))?;
+        }
+        Ok(Relation::new(schema, groups.into_rows(width, aggs.len())))
+    }
+
+    /// Γᵇ with an equality θ: aggregate the right side per distinct key
+    /// once, then every left row looks its group up — O(|L| + |R|).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn binary_group_eq(
+        &mut self,
+        node: &Arc<PhysNode>,
+        l: &Relation,
+        r: &Relation,
+        left_key: &PhysExpr,
+        right_key: &PhysExpr,
+        agg: &AggSpec,
+        schema: Schema,
+    ) -> Result<Relation> {
+        let mut table = KeyTable::new(1);
+        let mut states = AggStates::new(std::slice::from_ref(agg), r.len());
+        let mut scratch = 0u64; // group-table bytes, released below
+        for rt in r.rows() {
+            self.tick()?;
+            let k = self.eval_cow(right_key, rt)?;
+            if k.is_null() {
+                continue; // θ over NULL never matches
+            }
+            let key = KeyRef::vals(std::slice::from_ref(&*k));
+            let (g, created) = table.intern(key.hash(), key);
+            if created {
+                let bytes = VALUE_BYTES + value_heap_bytes(&k) + ACC_BYTES;
+                self.charge(bytes)?;
+                scratch += bytes;
+                states.push_group();
+            }
+            let grown = states.fold(g, rt, |a| self.eval_cow(a, rt))?;
+            if grown != 0 {
+                self.charge(grown)?;
+                scratch += grown;
+            }
+        }
+        let finished: Vec<Value> = states.finish().collect();
+        let empty = agg.empty_value();
+        let parts = self.run_morsels(node, l.len(), |ctx, range| {
+            let mut out = Vec::with_capacity(range.len());
+            for lt in &l.rows()[range] {
+                ctx.tick()?;
+                let k = ctx.eval_cow(left_key, lt)?;
+                let key = KeyRef::vals(std::slice::from_ref(&*k));
+                let g = match k.is_null() {
+                    true => None,
+                    false => table.find(key.hash(), key, &mut 0),
+                };
+                let row = lt.extended(g.map_or(&empty, |g| &finished[g as usize]).clone());
+                ctx.charge(tuple_bytes(&row))?;
+                out.push(row);
+            }
+            Ok(out)
+        })?;
+        self.release(scratch);
+        Ok(Relation::new(schema, concat_rows(parts)))
+    }
+
+    /// Γᵇ with an arbitrary comparison θ (nested loop, O(|L|·|R|)); kept
+    /// for completeness of the Fig. 1 operator set.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn binary_group_theta(
+        &mut self,
+        node: &Arc<PhysNode>,
+        l: &Relation,
+        r: &Relation,
+        left_key: &PhysExpr,
+        right_key: &PhysExpr,
+        cmp: BinOp,
+        agg: &AggSpec,
+        schema: Schema,
+    ) -> Result<Relation> {
+        let mut right_kv: Vec<(Value, &Tuple)> = Vec::with_capacity(r.len());
+        let mut scratch = 0u64; // key decoration, released below
+        for rt in r.rows() {
+            self.tick()?;
+            let k = self.eval_expr(right_key, rt)?;
+            let bytes = VALUE_BYTES + value_heap_bytes(&k);
+            self.charge(bytes)?;
+            scratch += bytes;
+            right_kv.push((k, rt));
+        }
+        let parts = self.run_morsels(node, l.len(), |ctx, range| {
+            let mut out = Vec::with_capacity(range.len());
+            // One single-group state per morsel, reset per left row.
+            let mut states = AggStates::new(std::slice::from_ref(agg), 0);
+            for lt in &l.rows()[range] {
+                let lk = ctx.eval_cow(left_key, lt)?;
+                states.reset();
+                let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
+                for &(ref rk, rt) in &right_kv {
+                    ctx.tick()?;
+                    if value_truth(&eval_binop(cmp, &lk, rk)?).is_true() {
+                        let grown = states.fold(0, rt, |a| ctx.eval_cow(a, rt))?;
+                        if grown != 0 {
+                            ctx.charge(grown)?;
+                            acc_bytes += grown;
+                        }
+                    }
+                }
+                let value = states.finish().next().expect("one group");
+                let row = lt.extended(value);
+                ctx.release(acc_bytes);
+                ctx.charge(tuple_bytes(&row))?;
+                out.push(row);
+            }
+            Ok(out)
+        })?;
+        self.release(scratch);
+        Ok(Relation::new(schema, concat_rows(parts)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use bypass_algebra::AggFunc;
+    use bypass_types::{DataType, Field, ROW_OVERHEAD_BYTES};
+
+    use super::*;
+    use crate::eval::tests::{int_rel, run};
+    use crate::eval::ExecOptions;
+    use crate::node::PhysKind;
+
+    #[test]
+    fn scalar_aggregate_on_empty_input() {
+        let empty = int_rel("e", &["x"], &[]);
+        let schema = Schema::new(vec![
+            Field::new("c", DataType::Int),
+            Field::new("s", DataType::Int),
+        ]);
+        let agg = PhysNode::new(
+            PhysKind::HashAggregate {
+                input: empty,
+                keys: vec![],
+                aggs: vec![
+                    AggSpec {
+                        func: AggFunc::Count,
+                        distinct: false,
+                        arg: None,
+                    },
+                    AggSpec {
+                        func: AggFunc::Sum,
+                        distinct: false,
+                        arg: Some(PhysExpr::Column(0)),
+                    },
+                ],
+            },
+            schema,
+        );
+        let out = run(&agg);
+        assert_eq!(out.len(), 1, "scalar agg always yields one row");
+        assert_eq!(out.rows()[0][0], Value::Int(0));
+        assert!(out.rows()[0][1].is_null());
+    }
+
+    #[test]
+    fn grouped_aggregate() {
+        let scan = int_rel("r", &["k", "v"], &[&[1, 10], &[2, 20], &[1, 30]]);
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("s", DataType::Int),
+        ]);
+        let agg = PhysNode::new(
+            PhysKind::HashAggregate {
+                input: scan,
+                keys: vec![PhysExpr::Column(0)],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Sum,
+                    distinct: false,
+                    arg: Some(PhysExpr::Column(1)),
+                }],
+            },
+            schema,
+        );
+        let out = run(&agg);
+        assert_eq!(out.len(), 2);
+        // First-appearance order: key 1 first.
+        assert_eq!(out.rows()[0].values(), &[Value::Int(1), Value::Int(40)]);
+        assert_eq!(out.rows()[1].values(), &[Value::Int(2), Value::Int(20)]);
+    }
+
+    #[test]
+    fn grouped_aggregate_null_and_text_keys() {
+        // NULL groups with NULL (structural key equality) and text keys
+        // exercise the key table across type ranks.
+        let schema_in = Schema::new(vec![
+            Field::new("k", DataType::Text),
+            Field::new("v", DataType::Int),
+        ]);
+        let rel = Relation::new(
+            schema_in.clone(),
+            vec![
+                Tuple::new(vec![Value::text("a"), Value::Int(1)]),
+                Tuple::new(vec![Value::Null, Value::Int(2)]),
+                Tuple::new(vec![Value::text("a"), Value::Int(3)]),
+                Tuple::new(vec![Value::Null, Value::Int(4)]),
+            ],
+        );
+        let scan = PhysNode::new(
+            PhysKind::Scan {
+                data: Arc::new(rel),
+            },
+            schema_in,
+        );
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Text),
+            Field::new("s", DataType::Int),
+        ]);
+        let agg = PhysNode::new(
+            PhysKind::HashAggregate {
+                input: scan,
+                keys: vec![PhysExpr::Column(0)],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Sum,
+                    distinct: false,
+                    arg: Some(PhysExpr::Column(1)),
+                }],
+            },
+            schema,
+        );
+        let out = run(&agg);
+        assert_eq!(out.len(), 2, "NULL forms one group: {out}");
+        assert_eq!(out.rows()[0].values(), &[Value::text("a"), Value::Int(4)]);
+        assert_eq!(out.rows()[1].values(), &[Value::Null, Value::Int(6)]);
+    }
+
+    #[test]
+    fn binary_group_eq_handles_empty_groups() {
+        let l = int_rel("l", &["a"], &[&[1], &[3]]);
+        let r = int_rel("r", &["b"], &[&[1], &[1]]);
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("g", DataType::Int),
+        ]);
+        let bg = PhysNode::new(
+            PhysKind::BinaryGroupEq {
+                left: l,
+                right: r,
+                left_key: PhysExpr::Column(0),
+                right_key: PhysExpr::Column(0),
+                agg: AggSpec {
+                    func: AggFunc::Count,
+                    distinct: false,
+                    arg: None,
+                },
+            },
+            schema,
+        );
+        let out = run(&bg);
+        assert_eq!(out.rows()[0].values(), &[Value::Int(1), Value::Int(2)]);
+        assert_eq!(
+            out.rows()[1].values(),
+            &[Value::Int(3), Value::Int(0)],
+            "empty group gets f(∅) = 0 — no count bug"
+        );
+    }
+
+    #[test]
+    fn binary_group_theta_less_than() {
+        let l = int_rel("l", &["a"], &[&[1], &[2], &[3]]);
+        let r = int_rel("r", &["b"], &[&[1], &[2], &[3]]);
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("n", DataType::Int),
+        ]);
+        let bg = PhysNode::new(
+            PhysKind::BinaryGroupTheta {
+                left: l,
+                right: r,
+                left_key: PhysExpr::Column(0),
+                right_key: PhysExpr::Column(0),
+                cmp: BinOp::Gt, // count right values with a > b
+                agg: AggSpec {
+                    func: AggFunc::Count,
+                    distinct: false,
+                    arg: None,
+                },
+            },
+            schema,
+        );
+        let out = run(&bg);
+        let counts: Vec<i64> = out
+            .rows()
+            .iter()
+            .map(|t| match t[1] {
+                Value::Int(i) => i,
+                _ => panic!(),
+            })
+            .collect();
+        assert_eq!(counts, vec![0, 1, 2]);
+    }
+
+    fn count_distinct_rows() -> AggSpec {
+        AggSpec {
+            func: AggFunc::Count,
+            distinct: true,
+            arg: None,
+        }
+    }
+
+    /// 600 two-column rows `(k, v)` over 7 keys and 5 values: every
+    /// group sees every row of it many times over.
+    fn duplicated_rows() -> Vec<[i64; 2]> {
+        (0..600i64).map(|i| [(i * i) % 7, (i / 3) % 5]).collect()
+    }
+
+    #[test]
+    fn one_distinct_set_counts_like_a_set_per_group() {
+        let rows = duplicated_rows();
+        let slices: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
+        let agg = PhysNode::new(
+            PhysKind::HashAggregate {
+                input: int_rel("r", &["k", "v"], &slices),
+                keys: vec![PhysExpr::Column(0)],
+                aggs: vec![count_distinct_rows()],
+            },
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("n", DataType::Int),
+            ]),
+        );
+        // Reference: one set per group, groups in first-appearance order.
+        let mut order = Vec::new();
+        let mut sets: HashMap<i64, HashSet<[i64; 2]>> = HashMap::new();
+        for r in &rows {
+            sets.entry(r[0])
+                .or_insert_with(|| {
+                    order.push(r[0]);
+                    HashSet::new()
+                })
+                .insert(*r);
+        }
+        let expected: Vec<Vec<Value>> = order
+            .iter()
+            .map(|k| vec![Value::Int(*k), Value::Int(sets[k].len() as i64)])
+            .collect();
+        let got: Vec<Vec<Value>> = run(&agg)
+            .rows()
+            .iter()
+            .map(|t| t.values().to_vec())
+            .collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn binary_group_distinct_retains_what_a_set_per_group_did() {
+        let right = duplicated_rows();
+        let slices: Vec<&[i64]> = right.iter().map(|r| &r[..]).collect();
+        let left: Vec<[i64; 1]> = (0..9).map(|k| [k]).collect();
+        let left_slices: Vec<&[i64]> = left.iter().map(|r| &r[..]).collect();
+        let bg = PhysNode::new(
+            PhysKind::BinaryGroupEq {
+                left: int_rel("l", &["a"], &left_slices),
+                right: int_rel("r", &["k", "v"], &slices),
+                left_key: PhysExpr::Column(0),
+                right_key: PhysExpr::Column(0),
+                agg: count_distinct_rows(),
+            },
+            Schema::new(vec![
+                Field::new("a", DataType::Int),
+                Field::new("n", DataType::Int),
+            ]),
+        );
+        let pairs: HashSet<[i64; 2]> = right.iter().copied().collect();
+        let groups: HashSet<i64> = right.iter().map(|r| r[0]).collect();
+        let mut ctx = ExecContext::new(ExecOptions::default());
+        let out = ctx.eval_plan(&bg).unwrap();
+        for (k, row) in out.rows().iter().enumerate() {
+            let n = pairs.iter().filter(|p| p[0] == k as i64).count();
+            assert_eq!(row.values(), &[Value::Int(k as i64), Value::Int(n as i64)]);
+        }
+        // The governor's high-water mark is reached after the last output
+        // row, just before the group table is released: per group its key
+        // and accumulator, per first-seen `(group, row)` that row — the
+        // bytes the per-group sets retained — and the nine output rows.
+        let row_bytes = ROW_OVERHEAD_BYTES + 2 * VALUE_BYTES;
+        let retained = pairs.len() as u64 * row_bytes;
+        let expected = groups.len() as u64 * (VALUE_BYTES + ACC_BYTES) + retained + 9 * row_bytes;
+        assert_eq!(ctx.counters().peak_memory_bytes, expected);
+    }
+}

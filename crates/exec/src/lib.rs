@@ -22,12 +22,14 @@
 mod agg;
 mod eval;
 mod expr;
+mod group;
+mod hash;
 mod node;
 mod plan;
 mod row;
 pub mod vector;
 
-pub use agg::{create_accumulator, Accumulator, AggSpec};
+pub use agg::AggSpec;
 pub use eval::{
     evaluate, evaluate_shared, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters,
     ExecOptions, NodeMetrics, StageMetrics,

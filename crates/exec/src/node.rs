@@ -620,8 +620,17 @@ fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
             m.pos_rows, m.neg_rows
         ));
     }
+    // Exact counts: with `self=` they give the operator's ns/row.
+    if matches!(n.kind, PhysKind::HashAggregate { .. }) {
+        out.push_str(&format!(" in={} groups={}", m.input_rows, m.groups));
+    }
     if m.build_rows > 0 || m.reverify > 0 {
         out.push_str(&format!(" build={} reverify={}", m.build_rows, m.reverify));
+    }
+    if let PhysKind::Join { spec, .. } = &n.kind {
+        if matches!(spec.on, JoinOn::Hash { .. }) {
+            out.push_str(&format!(" probe={}", m.input_rows));
+        }
     }
     if !m.disjuncts.is_empty() {
         // Per-disjunct selectivities (syntactic order): `evals` counts

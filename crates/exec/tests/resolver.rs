@@ -394,3 +394,115 @@ fn stage_chain_is_cut_where_a_build_side_taps_its_own_bypass_join() {
     assert!(!text.contains("HashJoin fused"), "{text}");
     assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
 }
+
+/// Tables `l` and `r` of the given sizes with a shared key column `k`
+/// (`row mod 5`) and a row-number column, plus the plan `l ⋈_{l.k = r.k} r`
+/// — an outerjoin with a default when `outer` is set.
+fn sized_join(left: i64, right: i64, outer: bool) -> (Catalog, std::sync::Arc<LogicalPlan>) {
+    let mut c = Catalog::new();
+    for (name, n) in [("l", left), ("r", right)] {
+        let mut b = TableBuilder::new()
+            .column("k", DataType::Int)
+            .column(format!("{name}n"), DataType::Int);
+        for i in 0..n {
+            b = b.row(vec![Value::Int(i % 5), Value::Int(i)]).unwrap();
+        }
+        c.register(name, b.build()).unwrap();
+    }
+    let on = Scalar::qcol("l", "k").eq(Scalar::qcol("r", "k"));
+    let plan = match outer {
+        false => scan(&c, "l").join(scan(&c, "r"), on),
+        true => {
+            scan(&c, "l").outer_join(scan(&c, "r"), on, vec![("rn".to_string(), Value::Int(-1))])
+        }
+    };
+    (c, plan.build())
+}
+
+#[test]
+fn inner_hash_join_keys_its_table_by_the_smaller_input() {
+    use bypass_exec::{ExecContext, PhysKind};
+    // (|L|, |R|, outer, right rows in the table)
+    for (left, right, outer, built) in [
+        (4, 30, false, 24),  // |L| < |R|: only right rows with a left key (k < 4)
+        (12, 12, false, 12), // tie: the whole right input, as before
+        (30, 4, false, 4),   // |L| > |R|: likewise
+        (4, 30, true, 30),   // an outerjoin never restricts its build
+    ] {
+        let (c, plan) = sized_join(left, right, outer);
+        let phys = physical_plan(&plan, &c).unwrap();
+        assert!(
+            matches!(phys.kind, PhysKind::Join { .. }),
+            "{}",
+            phys.explain()
+        );
+        let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
+        let out = ctx.eval_plan(&phys).unwrap();
+        let metrics = ctx.take_metrics();
+        let m = &metrics[&(std::sync::Arc::as_ptr(&phys) as usize)];
+        let case = format!("|L|={left} |R|={right} outer={outer}");
+        assert_eq!((m.build_rows, m.input_rows), (built, left as u64), "{case}");
+        let text = phys.explain_with_metrics(&metrics);
+        let counts = format!("build={built} reverify=0 probe={left}]");
+        assert!(
+            text.lines().next().unwrap().ends_with(&counts),
+            "{case}: {text}"
+        );
+        // However the table was built, the rows are the nested loop's,
+        // in its order: left-major, right rows in right order.
+        let got: Vec<Vec<Value>> = out.rows().iter().map(|t| t.values().to_vec()).collect();
+        let mut expected = Vec::new();
+        for i in 0..left {
+            for j in (0..right).filter(|j| j % 5 == i % 5) {
+                expected.push([i % 5, i, j % 5, j].map(Value::Int).to_vec());
+            }
+            if outer && right <= i % 5 {
+                expected.push(vec![
+                    Value::Int(i % 5),
+                    Value::Int(i),
+                    Value::Null,
+                    Value::Int(-1),
+                ]);
+            }
+        }
+        assert_eq!(got, expected, "{case}");
+    }
+}
+
+/// `(a ⋈ b) ⋈ c` with |a| = |b| < |c|: standalone, the upper join
+/// restricts its build to the keys of the 3-row pair stream; fused into
+/// the lower join's loop it hashes all of `c`. Same row *sequence* either
+/// way (the oracle's fused/unfused axis compares sequences).
+#[test]
+fn restricted_build_keeps_the_fused_row_sequence() {
+    let mut c = Catalog::new();
+    for (name, n) in [("a", 3), ("b", 3), ("c", 40)] {
+        let mut t = TableBuilder::new()
+            .column("k", DataType::Int)
+            .column(format!("{name}n"), DataType::Int);
+        for i in 0..n {
+            // Descending keys, so right order is not key order.
+            t = t.row(vec![Value::Int((n - i) % 4), Value::Int(i)]).unwrap();
+        }
+        c.register(name, t.build()).unwrap();
+    }
+    let plan = scan(&c, "a")
+        .join(
+            scan(&c, "b"),
+            Scalar::qcol("a", "k").eq(Scalar::qcol("b", "k")),
+        )
+        .join(
+            scan(&c, "c"),
+            Scalar::qcol("b", "k").eq(Scalar::qcol("c", "k")),
+        )
+        .build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    assert!(
+        phys.explain().contains("HashJoin fused→#"),
+        "{}",
+        phys.explain()
+    );
+    let fused = evaluate(&phys).unwrap();
+    assert_eq!(fused.len(), 30);
+    assert_eq!(fused.rows(), unfused(&plan, &c).rows());
+}
