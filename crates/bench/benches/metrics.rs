@@ -2,7 +2,7 @@
 //!
 //! No timing groups. The target runs a fixed workload (Q1/Q2/the
 //! combined query under canonical and unnested evaluation) into
-//! isolated metrics hubs across the worker-count × batch-size matrix
+//! isolated metrics hubs across the worker-count × chunk-length matrix
 //! and asserts that every configuration folds to the *bit-identical*
 //! timing-free snapshot — the PR 6 replay discipline applied to
 //! telemetry. It then records the count-derived metric values under
@@ -39,13 +39,13 @@ fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
 }
 
 fn bench_metrics(_c: &mut Criterion) {
-    let reference = run_workload(1, 0);
+    let reference = run_workload(1, 1);
     let expected = reference.snapshot().deterministic();
-    for (threads, batch_rows) in [(1, 64), (8, 0), (8, 64)] {
+    for (threads, batch_rows) in [(1, 64), (8, 1), (8, 64)] {
         let got = run_workload(threads, batch_rows).snapshot().deterministic();
         assert_eq!(
             got, expected,
-            "deterministic snapshot differs at threads={threads} batch={batch_rows}"
+            "deterministic snapshot differs at threads={threads} chunks of {batch_rows}"
         );
     }
 

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cases {}  strategy runs {}  parallel-vs-serial runs {}  vectorized-vs-row runs {}  \
+        "cases {}  strategy runs {}  parallel-vs-serial runs {}  chunk-length runs {}  \
          fused-vs-unfused runs {}  nested {}",
         report.cases,
         report.strategy_runs,

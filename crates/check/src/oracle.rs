@@ -1158,12 +1158,12 @@ pub struct OracleConfig {
     /// sequences, identical [`bypass_core::ExecCounters`] and
     /// identical error messages.
     pub par_axis: bool,
-    /// The vectorized-vs-row axis: additionally execute every
-    /// (case, strategy) pair with the legacy row-at-a-time path
-    /// (`batch_rows = 0`) and with a tiny batch size
-    /// ([`BATCH_AXIS_ROWS`], so oracle-sized inputs span several
-    /// batches) and require identical row sequences, identical
-    /// [`bypass_core::ExecCounters`] and identical error messages.
+    /// The chunk-length axis: additionally execute every
+    /// (case, strategy) pair with one-row chunks (`batch_rows = 1`)
+    /// and with a tiny chunk length ([`BATCH_AXIS_ROWS`], so
+    /// oracle-sized inputs span several chunks) and require identical
+    /// row sequences, identical [`bypass_core::ExecCounters`] and
+    /// identical error messages.
     pub batch_axis: bool,
 }
 
@@ -1175,9 +1175,9 @@ const PAR_AXIS_THREADS: usize = 4;
 /// never fan out without this.
 const PAR_AXIS_MORSEL_ROWS: usize = 2;
 
-/// Forced batch size of the batch-axis runs: small enough that the
-/// oracle's ≤18-row tables split into several partial batches (final
-/// short batch included).
+/// Forced chunk length of the chunk-length-axis runs: small enough
+/// that the oracle's ≤18-row tables split into several chunks (final
+/// short chunk included).
 const BATCH_AXIS_ROWS: usize = 3;
 
 impl Default for OracleConfig {
@@ -1218,8 +1218,8 @@ pub struct OracleReport {
     /// compared for identical rows + counters); 0 when the axis is
     /// disabled.
     pub par_runs: u64,
-    /// Vectorized-vs-row axis executions (pairs of governed runs at
-    /// `batch_rows = 0` and `batch_rows = BATCH_AXIS_ROWS` compared for
+    /// Chunk-length axis executions (pairs of governed runs at
+    /// `batch_rows = 1` and `batch_rows = BATCH_AXIS_ROWS` compared for
     /// identical rows + counters); 0 when the axis is disabled.
     pub batch_runs: u64,
     /// Fused-vs-unfused axis executions (one prepared plan compiled
@@ -1448,8 +1448,8 @@ fn run_case(
         }
     }
     // The executor axes. No query shrinking here: a divergence is a
-    // property of the executor (serial vs morsel-parallel, vectorized
-    // vs row-at-a-time, fused vs unfused), not of the rewrite, and the
+    // property of the executor (serial vs morsel-parallel, one-row vs
+    // multi-row chunks, fused vs unfused), not of the rewrite, and the
     // case replays exactly from its seed.
     type Axis = fn(&Database, &str, Strategy) -> Option<String>;
     let axes: [(bool, Axis, &mut u64); 3] = [
@@ -1535,45 +1535,38 @@ fn par_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String
     }
 }
 
-/// The vectorized-vs-row oracle axis: the same (query, strategy) pair
-/// executed with the legacy row-at-a-time path and with a tiny batch
-/// size must produce the identical row *sequence*, identical
+/// The chunk-length oracle axis: the same (query, strategy) pair
+/// executed with one-row chunks and with a tiny multi-row chunk length
+/// must produce the identical row *sequence*, identical
 /// [`bypass_core::ExecCounters`] — memo totals, governed peak bytes,
 /// checkpoint count — and, when both runs fail, the identical error.
-/// Both runs are serial so the comparison isolates the batch axis.
+/// Both runs are serial so the comparison isolates the axis.
 fn batch_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    let row = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            batch_rows: Some(0),
-            ..RunLimits::default()
-        },
-    );
-    let batched = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            batch_rows: Some(BATCH_AXIS_ROWS),
-            ..RunLimits::default()
-        },
-    );
-    match (row, batched) {
+    let chunks_of = |rows| {
+        db.run_governed(
+            sql,
+            strategy,
+            &RunLimits {
+                threads: Some(1),
+                batch_rows: Some(rows),
+                ..RunLimits::default()
+            },
+        )
+    };
+    match (chunks_of(1), chunks_of(BATCH_AXIS_ROWS)) {
         (Ok((rr, rc)), Ok((br, bc))) => {
             if rr.rows() != br.rows() {
                 return Some(format!(
-                    "vectorized(batch {BATCH_AXIS_ROWS}) row sequence diverges from row-at-a-time: \
-                     row-at-a-time {} rows, vectorized {} rows",
-                    rr.len(),
-                    br.len()
+                    "row sequence at chunk length {BATCH_AXIS_ROWS} diverges from chunk length 1: \
+                     {} rows against {} rows",
+                    br.len(),
+                    rr.len()
                 ));
             }
             if rc != bc {
                 return Some(format!(
-                    "vectorized(batch {BATCH_AXIS_ROWS}) counters diverge from row-at-a-time: \
-                     row-at-a-time {rc:?}, vectorized {bc:?}"
+                    "counters at chunk length {BATCH_AXIS_ROWS} diverge from chunk length 1: \
+                     {bc:?} against {rc:?}"
                 ));
             }
             None
@@ -1582,16 +1575,16 @@ fn batch_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<Stri
             let (re, be) = (re.to_string(), be.to_string());
             (re != be).then(|| {
                 format!(
-                    "row-at-a-time and vectorized runs fail differently: \
-                     row-at-a-time `{re}`, vectorized `{be}`"
+                    "chunk lengths 1 and {BATCH_AXIS_ROWS} fail differently: \
+                     `{re}` against `{be}`"
                 )
             })
         }
         (Ok(_), Err(e)) => Some(format!(
-            "vectorized run fails where row-at-a-time succeeds: {e}"
+            "chunk length {BATCH_AXIS_ROWS} fails where chunk length 1 succeeds: {e}"
         )),
         (Err(e), Ok(_)) => Some(format!(
-            "row-at-a-time run fails where vectorized succeeds: {e}"
+            "chunk length 1 fails where chunk length {BATCH_AXIS_ROWS} succeeds: {e}"
         )),
     }
 }

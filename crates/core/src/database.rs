@@ -139,9 +139,9 @@ pub struct RunLimits {
     /// Deterministic fault injection (testing): fail at exactly this
     /// governor checkpoint.
     pub fault: Option<InjectedFault>,
-    /// Executor batch size (overrides `BYPASS_BATCH`; `0` forces the
-    /// legacy row-at-a-time path). A mechanism knob: results, errors,
-    /// counters and byte accounting are identical at every value.
+    /// Chunk length of the σ/σ±/column-Π loops (default 256, clamped
+    /// to ≥ 1). A test handle: results, errors, counters and byte
+    /// accounting are identical at every value (DESIGN.md §8).
     pub batch_rows: Option<usize>,
 }
 

@@ -4,12 +4,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bypass_types::{
-    batch_rows_or, compare_tuples, par, tuple_bytes, Batch, CancelToken, Error, FaultKind,
-    FxHashMap, GovEvent, InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple,
-    Value, BATCH_ROWS, SHARED_ROW_BYTES, VALUE_BYTES,
+    compare_tuples, par, tuple_bytes, Batch, CancelToken, Error, FxHashMap, InjectedFault,
+    Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS, SHARED_ROW_BYTES,
+    VALUE_BYTES,
 };
 
 use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr};
+use crate::govern::{GovLog, Governor};
 use crate::hash::{CorrMemo, JoinTable, KeyReader, KeyRef};
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{Row, RowView};
@@ -65,14 +66,11 @@ pub struct ExecOptions {
     /// operator input with at most this many rows runs serially. Tests
     /// shrink it to force tiny inputs onto the parallel path.
     pub morsel_rows: usize,
-    /// Rows per columnar chunk on the vectorized σ/Π/σ± path
-    /// (`BYPASS_BATCH`; `0` — and, degenerately, `1` — selects the
-    /// legacy row-at-a-time loop). Purely a mechanism knob: results,
-    /// errors, counters and governor byte accounting are identical at
-    /// every batch size (DESIGN.md §8). Note the *adaptive disjunct
-    /// ordering* is independent of this switch — it applies to chained
-    /// predicates in row mode too, precisely so batch size can never
-    /// change which order was used.
+    /// Chunk length of the σ/σ±/column-Π loops: how many rows the
+    /// kernel prefix of a predicate chain covers, and the governor
+    /// passes, at a time (clamped to ≥ 1). Results, errors, counters
+    /// and byte accounting are identical at every length (DESIGN.md
+    /// §8); tests shrink it so tiny inputs span several chunks.
     pub batch_rows: usize,
 }
 
@@ -93,7 +91,7 @@ impl Default for ExecOptions {
             fault: None,
             threads: par::thread_count(),
             morsel_rows: MORSEL_ROWS,
-            batch_rows: batch_rows_or(BATCH_ROWS),
+            batch_rows: BATCH_ROWS,
         }
     }
 }
@@ -121,10 +119,12 @@ pub fn evaluate_shared(root: &Arc<PhysNode>, options: ExecOptions) -> Result<Arc
 }
 
 /// Mutable evaluation state: the correlation binding stack, the subquery
-/// caches and the timeout clock. One context lives for the duration of
-/// one top-level query.
+/// caches and the governor. One context lives for the duration of one
+/// top-level query.
 pub struct ExecContext {
     options: ExecOptions,
+    /// Checkpoints, byte budget, cancellation and deadline.
+    pub(crate) gov: Governor,
     /// Per-node runtime counters, keyed by node pointer; `None` unless
     /// metric collection was requested.
     metrics: Option<HashMap<usize, NodeMetrics>>,
@@ -142,19 +142,6 @@ pub struct ExecContext {
     /// correlation key as a shared-row [`Tuple`]; memo hits compare
     /// values in place and allocate nothing.
     corr: CorrMemo,
-    deadline: Option<Instant>,
-    ticks: u32,
-    /// Governor checkpoint counter: incremented on every [`tick`]
-    /// (per-row progress) and every [`charge`] (materialization).
-    /// Depends only on the plan and the data — never on wall time,
-    /// metrics collection or worker threads — so fault injection at
-    /// checkpoint `k` is exactly reproducible.
-    checkpoints: u64,
-    /// Bytes currently charged to the query under the deterministic
-    /// byte model (see `bypass_types::govern`).
-    used_bytes: u64,
-    /// High-water mark of `used_bytes`.
-    peak_bytes: u64,
     /// Context-wide counters (memo hit rates); always maintained —
     /// they increment once per subquery invocation, which is noise
     /// next to actually evaluating the nested plan.
@@ -164,19 +151,13 @@ pub struct ExecContext {
     /// (hash-table build sizes, collision re-verifies). Only written
     /// when metrics are enabled.
     pending: PendingCounters,
-    /// Morsel workers only: the governor event log recorded for exact
-    /// replay on the master context. `None` on the master and in
-    /// summary mode (no fault plan, no memory budget), where a
-    /// three-counter summary suffices.
-    gov_log: Option<Vec<GovEvent>>,
     /// Per-node cache of the parallel-safety verdict (may this node's
     /// expressions run on a worker without touching the memo caches?),
     /// keyed by node pointer.
     par_safe_cache: FxHashMap<usize, bool>,
-    /// Per-node cache of compiled predicate chains for the vectorized
-    /// σ/σ± path (`None` = predicate not chainable, use the legacy
-    /// loop), keyed by node pointer.
-    chains: FxHashMap<usize, Option<Arc<CompiledChain>>>,
+    /// Per-node cache of the compiled predicate chains of σ/σ±, keyed
+    /// by node pointer.
+    chains: FxHashMap<usize, Arc<CompiledChain>>,
     /// Per-node cache of the kernel-column transpose of the node's
     /// current input relation. A memoized correlated subplan re-invokes
     /// the same σ node over the same `Arc`-shared scan once per outer
@@ -375,24 +356,6 @@ const JOIN_ENTRY_BYTES: u64 = 16;
 /// slot + `Arc` handle + counters).
 const MEMO_ENTRY_BYTES: u64 = 64;
 
-/// A morsel worker's recorded governor effects, replayed in morsel
-/// order on the master context (see the morsel section of the
-/// `ExecContext` impl).
-enum GovLog {
-    /// Fast path (no fault plan, no byte budget): the worker's
-    /// checkpoint count, net byte delta and local peak reproduce the
-    /// serial trajectory exactly when merged in order.
-    Summary {
-        checkpoints: u64,
-        net_bytes: u64,
-        peak_bytes: u64,
-    },
-    /// Exact path: the full run-length-encoded event stream, replayed
-    /// event by event so budget trips and injected faults land on the
-    /// same checkpoint and byte count as a serial run.
-    Events(Vec<GovEvent>),
-}
-
 /// Everything a morsel worker hands back to the master for the in-order
 /// merge.
 struct MorselOut<P> {
@@ -415,11 +378,7 @@ struct MorselOut<P> {
 impl<P> MorselOut<P> {
     fn skipped() -> MorselOut<P> {
         MorselOut {
-            gov: GovLog::Summary {
-                checkpoints: 0,
-                net_bytes: 0,
-                peak_bytes: 0,
-            },
+            gov: GovLog::empty(),
             metrics: None,
             pending: PendingCounters::default(),
             child_nanos: 0,
@@ -445,24 +404,6 @@ pub(crate) fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
         out.extend(p);
     }
     out
-}
-
-/// Concatenate per-morsel dual-stream (pos, neg) buffers in morsel
-/// order: both streams preserve the serial emission order.
-fn concat_dual(mut parts: Vec<(Vec<Tuple>, Vec<Tuple>)>) -> (Vec<Tuple>, Vec<Tuple>) {
-    if parts.len() == 1 {
-        return parts.pop().unwrap();
-    }
-    let (pt, nt) = parts
-        .iter()
-        .fold((0, 0), |(p, n), (pv, nv)| (p + pv.len(), n + nv.len()));
-    let mut pos = Vec::with_capacity(pt);
-    let mut neg = Vec::with_capacity(nt);
-    for (p, n) in parts {
-        pos.extend(p);
-        neg.extend(n);
-    }
-    (pos, neg)
 }
 
 /// Output of a bypass operator: both streams.
@@ -585,23 +526,18 @@ impl Sink {
 }
 
 impl ExecContext {
-    pub fn new(options: ExecOptions) -> ExecContext {
-        let deadline = options.timeout.map(|t| Instant::now() + t);
+    pub fn new(mut options: ExecOptions) -> ExecContext {
+        options.batch_rows = options.batch_rows.max(1);
         ExecContext {
+            gov: Governor::new(&options),
             options,
             metrics: None,
             child_nanos: Vec::new(),
             outer: Vec::new(),
             uncorr: FxHashMap::default(),
             corr: CorrMemo::default(),
-            deadline,
-            ticks: 0,
-            checkpoints: 0,
-            used_bytes: 0,
-            peak_bytes: 0,
             counters: ExecCounters::default(),
             pending: PendingCounters::default(),
-            gov_log: None,
             par_safe_cache: FxHashMap::default(),
             chains: FxHashMap::default(),
             batches: FxHashMap::default(),
@@ -623,160 +559,15 @@ impl ExecContext {
     /// peak-memory / checkpoint totals).
     pub fn counters(&self) -> ExecCounters {
         let mut c = self.counters;
-        c.peak_memory_bytes = self.peak_bytes;
-        c.checkpoints = self.checkpoints;
+        c.peak_memory_bytes = self.gov.peak_bytes();
+        c.checkpoints = self.gov.checkpoints();
         c
-    }
-
-    /// One governor checkpoint: per-row progress ticks and byte charges
-    /// both funnel through here. In order of precedence the checkpoint
-    /// (1) fires a deterministically injected fault when its index
-    /// matches, (2) polls the cancel token, and (3) — amortized over
-    /// 4096 ticks, because `Instant::now` is the only non-free check —
-    /// enforces the wall-clock deadline. The checkpoint *index*
-    /// depends only on plan + data, never on timing.
-    #[inline]
-    pub(crate) fn tick(&mut self) -> Result<()> {
-        if self.gov_log.is_some() {
-            self.log_tick();
-        }
-        self.tick_inner()
-    }
-
-    /// The checkpoint body shared by [`tick`] and replayed charges:
-    /// everything except event logging (a replayed `Charge` must not
-    /// re-log its embedded tick).
-    #[inline]
-    fn tick_inner(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        if self.options.fault.is_some() || self.options.cancel.is_some() {
-            self.governed_checkpoint()?;
-        }
-        self.ticks = self.ticks.wrapping_add(1);
-        // The very first tick also checks the clock, so an
-        // already-expired deadline (timeout zero) fires even on queries
-        // shorter than the amortization window.
-        if self.ticks == 1 || self.ticks.is_multiple_of(4096) {
-            if let Some(d) = self.deadline {
-                let now = Instant::now();
-                if now > d {
-                    return Err(self.deadline_error(now, d));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run-length append one plain checkpoint to the worker event log.
-    #[cold]
-    fn log_tick(&mut self) {
-        if let Some(log) = &mut self.gov_log {
-            if let Some(GovEvent::Ticks(n)) = log.last_mut() {
-                *n += 1;
-            } else {
-                log.push(GovEvent::Ticks(1));
-            }
-        }
-    }
-
-    /// Cold path of [`tick`]: fault injection + cancel polling. Split
-    /// out so production runs (no fault plan, no token) pay a single
-    /// predictable branch per checkpoint.
-    #[cold]
-    fn governed_checkpoint(&mut self) -> Result<()> {
-        if let Some(f) = self.options.fault {
-            if self.checkpoints == f.checkpoint {
-                return Err(self.fault_error(f.kind));
-            }
-        }
-        if let Some(c) = &self.options.cancel {
-            if c.is_cancelled() {
-                return Err(Error::cancelled());
-            }
-        }
-        Ok(())
-    }
-
-    /// The typed error an injected fault of `kind` raises, built from
-    /// the governor's current state (shared by the serial checkpoint
-    /// path and the morsel-replay path).
-    fn fault_error(&self, kind: FaultKind) -> Error {
-        match kind {
-            FaultKind::Memory => Error::resource_exhausted(
-                ResourceKind::Memory,
-                self.options.max_memory_bytes.unwrap_or(self.used_bytes),
-                self.used_bytes,
-            ),
-            FaultKind::Deadline => Error::resource_exhausted(
-                ResourceKind::Time,
-                self.options
-                    .timeout
-                    .map(|t| t.as_millis() as u64)
-                    .unwrap_or(0),
-                0,
-            ),
-            FaultKind::Cancel => Error::cancelled(),
-        }
-    }
-
-    fn deadline_error(&self, now: Instant, deadline: Instant) -> Error {
-        let limit = self
-            .options
-            .timeout
-            .map(|t| t.as_millis() as u64)
-            .unwrap_or(0);
-        let over = now.duration_since(deadline).as_millis() as u64;
-        Error::resource_exhausted(ResourceKind::Time, limit, limit.saturating_add(over))
-    }
-
-    /// Charge `bytes` of materialized state against the memory budget.
-    /// Every charge is also a governor checkpoint, so faults can be
-    /// injected (and cancellation observed) exactly at materialization
-    /// points, not just row boundaries.
-    #[inline]
-    pub(crate) fn charge(&mut self, bytes: u64) -> Result<()> {
-        if let Some(log) = &mut self.gov_log {
-            log.push(GovEvent::Charge(bytes));
-        }
-        self.charge_inner(bytes)
-    }
-
-    /// The charge body shared by [`charge`] and morsel replay: apply
-    /// the bytes, enforce the cap, pass one checkpoint — without
-    /// re-logging (a `Charge` event embeds its own tick).
-    #[inline]
-    fn charge_inner(&mut self, bytes: u64) -> Result<()> {
-        self.used_bytes += bytes;
-        if self.used_bytes > self.peak_bytes {
-            self.peak_bytes = self.used_bytes;
-        }
-        if let Some(cap) = self.options.max_memory_bytes {
-            if self.used_bytes > cap {
-                return Err(Error::resource_exhausted(
-                    ResourceKind::Memory,
-                    cap,
-                    self.used_bytes,
-                ));
-            }
-        }
-        self.tick_inner()
     }
 
     /// Charge `n` shared-row pushes (refcount bumps) in one step.
     #[inline]
     fn charge_shared_rows(&mut self, n: usize) -> Result<()> {
-        self.charge(n as u64 * SHARED_ROW_BYTES)
-    }
-
-    /// Return operator-local scratch (join key arenas, sort
-    /// decorations, group maps) to the budget when its scope ends.
-    /// Releases are not checkpoints — nothing can fail while freeing.
-    #[inline]
-    pub(crate) fn release(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.gov_log {
-            log.push(GovEvent::Release(bytes));
-        }
-        self.used_bytes = self.used_bytes.saturating_sub(bytes);
+        self.gov.charge(n as u64 * SHARED_ROW_BYTES)
     }
 
     /// Enforce the intermediate-size guard on a growing buffer.
@@ -888,101 +679,14 @@ impl ExecContext {
         self.options.threads > 1 && work > self.options.morsel_rows && self.par_safe_node(node)
     }
 
-    /// Record/replay mode: with a fault plan or a byte budget armed the
-    /// workers keep an exact event log; otherwise a three-counter
-    /// summary reproduces checkpoints/used/peak exactly (the serial
-    /// trajectory at a morsel boundary *is* the master's state at merge
-    /// time, so `peak = max(peak, used + local_peak)` is not an
-    /// approximation).
-    fn exact_replay(&self) -> bool {
-        self.options.fault.is_some() || self.options.max_memory_bytes.is_some()
-    }
-
-    /// The options a morsel worker runs under: no fault plan (faults
-    /// fire during replay on the master, at the exact global
-    /// checkpoint), no nested fan-out, and in summary mode no byte cap
-    /// (a worker's local `used` is relative, so a cap check there would
-    /// be meaningless — in exact mode the cap stays on as a speculative
-    /// early-abort; replay reproduces the authoritative error).
-    fn worker_options(&self) -> ExecOptions {
-        let mut o = self.options.clone();
-        o.fault = None;
-        o.threads = 1;
-        if !self.exact_replay() {
-            o.max_memory_bytes = None;
-        }
-        o
-    }
-
-    /// Replay one worker's recorded governor effects on the master.
-    fn replay(&mut self, gov: GovLog) -> Result<()> {
-        match gov {
-            GovLog::Summary {
-                checkpoints,
-                net_bytes,
-                peak_bytes,
-            } => {
-                let candidate = self.used_bytes + peak_bytes;
-                if candidate > self.peak_bytes {
-                    self.peak_bytes = candidate;
-                }
-                self.used_bytes += net_bytes;
-                self.checkpoints += checkpoints;
-                self.ticks = self.ticks.wrapping_add(checkpoints as u32);
-                Ok(())
-            }
-            GovLog::Events(events) => {
-                for ev in events {
-                    match ev {
-                        GovEvent::Ticks(n) => self.replay_ticks(n)?,
-                        GovEvent::Charge(b) => self.charge_inner(b)?,
-                        GovEvent::Release(b) => self.used_bytes = self.used_bytes.saturating_sub(b),
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Bulk-replay `n` plain checkpoints: an injected fault whose index
-    /// falls inside the batch fires with exactly that checkpoint count
-    /// recorded, cancellation is polled once per batch, and the
-    /// deadline is checked when the batch crosses an amortization
-    /// boundary — same guarantees as `n` serial ticks.
-    fn replay_ticks(&mut self, n: u64) -> Result<()> {
-        if let Some(f) = self.options.fault {
-            if self.checkpoints < f.checkpoint && f.checkpoint <= self.checkpoints + n {
-                self.checkpoints = f.checkpoint;
-                return Err(self.fault_error(f.kind));
-            }
-        }
-        self.checkpoints += n;
-        if let Some(c) = &self.options.cancel {
-            if c.is_cancelled() {
-                return Err(Error::cancelled());
-            }
-        }
-        let before = self.ticks;
-        self.ticks = self.ticks.wrapping_add(n as u32);
-        // Crossed a 4096-tick boundary (or covers a full window)?
-        if n >= 4096 || before / 4096 != self.ticks / 4096 || before == 0 {
-            if let Some(d) = self.deadline {
-                let now = Instant::now();
-                if now > d {
-                    return Err(self.deadline_error(now, d));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fork a worker context for one morsel: shared read-only options
-    /// (fault stripped, single-threaded), the same outer-binding stack
-    /// (refcount bumps), fresh memo maps that the safety gate
-    /// guarantees stay untouched, and a zeroed governor.
-    fn fork_worker(&self, template: &ExecOptions, exact: bool) -> ExecContext {
+    /// Fork a worker context for one morsel: the master's options
+    /// without nested fan-out, the same outer-binding stack (refcount
+    /// bumps), fresh memo maps that the safety gate guarantees stay
+    /// untouched, and a forked governor.
+    fn fork_worker(&self, template: &ExecOptions) -> ExecContext {
         ExecContext {
             options: template.clone(),
+            gov: self.gov.fork(),
             metrics: self.metrics.is_some().then(HashMap::new),
             // One sentinel frame so nested-plan evaluations inside
             // worker expressions have a parent to bill their inclusive
@@ -991,14 +695,8 @@ impl ExecContext {
             outer: self.outer.clone(),
             uncorr: FxHashMap::default(),
             corr: CorrMemo::default(),
-            deadline: self.deadline,
-            ticks: 0,
-            checkpoints: 0,
-            used_bytes: 0,
-            peak_bytes: 0,
             counters: ExecCounters::default(),
             pending: PendingCounters::default(),
-            gov_log: exact.then(Vec::new),
             par_safe_cache: FxHashMap::default(),
             // Workers never compile chains or transpose batches: the
             // master resolves the chain, epoch order and cached batch
@@ -1047,8 +745,10 @@ impl ExecContext {
             return Ok(vec![body(self, 0..total)?]);
         }
         let threads = self.options.threads;
-        let exact = self.exact_replay();
-        let template = self.worker_options();
+        let template = ExecOptions {
+            threads: 1,
+            ..self.options.clone()
+        };
         // Aim for ~4 morsels per worker (pull-based balancing without
         // tiny fragments), capped at the configured morsel size.
         let cap = (self.options.morsel_rows / weight).max(1);
@@ -1064,13 +764,13 @@ impl ExecContext {
             if stop.load(Ordering::Relaxed) < idx {
                 return MorselOut::skipped();
             }
-            let mut w = self.fork_worker(&template, exact);
+            let mut w = self.fork_worker(&template);
             let _span = bypass_trace::span("exec.morsel");
             let payload = body(&mut w, range.clone());
             if payload.is_err() {
                 stop.fetch_min(idx, Ordering::Relaxed);
             }
-            w.into_morsel_out(payload, exact)
+            w.into_morsel_out(payload)
         });
         // In-order merge: governor effects first (authoritative errors
         // — budget trips and injected faults — surface here at their
@@ -1086,7 +786,7 @@ impl ExecContext {
                         == 0,
                 "morsel worker probed a memo cache despite the safety gate"
             );
-            self.replay(out.gov)?;
+            self.gov.replay(out.gov)?;
             let p = out.payload?;
             if let (Some(master), Some(worker)) = (self.metrics.as_mut(), out.metrics) {
                 for (ptr, wm) in worker {
@@ -1129,18 +829,9 @@ impl ExecContext {
     }
 
     /// Tear a worker down into its mergeable parts.
-    fn into_morsel_out<P>(self, payload: Result<P>, exact: bool) -> MorselOut<P> {
-        let gov = if exact {
-            GovLog::Events(self.gov_log.unwrap_or_default())
-        } else {
-            GovLog::Summary {
-                checkpoints: self.checkpoints,
-                net_bytes: self.used_bytes,
-                peak_bytes: self.peak_bytes,
-            }
-        };
+    fn into_morsel_out<P>(self, payload: Result<P>) -> MorselOut<P> {
         MorselOut {
-            gov,
+            gov: self.gov.into_log(),
             metrics: self.metrics,
             pending: self.pending,
             child_nanos: self.child_nanos.first().copied().unwrap_or(0),
@@ -1151,27 +842,20 @@ impl ExecContext {
     }
 
     // -----------------------------------------------------------------
-    // Vectorized / adaptively ordered predicate chains (DESIGN.md §8).
+    // Adaptively ordered predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
 
-    /// The compiled chain for a σ/σ± node, if its predicate is
-    /// chainable *and* every outer reference of the chain resolves
-    /// against the current binding stack (re-checked per call — the
-    /// same node can be invoked under different stacks inside nested
-    /// subplans). `None` falls back to the legacy row loop.
+    /// The compiled chain of a σ/σ± node.
     fn chain_for(
         &mut self,
         node: &Arc<PhysNode>,
         predicate: &PhysExpr,
         arity: usize,
-    ) -> Option<Arc<CompiledChain>> {
-        let ptr = Arc::as_ptr(node) as usize;
-        let chain = self
-            .chains
-            .entry(ptr)
-            .or_insert_with(|| compile_chain(predicate, arity).map(Arc::new))
-            .clone()?;
-        chain_bindable(&chain, &self.outer).then_some(chain)
+    ) -> Arc<CompiledChain> {
+        self.chains
+            .entry(Arc::as_ptr(node) as usize)
+            .or_insert_with(|| Arc::new(compile_chain(predicate, arity)))
+            .clone()
     }
 
     /// The kernel-column transpose of `input` for this node, cached
@@ -1197,16 +881,21 @@ impl ExecContext {
         batch
     }
 
-    /// Drive a chained σ (`bypass == false`, negative stream unused) or
-    /// σ± (`bypass == true`) over the input rows.
+    /// Drive σ (`bypass == false`, negative stream unused) or σ±
+    /// (`bypass == true`) over the input rows.
     ///
     /// Adaptive chains advance in fixed [`EPOCH_ROWS`] epochs: the term
     /// order is frozen per epoch from the cumulative reach/decide
     /// stats, each epoch fans out over `run_morsels` (stats ride back
     /// as morsel payloads and fold commutatively), and the rank is
     /// recomputed at the epoch boundary. Non-adaptive chains (nothing
-    /// to reorder) run as one full-input `run_morsels` call, keeping
-    /// the legacy parallel fan-out geometry.
+    /// to reorder) run as one full-input `run_morsels` call.
+    ///
+    /// Kernels read outer references unchecked, so a call under a
+    /// binding stack that does not resolve all of the chain's (the
+    /// same node can run under different stacks inside nested subplans)
+    /// gets no kernel columns and keeps the syntactic order: the first
+    /// row to reach the unbound reference raises `eval_truth`'s error.
     fn run_chain(
         &mut self,
         node: &Arc<PhysNode>,
@@ -1215,12 +904,13 @@ impl ExecContext {
         bypass: bool,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
         let rows = input.rows();
-        let batch = (self.options.batch_rows > 1).then(|| self.chain_batch(node, input, chain));
+        let bound = chain_bindable(chain, &self.outer);
+        let batch = bound.then(|| self.chain_batch(node, input, chain));
         let batch_ref: Option<&Batch> = batch.as_deref();
         let mut stats = ChainStats::zeroed(chain);
         let mut pos = Vec::new();
         let mut neg = Vec::new();
-        let epoch = if chain.adaptive {
+        let epoch = if chain.adaptive && bound {
             EPOCH_ROWS
         } else {
             rows.len().max(1)
@@ -1243,11 +933,11 @@ impl ExecContext {
             start = end;
         }
         // Surface per-disjunct selectivities in EXPLAIN ANALYZE and in
-        // the always-on counter totals; a single-term chain is plain
-        // vectorization, not a disjunction, and keeps its metrics
-        // block unchanged. Folded on the master thread only (workers
-        // return stats as morsel payloads), preserving the
-        // workers-never-touch-counters invariant.
+        // the always-on counter totals; a single-term chain is not a
+        // disjunction and keeps its metrics block unchanged. Folded on
+        // the master thread only (workers return stats as morsel
+        // payloads), preserving the workers-never-touch-counters
+        // invariant.
         if chain.terms.len() >= 2 {
             self.counters.disjunct_evals += stats.reach.iter().sum::<u64>();
             self.counters.disjunct_hits += stats.decide.iter().sum::<u64>();
@@ -1265,16 +955,21 @@ impl ExecContext {
     }
 
     /// Evaluate one morsel's rows through the chain under a frozen
-    /// order. Batch mode first evaluates the order's *kernel prefix*
-    /// columnar-ly over a shrinking selection vector — kernels are
-    /// infallible, effect-free and governor-invisible — then finalizes
-    /// per row in input order, replaying the exact legacy tick/charge
-    /// sequence (σ: tick, then charge only kept rows; σ±: tick, charge,
-    /// then split). `batch` is the node's cached kernel-column
-    /// transpose of the *full* input (`None` = row mode); `base` is the
-    /// absolute index of `rows[0]` within it, so selection vectors
-    /// carry absolute lane indices.
+    /// order, a chunk of `batch_rows` at a time. Per chunk the order's
+    /// *kernel prefix* runs column-wise over a shrinking selection
+    /// vector — kernels are infallible, effect-free and
+    /// governor-invisible — and the rows are then finished in input
+    /// order: a row the prefix left open evaluates the remaining terms
+    /// between its own checkpoints, and every run of rows it settled
+    /// passes its checkpoints in one governor call. `batch` is the
+    /// node's cached kernel-column transpose of the *full* input
+    /// (`None`: no kernel may run, see [`Self::run_chain`]); `base` is
+    /// the absolute index of `rows[0]` within it, so selection vectors
+    /// carry absolute lane indices. Out of line, as the σ loop it
+    /// replaced was: inlined into the operator match that loop ran ~6 %
+    /// slower per row (benchmark workload `rst_canonical`).
     #[allow(clippy::type_complexity)]
+    #[inline(never)]
     fn chain_slice(
         &mut self,
         chain: &CompiledChain,
@@ -1285,121 +980,99 @@ impl ExecContext {
         bypass: bool,
     ) -> Result<((Vec<Tuple>, Vec<Tuple>), ChainStats)> {
         let mut stats = ChainStats::zeroed(chain);
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        let Some(batch) = batch else {
-            // Row mode — identical term order, no columnar prefix.
-            for t in rows {
-                self.tick()?;
-                if bypass {
-                    self.charge(SHARED_ROW_BYTES)?;
-                }
-                let truth =
-                    self.chain_eval_row(chain, order, &mut stats, t, 0, chain.identity())?;
-                if truth.is_true() {
-                    if !bypass {
-                        self.charge(SHARED_ROW_BYTES)?;
-                    }
-                    pos.push(t.clone());
-                } else if bypass {
-                    neg.push(t.clone());
-                }
-            }
-            return Ok(((pos, neg), stats));
-        };
-        let batch_rows = self.options.batch_rows;
+        let mut out = (Vec::new(), Vec::new());
         let decide = chain.decide();
         // Per-chunk scratch, reused across chunks (allocation-free
-        // steady state). `sel` holds absolute lane indices and is
-        // filtered in place per kernel term.
+        // steady state). `acc[r]` folds row `r`'s term results; the
+        // fold absorbs `decide` and non-deciding results can never
+        // produce it, so `decide` marks a decided row. `sel` holds
+        // absolute lane indices and is filtered in place per kernel
+        // term.
         let mut acc: Vec<Truth> = Vec::new();
-        let mut decided: Vec<bool> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        let mut off = 0usize;
-        while off < rows.len() {
-            let n = (rows.len() - off).min(batch_rows);
-            let chunk = &rows[off..off + n];
-            let abs0 = (base + off) as u32;
+        let mut abs0 = base as u32;
+        for chunk in rows.chunks(self.options.batch_rows) {
+            let n = chunk.len();
             acc.clear();
             acc.resize(n, chain.identity());
-            decided.clear();
-            decided.resize(n, false);
             sel.clear();
             sel.extend(abs0..abs0 + n as u32);
             let mut prefix = 0usize;
             for &oi in &order.order {
                 let i = oi as usize;
-                let Some(kernel) = chain.terms[i].kernel.as_ref() else {
+                let (Some(batch), Some(kernel)) = (batch, chain.terms[i].kernel.as_ref()) else {
                     break;
                 };
                 if !sel.is_empty() {
                     stats.reach[i] += sel.len() as u64;
-                    let mut decide_n = 0u64;
+                    let before = sel.len();
                     // Deciding lanes drop out of the selection; the
                     // rest fold into the per-row accumulator and stay.
+                    let mut settle = |lane: u32, t: Truth| {
+                        let row = (lane - abs0) as usize;
+                        acc[row] = chain.combine(acc[row], t);
+                        t != decide
+                    };
                     if let Some((op, c, rhs)) = kernel.col_cmp(&self.outer) {
                         // Hot shape: tight loop over the column slice
                         // against a pre-resolved constant.
                         let col = batch.column(c);
                         sel.retain(|&lane| {
-                            let t = cmp_op_truth(op, &col[lane as usize], rhs);
-                            let row = (lane - abs0) as usize;
-                            if t == decide {
-                                decided[row] = true;
-                                decide_n += 1;
-                                false
-                            } else {
-                                acc[row] = chain.combine(acc[row], t);
-                                true
-                            }
+                            settle(lane, cmp_op_truth(op, &col[lane as usize], rhs))
                         });
                     } else {
                         let outer = &self.outer;
                         sel.retain(|&lane| {
-                            let t = kernel.eval_lane(batch, lane as usize, outer);
-                            let row = (lane - abs0) as usize;
-                            if t == decide {
-                                decided[row] = true;
-                                decide_n += 1;
-                                false
-                            } else {
-                                acc[row] = chain.combine(acc[row], t);
-                                true
-                            }
+                            settle(lane, kernel.eval_lane(batch, lane as usize, outer))
                         });
                     }
-                    stats.decide[i] += decide_n;
+                    stats.decide[i] += (before - sel.len()) as u64;
                 }
                 prefix += 1;
             }
-            // When every term was a kernel the fold is already final —
-            // `chain_eval_row` from `prefix` would return `acc` without
-            // touching the stats.
-            let fully_kerneled = prefix == order.order.len();
-            for (r, t) in chunk.iter().enumerate() {
-                self.tick()?;
+            // When every term was a kernel the fold is already final.
+            let settled = |truth: Truth| prefix == order.order.len() || truth == decide;
+            let mut run = 0;
+            for r in 0..n {
+                if settled(acc[r]) {
+                    continue;
+                }
+                self.pass_settled(&chunk[run..r], &acc[run..r], bypass, &mut out)?;
+                run = r + 1;
+                let t = &chunk[r];
+                self.gov.tick()?;
                 if bypass {
-                    self.charge(SHARED_ROW_BYTES)?;
+                    self.gov.charge(SHARED_ROW_BYTES)?;
                 }
-                let truth = if decided[r] {
-                    decide
-                } else if fully_kerneled {
-                    acc[r]
-                } else {
-                    self.chain_eval_row(chain, order, &mut stats, t, prefix, acc[r])?
-                };
-                if truth.is_true() {
-                    if !bypass {
-                        self.charge(SHARED_ROW_BYTES)?;
-                    }
-                    pos.push(t.clone());
-                } else if bypass {
-                    neg.push(t.clone());
+                let truth = self.chain_eval_row(chain, order, &mut stats, t, prefix, acc[r])?;
+                if truth.is_true() && !bypass {
+                    self.gov.charge(SHARED_ROW_BYTES)?;
                 }
+                route(t, truth, bypass, &mut out);
             }
-            off += n;
+            self.pass_settled(&chunk[run..], &acc[run..], bypass, &mut out)?;
+            abs0 += n as u32;
         }
-        Ok(((pos, neg), stats))
+        Ok((out, stats))
+    }
+
+    /// Pass the checkpoints of a run of rows whose truth the kernel
+    /// prefix settled (σ: tick, then charge only kept rows; σ±: tick,
+    /// charge) and route the rows.
+    fn pass_settled(
+        &mut self,
+        rows: &[Tuple],
+        truth: &[Truth],
+        bypass: bool,
+        out: &mut (Vec<Tuple>, Vec<Tuple>),
+    ) -> Result<()> {
+        self.gov.tick_rows(rows.len(), |r| {
+            (bypass || truth[r].is_true()).then_some(SHARED_ROW_BYTES)
+        })?;
+        for (t, &truth) in rows.iter().zip(truth) {
+            route(t, truth, bypass, out);
+        }
+        Ok(())
     }
 
     /// Evaluate the chain's terms for one row, in the frozen order,
@@ -1485,16 +1158,9 @@ impl ExecContext {
             PhysKind::Scan { data } => return Ok(data.clone()),
             PhysKind::Filter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                if let Some(chain) = self.chain_for(node, predicate, input.schema().arity()) {
-                    let (pos, _neg) = self.run_chain(node, &input, &chain, false)?;
-                    Relation::new(schema, pos)
-                } else {
-                    let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        ctx.filter_rows(predicate, &rows[range])
-                    })?;
-                    Relation::new(schema, concat_rows(parts))
-                }
+                let chain = self.chain_for(node, predicate, input.schema().arity());
+                let (pos, _neg) = self.run_chain(node, &input, &chain, false)?;
+                Relation::new(schema, pos)
             }
             PhysKind::Project { input, exprs } => {
                 let input = self.eval_node(input, local)?;
@@ -1512,31 +1178,17 @@ impl ExecContext {
                         return Ok(Arc::new(Relation::new(schema, input.rows().to_vec())));
                     }
                     let rows = input.rows();
-                    let batch_rows = self.options.batch_rows;
                     let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        let slice = &rows[range];
-                        let mut out = Vec::with_capacity(slice.len());
-                        if batch_rows > 1 {
-                            // Vectorized Π: transpose the chunk and
-                            // build output tuples column-wise. The
-                            // batch is uncharged scratch; the per-row
-                            // tick/charge sequence below is exactly
-                            // the row path's.
-                            for chunk in slice.chunks(batch_rows) {
-                                let batch = Batch::from_rows_cols(chunk, &cols);
-                                for p in batch.project_rows(&cols) {
-                                    ctx.tick()?;
-                                    ctx.charge(tuple_bytes(&p))?;
-                                    out.push(p);
-                                }
-                            }
-                        } else {
-                            for t in slice {
-                                ctx.tick()?;
-                                let p = t.project(&cols);
-                                ctx.charge(tuple_bytes(&p))?;
-                                out.push(p);
-                            }
+                        let mut out: Vec<Tuple> = Vec::with_capacity(range.len());
+                        // Copying columns is infallible and
+                        // governor-invisible: a chunk is projected,
+                        // then passes its checkpoints (per row: tick,
+                        // charge) in one governor call.
+                        for chunk in rows[range].chunks(ctx.options.batch_rows) {
+                            let done = out.len();
+                            out.extend(chunk.iter().map(|t| t.project(&cols)));
+                            ctx.gov
+                                .tick_rows(chunk.len(), |r| Some(tuple_bytes(&out[done + r])))?;
                         }
                         Ok(out)
                     })?;
@@ -1546,13 +1198,13 @@ impl ExecContext {
                 let parts = self.run_morsels(node, rows.len(), |ctx, range| {
                     let mut out = Vec::with_capacity(range.len());
                     for t in &rows[range] {
-                        ctx.tick()?;
+                        ctx.gov.tick()?;
                         let mut vals = Vec::with_capacity(exprs.len());
                         for e in exprs {
                             vals.push(ctx.eval_expr(e, t)?);
                         }
                         let row = Tuple::new(vals);
-                        ctx.charge(tuple_bytes(&row))?;
+                        ctx.gov.charge(tuple_bytes(&row))?;
                         out.push(row);
                     }
                     Ok(out)
@@ -1632,10 +1284,10 @@ impl ExecContext {
                 let parts = self.run_morsels(node, rows.len(), |ctx, range| {
                     let mut out = Vec::with_capacity(range.len());
                     for t in &rows[range] {
-                        ctx.tick()?;
+                        ctx.gov.tick()?;
                         let v = ctx.eval_expr(expr, t)?;
                         let row = t.extended(v);
-                        ctx.charge(tuple_bytes(&row))?;
+                        ctx.gov.charge(tuple_bytes(&row))?;
                         out.push(row);
                     }
                     Ok(out)
@@ -1650,9 +1302,9 @@ impl ExecContext {
                     // The global row index is position-derived, so each
                     // morsel numbers its slice independently.
                     for (i, t) in range.clone().zip(&rows[range]) {
-                        ctx.tick()?;
+                        ctx.gov.tick()?;
                         let row = t.extended(Value::Int(i as i64));
-                        ctx.charge(tuple_bytes(&row))?;
+                        ctx.gov.charge(tuple_bytes(&row))?;
                         out.push(row);
                     }
                     Ok(out)
@@ -1672,14 +1324,14 @@ impl ExecContext {
                 let mut decorated: Vec<(Tuple, Tuple)> = Vec::with_capacity(input.len());
                 let mut scratch = 0u64; // sort-key decoration, released below
                 for t in input.rows() {
-                    self.tick()?;
+                    self.gov.tick()?;
                     let mut kv = Vec::with_capacity(keys.len());
                     for (e, _) in keys {
                         kv.push(self.eval_expr(e, t)?);
                     }
                     let key = Tuple::new(kv);
                     let bytes = tuple_bytes(&key) + SHARED_ROW_BYTES;
-                    self.charge(bytes)?;
+                    self.gov.charge(bytes)?;
                     scratch += tuple_bytes(&key); // keys die after the argsort
                     decorated.push((key, t.clone()));
                 }
@@ -1695,7 +1347,7 @@ impl ExecContext {
                     })
                     .collect();
                 decorated.sort_by(|a, b| compare_tuples(&a.0, &b.0, &spec));
-                self.release(scratch);
+                self.gov.release(scratch);
                 Relation::new(schema, decorated.into_iter().map(|(_, t)| t).collect())
             }
             PhysKind::Limit { input, n } => {
@@ -1790,36 +1442,8 @@ impl ExecContext {
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                let (pos, neg) = if let Some(chain) =
-                    self.chain_for(source, predicate, input.schema().arity())
-                {
-                    // Vectorized dual-stream split: two selection
-                    // vectors over one shared batch, gathered into
-                    // pos/neg in input order.
-                    self.run_chain(source, &input, &chain, true)?
-                } else {
-                    // Each morsel splits into its own pos/neg buffers;
-                    // concatenating them in morsel order reproduces the
-                    // serial stream order exactly.
-                    let parts = self.run_morsels(source, rows.len(), |ctx, range| {
-                        let mut pos = Vec::new();
-                        let mut neg = Vec::new();
-                        for t in &rows[range] {
-                            ctx.tick()?;
-                            // Stream split by refcount bump: the row buffer is
-                            // shared with the input relation, never copied.
-                            ctx.charge(SHARED_ROW_BYTES)?;
-                            if ctx.eval_truth(predicate, t)?.is_true() {
-                                pos.push(t.clone());
-                            } else {
-                                neg.push(t.clone());
-                            }
-                        }
-                        Ok((pos, neg))
-                    })?;
-                    concat_dual(parts)
-                };
+                let chain = self.chain_for(source, predicate, input.schema().arity());
+                let (pos, neg) = self.run_chain(source, &input, &chain, true)?;
                 let routed = [pos.len() as u64, neg.len() as u64];
                 let dual = (
                     Arc::new(Relation::new(schema.clone(), pos)),
@@ -1845,7 +1469,7 @@ impl ExecContext {
                         ctx.check_size(pos.rows.len().max(neg.rows.len()))?;
                         let left = RowView::new(lt.values());
                         for rt in r.rows() {
-                            ctx.tick()?;
+                            ctx.gov.tick()?;
                             let pair = left.with(rt.values());
                             if ctx.eval_truth(predicate, &pair)?.is_true() {
                                 ctx.emit(&pair, &pos_stages, 0, &mut pos)?;
@@ -1978,7 +1602,7 @@ impl ExecContext {
                 if self.metrics.is_some() {
                     self.pending.build_rows += table.len() as u64;
                 }
-                self.release(*charged);
+                self.gov.release(*charged);
             }
         }
     }
@@ -1998,7 +1622,7 @@ impl ExecContext {
         match &probe.on {
             ProbeOn::Loop(predicate) => {
                 for rt in build {
-                    self.tick()?;
+                    self.gov.tick()?;
                     let pair = left.with(rt.values());
                     let hit = match predicate {
                         None => true,
@@ -2016,7 +1640,7 @@ impl ExecContext {
                 residual,
                 ..
             } => {
-                self.tick()?;
+                self.gov.tick()?;
                 // The key buffer leaves the sink while the pairs it
                 // matched travel down the chain (which borrows the sink).
                 let mut keybuf = std::mem::take(&mut sink.scratch[next]);
@@ -2055,26 +1679,26 @@ impl ExecContext {
     ) -> Result<()> {
         let Some(stage) = stages.get(at) else {
             let row = row.to_tuple();
-            self.charge(tuple_bytes(&row))?;
+            self.gov.charge(tuple_bytes(&row))?;
             sink.rows.push(row);
             return Ok(());
         };
         sink.reached[at] += 1;
         match stage {
             LiveStage::Filter(predicate) => {
-                self.tick()?;
+                self.gov.tick()?;
                 if self.eval_truth(predicate, row)?.is_true() {
                     self.emit(row, stages, at + 1, sink)?;
                 }
                 Ok(())
             }
             LiveStage::Map(expr) => {
-                self.tick()?;
+                self.gov.tick()?;
                 let v = [self.eval_expr(expr, row)?];
                 self.emit(&row.with(&v), stages, at + 1, sink)
             }
             LiveStage::Project(exprs) => {
-                self.tick()?;
+                self.gov.tick()?;
                 let mut out = std::mem::take(&mut sink.scratch[at + 1]);
                 out.clear();
                 for e in *exprs {
@@ -2116,7 +1740,7 @@ impl ExecContext {
                 match self.read_key(probe_keys, t, &mut keybuf, false)? {
                     Some((hash, key)) if table.admit(hash, key) => {
                         let bytes = key_bytes + key.heap_bytes();
-                        self.charge(bytes)?;
+                        self.gov.charge(bytes)?;
                         charged += bytes;
                     }
                     _ => {}
@@ -2124,7 +1748,7 @@ impl ExecContext {
             }
         }
         for (i, t) in rel.rows().iter().enumerate() {
-            self.tick()?;
+            self.gov.tick()?;
             let Some((hash, key)) = self.read_key(&reader, t, &mut keybuf, false)? else {
                 continue;
             };
@@ -2136,7 +1760,7 @@ impl ExecContext {
             } else {
                 continue;
             };
-            self.charge(bytes)?;
+            self.gov.charge(bytes)?;
             charged += bytes;
         }
         table.seal();
@@ -2194,24 +1818,6 @@ impl ExecContext {
             }
         }
         self.eval_expr(e, row).map(Cow::Owned)
-    }
-
-    /// σ's row-at-a-time loop — the canonical plans' innermost loop
-    /// (one pass over the inner table per outer row). Out of line:
-    /// inlined into `eval_node_inner`'s match it ran ~6 % slower per row
-    /// once the join arms grew (benchmark workload `rst_canonical`).
-    #[inline(never)]
-    fn filter_rows(&mut self, predicate: &PhysExpr, rows: &[Tuple]) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        for t in rows {
-            self.tick()?;
-            if self.eval_truth(predicate, t)?.is_true() {
-                // Shared-row: refcount bump, not a value copy.
-                self.charge(SHARED_ROW_BYTES)?;
-                out.push(t.clone());
-            }
-        }
-        Ok(out)
     }
 
     // ----- expression evaluation ---------------------------------------
@@ -2491,7 +2097,8 @@ impl ExecContext {
             let r = self.run_nested(plan, t)?;
             // The memo retains the result for the rest of the query:
             // charge the retained shared rows plus entry overhead.
-            self.charge(MEMO_ENTRY_BYTES + r.len() as u64 * SHARED_ROW_BYTES)?;
+            self.gov
+                .charge(MEMO_ENTRY_BYTES + r.len() as u64 * SHARED_ROW_BYTES)?;
             self.uncorr.insert(ptr, r.clone());
             return Ok(r);
         }
@@ -2512,7 +2119,8 @@ impl ExecContext {
                 .iter()
                 .map(|&i| corr_value(t, i).clone())
                 .collect();
-            self.charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
+            self.gov
+                .charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
             self.corr.insert(hash, ptr, key, r.clone());
             return Ok(r);
         }
@@ -2523,7 +2131,7 @@ impl ExecContext {
         // Shared-row: binding an outer tuple is a refcount bump (a join
         // pair under a subquery predicate is materialized here).
         self.outer.push(t.to_tuple());
-        let before = self.used_bytes;
+        let before = self.gov.used_bytes();
         let result = self.eval_plan(plan);
         self.outer.pop();
         // Transient charges made while evaluating the nested plan are
@@ -2532,9 +2140,21 @@ impl ExecContext {
         // invocation at a time, not their sum. `peak_bytes` already
         // recorded the high-water mark inside the call, and anything a
         // memo retains beyond the call is re-charged by the caller.
-        let delta = self.used_bytes.saturating_sub(before);
-        self.release(delta);
+        let delta = self.gov.used_bytes().saturating_sub(before);
+        self.gov.release(delta);
         result
+    }
+}
+
+/// Hand a filtered row on — a refcount bump, the buffer stays shared
+/// with the input: to the positive stream if the predicate held, else
+/// (σ± only) to the negative one.
+#[inline]
+fn route(t: &Tuple, truth: Truth, bypass: bool, out: &mut (Vec<Tuple>, Vec<Tuple>)) {
+    if truth.is_true() {
+        out.0.push(t.clone());
+    } else if bypass {
+        out.1.push(t.clone());
     }
 }
 
@@ -2617,8 +2237,7 @@ fn padded_right(arity: usize, defaults: &[(usize, Value)]) -> Tuple {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::agg::AggSpec;
-    use bypass_algebra::{AggFunc, BinOp};
+    use bypass_algebra::BinOp;
     use bypass_types::{DataType, Field, Schema};
 
     pub(crate) fn int_rel(name: &str, cols: &[&str], rows: &[&[i64]]) -> Arc<PhysNode> {
@@ -3136,186 +2755,6 @@ pub(crate) mod tests {
                 ..
             }
         ));
-    }
-
-    /// A small plan with joins, aggregation and filtering for governor
-    /// tests: σ(x>0)(a ⋈ b) grouped by x.
-    fn governed_plan() -> Arc<PhysNode> {
-        let rows: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 7, i]).collect();
-        let slices: Vec<&[i64]> = rows.iter().map(|v| v.as_slice()).collect();
-        let a = int_rel("a", &["x", "y"], &slices);
-        let b = int_rel("b", &["z"], &[&[0], &[1], &[2], &[3]]);
-        let schema3 = Schema::new(vec![
-            Field::new("x", DataType::Int),
-            Field::new("y", DataType::Int),
-            Field::new("z", DataType::Int),
-        ]);
-        let on = JoinOn::Loop(Some(cmp(
-            BinOp::Eq,
-            PhysExpr::Column(0),
-            PhysExpr::Column(2),
-        )));
-        let joined = join(a, b, on, schema3.clone());
-        let filter = PhysNode::new(
-            PhysKind::Filter {
-                input: joined,
-                predicate: PhysExpr::Binary {
-                    op: BinOp::Gt,
-                    left: Box::new(PhysExpr::Column(1)),
-                    right: Box::new(PhysExpr::Literal(Value::Int(0))),
-                },
-            },
-            schema3,
-        );
-        PhysNode::new(
-            PhysKind::HashAggregate {
-                input: filter,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Count,
-                    distinct: true,
-                    arg: Some(PhysExpr::Column(1)),
-                }],
-            },
-            Schema::new(vec![
-                Field::new("x", DataType::Int),
-                Field::new("n", DataType::Int),
-            ]),
-        )
-    }
-
-    #[test]
-    fn governor_counters_are_deterministic() {
-        let plan = governed_plan();
-        let mut first = None;
-        for _ in 0..3 {
-            let mut ctx = ExecContext::new(ExecOptions::default());
-            ctx.eval_plan(&plan).unwrap();
-            let c = ctx.counters();
-            assert!(c.checkpoints > 0);
-            assert!(c.peak_memory_bytes > 0);
-            match first {
-                None => first = Some(c),
-                Some(f) => assert_eq!(f, c, "governor counters must be run-invariant"),
-            }
-        }
-        // Metrics collection must not move the governor: checkpoint
-        // indices have to be identical so fault injection replays under
-        // EXPLAIN ANALYZE too.
-        let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
-        ctx.eval_plan(&plan).unwrap();
-        assert_eq!(ctx.counters(), first.unwrap());
-    }
-
-    #[test]
-    fn memory_budget_trips_with_typed_error() {
-        let plan = governed_plan();
-        // Measure the peak, then set the budget just below it.
-        let mut ctx = ExecContext::new(ExecOptions::default());
-        ctx.eval_plan(&plan).unwrap();
-        let peak = ctx.counters().peak_memory_bytes;
-        let err = evaluate_with(
-            &plan,
-            ExecOptions {
-                max_memory_bytes: Some(peak - 1),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::ResourceExhausted {
-                    resource: ResourceKind::Memory,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // At or above the peak, the run succeeds.
-        evaluate_with(
-            &plan,
-            ExecOptions {
-                max_memory_bytes: Some(peak),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn cancel_token_stops_evaluation() {
-        let plan = governed_plan();
-        let token = CancelToken::new();
-        // Not cancelled: runs fine.
-        evaluate_with(
-            &plan,
-            ExecOptions {
-                cancel: Some(token.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Pre-cancelled: fails at the first checkpoint with the typed
-        // error, and resetting the token makes the same options work.
-        token.cancel();
-        let opts = ExecOptions {
-            cancel: Some(token.clone()),
-            ..Default::default()
-        };
-        let err = evaluate_with(&plan, opts.clone()).unwrap_err();
-        assert_eq!(err, Error::Cancelled);
-        token.reset();
-        evaluate_with(&plan, opts).unwrap();
-    }
-
-    #[test]
-    fn injected_faults_fire_at_exact_checkpoints() {
-        let plan = governed_plan();
-        let mut ctx = ExecContext::new(ExecOptions::default());
-        ctx.eval_plan(&plan).unwrap();
-        let total = ctx.counters().checkpoints;
-        for (k, kind) in [
-            (1, FaultKind::Memory),
-            (total / 2, FaultKind::Deadline),
-            (total, FaultKind::Cancel),
-        ] {
-            let err = evaluate_with(
-                &plan,
-                ExecOptions {
-                    fault: Some(InjectedFault::new(k, kind)),
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-            let matches_kind = match kind {
-                FaultKind::Memory => matches!(
-                    err,
-                    Error::ResourceExhausted {
-                        resource: ResourceKind::Memory,
-                        ..
-                    }
-                ),
-                FaultKind::Deadline => matches!(
-                    err,
-                    Error::ResourceExhausted {
-                        resource: ResourceKind::Time,
-                        ..
-                    }
-                ),
-                FaultKind::Cancel => err == Error::Cancelled,
-            };
-            assert!(matches_kind, "checkpoint {k}: {err}");
-        }
-        // One past the final checkpoint: the fault never fires.
-        evaluate_with(
-            &plan,
-            ExecOptions {
-                fault: Some(InjectedFault::new(total + 1, FaultKind::Cancel)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
     }
 
     #[test]

@@ -1,0 +1,421 @@
+//! The resource governor (DESIGN.md §5f): one numbered checkpoint
+//! sequence per query, a byte budget under the deterministic byte model
+//! of `bypass_types::govern`, cooperative cancellation and the
+//! wall-clock deadline.
+//!
+//! The sequence is *defined* row by row: an operator loop passes one
+//! checkpoint per row it visits ([`Governor::tick`]) and one per
+//! materialization ([`Governor::charge`]), in arrival order — σ: tick,
+//! then charge the row if kept; σ±: tick, charge, route; Π: tick,
+//! charge. Checkpoint `k` therefore depends only on plan and data,
+//! never on wall time, metrics collection, chunk length or worker
+//! count, which is what makes an [`InjectedFault`] at `k` and a budget
+//! trip exactly reproducible.
+//!
+//! [`Governor::tick_n`] is the only function that advances the index.
+//! It passes `n` checkpoints arithmetically and stops at the exact
+//! index an armed fault names; loops whose rows have no other
+//! governor-visible effect hand it a whole chunk through
+//! [`Governor::tick_rows`], and the in-order merge of morsel workers
+//! ([`Governor::replay`]) goes through the same function.
+
+use std::time::{Duration, Instant};
+
+use bypass_types::{CancelToken, Error, FaultKind, InjectedFault, ResourceKind, Result};
+
+use crate::eval::ExecOptions;
+
+/// The clock is read at the first checkpoint and whenever the index
+/// crosses a multiple of `1 << DEADLINE_WINDOW_BITS` (4096) —
+/// `Instant::now` is the only check that is not free.
+const DEADLINE_WINDOW_BITS: u32 = 12;
+
+/// One governor effect recorded by a speculative morsel worker;
+/// consecutive checkpoints are run-length encoded.
+pub(crate) enum GovEvent {
+    /// `n` consecutive checkpoints.
+    Ticks(u64),
+    /// Bytes charged; the checkpoint of the charge is the tick after it.
+    Charge(u64),
+    /// Operator-local scratch returned to the budget.
+    Release(u64),
+}
+
+/// A morsel worker's governor effects, replayed in morsel order on the
+/// master (see [`Governor::replay`]).
+pub(crate) enum GovLog {
+    /// No fault plan, no byte budget: the worker's checkpoint count, net
+    /// byte delta and local peak reproduce the serial trajectory exactly
+    /// when merged in order (the serial state at a morsel boundary *is*
+    /// the master's state at merge time, so `peak = max(peak, used +
+    /// local_peak)` is not an approximation).
+    Summary {
+        checkpoints: u64,
+        net_bytes: u64,
+        peak_bytes: u64,
+    },
+    /// Fault plan or byte budget armed: the full event stream, so budget
+    /// trips and injected faults land on the same checkpoint and byte
+    /// count as a serial run.
+    Events(Vec<GovEvent>),
+}
+
+impl GovLog {
+    /// The log of a morsel that never ran.
+    pub(crate) fn empty() -> GovLog {
+        GovLog::Events(Vec::new())
+    }
+}
+
+pub(crate) struct Governor {
+    fault: Option<InjectedFault>,
+    cancel: Option<CancelToken>,
+    max_memory_bytes: Option<u64>,
+    timeout: Option<Duration>,
+    deadline: Option<Instant>,
+    /// Something besides the deadline watches the checkpoints (a fault
+    /// plan, a cancel token, a worker's event log): [`Self::tick_n`]
+    /// takes its cold half.
+    armed: bool,
+    checkpoints: u64,
+    /// Bytes currently charged to the query.
+    used_bytes: u64,
+    /// High-water mark of `used_bytes`.
+    peak_bytes: u64,
+    /// Morsel workers under an armed fault plan or byte budget only.
+    log: Option<Vec<GovEvent>>,
+}
+
+impl Governor {
+    pub(crate) fn new(options: &ExecOptions) -> Governor {
+        Governor {
+            fault: options.fault,
+            cancel: options.cancel.clone(),
+            max_memory_bytes: options.max_memory_bytes,
+            timeout: options.timeout,
+            deadline: options.timeout.map(|t| Instant::now() + t),
+            armed: options.fault.is_some() || options.cancel.is_some(),
+            checkpoints: 0,
+            used_bytes: 0,
+            peak_bytes: 0,
+            log: None,
+        }
+    }
+
+    /// The governor of a speculative morsel worker: it starts at zero,
+    /// never sees the fault plan (faults fire during replay on the
+    /// master, at the exact global checkpoint) and shares the token and
+    /// the deadline. Under a fault plan or byte budget it logs every
+    /// effect and keeps the cap as an early abort — replay reproduces
+    /// the authoritative error; otherwise its `used_bytes` is relative
+    /// and a cap check would be meaningless.
+    pub(crate) fn fork(&self) -> Governor {
+        let exact = self.fault.is_some() || self.max_memory_bytes.is_some();
+        Governor {
+            fault: None,
+            cancel: self.cancel.clone(),
+            max_memory_bytes: self.max_memory_bytes.filter(|_| exact),
+            timeout: self.timeout,
+            deadline: self.deadline,
+            armed: exact || self.cancel.is_some(),
+            checkpoints: 0,
+            used_bytes: 0,
+            peak_bytes: 0,
+            log: exact.then(Vec::new),
+        }
+    }
+
+    pub(crate) fn checkpoints(&self) -> u64 {
+        self.checkpoints
+    }
+
+    pub(crate) fn used_bytes(&self) -> u64 {
+        self.used_bytes
+    }
+
+    pub(crate) fn peak_bytes(&self) -> u64 {
+        self.peak_bytes
+    }
+
+    /// One checkpoint.
+    #[inline]
+    pub(crate) fn tick(&mut self) -> Result<()> {
+        self.tick_n(1)
+    }
+
+    /// Pass `n` checkpoints. In order of precedence a checkpoint (1)
+    /// fires the injected fault whose index it has, (2) observes the
+    /// cancel token — polled once per call, at the call's first
+    /// checkpoint — and (3) enforces the deadline, amortized over the
+    /// window.
+    #[inline]
+    pub(crate) fn tick_n(&mut self, n: u64) -> Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        if self.armed {
+            if let Some((passed, stop)) = self.armed_stop(n) {
+                self.checkpoints += passed;
+                return Err(stop);
+            }
+        }
+        let before = self.checkpoints;
+        self.checkpoints += n;
+        // The very first checkpoint also reads the clock, so an
+        // already-expired deadline (timeout zero) fires even on queries
+        // shorter than the window.
+        if before == 0 || before >> DEADLINE_WINDOW_BITS != self.checkpoints >> DEADLINE_WINDOW_BITS
+        {
+            self.check_deadline()?;
+        }
+        Ok(())
+    }
+
+    /// Cold half of [`Self::tick_n`], split out so production runs (no
+    /// fault plan, no token, no log) pay one predictable branch per
+    /// call: the error the next `n` checkpoints run into, if any, and
+    /// how many of them are passed on the way (the failing one
+    /// included).
+    #[cold]
+    fn armed_stop(&mut self, n: u64) -> Option<(u64, Error)> {
+        if let Some(log) = &mut self.log {
+            match log.last_mut() {
+                Some(GovEvent::Ticks(m)) => *m += n,
+                _ => log.push(GovEvent::Ticks(n)),
+            }
+        }
+        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let reach = if cancelled { 1 } else { n };
+        if let Some(f) = self.fault_within(reach) {
+            return Some((f.checkpoint - self.checkpoints, self.fault_error(f.kind)));
+        }
+        cancelled.then(|| (1, Error::cancelled()))
+    }
+
+    /// The injected fault, if its index is among the next `n` checkpoints.
+    fn fault_within(&self, n: u64) -> Option<InjectedFault> {
+        self.fault
+            .filter(|f| self.checkpoints < f.checkpoint && f.checkpoint <= self.checkpoints + n)
+    }
+
+    /// The typed error an injected fault of `kind` raises, built from
+    /// the governor's current state.
+    fn fault_error(&self, kind: FaultKind) -> Error {
+        match kind {
+            FaultKind::Memory => Error::resource_exhausted(
+                ResourceKind::Memory,
+                self.max_memory_bytes.unwrap_or(self.used_bytes),
+                self.used_bytes,
+            ),
+            FaultKind::Deadline => {
+                Error::resource_exhausted(ResourceKind::Time, self.timeout_millis(), 0)
+            }
+            FaultKind::Cancel => Error::cancelled(),
+        }
+    }
+
+    fn timeout_millis(&self) -> u64 {
+        self.timeout.map_or(0, |t| t.as_millis() as u64)
+    }
+
+    fn check_deadline(&self) -> Result<()> {
+        let Some(deadline) = self.deadline else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        if now <= deadline {
+            return Ok(());
+        }
+        let limit = self.timeout_millis();
+        let over = now.duration_since(deadline).as_millis() as u64;
+        Err(Error::resource_exhausted(
+            ResourceKind::Time,
+            limit,
+            limit.saturating_add(over),
+        ))
+    }
+
+    /// Charge `bytes` of materialized state against the memory budget.
+    /// Every charge is also a checkpoint, so faults can be injected (and
+    /// cancellation observed) exactly at materialization points, not
+    /// just row boundaries.
+    #[inline]
+    pub(crate) fn charge(&mut self, bytes: u64) -> Result<()> {
+        self.grow(bytes)?;
+        self.tick_n(1)
+    }
+
+    /// The byte half of a charge: apply, enforce the cap.
+    #[inline]
+    fn grow(&mut self, bytes: u64) -> Result<()> {
+        if let Some(log) = &mut self.log {
+            log.push(GovEvent::Charge(bytes));
+        }
+        self.used_bytes += bytes;
+        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
+        match self.max_memory_bytes {
+            Some(cap) if self.used_bytes > cap => Err(Error::resource_exhausted(
+                ResourceKind::Memory,
+                cap,
+                self.used_bytes,
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Return operator-local scratch (join key arenas, sort
+    /// decorations, group maps) to the budget when its scope ends.
+    /// Releases are not checkpoints — nothing can fail while freeing.
+    #[inline]
+    pub(crate) fn release(&mut self, bytes: u64) {
+        if let Some(log) = &mut self.log {
+            log.push(GovEvent::Release(bytes));
+        }
+        self.used_bytes = self.used_bytes.saturating_sub(bytes);
+    }
+
+    /// The checkpoints of `n` rows whose per-row sequence is `tick`,
+    /// then `charge(b)` where `charge_of(row)` is `Some(b)` — with
+    /// nothing else governor-visible in between. One [`Self::tick_n`]
+    /// call for the chunk; only when the fault index or the byte cap
+    /// falls inside it (or a worker must log the order for replay) are
+    /// the rows stepped through one by one, to stop at the exact index
+    /// with the exact `used_bytes`.
+    pub(crate) fn tick_rows(
+        &mut self,
+        n: usize,
+        charge_of: impl Fn(usize) -> Option<u64>,
+    ) -> Result<()> {
+        let (charges, bytes) = (0..n)
+            .filter_map(&charge_of)
+            .fold((0, 0), |(k, sum), b| (k + 1, sum + b));
+        let checkpoints = n as u64 + charges;
+        let over_cap = self
+            .max_memory_bytes
+            .is_some_and(|cap| self.used_bytes + bytes > cap);
+        if self.log.is_some() || over_cap || self.fault_within(checkpoints).is_some() {
+            for row in 0..n {
+                self.tick_n(1)?;
+                if let Some(b) = charge_of(row) {
+                    self.charge(b)?;
+                }
+            }
+            return Ok(());
+        }
+        self.grow(bytes)?;
+        self.tick_n(checkpoints)
+    }
+
+    /// Tear a worker's governor down into what the master replays.
+    pub(crate) fn into_log(self) -> GovLog {
+        match self.log {
+            Some(events) => GovLog::Events(events),
+            None => GovLog::Summary {
+                checkpoints: self.checkpoints,
+                net_bytes: self.used_bytes,
+                peak_bytes: self.peak_bytes,
+            },
+        }
+    }
+
+    /// Replay one worker's recorded effects, as if its morsel had run
+    /// here.
+    pub(crate) fn replay(&mut self, log: GovLog) -> Result<()> {
+        match log {
+            GovLog::Summary {
+                checkpoints,
+                net_bytes,
+                peak_bytes,
+            } => {
+                self.peak_bytes = self.peak_bytes.max(self.used_bytes + peak_bytes);
+                self.used_bytes += net_bytes;
+                self.tick_n(checkpoints)
+            }
+            GovLog::Events(events) => events.into_iter().try_for_each(|ev| match ev {
+                GovEvent::Ticks(n) => self.tick_n(n),
+                GovEvent::Charge(b) => self.grow(b),
+                GovEvent::Release(b) => {
+                    self.release(b);
+                    Ok(())
+                }
+            }),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn governor(options: ExecOptions) -> Governor {
+        Governor::new(&options)
+    }
+
+    /// A governor `at` checkpoints into a run whose deadline has passed
+    /// since the clock was last read.
+    fn expired_at(at: u64) -> Governor {
+        let mut g = governor(ExecOptions::default());
+        g.tick_n(at).unwrap();
+        g.deadline = Some(Instant::now());
+        std::thread::sleep(Duration::from_millis(2));
+        g
+    }
+
+    fn is_timeout(r: Result<()>) -> bool {
+        matches!(
+            r,
+            Err(Error::ResourceExhausted {
+                resource: ResourceKind::Time,
+                ..
+            })
+        )
+    }
+
+    #[test]
+    fn first_checkpoint_reads_the_clock() {
+        assert!(is_timeout(expired_at(0).tick()));
+        assert!(is_timeout(expired_at(0).tick_n(7)));
+    }
+
+    #[test]
+    fn clock_is_read_when_the_index_crosses_a_window_boundary() {
+        let mut g = expired_at(1);
+        g.tick_n(10).unwrap();
+        g.tick_n(4095 - 11).unwrap();
+        assert_eq!(g.checkpoints(), 4095);
+        assert!(is_timeout(g.tick()));
+        // … also by a call that jumps over it.
+        let mut g = expired_at(4000);
+        g.tick_n(95).unwrap();
+        assert!(is_timeout(g.tick_n(2)));
+    }
+
+    #[test]
+    fn a_call_of_a_whole_window_always_reads_the_clock() {
+        assert!(is_timeout(expired_at(1).tick_n(4096)));
+        assert!(is_timeout(expired_at(4097).tick_n(5000)));
+    }
+
+    #[test]
+    fn pre_cancelled_token_fails_at_the_first_checkpoint_of_a_call() {
+        let token = CancelToken::new();
+        token.cancel();
+        let armed = |fault| {
+            governor(ExecOptions {
+                cancel: Some(token.clone()),
+                fault,
+                ..Default::default()
+            })
+        };
+        let mut g = armed(None);
+        assert_eq!(g.tick_n(256), Err(Error::Cancelled));
+        assert_eq!(g.checkpoints(), 1);
+        // A fault on that very checkpoint takes precedence, a later one
+        // is never reached.
+        let mut g = armed(Some(InjectedFault::new(1, FaultKind::Deadline)));
+        assert!(is_timeout(g.tick_n(256)));
+        let mut g = armed(Some(InjectedFault::new(2, FaultKind::Deadline)));
+        assert_eq!(g.tick_n(256), Err(Error::Cancelled));
+        assert_eq!(g.checkpoints(), 1);
+    }
+}

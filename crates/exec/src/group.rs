@@ -91,7 +91,7 @@ impl ExecContext {
         let mut groups = Groups::new(width, aggs, rows.len());
         let mut keybuf = Vec::new();
         for t in rows {
-            self.tick()?;
+            self.gov.tick()?;
             let g = if width == 0 {
                 0
             } else {
@@ -122,7 +122,7 @@ impl ExecContext {
         let mut states = AggStates::new(std::slice::from_ref(agg), r.len());
         let mut scratch = 0u64; // group-table bytes, released below
         for rt in r.rows() {
-            self.tick()?;
+            self.gov.tick()?;
             let k = self.eval_cow(right_key, rt)?;
             if k.is_null() {
                 continue; // θ over NULL never matches
@@ -131,13 +131,13 @@ impl ExecContext {
             let (g, created) = table.intern(key.hash(), key);
             if created {
                 let bytes = VALUE_BYTES + value_heap_bytes(&k) + ACC_BYTES;
-                self.charge(bytes)?;
+                self.gov.charge(bytes)?;
                 scratch += bytes;
                 states.push_group();
             }
             let grown = states.fold(g, rt, |a| self.eval_cow(a, rt))?;
             if grown != 0 {
-                self.charge(grown)?;
+                self.gov.charge(grown)?;
                 scratch += grown;
             }
         }
@@ -146,7 +146,7 @@ impl ExecContext {
         let parts = self.run_morsels(node, l.len(), |ctx, range| {
             let mut out = Vec::with_capacity(range.len());
             for lt in &l.rows()[range] {
-                ctx.tick()?;
+                ctx.gov.tick()?;
                 let k = ctx.eval_cow(left_key, lt)?;
                 let key = KeyRef::vals(std::slice::from_ref(&*k));
                 let g = match k.is_null() {
@@ -154,12 +154,12 @@ impl ExecContext {
                     false => table.find(key.hash(), key, &mut 0),
                 };
                 let row = lt.extended(g.map_or(&empty, |g| &finished[g as usize]).clone());
-                ctx.charge(tuple_bytes(&row))?;
+                ctx.gov.charge(tuple_bytes(&row))?;
                 out.push(row);
             }
             Ok(out)
         })?;
-        self.release(scratch);
+        self.gov.release(scratch);
         Ok(Relation::new(schema, concat_rows(parts)))
     }
 
@@ -180,10 +180,10 @@ impl ExecContext {
         let mut right_kv: Vec<(Value, &Tuple)> = Vec::with_capacity(r.len());
         let mut scratch = 0u64; // key decoration, released below
         for rt in r.rows() {
-            self.tick()?;
+            self.gov.tick()?;
             let k = self.eval_expr(right_key, rt)?;
             let bytes = VALUE_BYTES + value_heap_bytes(&k);
-            self.charge(bytes)?;
+            self.gov.charge(bytes)?;
             scratch += bytes;
             right_kv.push((k, rt));
         }
@@ -196,24 +196,24 @@ impl ExecContext {
                 states.reset();
                 let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
                 for &(ref rk, rt) in &right_kv {
-                    ctx.tick()?;
+                    ctx.gov.tick()?;
                     if value_truth(&eval_binop(cmp, &lk, rk)?).is_true() {
                         let grown = states.fold(0, rt, |a| ctx.eval_cow(a, rt))?;
                         if grown != 0 {
-                            ctx.charge(grown)?;
+                            ctx.gov.charge(grown)?;
                             acc_bytes += grown;
                         }
                     }
                 }
                 let value = states.finish().next().expect("one group");
                 let row = lt.extended(value);
-                ctx.release(acc_bytes);
-                ctx.charge(tuple_bytes(&row))?;
+                ctx.gov.release(acc_bytes);
+                ctx.gov.charge(tuple_bytes(&row))?;
                 out.push(row);
             }
             Ok(out)
         })?;
-        self.release(scratch);
+        self.gov.release(scratch);
         Ok(Relation::new(schema, concat_rows(parts)))
     }
 }

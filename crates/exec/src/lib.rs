@@ -22,6 +22,7 @@
 mod agg;
 mod eval;
 mod expr;
+mod govern;
 mod group;
 mod hash;
 mod node;

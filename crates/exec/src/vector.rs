@@ -1,9 +1,10 @@
-//! Column kernels and adaptive disjunct chains for the vectorized
-//! σ/σ± hot path.
+//! Column kernels and adaptive disjunct chains: how σ and σ± evaluate
+//! their predicate.
 //!
-//! A filter predicate whose top level is a chain of ORed disjuncts (or
-//! ANDed conjuncts) is compiled once per plan node into a
-//! [`CompiledChain`]: one [`ChainTerm`] per disjunct, each carrying
+//! Every filter predicate is compiled once per plan node into a
+//! [`CompiledChain`] — one [`ChainTerm`] per top-level ORed disjunct
+//! (or ANDed conjunct; any other predicate is a chain of one term) —
+//! each term carrying
 //!
 //! * an optional column [`Kernel`] — a comparison-only fragment that
 //!   can be evaluated element-wise over a columnar
@@ -21,7 +22,7 @@
 //! Determinism invariants (DESIGN.md §8):
 //!
 //! * costs are static classes, never measured timings;
-//! * epoch boundaries are row counts — independent of batch size,
+//! * epoch boundaries are row counts — independent of chunk length,
 //!   morsel size and worker count;
 //! * counters fold commutatively (per-morsel sums), so worker counts
 //!   cannot perturb the rank;
@@ -39,8 +40,8 @@
 //! order's. Resource errors (budgets, deadlines, cancellation,
 //! injected faults) are deliberately outside this analysis: they are a
 //! deterministic function of engine configuration, and the chosen
-//! order never depends on batch size or worker count, so they too stay
-//! reproducible.
+//! order never depends on chunk length or worker count, so they too
+//! stay reproducible.
 
 use std::cmp::Ordering;
 
@@ -88,8 +89,8 @@ impl Operand {
 }
 
 /// A predicate fragment evaluable element-wise over a [`Batch`] — the
-/// exact expression class of the row path's borrow-only truth fast
-/// path, so kernel and row evaluation are equal by construction.
+/// exact expression class of `eval_truth`'s borrow-only fast path, so
+/// kernel and interpreter evaluation are equal by construction.
 #[derive(Debug, Clone)]
 pub enum Kernel {
     And(Box<Kernel>, Box<Kernel>),
@@ -108,58 +109,10 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Evaluate the kernel for every lane named by `sel`, returning one
-    /// [`Truth`] per lane (in selection order). `And`/`Or` are folded
-    /// element-wise without short-circuit — semantically identical
-    /// because `FALSE AND x = FALSE` and `TRUE OR x = TRUE` for every
-    /// 3-valued `x`, and kernels are infallible and effect-free.
-    pub fn eval_lanes(&self, batch: &Batch, sel: &[u32], outer: &[Tuple]) -> Vec<Truth> {
-        match self {
-            Kernel::And(l, r) => {
-                let lv = l.eval_lanes(batch, sel, outer);
-                let rv = r.eval_lanes(batch, sel, outer);
-                lv.into_iter().zip(rv).map(|(a, b)| a.and(b)).collect()
-            }
-            Kernel::Or(l, r) => {
-                let lv = l.eval_lanes(batch, sel, outer);
-                let rv = r.eval_lanes(batch, sel, outer);
-                lv.into_iter().zip(rv).map(|(a, b)| a.or(b)).collect()
-            }
-            Kernel::Not(k) => k
-                .eval_lanes(batch, sel, outer)
-                .into_iter()
-                .map(|t| t.not())
-                .collect(),
-            Kernel::Cmp { op, left, right } => sel
-                .iter()
-                .map(|&r| {
-                    let l = left.get(batch, r as usize, outer);
-                    let rv = right.get(batch, r as usize, outer);
-                    cmp_op_truth(*op, l, rv)
-                })
-                .collect(),
-            Kernel::IsNull { negated, operand } => sel
-                .iter()
-                .map(|&r| {
-                    if operand.get(batch, r as usize, outer).is_null() != *negated {
-                        Truth::True
-                    } else {
-                        Truth::False
-                    }
-                })
-                .collect(),
-            Kernel::Truthy(operand) => sel
-                .iter()
-                .map(|&r| value_truth(operand.get(batch, r as usize, outer)))
-                .collect(),
-        }
-    }
-}
-
-impl Kernel {
-    /// Scalar evaluation of one lane — the allocation-free form of
-    /// [`Kernel::eval_lanes`] the fused filter loop runs per surviving
-    /// lane.
+    /// Evaluate one lane. `And`/`Or` fold without short-circuit —
+    /// semantically identical because `FALSE AND x = FALSE` and
+    /// `TRUE OR x = TRUE` for every 3-valued `x`, and kernels are
+    /// infallible and effect-free.
     pub fn eval_lane(&self, batch: &Batch, row: usize, outer: &[Tuple]) -> Truth {
         match self {
             Kernel::And(l, r) => l
@@ -186,8 +139,8 @@ impl Kernel {
     }
 
     /// The `column ⟨cmp⟩ constant` shape, with the constant resolved
-    /// against the current outer bindings — the hot case the batch
-    /// driver runs as a tight loop over the column slice with no
+    /// against the current outer bindings — the hot case the chunk
+    /// loop runs as a tight loop over the column slice with no
     /// per-lane operand dispatch.
     pub fn col_cmp<'a>(&'a self, outer: &'a [Tuple]) -> Option<(BinOp, usize, &'a Value)> {
         let Kernel::Cmp { op, left, right } = self else {
@@ -443,7 +396,8 @@ fn plan_expr_infallible(e: &PhysExpr, arity: usize, outer_arity: usize) -> bool 
 /// One disjunct (or conjunct) of a compiled chain.
 #[derive(Debug)]
 pub struct ChainTerm {
-    /// The original expression — the row path evaluates this verbatim.
+    /// The original expression — what `eval_truth` runs when the term
+    /// has no kernel, or no kernel may run.
     pub expr: PhysExpr,
     /// Column kernel when the whole term is kernel-compilable.
     pub kernel: Option<Kernel>,
@@ -466,8 +420,8 @@ pub struct CompiledChain {
     /// reordering can actually happen)?
     pub adaptive: bool,
     /// Columns read by the top-level kernels — the only columns the
-    /// batch driver needs to transpose (nested chains evaluate their
-    /// kernel-bearing terms through the row path). Sorted, deduped.
+    /// chunk loop needs transposed (nested chains evaluate their
+    /// kernel-bearing terms through `eval_truth`). Sorted, deduped.
     pub cols: Vec<usize>,
 }
 
@@ -600,9 +554,10 @@ fn nested_adaptive(t: &ChainTerm) -> bool {
     t.nested.as_ref().is_some_and(|c| c.adaptive)
 }
 
-/// Compile a filter predicate into a chain, or `None` when the legacy
-/// row path should handle it (single non-kernel term).
-pub fn compile_chain(predicate: &PhysExpr, arity: usize) -> Option<CompiledChain> {
+/// Compile a filter predicate into a chain: one term per top-level
+/// disjunct (or conjunct); a predicate that is neither an OR nor an AND
+/// is a one-term disjunction.
+pub fn compile_chain(predicate: &PhysExpr, arity: usize) -> CompiledChain {
     let (is_or, parts) = match predicate {
         PhysExpr::Binary { op, .. } if matches!(op, BinOp::And | BinOp::Or) => {
             let mut parts = Vec::new();
@@ -611,38 +566,21 @@ pub fn compile_chain(predicate: &PhysExpr, arity: usize) -> Option<CompiledChain
         }
         _ => (true, vec![predicate]),
     };
-    if parts.len() == 1 {
-        // A single term is worth chaining only when it vectorizes.
-        let kernel = compile_kernel(parts[0], arity)?;
-        let terms = vec![ChainTerm {
-            expr: predicate.clone(),
-            kernel: Some(kernel),
-            nested: None,
-            movable: true,
-            cost: COST_KERNEL,
-        }];
-        let cols = chain_cols(&terms);
-        return Some(CompiledChain {
-            is_or,
-            terms,
-            adaptive: false,
-            cols,
-        });
-    }
     let terms: Vec<ChainTerm> = parts.iter().map(|p| compile_term(p, arity)).collect();
     let adaptive = has_movable_run(&terms) || terms.iter().any(nested_adaptive);
     let cols = chain_cols(&terms);
-    Some(CompiledChain {
+    CompiledChain {
         is_or,
         terms,
         adaptive,
         cols,
-    })
+    }
 }
 
 /// Do all outer references of the chain's terms resolve against the
-/// current binding stack? When not, the caller falls back to the
-/// legacy row path for this call — semantics are unchanged either way.
+/// current binding stack? Kernels read them unchecked, so a call under
+/// a stack that does not bind them runs without kernels and in
+/// syntactic order, and fails in `eval_truth` if a row reaches one.
 pub fn chain_bindable(chain: &CompiledChain, outer: &[Tuple]) -> bool {
     chain.terms.iter().all(|t| match &t.nested {
         Some(sub) => chain_bindable(sub, outer),
@@ -668,8 +606,8 @@ fn term_outer_ok(e: &PhysExpr, outer: &[Tuple]) -> bool {
             term_outer_ok(expr, outer) && list.iter().all(|e| term_outer_ok(e, outer))
         }
         // In-plan depth-1 references bind to the pushed row (statically
-        // checked at compile time); deeper ones made the term immovable
-        // and immovable terms error exactly like the legacy path.
+        // checked at compile time); deeper ones made the term immovable,
+        // and an immovable term raises its error at its syntactic place.
         PhysExpr::Subquery { .. } | PhysExpr::Exists { .. } => true,
         PhysExpr::InSubquery { expr, .. } | PhysExpr::QuantifiedCmp { expr, .. } => {
             term_outer_ok(expr, outer)
@@ -828,9 +766,10 @@ mod tests {
         let mut rows = int_rows(&[&[2, 2], &[0, 2], &[2, 3]]);
         rows.push(Tuple::new(vec![Value::Null, Value::Int(2)]));
         rows.push(Tuple::new(vec![Value::Int(2), Value::Null]));
-        let batch = Batch::from_rows(&rows);
-        let sel = batch.full_selection();
-        let lanes = k.eval_lanes(&batch, &sel, &[]);
+        let batch = Batch::from_rows_cols(&rows, &[0, 1]);
+        let lanes: Vec<Truth> = (0..rows.len())
+            .map(|lane| k.eval_lane(&batch, lane, &[]))
+            .collect();
         assert_eq!(
             lanes,
             vec![
@@ -855,7 +794,7 @@ mod tests {
         // a = 0 OR 10 / a > 2 — the division must never be hoisted.
         let guard = bin(BinOp::Eq, col(0), lit(0));
         let div = bin(BinOp::Gt, bin(BinOp::Div, lit(10), col(0)), lit(2));
-        let chain = compile_chain(&bin(BinOp::Or, guard, div), 1).expect("chainable");
+        let chain = compile_chain(&bin(BinOp::Or, guard, div), 1);
         assert!(chain.is_or);
         assert_eq!(chain.terms.len(), 2);
         assert!(chain.terms[0].movable);
@@ -884,7 +823,7 @@ mod tests {
             ),
             bin(BinOp::Gt, col(2), lit(0)),
         );
-        let chain = compile_chain(&e, 3).expect("chainable");
+        let chain = compile_chain(&e, 3);
         assert_eq!(chain.terms.len(), 3, "nested ORs flatten");
         assert!(chain.adaptive);
         let mut stats = ChainStats::zeroed(&chain);
@@ -903,7 +842,7 @@ mod tests {
             bin(BinOp::Eq, col(0), expensive),
             bin(BinOp::Gt, col(1), lit(0)),
         );
-        let chain = compile_chain(&mixed, 2).expect("chainable");
+        let chain = compile_chain(&mixed, 2);
         assert!(chain.terms[0].movable, "infallible COUNT subquery moves");
         let mut stats = ChainStats::zeroed(&chain);
         stats.reach = vec![100, 100];
@@ -922,7 +861,7 @@ mod tests {
             bin(BinOp::Gt, col(0), lit(0)),
             bin(BinOp::Gt, col(1), lit(0)),
         );
-        let chain = compile_chain(&e, 2).expect("chainable");
+        let chain = compile_chain(&e, 2);
         let stats = ChainStats::zeroed(&chain);
         assert_eq!(ranked_order(&chain, &stats).order, vec![0, 1]);
     }
@@ -986,9 +925,9 @@ mod tests {
         let count = bin(BinOp::Eq, col(0), sub(AggFunc::Count));
         let sum = bin(BinOp::Eq, col(0), sub(AggFunc::Sum));
         let cheap = bin(BinOp::Gt, col(1), lit(0));
-        let c = compile_chain(&bin(BinOp::Or, count, cheap.clone()), 2).unwrap();
+        let c = compile_chain(&bin(BinOp::Or, count, cheap.clone()), 2);
         assert!(c.terms[0].movable && c.adaptive);
-        let c = compile_chain(&bin(BinOp::Or, sum, cheap), 2).unwrap();
+        let c = compile_chain(&bin(BinOp::Or, sum, cheap), 2);
         assert!(!c.terms[0].movable, "SUM can overflow ⇒ barrier");
         assert!(!c.adaptive);
     }
@@ -1000,7 +939,7 @@ mod tests {
             bin(BinOp::Eq, col(0), PhysExpr::Outer { depth: 1, index: 1 }),
             bin(BinOp::Gt, col(0), lit(0)),
         );
-        let chain = compile_chain(&e, 1).expect("chainable");
+        let chain = compile_chain(&e, 1);
         assert!(!chain_bindable(&chain, &[]));
         assert!(!chain_bindable(&chain, &[Tuple::new(vec![Value::Int(1)])]));
         let wide = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
@@ -1008,14 +947,13 @@ mod tests {
     }
 
     #[test]
-    fn single_kernel_predicate_compiles_without_adaptivity() {
-        let chain = compile_chain(&bin(BinOp::Gt, col(0), lit(5)), 1).expect("chainable");
+    fn single_term_predicates_compile_to_one_term_chains() {
+        let chain = compile_chain(&bin(BinOp::Gt, col(0), lit(5)), 1);
         assert_eq!(chain.terms.len(), 1);
-        assert!(!chain.adaptive);
-        let none = compile_chain(&bin(BinOp::Gt, bin(BinOp::Div, lit(1), col(0)), lit(5)), 1);
-        assert!(
-            none.is_none(),
-            "single non-kernel term stays on the row path"
-        );
+        assert!(chain.terms[0].kernel.is_some() && !chain.adaptive);
+        let div = compile_chain(&bin(BinOp::Gt, bin(BinOp::Div, lit(1), col(0)), lit(5)), 1);
+        assert_eq!(div.terms.len(), 1);
+        assert!(div.terms[0].kernel.is_none() && div.terms[0].nested.is_none());
+        assert!(!div.terms[0].movable && !div.adaptive && div.cols.is_empty());
     }
 }

@@ -1,0 +1,384 @@
+//! The governor through the executor's public API: run-invariant
+//! counters, typed budget / cancellation errors, and — the contract of
+//! DESIGN.md §5f — faults and budget trips landing on the checkpoint
+//! and byte count the per-row sequence defines, at every chunk length
+//! and worker count.
+
+use std::sync::Arc;
+
+use bypass_algebra::{AggFunc, BinOp};
+use bypass_exec::{
+    evaluate_with, AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr,
+    PhysKind, PhysNode,
+};
+use bypass_types::{
+    tuple_bytes, CancelToken, DataType, Error, FaultKind, Field, InjectedFault, Relation,
+    ResourceKind, Schema, Tuple, Value, SHARED_ROW_BYTES,
+};
+
+fn int_rel(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Arc<PhysNode> {
+    let schema = Schema::new(
+        cols.iter()
+            .map(|c| Field::qualified(name, *c, DataType::Int))
+            .collect(),
+    );
+    let rel = Relation::new(
+        schema.clone(),
+        rows.iter()
+            .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+            .collect(),
+    );
+    PhysNode::new(
+        PhysKind::Scan {
+            data: Arc::new(rel),
+        },
+        schema,
+    )
+}
+
+fn cmp(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
+    PhysExpr::Binary {
+        op,
+        left: Box::new(l),
+        right: Box::new(r),
+    }
+}
+
+fn int(v: i64) -> PhysExpr {
+    PhysExpr::Literal(Value::Int(v))
+}
+
+fn counters(plan: &Arc<PhysNode>, options: ExecOptions) -> ExecCounters {
+    let mut ctx = ExecContext::new(options);
+    ctx.eval_plan(plan).unwrap();
+    ctx.counters()
+}
+
+/// A small plan with joins, aggregation and filtering:
+/// σ(y>0)(a ⋈ b) grouped by x.
+fn governed_plan() -> Arc<PhysNode> {
+    let rows: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 7, i]).collect();
+    let a = int_rel("a", &["x", "y"], &rows);
+    let b = int_rel("b", &["z"], &[vec![0], vec![1], vec![2], vec![3]]);
+    let schema3 = Schema::new(vec![
+        Field::new("x", DataType::Int),
+        Field::new("y", DataType::Int),
+        Field::new("z", DataType::Int),
+    ]);
+    let on = JoinOn::Loop(Some(cmp(
+        BinOp::Eq,
+        PhysExpr::Column(0),
+        PhysExpr::Column(2),
+    )));
+    let joined = PhysNode::new(
+        PhysKind::Join {
+            left: a,
+            spec: JoinSpec {
+                right: b,
+                on,
+                defaults: None,
+            },
+            chain: None,
+        },
+        schema3.clone(),
+    );
+    let filter = PhysNode::new(
+        PhysKind::Filter {
+            input: joined,
+            predicate: cmp(BinOp::Gt, PhysExpr::Column(1), int(0)),
+        },
+        schema3,
+    );
+    PhysNode::new(
+        PhysKind::HashAggregate {
+            input: filter,
+            keys: vec![PhysExpr::Column(0)],
+            aggs: vec![AggSpec {
+                func: AggFunc::Count,
+                distinct: true,
+                arg: Some(PhysExpr::Column(1)),
+            }],
+        },
+        Schema::new(vec![
+            Field::new("x", DataType::Int),
+            Field::new("n", DataType::Int),
+        ]),
+    )
+}
+
+#[test]
+fn governor_counters_are_deterministic() {
+    let plan = governed_plan();
+    let first = counters(&plan, ExecOptions::default());
+    assert!(first.checkpoints > 0);
+    assert!(first.peak_memory_bytes > 0);
+    for _ in 0..2 {
+        assert_eq!(
+            counters(&plan, ExecOptions::default()),
+            first,
+            "governor counters must be run-invariant"
+        );
+    }
+    // Metrics collection must not move the governor: checkpoint
+    // indices have to be identical so fault injection replays under
+    // EXPLAIN ANALYZE too.
+    let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
+    ctx.eval_plan(&plan).unwrap();
+    assert_eq!(ctx.counters(), first);
+}
+
+#[test]
+fn memory_budget_trips_with_typed_error() {
+    let plan = governed_plan();
+    // Measure the peak, then set the budget just below it.
+    let peak = counters(&plan, ExecOptions::default()).peak_memory_bytes;
+    let err = evaluate_with(
+        &plan,
+        ExecOptions {
+            max_memory_bytes: Some(peak - 1),
+            ..Default::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::ResourceExhausted {
+                resource: ResourceKind::Memory,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    // At or above the peak, the run succeeds.
+    evaluate_with(
+        &plan,
+        ExecOptions {
+            max_memory_bytes: Some(peak),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+}
+
+#[test]
+fn cancel_token_stops_evaluation() {
+    let plan = governed_plan();
+    let token = CancelToken::new();
+    let opts = ExecOptions {
+        cancel: Some(token.clone()),
+        ..Default::default()
+    };
+    // Not cancelled: runs fine.
+    evaluate_with(&plan, opts.clone()).unwrap();
+    // Pre-cancelled: fails at the first checkpoint with the typed
+    // error, and resetting the token makes the same options work.
+    token.cancel();
+    let mut ctx = ExecContext::new(opts.clone());
+    assert_eq!(ctx.eval_plan(&plan).unwrap_err(), Error::Cancelled);
+    assert_eq!(ctx.counters().checkpoints, 1);
+    token.reset();
+    evaluate_with(&plan, opts).unwrap();
+}
+
+/// Scan → σ → Π → σ± → ∪̇ of both streams over 40 rows `(x, y, s)`, `s`
+/// a text of varying length so Π's charges differ per row. σ mixes a
+/// kernel term with one the interpreter must evaluate, so its chunks
+/// interleave settled runs and open rows. Returns the plan and its
+/// checkpoint sequence under the per-row definition: entry `k - 1` is
+/// the bytes in use when checkpoint `k` is passed.
+fn chunked_plan() -> (Arc<PhysNode>, Vec<u64>) {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Int),
+        Field::new("y", DataType::Int),
+        Field::new("s", DataType::Text),
+    ]);
+    let rows: Vec<Tuple> = (0..40i64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Int(i % 5),
+                Value::Int(i),
+                Value::text("ab".repeat(i as usize % 4)),
+            ])
+        })
+        .collect();
+    let scan = PhysNode::new(
+        PhysKind::Scan {
+            data: Arc::new(Relation::new(schema.clone(), rows.clone())),
+        },
+        schema.clone(),
+    );
+    // σ: x > 2 OR y + 0 < 12
+    let filter = PhysNode::new(
+        PhysKind::Filter {
+            input: scan,
+            predicate: cmp(
+                BinOp::Or,
+                cmp(BinOp::Gt, PhysExpr::Column(0), int(2)),
+                cmp(
+                    BinOp::Lt,
+                    cmp(BinOp::Add, PhysExpr::Column(1), int(0)),
+                    int(12),
+                ),
+            ),
+        },
+        schema.clone(),
+    );
+    let kept = |t: &&Tuple| t[0] > Value::Int(2) || t[1] < Value::Int(12);
+    let projected = schema.project(&[2, 1]);
+    let project = PhysNode::new(
+        PhysKind::Project {
+            input: filter,
+            exprs: vec![PhysExpr::Column(2), PhysExpr::Column(1)],
+        },
+        projected.clone(),
+    );
+    // σ±: y >= 20
+    let bypass = PhysNode::new(
+        PhysKind::BypassFilter {
+            input: project,
+            predicate: cmp(BinOp::GtEq, PhysExpr::Column(1), int(20)),
+        },
+        projected.clone(),
+    );
+    let tap = |positive| {
+        PhysNode::new(
+            PhysKind::Stream {
+                source: bypass.clone(),
+                positive,
+            },
+            projected.clone(),
+        )
+    };
+    let plan = PhysNode::new(
+        PhysKind::UnionAll {
+            left: tap(true),
+            right: tap(false),
+        },
+        projected,
+    );
+
+    let mut used = 0u64;
+    let mut sequence = Vec::new();
+    let mut pass = |charge: Option<u64>| {
+        used += charge.unwrap_or(0);
+        sequence.push(used);
+    };
+    // σ: tick, then charge the row if kept.
+    for t in &rows {
+        pass(None);
+        if kept(&t) {
+            pass(Some(SHARED_ROW_BYTES));
+        }
+    }
+    // Π: tick, charge the fresh row.
+    let survivors: Vec<Tuple> = rows
+        .iter()
+        .filter(kept)
+        .map(|t| t.project(&[2, 1]))
+        .collect();
+    for p in &survivors {
+        pass(None);
+        pass(Some(tuple_bytes(p)));
+    }
+    // σ±: tick, charge, route.
+    for _ in &survivors {
+        pass(None);
+        pass(Some(SHARED_ROW_BYTES));
+    }
+    // ∪̇: one charge for both streams.
+    pass(Some(survivors.len() as u64 * SHARED_ROW_BYTES));
+    (plan, sequence)
+}
+
+/// Chunk lengths × worker counts (2-row morsels, so 40 rows fan out).
+fn mechanisms() -> Vec<ExecOptions> {
+    let mut out = Vec::new();
+    for batch_rows in [1, 3, 256] {
+        for (threads, morsel_rows) in [(1, 4096), (8, 2)] {
+            out.push(ExecOptions {
+                batch_rows,
+                threads,
+                morsel_rows,
+                ..Default::default()
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn counters_follow_the_per_row_sequence_at_every_chunk_length() {
+    let (plan, sequence) = chunked_plan();
+    for options in mechanisms() {
+        let c = counters(&plan, options.clone());
+        assert_eq!(c.checkpoints, sequence.len() as u64, "{options:?}");
+        assert_eq!(
+            c.peak_memory_bytes,
+            *sequence.last().unwrap(),
+            "{options:?}"
+        );
+    }
+}
+
+#[test]
+fn injected_faults_fire_at_exact_checkpoints() {
+    let (plan, sequence) = chunked_plan();
+    for (k, &used) in (1u64..).zip(&sequence) {
+        for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
+            let expected = match kind {
+                FaultKind::Memory => Error::resource_exhausted(ResourceKind::Memory, used, used),
+                FaultKind::Deadline => Error::resource_exhausted(ResourceKind::Time, 0, 0),
+                FaultKind::Cancel => Error::Cancelled,
+            };
+            for options in mechanisms() {
+                let mut ctx = ExecContext::new(ExecOptions {
+                    fault: Some(InjectedFault::new(k, kind)),
+                    ..options.clone()
+                });
+                let err = ctx.eval_plan(&plan).unwrap_err();
+                assert_eq!(err, expected, "checkpoint {k} {kind:?} under {options:?}");
+                assert_eq!(ctx.counters().checkpoints, k, "{kind:?} under {options:?}");
+            }
+        }
+    }
+    // One past the final checkpoint: the fault never fires.
+    for options in mechanisms() {
+        evaluate_with(
+            &plan,
+            ExecOptions {
+                fault: Some(InjectedFault::new(
+                    sequence.len() as u64 + 1,
+                    FaultKind::Cancel,
+                )),
+                ..options
+            },
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn memory_budget_trips_at_the_exact_charge_inside_a_chunk() {
+    let (plan, sequence) = chunked_plan();
+    let mut before = 0;
+    for &used in &sequence {
+        // A budget one byte short of what a charge needs trips at that
+        // charge, wherever in a chunk or morsel it falls.
+        if used > before {
+            let expected = Error::resource_exhausted(ResourceKind::Memory, used - 1, used);
+            for options in mechanisms() {
+                let err = evaluate_with(
+                    &plan,
+                    ExecOptions {
+                        max_memory_bytes: Some(used - 1),
+                        ..options.clone()
+                    },
+                )
+                .unwrap_err();
+                assert_eq!(err, expected, "under {options:?}");
+            }
+        }
+        before = used;
+    }
+}

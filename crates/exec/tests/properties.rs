@@ -10,7 +10,10 @@
 //! * the outerjoin-with-defaults has exactly the left cardinality when
 //!   the right side has unique keys,
 //! * a stage chain fused into a join's emit step returns exactly the
-//!   rows of the same operators run one after another.
+//!   rows of the same operators run one after another,
+//! * the chunked σ/σ±/column-Π loops produce the row sequences, the
+//!   checkpoint count and the peak bytes of evaluating the predicate
+//!   row by row.
 //!
 //! Runs on the in-tree `bypass-check` harness; failures print a
 //! `BYPASS_CHECK_SEED=…` line that replays the minimized input.
@@ -20,9 +23,12 @@ use std::sync::Arc;
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_check::{forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen};
 use bypass_exec::{
-    evaluate, AggSpec, Chain, JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, Stage,
+    evaluate, AggSpec, Chain, ExecContext, ExecOptions, JoinOn, JoinSpec, PhysExpr, PhysKind,
+    PhysNode, Stage,
 };
-use bypass_types::{DataType, Field, Relation, Schema, Tuple, Value};
+use bypass_types::{
+    tuple_bytes, DataType, Field, Relation, Schema, Tuple, Value, SHARED_ROW_BYTES,
+};
 
 const CASES: u32 = 64;
 
@@ -381,4 +387,178 @@ fn fused_stage_chain_equals_standalone_operators() {
             assert_eq!(fused.rows(), evaluate(&project).unwrap().rows());
         },
     );
+}
+
+/// `SELECT COUNT(*) FROM s WHERE s.k = <column 1 of the outer row>` over
+/// a 3-row `s`: a correlated scalar subquery whose every invocation
+/// ticks and charges inside the nested plan.
+fn count_matching_subquery() -> PhysExpr {
+    let k = |v| vec![Some(v)];
+    let s = rel2("s", &[k(0), k(1), k(1)].concat(), &[None, None, None]);
+    let matching = PhysNode::new(
+        PhysKind::Filter {
+            predicate: cmp(BinOp::Eq, col(0), PhysExpr::Outer { depth: 1, index: 1 }),
+            input: s.clone(),
+        },
+        s.schema.clone(),
+    );
+    let count = PhysNode::new(
+        PhysKind::HashAggregate {
+            input: matching,
+            keys: vec![],
+            aggs: vec![AggSpec {
+                func: AggFunc::Count,
+                distinct: false,
+                arg: None,
+            }],
+        },
+        Schema::new(vec![Field::new("n", DataType::Int)]),
+    );
+    PhysExpr::Subquery {
+        plan: count,
+        correlated: true,
+        outer_keys: vec![1],
+    }
+}
+
+/// What one operator over a scan must report, derived row by row: both
+/// output streams, the checkpoints passed and the peak bytes.
+#[derive(Debug, PartialEq)]
+struct Expected {
+    pos: Vec<Tuple>,
+    neg: Vec<Tuple>,
+    checkpoints: u64,
+    peak: u64,
+}
+
+/// σ (`bypass == false`) or σ± by definition: per row a tick, σ±'s
+/// charge, the predicate through `eval_truth` — on a fresh context, so
+/// the nested plan's checkpoints and transient peak of this row alone
+/// are known — then σ's charge if the row is kept.
+fn filter_by_definition(rows: &[Tuple], predicate: &PhysExpr, bypass: bool) -> Expected {
+    let mut e = Expected {
+        pos: vec![],
+        neg: vec![],
+        checkpoints: 0,
+        peak: 0,
+    };
+    let mut used = 0;
+    for t in rows {
+        e.checkpoints += 1;
+        if bypass {
+            used += SHARED_ROW_BYTES;
+            e.checkpoints += 1;
+        }
+        let mut ctx = ExecContext::new(ExecOptions::default());
+        let keep = ctx.eval_truth(predicate, t).unwrap().is_true();
+        e.checkpoints += ctx.counters().checkpoints;
+        e.peak = e.peak.max(used + ctx.counters().peak_memory_bytes);
+        if keep {
+            if !bypass {
+                used += SHARED_ROW_BYTES;
+                e.checkpoints += 1;
+            }
+            e.pos.push(t.clone());
+        } else if bypass {
+            e.neg.push(t.clone());
+        }
+        e.peak = e.peak.max(used);
+    }
+    e
+}
+
+/// Evaluate `plan` under `options` and report it like [`Expected`].
+fn observed(plan: &Arc<PhysNode>, options: &ExecOptions) -> (Vec<Tuple>, u64, u64) {
+    let mut ctx = ExecContext::new(options.clone());
+    let rows = ctx.eval_plan(plan).unwrap().rows().to_vec();
+    let c = ctx.counters();
+    (rows, c.checkpoints, c.peak_memory_bytes)
+}
+
+#[test]
+fn chunked_operators_match_row_by_row_evaluation() {
+    let plus = |e, v| cmp(BinOp::Add, e, PhysExpr::Literal(Value::Int(v)));
+    let gt = |e, v| cmp(BinOp::Gt, e, PhysExpr::Literal(Value::Int(v)));
+    let predicates = [
+        // kernels only
+        cmp(BinOp::Or, gt(col(0), 4), cmp(BinOp::Eq, col(1), col(0))),
+        // kernel + interpreter terms
+        cmp(BinOp::Or, gt(col(0), 5), gt(plus(col(1), 1), 5)),
+        cmp(
+            BinOp::And,
+            gt(col(0), 1),
+            cmp(BinOp::Eq, col(0), count_matching_subquery()),
+        ),
+        // a single interpreter term
+        gt(plus(col(0), 1), 5),
+        cmp(BinOp::Eq, col(0), count_matching_subquery()),
+    ];
+    let chunkings = [1, 256].map(|batch_rows| ExecOptions {
+        batch_rows,
+        ..Default::default()
+    });
+    for len in [0, 1, 255, 256, 257, 513] {
+        // Two columns cycling with coprime periods, a NULL now and then.
+        let column = |period: usize, null_at: usize| -> Vec<Option<i64>> {
+            (0..len)
+                .map(|i| (i % 11 != null_at).then_some((i % period) as i64))
+                .collect()
+        };
+        let scan = rel2("r", &column(7, 3), &column(3, 5));
+        let rows = evaluate(&scan).unwrap().rows().to_vec();
+        for predicate in &predicates {
+            let filter = PhysNode::new(
+                PhysKind::Filter {
+                    input: scan.clone(),
+                    predicate: predicate.clone(),
+                },
+                scan.schema.clone(),
+            );
+            let bypass = PhysNode::new(
+                PhysKind::BypassFilter {
+                    input: scan.clone(),
+                    predicate: predicate.clone(),
+                },
+                scan.schema.clone(),
+            );
+            let sigma = filter_by_definition(&rows, predicate, false);
+            let split = filter_by_definition(&rows, predicate, true);
+            for options in &chunkings {
+                let at = format!(
+                    "{len} rows, {predicate:?}, chunks of {}",
+                    options.batch_rows
+                );
+                assert_eq!(
+                    observed(&filter, options),
+                    (sigma.pos.clone(), sigma.checkpoints, sigma.peak),
+                    "σ over {at}"
+                );
+                for (positive, stream_rows) in [(true, &split.pos), (false, &split.neg)] {
+                    assert_eq!(
+                        observed(&stream(&bypass, positive), options),
+                        (stream_rows.clone(), split.checkpoints, split.peak),
+                        "σ± over {at}"
+                    );
+                }
+            }
+        }
+        // Column-only Π: per row a tick and the charge of the fresh row.
+        let swap = PhysNode::new(
+            PhysKind::Project {
+                input: scan.clone(),
+                exprs: vec![col(1), col(1), col(0)],
+            },
+            scan.schema.project(&[1, 1, 0]),
+        );
+        let projected: Vec<Tuple> = rows.iter().map(|t| t.project(&[1, 1, 0])).collect();
+        let bytes: u64 = projected.iter().map(tuple_bytes).sum();
+        for options in &chunkings {
+            assert_eq!(
+                observed(&swap, options),
+                (projected.clone(), 2 * len as u64, bytes),
+                "Π over {len} rows, chunks of {}",
+                options.batch_rows
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! strategies on random queries; it cannot say which side is right,
 //! and it never exercises hand-picked traps. This crate closes that
 //! gap with a corpus of `.slt` files whose expected results are written
-//! down, executed across the full strategy × threads × batch grid:
+//! down, executed across the full strategy × threads grid:
 //!
 //! * [`parse`] — the `.slt` dialect (statement ok/error, typed query
 //!   records with rowsort/valuesort/nosort, FNV-1a result hashes,

@@ -1,11 +1,11 @@
 //! The matrix driver: executes a parsed [`SltFile`] against a fresh
 //! [`Database`], running every `query` record across the full
-//! strategy × thread-count × batch-size grid and diffing normalized
-//! results against the expected block.
+//! strategy × thread-count grid and diffing normalized results against
+//! the expected block.
 //!
 //! A conformance failure is reported with the record's line number,
-//! the exact grid point (`unnested / threads=8 / batch=64`) and a
-//! value-level diff, so a failing corpus file doubles as a minimized
+//! the exact grid point (`unnested / threads=8`) and a value-level
+//! diff, so a failing corpus file doubles as a minimized
 //! bug report.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,8 +19,6 @@ use crate::parse::{Expected, LoadKind, Record, RecordKind, SltFile};
 
 /// Thread counts every query record is executed under.
 pub const THREAD_AXIS: [usize; 2] = [1, 8];
-/// Batch sizes every query record is executed under (`0` = row-at-a-time).
-pub const BATCH_AXIS: [usize; 2] = [0, 64];
 
 /// Per-query wall-clock budget; a hang is reported as a failure, not a
 /// stuck test process.
@@ -106,36 +104,31 @@ fn run_record(db: &mut Database, record: &Record, report: &mut FileReport) -> Re
                     continue;
                 }
                 for threads in THREAD_AXIS {
-                    for batch in BATCH_AXIS {
-                        let grid = format!("{name} / threads={threads} / batch={batch}");
-                        let limits = RunLimits {
-                            timeout: Some(QUERY_TIMEOUT),
-                            threads: Some(threads),
-                            batch_rows: Some(batch),
-                            ..RunLimits::default()
-                        };
-                        report.executions += 1;
-                        let rel = match db.run_governed(sql, strategy, &limits) {
-                            Ok((rel, _counters)) => rel,
-                            Err(e) => return Err(format!("[{grid}] query failed: {e}")),
-                        };
-                        let got =
-                            normalize(&rel, types, *sort).map_err(|e| format!("[{grid}] {e}"))?;
-                        check_expected(expected, &got).map_err(|e| format!("[{grid}] {e}"))?;
-                        // Cross-check raw relations between grid points
-                        // through the oracle's comparator as well: the
-                        // normalizer could in principle mask a diff
-                        // (e.g. two floats formatting identically), and
-                        // this is the comparator the A/B oracle trusts.
-                        match &reference {
-                            None => reference = Some((rel, grid)),
-                            Some((ref_rel, ref_grid)) => {
-                                if let Some(diff) = bypass_check::results_agree(ref_rel, &rel, None)
-                                {
-                                    return Err(format!(
-                                        "[{grid}] disagrees with [{ref_grid}]: {diff}"
-                                    ));
-                                }
+                    let grid = format!("{name} / threads={threads}");
+                    let limits = RunLimits {
+                        timeout: Some(QUERY_TIMEOUT),
+                        threads: Some(threads),
+                        ..RunLimits::default()
+                    };
+                    report.executions += 1;
+                    let rel = match db.run_governed(sql, strategy, &limits) {
+                        Ok((rel, _counters)) => rel,
+                        Err(e) => return Err(format!("[{grid}] query failed: {e}")),
+                    };
+                    let got = normalize(&rel, types, *sort).map_err(|e| format!("[{grid}] {e}"))?;
+                    check_expected(expected, &got).map_err(|e| format!("[{grid}] {e}"))?;
+                    // Cross-check raw relations between grid points
+                    // through the oracle's comparator as well: the
+                    // normalizer could in principle mask a diff
+                    // (e.g. two floats formatting identically), and
+                    // this is the comparator the A/B oracle trusts.
+                    match &reference {
+                        None => reference = Some((rel, grid)),
+                        Some((ref_rel, ref_grid)) => {
+                            if let Some(diff) = bypass_check::results_agree(ref_rel, &rel, None) {
+                                return Err(format!(
+                                    "[{grid}] disagrees with [{ref_grid}]: {diff}"
+                                ));
                             }
                         }
                     }

@@ -1,40 +1,19 @@
-//! Columnar batches for the vectorized executor hot path.
+//! Columnar scratch for the σ/σ± chunk loop.
 //!
-//! A [`Batch`] is a batch-of-N columnar view of a run of rows: one
-//! `Vec<Value>` per column plus an explicit length (so zero-arity rows
-//! keep their count). Conversion to and from the engine's shared-row
-//! [`Tuple`]s is lossless — the vectorized σ/Π/σ± paths transpose a
-//! chunk of rows into a `Batch`, evaluate simple predicates as column
-//! kernels over a *selection vector* of surviving lane indices, and
-//! hand back ordinary row-oriented `Tuple`s at operator boundaries.
-//!
-//! The batch size is an execution-mechanism knob, not a semantics knob:
-//! `ExecOptions::batch_rows` (env [`BATCH_ENV`], `0` = legacy
-//! row-at-a-time path) must never change results, raised errors,
-//! counters or governor byte accounting. Batches themselves are scratch
-//! space and are deliberately *not* charged to the memory governor —
-//! the per-row checkpoint/charge sequence of the row path is replayed
-//! exactly by the vectorized path.
+//! A [`Batch`] is a columnar view of a run of rows: one `Vec<Value>`
+//! per transposed column plus an explicit length (so zero-arity rows
+//! keep their count). σ and σ± transpose the columns their predicate
+//! kernels read, evaluate those kernels over a *selection vector* of
+//! surviving lane indices, and hand on the ordinary row-oriented
+//! [`Tuple`]s. Batches are scratch space and are deliberately *not*
+//! charged to the memory governor.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Environment variable selecting the executor batch size
-/// (`0` = legacy row-at-a-time path). Unlike `BYPASS_THREADS`, zero is
-/// a legal value here: it selects a mechanism, not a resource count.
-pub const BATCH_ENV: &str = "BYPASS_BATCH";
-
-/// Default number of rows per columnar chunk.
+/// Default chunk length of the σ/σ±/column-Π loops
+/// (`ExecOptions::batch_rows`).
 pub const BATCH_ROWS: usize = 256;
-
-/// Resolve the batch size from [`BATCH_ENV`], falling back to
-/// `default`. `0` is legal and means "row-at-a-time".
-pub fn batch_rows_or(default: usize) -> usize {
-    std::env::var(BATCH_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
-}
 
 /// A columnar batch: `columns[c][r]` is column `c` of row `r`.
 ///
@@ -47,29 +26,11 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Transpose a run of row-oriented tuples into column vectors.
-    /// All rows must share the arity of the first.
-    pub fn from_rows(rows: &[Tuple]) -> Self {
-        let arity = rows.first().map_or(0, Tuple::arity);
-        let mut columns: Vec<Vec<Value>> =
-            (0..arity).map(|_| Vec::with_capacity(rows.len())).collect();
-        for row in rows {
-            let values = row.values();
-            debug_assert_eq!(values.len(), arity, "ragged batch");
-            for (col, v) in columns.iter_mut().zip(values) {
-                col.push(v.clone());
-            }
-        }
-        Batch {
-            columns,
-            len: rows.len(),
-        }
-    }
-
-    /// Transpose only the named columns (late materialization): columns
-    /// not listed in `cols` stay empty and must not be indexed. The
-    /// vectorized filter path transposes exactly the columns its
-    /// kernels read, so unreferenced columns cost nothing.
+    /// Transpose the named columns of a run of row-oriented tuples
+    /// (late materialization): columns not listed in `cols` stay empty
+    /// and must not be indexed. A filter transposes exactly the columns
+    /// its kernels read, so unreferenced columns cost nothing. All rows
+    /// must share the arity of the first.
     pub fn from_rows_cols(rows: &[Tuple], cols: &[usize]) -> Self {
         let Some(first) = rows.first() else {
             // No rows: no lanes can ever be selected, so no column
@@ -82,8 +43,7 @@ impl Batch {
         let arity = first.arity();
         let mut columns: Vec<Vec<Value>> = (0..arity).map(|_| Vec::new()).collect();
         for &c in cols {
-            // `cols` may repeat a column (Π can project the same source
-            // column more than once); fill each backing vector once.
+            // `cols` may repeat a column; fill each backing vector once.
             if !columns[c].is_empty() {
                 continue;
             }
@@ -98,14 +58,6 @@ impl Batch {
             columns,
             len: rows.len(),
         }
-    }
-
-    /// Transpose back into row-oriented tuples (lossless inverse of
-    /// [`Batch::from_rows`]).
-    pub fn to_rows(&self) -> Vec<Tuple> {
-        (0..self.len)
-            .map(|r| Tuple::new(self.columns.iter().map(|c| c[r].clone()).collect()))
-            .collect()
     }
 
     /// Number of rows in the batch.
@@ -127,27 +79,6 @@ impl Batch {
     pub fn column(&self, i: usize) -> &[Value] {
         &self.columns[i]
     }
-
-    /// The full selection vector `0..len` (every lane surviving).
-    pub fn full_selection(&self) -> Vec<u32> {
-        (0..self.len as u32).collect()
-    }
-
-    /// Materialize the rows named by a selection vector, in selection
-    /// order.
-    pub fn gather(&self, sel: &[u32]) -> Vec<Tuple> {
-        sel.iter()
-            .map(|&r| Tuple::new(self.columns.iter().map(|c| c[r as usize].clone()).collect()))
-            .collect()
-    }
-
-    /// Column-subset projection: build one output tuple per row from
-    /// the named columns, in column order (the vectorized Π path).
-    pub fn project_rows(&self, cols: &[usize]) -> Vec<Tuple> {
-        (0..self.len)
-            .map(|r| Tuple::new(cols.iter().map(|&c| self.columns[c][r].clone()).collect()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -159,33 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_lossless() {
-        let rows = vec![row(&[1, 2]), row(&[3, 4]), row(&[5, 6])];
-        let batch = Batch::from_rows(&rows);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.arity(), 2);
-        assert_eq!(
-            batch.column(1),
-            &[Value::Int(2), Value::Int(4), Value::Int(6)]
-        );
-        assert_eq!(batch.to_rows(), rows);
-    }
-
-    #[test]
     fn zero_arity_rows_keep_their_count() {
-        let rows = vec![Tuple::empty(), Tuple::empty()];
-        let batch = Batch::from_rows(&rows);
+        let batch = Batch::from_rows_cols(&[Tuple::empty(), Tuple::empty()], &[]);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.arity(), 0);
-        assert_eq!(batch.to_rows(), rows);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let batch = Batch::from_rows(&[]);
-        assert!(batch.is_empty());
-        assert_eq!(batch.to_rows(), Vec::<Tuple>::new());
-        assert!(batch.full_selection().is_empty());
     }
 
     #[test]
@@ -208,44 +116,10 @@ mod tests {
 
     #[test]
     fn selective_transpose_fills_repeated_columns_once() {
-        // Π may project the same source column several times
-        // (`SELECT b3 AS f1, b3 AS f2 ...`); repeats in `cols` must not
-        // re-append the column's values.
         let rows = vec![row(&[1, 2, 3]), row(&[4, 5, 6])];
         let batch = Batch::from_rows_cols(&rows, &[2, 2, 2, 1]);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.column(2), &[Value::Int(3), Value::Int(6)]);
         assert_eq!(batch.column(1), &[Value::Int(2), Value::Int(5)]);
-        assert_eq!(
-            batch.project_rows(&[2, 2, 2, 1]),
-            vec![row(&[3, 3, 3, 2]), row(&[6, 6, 6, 5])]
-        );
-    }
-
-    #[test]
-    fn gather_follows_selection_order() {
-        let rows = vec![row(&[0]), row(&[1]), row(&[2]), row(&[3])];
-        let batch = Batch::from_rows(&rows);
-        let picked = batch.gather(&[3, 1]);
-        assert_eq!(picked, vec![row(&[3]), row(&[1])]);
-    }
-
-    #[test]
-    fn project_rows_matches_tuple_project() {
-        let rows = vec![row(&[10, 20, 30]), row(&[40, 50, 60])];
-        let batch = Batch::from_rows(&rows);
-        let projected = batch.project_rows(&[2, 0]);
-        let expected: Vec<Tuple> = rows.iter().map(|t| t.project(&[2, 0])).collect();
-        assert_eq!(projected, expected);
-    }
-
-    #[test]
-    fn batch_env_parse_allows_zero() {
-        // `batch_rows_or` is exercised indirectly by the executor; here
-        // we only pin that the default passes through untouched when
-        // the env var is absent (tests must not mutate process env).
-        if std::env::var(BATCH_ENV).is_err() {
-            assert_eq!(batch_rows_or(7), 7);
-        }
     }
 }

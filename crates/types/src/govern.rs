@@ -126,26 +126,6 @@ impl InjectedFault {
     }
 }
 
-/// One governor effect recorded by a speculative morsel worker during
-/// parallel execution, replayed **in morsel order** on the master
-/// context so budgets, injected faults and checkpoint indices behave
-/// exactly as in a serial run.
-///
-/// Workers run their morsel against a forked governor that starts at
-/// zero bytes; the log is the worker's complete effect sequence.
-/// Consecutive ticks are run-length encoded (`Ticks(n)`) because
-/// per-row progress dominates the stream by orders of magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GovEvent {
-    /// `n` consecutive plain checkpoints (no byte movement).
-    Ticks(u64),
-    /// A materialization charge of this many bytes (itself one
-    /// checkpoint, exactly like a serial `charge`).
-    Charge(u64),
-    /// A release of operator-local scratch (not a checkpoint).
-    Release(u64),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,13 +30,13 @@ mod stats;
 mod tuple;
 mod value;
 
-pub use batch::{batch_rows_or, Batch, BATCH_ENV, BATCH_ROWS};
+pub use batch::{Batch, BATCH_ROWS};
 pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
 pub use fxhash::{hash_one, hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Prehashed};
 pub use govern::{
-    tuple_bytes, value_heap_bytes, CancelToken, FaultKind, GovEvent, InjectedFault,
-    ROW_OVERHEAD_BYTES, SHARED_ROW_BYTES, VALUE_BYTES,
+    tuple_bytes, value_heap_bytes, CancelToken, FaultKind, InjectedFault, ROW_OVERHEAD_BYTES,
+    SHARED_ROW_BYTES, VALUE_BYTES,
 };
 pub use relation::Relation;
 pub use rng::{split_mix64, Rng, SampleRange};

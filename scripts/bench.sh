@@ -24,13 +24,6 @@
 #                       Leave unset for timing runs: baselines are
 #                       recorded serial, and counters/phases snapshots
 #                       are worker-count independent by construction.
-#   BYPASS_BATCH        executor batch size (vectorized hot path,
-#                       DESIGN.md §8; 0 = legacy row-at-a-time path).
-#                       Leave unset for timing runs: baselines are
-#                       recorded at the default batch size, and all
-#                       counter snapshots (including the selectivity
-#                       disjunct counters) are batch-size independent
-#                       by construction.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,7 +41,7 @@ THRESHOLD="${BENCH_REGRESS_PCT:-25}"
 # unnest/optimize/execute — see benches/phases.rs).
 # `metrics` is timing-free: it asserts the always-on metrics registry
 # folds to a bit-identical deterministic snapshot across the worker ×
-# batch matrix and gates the count-derived series (benches/metrics.rs).
+# chunk-length matrix and gates the count-derived series (benches/metrics.rs).
 # `service` is timing-free: it drives single-threaded admission/retry/
 # degradation/drain scenarios and gates the exact service counter
 # snapshots (benches/service.rs).

@@ -12,31 +12,24 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The whole suite runs twice: once pinned serial on the legacy
-# row-at-a-time path and once with 8 intra-query workers on the
-# vectorized path, so every tier-1 test exercises both execution
-# mechanisms (DESIGN.md §7–8). Results, counters and oracle reports
-# must be identical either way — the worker-count- and batch-size-
+# The whole suite runs twice: once pinned serial and once with 8
+# intra-query workers, so every tier-1 test exercises the morsel
+# fan-out and its in-order merge (DESIGN.md §7). Results, counters and
+# oracle reports must be identical either way — the worker-count-
 # independence tests assert that explicitly; running the full matrix
 # under both settings catches anything they missed.
-echo "==> cargo test -q (BYPASS_THREADS=1 BYPASS_BATCH=0, serial row-at-a-time)"
-BYPASS_THREADS=1 BYPASS_BATCH=0 cargo test -q --workspace
+echo "==> cargo test -q (BYPASS_THREADS=1, serial)"
+BYPASS_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q (BYPASS_THREADS=8 BYPASS_BATCH=64, parallel vectorized)"
-BYPASS_THREADS=8 BYPASS_BATCH=64 cargo test -q --workspace
-
-# The remaining two corners of the threads x batch matrix, smoke-tested
-# on the regression corpus (every corpus query, all 7 strategies).
-echo "==> corpus smoke across the threads x batch matrix"
-BYPASS_THREADS=1 BYPASS_BATCH=64 cargo test -q --test corpus
-BYPASS_THREADS=8 BYPASS_BATCH=0 cargo test -q --test corpus
+echo "==> cargo test -q (BYPASS_THREADS=8, parallel)"
+BYPASS_THREADS=8 cargo test -q --workspace
 
 # The slt conformance corpus, standalone-runner flavor (the same files
 # also run inside `cargo test` via tests/slt.rs). Each query record
-# already crosses the full 7-strategy x threads{1,8} x batch{0,64}
-# grid internally; the two invocations here exercise the runner's own
-# file-level scheduling serial and at 8 workers, printing the per-file
-# pass table both times (DESIGN.md §10).
+# already crosses the full 7-strategy x threads{1,8} grid internally;
+# the two invocations here exercise the runner's own file-level
+# scheduling serial and at 8 workers, printing the per-file pass table
+# both times (DESIGN.md §10).
 echo "==> slt conformance corpus (serial file runner)"
 cargo run -q --release -p bypass-slt --bin slt_runner -- --workers 1 tests/slt
 
@@ -62,7 +55,7 @@ benchmark/run.sh --quick > /dev/null
 echo "==> widened differential oracle (pinned seed, full strategy matrix)"
 # 2000 grammar-generated queries (multi-level nesting, derived inner
 # tables, ORDER BY/LIMIT) x 7 strategies with coverage-guided
-# scheduling, each also run parallel-vs-serial, vectorized-vs-row and
+# scheduling, each also run parallel-vs-serial, at two chunk lengths and
 # fused-vs-unfused. Prints the per-fingerprint coverage table and fails
 # on any mismatch or any under-covered Eqv. 1-5 / structural shape. The
 # seed is pinned so CI failures replay exactly:

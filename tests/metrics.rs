@@ -53,17 +53,17 @@ fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
 }
 
 /// Satellite 3: the timing-free registry snapshot is bit-identical
-/// across the worker-count × batch-size matrix under the *full*
+/// across the worker-count × chunk-length matrix under the *full*
 /// seven-strategy matrix — counters fold by sum, gauges by max,
 /// histogram buckets elementwise, independent of thread schedule.
 #[test]
 fn deterministic_snapshot_is_execution_shape_independent() {
-    let expected = run_workload(1, 0).snapshot().deterministic();
-    for (threads, batch_rows) in [(1, 64), (8, 0), (8, 64)] {
+    let expected = run_workload(1, 1).snapshot().deterministic();
+    for (threads, batch_rows) in [(1, 64), (8, 1), (8, 64)] {
         let got = run_workload(threads, batch_rows).snapshot().deterministic();
         assert_eq!(
             got, expected,
-            "deterministic snapshot differs at threads={threads} batch={batch_rows}"
+            "deterministic snapshot differs at threads={threads} chunks of {batch_rows}"
         );
     }
     // The snapshot actually observed the workload: 3 queries × 7

@@ -23,14 +23,14 @@
 //!    determinism contract of the morsel executor (DESIGN.md §7):
 //!    in-order merge, per-worker governor record/replay, and
 //!    worker-count-independent metric totals.
-//! 4. **Batch-size independence of the vectorized executor** — the same
-//!    queries executed at batch sizes 0 (legacy row path), 1, 2 and 64,
-//!    serial and at 8 workers, must produce the identical row sequence,
-//!    `ExecCounters`, `QueryProfile` counters and (timing-stripped)
-//!    EXPLAIN ANALYZE report. This is the determinism contract of the
-//!    vectorized hot path (DESIGN.md §8): `batch_rows` selects a
-//!    mechanism, never semantics, and the adaptive disjunct ordering is
-//!    identical in both modes.
+//! 4. **Chunk-length independence of the σ/σ±/Π loops** — the same
+//!    queries executed at chunk lengths 1, 2 and 64, serial and at 8
+//!    workers, must produce the identical row sequence, `ExecCounters`,
+//!    `QueryProfile` counters and (timing-stripped) EXPLAIN ANALYZE
+//!    report. This is the determinism contract of DESIGN.md §8:
+//!    `batch_rows` sizes the chunks a loop works on, never what it
+//!    computes, which disjunct order it adopts or where its governor
+//!    checkpoints fall.
 
 use bypass::datagen::rst;
 use bypass::{Database, RunLimits};
@@ -343,12 +343,12 @@ fn explain_analyze_snapshots_are_worker_count_independent() {
 }
 
 // ---------------------------------------------------------------------------
-// Angle 4: batch-size independence of the vectorized executor.
+// Angle 4: chunk-length independence of the σ/σ±/Π loops.
 // ---------------------------------------------------------------------------
 
-/// `RunLimits` that pin the batch size alongside the worker count
-/// (morsel fan-out stays forced so the batch × thread interaction is
-/// exercised, not just serial batching).
+/// `RunLimits` that pin the chunk length alongside the worker count
+/// (morsel fan-out stays forced so the chunk × thread interaction is
+/// exercised, not just serial chunking).
 fn batch_limits(batch: usize, threads: usize) -> RunLimits {
     RunLimits {
         threads: Some(threads),
@@ -359,17 +359,16 @@ fn batch_limits(batch: usize, threads: usize) -> RunLimits {
 }
 
 /// The exact row sequence and the full `ExecCounters` snapshot are
-/// independent of the batch size, for every strategy, serial and
-/// parallel: the vectorized path replays the row path's governor
-/// checkpoint/charge sequence exactly, and kernels are scratch
-/// evaluation the counters never see.
+/// independent of the chunk length, for every strategy, serial and
+/// parallel: a chunk passes the checkpoints its rows define one by
+/// one, and kernels are scratch evaluation the counters never see.
 #[test]
 fn executor_rows_and_counters_are_batch_size_independent() {
     let cases = cases();
     for strategy in Strategy::all() {
         for (db, sql) in &cases {
             let (ref_rows, ref_counters) =
-                db.run_governed(sql, strategy, &batch_limits(0, 1)).unwrap();
+                db.run_governed(sql, strategy, &batch_limits(1, 1)).unwrap();
             for batch in [1, 2, 64] {
                 for threads in [1, 8] {
                     let (rows, counters) = db
@@ -402,7 +401,7 @@ fn query_profiles_are_batch_size_independent() {
     for strategy in Strategy::all() {
         for (db, sql) in &cases {
             let reference = db
-                .profile_governed(sql, strategy, &batch_limits(0, 1))
+                .profile_governed(sql, strategy, &batch_limits(1, 1))
                 .unwrap();
             for batch in [1, 2, 64] {
                 for threads in [1, 8] {
@@ -418,15 +417,15 @@ fn query_profiles_are_batch_size_independent() {
 }
 
 /// The rendered EXPLAIN ANALYZE report — including the `disjuncts=[...]`
-/// selectivity block of adaptive chains — is identical at batch sizes
-/// 0, 1, 2 and 64 once timing tokens are stripped.
+/// selectivity block of adaptive chains — is identical at chunk
+/// lengths 1, 2 and 64 once timing tokens are stripped.
 #[test]
 fn explain_analyze_snapshots_are_batch_size_independent() {
     let cases = cases();
     for strategy in Strategy::all() {
         for (db, sql) in &cases {
             let reference = strip_timings(
-                &db.profile_governed(sql, strategy, &batch_limits(0, 1))
+                &db.profile_governed(sql, strategy, &batch_limits(1, 1))
                     .unwrap()
                     .render(),
             );
