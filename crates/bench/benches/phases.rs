@@ -26,8 +26,8 @@ const SF: (f64, f64) = (0.05, 0.05);
 const SEED: u64 = 42;
 
 /// The five pipeline phases, in span order. `sql.parse` is emitted by
-/// the SQL crate around `parse_statement`; the rest by
-/// `Database::profile_query`.
+/// the SQL crate around `parse_statement`; the rest by `core`'s one
+/// compile → run pipeline (DESIGN.md §5d).
 const PHASES: [(&str, &str); 5] = [
     ("sql.parse", "parse"),
     ("translate", "translate"),

@@ -2,7 +2,7 @@
 //! tiny RST instance. Optional trailing args override table contents:
 //! `r=NULL,1,0,5;4,0,1,5` (semicolon-separated rows, NULL allowed).
 //!
-//! Used to minimize the oracle findings committed under `tests/corpus/`:
+//! Used to minimize the oracle findings committed under `tests/slt/corpus/`:
 //!
 //! ```text
 //! cargo run -q --release -p bypass-core --example probe -- \

@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -8,7 +9,7 @@ use bypass_exec::{
     physical_plan, ExecContext, ExecCounters, ExecOptions, NodeMetrics, PhysExpr, PhysKind,
     PhysNode,
 };
-use bypass_metrics::{ExecObservation, MetricsHub, OpCardinality};
+use bypass_metrics::{ExecObservation, MetricsHub};
 use bypass_sql::{parse_statement, Expr, SelectStmt, Statement};
 use bypass_translate::{translate_query, Translator};
 use bypass_types::{
@@ -35,71 +36,164 @@ impl bypass_unnest::cost::StatsSource for CatalogStats<'_> {
 }
 
 /// A query compiled once and executable many times: parsing,
-/// translation, strategy rewrites and physical planning are all done;
-/// [`Prepared::execute`] only evaluates. The plan holds `Arc`s to the
-/// table storage it was planned against, so it stays valid (with that
-/// snapshot of the data) even if the database later changes.
+/// translation, strategy rewrites and physical planning are all done
+/// (the one compile pipeline every SQL-text entry point of [`Database`]
+/// goes through); [`Prepared::execute`] only evaluates. The plan holds
+/// `Arc`s to the table storage it was planned against, so it stays
+/// valid (with that snapshot of the data) even if the database later
+/// changes.
 #[derive(Debug, Clone)]
 pub struct Prepared {
+    logical: Arc<LogicalPlan>,
     physical: Arc<PhysNode>,
-    options: ExecOptions,
     strategy: Strategy,
     fingerprint: u64,
     sql: String,
+    /// Every candidate's cost estimate when the query was compiled
+    /// under [`Strategy::CostBased`]; empty otherwise.
+    estimates: Vec<(Strategy, f64)>,
+    /// Compile-phase wall times (`execute` is 0). They were spent once,
+    /// so the first run reports them and later runs report zeros.
+    compile: PhaseNanos,
+    compile_reported: Arc<AtomicBool>,
     hub: Arc<MetricsHub>,
+}
+
+/// What one run of a compiled plan produced.
+struct RunOutput {
+    rel: Arc<Relation>,
+    counters: ExecCounters,
+    /// Per-operator metrics; empty unless the run was instrumented.
+    metrics: HashMap<usize, NodeMetrics>,
+    phases: PhaseNanos,
 }
 
 impl Prepared {
     /// Run the compiled plan.
     pub fn execute(&self) -> Result<Relation> {
-        self.execute_with_timeout(None)
-    }
-
-    /// Run the compiled plan with a timeout. The deadline applies to
-    /// this run only; a timed-out `Prepared` can be re-executed (each
-    /// run gets a fresh `ExecContext`, so no memo or metric residue
-    /// survives a failed run).
-    pub fn execute_with_timeout(&self, timeout: Option<Duration>) -> Result<Relation> {
-        self.execute_governed(&RunLimits {
-            timeout,
-            ..Default::default()
-        })
-        .map(|(rel, _)| rel)
-    }
-
-    /// Run the compiled plan under a cooperative cancel token: the run
-    /// returns [`Error::Cancelled`](bypass_types::Error::Cancelled) at
-    /// its next governor checkpoint after `cancel.cancel()` fires.
-    pub fn execute_cancellable(&self, cancel: &CancelToken) -> Result<Relation> {
-        self.execute_governed(&RunLimits {
-            cancel: Some(cancel.clone()),
-            ..Default::default()
-        })
-        .map(|(rel, _)| rel)
+        self.execute_governed(&RunLimits::default())
+            .map(|(rel, _)| rel)
     }
 
     /// Run the compiled plan under explicit [`RunLimits`], returning
     /// the result together with the run's execution counters (memo
-    /// totals, peak governed memory, checkpoint count).
+    /// totals, peak governed memory, checkpoint count). Limits apply to
+    /// this run only; a timed-out or cancelled `Prepared` can be
+    /// re-executed (each run gets a fresh `ExecContext`, so no memo or
+    /// metric residue survives a failed run).
     pub fn execute_governed(&self, limits: &RunLimits) -> Result<(Relation, ExecCounters)> {
-        let mut options = self.options.clone();
+        let out = self.run(limits, false)?;
+        let rel = Arc::try_unwrap(out.rel).unwrap_or_else(|shared| shared.as_ref().clone());
+        Ok((rel, out.counters))
+    }
+
+    /// The one execution path: overlay `limits` on the strategy's
+    /// options, evaluate under the `execute` span (the context's
+    /// teardown included) and record the run into the metrics hub.
+    /// `instrumented` additionally collects per-operator metrics.
+    fn run(&self, limits: &RunLimits, instrumented: bool) -> Result<RunOutput> {
+        let mut options = self.strategy.exec_options();
         limits.apply(&mut options);
-        let t0 = Instant::now();
-        let mut ctx = ExecContext::new(options);
-        let rel = ctx.eval_plan(&self.physical)?;
-        let counters = ctx.counters();
-        let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| shared.as_ref().clone());
-        self.hub.record_execution(&observation(
-            self.fingerprint,
-            &self.sql,
+        let mut span = bypass_trace::span("execute");
+        if span.is_recording() {
+            span.arg("strategy", self.strategy.to_string());
+            span.arg(
+                "fingerprint",
+                bypass_metrics::format_fingerprint(self.fingerprint),
+            );
+        }
+        let t = Instant::now();
+        let (rel, counters, metrics) = {
+            let mut ctx = ExecContext::new(options);
+            if instrumented {
+                ctx = ctx.with_metrics();
+            }
+            let rel = ctx.eval_plan(&self.physical)?;
+            (rel, ctx.counters(), ctx.take_metrics())
+        };
+        let mut phases = if self.compile_reported.swap(true, Ordering::Relaxed) {
+            PhaseNanos::default()
+        } else {
+            self.compile
+        };
+        phases.execute = t.elapsed().as_nanos();
+        drop(span);
+        let memo_hits = counters.memo_uncorr_hits + counters.memo_corr_hits;
+        let memo_misses = counters.memo_uncorr_misses + counters.memo_corr_misses;
+        if bypass_trace::enabled() {
+            bypass_trace::counter("memo_hits", memo_hits);
+            bypass_trace::counter("memo_misses", memo_misses);
+        }
+        let clamp = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
+        self.hub.record_execution(&ExecObservation {
+            fingerprint: self.fingerprint,
+            sql: self.sql.clone(),
+            strategy: self.strategy.to_string(),
+            total_nanos: clamp(phases.total()),
+            phases_nanos: Some(
+                [
+                    phases.parse,
+                    phases.translate,
+                    phases.unnest,
+                    phases.optimize,
+                    phases.execute,
+                ]
+                .map(clamp),
+            ),
+            rows: rel.len() as u64,
+            peak_memory_bytes: counters.peak_memory_bytes,
+            checkpoints: counters.checkpoints,
+            memo_hits,
+            memo_misses,
+            disjunct_evals: counters.disjunct_evals,
+            disjunct_hits: counters.disjunct_hits,
+            detail: String::new(),
+        });
+        Ok(RunOutput {
+            rel,
+            counters,
+            metrics,
+            phases,
+        })
+    }
+
+    /// An instrumented run packaged as a [`QueryProfile`].
+    fn profile(self, limits: &RunLimits) -> Result<QueryProfile> {
+        let out = self.run(limits, true)?;
+        Ok(QueryProfile {
+            strategy: self.strategy,
+            fingerprint: self.fingerprint,
+            physical: self.physical,
+            metrics: out.metrics,
+            counters: out.counters,
+            phases: out.phases,
+            rows: out.rel.len(),
+        })
+    }
+
+    /// The EXPLAIN text: the cost-based candidates (if the choice was
+    /// made here), the strategy-rewritten logical plan and the physical
+    /// operator tree.
+    fn explain(&self) -> String {
+        let mut out = String::new();
+        if !self.estimates.is_empty() {
+            out.push_str("-- cost-based choice:\n");
+            for (s, cost) in &self.estimates {
+                let mark = if *s == self.strategy {
+                    "  <- chosen"
+                } else {
+                    ""
+                };
+                out.push_str(&format!("--   {s}: {cost:.0}{mark}\n"));
+            }
+        }
+        out.push_str(&format!(
+            "-- logical plan ({})\n{}\n-- physical plan\n{}",
             self.strategy,
-            t0.elapsed().as_nanos() as u64,
-            None,
-            rel.len(),
-            &counters,
-            "prepared",
+            self.logical.explain(),
+            self.physical.explain()
         ));
-        Ok((rel, counters))
+        out
     }
 
     /// The concrete strategy the query was compiled under (CostBased is
@@ -421,8 +515,8 @@ impl Database {
         self.max_statement_bytes
     }
 
-    /// Reject oversized SQL text with a typed error — called by every
-    /// SQL-text entry point before `parse_statement`.
+    /// Reject oversized SQL text with a typed error — called before
+    /// every `parse_statement`.
     fn check_statement_size(&self, sql: &str) -> Result<()> {
         if sql.len() > self.max_statement_bytes {
             return Err(Error::StatementTooLarge {
@@ -467,31 +561,19 @@ impl Database {
         self.catalog.register(name, data)
     }
 
-    /// Execute any supported statement.
+    /// Execute any supported statement. Queries and `EXPLAIN`s go
+    /// through the same compile → run pipeline as every other entry
+    /// point, under the default strategy.
     pub fn execute_sql(&mut self, sql: &str) -> Result<Response> {
         self.check_statement_size(sql)?;
         let t0 = Instant::now();
         let stmt = parse_statement(sql)?;
         let parse_nanos = t0.elapsed().as_nanos();
+        let (strategy, limits) = (self.default_strategy, RunLimits::default());
         match stmt {
             Statement::Query(q) => {
-                let fingerprint = bypass_sql::fingerprint(&q);
-                let t = Instant::now();
-                let logical = translate_query(&self.catalog, &q)?;
-                let translate_nanos = t.elapsed().as_nanos() as u64;
-                let (rel, _) = self.run_observed(
-                    &logical,
-                    self.default_strategy,
-                    &RunLimits::default(),
-                    ObserveCtx {
-                        fingerprint,
-                        sql,
-                        parse_nanos: parse_nanos as u64,
-                        translate_nanos,
-                        detail: "query",
-                    },
-                )?;
-                Ok(Response::Rows(rel))
+                let prepared = self.compile_query(sql, &q, strategy, parse_nanos)?;
+                Ok(Response::Rows(prepared.execute_governed(&limits)?.0))
             }
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(columns.iter().map(|(n, t)| Field::new(n, *t)).collect());
@@ -502,24 +584,13 @@ impl Database {
                 let n = self.insert(&table, rows)?;
                 Ok(Response::Inserted(n))
             }
-            Statement::Explain {
-                analyze: true,
-                query,
-            } => {
-                let profile = self.profile_query(
-                    &query,
-                    self.default_strategy,
-                    parse_nanos,
-                    &RunLimits::default(),
-                )?;
-                Ok(Response::Explained(profile.render()))
-            }
-            Statement::Explain {
-                analyze: false,
-                query,
-            } => {
-                let text = self.explain_parsed(&query, self.default_strategy)?;
-                Ok(Response::Explained(text))
+            Statement::Explain { analyze, query } => {
+                let prepared = self.compile_query(sql, &query, strategy, parse_nanos)?;
+                Ok(Response::Explained(if analyze {
+                    prepared.profile(&limits)?.render()
+                } else {
+                    prepared.explain()
+                }))
             }
             Statement::ShowMetrics => Ok(Response::Metrics(bypass_metrics::render_prometheus(
                 &self.metrics.snapshot(),
@@ -559,179 +630,45 @@ impl Database {
         }
     }
 
-    /// Execute a prepared logical plan under a strategy. Without SQL
-    /// text there is no fingerprint, so this path feeds the unnest-
-    /// outcome counters but not the per-query stats table.
-    pub fn run(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-        timeout: Option<Duration>,
-    ) -> Result<Relation> {
-        let strategy = self.resolve_strategy(canonical, strategy)?;
-        let logical = {
-            let mut s = bypass_trace::span("prepare");
-            if s.is_recording() {
-                s.arg("strategy", strategy.to_string());
-            }
-            let prepared = strategy.prepare(canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            prepared?
-        };
-        let physical = physical_plan(&logical, &self.catalog)?;
-        let options = ExecOptions {
-            timeout,
-            ..strategy.exec_options()
-        };
-        let mut s = bypass_trace::span("execute");
-        if s.is_recording() {
-            s.arg("strategy", strategy.to_string());
-        }
-        bypass_exec::evaluate_with(&physical, options)
-    }
-
-    /// Run a `SELECT` under a cooperative cancel token. Calling
-    /// `cancel.cancel()` from any thread makes the run return
+    /// Run a `SELECT` under explicit [`RunLimits`] (deadline, memory
+    /// budget, cancel token, injected fault), returning the result and
+    /// the run's [`ExecCounters`] — including the governor's
+    /// deterministic peak-memory and checkpoint totals.
+    ///
+    /// A cancel token makes the run cooperative: calling
+    /// `cancel.cancel()` from any thread makes it return
     /// [`Error::Cancelled`](bypass_types::Error::Cancelled) at its next
     /// governor checkpoint; the database stays fully usable afterwards.
     ///
     /// ```
-    /// use bypass_core::{Database, Strategy};
+    /// use bypass_core::{Database, RunLimits, Strategy};
     /// use bypass_types::CancelToken;
     /// let mut db = Database::new();
     /// db.execute_sql("CREATE TABLE t (x INT)").unwrap();
     /// db.execute_sql("INSERT INTO t VALUES (1), (2)").unwrap();
     /// let token = CancelToken::new();
+    /// let limits = RunLimits {
+    ///     cancel: Some(token.clone()),
+    ///     ..Default::default()
+    /// };
     /// token.cancel(); // cancel before the run: fails at checkpoint 1
     /// let err = db
-    ///     .run_cancellable("SELECT x FROM t", Strategy::Canonical, &token)
+    ///     .run_governed("SELECT x FROM t", Strategy::Canonical, &limits)
     ///     .unwrap_err();
     /// assert_eq!(err, bypass_types::Error::Cancelled);
     /// token.reset();
-    /// assert_eq!(
-    ///     db.run_cancellable("SELECT x FROM t", Strategy::Canonical, &token)
-    ///         .unwrap()
-    ///         .len(),
-    ///     2
-    /// );
+    /// let (rows, _counters) = db
+    ///     .run_governed("SELECT x FROM t", Strategy::Canonical, &limits)
+    ///     .unwrap();
+    /// assert_eq!(rows.len(), 2);
     /// ```
-    pub fn run_cancellable(
-        &self,
-        sql: &str,
-        strategy: Strategy,
-        cancel: &CancelToken,
-    ) -> Result<Relation> {
-        self.run_governed(
-            sql,
-            strategy,
-            &RunLimits {
-                cancel: Some(cancel.clone()),
-                ..Default::default()
-            },
-        )
-        .map(|(rel, _)| rel)
-    }
-
-    /// Run a `SELECT` under explicit [`RunLimits`] (deadline, memory
-    /// budget, cancel token, injected fault), returning the result and
-    /// the run's [`ExecCounters`] — including the governor's
-    /// deterministic peak-memory and checkpoint totals.
     pub fn run_governed(
         &self,
         sql: &str,
         strategy: Strategy,
         limits: &RunLimits,
     ) -> Result<(Relation, ExecCounters)> {
-        self.check_statement_size(sql)?;
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let parse_nanos = t0.elapsed().as_nanos() as u64;
-        let Statement::Query(q) = stmt else {
-            return Err(Error::plan("not a SELECT statement"));
-        };
-        let fingerprint = bypass_sql::fingerprint(&q);
-        let t = Instant::now();
-        let canonical = translate_query(&self.catalog, &q)?;
-        let translate_nanos = t.elapsed().as_nanos() as u64;
-        self.run_observed(
-            &canonical,
-            strategy,
-            limits,
-            ObserveCtx {
-                fingerprint,
-                sql,
-                parse_nanos,
-                translate_nanos,
-                detail: "governed",
-            },
-        )
-    }
-
-    /// Prepare, plan and execute an already-translated query while
-    /// recording the run into the metrics hub — the shared tail of
-    /// every SQL-text entry point (which alone know the fingerprint).
-    fn run_observed(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-        limits: &RunLimits,
-        obs: ObserveCtx<'_>,
-    ) -> Result<(Relation, ExecCounters)> {
-        let strategy = self.resolve_strategy(canonical, strategy)?;
-        let t = Instant::now();
-        let logical = {
-            let mut s = bypass_trace::span("prepare");
-            if s.is_recording() {
-                s.arg("strategy", strategy.to_string());
-                s.arg(
-                    "fingerprint",
-                    bypass_metrics::format_fingerprint(obs.fingerprint),
-                );
-            }
-            let prepared = strategy.prepare(canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            prepared?
-        };
-        let unnest_nanos = t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let physical = physical_plan(&logical, &self.catalog)?;
-        let optimize_nanos = t.elapsed().as_nanos() as u64;
-        let mut options = strategy.exec_options();
-        limits.apply(&mut options);
-        let mut s = bypass_trace::span("execute");
-        if s.is_recording() {
-            s.arg("strategy", strategy.to_string());
-            s.arg(
-                "fingerprint",
-                bypass_metrics::format_fingerprint(obs.fingerprint),
-            );
-        }
-        let t = Instant::now();
-        let mut ctx = ExecContext::new(options);
-        let rel = ctx.eval_plan(&physical)?;
-        let counters = ctx.counters();
-        let execute_nanos = t.elapsed().as_nanos() as u64;
-        let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| shared.as_ref().clone());
-        let phases = [
-            obs.parse_nanos,
-            obs.translate_nanos,
-            unnest_nanos,
-            optimize_nanos,
-            execute_nanos,
-        ];
-        self.metrics.record_execution(&observation(
-            obs.fingerprint,
-            obs.sql,
-            strategy,
-            phases.iter().sum(),
-            Some(phases),
-            rel.len(),
-            &counters,
-            obs.detail,
-        ));
-        Ok((rel, counters))
+        self.compile(sql, strategy, false)?.execute_governed(limits)
     }
 
     /// Compile a `SELECT` once for repeated execution.
@@ -746,66 +683,14 @@ impl Database {
     /// assert_eq!(q.execute().unwrap().len(), 2); // no re-planning
     /// ```
     pub fn prepare(&self, sql: &str, strategy: Strategy) -> Result<Prepared> {
-        self.check_statement_size(sql)?;
-        let Statement::Query(q) = parse_statement(sql)? else {
-            return Err(Error::plan("not a SELECT statement"));
-        };
-        let fingerprint = bypass_sql::fingerprint(&q);
-        let canonical = translate_query(&self.catalog, &q)?;
-        let strategy = self.resolve_strategy(&canonical, strategy)?;
-        let prepared = strategy.prepare(&canonical);
-        self.metrics
-            .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-        let logical = prepared?;
-        let physical = physical_plan(&logical, &self.catalog)?;
-        Ok(Prepared {
-            physical,
-            options: strategy.exec_options(),
-            strategy,
-            fingerprint,
-            sql: sql.to_string(),
-            hub: Arc::clone(&self.metrics),
-        })
+        self.compile(sql, strategy, false)
     }
 
     /// EXPLAIN: the strategy-rewritten logical plan followed by the
     /// physical operator tree. For [`Strategy::CostBased`], the chosen
     /// strategy and all candidate cost estimates are reported.
     pub fn explain(&self, sql: &str, strategy: Strategy) -> Result<String> {
-        self.check_statement_size(sql)?;
-        match parse_statement(sql)? {
-            Statement::Query(q) | Statement::Explain { query: q, .. } => {
-                self.explain_parsed(&q, strategy)
-            }
-            _ => Err(Error::plan("not a SELECT statement")),
-        }
-    }
-
-    /// [`Database::explain`] on an already-parsed query block.
-    fn explain_parsed(&self, query: &SelectStmt, strategy: Strategy) -> Result<String> {
-        let canonical = translate_query(&self.catalog, query)?;
-        let mut header = String::new();
-        let strategy = if strategy == Strategy::CostBased {
-            let (chosen, estimates) =
-                Strategy::choose_by_cost(&canonical, &CatalogStats(&self.catalog))?;
-            header.push_str("-- cost-based choice:\n");
-            for (s, cost) in estimates {
-                header.push_str(&format!(
-                    "--   {s}: {cost:.0}{}\n",
-                    if s == chosen { "  <- chosen" } else { "" }
-                ));
-            }
-            chosen
-        } else {
-            strategy
-        };
-        let logical = strategy.prepare(&canonical)?;
-        let physical = physical_plan(&logical, &self.catalog)?;
-        Ok(format!(
-            "{header}-- logical plan ({strategy})\n{}\n-- physical plan\n{}",
-            logical.explain(),
-            physical.explain()
-        ))
+        Ok(self.compile(sql, strategy, true)?.explain())
     }
 
     /// EXPLAIN ANALYZE: execute the query with full instrumentation
@@ -838,132 +723,87 @@ impl Database {
         strategy: Strategy,
         limits: &RunLimits,
     ) -> Result<QueryProfile> {
-        self.check_statement_size(sql)?;
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let parse_nanos = t0.elapsed().as_nanos();
-        match stmt {
-            Statement::Query(q) | Statement::Explain { query: q, .. } => {
-                self.profile_query(&q, strategy, parse_nanos, limits)
-            }
-            _ => Err(Error::plan("not a SELECT statement")),
-        }
+        self.compile(sql, strategy, true)?.profile(limits)
     }
 
-    /// Instrumented run of an already-parsed query block. Every phase
-    /// is timed directly *and* wrapped in a `bypass-trace` span, so a
-    /// Chrome trace of the run nests `query > translate/unnest/
-    /// optimize/execute` (the parse span is emitted by the SQL crate
-    /// around `parse_statement`, before this method).
-    fn profile_query(
+    /// The SELECT-only front door of the compile pipeline: size cap,
+    /// one parse, then [`Database::compile_query`]. `describe` entry
+    /// points (EXPLAIN, profile) also accept `EXPLAIN`-wrapped text and
+    /// compile the query inside.
+    fn compile(&self, sql: &str, strategy: Strategy, describe: bool) -> Result<Prepared> {
+        self.check_statement_size(sql)?;
+        let t0 = Instant::now();
+        let query = match parse_statement(sql)? {
+            Statement::Query(q) => q,
+            Statement::Explain { query, .. } if describe => query,
+            _ => return Err(Error::plan("not a SELECT statement")),
+        };
+        self.compile_query(sql, &query, strategy, t0.elapsed().as_nanos())
+    }
+
+    /// The one compile pipeline: fingerprint → translate → resolve the
+    /// strategy and rewrite the nesting → order joins → physical plan.
+    /// Each phase is timed once and wrapped in one `bypass-trace` span
+    /// (`translate`, `unnest`, `optimize`; `sql.parse` is emitted by the
+    /// SQL crate around `parse_statement`), so a Chrome trace, an
+    /// EXPLAIN ANALYZE report and `bypass_phase_nanos` agree on where
+    /// time went whichever entry point compiled the statement. The
+    /// cost-based choice is part of `unnest`: it rewrites and
+    /// join-orders every candidate, and the winner's plan is kept, not
+    /// prepared again. Only the chosen strategy's unnest outcomes are
+    /// booked.
+    fn compile_query(
         &self,
+        sql: &str,
         query: &SelectStmt,
         strategy: Strategy,
         parse_nanos: u128,
-        limits: &RunLimits,
-    ) -> Result<QueryProfile> {
-        let mut phases = PhaseNanos {
+    ) -> Result<Prepared> {
+        let mut compile = PhaseNanos {
             parse: parse_nanos,
             ..Default::default()
         };
-        let fingerprint = bypass_sql::fingerprint(query);
-        let mut span = bypass_trace::span("core.profile_query");
-        span.arg(
-            "fingerprint",
-            bypass_metrics::format_fingerprint(fingerprint),
-        );
         let t = Instant::now();
+        let fingerprint = bypass_sql::fingerprint(query);
         let canonical = {
             let _s = bypass_trace::span("translate");
             translate_query(&self.catalog, query)?
         };
-        phases.translate = t.elapsed().as_nanos();
-        let strategy = self.resolve_strategy(&canonical, strategy)?;
-        span.arg("strategy", strategy.to_string());
+        compile.translate = t.elapsed().as_nanos();
         let t = Instant::now();
         let rewritten = {
             let mut s = bypass_trace::span("unnest");
-            s.arg("strategy", strategy.to_string());
-            let rewritten = strategy.rewrite_nesting(&canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            rewritten?
+            let rewritten = strategy.rewrite(&canonical, &CatalogStats(&self.catalog))?;
+            if s.is_recording() {
+                s.arg("strategy", rewritten.strategy.to_string());
+            }
+            rewritten
         };
-        phases.unnest = t.elapsed().as_nanos();
+        self.metrics.record_unnest_outcomes(&rewritten.outcomes);
+        compile.unnest = t.elapsed().as_nanos();
         let t = Instant::now();
-        let physical = {
+        let (logical, physical) = {
             let _s = bypass_trace::span("optimize");
-            let logical = optimize_joins(&rewritten);
-            physical_plan(&logical, &self.catalog)?
+            let logical = if rewritten.joins_ordered {
+                rewritten.plan
+            } else {
+                optimize_joins(&rewritten.plan)
+            };
+            let physical = physical_plan(&logical, &self.catalog)?;
+            (logical, physical)
         };
-        phases.optimize = t.elapsed().as_nanos();
-        let t = Instant::now();
-        let (rel, metrics, counters) = {
-            let _s = bypass_trace::span("execute");
-            let mut options = strategy.exec_options();
-            limits.apply(&mut options);
-            let mut ctx = ExecContext::new(options).with_metrics();
-            let rel = ctx.eval_plan(&physical)?;
-            let counters = ctx.counters();
-            (rel, ctx.take_metrics(), counters)
-        };
-        phases.execute = t.elapsed().as_nanos();
-        if bypass_trace::enabled() {
-            bypass_trace::counter(
-                "memo_hits",
-                counters.memo_uncorr_hits + counters.memo_corr_hits,
-            );
-            bypass_trace::counter(
-                "memo_misses",
-                counters.memo_uncorr_misses + counters.memo_corr_misses,
-            );
-        }
-        let profile = QueryProfile {
-            strategy,
-            fingerprint,
+        compile.optimize = t.elapsed().as_nanos();
+        Ok(Prepared {
+            logical,
             physical,
-            metrics,
-            counters,
-            phases,
-            rows: rel.len(),
-        };
-        let clamp = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
-        self.metrics.record_execution(&observation(
+            strategy: rewritten.strategy,
             fingerprint,
-            &bypass_sql::normalized_sql(query),
-            strategy,
-            clamp(phases.total()),
-            Some([
-                clamp(phases.parse),
-                clamp(phases.translate),
-                clamp(phases.unnest),
-                clamp(phases.optimize),
-                clamp(phases.execute),
-            ]),
-            profile.rows,
-            &profile.counters,
-            "profile",
-        ));
-        self.metrics.record_cardinalities(
-            fingerprint,
-            op_cardinalities(&profile.physical, &profile.metrics),
-        );
-        Ok(profile)
-    }
-
-    /// Resolve [`Strategy::CostBased`] to a concrete strategy for this
-    /// plan; other strategies pass through.
-    fn resolve_strategy(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-    ) -> Result<Strategy> {
-        if strategy == Strategy::CostBased {
-            let (chosen, _) = Strategy::choose_by_cost(canonical, &CatalogStats(&self.catalog))?;
-            Ok(chosen)
-        } else {
-            Ok(strategy)
-        }
+            sql: sql.to_string(),
+            estimates: rewritten.estimates,
+            compile,
+            compile_reported: Arc::new(AtomicBool::new(false)),
+            hub: Arc::clone(&self.metrics),
+        })
     }
 
     fn insert(&mut self, table: &str, rows: Vec<Vec<Expr>>) -> Result<usize> {
@@ -1005,87 +845,6 @@ impl Database {
         table.replace_data(Relation::new(schema, new_rows));
         Ok(n)
     }
-}
-
-/// What a SQL-text entry point knows about the run it is about to
-/// observe: the fingerprint, the original text, the already-measured
-/// parse/translate times and a short label for the execution path.
-struct ObserveCtx<'a> {
-    fingerprint: u64,
-    sql: &'a str,
-    parse_nanos: u64,
-    translate_nanos: u64,
-    detail: &'a str,
-}
-
-/// Package one finished run as the [`ExecObservation`] the metrics hub
-/// records.
-#[allow(clippy::too_many_arguments)]
-fn observation(
-    fingerprint: u64,
-    sql: &str,
-    strategy: Strategy,
-    total_nanos: u64,
-    phases_nanos: Option<[u64; 5]>,
-    rows: usize,
-    counters: &ExecCounters,
-    detail: &str,
-) -> ExecObservation {
-    ExecObservation {
-        fingerprint,
-        sql: sql.to_string(),
-        strategy: strategy.to_string(),
-        total_nanos,
-        phases_nanos,
-        rows: rows as u64,
-        peak_memory_bytes: counters.peak_memory_bytes,
-        checkpoints: counters.checkpoints,
-        memo_hits: counters.memo_uncorr_hits + counters.memo_corr_hits,
-        memo_misses: counters.memo_uncorr_misses + counters.memo_corr_misses,
-        disjunct_evals: counters.disjunct_evals,
-        disjunct_hits: counters.disjunct_hits,
-        detail: detail.to_string(),
-    }
-}
-
-/// Flatten a profiled physical tree into the cardinality-feedback
-/// records: deterministic pre-order walk (children before expression
-/// subplans, shared DAG nodes once), each operator labelled
-/// `position:name` so the label survives pointer reuse across runs.
-fn op_cardinalities(
-    root: &Arc<PhysNode>,
-    metrics: &HashMap<usize, NodeMetrics>,
-) -> Vec<OpCardinality> {
-    fn walk(
-        n: &Arc<PhysNode>,
-        seen: &mut std::collections::HashSet<*const PhysNode>,
-        out: &mut Vec<OpCardinality>,
-        metrics: &HashMap<usize, NodeMetrics>,
-    ) {
-        if !seen.insert(Arc::as_ptr(n)) {
-            return;
-        }
-        let m = metrics.get(&(Arc::as_ptr(n) as usize));
-        out.push(OpCardinality {
-            label: format!("{}:{}", out.len(), n.name()),
-            calls: m.map_or(0, |m| m.calls),
-            rows: m.map_or(0, |m| m.rows),
-        });
-        for c in n.children() {
-            walk(c, seen, out, metrics);
-        }
-        for c in n.expr_subplans() {
-            walk(c, seen, out, metrics);
-        }
-    }
-    let mut out = Vec::new();
-    walk(
-        root,
-        &mut std::collections::HashSet::new(),
-        &mut out,
-        metrics,
-    );
-    out
 }
 
 /// Resolve a constant expression (INSERT values): no columns, no
@@ -1171,14 +930,18 @@ mod tests {
             }
             other => panic!("expected StatementTooLarge, got {other:?}"),
         };
+        let limits = RunLimits::default();
         expect(db.sql(&big).map(drop));
-        expect(
-            db.run_governed(&big, Strategy::Unnested, &RunLimits::default())
-                .map(drop),
-        );
+        expect(db.sql_with(&big, Strategy::Unnested, None).map(drop));
+        expect(db.run_governed(&big, Strategy::Unnested, &limits).map(drop));
         expect(db.prepare(&big, Strategy::Unnested).map(drop));
         expect(db.explain(&big, Strategy::Unnested).map(drop));
+        expect(db.explain_analyze(&big, Strategy::Unnested).map(drop));
         expect(db.profile(&big, Strategy::Unnested).map(drop));
+        expect(
+            db.profile_governed(&big, Strategy::Unnested, &limits)
+                .map(drop),
+        );
         expect(db.logical_plan(&big).map(drop));
         expect(db.execute_sql(&big).map(drop));
         // The database stays fully usable afterwards.
@@ -1221,7 +984,6 @@ mod tests {
             )
             .unwrap();
         assert!(text.contains("-- logical plan (unnested)"), "{text}");
-        assert!(text.contains("σ±"), "{text}");
         assert!(text.contains("-- physical plan"), "{text}");
         assert!(text.contains("HashOuterJoin"), "{text}");
     }

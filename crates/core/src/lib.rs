@@ -16,8 +16,8 @@ pub use bypass_catalog::{Catalog, TableBuilder};
 pub use bypass_exec::{ExecCounters, ExecOptions};
 pub use bypass_metrics::{
     format_fingerprint, render_json, render_prometheus, validate_prometheus, ExecObservation,
-    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, OpCardinality, QueryStatsSnapshot,
-    SlowQuery, Snapshot as MetricsSnapshot,
+    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, QueryStatsSnapshot, SlowQuery,
+    Snapshot as MetricsSnapshot,
 };
 pub use bypass_sql::{fingerprint, fingerprint_sql, normalized_sql};
 pub use bypass_types::{

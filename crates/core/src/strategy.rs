@@ -45,6 +45,25 @@ pub enum Strategy {
     CostBased,
 }
 
+/// Unnest outcome keys with their counts, as
+/// `bypass_unnest::take_outcomes` drains them.
+type Outcomes = Vec<(&'static str, u64)>;
+
+/// A canonical plan after strategy resolution and the nesting rewrite.
+pub(crate) struct Rewritten {
+    /// The concrete strategy ([`Strategy::CostBased`] resolved).
+    pub strategy: Strategy,
+    pub plan: Arc<LogicalPlan>,
+    /// `plan` already went through `optimize_joins` (cost-based
+    /// candidates are estimated on their final shape).
+    pub joins_ordered: bool,
+    /// What rewriting under `strategy` tallied.
+    pub outcomes: Outcomes,
+    /// Every candidate's cost when the choice was cost-based; empty
+    /// otherwise.
+    pub estimates: Vec<(Strategy, f64)>,
+}
+
 impl Strategy {
     /// Every strategy, in reporting order (the column order of Fig. 7,
     /// plus the ablation and cost-based variants).
@@ -78,9 +97,8 @@ impl Strategy {
     }
 
     /// The unnesting half of [`Strategy::prepare`] (no join
-    /// optimization) — exposed to the crate so the profiler can time
-    /// the unnest and optimize phases separately.
-    pub(crate) fn rewrite_nesting(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
+    /// optimization).
+    fn rewrite_nesting(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
         match self {
             Strategy::Canonical | Strategy::S3Materialized => {
                 Ok(reorder_plan_disjuncts(plan, false))
@@ -97,29 +115,78 @@ impl Strategy {
             Strategy::S2UnionRewrite => union_rewrite(plan),
             Strategy::CostBased => unreachable!(
                 "CostBased is resolved to a concrete strategy before prepare \
-                 (Database::run / Strategy::choose_by_cost)"
+                 (Strategy::rewrite / Strategy::choose_by_cost)"
             ),
         }
     }
 
-    /// Resolve [`Strategy::CostBased`] for a concrete plan: prepare every
-    /// candidate, estimate it, pick the cheapest. Other strategies
-    /// return themselves. Also returns the estimates for EXPLAIN output.
+    /// The nesting rewrite together with the unnest outcomes it
+    /// tallied — the only place the thread-local tally is drained, and
+    /// it is drained whether or not the rewrite succeeded, so no
+    /// statement's outcomes leak into the next one on this thread.
+    fn rewrite_tallied(self, plan: &Arc<LogicalPlan>) -> (Result<Arc<LogicalPlan>>, Outcomes) {
+        let rewritten = self.rewrite_nesting(plan);
+        (rewritten, bypass_unnest::take_outcomes())
+    }
+
+    /// Resolve this strategy for a canonical plan and rewrite its
+    /// nesting — the step of `Database`'s compile pipeline between
+    /// translation and join ordering.
+    pub(crate) fn rewrite(
+        self,
+        plan: &Arc<LogicalPlan>,
+        stats: &dyn bypass_unnest::cost::StatsSource,
+    ) -> Result<Rewritten> {
+        if self == Strategy::CostBased {
+            return Strategy::choose(plan, stats);
+        }
+        let (rewritten, outcomes) = self.rewrite_tallied(plan);
+        Ok(Rewritten {
+            strategy: self,
+            plan: rewritten?,
+            joins_ordered: false,
+            outcomes,
+            estimates: Vec::new(),
+        })
+    }
+
+    /// Resolve [`Strategy::CostBased`]: prepare every candidate once,
+    /// estimate it, keep the cheapest — its prepared plan and its own
+    /// outcome tally included, so the winner is not prepared again and
+    /// the losers' rewrites are not booked as fires.
+    fn choose(
+        plan: &Arc<LogicalPlan>,
+        stats: &dyn bypass_unnest::cost::StatsSource,
+    ) -> Result<Rewritten> {
+        let mut best: Option<(f64, Strategy, Arc<LogicalPlan>, Outcomes)> = None;
+        let mut estimates = Vec::new();
+        for candidate in Strategy::cost_candidates() {
+            let (rewritten, outcomes) = candidate.rewrite_tallied(plan);
+            let prepared = optimize_joins(&rewritten?);
+            let cost = bypass_unnest::cost::estimate(&prepared, stats).cost;
+            estimates.push((candidate, cost));
+            if best.as_ref().map(|b| cost < b.0).unwrap_or(true) {
+                best = Some((cost, candidate, prepared, outcomes));
+            }
+        }
+        let (_, strategy, plan, outcomes) = best.expect("non-empty candidates");
+        Ok(Rewritten {
+            strategy,
+            plan,
+            joins_ordered: true,
+            outcomes,
+            estimates,
+        })
+    }
+
+    /// Resolve [`Strategy::CostBased`] for a concrete plan: the chosen
+    /// strategy and every candidate's estimate. What the candidates'
+    /// rewrites tallied as unnest outcomes is drained, not booked.
     pub fn choose_by_cost(
         plan: &Arc<LogicalPlan>,
         stats: &dyn bypass_unnest::cost::StatsSource,
     ) -> Result<(Strategy, Vec<(Strategy, f64)>)> {
-        let mut best: Option<(Strategy, f64)> = None;
-        let mut all = Vec::new();
-        for candidate in Strategy::cost_candidates() {
-            let prepared = candidate.prepare(plan)?;
-            let est = bypass_unnest::cost::estimate(&prepared, stats);
-            all.push((candidate, est.cost));
-            if best.map(|(_, c)| est.cost < c).unwrap_or(true) {
-                best = Some((candidate, est.cost));
-            }
-        }
-        Ok((best.expect("non-empty candidates").0, all))
+        Strategy::choose(plan, stats).map(|r| (r.strategy, r.estimates))
     }
 
     /// The executor options this strategy runs with.

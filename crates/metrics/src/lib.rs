@@ -11,9 +11,7 @@
 //!    bit-identical across thread counts, batch sizes and reruns —
 //!    which is what `BENCH_baseline.json` gates.
 //! 2. [`MetricsHub`] — the registry plus per-fingerprint stores: a
-//!    bounded query-stats table, a top-K [`SlowQuery`] ring, and the
-//!    [`OpCardinality`] feedback store for the future cost-based
-//!    search.
+//!    bounded query-stats table and a top-K [`SlowQuery`] ring.
 //! 3. Exposition — Prometheus text ([`render_prometheus`] +
 //!    [`validate_prometheus`]) and JSON ([`render_json`]).
 //!
@@ -29,11 +27,11 @@ mod store;
 pub use expose::{render_json, render_prometheus, validate_prometheus};
 pub use histogram::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{MetricEntry, MetricId, MetricKind, MetricValue, Registry, Snapshot};
-pub use store::{ExecObservation, OpCardinality, QueryStatsSnapshot, SlowQuery};
+pub use store::{ExecObservation, QueryStatsSnapshot, SlowQuery};
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use store::{CardinalityStore, QueryTable, SlowQueryRing};
+use store::{QueryTable, SlowQueryRing};
 
 /// Phase names, in recording order (indices into
 /// [`ExecObservation::phases_nanos`]).
@@ -43,8 +41,6 @@ pub const PHASE_NAMES: [&str; 5] = ["parse", "translate", "unnest", "optimize", 
 pub const MAX_FINGERPRINTS: usize = 1024;
 /// Slots in the slow-query ring.
 pub const SLOW_RING_CAPACITY: usize = 16;
-/// Fingerprints tracked in the cardinality-feedback store.
-pub const MAX_CARDINALITY_FINGERPRINTS: usize = 1024;
 
 /// Render a fingerprint the way every surface (EXPLAIN ANALYZE,
 /// oracle reports, Prometheus labels) prints it: 16 lowercase hex
@@ -69,7 +65,6 @@ struct HubIds {
 struct HubState {
     queries: QueryTable,
     slow: SlowQueryRing,
-    cards: CardinalityStore,
 }
 
 /// The engine-wide metrics facade: one registry plus the bounded
@@ -159,7 +154,6 @@ impl MetricsHub {
             state: Mutex::new(HubState {
                 queries: QueryTable::new(MAX_FINGERPRINTS),
                 slow: SlowQueryRing::new(SLOW_RING_CAPACITY),
-                cards: CardinalityStore::new(MAX_CARDINALITY_FINGERPRINTS),
             }),
         }
     }
@@ -234,27 +228,6 @@ impl MetricsHub {
             );
             self.registry.add(id, *n);
         }
-    }
-
-    /// Record measured per-operator cardinalities for a profiled run.
-    pub fn record_cardinalities(&self, fingerprint: u64, ops: Vec<OpCardinality>) {
-        self.state.lock().unwrap().cards.record(fingerprint, ops);
-    }
-
-    /// Read API for the feedback store: `(profiled run count,
-    /// per-operator cardinalities)` for a query shape, if any
-    /// profiled run recorded it.
-    pub fn cardinalities(&self, fingerprint: u64) -> Option<(u64, Vec<OpCardinality>)> {
-        let state = self.state.lock().unwrap();
-        state
-            .cards
-            .get(fingerprint)
-            .map(|(n, ops)| (n, ops.to_vec()))
-    }
-
-    /// All fingerprints with recorded cardinality feedback (sorted).
-    pub fn feedback_fingerprints(&self) -> Vec<u64> {
-        self.state.lock().unwrap().cards.fingerprints()
     }
 
     /// Accumulated stats for one query shape.
@@ -415,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn unnest_outcomes_and_cardinality_feedback() {
+    fn unnest_outcomes_are_counted_by_key() {
         let hub = MetricsHub::new();
         hub.record_unnest_outcomes(&[("eqv1:gamma-outerjoin", 2), ("rejected:no-subquery", 1)]);
         let snap = hub.snapshot();
@@ -426,18 +399,6 @@ mod tests {
             ),
             2
         );
-        hub.record_cardinalities(
-            7,
-            vec![OpCardinality {
-                label: "0:Select".into(),
-                calls: 1,
-                rows: 42,
-            }],
-        );
-        let (n, ops) = hub.cardinalities(7).unwrap();
-        assert_eq!((n, ops[0].rows), (1, 42));
-        assert!(hub.cardinalities(8).is_none());
-        assert_eq!(hub.feedback_fingerprints(), vec![7]);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Per-fingerprint stores: the query-stats table, the slow-query
-//! ring, and the cardinality-feedback store.
+//! Per-fingerprint stores: the query-stats table and the slow-query
+//! ring.
 //!
-//! All three are bounded and keyed by the normalized-AST query
-//! fingerprint, so recurring query *shapes* accumulate history across
-//! executions regardless of literal values. The feedback store is the
-//! read surface the ROADMAP's cost-based search consumes: measured
-//! per-operator cardinalities from the most recent profiled run of
-//! each shape.
+//! Both are bounded and keyed by the normalized-AST query fingerprint,
+//! so recurring query *shapes* accumulate history across executions
+//! regardless of literal values.
 
 use std::collections::HashMap;
 
@@ -188,67 +185,6 @@ impl SlowQueryRing {
     }
 }
 
-/// Measured cardinality of one plan operator in a profiled run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpCardinality {
-    /// Stable operator label (operator name + plan position), not a
-    /// memory address — `NodeMetrics` keys are `Arc` pointers and do
-    /// not survive the run.
-    pub label: String,
-    pub calls: u64,
-    pub rows: u64,
-}
-
-/// Bounded fingerprint -> measured-cardinalities store (feedback for
-/// the cost-based search). Last profiled run wins; when full, the
-/// oldest-inserted fingerprint is evicted.
-#[derive(Debug, Default)]
-pub(crate) struct CardinalityStore {
-    entries: HashMap<u64, (u64, Vec<OpCardinality>)>,
-    /// Insertion order for eviction.
-    order: Vec<u64>,
-    capacity: usize,
-}
-
-impl CardinalityStore {
-    pub fn new(capacity: usize) -> CardinalityStore {
-        CardinalityStore {
-            entries: HashMap::new(),
-            order: Vec::new(),
-            capacity,
-        }
-    }
-
-    pub fn record(&mut self, fingerprint: u64, ops: Vec<OpCardinality>) {
-        if let Some(entry) = self.entries.get_mut(&fingerprint) {
-            entry.0 += 1;
-            entry.1 = ops;
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.order.is_empty() {
-            let victim = self.order.remove(0);
-            self.entries.remove(&victim);
-        }
-        self.entries.insert(fingerprint, (1, ops));
-        self.order.push(fingerprint);
-    }
-
-    /// Measured cardinalities for a shape, with the number of
-    /// profiled observations folded in so callers can judge
-    /// confidence.
-    pub fn get(&self, fingerprint: u64) -> Option<(u64, &[OpCardinality])> {
-        self.entries
-            .get(&fingerprint)
-            .map(|(n, ops)| (*n, ops.as_slice()))
-    }
-
-    pub fn fingerprints(&self) -> Vec<u64> {
-        let mut fps = self.order.clone();
-        fps.sort_unstable();
-        fps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,23 +242,5 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(3, 500), (1, 100)]
         );
-    }
-
-    #[test]
-    fn cardinality_store_last_write_wins_and_bounds() {
-        let mut c = CardinalityStore::new(2);
-        let op = |rows| OpCardinality {
-            label: "Select".into(),
-            calls: 1,
-            rows,
-        };
-        c.record(10, vec![op(5)]);
-        c.record(10, vec![op(7)]);
-        let (n, ops) = c.get(10).unwrap();
-        assert_eq!((n, ops[0].rows), (2, 7));
-        c.record(11, vec![op(1)]);
-        c.record(12, vec![op(2)]); // evicts oldest (10)
-        assert!(c.get(10).is_none());
-        assert_eq!(c.fingerprints(), vec![11, 12]);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * [`parse`] — the `.slt` dialect (statement ok/error, typed query
 //!   records with rowsort/valuesort/nosort, FNV-1a result hashes,
-//!   `onlyif`/`skipif` strategy guards, `load` for generated datasets),
-//!   with line-numbered parse errors;
+//!   `onlyif`/`skipif` strategy guards, `load` for generated datasets,
+//!   `EXPLAIN` records as plan goldens), with line-numbered parse errors;
 //! * [`norm`] — relation → canonical value-per-line text, so results
 //!   compare as string lists and files stay diffable;
 //! * [`run`] — the matrix driver, which also cross-checks raw results

@@ -36,6 +36,9 @@
 //!   and they only apply to `query` records;
 //! * `load tpch|strings|skew <scale> [seed]` registers a deterministic
 //!   generated instance from `bypass-datagen`;
+//! * a `query T nosort` record whose SQL is `EXPLAIN <select>` is a plan
+//!   golden: the runner compares the lines of `Database::explain` up to
+//!   the physical plan instead of a result set;
 //! * result hashes are FNV-1a 64 (the in-tree hash also used by query
 //!   fingerprints), not MD5 — the repo has no MD5 and does not want one.
 //!

@@ -97,6 +97,9 @@ fn run_record(db: &mut Database, record: &Record, report: &mut FileReport) -> Re
             ..
         } => {
             report.queries += 1;
+            let explain = sql
+                .get(..8)
+                .is_some_and(|w| w.eq_ignore_ascii_case("EXPLAIN "));
             let mut reference: Option<(Relation, String)> = None;
             for strategy in Strategy::all() {
                 let name = strategy.to_string().to_ascii_lowercase();
@@ -105,12 +108,18 @@ fn run_record(db: &mut Database, record: &Record, report: &mut FileReport) -> Re
                 }
                 for threads in THREAD_AXIS {
                     let grid = format!("{name} / threads={threads}");
+                    report.executions += 1;
+                    if explain {
+                        let got = plan_lines(db, sql, strategy)
+                            .map_err(|e| format!("[{grid}] explain failed: {e}"))?;
+                        check_expected(expected, &got).map_err(|e| format!("[{grid}] {e}"))?;
+                        continue;
+                    }
                     let limits = RunLimits {
                         timeout: Some(QUERY_TIMEOUT),
                         threads: Some(threads),
                         ..RunLimits::default()
                     };
-                    report.executions += 1;
                     let rel = match db.run_governed(sql, strategy, &limits) {
                         Ok((rel, _counters)) => rel,
                         Err(e) => return Err(format!("[{grid}] query failed: {e}")),
@@ -137,6 +146,20 @@ fn run_record(db: &mut Database, record: &Record, report: &mut FileReport) -> Re
             Ok(())
         }
     }
+}
+
+/// What an `EXPLAIN <select>` record (a plan golden) compares: the lines
+/// of `Database::explain` up to the physical plan — its operator choice
+/// is the executor tests' to pin — one value per line, blank lines
+/// dropped because a result block cannot hold one.
+fn plan_lines(db: &Database, sql: &str, strategy: Strategy) -> bypass_types::Result<Vec<String>> {
+    Ok(db
+        .explain(sql, strategy)?
+        .lines()
+        .take_while(|l| *l != "-- physical plan")
+        .map(|l| l.trim_end().to_string())
+        .filter(|l| !l.is_empty())
+        .collect())
 }
 
 fn statement(

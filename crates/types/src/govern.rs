@@ -62,7 +62,7 @@ pub fn tuple_bytes(t: &Tuple) -> u64 {
 /// A shareable cooperative-cancellation flag.
 ///
 /// Clone the token, hand one clone to the query (via
-/// `ExecOptions::cancel` / `Database::run_cancellable`) and keep the
+/// `ExecOptions::cancel` / `RunLimits::cancel`) and keep the
 /// other; calling [`cancel`](CancelToken::cancel) from any thread makes
 /// the running query return [`Error::Cancelled`](crate::Error::Cancelled)
 /// at its next governor checkpoint. Tokens are reusable: call

@@ -487,7 +487,7 @@ mod tests {
         assert_eq!(Value::Null, Value::Null);
         // Integral floats equal their integer counterpart — this keeps
         // hash-join/aggregate key matching consistent with `Value::cmp`
-        // and SQL `=` (see tests/corpus/typea_avg_float_int_key.sql).
+        // and SQL `=` (see `typea_avg_float_int_key` in tests/slt/corpus/).
         assert_eq!(Value::Int(1), Value::Float(1.0));
         assert_eq!(Value::Float(1.0), Value::Int(1));
         assert_ne!(Value::Int(1), Value::Float(1.5));

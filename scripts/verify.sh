@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate, fully offline: release build, the whole test
-# suite (including the 200-case differential oracle and the regression
-# corpus), clippy as errors, and formatting.
+# suite (including the 200-case differential oracle and the slt
+# conformance corpus under tests/slt — the SQL surface battery, the
+# regression corpus of oracle findings and the plan goldens among its
+# directories), clippy as errors, and formatting.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail

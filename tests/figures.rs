@@ -1,6 +1,8 @@
 //! Plan-shape reproduction of the paper's Figures 2, 3, 5 and 6: the
 //! unnested plans must exhibit exactly the operator structure the paper
-//! sketches. These are the E4–E7 experiments of DESIGN.md.
+//! sketches. These are the E4–E7 experiments of DESIGN.md. The full plan
+//! text of the same queries is pinned in `tests/slt/plans/*.slt`; what
+//! stays here names, operator by operator, what each figure shows.
 
 use bypass::datagen::rst;
 use bypass::{Database, Strategy};
@@ -53,8 +55,6 @@ fn fig2a_canonical_q1_has_nested_block_in_predicate() {
 #[test]
 fn fig2c_unnested_q1_structure() {
     let text = unnested_plan(Q1);
-    // The disjoint union of the two streams.
-    assert!(text.contains("∪̇"), "{text}");
     // Positive stream: bypass selection on the cheap predicate.
     assert!(text.contains("σ±+[(a4 > 1500)] (#1)"), "{text}");
     // Negative stream: shared bypass node, Γ on the correlation key,
@@ -83,10 +83,8 @@ fn fig3b_unnested_q2_structure() {
     // other, combined by χ (here: g = g1 + g2).
     assert!(text.contains("Γ[b2; __p"), "{text}");
     assert!(text.contains("χ[__g"), "{text}");
-    assert!(text.contains("+"), "{text}");
     // Count-bug defaults on the outerjoin.
     assert!(text.contains("defaults[__p"), "{text}");
-    assert!(text.contains("←0]"), "{text}");
     assert!(!text.contains("subquery:"), "{text}");
     // S is scanned once; both partials read the same bypass node.
     assert_eq!(text.matches("Scan s").count(), 1, "{text}");
@@ -118,7 +116,6 @@ fn fig6_unnested_q4_linear_structure() {
     // The inner-inner block is unnested with Eqv. 1 inside σ_p on the
     // negative join stream: Γ over T and an outerjoin with default 0.
     assert!(text.contains("Γ[c2; __g"), "{text}");
-    assert!(text.contains("←0]"), "{text}");
     assert!(!text.contains("subquery:"), "{text}");
 }
 

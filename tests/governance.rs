@@ -44,7 +44,10 @@ fn timed_out_prepared_reexecutes_cleanly() {
     // An already-expired deadline trips at the first governor
     // checkpoint with the typed Time error.
     let err = q
-        .execute_with_timeout(Some(Duration::ZERO))
+        .execute_governed(&RunLimits {
+            timeout: Some(Duration::ZERO),
+            ..Default::default()
+        })
         .expect_err("zero timeout must fire");
     assert!(
         matches!(
@@ -145,8 +148,12 @@ fn cancellation_of_one_query_leaves_a_concurrent_one_untouched() {
     for _round in 0..4 {
         let token = CancelToken::new();
         token.cancel();
+        let limits = RunLimits {
+            cancel: Some(token.clone()),
+            ..Default::default()
+        };
         std::thread::scope(|scope| {
-            let cancelled = scope.spawn(|| db.run_cancellable(Q1, Strategy::Unnested, &token));
+            let cancelled = scope.spawn(|| db.run_governed(Q1, Strategy::Unnested, &limits));
             let surviving = scope.spawn(|| db.profile(Q1, Strategy::Unnested).unwrap());
 
             let err = cancelled
@@ -162,7 +169,7 @@ fn cancellation_of_one_query_leaves_a_concurrent_one_untouched() {
         });
         // The token is reusable after a reset.
         token.reset();
-        assert!(db.run_cancellable(Q1, Strategy::Unnested, &token).is_ok());
+        assert!(db.run_governed(Q1, Strategy::Unnested, &limits).is_ok());
     }
 }
 

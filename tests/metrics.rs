@@ -1,8 +1,8 @@
 //! End-to-end gates for the always-on metrics registry (DESIGN.md §9):
 //! deterministic snapshots across the execution-shape matrix, the
-//! `SHOW METRICS` statement, query fingerprints on every surface, and
-//! the per-fingerprint stats / slow-query / cardinality-feedback read
-//! APIs.
+//! `SHOW METRICS` statement, query fingerprints on every surface, the
+//! per-fingerprint stats / slow-query read APIs, and the parity of
+//! every statement entry point over the one compile → run pipeline.
 
 use std::sync::Arc;
 
@@ -25,6 +25,19 @@ const Q2: &str = "SELECT DISTINCT * FROM r \
 const Q_COMBINED: &str = "SELECT DISTINCT * FROM r \
                           WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500) \
                              OR a4 > 2700";
+
+/// The benchmark's Q4: linear nesting plus a plain disjunct.
+const Q4: &str = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                              WHERE a2 = b2 \
+                                 OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
+                     OR a4 > 1500";
+
+/// Tree query: two nested blocks under one disjunction (the OR→UNION
+/// rewrite applies to it, so S2 is a live cost-based candidate).
+const Q3: &str = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
+                     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)";
 
 fn rst_database(hub: Arc<MetricsHub>) -> Database {
     let mut db = Database::new().with_metrics_hub(hub);
@@ -205,37 +218,91 @@ fn prepared_statements_share_the_fingerprint() {
     assert_eq!(stats.execs, 2);
 }
 
-/// Profiled runs record measured per-operator cardinalities into the
-/// feedback store, readable back by fingerprint.
+/// The `bypass_unnest_outcomes_total` series of a hub, as
+/// `(outcome, count)` pairs.
+fn unnest_outcomes(hub: &MetricsHub) -> Vec<(String, u64)> {
+    let snapshot = hub.snapshot();
+    snapshot
+        .entries
+        .iter()
+        .filter(|e| e.name == "bypass_unnest_outcomes_total")
+        .map(|e| match &e.value {
+            MetricValue::Counter(n) => (e.labels[0].1.clone(), *n),
+            other => panic!("{other:?}"),
+        })
+        .collect()
+}
+
+/// The cost-based choice prepares every candidate once and keeps the
+/// winner's plan: what a `CostBased` run books as unnest outcomes is
+/// exactly what running the chosen strategy directly books — the
+/// losers' rewrites are not fires, and the winner is not rewritten a
+/// second time.
 #[test]
-fn profile_feeds_the_cardinality_store() {
-    let hub = Arc::new(MetricsHub::new());
-    let db = rst_database(Arc::clone(&hub));
-    let fp = fingerprint_sql(Q1).unwrap();
+fn cost_based_books_only_the_chosen_strategys_outcomes() {
+    for sql in [Q1, Q4, Q3] {
+        let hub = Arc::new(MetricsHub::new());
+        let db = rst_database(Arc::clone(&hub));
+        let chosen = db.prepare(sql, Strategy::CostBased).unwrap().strategy();
+        let via_prepare = unnest_outcomes(&hub);
+        assert!(!via_prepare.is_empty(), "{sql}: the rewrite fired");
 
-    assert_eq!(hub.cardinalities(fp), None, "store starts empty");
-    let profile = db.profile(Q1, Strategy::Unnested).unwrap();
-    assert_eq!(profile.fingerprint, fp);
+        let direct = Arc::new(MetricsHub::new());
+        rst_database(Arc::clone(&direct))
+            .run_governed(sql, chosen, &RunLimits::default())
+            .unwrap();
+        assert_eq!(via_prepare, unnest_outcomes(&direct), "prepare, {sql}");
 
-    assert!(hub.feedback_fingerprints().contains(&fp));
-    let (runs, ops) = hub.cardinalities(fp).expect("profiled run recorded");
-    assert_eq!(runs, 1, "one profiled observation so far");
-    assert!(!ops.is_empty(), "operator cardinalities recorded");
-    // Labels are stable plan positions, and the root operator's row
-    // count is the query's output cardinality.
-    for op in &ops {
-        assert!(
-            op.label.contains(':'),
-            "label {:?} not position:name",
-            op.label
+        let cost_based = Arc::new(MetricsHub::new());
+        rst_database(Arc::clone(&cost_based))
+            .run_governed(sql, Strategy::CostBased, &RunLimits::default())
+            .unwrap();
+        assert_eq!(
+            unnest_outcomes(&cost_based),
+            unnest_outcomes(&direct),
+            "run_governed, {sql}"
         );
     }
-    let root = ops.iter().find(|o| o.label.starts_with("0:")).unwrap();
-    assert_eq!(root.rows, profile.rows as u64);
+}
 
-    // A second profiled run folds in as another observation.
-    db.profile(Q1, Strategy::Canonical).unwrap();
-    assert_eq!(hub.cardinalities(fp).unwrap().0, 2);
+/// The unnest outcome tally is per statement: whatever a statement
+/// tallied is booked (or dropped with its error) before the next one
+/// starts on the same thread — after an EXPLAIN, after a cost-based
+/// EXPLAIN that rewrote three candidates, and after a statement that
+/// failed in translation or in planning.
+#[test]
+fn unnest_outcomes_never_leak_into_the_next_statement() {
+    let hub = Arc::new(MetricsHub::new());
+    let db = rst_database(Arc::clone(&hub));
+    let type_error = Q1.replace("a4 > 1500", "a4 + 'x' > 1500");
+    let statements: [(&str, &dyn Fn() -> bool); 4] = [
+        ("explain", &|| db.explain(Q1, Strategy::Unnested).is_ok()),
+        ("cost-based explain", &|| {
+            db.explain(Q1, Strategy::CostBased).is_ok()
+        }),
+        ("translate error", &|| {
+            db.sql_with("SELECT nosuch FROM r", Strategy::Unnested, None)
+                .is_err()
+        }),
+        ("plan error after the rewrite fired", &|| {
+            db.sql_with(&type_error, Strategy::Unnested, None).is_err()
+        }),
+    ];
+    for (what, statement) in statements {
+        assert!(statement(), "{what}");
+        let before = unnest_outcomes(&hub);
+        db.run_governed(
+            "SELECT a1 FROM r",
+            Strategy::Canonical,
+            &RunLimits::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            unnest_outcomes(&hub),
+            before,
+            "a plain canonical SELECT after {what} books no unnest outcomes"
+        );
+    }
 }
 
 /// Hubs are isolated: a database built with its own hub does not leak

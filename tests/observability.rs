@@ -1,13 +1,19 @@
 //! End-to-end observability gates: the `EXPLAIN ANALYZE` statement
 //! through the full SQL frontend, the Chrome-trace export of an
-//! instrumented query run, and the worker-count independence of the
-//! execution counters.
+//! instrumented query run, the worker-count independence of the
+//! execution counters, and the parity of every statement entry point
+//! over the one compile → run pipeline.
 
-use std::sync::Mutex;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bypass::datagen::rst;
-use bypass::{CancelToken, Database, Error, Response, RunLimits, Strategy};
+use bypass::service::{QueryService, ServiceConfig, SessionQuotas};
+use bypass::{
+    CancelToken, Database, Error, ExecCounters, MetricEntry, MetricValue, MetricsHub, Response,
+    RunLimits, Strategy, Tuple,
+};
 
 /// The trace collector is process-global; tests that enable, disable or
 /// drain it must not interleave.
@@ -18,6 +24,14 @@ static TRACE_GATE: Mutex<()> = Mutex::new(());
 const Q1: &str = "SELECT DISTINCT * FROM r \
                   WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
                      OR a4 > 1500";
+
+/// The benchmark's Q4: the paper's linear query plus a plain disjunct —
+/// unnested, its negative stream runs as a fused stage chain.
+const Q4_FUSED: &str = "SELECT DISTINCT * FROM r \
+                        WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                                    WHERE a2 = b2 \
+                                       OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
+                           OR a4 > 1500";
 
 fn q1_database(strategy: Strategy) -> Database {
     let mut db = Database::new().with_default_strategy(strategy);
@@ -300,5 +314,169 @@ fn profile_counters_are_identical_across_concurrent_workers() {
                 assert_eq!(rows, reference.rows, "workers={workers}");
             }
         });
+    }
+}
+
+/// Everything one entry point left behind for one statement, read off
+/// its result, the trace collector and a hub nothing else wrote to.
+#[derive(Debug)]
+struct Footprint {
+    /// The row sequence (`profile` reports the count only).
+    rows: Option<Vec<Tuple>>,
+    row_count: usize,
+    /// `execute_sql` returns no counters; the hub's deterministic
+    /// snapshot below carries the same totals.
+    counters: Option<ExecCounters>,
+    fingerprint: u64,
+    sql: String,
+    /// Engine span names on the calling thread, `service.*` aside —
+    /// and `exec.morsel` aside: which thread runs a morsel is the
+    /// scheduler's choice, not the entry point's.
+    spans: BTreeSet<String>,
+    /// The timing-free hub snapshot (`bypass_service_*` aside): query,
+    /// row, checkpoint, memo, disjunct and unnest-outcome counters,
+    /// the peak-memory gauge and the per-fingerprint series.
+    hub: Vec<MetricEntry>,
+    /// `bypass_phase_nanos` sample count per phase.
+    phase_samples: Vec<u64>,
+}
+
+/// Run one entry point against a fresh hub with tracing on and collect
+/// its [`Footprint`]. `entry` returns `(rows, row count, counters)`.
+fn footprint(
+    base: &Database,
+    entry: impl FnOnce(Database) -> (Option<Vec<Tuple>>, usize, Option<ExecCounters>),
+) -> Footprint {
+    let hub = Arc::new(MetricsHub::new());
+    let db = base.clone().with_metrics_hub(Arc::clone(&hub));
+    bypass::trace::clear();
+    bypass::trace::set_enabled(true);
+    let (rows, row_count, counters) = entry(db);
+    bypass::trace::set_enabled(false);
+    let tid = bypass::trace::current_tid();
+    let spans = bypass::trace::take_events()
+        .into_iter()
+        .filter(|e| e.phase == 'X' && e.tid == tid)
+        .map(|e| e.name)
+        .filter(|name| !name.starts_with("service.") && name != "exec.morsel")
+        .collect();
+
+    let table = hub.query_table();
+    assert_eq!(table.len(), 1, "one statement, one fingerprint");
+    let snapshot = hub.snapshot();
+    let histogram = |name: &str, labels: &[(&str, &str)]| match snapshot.get(name, labels) {
+        Some(MetricValue::Histogram(h)) => (h.count, h.sum),
+        other => panic!("{name}{labels:?}: {other:?}"),
+    };
+    let phases: Vec<(u64, u64)> = ["parse", "translate", "unnest", "optimize", "execute"]
+        .iter()
+        .map(|p| histogram("bypass_phase_nanos", &[("phase", p)]))
+        .collect();
+    let (latency_count, latency_sum) = histogram("bypass_query_latency_nanos", &[]);
+    assert_eq!(latency_count, 1);
+    assert_eq!(
+        phases.iter().map(|(_, sum)| sum).sum::<u64>(),
+        latency_sum,
+        "the five phases sum to the recorded total"
+    );
+    Footprint {
+        rows,
+        row_count,
+        counters,
+        fingerprint: table[0].fingerprint,
+        sql: table[0].sql.clone(),
+        spans,
+        hub: snapshot
+            .deterministic()
+            .entries
+            .into_iter()
+            .filter(|e| !e.name.starts_with("bypass_service_"))
+            .collect(),
+        phase_samples: phases.iter().map(|(count, _)| *count).collect(),
+    }
+}
+
+/// One pipeline, many doors: for one statement and one strategy,
+/// `run_governed`, `prepare` → `execute_governed`, `profile_governed`,
+/// `execute_sql` and `Session::execute` produce the same rows, counters,
+/// fingerprint, recorded SQL text, engine spans and hub deltas — under
+/// `CostBased` too, where the choice is made once and only the chosen
+/// strategy's rewrites are booked.
+#[test]
+fn every_entry_point_leaves_the_same_footprint() {
+    let _gate = TRACE_GATE.lock().unwrap();
+    // Small enough that canonical Q4 (|R|·|S|·|T| predicate calls) stays
+    // quick in a debug build.
+    let mut base = Database::new();
+    rst::register(base.catalog_mut(), &rst::generate(0.01, 0.01, 42)).unwrap();
+    let limits = RunLimits::default();
+    for sql in [Q1, Q4_FUSED] {
+        for strategy in [Strategy::Canonical, Strategy::Unnested, Strategy::CostBased] {
+            let reference = footprint(&base, |db| {
+                let (rel, counters) = db.run_governed(sql, strategy, &limits).unwrap();
+                (Some(rel.rows().to_vec()), rel.len(), Some(counters))
+            });
+            assert!(reference.row_count > 0, "{sql} returns rows");
+            for span in ["sql.parse", "translate", "unnest", "optimize", "execute"] {
+                assert!(
+                    reference.spans.contains(span),
+                    "{span} span missing: {:?}",
+                    reference.spans
+                );
+            }
+            let others = [
+                (
+                    "prepare + execute_governed",
+                    footprint(&base, |db| {
+                        let prepared = db.prepare(sql, strategy).unwrap();
+                        let (rel, counters) = prepared.execute_governed(&limits).unwrap();
+                        (Some(rel.rows().to_vec()), rel.len(), Some(counters))
+                    }),
+                ),
+                (
+                    "profile_governed",
+                    footprint(&base, |db| {
+                        let p = db.profile_governed(sql, strategy, &limits).unwrap();
+                        (None, p.rows, Some(p.counters))
+                    }),
+                ),
+                (
+                    "execute_sql",
+                    footprint(&base, |db| {
+                        let mut db = db.with_default_strategy(strategy);
+                        let rel = db.execute_sql(sql).unwrap().into_rows().unwrap();
+                        (Some(rel.rows().to_vec()), rel.len(), None)
+                    }),
+                ),
+                (
+                    "Session::execute",
+                    footprint(&base, |db| {
+                        let svc =
+                            QueryService::new(Arc::new(db), strategy, ServiceConfig::default());
+                        let resp = svc.session(SessionQuotas::default()).execute(sql).unwrap();
+                        (
+                            Some(resp.rows.rows().to_vec()),
+                            resp.rows.len(),
+                            Some(resp.counters),
+                        )
+                    }),
+                ),
+            ];
+            for (entry, got) in &others {
+                let at = format!("{entry} under {strategy}: {sql}");
+                if let Some(rows) = &got.rows {
+                    assert_eq!(Some(rows), reference.rows.as_ref(), "rows, {at}");
+                }
+                assert_eq!(got.row_count, reference.row_count, "row count, {at}");
+                if got.counters.is_some() {
+                    assert_eq!(got.counters, reference.counters, "counters, {at}");
+                }
+                assert_eq!(got.fingerprint, reference.fingerprint, "fingerprint, {at}");
+                assert_eq!(got.sql, reference.sql, "recorded SQL, {at}");
+                assert_eq!(got.spans, reference.spans, "engine spans, {at}");
+                assert_eq!(got.hub, reference.hub, "hub deltas, {at}");
+                assert_eq!(got.phase_samples, reference.phase_samples, "{at}");
+            }
+        }
     }
 }

@@ -1,5 +1,8 @@
 //! Conformance-corpus harness: every `tests/slt/**/*.slt` file runs
-//! across the full strategy × threads × batch grid (see DESIGN.md §10).
+//! across the full strategy × threads grid (see DESIGN.md §10). This is
+//! the one place SQL expectations live: the hand-computed surface
+//! battery (`surface/`), the regression corpus of oracle findings
+//! (`corpus/`) and the plan goldens (`plans/`) included.
 //!
 //! One `#[test]` per corpus subdirectory so failures localize and the
 //! directories run in parallel under the default test runner. A new
@@ -13,8 +16,9 @@ fn corpus_root() -> PathBuf {
 }
 
 /// Directories with a dedicated `#[test]` below.
-const DIRS: [&str; 9] = [
-    "agg", "basics", "corr", "dates", "errors", "nulls", "skew", "strings", "tpch",
+const DIRS: [&str; 12] = [
+    "agg", "basics", "corpus", "corr", "dates", "errors", "nulls", "plans", "skew", "strings",
+    "surface", "tpch",
 ];
 
 fn run_dir(sub: &str) {
@@ -72,6 +76,11 @@ fn slt_basics() {
 }
 
 #[test]
+fn slt_corpus() {
+    run_dir("corpus");
+}
+
+#[test]
 fn slt_corr() {
     run_dir("corr");
 }
@@ -92,6 +101,11 @@ fn slt_nulls() {
 }
 
 #[test]
+fn slt_plans() {
+    run_dir("plans");
+}
+
+#[test]
 fn slt_skew() {
     run_dir("skew");
 }
@@ -99,6 +113,11 @@ fn slt_skew() {
 #[test]
 fn slt_strings() {
     run_dir("strings");
+}
+
+#[test]
+fn slt_surface() {
+    run_dir("surface");
 }
 
 #[test]

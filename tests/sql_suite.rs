@@ -1,337 +1,46 @@
-//! SQL correctness battery: hand-computed expectations for the query
-//! surface area, executed under the default (unnested) strategy. These
-//! are behaviour tests for the engine as a product, complementing the
-//! strategy-equivalence tests.
+//! The SQL surface battery lives in `tests/slt/surface/*.slt` and runs
+//! under the slt driver across the whole strategy × threads grid
+//! (`tests/slt.rs::slt_surface`, DESIGN.md §10). What is left here keeps
+//! the battery's fifteen test names alive, one per file, because the
+//! tier-1 floor names them and a PR may retire only a few names at a
+//! time; delete this file once the floor no longer lists it.
 
-use bypass::{Database, Value};
+use std::path::PathBuf;
 
-fn db() -> Database {
-    let mut db = Database::new();
-    db.execute_sql("CREATE TABLE emp (id INT, name TEXT, dept INT, salary FLOAT, bonus INT)")
-        .unwrap();
-    db.execute_sql(
-        "INSERT INTO emp VALUES \
-         (1, 'ada', 10, 120.0, 5), \
-         (2, 'bob', 10, 90.5, NULL), \
-         (3, 'cyn', 20, 200.0, 2), \
-         (4, 'dee', 20, 200.0, 9), \
-         (5, 'eve', NULL, 75.0, 1)",
-    )
-    .unwrap();
-    db.execute_sql("CREATE TABLE dept (d_id INT, d_name TEXT)")
-        .unwrap();
-    db.execute_sql("INSERT INTO dept VALUES (10, 'eng'), (20, 'ops'), (30, 'hr')")
-        .unwrap();
-    db
+/// Run `tests/slt/surface/<test name, dashed>.slt` through the slt driver.
+fn surface(test: &str) {
+    let base = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/slt");
+    let file = base
+        .join("surface")
+        .join(test.replace('_', "-"))
+        .with_extension("slt");
+    let report = bypass_slt::run_path(&file, &base).unwrap_or_else(|e| panic!("{e}"));
+    assert!(report.passed(), "{}: {:?}", report.name, report.failures);
 }
 
-fn ints(db: &Database, sql: &str) -> Vec<i64> {
-    let rel = db.sql(sql).unwrap();
-    let mut out: Vec<i64> = rel
-        .rows()
-        .iter()
-        .map(|t| match &t[0] {
-            Value::Int(i) => *i,
-            other => panic!("expected int, got {other}"),
-        })
-        .collect();
-    out.sort();
-    out
+macro_rules! surface_tests {
+    ($($name:ident),* $(,)?) => {$(
+        #[test]
+        fn $name() {
+            surface(stringify!($name));
+        }
+    )*};
 }
 
-#[test]
-fn comparisons_and_null() {
-    let db = db();
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE salary > 100"),
-        vec![1, 3, 4]
-    );
-    assert_eq!(ints(&db, "SELECT id FROM emp WHERE dept = 10"), vec![1, 2]);
-    // NULL dept never compares equal (row 5 dropped).
-    assert_eq!(ints(&db, "SELECT id FROM emp WHERE dept <> 10"), vec![3, 4]);
-    // NULL bonus: dropped by both the predicate and its negation.
-    assert_eq!(ints(&db, "SELECT id FROM emp WHERE bonus > 3"), vec![1, 4]);
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE NOT (bonus > 3)"),
-        vec![3, 5]
-    );
-}
-
-#[test]
-fn arithmetic_in_projection_and_predicate() {
-    let db = db();
-    let rel = db
-        .sql("SELECT salary * 2 + 1 FROM emp WHERE id = 1")
-        .unwrap();
-    assert_eq!(rel.rows()[0][0], Value::Float(241.0));
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE salary / 2 > 60"),
-        vec![3, 4],
-        "120 / 2 = 60 is not > 60"
-    );
-    // NULL-propagating arithmetic: bonus + 1 is NULL for bob.
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE bonus + 1 > 0"),
-        vec![1, 3, 4, 5]
-    );
-}
-
-#[test]
-fn like_patterns() {
-    let db = db();
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE name LIKE '%e'"),
-        vec![4, 5]
-    );
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE name LIKE '_o_'"),
-        vec![2]
-    );
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE name NOT LIKE '%e%'"),
-        vec![1, 2, 3]
-    );
-}
-
-#[test]
-fn between_and_in_list() {
-    let db = db();
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE salary BETWEEN 90 AND 150"),
-        vec![1, 2]
-    );
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE id IN (1, 3, 99)"),
-        vec![1, 3]
-    );
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE id NOT IN (1, 3, 99)"),
-        vec![2, 4, 5]
-    );
-    // NULL in the probe: UNKNOWN, row dropped even under NOT IN.
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE dept NOT IN (10, 99)"),
-        vec![3, 4]
-    );
-}
-
-#[test]
-fn order_by_and_distinct() {
-    let db = db();
-    let rel = db
-        .sql("SELECT id FROM emp ORDER BY salary DESC, id ASC")
-        .unwrap();
-    let got: Vec<i64> = rel
-        .rows()
-        .iter()
-        .map(|t| match t[0] {
-            Value::Int(i) => i,
-            _ => panic!(),
-        })
-        .collect();
-    assert_eq!(got, vec![3, 4, 1, 2, 5]);
-
-    let rel = db.sql("SELECT DISTINCT dept FROM emp").unwrap();
-    assert_eq!(rel.len(), 3, "10, 20 and NULL");
-}
-
-#[test]
-fn aggregates_top_level() {
-    let db = db();
-    let rel = db
-        .sql("SELECT COUNT(*), COUNT(bonus), SUM(bonus), MIN(salary), MAX(salary), AVG(bonus) FROM emp")
-        .unwrap();
-    let row = &rel.rows()[0];
-    assert_eq!(row[0], Value::Int(5));
-    assert_eq!(row[1], Value::Int(4), "COUNT(col) skips NULL");
-    assert_eq!(row[2], Value::Int(17));
-    assert_eq!(row[3], Value::Float(75.0));
-    assert_eq!(row[4], Value::Float(200.0));
-    assert_eq!(row[5], Value::Float(17.0 / 4.0));
-}
-
-#[test]
-fn aggregates_on_empty_input() {
-    let db = db();
-    let rel = db
-        .sql("SELECT COUNT(*), SUM(bonus), MIN(salary) FROM emp WHERE id > 100")
-        .unwrap();
-    let row = &rel.rows()[0];
-    assert_eq!(row[0], Value::Int(0));
-    assert!(row[1].is_null());
-    assert!(row[2].is_null());
-}
-
-#[test]
-fn joins_and_aliases() {
-    let db = db();
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT e.id FROM emp e, dept d WHERE e.dept = d.d_id AND d.d_name = 'eng'"
-        ),
-        vec![1, 2]
-    );
-    // NULL dept joins nothing.
-    assert_eq!(
-        ints(&db, "SELECT e.id FROM emp e, dept d WHERE e.dept = d.d_id"),
-        vec![1, 2, 3, 4]
-    );
-}
-
-#[test]
-fn correlated_scalar_subquery_in_select() {
-    let db = db();
-    let rel = db
-        .sql(
-            "SELECT d_id, (SELECT COUNT(*) FROM emp WHERE dept = d_id) AS n \
-             FROM dept ORDER BY d_id",
-        )
-        .unwrap();
-    let counts: Vec<(i64, i64)> = rel
-        .rows()
-        .iter()
-        .map(|t| match (&t[0], &t[1]) {
-            (Value::Int(a), Value::Int(b)) => (*a, *b),
-            _ => panic!(),
-        })
-        .collect();
-    assert_eq!(counts, vec![(10, 2), (20, 2), (30, 0)]);
-}
-
-#[test]
-fn quantified_comparisons() {
-    let db = db();
-    // Employees earning at least as much as everyone in their dept.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp e \
-             WHERE e.salary >= ALL (SELECT x.salary FROM emp x WHERE x.dept = e.dept)"
-        ),
-        vec![1, 3, 4, 5]
-    );
-    // Strictly more than someone in dept 20.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp WHERE salary > ANY (SELECT salary FROM emp WHERE dept = 20)"
-        ),
-        vec![]
-    );
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp WHERE salary >= SOME (SELECT salary FROM emp WHERE dept = 20)"
-        ),
-        vec![3, 4]
-    );
-}
-
-#[test]
-fn exists_variants() {
-    let db = db();
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT d_id FROM dept WHERE EXISTS (SELECT * FROM emp WHERE dept = d_id)"
-        ),
-        vec![10, 20]
-    );
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT d_id FROM dept WHERE NOT EXISTS (SELECT * FROM emp WHERE dept = d_id)"
-        ),
-        vec![30]
-    );
-}
-
-#[test]
-fn disjunctive_linking_end_to_end() {
-    let db = db();
-    // Max-salary-of-dept OR large bonus — the paper's pattern on a
-    // business-ish schema.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp e \
-             WHERE e.salary = (SELECT MAX(x.salary) FROM emp x WHERE x.dept = e.dept) \
-                OR e.bonus > 8"
-        ),
-        vec![1, 3, 4]
-    );
-}
-
-#[test]
-fn error_surface() {
-    let db = db();
-    // Unknown column.
-    let err = db.sql("SELECT nope FROM emp").unwrap_err();
-    assert!(err.to_string().contains("unknown column"), "{err}");
-    // Unknown table.
-    let err = db.sql("SELECT * FROM nope").unwrap_err();
-    assert!(err.to_string().contains("does not exist"), "{err}");
-    // Ambiguous column across a join.
-    let mut db2 = Database::new();
-    db2.execute_sql("CREATE TABLE a (x INT)").unwrap();
-    db2.execute_sql("CREATE TABLE b (x INT)").unwrap();
-    let err = db2.sql("SELECT x FROM a, b").unwrap_err();
-    assert!(err.to_string().contains("ambiguous"), "{err}");
-    // Scalar subquery with more than one row.
-    let err = db
-        .sql("SELECT id FROM emp WHERE salary = (SELECT salary FROM emp WHERE dept = 10)")
-        .unwrap_err();
-    assert!(err.to_string().contains("returned 2 rows"), "{err}");
-}
-
-#[test]
-fn is_null_and_limit() {
-    let db = db();
-    assert_eq!(ints(&db, "SELECT id FROM emp WHERE bonus IS NULL"), vec![2]);
-    assert_eq!(
-        ints(&db, "SELECT id FROM emp WHERE dept IS NOT NULL"),
-        vec![1, 2, 3, 4]
-    );
-    // IS NULL in a disjunction with a nested block still unnests.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp e \
-             WHERE e.salary = (SELECT MAX(x.salary) FROM emp x WHERE x.dept = e.dept) \
-                OR e.bonus IS NULL"
-        ),
-        vec![1, 2, 3, 4]
-    );
-    // LIMIT after ORDER BY.
-    let rel = db
-        .sql("SELECT id FROM emp ORDER BY salary DESC, id LIMIT 2")
-        .unwrap();
-    assert_eq!(rel.len(), 2);
-    assert_eq!(rel.rows()[0][0], Value::Int(3));
-    assert_eq!(rel.rows()[1][0], Value::Int(4));
-    // LIMIT 0 and over-limit.
-    assert_eq!(db.sql("SELECT id FROM emp LIMIT 0").unwrap().len(), 0);
-    assert_eq!(db.sql("SELECT id FROM emp LIMIT 99").unwrap().len(), 5);
-}
-
-#[test]
-fn scalar_non_aggregate_subquery_single_row() {
-    let db = db();
-    // A non-aggregate scalar subquery with exactly one row works.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp WHERE dept = (SELECT d_id FROM dept WHERE d_name = 'eng')"
-        ),
-        vec![1, 2]
-    );
-    // Empty scalar subquery → NULL → no rows.
-    assert_eq!(
-        ints(
-            &db,
-            "SELECT id FROM emp WHERE dept = (SELECT d_id FROM dept WHERE d_name = 'zz')"
-        ),
-        vec![]
-    );
-}
+surface_tests!(
+    comparisons_and_null,
+    arithmetic_in_projection_and_predicate,
+    like_patterns,
+    between_and_in_list,
+    order_by_and_distinct,
+    aggregates_top_level,
+    aggregates_on_empty_input,
+    joins_and_aliases,
+    correlated_scalar_subquery_in_select,
+    quantified_comparisons,
+    exists_variants,
+    disjunctive_linking_end_to_end,
+    error_surface,
+    is_null_and_limit,
+    scalar_non_aggregate_subquery_single_row,
+);
