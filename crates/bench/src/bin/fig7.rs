@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation tables.
 //!
 //! ```text
-//! fig7 [q1] [q2d] [q2] [q3] [q4] [exists] [combined] [rank] [all]
+//! fig7 [q1] [q2d] [q2] [q3] [q4] [exists] [combined] [rank] [ablations] [all]
 //!      [--timeout SECS] [--quick] [--csv]
 //! ```
 //!
@@ -12,24 +12,35 @@
 //! * `exists` — quantified subquery in a disjunction (TR extension).
 //! * `combined` — disjunctive linking *and* correlation (outlook 1).
 //! * `rank` — Eqv. 2 vs Eqv. 3 ablation over plain-disjunct selectivity.
+//! * `ablations` — the engine's design choices switched off one at a
+//!   time: DAG sharing, stage-chain fusion, join ordering, type-A
+//!   subquery materialization.
 //!
 //! Scale factors are 1/10 of the paper's (see DESIGN.md §4); cells that
 //! exceed the timeout print `n/a` exactly like the paper's six-hour
-//! aborts.
+//! aborts. A cell that fails any other way prints `err`, and so does
+//! not pass for an abort: the error goes to stderr and the exit status
+//! is nonzero, as it is when the strategies that finished a cell return
+//! different row counts.
 //!
 //! Timing runs are serial by default. Set `BYPASS_THREADS=N` to fan the
 //! independent strategy rows (and database construction) out over N
 //! scoped workers — useful for fast smoke runs; published numbers
 //! should keep the default, since concurrent rows contend for cores.
 
+use std::fmt::Display;
+use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bypass_bench::{
-    measure, q1_with_threshold, rst_database, tpch_database, Table, Q1, Q2, Q3, Q4, QUERY_2D,
-    Q_COMBINED, Q_EXISTS,
+    audit, measure, measure_with, q1_with_threshold, rst_database, tpch_database, Measurement,
+    Table, Q1, Q2, Q3, Q4, QUERY_2D, Q_COMBINED, Q_EXISTS,
 };
-use bypass_core::Strategy;
+use bypass_core::{Database, LogicalPlan, Strategy};
+use bypass_exec::{evaluate_with, physical_plan_with, ExecOptions, PlanOptions};
 use bypass_types::par;
+use bypass_unnest::{ablation::unshare_bypass, optimize_joins};
 
 struct Config {
     timeout: Duration,
@@ -37,7 +48,7 @@ struct Config {
     csv: bool,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiments: Vec<String> = Vec::new();
     let mut timeout = 60.0f64;
@@ -68,25 +79,27 @@ fn main() {
     let all = experiments.iter().any(|e| e == "all");
     let want = |name: &str| all || experiments.iter().any(|e| e == name);
 
+    // Failed cells and row-count disagreements over every table printed.
+    let mut problems = 0;
     if want("q1") {
-        rst_experiment(
+        problems += rst_experiment(
             &cfg,
             "Fig. 7(a) — Q1 (disjunctive linking, RST); seconds",
             Q1,
         );
     }
     if want("q2d") {
-        q2d_experiment(&cfg);
+        problems += q2d_experiment(&cfg);
     }
     if want("q2") {
-        rst_experiment(
+        problems += rst_experiment(
             &cfg,
             "Fig. 7(c) — Q2 (disjunctive correlation, RST); seconds",
             Q2,
         );
     }
     if want("q3") {
-        rst_experiment(&cfg, "TR — Q3 (tree query, RST); seconds", Q3);
+        problems += rst_experiment(&cfg, "TR — Q3 (tree query, RST); seconds", Q3);
     }
     if want("q4") {
         // Linear queries run on a reduced grid: the nested-loop
@@ -94,7 +107,7 @@ fn main() {
         // hundredth of the paper's scale. (The unnested plan's
         // O(SF1·SF2) negative stream is visited but, with its stage
         // chain fused into the bypass join, no longer stored.)
-        rst_experiment_with_grid(
+        problems += rst_experiment_with_grid(
             &cfg,
             "TR — Q4 (linear query, RST; reduced grid); seconds",
             Q4,
@@ -113,22 +126,30 @@ fn main() {
         );
     }
     if want("exists") {
-        rst_experiment(
+        problems += rst_experiment(
             &cfg,
             "TR — EXISTS in a disjunction (RST); seconds",
             Q_EXISTS,
         );
     }
     if want("combined") {
-        rst_experiment(
+        problems += rst_experiment(
             &cfg,
             "Outlook 1 — disjunctive linking AND correlation (RST); seconds",
             Q_COMBINED,
         );
     }
     if want("rank") {
-        rank_experiment(&cfg);
+        problems += rank_experiment(&cfg);
     }
+    if want("ablations") {
+        problems += ablation_experiment(&cfg);
+    }
+    if problems > 0 {
+        eprintln!("fig7: {problems} failed or inconsistent cell(s), see above");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// The RST grid of Fig. 7: SF1 (outer) × SF2 (inner). Paper grid
@@ -148,9 +169,9 @@ fn grid(cfg: &Config) -> Vec<(f64, f64)> {
     cells
 }
 
-fn rst_experiment(cfg: &Config, title: &str, sql: &str) {
+fn rst_experiment(cfg: &Config, title: &str, sql: &str) -> usize {
     let cells = grid(cfg);
-    rst_experiment_with_grid(cfg, title, sql, cells);
+    rst_experiment_with_grid(cfg, title, sql, cells)
 }
 
 /// Worker count for the bench grid: serial unless `BYPASS_THREADS` is
@@ -159,10 +180,9 @@ fn bench_threads() -> usize {
     par::thread_count_or(1)
 }
 
-fn rst_experiment_with_grid(cfg: &Config, title: &str, sql: &str, cells: Vec<(f64, f64)>) {
+fn rst_experiment_with_grid(cfg: &Config, title: &str, sql: &str, cells: Vec<(f64, f64)>) -> usize {
     let threads = bench_threads();
     let header: Vec<String> = cells.iter().map(|(a, b)| format!("{a}/{b}")).collect();
-    let mut table = Table::new(format!("{title} (columns: SF1/SF2)"), header);
     // Database construction is embarrassingly parallel (one catalog per
     // cell, independent generators).
     let dbs = par::scoped_map(&cells, threads, |_, &(sf1, sf2)| rst_database(sf1, sf2, 42));
@@ -175,51 +195,54 @@ fn rst_experiment_with_grid(cfg: &Config, title: &str, sql: &str, cells: Vec<(f6
         // Dominance skipping: once a cell timed out, every cell with
         // component-wise larger scale factors is reported n/a without
         // burning another full timeout (cost grows monotonically in
-        // both scale factors).
+        // both scale factors). Only a timeout skips: a cell that failed
+        // says nothing about the next one.
         let mut timed_out: Vec<(f64, f64)> = Vec::new();
         for (db, &(sf1, sf2)) in dbs.iter().zip(&cells) {
             let dominated = timed_out.iter().any(|&(a, b)| sf1 >= a && sf2 >= b);
             if dominated {
-                row.push("n/a".to_string());
+                row.push(Measurement::TimedOut);
                 continue;
             }
             let m = measure(db, sql, strategy, cfg.timeout);
-            if m.secs.is_none() {
+            if m == Measurement::TimedOut {
                 timed_out.push((sf1, sf2));
             }
-            row.push(m.render());
+            row.push(m);
         }
         row
     });
-    for (strategy, row) in strategies.iter().zip(rows) {
-        table.row(strategy.to_string(), row);
-    }
-    print(cfg, &table);
+    publish(
+        cfg,
+        format!("{title} (columns: SF1/SF2)"),
+        header,
+        &strategies,
+        rows,
+    )
 }
 
-fn q2d_experiment(cfg: &Config) {
+fn q2d_experiment(cfg: &Config) -> usize {
     let sfs: &[f64] = if cfg.quick {
         &[0.001, 0.002]
     } else {
         &[0.001, 0.005, 0.01, 0.05, 0.1]
     };
     let header: Vec<String> = sfs.iter().map(|s| format!("SF {s}")).collect();
-    let mut table = Table::new(
-        "Fig. 7(b) — TPC-H Query 2d (disjunctive linking); seconds".to_string(),
-        header,
-    );
     let threads = bench_threads();
     let dbs = par::scoped_map(sfs, threads, |_, &sf| tpch_database(sf, 42));
     let strategies = Strategy::all();
     let rows = par::scoped_map(&strategies, threads, |_, &strategy| {
         dbs.iter()
-            .map(|db| measure(db, QUERY_2D, strategy, cfg.timeout).render())
+            .map(|db| measure(db, QUERY_2D, strategy, cfg.timeout))
             .collect::<Vec<_>>()
     });
-    for (strategy, row) in strategies.iter().zip(rows) {
-        table.row(strategy.to_string(), row);
-    }
-    print(cfg, &table);
+    publish(
+        cfg,
+        "Fig. 7(b) — TPC-H Query 2d (disjunctive linking); seconds".to_string(),
+        header,
+        &strategies,
+        rows,
+    )
 }
 
 /// Eqv. 2 vs Eqv. 3 (Section 3.1, Remark): sweep the selectivity of the
@@ -227,30 +250,144 @@ fn q2d_experiment(cfg: &Config) {
 /// it first (Eqv. 2) skips almost all of the unnesting machinery; when
 /// almost none passes `a4 > 2700`, the orders converge and evaluating
 /// the (hash-based) linking side first is harmless.
-fn rank_experiment(cfg: &Config) {
+fn rank_experiment(cfg: &Config) -> usize {
     let thresholds = [300i64, 1500, 2700];
     let (sf1, sf2) = if cfg.quick { (0.1, 0.1) } else { (1.0, 1.0) };
     let db = rst_database(sf1, sf2, 42);
     let header: Vec<String> = thresholds.iter().map(|t| format!("a4>{t}")).collect();
-    let mut table = Table::new(
+    let strategies = [Strategy::Unnested, Strategy::UnnestedSubqueryFirst];
+    let rows = strategies
+        .iter()
+        .map(|&strategy| {
+            thresholds
+                .iter()
+                .map(|&t| measure(&db, &q1_with_threshold(t), strategy, cfg.timeout))
+                .collect()
+        })
+        .collect();
+    publish(
+        cfg,
         format!("Rank ablation — Eqv. 2 (plain first) vs Eqv. 3 (subquery first), Q1, SF {sf1}/{sf2}; seconds"),
         header,
-    );
-    for strategy in [Strategy::Unnested, Strategy::UnnestedSubqueryFirst] {
-        let mut row = Vec::new();
-        for t in thresholds {
-            let sql = q1_with_threshold(t);
-            row.push(measure(&db, &sql, strategy, cfg.timeout).render());
-        }
-        table.row(strategy.to_string(), row);
-    }
-    print(cfg, &table);
+        &strategies,
+        rows,
+    )
 }
 
-fn print(cfg: &Config, table: &Table) {
+/// The engine's design choices (DESIGN.md §2), each switched off on the
+/// query that shows it. One column per choice, `with` above `without`:
+///
+/// * **DAG sharing** — each bypass operator evaluated once and consumed
+///   by both streams vs the "tree" strawman that deep-copies it per
+///   consumer (Section 5 of the paper: DAG-structured plans are the
+///   price of bypass operators — and worth paying). Q3, because its
+///   second bypass selection sits above the first block's whole
+///   unnesting: the saving grows with the cost of the shared subtree,
+///   and Q1's — a scan under one comparison — is within single-shot
+///   noise of nothing.
+/// * **Stage-chain fusion** — the `⟕ → σ → Π` run above Q4's bypass join
+///   folded into the join's emit step (DESIGN.md §7) vs materializing
+///   the raw |L|·|R| negative stream and every widening of it first.
+/// * **Join ordering** — a canonical `σ(R×S×T)` region with and without
+///   the greedy join-tree pass (tiny instance: without it, 200-row
+///   tables produce an 8M-tuple intermediate).
+/// * **Type-A materialization** — an uncorrelated subquery evaluated
+///   once (canonical) vs per outer tuple (S1).
+fn ablation_experiment(cfg: &Config) -> usize {
+    let run = |db: &Database, plan: &Arc<LogicalPlan>, options: PlanOptions| {
+        measure_with(|| {
+            let phys = physical_plan_with(plan, db.catalog(), options)?;
+            let exec = ExecOptions {
+                timeout: Some(cfg.timeout),
+                ..ExecOptions::default()
+            };
+            evaluate_with(&phys, exec).map(|rel| rel.len())
+        })
+    };
+    let unnested = |db: &Database, sql: &str| {
+        let canonical = db.logical_plan(sql).expect("paper query translates");
+        Strategy::Unnested
+            .prepare(&canonical)
+            .expect("paper query unnests")
+    };
+    let fused = PlanOptions::default();
+    let (mut header, mut with, mut without) = (Vec::new(), Vec::new(), Vec::new());
+    let mut column = |title: String, on: Measurement, off: Measurement| {
+        header.push(title);
+        with.push(on);
+        without.push(off);
+    };
+
+    let sharing_sf = if cfg.quick { 1.0 } else { 10.0 };
+    let db = rst_database(sharing_sf, sharing_sf, 42);
+    let shared = unnested(&db, Q3);
+    column(
+        format!("DAG sharing (Q3, {sharing_sf}/{sharing_sf})"),
+        run(&db, &shared, fused),
+        run(&db, &unshare_bypass(&shared), fused),
+    );
+
+    let fusion_sf = if cfg.quick { 0.02 } else { 0.05 };
+    let db = rst_database(fusion_sf, fusion_sf, 42);
+    let q4 = unnested(&db, Q4);
+    let unfused = PlanOptions {
+        fuse_stage_chains: false,
+    };
+    column(
+        format!("stage fusion (Q4, {fusion_sf}/{fusion_sf})"),
+        run(&db, &q4, fused),
+        run(&db, &q4, unfused),
+    );
+
+    let db = rst_database(0.02, 0.02, 42);
+    let cross = db
+        .logical_plan("SELECT COUNT(*) FROM r, s, t WHERE a1 = b1 AND b2 = c2")
+        .expect("join query translates");
+    column(
+        "join ordering (R,S,T, 0.02)".to_string(),
+        run(&db, &optimize_joins(&cross), fused),
+        run(&db, &cross, fused),
+    );
+
+    let memo_sf = if cfg.quick { 0.1 } else { 1.0 };
+    let db = rst_database(memo_sf, memo_sf, 42);
+    let type_a = "SELECT COUNT(*) FROM r \
+                  WHERE a1 >= (SELECT MIN(b1) FROM s WHERE b4 > 1500) OR a4 > 2900";
+    column(
+        format!("type-A memo ({memo_sf}/{memo_sf})"),
+        measure(&db, type_a, Strategy::Canonical, cfg.timeout),
+        measure(&db, type_a, Strategy::S1Naive, cfg.timeout),
+    );
+
+    publish(
+        cfg,
+        "Design-choice ablations — each optimization on vs off; seconds".to_string(),
+        header,
+        &["with", "without"],
+        vec![with, without],
+    )
+}
+
+/// Audit and print one table; returns [`audit`]'s problem count.
+fn publish(
+    cfg: &Config,
+    title: String,
+    header: Vec<String>,
+    labels: &[impl Display],
+    rows: Vec<Vec<Measurement>>,
+) -> usize {
+    let problems = audit(&title, labels, &header, &rows);
+    let mut table = Table::new(title, header);
+    for (label, row) in labels.iter().zip(rows) {
+        table.row(
+            label.to_string(),
+            row.iter().map(Measurement::render).collect(),
+        );
+    }
     if cfg.csv {
         println!("{}", table.to_csv());
     } else {
         println!("{}", table.render());
     }
+    problems
 }

@@ -1,25 +1,33 @@
 //! Timed single-shot execution with timeouts.
 
+use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 use bypass_core::{Database, Strategy};
 use bypass_datagen::{rst, tpch};
+use bypass_types::{Error, ResourceKind, Result};
 
-/// One measured cell: elapsed seconds, or `None` for a timeout /
-/// unsupported run (rendered as `n/a`, like the paper's aborted runs).
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    pub secs: Option<f64>,
-    pub rows: Option<usize>,
+/// One measured cell of a table.
+#[derive(Debug, PartialEq)]
+pub enum Measurement {
+    /// The run finished: elapsed seconds and result cardinality.
+    Done { secs: f64, rows: usize },
+    /// The run hit its timeout (or was dominance-skipped because a
+    /// smaller cell did) — rendered `n/a`, like the paper's aborted runs.
+    TimedOut,
+    /// The run failed with anything else — rendered `err`. A table that
+    /// holds one is not a result ([`audit`]).
+    Failed(Error),
 }
 
 impl Measurement {
     pub fn render(&self) -> String {
-        match self.secs {
-            Some(s) if s >= 100.0 => format!("{s:.0}"),
-            Some(s) if s >= 1.0 => format!("{s:.1}"),
-            Some(s) => format!("{s:.3}"),
-            None => "n/a".to_string(),
+        match self {
+            Measurement::Done { secs, .. } if *secs >= 100.0 => format!("{secs:.0}"),
+            Measurement::Done { secs, .. } if *secs >= 1.0 => format!("{secs:.1}"),
+            Measurement::Done { secs, .. } => format!("{secs:.3}"),
+            Measurement::TimedOut => "n/a".to_string(),
+            Measurement::Failed(_) => "err".to_string(),
         }
     }
 }
@@ -43,17 +51,62 @@ pub fn tpch_database(sf: f64, seed: u64) -> Database {
 /// query runs cold (plans are rebuilt), mirroring the paper's cold-
 /// buffer single-shot methodology.
 pub fn measure(db: &Database, sql: &str, strategy: Strategy, timeout: Duration) -> Measurement {
+    measure_with(|| {
+        db.sql_with(sql, strategy, Some(timeout))
+            .map(|rel| rel.len())
+    })
+}
+
+/// [`measure`] for a run that is not a plain SQL statement (the
+/// ablations execute hand-transformed plans): time `run`, which returns
+/// its result cardinality.
+pub fn measure_with(run: impl FnOnce() -> Result<usize>) -> Measurement {
     let start = Instant::now();
-    match db.sql_with(sql, strategy, Some(timeout)) {
-        Ok(rel) => Measurement {
-            secs: Some(start.elapsed().as_secs_f64()),
-            rows: Some(rel.len()),
+    match run() {
+        Ok(rows) => Measurement::Done {
+            secs: start.elapsed().as_secs_f64(),
+            rows,
         },
-        Err(_) => Measurement {
-            secs: None,
-            rows: None,
-        },
+        Err(Error::ResourceExhausted {
+            resource: ResourceKind::Time,
+            ..
+        }) => Measurement::TimedOut,
+        Err(e) => Measurement::Failed(e),
     }
+}
+
+/// Check a finished table — `rows[i][j]` is system `labels[i]` on cell
+/// `header[j]` — for what makes it unpublishable, one stderr line each:
+/// a cell that failed with something other than a timeout, and a cell
+/// on which the systems that finished disagree about the result
+/// cardinality (every row of a table evaluates the same query per
+/// column, and the strategies are equivalences). Returns the number of
+/// such problems; `fig7` exits nonzero unless it is zero.
+pub fn audit(
+    title: &str,
+    labels: &[impl Display],
+    header: &[String],
+    rows: &[Vec<Measurement>],
+) -> usize {
+    let mut problems = 0;
+    for (j, cell) in header.iter().enumerate() {
+        let mut finished: Vec<(String, usize)> = Vec::new();
+        for (label, row) in labels.iter().zip(rows) {
+            match &row[j] {
+                Measurement::Done { rows, .. } => finished.push((label.to_string(), *rows)),
+                Measurement::TimedOut => {}
+                Measurement::Failed(e) => {
+                    eprintln!("{title}: {label} at {cell}: {e}");
+                    problems += 1;
+                }
+            }
+        }
+        if finished.iter().any(|(_, n)| *n != finished[0].1) {
+            eprintln!("{title}: row counts disagree at {cell}: {finished:?}");
+            problems += 1;
+        }
+    }
+    problems
 }
 
 #[cfg(test)]
@@ -61,16 +114,17 @@ mod tests {
     use super::*;
     use bypass_core::Strategy;
 
+    fn done(secs: f64, rows: usize) -> Measurement {
+        Measurement::Done { secs, rows }
+    }
+
     #[test]
     fn render_formats_by_magnitude() {
-        let m = |secs| Measurement {
-            secs,
-            rows: Some(1),
-        };
-        assert_eq!(m(Some(0.0123)).render(), "0.012");
-        assert_eq!(m(Some(2.34)).render(), "2.3");
-        assert_eq!(m(Some(123.4)).render(), "123");
-        assert_eq!(m(None).render(), "n/a");
+        assert_eq!(done(0.0123, 1).render(), "0.012");
+        assert_eq!(done(2.34, 1).render(), "2.3");
+        assert_eq!(done(123.4, 1).render(), "123");
+        assert_eq!(Measurement::TimedOut.render(), "n/a");
+        assert_eq!(Measurement::Failed(Error::plan("x")).render(), "err");
     }
 
     #[test]
@@ -84,8 +138,7 @@ mod tests {
             Strategy::Unnested,
             Duration::from_secs(5),
         );
-        assert!(m.secs.is_some());
-        assert_eq!(m.rows, Some(1));
+        assert!(matches!(m, Measurement::Done { rows: 1, .. }), "{m:?}");
     }
 
     #[test]
@@ -98,8 +151,49 @@ mod tests {
             Strategy::Canonical,
             Duration::from_millis(1),
         );
-        assert!(m.secs.is_none());
+        assert_eq!(m, Measurement::TimedOut);
         assert_eq!(m.render(), "n/a");
+    }
+
+    #[test]
+    fn an_error_that_is_not_a_timeout_reports_err_not_na() {
+        let db = rst_database(0.002, 0.002, 1);
+        let m = measure(
+            &db,
+            "SELECT no_such_column FROM r",
+            Strategy::Unnested,
+            Duration::from_secs(5),
+        );
+        assert!(matches!(m, Measurement::Failed(_)), "{m:?}");
+        assert_eq!(m.render(), "err");
+        // A tripped memory budget is a resource error but not an abort
+        // the paper's tables know: it must not hide behind `n/a`.
+        let m = measure_with(|| Err(Error::resource_exhausted(ResourceKind::Memory, 1, 2)));
+        assert_eq!(m.render(), "err");
+    }
+
+    #[test]
+    fn audit_counts_err_cells_and_row_disagreements() {
+        let labels = ["canonical", "unnested"];
+        let header = vec!["0.1/0.1".to_string(), "1/1".to_string()];
+        // Clean: agreeing counts, a timeout next to a finished cell.
+        let clean = vec![
+            vec![done(0.5, 7), Measurement::TimedOut],
+            vec![done(0.1, 7), done(0.2, 9)],
+        ];
+        assert_eq!(audit("t", &labels, &header, &clean), 0);
+        // One failed cell; the other column is still checked.
+        let failed = vec![
+            vec![Measurement::Failed(Error::plan("boom")), done(0.5, 9)],
+            vec![done(0.1, 7), done(0.2, 9)],
+        ];
+        assert_eq!(audit("t", &labels, &header, &failed), 1);
+        // Two strategies finished one cell with different cardinalities.
+        let disagree = vec![
+            vec![done(0.5, 7), done(0.5, 9)],
+            vec![done(0.1, 8), done(0.2, 9)],
+        ];
+        assert_eq!(audit("t", &labels, &header, &disagree), 1);
     }
 
     #[test]

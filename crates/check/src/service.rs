@@ -28,7 +28,7 @@
 //! outcome *counts* under real concurrency are interleaving-dependent
 //! and are checked against conservation invariants rather than exact
 //! values (the exactly-gated counters live in the single-threaded
-//! bench scenarios, `benches/service.rs`).
+//! scenarios of `tests/counters.rs`).
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -7,6 +7,9 @@
 //! predicates keep sensible selectivities: `a4 > 1500` ≈ 0.5,
 //! `b4 > 1500` ≈ 0.5, and an equality correlation `a2 = b2` matches
 //! `rows/3000` tuples per outer tuple.
+//!
+//! The paper's queries against this schema (Sections 3.1–3.6) live here
+//! too: [`Q1`]–[`Q4`], [`Q_EXISTS`], [`Q_COMBINED`], [`q1_with_threshold`].
 
 use bypass_catalog::Catalog;
 use bypass_types::Rng;
@@ -64,6 +67,45 @@ pub fn register(catalog: &mut Catalog, instance: &RstInstance) -> Result<()> {
     catalog.register("s", instance.s.clone())?;
     catalog.register("t", instance.t.clone())?;
     Ok(())
+}
+
+/// Q1 — disjunctive linking (Fig. 7(a)).
+pub const Q1: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500";
+
+/// Q2 — disjunctive correlation (Fig. 7(c)).
+pub const Q2: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
+
+/// Q3 — tree query: two nested blocks at the same level (Section 3.5).
+pub const Q3: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
+        OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)";
+
+/// Q4 — linear query: a block nested within a block (Section 3.6).
+pub const Q4: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                 WHERE a2 = b2 \
+                    OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))";
+
+/// Quantified variant (technical-report extension): EXISTS inside a
+/// disjunction.
+pub const Q_EXISTS: &str = "SELECT DISTINCT * FROM r \
+     WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND b4 > 1500) OR a4 > 1500";
+
+/// Combined future-work case: disjunctive linking *and* disjunctive
+/// correlation in one query (outlook item 1 of the paper).
+pub const Q_COMBINED: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500) OR a4 > 2700";
+
+/// Rank-ablation variants of Q1: the selectivity of the plain disjunct
+/// `a4 > X` decides whether bypassing it first (Eqv. 2) or evaluating
+/// the unnested linking predicate first (Eqv. 3) wins.
+pub fn q1_with_threshold(threshold: i64) -> String {
+    format!(
+        "SELECT DISTINCT * FROM r \
+         WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > {threshold}"
+    )
 }
 
 #[cfg(test)]

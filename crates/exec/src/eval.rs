@@ -183,7 +183,7 @@ pub struct ExecCounters {
     pub memo_corr_misses: u64,
     /// High-water mark of governor-charged bytes (deterministic byte
     /// model — identical on every run of the same plan over the same
-    /// data, so it is pinned in `BENCH_baseline.json`).
+    /// data, so it is pinned in `tests/counters.golden`).
     pub peak_memory_bytes: u64,
     /// Total governor checkpoints passed (per-row ticks plus
     /// materialization charges). The fault oracle samples injection

@@ -8,7 +8,7 @@
 //! histograms fed the same multiset of observations are structurally
 //! identical regardless of observation order or which thread shard
 //! recorded them — the property the registry's deterministic fold
-//! (and the `BENCH_baseline.json` gate) relies on.
+//! (and the `tests/counters.golden` gate) relies on.
 
 /// Number of linear sub-buckets per power-of-two magnitude (as a
 /// power of two: `SUB = 1 << SUB_BITS`).

@@ -9,7 +9,7 @@
 //!    telemetry). Wall-clock-derived series carry a `timing` flag;
 //!    [`Snapshot::deterministic`] strips them, and what remains is
 //!    bit-identical across thread counts, batch sizes and reruns —
-//!    which is what `BENCH_baseline.json` gates.
+//!    which is what `tests/counters.golden` gates.
 //! 2. [`MetricsHub`] — the registry plus per-fingerprint stores: a
 //!    bounded query-stats table and a top-K [`SlowQuery`] ring.
 //! 3. Exposition — Prometheus text ([`render_prometheus`] +

@@ -10,7 +10,7 @@
 //! independent of worker count, shard registration order and
 //! observation interleaving. That is the same replay discipline the
 //! governor uses (DESIGN.md §6/§7) and what lets timing-free
-//! snapshots gate near-exactly in `BENCH_baseline.json`.
+//! snapshots gate exactly in `tests/counters.golden`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -135,7 +135,7 @@ pub struct SessionQuotas {
 
 /// Count-derived service counters (no timing content) — mirrored into
 /// the database's [`MetricsHub`] registry as `bypass_service_*_total`
-/// series and snapshot-gated in `BENCH_baseline.json`.
+/// series and pinned, per scenario, in `tests/counters.golden`.
 #[derive(Debug, Default)]
 struct Counters {
     submitted: AtomicU64,
@@ -272,7 +272,7 @@ impl QueryService {
         &self.inner.db
     }
 
-    /// The admission controller (saturation hooks for tests/benches).
+    /// The admission controller (saturation hooks for tests).
     pub fn admission(&self) -> &AdmissionController {
         &self.inner.adm
     }

@@ -17,7 +17,7 @@
 //!   [`VALUE_BYTES`], [`value_heap_bytes`], [`tuple_bytes`]) — the fixed
 //!   per-allocation costs the governor charges at materialization points.
 //!   The constants are deliberately platform-independent so that peak
-//!   memory counters can be pinned in `BENCH_baseline.json`.
+//!   memory counters can be pinned in `tests/counters.golden`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

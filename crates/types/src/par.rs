@@ -22,8 +22,8 @@ pub fn thread_count() -> usize {
     thread_count_or(default_parallelism())
 }
 
-/// Worker count: `BYPASS_THREADS` if set, otherwise `default`. Benches
-/// pass `default = 1` so timing runs stay serial unless asked.
+/// Worker count: `BYPASS_THREADS` if set, otherwise `default`. `fig7`
+/// passes `default = 1` so its timing runs stay serial unless asked.
 pub fn thread_count_or(default: usize) -> usize {
     std::env::var(THREADS_ENV)
         .ok()

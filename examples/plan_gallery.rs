@@ -6,7 +6,7 @@
 //! cargo run --example plan_gallery
 //! ```
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4};
 use bypass::{Database, Strategy};
 
 fn main() -> bypass::Result<()> {
@@ -16,26 +16,16 @@ fn main() -> bypass::Result<()> {
     let figures = [
         (
             "Fig. 2 — Q1: disjunctive linking (Eqv. 2: bypass selection, Γ, ⟕, ∪̇)",
-            "SELECT DISTINCT * FROM r \
-             WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500",
+            Q1,
         ),
         (
             "Fig. 3 — Q2: disjunctive correlation (Eqv. 4: σ± on p, partial Γ, χ combine)",
-            "SELECT DISTINCT * FROM r \
-             WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)",
+            Q2,
         ),
-        (
-            "Fig. 5 — Q3: tree query (Eqv. 3 then Eqv. 1)",
-            "SELECT DISTINCT * FROM r \
-             WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)",
-        ),
+        ("Fig. 5 — Q3: tree query (Eqv. 3 then Eqv. 1)", Q3),
         (
             "Fig. 6 — Q4: linear query (Eqv. 5: ν, ⋈±, Γᵇ; then Eqv. 1 in σ_p)",
-            "SELECT DISTINCT * FROM r \
-             WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
-                         WHERE a2 = b2 \
-                            OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))",
+            Q4,
         ),
     ];
 

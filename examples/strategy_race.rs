@@ -8,13 +8,8 @@
 
 use std::time::{Duration, Instant};
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1, Q2};
 use bypass::{Database, Strategy};
-
-const Q1: &str = "SELECT DISTINCT * FROM r \
-    WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500";
-const Q2: &str = "SELECT DISTINCT * FROM r \
-    WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
 
 fn main() -> bypass::Result<()> {
     for (name, sql) in [

@@ -19,7 +19,9 @@ cargo build --release --workspace
 # fan-out and its in-order merge (DESIGN.md §7). Results, counters and
 # oracle reports must be identical either way — the worker-count-
 # independence tests assert that explicitly; running the full matrix
-# under both settings catches anything they missed.
+# under both settings catches anything they missed. The determinism
+# gate (tests/counters.rs against tests/counters.golden) is part of the
+# suite, so every exact counter is compared under both settings too.
 echo "==> cargo test -q (BYPASS_THREADS=1, serial)"
 BYPASS_THREADS=1 cargo test -q --workspace
 
@@ -43,9 +45,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
-
-echo "==> bench gating smoke (scripts/bench.sh smoke)"
-scripts/bench.sh smoke
 
 echo "==> benchmark smoke (benchmark/run.sh --quick)"
 # The performance record's own harness at a twentieth of its run length:

@@ -3,13 +3,8 @@
 //! when the data is large, remain correct everywhere, and expose its
 //! candidate estimates through EXPLAIN.
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1, Q2};
 use bypass::{Database, Strategy};
-
-const Q1: &str = "SELECT DISTINCT * FROM r \
-    WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500";
-const Q2: &str = "SELECT DISTINCT * FROM r \
-    WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
 
 fn db(sf1: f64, sf2: f64) -> Database {
     let mut db = Database::new();

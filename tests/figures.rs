@@ -4,7 +4,7 @@
 //! text of the same queries is pinned in `tests/slt/plans/*.slt`; what
 //! stays here names, operator by operator, what each figure shows.
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4};
 use bypass::{Database, Strategy};
 
 fn db() -> Database {
@@ -12,18 +12,6 @@ fn db() -> Database {
     rst::register(db.catalog_mut(), &rst::generate(0.001, 0.001, 42)).unwrap();
     db
 }
-
-const Q1: &str = "SELECT DISTINCT * FROM r \
-     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500";
-const Q2: &str = "SELECT DISTINCT * FROM r \
-     WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
-const Q3: &str = "SELECT DISTINCT * FROM r \
-     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-        OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)";
-const Q4: &str = "SELECT DISTINCT * FROM r \
-     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
-                 WHERE a2 = b2 \
-                    OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))";
 
 fn unnested_plan(sql: &str) -> String {
     let db = db();

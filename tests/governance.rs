@@ -6,13 +6,8 @@
 
 use std::time::Duration;
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1};
 use bypass::{CancelToken, Database, Error, ResourceKind, RunLimits, Strategy};
-
-/// The paper's Q1 (disjunctive linking).
-const Q1: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a4 > 1500";
 
 /// The benchmark's Q4 (`rst_linear`): the paper's linear query plus a
 /// plain disjunct. Unnested, the `⟕ → σ → Π` run over the inner bypass

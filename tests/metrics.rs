@@ -6,25 +6,11 @@
 
 use std::sync::Arc;
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1, Q2, Q3, Q_COMBINED};
 use bypass::{
     fingerprint_sql, format_fingerprint, validate_prometheus, Database, MetricValue, MetricsHub,
     Response, RunLimits, Strategy,
 };
-
-/// The paper's Q1 (disjunctive linking).
-const Q1: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a4 > 1500";
-
-/// Q2 — disjunctive correlation inside the nested block.
-const Q2: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
-
-/// Combined linking + correlation disjunction.
-const Q_COMBINED: &str = "SELECT DISTINCT * FROM r \
-                          WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500) \
-                             OR a4 > 2700";
 
 /// The benchmark's Q4: linear nesting plus a plain disjunct.
 const Q4: &str = "SELECT DISTINCT * FROM r \
@@ -33,21 +19,15 @@ const Q4: &str = "SELECT DISTINCT * FROM r \
                                  OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
                      OR a4 > 1500";
 
-/// Tree query: two nested blocks under one disjunction (the OR→UNION
-/// rewrite applies to it, so S2 is a live cost-based candidate).
-const Q3: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)";
-
 fn rst_database(hub: Arc<MetricsHub>) -> Database {
     let mut db = Database::new().with_metrics_hub(hub);
     rst::register(db.catalog_mut(), &rst::generate(0.05, 0.05, 42)).unwrap();
     db
 }
 
-/// Run the workload into a fresh, isolated hub under one executor
-/// shape and return the hub.
-fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
+/// Run Q1, Q2 and the combined query under `strategies` into a fresh,
+/// isolated hub under one executor shape and return the hub.
+fn run_workload(strategies: &[Strategy], threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
     let hub = Arc::new(MetricsHub::new());
     let db = rst_database(Arc::clone(&hub));
     let limits = RunLimits {
@@ -57,7 +37,7 @@ fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
         ..RunLimits::default()
     };
     for sql in [Q1, Q2, Q_COMBINED] {
-        for strategy in Strategy::all() {
+        for &strategy in strategies {
             db.run_governed(sql, strategy, &limits)
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         }
@@ -71,9 +51,12 @@ fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
 /// histogram buckets elementwise, independent of thread schedule.
 #[test]
 fn deterministic_snapshot_is_execution_shape_independent() {
-    let expected = run_workload(1, 1).snapshot().deterministic();
+    let all = Strategy::all();
+    let expected = run_workload(&all, 1, 1).snapshot().deterministic();
     for (threads, batch_rows) in [(1, 64), (8, 1), (8, 64)] {
-        let got = run_workload(threads, batch_rows).snapshot().deterministic();
+        let got = run_workload(&all, threads, batch_rows)
+            .snapshot()
+            .deterministic();
         assert_eq!(
             got, expected,
             "deterministic snapshot differs at threads={threads} chunks of {batch_rows}"
@@ -85,10 +68,66 @@ fn deterministic_snapshot_is_execution_shape_independent() {
         .get("bypass_queries_total", &[("strategy", "canonical")])
         .expect("per-strategy query counter registered");
     assert_eq!(canonical, &MetricValue::Counter(3));
-    match expected.get("bypass_rows_total", &[]) {
-        Some(MetricValue::Counter(n)) => assert!(*n > 0, "no rows counted"),
-        other => panic!("bypass_rows_total: {other:?}"),
-    }
+
+    // What the registry observes — rows, disjunct selectivities, memo
+    // traffic, the governor's byte model — is pinned, for the canonical
+    // and unnested runs of the workload, by the `metrics/counters/`
+    // entries of the determinism gate's golden (`tests/counters.rs`,
+    // which carries these ten over and leaves comparing them to this
+    // test). To re-pin, edit the golden's lines by hand.
+    let pinned = run_workload(&[Strategy::Canonical, Strategy::Unnested], 1, 1)
+        .snapshot()
+        .deterministic();
+    let golden: Vec<(&str, u64)> = include_str!("counters.golden")
+        .lines()
+        .filter_map(|line| line.strip_prefix("metrics/counters/registry/"))
+        .map(|entry| {
+            let (key, value) = entry.split_once(' ').expect("`name value`");
+            (key, value.parse().expect("integer"))
+        })
+        .collect();
+    let none = Vec::new;
+    let series = [
+        ("rows_total", "bypass_rows_total", none()),
+        ("checkpoints_total", "bypass_checkpoints_total", none()),
+        ("memo_hits_total", "bypass_memo_hits_total", none()),
+        ("memo_misses_total", "bypass_memo_misses_total", none()),
+        (
+            "disjunct_evals_total",
+            "bypass_disjunct_evals_total",
+            none(),
+        ),
+        ("disjunct_hits_total", "bypass_disjunct_hits_total", none()),
+        ("peak_memory_bytes", "bypass_peak_memory_bytes", none()),
+        (
+            "queries_canonical",
+            "bypass_queries_total",
+            vec![("strategy", "canonical")],
+        ),
+        (
+            "queries_unnested",
+            "bypass_queries_total",
+            vec![("strategy", "unnested")],
+        ),
+        (
+            "unnest_bypass_chain",
+            "bypass_unnest_outcomes_total",
+            vec![("outcome", "bypass:chain")],
+        ),
+    ];
+    let mut observed: Vec<(&str, u64)> = series
+        .iter()
+        .map(|(key, name, labels)| match pinned.get(name, labels) {
+            Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => (*key, *v),
+            other => panic!("{name}{labels:?}: unexpected entry {other:?}"),
+        })
+        .collect();
+    observed.sort();
+    assert_eq!(
+        observed, golden,
+        "registry values (left) differ from the metrics/counters/registry/ lines of \
+         tests/counters.golden (right)"
+    );
 }
 
 /// `SHOW METRICS` is a real statement: it renders the database's hub
@@ -240,6 +279,8 @@ fn unnest_outcomes(hub: &MetricsHub) -> Vec<(String, u64)> {
 /// second time.
 #[test]
 fn cost_based_books_only_the_chosen_strategys_outcomes() {
+    // Q3 included because the OR→UNION rewrite applies to it: S2 is a
+    // live candidate there.
     for sql in [Q1, Q4, Q3] {
         let hub = Arc::new(MetricsHub::new());
         let db = rst_database(Arc::clone(&hub));

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1};
 use bypass::service::{QueryService, ServiceConfig, SessionQuotas};
 use bypass::{
     CancelToken, Database, Error, ExecCounters, MetricEntry, MetricValue, MetricsHub, Response,
@@ -18,12 +18,6 @@ use bypass::{
 /// The trace collector is process-global; tests that enable, disable or
 /// drain it must not interleave.
 static TRACE_GATE: Mutex<()> = Mutex::new(());
-
-/// The paper's Q1 (disjunctive linking) — the query every acceptance
-/// criterion of the observability work is phrased against.
-const Q1: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a4 > 1500";
 
 /// The benchmark's Q4: the paper's linear query plus a plain disjunct —
 /// unnested, its negative stream runs as a fused stage chain.

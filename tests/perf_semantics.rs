@@ -32,7 +32,7 @@
 //!    computes, which disjunct order it adopts or where its governor
 //!    checkpoints fall.
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1};
 use bypass::{Database, RunLimits};
 use bypass_check::{
     run_differential, run_differential_parallel, BrokenUnnestExecutor, DefaultExecutor,
@@ -105,13 +105,6 @@ fn parallel_oracle_default_thread_count_is_equivalent() {
 // ---------------------------------------------------------------------------
 // Angle 3: worker-count independence of morsel-driven execution.
 // ---------------------------------------------------------------------------
-
-/// The paper's Q1 (disjunctive linking) — exercises the bypass chain
-/// under `Unnested`, binary grouping under the fallback strategies, and
-/// memoized nested-loop evaluation under `Canonical`.
-const Q1: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a4 > 1500";
 
 /// Q1 with a total order and a LIMIT: covers the sort/limit tail and
 /// pins the exact row *sequence*, not just the bag.

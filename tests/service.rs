@@ -8,16 +8,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bypass::datagen::rst;
+use bypass::datagen::rst::{self, Q1};
 use bypass::service::{
     DegradePolicy, DegradeTier, QueryService, RetryPolicy, ServiceConfig, SessionQuotas,
 };
 use bypass::{Database, Error, QuotaKind, ResourceKind, RunLimits, Strategy};
-
-/// The paper's Q1 (disjunctive linking).
-const Q1: &str = "SELECT DISTINCT * FROM r \
-                  WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) \
-                     OR a4 > 1500";
 
 fn service(cfg: ServiceConfig) -> QueryService {
     let mut db = Database::new();
