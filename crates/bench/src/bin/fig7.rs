@@ -14,7 +14,8 @@
 //! * `rank` — Eqv. 2 vs Eqv. 3 ablation over plain-disjunct selectivity.
 //! * `ablations` — the engine's design choices switched off one at a
 //!   time: DAG sharing, stage-chain fusion, join ordering, type-A
-//!   subquery materialization.
+//!   subquery materialization; then the morsel fork gate, one worker
+//!   against two (these two rows set their own worker count).
 //!
 //! Scale factors are 1/10 of the paper's (see DESIGN.md §4); cells that
 //! exceed the timeout print `n/a` exactly like the paper's six-hour
@@ -37,7 +38,7 @@ use bypass_bench::{
     audit, measure, measure_with, q1_with_threshold, rst_database, tpch_database, Measurement,
     Table, Q1, Q2, Q3, Q4, QUERY_2D, Q_COMBINED, Q_EXISTS,
 };
-use bypass_core::{Database, LogicalPlan, Strategy};
+use bypass_core::{Database, LogicalPlan, RunLimits, Strategy};
 use bypass_exec::{evaluate_with, physical_plan_with, ExecOptions, PlanOptions};
 use bypass_types::par;
 use bypass_unnest::{ablation::unshare_bypass, optimize_joins};
@@ -359,12 +360,75 @@ fn ablation_experiment(cfg: &Config) -> usize {
         measure(&db, type_a, Strategy::S1Naive, cfg.timeout),
     );
 
-    publish(
+    let problems = publish(
         cfg,
         "Design-choice ablations — each optimization on vs off; seconds".to_string(),
         header,
         &["with", "without"],
         vec![with, without],
+    );
+    problems + fork_gate_experiment(cfg)
+}
+
+/// The morsel scheduler's work gate (DESIGN.md §7) at its two edges, one
+/// worker against two in one process: canonical Q1 at SF 0.5, whose
+/// 5 000-row nested σ used to fork once per outer row (two workers must
+/// be no slower than one), and unnested Q1 at SF 1, whose 10 000-row
+/// operators sit below the gate (two workers must cost nothing). Best of
+/// `RUNS` alternating runs — what the second core delivers on a shared
+/// host varies by the minute.
+fn fork_gate_experiment(cfg: &Config) -> usize {
+    const RUNS: usize = 9;
+    let (canonical_sf, unnested_sf) = if cfg.quick { (0.05, 0.1) } else { (0.5, 1.0) };
+    let cases = [
+        ("canonical_q1", canonical_sf, Strategy::Canonical),
+        ("unnested_q1", unnested_sf, Strategy::Unnested),
+    ];
+    let widths = [1usize, 2];
+    let mut rows: Vec<Vec<Measurement>> = widths.iter().map(|_| Vec::new()).collect();
+    for &(_, sf, strategy) in &cases {
+        let db = rst_database(sf, sf, 42);
+        let mut best: Vec<Option<Measurement>> = widths.iter().map(|_| None).collect();
+        for _ in 0..RUNS {
+            for (slot, &threads) in best.iter_mut().zip(&widths) {
+                let limits = RunLimits {
+                    timeout: Some(cfg.timeout),
+                    threads: Some(threads),
+                    ..RunLimits::default()
+                };
+                let m = measure_with(|| {
+                    db.run_governed(Q1, strategy, &limits)
+                        .map(|(rel, _)| rel.len())
+                });
+                let keep = match (slot.as_ref(), &m) {
+                    (None, _) => true,
+                    (
+                        Some(Measurement::Done { secs: best, .. }),
+                        Measurement::Done { secs, .. },
+                    ) => secs < best,
+                    // A failure or timeout sticks, so that it reaches the audit.
+                    (Some(Measurement::Done { .. }), _) => true,
+                    (Some(_), _) => false,
+                };
+                if keep {
+                    *slot = Some(m);
+                }
+            }
+        }
+        for (row, m) in rows.iter_mut().zip(best) {
+            row.push(m.expect("RUNS > 0"));
+        }
+    }
+    publish(
+        cfg,
+        format!("Fork gate — one worker vs two, Q1; best of {RUNS}, seconds"),
+        // `canonical_q1_sf05`, `unnested_q1_sf1` at full scale.
+        cases
+            .iter()
+            .map(|(name, sf, _)| format!("{name}_sf{}", sf.to_string().replace('.', "")))
+            .collect(),
+        &["threads1", "threads2"],
+        rows,
     )
 }
 

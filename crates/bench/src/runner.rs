@@ -25,7 +25,9 @@ impl Measurement {
         match self {
             Measurement::Done { secs, .. } if *secs >= 100.0 => format!("{secs:.0}"),
             Measurement::Done { secs, .. } if *secs >= 1.0 => format!("{secs:.1}"),
-            Measurement::Done { secs, .. } => format!("{secs:.3}"),
+            Measurement::Done { secs, .. } if *secs >= 0.01 => format!("{secs:.3}"),
+            // Two digits still: the 2 ms bypass plans against each other.
+            Measurement::Done { secs, .. } => format!("{secs:.4}"),
             Measurement::TimedOut => "n/a".to_string(),
             Measurement::Failed(_) => "err".to_string(),
         }
@@ -121,6 +123,7 @@ mod tests {
     #[test]
     fn render_formats_by_magnitude() {
         assert_eq!(done(0.0123, 1).render(), "0.012");
+        assert_eq!(done(0.00234, 1).render(), "0.0023");
         assert_eq!(done(2.34, 1).render(), "2.3");
         assert_eq!(done(123.4, 1).render(), "123");
         assert_eq!(Measurement::TimedOut.render(), "n/a");

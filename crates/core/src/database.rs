@@ -226,9 +226,9 @@ pub struct RunLimits {
     /// (overrides `BYPASS_THREADS` / the detected core count; `1`
     /// forces serial execution).
     pub threads: Option<usize>,
-    /// Morsel size in rows — operator loops over more rows than this
-    /// fan out. Tests force it small to exercise the parallel paths on
-    /// tiny relations.
+    /// The morsel fork gate in work units (`ExecOptions::morsel_rows`):
+    /// an operator loop whose estimated work exceeds it fans out. Tests
+    /// force it small to exercise the parallel paths on tiny relations.
     pub morsel_rows: Option<usize>,
     /// Deterministic fault injection (testing): fail at exactly this
     /// governor checkpoint.

@@ -470,6 +470,79 @@ WHERE c_acctbal > (SELECT AVG(c2.c_acctbal) FROM customer c2 \
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bypass_types::{ColumnStats, TableStats};
+
+    /// `TableStats::from_relation` as it was before it counted numeric
+    /// columns by sorting: every non-NULL value through one hash set,
+    /// i.e. `Value`'s own `Eq`/`Hash` decide what is distinct.
+    fn hashed_stats(rel: &Relation) -> TableStats {
+        let columns = (0..rel.schema().arity())
+            .map(|i| {
+                let values = || {
+                    rel.rows()
+                        .iter()
+                        .map(move |t| &t[i])
+                        .filter(|v| !v.is_null())
+                };
+                ColumnStats {
+                    distinct: values().collect::<std::collections::HashSet<_>>().len(),
+                    nulls: rel.len() - values().count(),
+                    min: values().min().cloned(),
+                    max: values().max().cloned(),
+                }
+            })
+            .collect();
+        TableStats {
+            row_count: rel.len(),
+            columns,
+        }
+    }
+
+    #[test]
+    fn sorted_distinct_counts_equal_hashed_ones() {
+        let i = generate(0.01, 42);
+        for rel in [
+            &i.region,
+            &i.nation,
+            &i.supplier,
+            &i.part,
+            &i.partsupp,
+            &i.customer,
+            &i.orders,
+            &i.lineitem,
+        ] {
+            assert_eq!(TableStats::from_relation(rel), hashed_stats(rel));
+        }
+        // What numeric equality folds together: NaNs of either sign and
+        // payload, the two zeros, a float and the integer it is exactly —
+        // and what it keeps apart: 2^63 (no i64) and a fractional float
+        // whose bit pattern is also an integer in the column.
+        let half = 0.5f64;
+        let mixed = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(3.0),
+            Value::Int(3),
+            Value::Float(i64::MAX as f64),
+            Value::Int(i64::MAX),
+            Value::Float(half),
+            Value::Int(half.to_bits() as i64),
+            Value::Null,
+            Value::text("3"),
+            Value::Bool(true),
+        ];
+        let rel = Relation::new(
+            Schema::new(vec![Field::new("v", DataType::Float)]),
+            mixed.iter().map(|v| Tuple::new(vec![v.clone()])).collect(),
+        );
+        let stats = TableStats::from_relation(&rel);
+        assert_eq!(stats, hashed_stats(&rel));
+        assert_eq!((stats.columns[0].distinct, stats.columns[0].nulls), (9, 2));
+    }
 
     #[test]
     fn cardinalities_scale() {

@@ -10,8 +10,9 @@ use bypass_types::{
 };
 
 use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr};
-use crate::govern::{GovLog, Governor};
+use crate::govern::Governor;
 use crate::hash::{CorrMemo, JoinTable, KeyReader, KeyRef};
+use crate::morsel::Team;
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{Row, RowView};
 use crate::vector::{
@@ -57,14 +58,19 @@ pub struct ExecOptions {
     /// of real budgets. See `bypass_types::InjectedFault`.
     pub fault: Option<InjectedFault>,
     /// Intra-query worker count for morsel-driven parallelism
-    /// (`BYPASS_THREADS`; 1 disables it). Workers run base-relation
-    /// morsels speculatively and their governor effects are replayed in
-    /// morsel order, so every counter, budget trip and injected fault
-    /// is worker-count-independent (DESIGN.md §7).
+    /// (`BYPASS_THREADS`; 1 disables it). An operator loop whose
+    /// estimated work passes the gate below runs its morsels
+    /// speculatively on this many threads; their governor effects are
+    /// replayed in morsel order, so every counter, budget trip and
+    /// injected fault is worker-count-independent (DESIGN.md §7).
     pub threads: usize,
-    /// Maximum rows per morsel — also the parallelism threshold: an
-    /// operator input with at most this many rows runs serially. Tests
-    /// shrink it to force tiny inputs onto the parallel path.
+    /// The fork gate, in work units (DESIGN.md §7): a loop fans out
+    /// only if `rows × row weight` exceeds this — one unit is one value
+    /// of an input row, a nested-loop pair or a row of a nested plan
+    /// re-evaluated per outer row — and a morsel holds at most this
+    /// much work. The name dates from when the gate counted input rows.
+    /// Tests shrink it (`2`) to force tiny inputs onto the parallel
+    /// path.
     pub morsel_rows: usize,
     /// Chunk length of the σ/σ±/column-Π loops: how many rows the
     /// kernel prefix of a predicate chain covers, and the governor
@@ -74,10 +80,15 @@ pub struct ExecOptions {
     pub batch_rows: usize,
 }
 
-/// Default morsel granularity: large enough that forking a worker
-/// governor is noise, small enough that SF 1 inputs (10k rows) split
-/// across every worker.
-pub const MORSEL_ROWS: usize = 4096;
+/// Default fork gate in work units (see [`ExecOptions::morsel_rows`]):
+/// the measured break-even of a scoped-thread fork on a 2-vCPU host,
+/// about a millisecond of loop. Below it sit the 10 000-row σ±/Π/probe
+/// loops over the 4-column RST tables (the SF 1 bypass plans lost
+/// 5–15 % forking them); above it the 250 000-pair bypass joins of
+/// linear Q4 at SF 0.05, a 256-row epoch of a canonical σ over a
+/// 2 000-row subquery (512 000 units) and TPC-H's 10 000-row loops over
+/// 9- to 16-column rows, which gain (EXPERIMENTS.md, PR 19).
+pub const MORSEL_ROWS: usize = 65_536;
 
 impl Default for ExecOptions {
     fn default() -> Self {
@@ -122,19 +133,19 @@ pub fn evaluate_shared(root: &Arc<PhysNode>, options: ExecOptions) -> Result<Arc
 /// caches and the governor. One context lives for the duration of one
 /// top-level query.
 pub struct ExecContext {
-    options: ExecOptions,
+    pub(crate) options: ExecOptions,
     /// Checkpoints, byte budget, cancellation and deadline.
     pub(crate) gov: Governor,
     /// Per-node runtime counters, keyed by node pointer; `None` unless
     /// metric collection was requested.
-    metrics: Option<HashMap<usize, NodeMetrics>>,
+    pub(crate) metrics: Option<HashMap<usize, NodeMetrics>>,
     /// Inclusive-nanos accumulators for the metrics stack: each frame
     /// sums the time spent in *direct* child operators, so exclusive
     /// (self) time is `elapsed - frame`.
-    child_nanos: Vec<u128>,
+    pub(crate) child_nanos: Vec<u128>,
     /// Outer tuple bindings, outermost first; `PhysExpr::Outer { depth }`
     /// indexes from the back.
-    outer: Vec<Tuple>,
+    pub(crate) outer: Vec<Tuple>,
     /// Cache for uncorrelated subquery plans (pointer-keyed).
     uncorr: FxHashMap<usize, Arc<Relation>>,
     /// Cache for correlated subquery plans, found by a *precomputed*
@@ -145,16 +156,17 @@ pub struct ExecContext {
     /// Context-wide counters (memo hit rates); always maintained —
     /// they increment once per subquery invocation, which is noise
     /// next to actually evaluating the nested plan.
-    counters: ExecCounters,
+    pub(crate) counters: ExecCounters,
     /// Scratch counters the current operator arm deposits for the
     /// metrics wrapper to fold into its [`NodeMetrics`] entry
     /// (hash-table build sizes, collision re-verifies). Only written
     /// when metrics are enabled.
-    pending: PendingCounters,
-    /// Per-node cache of the parallel-safety verdict (may this node's
-    /// expressions run on a worker without touching the memo caches?),
-    /// keyed by node pointer.
-    par_safe_cache: FxHashMap<usize, bool>,
+    pub(crate) pending: PendingCounters,
+    /// Per-node cache of the scheduler's verdict, keyed by node
+    /// pointer: what one input row of the node weighs in work units,
+    /// or `None` if its expressions may not run on a worker at all
+    /// (`morsel.rs`).
+    pub(crate) row_weights: FxHashMap<usize, Option<u64>>,
     /// Per-node cache of the compiled predicate chains of σ/σ±, keyed
     /// by node pointer.
     chains: FxHashMap<usize, Arc<CompiledChain>>,
@@ -211,7 +223,7 @@ impl ExecCounters {
 /// Per-node scratch deposited by operator arms, drained by the
 /// metrics wrapper after the arm returns.
 #[derive(Debug, Clone, Default)]
-struct PendingCounters {
+pub(crate) struct PendingCounters {
     build_rows: u64,
     reverify: u64,
     input_rows: u64,
@@ -221,6 +233,18 @@ struct PendingCounters {
     disjuncts: Vec<DisjunctMetrics>,
     /// Joins with stage chains only: rows in/out per fused stage.
     stages: Vec<StageMetrics>,
+}
+
+impl PendingCounters {
+    /// Fold in what a morsel worker deposited (commutative sums).
+    pub(crate) fn merge(&mut self, from: &PendingCounters) {
+        self.build_rows += from.build_rows;
+        self.reverify += from.reverify;
+        self.input_rows += from.input_rows;
+        self.groups += from.groups;
+        merge_disjuncts(&mut self.disjuncts, &from.disjuncts);
+        merge_stages(&mut self.stages, &from.stages);
+    }
 }
 
 /// Rows one fused stage received and passed on. Semantic counts —
@@ -337,6 +361,25 @@ impl NodeMetrics {
         (total > 0).then(|| self.neg_rows as f64 / total as f64)
     }
 
+    /// Fold in a morsel worker's entry for the same node (commutative
+    /// sums).
+    pub(crate) fn merge(&mut self, from: &NodeMetrics) {
+        self.calls += from.calls;
+        self.rows += from.rows;
+        self.nanos += from.nanos;
+        self.self_nanos += from.self_nanos;
+        self.pos_rows += from.pos_rows;
+        self.neg_rows += from.neg_rows;
+        self.rows_shared += from.rows_shared;
+        self.rows_materialized += from.rows_materialized;
+        self.build_rows += from.build_rows;
+        self.reverify += from.reverify;
+        self.input_rows += from.input_rows;
+        self.groups += from.groups;
+        merge_disjuncts(&mut self.disjuncts, &from.disjuncts);
+        merge_stages(&mut self.stages, &from.stages);
+    }
+
     /// Fold in what one call of the operator's arm deposited.
     fn absorb(&mut self, pend: &PendingCounters) {
         self.build_rows += pend.build_rows;
@@ -355,41 +398,6 @@ const JOIN_ENTRY_BYTES: u64 = 16;
 /// Amortized per-entry overhead of a memo-cache insertion (hash-map
 /// slot + `Arc` handle + counters).
 const MEMO_ENTRY_BYTES: u64 = 64;
-
-/// Everything a morsel worker hands back to the master for the in-order
-/// merge.
-struct MorselOut<P> {
-    gov: GovLog,
-    metrics: Option<HashMap<usize, NodeMetrics>>,
-    pending: PendingCounters,
-    /// Inclusive nanos of nested-plan evaluations inside worker
-    /// expressions; billed to the master's current metrics frame, as a
-    /// serial run would have.
-    child_nanos: u128,
-    /// Worker memo counters — must be all zero (debug-asserted): the
-    /// safety gate keeps memoized subqueries off workers.
-    memo_counters: ExecCounters,
-    payload: Result<P>,
-    /// Morsel was skipped because a lower-index morsel already failed;
-    /// the merge loop never reaches it.
-    skipped: bool,
-}
-
-impl<P> MorselOut<P> {
-    fn skipped() -> MorselOut<P> {
-        MorselOut {
-            gov: GovLog::empty(),
-            metrics: None,
-            pending: PendingCounters::default(),
-            child_nanos: 0,
-            memo_counters: ExecCounters::default(),
-            payload: Err(Error::execution(
-                "morsel skipped after an earlier morsel failed",
-            )),
-            skipped: true,
-        }
-    }
-}
 
 /// Concatenate per-morsel row buffers in morsel (= input) order. The
 /// single-part case is the serial path: the buffer is moved, not
@@ -437,8 +445,8 @@ enum ProbeOn<'p> {
 }
 
 impl Probe<'_> {
-    /// Pairs the probe visits per probing row: what the morsel gate of
-    /// a join loop counts.
+    /// Pairs the probe visits per probing row: the `pairs` factor of a
+    /// join loop's work estimate.
     fn pairs_per_row(&self) -> usize {
         match self.on {
             ProbeOn::Loop(_) => self.build.len(),
@@ -538,7 +546,7 @@ impl ExecContext {
             corr: CorrMemo::default(),
             counters: ExecCounters::default(),
             pending: PendingCounters::default(),
-            par_safe_cache: FxHashMap::default(),
+            row_weights: FxHashMap::default(),
             chains: FxHashMap::default(),
             batches: FxHashMap::default(),
         }
@@ -580,264 +588,6 @@ impl ExecContext {
                 rows as u64,
             )),
             _ => Ok(()),
-        }
-    }
-
-    // ----- morsel-driven parallelism -----------------------------------
-    //
-    // An operator arm that loops over one input relation can hand that
-    // loop to `run_morsels`: the serial path runs the loop body over
-    // the full range on `self` (byte-for-byte the pre-parallel code
-    // path), the parallel path splits the range into fixed-size morsels
-    // executed by scoped workers on *forked* contexts. Workers are
-    // speculative — their governor starts at zero bytes and they never
-    // see the fault plan — and their effects are replayed on the master
-    // in morsel order, which makes every determinism invariant hold by
-    // construction: checkpoint indices, peak/used bytes, memory-budget
-    // trip points and injected-fault landing sites are identical to a
-    // serial run, regardless of the worker count.
-
-    /// May this node's expressions run on a worker? True iff no
-    /// subquery inside them would probe a memo cache (workers hold
-    /// empty memos; a worker-side probe would skew the hit/miss
-    /// counters and duplicate memoized work).
-    fn par_safe_node(&mut self, node: &Arc<PhysNode>) -> bool {
-        let ptr = Arc::as_ptr(node) as usize;
-        if let Some(&v) = self.par_safe_cache.get(&ptr) {
-            return v;
-        }
-        let v = node.exprs().into_iter().all(|e| self.expr_par_safe(e));
-        self.par_safe_cache.insert(ptr, v);
-        v
-    }
-
-    /// Recursive worker-safety check: a subquery whose memo is enabled
-    /// (uncorrelated + `memo_uncorrelated`, or correlated with keys +
-    /// `memo_correlated`) pins the operator to the master; all other
-    /// subqueries re-evaluate per row anyway (`run_nested` touches no
-    /// shared state), so their nested plans are checked recursively.
-    fn expr_par_safe(&self, e: &PhysExpr) -> bool {
-        let sub_safe = |plan: &Arc<PhysNode>, correlated: bool, outer_keys: &[usize]| {
-            let memoized = if correlated {
-                self.options.memo_correlated && !outer_keys.is_empty()
-            } else {
-                self.options.memo_uncorrelated
-            };
-            !memoized && self.plan_par_safe(plan)
-        };
-        match e {
-            PhysExpr::Column(_) | PhysExpr::Outer { .. } | PhysExpr::Literal(_) => true,
-            PhysExpr::Binary { left, right, .. } => {
-                self.expr_par_safe(left) && self.expr_par_safe(right)
-            }
-            PhysExpr::Not(x) | PhysExpr::Neg(x) => self.expr_par_safe(x),
-            PhysExpr::IsNull { expr, .. } => self.expr_par_safe(expr),
-            PhysExpr::Like { expr, pattern, .. } => {
-                self.expr_par_safe(expr) && self.expr_par_safe(pattern)
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                self.expr_par_safe(expr) && list.iter().all(|i| self.expr_par_safe(i))
-            }
-            PhysExpr::Subquery {
-                plan,
-                correlated,
-                outer_keys,
-            }
-            | PhysExpr::Exists {
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            } => sub_safe(plan, *correlated, outer_keys),
-            PhysExpr::InSubquery {
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            }
-            | PhysExpr::QuantifiedCmp {
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            } => self.expr_par_safe(expr) && sub_safe(plan, *correlated, outer_keys),
-        }
-    }
-
-    /// Worker-safety over a whole nested plan: every node's expressions.
-    fn plan_par_safe(&self, node: &Arc<PhysNode>) -> bool {
-        node.exprs().into_iter().all(|e| self.expr_par_safe(e))
-            && node.children().into_iter().all(|c| self.plan_par_safe(c))
-    }
-
-    /// Should this operator's loop fan out? `work` is what the loop
-    /// iterates over in total: input rows, or — for a nested-loop join —
-    /// pairs.
-    fn morsel_gate(&mut self, node: &Arc<PhysNode>, work: usize) -> bool {
-        self.options.threads > 1 && work > self.options.morsel_rows && self.par_safe_node(node)
-    }
-
-    /// Fork a worker context for one morsel: the master's options
-    /// without nested fan-out, the same outer-binding stack (refcount
-    /// bumps), fresh memo maps that the safety gate guarantees stay
-    /// untouched, and a forked governor.
-    fn fork_worker(&self, template: &ExecOptions) -> ExecContext {
-        ExecContext {
-            options: template.clone(),
-            gov: self.gov.fork(),
-            metrics: self.metrics.is_some().then(HashMap::new),
-            // One sentinel frame so nested-plan evaluations inside
-            // worker expressions have a parent to bill their inclusive
-            // time to; folded into the master's current frame on merge.
-            child_nanos: vec![0],
-            outer: self.outer.clone(),
-            uncorr: FxHashMap::default(),
-            corr: CorrMemo::default(),
-            counters: ExecCounters::default(),
-            pending: PendingCounters::default(),
-            par_safe_cache: FxHashMap::default(),
-            // Workers never compile chains or transpose batches: the
-            // master resolves the chain, epoch order and cached batch
-            // before fanning out and passes them into the morsel body
-            // by reference.
-            chains: FxHashMap::default(),
-            batches: FxHashMap::default(),
-        }
-    }
-
-    /// Drive one operator loop over `total` input rows, either serially
-    /// (the body runs on `self` over the full range — governor
-    /// sequence identical to the pre-parallel executor) or across the
-    /// worker pool in fixed-size morsels. Returns the per-morsel
-    /// payloads in input order; the caller concatenates.
-    pub(crate) fn run_morsels<P, F>(
-        &mut self,
-        node: &Arc<PhysNode>,
-        total: usize,
-        body: F,
-    ) -> Result<Vec<P>>
-    where
-        P: Send,
-        F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
-    {
-        self.run_weighted_morsels(node, total, 1, body)
-    }
-
-    /// [`Self::run_morsels`] for a loop that does `weight` units of
-    /// work per input row (a nested-loop join visits |R| pairs per left
-    /// row): the gate and the morsel size count work, not rows, so a
-    /// 232 × 500 pair loop fans out although 232 rows alone would not.
-    fn run_weighted_morsels<P, F>(
-        &mut self,
-        node: &Arc<PhysNode>,
-        total: usize,
-        weight: usize,
-        body: F,
-    ) -> Result<Vec<P>>
-    where
-        P: Send,
-        F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
-    {
-        let weight = weight.max(1);
-        if !self.morsel_gate(node, total.saturating_mul(weight)) {
-            return Ok(vec![body(self, 0..total)?]);
-        }
-        let threads = self.options.threads;
-        let template = ExecOptions {
-            threads: 1,
-            ..self.options.clone()
-        };
-        // Aim for ~4 morsels per worker (pull-based balancing without
-        // tiny fragments), capped at the configured morsel size.
-        let cap = (self.options.morsel_rows / weight).max(1);
-        let chunk = (total / (threads * 4)).clamp(1, cap);
-        let ranges: Vec<std::ops::Range<usize>> = (0..total)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(total))
-            .collect();
-        // Lowest-index failure wins; later morsels bail out early.
-        let stop = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let outs: Vec<MorselOut<P>> = par::scoped_map(&ranges, threads, |idx, range| {
-            use std::sync::atomic::Ordering;
-            if stop.load(Ordering::Relaxed) < idx {
-                return MorselOut::skipped();
-            }
-            let mut w = self.fork_worker(&template);
-            let _span = bypass_trace::span("exec.morsel");
-            let payload = body(&mut w, range.clone());
-            if payload.is_err() {
-                stop.fetch_min(idx, Ordering::Relaxed);
-            }
-            w.into_morsel_out(payload)
-        });
-        // In-order merge: governor effects first (authoritative errors
-        // — budget trips and injected faults — surface here at their
-        // exact serial checkpoint), then the payload.
-        let mut payloads = Vec::with_capacity(outs.len());
-        for out in outs {
-            debug_assert!(
-                out.skipped
-                    || (out.memo_counters.memo_uncorr_hits
-                        | out.memo_counters.memo_uncorr_misses
-                        | out.memo_counters.memo_corr_hits
-                        | out.memo_counters.memo_corr_misses)
-                        == 0,
-                "morsel worker probed a memo cache despite the safety gate"
-            );
-            self.gov.replay(out.gov)?;
-            let p = out.payload?;
-            if let (Some(master), Some(worker)) = (self.metrics.as_mut(), out.metrics) {
-                for (ptr, wm) in worker {
-                    let m = master.entry(ptr).or_default();
-                    m.calls += wm.calls;
-                    m.rows += wm.rows;
-                    m.nanos += wm.nanos;
-                    m.self_nanos += wm.self_nanos;
-                    m.pos_rows += wm.pos_rows;
-                    m.neg_rows += wm.neg_rows;
-                    m.rows_shared += wm.rows_shared;
-                    m.rows_materialized += wm.rows_materialized;
-                    m.build_rows += wm.build_rows;
-                    m.reverify += wm.reverify;
-                    m.input_rows += wm.input_rows;
-                    m.groups += wm.groups;
-                    merge_disjuncts(&mut m.disjuncts, &wm.disjuncts);
-                    merge_stages(&mut m.stages, &wm.stages);
-                }
-            }
-            self.pending.build_rows += out.pending.build_rows;
-            self.pending.reverify += out.pending.reverify;
-            self.pending.input_rows += out.pending.input_rows;
-            self.pending.groups += out.pending.groups;
-            merge_disjuncts(&mut self.pending.disjuncts, &out.pending.disjuncts);
-            merge_stages(&mut self.pending.stages, &out.pending.stages);
-            // Workers never probe memo caches (asserted above), but a
-            // nested non-memoized subplan evaluated on a worker may
-            // contain its own disjunctive chain; its semantic totals
-            // fold back commutatively, keeping the counters
-            // worker-count independent.
-            self.counters.disjunct_evals += out.memo_counters.disjunct_evals;
-            self.counters.disjunct_hits += out.memo_counters.disjunct_hits;
-            if let Some(frame) = self.child_nanos.last_mut() {
-                *frame += out.child_nanos;
-            }
-            payloads.push(p);
-        }
-        Ok(payloads)
-    }
-
-    /// Tear a worker down into its mergeable parts.
-    fn into_morsel_out<P>(self, payload: Result<P>) -> MorselOut<P> {
-        MorselOut {
-            gov: self.gov.into_log(),
-            metrics: self.metrics,
-            pending: self.pending,
-            child_nanos: self.child_nanos.first().copied().unwrap_or(0),
-            memo_counters: self.counters,
-            payload,
-            skipped: false,
         }
     }
 
@@ -886,10 +636,11 @@ impl ExecContext {
     ///
     /// Adaptive chains advance in fixed [`EPOCH_ROWS`] epochs: the term
     /// order is frozen per epoch from the cumulative reach/decide
-    /// stats, each epoch fans out over `run_morsels` (stats ride back
-    /// as morsel payloads and fold commutatively), and the rank is
-    /// recomputed at the epoch boundary. Non-adaptive chains (nothing
-    /// to reorder) run as one full-input `run_morsels` call.
+    /// stats, each epoch whose weighted work passes the gate fans out
+    /// over the call's one [`Team`] (stats ride back as morsel payloads
+    /// and fold commutatively), and the rank is recomputed at the epoch
+    /// boundary. Non-adaptive chains (nothing to reorder) run as one
+    /// full-input epoch.
     ///
     /// Kernels read outer references unchecked, so a call under a
     /// binding stack that does not resolve all of the chain's (the
@@ -916,12 +667,13 @@ impl ExecContext {
             rows.len().max(1)
         };
         let chain_ref: &CompiledChain = chain;
+        let mut team = Team::default();
         let mut start = 0;
         while start < rows.len() {
             let end = rows.len().min(start + epoch);
             let order = ranked_order(chain_ref, &stats);
             let slice = &rows[start..end];
-            let parts = self.run_morsels(node, slice.len(), |ctx, range| {
+            let parts = self.run_team_morsels(&mut team, node, slice.len(), 1, |ctx, range| {
                 let base = start + range.start;
                 ctx.chain_slice(chain_ref, &order, &slice[range], batch_ref, base, bypass)
             })?;

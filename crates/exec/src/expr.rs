@@ -75,38 +75,81 @@ pub enum PhysExpr {
     },
 }
 
+/// One nested query block inside an expression: its plan and what the
+/// executor's memo options key on.
+pub(crate) struct SubqueryRef<'a> {
+    pub(crate) plan: &'a Arc<PhysNode>,
+    pub(crate) correlated: bool,
+    pub(crate) outer_keys: &'a [usize],
+}
+
 impl PhysExpr {
     /// The nested physical plans directly contained in this expression.
     pub fn subquery_plans(&self) -> Vec<&Arc<PhysNode>> {
+        self.subqueries().into_iter().map(|s| s.plan).collect()
+    }
+
+    /// The nested query blocks directly contained in this expression.
+    pub(crate) fn subqueries(&self) -> Vec<SubqueryRef<'_>> {
         let mut out = Vec::new();
-        self.collect_plans(&mut out);
+        self.collect_subqueries(&mut out);
         out
     }
 
-    fn collect_plans<'a>(&'a self, out: &mut Vec<&'a Arc<PhysNode>>) {
+    fn collect_subqueries<'a>(&'a self, out: &mut Vec<SubqueryRef<'a>>) {
         match self {
             PhysExpr::Column(_) | PhysExpr::Outer { .. } | PhysExpr::Literal(_) => {}
             PhysExpr::Binary { left, right, .. } => {
-                left.collect_plans(out);
-                right.collect_plans(out);
+                left.collect_subqueries(out);
+                right.collect_subqueries(out);
             }
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.collect_plans(out),
-            PhysExpr::IsNull { expr, .. } => expr.collect_plans(out),
+            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.collect_subqueries(out),
+            PhysExpr::IsNull { expr, .. } => expr.collect_subqueries(out),
             PhysExpr::Like { expr, pattern, .. } => {
-                expr.collect_plans(out);
-                pattern.collect_plans(out);
+                expr.collect_subqueries(out);
+                pattern.collect_subqueries(out);
             }
             PhysExpr::InList { expr, list, .. } => {
-                expr.collect_plans(out);
+                expr.collect_subqueries(out);
                 for e in list {
-                    e.collect_plans(out);
+                    e.collect_subqueries(out);
                 }
             }
-            PhysExpr::Subquery { plan, .. } | PhysExpr::Exists { plan, .. } => out.push(plan),
-            PhysExpr::InSubquery { expr, plan, .. }
-            | PhysExpr::QuantifiedCmp { expr, plan, .. } => {
-                expr.collect_plans(out);
-                out.push(plan);
+            PhysExpr::Subquery {
+                plan,
+                correlated,
+                outer_keys,
+            }
+            | PhysExpr::Exists {
+                plan,
+                correlated,
+                outer_keys,
+                ..
+            } => out.push(SubqueryRef {
+                plan,
+                correlated: *correlated,
+                outer_keys,
+            }),
+            PhysExpr::InSubquery {
+                expr,
+                plan,
+                correlated,
+                outer_keys,
+                ..
+            }
+            | PhysExpr::QuantifiedCmp {
+                expr,
+                plan,
+                correlated,
+                outer_keys,
+                ..
+            } => {
+                expr.collect_subqueries(out);
+                out.push(SubqueryRef {
+                    plan,
+                    correlated: *correlated,
+                    outer_keys,
+                });
             }
         }
     }

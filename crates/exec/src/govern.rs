@@ -306,16 +306,24 @@ impl Governor {
         self.tick_n(checkpoints)
     }
 
-    /// Tear a worker's governor down into what the master replays.
-    pub(crate) fn into_log(self) -> GovLog {
-        match self.log {
-            Some(events) => GovLog::Events(events),
+    /// End a worker's morsel: hand out what the master replays for it
+    /// and start the next morsel from zero, as a fresh fork would. A
+    /// worker serves many morsels of one operator call; cutting its log
+    /// per morsel is what lets the master merge them in morsel order
+    /// whichever worker ran which.
+    pub(crate) fn cut(&mut self) -> GovLog {
+        let log = match &mut self.log {
+            Some(events) => GovLog::Events(std::mem::take(events)),
             None => GovLog::Summary {
                 checkpoints: self.checkpoints,
                 net_bytes: self.used_bytes,
                 peak_bytes: self.peak_bytes,
             },
-        }
+        };
+        self.checkpoints = 0;
+        self.used_bytes = 0;
+        self.peak_bytes = 0;
+        log
     }
 
     /// Replay one worker's recorded effects, as if its morsel had run

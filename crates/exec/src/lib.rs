@@ -25,6 +25,7 @@ mod expr;
 mod govern;
 mod group;
 mod hash;
+mod morsel;
 mod node;
 mod plan;
 mod row;

@@ -382,3 +382,98 @@ fn memory_budget_trips_at_the_exact_charge_inside_a_chunk() {
         before = used;
     }
 }
+
+/// σ over 24 rows whose predicate re-evaluates a correlated COUNT(*)
+/// block — Γ(σ(k = outer.x OR v > 4)(inner)) — per row: one row weighs
+/// 2 + |inner| work units, so at `morsel_rows = 2` every outer row is a
+/// morsel of its own and 8 workers serve about three morsels each.
+fn nested_plan() -> Arc<PhysNode> {
+    let outer: Vec<Vec<i64>> = (0..24).map(|i| vec![i % 4, i]).collect();
+    let inner: Vec<Vec<i64>> = (0..6).map(|i| vec![i % 3, i]).collect();
+    let outer = int_rel("o", &["x", "y"], &outer);
+    let inner = int_rel("i", &["k", "v"], &inner);
+    let inner_schema = inner.schema.clone();
+    let matching = PhysNode::new(
+        PhysKind::Filter {
+            input: inner,
+            predicate: cmp(
+                BinOp::Or,
+                cmp(
+                    BinOp::Eq,
+                    PhysExpr::Column(0),
+                    PhysExpr::Outer { depth: 1, index: 0 },
+                ),
+                cmp(BinOp::Gt, PhysExpr::Column(1), int(4)),
+            ),
+        },
+        inner_schema,
+    );
+    let count = PhysNode::new(
+        PhysKind::HashAggregate {
+            input: matching,
+            keys: vec![],
+            aggs: vec![AggSpec {
+                func: AggFunc::Count,
+                distinct: false,
+                arg: None,
+            }],
+        },
+        Schema::new(vec![Field::new("n", DataType::Int)]),
+    );
+    let schema = outer.schema.clone();
+    PhysNode::new(
+        PhysKind::Filter {
+            input: outer,
+            predicate: cmp(
+                BinOp::Lt,
+                PhysExpr::Column(0),
+                PhysExpr::Subquery {
+                    plan: count,
+                    correlated: true,
+                    outer_keys: vec![0],
+                },
+            ),
+        },
+        schema,
+    )
+}
+
+/// The per-morsel log cut: a worker keeps its context — and with it its
+/// governor — for every morsel it pulls, and hands the master one log
+/// per morsel. A fault at any checkpoint of the nested evaluations must
+/// land where the serial run puts it, whichever worker ran the morsel
+/// and whatever it had run before.
+#[test]
+fn faults_inside_nested_plans_land_identically_on_reused_workers() {
+    let plan = nested_plan();
+    let serial = ExecOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let forked = ExecOptions {
+        threads: 8,
+        morsel_rows: 2,
+        ..Default::default()
+    };
+    let total = counters(&plan, serial.clone());
+    assert_eq!(counters(&plan, forked.clone()), total);
+    assert!(
+        total.checkpoints > 24 * 6,
+        "every outer row re-evaluates the block"
+    );
+    for k in 1..=total.checkpoints {
+        for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
+            let run = |options: &ExecOptions| {
+                let mut ctx = ExecContext::new(ExecOptions {
+                    fault: Some(InjectedFault::new(k, kind)),
+                    ..options.clone()
+                });
+                let err = ctx.eval_plan(&plan).unwrap_err();
+                (err, ctx.counters().checkpoints)
+            };
+            let expected = run(&serial);
+            assert_eq!(expected.1, k, "{kind:?}");
+            assert_eq!(run(&forked), expected, "checkpoint {k} {kind:?}");
+        }
+    }
+}

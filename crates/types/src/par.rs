@@ -2,11 +2,15 @@
 //!
 //! The engine's read path is shared-nothing (`Arc`-based catalog, no
 //! interior mutability), so independent units — strategy-matrix cells of
-//! the differential oracle, bench grid cells — can run on plain scoped
-//! threads. There is deliberately **no** work stealing and no thread
-//! pool: workers pull the next index from one atomic counter and write
-//! results into disjoint slots, which keeps output order (and therefore
-//! every downstream report) deterministic regardless of thread count.
+//! the differential oracle, `fig7` grid rows, the morsels of one
+//! operator loop — can run on plain scoped threads. There is
+//! deliberately **no** work stealing and no thread pool: workers pull
+//! the next index from one atomic counter and results return in input
+//! order, which keeps every downstream report deterministic regardless
+//! of thread count. A parked pool was measured and not built: onto the
+//! other CPU a spawn plus join costs 45–65 µs on the benchmark host, a
+//! condvar wake-up and reply 44–51 µs, and the executor only forks
+//! loops worth a millisecond or more (EXPERIMENTS.md, *Work gate*).
 //!
 //! The worker count comes from `BYPASS_THREADS` (default: available
 //! parallelism; `1` disables threading entirely and runs inline).
@@ -49,11 +53,35 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
+    let mut stateless = vec![(); threads.max(1)];
+    scoped_map_with(&mut stateless, items, |(), i, t| f(i, t))
+}
+
+/// [`scoped_map`] with one worker per element of `states`, each lent
+/// its element for every item it pulls — scratch that is expensive to
+/// build and must outlive one item (the executor's per-thread worker
+/// contexts). The calling thread works on `states[0]`; which worker
+/// serves which item is not deterministic, only the result order is.
+pub fn scoped_map_with<S, T, R, F>(states: &mut [S], items: &[T], f: F) -> Vec<R>
+where
+    S: Send,
+    T: Sync,
+    R: Send,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let n = items.len();
-    let workers = threads.min(n);
+    let workers = states.len().min(n);
+    let Some((own, lent)) = states.split_first_mut() else {
+        assert!(n == 0, "scoped_map_with: items but no worker state");
+        return Vec::new();
+    };
+    if workers <= 1 {
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(own, i, t))
+            .collect();
+    }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
@@ -61,22 +89,25 @@ where
     // Workers (and the caller) pull the next index from one counter and
     // collect `(index, result)` pairs; the caller scatters them into the
     // result slots afterwards — O(n), no locks, no unsafe.
-    let pull = || {
+    let pull = |state: &mut S| {
         let mut got: Vec<(usize, R)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            got.push((i, f(i, &items[i])));
+            got.push((i, f(state, i, &items[i])));
         }
         got
     };
     std::thread::scope(|scope| {
         // The calling thread is worker 0: spawn one thread fewer and
         // pull alongside them instead of idling in `join`.
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(pull)).collect();
-        let mut done = pull();
+        let handles: Vec<_> = lent[..workers - 1]
+            .iter_mut()
+            .map(|state| scope.spawn(move || pull(state)))
+            .collect();
+        let mut done = pull(own);
         for h in handles {
             done.extend(h.join().expect("worker panicked"));
         }
@@ -149,6 +180,25 @@ mod tests {
             let parallel = scoped_map(&items, threads, |_, &x| x * 3);
             assert_eq!(serial, parallel, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn lent_state_stays_with_its_worker() {
+        // Every item is served by exactly one state, every state only
+        // ever by one thread at a time (`&mut`), and the result order
+        // is the input order whatever the split.
+        let items: Vec<u64> = (0..257).collect();
+        for workers in [1, 2, 3, 8, 300] {
+            let mut served = vec![0u64; workers];
+            let out = scoped_map_with(&mut served, &items, |count, _, &x| {
+                *count += 1;
+                x * 3
+            });
+            assert_eq!(out, scoped_map(&items, 1, |_, &x| x * 3));
+            assert_eq!(served.iter().sum::<u64>(), 257, "workers={workers}");
+        }
+        let none: &mut [u8] = &mut [];
+        assert!(scoped_map_with(none, &[] as &[u8], |_, _, x| *x).is_empty());
     }
 
     #[test]

@@ -28,40 +28,58 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collect statistics from a materialized relation.
+    /// Collect statistics from a materialized relation, one column at a
+    /// time. Numeric values are counted by sorting their 8-byte payloads
+    /// (under `Value`'s equality an integral float is its integer, all
+    /// NaNs are one value and `-0.0` is `0.0`); only text and booleans go
+    /// through a hash set. Registering TPC-H SF 0.05 spent half its time
+    /// hashing `&Value`s here.
     pub fn from_relation(rel: &Relation) -> TableStats {
-        let arity = rel.schema().arity();
-        let mut distinct: Vec<HashSet<&Value>> = vec![HashSet::new(); arity];
-        let mut nulls = vec![0usize; arity];
-        let mut min: Vec<Option<&Value>> = vec![None; arity];
-        let mut max: Vec<Option<&Value>> = vec![None; arity];
-        for row in rel.rows() {
-            for (i, v) in row.values().iter().enumerate() {
-                if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
+        let mut ints: Vec<i64> = Vec::new();
+        let mut floats: Vec<u64> = Vec::new();
+        let mut others: HashSet<&Value> = HashSet::new();
+        let columns = (0..rel.schema().arity())
+            .map(|i| {
+                let (mut nulls, mut min, mut max) = (0, None::<&Value>, None::<&Value>);
+                for v in rel.rows().iter().map(|row| &row.values()[i]) {
+                    match v {
+                        Value::Null => {
+                            nulls += 1;
+                            continue;
+                        }
+                        Value::Int(n) => ints.push(*n),
+                        Value::Float(f) => match Value::float_as_i64(*f) {
+                            Some(n) => ints.push(n),
+                            None => floats.push(Value::float_key(*f)),
+                        },
+                        _ => {
+                            others.insert(v);
+                        }
+                    }
+                    min = Some(match min {
+                        Some(m) if m <= v => m,
+                        _ => v,
+                    });
+                    max = Some(match max {
+                        Some(m) if m >= v => m,
+                        _ => v,
+                    });
                 }
-                distinct[i].insert(v);
-                min[i] = Some(match min[i] {
-                    Some(m) if m <= v => m,
-                    _ => v,
-                });
-                max[i] = Some(match max[i] {
-                    Some(m) if m >= v => m,
-                    _ => v,
-                });
-            }
-        }
+                let stats = ColumnStats {
+                    distinct: count_distinct(&mut ints)
+                        + count_distinct(&mut floats)
+                        + others.len(),
+                    nulls,
+                    min: min.cloned(),
+                    max: max.cloned(),
+                };
+                others.clear();
+                stats
+            })
+            .collect();
         TableStats {
             row_count: rel.len(),
-            columns: (0..arity)
-                .map(|i| ColumnStats {
-                    distinct: distinct[i].len(),
-                    nulls: nulls[i],
-                    min: min[i].cloned(),
-                    max: max[i].cloned(),
-                })
-                .collect(),
+            columns,
         }
     }
 
@@ -103,6 +121,15 @@ impl TableStats {
             _ => 1.0 / 3.0,
         }
     }
+}
+
+/// Distinct values of `keys`; leaves it empty for the next column.
+fn count_distinct<K: Ord>(keys: &mut Vec<K>) -> usize {
+    keys.sort_unstable();
+    keys.dedup();
+    let n = keys.len();
+    keys.clear();
+    n
 }
 
 #[cfg(test)]

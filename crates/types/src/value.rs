@@ -229,7 +229,7 @@ impl Value {
     }
 
     /// Normalized float bits: all NaNs collapse, `-0.0` becomes `0.0`.
-    fn float_key(f: f64) -> u64 {
+    pub(crate) fn float_key(f: f64) -> u64 {
         if f.is_nan() {
             f64::NAN.to_bits()
         } else if f == 0.0 {
@@ -247,7 +247,7 @@ impl Value {
     /// compares `Int`/`Float` numerically. (`AVG` of an INT column is a
     /// float; joining it back against an INT key is exactly the shape
     /// Eqv. 1 produces.)
-    fn float_as_i64(f: f64) -> Option<i64> {
+    pub(crate) fn float_as_i64(f: f64) -> Option<i64> {
         // `i64::MAX as f64` rounds up to 2^63, which is *not* a valid
         // i64 — exclude it with a strict bound; `i64::MIN as f64` is
         // exact. Non-finite and fractional floats fall out via `fract`.

@@ -28,6 +28,14 @@ BYPASS_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q (BYPASS_THREADS=8, parallel)"
 BYPASS_THREADS=8 cargo test -q --workspace
 
+# Two workers is what the benchmark host and a default user on it get:
+# morsel sizes, and which loops pass the work gate with how many morsels
+# per worker, differ from both settings above. The suites that compare
+# executions with each other, and the counter golden, once more there.
+echo "==> determinism suites (BYPASS_THREADS=2, the default width here)"
+BYPASS_THREADS=2 cargo test -q --test perf_semantics --test governance --test counters
+BYPASS_THREADS=2 cargo test -q -p bypass-exec
+
 # The slt conformance corpus, standalone-runner flavor (the same files
 # also run inside `cargo test` via tests/slt.rs). Each query record
 # already crosses the full 7-strategy x threads{1,8} grid internally;

@@ -23,6 +23,9 @@
 //!    determinism contract of the morsel executor (DESIGN.md §7):
 //!    in-order merge, per-worker governor record/replay, and
 //!    worker-count-independent metric totals.
+//!    The same holds where the *work estimate* forks and nothing is
+//!    forced: canonical Q1–Q3 at SF 0.1 under the default gate, whose
+//!    outer loops pass it on the weight of their nested plans.
 //! 4. **Chunk-length independence of the σ/σ±/Π loops** — the same
 //!    queries executed at chunk lengths 1, 2 and 64, serial and at 8
 //!    workers, must produce the identical row sequence, `ExecCounters`,
@@ -32,7 +35,7 @@
 //!    computes, which disjunct order it adopts or where its governor
 //!    checkpoints fall.
 
-use bypass::datagen::rst::{self, Q1};
+use bypass::datagen::rst::{self, Q1, Q2, Q3};
 use bypass::{Database, RunLimits};
 use bypass_check::{
     run_differential, run_differential_parallel, BrokenUnnestExecutor, DefaultExecutor,
@@ -331,6 +334,51 @@ fn explain_analyze_snapshots_are_worker_count_independent() {
                      ({strategy}, threads={threads})"
                 );
             }
+        }
+    }
+}
+
+/// Under the default gate it is the work estimate that forks (DESIGN.md
+/// §7): 1 000 outer rows weigh 4 + 1 000 units each, so Q1's and Q3's
+/// 256-row epochs and Q2's single epoch fan out while every nested σ
+/// stays on the worker that evaluates it. Workers keep their contexts
+/// across morsels and epochs; rows, counters, profiles and the rendered
+/// report (`disjuncts=[…]`, `calls=`) must not show it.
+#[test]
+fn canonical_plans_forked_by_the_work_gate_are_worker_count_independent() {
+    let db = rst_database(0.1);
+    let limits = |threads| RunLimits {
+        threads: Some(threads),
+        ..RunLimits::default()
+    };
+    for sql in [Q1, Q2, Q3] {
+        let (ref_rows, ref_counters) = db
+            .run_governed(sql, Strategy::Canonical, &limits(1))
+            .unwrap();
+        let reference = db
+            .profile_governed(sql, Strategy::Canonical, &limits(1))
+            .unwrap();
+        let report = strip_timings(&reference.render());
+        assert!(
+            report.contains("calls=") && report.contains("disjuncts=["),
+            "snapshot must carry counters:\n{report}"
+        );
+        for threads in [2, 8] {
+            let at = format!("{sql}, threads={threads}");
+            let (rows, counters) = db
+                .run_governed(sql, Strategy::Canonical, &limits(threads))
+                .unwrap();
+            assert_eq!(rows.rows(), ref_rows.rows(), "row sequence ({at})");
+            assert_eq!(counters, ref_counters, "ExecCounters ({at})");
+            let profile = db
+                .profile_governed(sql, Strategy::Canonical, &limits(threads))
+                .unwrap();
+            assert_same_profile(&profile, &reference, &at);
+            assert_eq!(
+                strip_timings(&profile.render()),
+                report,
+                "EXPLAIN ANALYZE ({at})"
+            );
         }
     }
 }
