@@ -448,7 +448,7 @@ impl OrderSpec {
     }
 }
 
-/// A generated query: projection + a disjunction of [`Disjunct`]s,
+/// A generated query: projection + a disjunction of `Disjunct`s,
 /// optionally wrapped in `ORDER BY`/`LIMIT`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
@@ -931,7 +931,7 @@ pub fn random_instance(rng: &mut Rng, cfg: &OracleConfig) -> Database {
 }
 
 /// Regenerate the exact (query, instance) pair of an oracle case from
-/// its seed — the same recipe [`run_case`] uses (query first, then the
+/// its seed — the same recipe `run_case` uses (query first, then the
 /// three tables), exposed so the fault-injection oracle and replay
 /// tooling can rebuild a case without running the differential
 /// comparison.
@@ -1160,7 +1160,7 @@ pub struct OracleConfig {
     pub par_axis: bool,
     /// The chunk-length axis: additionally execute every
     /// (case, strategy) pair with one-row chunks (`batch_rows = 1`)
-    /// and with a tiny chunk length ([`BATCH_AXIS_ROWS`], so
+    /// and with a tiny chunk length (`BATCH_AXIS_ROWS`, so
     /// oracle-sized inputs span several chunks) and require identical
     /// row sequences, identical [`bypass_core::ExecCounters`] and
     /// identical error messages.

@@ -9,7 +9,7 @@
 //! * **mid-query cancellation / budget / deadline trips** at exact
 //!   governor checkpoints via the PR 5 fault machinery
 //!   ([`InjectedFault`]), routed through the whole admission/retry
-//!   stack with [`Session::execute_faulted`];
+//!   stack with [`bypass_service::Session::execute_faulted`];
 //! * **forced queue saturation**: a client holds every execution slot
 //!   and fires probes with tiny deadlines, forcing the typed
 //!   `Overloaded` / `AdmissionTimeout` shed paths for itself and any

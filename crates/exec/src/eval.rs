@@ -1,4 +1,3 @@
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,15 +8,16 @@ use bypass_types::{
     VALUE_BYTES,
 };
 
-use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr};
+use crate::expr::PhysExpr;
 use crate::govern::Governor;
-use crate::hash::{CorrMemo, JoinTable, KeyReader, KeyRef};
+use crate::hash::{CorrMemo, JoinTable, KeyReader};
+use crate::interp::cmp_truth;
 use crate::morsel::Team;
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
-use crate::row::{Row, RowView};
+use crate::row::{Lane, Row, RowView};
 use crate::vector::{
-    chain_bindable, cmp_op_truth, compile_chain, ranked_order, ChainOrder, ChainStats,
-    CompiledChain, EPOCH_ROWS,
+    chain_bindable, compile_chain, ranked_order, ChainOrder, ChainStats, CompiledChain, SliceLoop,
+    EPOCH_ROWS,
 };
 
 /// Execution options — these implement the evaluation-strategy knobs the
@@ -147,12 +147,12 @@ pub struct ExecContext {
     /// indexes from the back.
     pub(crate) outer: Vec<Tuple>,
     /// Cache for uncorrelated subquery plans (pointer-keyed).
-    uncorr: FxHashMap<usize, Arc<Relation>>,
+    pub(crate) uncorr: FxHashMap<usize, Arc<Relation>>,
     /// Cache for correlated subquery plans, found by a *precomputed*
     /// FxHash of `(plan pointer, correlation values)`. Entries store the
     /// correlation key as a shared-row [`Tuple`]; memo hits compare
     /// values in place and allocate nothing.
-    corr: CorrMemo,
+    pub(crate) corr: CorrMemo,
     /// Context-wide counters (memo hit rates); always maintained —
     /// they increment once per subquery invocation, which is noise
     /// next to actually evaluating the nested plan.
@@ -380,6 +380,13 @@ impl NodeMetrics {
         merge_stages(&mut self.stages, &from.stages);
     }
 
+    fn hand_on(&mut self, how: Handed, rows: u64) {
+        match how {
+            Handed::Shared => self.rows_shared += rows,
+            Handed::Fresh => self.rows_materialized += rows,
+        }
+    }
+
     /// Fold in what one call of the operator's arm deposited.
     fn absorb(&mut self, pend: &PendingCounters) {
         self.build_rows += pend.build_rows;
@@ -391,13 +398,21 @@ impl NodeMetrics {
     }
 }
 
+/// How an operator handed its rows on — said by the arm that does it,
+/// and all EXPLAIN ANALYZE's `rows_shared` / `rows_materialized` split
+/// knows.
+#[derive(Clone, Copy)]
+enum Handed {
+    /// By refcount bump of shared buffers (σ, σ±, identity Π, DISTINCT,
+    /// sort/limit/alias/∪̇, stream taps).
+    Shared,
+    /// As freshly built tuples (joins, χ, ν, other Π, Γ).
+    Fresh,
+}
+
 /// Amortized per-entry overhead of the join hash table beyond the key
 /// values themselves: row id + group id + index-slot share.
 const JOIN_ENTRY_BYTES: u64 = 16;
-
-/// Amortized per-entry overhead of a memo-cache insertion (hash-map
-/// slot + `Arc` handle + counters).
-const MEMO_ENTRY_BYTES: u64 = 64;
 
 /// Concatenate per-morsel row buffers in morsel (= input) order. The
 /// single-part case is the serial path: the buffer is moved, not
@@ -642,7 +657,7 @@ impl ExecContext {
     /// boundary. Non-adaptive chains (nothing to reorder) run as one
     /// full-input epoch.
     ///
-    /// Kernels read outer references unchecked, so a call under a
+    /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
     /// same node can run under different stacks inside nested subplans)
     /// gets no kernel columns and keeps the syntactic order: the first
@@ -752,7 +767,8 @@ impl ExecContext {
             let mut prefix = 0usize;
             for &oi in &order.order {
                 let i = oi as usize;
-                let (Some(batch), Some(kernel)) = (batch, chain.terms[i].kernel.as_ref()) else {
+                let term = &chain.terms[i];
+                let (Some(batch), true) = (batch, term.kernel) else {
                     break;
                 };
                 if !sel.is_empty() {
@@ -765,18 +781,35 @@ impl ExecContext {
                         acc[row] = chain.combine(acc[row], t);
                         t != decide
                     };
-                    if let Some((op, c, rhs)) = kernel.col_cmp(&self.outer) {
-                        // Hot shape: tight loop over the column slice
-                        // against a pre-resolved constant.
-                        let col = batch.column(c);
-                        sel.retain(|&lane| {
-                            settle(lane, cmp_op_truth(op, &col[lane as usize], rhs))
-                        });
-                    } else {
-                        let outer = &self.outer;
-                        sel.retain(|&lane| {
-                            settle(lane, kernel.eval_lane(batch, lane as usize, outer))
-                        });
+                    match term.slice_loop(self) {
+                        // Hot shapes: tight loop over the column slice
+                        // against a pre-resolved constant …
+                        Some(SliceLoop::ColConst(op, c, rhs)) => {
+                            let col = batch.column(c);
+                            sel.retain(|&lane| {
+                                settle(lane, cmp_truth(op, &col[lane as usize], rhs))
+                            });
+                        }
+                        // … or against a second column slice.
+                        Some(SliceLoop::ColCol(op, l, r)) => {
+                            let (l, r) = (batch.column(l), batch.column(r));
+                            sel.retain(|&lane| {
+                                let lane_ix = lane as usize;
+                                settle(lane, cmp_truth(op, &l[lane_ix], &r[lane_ix]))
+                            });
+                        }
+                        // Any other kernel: the interpreter's fast path
+                        // over the lane. Total here — the term is in
+                        // its class and `run_chain` saw the outer
+                        // references resolve.
+                        None => sel.retain(|&lane| {
+                            let row = Lane {
+                                batch,
+                                row: lane as usize,
+                            };
+                            let truth = self.truth_fast(&term.expr, &row);
+                            settle(lane, truth.expect("kernel terms never leave the fast path"))
+                        }),
                     }
                     stats.decide[i] += (before - sel.len()) as u64;
                 }
@@ -871,48 +904,85 @@ impl ExecContext {
     }
 
     fn eval_node(&mut self, node: &Arc<PhysNode>, local: &mut Local) -> Result<Arc<Relation>> {
+        let run = |ctx: &mut Self| ctx.eval_node_inner(node, local);
+        let (rel, _) = self.metered(node, run, |m, (rel, handed)| {
+            m.rows += rel.len() as u64;
+            m.hand_on(*handed, rel.len() as u64);
+        })?;
+        Ok(rel)
+    }
+
+    /// Run one operator call under the EXPLAIN ANALYZE bookkeeping,
+    /// which lives here and nowhere else: inclusive and self time
+    /// through the `child_nanos` frame stack, the call count and what
+    /// the arm deposited in `pending`; `book` adds what depends on the
+    /// shape of the result (row counts, the shared/fresh split).
+    fn metered<T>(
+        &mut self,
+        node: &Arc<PhysNode>,
+        run: impl FnOnce(&mut Self) -> Result<T>,
+        book: impl FnOnce(&mut NodeMetrics, &T),
+    ) -> Result<T> {
         if self.metrics.is_none() {
-            return self.eval_node_inner(node, local);
+            return run(self);
         }
         let start = Instant::now();
         self.child_nanos.push(0);
-        let result = self.eval_node_inner(node, local);
+        let result = run(self);
         let elapsed = start.elapsed().as_nanos();
         let children = self.child_nanos.pop().unwrap_or(0);
         if let Some(parent) = self.child_nanos.last_mut() {
             *parent += elapsed;
         }
         let pend = std::mem::take(&mut self.pending);
-        if let (Some(metrics), Ok(rel)) = (self.metrics.as_mut(), &result) {
+        if let (Some(metrics), Ok(out)) = (self.metrics.as_mut(), &result) {
             let m = metrics.entry(Arc::as_ptr(node) as usize).or_default();
             m.calls += 1;
-            m.rows += rel.len() as u64;
             m.nanos += elapsed;
             m.self_nanos += elapsed.saturating_sub(children);
-            if shares_rows(&node.kind) {
-                m.rows_shared += rel.len() as u64;
-            } else {
-                m.rows_materialized += rel.len() as u64;
-            }
             m.absorb(&pend);
+            book(m, out);
         }
         result
+    }
+
+    /// The per-row morsel loop general Π, χ, ν and Γᵇ's left side
+    /// share: tick, build the output row from input row `i`, charge it,
+    /// push it.
+    pub(crate) fn build_rows(
+        &mut self,
+        node: &Arc<PhysNode>,
+        input: &Relation,
+        build: impl Fn(&mut ExecContext, usize, &Tuple) -> Result<Tuple> + Sync,
+    ) -> Result<Vec<Tuple>> {
+        let rows = input.rows();
+        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+            let mut out = Vec::with_capacity(range.len());
+            for (i, t) in range.clone().zip(&rows[range]) {
+                ctx.gov.tick()?;
+                let row = build(ctx, i, t)?;
+                ctx.gov.charge(tuple_bytes(&row))?;
+                out.push(row);
+            }
+            Ok(out)
+        })?;
+        Ok(concat_rows(parts))
     }
 
     fn eval_node_inner(
         &mut self,
         node: &Arc<PhysNode>,
         local: &mut Local,
-    ) -> Result<Arc<Relation>> {
+    ) -> Result<(Arc<Relation>, Handed)> {
         let schema = node.schema.clone();
-        let rel = match &node.kind {
+        let (rel, handed) = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
-            PhysKind::Scan { data } => return Ok(data.clone()),
+            PhysKind::Scan { data } => return Ok((data.clone(), Handed::Shared)),
             PhysKind::Filter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
                 let chain = self.chain_for(node, predicate, input.schema().arity());
                 let (pos, _neg) = self.run_chain(node, &input, &chain, false)?;
-                Relation::new(schema, pos)
+                (Relation::new(schema, pos), Handed::Shared)
             }
             PhysKind::Project { input, exprs } => {
                 let input = self.eval_node(input, local)?;
@@ -927,7 +997,8 @@ impl ExecContext {
                         cols.len() == arity && cols.iter().enumerate().all(|(i, &c)| i == c);
                     if identity {
                         self.charge_shared_rows(input.len())?;
-                        return Ok(Arc::new(Relation::new(schema, input.rows().to_vec())));
+                        let rel = Relation::new(schema, input.rows().to_vec());
+                        return Ok((Arc::new(rel), Handed::Shared));
                     }
                     let rows = input.rows();
                     let parts = self.run_morsels(node, rows.len(), |ctx, range| {
@@ -944,24 +1015,17 @@ impl ExecContext {
                         }
                         Ok(out)
                     })?;
-                    return Ok(Arc::new(Relation::new(schema, concat_rows(parts))));
+                    let rel = Relation::new(schema, concat_rows(parts));
+                    return Ok((Arc::new(rel), Handed::Fresh));
                 }
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for t in &rows[range] {
-                        ctx.gov.tick()?;
-                        let mut vals = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            vals.push(ctx.eval_expr(e, t)?);
-                        }
-                        let row = Tuple::new(vals);
-                        ctx.gov.charge(tuple_bytes(&row))?;
-                        out.push(row);
+                let rows = self.build_rows(node, &input, |ctx, _, t| {
+                    let mut vals = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        vals.push(ctx.eval_expr(e, t)?);
                     }
-                    Ok(out)
+                    Ok(Tuple::new(vals))
                 })?;
-                Relation::new(schema, concat_rows(parts))
+                (Relation::new(schema, rows), Handed::Fresh)
             }
             PhysKind::Join { left, spec, chain } => {
                 let l = self.eval_node(left, local)?;
@@ -996,7 +1060,7 @@ impl ExecContext {
                         self.pending.input_rows += l.len() as u64;
                     }
                 }
-                Relation::new(schema, sink.rows)
+                (Relation::new(schema, sink.rows), Handed::Fresh)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let input = self.eval_node(input, local)?;
@@ -1005,7 +1069,7 @@ impl ExecContext {
                     self.pending.input_rows += input.len() as u64;
                     self.pending.groups += out.len() as u64;
                 }
-                out
+                (out, Handed::Fresh)
             }
             PhysKind::BinaryGroupEq {
                 left,
@@ -1016,7 +1080,8 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema)?
+                let out = self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema)?;
+                (out, Handed::Fresh)
             }
             PhysKind::BinaryGroupTheta {
                 left,
@@ -1028,47 +1093,32 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema)?
+                let out =
+                    self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema)?;
+                (out, Handed::Fresh)
             }
             PhysKind::Map { input, expr } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for t in &rows[range] {
-                        ctx.gov.tick()?;
-                        let v = ctx.eval_expr(expr, t)?;
-                        let row = t.extended(v);
-                        ctx.gov.charge(tuple_bytes(&row))?;
-                        out.push(row);
-                    }
-                    Ok(out)
+                let rows = self.build_rows(node, &input, |ctx, _, t| {
+                    Ok(t.extended(ctx.eval_expr(expr, t)?))
                 })?;
-                Relation::new(schema, concat_rows(parts))
+                (Relation::new(schema, rows), Handed::Fresh)
             }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    // The global row index is position-derived, so each
-                    // morsel numbers its slice independently.
-                    for (i, t) in range.clone().zip(&rows[range]) {
-                        ctx.gov.tick()?;
-                        let row = t.extended(Value::Int(i as i64));
-                        ctx.gov.charge(tuple_bytes(&row))?;
-                        out.push(row);
-                    }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                // The global row index is position-derived, so each
+                // morsel numbers its slice independently.
+                let rows =
+                    self.build_rows(node, &input, |_, i, t| Ok(t.extended(Value::Int(i as i64))))?;
+                (Relation::new(schema, rows), Handed::Fresh)
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
                 // The copied row vector plus the transient dedup set are
                 // both O(n) shared handles; charged as one step.
                 self.charge_shared_rows(input.len())?;
-                Relation::new(schema, input.rows().to_vec()).distinct()
+                let rel = Relation::new(schema, input.rows().to_vec()).distinct();
+                (rel, Handed::Shared)
             }
             PhysKind::Sort { input, keys } => {
                 let input = self.eval_node(input, local)?;
@@ -1100,17 +1150,19 @@ impl ExecContext {
                     .collect();
                 decorated.sort_by(|a, b| compare_tuples(&a.0, &b.0, &spec));
                 self.gov.release(scratch);
-                Relation::new(schema, decorated.into_iter().map(|(_, t)| t).collect())
+                let rows = decorated.into_iter().map(|(_, t)| t).collect();
+                (Relation::new(schema, rows), Handed::Shared)
             }
             PhysKind::Limit { input, n } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len().min(*n))?;
-                Relation::new(schema, input.rows().iter().take(*n).cloned().collect())
+                let rows = input.rows().iter().take(*n).cloned().collect();
+                (Relation::new(schema, rows), Handed::Shared)
             }
             PhysKind::Alias { input } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len())?;
-                Relation::new(schema, input.rows().to_vec())
+                (Relation::new(schema, input.rows().to_vec()), Handed::Shared)
             }
             PhysKind::UnionAll { left, right } => {
                 let l = self.eval_node(left, local)?;
@@ -1118,7 +1170,7 @@ impl ExecContext {
                 self.charge_shared_rows(l.len() + r.len())?;
                 let mut rows = l.rows().to_vec();
                 rows.extend_from_slice(r.rows());
-                Relation::new(schema, rows)
+                (Relation::new(schema, rows), Handed::Shared)
             }
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. } => {
                 return Err(Error::execution(
@@ -1127,10 +1179,10 @@ impl ExecContext {
             }
             PhysKind::Stream { source, positive } => {
                 let (pos, neg) = self.eval_bypass(source, local)?;
-                return Ok(if *positive { pos } else { neg });
+                return Ok((if *positive { pos } else { neg }, Handed::Shared));
             }
         };
-        Ok(Arc::new(rel))
+        Ok((Arc::new(rel), handed))
     }
 
     /// Evaluate a bypass operator once per plan evaluation; both streams
@@ -1140,56 +1192,29 @@ impl ExecContext {
         if let Some(d) = local.get(&ptr) {
             return Ok(d.clone());
         }
-        let start = self.metrics.is_some().then(Instant::now);
-        if start.is_some() {
-            self.child_nanos.push(0);
-        }
-        let result = self.eval_bypass_inner(source, local);
-        if let Some(start) = start {
-            let elapsed = start.elapsed().as_nanos();
-            let children = self.child_nanos.pop().unwrap_or(0);
-            if let Some(parent) = self.child_nanos.last_mut() {
-                *parent += elapsed;
-            }
-            // Drain the per-call scratch exactly like `eval_node` does;
-            // σ± chains deposit their per-disjunct counters here.
-            let pend = std::mem::take(&mut self.pending);
-            if let (Some(metrics), Ok(((pos, neg), routed))) = (self.metrics.as_mut(), &result) {
-                let m = metrics.entry(ptr).or_default();
-                let handed_on = (pos.len() + neg.len()) as u64;
-                m.calls += 1;
-                m.rows += routed[0] + routed[1];
-                m.nanos += elapsed;
-                m.self_nanos += elapsed.saturating_sub(children);
-                m.absorb(&pend);
-                // The bypass-specific split — what the operator itself
-                // routed to each side, before any fused stage: the
-                // negative stream is the quantity the paper's cost
-                // argument needs small.
-                m.pos_rows += routed[0];
-                m.neg_rows += routed[1];
-                // σ± splits by refcount bump; ⋈± materializes the
-                // pairs that survive its stage chains.
-                if matches!(source.kind, PhysKind::BypassFilter { .. }) {
-                    m.rows_shared += handed_on;
-                } else {
-                    m.rows_materialized += handed_on;
-                }
-            }
-        }
-        let (dual, _) = result?;
+        let run = |ctx: &mut Self| ctx.eval_bypass_inner(source, local);
+        let (dual, ..) = self.metered(source, run, |m, ((pos, neg), routed, handed)| {
+            // The bypass-specific split — what the operator itself
+            // routed to each side, before any fused stage: the
+            // negative stream is the quantity the paper's cost
+            // argument needs small.
+            m.rows += routed[0] + routed[1];
+            m.pos_rows += routed[0];
+            m.neg_rows += routed[1];
+            m.hand_on(*handed, (pos.len() + neg.len()) as u64);
+        })?;
         local.insert(ptr, dual.clone());
         Ok(dual)
     }
 
-    /// Both streams of a bypass operator, plus how many rows the
-    /// operator routed to each (more than the streams hold when a fused
-    /// stage chain dropped some on the way).
+    /// Both streams of a bypass operator, how many rows the operator
+    /// routed to each (more than the streams hold when a fused stage
+    /// chain dropped some on the way) and how it handed them on.
     fn eval_bypass_inner(
         &mut self,
         source: &Arc<PhysNode>,
         local: &mut Local,
-    ) -> Result<(Dual, [u64; 2])> {
+    ) -> Result<(Dual, [u64; 2], Handed)> {
         let schema = source.schema.clone();
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, predicate } => {
@@ -1201,7 +1226,8 @@ impl ExecContext {
                     Arc::new(Relation::new(schema.clone(), pos)),
                     Arc::new(Relation::new(schema, neg)),
                 );
-                (dual, routed)
+                // σ± splits by refcount bump …
+                (dual, routed, Handed::Shared)
             }
             PhysKind::BypassNLJoin {
                 left,
@@ -1252,7 +1278,10 @@ impl ExecContext {
                     let schema = chain.as_ref().map_or(&schema, |c| &c.schema).clone();
                     Arc::new(Relation::new(schema, sink.rows))
                 };
-                ((stream(pos, pos_sink), stream(neg, neg_sink)), routed)
+                // … ⋈± materializes the pairs that survive its stage
+                // chains.
+                let dual = (stream(pos, pos_sink), stream(neg, neg_sink));
+                (dual, routed, Handed::Fresh)
             }
             _ => {
                 return Err(Error::execution(
@@ -1518,384 +1547,6 @@ impl ExecContext {
         table.seal();
         Ok((table, charged))
     }
-
-    /// One row's key under `reader`, with its hash: columns are borrowed
-    /// from the row, computed keys land in `buf`. With `nulls_match`
-    /// unset (joins) a NULL key value yields `None` at once — the key
-    /// expressions after it are not evaluated.
-    pub(crate) fn read_key<'a, R: Row>(
-        &mut self,
-        reader: &'a KeyReader<'_>,
-        row: &'a R,
-        buf: &'a mut Vec<Value>,
-        nulls_match: bool,
-    ) -> Result<Option<(u64, KeyRef<'a, R>)>> {
-        let key = match reader {
-            KeyReader::Cols(cols) => {
-                for &c in cols {
-                    match row.get(c) {
-                        None => return Err(Error::execution(format!("column #{c} out of range"))),
-                        Some(v) if v.is_null() && !nulls_match => return Ok(None),
-                        Some(_) => {}
-                    }
-                }
-                KeyRef::Cols(row, cols)
-            }
-            KeyReader::Exprs(exprs) => {
-                buf.clear();
-                for e in *exprs {
-                    let v = self.eval_expr(e, row)?;
-                    if v.is_null() && !nulls_match {
-                        return Ok(None);
-                    }
-                    buf.push(v);
-                }
-                KeyRef::Vals(buf)
-            }
-        };
-        Ok(Some((key.hash(), key)))
-    }
-
-    /// `e` over `row`: borrowed from the row when `e` is a plain column
-    /// reference, evaluated otherwise.
-    #[inline]
-    pub(crate) fn eval_cow<'a, R: Row>(
-        &mut self,
-        e: &PhysExpr,
-        row: &'a R,
-    ) -> Result<Cow<'a, Value>> {
-        if let PhysExpr::Column(i) = e {
-            if let Some(v) = row.get(*i) {
-                return Ok(Cow::Borrowed(v));
-            }
-        }
-        self.eval_expr(e, row).map(Cow::Owned)
-    }
-
-    // ----- expression evaluation ---------------------------------------
-
-    pub fn eval_truth<R: Row>(&mut self, e: &PhysExpr, t: &R) -> Result<Truth> {
-        // Borrow-only fast path first: the canonical plans of Fig. 7
-        // evaluate tens of millions of simple comparison predicates per
-        // query, and the general evaluator pays for owned `Value`
-        // returns plus `Result` plumbing on every node. Predicates made
-        // of AND/OR/NOT/IS NULL/comparisons over column, outer and
-        // literal operands never allocate and never fail, so they can
-        // be folded over borrowed values directly.
-        if let Some(truth) = self.truth_fast(e, t) {
-            return Ok(truth);
-        }
-        Ok(value_truth(&self.eval_expr(e, t)?))
-    }
-
-    /// Zero-clone truth evaluation for the simple-predicate fragment.
-    /// Returns `None` when the expression needs the general evaluator
-    /// (subqueries, arithmetic, LIKE, out-of-range references, …); the
-    /// caller then falls back to [`Self::eval_expr`], which reproduces
-    /// the same semantics and reports proper errors.
-    fn truth_fast<R: Row>(&self, e: &PhysExpr, t: &R) -> Option<Truth> {
-        use bypass_algebra::BinOp;
-        match e {
-            PhysExpr::Binary { op, left, right } => match op {
-                BinOp::And => {
-                    let l = self.truth_fast(left, t)?;
-                    if l == Truth::False {
-                        return Some(Truth::False);
-                    }
-                    Some(l.and(self.truth_fast(right, t)?))
-                }
-                BinOp::Or => {
-                    let l = self.truth_fast(left, t)?;
-                    if l == Truth::True {
-                        return Some(Truth::True);
-                    }
-                    Some(l.or(self.truth_fast(right, t)?))
-                }
-                BinOp::Eq => {
-                    let (l, r) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
-                    Some(l.sql_eq(r))
-                }
-                BinOp::Neq => {
-                    let (l, r) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
-                    Some(l.sql_eq(r).not())
-                }
-                BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                    let (l, r) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
-                    Some(match l.sql_cmp(r) {
-                        None => Truth::Unknown,
-                        Some(o) => {
-                            let hit = match op {
-                                BinOp::Lt => o == std::cmp::Ordering::Less,
-                                BinOp::LtEq => o != std::cmp::Ordering::Greater,
-                                BinOp::Gt => o == std::cmp::Ordering::Greater,
-                                _ => o != std::cmp::Ordering::Less,
-                            };
-                            if hit {
-                                Truth::True
-                            } else {
-                                Truth::False
-                            }
-                        }
-                    })
-                }
-                _ => None,
-            },
-            PhysExpr::Not(x) => Some(self.truth_fast(x, t)?.not()),
-            PhysExpr::IsNull { negated, expr } => {
-                let v = self.value_ref(expr, t)?;
-                Some(if v.is_null() != *negated {
-                    Truth::True
-                } else {
-                    Truth::False
-                })
-            }
-            PhysExpr::Column(_) | PhysExpr::Outer { .. } | PhysExpr::Literal(_) => {
-                Some(value_truth(self.value_ref(e, t)?))
-            }
-            _ => None,
-        }
-    }
-
-    /// Borrowed view of a leaf operand; `None` for anything that is not
-    /// a (valid) column, outer or literal reference.
-    fn value_ref<'a, R: Row>(&'a self, e: &'a PhysExpr, t: &'a R) -> Option<&'a Value> {
-        match e {
-            PhysExpr::Column(i) => t.get(*i),
-            PhysExpr::Literal(v) => Some(v),
-            PhysExpr::Outer { depth, index } => {
-                if *depth == 0 || *depth > self.outer.len() {
-                    return None;
-                }
-                self.outer[self.outer.len() - depth].get(*index)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn eval_expr<R: Row>(&mut self, e: &PhysExpr, t: &R) -> Result<Value> {
-        Ok(match e {
-            PhysExpr::Column(i) => t
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| Error::execution(format!("column #{i} out of range")))?,
-            PhysExpr::Outer { depth, index } => outer_value(&self.outer, *depth, *index)?,
-            PhysExpr::Literal(v) => v.clone(),
-            PhysExpr::Binary { op, left, right } => {
-                // Short-circuit AND/OR (3-valued: TRUE∨x = TRUE, FALSE∧x
-                // = FALSE) — this is what makes cheap-disjunct-first
-                // orderings pay off in canonical plans.
-                match op {
-                    bypass_algebra::BinOp::Or => {
-                        let l = self.eval_expr(left, t)?;
-                        if value_truth(&l) == Truth::True {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = self.eval_expr(right, t)?;
-                        value_truth(&l).or(value_truth(&r)).to_value()
-                    }
-                    bypass_algebra::BinOp::And => {
-                        let l = self.eval_expr(left, t)?;
-                        if value_truth(&l) == Truth::False {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = self.eval_expr(right, t)?;
-                        value_truth(&l).and(value_truth(&r)).to_value()
-                    }
-                    _ => {
-                        let l = self.eval_expr(left, t)?;
-                        let r = self.eval_expr(right, t)?;
-                        eval_binop(*op, &l, &r)?
-                    }
-                }
-            }
-            PhysExpr::Not(x) => value_truth(&self.eval_expr(x, t)?).not().to_value(),
-            PhysExpr::Neg(x) => self.eval_expr(x, t)?.neg()?,
-            PhysExpr::IsNull { negated, expr } => {
-                let is_null = self.eval_expr(expr, t)?.is_null();
-                Value::Bool(is_null != *negated)
-            }
-            PhysExpr::Like {
-                negated,
-                expr,
-                pattern,
-            } => {
-                let v = self.eval_expr(expr, t)?;
-                let p = self.eval_expr(pattern, t)?;
-                let truth = v.sql_like(&p)?;
-                if *negated {
-                    truth.not().to_value()
-                } else {
-                    truth.to_value()
-                }
-            }
-            PhysExpr::InList {
-                negated,
-                expr,
-                list,
-            } => {
-                let needle = self.eval_expr(expr, t)?;
-                let mut vals = Vec::with_capacity(list.len());
-                for item in list {
-                    vals.push(self.eval_expr(item, t)?);
-                }
-                let truth = in_membership(&needle, vals.iter());
-                if *negated {
-                    truth.not().to_value()
-                } else {
-                    truth.to_value()
-                }
-            }
-            PhysExpr::Subquery {
-                plan,
-                correlated,
-                outer_keys,
-            } => {
-                let rel = self.eval_subquery(plan, *correlated, outer_keys, t)?;
-                match rel.len() {
-                    0 => Value::Null,
-                    1 => rel.rows()[0]
-                        .get(0)
-                        .cloned()
-                        .ok_or_else(|| Error::execution("scalar subquery with no column"))?,
-                    n => {
-                        return Err(Error::execution(format!(
-                            "scalar subquery returned {n} rows"
-                        )))
-                    }
-                }
-            }
-            PhysExpr::Exists {
-                negated,
-                plan,
-                correlated,
-                outer_keys,
-            } => {
-                let rel = self.eval_subquery(plan, *correlated, outer_keys, t)?;
-                Value::Bool(rel.is_empty() == *negated)
-            }
-            PhysExpr::InSubquery {
-                negated,
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-            } => {
-                let needle = self.eval_expr(expr, t)?;
-                let rel = self.eval_subquery(plan, *correlated, outer_keys, t)?;
-                // SQL can only produce one-column IN subqueries, but a
-                // hand-built physical plan can reach here with a
-                // zero-width relation — typed error, not a panic.
-                let mut vals = Vec::with_capacity(rel.len());
-                for r in rel.rows() {
-                    vals.push(
-                        r.get(0)
-                            .ok_or_else(|| Error::execution("IN subquery with no column"))?,
-                    );
-                }
-                let truth = in_membership(&needle, vals.into_iter());
-                if *negated {
-                    truth.not().to_value()
-                } else {
-                    truth.to_value()
-                }
-            }
-            PhysExpr::QuantifiedCmp {
-                op,
-                all,
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-            } => {
-                // SQL semantics: `x θ ALL(S)` is the conjunction of
-                // `x θ y` over S (TRUE over ∅), `x θ ANY(S)` the
-                // disjunction (FALSE over ∅), both in 3-valued logic.
-                let x = self.eval_expr(expr, t)?;
-                let rel = self.eval_subquery(plan, *correlated, outer_keys, t)?;
-                let mut acc = if *all { Truth::True } else { Truth::False };
-                for row in rel.rows() {
-                    let y = row
-                        .get(0)
-                        .ok_or_else(|| Error::execution("quantified subquery with no column"))?;
-                    let cmp = value_truth(&eval_binop(*op, &x, y)?);
-                    acc = if *all { acc.and(cmp) } else { acc.or(cmp) };
-                    // Short-circuit on the absorbing element.
-                    if (*all && acc == Truth::False) || (!*all && acc == Truth::True) {
-                        break;
-                    }
-                }
-                acc.to_value()
-            }
-        })
-    }
-
-    /// Evaluate a nested plan for the current tuple, honoring the memo
-    /// options. The current tuple is pushed onto the binding stack so
-    /// `Outer { depth: 1 }` references inside the subplan see it.
-    fn eval_subquery<R: Row>(
-        &mut self,
-        plan: &Arc<PhysNode>,
-        correlated: bool,
-        outer_keys: &[usize],
-        t: &R,
-    ) -> Result<Arc<Relation>> {
-        let ptr = Arc::as_ptr(plan) as usize;
-        if !correlated && self.options.memo_uncorrelated {
-            if let Some(r) = self.uncorr.get(&ptr) {
-                self.counters.memo_uncorr_hits += 1;
-                return Ok(r.clone());
-            }
-            self.counters.memo_uncorr_misses += 1;
-            let r = self.run_nested(plan, t)?;
-            // The memo retains the result for the rest of the query:
-            // charge the retained shared rows plus entry overhead.
-            self.gov
-                .charge(MEMO_ENTRY_BYTES + r.len() as u64 * SHARED_ROW_BYTES)?;
-            self.uncorr.insert(ptr, r.clone());
-            return Ok(r);
-        }
-        if correlated && self.options.memo_correlated && !outer_keys.is_empty() {
-            // Memo probe without materializing a key: hash (plan ptr,
-            // correlation values) straight off the outer row, then
-            // compare candidate entries value-by-value.
-            let hash = corr_hash(ptr, outer_keys, t);
-            let hit = |key: &Tuple| corr_key_matches(key, outer_keys, t);
-            if let Some(rel) = self.corr.get(hash, ptr, hit) {
-                self.counters.memo_corr_hits += 1;
-                return Ok(rel.clone());
-            }
-            self.counters.memo_corr_misses += 1;
-            let r = self.run_nested(plan, t)?;
-            // Materialize the key only on first miss (shared-row Tuple).
-            let key: Tuple = outer_keys
-                .iter()
-                .map(|&i| corr_value(t, i).clone())
-                .collect();
-            self.gov
-                .charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
-            self.corr.insert(hash, ptr, key, r.clone());
-            return Ok(r);
-        }
-        self.run_nested(plan, t)
-    }
-
-    fn run_nested<R: Row>(&mut self, plan: &Arc<PhysNode>, t: &R) -> Result<Arc<Relation>> {
-        // Shared-row: binding an outer tuple is a refcount bump (a join
-        // pair under a subquery predicate is materialized here).
-        self.outer.push(t.to_tuple());
-        let before = self.gov.used_bytes();
-        let result = self.eval_plan(plan);
-        self.outer.pop();
-        // Transient charges made while evaluating the nested plan are
-        // returned to the budget when the invocation completes — the
-        // live-memory footprint of N correlated invocations is one
-        // invocation at a time, not their sum. `peak_bytes` already
-        // recorded the high-water mark inside the call, and anything a
-        // memo retains beyond the call is re-charged by the caller.
-        let delta = self.gov.used_bytes().saturating_sub(before);
-        self.gov.release(delta);
-        result
-    }
 }
 
 /// Hand a filtered row on — a refcount bump, the buffer stays shared
@@ -1910,32 +1561,6 @@ fn route(t: &Tuple, truth: Truth, bypass: bool, out: &mut (Vec<Tuple>, Vec<Tuple
     }
 }
 
-/// Does this operator hand rows on by refcount bump of shared buffers
-/// (σ, identity Π, DISTINCT, sort/limit/alias/∪̇, stream taps) rather
-/// than materializing fresh tuples? Drives the `rows_shared` /
-/// `rows_materialized` metric split; must mirror the zero-clone
-/// row-passing paths in `eval_node_inner`.
-fn shares_rows(kind: &PhysKind) -> bool {
-    match kind {
-        PhysKind::Scan { .. }
-        | PhysKind::Filter { .. }
-        | PhysKind::Distinct { .. }
-        | PhysKind::Sort { .. }
-        | PhysKind::Limit { .. }
-        | PhysKind::Alias { .. }
-        | PhysKind::UnionAll { .. }
-        | PhysKind::Stream { .. } => true,
-        PhysKind::Project { input, exprs } => {
-            let arity = input.schema.arity();
-            match column_only(exprs) {
-                Some(cols) => cols.len() == arity && cols.iter().enumerate().all(|(i, &c)| i == c),
-                None => false,
-            }
-        }
-        _ => false,
-    }
-}
-
 /// If every projection expression is a plain column reference, the
 /// column indices; `None` as soon as anything needs real evaluation.
 fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
@@ -1946,34 +1571,6 @@ fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
             _ => None,
         })
         .collect()
-}
-
-/// Correlation column `i` of the outer row; the planner resolved it
-/// against that row's schema.
-#[inline]
-fn corr_value<R: Row>(t: &R, i: usize) -> &Value {
-    t.get(i).expect("correlation key within the outer row")
-}
-
-/// Precomputed FxHash of `(plan ptr, t[outer_keys...])`, matching the
-/// hash of the stored correlation key tuples.
-fn corr_hash<R: Row>(ptr: usize, outer_keys: &[usize], t: &R) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = bypass_types::FxHasher::default();
-    h.write_usize(ptr);
-    h.write_usize(outer_keys.len());
-    for &i in outer_keys {
-        corr_value(t, i).hash(&mut h);
-    }
-    h.finish()
-}
-
-fn corr_key_matches<R: Row>(key: &Tuple, outer_keys: &[usize], t: &R) -> bool {
-    key.arity() == outer_keys.len()
-        && outer_keys
-            .iter()
-            .enumerate()
-            .all(|(k, &i)| key[k] == *corr_value(t, i))
 }
 
 /// The padded right-hand tuple for unmatched outer-join rows: NULLs with

@@ -14,8 +14,9 @@ use bypass_types::{
 
 use crate::agg::{AggSpec, AggStates};
 use crate::eval::{concat_rows, ExecContext};
-use crate::expr::{eval_binop, value_truth, PhysExpr};
+use crate::expr::PhysExpr;
 use crate::hash::{KeyReader, KeyRef, KeyTable};
+use crate::interp::{eval_binop, value_truth};
 use crate::node::PhysNode;
 
 /// Fixed state of one aggregate accumulator in the byte model (the
@@ -143,24 +144,17 @@ impl ExecContext {
         }
         let finished: Vec<Value> = states.finish().collect();
         let empty = agg.empty_value();
-        let parts = self.run_morsels(node, l.len(), |ctx, range| {
-            let mut out = Vec::with_capacity(range.len());
-            for lt in &l.rows()[range] {
-                ctx.gov.tick()?;
-                let k = ctx.eval_cow(left_key, lt)?;
-                let key = KeyRef::vals(std::slice::from_ref(&*k));
-                let g = match k.is_null() {
-                    true => None,
-                    false => table.find(key.hash(), key, &mut 0),
-                };
-                let row = lt.extended(g.map_or(&empty, |g| &finished[g as usize]).clone());
-                ctx.gov.charge(tuple_bytes(&row))?;
-                out.push(row);
-            }
-            Ok(out)
+        let rows = self.build_rows(node, l, |ctx, _, lt| {
+            let k = ctx.eval_cow(left_key, lt)?;
+            let key = KeyRef::vals(std::slice::from_ref(&*k));
+            let g = match k.is_null() {
+                true => None,
+                false => table.find(key.hash(), key, &mut 0),
+            };
+            Ok(lt.extended(g.map_or(&empty, |g| &finished[g as usize]).clone()))
         })?;
         self.gov.release(scratch);
-        Ok(Relation::new(schema, concat_rows(parts)))
+        Ok(Relation::new(schema, rows))
     }
 
     /// Γᵇ with an arbitrary comparison θ (nested loop, O(|L|·|R|)); kept

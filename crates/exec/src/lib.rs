@@ -13,11 +13,22 @@
 //! materialized.
 //!
 //! Nested query blocks embedded in selection predicates are evaluated by
-//! the expression interpreter: for every outer tuple, the subquery's
-//! physical plan runs with the outer tuple pushed onto a binding stack
-//! (the paper's "nested-loop evaluation"). Two optional caches emulate
-//! smarter nested evaluation: a materialization cache for uncorrelated
-//! (type A) subqueries and a memo keyed by correlation values.
+//! the expression interpreter (`interp.rs`, the one module that knows
+//! what a [`PhysExpr`] evaluates to): for every outer tuple, the
+//! subquery's physical plan runs with the outer tuple pushed onto a
+//! binding stack (the paper's "nested-loop evaluation"). Two optional
+//! caches emulate smarter nested evaluation: a materialization cache for
+//! uncorrelated (type A) subqueries and a memo keyed by correlation
+//! values.
+//!
+//! The other modules: `eval.rs` dispatches operators and runs the
+//! σ/σ±/Π chunk loops and the join pipelines; `vector.rs` compiles a
+//! filter predicate into an adaptively ordered chain of terms;
+//! `morsel.rs` decides which loops fork and merges what comes back;
+//! `govern.rs` is the governor (checkpoints, byte budget, cancellation,
+//! deadline); `hash.rs` the one hash index; `agg.rs`/`group.rs` the
+//! grouping operators; `plan.rs` turns a logical plan into a
+//! [`PhysNode`] DAG.
 
 mod agg;
 mod eval;
@@ -25,6 +36,7 @@ mod expr;
 mod govern;
 mod group;
 mod hash;
+mod interp;
 mod morsel;
 mod node;
 mod plan;
@@ -36,7 +48,8 @@ pub use eval::{
     evaluate, evaluate_shared, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters,
     ExecOptions, NodeMetrics, StageMetrics,
 };
-pub use expr::{value_truth, PhysExpr};
+pub use expr::PhysExpr;
+pub use interp::value_truth;
 pub use node::{Chain, JoinOn, JoinSpec, LineSource, PhysKind, PhysNode, PlanLine, Stage};
 pub use plan::{physical_plan, physical_plan_with, PlanOptions, Resolver};
-pub use row::{Row, RowView};
+pub use row::{Columns, Row, RowView};

@@ -1,4 +1,10 @@
-use bypass_types::{Tuple, Value};
+use bypass_types::{Batch, Tuple, Value};
+
+/// Positional access to a row's values — all the interpreter's
+/// borrow-only fast path ever asks of a row.
+pub trait Columns {
+    fn get(&self, i: usize) -> Option<&Value>;
+}
 
 /// What the expression interpreter needs from a row: positional access
 /// and, for the rare consumer that must own it (a subquery's outer
@@ -9,23 +15,40 @@ use bypass_types::{Tuple, Value};
 /// loop compiles to exactly the code it was before rows became generic.
 /// [`RowView`] is the borrowed concatenation the join loops evaluate
 /// predicates on.
-pub trait Row {
-    fn get(&self, i: usize) -> Option<&Value>;
-
+pub trait Row: Columns {
     /// An owned copy: a refcount bump for a [`Tuple`], one allocation
     /// for a view.
     fn to_tuple(&self) -> Tuple;
 }
 
-impl Row for Tuple {
+impl Columns for Tuple {
     #[inline]
     fn get(&self, i: usize) -> Option<&Value> {
         Tuple::get(self, i)
     }
+}
 
+impl Row for Tuple {
     #[inline]
     fn to_tuple(&self) -> Tuple {
         self.clone()
+    }
+}
+
+/// Row `row` of a columnar [`Batch`], read in place: how the chunked σ
+/// runs a kernel term through the interpreter's fast path. Only
+/// [`Columns`] — a batch holds just the columns the kernels read, so
+/// there is no tuple to hand out — and only over columns below the
+/// batch's arity, which is what the kernel-term test guarantees.
+pub(crate) struct Lane<'a> {
+    pub(crate) batch: &'a Batch,
+    pub(crate) row: usize,
+}
+
+impl Columns for Lane<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Value> {
+        self.batch.column(i).get(self.row)
     }
 }
 
@@ -64,7 +87,7 @@ impl<'a> RowView<'a> {
     }
 }
 
-impl Row for RowView<'_> {
+impl Columns for RowView<'_> {
     #[inline]
     fn get(&self, i: usize) -> Option<&Value> {
         let mut v = self;
@@ -73,7 +96,9 @@ impl Row for RowView<'_> {
         }
         v.seg.get(i - v.base)
     }
+}
 
+impl Row for RowView<'_> {
     fn to_tuple(&self) -> Tuple {
         match self.prev {
             None => self.seg.iter().cloned().collect(),

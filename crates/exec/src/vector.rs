@@ -1,18 +1,29 @@
-//! Column kernels and adaptive disjunct chains: how σ and σ± evaluate
-//! their predicate.
+//! Adaptive disjunct chains: how σ and σ± evaluate their predicate.
 //!
 //! Every filter predicate is compiled once per plan node into a
 //! [`CompiledChain`] — one [`ChainTerm`] per top-level ORed disjunct
 //! (or ANDed conjunct; any other predicate is a chain of one term) —
 //! each term carrying
 //!
-//! * an optional column [`Kernel`] — a comparison-only fragment that
-//!   can be evaluated element-wise over a columnar
-//!   [`bypass_types::Batch`] and a selection vector of surviving lanes,
+//! * a `kernel` flag — the term is in the interpreter's
+//!   simple-predicate class (`interp.rs`), so the chunk loop may run it
+//!   column-wise over a columnar [`bypass_types::Batch`] and a
+//!   selection vector of surviving lanes,
 //! * an optional nested chain (a conjunctive term inside a disjunction
 //!   is itself adaptively ordered, and vice versa),
-//! * a `movable` flag from the *value-error* analysis below, and
+//! * a `movable` flag from the interpreter's *value-error* analysis, and
 //! * a static cost class.
+//!
+//! **Kernels.** A kernel term has no compiled form of its own: it is
+//! its [`PhysExpr`], evaluated by the interpreter's borrow-only fast
+//! path over a lane of the cached batch — the function that evaluates
+//! the same expression over a row, so the two cannot disagree. Two
+//! shapes (`SliceLoop`) skip even the per-lane expression walk and
+//! run as a tight loop over the column slices: `column ⟨cmp⟩ constant`
+//! (a literal, or an outer reference resolved once per call — the
+//! correlation predicate of a canonical plan's nested block) and
+//! `column ⟨cmp⟩ column` (the linking predicate an unnested plan
+//! filters its outer join by).
 //!
 //! **Adaptive ordering (BestD).** Per-term reach/decide counters feed a
 //! rank `cost × reach ⁄ decide` (expected cost per decided row); at
@@ -46,10 +57,10 @@
 use std::cmp::Ordering;
 
 use bypass_algebra::BinOp;
-use bypass_types::{Batch, Truth, Tuple, Value};
+use bypass_types::{Truth, Tuple, Value};
 
-use crate::expr::value_truth;
-use crate::node::{PhysKind, PhysNode};
+use crate::eval::ExecContext;
+use crate::interp::{can_raise, is_simple, outer_ref, OuterRefs};
 use crate::PhysExpr;
 
 /// Rows per adaptivity epoch: ranks are recomputed after every
@@ -66,329 +77,6 @@ const COST_FALLBACK: u64 = 8;
 /// Static cost class of a term containing a subquery.
 const COST_SUBQUERY: u64 = 4096;
 
-/// A scalar operand of a column kernel.
-#[derive(Debug, Clone)]
-pub enum Operand {
-    /// Column of the batch.
-    Col(usize),
-    /// Constant.
-    Lit(Value),
-    /// Correlation reference into the outer binding stack (resolution
-    /// verified per call by [`chain_bindable`]).
-    Outer { depth: usize, index: usize },
-}
-
-impl Operand {
-    fn get<'a>(&'a self, batch: &'a Batch, row: usize, outer: &'a [Tuple]) -> &'a Value {
-        match self {
-            Operand::Col(i) => &batch.column(*i)[row],
-            Operand::Lit(v) => v,
-            Operand::Outer { depth, index } => &outer[outer.len() - depth].values()[*index],
-        }
-    }
-}
-
-/// A predicate fragment evaluable element-wise over a [`Batch`] — the
-/// exact expression class of `eval_truth`'s borrow-only fast path, so
-/// kernel and interpreter evaluation are equal by construction.
-#[derive(Debug, Clone)]
-pub enum Kernel {
-    And(Box<Kernel>, Box<Kernel>),
-    Or(Box<Kernel>, Box<Kernel>),
-    Not(Box<Kernel>),
-    Cmp {
-        op: BinOp,
-        left: Operand,
-        right: Operand,
-    },
-    IsNull {
-        negated: bool,
-        operand: Operand,
-    },
-    Truthy(Operand),
-}
-
-impl Kernel {
-    /// Evaluate one lane. `And`/`Or` fold without short-circuit —
-    /// semantically identical because `FALSE AND x = FALSE` and
-    /// `TRUE OR x = TRUE` for every 3-valued `x`, and kernels are
-    /// infallible and effect-free.
-    pub fn eval_lane(&self, batch: &Batch, row: usize, outer: &[Tuple]) -> Truth {
-        match self {
-            Kernel::And(l, r) => l
-                .eval_lane(batch, row, outer)
-                .and(r.eval_lane(batch, row, outer)),
-            Kernel::Or(l, r) => l
-                .eval_lane(batch, row, outer)
-                .or(r.eval_lane(batch, row, outer)),
-            Kernel::Not(k) => k.eval_lane(batch, row, outer).not(),
-            Kernel::Cmp { op, left, right } => cmp_op_truth(
-                *op,
-                left.get(batch, row, outer),
-                right.get(batch, row, outer),
-            ),
-            Kernel::IsNull { negated, operand } => {
-                if operand.get(batch, row, outer).is_null() != *negated {
-                    Truth::True
-                } else {
-                    Truth::False
-                }
-            }
-            Kernel::Truthy(operand) => value_truth(operand.get(batch, row, outer)),
-        }
-    }
-
-    /// The `column ⟨cmp⟩ constant` shape, with the constant resolved
-    /// against the current outer bindings — the hot case the chunk
-    /// loop runs as a tight loop over the column slice with no
-    /// per-lane operand dispatch.
-    pub fn col_cmp<'a>(&'a self, outer: &'a [Tuple]) -> Option<(BinOp, usize, &'a Value)> {
-        let Kernel::Cmp { op, left, right } = self else {
-            return None;
-        };
-        let resolve = |o: &'a Operand| -> Option<&'a Value> {
-            match o {
-                Operand::Lit(v) => Some(v),
-                Operand::Outer { depth, index } => {
-                    Some(&outer[outer.len() - depth].values()[*index])
-                }
-                Operand::Col(_) => None,
-            }
-        };
-        match (left, right) {
-            (Operand::Col(c), r) => Some((*op, *c, resolve(r)?)),
-            (l, Operand::Col(c)) => Some((mirror_cmp(*op), *c, resolve(l)?)),
-            _ => None,
-        }
-    }
-}
-
-/// `a op b` ⇔ `b (mirror op) a` — used to normalize `const ⟨cmp⟩ col`
-/// into the column-on-the-left fast shape.
-fn mirror_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        // Eq / Neq are symmetric.
-        other => other,
-    }
-}
-
-/// Truth of `l ⟨op⟩ r` for a comparison operator.
-pub(crate) fn cmp_op_truth(op: BinOp, l: &Value, r: &Value) -> Truth {
-    match op {
-        BinOp::Eq => l.sql_eq(r),
-        BinOp::Neq => l.sql_eq(r).not(),
-        BinOp::Lt => cmp_truth(l, r, |o| o == Ordering::Less),
-        BinOp::LtEq => cmp_truth(l, r, |o| o != Ordering::Greater),
-        BinOp::Gt => cmp_truth(l, r, |o| o == Ordering::Greater),
-        BinOp::GtEq => cmp_truth(l, r, |o| o != Ordering::Less),
-        // compile_kernel only emits comparison ops.
-        _ => unreachable!("non-comparison op in kernel"),
-    }
-}
-
-fn cmp_truth(l: &Value, r: &Value, pred: impl Fn(Ordering) -> bool) -> Truth {
-    match l.sql_cmp(r) {
-        None => Truth::Unknown,
-        Some(o) => {
-            if pred(o) {
-                Truth::True
-            } else {
-                Truth::False
-            }
-        }
-    }
-}
-
-fn operand(e: &PhysExpr, arity: usize) -> Option<Operand> {
-    match e {
-        PhysExpr::Column(i) if *i < arity => Some(Operand::Col(*i)),
-        PhysExpr::Literal(v) => Some(Operand::Lit(v.clone())),
-        PhysExpr::Outer { depth, index } if *depth >= 1 => Some(Operand::Outer {
-            depth: *depth,
-            index: *index,
-        }),
-        _ => None,
-    }
-}
-
-/// Compile an expression into a column kernel, or `None` when it falls
-/// outside the simple-comparison class.
-pub fn compile_kernel(e: &PhysExpr, arity: usize) -> Option<Kernel> {
-    match e {
-        PhysExpr::Binary { op, left, right } => match op {
-            BinOp::And => Some(Kernel::And(
-                Box::new(compile_kernel(left, arity)?),
-                Box::new(compile_kernel(right, arity)?),
-            )),
-            BinOp::Or => Some(Kernel::Or(
-                Box::new(compile_kernel(left, arity)?),
-                Box::new(compile_kernel(right, arity)?),
-            )),
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                Some(Kernel::Cmp {
-                    op: *op,
-                    left: operand(left, arity)?,
-                    right: operand(right, arity)?,
-                })
-            }
-            _ => None,
-        },
-        PhysExpr::Not(x) => Some(Kernel::Not(Box::new(compile_kernel(x, arity)?))),
-        PhysExpr::IsNull { negated, expr } => Some(Kernel::IsNull {
-            negated: *negated,
-            operand: operand(expr, arity)?,
-        }),
-        PhysExpr::Column(_) | PhysExpr::Outer { .. } | PhysExpr::Literal(_) => {
-            Some(Kernel::Truthy(operand(e, arity)?))
-        }
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Value-error analysis: which terms are safe to reorder?
-// ---------------------------------------------------------------------------
-
-/// Can evaluating `e` over a row of `arity` columns raise a *value*
-/// error (given that all its outer references resolve — checked per
-/// call by [`chain_bindable`])? Conservative: `true` when unsure.
-fn expr_can_raise(e: &PhysExpr, arity: usize) -> bool {
-    match e {
-        PhysExpr::Column(i) => *i >= arity,
-        PhysExpr::Literal(_) | PhysExpr::Outer { .. } => false,
-        PhysExpr::Binary { op, left, right } => match op {
-            BinOp::And
-            | BinOp::Or
-            | BinOp::Eq
-            | BinOp::Neq
-            | BinOp::Lt
-            | BinOp::LtEq
-            | BinOp::Gt
-            | BinOp::GtEq => expr_can_raise(left, arity) || expr_can_raise(right, arity),
-            // Arithmetic overflows / divides by zero / type-errors;
-            // Least/Greatest error on incomparable values.
-            _ => true,
-        },
-        PhysExpr::Not(x) => expr_can_raise(x, arity),
-        // Negation type-errors on non-numeric input.
-        PhysExpr::Neg(_) => true,
-        PhysExpr::IsNull { expr, .. } => expr_can_raise(expr, arity),
-        // LIKE pattern compilation can fail.
-        PhysExpr::Like { .. } => true,
-        PhysExpr::InList { expr, list, .. } => {
-            expr_can_raise(expr, arity) || list.iter().any(|e| expr_can_raise(e, arity))
-        }
-        // A scalar subquery errors when it yields more than one row;
-        // it is movable only when the plan *statically* yields at most
-        // one row with at least one column and is value-infallible.
-        PhysExpr::Subquery { plan, .. } => {
-            !(plan.schema.arity() >= 1
-                && plan_at_most_one_row(plan)
-                && plan_value_infallible(plan, arity))
-        }
-        PhysExpr::Exists { plan, .. } => !plan_value_infallible(plan, arity),
-        // Conservative: zero-column subqueries error, quantified
-        // comparisons use fallible binops.
-        PhysExpr::InSubquery { .. } | PhysExpr::QuantifiedCmp { .. } => true,
-    }
-}
-
-/// Does this plan statically produce at most one row?
-fn plan_at_most_one_row(n: &PhysNode) -> bool {
-    match &n.kind {
-        // Scalar aggregation yields exactly one row.
-        PhysKind::HashAggregate { keys, .. } if keys.is_empty() => true,
-        PhysKind::Limit { input, n } => *n <= 1 || plan_at_most_one_row(input),
-        PhysKind::Filter { input, .. }
-        | PhysKind::Project { input, .. }
-        | PhysKind::Map { input, .. }
-        | PhysKind::Numbering { input }
-        | PhysKind::Distinct { input }
-        | PhysKind::Sort { input, .. }
-        | PhysKind::Alias { input } => plan_at_most_one_row(input),
-        _ => false,
-    }
-}
-
-/// The arity the expressions of `n` are evaluated against. Join-like
-/// operators evaluate key expressions per side and predicates over the
-/// concatenation; the concatenated arity is a superset bound, which is
-/// exact for planner-produced plans (per-side keys reference per-side
-/// columns).
-fn exprs_arity(n: &PhysNode) -> usize {
-    let kids = n.children();
-    match kids.len() {
-        0 => 0,
-        1 => kids[0].schema.arity(),
-        _ => kids.iter().map(|c| c.schema.arity()).sum(),
-    }
-}
-
-/// Can evaluating this plan raise a *value* error? Checks every
-/// operator expression plus aggregate fallibility. `outer_arity` is
-/// the arity of the row a depth-1 correlation reference resolves to
-/// (the filter input row pushed by the subquery driver); deeper
-/// references resolve against the call-time binding stack and are
-/// conservatively treated as fallible.
-fn plan_value_infallible(n: &PhysNode, outer_arity: usize) -> bool {
-    let aggs_ok = match &n.kind {
-        PhysKind::HashAggregate { aggs, .. } => aggs.iter().all(|a| a.infallible()),
-        PhysKind::BinaryGroupEq { agg, .. } | PhysKind::BinaryGroupTheta { agg, .. } => {
-            agg.infallible()
-        }
-        _ => true,
-    };
-    aggs_ok
-        && n.exprs()
-            .iter()
-            .all(|e| plan_expr_infallible(e, exprs_arity(n), outer_arity))
-        && n.children()
-            .iter()
-            .all(|c| plan_value_infallible(c, outer_arity))
-}
-
-/// [`expr_can_raise`] inverted for expressions *inside* a subquery
-/// plan: depth-1 outer references are bound-checked statically against
-/// the pushed row's arity, deeper ones (and nested subqueries) are
-/// conservatively fallible.
-fn plan_expr_infallible(e: &PhysExpr, arity: usize, outer_arity: usize) -> bool {
-    match e {
-        PhysExpr::Column(i) => *i < arity,
-        PhysExpr::Literal(_) => true,
-        PhysExpr::Outer { depth, index } => *depth == 1 && *index < outer_arity,
-        PhysExpr::Binary {
-            op:
-                BinOp::And
-                | BinOp::Or
-                | BinOp::Eq
-                | BinOp::Neq
-                | BinOp::Lt
-                | BinOp::LtEq
-                | BinOp::Gt
-                | BinOp::GtEq,
-            left,
-            right,
-        } => {
-            plan_expr_infallible(left, arity, outer_arity)
-                && plan_expr_infallible(right, arity, outer_arity)
-        }
-        PhysExpr::Binary { .. } => false,
-        PhysExpr::Not(x) => plan_expr_infallible(x, arity, outer_arity),
-        PhysExpr::IsNull { expr, .. } => plan_expr_infallible(expr, arity, outer_arity),
-        PhysExpr::InList { expr, list, .. } => {
-            plan_expr_infallible(expr, arity, outer_arity)
-                && list
-                    .iter()
-                    .all(|e| plan_expr_infallible(e, arity, outer_arity))
-        }
-        _ => false,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Compiled chains.
 // ---------------------------------------------------------------------------
@@ -396,11 +84,13 @@ fn plan_expr_infallible(e: &PhysExpr, arity: usize, outer_arity: usize) -> bool 
 /// One disjunct (or conjunct) of a compiled chain.
 #[derive(Debug)]
 pub struct ChainTerm {
-    /// The original expression — what `eval_truth` runs when the term
-    /// has no kernel, or no kernel may run.
+    /// The term itself: what the interpreter evaluates, over a lane of
+    /// the batch for a kernel term, else (or when no kernel may run)
+    /// over the row.
     pub expr: PhysExpr,
-    /// Column kernel when the whole term is kernel-compilable.
-    pub kernel: Option<Kernel>,
+    /// Is the whole term in the simple-predicate class, and so may run
+    /// column-wise?
+    pub kernel: bool,
     /// Nested chain when the term is itself an AND/OR of ≥ 2 parts.
     pub nested: Option<Box<CompiledChain>>,
     /// Safe to reorder (cannot raise a value error)?
@@ -468,34 +158,18 @@ fn has_movable_run(terms: &[ChainTerm]) -> bool {
     terms.windows(2).any(|w| w[0].movable && w[1].movable)
 }
 
-fn operand_col(o: &Operand, out: &mut Vec<usize>) {
-    if let Operand::Col(i) = o {
-        out.push(*i);
-    }
-}
-
-fn kernel_cols(k: &Kernel, out: &mut Vec<usize>) {
-    match k {
-        Kernel::And(l, r) | Kernel::Or(l, r) => {
-            kernel_cols(l, out);
-            kernel_cols(r, out);
-        }
-        Kernel::Not(x) => kernel_cols(x, out),
-        Kernel::Cmp { left, right, .. } => {
-            operand_col(left, out);
-            operand_col(right, out);
-        }
-        Kernel::IsNull { operand, .. } | Kernel::Truthy(operand) => operand_col(operand, out),
-    }
-}
-
-/// Union of the columns read by the top-level kernels, sorted + deduped.
+/// Union of the columns read by the top-level kernel terms, sorted +
+/// deduped.
 fn chain_cols(terms: &[ChainTerm]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for t in terms {
-        if let Some(k) = &t.kernel {
-            kernel_cols(k, &mut out);
+    fn cols(e: &PhysExpr, out: &mut Vec<usize>) {
+        if let PhysExpr::Column(i) = e {
+            out.push(*i);
         }
+        e.children().for_each(|c| cols(c, out));
+    }
+    let mut out = Vec::new();
+    for t in terms.iter().filter(|t| t.kernel) {
+        cols(&t.expr, &mut out);
     }
     out.sort_unstable();
     out.dedup();
@@ -503,10 +177,10 @@ fn chain_cols(terms: &[ChainTerm]) -> Vec<usize> {
 }
 
 fn compile_term(e: &PhysExpr, arity: usize) -> ChainTerm {
-    if let Some(kernel) = compile_kernel(e, arity) {
+    if is_simple(e, arity) {
         return ChainTerm {
             expr: e.clone(),
-            kernel: Some(kernel),
+            kernel: true,
             nested: None,
             movable: true,
             cost: COST_KERNEL,
@@ -524,7 +198,7 @@ fn compile_term(e: &PhysExpr, arity: usize) -> ChainTerm {
                 let cols = chain_cols(&terms);
                 return ChainTerm {
                     expr: e.clone(),
-                    kernel: None,
+                    kernel: false,
                     nested: Some(Box::new(CompiledChain {
                         is_or: *op == BinOp::Or,
                         terms,
@@ -539,9 +213,9 @@ fn compile_term(e: &PhysExpr, arity: usize) -> ChainTerm {
     }
     ChainTerm {
         expr: e.clone(),
-        kernel: None,
+        kernel: false,
         nested: None,
-        movable: !expr_can_raise(e, arity),
+        movable: !can_raise(e, arity, OuterRefs::PerCall),
         cost: if e.contains_subquery() {
             COST_SUBQUERY
         } else {
@@ -578,9 +252,9 @@ pub fn compile_chain(predicate: &PhysExpr, arity: usize) -> CompiledChain {
 }
 
 /// Do all outer references of the chain's terms resolve against the
-/// current binding stack? Kernels read them unchecked, so a call under
-/// a stack that does not bind them runs without kernels and in
-/// syntactic order, and fails in `eval_truth` if a row reaches one.
+/// current binding stack? Kernel evaluation has no error path, so a
+/// call under a stack that does not bind them runs without kernels and
+/// in syntactic order, and fails in `eval_truth` if a row reaches one.
 pub fn chain_bindable(chain: &CompiledChain, outer: &[Tuple]) -> bool {
     chain.terms.iter().all(|t| match &t.nested {
         Some(sub) => chain_bindable(sub, outer),
@@ -590,28 +264,42 @@ pub fn chain_bindable(chain: &CompiledChain, outer: &[Tuple]) -> bool {
 
 fn term_outer_ok(e: &PhysExpr, outer: &[Tuple]) -> bool {
     match e {
-        PhysExpr::Outer { depth, index } => {
-            *depth >= 1 && *depth <= outer.len() && *index < outer[outer.len() - depth].arity()
+        PhysExpr::Outer { depth, index } => outer_ref(outer, *depth, *index).is_some(),
+        // A nested plan is not descended into: its depth-1 references
+        // bind to the pushed row (statically checked at compile time);
+        // deeper ones made the term immovable, and an immovable term
+        // raises its error at its syntactic place.
+        _ => e.children().all(|c| term_outer_ok(c, outer)),
+    }
+}
+
+/// The two kernel shapes the chunk loop runs as one tight loop over
+/// column slices, with no per-lane walk of the expression.
+pub(crate) enum SliceLoop<'a> {
+    /// `column ⟨cmp⟩ constant`, the constant a literal or an outer
+    /// reference resolved against the call's bindings; `constant ⟨cmp⟩
+    /// column` arrives mirrored.
+    ColConst(BinOp, usize, &'a Value),
+    /// `column ⟨cmp⟩ column`.
+    ColCol(BinOp, usize, usize),
+}
+
+impl ChainTerm {
+    /// Which slice loop, if any, runs this kernel term under `ctx`'s
+    /// outer bindings.
+    pub(crate) fn slice_loop<'a>(&'a self, ctx: &'a ExecContext) -> Option<SliceLoop<'a>> {
+        let PhysExpr::Binary { op, left, right } = &self.expr else {
+            return None;
+        };
+        if !op.is_comparison() {
+            return None;
         }
-        PhysExpr::Column(_) | PhysExpr::Literal(_) => true,
-        PhysExpr::Binary { left, right, .. } => {
-            term_outer_ok(left, outer) && term_outer_ok(right, outer)
-        }
-        PhysExpr::Not(x) | PhysExpr::Neg(x) => term_outer_ok(x, outer),
-        PhysExpr::IsNull { expr, .. } => term_outer_ok(expr, outer),
-        PhysExpr::Like { expr, pattern, .. } => {
-            term_outer_ok(expr, outer) && term_outer_ok(pattern, outer)
-        }
-        PhysExpr::InList { expr, list, .. } => {
-            term_outer_ok(expr, outer) && list.iter().all(|e| term_outer_ok(e, outer))
-        }
-        // In-plan depth-1 references bind to the pushed row (statically
-        // checked at compile time); deeper ones made the term immovable,
-        // and an immovable term raises its error at its syntactic place.
-        PhysExpr::Subquery { .. } | PhysExpr::Exists { .. } => true,
-        PhysExpr::InSubquery { expr, .. } | PhysExpr::QuantifiedCmp { expr, .. } => {
-            term_outer_ok(expr, outer)
-        }
+        Some(match (&**left, &**right) {
+            (PhysExpr::Column(l), PhysExpr::Column(r)) => SliceLoop::ColCol(*op, *l, *r),
+            (PhysExpr::Column(c), r) => SliceLoop::ColConst(*op, *c, ctx.const_ref(r)?),
+            (l, PhysExpr::Column(c)) => SliceLoop::ColConst(op.flip(), *c, ctx.const_ref(l)?),
+            _ => return None,
+        })
     }
 }
 
@@ -730,7 +418,7 @@ fn rank_cmp(chain: &CompiledChain, stats: &ChainStats, a: usize, b: usize) -> Or
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bypass_types::Value;
+    use crate::node::{PhysKind, PhysNode};
 
     fn col(i: usize) -> PhysExpr {
         PhysExpr::Column(i)
@@ -746,47 +434,6 @@ mod tests {
             left: Box::new(l),
             right: Box::new(r),
         }
-    }
-
-    fn int_rows(vals: &[&[i64]]) -> Vec<Tuple> {
-        vals.iter()
-            .map(|r| Tuple::new(r.iter().map(|&v| Value::Int(v)).collect()))
-            .collect()
-    }
-
-    #[test]
-    fn kernel_matches_row_comparison_semantics() {
-        // (a > 1) AND (b = 2), with a NULL in each column.
-        let e = bin(
-            BinOp::And,
-            bin(BinOp::Gt, col(0), lit(1)),
-            bin(BinOp::Eq, col(1), lit(2)),
-        );
-        let k = compile_kernel(&e, 2).expect("kernelable");
-        let mut rows = int_rows(&[&[2, 2], &[0, 2], &[2, 3]]);
-        rows.push(Tuple::new(vec![Value::Null, Value::Int(2)]));
-        rows.push(Tuple::new(vec![Value::Int(2), Value::Null]));
-        let batch = Batch::from_rows_cols(&rows, &[0, 1]);
-        let lanes: Vec<Truth> = (0..rows.len())
-            .map(|lane| k.eval_lane(&batch, lane, &[]))
-            .collect();
-        assert_eq!(
-            lanes,
-            vec![
-                Truth::True,
-                Truth::False,
-                Truth::False,
-                Truth::Unknown,
-                Truth::Unknown,
-            ]
-        );
-    }
-
-    #[test]
-    fn kernel_rejects_arithmetic_and_out_of_range_columns() {
-        let div = bin(BinOp::Gt, bin(BinOp::Div, lit(10), col(0)), lit(2));
-        assert!(compile_kernel(&div, 1).is_none());
-        assert!(compile_kernel(&bin(BinOp::Eq, col(3), lit(1)), 2).is_none());
     }
 
     #[test]
@@ -950,10 +597,14 @@ mod tests {
     fn single_term_predicates_compile_to_one_term_chains() {
         let chain = compile_chain(&bin(BinOp::Gt, col(0), lit(5)), 1);
         assert_eq!(chain.terms.len(), 1);
-        assert!(chain.terms[0].kernel.is_some() && !chain.adaptive);
+        assert!(chain.terms[0].kernel && !chain.adaptive);
         let div = compile_chain(&bin(BinOp::Gt, bin(BinOp::Div, lit(1), col(0)), lit(5)), 1);
         assert_eq!(div.terms.len(), 1);
-        assert!(div.terms[0].kernel.is_none() && div.terms[0].nested.is_none());
+        assert!(!div.terms[0].kernel && div.terms[0].nested.is_none());
         assert!(!div.terms[0].movable && !div.adaptive && div.cols.is_empty());
+        // A column beyond the input's arity is an error to raise, not
+        // a kernel to run.
+        let wide = compile_chain(&bin(BinOp::Eq, col(3), lit(1)), 2);
+        assert!(!wide.terms[0].kernel && !wide.terms[0].movable);
     }
 }

@@ -13,7 +13,10 @@
 //!   rows of the same operators run one after another,
 //! * the chunked σ/σ±/column-Π loops produce the row sequences, the
 //!   checkpoint count and the peak bytes of evaluating the predicate
-//!   row by row.
+//!   row by row,
+//! * a simple predicate has one truth value, whichever route evaluates
+//!   it: the `Value` interpreter, the borrow-only fast path over a
+//!   tuple or a join's row view, or σ's column loops.
 //!
 //! Runs on the in-tree `bypass-check` harness; failures print a
 //! `BYPASS_CHECK_SEED=…` line that replays the minimized input.
@@ -23,11 +26,11 @@ use std::sync::Arc;
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_check::{forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen};
 use bypass_exec::{
-    evaluate, AggSpec, Chain, ExecContext, ExecOptions, JoinOn, JoinSpec, PhysExpr, PhysKind,
-    PhysNode, Stage,
+    evaluate, value_truth, AggSpec, Chain, ExecContext, ExecOptions, JoinOn, JoinSpec, PhysExpr,
+    PhysKind, PhysNode, RowView, Stage,
 };
 use bypass_types::{
-    tuple_bytes, DataType, Field, Relation, Schema, Tuple, Value, SHARED_ROW_BYTES,
+    tuple_bytes, DataType, Field, Relation, Schema, Truth, Tuple, Value, SHARED_ROW_BYTES,
 };
 
 const CASES: u32 = 64;
@@ -493,10 +496,7 @@ fn chunked_operators_match_row_by_row_evaluation() {
         gt(plus(col(0), 1), 5),
         cmp(BinOp::Eq, col(0), count_matching_subquery()),
     ];
-    let chunkings = [1, 256].map(|batch_rows| ExecOptions {
-        batch_rows,
-        ..Default::default()
-    });
+    let chunkings = chunkings();
     for len in [0, 1, 255, 256, 257, 513] {
         // Two columns cycling with coprime periods, a NULL now and then.
         let column = |period: usize, null_at: usize| -> Vec<Option<i64>> {
@@ -559,6 +559,285 @@ fn chunked_operators_match_row_by_row_evaluation() {
                 "Π over {len} rows, chunks of {}",
                 options.batch_rows
             );
+        }
+    }
+}
+
+/// Operands reaching every arm of SQL comparison: NULL, both numeric
+/// types with values equal across them (`1` / `1.0`, `0` / `0.0` /
+/// `-0.0`), NaN, text and booleans (comparable among themselves only).
+fn operand_values() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Float(1.0),
+        Value::Float(1.5),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::text("a"),
+        Value::text("b"),
+        Value::Bool(false),
+        Value::Bool(true),
+    ]
+}
+
+/// The simple-predicate class over two operands: the six comparisons,
+/// NOT, IS [NOT] NULL, and AND/OR of two of them.
+fn simple_predicates(l: &PhysExpr, r: &PhysExpr) -> Vec<PhysExpr> {
+    let c = |op| cmp(op, l.clone(), r.clone());
+    let is_null = |negated, e: &PhysExpr| PhysExpr::IsNull {
+        negated,
+        expr: Box::new(e.clone()),
+    };
+    let comparisons = [
+        BinOp::Eq,
+        BinOp::Neq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+    ];
+    let mut all: Vec<PhysExpr> = comparisons.into_iter().map(c).collect();
+    all.extend([
+        not(c(BinOp::Lt)),
+        is_null(false, l),
+        is_null(true, r),
+        cmp(BinOp::Or, c(BinOp::Lt), c(BinOp::Eq)),
+        cmp(BinOp::And, c(BinOp::LtEq), not(c(BinOp::Eq))),
+        cmp(BinOp::Or, is_null(false, l), c(BinOp::Gt)),
+        cmp(BinOp::And, is_null(true, l), not(c(BinOp::GtEq))),
+    ]);
+    all
+}
+
+fn not(e: PhysExpr) -> PhysExpr {
+    PhysExpr::Not(Box::new(e))
+}
+
+/// A scan over `[l, r, id]` rows; the column types are never consulted
+/// by the executor.
+fn operand_scan(rows: Vec<Tuple>) -> Arc<PhysNode> {
+    let schema = Schema::new(
+        ["l", "r", "id"]
+            .map(|n| Field::qualified("v", n, DataType::Int))
+            .to_vec(),
+    );
+    PhysNode::new(
+        PhysKind::Scan {
+            data: Arc::new(Relation::new(schema.clone(), rows)),
+        },
+        schema,
+    )
+}
+
+fn sigma(input: &Arc<PhysNode>, predicate: PhysExpr) -> Arc<PhysNode> {
+    PhysNode::new(
+        PhysKind::Filter {
+            input: input.clone(),
+            predicate,
+        },
+        input.schema.clone(),
+    )
+}
+
+fn chunkings() -> [ExecOptions; 2] {
+    [1, 256].map(|batch_rows| ExecOptions {
+        batch_rows,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn simple_predicates_have_one_truth_value_on_every_route() {
+    let vals = operand_values();
+    let n = vals.len();
+    let lit = |v: &Value| PhysExpr::Literal(v.clone());
+    let outer = PhysExpr::Outer { depth: 1, index: 0 };
+    // Every (l, r) pair, and every l alone with an id that is its bit.
+    let pairs: Vec<Tuple> = (0..n * n)
+        .map(|i| {
+            Tuple::new(vec![
+                vals[i / n].clone(),
+                vals[i % n].clone(),
+                Value::Int(i as i64),
+            ])
+        })
+        .collect();
+    let lefts: Vec<Tuple> = (0..n)
+        .map(|li| Tuple::new(vec![vals[li].clone(), Value::Null, Value::Int(1 << li)]))
+        .collect();
+    let (pair_scan, left_scan) = (operand_scan(pairs.clone()), operand_scan(lefts.clone()));
+    let col_col = simple_predicates(&col(0), &col(1));
+    let mut ctx = ExecContext::new(ExecOptions::default());
+    for (k, p) in col_col.iter().enumerate() {
+        // The truth table by the `Value` route, and the two row routes
+        // of the fast path against it.
+        let table: Vec<Truth> = pairs
+            .iter()
+            .map(|t| {
+                let truth = value_truth(&ctx.eval_expr(p, t).unwrap());
+                assert_eq!(ctx.eval_truth(p, t).unwrap(), truth, "{p} over tuple {t:?}");
+                let (l, r) = t.values().split_at(1);
+                let view = RowView::new(l);
+                let view = view.with(&r[..1]);
+                assert_eq!(
+                    ctx.eval_truth(p, &view).unwrap(),
+                    truth,
+                    "{p} over view {t:?}"
+                );
+                truth
+            })
+            .collect();
+        // σ keeps the TRUE rows of `p` and the FALSE rows of `¬p`, and
+        // passes the checkpoints of row-by-row evaluation, at every
+        // chunk length. `rows[i]` has truth `truth(i)`.
+        let check_sigma =
+            |scan: &Arc<PhysNode>, rows: &[Tuple], p: &PhysExpr, truth: &dyn Fn(usize) -> Truth| {
+                for (p, want) in [(p.clone(), Truth::True), (not(p.clone()), Truth::False)] {
+                    let kept: Vec<Tuple> = (0..rows.len())
+                        .filter(|&i| truth(i) == want)
+                        .map(|i| rows[i].clone())
+                        .collect();
+                    let by_row = filter_by_definition(rows, &p, false);
+                    for options in &chunkings() {
+                        assert_eq!(
+                            observed(&sigma(scan, p.clone()), options),
+                            (kept.clone(), by_row.checkpoints, by_row.peak),
+                            "σ of {p}, chunks of {}",
+                            options.batch_rows
+                        );
+                    }
+                }
+            };
+        // column ⟨cmp⟩ column.
+        check_sigma(&pair_scan, &pairs, p, &|i| table[i]);
+        for (ri, r) in vals.iter().enumerate() {
+            let truth = |li: usize| table[li * n + ri];
+            // column ⟨cmp⟩ literal.
+            let col_lit = &simple_predicates(&col(0), &lit(r))[k];
+            check_sigma(&left_scan, &lefts, col_lit, &truth);
+            // column ⟨cmp⟩ outer, `r` bound by a correlated subquery
+            // that sums the id bits of the rows its σ kept.
+            let col_outer = &simple_predicates(&col(0), &outer)[k];
+            for (p, want) in [
+                (col_outer.clone(), Truth::True),
+                (not(col_outer.clone()), Truth::False),
+            ] {
+                let bits: i64 = (0..n)
+                    .filter(|&li| truth(li) == want)
+                    .map(|li| 1 << li)
+                    .sum();
+                let sum = PhysNode::new(
+                    PhysKind::HashAggregate {
+                        input: sigma(&left_scan, p.clone()),
+                        keys: vec![],
+                        aggs: vec![AggSpec {
+                            func: AggFunc::Sum,
+                            distinct: false,
+                            arg: Some(col(2)),
+                        }],
+                    },
+                    Schema::new(vec![Field::new("bits", DataType::Int)]),
+                );
+                let subquery = PhysExpr::Subquery {
+                    plan: sum,
+                    correlated: true,
+                    outer_keys: vec![0],
+                };
+                let runs = chunkings().map(|options| {
+                    let mut ctx = ExecContext::new(options);
+                    let got = ctx
+                        .eval_expr(&subquery, &Tuple::new(vec![r.clone()]))
+                        .unwrap();
+                    let c = ctx.counters();
+                    (got, c.checkpoints, c.peak_memory_bytes)
+                });
+                let want_bits = if bits == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(bits)
+                };
+                assert_eq!(runs[0].0, want_bits, "σ of {p} under outer row [{r}]");
+                assert_eq!(runs[0], runs[1], "σ of {p} under outer row [{r}]");
+            }
+        }
+    }
+    // A few absolute pins, so that agreement is not agreement on nonsense.
+    let mut truth =
+        |op, l: Value, r: Value| ctx.eval_truth(&cmp(op, lit(&l), lit(&r)), &Tuple::empty());
+    assert_eq!(
+        truth(BinOp::Eq, Value::Int(1), Value::Float(1.0)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Eq, Value::Float(-0.0), Value::Float(0.0)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Lt, Value::Int(1), Value::Float(1.5)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Neq, Value::Float(f64::NAN), Value::Int(1)).unwrap(),
+        Truth::Unknown
+    );
+    assert_eq!(
+        truth(BinOp::Eq, Value::text("a"), Value::Int(1)).unwrap(),
+        Truth::Unknown
+    );
+    assert_eq!(
+        truth(BinOp::GtEq, Value::Bool(true), Value::Bool(false)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::LtEq, Value::Null, Value::Null).unwrap(),
+        Truth::Unknown
+    );
+}
+
+#[test]
+fn sigma_raises_an_unresolved_outer_reference_at_the_first_row_that_reaches_it() {
+    // No binding stack: `outer(1, 0)` does not resolve, so no kernel
+    // runs and the terms keep their syntactic order. Rows the first
+    // term decides never reach the dangling reference; the first one it
+    // leaves open raises `eval_truth`'s error, after exactly the
+    // checkpoints of the rows before it.
+    let outer = PhysExpr::Outer { depth: 1, index: 0 };
+    let int = |v| PhysExpr::Literal(Value::Int(v));
+    let dangling = cmp(BinOp::Eq, col(1), outer.clone());
+    let shapes = [
+        // column ⟨cmp⟩ literal decides rows 0‥2, row 3 reaches the reference.
+        (
+            cmp(BinOp::Or, cmp(BinOp::Gt, col(0), int(5)), dangling.clone()),
+            3,
+        ),
+        // column ⟨cmp⟩ outer is itself the reference: row 0.
+        (cmp(BinOp::Gt, col(0), outer), 0),
+        // column ⟨cmp⟩ column decides rows 0‥2.
+        (cmp(BinOp::Or, cmp(BinOp::Gt, col(0), col(1)), dangling), 3),
+    ];
+    let scan = rel2(
+        "r",
+        &[Some(9), Some(8), Some(7), Some(1), Some(9)],
+        &[Some(0), Some(0), Some(0), Some(3), Some(0)],
+    );
+    let rows = evaluate(&scan).unwrap().rows().to_vec();
+    for (predicate, reaches) in &shapes {
+        let expected = ExecContext::new(ExecOptions::default())
+            .eval_truth(predicate, &rows[*reaches])
+            .unwrap_err()
+            .to_string();
+        assert!(expected.contains("exceeds binding stack"), "{expected}");
+        // Every earlier row ticked and was kept; this one only ticked.
+        let checkpoints = 2 * *reaches as u64 + 1;
+        for options in chunkings() {
+            let mut ctx = ExecContext::new(options);
+            let err = ctx.eval_plan(&sigma(&scan, predicate.clone())).unwrap_err();
+            assert_eq!(err.to_string(), expected, "σ of {predicate}");
+            assert_eq!(ctx.counters().checkpoints, checkpoints, "σ of {predicate}");
         }
     }
 }

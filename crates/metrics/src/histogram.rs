@@ -16,7 +16,7 @@ pub const SUB_BITS: u32 = 2;
 /// Linear sub-buckets per octave.
 pub const SUB: u64 = 1 << SUB_BITS;
 
-/// Bucket index for a value: identity below [`SUB`], log-linear above.
+/// Bucket index for a value: identity below `SUB`, log-linear above.
 pub const fn bucket_index(v: u64) -> usize {
     if v < SUB {
         return v as usize;

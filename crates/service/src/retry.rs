@@ -16,7 +16,7 @@
 //! `k` sleeps a uniform duration in `[0, min(base * 2^k, max)]`, drawn
 //! from the in-tree xoshiro256** stream ([`bypass_types::rng::Rng`]).
 //! Each session forks its jitter stream from the service seed and the
-//! session id, so a replay with `BYPASS_SERVICE_SEED` pinned produces
+//! session id, so a replay with the same `ServiceConfig::seed` produces
 //! identical jitter sequences — the backoff is load-shaping, never a
 //! correctness input.
 

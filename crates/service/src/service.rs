@@ -40,10 +40,8 @@ pub struct DegradePolicy {
     pub tiers: Vec<DegradeTier>,
 }
 
-/// Service-wide configuration. Env-var knobs (see
-/// [`ServiceConfig::from_env`]): `BYPASS_SERVICE_CONCURRENCY`,
-/// `BYPASS_SERVICE_QUEUE`, `BYPASS_SERVICE_RETRIES`,
-/// `BYPASS_SERVICE_BACKOFF_MS`, `BYPASS_SERVICE_SEED`.
+/// Service-wide configuration, built in code by whoever owns the
+/// service (there are no environment knobs).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Statements executing concurrently (admission gate width).
@@ -70,45 +68,6 @@ impl Default for ServiceConfig {
             degrade: DegradePolicy::default(),
             seed: 0x00B1_9A55_5EED,
         }
-    }
-}
-
-fn env_usize(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.trim().parse().ok()
-}
-
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => raw.parse().ok(),
-    }
-}
-
-impl ServiceConfig {
-    /// Defaults overridden by the `BYPASS_SERVICE_*` env knobs
-    /// (decimal, except `BYPASS_SERVICE_SEED` which also accepts
-    /// `0x`-hex).
-    pub fn from_env() -> ServiceConfig {
-        let mut cfg = ServiceConfig::default();
-        if let Some(n) = env_usize("BYPASS_SERVICE_CONCURRENCY") {
-            cfg.max_concurrency = n.max(1);
-        }
-        if let Some(n) = env_usize("BYPASS_SERVICE_QUEUE") {
-            cfg.queue_limit = n;
-        }
-        if let Some(n) = env_u64("BYPASS_SERVICE_RETRIES") {
-            cfg.retry.max_retries = n as u32;
-        }
-        if let Some(ms) = env_u64("BYPASS_SERVICE_BACKOFF_MS") {
-            cfg.retry.base_backoff = Duration::from_millis(ms);
-            cfg.retry.max_backoff = Duration::from_millis(ms.saturating_mul(16));
-        }
-        if let Some(seed) = env_u64("BYPASS_SERVICE_SEED") {
-            cfg.seed = seed;
-        }
-        cfg
     }
 }
 

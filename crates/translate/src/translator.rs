@@ -70,7 +70,9 @@ impl<'a> Translator<'a> {
         // WHERE.
         if let Some(w) = &stmt.where_clause {
             let predicate = self.expr(w)?;
-            check_comparisons(&predicate, &builder.schema())?;
+            let schema = builder.schema();
+            check_types(&predicate, &schema)?;
+            check_boolean(&predicate, &schema, "a WHERE clause")?;
             builder = builder.filter(predicate);
         }
 
@@ -137,7 +139,7 @@ impl<'a> Translator<'a> {
                     }
                     SelectItem::Expr { expr, alias } => {
                         let e = self.expr(expr)?;
-                        check_comparisons(&e, &schema)?;
+                        check_types(&e, &schema)?;
                         exprs.push((e, alias.clone()));
                     }
                 }
@@ -323,13 +325,32 @@ impl<'a> Translator<'a> {
     }
 }
 
+/// Reject a predicate position — a WHERE clause, an operand of
+/// AND/OR/NOT — holding an expression whose type is known and is not
+/// `BOOL`. The executor maps a non-boolean predicate result to UNKNOWN,
+/// so without this check `WHERE a` over an `INT` column silently empties
+/// the result. `Unknown` (outer references, bare NULL) stays accepted.
+fn check_boolean(
+    e: &Scalar,
+    schema: &bypass_types::Schema,
+    place: impl std::fmt::Display,
+) -> Result<()> {
+    match e.data_type(schema) {
+        bypass_types::DataType::Bool | bypass_types::DataType::Unknown => Ok(()),
+        t => Err(Error::type_err(format!(
+            "`{e}` is {t}, not a boolean, in {place}"
+        ))),
+    }
+}
+
 /// Reject comparisons whose operand types can never be compared
-/// (`TEXT` vs numeric and the like). `Value::sql_cmp` yields UNKNOWN for
+/// (`TEXT` vs numeric and the like) and non-boolean operands of
+/// AND/OR/NOT ([`check_boolean`]). `Value::sql_cmp` yields UNKNOWN for
 /// such pairs, so without this check a typo'd literal silently empties
 /// the result instead of surfacing the type error. Columns that do not
 /// resolve in `schema` are outer references and type as `Unknown`, which
 /// is compatible with everything — correlated predicates stay untouched.
-fn check_comparisons(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
+fn check_types(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
     let incompatible = |lt: bypass_types::DataType, rt: bypass_types::DataType, what: &str| {
         if lt.is_compatible_with(rt) {
             Ok(())
@@ -341,8 +362,8 @@ fn check_comparisons(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
     };
     match e {
         Scalar::Binary { op, left, right } => {
-            check_comparisons(left, schema)?;
-            check_comparisons(right, schema)?;
+            check_types(left, schema)?;
+            check_types(right, schema)?;
             if op.is_comparison() {
                 incompatible(
                     left.data_type(schema),
@@ -350,19 +371,23 @@ fn check_comparisons(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
                     &format!("`{e}`"),
                 )?;
             }
+            if matches!(op, BinOp::And | BinOp::Or) {
+                check_boolean(left, schema, format_args!("`{e}`"))?;
+                check_boolean(right, schema, format_args!("`{e}`"))?;
+            }
             Ok(())
         }
         Scalar::InList { expr, list, .. } => {
-            check_comparisons(expr, schema)?;
+            check_types(expr, schema)?;
             let lt = expr.data_type(schema);
             for item in list {
-                check_comparisons(item, schema)?;
+                check_types(item, schema)?;
                 incompatible(lt, item.data_type(schema), &format!("`{e}`"))?;
             }
             Ok(())
         }
         Scalar::InSubquery { expr, plan, .. } => {
-            check_comparisons(expr, schema)?;
+            check_types(expr, schema)?;
             let inner = plan.schema();
             if inner.arity() == 1 {
                 incompatible(
@@ -374,7 +399,7 @@ fn check_comparisons(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
             Ok(())
         }
         Scalar::QuantifiedCmp { expr, plan, .. } => {
-            check_comparisons(expr, schema)?;
+            check_types(expr, schema)?;
             let inner = plan.schema();
             if inner.arity() == 1 {
                 incompatible(
@@ -385,11 +410,15 @@ fn check_comparisons(e: &Scalar, schema: &bypass_types::Schema) -> Result<()> {
             }
             Ok(())
         }
-        Scalar::Not(inner) | Scalar::Neg(inner) => check_comparisons(inner, schema),
-        Scalar::IsNull { expr, .. } => check_comparisons(expr, schema),
+        Scalar::Not(inner) => {
+            check_types(inner, schema)?;
+            check_boolean(inner, schema, format_args!("`{e}`"))
+        }
+        Scalar::Neg(inner) => check_types(inner, schema),
+        Scalar::IsNull { expr, .. } => check_types(expr, schema),
         Scalar::Like { expr, pattern, .. } => {
-            check_comparisons(expr, schema)?;
-            check_comparisons(pattern, schema)
+            check_types(expr, schema)?;
+            check_types(pattern, schema)
         }
         Scalar::Column(_) | Scalar::Literal(_) | Scalar::Exists { .. } | Scalar::Subquery(_) => {
             Ok(())

@@ -13,12 +13,10 @@
 //!
 //! * [`FxHasher`] / [`FxBuildHasher`] — a drop-in `std::hash::Hasher`,
 //! * [`FxHashMap`] / [`FxHashSet`] — `HashMap`/`HashSet` aliases using it,
-//! * [`hash_values`] / [`hash_one`] — one-shot kernels for hashing a row
-//!   (slice of [`Value`]s) to a `u64`, used by the join hash table and
-//!   the grouping operator to bucket rows by *precomputed* hash instead
-//!   of re-hashing materialized `Vec<Value>` keys, and
-//! * [`Prehashed`] — a key wrapper that caches its hash so map probes
-//!   do not re-hash the underlying payload.
+//! * [`hash_values`] — the one-shot kernel for hashing a row (slice of
+//!   [`Value`]s) to a `u64`, used by the join hash table and the
+//!   grouping operator to bucket rows by *precomputed* hash instead of
+//!   re-hashing materialized `Vec<Value>` keys.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -98,14 +96,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with FxHash.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// One-shot FxHash of a single hashable value.
-#[inline]
-pub fn hash_one<T: Hash + ?Sized>(v: &T) -> u64 {
-    let mut h = FxHasher::default();
-    v.hash(&mut h);
-    h.finish()
-}
-
 /// One-shot FxHash of a row (slice of values) — the precomputed-row-hash
 /// kernel used by the join hash table and the grouping operator. The
 /// length is folded in so prefixes do not collide trivially.
@@ -117,62 +107,6 @@ pub fn hash_values(values: &[Value]) -> u64 {
         v.hash(&mut h);
     }
     h.finish()
-}
-
-/// A key carrying its precomputed hash. `Hash` emits only the cached
-/// `u64`; `Eq` still compares the payload, so collisions stay correct.
-/// Combined with [`FxHashMap`] this makes repeated probes (correlation
-/// memo, group lookup) O(1) in the key size after the first hash.
-#[derive(Debug, Clone)]
-pub struct Prehashed<T> {
-    hash: u64,
-    value: T,
-}
-
-impl<T: Hash> Prehashed<T> {
-    /// Wrap `value`, computing its FxHash once.
-    pub fn new(value: T) -> Prehashed<T> {
-        Prehashed {
-            hash: hash_one(&value),
-            value,
-        }
-    }
-}
-
-impl<T> Prehashed<T> {
-    /// Wrap `value` with an externally computed hash (e.g. from
-    /// [`hash_values`] over a borrowed row, avoiding materialization).
-    pub fn with_hash(hash: u64, value: T) -> Prehashed<T> {
-        Prehashed { hash, value }
-    }
-
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    pub fn value(&self) -> &T {
-        &self.value
-    }
-
-    pub fn into_value(self) -> T {
-        self.value
-    }
-}
-
-impl<T: PartialEq> PartialEq for Prehashed<T> {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.value == other.value
-    }
-}
-
-impl<T: Eq> Eq for Prehashed<T> {}
-
-impl<T> Hash for Prehashed<T> {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
 }
 
 #[cfg(test)]
@@ -240,19 +174,6 @@ mod tests {
         h.write_usize(5);
         h.write(b"hello world, unaligned tail");
         assert_ne!(h.finish(), 0);
-    }
-
-    #[test]
-    fn prehashed_probes_without_rehash() {
-        let mut m: FxHashMap<Prehashed<Vec<Value>>, i32> = FxHashMap::default();
-        let k1 = Prehashed::new(vec![Value::Int(7), Value::Null]);
-        let hash = k1.hash();
-        m.insert(k1, 1);
-        // A probe built from the cached hash + equal payload finds it.
-        let probe = Prehashed::with_hash(hash, vec![Value::Int(7), Value::Null]);
-        assert_eq!(m.get(&probe), Some(&1));
-        assert_eq!(probe.value().len(), 2);
-        assert_eq!(probe.into_value().len(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`CancelToken`] — a shareable cooperative-cancellation flag. Cloning
 //!   is a refcount bump; `cancel()` from any thread makes every governor
-//!   checkpoint in the running query return [`Error::Cancelled`]
+//!   checkpoint in the running query return [`crate::Error::Cancelled`]
 //!   (`crate::Error::Cancelled`).
 //! * [`InjectedFault`] / [`FaultKind`] — a deterministic fault plan: "at
 //!   governor checkpoint `k`, behave as if `<fault>` happened". Checkpoints

@@ -33,7 +33,7 @@ mod value;
 pub use batch::{Batch, BATCH_ROWS};
 pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
-pub use fxhash::{hash_one, hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Prehashed};
+pub use fxhash::{hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use govern::{
     tuple_bytes, value_heap_bytes, CancelToken, FaultKind, InjectedFault, ROW_OVERHEAD_BYTES,
     SHARED_ROW_BYTES, VALUE_BYTES,

@@ -3,7 +3,7 @@
 # suite (including the 200-case differential oracle and the slt
 # conformance corpus under tests/slt — the SQL surface battery, the
 # regression corpus of oracle findings and the plan goldens among its
-# directories), clippy as errors, and formatting.
+# directories), clippy and rustdoc warnings as errors, and formatting.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -53,6 +53,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# Intra-doc links (`[`Self::run_chain`]`, `[`bypass_types::Batch`]`, …)
+# break silently when documented code moves between modules; rustdoc
+# finds them, and public docs linking to private items, as warnings.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> benchmark smoke (benchmark/run.sh --quick)"
 # The performance record's own harness at a twentieth of its run length:
