@@ -302,6 +302,83 @@ impl Scalar {
         }
     }
 
+    /// This node with `f` applied to each direct child expression;
+    /// nested plans are kept as they are. The one match that rebuilds a
+    /// `Scalar` variant by variant — every expression rewrite recurses
+    /// through it.
+    pub fn map_children(&self, f: &mut impl FnMut(&Scalar) -> Scalar) -> Scalar {
+        match self {
+            Scalar::Column(_)
+            | Scalar::Literal(_)
+            | Scalar::Subquery(_)
+            | Scalar::Exists { .. } => self.clone(),
+            Scalar::Binary { op, left, right } => Scalar::Binary {
+                op: *op,
+                left: Box::new(f(left)),
+                right: Box::new(f(right)),
+            },
+            Scalar::Not(e) => Scalar::Not(Box::new(f(e))),
+            Scalar::Neg(e) => Scalar::Neg(Box::new(f(e))),
+            Scalar::IsNull { negated, expr } => Scalar::IsNull {
+                negated: *negated,
+                expr: Box::new(f(expr)),
+            },
+            Scalar::Like {
+                negated,
+                expr,
+                pattern,
+            } => Scalar::Like {
+                negated: *negated,
+                expr: Box::new(f(expr)),
+                pattern: Box::new(f(pattern)),
+            },
+            Scalar::InList {
+                negated,
+                expr,
+                list,
+            } => Scalar::InList {
+                negated: *negated,
+                expr: Box::new(f(expr)),
+                list: list.iter().map(f).collect(),
+            },
+            Scalar::InSubquery {
+                negated,
+                expr,
+                plan,
+            } => Scalar::InSubquery {
+                negated: *negated,
+                expr: Box::new(f(expr)),
+                plan: plan.clone(),
+            },
+            Scalar::QuantifiedCmp {
+                op,
+                all,
+                expr,
+                plan,
+            } => Scalar::QuantifiedCmp {
+                op: *op,
+                all: *all,
+                expr: Box::new(f(expr)),
+                plan: plan.clone(),
+            },
+        }
+    }
+
+    /// This expression with `f` applied to every nested plan, left to
+    /// right (the operand of `IN` / `θ ALL` before the plan it is
+    /// compared with).
+    pub fn map_plans(&self, f: &mut impl FnMut(&Arc<LogicalPlan>) -> Arc<LogicalPlan>) -> Scalar {
+        let mut out = self.map_children(&mut |e| e.map_plans(f));
+        if let Scalar::Subquery(plan)
+        | Scalar::Exists { plan, .. }
+        | Scalar::InSubquery { plan, .. }
+        | Scalar::QuantifiedCmp { plan, .. } = &mut out
+        {
+            *plan = f(plan);
+        }
+        out
+    }
+
     /// All nested plans directly contained in this expression tree.
     pub fn subquery_plans(&self) -> Vec<&Arc<LogicalPlan>> {
         let mut out = Vec::new();

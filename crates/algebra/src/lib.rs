@@ -25,4 +25,4 @@ pub mod plan;
 
 pub use classify::{classify_subquery, nesting_shape, KimType, NestingShape, SubqueryClass};
 pub use expr::{AggCall, AggFunc, BinOp, ColumnRef, Scalar};
-pub use plan::{transform_up, LogicalPlan, PlanBuilder, Stream};
+pub use plan::{rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Stream};

@@ -3,8 +3,8 @@
 mod builder;
 mod display;
 mod node;
-mod visit;
+mod rewrite;
 
 pub use builder::PlanBuilder;
 pub use node::{LogicalPlan, Stream};
-pub use visit::transform_up;
+pub use rewrite::{rewrite, Blocks, Rule};

@@ -27,7 +27,7 @@ impl Stream {
 /// Children are `Arc`-shared; plans containing bypass operators are DAGs
 /// in which two [`LogicalPlan::Stream`] nodes reference the *same*
 /// [`LogicalPlan::BypassFilter`] / [`LogicalPlan::BypassJoin`] node.
-/// Rewrites must preserve that sharing (see [`crate::plan::transform_up`]).
+/// Rewrites must preserve that sharing (see [`crate::plan::rewrite`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Base-table scan. The stored schema is already qualified with the
@@ -249,106 +249,41 @@ impl LogicalPlan {
         }
     }
 
+    /// The child slots, in [`LogicalPlan::children`] order.
+    fn children_mut(&mut self) -> Vec<&mut Arc<LogicalPlan>> {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Singleton => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Map { input, .. }
+            | LogicalPlan::Numbering { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Alias { input, .. }
+            | LogicalPlan::BypassFilter { input, .. } => vec![input],
+            LogicalPlan::CrossJoin { left, right }
+            | LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::OuterJoin { left, right, .. }
+            | LogicalPlan::BinaryGroup { left, right, .. }
+            | LogicalPlan::Union { left, right }
+            | LogicalPlan::BypassJoin { left, right, .. } => vec![left, right],
+            LogicalPlan::Stream { source, .. } => vec![source],
+        }
+    }
+
     /// Rebuild this node with new children (same order as
     /// [`LogicalPlan::children`]). Panics on arity mismatch — that is a
     /// rewrite bug, not a runtime condition.
-    pub fn with_children(&self, mut children: Vec<Arc<LogicalPlan>>) -> LogicalPlan {
-        assert_eq!(
-            children.len(),
-            self.children().len(),
-            "with_children arity mismatch"
-        );
-        let mut next = || children.remove(0);
-        match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::Singleton => self.clone(),
-            LogicalPlan::Filter { predicate, .. } => LogicalPlan::Filter {
-                input: next(),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Project { exprs, .. } => LogicalPlan::Project {
-                input: next(),
-                exprs: exprs.clone(),
-            },
-            LogicalPlan::CrossJoin { .. } => LogicalPlan::CrossJoin {
-                left: next(),
-                right: next(),
-            },
-            LogicalPlan::Join { predicate, .. } => LogicalPlan::Join {
-                left: next(),
-                right: next(),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::OuterJoin {
-                predicate,
-                defaults,
-                ..
-            } => LogicalPlan::OuterJoin {
-                left: next(),
-                right: next(),
-                predicate: predicate.clone(),
-                defaults: defaults.clone(),
-            },
-            LogicalPlan::Aggregate { keys, aggs, .. } => LogicalPlan::Aggregate {
-                input: next(),
-                keys: keys.clone(),
-                aggs: aggs.clone(),
-            },
-            LogicalPlan::BinaryGroup {
-                left_key,
-                right_key,
-                cmp,
-                agg,
-                name,
-                ..
-            } => LogicalPlan::BinaryGroup {
-                left: next(),
-                right: next(),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-                cmp: *cmp,
-                agg: agg.clone(),
-                name: name.clone(),
-            },
-            LogicalPlan::Map { expr, name, .. } => LogicalPlan::Map {
-                input: next(),
-                expr: expr.clone(),
-                name: name.clone(),
-            },
-            LogicalPlan::Numbering { name, .. } => LogicalPlan::Numbering {
-                input: next(),
-                name: name.clone(),
-            },
-            LogicalPlan::Distinct { .. } => LogicalPlan::Distinct { input: next() },
-            LogicalPlan::Sort { keys, .. } => LogicalPlan::Sort {
-                input: next(),
-                keys: keys.clone(),
-            },
-            LogicalPlan::Limit { n, .. } => LogicalPlan::Limit {
-                input: next(),
-                n: *n,
-            },
-            LogicalPlan::Alias { alias, .. } => LogicalPlan::Alias {
-                input: next(),
-                alias: alias.clone(),
-            },
-            LogicalPlan::Union { .. } => LogicalPlan::Union {
-                left: next(),
-                right: next(),
-            },
-            LogicalPlan::BypassFilter { predicate, .. } => LogicalPlan::BypassFilter {
-                input: next(),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::BypassJoin { predicate, .. } => LogicalPlan::BypassJoin {
-                left: next(),
-                right: next(),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Stream { stream, .. } => LogicalPlan::Stream {
-                source: next(),
-                stream: *stream,
-            },
+    pub fn with_children(&self, children: Vec<Arc<LogicalPlan>>) -> LogicalPlan {
+        let mut out = self.clone();
+        let slots = out.children_mut();
+        assert_eq!(children.len(), slots.len(), "with_children arity mismatch");
+        for (slot, child) in slots.into_iter().zip(children) {
+            *slot = child;
         }
+        out
     }
 
     /// The expressions evaluated by this node (not descending into
@@ -389,6 +324,52 @@ impl LogicalPlan {
             LogicalPlan::Map { expr, .. } => vec![expr],
             LogicalPlan::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
         }
+    }
+
+    /// The expression slots, in [`LogicalPlan::exprs`] order.
+    fn exprs_mut(&mut self) -> Vec<&mut Scalar> {
+        match self {
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::Singleton
+            | LogicalPlan::CrossJoin { .. }
+            | LogicalPlan::Numbering { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Alias { .. }
+            | LogicalPlan::Union { .. }
+            | LogicalPlan::Stream { .. } => vec![],
+            LogicalPlan::Filter { predicate, .. }
+            | LogicalPlan::Join { predicate, .. }
+            | LogicalPlan::OuterJoin { predicate, .. }
+            | LogicalPlan::BypassFilter { predicate, .. }
+            | LogicalPlan::BypassJoin { predicate, .. } => vec![predicate],
+            LogicalPlan::Project { exprs, .. } => exprs.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Aggregate { keys, aggs, .. } => keys
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|(a, _)| a.arg.as_deref_mut()))
+                .collect(),
+            LogicalPlan::BinaryGroup {
+                left_key,
+                right_key,
+                agg,
+                ..
+            } => [left_key, right_key]
+                .into_iter()
+                .chain(agg.arg.as_deref_mut())
+                .collect(),
+            LogicalPlan::Map { expr, .. } => vec![expr],
+            LogicalPlan::Sort { keys, .. } => keys.iter_mut().map(|(e, _)| e).collect(),
+        }
+    }
+
+    /// Rebuild this node with `f` applied to each of its expressions
+    /// (same order as [`LogicalPlan::exprs`]); children are kept.
+    pub fn map_exprs(&self, f: &mut impl FnMut(&Scalar) -> Scalar) -> LogicalPlan {
+        let mut out = self.clone();
+        for e in out.exprs_mut() {
+            *e = f(e);
+        }
+        out
     }
 
     /// Column references that are free in this whole (sub)plan: they do

@@ -2,12 +2,11 @@
 //! it in an export format.
 //!
 //! Runs the paper's evaluation queries on an RST instance under the
-//! full strategy matrix (plus one profiled run per query, which feeds
-//! the cardinality-feedback store), then prints the hub snapshot as
-//! Prometheus text exposition (default) or JSON (`--json`). The
-//! Prometheus output is validated with the in-tree exposition-format
-//! validator before printing, so a zero exit status certifies a
-//! well-formed scrape.
+//! full strategy matrix (plus one profiled run per query), then prints
+//! the hub snapshot as Prometheus text exposition (default) or JSON
+//! (`--json`). The Prometheus output is validated with the in-tree
+//! exposition-format validator before printing, so a zero exit status
+//! certifies a well-formed scrape.
 //!
 //! Usage: `metrics_export [--json] [SF1 [SF2]]`
 //!   --json   emit the snapshot as JSON instead of Prometheus text

@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bypass_types::{Relation, Schema, TableStats};
 
@@ -11,17 +11,20 @@ use bypass_types::{Relation, Schema, TableStats};
 pub struct Table {
     name: Arc<str>,
     data: Arc<Relation>,
-    stats: Arc<TableStats>,
+    /// Collected on the first [`Table::stats`] call: a sort-dedup of
+    /// every column that planning never reads (the cost model needs row
+    /// counts only), so loading and `INSERT` do not pay for it. Clones
+    /// of the table share the cell.
+    stats: Arc<OnceLock<TableStats>>,
 }
 
 impl Table {
-    /// Register a relation under `name`, collecting statistics eagerly.
+    /// Register a relation under `name`.
     pub fn new(name: impl AsRef<str>, data: Relation) -> Table {
-        let stats = TableStats::from_relation(&data);
         Table {
             name: Arc::from(name.as_ref()),
             data: Arc::new(data),
-            stats: Arc::new(stats),
+            stats: Arc::default(),
         }
     }
 
@@ -38,7 +41,8 @@ impl Table {
     }
 
     pub fn stats(&self) -> &TableStats {
-        &self.stats
+        self.stats
+            .get_or_init(|| TableStats::from_relation(&self.data))
     }
 
     pub fn row_count(&self) -> usize {
@@ -46,11 +50,11 @@ impl Table {
     }
 
     /// Replace the table contents (INSERT rebuilds the relation; this is
-    /// an analytical engine, not an OLTP store). Statistics are refreshed.
+    /// an analytical engine, not an OLTP store). Statistics are
+    /// collected afresh on their next read.
     pub fn replace_data(&mut self, data: Relation) {
-        let stats = TableStats::from_relation(&data);
         self.data = Arc::new(data);
-        self.stats = Arc::new(stats);
+        self.stats = Arc::default();
     }
 }
 
@@ -67,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_collected_on_registration() {
+    fn stats_collected_on_first_read() {
         let t = Table::new("t", rel(5));
         assert_eq!(t.name(), "t");
         assert_eq!(t.row_count(), 5);
@@ -77,9 +81,16 @@ mod tests {
     #[test]
     fn replace_refreshes_stats() {
         let mut t = Table::new("t", rel(2));
+        let shared = t.clone();
+        assert_eq!(
+            t.stats().row_count,
+            2,
+            "read (and cached) before the change"
+        );
         t.replace_data(rel(10));
         assert_eq!(t.row_count(), 10);
-        assert_eq!(t.stats().row_count, 10);
+        assert_eq!(t.stats(), &TableStats::from_relation(&rel(10)));
+        assert_eq!(shared.stats().row_count, 2, "a clone keeps its snapshot");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use bypass_check::{run_differential_parallel, DefaultExecutor, OracleConfig};
+use bypass_check::{run_differential_parallel, DefaultExecutor, OracleConfig, AXES};
 
 /// Shapes the gate insists on: every Eqv. 1–5 rewrite outcome (Eqv. 2/3
 /// are the bypass chain), the fallback, plus the PR 4 grammar shapes.
@@ -71,15 +71,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let axis_runs: String = AXES
+        .iter()
+        .zip(report.axis_runs)
+        .map(|(axis, runs)| format!("{} runs {runs}  ", axis.name))
+        .collect();
     println!(
-        "cases {}  strategy runs {}  parallel-vs-serial runs {}  chunk-length runs {}  \
-         fused-vs-unfused runs {}  nested {}",
-        report.cases,
-        report.strategy_runs,
-        report.par_runs,
-        report.batch_runs,
-        report.fuse_runs,
-        report.nested_queries
+        "cases {}  strategy runs {}  {axis_runs}nested {}",
+        report.cases, report.strategy_runs, report.nested_queries
     );
     println!("{}", report.coverage_table());
 

@@ -47,9 +47,9 @@ pub use gen::{
 pub use mutate::{flip_bypass_streams, BrokenUnnestExecutor};
 pub use oracle::{
     arb_query, case_seed, materialize_case, random_instance, results_agree, rewrite_fingerprint,
-    run_differential, run_differential_parallel, run_differential_with, schedule_cases,
+    run_differential, run_differential_parallel, run_differential_with, schedule_cases, Axis,
     DefaultExecutor, Mismatch, OracleConfig, OracleReport, OrderSpec, QueryExecutor, QuerySpec,
-    Schedule, MAX_NESTING_DEPTH,
+    Schedule, AXES, MAX_NESTING_DEPTH,
 };
 pub use prop::{forall, forall_cases, Config, DEFAULT_SEED};
 pub use rng::{split_mix64, Rng, SampleRange};

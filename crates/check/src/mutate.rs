@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use bypass_algebra::{transform_up, LogicalPlan, Stream};
+use bypass_algebra::{rewrite, Blocks, LogicalPlan, Stream};
 use bypass_core::{Database, Strategy};
 use bypass_exec::{evaluate_with, physical_plan};
 use bypass_types::{Relation, Result};
@@ -17,7 +17,7 @@ use crate::oracle::QueryExecutor;
 /// Swap every `Stream(+)` ↔ `Stream(−)` consumer in the plan. On plans
 /// without bypass operators this is the identity.
 pub fn flip_bypass_streams(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
-    transform_up(plan, &mut |p| match p.as_ref() {
+    let mut flip = |node: Arc<LogicalPlan>| match node.as_ref() {
         LogicalPlan::Stream { source, stream } => Arc::new(LogicalPlan::Stream {
             source: source.clone(),
             stream: match stream {
@@ -25,8 +25,9 @@ pub fn flip_bypass_streams(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
                 Stream::Negative => Stream::Positive,
             },
         }),
-        _ => p,
-    })
+        _ => node,
+    };
+    rewrite(plan, &mut flip, Blocks::TopOnly)
 }
 
 /// An executor with a planted bug: [`Strategy::Unnested`] plans run

@@ -35,7 +35,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use bypass_core::{DataType, Database, Relation, RunLimits, Strategy, TableBuilder, Value};
+use bypass_core::{
+    DataType, Database, ExecCounters, Relation, RunLimits, Strategy, TableBuilder, Value,
+};
 use bypass_exec::{physical_plan_with, ExecContext, PlanOptions};
 use bypass_types::Result;
 
@@ -1151,20 +1153,6 @@ pub struct OracleConfig {
     /// (`BYPASS_CHECK_FOCUS` — comma-separated — seeds the default).
     /// Focused candidates score as if their shapes were 4× rarer.
     pub focus: Vec<String>,
-    /// The parallel-vs-serial axis: additionally execute every
-    /// (case, strategy) pair serially and across the morsel worker
-    /// pool (with a tiny forced morsel size so the oracle's small
-    /// instances actually fan out) and require identical row
-    /// sequences, identical [`bypass_core::ExecCounters`] and
-    /// identical error messages.
-    pub par_axis: bool,
-    /// The chunk-length axis: additionally execute every
-    /// (case, strategy) pair with one-row chunks (`batch_rows = 1`)
-    /// and with a tiny chunk length (`BATCH_AXIS_ROWS`, so
-    /// oracle-sized inputs span several chunks) and require identical
-    /// row sequences, identical [`bypass_core::ExecCounters`] and
-    /// identical error messages.
-    pub batch_axis: bool,
 }
 
 /// Worker count of the oracle's parallel-axis runs.
@@ -1201,8 +1189,6 @@ impl Default for OracleConfig {
                         .collect()
                 })
                 .unwrap_or_default(),
-            par_axis: true,
-            batch_axis: true,
         }
     }
 }
@@ -1214,18 +1200,8 @@ pub struct OracleReport {
     pub cases: u32,
     /// Total strategy executions compared against canonical.
     pub strategy_runs: u64,
-    /// Parallel-vs-serial axis executions (pairs of governed runs
-    /// compared for identical rows + counters); 0 when the axis is
-    /// disabled.
-    pub par_runs: u64,
-    /// Chunk-length axis executions (pairs of governed runs at
-    /// `batch_rows = 1` and `batch_rows = BATCH_AXIS_ROWS` compared for
-    /// identical rows + counters); 0 when the axis is disabled.
-    pub batch_runs: u64,
-    /// Fused-vs-unfused axis executions (one prepared plan compiled
-    /// with and without stage-chain fusion, compared for identical rows
-    /// and typed errors).
-    pub fuse_runs: u64,
+    /// Executor-axis comparisons, one count per entry of [`AXES`].
+    pub axis_runs: [u64; AXES.len()],
     /// How many generated queries contained a nested block.
     pub nested_queries: u32,
     /// Coverage tag → hit count over the scheduled cases (structural
@@ -1234,6 +1210,12 @@ pub struct OracleReport {
 }
 
 impl OracleReport {
+    fn add_axis_runs(&mut self, case: &[u64; AXES.len()]) {
+        for (total, runs) in self.axis_runs.iter_mut().zip(case) {
+            *total += runs;
+        }
+    }
+
     /// Render the coverage table, most-hit tags first.
     pub fn coverage_table(&self) -> String {
         let mut rows: Vec<(&String, &u64)> = self.coverage.iter().collect();
@@ -1400,9 +1382,7 @@ fn render_rows(rows: &[Vec<Value>]) -> String {
 struct CaseStats {
     nested: bool,
     strategy_runs: u64,
-    par_runs: u64,
-    batch_runs: u64,
-    fuse_runs: u64,
+    axis_runs: [u64; AXES.len()],
 }
 
 /// Derive the deterministic base seed for `case` within a run. Cases
@@ -1435,9 +1415,7 @@ fn run_case(
     let mut stats = CaseStats {
         nested: sql.contains("(SELECT"),
         strategy_runs: 0,
-        par_runs: 0,
-        batch_runs: 0,
-        fuse_runs: 0,
+        axis_runs: [0; AXES.len()],
     };
     for &strategy in &cfg.strategies {
         stats.strategy_runs += 1;
@@ -1451,16 +1429,10 @@ fn run_case(
     // property of the executor (serial vs morsel-parallel, one-row vs
     // multi-row chunks, fused vs unfused), not of the rewrite, and the
     // case replays exactly from its seed.
-    type Axis = fn(&Database, &str, Strategy) -> Option<String>;
-    let axes: [(bool, Axis, &mut u64); 3] = [
-        (cfg.par_axis, par_divergence, &mut stats.par_runs),
-        (cfg.batch_axis, batch_divergence, &mut stats.batch_runs),
-        (true, fuse_divergence, &mut stats.fuse_runs),
-    ];
-    for (enabled, diverges, runs) in axes {
-        for &strategy in cfg.strategies.iter().filter(|_| enabled) {
+    for (axis, runs) in AXES.iter().zip(&mut stats.axis_runs) {
+        for &strategy in &cfg.strategies {
             *runs += 1;
-            if let Some(detail) = diverges(&db, &sql, strategy) {
+            if let Some(detail) = axis_divergence(axis, &db, &sql, strategy) {
                 return Err(Box::new(Mismatch {
                     case_seed: seed,
                     case,
@@ -1468,7 +1440,7 @@ fn run_case(
                     sql: sql.clone(),
                     fingerprint: bypass_core::fingerprint_sql(&sql).unwrap_or(0),
                     minimized_sql: sql.clone(),
-                    detail,
+                    detail: format!("{} axis: {detail}", axis.name),
                     instance: format!(
                         "    r: {}\n    s: {}\n    t: {}",
                         render_rows(&r),
@@ -1483,171 +1455,201 @@ fn run_case(
     Ok(stats)
 }
 
-/// The parallel-vs-serial oracle axis: the same (query, strategy) pair
-/// executed at one worker and across the morsel pool (tiny forced
-/// morsel size) must produce the identical row *sequence*, identical
-/// [`bypass_core::ExecCounters`] — memo totals, governed peak bytes,
-/// checkpoint count — and, when both runs fail, the identical error.
-fn par_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    let serial = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            ..RunLimits::default()
-        },
-    );
-    let parallel = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(PAR_AXIS_THREADS),
-            morsel_rows: Some(PAR_AXIS_MORSEL_ROWS),
-            ..RunLimits::default()
-        },
-    );
-    match (serial, parallel) {
-        (Ok((sr, sc)), Ok((pr, pc))) => {
-            if sr.rows() != pr.rows() {
-                return Some(format!(
-                    "parallel({PAR_AXIS_THREADS} workers) row sequence diverges from serial: \
-                     serial {} rows, parallel {} rows",
-                    sr.len(),
-                    pr.len()
-                ));
-            }
-            if sc != pc {
-                return Some(format!(
-                    "parallel({PAR_AXIS_THREADS} workers) counters diverge from serial: \
-                     serial {sc:?}, parallel {pc:?}"
-                ));
-            }
-            None
-        }
-        (Err(se), Err(pe)) => {
-            let (se, pe) = (se.to_string(), pe.to_string());
-            (se != pe).then(|| {
-                format!("serial and parallel runs fail differently: serial `{se}`, parallel `{pe}`")
-            })
-        }
-        (Ok(_), Err(e)) => Some(format!("parallel run fails where serial succeeds: {e}")),
-        (Err(e), Ok(_)) => Some(format!("serial run fails where parallel succeeds: {e}")),
-    }
+/// One executor configuration of an oracle axis.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    name: &'static str,
+    threads: usize,
+    /// A forced fork gate (`None`: the production one, which oracle-sized
+    /// inputs never pass).
+    morsel_rows: Option<usize>,
+    batch_rows: Option<usize>,
+    /// Planned with stage-chain fusion, the one [`PlanOptions`] switch.
+    fused: bool,
 }
 
-/// The chunk-length oracle axis: the same (query, strategy) pair
-/// executed with one-row chunks and with a tiny multi-row chunk length
-/// must produce the identical row *sequence*, identical
-/// [`bypass_core::ExecCounters`] — memo totals, governed peak bytes,
-/// checkpoint count — and, when both runs fail, the identical error.
-/// Both runs are serial so the comparison isolates the axis.
-fn batch_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    let chunks_of = |rows| {
-        db.run_governed(
-            sql,
-            strategy,
-            &RunLimits {
-                threads: Some(1),
-                batch_rows: Some(rows),
-                ..RunLimits::default()
+const SERIAL: Leg = Leg {
+    name: "serial",
+    threads: 1,
+    morsel_rows: None,
+    batch_rows: None,
+    fused: true,
+};
+
+const PARALLEL: Leg = Leg {
+    name: "parallel",
+    threads: PAR_AXIS_THREADS,
+    morsel_rows: Some(PAR_AXIS_MORSEL_ROWS),
+    ..SERIAL
+};
+
+/// What two legs of an axis must agree on, besides the row *sequence*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Compare {
+    /// Identical [`ExecCounters`] — memo totals, governed peak bytes,
+    /// checkpoint count — and, when both fail, the identical message.
+    Exact,
+    /// The same typed [`bypass_types::Error`] variant when both fail.
+    /// Counters are not compared and messages may name a different
+    /// first offender.
+    ErrorKindOnly,
+}
+
+/// An executor axis of the oracle: every (case, strategy) pair runs
+/// under `legs[0]` and `legs[1]`, which must agree as `compare` says;
+/// each further leg must agree with `legs[1]` exactly.
+#[derive(Debug)]
+pub struct Axis {
+    pub name: &'static str,
+    legs: &'static [Leg],
+    compare: Compare,
+}
+
+/// The executor axes every case is crossed with, in report order.
+pub const AXES: [Axis; 3] = [
+    // One worker against the morsel pool.
+    Axis {
+        name: "parallel-vs-serial",
+        legs: &[SERIAL, PARALLEL],
+        compare: Compare::Exact,
+    },
+    // One-row chunks against a length at which oracle-sized inputs
+    // span several chunks; both serial, to isolate the axis.
+    Axis {
+        name: "chunk-length",
+        legs: &[
+            Leg {
+                name: "chunk length 1",
+                batch_rows: Some(1),
+                ..SERIAL
             },
-        )
+            Leg {
+                name: "chunk length 3",
+                batch_rows: Some(BATCH_AXIS_ROWS),
+                ..SERIAL
+            },
+        ],
+        compare: Compare::Exact,
+    },
+    // A fused stage sees rows in the order its standalone operator
+    // would, but interleaves its stages row by row (DESIGN.md §7) and
+    // saves governor charges, so counters differ *between* the two
+    // plans by design. The unfused plan's own counters must still be
+    // worker-count independent (the parallel axis runs the fused one).
+    Axis {
+        name: "fused-vs-unfused",
+        legs: &[
+            Leg {
+                name: "fused",
+                ..SERIAL
+            },
+            Leg {
+                name: "unfused",
+                fused: false,
+                ..SERIAL
+            },
+            Leg {
+                name: "parallel unfused",
+                fused: false,
+                ..PARALLEL
+            },
+        ],
+        compare: Compare::ErrorKindOnly,
+    },
+];
+
+type LegRun = Result<(std::sync::Arc<Relation>, ExecCounters)>;
+
+fn run_leg(db: &Database, sql: &str, strategy: Strategy, leg: &Leg) -> LegRun {
+    if leg.fused {
+        let limits = RunLimits {
+            threads: Some(leg.threads),
+            morsel_rows: leg.morsel_rows,
+            batch_rows: leg.batch_rows,
+            ..RunLimits::default()
+        };
+        return db
+            .run_governed(sql, strategy, &limits)
+            .map(|(rows, counters)| (rows.into(), counters));
+    }
+    // No SQL entry point plans without fusion: compile by hand.
+    let logical = db.logical_plan(sql).and_then(|c| strategy.prepare(&c));
+    bypass_unnest::take_outcomes();
+    let plan_options = PlanOptions {
+        fuse_stage_chains: false,
     };
-    match (chunks_of(1), chunks_of(BATCH_AXIS_ROWS)) {
-        (Ok((rr, rc)), Ok((br, bc))) => {
-            if rr.rows() != br.rows() {
+    let physical = physical_plan_with(&logical?, db.catalog(), plan_options)?;
+    let mut options = strategy.exec_options();
+    options.threads = leg.threads;
+    if let Some(m) = leg.morsel_rows {
+        options.morsel_rows = m;
+    }
+    if let Some(b) = leg.batch_rows {
+        options.batch_rows = b;
+    }
+    let mut ctx = ExecContext::new(options);
+    let rows = ctx.eval_plan(&physical)?;
+    Ok((rows, ctx.counters()))
+}
+
+/// How `b`'s run disagrees with `a`'s, if it does.
+fn compare_legs(how: Compare, a: (&Leg, &LegRun), b: (&Leg, &LegRun)) -> Option<String> {
+    let ((a, a_run), (b, b_run)) = (a, b);
+    match (a_run, b_run) {
+        (Ok((a_rows, a_counters)), Ok((b_rows, b_counters))) => {
+            if a_rows.rows() != b_rows.rows() {
                 return Some(format!(
-                    "row sequence at chunk length {BATCH_AXIS_ROWS} diverges from chunk length 1: \
-                     {} rows against {} rows",
-                    br.len(),
-                    rr.len()
+                    "{} row sequence diverges from {}: {} rows against {} rows",
+                    b.name,
+                    a.name,
+                    b_rows.len(),
+                    a_rows.len()
                 ));
             }
-            if rc != bc {
-                return Some(format!(
-                    "counters at chunk length {BATCH_AXIS_ROWS} diverge from chunk length 1: \
-                     {bc:?} against {rc:?}"
-                ));
-            }
-            None
-        }
-        (Err(re), Err(be)) => {
-            let (re, be) = (re.to_string(), be.to_string());
-            (re != be).then(|| {
+            (how == Compare::Exact && a_counters != b_counters).then(|| {
                 format!(
-                    "chunk lengths 1 and {BATCH_AXIS_ROWS} fail differently: \
-                     `{re}` against `{be}`"
+                    "{} counters diverge from {}: {b_counters:?} against {a_counters:?}",
+                    b.name, a.name
                 )
             })
         }
-        (Ok(_), Err(e)) => Some(format!(
-            "chunk length {BATCH_AXIS_ROWS} fails where chunk length 1 succeeds: {e}"
-        )),
-        (Err(e), Ok(_)) => Some(format!(
-            "chunk length 1 fails where chunk length {BATCH_AXIS_ROWS} succeeds: {e}"
-        )),
+        (Err(a_err), Err(b_err)) => {
+            let same = match how {
+                Compare::Exact => a_err.to_string() == b_err.to_string(),
+                Compare::ErrorKindOnly => {
+                    std::mem::discriminant(a_err) == std::mem::discriminant(b_err)
+                }
+            };
+            (!same).then(|| {
+                format!(
+                    "{} and {} fail differently: `{a_err}` against `{b_err}`",
+                    a.name, b.name
+                )
+            })
+        }
+        (Ok(_), Err(e)) => Some(format!("{} fails where {} succeeds: {e}", b.name, a.name)),
+        (Err(e), Ok(_)) => Some(format!("{} fails where {} succeeds: {e}", a.name, b.name)),
     }
 }
 
-/// The fused-vs-unfused oracle axis: the same prepared logical plan
-/// compiled with and without stage-chain fusion (the one
-/// [`PlanOptions`] switch) must produce the identical row *sequence* —
-/// a fused stage sees rows in the order its standalone operator would —
-/// and fail with the same typed [`bypass_types::Error`] variant
-/// (messages may name a different first offender: a fused pipeline
-/// interleaves its stages row by row, DESIGN.md §7). Fusion removes
-/// governor charges, so counters differ *between* the two plans by
-/// design; the unfused plan's own counters must still be worker-count
-/// independent (the fused plan is the default the parallel axis runs).
-fn fuse_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    // Cost-based resolves to a candidate this axis covers anyway.
-    if strategy == Strategy::CostBased {
+/// Does the executor disagree with itself along `axis` on this query +
+/// instance under `strategy`?
+fn axis_divergence(axis: &Axis, db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
+    // `Strategy::prepare`, which an unfused leg compiles through, needs a
+    // concrete strategy; cost-based resolves to one this axis covers.
+    if strategy == Strategy::CostBased && axis.legs.iter().any(|leg| !leg.fused) {
         return None;
     }
-    let prepared = db.logical_plan(sql).and_then(|c| strategy.prepare(&c));
-    bypass_unnest::take_outcomes();
-    // Queries the engine rejects are skipped, as in `divergence`.
-    let logical = prepared.ok()?;
-    let run = |fuse_stage_chains: bool, threads: usize| {
-        let physical =
-            physical_plan_with(&logical, db.catalog(), PlanOptions { fuse_stage_chains })?;
-        let mut options = strategy.exec_options();
-        options.threads = threads;
-        if threads > 1 {
-            options.morsel_rows = PAR_AXIS_MORSEL_ROWS;
-        }
-        let mut ctx = ExecContext::new(options);
-        let rows = ctx.eval_plan(&physical)?;
-        Ok::<_, bypass_types::Error>((rows, ctx.counters()))
-    };
-    let (fused, unfused) = (run(true, 1), run(false, 1));
-    match (&fused, &unfused) {
-        (Ok((fr, _)), Ok((ur, uc))) => {
-            if fr.rows() != ur.rows() {
-                return Some(format!(
-                    "fused row sequence diverges from unfused: unfused {} rows, fused {} rows",
-                    ur.len(),
-                    fr.len()
-                ));
-            }
-            match run(false, PAR_AXIS_THREADS) {
-                Ok((pr, pc)) if pr.rows() == ur.rows() && pc == *uc => None,
-                Ok((_, pc)) => Some(format!(
-                    "unfused plan depends on the worker count: serial {uc:?}, parallel {pc:?}"
-                )),
-                Err(e) => Some(format!(
-                    "parallel unfused run fails where serial succeeds: {e}"
-                )),
-            }
-        }
-        (Err(fe), Err(ue)) => {
-            (std::mem::discriminant(fe) != std::mem::discriminant(ue)).then(|| {
-                format!("fused and unfused runs fail differently: unfused `{ue}`, fused `{fe}`")
-            })
-        }
-        (Ok(_), Err(e)) => Some(format!("unfused run fails where fused succeeds: {e}")),
-        (Err(e), Ok(_)) => Some(format!("fused run fails where unfused succeeds: {e}")),
+    let run = |leg: &Leg| run_leg(db, sql, strategy, leg);
+    let (first, second) = (&axis.legs[0], &axis.legs[1]);
+    let (first_run, second_run) = (run(first), run(second));
+    let detail = compare_legs(axis.compare, (first, &first_run), (second, &second_run));
+    if detail.is_some() || second_run.is_err() {
+        return detail;
     }
+    axis.legs[2..]
+        .iter()
+        .find_map(|leg| compare_legs(Compare::Exact, (second, &second_run), (leg, &run(leg))))
 }
 
 /// Run the differential oracle with the default executor.
@@ -1664,9 +1666,7 @@ pub fn run_differential_with(
     let mut report = OracleReport {
         cases: 0,
         strategy_runs: 0,
-        par_runs: 0,
-        batch_runs: 0,
-        fuse_runs: 0,
+        axis_runs: [0; AXES.len()],
         nested_queries: 0,
         coverage: schedule.coverage,
     };
@@ -1674,9 +1674,7 @@ pub fn run_differential_with(
         let stats = run_case(cfg, exec, case as u32, seed)?;
         report.cases += 1;
         report.strategy_runs += stats.strategy_runs;
-        report.par_runs += stats.par_runs;
-        report.batch_runs += stats.batch_runs;
-        report.fuse_runs += stats.fuse_runs;
+        report.add_axis_runs(&stats.axis_runs);
         if stats.nested {
             report.nested_queries += 1;
         }
@@ -1721,17 +1719,13 @@ pub fn run_differential_parallel(
     let mut report = OracleReport {
         cases: cfg.cases,
         strategy_runs: 0,
-        par_runs: 0,
-        batch_runs: 0,
-        fuse_runs: 0,
+        axis_runs: [0; AXES.len()],
         nested_queries: 0,
         coverage: schedule.coverage,
     };
     for s in &stats {
         report.strategy_runs += s.strategy_runs;
-        report.par_runs += s.par_runs;
-        report.batch_runs += s.batch_runs;
-        report.fuse_runs += s.fuse_runs;
+        report.add_axis_runs(&s.axis_runs);
         if s.nested {
             report.nested_queries += 1;
         }

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bypass_algebra::{transform_up, LogicalPlan};
+use bypass_algebra::{rewrite, Blocks, LogicalPlan};
 use bypass_exec::ExecOptions;
 use bypass_types::Result;
 use bypass_unnest::{
@@ -109,7 +109,6 @@ impl Strategy {
                 plan,
                 RewriteOptions {
                     order: DisjunctOrder::SubqueryFirst,
-                    ..Default::default()
                 },
             ),
             Strategy::S2UnionRewrite => union_rewrite(plan),
@@ -230,15 +229,13 @@ impl fmt::Display for Strategy {
 /// — models optimizers that do or do not exploit short-circuit
 /// evaluation order.
 fn reorder_plan_disjuncts(plan: &Arc<LogicalPlan>, subquery_first: bool) -> Arc<LogicalPlan> {
-    transform_up(plan, &mut |p| match p.as_ref() {
-        LogicalPlan::Filter { input, predicate } if predicate.contains_subquery() => {
-            Arc::new(LogicalPlan::Filter {
-                input: input.clone(),
-                predicate: reorder_or_disjuncts(predicate, subquery_first),
-            })
+    let mut reorder = |node: Arc<LogicalPlan>| match node.as_ref() {
+        LogicalPlan::Filter { predicate, .. } if predicate.contains_subquery() => {
+            Arc::new(node.map_exprs(&mut |p| reorder_or_disjuncts(p, subquery_first)))
         }
-        _ => p,
-    })
+        _ => node,
+    };
+    rewrite(plan, &mut reorder, Blocks::TopOnly)
 }
 
 #[cfg(test)]

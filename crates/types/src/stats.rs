@@ -17,10 +17,9 @@ pub struct ColumnStats {
 
 /// Table-level statistics: row count plus per-column stats.
 ///
-/// The paper's rank-based bypass ordering (Section 3.1, Remark) needs
-/// selectivity and cost estimates for the disjuncts; these statistics are
-/// the inputs to those estimates. They are collected once when a table is
-/// registered in the catalog — a single O(n·k) scan.
+/// Inputs a statistics-driven rank/cost model would start from; today's
+/// model reads row counts only, so the catalog collects these on first
+/// read (`Table::stats`), not at registration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableStats {
     pub row_count: usize,
@@ -82,45 +81,6 @@ impl TableStats {
             columns,
         }
     }
-
-    /// Estimated selectivity of an equality predicate `col = const`:
-    /// `1 / distinct(col)` (uniformity assumption), clamped to `[0, 1]`.
-    pub fn eq_selectivity(&self, column: usize) -> f64 {
-        match self.columns.get(column) {
-            Some(c) if c.distinct > 0 => 1.0 / c.distinct as f64,
-            _ => 0.1,
-        }
-    }
-
-    /// Estimated selectivity of `col > const` (resp. `<`, `>=`, `<=`)
-    /// by linear interpolation over the [min, max] range for numeric
-    /// columns. Falls back to 1/3 (the classic System R default).
-    pub fn range_selectivity(&self, column: usize, bound: &Value, greater: bool) -> f64 {
-        let Some(c) = self.columns.get(column) else {
-            return 1.0 / 3.0;
-        };
-        let (Some(min), Some(max)) = (&c.min, &c.max) else {
-            return 1.0 / 3.0;
-        };
-        let as_f = |v: &Value| -> Option<f64> {
-            match v {
-                Value::Int(i) => Some(*i as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            }
-        };
-        match (as_f(min), as_f(max), as_f(bound)) {
-            (Some(lo), Some(hi), Some(b)) if hi > lo => {
-                let frac = ((b - lo) / (hi - lo)).clamp(0.0, 1.0);
-                if greater {
-                    1.0 - frac
-                } else {
-                    frac
-                }
-            }
-            _ => 1.0 / 3.0,
-        }
-    }
 }
 
 /// Distinct values of `keys`; leaves it empty for the next column.
@@ -161,31 +121,6 @@ mod tests {
         assert_eq!(s.columns[1].nulls, 1);
         assert_eq!(s.columns[0].min, Some(Value::Int(1)));
         assert_eq!(s.columns[0].max, Some(Value::Int(3)));
-    }
-
-    #[test]
-    fn eq_selectivity_uses_distinct_count() {
-        let s = TableStats::from_relation(&rel());
-        assert!((s.eq_selectivity(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.eq_selectivity(1) - 0.5).abs() < 1e-12);
-        // Out-of-range column falls back to default.
-        assert!((s.eq_selectivity(9) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn range_selectivity_interpolates() {
-        let s = TableStats::from_relation(&rel());
-        // col 0 spans [1,3]; bound 2 → greater keeps half.
-        let sel = s.range_selectivity(0, &Value::Int(2), true);
-        assert!((sel - 0.5).abs() < 1e-12);
-        let sel = s.range_selectivity(0, &Value::Int(2), false);
-        assert!((sel - 0.5).abs() < 1e-12);
-        // Bound outside range clamps.
-        assert_eq!(s.range_selectivity(0, &Value::Int(100), true), 0.0);
-        assert_eq!(s.range_selectivity(0, &Value::Int(-5), true), 1.0);
-        // Non-numeric bound falls back.
-        let sel = s.range_selectivity(0, &Value::text("x"), true);
-        assert!((sel - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

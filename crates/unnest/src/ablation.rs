@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use bypass_algebra::LogicalPlan;
+use bypass_algebra::{rewrite, Blocks, LogicalPlan};
 
 /// Destroy the DAG sharing of bypass operators: every `Stream` node gets
 /// its **own deep copy** of the bypass source, so the operator (and its
@@ -12,35 +12,20 @@ use bypass_algebra::LogicalPlan;
 /// deterministic); this is the "tree instead of DAG" strawman the
 /// paper's DAG-plan discussion (Section 5) argues against.
 pub fn unshare_bypass(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
-    match plan.as_ref() {
-        LogicalPlan::Stream { source, stream } => {
-            // Deep-copy the source for this consumer.
-            let copied = deep_copy(source);
-            Arc::new(LogicalPlan::Stream {
-                source: copied,
-                stream: *stream,
-            })
-        }
-        _ => {
-            let old_children = plan.children();
-            let new_children: Vec<Arc<LogicalPlan>> =
-                old_children.iter().map(|c| unshare_bypass(c)).collect();
-            let changed = new_children
-                .iter()
-                .zip(&old_children)
-                .any(|(a, b)| !Arc::ptr_eq(a, b));
-            if changed {
-                Arc::new(plan.with_children(new_children))
-            } else {
-                plan.clone()
-            }
-        }
-    }
+    let mut unshare = |node: Arc<LogicalPlan>| match node.as_ref() {
+        LogicalPlan::Stream { source, stream } => Arc::new(LogicalPlan::Stream {
+            source: deep_copy(source),
+            stream: *stream,
+        }),
+        _ => node,
+    };
+    rewrite(plan, &mut unshare, Blocks::TopOnly)
 }
 
-/// Structural deep copy (fresh `Arc`s all the way down), recursing into
-/// children only — nested subquery plans keep their identity (they are
-/// evaluated per tuple anyway).
+/// Structural deep copy (fresh `Arc`s all the way down) — deliberately
+/// *not* the memoized rewriter, which would keep shared nodes shared.
+/// Recurses into children only: nested subquery plans keep their
+/// identity (they are evaluated per tuple anyway).
 fn deep_copy(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
     let children: Vec<Arc<LogicalPlan>> = plan.children().iter().map(|c| deep_copy(c)).collect();
     Arc::new(plan.with_children(children))

@@ -121,61 +121,7 @@ pub fn eq_correlation(e: &Scalar, inner: &Schema) -> Option<EqCorrelation> {
 pub fn substitute_subquery(e: &Scalar, target: &Arc<LogicalPlan>, replacement: &Scalar) -> Scalar {
     match e {
         Scalar::Subquery(p) if Arc::ptr_eq(p, target) => replacement.clone(),
-        Scalar::Column(_) | Scalar::Literal(_) | Scalar::Subquery(_) | Scalar::Exists { .. } => {
-            e.clone()
-        }
-        Scalar::Binary { op, left, right } => Scalar::Binary {
-            op: *op,
-            left: Box::new(substitute_subquery(left, target, replacement)),
-            right: Box::new(substitute_subquery(right, target, replacement)),
-        },
-        Scalar::Not(x) => Scalar::Not(Box::new(substitute_subquery(x, target, replacement))),
-        Scalar::Neg(x) => Scalar::Neg(Box::new(substitute_subquery(x, target, replacement))),
-        Scalar::IsNull { negated, expr } => Scalar::IsNull {
-            negated: *negated,
-            expr: Box::new(substitute_subquery(expr, target, replacement)),
-        },
-        Scalar::Like {
-            negated,
-            expr,
-            pattern,
-        } => Scalar::Like {
-            negated: *negated,
-            expr: Box::new(substitute_subquery(expr, target, replacement)),
-            pattern: Box::new(substitute_subquery(pattern, target, replacement)),
-        },
-        Scalar::InList {
-            negated,
-            expr,
-            list,
-        } => Scalar::InList {
-            negated: *negated,
-            expr: Box::new(substitute_subquery(expr, target, replacement)),
-            list: list
-                .iter()
-                .map(|x| substitute_subquery(x, target, replacement))
-                .collect(),
-        },
-        Scalar::InSubquery {
-            negated,
-            expr,
-            plan,
-        } => Scalar::InSubquery {
-            negated: *negated,
-            expr: Box::new(substitute_subquery(expr, target, replacement)),
-            plan: plan.clone(),
-        },
-        Scalar::QuantifiedCmp {
-            op,
-            all,
-            expr,
-            plan,
-        } => Scalar::QuantifiedCmp {
-            op: *op,
-            all: *all,
-            expr: Box::new(substitute_subquery(expr, target, replacement)),
-            plan: plan.clone(),
-        },
+        _ => e.map_children(&mut |c| substitute_subquery(c, target, replacement)),
     }
 }
 

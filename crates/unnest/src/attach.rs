@@ -26,9 +26,10 @@
 use std::sync::Arc;
 
 use bypass_algebra::{AggCall, AggFunc, BinOp, LogicalPlan, PlanBuilder, Scalar};
-use bypass_types::{Result, Schema};
+use bypass_types::Schema;
 
 use crate::analysis::{eq_correlation, is_local, EqCorrelation};
+use crate::driver::{Ctx, Split};
 use crate::names::NameGen;
 use crate::outcomes::record_outcome;
 
@@ -47,9 +48,9 @@ fn outcome(sp: &mut bypass_trace::SpanGuard, rec: bool, key: &'static str) {
 pub(crate) fn attach_aggregate(
     current: PlanBuilder,
     agg_plan: &Arc<LogicalPlan>,
-    names: &mut NameGen,
-    classic_only: bool,
-) -> Result<Option<(PlanBuilder, String)>> {
+    ctx: &mut Ctx,
+) -> Option<(PlanBuilder, String)> {
+    let names = &mut ctx.names;
     // One span per attempted equivalence: `outcome` records which of
     // Eqv. 1–5 fired, or why the subquery was rejected (stays nested).
     let mut sp = bypass_trace::span("unnest.attach");
@@ -57,11 +58,11 @@ pub(crate) fn attach_aggregate(
     // The canonical shape of a scalar subquery: key-less single-aggregate.
     let LogicalPlan::Aggregate { input, keys, aggs } = agg_plan.as_ref() else {
         outcome(&mut sp, rec, "rejected:not-scalar-aggregate");
-        return Ok(None);
+        return None;
     };
     if !keys.is_empty() || aggs.len() != 1 {
         outcome(&mut sp, rec, "rejected:keyed-or-multi-aggregate");
-        return Ok(None);
+        return None;
     }
     let (agg, agg_name) = (&aggs[0].0, &aggs[0].1);
 
@@ -71,7 +72,7 @@ pub(crate) fn attach_aggregate(
         let g = names.fresh("g");
         let one_row = PlanBuilder::from_plan(agg_plan.clone())
             .project(vec![(Scalar::col(agg_name.clone()), Some(g.clone()))]);
-        return Ok(Some((current.cross_join(one_row), g)));
+        return Some((current.cross_join(one_row), g));
     }
 
     // Correlated: the canonical translation puts the correlation inside
@@ -81,20 +82,20 @@ pub(crate) fn attach_aggregate(
     let (source, conjuncts) = split_filters(input);
     if conjuncts.is_empty() {
         outcome(&mut sp, rec, "rejected:correlated-without-filter");
-        return Ok(None);
+        return None;
     }
     // All correlation must live in those filters; free references deeper
     // inside the source would survive the rewrite un-bound.
     if !source.free_refs().is_empty() {
         outcome(&mut sp, rec, "rejected:free-refs-below-filter");
-        return Ok(None);
+        return None;
     }
     let inner_schema = source.schema();
     // Aggregate argument must be evaluable in the inner block.
     if let Some(arg) = agg.arg.as_deref() {
         if !is_local(arg, &inner_schema) {
             outcome(&mut sp, rec, "rejected:non-local-aggregate-arg");
-            return Ok(None);
+            return None;
         }
     }
 
@@ -105,7 +106,7 @@ pub(crate) fn attach_aggregate(
         // Free refs hide somewhere we do not understand (nested deeper
         // than the top filter) — give up.
         outcome(&mut sp, rec, "rejected:hidden-correlation");
-        return Ok(None);
+        return None;
     }
 
     // Case 2: every correlated conjunct is an equality — Γ + ⟕.
@@ -116,15 +117,16 @@ pub(crate) fn attach_aggregate(
     if eq_corrs.iter().all(Option::is_some) {
         outcome(&mut sp, rec, "eqv1:gamma-outerjoin");
         let corrs: Vec<EqCorrelation> = eq_corrs.into_iter().flatten().collect();
-        let plan = gamma_outerjoin(current, &source, &local_cs, &corrs, agg, names)?;
-        return Ok(Some(plan));
+        return Some(gamma_outerjoin(
+            current, &source, &local_cs, &corrs, agg, names,
+        ));
     }
 
-    if classic_only {
+    if ctx.split == Split::DisjointBranches {
         // The pre-bypass repertoire (used by the OR→UNION baseline)
         // ends here: disjunctive correlation stays nested.
         outcome(&mut sp, rec, "rejected:classic-only-disjunctive");
-        return Ok(None);
+        return None;
     }
 
     // Cases 3/4: exactly one correlated conjunct which is a disjunction.
@@ -144,10 +146,9 @@ pub(crate) fn attach_aggregate(
                 {
                     if let Some(corr) = eq_correlation(&corr_ds[0], &inner_schema) {
                         outcome(&mut sp, rec, "eqv4:decomposed-bypass-filter");
-                        let plan = eqv4_decomposed(
+                        return Some(eqv4_decomposed(
                             current, &source, &local_cs, &corr, &local_ds, agg, names,
-                        )?;
-                        return Ok(Some(plan));
+                        ));
                     }
                 }
                 // Eqv. 5: general disjunctive correlation. The
@@ -156,10 +157,9 @@ pub(crate) fn attach_aggregate(
                 // queries) — they are unnested by the driver afterwards.
                 if corr_ds.iter().all(|d| !d.contains_subquery()) {
                     outcome(&mut sp, rec, "eqv5:bypass-join-binary-grouping");
-                    let plan = eqv5_binary_grouping(
+                    return Some(eqv5_binary_grouping(
                         current, &source, &local_cs, &corr_ds, &local_ds, agg, names,
-                    )?;
-                    return Ok(Some(plan));
+                    ));
                 }
             }
         }
@@ -170,8 +170,7 @@ pub(crate) fn attach_aggregate(
     outcome(&mut sp, rec, "fallback:theta-join-binary-grouping");
     let whole = Scalar::conjunction(free_cs.into_iter().chain(local_cs).collect())
         .expect("non-empty predicate");
-    let plan = join_binary_grouping(current, &source, &whole, agg, names)?;
-    Ok(Some(plan))
+    Some(join_binary_grouping(current, &source, &whole, agg, names))
 }
 
 /// Descend through consecutive selections, collecting their conjuncts.
@@ -195,7 +194,7 @@ fn gamma_outerjoin(
     corrs: &[EqCorrelation],
     agg: &AggCall,
     names: &mut NameGen,
-) -> Result<(PlanBuilder, String)> {
+) -> (PlanBuilder, String) {
     let x = apply_locals(PlanBuilder::from_plan(source.clone()), local_cs);
     let g = names.fresh("g");
     // Deduplicate inner keys: two correlation conjuncts may reference
@@ -234,7 +233,7 @@ fn gamma_outerjoin(
     )
     .expect("at least one correlation key");
     let attached = current.outer_join(projected, join_pred, vec![(g.clone(), agg.empty_value())]);
-    Ok((attached, g))
+    (attached, g)
 }
 
 /// Eqv. 4 core: split the inner relation with a bypass selection on the
@@ -249,7 +248,7 @@ fn eqv4_decomposed(
     local_ds: &[Scalar],
     agg: &AggCall,
     names: &mut NameGen,
-) -> Result<(PlanBuilder, String)> {
+) -> (PlanBuilder, String) {
     let x = apply_locals(PlanBuilder::from_plan(source.clone()), local_cs);
     let p = Scalar::disjunction(local_ds.to_vec()).expect("p is non-empty");
     let (pos, neg) = x.bypass_filter(p);
@@ -293,7 +292,7 @@ fn eqv4_decomposed(
 
     let g = names.fresh("g");
     let combine_expr = combine_partials(agg, &neg_names, &pos_names);
-    Ok((combined.map(combine_expr, g.clone()), g))
+    (combined.map(combine_expr, g.clone()), g)
 }
 
 /// Eqv. 5 core: ν + bypass join on the correlation disjunct(s) + σ_p on
@@ -306,7 +305,7 @@ fn eqv5_binary_grouping(
     local_ds: &[Scalar],
     agg: &AggCall,
     names: &mut NameGen,
-) -> Result<(PlanBuilder, String)> {
+) -> (PlanBuilder, String) {
     let t = names.fresh("t");
     let numbered = current.numbering(t.clone());
     let x = apply_locals(PlanBuilder::from_plan(source.clone()), local_cs);
@@ -340,7 +339,7 @@ fn eqv5_binary_grouping(
         (*agg).clone(),
         g.clone(),
     );
-    Ok((grouped, g))
+    (grouped, g)
 }
 
 /// Fallback: θ-join the numbered outer with the inner source on the
@@ -353,7 +352,7 @@ fn join_binary_grouping(
     predicate: &Scalar,
     agg: &AggCall,
     names: &mut NameGen,
-) -> Result<(PlanBuilder, String)> {
+) -> (PlanBuilder, String) {
     let t = names.fresh("t");
     let numbered = current.numbering(t.clone());
     let joined = numbered
@@ -371,7 +370,7 @@ fn join_binary_grouping(
         (*agg).clone(),
         g.clone(),
     );
-    Ok((grouped, g))
+    (grouped, g)
 }
 
 fn apply_locals(b: PlanBuilder, local_cs: &[Scalar]) -> PlanBuilder {

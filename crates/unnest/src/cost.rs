@@ -243,8 +243,9 @@ pub fn estimate(plan: &Arc<LogicalPlan>, stats: &dyn StatsSource) -> Estimate {
     }
 }
 
-/// Textbook selectivity of a predicate.
-fn selectivity(p: &Scalar) -> f64 {
+/// Textbook selectivity of a predicate (System-R style defaults) — the
+/// one table; [`crate::estimate_rank`] orders disjuncts by it too.
+pub(crate) fn selectivity(p: &Scalar) -> f64 {
     match p {
         Scalar::Binary { op, left, right } => match op {
             BinOp::And => selectivity(left) * selectivity(right),

@@ -1,8 +1,9 @@
-//! The rewrite driver: applies the unnesting equivalences top-down over
-//! a canonical plan, handling simple, linear and tree nested queries.
+//! The bypass unnesting rule: the paper's equivalences applied top-down
+//! over a canonical plan by [`bypass_algebra::rewrite`], handling simple,
+//! linear and tree nested queries.
 //!
-//! For every selection whose predicate contains a nested block, the
-//! driver:
+//! For every selection whose predicate contains a nested block
+//! ([`rewrite_selection`]) the rule:
 //!
 //! 1. desugars quantified subqueries (EXISTS / positive IN) into count
 //!    comparisons,
@@ -11,24 +12,24 @@
 //! 3. rewrites the first subquery-bearing conjunct:
 //!    * a plain conjunct (no disjunction) is unnested in place —
 //!      Eqv. 1 / 4 / 5 via [`crate::attach`],
-//!    * a disjunction becomes a **bypass chain** (the generalization of
-//!      Eqv. 2/3 to n disjuncts): disjuncts are ordered by rank, each
-//!      non-final disjunct turns into a bypass selection whose positive
-//!      stream exits into the final disjoint union, and subquery
-//!      disjuncts are unnested right before their bypass selection,
-//! 4. recurses — including into the selections the rewrites themselves
-//!    emit (`σ_p` on a negative stream may still contain a nested block:
-//!    that is exactly how linear queries such as Q4 unfold, Fig. 6).
+//!    * a disjunction is split as [`Split`] says — here into a **bypass
+//!      chain** (the generalization of Eqv. 2/3 to n disjuncts):
+//!      disjuncts are ordered by rank, each non-final disjunct turns
+//!      into a bypass selection whose positive stream exits into the
+//!      final disjoint union, and subquery disjuncts are unnested right
+//!      before their bypass selection,
+//! 4. hands the result back to the rewriter, which visits it like any
+//!    other plan — including the selections the rewrites themselves emit.
 //!
 //! Any unsupported shape falls back to canonical nested-loop evaluation
 //! for that predicate only.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use bypass_algebra::{LogicalPlan, PlanBuilder, Scalar};
+use bypass_algebra::{rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Scalar};
 use bypass_types::{Result, Schema};
 
+use crate::analysis::{scalar_subqueries, substitute_subquery};
 use crate::attach::attach_aggregate;
 use crate::names::NameGen;
 use crate::quantified::desugar_quantified;
@@ -40,270 +41,129 @@ pub struct RewriteOptions {
     /// How the disjuncts of a disjunctive predicate are ordered in the
     /// bypass chain (Eqv. 2 vs Eqv. 3, Section 3.1 Remark).
     pub order: DisjunctOrder,
-    /// Restrict the unnesting repertoire to the pre-bypass techniques
-    /// (Γ + outerjoin only) — used by the OR→UNION baseline.
-    pub classic_only: bool,
 }
 
+/// What a disjunctive linking predicate `σ_{d₁ ∨ … ∨ dₙ}` turns into —
+/// the one decision that separates the paper's plans from the OR→UNION
+/// baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Split {
+    /// A bypass chain in this disjunct order (Eqv. 2/3), with the whole
+    /// unnesting repertoire (Eqv. 1–5) below it.
+    BypassChain(DisjunctOrder),
+    /// Disjoint branches sharing nothing ([`crate::union_rewrite`]), and
+    /// only the pre-bypass repertoire (Γ + outerjoin) inside them.
+    DisjointBranches,
+}
+
+/// The state of one rewrite run. As a [`Rule`] it is the bypass
+/// unnesting of the paper: selections (Eqv. 1–5) and SELECT-clause
+/// nesting.
 pub(crate) struct Ctx {
     pub names: NameGen,
-    pub options: RewriteOptions,
+    pub split: Split,
 }
 
-/// Unnest a canonical plan using the bypass equivalences.
+/// Unnest a canonical plan using the bypass equivalences. (No rewrite
+/// can fail today; `Result` is the signature `Strategy::prepare` and
+/// its callers are written against.)
 pub fn unnest(plan: &Arc<LogicalPlan>, options: RewriteOptions) -> Result<Arc<LogicalPlan>> {
     let _span = bypass_trace::span("unnest.drive");
     let mut ctx = Ctx {
         names: NameGen::new(),
-        options,
+        split: Split::BypassChain(options.order),
     };
-    let mut memo = HashMap::new();
-    drive(plan, &mut ctx, &mut memo)
+    // Nested blocks too: a canonical fallback for the outer block does
+    // not preclude unnesting within the inner one.
+    Ok(rewrite(plan, &mut ctx, Blocks::Nested))
 }
 
-/// Rewrite memo, keyed by node address for O(1) DAG sharing.
-///
-/// The value holds a clone of the *key* `Arc` alongside the result: a
-/// raw `*const LogicalPlan` key alone does not keep the node alive, and
-/// a later allocation reusing the freed address would silently replay an
-/// unrelated rewrite (observed as unbound correlation columns on
-/// multi-level nested queries).
-type Memo = HashMap<*const LogicalPlan, (Arc<LogicalPlan>, Arc<LogicalPlan>)>;
-
-pub(crate) fn drive(
-    plan: &Arc<LogicalPlan>,
-    ctx: &mut Ctx,
-    memo: &mut Memo,
-) -> Result<Arc<LogicalPlan>> {
-    if let Some((_keepalive, done)) = memo.get(&Arc::as_ptr(plan)) {
-        return Ok(done.clone());
-    }
-    let result = drive_inner(plan, ctx, memo)?;
-    memo.insert(Arc::as_ptr(plan), (plan.clone(), result.clone()));
-    Ok(result)
-}
-
-fn drive_inner(
-    plan: &Arc<LogicalPlan>,
-    ctx: &mut Ctx,
-    memo: &mut Memo,
-) -> Result<Arc<LogicalPlan>> {
-    if let LogicalPlan::Filter { input, predicate } = plan.as_ref() {
-        let pred = desugar_quantified(predicate, true);
-        if pred.contains_subquery() {
-            if let Some(rewritten) = try_rewrite_filter(input, &pred, ctx)? {
-                // The rewrite may leave selections with nested blocks in
-                // bypass streams (linear/tree queries): recurse on the
-                // rewritten plan.
-                return drive(&rewritten, ctx, memo);
+impl Rule for Ctx {
+    /// The rewrites leave selections with nested blocks in bypass streams
+    /// (`σ_p` on a negative stream — how linear queries such as Q4
+    /// unfold, Fig. 6); the rewriter visits what `pre` returns, so those
+    /// are unnested in turn.
+    fn pre(&mut self, node: &Arc<LogicalPlan>) -> Option<Arc<LogicalPlan>> {
+        match node.as_ref() {
+            LogicalPlan::Filter { input, predicate } => rewrite_selection(input, predicate, self),
+            // Only a projection with a scalar subquery as written: a lone
+            // EXISTS in the SELECT clause stays nested.
+            LogicalPlan::Project { input, exprs }
+                if exprs.iter().any(|(e, _)| !scalar_subqueries(e).is_empty()) =>
+            {
+                rewrite_projection(node, input, exprs, self)
             }
+            _ => None,
         }
     }
-    // Nesting in the SELECT clause (technical-report extension): scalar
-    // subqueries in projection expressions are attached to the input and
-    // replaced by the computed column.
-    if let LogicalPlan::Project { input, exprs } = plan.as_ref() {
-        if exprs
-            .iter()
-            .any(|(e, _)| !crate::analysis::scalar_subqueries(e).is_empty())
-        {
-            if let Some(rewritten) = try_rewrite_project(plan, input, exprs, ctx)? {
-                return drive(&rewritten, ctx, memo);
-            }
-        }
-    }
-    // Default: rewrite children (and nested plans inside predicates),
-    // preserving DAG sharing through the memo.
-    let old_children = plan.children();
-    let mut new_children = Vec::with_capacity(old_children.len());
-    for c in &old_children {
-        new_children.push(drive(c, ctx, memo)?);
-    }
-    let changed_children = new_children
-        .iter()
-        .zip(&old_children)
-        .any(|(a, b)| !Arc::ptr_eq(a, b));
-    let rebuilt = if changed_children {
-        Arc::new(plan.with_children(new_children))
-    } else {
-        plan.clone()
-    };
-    // Unnest inside nested plans the outer rewrite left in place
-    // (canonical fallback for the outer block does not preclude
-    // unnesting within the inner block).
-    drive_expr_plans(&rebuilt, ctx, memo)
 }
 
-/// Rewrite the subquery plans held inside a node's expressions.
-fn drive_expr_plans(
-    plan: &Arc<LogicalPlan>,
-    ctx: &mut Ctx,
-    memo: &mut Memo,
-) -> Result<Arc<LogicalPlan>> {
-    let rewrite_scalar = |e: &Scalar, ctx: &mut Ctx, memo: &mut Memo| -> Result<Scalar> {
-        map_expr_plans(e, &mut |p| drive(p, ctx, memo))
-    };
-    Ok(match plan.as_ref() {
-        LogicalPlan::Filter { input, predicate } if predicate.contains_subquery() => {
-            Arc::new(LogicalPlan::Filter {
-                input: input.clone(),
-                predicate: rewrite_scalar(predicate, ctx, memo)?,
-            })
-        }
-        LogicalPlan::Project { input, exprs }
-            if exprs.iter().any(|(e, _)| e.contains_subquery()) =>
-        {
-            let exprs = exprs
-                .iter()
-                .map(|(e, a)| Ok((rewrite_scalar(e, ctx, memo)?, a.clone())))
-                .collect::<Result<Vec<_>>>()?;
-            Arc::new(LogicalPlan::Project {
-                input: input.clone(),
-                exprs,
-            })
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            predicate,
-        } if predicate.contains_subquery() => Arc::new(LogicalPlan::Join {
-            left: left.clone(),
-            right: right.clone(),
-            predicate: rewrite_scalar(predicate, ctx, memo)?,
-        }),
-        LogicalPlan::Map { input, expr, name } if expr.contains_subquery() => {
-            Arc::new(LogicalPlan::Map {
-                input: input.clone(),
-                expr: rewrite_scalar(expr, ctx, memo)?,
-                name: name.clone(),
-            })
-        }
-        _ => plan.clone(),
-    })
-}
-
-/// Apply `f` to every nested plan in the expression.
-fn map_expr_plans(
-    e: &Scalar,
-    f: &mut impl FnMut(&Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>>,
-) -> Result<Scalar> {
-    Ok(match e {
-        Scalar::Column(_) | Scalar::Literal(_) => e.clone(),
-        Scalar::Binary { op, left, right } => Scalar::Binary {
-            op: *op,
-            left: Box::new(map_expr_plans(left, f)?),
-            right: Box::new(map_expr_plans(right, f)?),
-        },
-        Scalar::Not(x) => Scalar::Not(Box::new(map_expr_plans(x, f)?)),
-        Scalar::Neg(x) => Scalar::Neg(Box::new(map_expr_plans(x, f)?)),
-        Scalar::IsNull { negated, expr } => Scalar::IsNull {
-            negated: *negated,
-            expr: Box::new(map_expr_plans(expr, f)?),
-        },
-        Scalar::Like {
-            negated,
-            expr,
-            pattern,
-        } => Scalar::Like {
-            negated: *negated,
-            expr: Box::new(map_expr_plans(expr, f)?),
-            pattern: Box::new(map_expr_plans(pattern, f)?),
-        },
-        Scalar::InList {
-            negated,
-            expr,
-            list,
-        } => Scalar::InList {
-            negated: *negated,
-            expr: Box::new(map_expr_plans(expr, f)?),
-            list: list
-                .iter()
-                .map(|x| map_expr_plans(x, f))
-                .collect::<Result<_>>()?,
-        },
-        Scalar::Subquery(p) => Scalar::Subquery(f(p)?),
-        Scalar::Exists { negated, plan } => Scalar::Exists {
-            negated: *negated,
-            plan: f(plan)?,
-        },
-        Scalar::InSubquery {
-            negated,
-            expr,
-            plan,
-        } => Scalar::InSubquery {
-            negated: *negated,
-            expr: Box::new(map_expr_plans(expr, f)?),
-            plan: f(plan)?,
-        },
-        Scalar::QuantifiedCmp {
-            op,
-            all,
-            expr,
-            plan,
-        } => Scalar::QuantifiedCmp {
-            op: *op,
-            all: *all,
-            expr: Box::new(map_expr_plans(expr, f)?),
-            plan: f(plan)?,
-        },
-    })
-}
-
-/// Attempt to unnest one selection. Returns `None` when the shape is
-/// unsupported (canonical fallback).
-fn try_rewrite_filter(
+/// Unnest one selection `σ_predicate(input)`. Returns `None` when the
+/// shape is unsupported (canonical fallback for this predicate only).
+pub(crate) fn rewrite_selection(
     input: &Arc<LogicalPlan>,
-    pred: &Scalar,
+    predicate: &Scalar,
     ctx: &mut Ctx,
-) -> Result<Option<Arc<LogicalPlan>>> {
+) -> Option<Arc<LogicalPlan>> {
+    if !predicate.contains_subquery() {
+        return None;
+    }
+    let pred = desugar_quantified(predicate, true);
     let out_schema = input.schema();
-    let conjuncts: Vec<Scalar> = pred.conjuncts().into_iter().cloned().collect();
     // Three kinds of conjuncts: rewritable (containing scalar
     // subqueries), inert (only non-attachable subqueries, e.g. NOT IN —
     // evaluated canonically above) and plain (applied below).
-    let mut rewritable: Vec<Scalar> = Vec::new();
-    let mut inert: Vec<Scalar> = Vec::new();
-    let mut plain: Vec<Scalar> = Vec::new();
-    for c in conjuncts {
-        if !crate::analysis::scalar_subqueries(&c).is_empty() {
-            rewritable.push(c);
+    let (mut rewritable, mut inert, mut plain) = (Vec::new(), Vec::new(), Vec::new());
+    for c in pred.conjuncts() {
+        if !scalar_subqueries(c).is_empty() {
+            rewritable.push(c.clone());
         } else if c.contains_subquery() {
-            inert.push(c);
+            inert.push(c.clone());
         } else {
-            plain.push(c);
+            plain.push(c.clone());
         }
     }
     if rewritable.is_empty() {
-        return Ok(None);
+        return None;
     }
     let mut base = PlanBuilder::from_plan(input.clone());
     if let Some(p) = Scalar::conjunction(plain) {
         base = base.filter(p);
     }
     let target = rewritable.remove(0);
-    let Some(result) = rewrite_conjunct(base, &target, &out_schema, ctx)? else {
-        return Ok(None);
+    let disjuncts: Vec<Scalar> = target.disjuncts().into_iter().cloned().collect();
+    let result = if disjuncts.len() < 2 {
+        // Conjunctive linking: unnest in place (Eqv. 1 core, or Eqv. 4/5
+        // when the correlation inside is disjunctive).
+        let (b, rewritten) = attach_subqueries(base, &target, ctx)?;
+        project_to(b.filter(rewritten), &out_schema)
+    } else {
+        match ctx.split {
+            Split::BypassChain(order) => bypass_chain(base, disjuncts, order, &out_schema, ctx)?,
+            Split::DisjointBranches => {
+                crate::union_rewrite::disjoint_branches(base, &disjuncts, &out_schema, ctx)?
+            }
+        }
     };
-    // Remaining subquery conjuncts re-apply above (the driver revisits
-    // the rewritable ones on the recursive pass — conjunctive tree
-    // queries).
+    // Remaining subquery conjuncts re-apply above (the rewriter revisits
+    // the rewritable ones — conjunctive tree queries).
     let rest: Vec<Scalar> = rewritable.into_iter().chain(inert).collect();
     let result = match Scalar::conjunction(rest) {
         Some(rest) => result.filter(rest),
         None => result,
     };
-    Ok(Some(result.build()))
+    Some(result.build())
 }
 
 /// Unnest scalar subqueries inside projection expressions (nesting in
 /// the SELECT clause). Each subquery is attached to the projection input
 /// as a computed column; the projection keeps its original output names.
-fn try_rewrite_project(
+fn rewrite_projection(
     original: &Arc<LogicalPlan>,
     input: &Arc<LogicalPlan>,
     exprs: &[(Scalar, Option<String>)],
     ctx: &mut Ctx,
-) -> Result<Option<Arc<LogicalPlan>>> {
+) -> Option<Arc<LogicalPlan>> {
     let out_schema = original.schema();
     let mut b = PlanBuilder::from_plan(input.clone());
     let mut new_exprs: Vec<(Scalar, Option<String>)> = Vec::with_capacity(exprs.len());
@@ -314,64 +174,44 @@ fn try_rewrite_project(
         // IN/ANY/ALL (which conflate them) must not fire — polarity
         // `false` keeps them nested and only rewrites EXISTS (exact).
         let e = desugar_quantified(e, false);
-        if crate::analysis::scalar_subqueries(&e).is_empty() {
+        if scalar_subqueries(&e).is_empty() {
             new_exprs.push((e, alias.clone()));
             continue;
         }
-        let Some((b2, rewritten)) = attach_subqueries(b.clone(), &e, ctx)? else {
-            return Ok(None);
-        };
+        let (b2, rewritten) = attach_subqueries(b.clone(), &e, ctx)?;
         b = b2;
         changed = true;
         // Pin the original output column name.
         new_exprs.push((rewritten, Some(out_schema.field(i).name().to_string())));
     }
-    if !changed {
-        return Ok(None);
-    }
-    Ok(Some(b.project(new_exprs).build()))
+    changed.then(|| b.project(new_exprs).build())
 }
 
-/// Rewrite one subquery-bearing conjunct over `base`. The produced plan
-/// always has schema `out_schema`.
-fn rewrite_conjunct(
+/// The bypass chain (Eqv. 2/3 generalized to n disjuncts): disjuncts in
+/// `order`, each non-final one a bypass selection whose positive stream
+/// exits into the final disjoint union, subquery disjuncts unnested
+/// right before their bypass selection. The produced plan has schema
+/// `out_schema`.
+fn bypass_chain(
     base: PlanBuilder,
-    conjunct: &Scalar,
+    disjuncts: Vec<Scalar>,
+    order: DisjunctOrder,
     out_schema: &Schema,
     ctx: &mut Ctx,
-) -> Result<Option<PlanBuilder>> {
-    let disjuncts: Vec<Scalar> = conjunct.disjuncts().into_iter().cloned().collect();
-    if disjuncts.len() < 2 {
-        // Conjunctive linking: unnest in place (Eqv. 1 core, or Eqv. 4/5
-        // when the correlation inside is disjunctive). No scalar
-        // subquery to attach means no progress is possible — bail out
-        // rather than rebuilding the same selection forever.
-        if crate::analysis::scalar_subqueries(conjunct).is_empty() {
-            return Ok(None);
-        }
-        let Some((b, rewritten)) = attach_subqueries(base, conjunct, ctx)? else {
-            return Ok(None);
-        };
-        return Ok(Some(project_to(b.filter(rewritten), out_schema)));
-    }
-
-    // Bypass chain (Eqv. 2/3 generalized to n disjuncts).
+) -> Option<PlanBuilder> {
     let mut sp = bypass_trace::span("unnest.bypass_chain");
     crate::outcomes::record_outcome("bypass:chain");
     if sp.is_recording() {
         sp.arg("disjuncts", disjuncts.len() as u64);
     }
-    let ordered = order_disjuncts(disjuncts, ctx.options.order);
+    let ordered = order_disjuncts(disjuncts, order);
     let mut current = base;
     let mut outputs: Vec<PlanBuilder> = Vec::new();
     let n = ordered.len();
     for (i, d) in ordered.into_iter().enumerate() {
-        let last = i == n - 1;
         // Unnest this disjunct's subqueries against the running stream.
-        let Some((plan, rewritten)) = attach_subqueries(current.clone(), &d, ctx)? else {
-            return Ok(None);
-        };
-        if last {
+        let (plan, rewritten) = attach_subqueries(current.clone(), &d, ctx)?;
+        if i == n - 1 {
             outputs.push(project_to(plan.filter(rewritten), out_schema));
         } else {
             let (pos, neg) = plan.bypass_filter(rewritten);
@@ -379,11 +219,7 @@ fn rewrite_conjunct(
             current = project_to(neg, out_schema);
         }
     }
-    let union = outputs
-        .into_iter()
-        .reduce(|acc, b| acc.union(b))
-        .expect("at least one disjunct");
-    Ok(Some(union))
+    outputs.into_iter().reduce(PlanBuilder::union)
 }
 
 /// Replace every scalar subquery in `expr` by an attached aggregate
@@ -394,8 +230,8 @@ pub(crate) fn attach_subqueries(
     builder: PlanBuilder,
     expr: &Scalar,
     ctx: &mut Ctx,
-) -> Result<Option<(PlanBuilder, Scalar)>> {
-    let mut subs = crate::analysis::scalar_subqueries(expr);
+) -> Option<(PlanBuilder, Scalar)> {
+    let mut subs = scalar_subqueries(expr);
     // The same nested block may occur several times in one expression
     // (e.g. `¬d ∨ d IS NULL` duplicates d): attach it once, substitution
     // replaces every occurrence.
@@ -406,14 +242,11 @@ pub(crate) fn attach_subqueries(
     let mut b = builder;
     let mut e = expr.clone();
     for sub in subs {
-        let Some((b2, g)) = attach_aggregate(b, &sub, &mut ctx.names, ctx.options.classic_only)?
-        else {
-            return Ok(None);
-        };
+        let (b2, g) = attach_aggregate(b, &sub, ctx)?;
         b = b2;
-        e = crate::analysis::substitute_subquery(&e, &sub, &Scalar::col(g));
+        e = substitute_subquery(&e, &sub, &Scalar::col(g));
     }
-    Ok(Some((b, e)))
+    Some((b, e))
 }
 
 /// Project a (possibly attachment-extended) stream back to the original

@@ -19,168 +19,34 @@
 //! descends into nested subquery plans so the inner blocks of canonical
 //! plans are joined sensibly too.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use bypass_algebra::{LogicalPlan, Scalar};
+use bypass_algebra::{rewrite, Blocks, LogicalPlan, Scalar};
 use bypass_types::Schema;
 
 /// Apply join ordering everywhere in the plan (including nested
 /// subquery plans inside predicates).
 pub fn optimize_joins(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
     let _span = bypass_trace::span("unnest.optimize_joins");
-    let mut memo: HashMap<*const LogicalPlan, Arc<LogicalPlan>> = HashMap::new();
-    rewrite(plan, &mut memo)
+    rewrite(plan, &mut join_region, Blocks::Nested)
 }
 
-fn rewrite(
-    plan: &Arc<LogicalPlan>,
-    memo: &mut HashMap<*const LogicalPlan, Arc<LogicalPlan>>,
-) -> Arc<LogicalPlan> {
-    if let Some(done) = memo.get(&Arc::as_ptr(plan)) {
-        return done.clone();
-    }
-    // Children first (bottom-up), preserving DAG sharing.
-    let old_children = plan.children();
-    let new_children: Vec<Arc<LogicalPlan>> =
-        old_children.iter().map(|c| rewrite(c, memo)).collect();
-    let changed = new_children
-        .iter()
-        .zip(&old_children)
-        .any(|(a, b)| !Arc::ptr_eq(a, b));
-    let node = if changed {
-        Arc::new(plan.with_children(new_children))
-    } else {
-        plan.clone()
-    };
-
-    // Rewrite nested plans inside this node's expressions.
-    let node = rewrite_expr_plans(&node, memo);
-
-    // The pattern: a filter whose input region contains cross products.
-    let out = match node.as_ref() {
-        LogicalPlan::Filter { input, predicate } => {
-            let (inputs, mut conjuncts) = flatten_region(input);
-            if inputs.len() >= 2 {
-                conjuncts.extend(predicate.conjuncts().into_iter().cloned());
-                build_join_tree(inputs, conjuncts)
-            } else {
-                node
-            }
-        }
+/// The rule, bottom-up: a filter-over-cross-product region rooted at
+/// `node` becomes a join tree.
+fn join_region(node: Arc<LogicalPlan>) -> Arc<LogicalPlan> {
+    let (region, predicate) = match node.as_ref() {
+        LogicalPlan::Filter { input, predicate } => (input, Some(predicate)),
         // A bare cross-product region without a filter on top can still
         // contain pushable conjuncts from inner filters.
-        LogicalPlan::CrossJoin { .. } => {
-            let (inputs, conjuncts) = flatten_region(&node);
-            if inputs.len() >= 2 {
-                build_join_tree(inputs, conjuncts)
-            } else {
-                node
-            }
-        }
-        _ => node,
+        LogicalPlan::CrossJoin { .. } => (&node, None),
+        _ => return node,
     };
-    memo.insert(Arc::as_ptr(plan), out.clone());
-    out
-}
-
-fn rewrite_expr_plans(
-    plan: &Arc<LogicalPlan>,
-    memo: &mut HashMap<*const LogicalPlan, Arc<LogicalPlan>>,
-) -> Arc<LogicalPlan> {
-    // Only Filter / Project / Join / Map predicates can carry subquery
-    // plans in this engine.
-    fn map_scalar(e: &Scalar, memo: &mut HashMap<*const LogicalPlan, Arc<LogicalPlan>>) -> Scalar {
-        match e {
-            Scalar::Column(_) | Scalar::Literal(_) => e.clone(),
-            Scalar::Binary { op, left, right } => Scalar::Binary {
-                op: *op,
-                left: Box::new(map_scalar(left, memo)),
-                right: Box::new(map_scalar(right, memo)),
-            },
-            Scalar::Not(x) => Scalar::Not(Box::new(map_scalar(x, memo))),
-            Scalar::Neg(x) => Scalar::Neg(Box::new(map_scalar(x, memo))),
-            Scalar::IsNull { negated, expr } => Scalar::IsNull {
-                negated: *negated,
-                expr: Box::new(map_scalar(expr, memo)),
-            },
-            Scalar::Like {
-                negated,
-                expr,
-                pattern,
-            } => Scalar::Like {
-                negated: *negated,
-                expr: Box::new(map_scalar(expr, memo)),
-                pattern: Box::new(map_scalar(pattern, memo)),
-            },
-            Scalar::InList {
-                negated,
-                expr,
-                list,
-            } => Scalar::InList {
-                negated: *negated,
-                expr: Box::new(map_scalar(expr, memo)),
-                list: list.iter().map(|x| map_scalar(x, memo)).collect(),
-            },
-            Scalar::Subquery(p) => Scalar::Subquery(rewrite(p, memo)),
-            Scalar::Exists { negated, plan } => Scalar::Exists {
-                negated: *negated,
-                plan: rewrite(plan, memo),
-            },
-            Scalar::InSubquery {
-                negated,
-                expr,
-                plan,
-            } => Scalar::InSubquery {
-                negated: *negated,
-                expr: Box::new(map_scalar(expr, memo)),
-                plan: rewrite(plan, memo),
-            },
-            Scalar::QuantifiedCmp {
-                op,
-                all,
-                expr,
-                plan,
-            } => Scalar::QuantifiedCmp {
-                op: *op,
-                all: *all,
-                expr: Box::new(map_scalar(expr, memo)),
-                plan: rewrite(plan, memo),
-            },
-        }
+    let (inputs, mut conjuncts) = flatten_region(region);
+    if inputs.len() < 2 {
+        return node;
     }
-
-    if !plan.exprs().iter().any(|e| e.contains_subquery()) {
-        return plan.clone();
-    }
-    match plan.as_ref() {
-        LogicalPlan::Filter { input, predicate } => Arc::new(LogicalPlan::Filter {
-            input: input.clone(),
-            predicate: map_scalar(predicate, memo),
-        }),
-        LogicalPlan::Project { input, exprs } => Arc::new(LogicalPlan::Project {
-            input: input.clone(),
-            exprs: exprs
-                .iter()
-                .map(|(e, a)| (map_scalar(e, memo), a.clone()))
-                .collect(),
-        }),
-        LogicalPlan::Join {
-            left,
-            right,
-            predicate,
-        } => Arc::new(LogicalPlan::Join {
-            left: left.clone(),
-            right: right.clone(),
-            predicate: map_scalar(predicate, memo),
-        }),
-        LogicalPlan::Map { input, expr, name } => Arc::new(LogicalPlan::Map {
-            input: input.clone(),
-            expr: map_scalar(expr, memo),
-            name: name.clone(),
-        }),
-        _ => plan.clone(),
-    }
+    conjuncts.extend(predicate.iter().flat_map(|p| p.conjuncts()).cloned());
+    build_join_tree(inputs, conjuncts)
 }
 
 /// Flatten a region of cross products and filters into its atomic

@@ -7,7 +7,9 @@
 //! very expensive, the unnested linking predicate goes first instead
 //! (Eqv. 3).
 
-use bypass_algebra::{BinOp, Scalar};
+use bypass_algebra::Scalar;
+
+use crate::cost::selectivity;
 
 /// Which order the rewrite driver processes the disjuncts of a
 /// disjunctive predicate in.
@@ -17,8 +19,6 @@ pub enum DisjunctOrder {
     /// bypassed first, subqueries last — the Eqv. 2 shape.
     #[default]
     RankBased,
-    /// Keep the disjuncts in query order.
-    Given,
     /// Force subquery-containing disjuncts first — the Eqv. 3 shape
     /// (used when the plain disjunct is expensive, and by the rank
     /// ablation experiment).
@@ -38,33 +38,15 @@ fn estimate_cost(p: &Scalar) -> f64 {
     }
 }
 
-/// Heuristic selectivity of a predicate (System-R style defaults).
-fn estimate_selectivity(p: &Scalar) -> f64 {
-    match p {
-        Scalar::Binary { op, .. } => match op {
-            BinOp::Eq => 0.1,
-            BinOp::Neq => 0.9,
-            BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => 1.0 / 3.0,
-            BinOp::And => 0.25,
-            BinOp::Or => 0.5,
-            _ => 0.5,
-        },
-        Scalar::Like { .. } => 0.25,
-        Scalar::Not(inner) => 1.0 - estimate_selectivity(inner),
-        _ => 0.5,
-    }
-}
-
 /// `rank(p) = (selectivity − 1) / cost`; lower ranks first.
 pub fn estimate_rank(p: &Scalar) -> f64 {
-    (estimate_selectivity(p) - 1.0) / estimate_cost(p)
+    (selectivity(p) - 1.0) / estimate_cost(p)
 }
 
 /// Order disjuncts for the bypass chain according to the policy.
 /// Sorting is stable, so equal ranks keep query order.
 pub fn order_disjuncts(mut ds: Vec<Scalar>, order: DisjunctOrder) -> Vec<Scalar> {
     match order {
-        DisjunctOrder::Given => ds,
         DisjunctOrder::RankBased => {
             ds.sort_by(|a, b| {
                 estimate_rank(a)
@@ -137,12 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn given_order_is_untouched() {
-        let ds = order_disjuncts(vec![linking(), plain()], DisjunctOrder::Given);
-        assert!(ds[0].contains_subquery());
-    }
-
-    #[test]
     fn reorder_or_moves_subquery() {
         let pred = linking().or(plain());
         let cheap_first = reorder_or_disjuncts(&pred, false);
@@ -157,8 +133,8 @@ mod tests {
     fn not_selectivity_complements() {
         let e = plain();
         let not_e = e.clone().not();
-        let s = estimate_selectivity(&e);
-        let sn = estimate_selectivity(&not_e);
+        let s = selectivity(&e);
+        let sn = selectivity(&not_e);
         assert!((s + sn - 1.0).abs() < 1e-9);
     }
 }

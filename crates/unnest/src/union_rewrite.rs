@@ -16,161 +16,64 @@
 //! S2 (competitive on disjunctive linking, nested-loop-bound on
 //! disjunctive correlation).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use bypass_algebra::{LogicalPlan, PlanBuilder, Scalar};
+use bypass_algebra::{rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Scalar};
 use bypass_types::{Result, Schema};
 
-use crate::driver::{attach_subqueries, project_to, Ctx, RewriteOptions};
+use crate::driver::{attach_subqueries, project_to, rewrite_selection, Ctx, Split};
 use crate::names::NameGen;
-use crate::quantified::desugar_quantified;
 
 /// Apply the OR→UNION strategy to a canonical plan.
 pub fn union_rewrite(plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
     let _span = bypass_trace::span("unnest.union_rewrite");
     crate::outcomes::record_outcome("union:rewrite");
-    let mut ctx = Ctx {
+    // The two limits emulated for S2: disjunctions split into disjoint
+    // branches with the pre-bypass repertoire inside, and only the
+    // outermost block is rewritten.
+    let mut rule = OrToUnion(Ctx {
         names: NameGen::new(),
-        options: RewriteOptions {
-            classic_only: true,
-            ..Default::default()
-        },
-    };
-    let mut memo = HashMap::new();
-    drive_union(plan, &mut ctx, &mut memo)
+        split: Split::DisjointBranches,
+    });
+    Ok(rewrite(plan, &mut rule, Blocks::TopOnly))
 }
 
-/// Rewrite memo, keyed by node address for O(1) DAG sharing.
-///
-/// The value holds a clone of the *key* `Arc` alongside the result: a
-/// raw `*const LogicalPlan` key alone does not keep the node alive, and
-/// a later allocation reusing the freed address would silently replay an
-/// unrelated rewrite (observed as unbound correlation columns on
-/// multi-level nested queries).
-type Memo = HashMap<*const LogicalPlan, (Arc<LogicalPlan>, Arc<LogicalPlan>)>;
+/// Selections only — S2 leaves nesting in the SELECT clause alone.
+struct OrToUnion(Ctx);
 
-fn drive_union(
-    plan: &Arc<LogicalPlan>,
-    ctx: &mut Ctx,
-    memo: &mut Memo,
-) -> Result<Arc<LogicalPlan>> {
-    if let Some((_keepalive, done)) = memo.get(&Arc::as_ptr(plan)) {
-        return Ok(done.clone());
+impl Rule for OrToUnion {
+    fn pre(&mut self, node: &Arc<LogicalPlan>) -> Option<Arc<LogicalPlan>> {
+        match node.as_ref() {
+            LogicalPlan::Filter { input, predicate } => {
+                rewrite_selection(input, predicate, &mut self.0)
+            }
+            _ => None,
+        }
     }
-    let result = drive_union_inner(plan, ctx, memo)?;
-    memo.insert(Arc::as_ptr(plan), (plan.clone(), result.clone()));
-    Ok(result)
 }
 
-fn drive_union_inner(
-    plan: &Arc<LogicalPlan>,
+/// One branch per disjunct over `base`: dᵢ ∧ ¬ₜd₁ ∧ … ∧ ¬ₜd_{i−1}, where
+/// ¬ₜd means "d is not TRUE" (¬d ∨ d IS NULL). Plain ¬d would lose
+/// tuples whose earlier disjunct evaluated to UNKNOWN — the
+/// three-valued-logic pitfall the bypass operators avoid by
+/// construction (σ⁻ carries FALSE *and* UNKNOWN).
+pub(crate) fn disjoint_branches(
+    base: PlanBuilder,
+    disjuncts: &[Scalar],
+    out_schema: &Schema,
     ctx: &mut Ctx,
-    memo: &mut Memo,
-) -> Result<Arc<LogicalPlan>> {
-    if let LogicalPlan::Filter { input, predicate } = plan.as_ref() {
-        let pred = desugar_quantified(predicate, true);
-        if pred.contains_subquery() {
-            if let Some(rewritten) = try_union_filter(input, &pred, ctx)? {
-                return drive_union(&rewritten, ctx, memo);
-            }
+) -> Option<PlanBuilder> {
+    let mut branches: Vec<PlanBuilder> = Vec::with_capacity(disjuncts.len());
+    for (i, d) in disjuncts.iter().enumerate() {
+        let mut b = base.clone();
+        let earlier = disjuncts[..i].iter().cloned().map(not_true);
+        for conj in earlier.chain([d.clone()]) {
+            let (b2, rewritten) = attach_subqueries(b, &conj, ctx)?;
+            b = b2.filter(rewritten);
         }
+        branches.push(project_to(b, out_schema));
     }
-    let old_children = plan.children();
-    let mut new_children = Vec::with_capacity(old_children.len());
-    for c in &old_children {
-        new_children.push(drive_union(c, ctx, memo)?);
-    }
-    let changed = new_children
-        .iter()
-        .zip(&old_children)
-        .any(|(a, b)| !Arc::ptr_eq(a, b));
-    Ok(if changed {
-        Arc::new(plan.with_children(new_children))
-    } else {
-        plan.clone()
-    })
-}
-
-fn try_union_filter(
-    input: &Arc<LogicalPlan>,
-    pred: &Scalar,
-    ctx: &mut Ctx,
-) -> Result<Option<Arc<LogicalPlan>>> {
-    let out_schema: Schema = input.schema();
-    let conjuncts: Vec<Scalar> = pred.conjuncts().into_iter().cloned().collect();
-    let mut rewritable: Vec<Scalar> = Vec::new();
-    let mut inert: Vec<Scalar> = Vec::new();
-    let mut plain: Vec<Scalar> = Vec::new();
-    for c in conjuncts {
-        if !crate::analysis::scalar_subqueries(&c).is_empty() {
-            rewritable.push(c);
-        } else if c.contains_subquery() {
-            inert.push(c);
-        } else {
-            plain.push(c);
-        }
-    }
-    if rewritable.is_empty() {
-        return Ok(None);
-    }
-    let base = {
-        let mut b = PlanBuilder::from_plan(input.clone());
-        if let Some(p) = Scalar::conjunction(plain) {
-            b = b.filter(p);
-        }
-        b.build()
-    };
-
-    let target = rewritable.remove(0);
-    let target = &target;
-    let disjuncts: Vec<Scalar> = target.disjuncts().into_iter().cloned().collect();
-
-    let result = if disjuncts.len() < 2 {
-        // Conjunctive linking: classic unnesting in place. Without a
-        // scalar subquery to attach there is no progress to make.
-        if crate::analysis::scalar_subqueries(target).is_empty() {
-            return Ok(None);
-        }
-        let Some((b, rewritten)) = attach_subqueries(PlanBuilder::from_plan(base), target, ctx)?
-        else {
-            return Ok(None);
-        };
-        project_to(b.filter(rewritten), &out_schema)
-    } else {
-        // One branch per disjunct: dᵢ ∧ ¬ₜd₁ ∧ … ∧ ¬ₜd_{i−1}, where ¬ₜd
-        // means "d is not TRUE" (¬d ∨ d IS NULL). Plain ¬d would lose
-        // tuples whose earlier disjunct evaluated to UNKNOWN — the
-        // three-valued-logic pitfall the bypass operators avoid by
-        // construction (σ⁻ carries FALSE *and* UNKNOWN).
-        let mut branches: Vec<PlanBuilder> = Vec::with_capacity(disjuncts.len());
-        for i in 0..disjuncts.len() {
-            let mut b = PlanBuilder::from_plan(base.clone());
-            let mut residual: Vec<Scalar> = Vec::with_capacity(i + 1);
-            for d in disjuncts.iter().take(i).cloned() {
-                residual.push(not_true(d));
-            }
-            residual.push(disjuncts[i].clone());
-            for conj in residual {
-                let Some((b2, rewritten)) = attach_subqueries(b, &conj, ctx)? else {
-                    return Ok(None);
-                };
-                b = b2.filter(rewritten);
-            }
-            branches.push(project_to(b, &out_schema));
-        }
-        branches
-            .into_iter()
-            .reduce(|acc, b| acc.union(b))
-            .expect("at least one branch")
-    };
-
-    let rest: Vec<Scalar> = rewritable.into_iter().chain(inert).collect();
-    let result = match Scalar::conjunction(rest) {
-        Some(rest) => result.filter(rest),
-        None => result,
-    };
-    Ok(Some(result.build()))
+    branches.into_iter().reduce(PlanBuilder::union)
 }
 
 /// `d` is not TRUE: `¬d ∨ (d IS NULL)`.

@@ -88,7 +88,6 @@ fn check_sizes(sql: &str, cases: &[(u64, usize)]) {
             &canonical,
             RewriteOptions {
                 order: DisjunctOrder::SubqueryFirst,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -51,6 +51,25 @@ cargo run -q --release -p bypass-slt --bin slt_runner -- --workers 8 tests/slt
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one plan rewriter (grep gate)"
+# Every logical rewrite is a rule under bypass_algebra::rewrite (DESIGN.md
+# "Logical rewrites"): the pointer-keyed plan memo lives there (display.rs
+# numbers shared nodes with one too), and the only caller rebuilding a
+# node from children by hand is ablation.rs's deliberately un-memoized
+# deep copy.
+memos="$(grep -rl 'HashMap<\*const LogicalPlan' crates/*/src | sort | tr '\n' ' ')"
+[ "$memos" = "crates/algebra/src/plan/display.rs crates/algebra/src/plan/rewrite.rs " ] \
+    || { echo "plan memo outside the rewriter: $memos"; exit 1; }
+rebuilds="$(grep -rl 'with_children(' crates/*/src | grep -v '^crates/algebra/' | tr '\n' ' ')"
+[ "$rebuilds" = "crates/unnest/src/ablation.rs " ] \
+    || { echo "with_children( outside algebra: $rebuilds"; exit 1; }
+# The number the next diet has to beat: lines above each file's test module.
+for crate in algebra unnest; do
+    find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
+        END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
