@@ -43,8 +43,7 @@ fn main() {
 
     // An isolated hub: the export reflects exactly the runs below, not
     // whatever else the process may have executed.
-    let hub = Arc::new(MetricsHub::new());
-    let db = rst_database(sf1, sf2, 42).with_metrics_hub(Arc::clone(&hub));
+    let db = rst_database(sf1, sf2, 42).with_metrics_hub(Arc::new(MetricsHub::new()));
     let queries = [
         ("q1", bypass_bench::Q1),
         ("q2", bypass_bench::Q2),
@@ -66,7 +65,8 @@ fn main() {
         }
     }
 
-    let snapshot = hub.snapshot();
+    // Through the database, which adds what its catalog's columns hold.
+    let snapshot = db.metrics();
     if as_json {
         let json = render_json(&snapshot);
         bypass_trace::json::validate(&json).unwrap_or_else(|e| panic!("JSON invalid: {e}"));

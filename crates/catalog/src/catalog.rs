@@ -74,6 +74,12 @@ impl Catalog {
         self.tables.values().map(|t| t.name().to_string()).collect()
     }
 
+    /// Bytes of the base-table columns materialised so far, summed
+    /// over tables (the `bypass_catalog_column_bytes` gauge).
+    pub fn column_bytes(&self) -> u64 {
+        self.tables.values().map(|t| t.columns().bytes()).sum()
+    }
+
     pub fn len(&self) -> usize {
         self.tables.len()
     }

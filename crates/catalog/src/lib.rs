@@ -1,8 +1,9 @@
 //! In-memory table storage and catalog.
 //!
 //! Tables are fully materialized [`Relation`]s guarded behind `Arc` so
-//! that scans share data with zero copying. Statistics are collected at
-//! registration / load time and feed the optimizer's rank model.
+//! that scans share data with zero copying. Beside the rows a table
+//! keeps one typed column per field ([`TableColumns`]), and its
+//! statistics; both are built on their first read, not at load time.
 
 mod builder;
 mod catalog;
@@ -12,7 +13,7 @@ mod table;
 pub use builder::TableBuilder;
 pub use catalog::Catalog;
 pub use csv::{load_csv_file, load_csv_str};
-pub use table::Table;
+pub use table::{Table, TableColumns};
 
 pub use bypass_types::Relation;
 
@@ -23,5 +24,6 @@ pub use bypass_types::Relation;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Table>();
+    assert_send_sync::<TableColumns>();
     assert_send_sync::<Catalog>();
 };

@@ -1,6 +1,52 @@
 use std::sync::{Arc, OnceLock};
 
-use bypass_types::{Relation, Schema, TableStats};
+use bypass_types::{Column, Relation, Schema, TableStats};
+
+/// A base table's rows and, beside them, one lazily materialised
+/// [`Column`] per field.
+///
+/// A column is built from the rows on its first read — typed (`i64` /
+/// `f64`) when every row agrees, [`Column::Values`] otherwise — and
+/// kept for as long as the table holds this data, so only the columns
+/// some statement's scan-rooted loop actually read cost memory. They
+/// are copies of what the rows hold: never written, never charged to a
+/// statement's memory budget.
+#[derive(Debug)]
+pub struct TableColumns {
+    data: Arc<Relation>,
+    cells: Box<[OnceLock<Arc<Column>>]>,
+}
+
+impl TableColumns {
+    /// Shared from the start: tables, their clones and every scan of
+    /// them hold the same columns.
+    pub fn new(data: impl Into<Arc<Relation>>) -> Arc<TableColumns> {
+        let data = data.into();
+        let cells = (0..data.schema().arity()).map(|_| OnceLock::new());
+        Arc::new(TableColumns {
+            cells: cells.collect(),
+            data,
+        })
+    }
+
+    /// The rows the columns are built from.
+    pub fn data(&self) -> &Arc<Relation> {
+        &self.data
+    }
+
+    /// Column `c`, materialised now if this is its first read; `None`
+    /// beyond the table's arity.
+    pub fn get(&self, c: usize) -> Option<&Arc<Column>> {
+        let cell = self.cells.get(c)?;
+        Some(cell.get_or_init(|| Arc::new(Column::from_rows(self.data.rows(), c))))
+    }
+
+    /// Bytes of the columns materialised so far.
+    pub fn bytes(&self) -> u64 {
+        let built = self.cells.iter().filter_map(OnceLock::get);
+        built.map(|c| c.bytes()).sum()
+    }
+}
 
 /// A registered base table: name, data and statistics.
 ///
@@ -10,7 +56,9 @@ use bypass_types::{Relation, Schema, TableStats};
 #[derive(Debug, Clone)]
 pub struct Table {
     name: Arc<str>,
-    data: Arc<Relation>,
+    /// The rows and their column-major copies. Clones of the table
+    /// share them.
+    columns: Arc<TableColumns>,
     /// Collected on the first [`Table::stats`] call: a sort-dedup of
     /// every column that planning never reads (the cost model needs row
     /// counts only), so loading and `INSERT` do not pay for it. Clones
@@ -23,7 +71,7 @@ impl Table {
     pub fn new(name: impl AsRef<str>, data: Relation) -> Table {
         Table {
             name: Arc::from(name.as_ref()),
-            data: Arc::new(data),
+            columns: TableColumns::new(data),
             stats: Arc::default(),
         }
     }
@@ -33,27 +81,32 @@ impl Table {
     }
 
     pub fn schema(&self) -> &Schema {
-        self.data.schema()
+        self.data().schema()
     }
 
     pub fn data(&self) -> &Arc<Relation> {
-        &self.data
+        self.columns.data()
+    }
+
+    /// The table's lazily built columns, for a scan to carry.
+    pub fn columns(&self) -> &Arc<TableColumns> {
+        &self.columns
     }
 
     pub fn stats(&self) -> &TableStats {
         self.stats
-            .get_or_init(|| TableStats::from_relation(&self.data))
+            .get_or_init(|| TableStats::from_relation(self.data()))
     }
 
     pub fn row_count(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// Replace the table contents (INSERT rebuilds the relation; this is
-    /// an analytical engine, not an OLTP store). Statistics are
-    /// collected afresh on their next read.
+    /// an analytical engine, not an OLTP store). Statistics and columns
+    /// are built afresh on their next read.
     pub fn replace_data(&mut self, data: Relation) {
-        self.data = Arc::new(data);
+        self.columns = TableColumns::new(data);
         self.stats = Arc::default();
     }
 }
@@ -91,6 +144,32 @@ mod tests {
         assert_eq!(t.row_count(), 10);
         assert_eq!(t.stats(), &TableStats::from_relation(&rel(10)));
         assert_eq!(shared.stats().row_count, 2, "a clone keeps its snapshot");
+    }
+
+    #[test]
+    fn replace_refreshes_columns() {
+        let mut t = Table::new("t", rel(2));
+        assert_eq!(t.columns().bytes(), 0, "nothing is built until read");
+        let shared = t.clone();
+        let before = t.columns().get(0).expect("column 0").clone();
+        assert_eq!(*before, Column::Int([0, 1].into()));
+        assert!(
+            Arc::ptr_eq(&before, shared.columns().get(0).unwrap()),
+            "clones share what one of them built"
+        );
+        assert_eq!(t.columns().bytes(), 16);
+        assert!(t.columns().get(1).is_none(), "beyond the arity");
+
+        t.replace_data(rel(3));
+        assert_eq!(t.columns().bytes(), 0, "built afresh on the next read");
+        assert_eq!(**t.columns().get(0).unwrap(), Column::Int([0, 1, 2].into()));
+        assert!(Arc::ptr_eq(t.columns().data(), t.data()));
+        assert_eq!(
+            **shared.columns().get(0).unwrap(),
+            Column::Int([0, 1].into()),
+            "a clone keeps its snapshot"
+        );
+        assert_eq!(shared.row_count(), 2);
     }
 
     #[test]

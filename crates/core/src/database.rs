@@ -541,8 +541,11 @@ impl Database {
     }
 
     /// One consistent snapshot of the always-on metrics registry,
-    /// including the synthesized per-fingerprint series.
+    /// including the synthesized per-fingerprint series and, read off
+    /// the catalog now, `bypass_catalog_column_bytes`.
     pub fn metrics(&self) -> bypass_metrics::Snapshot {
+        self.metrics
+            .observe_catalog_column_bytes(self.catalog.column_bytes());
         self.metrics.snapshot()
     }
 
@@ -593,7 +596,7 @@ impl Database {
                 }))
             }
             Statement::ShowMetrics => Ok(Response::Metrics(bypass_metrics::render_prometheus(
-                &self.metrics.snapshot(),
+                &self.metrics(),
             ))),
         }
     }

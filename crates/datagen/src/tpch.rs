@@ -1,7 +1,14 @@
-//! A dbgen-style generator for the TPC-H subset Query 2d needs:
-//! `region`, `nation`, `supplier`, `part`, `partsupp`.
+//! A dbgen-style generator for a TPC-H subset — all eight tables
+//! (`region`, `nation`, `supplier`, `part`, `partsupp`, `customer`,
+//! `orders`, `lineitem`) — and the four statements the reproduction runs
+//! over them: the paper's Query 2d ([`QUERY_2D`]) and three shapes in
+//! the spirit of Q4, Q17 and Q22 ([`QUERY_4_LIKE`], [`QUERY_17_LIKE`],
+//! [`QUERY_22_LIKE`]) that put EXISTS, a correlated scalar AVG and an
+//! uncorrelated one under disjunction. [`generate`] builds everything;
+//! [`generate_2d`] leaves `customer`, `orders` and `lineitem` empty for
+//! harnesses that run Query 2d only.
 //!
-//! The generator reproduces the structural properties the query's
+//! The generator reproduces the structural properties the statements'
 //! performance depends on:
 //!
 //! * the fixed `region`/`nation` hierarchy (5 regions × 5 nations, so
@@ -12,12 +19,16 @@
 //! * four `partsupp` rows per part with dbgen's supplier-spreading
 //!   formula, `ps_availqty` uniform 1..=9999 (`> 2000` keeps ≈ 0.8) and
 //!   `ps_supplycost` uniform in [1, 1000],
+//! * `o_orderdate` uniform over 2 406 days, five order priorities, and
+//!   1–7 `lineitem` rows per order referencing existing parts and
+//!   suppliers, shipped within four months of the order,
 //! * cardinalities per scale factor: 10 000·SF suppliers,
-//!   200 000·SF parts, 800 000·SF partsupp rows.
+//!   200 000·SF parts, 800 000·SF partsupp rows, 150 000·SF customers,
+//!   1 500 000·SF orders and ≈ 4 lineitems per order.
 //!
-//! Only the columns Query 2d touches are generated with full fidelity;
-//! the remaining columns are present with plausible fillers so that the
-//! schema stays recognizably TPC-H.
+//! Only the columns the four statements touch are generated with full
+//! fidelity; the remaining columns are present with plausible fillers
+//! so that the schema stays recognizably TPC-H.
 
 use bypass_catalog::Catalog;
 use bypass_types::Rng;

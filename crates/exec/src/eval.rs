@@ -2,19 +2,21 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bypass_algebra::BinOp;
+use bypass_catalog::TableColumns;
 use bypass_types::{
-    compare_tuples, par, tuple_bytes, Batch, CancelToken, Error, FxHashMap, InjectedFault,
+    compare_tuples, par, tuple_bytes, Batch, CancelToken, Column, Error, FxHashMap, InjectedFault,
     Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS, SHARED_ROW_BYTES,
     VALUE_BYTES,
 };
 
 use crate::expr::PhysExpr;
 use crate::govern::Governor;
-use crate::hash::{CorrMemo, JoinTable, KeyReader};
-use crate::interp::cmp_truth;
+use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
+use crate::interp::ord_truth;
 use crate::morsel::Team;
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
-use crate::row::{Lane, Row, RowView};
+use crate::row::{ChunkValues, Lane, Row, RowView};
 use crate::vector::{
     chain_bindable, compile_chain, ranked_order, ChainOrder, ChainStats, CompiledChain, SliceLoop,
     EPOCH_ROWS,
@@ -171,9 +173,11 @@ pub struct ExecContext {
     /// by node pointer.
     chains: FxHashMap<usize, Arc<CompiledChain>>,
     /// Per-node cache of the kernel-column transpose of the node's
-    /// current input relation. A memoized correlated subplan re-invokes
-    /// the same σ node over the same `Arc`-shared scan once per outer
-    /// binding — caching the transpose makes those re-runs pay it once.
+    /// current input relation, for inputs that are not base-table scans
+    /// (those read the table's own columns). A correlated subplan
+    /// re-invokes the same σ node over the same `Arc`-shared
+    /// intermediate once per outer binding — caching the transpose
+    /// makes those re-runs pay it once.
     /// The stored `Arc<Relation>` both validates the entry
     /// (`Arc::ptr_eq` against the current input) and keeps the
     /// allocation alive, so a recycled address can never alias a stale
@@ -623,8 +627,11 @@ impl ExecContext {
             .clone()
     }
 
-    /// The kernel-column transpose of `input` for this node, cached
-    /// across invocations. Correlated subplans re-run the same σ node
+    /// The kernel columns of `input` — the evaluated `from` — for this
+    /// σ/σ± node. A base-table scan hands out the table's own columns
+    /// (built on their first read, then shared by every statement and
+    /// worker). Any other input is transposed, and the transpose cached
+    /// across invocations: correlated subplans re-run the same σ node
     /// over the same `Arc`-shared input once per outer binding; the
     /// cached entry is validated by `Arc::ptr_eq` (safe against address
     /// reuse because the map holds the relation alive) and rebuilt
@@ -632,9 +639,17 @@ impl ExecContext {
     fn chain_batch(
         &mut self,
         node: &Arc<PhysNode>,
+        from: &PhysNode,
         input: &Arc<Relation>,
         chain: &CompiledChain,
     ) -> Arc<Batch> {
+        if let Some(table) = from.table_columns() {
+            let mut columns = vec![None; input.schema().arity()];
+            for &c in &chain.cols {
+                columns[c] = table.get(c).cloned();
+            }
+            return Arc::new(Batch::new(columns, input.len()));
+        }
         let key = Arc::as_ptr(node) as usize;
         if let Some((rel, batch)) = self.batches.get(&key) {
             if Arc::ptr_eq(rel, input) {
@@ -665,13 +680,14 @@ impl ExecContext {
     fn run_chain(
         &mut self,
         node: &Arc<PhysNode>,
+        from: &PhysNode,
         input: &Arc<Relation>,
         chain: &Arc<CompiledChain>,
         bypass: bool,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
         let rows = input.rows();
         let bound = chain_bindable(chain, &self.outer);
-        let batch = bound.then(|| self.chain_batch(node, input, chain));
+        let batch = bound.then(|| self.chain_batch(node, from, input, chain));
         let batch_ref: Option<&Batch> = batch.as_deref();
         let mut stats = ChainStats::zeroed(chain);
         let mut pos = Vec::new();
@@ -728,13 +744,13 @@ impl ExecContext {
     /// governor-invisible — and the rows are then finished in input
     /// order: a row the prefix left open evaluates the remaining terms
     /// between its own checkpoints, and every run of rows it settled
-    /// passes its checkpoints in one governor call. `batch` is the
-    /// node's cached kernel-column transpose of the *full* input
-    /// (`None`: no kernel may run, see [`Self::run_chain`]); `base` is
-    /// the absolute index of `rows[0]` within it, so selection vectors
-    /// carry absolute lane indices. Out of line, as the σ loop it
-    /// replaced was: inlined into the operator match that loop ran ~6 %
-    /// slower per row (benchmark workload `rst_canonical`).
+    /// passes its checkpoints in one governor call. `batch` holds the
+    /// kernel columns of the *full* input (`None`: no kernel may run,
+    /// see [`Self::run_chain`]); `base` is the index of `rows[0]` within
+    /// it. Selection vectors carry lane indices within the chunk. Out
+    /// of line, as the σ loop it replaced was: inlined into the operator
+    /// match that loop ran ~6 % slower per row (benchmark workload
+    /// `rst_canonical`).
     #[allow(clippy::type_complexity)]
     #[inline(never)]
     fn chain_slice(
@@ -752,23 +768,27 @@ impl ExecContext {
         // Per-chunk scratch, reused across chunks (allocation-free
         // steady state). `acc[r]` folds row `r`'s term results; the
         // fold absorbs `decide` and non-deciding results can never
-        // produce it, so `decide` marks a decided row. `sel` holds
-        // absolute lane indices and is filtered in place per kernel
+        // produce it, so `decide` marks a decided row. `sel` holds the
+        // chunk's undecided lanes and is filtered in place per kernel
         // term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        let mut abs0 = base as u32;
+        let mut values = batch.map(ChunkValues::new);
+        let mut lo = base;
         for chunk in rows.chunks(self.options.batch_rows) {
             let n = chunk.len();
             acc.clear();
             acc.resize(n, chain.identity());
             sel.clear();
-            sel.extend(abs0..abs0 + n as u32);
+            sel.extend(0..n as u32);
+            if let Some(values) = values.as_mut() {
+                values.start(lo, n);
+            }
             let mut prefix = 0usize;
             for &oi in &order.order {
                 let i = oi as usize;
                 let term = &chain.terms[i];
-                let (Some(batch), true) = (batch, term.kernel) else {
+                let (Some(values), true) = (values.as_mut(), term.kernel) else {
                     break;
                 };
                 if !sel.is_empty() {
@@ -776,40 +796,68 @@ impl ExecContext {
                     let before = sel.len();
                     // Deciding lanes drop out of the selection; the
                     // rest fold into the per-row accumulator and stay.
-                    let mut settle = |lane: u32, t: Truth| {
-                        let row = (lane - abs0) as usize;
+                    let settle = |lane: u32, t: Truth| {
+                        let row = lane as usize;
                         acc[row] = chain.combine(acc[row], t);
                         t != decide
                     };
+                    let batch = values.batch;
+                    let column = |c: usize| batch.column(c).expect("kernel columns are built");
+                    let chunk = lo..lo + n;
                     match term.slice_loop(self) {
-                        // Hot shapes: tight loop over the column slice
-                        // against a pre-resolved constant …
-                        Some(SliceLoop::ColConst(op, c, rhs)) => {
-                            let col = batch.column(c);
-                            sel.retain(|&lane| {
-                                settle(lane, cmp_truth(op, &col[lane as usize], rhs))
-                            });
-                        }
-                        // … or against a second column slice.
-                        Some(SliceLoop::ColCol(op, l, r)) => {
-                            let (l, r) = (batch.column(l), batch.column(r));
-                            sel.retain(|&lane| {
-                                let lane_ix = lane as usize;
-                                settle(lane, cmp_truth(op, &l[lane_ix], &r[lane_ix]))
-                            });
-                        }
+                        // Hot shapes: one tight loop over the chunk of
+                        // a column against a pre-resolved constant —
+                        // over bare numbers when column and constant
+                        // agree in type, over values otherwise …
+                        Some(SliceLoop::ColConst(op, c, rhs)) => match (column(c), rhs) {
+                            (Column::Int(xs), Value::Int(k)) => {
+                                let xs = &xs[chunk];
+                                retain_compared(&mut sel, op, settle, |at| Some(xs[at].cmp(k)));
+                            }
+                            (Column::Float(xs), Value::Float(k)) => {
+                                let xs = &xs[chunk];
+                                retain_compared(&mut sel, op, settle, |at| xs[at].partial_cmp(k));
+                            }
+                            _ => {
+                                values.fill(&[c]);
+                                let xs = values.column(c);
+                                retain_compared(&mut sel, op, settle, |at| xs[at].sql_cmp(rhs));
+                            }
+                        },
+                        // … or against a second column.
+                        Some(SliceLoop::ColCol(op, l, r)) => match (column(l), column(r)) {
+                            (Column::Int(l), Column::Int(r)) => {
+                                let (l, r) = (&l[chunk.clone()], &r[chunk]);
+                                retain_compared(&mut sel, op, settle, |at| Some(l[at].cmp(&r[at])));
+                            }
+                            (Column::Float(l), Column::Float(r)) => {
+                                let (l, r) = (&l[chunk.clone()], &r[chunk]);
+                                retain_compared(&mut sel, op, settle, |at| {
+                                    l[at].partial_cmp(&r[at])
+                                });
+                            }
+                            _ => {
+                                values.fill(&[l, r]);
+                                let (l, r) = (values.column(l), values.column(r));
+                                retain_compared(&mut sel, op, settle, |at| l[at].sql_cmp(&r[at]));
+                            }
+                        },
                         // Any other kernel: the interpreter's fast path
                         // over the lane. Total here — the term is in
                         // its class and `run_chain` saw the outer
                         // references resolve.
-                        None => sel.retain(|&lane| {
-                            let row = Lane {
-                                batch,
-                                row: lane as usize,
-                            };
-                            let truth = self.truth_fast(&term.expr, &row);
-                            settle(lane, truth.expect("kernel terms never leave the fast path"))
-                        }),
+                        None => {
+                            values.fill(&chain.cols);
+                            let mut settle = settle;
+                            sel.retain(|&lane| {
+                                let row = Lane {
+                                    chunk: values,
+                                    row: lane as usize,
+                                };
+                                let truth = self.truth_fast(&term.expr, &row);
+                                settle(lane, truth.expect("kernel terms never leave the fast path"))
+                            });
+                        }
                     }
                     stats.decide[i] += (before - sel.len()) as u64;
                 }
@@ -836,7 +884,7 @@ impl ExecContext {
                 route(t, truth, bypass, &mut out);
             }
             self.pass_settled(&chunk[run..], &acc[run..], bypass, &mut out)?;
-            abs0 += n as u32;
+            lo += n;
         }
         Ok((out, stats))
     }
@@ -977,11 +1025,11 @@ impl ExecContext {
         let schema = node.schema.clone();
         let (rel, handed) = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
-            PhysKind::Scan { data } => return Ok((data.clone(), Handed::Shared)),
+            PhysKind::Scan { data, .. } => return Ok((data.clone(), Handed::Shared)),
             PhysKind::Filter { input, predicate } => {
-                let input = self.eval_node(input, local)?;
-                let chain = self.chain_for(node, predicate, input.schema().arity());
-                let (pos, _neg) = self.run_chain(node, &input, &chain, false)?;
+                let rel = self.eval_node(input, local)?;
+                let chain = self.chain_for(node, predicate, rel.schema().arity());
+                let (pos, _neg) = self.run_chain(node, input, &rel, &chain, false)?;
                 (Relation::new(schema, pos), Handed::Shared)
             }
             PhysKind::Project { input, exprs } => {
@@ -1034,15 +1082,26 @@ impl ExecContext {
                 // the probe morsels.
                 let join = self.open_probe(spec, Some(&l), local)?;
                 let stages = self.open_chain(chain, local)?;
+                // A hash probe straight off a base table looks its keys
+                // up from the table's columns: a row is touched only
+                // once it has a partner or must be padded.
+                let table_key = match &join.on {
+                    ProbeOn::Hash { probe_keys, .. } => {
+                        TableKey::new(left.table_columns(), probe_keys)
+                    }
+                    ProbeOn::Loop(_) => None,
+                };
                 let parts = self.run_weighted_morsels(
                     node,
                     l.len(),
                     join.pairs_per_row(),
                     |ctx, range| {
                         let mut sink = Sink::new(stages.len());
-                        for t in &l.rows()[range] {
+                        for (i, t) in range.clone().zip(&l.rows()[range]) {
                             ctx.check_size(sink.rows.len())?;
-                            ctx.probe(&join, &RowView::new(t.values()), &stages, 0, &mut sink)?;
+                            let row = RowView::new(t.values());
+                            let key_at = table_key.as_ref().map(|key| (key, i));
+                            ctx.probe(&join, &row, key_at, &stages, 0, &mut sink)?;
                         }
                         Ok(sink)
                     },
@@ -1063,8 +1122,9 @@ impl ExecContext {
                 (Relation::new(schema, sink.rows), Handed::Fresh)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
+                let table = input.table_columns();
                 let input = self.eval_node(input, local)?;
-                let out = self.hash_aggregate(&input, keys, aggs, schema)?;
+                let out = self.hash_aggregate(&input, table, keys, aggs, schema)?;
                 if self.metrics.is_some() {
                     self.pending.input_rows += input.len() as u64;
                     self.pending.groups += out.len() as u64;
@@ -1218,9 +1278,9 @@ impl ExecContext {
         let schema = source.schema.clone();
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, predicate } => {
-                let input = self.eval_node(input, local)?;
-                let chain = self.chain_for(source, predicate, input.schema().arity());
-                let (pos, neg) = self.run_chain(source, &input, &chain, true)?;
+                let rel = self.eval_node(input, local)?;
+                let chain = self.chain_for(source, predicate, rel.schema().arity());
+                let (pos, neg) = self.run_chain(source, input, &rel, &chain, true)?;
                 let routed = [pos.len() as u64, neg.len() as u64];
                 let dual = (
                     Arc::new(Relation::new(schema.clone(), pos)),
@@ -1340,7 +1400,8 @@ impl ExecContext {
         let smaller_left = left
             .filter(|l| pad.is_none() && l.len() < right.len() && probe_keys.borrows())
             .map(|l| (&**l, &probe_keys));
-        let (table, charged) = self.build_hash_table(&right, right_keys, smaller_left)?;
+        let table = spec.right.table_columns();
+        let (table, charged) = self.build_hash_table(&right, table, right_keys, smaller_left)?;
         Ok(Probe {
             build: right,
             on: ProbeOn::Hash {
@@ -1389,11 +1450,14 @@ impl ExecContext {
     }
 
     /// Join one probing row against `probe`'s build side and hand every
-    /// emitted pair to stage `next` of `stages`.
+    /// emitted pair to stage `next` of `stages`. `key_at` is where a
+    /// hash probe reads the row's key instead of from the row itself:
+    /// the key columns of the base table `left` is row `i` of.
     fn probe(
         &mut self,
         probe: &Probe<'_>,
         left: &RowView<'_>,
+        key_at: Option<(&TableKey<'_>, usize)>,
         stages: &[LiveStage<'_>],
         next: usize,
         sink: &mut Sink,
@@ -1422,25 +1486,29 @@ impl ExecContext {
                 ..
             } => {
                 self.gov.tick()?;
-                // The key buffer leaves the sink while the pairs it
-                // matched travel down the chain (which borrows the sink).
-                let mut keybuf = std::mem::take(&mut sink.scratch[next]);
+                // The key is done with once its partners are found; the
+                // pairs travel down the chain (which borrows the sink)
+                // without it.
+                let keybuf = &mut sink.scratch[next];
+                let key = match key_at {
+                    Some((table_key, i)) => table_key.read(i, keybuf, false),
+                    None => self.read_key(probe_keys, left, keybuf, false)?,
+                };
                 // NULL keys never match.
-                if let Some((hash, key)) = self.read_key(probe_keys, left, &mut keybuf, false)? {
-                    let mut reverify = 0;
-                    for &bi in table.matches(hash, key, &mut reverify) {
-                        let pair = left.with(build[bi as usize].values());
-                        if let Some(p) = residual {
-                            if !self.eval_truth(p, &pair)?.is_true() {
-                                continue;
-                            }
+                let partners = match key {
+                    Some((hash, key)) => table.matches(hash, key, &mut sink.reverify),
+                    None => &[],
+                };
+                for &bi in partners {
+                    let pair = left.with(build[bi as usize].values());
+                    if let Some(p) = residual {
+                        if !self.eval_truth(p, &pair)?.is_true() {
+                            continue;
                         }
-                        matched = true;
-                        self.emit(&pair, stages, next, sink)?;
                     }
-                    sink.reverify += reverify;
+                    matched = true;
+                    self.emit(&pair, stages, next, sink)?;
                 }
-                sink.scratch[next] = keybuf;
             }
         }
         if let (false, Some(pad)) = (matched, &probe.pad) {
@@ -1489,7 +1557,7 @@ impl ExecContext {
                 sink.scratch[at + 1] = out;
                 done
             }
-            LiveStage::Probe(probe) => self.probe(probe, row, stages, at + 1, sink),
+            LiveStage::Probe(probe) => self.probe(probe, row, None, stages, at + 1, sink),
         }
     }
 
@@ -1504,13 +1572,18 @@ impl ExecContext {
     /// a probing row will ask for it. The table answers every probe as
     /// the full one would, so the join emits the same rows in the same
     /// order whichever way it was built.
+    ///
+    /// `columns` are those of the base table `rel` is, if it is one:
+    /// build keys that are plain columns are then read off them.
     fn build_hash_table(
         &mut self,
         rel: &Relation,
+        columns: Option<&TableColumns>,
         keys: &[PhysExpr],
         only: Option<(&Relation, &KeyReader<'_>)>,
     ) -> Result<(JoinTable, u64)> {
         let reader = KeyReader::new(keys);
+        let table_key = TableKey::new(columns, &reader);
         let key_bytes = keys.len() as u64 * VALUE_BYTES;
         let distinct_keys = only.map_or(rel.len(), |(probing, _)| probing.len());
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
@@ -1530,7 +1603,11 @@ impl ExecContext {
         }
         for (i, t) in rel.rows().iter().enumerate() {
             self.gov.tick()?;
-            let Some((hash, key)) = self.read_key(&reader, t, &mut keybuf, false)? else {
+            let key = match &table_key {
+                Some(table_key) => table_key.read(i, &mut keybuf, false),
+                None => self.read_key(&reader, t, &mut keybuf, false)?,
+            };
+            let Some((hash, key)) = key else {
                 continue;
             };
             let bytes = if only.is_none() {
@@ -1547,6 +1624,18 @@ impl ExecContext {
         table.seal();
         Ok((table, charged))
     }
+}
+
+/// One slice loop of the chunked σ: settle every selected lane with the
+/// truth of `op` over how the lane's two operands compare.
+#[inline]
+fn retain_compared(
+    sel: &mut Vec<u32>,
+    op: BinOp,
+    mut settle: impl FnMut(u32, Truth) -> bool,
+    ord: impl Fn(usize) -> Option<std::cmp::Ordering>,
+) {
+    sel.retain(|&lane| settle(lane, ord_truth(op, ord(lane as usize))));
 }
 
 /// Hand a filtered row on — a refcount bump, the buffer stays shared
@@ -1601,12 +1690,7 @@ pub(crate) mod tests {
                 .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
                 .collect(),
         );
-        PhysNode::new(
-            PhysKind::Scan {
-                data: Arc::new(rel),
-            },
-            schema,
-        )
+        PhysNode::scan(TableColumns::new(rel), schema)
     }
 
     pub(crate) fn run(node: &Arc<PhysNode>) -> Relation {
@@ -1691,7 +1775,7 @@ pub(crate) mod tests {
     #[test]
     fn scan_result_shares_storage_with_catalog() {
         let scan = int_rel("r", &["a"], &[&[1], &[2]]);
-        let PhysKind::Scan { data } = &scan.kind else {
+        let PhysKind::Scan { data, .. } = &scan.kind else {
             panic!()
         };
         let out = evaluate_shared(&scan, ExecOptions::default()).unwrap();

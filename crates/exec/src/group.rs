@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use bypass_algebra::BinOp;
+use bypass_catalog::TableColumns;
 use bypass_types::{
     tuple_bytes, value_heap_bytes, Relation, Result, Schema, Tuple, Value, VALUE_BYTES,
 };
@@ -15,7 +16,7 @@ use bypass_types::{
 use crate::agg::{AggSpec, AggStates};
 use crate::eval::{concat_rows, ExecContext};
 use crate::expr::PhysExpr;
-use crate::hash::{KeyReader, KeyRef, KeyTable};
+use crate::hash::{KeyReader, KeyRef, KeyTable, TableKey};
 use crate::interp::{eval_binop, value_truth};
 use crate::node::PhysNode;
 
@@ -77,11 +78,13 @@ impl<'p> Groups<'p> {
 impl ExecContext {
     /// Γ over a materialized input: one pass on the master, grouping in
     /// place. Keys and arguments that are plain columns are read off the
-    /// row; a fan-out would hand rows to workers and values back for
-    /// less work than that costs (DESIGN.md §7).
+    /// row — or, when the input is a base table (`table`), off the
+    /// table's columns; a fan-out would hand rows to workers and values
+    /// back for less work than that costs (DESIGN.md §7).
     pub(crate) fn hash_aggregate(
         &mut self,
         input: &Relation,
+        table: Option<&TableColumns>,
         keys: &[PhysExpr],
         aggs: &[AggSpec],
         schema: Schema,
@@ -89,19 +92,29 @@ impl ExecContext {
         let rows = input.rows();
         let width = keys.len();
         let reader = KeyReader::new(keys);
+        let table_key = TableKey::new(table, &reader);
+        let table_arg = |a: &PhysExpr| match (table, a) {
+            (Some(table), PhysExpr::Column(c)) => table.get(*c),
+            _ => None,
+        };
         let mut groups = Groups::new(width, aggs, rows.len());
         let mut keybuf = Vec::new();
-        for t in rows {
+        for (i, t) in rows.iter().enumerate() {
             self.gov.tick()?;
             let g = if width == 0 {
                 0
             } else {
-                let (hash, key) = self
-                    .read_key(&reader, t, &mut keybuf, true)?
-                    .expect("grouping keys keep their NULLs");
+                let key = match &table_key {
+                    Some(table_key) => table_key.read(i, &mut keybuf, true),
+                    None => self.read_key(&reader, t, &mut keybuf, true)?,
+                };
+                let (hash, key) = key.expect("grouping keys keep their NULLs");
                 groups.of(hash, key)
             };
-            groups.states.fold(g, t, |a| self.eval_cow(a, t))?;
+            groups.states.fold(g, t, |a| match table_arg(a) {
+                Some(column) => Ok(column.get(i)),
+                None => self.eval_cow(a, t),
+            })?;
         }
         Ok(Relation::new(schema, groups.into_rows(width, aggs.len())))
     }
@@ -299,12 +312,7 @@ mod tests {
                 Tuple::new(vec![Value::Null, Value::Int(4)]),
             ],
         );
-        let scan = PhysNode::new(
-            PhysKind::Scan {
-                data: Arc::new(rel),
-            },
-            schema_in,
-        );
+        let scan = PhysNode::scan(TableColumns::new(rel), schema_in);
         let schema = Schema::new(vec![
             Field::new("k", DataType::Text),
             Field::new("s", DataType::Int),

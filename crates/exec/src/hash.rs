@@ -19,12 +19,15 @@
 //! * [`CorrMemo`] — the correlated-subquery memo.
 //!
 //! Keys are presented as a [`KeyRef`]: plain column references are read
-//! in place from the row, only computed keys go through a value buffer.
+//! in place from the row, computed keys — and keys a loop over a base
+//! table reads off the table's columns ([`TableKey`]) — go through a
+//! value buffer.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use bypass_types::{value_heap_bytes, FxHasher, Relation, Tuple, Value};
+use bypass_catalog::TableColumns;
+use bypass_types::{value_heap_bytes, Column, FxHasher, Relation, Tuple, Value};
 
 use crate::expr::PhysExpr;
 use crate::row::Row;
@@ -193,6 +196,49 @@ impl<'p> KeyReader<'p> {
     /// Nothing but column reads: no per-row work worth fanning out.
     pub(crate) fn borrows(&self) -> bool {
         matches!(self, KeyReader::Cols(_))
+    }
+}
+
+/// The key columns of a base table: how a loop that knows its rows'
+/// positions in the table reads their keys without touching the rows.
+/// Each key is written out as [`Value`]s and travels as
+/// [`KeyRef::Vals`], so it hashes and compares as the row's own key
+/// would.
+pub(crate) struct TableKey<'t>(Vec<&'t Column>);
+
+impl<'t> TableKey<'t> {
+    /// `Some` when the rows come straight from a base table (`table`)
+    /// and the key is plain columns of it.
+    pub(crate) fn new(
+        table: Option<&'t TableColumns>,
+        reader: &KeyReader<'_>,
+    ) -> Option<TableKey<'t>> {
+        let (table, KeyReader::Cols(cols)) = (table?, reader) else {
+            return None;
+        };
+        let cols = cols.iter().map(|&c| table.get(c).map(|col| &**col));
+        cols.collect::<Option<_>>().map(TableKey)
+    }
+
+    /// The key of row `i` of the table, with its hash, built in `buf`.
+    /// With `nulls_match` unset (joins) a NULL key value yields `None`.
+    #[inline]
+    pub(crate) fn read<'a, R: Row>(
+        &self,
+        i: usize,
+        buf: &'a mut Vec<Value>,
+        nulls_match: bool,
+    ) -> Option<(u64, KeyRef<'a, R>)> {
+        buf.clear();
+        for col in &self.0 {
+            let v = col.get(i);
+            if v.is_null() && !nulls_match {
+                return None;
+            }
+            buf.push(v.into_owned());
+        }
+        let key = KeyRef::Vals(buf);
+        Some((key.hash(), key))
     }
 }
 

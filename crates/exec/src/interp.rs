@@ -12,13 +12,14 @@
 //!   evaluate tens of millions of such predicates per query;
 //! * the σ/σ± chunk loop runs a chain's *kernel terms* — the terms
 //!   [`is_simple`] admits — column-wise through the same `truth_fast`
-//!   over a lane of the cached batch (`vector.rs`), so kernel and
+//!   over a lane of the batch (`vector.rs`), so kernel and
 //!   row evaluation are one function, not two kept equal by hand;
 //! * adaptive reordering may move a term only if it cannot raise a
 //!   value error — [`can_raise`], of which the simple class is the
 //!   cheap corner.
 //!
-//! Every comparison, whichever route reaches it, is [`cmp_truth`].
+//! Every comparison, whichever route reaches it, is [`ord_truth`] of how
+//! its operands compare ([`cmp_truth`] for two values).
 //!
 //! Nested query blocks are evaluated here too: per outer row the
 //! subquery's physical plan runs with the row pushed onto the binding
@@ -59,24 +60,32 @@ pub fn value_truth(v: &Value) -> Truth {
     }
 }
 
-/// Truth of `l ⟨op⟩ r` for one of the six comparison operators — the
-/// only mapping of them onto [`Ordering`]: [`eval_binop`], the row fast
-/// path and the column loops of the chunked σ all come here.
+/// Truth of a comparison whose operands compare as `ord` (`None`:
+/// incomparable, or one of them NULL) — the only mapping of the six
+/// comparison operators onto [`Ordering`]: [`cmp_truth`] over values and
+/// the typed column loops of the chunked σ all come here.
+#[inline]
+pub(crate) fn ord_truth(op: BinOp, ord: Option<Ordering>) -> Truth {
+    let Some(o) = ord else {
+        return Truth::Unknown;
+    };
+    Truth::from_bool(match op {
+        BinOp::Eq => o == Ordering::Equal,
+        BinOp::Neq => o != Ordering::Equal,
+        BinOp::Lt => o == Ordering::Less,
+        BinOp::LtEq => o != Ordering::Greater,
+        BinOp::Gt => o == Ordering::Greater,
+        BinOp::GtEq => o != Ordering::Less,
+        _ => unreachable!("{} is not a comparison", op.symbol()),
+    })
+}
+
+/// Truth of `l ⟨op⟩ r` for one of the six comparison operators:
+/// [`eval_binop`], the row fast path and the `Value` column loops of the
+/// chunked σ.
 #[inline]
 pub(crate) fn cmp_truth(op: BinOp, l: &Value, r: &Value) -> Truth {
-    let hit = |pred: fn(Ordering) -> bool| match l.sql_cmp(r) {
-        None => Truth::Unknown,
-        Some(o) => Truth::from_bool(pred(o)),
-    };
-    match op {
-        BinOp::Eq => l.sql_eq(r),
-        BinOp::Neq => l.sql_eq(r).not(),
-        BinOp::Lt => hit(|o| o == Ordering::Less),
-        BinOp::LtEq => hit(|o| o != Ordering::Greater),
-        BinOp::Gt => hit(|o| o == Ordering::Greater),
-        BinOp::GtEq => hit(|o| o != Ordering::Less),
-        _ => unreachable!("{} is not a comparison", op.symbol()),
-    }
+    ord_truth(op, l.sql_cmp(r))
 }
 
 /// Evaluate a binary operator over two values (both already computed).

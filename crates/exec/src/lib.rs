@@ -28,7 +28,10 @@
 //! `govern.rs` is the governor (checkpoints, byte budget, cancellation,
 //! deadline); `hash.rs` the one hash index; `agg.rs`/`group.rs` the
 //! grouping operators; `plan.rs` turns a logical plan into a
-//! [`PhysNode`] DAG.
+//! [`PhysNode`] DAG. A loop whose input is a base-table scan — a σ/σ±
+//! chunk, Γ, a hash build, a hash probe — reads plain column
+//! expressions off the table's typed columns
+//! (`bypass_catalog::TableColumns`) instead of the rows.
 
 mod agg;
 mod eval;

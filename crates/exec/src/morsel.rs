@@ -131,7 +131,7 @@ impl ExecContext {
             .collect::<Option<Vec<u64>>>()?;
         let sum = |xs: &[u64]| xs.iter().fold(0u64, |a, &b| a.saturating_add(b));
         let rows = match &plan.kind {
-            PhysKind::Scan { data } => data.len() as u64,
+            PhysKind::Scan { data, .. } => data.len() as u64,
             // Left × right, plus the build sides of fused probes.
             PhysKind::Join {
                 spec:

@@ -1,6 +1,7 @@
 use std::sync::Arc;
 
 use bypass_algebra::BinOp;
+use bypass_catalog::TableColumns;
 use bypass_types::{Relation, Schema, Value};
 
 use crate::agg::AggSpec;
@@ -18,6 +19,22 @@ pub struct PhysNode {
 impl PhysNode {
     pub fn new(kind: PhysKind, schema: Schema) -> Arc<PhysNode> {
         Arc::new(PhysNode { kind, schema })
+    }
+
+    /// A scan of the base table `columns` belongs to.
+    pub fn scan(columns: Arc<TableColumns>, schema: Schema) -> Arc<PhysNode> {
+        let data = columns.data().clone();
+        PhysNode::new(PhysKind::Scan { data, columns }, schema)
+    }
+
+    /// The base table's columns, if this node is a scan: what the
+    /// scan-rooted loops (σ/σ± chunks, Γ, hash build, hash probe) read
+    /// plain column expressions from instead of the rows.
+    pub(crate) fn table_columns(&self) -> Option<&TableColumns> {
+        match &self.kind {
+            PhysKind::Scan { columns, .. } => Some(columns),
+            _ => None,
+        }
     }
 }
 
@@ -142,8 +159,13 @@ impl Chain {
 /// Physical operator kinds.
 #[derive(Debug)]
 pub enum PhysKind {
-    /// Base-table scan over shared storage (zero-copy).
-    Scan { data: Arc<Relation> },
+    /// Base-table scan over shared storage (zero-copy): the rows, and
+    /// the table's lazily built columns over the same rows
+    /// ([`PhysNode::scan`] keeps the two together).
+    Scan {
+        data: Arc<Relation>,
+        columns: Arc<TableColumns>,
+    },
     /// σ_p — keeps tuples whose predicate is TRUE (3-valued logic).
     Filter {
         input: Arc<PhysNode>,

@@ -2,7 +2,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bypass_algebra::{AggCall, BinOp, ColumnRef, LogicalPlan, Scalar, Stream};
-use bypass_catalog::Catalog;
+use bypass_catalog::{Catalog, TableColumns};
 use bypass_types::{Error, Relation, Result, Schema, Tuple};
 
 use crate::agg::AggSpec;
@@ -286,19 +286,12 @@ impl<'a> Resolver<'a> {
         let node = match plan.as_ref() {
             LogicalPlan::Scan { table, .. } => {
                 let t = self.catalog.get(table)?;
-                PhysNode::new(
-                    PhysKind::Scan {
-                        data: t.data().clone(),
-                    },
-                    schema,
-                )
+                PhysNode::scan(t.columns().clone(), schema)
             }
-            LogicalPlan::Singleton => PhysNode::new(
-                PhysKind::Scan {
-                    data: Arc::new(Relation::new(Schema::empty(), vec![Tuple::new(vec![])])),
-                },
-                schema,
-            ),
+            LogicalPlan::Singleton => {
+                let one_row = Relation::new(Schema::empty(), vec![Tuple::new(vec![])]);
+                PhysNode::scan(TableColumns::new(one_row), schema)
+            }
             LogicalPlan::Filter { input, predicate } => {
                 let child = self.plan_node(input, block)?;
                 let pred = self.resolve(predicate, &input.schema())?;

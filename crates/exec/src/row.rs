@@ -1,4 +1,4 @@
-use bypass_types::{Batch, Tuple, Value};
+use bypass_types::{Batch, Column, Tuple, Value};
 
 /// Positional access to a row's values — all the interpreter's
 /// borrow-only fast path ever asks of a row.
@@ -35,20 +35,85 @@ impl Row for Tuple {
     }
 }
 
-/// Row `row` of a columnar [`Batch`], read in place: how the chunked σ
-/// runs a kernel term through the interpreter's fast path. Only
-/// [`Columns`] — a batch holds just the columns the kernels read, so
-/// there is no tuple to hand out — and only over columns below the
-/// batch's arity, which is what the kernel-term test guarantees.
-pub(crate) struct Lane<'a> {
+/// The kernel columns of one chunk (`rows` consecutive rows from `lo`)
+/// of a [`Batch`] as [`Value`] slices, for the kernel terms no typed
+/// loop runs: a [`Column::Values`] is read in place, a typed column
+/// through a copy of the chunk's slots — at most `batch_rows` values,
+/// made when a term first asks for the column in this chunk.
+pub(crate) struct ChunkValues<'a> {
     pub(crate) batch: &'a Batch,
+    /// By column, once a typed column has been asked for: the `lo` of
+    /// the chunk its slots were last copied for, and the copies.
+    copies: Vec<(usize, Vec<Value>)>,
+    lo: usize,
+    rows: usize,
+}
+
+impl<'a> ChunkValues<'a> {
+    pub(crate) fn new(batch: &'a Batch) -> ChunkValues<'a> {
+        ChunkValues {
+            batch,
+            copies: Vec::new(),
+            lo: 0,
+            rows: 0,
+        }
+    }
+
+    /// Move on to the chunk of `rows` rows from `lo`.
+    pub(crate) fn start(&mut self, lo: usize, rows: usize) {
+        (self.lo, self.rows) = (lo, rows);
+    }
+
+    /// Make [`Self::column`] answer for `cols`, typed ones included.
+    pub(crate) fn fill(&mut self, cols: &[usize]) {
+        for &c in cols {
+            let col = self.batch.column(c).expect("kernel columns are built");
+            if matches!(col, Column::Values(_)) {
+                continue;
+            }
+            if self.copies.is_empty() {
+                self.copies
+                    .resize(self.batch.arity(), (usize::MAX, Vec::new()));
+            }
+            let (copied_at, slots) = &mut self.copies[c];
+            if *copied_at != self.lo {
+                slots.clear();
+                slots.extend((self.lo..self.lo + self.rows).map(|r| col.get(r).into_owned()));
+                *copied_at = self.lo;
+            }
+        }
+    }
+
+    /// Column `c` of the chunk, indexed from the chunk's first row;
+    /// empty for a column the batch was not built with.
+    #[inline]
+    pub(crate) fn column(&self, c: usize) -> &[Value] {
+        match self.batch.column(c) {
+            Some(Column::Values(xs)) => &xs[self.lo..self.lo + self.rows],
+            Some(_) => {
+                let (copied_at, slots) = &self.copies[c];
+                debug_assert_eq!(*copied_at, self.lo, "fill() before reading");
+                slots
+            }
+            None => &[],
+        }
+    }
+}
+
+/// Row `row` of a chunk, read in place: how the chunked σ runs a kernel
+/// term through the interpreter's fast path. Only [`Columns`] — a batch
+/// holds just the columns the kernels read, so there is no tuple to
+/// hand out — and only over those columns, which is what the
+/// kernel-term test guarantees.
+pub(crate) struct Lane<'a> {
+    pub(crate) chunk: &'a ChunkValues<'a>,
     pub(crate) row: usize,
 }
 
 impl Columns for Lane<'_> {
     #[inline]
     fn get(&self, i: usize) -> Option<&Value> {
-        self.batch.column(i).get(self.row)
+        self.chunk.column(i).get(self.row)
     }
 }
 

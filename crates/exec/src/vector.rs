@@ -16,14 +16,20 @@
 //!
 //! **Kernels.** A kernel term has no compiled form of its own: it is
 //! its [`PhysExpr`], evaluated by the interpreter's borrow-only fast
-//! path over a lane of the cached batch — the function that evaluates
-//! the same expression over a row, so the two cannot disagree. Two
-//! shapes (`SliceLoop`) skip even the per-lane expression walk and
-//! run as a tight loop over the column slices: `column ⟨cmp⟩ constant`
-//! (a literal, or an outer reference resolved once per call — the
+//! path over a lane of the batch — the function that evaluates the same
+//! expression over a row, so the two cannot disagree. Two shapes
+//! (`SliceLoop`) skip even the per-lane expression walk and run as a
+//! tight loop over the column slices: `column ⟨cmp⟩ constant` (a
+//! literal, or an outer reference resolved once per call — the
 //! correlation predicate of a canonical plan's nested block) and
 //! `column ⟨cmp⟩ column` (the linking predicate an unnested plan
-//! filters its outer join by).
+//! filters its outer join by). The batch of a σ/σ± over a base table
+//! is the table's own typed columns (`bypass_types::Column`): where
+//! column and constant, or both columns, are `i64`s or `f64`s, those
+//! two loops compare bare numbers — `Ord` / `PartialOrd` through the
+//! interpreter's one comparison table; every other kernel term reads
+//! `Value`s, in place from a `Column::Values`, through a per-chunk copy
+//! of at most `batch_rows` slots from a typed column.
 //!
 //! **Adaptive ordering (BestD).** Per-term reach/decide counters feed a
 //! rank `cost × reach ⁄ decide` (expected cost per decided row); at
@@ -110,7 +116,7 @@ pub struct CompiledChain {
     /// reordering can actually happen)?
     pub adaptive: bool,
     /// Columns read by the top-level kernels — the only columns the
-    /// chunk loop needs transposed (nested chains evaluate their
+    /// chunk loop needs as columns (nested chains evaluate their
     /// kernel-bearing terms through `eval_truth`). Sorted, deduped.
     pub cols: Vec<usize>,
 }
@@ -274,7 +280,8 @@ fn term_outer_ok(e: &PhysExpr, outer: &[Tuple]) -> bool {
 }
 
 /// The two kernel shapes the chunk loop runs as one tight loop over
-/// column slices, with no per-lane walk of the expression.
+/// column slices — of bare numbers when the operands' types allow, of
+/// values otherwise — with no per-lane walk of the expression.
 pub(crate) enum SliceLoop<'a> {
     /// `column ⟨cmp⟩ constant`, the constant a literal or an outer
     /// reference resolved against the call's bindings; `constant ⟨cmp⟩
@@ -518,12 +525,8 @@ mod tests {
         use bypass_algebra::AggFunc;
         use bypass_types::{DataType, Field, Relation, Schema};
         let schema = Schema::new(vec![Field::new("b", DataType::Int)]);
-        let scan = PhysNode::new(
-            PhysKind::Scan {
-                data: std::sync::Arc::new(Relation::new(schema.clone(), vec![])),
-            },
-            schema,
-        );
+        let empty = Relation::new(schema.clone(), vec![]);
+        let scan = PhysNode::scan(bypass_catalog::TableColumns::new(empty), schema);
         let agg_schema = Schema::new(vec![Field::new("c", DataType::Int)]);
         PhysNode::new(
             PhysKind::HashAggregate {
@@ -546,12 +549,8 @@ mod tests {
             plan: {
                 use bypass_types::{DataType, Field, Relation, Schema};
                 let schema = Schema::new(vec![Field::new("b", DataType::Int)]);
-                let scan = PhysNode::new(
-                    PhysKind::Scan {
-                        data: std::sync::Arc::new(Relation::new(schema.clone(), vec![])),
-                    },
-                    schema,
-                );
+                let empty = Relation::new(schema.clone(), vec![]);
+                let scan = PhysNode::scan(bypass_catalog::TableColumns::new(empty), schema);
                 let agg_schema = Schema::new(vec![Field::new("c", DataType::Int)]);
                 PhysNode::new(
                     PhysKind::HashAggregate {

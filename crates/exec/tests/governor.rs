@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use bypass_algebra::{AggFunc, BinOp};
+use bypass_catalog::TableColumns;
 use bypass_exec::{
     evaluate_with, AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr,
     PhysKind, PhysNode,
@@ -28,12 +29,7 @@ fn int_rel(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Arc<PhysNode> {
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect(),
     );
-    PhysNode::new(
-        PhysKind::Scan {
-            data: Arc::new(rel),
-        },
-        schema,
-    )
+    PhysNode::scan(TableColumns::new(rel), schema)
 }
 
 fn cmp(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
@@ -202,10 +198,8 @@ fn chunked_plan() -> (Arc<PhysNode>, Vec<u64>) {
             ])
         })
         .collect();
-    let scan = PhysNode::new(
-        PhysKind::Scan {
-            data: Arc::new(Relation::new(schema.clone(), rows.clone())),
-        },
+    let scan = PhysNode::scan(
+        TableColumns::new(Relation::new(schema.clone(), rows.clone())),
         schema.clone(),
     );
     // σ: x > 2 OR y + 0 < 12
@@ -474,6 +468,143 @@ fn faults_inside_nested_plans_land_identically_on_reused_workers() {
             let expected = run(&serial);
             assert_eq!(expected.1, k, "{kind:?}");
             assert_eq!(run(&forked), expected, "checkpoint {k} {kind:?}");
+        }
+    }
+}
+
+/// `facts(k, v)` of 40 rows grouped by `k`, and both ways of hash-joining
+/// it with a 10-row `dims(k)` — the loops that read a base table by
+/// column — over the scans themselves or over an `Alias` of each, an
+/// intermediate with the same rows that takes the row route. With each
+/// plan, how many `Alias` nodes it holds and the rows they charge for.
+fn scan_rooted_plans(aliased: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64)> {
+    let facts: Vec<Vec<i64>> = (0..40).map(|i| vec![(i * 7) % 13, i]).collect();
+    let dims: Vec<Vec<i64>> = (0..10).map(|k| vec![2 * k]).collect();
+    let table = |name: &str, cols: &[&str], rows: &[Vec<i64>]| {
+        let scan = int_rel(name, cols, rows);
+        match aliased {
+            false => scan,
+            true => {
+                let schema = scan.schema.clone();
+                PhysNode::new(PhysKind::Alias { input: scan }, schema)
+            }
+        }
+    };
+    let f = || table("f", &["k", "v"], &facts);
+    let d = || table("d", &["k"], &dims);
+    let agg = |func, distinct, arg: Option<usize>| AggSpec {
+        func,
+        distinct,
+        arg: arg.map(PhysExpr::Column),
+    };
+    let gamma = PhysNode::new(
+        PhysKind::HashAggregate {
+            input: f(),
+            keys: vec![PhysExpr::Column(0)],
+            aggs: vec![
+                agg(AggFunc::Sum, false, Some(1)),
+                agg(AggFunc::Count, true, None),
+            ],
+        },
+        Schema::new(
+            ["k", "s", "n"]
+                .map(|n| Field::new(n, DataType::Int))
+                .to_vec(),
+        ),
+    );
+    let join = |left: Arc<PhysNode>, right: Arc<PhysNode>| {
+        let fields = left.schema.fields().iter().chain(right.schema.fields());
+        let schema = Schema::new(fields.cloned().collect());
+        PhysNode::new(
+            PhysKind::Join {
+                left,
+                spec: JoinSpec {
+                    right,
+                    on: JoinOn::Hash {
+                        left_keys: vec![PhysExpr::Column(0)],
+                        right_keys: vec![PhysExpr::Column(0)],
+                        residual: None,
+                    },
+                    defaults: None,
+                },
+                chain: None,
+            },
+            schema,
+        )
+    };
+    vec![
+        ("Γ over facts", gamma, 1, 40),
+        // The larger input probes: a full build over `dims`.
+        ("facts ⋈ dims", join(f(), d()), 2, 50),
+        // The smaller input probes: the build over `facts` admits only
+        // the keys `dims` holds.
+        ("dims ⋈ facts", join(d(), f()), 2, 50),
+    ]
+}
+
+/// A fault at any checkpoint of a Γ, a hash build or a hash probe over a
+/// scan lands where it does over an intermediate holding the same rows:
+/// the same checkpoint of the same loop — each `Alias` passes one of its
+/// own first — with the same bytes in use besides the `Alias`es' own.
+#[test]
+fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
+    let mechanisms = [(1, 4096), (8, 2)].map(|(threads, morsel_rows)| ExecOptions {
+        threads,
+        morsel_rows,
+        ..Default::default()
+    });
+    for ((name, scan, ..), (_, alias, aliases, alias_rows)) in scan_rooted_plans(false)
+        .into_iter()
+        .zip(scan_rooted_plans(true))
+    {
+        let total = counters(&scan, mechanisms[0].clone());
+        let held = alias_rows * SHARED_ROW_BYTES;
+        let through_alias = counters(&alias, mechanisms[0].clone());
+        assert_eq!(
+            through_alias.checkpoints,
+            total.checkpoints + aliases,
+            "{name}"
+        );
+        assert_eq!(
+            through_alias.peak_memory_bytes,
+            total.peak_memory_bytes + held,
+            "{name}"
+        );
+        assert!(total.checkpoints >= 40, "{name}: a tick per fact row");
+        for k in 1..=total.checkpoints {
+            for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
+                let run = |plan: &Arc<PhysNode>, at: u64, options: &ExecOptions| {
+                    let mut ctx = ExecContext::new(ExecOptions {
+                        fault: Some(InjectedFault::new(at, kind)),
+                        ..options.clone()
+                    });
+                    let err = ctx.eval_plan(plan).unwrap_err();
+                    (err, ctx.counters().checkpoints)
+                };
+                let (err, at) = run(&scan, k, &mechanisms[0]);
+                assert_eq!(at, k, "{name} {kind:?}");
+                let shifted = match err.clone() {
+                    Error::ResourceExhausted {
+                        resource: ResourceKind::Memory,
+                        limit,
+                        observed,
+                    } => Error::resource_exhausted(
+                        ResourceKind::Memory,
+                        limit + held,
+                        observed + held,
+                    ),
+                    other => other,
+                };
+                for options in &mechanisms {
+                    let at = format!("{name}: checkpoint {k} {kind:?} under {options:?}");
+                    assert_eq!(run(&scan, k, options), (err.clone(), k), "{at}");
+                    assert_eq!(
+                        run(&alias, k + aliases, options),
+                        (shifted.clone(), k + aliases),
+                        "{at}, over the alias"
+                    );
+                }
+            }
         }
     }
 }

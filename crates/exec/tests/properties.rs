@@ -24,13 +24,14 @@
 use std::sync::Arc;
 
 use bypass_algebra::{AggFunc, BinOp};
+use bypass_catalog::TableColumns;
 use bypass_check::{forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen};
 use bypass_exec::{
     evaluate, value_truth, AggSpec, Chain, ExecContext, ExecOptions, JoinOn, JoinSpec, PhysExpr,
     PhysKind, PhysNode, RowView, Stage,
 };
 use bypass_types::{
-    tuple_bytes, DataType, Field, Relation, Schema, Truth, Tuple, Value, SHARED_ROW_BYTES,
+    tuple_bytes, Column, DataType, Field, Relation, Schema, Truth, Tuple, Value, SHARED_ROW_BYTES,
 };
 
 const CASES: u32 = 64;
@@ -55,10 +56,8 @@ fn rel2(name: &str, a: &[Option<i64>], b: &[Option<i64>]) -> Arc<PhysNode> {
             ])
         })
         .collect();
-    PhysNode::new(
-        PhysKind::Scan {
-            data: Arc::new(Relation::new(schema.clone(), rows)),
-        },
+    PhysNode::scan(
+        TableColumns::new(Relation::new(schema.clone(), rows)),
         schema,
     )
 }
@@ -625,10 +624,8 @@ fn operand_scan(rows: Vec<Tuple>) -> Arc<PhysNode> {
             .map(|n| Field::qualified("v", n, DataType::Int))
             .to_vec(),
     );
-    PhysNode::new(
-        PhysKind::Scan {
-            data: Arc::new(Relation::new(schema.clone(), rows)),
-        },
+    PhysNode::scan(
+        TableColumns::new(Relation::new(schema.clone(), rows)),
         schema,
     )
 }
@@ -650,24 +647,132 @@ fn chunkings() -> [ExecOptions; 2] {
     })
 }
 
+/// Thirteen integers, the ones around 2^53 — where `i64 → f64` starts
+/// to round — and the extremes included.
+fn int_operands() -> Vec<Value> {
+    let two53 = 1i64 << 53;
+    [
+        0,
+        1,
+        2,
+        -1,
+        7,
+        -7,
+        100,
+        two53 - 1,
+        two53,
+        two53 + 1,
+        i64::MAX,
+        i64::MIN,
+        3,
+    ]
+    .map(Value::Int)
+    .to_vec()
+}
+
+/// Thirteen floats: both zeros, NaN, the infinities, integral values
+/// equal to some of [`int_operands`] and 2^53 with its successor.
+fn float_operands() -> Vec<Value> {
+    [
+        0.0,
+        -0.0,
+        1.0,
+        1.5,
+        2.0,
+        -1.0,
+        0.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        9007199254740992.0,
+        9007199254740994.0,
+        1e300,
+    ]
+    .map(Value::Float)
+    .to_vec()
+}
+
+/// Which representation a scan's columns `l` and `r` take.
+fn operand_columns(scan: &PhysNode) -> [Column; 2] {
+    let PhysKind::Scan { columns, .. } = &scan.kind else {
+        panic!("operand_scan builds a scan")
+    };
+    [0, 1].map(|c| Column::clone(columns.get(c).expect("l and r exist")))
+}
+
 #[test]
 fn simple_predicates_have_one_truth_value_on_every_route() {
-    let vals = operand_values();
-    let n = vals.len();
+    // Mixed operands: every column falls back to `Column::Values`.
+    let mixed = operand_values();
+    let [l, r] = check_operand_table(&mixed, &mixed);
+    assert!(matches!((l, r), (Column::Values(_), Column::Values(_))));
+    // The typed routes: all-Int and all-Float columns against constants
+    // and columns of their own type …
+    let (ints, floats) = (int_operands(), float_operands());
+    let [l, r] = check_operand_table(&ints, &ints);
+    assert!(matches!((l, r), (Column::Int(_), Column::Int(_))));
+    let [l, r] = check_operand_table(&floats, &floats);
+    assert!(matches!((l, r), (Column::Float(_), Column::Float(_))));
+    // … and against the other's, which no typed loop serves.
+    let [l, r] = check_operand_table(&ints, &floats);
+    assert!(matches!((l, r), (Column::Int(_), Column::Float(_))));
+
+    // A few absolute pins, so that agreement is not agreement on nonsense.
+    let mut ctx = ExecContext::new(ExecOptions::default());
+    let lit = |v: &Value| PhysExpr::Literal(v.clone());
+    let mut truth =
+        |op, l: Value, r: Value| ctx.eval_truth(&cmp(op, lit(&l), lit(&r)), &Tuple::empty());
+    assert_eq!(
+        truth(BinOp::Eq, Value::Int(1), Value::Float(1.0)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Eq, Value::Float(-0.0), Value::Float(0.0)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Lt, Value::Int(1), Value::Float(1.5)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::Neq, Value::Float(f64::NAN), Value::Int(1)).unwrap(),
+        Truth::Unknown
+    );
+    assert_eq!(
+        truth(BinOp::Eq, Value::text("a"), Value::Int(1)).unwrap(),
+        Truth::Unknown
+    );
+    assert_eq!(
+        truth(BinOp::GtEq, Value::Bool(true), Value::Bool(false)).unwrap(),
+        Truth::True
+    );
+    assert_eq!(
+        truth(BinOp::LtEq, Value::Null, Value::Null).unwrap(),
+        Truth::Unknown
+    );
+}
+
+/// The simple-predicate class over every `(l, r)` drawn from `ls` × `rs`
+/// has one truth value on every route — `Value`, row fast path, the
+/// chunked σ over a column, whichever representation the column takes
+/// — with `r` a column, a literal and an outer reference. Returns the
+/// representations of the pair scan's two operand columns.
+fn check_operand_table(ls: &[Value], rs: &[Value]) -> [Column; 2] {
+    let (nl, nr) = (ls.len(), rs.len());
     let lit = |v: &Value| PhysExpr::Literal(v.clone());
     let outer = PhysExpr::Outer { depth: 1, index: 0 };
     // Every (l, r) pair, and every l alone with an id that is its bit.
-    let pairs: Vec<Tuple> = (0..n * n)
+    let pairs: Vec<Tuple> = (0..nl * nr)
         .map(|i| {
             Tuple::new(vec![
-                vals[i / n].clone(),
-                vals[i % n].clone(),
+                ls[i / nr].clone(),
+                rs[i % nr].clone(),
                 Value::Int(i as i64),
             ])
         })
         .collect();
-    let lefts: Vec<Tuple> = (0..n)
-        .map(|li| Tuple::new(vec![vals[li].clone(), Value::Null, Value::Int(1 << li)]))
+    let lefts: Vec<Tuple> = (0..nl)
+        .map(|li| Tuple::new(vec![ls[li].clone(), Value::Null, Value::Int(1 << li)]))
         .collect();
     let (pair_scan, left_scan) = (operand_scan(pairs.clone()), operand_scan(lefts.clone()));
     let col_col = simple_predicates(&col(0), &col(1));
@@ -714,8 +819,8 @@ fn simple_predicates_have_one_truth_value_on_every_route() {
             };
         // column ⟨cmp⟩ column.
         check_sigma(&pair_scan, &pairs, p, &|i| table[i]);
-        for (ri, r) in vals.iter().enumerate() {
-            let truth = |li: usize| table[li * n + ri];
+        for (ri, r) in rs.iter().enumerate() {
+            let truth = |li: usize| table[li * nr + ri];
             // column ⟨cmp⟩ literal.
             let col_lit = &simple_predicates(&col(0), &lit(r))[k];
             check_sigma(&left_scan, &lefts, col_lit, &truth);
@@ -726,7 +831,7 @@ fn simple_predicates_have_one_truth_value_on_every_route() {
                 (col_outer.clone(), Truth::True),
                 (not(col_outer.clone()), Truth::False),
             ] {
-                let bits: i64 = (0..n)
+                let bits: i64 = (0..nl)
                     .filter(|&li| truth(li) == want)
                     .map(|li| 1 << li)
                     .sum();
@@ -765,37 +870,7 @@ fn simple_predicates_have_one_truth_value_on_every_route() {
             }
         }
     }
-    // A few absolute pins, so that agreement is not agreement on nonsense.
-    let mut truth =
-        |op, l: Value, r: Value| ctx.eval_truth(&cmp(op, lit(&l), lit(&r)), &Tuple::empty());
-    assert_eq!(
-        truth(BinOp::Eq, Value::Int(1), Value::Float(1.0)).unwrap(),
-        Truth::True
-    );
-    assert_eq!(
-        truth(BinOp::Eq, Value::Float(-0.0), Value::Float(0.0)).unwrap(),
-        Truth::True
-    );
-    assert_eq!(
-        truth(BinOp::Lt, Value::Int(1), Value::Float(1.5)).unwrap(),
-        Truth::True
-    );
-    assert_eq!(
-        truth(BinOp::Neq, Value::Float(f64::NAN), Value::Int(1)).unwrap(),
-        Truth::Unknown
-    );
-    assert_eq!(
-        truth(BinOp::Eq, Value::text("a"), Value::Int(1)).unwrap(),
-        Truth::Unknown
-    );
-    assert_eq!(
-        truth(BinOp::GtEq, Value::Bool(true), Value::Bool(false)).unwrap(),
-        Truth::True
-    );
-    assert_eq!(
-        truth(BinOp::LtEq, Value::Null, Value::Null).unwrap(),
-        Truth::Unknown
-    );
+    operand_columns(&pair_scan)
 }
 
 #[test]

@@ -1,0 +1,365 @@
+//! Base-table columns change where a scan-rooted loop reads from, never
+//! what it computes: every plan shape that consults
+//! `bypass_catalog::TableColumns` (σ and σ± chunks, Γ keys and
+//! arguments, hash build, scan-left hash probe) is run over a `Scan` and
+//! over an `Alias` of that scan — the same rows as an intermediate,
+//! which takes the row route — and must hand on the same rows in the
+//! same order, raise the same error, and pass the same governor
+//! trajectory once the `Alias` node's own shared-row charge is taken
+//! out, at every worker count.
+
+use std::sync::Arc;
+
+use bypass_algebra::{AggFunc, BinOp};
+use bypass_catalog::TableColumns;
+use bypass_exec::{
+    AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode,
+};
+use bypass_types::{DataType, Field, Relation, Result, Schema, Tuple, Value, SHARED_ROW_BYTES};
+
+fn schema(names: &[&str]) -> Schema {
+    // The declared types are never consulted by the executor.
+    Schema::new(
+        names
+            .iter()
+            .map(|n| Field::new(*n, DataType::Int))
+            .collect(),
+    )
+}
+
+/// 600 fact rows `[i, f, s, n, v, m]`: an all-Int key, an all-Float key
+/// (both zeros and NaN among them), a text key, a key with NULLs, an
+/// Int argument, and a key mixing `Int(k)` with `Float(k)`. The first
+/// three columns become typed / text columns, `n` and `m` fall back to
+/// `Values`.
+fn facts() -> Relation {
+    let rows = (0..600i64).map(|i| {
+        let f = match i % 11 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::NAN,
+            k => k as f64 * 0.5,
+        };
+        Tuple::new(vec![
+            Value::Int(i % 37),
+            Value::Float(f),
+            Value::text(format!("k{}", i % 7)),
+            if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 3)
+            },
+            Value::Int((i * 7) % 101),
+            if i % 2 == 0 {
+                Value::Int(i % 4)
+            } else {
+                Value::Float((i % 4) as f64)
+            },
+        ])
+    });
+    Relation::new(schema(&["i", "f", "s", "n", "v", "m"]), rows.collect())
+}
+
+/// 30 dimension rows `[k, x, name]` with even keys `k`, `x` the same
+/// number as a float: half of the fact keys find a partner.
+fn dims() -> Relation {
+    let rows = (0..30i64).map(|k| {
+        Tuple::new(vec![
+            Value::Int(2 * k),
+            Value::Float(2.0 * k as f64),
+            Value::text(format!("d{k}")),
+        ])
+    });
+    Relation::new(schema(&["k", "x", "name"]), rows.collect())
+}
+
+fn col(i: usize) -> PhysExpr {
+    PhysExpr::Column(i)
+}
+
+fn int(v: i64) -> PhysExpr {
+    PhysExpr::Literal(Value::Int(v))
+}
+
+fn bin(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
+    PhysExpr::Binary {
+        op,
+        left: Box::new(l),
+        right: Box::new(r),
+    }
+}
+
+/// How a plan reaches a base table: straight from the scan, or through
+/// an alias of it — an intermediate relation with the same rows.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Route {
+    Scan,
+    Alias,
+}
+
+fn table(rel: &Relation, route: Route) -> Arc<PhysNode> {
+    let schema = rel.schema().clone();
+    let scan = PhysNode::scan(TableColumns::new(rel.clone()), schema.clone());
+    match route {
+        Route::Scan => scan,
+        Route::Alias => PhysNode::new(PhysKind::Alias { input: scan }, schema),
+    }
+}
+
+fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
+    AggSpec {
+        func,
+        distinct,
+        arg: arg.map(col),
+    }
+}
+
+fn gamma(input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>) -> Arc<PhysNode> {
+    let out = schema(&vec!["c"; keys.len() + aggs.len()]);
+    PhysNode::new(
+        PhysKind::HashAggregate {
+            input,
+            keys: keys.iter().map(|&k| col(k)).collect(),
+            aggs,
+        },
+        out,
+    )
+}
+
+fn hash_join(
+    left: Arc<PhysNode>,
+    right: Arc<PhysNode>,
+    (left_key, right_key): (usize, usize),
+    defaults: Option<Vec<(usize, Value)>>,
+) -> Arc<PhysNode> {
+    let out = schema(&vec!["c"; left.schema.arity() + right.schema.arity()]);
+    PhysNode::new(
+        PhysKind::Join {
+            left,
+            spec: JoinSpec {
+                right,
+                on: JoinOn::Hash {
+                    left_keys: vec![col(left_key)],
+                    right_keys: vec![col(right_key)],
+                    residual: None,
+                },
+                defaults,
+            },
+            chain: None,
+        },
+        out,
+    )
+}
+
+/// Every plan shape that reads a base table by column, over `route`,
+/// with the tables it reaches: under [`Route::Alias`] one `Alias` node
+/// each, charging for that table's rows.
+fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
+    let (facts, dims) = (facts(), dims());
+    let nf = vec![facts.len() as u64];
+    let both = vec![facts.len() as u64, dims.len() as u64];
+    let f = || table(&facts, route);
+    let d = || table(&dims, route);
+    let mut out: Vec<(String, Arc<PhysNode>, Vec<u64>)> = Vec::new();
+
+    // σ: typed kernels, a text and an IS NULL kernel, an interpreter term.
+    let predicates = [
+        bin(
+            BinOp::Or,
+            bin(BinOp::Gt, col(0), int(30)),
+            bin(BinOp::Lt, col(4), col(0)),
+        ),
+        bin(
+            BinOp::And,
+            bin(BinOp::GtEq, col(1), PhysExpr::Literal(Value::Float(0.0))),
+            bin(BinOp::Neq, col(5), col(0)),
+        ),
+        bin(
+            BinOp::Or,
+            bin(BinOp::Eq, col(2), PhysExpr::Literal(Value::text("k3"))),
+            bin(
+                BinOp::Or,
+                PhysExpr::IsNull {
+                    negated: false,
+                    expr: Box::new(col(3)),
+                },
+                bin(BinOp::Gt, bin(BinOp::Add, col(4), int(1)), int(90)),
+            ),
+        ),
+    ];
+    for (k, predicate) in predicates.iter().enumerate() {
+        let input = f();
+        let schema = input.schema.clone();
+        let filter = PhysKind::Filter {
+            input: f(),
+            predicate: predicate.clone(),
+        };
+        out.push((
+            format!("σ #{k}"),
+            PhysNode::new(filter, schema.clone()),
+            nf.clone(),
+        ));
+        // σ±, both streams, negative first.
+        let bypass = PhysNode::new(
+            PhysKind::BypassFilter {
+                input,
+                predicate: predicate.clone(),
+            },
+            schema.clone(),
+        );
+        let stream = |positive| {
+            let source = bypass.clone();
+            PhysNode::new(PhysKind::Stream { source, positive }, schema.clone())
+        };
+        let union = PhysKind::UnionAll {
+            left: stream(false),
+            right: stream(true),
+        };
+        out.push((format!("σ± #{k}"), PhysNode::new(union, schema), nf.clone()));
+    }
+
+    // Γ: every kind of key, every kind of argument.
+    let aggs = || {
+        vec![
+            agg(AggFunc::Count, true, None),
+            agg(AggFunc::Sum, false, Some(4)),
+            agg(AggFunc::Avg, false, Some(4)),
+            agg(AggFunc::Avg, true, Some(1)),
+            agg(AggFunc::Min, false, Some(2)),
+            agg(AggFunc::Count, false, Some(3)),
+            agg(AggFunc::Max, false, Some(5)),
+        ]
+    };
+    for keys in [&[0][..], &[1], &[2], &[3], &[5], &[0, 2], &[]] {
+        out.push((
+            format!("Γ by {keys:?}"),
+            gamma(f(), keys, aggs()),
+            nf.clone(),
+        ));
+    }
+    // A key beyond the arity is the row route's error on either route.
+    out.push(("Γ by [9]".into(), gamma(f(), &[9], aggs()), nf.clone()));
+
+    // Hash joins. Dimension ⋈ fact: the smaller input probes, so the
+    // build over the fact table admits only the dimension's keys …
+    out.push((
+        "admitted build".into(),
+        hash_join(d(), f(), (0, 0), None),
+        both.clone(),
+    ));
+    // … fact ⋈ dimension builds in full and probes off the fact table,
+    // half of whose keys find nothing; likewise with a float key column
+    // on either side of an integer one, and a key with NULLs.
+    out.push((
+        "full build".into(),
+        hash_join(f(), d(), (0, 0), None),
+        both.clone(),
+    ));
+    out.push((
+        "Int = Float".into(),
+        hash_join(f(), d(), (0, 1), None),
+        both.clone(),
+    ));
+    out.push((
+        "Float = Int".into(),
+        hash_join(f(), d(), (1, 0), None),
+        both.clone(),
+    ));
+    out.push((
+        "Float = Int, admitted".into(),
+        hash_join(d(), f(), (0, 1), None),
+        both.clone(),
+    ));
+    out.push((
+        "mixed = Int".into(),
+        hash_join(f(), d(), (5, 0), None),
+        both.clone(),
+    ));
+    // Outer joins pad what found no partner — NULL keys included.
+    let defaults = || Some(vec![(1, Value::Float(-1.0)), (2, Value::text("none"))]);
+    out.push((
+        "outer".into(),
+        hash_join(f(), d(), (0, 0), defaults()),
+        both.clone(),
+    ));
+    out.push((
+        "outer, NULL keys".into(),
+        hash_join(f(), d(), (3, 0), defaults()),
+        both.clone(),
+    ));
+    out
+}
+
+fn run(plan: &Arc<PhysNode>, threads: usize) -> (Result<Vec<Tuple>>, ExecCounters) {
+    // Two work units per morsel: every loop that may fork does.
+    let mut ctx = ExecContext::new(ExecOptions {
+        threads,
+        morsel_rows: 2,
+        ..Default::default()
+    });
+    let rows = ctx.eval_plan(plan).map(|rel| rel.rows().to_vec());
+    (rows, ctx.counters())
+}
+
+#[test]
+fn a_scan_and_an_intermediate_of_the_same_rows_are_one_input() {
+    for ((name, scan, _), (_, alias, aliased)) in
+        plans(Route::Scan).into_iter().zip(plans(Route::Alias))
+    {
+        let (want_rows, want) = run(&scan, 1);
+        for threads in [1, 2, 8] {
+            let at = format!("{name}, {threads} threads");
+            let (rows, counters) = run(&scan, threads);
+            let (alias_rows_out, alias_counters) = run(&alias, threads);
+            match (&want_rows, &rows, &alias_rows_out) {
+                (Ok(want), Ok(rows), Ok(through_alias)) => {
+                    assert!(!want.is_empty(), "{at}: a vacuous case");
+                    assert_eq!(rows, want, "{at}: rows, in order");
+                    assert_eq!(through_alias, want, "{at}: rows through the alias");
+                }
+                (Err(want), Err(e), Err(through_alias)) => {
+                    assert_eq!(e.to_string(), want.to_string(), "{at}");
+                    assert_eq!(through_alias.to_string(), want.to_string(), "{at}");
+                }
+                other => panic!("{at}: routes disagree on success: {other:?}"),
+            }
+            assert_eq!(counters, want, "{at}: counters across worker counts");
+            if want_rows.is_ok() {
+                // An `Alias` hands its rows on by refcount: one charge —
+                // one checkpoint — of a shared-row handle each, held
+                // until the statement ends.
+                let through_scan = ExecCounters {
+                    checkpoints: alias_counters.checkpoints - aliased.len() as u64,
+                    peak_memory_bytes: alias_counters.peak_memory_bytes
+                        - aliased.iter().sum::<u64>() * SHARED_ROW_BYTES,
+                    ..alias_counters
+                };
+                assert_eq!(through_scan, want, "{at}: counters without the alias");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_overflowing_sum_fails_alike_on_either_route() {
+    // The third row overflows; the fourth would, too, but is never seen.
+    let values = [i64::MAX, 0, 1, i64::MAX];
+    let rows = values.map(|v| Tuple::new(vec![Value::Int(1), Value::Int(v)]));
+    let rel = Relation::new(schema(&["k", "v"]), rows.to_vec());
+    let errors = [Route::Scan, Route::Alias].map(|route| {
+        let sum = gamma(
+            table(&rel, route),
+            &[0],
+            vec![agg(AggFunc::Sum, false, Some(1))],
+        );
+        let (rows, counters) = run(&sum, 1);
+        let aliases = u64::from(route == Route::Alias);
+        (
+            rows.expect_err("SUM overflows").to_string(),
+            counters.checkpoints - aliases,
+        )
+    });
+    assert!(errors[0].0.contains("integer overflow"), "{}", errors[0].0);
+    assert_eq!(errors[0].1, 3, "raised at the row that overflows");
+    assert_eq!(errors[0], errors[1]);
+}

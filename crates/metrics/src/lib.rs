@@ -57,6 +57,7 @@ struct HubIds {
     disjunct_evals: MetricId,
     disjunct_hits: MetricId,
     peak_memory: MetricId,
+    catalog_column_bytes: MetricId,
     fingerprint_evictions: MetricId,
     phases: [MetricId; 5],
     latency: MetricId,
@@ -128,6 +129,11 @@ impl MetricsHub {
                 "Governor peak memory across executions",
                 &[],
             ),
+            catalog_column_bytes: registry.gauge_max(
+                "bypass_catalog_column_bytes",
+                "Bytes of materialised base-table columns, summed over tables",
+                &[],
+            ),
             fingerprint_evictions: registry.counter(
                 "bypass_fingerprint_evictions_total",
                 "Query-stats table evictions",
@@ -174,6 +180,16 @@ impl MetricsHub {
     /// polled by the service's degradation controller on each submit.
     pub fn peak_memory_bytes(&self) -> u64 {
         self.registry.fold_value(self.ids.peak_memory)
+    }
+
+    /// What the catalog's lazily built base-table columns occupy. A
+    /// database reports it whenever its metrics are read; they are
+    /// uncharged — no statement's budget covers them — so this gauge is
+    /// where their memory shows. Columns only grow until a table's data
+    /// is replaced, and the fold is a maximum.
+    pub fn observe_catalog_column_bytes(&self, bytes: u64) {
+        self.registry
+            .observe_max(self.ids.catalog_column_bytes, bytes);
     }
 
     /// Record one completed query execution: registry counters and

@@ -30,7 +30,7 @@ mod stats;
 mod tuple;
 mod value;
 
-pub use batch::{Batch, BATCH_ROWS};
+pub use batch::{Batch, Column, BATCH_ROWS};
 pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
 pub use fxhash::{hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
@@ -56,4 +56,5 @@ const _: () = {
     assert_send_sync::<Schema>();
     assert_send_sync::<Relation>();
     assert_send_sync::<TableStats>();
+    assert_send_sync::<Column>();
 };

@@ -78,14 +78,17 @@ impl Truth {
 ///
 /// # Equality, ordering and hashing
 ///
-/// `Value` implements **structural** `Eq`/`Ord`/`Hash` so it can serve as a
-/// grouping or join key: `Null == Null`, floats compare by IEEE total order
-/// (NaN normalized, `-0.0 == 0.0` by normalizing to `0.0` bits when
-/// hashing), and `Int(1) == Float(1.0)` is **false** structurally. SQL
-/// comparison semantics — where `NULL = NULL` is `UNKNOWN` and `1 = 1.0`
-/// is `TRUE` — live in [`Value::sql_eq`] / [`Value::sql_cmp`] instead.
-/// Numeric join/group keys must therefore be coerced to a common type
-/// before hashing, which the planner guarantees.
+/// `Value` implements a total `Eq`/`Ord`/`Hash` so it can serve as a
+/// grouping or join key: `Null == Null`, floats compare by normalized
+/// bits (all NaNs are one value, `-0.0 == 0.0`), and numbers compare
+/// **across** the two numeric types — `Int(1) == Float(1.0)`, and the
+/// two hash alike (an exactly integral float hashes as its integer).
+/// Numeric keys therefore need no coercion to a common type before
+/// hashing: an `AVG` joined back against an INT key, or a typed `i64`
+/// column probed with a float, meet in one equivalence class. What
+/// differs from SQL comparison is NULL and NaN only: [`Value::sql_eq`] /
+/// [`Value::sql_cmp`] make `NULL = NULL` and anything against NaN
+/// `UNKNOWN`, where key equality makes them equal to themselves.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,

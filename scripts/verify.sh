@@ -70,6 +70,20 @@ for crate in algebra unnest; do
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
 done
 
+echo "==> one column type, one transpose (grep gate)"
+# Base tables are read by column (DESIGN.md §5c "Base-table columns"):
+# the column enum is bypass_types::Column and nothing else, and rows are
+# transposed into a Batch in one place only — the branch of
+# ExecContext::chain_batch that serves a σ/σ± over an intermediate.
+columns="$(grep -rlE 'enum Column( |\{)' crates/*/src | tr '\n' ' ')"
+[ "$columns" = "crates/types/src/batch.rs " ] \
+    || { echo "a second column enum: $columns"; exit 1; }
+transposes="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /from_rows_cols\(/ && !/fn from_rows_cols\(/ { print FILENAME }' | tr '\n' ' ')"
+[ "$transposes" = "crates/exec/src/eval.rs " ] \
+    || { echo "from_rows_cols( called outside chain_batch: $transposes"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! \help                      this help
-//! \tables                    list tables with row counts
+//! \tables                    list tables with row counts and materialised column bytes
 //! \schema <table>            show a table's columns
 //! \strategy [name]           show or set the evaluation strategy
 //! \explain <sql>             logical + physical plan
@@ -135,14 +135,18 @@ impl Shell {
                 );
             }
             "\\tables" => {
-                for name in self.db.catalog().table_names() {
-                    let rows = self
-                        .db
-                        .catalog()
-                        .get(&name)
-                        .map(|t| t.row_count())
-                        .unwrap_or(0);
-                    println!("{name}  ({rows} rows)");
+                let catalog = self.db.catalog();
+                for table in catalog
+                    .table_names()
+                    .iter()
+                    .filter_map(|n| catalog.get(n).ok())
+                {
+                    println!(
+                        "{}  ({} rows)  columns: {} bytes",
+                        table.name(),
+                        table.row_count(),
+                        table.columns().bytes()
+                    );
                 }
             }
             "\\schema" => match rest.first() {

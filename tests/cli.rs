@@ -62,9 +62,13 @@ fn meta_commands() {
          \\strategy nope\n\
          \\explain SELECT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 1500\n\
          \\timing off\n\
+         SELECT COUNT(*) FROM r WHERE a4 > 1500;\n\
+         \\tables\n\
          \\q\n",
     );
-    assert!(out.contains("r  (10 rows)"), "{out}");
+    assert!(out.contains("r  (10 rows)  columns: 0 bytes"), "{out}");
+    // The σ read `a4` by column: ten 8-byte slots, built on that read.
+    assert!(out.contains("r  (10 rows)  columns: 80 bytes"), "{out}");
     assert!(out.contains("a1: INT"), "{out}");
     assert!(out.contains("strategy set to canonical"), "{out}");
     assert!(out.contains("unknown strategy"), "{out}");

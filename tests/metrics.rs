@@ -152,9 +152,22 @@ fn show_metrics_round_trips_valid_prometheus() {
         "bypass_phase_nanos",
         "bypass_disjunct_evals_total",
         "bypass_peak_memory_bytes",
+        "bypass_catalog_column_bytes",
     ] {
         assert!(text.contains(family), "missing family {family} in:\n{text}");
     }
+    // The catalog gauge is what the tables' materialised columns hold:
+    // Q1 and Q2 read some of `r` and `s` by column, none of `t`.
+    let column_bytes = db.catalog().column_bytes();
+    assert!(
+        column_bytes > 0 && column_bytes.is_multiple_of(500 * 8),
+        "{column_bytes}"
+    );
+    assert_eq!(db.catalog().get("t").unwrap().columns().bytes(), 0);
+    assert_eq!(
+        db.metrics().get("bypass_catalog_column_bytes", &[]),
+        Some(&MetricValue::Gauge(column_bytes))
+    );
     // And `into_text` treats it like any other textual response.
     let again = db.execute_sql("SHOW METRICS").unwrap().into_text().unwrap();
     assert!(again.contains("bypass_queries_total"));
