@@ -19,10 +19,8 @@
 //! "subscripts may contain algebraic expressions", which is how the
 //! canonical translation represents nested query blocks.
 
-pub mod classify;
 pub mod expr;
 pub mod plan;
 
-pub use classify::{classify_subquery, nesting_shape, KimType, NestingShape, SubqueryClass};
 pub use expr::{AggCall, AggFunc, BinOp, ColumnRef, Scalar};
 pub use plan::{rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Stream};

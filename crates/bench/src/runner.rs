@@ -200,6 +200,20 @@ mod tests {
     }
 
     #[test]
+    fn database_profile_matches_plain_execution() {
+        let db = rst_database(0.01, 0.01, 42);
+        let expect = db
+            .sql_with(crate::Q1, Strategy::Unnested, None)
+            .unwrap()
+            .len();
+        let p = db.profile(crate::Q1, Strategy::Unnested).unwrap();
+        assert_eq!(p.rows, expect);
+        // Phase timings are populated (executed queries take > 0 time).
+        assert!(p.phases.execute > 0, "{:?}", p.phases);
+        assert!(p.phases.total() >= p.phases.execute);
+    }
+
+    #[test]
     fn tpch_database_has_2d_tables() {
         let db = tpch_database(0.001, 1);
         for t in ["region", "nation", "supplier", "part", "partsupp"] {

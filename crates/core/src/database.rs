@@ -347,9 +347,8 @@ impl PhaseNanos {
 /// Everything one instrumented query run produced: the physical plan,
 /// per-operator metrics (keyed by `Arc::as_ptr(node) as usize`),
 /// query-wide execution counters, per-phase wall times and the output
-/// cardinality. Produced by [`Database::profile`]; rendered inline by
-/// [`QueryProfile::render`] (the EXPLAIN ANALYZE report) or as a flat
-/// table by `bypass_bench::report::profile_table`.
+/// cardinality. Produced by [`Database::profile`]; rendered by
+/// [`QueryProfile::render`] (the EXPLAIN ANALYZE report).
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
     /// The concrete strategy the run executed under (CostBased
@@ -709,9 +708,7 @@ impl Database {
     /// Execute with full instrumentation and return the raw
     /// [`QueryProfile`]: physical plan, per-operator metrics,
     /// query-wide counters, phase timings and output cardinality.
-    /// [`QueryProfile::render`] produces the EXPLAIN ANALYZE report;
-    /// `bypass_bench::report::profile_table` renders a flat
-    /// exclusive-time table from the same data.
+    /// [`QueryProfile::render`] produces the EXPLAIN ANALYZE report.
     pub fn profile(&self, sql: &str, strategy: Strategy) -> Result<QueryProfile> {
         self.profile_governed(sql, strategy, &RunLimits::default())
     }

@@ -14,12 +14,10 @@ use crate::expr::PhysExpr;
 use crate::govern::Governor;
 use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
 use crate::interp::ord_truth;
-use crate::morsel::Team;
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Lane, Row, RowView};
 use crate::vector::{
-    chain_bindable, compile_chain, ranked_order, ChainOrder, ChainStats, CompiledChain, SliceLoop,
-    EPOCH_ROWS,
+    chain_bindable, ranked_order, ChainOrder, ChainStats, CompiledChain, SliceLoop, EPOCH_ROWS,
 };
 
 /// Execution options — these implement the evaluation-strategy knobs the
@@ -133,7 +131,8 @@ pub fn evaluate_shared(root: &Arc<PhysNode>, options: ExecOptions) -> Result<Arc
 
 /// Mutable evaluation state: the correlation binding stack, the subquery
 /// caches and the governor. One context lives for the duration of one
-/// top-level query.
+/// top-level query. Run state only — whatever is a function of the plan
+/// alone (a σ's compiled predicate chain) lives on the [`PhysNode`].
 pub struct ExecContext {
     pub(crate) options: ExecOptions,
     /// Checkpoints, byte budget, cancellation and deadline.
@@ -159,31 +158,16 @@ pub struct ExecContext {
     /// they increment once per subquery invocation, which is noise
     /// next to actually evaluating the nested plan.
     pub(crate) counters: ExecCounters,
-    /// Scratch counters the current operator arm deposits for the
-    /// metrics wrapper to fold into its [`NodeMetrics`] entry
-    /// (hash-table build sizes, collision re-verifies). Only written
-    /// when metrics are enabled.
-    pub(crate) pending: PendingCounters,
+    /// Scratch the current operator arm deposits its own counters in
+    /// (hash-table build sizes, collision re-verifies, per-disjunct and
+    /// per-stage rows) for the metrics wrapper to fold into the node's
+    /// entry. Only written when metrics are enabled.
+    pub(crate) pending: NodeMetrics,
     /// Per-node cache of the scheduler's verdict, keyed by node
     /// pointer: what one input row of the node weighs in work units,
     /// or `None` if its expressions may not run on a worker at all
     /// (`morsel.rs`).
     pub(crate) row_weights: FxHashMap<usize, Option<u64>>,
-    /// Per-node cache of the compiled predicate chains of σ/σ±, keyed
-    /// by node pointer.
-    chains: FxHashMap<usize, Arc<CompiledChain>>,
-    /// Per-node cache of the kernel-column transpose of the node's
-    /// current input relation, for inputs that are not base-table scans
-    /// (those read the table's own columns). A correlated subplan
-    /// re-invokes the same σ node over the same `Arc`-shared
-    /// intermediate once per outer binding — caching the transpose
-    /// makes those re-runs pay it once.
-    /// The stored `Arc<Relation>` both validates the entry
-    /// (`Arc::ptr_eq` against the current input) and keeps the
-    /// allocation alive, so a recycled address can never alias a stale
-    /// batch. Batches are uncharged scratch, bounded by one kernel-
-    /// column set per σ/σ± node.
-    batches: FxHashMap<usize, (Arc<Relation>, Arc<Batch>)>,
 }
 
 /// Query-wide execution counters, independent of any one operator.
@@ -221,33 +205,6 @@ impl ExecCounters {
         let hits = self.memo_uncorr_hits + self.memo_corr_hits;
         let total = hits + self.memo_uncorr_misses + self.memo_corr_misses;
         (total > 0).then(|| hits as f64 / total as f64)
-    }
-}
-
-/// Per-node scratch deposited by operator arms, drained by the
-/// metrics wrapper after the arm returns.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PendingCounters {
-    build_rows: u64,
-    reverify: u64,
-    input_rows: u64,
-    groups: u64,
-    /// Chained σ/σ± only: per-disjunct reach/decide counters, indexed
-    /// by syntactic disjunct position.
-    disjuncts: Vec<DisjunctMetrics>,
-    /// Joins with stage chains only: rows in/out per fused stage.
-    stages: Vec<StageMetrics>,
-}
-
-impl PendingCounters {
-    /// Fold in what a morsel worker deposited (commutative sums).
-    pub(crate) fn merge(&mut self, from: &PendingCounters) {
-        self.build_rows += from.build_rows;
-        self.reverify += from.reverify;
-        self.input_rows += from.input_rows;
-        self.groups += from.groups;
-        merge_disjuncts(&mut self.disjuncts, &from.disjuncts);
-        merge_stages(&mut self.stages, &from.stages);
     }
 }
 
@@ -353,11 +310,6 @@ impl NodeMetrics {
         self.self_nanos as f64 / 1e6
     }
 
-    /// Is this a bypass node's metric entry (saw a dual-stream split)?
-    pub fn is_bypass(&self) -> bool {
-        self.pos_rows + self.neg_rows > 0
-    }
-
     /// Fraction of the split routed to the negative stream, if this
     /// node produced a dual stream at all.
     pub fn split_ratio(&self) -> Option<f64> {
@@ -365,8 +317,9 @@ impl NodeMetrics {
         (total > 0).then(|| self.neg_rows as f64 / total as f64)
     }
 
-    /// Fold in a morsel worker's entry for the same node (commutative
-    /// sums).
+    /// Fold in further counts for the same node — a morsel worker's
+    /// entry, or what one call of the operator's arm deposited in
+    /// [`ExecContext::pending`] (commutative sums).
     pub(crate) fn merge(&mut self, from: &NodeMetrics) {
         self.calls += from.calls;
         self.rows += from.rows;
@@ -389,16 +342,6 @@ impl NodeMetrics {
             Handed::Shared => self.rows_shared += rows,
             Handed::Fresh => self.rows_materialized += rows,
         }
-    }
-
-    /// Fold in what one call of the operator's arm deposited.
-    fn absorb(&mut self, pend: &PendingCounters) {
-        self.build_rows += pend.build_rows;
-        self.reverify += pend.reverify;
-        self.input_rows += pend.input_rows;
-        self.groups += pend.groups;
-        merge_disjuncts(&mut self.disjuncts, &pend.disjuncts);
-        merge_stages(&mut self.stages, &pend.stages);
     }
 }
 
@@ -564,10 +507,8 @@ impl ExecContext {
             uncorr: FxHashMap::default(),
             corr: CorrMemo::default(),
             counters: ExecCounters::default(),
-            pending: PendingCounters::default(),
+            pending: NodeMetrics::default(),
             row_weights: FxHashMap::default(),
-            chains: FxHashMap::default(),
-            batches: FxHashMap::default(),
         }
     }
 
@@ -614,63 +555,15 @@ impl ExecContext {
     // Adaptively ordered predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
 
-    /// The compiled chain of a σ/σ± node.
-    fn chain_for(
-        &mut self,
-        node: &Arc<PhysNode>,
-        predicate: &PhysExpr,
-        arity: usize,
-    ) -> Arc<CompiledChain> {
-        self.chains
-            .entry(Arc::as_ptr(node) as usize)
-            .or_insert_with(|| Arc::new(compile_chain(predicate, arity)))
-            .clone()
-    }
-
-    /// The kernel columns of `input` — the evaluated `from` — for this
-    /// σ/σ± node. A base-table scan hands out the table's own columns
-    /// (built on their first read, then shared by every statement and
-    /// worker). Any other input is transposed, and the transpose cached
-    /// across invocations: correlated subplans re-run the same σ node
-    /// over the same `Arc`-shared input once per outer binding; the
-    /// cached entry is validated by `Arc::ptr_eq` (safe against address
-    /// reuse because the map holds the relation alive) and rebuilt
-    /// whenever the node sees a different input.
-    fn chain_batch(
-        &mut self,
-        node: &Arc<PhysNode>,
-        from: &PhysNode,
-        input: &Arc<Relation>,
-        chain: &CompiledChain,
-    ) -> Arc<Batch> {
-        if let Some(table) = from.table_columns() {
-            let mut columns = vec![None; input.schema().arity()];
-            for &c in &chain.cols {
-                columns[c] = table.get(c).cloned();
-            }
-            return Arc::new(Batch::new(columns, input.len()));
-        }
-        let key = Arc::as_ptr(node) as usize;
-        if let Some((rel, batch)) = self.batches.get(&key) {
-            if Arc::ptr_eq(rel, input) {
-                return batch.clone();
-            }
-        }
-        let batch = Arc::new(Batch::from_rows_cols(input.rows(), &chain.cols));
-        self.batches.insert(key, (input.clone(), batch.clone()));
-        batch
-    }
-
     /// Drive σ (`bypass == false`, negative stream unused) or σ±
-    /// (`bypass == true`) over the input rows.
+    /// (`bypass == true`) of `node` over `input`, the evaluated `from`.
     ///
     /// Adaptive chains advance in fixed [`EPOCH_ROWS`] epochs: the term
     /// order is frozen per epoch from the cumulative reach/decide
     /// stats, each epoch whose weighted work passes the gate fans out
-    /// over the call's one [`Team`] (stats ride back as morsel payloads
-    /// and fold commutatively), and the rank is recomputed at the epoch
-    /// boundary. Non-adaptive chains (nothing to reorder) run as one
-    /// full-input epoch.
+    /// (stats ride back as morsel payloads and fold commutatively), and
+    /// the rank is recomputed at the epoch boundary. Non-adaptive chains
+    /// (nothing to reorder) run as one full-input epoch.
     ///
     /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
@@ -681,14 +574,14 @@ impl ExecContext {
         &mut self,
         node: &Arc<PhysNode>,
         from: &PhysNode,
-        input: &Arc<Relation>,
-        chain: &Arc<CompiledChain>,
+        input: &Relation,
         bypass: bool,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
+        let chain = node.chain().expect("σ and σ± nodes carry their chain");
         let rows = input.rows();
         let bound = chain_bindable(chain, &self.outer);
-        let batch = bound.then(|| self.chain_batch(node, from, input, chain));
-        let batch_ref: Option<&Batch> = batch.as_deref();
+        let batch = bound.then(|| chain_batch(from, input, chain));
+        let batch_ref = batch.as_ref();
         let mut stats = ChainStats::zeroed(chain);
         let mut pos = Vec::new();
         let mut neg = Vec::new();
@@ -697,16 +590,14 @@ impl ExecContext {
         } else {
             rows.len().max(1)
         };
-        let chain_ref: &CompiledChain = chain;
-        let mut team = Team::default();
         let mut start = 0;
         while start < rows.len() {
             let end = rows.len().min(start + epoch);
-            let order = ranked_order(chain_ref, &stats);
+            let order = ranked_order(chain, &stats);
             let slice = &rows[start..end];
-            let parts = self.run_team_morsels(&mut team, node, slice.len(), 1, |ctx, range| {
+            let parts = self.run_morsels(node, slice.len(), |ctx, range| {
                 let base = start + range.start;
-                ctx.chain_slice(chain_ref, &order, &slice[range], batch_ref, base, bypass)
+                ctx.chain_slice(chain, &order, &slice[range], batch_ref, base, bypass)
             })?;
             for ((p, n), st) in parts {
                 pos.extend(p);
@@ -988,7 +879,7 @@ impl ExecContext {
             m.calls += 1;
             m.nanos += elapsed;
             m.self_nanos += elapsed.saturating_sub(children);
-            m.absorb(&pend);
+            m.merge(&pend);
             book(m, out);
         }
         result
@@ -1022,15 +913,17 @@ impl ExecContext {
         node: &Arc<PhysNode>,
         local: &mut Local,
     ) -> Result<(Arc<Relation>, Handed)> {
-        let schema = node.schema.clone();
+        // Cloned by the arms that build a relation: `Scan` and `Stream`
+        // — every invocation of a nested block runs one — hand on what
+        // exists.
+        let schema = || node.schema.clone();
         let (rel, handed) = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
             PhysKind::Scan { data, .. } => return Ok((data.clone(), Handed::Shared)),
-            PhysKind::Filter { input, predicate } => {
+            PhysKind::Filter { input, .. } => {
                 let rel = self.eval_node(input, local)?;
-                let chain = self.chain_for(node, predicate, rel.schema().arity());
-                let (pos, _neg) = self.run_chain(node, input, &rel, &chain, false)?;
-                (Relation::new(schema, pos), Handed::Shared)
+                let (pos, _neg) = self.run_chain(node, input, &rel, false)?;
+                (Relation::new(schema(), pos), Handed::Shared)
             }
             PhysKind::Project { input, exprs } => {
                 let input = self.eval_node(input, local)?;
@@ -1045,7 +938,7 @@ impl ExecContext {
                         cols.len() == arity && cols.iter().enumerate().all(|(i, &c)| i == c);
                     if identity {
                         self.charge_shared_rows(input.len())?;
-                        let rel = Relation::new(schema, input.rows().to_vec());
+                        let rel = Relation::new(schema(), input.rows().to_vec());
                         return Ok((Arc::new(rel), Handed::Shared));
                     }
                     let rows = input.rows();
@@ -1063,7 +956,7 @@ impl ExecContext {
                         }
                         Ok(out)
                     })?;
-                    let rel = Relation::new(schema, concat_rows(parts));
+                    let rel = Relation::new(schema(), concat_rows(parts));
                     return Ok((Arc::new(rel), Handed::Fresh));
                 }
                 let rows = self.build_rows(node, &input, |ctx, _, t| {
@@ -1073,7 +966,7 @@ impl ExecContext {
                     }
                     Ok(Tuple::new(vals))
                 })?;
-                (Relation::new(schema, rows), Handed::Fresh)
+                (Relation::new(schema(), rows), Handed::Fresh)
             }
             PhysKind::Join { left, spec, chain } => {
                 let l = self.eval_node(left, local)?;
@@ -1119,12 +1012,12 @@ impl ExecContext {
                         self.pending.input_rows += l.len() as u64;
                     }
                 }
-                (Relation::new(schema, sink.rows), Handed::Fresh)
+                (Relation::new(schema(), sink.rows), Handed::Fresh)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let table = input.table_columns();
                 let input = self.eval_node(input, local)?;
-                let out = self.hash_aggregate(&input, table, keys, aggs, schema)?;
+                let out = self.hash_aggregate(&input, table, keys, aggs, schema())?;
                 if self.metrics.is_some() {
                     self.pending.input_rows += input.len() as u64;
                     self.pending.groups += out.len() as u64;
@@ -1140,7 +1033,7 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let out = self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema)?;
+                let out = self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema())?;
                 (out, Handed::Fresh)
             }
             PhysKind::BinaryGroupTheta {
@@ -1153,8 +1046,16 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let out =
-                    self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema)?;
+                let out = self.binary_group_theta(
+                    node,
+                    &l,
+                    &r,
+                    left_key,
+                    right_key,
+                    *cmp,
+                    agg,
+                    schema(),
+                )?;
                 (out, Handed::Fresh)
             }
             PhysKind::Map { input, expr } => {
@@ -1162,7 +1063,7 @@ impl ExecContext {
                 let rows = self.build_rows(node, &input, |ctx, _, t| {
                     Ok(t.extended(ctx.eval_expr(expr, t)?))
                 })?;
-                (Relation::new(schema, rows), Handed::Fresh)
+                (Relation::new(schema(), rows), Handed::Fresh)
             }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
@@ -1170,14 +1071,14 @@ impl ExecContext {
                 // morsel numbers its slice independently.
                 let rows =
                     self.build_rows(node, &input, |_, i, t| Ok(t.extended(Value::Int(i as i64))))?;
-                (Relation::new(schema, rows), Handed::Fresh)
+                (Relation::new(schema(), rows), Handed::Fresh)
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
                 // The copied row vector plus the transient dedup set are
                 // both O(n) shared handles; charged as one step.
                 self.charge_shared_rows(input.len())?;
-                let rel = Relation::new(schema, input.rows().to_vec()).distinct();
+                let rel = Relation::new(schema(), input.rows().to_vec()).distinct();
                 (rel, Handed::Shared)
             }
             PhysKind::Sort { input, keys } => {
@@ -1211,18 +1112,21 @@ impl ExecContext {
                 decorated.sort_by(|a, b| compare_tuples(&a.0, &b.0, &spec));
                 self.gov.release(scratch);
                 let rows = decorated.into_iter().map(|(_, t)| t).collect();
-                (Relation::new(schema, rows), Handed::Shared)
+                (Relation::new(schema(), rows), Handed::Shared)
             }
             PhysKind::Limit { input, n } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len().min(*n))?;
                 let rows = input.rows().iter().take(*n).cloned().collect();
-                (Relation::new(schema, rows), Handed::Shared)
+                (Relation::new(schema(), rows), Handed::Shared)
             }
             PhysKind::Alias { input } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len())?;
-                (Relation::new(schema, input.rows().to_vec()), Handed::Shared)
+                (
+                    Relation::new(schema(), input.rows().to_vec()),
+                    Handed::Shared,
+                )
             }
             PhysKind::UnionAll { left, right } => {
                 let l = self.eval_node(left, local)?;
@@ -1230,7 +1134,7 @@ impl ExecContext {
                 self.charge_shared_rows(l.len() + r.len())?;
                 let mut rows = l.rows().to_vec();
                 rows.extend_from_slice(r.rows());
-                (Relation::new(schema, rows), Handed::Shared)
+                (Relation::new(schema(), rows), Handed::Shared)
             }
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. } => {
                 return Err(Error::execution(
@@ -1277,10 +1181,9 @@ impl ExecContext {
     ) -> Result<(Dual, [u64; 2], Handed)> {
         let schema = source.schema.clone();
         Ok(match &source.kind {
-            PhysKind::BypassFilter { input, predicate } => {
+            PhysKind::BypassFilter { input, .. } => {
                 let rel = self.eval_node(input, local)?;
-                let chain = self.chain_for(source, predicate, rel.schema().arity());
-                let (pos, neg) = self.run_chain(source, input, &rel, &chain, true)?;
+                let (pos, neg) = self.run_chain(source, input, &rel, true)?;
                 let routed = [pos.len() as u64, neg.len() as u64];
                 let dual = (
                     Arc::new(Relation::new(schema.clone(), pos)),
@@ -1624,6 +1527,22 @@ impl ExecContext {
         table.seal();
         Ok((table, charged))
     }
+}
+
+/// The kernel columns of `input` — the evaluated `from` — for one call
+/// of a σ/σ±. A base-table scan hands out the table's own columns (built
+/// on their first read, then shared by every statement and worker); any
+/// other input is transposed for the call — uncharged scratch of one
+/// kernel-column set that dies with it.
+fn chain_batch(from: &PhysNode, input: &Relation, chain: &CompiledChain) -> Batch {
+    let Some(table) = from.table_columns() else {
+        return Batch::from_rows_cols(input.rows(), &chain.cols);
+    };
+    let mut columns = vec![None; input.schema().arity()];
+    for &c in &chain.cols {
+        columns[c] = table.get(c).cloned();
+    }
+    Batch::new(columns, input.len())
 }
 
 /// One slice loop of the chunked σ: settle every selected lane with the
@@ -2024,11 +1943,10 @@ pub(crate) mod tests {
         assert_eq!(bypass_m.pos_rows, 2);
         assert_eq!(bypass_m.neg_rows, 2);
         assert_eq!(bypass_m.split_ratio(), Some(0.5));
-        assert!(bypass_m.is_bypass());
         // σ± splits by refcount bump, never materializing.
         assert_eq!(bypass_m.rows_shared, 4);
         assert_eq!(bypass_m.rows_materialized, 0);
-        assert!(!union_m.is_bypass());
+        assert_eq!(union_m.split_ratio(), None);
     }
 
     #[test]
@@ -2049,7 +1967,7 @@ pub(crate) mod tests {
         // Joins materialize concatenated pairs.
         assert_eq!(m.rows_materialized, 5);
         assert_eq!(m.rows_shared, 0);
-        assert!(!m.is_bypass());
+        assert_eq!(m.split_ratio(), None);
     }
 
     #[test]

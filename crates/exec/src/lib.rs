@@ -53,6 +53,6 @@ pub use eval::{
 };
 pub use expr::PhysExpr;
 pub use interp::value_truth;
-pub use node::{Chain, JoinOn, JoinSpec, LineSource, PhysKind, PhysNode, PlanLine, Stage};
+pub use node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 pub use plan::{physical_plan, physical_plan_with, PlanOptions, Resolver};
 pub use row::{Columns, Row, RowView};

@@ -10,8 +10,7 @@
 //! plan)` over the subqueries its expressions re-evaluate per row. The
 //! estimate only decides whether to fork, never what is computed. A
 //! forked loop splits its range into morsels pulled by scoped threads,
-//! each thread on its own *forked* context, one per thread for the whole
-//! operator call (a [`Team`]).
+//! each thread on its own context, forked for that fan-out.
 //! Workers are speculative — their governor starts every morsel at zero
 //! bytes and they never see the fault plan — and their effects are
 //! replayed on the master in morsel order, which makes every determinism
@@ -27,26 +26,16 @@ use std::sync::Arc;
 
 use bypass_types::{par, Error, Result};
 
-use crate::eval::{ExecContext, ExecCounters, ExecOptions, NodeMetrics, PendingCounters};
+use crate::eval::{ExecContext, ExecCounters, ExecOptions, NodeMetrics};
 use crate::govern::GovLog;
 use crate::node::{JoinOn, JoinSpec, PhysKind, PhysNode};
-
-/// The worker contexts of one operator call, one per thread: forked at
-/// the call's first fan-out and kept for all its epochs and every morsel
-/// a thread pulls, so what a worker builds to evaluate a nested plan —
-/// the compiled chain and cached column transpose of a nested σ — is
-/// built once per worker, not once per morsel.
-#[derive(Default)]
-pub(crate) struct Team {
-    workers: Vec<ExecContext>,
-}
 
 /// Everything a worker hands back to the master per morsel for the
 /// in-order merge.
 struct MorselOut<P> {
     gov: GovLog,
     metrics: Option<HashMap<usize, NodeMetrics>>,
-    pending: PendingCounters,
+    pending: NodeMetrics,
     /// Inclusive nanos of nested-plan evaluations inside worker
     /// expressions; billed to the master's current metrics frame, as a
     /// serial run would have.
@@ -66,7 +55,7 @@ impl<P> MorselOut<P> {
         MorselOut {
             gov: GovLog::empty(),
             metrics: None,
-            pending: PendingCounters::default(),
+            pending: NodeMetrics::default(),
             child_nanos: 0,
             counters: ExecCounters::default(),
             payload: Err(Error::execution(
@@ -165,8 +154,7 @@ impl ExecContext {
     /// Fork a worker context: the master's options without nested
     /// fan-out — nothing forks under a forked loop — the same
     /// outer-binding stack (refcount bumps), fresh memo maps that the
-    /// safety gate guarantees stay untouched, caches of its own and a
-    /// forked governor.
+    /// safety gate guarantees stay untouched and a forked governor.
     fn fork_worker(&self) -> ExecContext {
         let mut w = ExecContext::new(ExecOptions {
             threads: 1,
@@ -183,8 +171,8 @@ impl ExecContext {
     }
 
     /// End a morsel on a worker: take out everything the master merges
-    /// for it, leaving the worker as freshly forked — except for its
-    /// caches, which is the point of keeping it.
+    /// for it, leaving the worker as freshly forked for the next morsel
+    /// its thread pulls.
     fn cut_morsel<P>(&mut self, payload: Result<P>) -> MorselOut<P> {
         MorselOut {
             gov: self.gov.cut(),
@@ -230,32 +218,10 @@ impl ExecContext {
         P: Send,
         F: Fn(&mut ExecContext, Range<usize>) -> Result<P> + Sync,
     {
-        self.run_team_morsels(&mut Team::default(), node, total, pairs, body)
-    }
-
-    /// [`Self::run_weighted_morsels`] on the worker contexts of `team`:
-    /// an operator that fans out once per epoch passes the same team
-    /// every time, so a 256-row epoch over a 2 000-row subquery forks on
-    /// contexts that already hold the subquery's compiled chain.
-    pub(crate) fn run_team_morsels<P, F>(
-        &mut self,
-        team: &mut Team,
-        node: &Arc<PhysNode>,
-        total: usize,
-        pairs: usize,
-        body: F,
-    ) -> Result<Vec<P>>
-    where
-        P: Send,
-        F: Fn(&mut ExecContext, Range<usize>) -> Result<P> + Sync,
-    {
         let Some(weight) = self.fork_weight(node, total, pairs) else {
             return Ok(vec![body(self, 0..total)?]);
         };
         let threads = self.options.threads;
-        if team.workers.is_empty() {
-            team.workers = (0..threads).map(|_| self.fork_worker()).collect();
-        }
         // Aim for ~4 morsels per worker (pull-based balancing without
         // tiny fragments), none heavier than the gate.
         let cap = usize::try_from(self.options.morsel_rows as u64 / weight).unwrap_or(usize::MAX);
@@ -264,10 +230,13 @@ impl ExecContext {
             .step_by(chunk)
             .map(|s| s..(s + chunk).min(total))
             .collect();
+        let mut workers: Vec<ExecContext> = (0..threads.min(ranges.len()))
+            .map(|_| self.fork_worker())
+            .collect();
         // Lowest-index failure wins; later morsels bail out early.
         let stop = AtomicUsize::new(usize::MAX);
         let outs: Vec<MorselOut<P>> =
-            par::scoped_map_with(&mut team.workers, &ranges, |w, idx, range| {
+            par::scoped_map_with(&mut workers, &ranges, |w, idx, range| {
                 if stop.load(Ordering::Relaxed) < idx {
                     return MorselOut::skipped();
                 }

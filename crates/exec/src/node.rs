@@ -6,6 +6,7 @@ use bypass_types::{Relation, Schema, Value};
 
 use crate::agg::AggSpec;
 use crate::expr::PhysExpr;
+use crate::vector::{compile_chain, CompiledChain};
 
 /// A physical plan node: an operator kind plus its (pre-computed) output
 /// schema. Children are `Arc`-shared; bypass operators are shared by two
@@ -14,11 +15,32 @@ use crate::expr::PhysExpr;
 pub struct PhysNode {
     pub kind: PhysKind,
     pub schema: Schema,
+    /// σ/σ± only: the predicate as an adaptively ordered chain of terms
+    /// (`vector.rs`) — a function of the predicate and the input's arity,
+    /// so compiled here, once per plan, and read by every context and
+    /// worker that runs the node.
+    chain: Option<CompiledChain>,
 }
 
 impl PhysNode {
     pub fn new(kind: PhysKind, schema: Schema) -> Arc<PhysNode> {
-        Arc::new(PhysNode { kind, schema })
+        let chain = match &kind {
+            PhysKind::Filter { input, predicate } | PhysKind::BypassFilter { input, predicate } => {
+                Some(compile_chain(predicate, input.schema.arity()))
+            }
+            _ => None,
+        };
+        Arc::new(PhysNode {
+            kind,
+            schema,
+            chain,
+        })
+    }
+
+    /// The compiled predicate chain of a σ/σ± node; `None` for every
+    /// other operator.
+    pub fn chain(&self) -> Option<&CompiledChain> {
+        self.chain.as_ref()
     }
 
     /// A scan of the base table `columns` belongs to.
@@ -438,18 +460,13 @@ impl PhysNode {
     /// The operator tree as display lines, top-down: DAG-shared bypass
     /// operators appear once (`(#k)`) and as `(shared #k)` afterwards;
     /// fused stages stay where the unfused plan has them, marked
-    /// `fused→#k` with the number of the join that runs them. Every
-    /// renderer — EXPLAIN, EXPLAIN ANALYZE, the profile table — is a
-    /// formatter over these lines. A subquery plan hangs below a
-    /// `subquery:` line of its own (`subquery_headers`, the EXPLAIN
-    /// layout) or carries `subquery: ` in its root's label (the table
-    /// layout, one row per operator).
-    pub fn lines(&self, subquery_headers: bool) -> Vec<PlanLine<'_>> {
-        let mut w = LineWalker {
-            subquery_headers,
-            ..LineWalker::default()
-        };
-        w.node(self, 0, "");
+    /// `fused→#k` with the number of the join that runs them; a
+    /// subquery plan hangs below a `subquery:` line of its own. Both
+    /// renderers — EXPLAIN and EXPLAIN ANALYZE — are formatters over
+    /// these lines.
+    fn lines(&self) -> Vec<PlanLine<'_>> {
+        let mut w = LineWalker::default();
+        w.node(self, 0);
         w.out
     }
 
@@ -463,7 +480,7 @@ impl PhysNode {
         metrics: &std::collections::HashMap<usize, crate::eval::NodeMetrics>,
     ) -> String {
         let mut out = String::new();
-        for line in self.lines(true) {
+        for line in self.lines() {
             out.push_str(&"  ".repeat(line.depth));
             out.push_str(&line.label);
             match line.source {
@@ -492,7 +509,7 @@ impl PhysNode {
     /// Physical EXPLAIN: indented operator names with DAG sharing marks.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        for line in self.lines(true) {
+        for line in self.lines() {
             out.push_str(&"  ".repeat(line.depth));
             out.push_str(&line.label);
             out.push('\n');
@@ -502,16 +519,15 @@ impl PhysNode {
 }
 
 /// One line of [`PhysNode::lines`].
-pub struct PlanLine<'a> {
-    pub depth: usize,
-    /// Operator name plus its marks (`subquery: ` prefix, `(#k)`,
-    /// `(shared #k)`, `fused→#k`).
-    pub label: String,
-    pub source: LineSource<'a>,
+struct PlanLine<'a> {
+    depth: usize,
+    /// Operator name plus its marks (`(#k)`, `(shared #k)`, `fused→#k`).
+    label: String,
+    source: LineSource<'a>,
 }
 
 /// What a [`PlanLine`] stands for — where its runtime counters live.
-pub enum LineSource<'a> {
+enum LineSource<'a> {
     /// An operator with its own `NodeMetrics` entry.
     Node(&'a PhysNode),
     /// A later reference to an already listed bypass operator.
@@ -539,7 +555,6 @@ struct LineWalker<'a> {
     /// Numbers of bypass operators and chain hosts, in first-mention order.
     ids: std::collections::HashMap<*const PhysNode, usize>,
     listed: std::collections::HashSet<*const PhysNode>,
-    subquery_headers: bool,
 }
 
 impl<'a> LineWalker<'a> {
@@ -548,38 +563,38 @@ impl<'a> LineWalker<'a> {
         *self.ids.entry(n).or_insert(next)
     }
 
-    fn node(&mut self, n: &'a PhysNode, depth: usize, prefix: &str) {
+    fn node(&mut self, n: &'a PhysNode, depth: usize) {
         match n.exit_chain() {
-            Some(fused) => self.stage(fused, fused.chain.stages.len() - 1, depth, prefix),
-            None => self.operator(n, depth, prefix),
+            Some(fused) => self.stage(fused, fused.chain.stages.len() - 1, depth),
+            None => self.operator(n, depth),
         }
     }
 
     /// Stage `k` of a chain, then what feeds it (the stage below, or the
     /// node the chain hangs off), then — for a fused join — its build
     /// side: the shape of the unfused tree.
-    fn stage(&mut self, fused: ExitChain<'a>, k: usize, depth: usize, prefix: &str) {
+    fn stage(&mut self, fused: ExitChain<'a>, k: usize, depth: usize) {
         let id = self.id(fused.host);
         let stage = &fused.chain.stages[k];
         self.out.push(PlanLine {
             depth,
-            label: format!("{prefix}{} fused→#{id}", stage.name()),
+            label: format!("{} fused→#{id}", stage.name()),
             source: LineSource::Stage {
                 host: fused.host,
                 index: fused.offset + k,
             },
         });
         match k {
-            0 => self.operator(fused.exit, depth + 1, ""),
-            _ => self.stage(fused, k - 1, depth + 1, ""),
+            0 => self.operator(fused.exit, depth + 1),
+            _ => self.stage(fused, k - 1, depth + 1),
         }
         if let Stage::Probe(spec) = stage {
-            self.node(&spec.right, depth + 1, "");
+            self.node(&spec.right, depth + 1);
         }
     }
 
-    fn operator(&mut self, n: &'a PhysNode, depth: usize, prefix: &str) {
-        let mut label = format!("{prefix}{}", n.name());
+    fn operator(&mut self, n: &'a PhysNode, depth: usize) {
+        let mut label = n.name().to_string();
         let is_bypass = matches!(
             n.kind,
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
@@ -603,19 +618,15 @@ impl<'a> LineWalker<'a> {
             source: LineSource::Node(n),
         });
         for sq in n.expr_subplans() {
-            if self.subquery_headers {
-                self.out.push(PlanLine {
-                    depth: depth + 1,
-                    label: "subquery:".to_string(),
-                    source: LineSource::Header,
-                });
-                self.node(sq, depth + 2, "");
-            } else {
-                self.node(sq, depth + 1, "subquery: ");
-            }
+            self.out.push(PlanLine {
+                depth: depth + 1,
+                label: "subquery:".to_string(),
+                source: LineSource::Header,
+            });
+            self.node(sq, depth + 2);
         }
         for c in n.inputs() {
-            self.node(c, depth + 1, "");
+            self.node(c, depth + 1);
         }
     }
 }

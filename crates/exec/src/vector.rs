@@ -1,9 +1,10 @@
 //! Adaptive disjunct chains: how σ and σ± evaluate their predicate.
 //!
-//! Every filter predicate is compiled once per plan node into a
-//! [`CompiledChain`] — one [`ChainTerm`] per top-level ORed disjunct
-//! (or ANDed conjunct; any other predicate is a chain of one term) —
-//! each term carrying
+//! Every filter predicate is compiled into a [`CompiledChain`] when its
+//! plan node is built (`PhysNode::new`; the node hands it out, so no
+//! statement, context or worker compiles it again) — one [`ChainTerm`]
+//! per top-level ORed disjunct (or ANDed conjunct; any other predicate
+//! is a chain of one term) — each term carrying
 //!
 //! * a `kernel` flag — the term is in the interpreter's
 //!   simple-predicate class (`interp.rs`), so the chunk loop may run it

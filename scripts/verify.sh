@@ -64,7 +64,7 @@ rebuilds="$(grep -rl 'with_children(' crates/*/src | grep -v '^crates/algebra/' 
 [ "$rebuilds" = "crates/unnest/src/ablation.rs " ] \
     || { echo "with_children( outside algebra: $rebuilds"; exit 1; }
 # The number the next diet has to beat: lines above each file's test module.
-for crate in algebra unnest; do
+for crate in algebra unnest exec; do
     find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
@@ -83,6 +83,20 @@ transposes="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     counting && /from_rows_cols\(/ && !/fn from_rows_cols\(/ { print FILENAME }' | tr '\n' ' ')"
 [ "$transposes" = "crates/exec/src/eval.rs " ] \
     || { echo "from_rows_cols( called outside chain_batch: $transposes"; exit 1; }
+
+echo "==> chains compiled at plan time, contexts carry run state (grep gate)"
+# A σ/σ± predicate is compiled where its node is built (DESIGN.md §8):
+# PhysNode::new is compile_chain's one caller, and ExecContext (eval.rs)
+# and the scheduler (morsel.rs) keep no chain cache, transpose cache or
+# worker team to amortise a second one.
+compilers="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /compile_chain\(/ && !/fn compile_chain\(/ { print FILENAME }' | tr '\n' ' ')"
+[ "$compilers" = "crates/exec/src/node.rs " ] \
+    || { echo "compile_chain( called outside PhysNode::new: $compilers"; exit 1; }
+caches="$(grep -nE '^ *(pub(\(crate\))? +)?(chains|batches) *:|\b(struct|enum|type) +Team\b|fn run_team_morsels' \
+    crates/exec/src/eval.rs crates/exec/src/morsel.rs || true)"
+[ -z "$caches" ] || { echo "per-context cache or team in the executor:"; echo "$caches"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -141,55 +155,27 @@ BYPASS_CHECK_SERVICE_SEED=0x5E41CE BYPASS_CHECK_SERVICE_CLIENTS=1 \
     BYPASS_CHECK_SERVICE_EVENTS=520 \
     cargo run -q --release -p bypass-check --bin service_oracle
 
-echo "==> observability smoke (profile JSON + Chrome trace + EXPLAIN ANALYZE)"
-# profile_canon validates both its --json output and the Chrome trace
-# with the in-tree bypass_trace::json validator before printing/writing
-# (no python needed); a tiny scale factor keeps this instant.
-trace_tmp="$(mktemp)"
-trap 'rm -f "$trace_tmp"' EXIT
-cargo run -q --release -p bypass-bench --bin profile_canon -- \
-    q1 unnested 0.01 0.01 --json --trace "$trace_tmp" > /dev/null
-test -s "$trace_tmp" || { echo "empty chrome trace export"; exit 1; }
-# EXPLAIN ANALYZE round-trips through the SQL frontend in the REPL.
-explain_out="$(printf '%s\n' \
-    'CREATE TABLE r (a1 INT, a2 INT, a3 INT, a4 INT);' \
-    'CREATE TABLE s (b1 INT, b2 INT, b3 INT, b4 INT);' \
-    'INSERT INTO r VALUES (1, 10, 0, 99), (0, 11, 0, 2000);' \
-    'INSERT INTO s VALUES (7, 10, 0, 0);' \
+echo "==> observability smoke (EXPLAIN ANALYZE + SHOW METRICS through the shell)"
+# One bypassdb session over the paper's demo instance: the evaluation
+# query under EXPLAIN ANALYZE, then the registry it fed. (Chrome-trace
+# JSON is validated by tests/observability.rs, the Prometheus exposition
+# by tests/metrics.rs.)
+shell_out="$(printf '%s\n' \
+    '\demo 0.01' \
     'EXPLAIN ANALYZE SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) OR a4 > 1500;' \
+    'SHOW METRICS;' \
     | cargo run -q --release --bin bypassdb)"
-case "$explain_out" in
+case "$shell_out" in
   *"EXPLAIN ANALYZE (unnested)"*"-- fingerprint: "*"-- bypass: 1 node(s)"*) ;;
-  *) echo "EXPLAIN ANALYZE smoke failed:"; echo "$explain_out"; exit 1 ;;
+  *) echo "EXPLAIN ANALYZE smoke failed:"; echo "$shell_out"; exit 1 ;;
 esac
-
-echo "==> metrics smoke (Prometheus exposition + SHOW METRICS)"
-# metrics_export validates the exposition with the in-tree validator
-# before printing (nonzero exit on malformed output); additionally
-# check that the required metric families made it into the scrape.
-metrics_out="$(cargo run -q --release -p bypass-bench --bin metrics_export -- 0.01 0.01)"
 for family in bypass_queries_total bypass_phase_nanos bypass_query_latency_nanos \
     bypass_rows_total bypass_disjunct_evals_total bypass_peak_memory_bytes \
     bypass_unnest_outcomes_total bypass_query_execs_total; do
-    case "$metrics_out" in
+    case "$shell_out" in
       *"# TYPE $family "*) ;;
-      *) echo "metrics smoke: family $family missing from exposition"; exit 1 ;;
+      *) echo "metrics smoke: family $family missing from SHOW METRICS"; exit 1 ;;
     esac
 done
-# The JSON flavour must pass the in-tree JSON validator (it does so
-# internally; a zero exit plus non-empty output is the contract).
-json_out="$(cargo run -q --release -p bypass-bench --bin metrics_export -- --json 0.01 0.01)"
-test -n "$json_out" || { echo "metrics smoke: empty JSON export"; exit 1; }
-# SHOW METRICS round-trips through the SQL frontend in the REPL.
-show_out="$(printf '%s\n' \
-    'CREATE TABLE r (a1 INT, a2 INT, a3 INT, a4 INT);' \
-    'INSERT INTO r VALUES (1, 10, 0, 99), (0, 11, 0, 2000);' \
-    'SELECT DISTINCT * FROM r WHERE a4 > 1500;' \
-    'SHOW METRICS;' \
-    | cargo run -q --release --bin bypassdb)"
-case "$show_out" in
-  *"# TYPE bypass_queries_total counter"*"# TYPE bypass_rows_total counter"*) ;;
-  *) echo "SHOW METRICS smoke failed:"; echo "$show_out"; exit 1 ;;
-esac
 
 echo "verify: OK"

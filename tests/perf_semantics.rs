@@ -341,9 +341,10 @@ fn explain_analyze_snapshots_are_worker_count_independent() {
 /// Under the default gate it is the work estimate that forks (DESIGN.md
 /// §7): 1 000 outer rows weigh 4 + 1 000 units each, so Q1's and Q3's
 /// 256-row epochs and Q2's single epoch fan out while every nested σ
-/// stays on the worker that evaluates it. Workers keep their contexts
-/// across morsels and epochs; rows, counters, profiles and the rendered
-/// report (`disjuncts=[…]`, `calls=`) must not show it.
+/// stays on the worker that evaluates it. A worker keeps its context
+/// across the morsels of one fan-out, every epoch forks afresh; rows,
+/// counters, profiles and the rendered report (`disjuncts=[…]`,
+/// `calls=`) must not show it.
 #[test]
 fn canonical_plans_forked_by_the_work_gate_are_worker_count_independent() {
     let db = rst_database(0.1);
