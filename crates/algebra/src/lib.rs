@@ -23,4 +23,4 @@ pub mod expr;
 pub mod plan;
 
 pub use expr::{AggCall, AggFunc, BinOp, ColumnRef, Scalar};
-pub use plan::{rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Stream};
+pub use plan::{prune_columns, rewrite, Blocks, LogicalPlan, PlanBuilder, Rule, Stream};

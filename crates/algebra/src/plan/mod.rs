@@ -3,8 +3,10 @@
 mod builder;
 mod display;
 mod node;
+mod prune;
 mod rewrite;
 
 pub use builder::PlanBuilder;
 pub use node::{LogicalPlan, Stream};
+pub use prune::prune_columns;
 pub use rewrite::{rewrite, Blocks, Rule};

@@ -155,60 +155,82 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// The output schema of this node.
     pub fn schema(&self) -> Schema {
+        if let Some(input) = self.hands_on() {
+            return input.schema();
+        }
+        match self.children().as_slice() {
+            [] => self.schema_over(&[]),
+            [a] => self.schema_over(&[&a.schema()]),
+            [a, b] => self.schema_over(&[&a.schema(), &b.schema()]),
+            _ => unreachable!("no operator has more than two inputs"),
+        }
+    }
+
+    /// The input whose rows this node hands on as they are (some of
+    /// them, reordered, or beside another input's of the same layout):
+    /// its schema is this node's.
+    pub(crate) fn hands_on(&self) -> Option<&Arc<LogicalPlan>> {
         match self {
-            LogicalPlan::Scan { schema, .. } => schema.clone(),
-            LogicalPlan::Singleton => Schema::empty(),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.schema(),
-            LogicalPlan::Alias { input, alias } => input.schema().with_qualifier(alias),
-            LogicalPlan::Project { input, exprs } => {
-                let in_schema = input.schema();
-                Schema::new(
-                    exprs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (e, alias))| project_field(e, alias.as_deref(), &in_schema, i))
-                        .collect(),
-                )
-            }
-            LogicalPlan::CrossJoin { left, right } | LogicalPlan::Join { left, right, .. } => {
-                left.schema().concat(&right.schema())
-            }
-            LogicalPlan::OuterJoin { left, right, .. } => left.schema().concat(&right.schema()),
-            LogicalPlan::Aggregate { input, keys, aggs } => {
-                let in_schema = input.schema();
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::BypassFilter { input, .. }
+            | LogicalPlan::Stream { source: input, .. }
+            | LogicalPlan::Union { left: input, .. } => Some(input),
+            _ => None,
+        }
+    }
+
+    /// The output schema of this node over children with the schemas
+    /// `inputs` (in [`LogicalPlan::children`] order) — the one definition
+    /// of schema derivation: [`LogicalPlan::schema`] recurses through it,
+    /// and a pass that keeps each node's schema derives it once per node.
+    pub fn schema_over(&self, inputs: &[&Schema]) -> Schema {
+        if self.hands_on().is_some() {
+            return inputs[0].clone();
+        }
+        match self {
+            LogicalPlan::Scan { schema, .. } => schema.clone(),
+            LogicalPlan::Singleton => Schema::empty(),
+            LogicalPlan::Filter { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::Sort { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::BypassFilter { .. }
+            | LogicalPlan::Stream { .. }
+            | LogicalPlan::Union { .. } => unreachable!("hands its input's schema on"),
+            LogicalPlan::Alias { alias, .. } => inputs[0].with_qualifier(alias),
+            LogicalPlan::Project { exprs, .. } => Schema::new(
+                exprs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (e, alias))| project_field(e, alias.as_deref(), inputs[0], i))
+                    .collect(),
+            ),
+            LogicalPlan::CrossJoin { .. }
+            | LogicalPlan::Join { .. }
+            | LogicalPlan::OuterJoin { .. }
+            | LogicalPlan::BypassJoin { .. } => inputs[0].concat(inputs[1]),
+            LogicalPlan::Aggregate { keys, aggs, .. } => {
                 let mut fields = Vec::with_capacity(keys.len() + aggs.len());
                 for (i, k) in keys.iter().enumerate() {
-                    fields.push(project_field(k, None, &in_schema, i));
+                    fields.push(project_field(k, None, inputs[0], i));
                 }
                 for (agg, name) in aggs {
-                    fields.push(Field::new(name, agg.data_type(&in_schema)));
+                    fields.push(Field::new(name, agg.data_type(inputs[0])));
                 }
                 Schema::new(fields)
             }
-            LogicalPlan::BinaryGroup {
-                left,
-                right,
-                agg,
-                name,
-                ..
-            } => left
-                .schema()
-                .extended(Field::new(name, agg.data_type(&right.schema()))),
-            LogicalPlan::Map { input, expr, name } => {
-                let s = input.schema();
-                let dt = expr.data_type(&s);
-                s.extended(Field::new(name, dt))
+            LogicalPlan::BinaryGroup { agg, name, .. } => {
+                inputs[0].extended(Field::new(name, agg.data_type(inputs[1])))
             }
-            LogicalPlan::Numbering { input, name } => {
-                input.schema().extended(Field::new(name, DataType::Int))
+            LogicalPlan::Map { expr, name, .. } => {
+                inputs[0].extended(Field::new(name, expr.data_type(inputs[0])))
             }
-            LogicalPlan::Union { left, .. } => left.schema(),
-            LogicalPlan::BypassFilter { input, .. } => input.schema(),
-            LogicalPlan::BypassJoin { left, right, .. } => left.schema().concat(&right.schema()),
-            LogicalPlan::Stream { source, .. } => source.schema(),
+            LogicalPlan::Numbering { name, .. } => {
+                inputs[0].extended(Field::new(name, DataType::Int))
+            }
         }
     }
 
@@ -411,6 +433,24 @@ impl LogicalPlan {
             return true;
         }
         self.children().iter().any(|c| c.contains_subquery())
+    }
+
+    /// Is this node a streaming consumer of `input` — a subquery-free σ,
+    /// Π or χ over it, or a subquery-free join whose *left* input it
+    /// is? Such a consumer runs inside the pipeline that produces
+    /// `input`'s rows (the physical planner fuses it into the join
+    /// below, DESIGN.md §7); any other consumer gets them materialized.
+    pub fn streams(&self, input: &Arc<LogicalPlan>) -> bool {
+        let streamed = match self {
+            LogicalPlan::Filter { input: i, .. }
+            | LogicalPlan::Project { input: i, .. }
+            | LogicalPlan::Map { input: i, .. } => i,
+            LogicalPlan::Join { left, .. }
+            | LogicalPlan::OuterJoin { left, .. }
+            | LogicalPlan::CrossJoin { left, .. } => left,
+            _ => return false,
+        };
+        Arc::ptr_eq(streamed, input) && self.exprs().iter().all(|e| !e.contains_subquery())
     }
 }
 

@@ -12,12 +12,14 @@
 //! * a subtree no rule changed is returned **pointer-equal**;
 //! * the visiting order is fixed — [`Rule::pre`], then the children left
 //!   to right, then (under [`Blocks::Nested`]) the nested blocks inside
-//!   the node's expressions left to right, then [`Rule::post`] — because
+//!   the node's expressions left to right, then [`Rule::post`] (through
+//!   [`Rule::post_of`]) — because
 //!   rules draw fresh column names (`__g0`, `__k1`, …) as they fire and
 //!   the plan goldens pin those names.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use bypass_types::FxHashMap;
 
 use crate::plan::node::LogicalPlan;
 
@@ -51,6 +53,18 @@ pub trait Rule {
     fn post(&mut self, node: Arc<LogicalPlan>) -> Arc<LogicalPlan> {
         node
     }
+
+    /// [`Rule::post`] for a rule that looked at the plan before the walk
+    /// and keeps what it found by node: `original` is the node of the
+    /// input plan that `node` is the rebuild of (the same `Arc` if
+    /// nothing below it changed).
+    fn post_of(
+        &mut self,
+        _original: &Arc<LogicalPlan>,
+        node: Arc<LogicalPlan>,
+    ) -> Arc<LogicalPlan> {
+        self.post(node)
+    }
 }
 
 impl<F: FnMut(Arc<LogicalPlan>) -> Arc<LogicalPlan>> Rule for F {
@@ -65,7 +79,7 @@ pub fn rewrite(plan: &Arc<LogicalPlan>, rule: &mut impl Rule, blocks: Blocks) ->
     Rewriter {
         rule,
         blocks,
-        memo: HashMap::new(),
+        memo: FxHashMap::default(),
     }
     .visit(plan)
 }
@@ -78,7 +92,7 @@ struct Rewriter<'r, R> {
     /// replacement plans of [`Rule::pre`] are temporaries, and a later
     /// allocation reusing a freed address would replay an unrelated
     /// rewrite.
-    memo: HashMap<*const LogicalPlan, (Arc<LogicalPlan>, Arc<LogicalPlan>)>,
+    memo: FxHashMap<*const LogicalPlan, (Arc<LogicalPlan>, Arc<LogicalPlan>)>,
 }
 
 impl<R: Rule> Rewriter<'_, R> {
@@ -94,7 +108,7 @@ impl<R: Rule> Rewriter<'_, R> {
                     Blocks::Nested => self.visit_nested(node),
                     Blocks::TopOnly => node,
                 };
-                self.rule.post(node)
+                self.rule.post_of(plan, node)
             }
         };
         self.memo

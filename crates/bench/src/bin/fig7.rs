@@ -34,11 +34,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bypass_algebra::prune_columns;
 use bypass_bench::{
     audit, measure, measure_with, q1_with_threshold, rst_database, tpch_database, Measurement,
     Table, Q1, Q2, Q3, Q4, QUERY_2D, Q_COMBINED, Q_EXISTS,
 };
 use bypass_core::{Database, LogicalPlan, RunLimits, Strategy};
+use bypass_datagen::tpch;
 use bypass_exec::{evaluate_with, physical_plan_with, ExecOptions, PlanOptions};
 use bypass_types::par;
 use bypass_unnest::{ablation::unshare_bypass, optimize_joins};
@@ -289,6 +291,11 @@ fn rank_experiment(cfg: &Config) -> usize {
 /// * **Stage-chain fusion** — the `⟕ → σ → Π` run above Q4's bypass join
 ///   folded into the join's emit step (DESIGN.md §7) vs materializing
 ///   the raw |L|·|R| negative stream and every widening of it first.
+/// * **Column pruning** — the TPC-H Q4-like and Q17-like plans of the
+///   benchmark's `tpch_costbased` workload (both unnested there) with and
+///   without `prune_columns` (DESIGN.md §2b): every join pipeline
+///   building the columns its consumers read vs every column of every
+///   joined table carried to the top.
 /// * **Join ordering** — a canonical `σ(R×S×T)` region with and without
 ///   the greedy join-tree pass (tiny instance: without it, 200-row
 ///   tables produce an 8M-tuple intermediate).
@@ -338,6 +345,37 @@ fn ablation_experiment(cfg: &Config) -> usize {
         format!("stage fusion (Q4, {fusion_sf}/{fusion_sf})"),
         run(&db, &q4, fused),
         run(&db, &q4, unfused),
+    );
+
+    let pruning_sf = if cfg.quick { 0.005 } else { 0.05 };
+    let mut db = Database::new();
+    tpch::register(db.catalog_mut(), &tpch::generate(pruning_sf, 42)).expect("fresh catalog");
+    // Compiled by hand, as the engine does up to the call that differs.
+    let ordered: Vec<Arc<LogicalPlan>> = [tpch::QUERY_4_LIKE, tpch::QUERY_17_LIKE]
+        .iter()
+        .map(|sql| {
+            let canonical = db.logical_plan(sql).expect("workload query translates");
+            let nested = Strategy::Unnested.rewrite_nesting(&canonical);
+            optimize_joins(&nested.expect("workload query unnests"))
+        })
+        .collect();
+    let both = |plans: Vec<Arc<LogicalPlan>>| {
+        measure_with(|| {
+            let mut rows = 0;
+            for plan in &plans {
+                let phys = physical_plan_with(plan, db.catalog(), fused)?;
+                rows += evaluate_with(&phys, ExecOptions::default())?.len();
+            }
+            Ok(rows)
+        })
+    };
+    // The first statement to read a base-table column builds it
+    // (DESIGN.md §5c): neither leg should be the one that pays.
+    both(ordered.clone());
+    column(
+        format!("column pruning (TPC-H Q4-like / Q17-like, SF {pruning_sf})"),
+        both(ordered.iter().map(prune_columns).collect()),
+        both(ordered),
     );
 
     let db = rst_database(0.02, 0.02, 42);

@@ -44,7 +44,7 @@ pub use gen::{
     array_of, bool_any, choice, f64_range, i64_any, int_range, just, one_of, option_weighted,
     string_any, string_of, tuple2, tuple3, tuple4, usize_range, vec_of, Gen,
 };
-pub use mutate::{flip_bypass_streams, BrokenUnnestExecutor};
+pub use mutate::{flip_bypass_streams, prune_columns_misaligned, BrokenUnnestExecutor};
 pub use oracle::{
     arb_query, case_seed, materialize_case, random_instance, results_agree, rewrite_fingerprint,
     run_differential, run_differential_parallel, run_differential_with, schedule_cases, Axis,

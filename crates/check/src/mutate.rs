@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use bypass_algebra::{rewrite, Blocks, LogicalPlan, Stream};
+use bypass_algebra::{prune_columns, rewrite, Blocks, LogicalPlan, Stream};
 use bypass_core::{Database, Strategy};
 use bypass_exec::{evaluate_with, physical_plan};
 use bypass_types::{Relation, Result};
@@ -30,6 +30,36 @@ pub fn flip_bypass_streams(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
     rewrite(plan, &mut flip, Blocks::TopOnly)
 }
 
+/// Column pruning with a planted bug: a ∪̇ asks its two inputs for
+/// different positions — the right-hand Π of every ∪̇ comes back with
+/// its first two columns swapped. Type-checks, keeps every arity, and
+/// puts the wrong value under the right name for every row that took
+/// the negative stream. The oracle's `pruned-vs-unpruned` axis must see
+/// it ([`crate::oracle::pruning_divergence`]).
+pub fn prune_columns_misaligned(plan: &Arc<LogicalPlan>) -> Arc<LogicalPlan> {
+    let mut misalign = |node: Arc<LogicalPlan>| {
+        let LogicalPlan::Union { left, right } = node.as_ref() else {
+            return node;
+        };
+        match right.as_ref() {
+            LogicalPlan::Project { input, exprs } if exprs.len() >= 2 => {
+                let mut exprs = exprs.clone();
+                exprs.swap(0, 1);
+                let right = Arc::new(LogicalPlan::Project {
+                    input: input.clone(),
+                    exprs,
+                });
+                Arc::new(LogicalPlan::Union {
+                    left: left.clone(),
+                    right,
+                })
+            }
+            _ => node,
+        }
+    };
+    rewrite(&prune_columns(plan), &mut misalign, Blocks::Nested)
+}
+
 /// An executor with a planted bug: [`Strategy::Unnested`] plans run
 /// with flipped bypass streams; every other strategy runs unmodified.
 pub struct BrokenUnnestExecutor;
@@ -50,6 +80,7 @@ impl QueryExecutor for BrokenUnnestExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::pruning_divergence;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -84,6 +115,26 @@ mod tests {
         let canonical = db.logical_plan("SELECT * FROM r WHERE a4 > 3").unwrap();
         let prepared = Strategy::Canonical.prepare(&canonical).unwrap();
         assert_eq!(prepared.explain(), flip_bypass_streams(&prepared).explain());
+    }
+
+    #[test]
+    fn pruning_axis_catches_a_misaligned_union() {
+        let mut db = db();
+        // A row that takes the negative stream *and* qualifies there:
+        // a4 ≤ 6, and exactly a1 = 1 row of s has b2 = 4.
+        db.execute_sql("INSERT INTO r VALUES (1, 4, 7, 2)").unwrap();
+        let q = "SELECT a2, a3 FROM r \
+                 WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 6";
+        let strategy = Strategy::Unnested;
+        assert_eq!(pruning_divergence(&db, q, strategy, prune_columns), None);
+        let caught = pruning_divergence(&db, q, strategy, prune_columns_misaligned)
+            .expect("planted pruning bug went unseen");
+        assert!(caught.contains("row sequence diverges"), "{caught}");
+        // No ∪̇, nothing to misalign.
+        assert_eq!(
+            pruning_divergence(&db, q, Strategy::Canonical, prune_columns_misaligned),
+            None
+        );
     }
 
     #[test]

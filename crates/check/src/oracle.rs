@@ -34,7 +34,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
+use bypass_algebra::LogicalPlan;
 use bypass_core::{
     DataType, Database, ExecCounters, Relation, RunLimits, Strategy, TableBuilder, Value,
 };
@@ -1466,7 +1468,15 @@ struct Leg {
     batch_rows: Option<usize>,
     /// Planned with stage-chain fusion, the one [`PlanOptions`] switch.
     fused: bool,
+    /// `None`: the plan as the engine compiles it. `Some(f)`: compiled by
+    /// hand — nesting rewrite, join ordering, then `f` where the engine
+    /// calls `prune_columns` (the unpruned leg passes `Arc::clone`: it
+    /// just does not call the function).
+    columns: Option<PlanFn>,
 }
+
+/// A logical plan-to-plan step of a hand-compiled leg of an [`Axis`].
+pub type PlanFn = fn(&Arc<LogicalPlan>) -> Arc<LogicalPlan>;
 
 const SERIAL: Leg = Leg {
     name: "serial",
@@ -1474,6 +1484,7 @@ const SERIAL: Leg = Leg {
     morsel_rows: None,
     batch_rows: None,
     fused: true,
+    columns: None,
 };
 
 const PARALLEL: Leg = Leg {
@@ -1505,8 +1516,38 @@ pub struct Axis {
     compare: Compare,
 }
 
+/// The executor-axis row for column pruning, also what
+/// [`pruning_divergence`] compares a planted bug against.
+// A pruned plan builds narrower rows, runs a shared ν once and ticks once
+// per row at every Π it inserts, so charges and checkpoints differ
+// *between* the two plans by design; rows, their order and the kind of
+// error may not (DESIGN.md §2b). The parallel axis runs the pruned plan,
+// so the unpruned one is checked there too.
+const PRUNED_VS_UNPRUNED: Axis = Axis {
+    name: "pruned-vs-unpruned",
+    legs: &[
+        Leg {
+            name: "pruned",
+            ..SERIAL
+        },
+        UNPRUNED,
+        Leg {
+            name: "parallel unpruned",
+            columns: Some(Arc::clone),
+            ..PARALLEL
+        },
+    ],
+    compare: Compare::ErrorKindOnly,
+};
+
+const UNPRUNED: Leg = Leg {
+    name: "unpruned",
+    columns: Some(Arc::clone),
+    ..SERIAL
+};
+
 /// The executor axes every case is crossed with, in report order.
-pub const AXES: [Axis; 3] = [
+pub const AXES: [Axis; 4] = [
     // One worker against the morsel pool.
     Axis {
         name: "parallel-vs-serial",
@@ -1556,12 +1597,13 @@ pub const AXES: [Axis; 3] = [
         ],
         compare: Compare::ErrorKindOnly,
     },
+    PRUNED_VS_UNPRUNED,
 ];
 
-type LegRun = Result<(std::sync::Arc<Relation>, ExecCounters)>;
+type LegRun = Result<(Arc<Relation>, ExecCounters)>;
 
 fn run_leg(db: &Database, sql: &str, strategy: Strategy, leg: &Leg) -> LegRun {
-    if leg.fused {
+    if leg.fused && leg.columns.is_none() {
         let limits = RunLimits {
             threads: Some(leg.threads),
             morsel_rows: leg.morsel_rows,
@@ -1572,11 +1614,17 @@ fn run_leg(db: &Database, sql: &str, strategy: Strategy, leg: &Leg) -> LegRun {
             .run_governed(sql, strategy, &limits)
             .map(|(rows, counters)| (rows.into(), counters));
     }
-    // No SQL entry point plans without fusion: compile by hand.
-    let logical = db.logical_plan(sql).and_then(|c| strategy.prepare(&c));
+    // No SQL entry point plans without fusion or without column
+    // pruning: compile by hand.
+    let logical = db.logical_plan(sql).and_then(|c| match leg.columns {
+        None => strategy.prepare(&c),
+        Some(columns) => strategy
+            .rewrite_nesting(&c)
+            .map(|nested| columns(&bypass_unnest::optimize_joins(&nested))),
+    });
     bypass_unnest::take_outcomes();
     let plan_options = PlanOptions {
-        fuse_stage_chains: false,
+        fuse_stage_chains: leg.fused,
     };
     let physical = physical_plan_with(&logical?, db.catalog(), plan_options)?;
     let mut options = strategy.exec_options();
@@ -1635,9 +1683,10 @@ fn compare_legs(how: Compare, a: (&Leg, &LegRun), b: (&Leg, &LegRun)) -> Option<
 /// Does the executor disagree with itself along `axis` on this query +
 /// instance under `strategy`?
 fn axis_divergence(axis: &Axis, db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    // `Strategy::prepare`, which an unfused leg compiles through, needs a
-    // concrete strategy; cost-based resolves to one this axis covers.
-    if strategy == Strategy::CostBased && axis.legs.iter().any(|leg| !leg.fused) {
+    // `Strategy::prepare`, which a hand-compiled leg goes through, needs
+    // a concrete strategy; cost-based resolves to one this axis covers.
+    let by_hand = |leg: &Leg| !leg.fused || leg.columns.is_some();
+    if strategy == Strategy::CostBased && axis.legs.iter().any(by_hand) {
         return None;
     }
     let run = |leg: &Leg| run_leg(db, sql, strategy, leg);
@@ -1650,6 +1699,28 @@ fn axis_divergence(axis: &Axis, db: &Database, sql: &str, strategy: Strategy) ->
     axis.legs[2..]
         .iter()
         .find_map(|leg| compare_legs(Compare::Exact, (second, &second_run), (leg, &run(leg))))
+}
+
+/// The `pruned-vs-unpruned` comparison with `pruner` where the engine
+/// calls `prune_columns` — how a planted pruning bug
+/// ([`crate::mutate::prune_columns_misaligned`]) is shown to the axis.
+pub fn pruning_divergence(
+    db: &Database,
+    sql: &str,
+    strategy: Strategy,
+    pruner: PlanFn,
+) -> Option<String> {
+    let pruned = Leg {
+        name: "pruned",
+        columns: Some(pruner),
+        ..SERIAL
+    };
+    let run = |leg: &Leg| run_leg(db, sql, strategy, leg);
+    compare_legs(
+        PRUNED_VS_UNPRUNED.compare,
+        (&pruned, &run(&pruned)),
+        (&UNPRUNED, &run(&UNPRUNED)),
+    )
 }
 
 /// Run the differential oracle with the default executor.

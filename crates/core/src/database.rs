@@ -3,7 +3,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bypass_algebra::LogicalPlan;
+use bypass_algebra::{prune_columns, LogicalPlan};
 use bypass_catalog::Catalog;
 use bypass_exec::{
     physical_plan, ExecContext, ExecCounters, ExecOptions, NodeMetrics, PhysExpr, PhysKind,
@@ -317,7 +317,7 @@ pub struct PhaseNanos {
     pub translate: u128,
     /// Strategy nesting rewrites (Eqv. 1–5 / OR→UNION / reordering).
     pub unnest: u128,
-    /// Join optimization + physical planning.
+    /// Join optimization, column pruning + physical planning.
     pub optimize: u128,
     /// Plan evaluation.
     pub execute: u128,
@@ -742,7 +742,8 @@ impl Database {
     }
 
     /// The one compile pipeline: fingerprint → translate → resolve the
-    /// strategy and rewrite the nesting → order joins → physical plan.
+    /// strategy and rewrite the nesting → order joins → prune columns →
+    /// physical plan.
     /// Each phase is timed once and wrapped in one `bypass-trace` span
     /// (`translate`, `unnest`, `optimize`; `sql.parse` is emitted by the
     /// SQL crate around `parse_statement`), so a Chrome trace, an
@@ -784,11 +785,12 @@ impl Database {
         let t = Instant::now();
         let (logical, physical) = {
             let _s = bypass_trace::span("optimize");
-            let logical = if rewritten.joins_ordered {
+            let ordered = if rewritten.joins_ordered {
                 rewritten.plan
             } else {
                 optimize_joins(&rewritten.plan)
             };
+            let logical = prune_columns(&ordered);
             let physical = physical_plan(&logical, &self.catalog)?;
             (logical, physical)
         };

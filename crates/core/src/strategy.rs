@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bypass_algebra::{rewrite, Blocks, LogicalPlan};
+use bypass_algebra::{prune_columns, rewrite, Blocks, LogicalPlan};
 use bypass_exec::ExecOptions;
 use bypass_types::Result;
 use bypass_unnest::{
@@ -89,16 +89,20 @@ impl Strategy {
     }
 
     /// Apply this strategy's plan rewrites to a canonical logical plan.
-    /// Generic join ordering / predicate pushdown runs afterwards for
-    /// every strategy — it is orthogonal to unnesting (no real system,
-    /// including the paper's Natix, executes raw cross products).
+    /// Generic join ordering / predicate pushdown and column pruning run
+    /// afterwards for every strategy — they are orthogonal to unnesting
+    /// (no real system, including the paper's Natix, executes raw cross
+    /// products or carries every column of every joined table to the
+    /// top).
     pub fn prepare(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
-        self.rewrite_nesting(plan).map(|p| optimize_joins(&p))
+        self.rewrite_nesting(plan)
+            .map(|p| prune_columns(&optimize_joins(&p)))
     }
 
     /// The unnesting half of [`Strategy::prepare`] (no join
-    /// optimization).
-    fn rewrite_nesting(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
+    /// optimization, no column pruning) — what a caller that compiles
+    /// by hand starts from.
+    pub fn rewrite_nesting(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
         match self {
             Strategy::Canonical | Strategy::S3Materialized => {
                 Ok(reorder_plan_disjuncts(plan, false))

@@ -166,6 +166,28 @@ impl PhysExpr {
     }
 }
 
+/// If every projection expression is a plain column reference, the
+/// column indices; `None` as soon as anything needs real evaluation.
+pub(crate) fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            PhysExpr::Column(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Is `exprs` the projection `#0, #1, …` of all `arity` input columns —
+/// a relabelling that hands its rows on as they are?
+pub(crate) fn identity_projection(exprs: &[PhysExpr], arity: usize) -> bool {
+    exprs.len() == arity
+        && exprs
+            .iter()
+            .enumerate()
+            .all(|(i, e)| matches!(e, PhysExpr::Column(c) if *c == i))
+}
+
 impl fmt::Display for PhysExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

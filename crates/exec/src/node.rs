@@ -5,7 +5,7 @@ use bypass_catalog::TableColumns;
 use bypass_types::{Relation, Schema, Value};
 
 use crate::agg::AggSpec;
-use crate::expr::PhysExpr;
+use crate::expr::{identity_projection, PhysExpr};
 use crate::vector::{compile_chain, CompiledChain};
 
 /// A physical plan node: an operator kind plus its (pre-computed) output
@@ -20,6 +20,11 @@ pub struct PhysNode {
     /// so compiled here, once per plan, and read by every context and
     /// worker that runs the node.
     chain: Option<CompiledChain>,
+    /// The planner saw more than one consumer of this node in its query
+    /// block: an evaluation of the block runs it once and hands every
+    /// consumer the same relation (`eval.rs`, as a bypass operator's two
+    /// streams always were).
+    pub(crate) shared: bool,
 }
 
 impl PhysNode {
@@ -34,7 +39,17 @@ impl PhysNode {
             kind,
             schema,
             chain,
+            shared: false,
         })
+    }
+
+    /// Record that `node`, just built, has several consumers. Scans and
+    /// stream taps hand out what exists already; there is nothing to
+    /// keep for them.
+    pub(crate) fn mark_shared(node: &mut Arc<PhysNode>) {
+        if !matches!(node.kind, PhysKind::Scan { .. } | PhysKind::Stream { .. }) {
+            Arc::get_mut(node).expect("not handed out yet").shared = true;
+        }
     }
 
     /// The compiled predicate chain of a σ/σ± node; `None` for every
@@ -127,6 +142,10 @@ pub enum Stage {
     Filter(PhysExpr),
     /// Π.
     Project(Vec<PhysExpr>),
+    /// A column-only Π that ends the chain — the exit's materialization
+    /// list: the row that leaves is built once, from these columns of
+    /// the view, and no wider.
+    Pick(Vec<usize>),
     /// χ.
     Map(PhysExpr),
     /// A further join whose probe (left) input is the chain.
@@ -137,7 +156,7 @@ impl Stage {
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Filter(_) => "Filter",
-            Stage::Project(_) => "Project",
+            Stage::Project(_) | Stage::Pick(_) => "Project",
             Stage::Map(_) => "Map",
             Stage::Probe(spec) => spec.name(),
         }
@@ -147,6 +166,7 @@ impl Stage {
         match self {
             Stage::Filter(e) | Stage::Map(e) => vec![e],
             Stage::Project(es) => es.iter().collect(),
+            Stage::Pick(_) => vec![],
             Stage::Probe(spec) => spec.exprs(),
         }
     }
@@ -426,6 +446,31 @@ impl PhysNode {
         }
     }
 
+    /// The width of the rows this operator builds (a bypass join: of its
+    /// positive / negative stream), `None` for one that hands on the rows
+    /// it was given.
+    fn built_width(&self) -> Option<String> {
+        let width =
+            |chain: &Option<Chain>| chain.as_ref().map_or(&self.schema, |c| &c.schema).arity();
+        match &self.kind {
+            PhysKind::Project { input, exprs }
+                if identity_projection(exprs, input.schema.arity()) =>
+            {
+                None
+            }
+            PhysKind::Project { .. }
+            | PhysKind::Join { .. }
+            | PhysKind::BinaryGroupEq { .. }
+            | PhysKind::BinaryGroupTheta { .. }
+            | PhysKind::Map { .. }
+            | PhysKind::Numbering { .. } => Some(self.schema.arity().to_string()),
+            PhysKind::BypassNLJoin { pos, neg, .. } => {
+                Some(format!("{}/{}", width(pos), width(neg)))
+            }
+            _ => None,
+        }
+    }
+
     /// The stage chain whose rows leave its host through this node — a
     /// join's own chain, or the chain of the bypass-join stream this
     /// `Stream` node taps.
@@ -457,7 +502,7 @@ impl PhysNode {
         })
     }
 
-    /// The operator tree as display lines, top-down: DAG-shared bypass
+    /// The operator tree as display lines, top-down: DAG-shared
     /// operators appear once (`(#k)`) and as `(shared #k)` afterwards;
     /// fused stages stay where the unfused plan has them, marked
     /// `fused→#k` with the number of the join that runs them; a
@@ -530,7 +575,7 @@ struct PlanLine<'a> {
 enum LineSource<'a> {
     /// An operator with its own `NodeMetrics` entry.
     Node(&'a PhysNode),
-    /// A later reference to an already listed bypass operator.
+    /// A later reference to an already listed shared operator.
     Shared,
     /// The `subquery:` line above a subquery plan.
     Header,
@@ -552,7 +597,8 @@ struct ExitChain<'a> {
 #[derive(Default)]
 struct LineWalker<'a> {
     out: Vec<PlanLine<'a>>,
-    /// Numbers of bypass operators and chain hosts, in first-mention order.
+    /// Numbers of bypass operators, chain hosts and shared operators, in
+    /// first-mention order.
     ids: std::collections::HashMap<*const PhysNode, usize>,
     listed: std::collections::HashSet<*const PhysNode>,
 }
@@ -600,9 +646,9 @@ impl<'a> LineWalker<'a> {
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
         );
         let is_host = matches!(n.kind, PhysKind::Join { chain: Some(_), .. });
-        if is_bypass || is_host {
+        if is_bypass || is_host || n.shared {
             let id = self.id(n);
-            if !self.listed.insert(n) && is_bypass {
+            if !self.listed.insert(n) && (is_bypass || n.shared) {
                 self.out.push(PlanLine {
                     depth,
                     label: format!("{label} (shared #{id})"),
@@ -633,10 +679,13 @@ impl<'a> LineWalker<'a> {
 
 /// The `[calls=… rows=… …]` block of one EXPLAIN ANALYZE line.
 fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
+    out.push_str(&format!("  [calls={} rows={}", m.calls, m.rows));
+    // Rows × width is what an operator that builds rows pays for.
+    if let Some(cols) = n.built_width() {
+        out.push_str(&format!(" cols={cols}"));
+    }
     out.push_str(&format!(
-        "  [calls={} rows={} time={:.3}ms self={:.3}ms",
-        m.calls,
-        m.rows,
+        " time={:.3}ms self={:.3}ms",
         m.total_ms(),
         m.self_ms()
     ));

@@ -1,12 +1,13 @@
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bypass_algebra::{AggCall, BinOp, ColumnRef, LogicalPlan, Scalar, Stream};
 use bypass_catalog::{Catalog, TableColumns};
-use bypass_types::{Error, Relation, Result, Schema, Tuple};
+use bypass_types::{
+    Error, FxHashMap as HashMap, FxHashSet as HashSet, Relation, Result, Schema, Tuple,
+};
 
 use crate::agg::AggSpec;
-use crate::expr::PhysExpr;
+use crate::expr::{column_only, PhysExpr};
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 
 /// Physical planning options — the defaults are what the engine always
@@ -79,18 +80,16 @@ fn is_join(plan: &LogicalPlan) -> bool {
     )
 }
 
-impl<'a> BlockChains<'a> {
-    fn collect(root: &'a Arc<LogicalPlan>) -> BlockChains<'a> {
-        // Consumers per node (one entry per edge), nodes in post-order:
-        // a join that is a stage of a deeper join's chain is claimed by
-        // it before it could start a chain of its own.
-        let mut consumers: HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>> = HashMap::new();
-        let mut order = Vec::new();
-        let mut seen = HashSet::new();
-        post_order(root, &mut seen, &mut consumers, &mut order);
+/// Consumers per node of one block (one entry per edge).
+type Consumers<'a> = HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>>;
 
+impl<'a> BlockChains<'a> {
+    /// `order` lists the block's nodes in post-order: a join that is a
+    /// stage of a deeper join's chain is claimed by it before it could
+    /// start a chain of its own.
+    fn collect(consumers: &Consumers<'a>, order: Vec<&'a Arc<LogicalPlan>>) -> BlockChains<'a> {
         let mut chains = BlockChains::default();
-        let mut staged: HashSet<Ptr> = HashSet::new();
+        let mut staged: HashSet<Ptr> = HashSet::default();
         let mut bypass_hosts = Vec::new();
         for exit in order {
             let (host, slot) = match exit.as_ref() {
@@ -115,7 +114,7 @@ impl<'a> BlockChains<'a> {
             let mut chain = Vec::new();
             let mut cur = exit;
             while let Some([consumer]) = consumers.get(&Arc::as_ptr(cur)).map(Vec::as_slice) {
-                if !streams(consumer, cur) {
+                if !consumer.streams(cur) {
                     break;
                 }
                 chain.push(*consumer);
@@ -146,7 +145,7 @@ impl<'a> BlockChains<'a> {
                 return;
             };
             let cut = chain.iter().position(|stage| {
-                is_join(stage) && self.reaches(stage.children()[1], key, &mut HashSet::new())
+                is_join(stage) && self.reaches(stage.children()[1], key, &mut HashSet::default())
             });
             if let Some(cut) = cut {
                 let top = chain.last().expect("cut implies a stage");
@@ -191,7 +190,7 @@ impl<'a> BlockChains<'a> {
 fn post_order<'a>(
     plan: &'a Arc<LogicalPlan>,
     seen: &mut HashSet<Ptr>,
-    consumers: &mut HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>>,
+    consumers: &mut Consumers<'a>,
     order: &mut Vec<&'a Arc<LogicalPlan>>,
 ) {
     if !seen.insert(Arc::as_ptr(plan)) {
@@ -203,21 +202,6 @@ fn post_order<'a>(
         post_order(c, seen, consumers, order);
     }
     order.push(plan);
-}
-
-/// Is `consumer` a streaming stage over `input`?
-fn streams(consumer: &LogicalPlan, input: &Arc<LogicalPlan>) -> bool {
-    let subquery_free = consumer.exprs().iter().all(|e| !e.contains_subquery());
-    let streamed = match consumer {
-        LogicalPlan::Filter { input: i, .. }
-        | LogicalPlan::Project { input: i, .. }
-        | LogicalPlan::Map { input: i, .. } => i,
-        LogicalPlan::Join { left, .. }
-        | LogicalPlan::OuterJoin { left, .. }
-        | LogicalPlan::CrossJoin { left, .. } => left,
-        _ => return false,
-    };
-    subquery_free && Arc::ptr_eq(streamed, input)
 }
 
 /// The name resolver / physical planner. `scopes` is the stack of outer
@@ -242,9 +226,10 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// Per-block planning state: the block's stage chains and the
-/// logical → physical memo that preserves DAG sharing.
+/// Per-block planning state: who consumes what, the block's stage
+/// chains and the logical → physical memo that preserves DAG sharing.
 struct Block<'a> {
+    consumers: Consumers<'a>,
     chains: BlockChains<'a>,
     memo: HashMap<Ptr, Arc<PhysNode>>,
 }
@@ -253,14 +238,18 @@ impl<'a> Resolver<'a> {
     /// Compile one query block (the root plan, or a subquery plan under
     /// the scopes pushed for it).
     fn plan_block(&mut self, plan: &Arc<LogicalPlan>) -> Result<Arc<PhysNode>> {
+        let mut consumers = Consumers::default();
+        let mut order = Vec::new();
+        post_order(plan, &mut HashSet::default(), &mut consumers, &mut order);
         let chains = if self.options.fuse_stage_chains {
-            BlockChains::collect(plan)
+            BlockChains::collect(&consumers, order)
         } else {
             BlockChains::default()
         };
         let mut block = Block {
+            consumers,
             chains,
-            memo: HashMap::new(),
+            memo: HashMap::default(),
         };
         self.plan_node(plan, &mut block)
     }
@@ -282,19 +271,25 @@ impl<'a> Resolver<'a> {
             block.memo.insert(ptr, node.clone());
             return Ok(node);
         }
-        let schema = plan.schema();
-        let node = match plan.as_ref() {
+        // Schemas come from the planned inputs — a node's is derived
+        // once, not once per ancestor.
+        let schema_over = |inputs: &[&Arc<PhysNode>]| {
+            let schemas: Vec<&Schema> = inputs.iter().map(|n| &n.schema).collect();
+            plan.schema_over(&schemas)
+        };
+        let mut node = match plan.as_ref() {
             LogicalPlan::Scan { table, .. } => {
                 let t = self.catalog.get(table)?;
-                PhysNode::scan(t.columns().clone(), schema)
+                PhysNode::scan(t.columns().clone(), schema_over(&[]))
             }
             LogicalPlan::Singleton => {
                 let one_row = Relation::new(Schema::empty(), vec![Tuple::new(vec![])]);
-                PhysNode::scan(TableColumns::new(one_row), schema)
+                PhysNode::scan(TableColumns::new(one_row), Schema::empty())
             }
             LogicalPlan::Filter { input, predicate } => {
                 let child = self.plan_node(input, block)?;
-                let pred = self.resolve(predicate, &input.schema())?;
+                let pred = self.resolve(predicate, &child.schema)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::Filter {
                         input: child,
@@ -305,7 +300,8 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Project { input, exprs } => {
                 let child = self.plan_node(input, block)?;
-                let exprs = self.resolve_projection(exprs, &input.schema())?;
+                let exprs = self.resolve_projection(exprs, &child.schema)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::Project {
                         input: child,
@@ -318,10 +314,11 @@ impl<'a> Resolver<'a> {
             | LogicalPlan::Join { left, .. }
             | LogicalPlan::OuterJoin { left, .. } => {
                 let l = self.plan_node(left, block)?;
-                let spec = self.join_spec(plan, block)?;
-                let chain = self.chain(ptr, 0, block)?;
+                let spec = self.join_spec(plan, &l.schema, block)?;
+                let pairs = schema_over(&[&l, &spec.right]);
+                let chain = self.chain(ptr, 0, &pairs, block)?;
                 // The node's schema is that of the rows it hands on.
-                let schema = chain.as_ref().map_or(schema, |c| c.schema.clone());
+                let schema = chain.as_ref().map_or(pairs, |c| c.schema.clone());
                 PhysNode::new(
                     PhysKind::Join {
                         left: l,
@@ -333,15 +330,15 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Aggregate { input, keys, aggs } => {
                 let child = self.plan_node(input, block)?;
-                let in_schema = input.schema();
                 let keys = keys
                     .iter()
-                    .map(|k| self.resolve(k, &in_schema))
+                    .map(|k| self.resolve(k, &child.schema))
                     .collect::<Result<Vec<_>>>()?;
                 let aggs = aggs
                     .iter()
-                    .map(|(call, _)| self.resolve_agg(call, &in_schema))
+                    .map(|(call, _)| self.resolve_agg(call, &child.schema))
                     .collect::<Result<Vec<_>>>()?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::HashAggregate {
                         input: child,
@@ -362,9 +359,10 @@ impl<'a> Resolver<'a> {
             } => {
                 let l = self.plan_node(left, block)?;
                 let r = self.plan_node(right, block)?;
-                let lk = self.resolve(left_key, &left.schema())?;
-                let rk = self.resolve(right_key, &right.schema())?;
-                let agg = self.resolve_agg(agg, &right.schema())?;
+                let lk = self.resolve(left_key, &l.schema)?;
+                let rk = self.resolve(right_key, &r.schema)?;
+                let agg = self.resolve_agg(agg, &r.schema)?;
+                let schema = schema_over(&[&l, &r]);
                 let kind = if *cmp == BinOp::Eq {
                     PhysKind::BinaryGroupEq {
                         left: l,
@@ -393,7 +391,8 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Map { input, expr, .. } => {
                 let child = self.plan_node(input, block)?;
-                let e = self.resolve(expr, &input.schema())?;
+                let e = self.resolve(expr, &child.schema)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::Map {
                         input: child,
@@ -404,14 +403,17 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Numbering { input, .. } => {
                 let child = self.plan_node(input, block)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(PhysKind::Numbering { input: child }, schema)
             }
             LogicalPlan::Distinct { input } => {
                 let child = self.plan_node(input, block)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(PhysKind::Distinct { input: child }, schema)
             }
             LogicalPlan::Limit { input, n } => {
                 let child = self.plan_node(input, block)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::Limit {
                         input: child,
@@ -422,15 +424,16 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Alias { input, .. } => {
                 let child = self.plan_node(input, block)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(PhysKind::Alias { input: child }, schema)
             }
             LogicalPlan::Sort { input, keys } => {
                 let child = self.plan_node(input, block)?;
-                let in_schema = input.schema();
                 let keys = keys
                     .iter()
-                    .map(|(e, desc)| Ok((self.resolve(e, &in_schema)?, *desc)))
+                    .map(|(e, desc)| Ok((self.resolve(e, &child.schema)?, *desc)))
                     .collect::<Result<Vec<_>>>()?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(PhysKind::Sort { input: child, keys }, schema)
             }
             LogicalPlan::Union { left, right } => {
@@ -443,11 +446,13 @@ impl<'a> Resolver<'a> {
                         r.schema.arity()
                     )));
                 }
+                let schema = schema_over(&[&l, &r]);
                 PhysNode::new(PhysKind::UnionAll { left: l, right: r }, schema)
             }
             LogicalPlan::BypassFilter { input, predicate } => {
                 let child = self.plan_node(input, block)?;
-                let pred = self.resolve(predicate, &input.schema())?;
+                let pred = self.resolve(predicate, &child.schema)?;
+                let schema = schema_over(&[&child]);
                 PhysNode::new(
                     PhysKind::BypassFilter {
                         input: child,
@@ -463,9 +468,10 @@ impl<'a> Resolver<'a> {
             } => {
                 let l = self.plan_node(left, block)?;
                 let r = self.plan_node(right, block)?;
-                let pred = self.resolve(predicate, &plan.input_schema())?;
-                let pos = self.chain(ptr, 0, block)?;
-                let neg = self.chain(ptr, 1, block)?;
+                let pairs = schema_over(&[&l, &r]);
+                let pred = self.resolve(predicate, &pairs)?;
+                let pos = self.chain(ptr, 0, &pairs, block)?;
+                let neg = self.chain(ptr, 1, &pairs, block)?;
                 PhysNode::new(
                     PhysKind::BypassNLJoin {
                         left: l,
@@ -474,20 +480,20 @@ impl<'a> Resolver<'a> {
                         pos,
                         neg,
                     },
-                    schema,
+                    pairs,
                 )
             }
             LogicalPlan::Stream { source, stream } => {
                 let src = self.plan_node(source, block)?;
                 let positive = *stream == Stream::Positive;
                 // A tapped stream carries what leaves its stage chain.
-                let schema = match &src.kind {
+                let chain = match &src.kind {
                     PhysKind::BypassNLJoin { pos, neg, .. } => {
-                        let chain = if positive { pos } else { neg };
-                        chain.as_ref().map_or(schema, |c| c.schema.clone())
+                        if positive { pos } else { neg }.as_ref()
                     }
-                    _ => schema,
+                    _ => None,
                 };
+                let schema = chain.map_or_else(|| src.schema.clone(), |c| c.schema.clone());
                 PhysNode::new(
                     PhysKind::Stream {
                         source: src,
@@ -497,6 +503,15 @@ impl<'a> Resolver<'a> {
                 )
             }
         };
+        // The rows of a join leave through the top of its chain: its
+        // consumers are theirs.
+        let top = match block.chains.hosts.get(&ptr) {
+            Some([chain, _]) if is_join(plan) => chain.last().map_or(ptr, |top| Arc::as_ptr(top)),
+            _ => ptr,
+        };
+        if block.consumers.get(&top).is_some_and(|c| c.len() > 1) {
+            PhysNode::mark_shared(&mut node);
+        }
         block.memo.insert(ptr, node.clone());
         Ok(node)
     }
@@ -509,26 +524,30 @@ impl<'a> Resolver<'a> {
         exprs.iter().map(|(e, _)| self.resolve(e, input)).collect()
     }
 
-    /// The [`JoinSpec`] of an inner/outer/cross join node: plan its
-    /// build side, then pick hash (equi conjuncts) or nested loop.
-    fn join_spec(&mut self, join: &Arc<LogicalPlan>, block: &mut Block<'_>) -> Result<JoinSpec> {
-        let (left, right, predicate, defaults) = match join.as_ref() {
-            LogicalPlan::CrossJoin { left, right } => (left, right, None, None),
+    /// The [`JoinSpec`] of an inner/outer/cross join node whose probe
+    /// rows have the schema `left`: plan its build side, then pick hash
+    /// (equi conjuncts) or nested loop.
+    fn join_spec(
+        &mut self,
+        join: &Arc<LogicalPlan>,
+        left: &Schema,
+        block: &mut Block<'_>,
+    ) -> Result<JoinSpec> {
+        let (right, predicate, defaults) = match join.as_ref() {
+            LogicalPlan::CrossJoin { right, .. } => (right, None, None),
             LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-            } => (left, right, Some(predicate), None),
+                right, predicate, ..
+            } => (right, Some(predicate), None),
             LogicalPlan::OuterJoin {
-                left,
                 right,
                 predicate,
                 defaults,
-            } => (left, right, Some(predicate), Some(defaults)),
+                ..
+            } => (right, Some(predicate), Some(defaults)),
             _ => return Err(Error::plan("join_spec: not a join node")),
         };
         let r = self.plan_node(right, block)?;
-        let right_schema = right.schema();
+        let right_schema = &r.schema;
         let defaults = defaults
             .map(|defaults| {
                 defaults
@@ -545,10 +564,9 @@ impl<'a> Resolver<'a> {
         let on = match predicate {
             None => JoinOn::Loop(None),
             Some(predicate) => {
-                let (lk, rk, residual) =
-                    self.split_equi_keys(predicate, &left.schema(), &right_schema)?;
+                let (lk, rk, residual) = self.split_equi_keys(predicate, left, right_schema)?;
                 if lk.is_empty() {
-                    JoinOn::Loop(Some(self.resolve(predicate, &join.input_schema())?))
+                    JoinOn::Loop(Some(self.resolve(predicate, &left.concat(right_schema))?))
                 } else {
                     JoinOn::Hash {
                         left_keys: lk,
@@ -565,28 +583,48 @@ impl<'a> Resolver<'a> {
         })
     }
 
-    /// Compile chain `slot` of the join at `host`, if it has one.
-    fn chain(&mut self, host: Ptr, slot: usize, block: &mut Block<'_>) -> Result<Option<Chain>> {
+    /// Compile chain `slot` of the join at `host`, if it has one, over
+    /// the pairs (`pairs` is their schema) the join emits into it.
+    fn chain(
+        &mut self,
+        host: Ptr,
+        slot: usize,
+        pairs: &Schema,
+        block: &mut Block<'_>,
+    ) -> Result<Option<Chain>> {
         let logical = match block.chains.hosts.get(&host) {
             Some(chains) if !chains[slot].is_empty() => chains[slot].clone(),
             _ => return Ok(None),
         };
         let mut stages = Vec::with_capacity(logical.len());
+        // The schema of the rows entering the next stage.
+        let mut schema = pairs.clone();
         for stage in &logical {
+            let mut build = None;
             stages.push(match stage.as_ref() {
-                LogicalPlan::Filter { input, predicate } => {
-                    Stage::Filter(self.resolve(predicate, &input.schema())?)
+                LogicalPlan::Filter { predicate, .. } => {
+                    Stage::Filter(self.resolve(predicate, &schema)?)
                 }
-                LogicalPlan::Project { input, exprs } => {
-                    Stage::Project(self.resolve_projection(exprs, &input.schema())?)
+                LogicalPlan::Project { exprs, .. } => {
+                    Stage::Project(self.resolve_projection(exprs, &schema)?)
                 }
-                LogicalPlan::Map { input, expr, .. } => {
-                    Stage::Map(self.resolve(expr, &input.schema())?)
+                LogicalPlan::Map { expr, .. } => Stage::Map(self.resolve(expr, &schema)?),
+                _ => {
+                    let spec = self.join_spec(stage, &schema, block)?;
+                    build = Some(spec.right.clone());
+                    Stage::Probe(spec)
                 }
-                _ => Stage::Probe(self.join_spec(stage, block)?),
             });
+            let inputs = std::iter::once(&schema).chain(build.as_ref().map(|b| &b.schema));
+            schema = stage.schema_over(&inputs.collect::<Vec<_>>());
         }
-        let schema = logical.last().expect("non-empty chain").schema();
+        // A column-only Π at the top is where the rows get built: the
+        // exit picks its columns straight off the row view.
+        if let Some(Stage::Project(exprs)) = stages.last() {
+            if let Some(cols) = column_only(exprs) {
+                *stages.last_mut().expect("matched above") = Stage::Pick(cols);
+            }
+        }
         Ok(Some(Chain { stages, schema }))
     }
 

@@ -34,6 +34,9 @@
 //! * `onlyif` / `skipif` name *evaluation strategies* (the engine's
 //!   seven-way [`bypass_core::Strategy`] matrix), not database engines,
 //!   and they only apply to `query` records;
+//! * a `statement error` whose SQL is a `SELECT` must fail, with the
+//!   expected text, at every point of the strategy × threads grid — no
+//!   rewrite may lose an error;
 //! * `load tpch|strings|skew <scale> [seed]` registers a deterministic
 //!   generated instance from `bypass-datagen`;
 //! * a `query T nosort` record whose SQL is `EXPLAIN <select>` is a plan

@@ -170,34 +170,60 @@ fn statement(
 ) -> Result<(), String> {
     // `statement error` asserts a *typed* engine error. A panic is a
     // conformance failure in its own right, whatever was expected.
-    let outcome = catch_unwind(AssertUnwindSafe(|| db.execute_sql(sql)));
-    let result = match outcome {
-        Ok(r) => r,
-        Err(payload) => {
+    let typed = |run: &mut dyn FnMut() -> bypass_types::Result<()>| {
+        catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {
             let what = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("<non-string panic payload>");
-            return Err(format!(
-                "statement panicked instead of returning a typed error: {what}"
-            ));
+            format!("statement panicked instead of returning a typed error: {what}")
+        })
+    };
+    let expected_error = |e: bypass_types::Error| {
+        let text = e.to_string();
+        match error_substring {
+            Some(want) if !text.contains(want) => Err(format!(
+                "statement error `{text}` does not contain `{want}`"
+            )),
+            _ => Ok(()),
         }
     };
-    match (expect_error, result) {
-        (false, Ok(_)) => Ok(()),
-        (false, Err(e)) => Err(format!("statement failed: {e}")),
-        (true, Ok(_)) => Err("statement succeeded but an error was expected".to_string()),
-        (true, Err(e)) => {
-            let text = e.to_string();
-            match error_substring {
-                Some(want) if !text.contains(want) => Err(format!(
-                    "statement error `{text}` does not contain `{want}`"
-                )),
-                _ => Ok(()),
+    match (expect_error, typed(&mut || db.execute_sql(sql).map(drop))?) {
+        (false, Ok(())) => return Ok(()),
+        (false, Err(e)) => return Err(format!("statement failed: {e}")),
+        (true, Ok(())) => return Err("statement succeeded but an error was expected".to_string()),
+        (true, Err(e)) => expected_error(e)?,
+    }
+    // A query that must fail must fail alike on the whole grid: no
+    // strategy's rewrite may lose the error (or turn it into another).
+    let select = sql
+        .trim_start()
+        .get(..6)
+        .is_some_and(|w| w.eq_ignore_ascii_case("SELECT"));
+    if !select {
+        return Ok(());
+    }
+    for strategy in Strategy::all() {
+        for threads in THREAD_AXIS {
+            let limits = RunLimits {
+                timeout: Some(QUERY_TIMEOUT),
+                threads: Some(threads),
+                ..RunLimits::default()
+            };
+            let grid = format!("{strategy} / threads={threads}");
+            match typed(&mut || db.run_governed(sql, strategy, &limits).map(drop)) {
+                Err(e) => return Err(format!("[{grid}] {e}")),
+                Ok(Ok(())) => {
+                    return Err(format!(
+                        "[{grid}] statement succeeded but an error was expected"
+                    ))
+                }
+                Ok(Err(e)) => expected_error(e).map_err(|e| format!("[{grid}] {e}"))?,
             }
         }
     }
+    Ok(())
 }
 
 fn check_expected(expected: &Expected, got: &[String]) -> Result<(), String> {

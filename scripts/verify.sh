@@ -54,15 +54,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> one plan rewriter (grep gate)"
 # Every logical rewrite is a rule under bypass_algebra::rewrite (DESIGN.md
 # "Logical rewrites"): the pointer-keyed plan memo lives there (display.rs
-# numbers shared nodes with one too), and the only caller rebuilding a
-# node from children by hand is ablation.rs's deliberately un-memoized
-# deep copy.
+# numbers shared nodes with one too, and prune.rs indexes the nodes its
+# required-column analysis looked at before the walk — an analysis, not a
+# second rewriter: its rebuild is a Rule under rewrite()), and the only
+# caller rebuilding a node from children by hand is ablation.rs's
+# deliberately un-memoized deep copy.
 memos="$(grep -rl 'HashMap<\*const LogicalPlan' crates/*/src | sort | tr '\n' ' ')"
-[ "$memos" = "crates/algebra/src/plan/display.rs crates/algebra/src/plan/rewrite.rs " ] \
+[ "$memos" = "crates/algebra/src/plan/display.rs crates/algebra/src/plan/prune.rs crates/algebra/src/plan/rewrite.rs " ] \
     || { echo "plan memo outside the rewriter: $memos"; exit 1; }
 rebuilds="$(grep -rl 'with_children(' crates/*/src | grep -v '^crates/algebra/' | tr '\n' ' ')"
 [ "$rebuilds" = "crates/unnest/src/ablation.rs " ] \
     || { echo "with_children( outside algebra: $rebuilds"; exit 1; }
+# "Does this consumer stream its input" decides where the planner fuses
+# and where column pruning may put a Π (DESIGN.md §2b, §7): one definition,
+# LogicalPlan::streams.
+streams="$(grep -rn 'fn streams(' crates/*/src | cut -d: -f1 | tr '\n' ' ')"
+[ "$streams" = "crates/algebra/src/plan/node.rs " ] \
+    || { echo "fn streams( defined in: $streams"; exit 1; }
 # The number the next diet has to beat: lines above each file's test module.
 for crate in algebra unnest exec; do
     find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
@@ -117,10 +125,10 @@ benchmark/run.sh --quick > /dev/null
 echo "==> widened differential oracle (pinned seed, full strategy matrix)"
 # 2000 grammar-generated queries (multi-level nesting, derived inner
 # tables, ORDER BY/LIMIT) x 7 strategies with coverage-guided
-# scheduling, each also run parallel-vs-serial, at two chunk lengths and
-# fused-vs-unfused. Prints the per-fingerprint coverage table and fails
-# on any mismatch or any under-covered Eqv. 1-5 / structural shape. The
-# seed is pinned so CI failures replay exactly:
+# scheduling, each also run parallel-vs-serial, at two chunk lengths,
+# fused-vs-unfused and pruned-vs-unpruned. Prints the per-fingerprint
+# coverage table and fails on any mismatch or any under-covered Eqv. 1-5 /
+# structural shape. The seed is pinned so CI failures replay exactly:
 #   BYPASS_CHECK_SEED=<reported case seed> BYPASS_CHECK_CASES=1 \
 #       cargo test --test differential
 BYPASS_CHECK_SEED=0xB1A5 BYPASS_CHECK_CASES=2000 \
