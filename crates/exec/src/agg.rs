@@ -35,16 +35,6 @@ enum Accumulator {
 }
 
 impl AggSpec {
-    /// `true` when this aggregate can never raise a *value* error:
-    /// COUNT (all variants) only counts, and MIN/MAX fold via the
-    /// total-order `sql_cmp` — `update` performs no fallible arithmetic.
-    /// SUM can overflow and AVG type-errors on non-numeric input, so
-    /// both stay fallible. Used by the adaptive predicate reordering
-    /// (`crate::vector`) to prove a scalar subquery safe to hoist.
-    pub fn infallible(&self) -> bool {
-        matches!(self.func, AggFunc::Count | AggFunc::Min | AggFunc::Max)
-    }
-
     /// The aggregate over no rows at all: `f(∅)`.
     pub(crate) fn empty_value(&self) -> Value {
         Accumulator::new(self).finish()

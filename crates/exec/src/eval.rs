@@ -16,9 +16,7 @@ use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
 use crate::interp::ord_truth;
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
-use crate::vector::{
-    chain_bindable, ranked_order, ChainOrder, ChainStats, CompiledChain, SliceLoop, EPOCH_ROWS,
-};
+use crate::vector::{chain_bindable, CompiledChain, SliceLoop};
 
 /// Execution options — these implement the evaluation-strategy knobs the
 /// benchmark harness uses to emulate the commercial systems of the
@@ -85,9 +83,9 @@ pub struct ExecOptions {
 /// about a millisecond of loop. Below it sit the 10 000-row σ±/Π/probe
 /// loops over the 4-column RST tables (the SF 1 bypass plans lost
 /// 5–15 % forking them); above it the 250 000-pair bypass joins of
-/// linear Q4 at SF 0.05, a 256-row epoch of a canonical σ over a
-/// 2 000-row subquery (512 000 units) and TPC-H's 10 000-row loops over
-/// 9- to 16-column rows, which gain (EXPERIMENTS.md, PR 19).
+/// linear Q4 at SF 0.05, a canonical σ re-evaluating a 2 000-row
+/// subquery per row (2 004 units a row) and TPC-H's 10 000-row loops
+/// over 9- to 16-column rows, which gain (EXPERIMENTS.md, PR 19).
 pub const MORSEL_ROWS: usize = 65_536;
 
 impl Default for ExecOptions {
@@ -189,9 +187,9 @@ pub struct ExecCounters {
     /// materialization charges). The fault oracle samples injection
     /// points from `1..=checkpoints`.
     pub checkpoints: u64,
-    /// Always-on totals of the per-disjunct adaptive-ordering
-    /// counters, summed over every chained disjunctive (≥ 2 terms)
-    /// σ/σ± in the query: predicate evaluations performed …
+    /// Always-on totals of the per-disjunct counters, summed over every
+    /// chained (≥ 2 terms) σ/σ± in the query: predicate evaluations
+    /// performed …
     pub disjunct_evals: u64,
     /// … and disjuncts decided (TRUE under OR / FALSE under AND).
     /// Semantic counts — batch-size and worker-count independent —
@@ -273,12 +271,6 @@ pub struct NodeMetrics {
     /// the paper's bypass argument holds exactly when this stays
     /// small relative to `pos_rows`.
     pub neg_rows: u64,
-    /// Rows this operator handed on by refcount bump of a shared
-    /// buffer (σ, identity Π, ∪̇, stream taps, …).
-    pub rows_shared: u64,
-    /// Rows this operator materialized as fresh buffers (joins,
-    /// Map, general projections, aggregates).
-    pub rows_materialized: u64,
     /// Hash joins only: entries inserted into the build-side table.
     pub build_rows: u64,
     /// Hash joins only: probe candidates whose full key comparison
@@ -290,9 +282,9 @@ pub struct NodeMetrics {
     /// Γ only: groups produced.
     pub groups: u64,
     /// Chained σ/σ± only (predicates with ≥ 2 disjuncts/conjuncts):
-    /// per-disjunct reach/decide counters in *syntactic* order —
-    /// `hits / evals` is the observed decide selectivity driving the
-    /// adaptive BestD ordering. Empty for unchained operators.
+    /// per-disjunct reach/decide counters in plan order, which is the
+    /// evaluation order — `hits / evals` is the observed decide
+    /// selectivity. Empty for unchained operators.
     pub disjuncts: Vec<DisjunctMetrics>,
     /// Joins with fused stage chains only: rows in/out per stage, in
     /// chain order (a bypass join lists its positive chain first).
@@ -327,8 +319,6 @@ impl NodeMetrics {
         self.self_nanos += from.self_nanos;
         self.pos_rows += from.pos_rows;
         self.neg_rows += from.neg_rows;
-        self.rows_shared += from.rows_shared;
-        self.rows_materialized += from.rows_materialized;
         self.build_rows += from.build_rows;
         self.reverify += from.reverify;
         self.input_rows += from.input_rows;
@@ -336,25 +326,6 @@ impl NodeMetrics {
         merge_disjuncts(&mut self.disjuncts, &from.disjuncts);
         merge_stages(&mut self.stages, &from.stages);
     }
-
-    fn hand_on(&mut self, how: Handed, rows: u64) {
-        match how {
-            Handed::Shared => self.rows_shared += rows,
-            Handed::Fresh => self.rows_materialized += rows,
-        }
-    }
-}
-
-/// How an operator handed its rows on — said by the arm that does it,
-/// and all EXPLAIN ANALYZE's `rows_shared` / `rows_materialized` split
-/// knows.
-#[derive(Clone, Copy)]
-enum Handed {
-    /// By refcount bump of shared buffers (σ, σ±, identity Π, DISTINCT,
-    /// sort/limit/alias/∪̇, stream taps).
-    Shared,
-    /// As freshly built tuples (joins, χ, ν, other Π, Γ).
-    Fresh,
 }
 
 /// Amortized per-entry overhead of the join hash table beyond the key
@@ -559,24 +530,18 @@ impl ExecContext {
     }
 
     // -----------------------------------------------------------------
-    // Adaptively ordered predicate chains (DESIGN.md §8).
+    // Predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
 
     /// Drive σ (`bypass == false`, negative stream unused) or σ±
-    /// (`bypass == true`) of `node` over `input`, the evaluated `from`.
-    ///
-    /// Adaptive chains advance in fixed [`EPOCH_ROWS`] epochs: the term
-    /// order is frozen per epoch from the cumulative reach/decide
-    /// stats, each epoch whose weighted work passes the gate fans out
-    /// (stats ride back as morsel payloads and fold commutatively), and
-    /// the rank is recomputed at the epoch boundary. Non-adaptive chains
-    /// (nothing to reorder) run as one full-input epoch.
+    /// (`bypass == true`) of `node` over `input`, the evaluated `from`:
+    /// one morsel loop over the whole input, its terms in planned order.
     ///
     /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
     /// same node can run under different stacks inside nested subplans)
-    /// gets no kernel columns and keeps the syntactic order: the first
-    /// row to reach the unbound reference raises `eval_truth`'s error.
+    /// gets no kernel columns: the first row to reach the unbound
+    /// reference raises `eval_truth`'s error.
     fn run_chain(
         &mut self,
         node: &Arc<PhysNode>,
@@ -586,58 +551,39 @@ impl ExecContext {
     ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
         let chain = node.chain().expect("σ and σ± nodes carry their chain");
         let rows = input.rows();
-        let bound = chain_bindable(chain, &self.outer);
-        let batch = bound.then(|| chain_batch(from, input, chain));
-        let batch_ref = batch.as_ref();
-        let mut stats = ChainStats::zeroed(chain);
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        let epoch = if chain.adaptive && bound {
-            EPOCH_ROWS
-        } else {
-            rows.len().max(1)
-        };
-        let mut start = 0;
-        while start < rows.len() {
-            let end = rows.len().min(start + epoch);
-            let order = ranked_order(chain, &stats);
-            let slice = &rows[start..end];
-            let parts = self.run_morsels(node, slice.len(), |ctx, range| {
-                let base = start + range.start;
-                ctx.chain_slice(chain, &order, &slice[range], batch_ref, base, bypass)
-            })?;
-            for ((p, n), st) in parts {
-                pos.extend(p);
-                neg.extend(n);
-                stats.fold(&st);
-            }
-            start = end;
-        }
+        let batch = chain_bindable(chain, &self.outer).then(|| chain_batch(from, input, chain));
+        let batch = batch.as_ref();
+        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+            ctx.chain_slice(chain, &rows[range.clone()], batch, range.start, bypass)
+        })?;
+        let mut disjuncts = Vec::new();
+        let (pos, neg): (Vec<_>, Vec<_>) = parts
+            .into_iter()
+            .map(|(streams, counts)| {
+                merge_disjuncts(&mut disjuncts, &counts);
+                streams
+            })
+            .unzip();
         // Surface per-disjunct selectivities in EXPLAIN ANALYZE and in
         // the always-on counter totals; a single-term chain is not a
         // disjunction and keeps its metrics block unchanged. Folded on
-        // the master thread only (workers return stats as morsel
+        // the master thread only (workers return their counts as morsel
         // payloads), preserving the workers-never-touch-counters
         // invariant.
         if chain.terms.len() >= 2 {
-            self.counters.disjunct_evals += stats.reach.iter().sum::<u64>();
-            self.counters.disjunct_hits += stats.decide.iter().sum::<u64>();
+            self.counters.disjunct_evals += disjuncts.iter().map(|d| d.evals).sum::<u64>();
+            self.counters.disjunct_hits += disjuncts.iter().map(|d| d.hits).sum::<u64>();
             if self.metrics.is_some() {
-                let top: Vec<DisjunctMetrics> = stats
-                    .reach
-                    .iter()
-                    .zip(&stats.decide)
-                    .map(|(&evals, &hits)| DisjunctMetrics { evals, hits })
-                    .collect();
-                merge_disjuncts(&mut self.pending.disjuncts, &top);
+                merge_disjuncts(&mut self.pending.disjuncts, &disjuncts);
             }
         }
-        Ok((pos, neg))
+        Ok((concat_rows(pos), concat_rows(neg)))
     }
 
-    /// Evaluate one morsel's rows through the chain under a frozen
-    /// order, a chunk of `batch_rows` at a time. Per chunk the order's
-    /// *kernel prefix* runs column-wise over a shrinking selection
+    /// Evaluate one morsel's rows through the chain, a chunk of
+    /// `batch_rows` at a time, and count per term the rows it reached
+    /// and decided. Per chunk the chain's *kernel prefix* (its leading
+    /// kernel terms) runs column-wise over a shrinking selection
     /// vector — kernels are infallible, effect-free and
     /// governor-invisible — and the rows are then finished in input
     /// order: a row the prefix left open evaluates the remaining terms
@@ -654,13 +600,17 @@ impl ExecContext {
     fn chain_slice(
         &mut self,
         chain: &CompiledChain,
-        order: &ChainOrder,
         rows: &[Tuple],
         batch: Option<&Batch>,
         base: usize,
         bypass: bool,
-    ) -> Result<((Vec<Tuple>, Vec<Tuple>), ChainStats)> {
-        let mut stats = ChainStats::zeroed(chain);
+    ) -> Result<((Vec<Tuple>, Vec<Tuple>), Vec<DisjunctMetrics>)> {
+        let mut counts = vec![DisjunctMetrics::default(); chain.terms.len()];
+        let kernels = if batch.is_some() {
+            chain.kernels()
+        } else {
+            &[]
+        };
         let mut out = (Vec::new(), Vec::new());
         let decide = chain.decide();
         // Per-chunk scratch, reused across chunks (allocation-free
@@ -681,16 +631,10 @@ impl ExecContext {
             sel.extend(0..n as u32);
             if let Some(values) = values.as_mut() {
                 values.start(lo, n);
-            }
-            let mut prefix = 0usize;
-            for &oi in &order.order {
-                let i = oi as usize;
-                let term = &chain.terms[i];
-                let (Some(values), true) = (values.as_mut(), term.kernel) else {
-                    break;
-                };
-                if !sel.is_empty() {
-                    stats.reach[i] += sel.len() as u64;
+                for (term, count) in kernels.iter().zip(&mut counts) {
+                    if sel.is_empty() {
+                        break;
+                    }
                     let before = sel.len();
                     // Deciding lanes drop out of the selection; the
                     // rest fold into the per-row accumulator and stay.
@@ -757,12 +701,12 @@ impl ExecContext {
                             });
                         }
                     }
-                    stats.decide[i] += (before - sel.len()) as u64;
+                    count.evals += before as u64;
+                    count.hits += (before - sel.len()) as u64;
                 }
-                prefix += 1;
             }
             // When every term was a kernel the fold is already final.
-            let settled = |truth: Truth| prefix == order.order.len() || truth == decide;
+            let settled = |truth: Truth| kernels.len() == chain.terms.len() || truth == decide;
             let mut run = 0;
             for r in 0..n {
                 if settled(acc[r]) {
@@ -775,7 +719,7 @@ impl ExecContext {
                 if bypass {
                     self.gov.charge(SHARED_ROW_BYTES)?;
                 }
-                let truth = self.chain_eval_row(chain, order, &mut stats, t, prefix, acc[r])?;
+                let truth = self.chain_eval_row(chain, &mut counts, t, kernels.len(), acc[r])?;
                 if truth.is_true() && !bypass {
                     self.gov.charge(SHARED_ROW_BYTES)?;
                 }
@@ -784,7 +728,7 @@ impl ExecContext {
             self.pass_settled(&chunk[run..], &acc[run..], bypass, &mut out)?;
             lo += n;
         }
-        Ok((out, stats))
+        Ok((out, counts))
     }
 
     /// Pass the checkpoints of a run of rows whose truth the kernel
@@ -806,39 +750,26 @@ impl ExecContext {
         Ok(())
     }
 
-    /// Evaluate the chain's terms for one row, in the frozen order,
-    /// starting at order position `from` with the fold of the already-
-    /// evaluated prefix in `acc`. Terms short-circuit on the deciding
-    /// truth value; non-deciding results fold commutatively.
+    /// Evaluate the chain's terms from term `from` on for one row, with
+    /// the fold of the terms before it in `acc`. Terms short-circuit on
+    /// the deciding truth value; non-deciding results fold.
     fn chain_eval_row(
         &mut self,
         chain: &CompiledChain,
-        order: &ChainOrder,
-        stats: &mut ChainStats,
+        counts: &mut [DisjunctMetrics],
         t: &Tuple,
         from: usize,
-        acc: Truth,
+        mut acc: Truth,
     ) -> Result<Truth> {
         let decide = chain.decide();
-        let mut acc = acc;
-        for &oi in &order.order[from..] {
-            let i = oi as usize;
-            stats.reach[i] += 1;
-            let term = &chain.terms[i];
-            let tr = match (&term.nested, &order.nested[i]) {
-                (Some(sub), Some(sub_order)) => {
-                    let sub_stats = stats.nested[i]
-                        .as_deref_mut()
-                        .expect("nested stats follow nested chains");
-                    self.chain_eval_row(sub, sub_order, sub_stats, t, 0, sub.identity())?
-                }
-                _ => self.eval_truth(&term.expr, t)?,
-            };
-            if tr == decide {
-                stats.decide[i] += 1;
+        for (term, count) in chain.terms.iter().zip(counts).skip(from) {
+            count.evals += 1;
+            let truth = self.eval_truth(&term.expr, t)?;
+            if truth == decide {
+                count.hits += 1;
                 return Ok(decide);
             }
-            acc = chain.combine(acc, tr);
+            acc = chain.combine(acc, truth);
         }
         Ok(acc)
     }
@@ -857,10 +788,7 @@ impl ExecContext {
             }
         }
         let run = |ctx: &mut Self| ctx.eval_node_inner(node, local);
-        let (rel, _) = self.metered(node, run, |m, (rel, handed)| {
-            m.rows += rel.len() as u64;
-            m.hand_on(*handed, rel.len() as u64);
-        })?;
+        let rel = self.metered(node, run, |m, rel| m.rows += rel.len() as u64)?;
         if node.shared {
             local.shared.insert(ptr, rel.clone());
         }
@@ -871,7 +799,7 @@ impl ExecContext {
     /// which lives here and nowhere else: inclusive and self time
     /// through the `child_nanos` frame stack, the call count and what
     /// the arm deposited in `pending`; `book` adds what depends on the
-    /// shape of the result (row counts, the shared/fresh split).
+    /// shape of the result (row counts, the bypass split).
     fn metered<T>(
         &mut self,
         node: &Arc<PhysNode>,
@@ -928,18 +856,18 @@ impl ExecContext {
         &mut self,
         node: &Arc<PhysNode>,
         local: &mut Local,
-    ) -> Result<(Arc<Relation>, Handed)> {
+    ) -> Result<Arc<Relation>> {
         // Cloned by the arms that build a relation: `Scan` and `Stream`
         // — every invocation of a nested block runs one — hand on what
         // exists.
         let schema = || node.schema.clone();
-        let (rel, handed) = match &node.kind {
+        let rel = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
-            PhysKind::Scan { data, .. } => return Ok((data.clone(), Handed::Shared)),
+            PhysKind::Scan { data, .. } => return Ok(data.clone()),
             PhysKind::Filter { input, .. } => {
                 let rel = self.eval_node(input, local)?;
                 let (pos, _neg) = self.run_chain(node, input, &rel, false)?;
-                (Relation::new(schema(), pos), Handed::Shared)
+                Relation::new(schema(), pos)
             }
             PhysKind::Project { input, exprs } => {
                 let input = self.eval_node(input, local)?;
@@ -953,7 +881,7 @@ impl ExecContext {
                     if identity_projection(exprs, arity) {
                         self.charge_shared_rows(input.len())?;
                         let rel = Relation::new(schema(), input.rows().to_vec());
-                        return Ok((Arc::new(rel), Handed::Shared));
+                        return Ok(Arc::new(rel));
                     }
                     let rows = input.rows();
                     let parts = self.run_morsels(node, rows.len(), |ctx, range| {
@@ -971,7 +899,7 @@ impl ExecContext {
                         Ok(out)
                     })?;
                     let rel = Relation::new(schema(), concat_rows(parts));
-                    return Ok((Arc::new(rel), Handed::Fresh));
+                    return Ok(Arc::new(rel));
                 }
                 let rows = self.build_rows(node, &input, |ctx, _, t| {
                     let mut vals = Vec::with_capacity(exprs.len());
@@ -980,7 +908,7 @@ impl ExecContext {
                     }
                     Ok(Tuple::new(vals))
                 })?;
-                (Relation::new(schema(), rows), Handed::Fresh)
+                Relation::new(schema(), rows)
             }
             PhysKind::Join { left, spec, chain } => {
                 let l = self.eval_node(left, local)?;
@@ -1026,7 +954,7 @@ impl ExecContext {
                         self.pending.input_rows += l.len() as u64;
                     }
                 }
-                (Relation::new(schema(), sink.rows), Handed::Fresh)
+                Relation::new(schema(), sink.rows)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let table = input.table_columns();
@@ -1036,7 +964,7 @@ impl ExecContext {
                     self.pending.input_rows += input.len() as u64;
                     self.pending.groups += out.len() as u64;
                 }
-                (out, Handed::Fresh)
+                out
             }
             PhysKind::BinaryGroupEq {
                 left,
@@ -1047,8 +975,7 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let out = self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema())?;
-                (out, Handed::Fresh)
+                self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema())?
             }
             PhysKind::BinaryGroupTheta {
                 left,
@@ -1060,24 +987,14 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let out = self.binary_group_theta(
-                    node,
-                    &l,
-                    &r,
-                    left_key,
-                    right_key,
-                    *cmp,
-                    agg,
-                    schema(),
-                )?;
-                (out, Handed::Fresh)
+                self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema())?
             }
             PhysKind::Map { input, expr } => {
                 let input = self.eval_node(input, local)?;
                 let rows = self.build_rows(node, &input, |ctx, _, t| {
                     Ok(t.extended(ctx.eval_expr(expr, t)?))
                 })?;
-                (Relation::new(schema(), rows), Handed::Fresh)
+                Relation::new(schema(), rows)
             }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
@@ -1085,7 +1002,7 @@ impl ExecContext {
                 // morsel numbers its slice independently.
                 let rows =
                     self.build_rows(node, &input, |_, i, t| Ok(t.extended(Value::Int(i as i64))))?;
-                (Relation::new(schema(), rows), Handed::Fresh)
+                Relation::new(schema(), rows)
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
@@ -1093,7 +1010,7 @@ impl ExecContext {
                 // both O(n) shared handles; charged as one step.
                 self.charge_shared_rows(input.len())?;
                 let rel = Relation::new(schema(), input.rows().to_vec()).distinct();
-                (rel, Handed::Shared)
+                rel
             }
             PhysKind::Sort { input, keys } => {
                 let input = self.eval_node(input, local)?;
@@ -1126,21 +1043,18 @@ impl ExecContext {
                 decorated.sort_by(|a, b| compare_tuples(&a.0, &b.0, &spec));
                 self.gov.release(scratch);
                 let rows = decorated.into_iter().map(|(_, t)| t).collect();
-                (Relation::new(schema(), rows), Handed::Shared)
+                Relation::new(schema(), rows)
             }
             PhysKind::Limit { input, n } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len().min(*n))?;
                 let rows = input.rows().iter().take(*n).cloned().collect();
-                (Relation::new(schema(), rows), Handed::Shared)
+                Relation::new(schema(), rows)
             }
             PhysKind::Alias { input } => {
                 let input = self.eval_node(input, local)?;
                 self.charge_shared_rows(input.len())?;
-                (
-                    Relation::new(schema(), input.rows().to_vec()),
-                    Handed::Shared,
-                )
+                Relation::new(schema(), input.rows().to_vec())
             }
             PhysKind::UnionAll { left, right } => {
                 let l = self.eval_node(left, local)?;
@@ -1148,7 +1062,7 @@ impl ExecContext {
                 self.charge_shared_rows(l.len() + r.len())?;
                 let mut rows = l.rows().to_vec();
                 rows.extend_from_slice(r.rows());
-                (Relation::new(schema(), rows), Handed::Shared)
+                Relation::new(schema(), rows)
             }
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. } => {
                 return Err(Error::execution(
@@ -1157,10 +1071,10 @@ impl ExecContext {
             }
             PhysKind::Stream { source, positive } => {
                 let (pos, neg) = self.eval_bypass(source, local)?;
-                return Ok((if *positive { pos } else { neg }, Handed::Shared));
+                return Ok(if *positive { pos } else { neg });
             }
         };
-        Ok((Arc::new(rel), handed))
+        Ok(Arc::new(rel))
     }
 
     /// Evaluate a bypass operator once per plan evaluation; both streams
@@ -1171,7 +1085,7 @@ impl ExecContext {
             return Ok(d.clone());
         }
         let run = |ctx: &mut Self| ctx.eval_bypass_inner(source, local);
-        let (dual, ..) = self.metered(source, run, |m, ((pos, neg), routed, handed)| {
+        let (dual, _) = self.metered(source, run, |m, (_, routed)| {
             // The bypass-specific split — what the operator itself
             // routed to each side, before any fused stage: the
             // negative stream is the quantity the paper's cost
@@ -1179,20 +1093,19 @@ impl ExecContext {
             m.rows += routed[0] + routed[1];
             m.pos_rows += routed[0];
             m.neg_rows += routed[1];
-            m.hand_on(*handed, (pos.len() + neg.len()) as u64);
         })?;
         local.duals.insert(ptr, dual.clone());
         Ok(dual)
     }
 
-    /// Both streams of a bypass operator, how many rows the operator
+    /// Both streams of a bypass operator and how many rows the operator
     /// routed to each (more than the streams hold when a fused stage
-    /// chain dropped some on the way) and how it handed them on.
+    /// chain dropped some on the way).
     fn eval_bypass_inner(
         &mut self,
         source: &Arc<PhysNode>,
         local: &mut Local,
-    ) -> Result<(Dual, [u64; 2], Handed)> {
+    ) -> Result<(Dual, [u64; 2])> {
         let schema = source.schema.clone();
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, .. } => {
@@ -1203,8 +1116,7 @@ impl ExecContext {
                     Arc::new(Relation::new(schema.clone(), pos)),
                     Arc::new(Relation::new(schema, neg)),
                 );
-                // σ± splits by refcount bump …
-                (dual, routed, Handed::Shared)
+                (dual, routed)
             }
             PhysKind::BypassNLJoin {
                 left,
@@ -1255,10 +1167,8 @@ impl ExecContext {
                     let schema = chain.as_ref().map_or(&schema, |c| &c.schema).clone();
                     Arc::new(Relation::new(schema, sink.rows))
                 };
-                // … ⋈± materializes the pairs that survive its stage
-                // chains.
                 let dual = (stream(pos, pos_sink), stream(neg, neg_sink));
-                (dual, routed, Handed::Fresh)
+                (dual, routed)
             }
             _ => {
                 return Err(Error::execution(
@@ -1898,7 +1808,6 @@ pub(crate) mod tests {
         let m = &ctx.take_metrics()[&(Arc::as_ptr(&bj) as usize)];
         // What the join routed, not what survived the chains.
         assert_eq!((m.calls, m.pos_rows, m.neg_rows), (1, 1, 3));
-        assert_eq!(m.rows_materialized, 2);
         let stage = |rows_in, rows_out| StageMetrics { rows_in, rows_out };
         assert_eq!(
             m.stages,
@@ -1962,14 +1871,11 @@ pub(crate) mod tests {
         assert_eq!(bypass_m.pos_rows, 2);
         assert_eq!(bypass_m.neg_rows, 2);
         assert_eq!(bypass_m.split_ratio(), Some(0.5));
-        // σ± splits by refcount bump, never materializing.
-        assert_eq!(bypass_m.rows_shared, 4);
-        assert_eq!(bypass_m.rows_materialized, 0);
         assert_eq!(union_m.split_ratio(), None);
     }
 
     #[test]
-    fn metrics_track_hash_build_and_row_passing() {
+    fn metrics_track_hash_build_and_output_rows() {
         let l = int_rel("l", &["a"], &[&[1], &[2], &[2], &[5]]);
         let r = int_rel("r", &["b"], &[&[2], &[2], &[5], &[7]]);
         let out_schema = Schema::new(vec![
@@ -1983,9 +1889,7 @@ pub(crate) mod tests {
         let metrics = ctx.take_metrics();
         let m = &metrics[&(Arc::as_ptr(&join) as usize)];
         assert_eq!(m.build_rows, 4, "all four build rows have non-NULL keys");
-        // Joins materialize concatenated pairs.
-        assert_eq!(m.rows_materialized, 5);
-        assert_eq!(m.rows_shared, 0);
+        assert_eq!(m.rows, 5);
         assert_eq!(m.split_ratio(), None);
     }
 

@@ -4,7 +4,7 @@
 //! A predicate is *simple* when it is made of AND / OR / NOT / IS NULL
 //! and the six comparisons over column, outer and literal operands.
 //! Evaluating one borrows its operands, allocates nothing, cannot fail
-//! and never touches the governor, which is what three callers rely on:
+//! and never touches the governor, which is what two callers rely on:
 //!
 //! * [`ExecContext::eval_truth`] tries the borrow-only
 //!   [`ExecContext::truth_fast`] before the general
@@ -13,10 +13,7 @@
 //! * the σ/σ± chunk loop runs a chain's *kernel terms* — the terms
 //!   [`is_simple`] admits — column-wise through the same `truth_fast`
 //!   over a lane of the batch (`vector.rs`), so kernel and
-//!   row evaluation are one function, not two kept equal by hand;
-//! * adaptive reordering may move a term only if it cannot raise a
-//!   value error — [`can_raise`], of which the simple class is the
-//!   cheap corner.
+//!   row evaluation are one function, not two kept equal by hand.
 //!
 //! Every comparison, whichever route reaches it, is [`ord_truth`] of how
 //! its operands compare ([`cmp_truth`] for two values).
@@ -36,7 +33,7 @@ use bypass_types::{tuple_bytes, Error, Relation, Result, Truth, Tuple, Value, SH
 use crate::eval::ExecContext;
 use crate::expr::{PhysExpr, SubqueryRef};
 use crate::hash::{KeyReader, KeyRef};
-use crate::node::{PhysKind, PhysNode};
+use crate::node::PhysNode;
 use crate::row::{Columns, Row};
 
 /// Amortized per-entry overhead of a memo-cache insertion (hash-map
@@ -175,7 +172,7 @@ fn outer_value(stack: &[Tuple], depth: usize, index: usize) -> Result<Value> {
 }
 
 // ---------------------------------------------------------------------------
-// The simple-predicate class and the value-error analysis.
+// The simple-predicate class.
 // ---------------------------------------------------------------------------
 
 /// Is `e` in the simple-predicate class over rows of `arity` columns —
@@ -199,102 +196,6 @@ pub(crate) fn is_simple(e: &PhysExpr, arity: usize) -> bool {
         PhysExpr::IsNull { expr, .. } => operand(expr),
         _ => operand(e),
     }
-}
-
-/// How [`can_raise`] judges an outer reference.
-#[derive(Clone, Copy)]
-pub(crate) enum OuterRefs {
-    /// The expression is a term of a σ/σ± chain: whether its references
-    /// resolve is verified per call by
-    /// [`crate::vector::chain_bindable`], so they count as bound here.
-    PerCall,
-    /// The expression sits inside a nested plan: a depth-1 reference is
-    /// checked statically against the arity of the row the subquery
-    /// driver pushes; deeper ones resolve against the call-time binding
-    /// stack and are conservatively fallible, as are subqueries nested
-    /// further down.
-    Pushed(usize),
-}
-
-/// Can evaluating `e` over a row of `arity` columns raise a *value*
-/// error? Conservative: `true` when unsure.
-pub(crate) fn can_raise(e: &PhysExpr, arity: usize, outer: OuterRefs) -> bool {
-    match e {
-        PhysExpr::Column(i) => *i >= arity,
-        PhysExpr::Literal(_) => false,
-        PhysExpr::Outer { depth, index } => match outer {
-            OuterRefs::PerCall => false,
-            OuterRefs::Pushed(width) => !(*depth == 1 && *index < width),
-        },
-        // AND/OR/comparisons, NOT, IS NULL and IN-lists are as fallible
-        // as their operands. Arithmetic overflows / divides by zero /
-        // type-errors; Least/Greatest error on incomparable values.
-        PhysExpr::Binary { op, .. }
-            if !(op.is_comparison() || matches!(op, BinOp::And | BinOp::Or)) =>
-        {
-            true
-        }
-        PhysExpr::Binary { .. }
-        | PhysExpr::Not(_)
-        | PhysExpr::IsNull { .. }
-        | PhysExpr::InList { .. } => e.children().any(|c| can_raise(c, arity, outer)),
-        // Negation type-errors on non-numeric input; LIKE pattern
-        // compilation can fail.
-        PhysExpr::Neg(_) | PhysExpr::Like { .. } => true,
-        // A scalar subquery errors when it yields more than one row;
-        // it is movable only when the plan *statically* yields at most
-        // one row with at least one column and is value-infallible.
-        PhysExpr::Subquery { plan, .. } | PhysExpr::Exists { plan, .. } => {
-            let one_value = matches!(e, PhysExpr::Exists { .. })
-                || (plan.schema.arity() >= 1 && plan_at_most_one_row(plan));
-            matches!(outer, OuterRefs::Pushed(_)) || !one_value || plan_can_raise(plan, arity)
-        }
-        // Conservative: zero-column subqueries error, quantified
-        // comparisons use fallible binops.
-        PhysExpr::InSubquery { .. } | PhysExpr::QuantifiedCmp { .. } => true,
-    }
-}
-
-/// Does this plan statically produce at most one row?
-fn plan_at_most_one_row(n: &PhysNode) -> bool {
-    match &n.kind {
-        // Scalar aggregation yields exactly one row.
-        PhysKind::HashAggregate { keys, .. } if keys.is_empty() => true,
-        PhysKind::Limit { input, n } => *n <= 1 || plan_at_most_one_row(input),
-        PhysKind::Filter { input, .. }
-        | PhysKind::Project { input, .. }
-        | PhysKind::Map { input, .. }
-        | PhysKind::Numbering { input }
-        | PhysKind::Distinct { input }
-        | PhysKind::Sort { input, .. }
-        | PhysKind::Alias { input } => plan_at_most_one_row(input),
-        _ => false,
-    }
-}
-
-/// Can evaluating this nested plan raise a *value* error? Checks every
-/// operator expression plus aggregate fallibility. `pushed` is the
-/// arity of the row a depth-1 correlation reference resolves to (the
-/// filter input row pushed by the subquery driver).
-fn plan_can_raise(n: &PhysNode, pushed: usize) -> bool {
-    let aggs_raise = match &n.kind {
-        PhysKind::HashAggregate { aggs, .. } => !aggs.iter().all(|a| a.infallible()),
-        PhysKind::BinaryGroupEq { agg, .. } | PhysKind::BinaryGroupTheta { agg, .. } => {
-            !agg.infallible()
-        }
-        _ => false,
-    };
-    // The arity the expressions of `n` are evaluated against. Join-like
-    // operators evaluate key expressions per side and predicates over
-    // the concatenation; the concatenated arity is a superset bound,
-    // which is exact for planner-produced plans (per-side keys
-    // reference per-side columns).
-    let arity: usize = n.children().iter().map(|c| c.schema.arity()).sum();
-    aggs_raise
-        || n.exprs()
-            .iter()
-            .any(|e| can_raise(e, arity, OuterRefs::Pushed(pushed)))
-        || n.children().iter().any(|c| plan_can_raise(c, pushed))
 }
 
 // ---------------------------------------------------------------------------

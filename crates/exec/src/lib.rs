@@ -23,7 +23,7 @@
 //!
 //! The other modules: `eval.rs` dispatches operators and runs the
 //! σ/σ±/Π chunk loops and the join pipelines; `vector.rs` compiles a
-//! filter predicate into an adaptively ordered chain of terms;
+//! filter predicate into a chain of terms in planned order;
 //! `morsel.rs` decides which loops fork and merges what comes back;
 //! `govern.rs` is the governor (checkpoints, byte budget, cancellation,
 //! deadline); `hash.rs` the one hash index; `agg.rs`/`group.rs` the

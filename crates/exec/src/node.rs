@@ -15,7 +15,7 @@ use crate::vector::{compile_chain, CompiledChain};
 pub struct PhysNode {
     pub kind: PhysKind,
     pub schema: Schema,
-    /// σ/σ± only: the predicate as an adaptively ordered chain of terms
+    /// σ/σ± only: the predicate as a chain of terms in planned order
     /// (`vector.rs`) — a function of the predicate and the input's arity,
     /// so compiled here, once per plan, and read by every context and
     /// worker that runs the node.

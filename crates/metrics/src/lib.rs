@@ -116,12 +116,12 @@ impl MetricsHub {
             ),
             disjunct_evals: registry.counter(
                 "bypass_disjunct_evals_total",
-                "Disjunct predicate evaluations performed by adaptive ordering",
+                "Disjunct predicate evaluations performed by chained selections",
                 &[],
             ),
             disjunct_hits: registry.counter(
                 "bypass_disjunct_hits_total",
-                "Disjuncts decided (short-circuit hits) by adaptive ordering",
+                "Disjuncts decided (short-circuit hits) by chained selections",
                 &[],
             ),
             peak_memory: registry.gauge_max(

@@ -32,8 +32,8 @@ pub struct ExecObservation {
     /// Correlation-memo hits/misses (uncorrelated + correlated).
     pub memo_hits: u64,
     pub memo_misses: u64,
-    /// Per-disjunct totals from the adaptive-ordering epochs:
-    /// predicate evaluations performed and disjuncts decided.
+    /// Per-disjunct totals of the chained σ/σ±: predicate
+    /// evaluations performed and disjuncts decided.
     pub disjunct_evals: u64,
     pub disjunct_hits: u64,
     /// Optional rendered profile (EXPLAIN ANALYZE text) retained in

@@ -78,6 +78,16 @@ for crate in algebra unnest exec; do
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
 done
 
+echo "==> one decider for disjunct order (grep gate)"
+# The planned order is the evaluation order (DESIGN.md §8): the strategy
+# and unnest::rank decide it at plan time, and the executor runs a chain's
+# terms as planned — no rank epochs, no order indirection, no
+# value-fallibility analysis that would license moving a term.
+deciders="$(find crates/exec/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /EPOCH_ROWS|ranked_order|ChainOrder|movable|can_raise/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$deciders" ] || { echo "run-time disjunct reordering in the executor:"; echo "$deciders"; exit 1; }
+
 echo "==> one column type, one transpose (grep gate)"
 # Base tables are read by column (DESIGN.md §5c "Base-table columns"):
 # the column enum is bypass_types::Column and nothing else, and rows are

@@ -197,9 +197,8 @@ fn counters_match_the_golden() {
 
 /// Snapshot scale: small enough that canonical nested-loop evaluation
 /// of the disjunctive-correlation queries stays fast, large enough that
-/// every bypass stream is non-trivially populated (500 outer rows: two
-/// rank epochs). Fixed seed — the counters must be bit-identical run to
-/// run.
+/// every bypass stream is non-trivially populated (500 outer rows).
+/// Fixed seed — the counters must be bit-identical run to run.
 const SF: f64 = 0.05;
 const SEED: u64 = 42;
 
@@ -239,26 +238,25 @@ fn query_snapshots(run: &mut Entries, group: &str, db: &Database, sql: &str) {
     }
 }
 
-/// Adaptive-ordering convergence: a skewed-disjunct sweep pinning the
-/// per-disjunct reach/decide counters (`selectivity/counters/…`). Rank
-/// epochs are fixed row counts and the stats fold worker-count- and
-/// chunk-length-independently, so the counters are exact. Two facets of
-/// the adaptive BestD ordering (DESIGN.md §8):
+/// Disjunct order is plan order: a skewed-disjunct sweep pinning the
+/// per-disjunct reach/decide counters (`selectivity/counters/…`), which
+/// fold worker-count- and chunk-length-independently, so they are
+/// exact. The strategy plans the order (`unnest::rank`, DESIGN.md §8)
+/// and the σ evaluates in it:
 ///
 /// * **Kernel skew** — `a4 > T OR a3 > 0` puts the barely-deciding
 ///   term syntactically first. The planner keeps plain disjuncts in
-///   syntactic order, so only the *adaptive* reorder can fix it: after
-///   the first rank epoch the high-selectivity `a3 > 0` term runs
-///   first and the `a4 > T` term only sees the rows it leaves behind.
-///   The skew `T` sweeps the first term from moderately to barely
-///   selective.
+///   syntactic order and nothing reorders them at run time: the first
+///   term sees every row of `r`, the second the rows the first leaves
+///   undecided. The skew `T` sweeps the first term from moderately to
+///   barely selective.
 /// * **Subquery skew** — Q1's disjunction with the correlated COUNT
-///   subquery written first or last. The static rank ordering already
-///   normalizes the subquery term last; the adaptive order must *keep*
-///   that order (rank churn would re-hoist the 4096-cost term), so the
-///   subquery's eval count stays far below the kernel's either way.
+///   subquery written first or last. The static rank ordering
+///   normalizes the subquery term last, so it is evaluated only on the
+///   rows the cheap kernel leaves undecided either way.
 fn disjunct_sweep(run: &mut Entries) {
     let db = rst_database(SF);
+    let outer_rows = db.catalog().get("r").expect("r").row_count() as u64;
     // (evals, hits) per disjunct of the one operator carrying them.
     let mut sweep = |name: &str, sql: &str| -> Vec<(u64, u64)> {
         let profile = db
@@ -269,7 +267,7 @@ fn disjunct_sweep(run: &mut Entries) {
             .values()
             .find(|m| !m.disjuncts.is_empty())
             .map(|m| m.disjuncts.iter().map(|d| (d.evals, d.hits)).collect())
-            .expect("adaptive chain surfaces disjunct counters");
+            .expect("a chained σ surfaces disjunct counters");
         assert_eq!(d.len(), 2, "{name}: two top-level terms");
         for (i, (evals, hits)) in d.iter().enumerate() {
             run.insert(format!("selectivity/counters/{name}/d{i}_evals"), *evals);
@@ -281,14 +279,13 @@ fn disjunct_sweep(run: &mut Entries) {
     for threshold in [1500i64, 2900] {
         let sql = format!("SELECT DISTINCT * FROM r WHERE a4 > {threshold} OR a3 > 0");
         let d = sweep(&format!("kernel_t{threshold}"), &sql);
-        // Convergence: once the rank flips the order, the skewed first
-        // term only sees epoch 0 plus the rows `a3 > 0` leaves
-        // undecided — strictly fewer than the hoisted term sees.
-        assert!(
-            d[0].0 < d[1].0,
-            "t={threshold}: skewed term evals {} not below hoisted term evals {}",
-            d[0].0,
-            d[1].0
+        // Plan order: the written-first term sees all of `r`, the
+        // second term exactly the rows the first did not decide.
+        assert_eq!(d[0].0, outer_rows, "t={threshold}: first term evals");
+        assert_eq!(
+            d[1].0,
+            outer_rows - d[0].1,
+            "t={threshold}: second term evals"
         );
     }
 
@@ -302,8 +299,7 @@ fn disjunct_sweep(run: &mut Entries) {
     ] {
         let d = sweep(&format!("subquery_{order}"), sql);
         // The static rank ordering plans the subquery term last
-        // (position 1); the adaptive order must keep it there, so the
-        // 4096-cost term evaluates on strictly fewer rows than the
+        // (position 1), so it evaluates on strictly fewer rows than the
         // cheap kernel regardless of how the SQL was written.
         assert!(
             d[1].0 < d[0].0,
@@ -312,6 +308,35 @@ fn disjunct_sweep(run: &mut Entries) {
             d[0].0
         );
     }
+}
+
+/// S1 "always evaluates the nested block first" (`Strategy::S1Naive`):
+/// it plans Q1's `COUNT(DISTINCT *)` subquery as the first disjunct, and
+/// the planned order is the evaluation order, so the nested block runs
+/// for every outer row and the cheap kernel only on the rows it leaves
+/// undecided.
+#[test]
+fn s1_evaluates_the_nested_block_for_every_outer_row() {
+    let db = rst_database(SF);
+    let outer_rows = db.catalog().get("r").expect("r").row_count() as u64;
+    let profile = db.profile(Q1, Strategy::S1Naive).expect("Q1 under S1");
+    let mut node = &profile.physical;
+    let chain = loop {
+        if let Some(chain) = node.chain() {
+            break chain;
+        }
+        node = node.children()[0];
+    };
+    assert!(
+        chain.terms[0].expr.contains_subquery() && !chain.terms[1].expr.contains_subquery(),
+        "S1 plans the nested block first"
+    );
+    let d = &profile.metrics[&(Arc::as_ptr(node) as usize)].disjuncts;
+    assert_eq!(
+        d[0].evals, outer_rows,
+        "the nested block runs per outer row"
+    );
+    assert_eq!(d[1].evals, outer_rows - d[0].hits);
 }
 
 // ---------------------------------------------------------------------

@@ -8,10 +8,12 @@ use bypass::{Database, RunLimits, Strategy};
 /// over 5 000 rows per outer row. A gate that counts rows forks that σ
 /// once per evaluation (≈ 20 000 morsels, 2 500 thread spawns per
 /// statement, twice the serial run time) and never the outer loop. The
-/// work gate forks the outer loop — a 256-row epoch weighs 256 × 5 004
-/// units — and nothing under it: one evaluation of the nested σ is
-/// 5 000 × 4 units, below the gate, and runs on a worker that forks
-/// nothing.
+/// work gate forks the outer loop — 5 000 rows of 5 004 units each — and
+/// nothing under it: one evaluation of the nested σ is 5 000 × 4 units,
+/// below the gate, and runs on a worker that forks nothing. The outer σ
+/// runs its terms in planned order over the whole input, so it fans out
+/// once per call: every morsel runs on the calling thread or the one
+/// worker thread two workers spawn.
 #[test]
 fn canonical_q1_forks_its_outer_loop_once_and_nothing_nested() {
     let mut db = Database::new();
@@ -42,4 +44,13 @@ fn canonical_q1_forks_its_outer_loop_once_and_nothing_nested() {
             "a nested evaluation below the gate must not fork"
         );
     }
+    let mut tracks: Vec<u64> = morsels.iter().map(|m| m.tid).collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    assert!(
+        tracks.len() <= 2,
+        "one fan-out of the outer σ on two workers: {} morsels on {} thread tracks",
+        morsels.len(),
+        tracks.len()
+    );
 }

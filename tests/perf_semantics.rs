@@ -166,7 +166,7 @@ fn profiled_cases() -> Vec<(Database, &'static str)> {
 /// per-operator counters. The metric maps are keyed by plan-node
 /// pointer, which differs across runs, so the sorted multiset of
 /// counter tuples is compared — per-disjunct reach/decide counters of
-/// adaptive chains and in/out rows of fused stages included.
+/// chained σ/σ± and in/out rows of fused stages included.
 fn assert_same_profile(profile: &bypass::QueryProfile, reference: &bypass::QueryProfile, at: &str) {
     #[allow(clippy::type_complexity)]
     fn metric_multiset(
@@ -339,12 +339,11 @@ fn explain_analyze_snapshots_are_worker_count_independent() {
 }
 
 /// Under the default gate it is the work estimate that forks (DESIGN.md
-/// §7): 1 000 outer rows weigh 4 + 1 000 units each, so Q1's and Q3's
-/// 256-row epochs and Q2's single epoch fan out while every nested σ
-/// stays on the worker that evaluates it. A worker keeps its context
-/// across the morsels of one fan-out, every epoch forks afresh; rows,
-/// counters, profiles and the rendered report (`disjuncts=[…]`,
-/// `calls=`) must not show it.
+/// §7): 1 000 outer rows weigh 4 + 1 000 units each, so the outer σ of
+/// Q1, Q2 and Q3 fans out, once per call, while every nested σ stays on
+/// the worker that evaluates it. A worker keeps its context across the
+/// morsels of one fan-out; rows, counters, profiles and the rendered
+/// report (`disjuncts=[…]`, `calls=`) must not show it.
 #[test]
 fn canonical_plans_forked_by_the_work_gate_are_worker_count_independent() {
     let db = rst_database(0.1);
@@ -436,7 +435,7 @@ fn executor_rows_and_counters_are_batch_size_independent() {
 /// `QueryProfile` is batch-size independent in everything but wall
 /// time: output cardinality, query-wide counters, dual-stream totals,
 /// per-operator calls/rows/pos/neg and the per-disjunct
-/// reach/decide counters of adaptive chains.
+/// reach/decide counters of chained σ/σ±.
 #[test]
 fn query_profiles_are_batch_size_independent() {
     let cases = profiled_cases();
@@ -459,7 +458,7 @@ fn query_profiles_are_batch_size_independent() {
 }
 
 /// The rendered EXPLAIN ANALYZE report — including the `disjuncts=[...]`
-/// selectivity block of adaptive chains — is identical at chunk
+/// selectivity block of chained σ/σ± — is identical at chunk
 /// lengths 1, 2 and 64 once timing tokens are stripped.
 #[test]
 fn explain_analyze_snapshots_are_batch_size_independent() {
