@@ -1317,10 +1317,9 @@ impl ExecContext {
                 // The key is done with once its partners are found; the
                 // pairs travel down the chain (which borrows the sink)
                 // without it.
-                let keybuf = &mut sink.scratch[next];
                 let key = match key_at {
-                    Some((table_key, i)) => table_key.read(i, keybuf, false),
-                    None => self.read_key(probe_keys, left, keybuf, false)?,
+                    Some((table_key, i)) => table_key.at(i, false),
+                    None => self.read_key(probe_keys, left, &mut sink.scratch[next], false)?,
                 };
                 // NULL keys never match.
                 let partners = match key {
@@ -1432,10 +1431,10 @@ impl ExecContext {
         let distinct_keys = only.map_or(rel.len(), |(probing, _)| probing.len());
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
         let mut charged = 0;
-        let mut keybuf: Vec<Value> = Vec::new();
+        let mut computed: Vec<Value> = Vec::new();
         if let Some((probing, probe_keys)) = only {
             for t in probing.rows() {
-                match self.read_key(probe_keys, t, &mut keybuf, false)? {
+                match self.read_key(probe_keys, t, &mut computed, false)? {
                     Some((hash, key)) if table.admit(hash, key) => {
                         let bytes = key_bytes + key.heap_bytes();
                         self.gov.charge(bytes)?;
@@ -1448,8 +1447,8 @@ impl ExecContext {
         for (i, t) in rel.rows().iter().enumerate() {
             self.gov.tick()?;
             let key = match &table_key {
-                Some(table_key) => table_key.read(i, &mut keybuf, false),
-                None => self.read_key(&reader, t, &mut keybuf, false)?,
+                Some(table_key) => table_key.at(i, false),
+                None => self.read_key(&reader, t, &mut computed, false)?,
             };
             let Some((hash, key)) = key else {
                 continue;

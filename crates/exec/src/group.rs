@@ -98,15 +98,15 @@ impl ExecContext {
             _ => None,
         };
         let mut groups = Groups::new(width, aggs, rows.len());
-        let mut keybuf = Vec::new();
+        let mut computed = Vec::new();
         for (i, t) in rows.iter().enumerate() {
             self.gov.tick()?;
             let g = if width == 0 {
                 0
             } else {
                 let key = match &table_key {
-                    Some(table_key) => table_key.read(i, &mut keybuf, true),
-                    None => self.read_key(&reader, t, &mut keybuf, true)?,
+                    Some(table_key) => table_key.at(i, true),
+                    None => self.read_key(&reader, t, &mut computed, true)?,
                 };
                 let (hash, key) = key.expect("grouping keys keep their NULLs");
                 groups.of(hash, key)

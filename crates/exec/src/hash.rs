@@ -19,9 +19,12 @@
 //! * [`CorrMemo`] — the correlated-subquery memo.
 //!
 //! Keys are presented as a [`KeyRef`]: plain column references are read
-//! in place from the row, computed keys — and keys a loop over a base
-//! table reads off the table's columns ([`TableKey`]) — go through a
-//! value buffer.
+//! in place from the row, keys a loop over a base table reads off the
+//! table's columns ([`TableKey`]) in place from those, and only computed
+//! keys go through a value buffer. Every form hashes and compares one
+//! value at a time with [`Value`]'s own `Hash` and `Eq` — a typed column
+//! slot as a stack temporary — so there is one key function, and a
+//! stored key is built only when it is new.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -201,9 +204,8 @@ impl<'p> KeyReader<'p> {
 
 /// The key columns of a base table: how a loop that knows its rows'
 /// positions in the table reads their keys without touching the rows.
-/// Each key is written out as [`Value`]s and travels as
-/// [`KeyRef::Vals`], so it hashes and compares as the row's own key
-/// would.
+/// A key travels as [`KeyRef::Table`] and is read in place, slot by
+/// slot, so it hashes and compares as the row's own key would.
 pub(crate) struct TableKey<'t>(Vec<&'t Column>);
 
 impl<'t> TableKey<'t> {
@@ -220,34 +222,30 @@ impl<'t> TableKey<'t> {
         cols.collect::<Option<_>>().map(TableKey)
     }
 
-    /// The key of row `i` of the table, with its hash, built in `buf`.
-    /// With `nulls_match` unset (joins) a NULL key value yields `None`.
-    #[inline]
-    pub(crate) fn read<'a, R: Row>(
-        &self,
-        i: usize,
-        buf: &'a mut Vec<Value>,
-        nulls_match: bool,
-    ) -> Option<(u64, KeyRef<'a, R>)> {
-        buf.clear();
-        for col in &self.0 {
-            let v = col.get(i);
-            if v.is_null() && !nulls_match {
-                return None;
-            }
-            buf.push(v.into_owned());
+    /// The key of row `i` of the table, with its hash. With
+    /// `nulls_match` unset (joins) a NULL key value yields `None`.
+    ///
+    /// Forced inline, as are [`KeyRef`]'s `with`, `hash` and `matches`:
+    /// left to `#[inline]`, the returned key made a round trip through
+    /// memory whose reload stalled (a quarter of a Γ loop's samples) and
+    /// a typed slot's `Value::hash` stayed a call on a temporary.
+    #[inline(always)]
+    pub(crate) fn at<R: Row>(&self, i: usize, nulls_match: bool) -> Option<(u64, KeyRef<'_, R>)> {
+        let key = KeyRef::Table(self, i);
+        if !nulls_match && (0..key.width()).any(|j| key.with(j, Value::is_null)) {
+            return None;
         }
-        let key = KeyRef::Vals(buf);
         Some((key.hash(), key))
     }
 }
 
-/// One row's key, borrowed: either columns of the row itself or a slice
-/// of already evaluated values.
+/// One row's key, borrowed: columns of the row itself, a slice of
+/// already evaluated values, or row `i` of a base table's key columns.
 pub(crate) enum KeyRef<'a, R> {
     /// Every index is in range of `row` (checked where the key is read).
     Cols(&'a R, &'a [usize]),
     Vals(&'a [Value]),
+    Table(&'a TableKey<'a>, usize),
 }
 
 impl<R> Clone for KeyRef<'_, R> {
@@ -270,40 +268,42 @@ impl<'a, R: Row> KeyRef<'a, R> {
         match self {
             KeyRef::Cols(_, cols) => cols.len(),
             KeyRef::Vals(vals) => vals.len(),
+            KeyRef::Table(key, _) => key.0.len(),
         }
     }
 
-    #[inline]
-    pub(crate) fn get(&self, j: usize) -> &'a Value {
+    /// `f` of the key's `j`-th value — the one reader every key operation
+    /// goes through: a table slot is read by [`Column::with_slot`].
+    #[inline(always)]
+    fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
         match self {
-            KeyRef::Cols(row, cols) => row.get(cols[j]).expect("key column checked on read"),
-            KeyRef::Vals(vals) => &vals[j],
+            KeyRef::Cols(row, cols) => f(row.get(cols[j]).expect("key column checked on read")),
+            KeyRef::Vals(vals) => f(&vals[j]),
+            KeyRef::Table(key, i) => key.0[j].with_slot(*i, f),
         }
-    }
-
-    pub(crate) fn values(self) -> impl Iterator<Item = &'a Value> {
-        (0..self.width()).map(move |j| self.get(j))
     }
 
     /// Same function as `fxhash::hash_values` over the key's values.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn hash(&self) -> u64 {
         let mut h = FxHasher::default();
         h.write_usize(self.width());
-        for v in self.values() {
-            v.hash(&mut h);
+        for j in 0..self.width() {
+            self.with(j, |v| v.hash(&mut h));
         }
         h.finish()
     }
 
     /// Text bytes the key's values own beyond their inline slots.
     pub(crate) fn heap_bytes(&self) -> u64 {
-        self.values().map(value_heap_bytes).sum()
+        (0..self.width())
+            .map(|j| self.with(j, value_heap_bytes))
+            .sum()
     }
 
-    #[inline]
+    #[inline(always)]
     fn matches(&self, stored: &[Value]) -> bool {
-        stored.iter().zip(self.values()).all(|(a, b)| a == b)
+        (0..stored.len()).all(|j| self.with(j, |v| stored[j] == *v))
     }
 }
 
@@ -344,7 +344,8 @@ impl KeyTable {
             .index
             .find_or_insert(hash, |g| key.matches(&keys[g as usize * width..][..width]));
         if created {
-            self.keys.extend(key.values().cloned());
+            self.keys
+                .extend((0..width).map(|j| key.with(j, Value::clone)));
         }
         (g, created)
     }
@@ -684,6 +685,98 @@ mod tests {
         let mut table = KeyTable::new(3);
         assert_eq!(table.intern(by_col.hash(), by_col), (0, true));
         assert_eq!(table.intern(by_val.hash(), by_val), (0, false));
+    }
+
+    /// A float from the corners key equality normalises: zeros of both
+    /// signs, NaNs of two payloads, integral and fractional values.
+    fn random_float(rng: &mut Rng) -> f64 {
+        match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => -f64::NAN,
+            4 => rng.gen_range(-9..9i64) as f64,
+            _ => rng.gen_range(-9..9i64) as f64 + 0.5,
+        }
+    }
+
+    /// A base-table column of `rows` slots: typed `Int` or `Float`, or
+    /// `Values` mixing NULLs, text, booleans and both numeric types.
+    fn random_column(rng: &mut Rng, rows: usize) -> Column {
+        let value = |rng: &mut Rng| match rng.gen_range(0..6u32) {
+            0 => Value::Null,
+            1 => Value::Int(rng.gen_range(-9..9i64)),
+            2 => Value::Float(random_float(rng)),
+            3 => Value::Bool(rng.gen_bool(0.5)),
+            _ => Value::text(format!("t{}", rng.gen_range(0..9u32))),
+        };
+        match rng.gen_range(0..3u32) {
+            0 => Column::Int((0..rows).map(|_| rng.gen_range(-9..9i64)).collect()),
+            1 => Column::Float((0..rows).map(|_| random_float(rng)).collect()),
+            _ => Column::Values((0..rows).map(|_| value(rng)).collect()),
+        }
+    }
+
+    /// A value equal to `v` under key equality but stored differently:
+    /// `Int(k)` ↔ `Float(k)`, `-0.0` ↔ `0.0`, NaN with the sign flipped.
+    fn twin(v: &Value) -> Value {
+        match *v {
+            Value::Int(k) => Value::Float(k as f64),
+            Value::Float(f) if f.is_nan() || f == 0.0 => Value::Float(-f),
+            Value::Float(f) if f.fract() == 0.0 => Value::Int(f as i64),
+            _ => v.clone(),
+        }
+    }
+
+    #[test]
+    fn a_table_row_key_is_the_key_of_its_values() {
+        let mut rng = Rng::seed_from_u64(0x7AB1_EC01);
+        let rows = 200;
+        for width in 1..=3 {
+            for _ in 0..30 {
+                let columns: Vec<Column> =
+                    (0..width).map(|_| random_column(&mut rng, rows)).collect();
+                let table = TableKey(columns.iter().collect());
+                let row =
+                    |i| -> Vec<Value> { columns.iter().map(|c| c.get(i).into_owned()).collect() };
+                // Stored keys: the twins of the first half's rows, and
+                // the rows themselves interned both ways.
+                let mut twins = KeyTable::new(width);
+                for i in 0..rows / 2 {
+                    let key: Vec<Value> = row(i).iter().map(twin).collect();
+                    twins.intern(hash_of(&key), KeyRef::vals(&key));
+                }
+                let (mut by_row, mut by_vals) = (KeyTable::new(width), KeyTable::new(width));
+                for i in 0..rows {
+                    let vals = row(i);
+                    let val_key = KeyRef::vals(&vals);
+                    let at = format!("{vals:?}");
+                    // Joins: a NULL anywhere in the key is no key.
+                    let has_null = vals.iter().any(Value::is_null);
+                    match table.at::<Tuple>(i, false) {
+                        None => assert!(has_null, "{at}"),
+                        Some((hash, _)) => assert!(!has_null && hash == val_key.hash(), "{at}"),
+                    }
+                    let (hash, key) = table.at::<Tuple>(i, true).expect("NULLs match");
+                    assert_eq!(hash, val_key.hash(), "{at}");
+                    assert_eq!(key.heap_bytes(), val_key.heap_bytes(), "{at}");
+                    let twin_of: Vec<Value> = vals.iter().map(twin).collect();
+                    assert!(key.matches(&twin_of), "{at}");
+                    let other = row(rng.gen_range(0..rows));
+                    assert_eq!(key.matches(&other), val_key.matches(&other), "{at}");
+                    let found = twins.find(hash, key, &mut 0);
+                    assert_eq!(found, twins.find(hash, val_key, &mut 0), "{at}");
+                    assert!(i >= rows / 2 || found.is_some(), "{at}: its twin is stored");
+                    assert_eq!(
+                        by_row.intern(hash, key),
+                        by_vals.intern(hash, val_key),
+                        "{at}"
+                    );
+                }
+                let (got, want) = (by_row.into_keys(), by_vals.into_keys());
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "stored as read");
+            }
+        }
     }
 
     #[test]

@@ -73,6 +73,26 @@ fn dims() -> Relation {
     Relation::new(schema(&["k", "x", "name"]), rows.collect())
 }
 
+/// 30 rows `[k, tag, x, nk]` for two-column keys against the facts:
+/// `(k, tag)` meets the facts' `(i, s)`, `(x, nk)` their `(f, n)` — `x`
+/// an all-Float column with a zero and a NaN, `nk` an Int column with
+/// NULLs, so one side of that key stays `Values`.
+fn pairs() -> Relation {
+    let rows = (0..30i64).map(|k| {
+        Tuple::new(vec![
+            Value::Int(k),
+            Value::text(format!("k{}", k % 7)),
+            Value::Float(if k == 29 { f64::NAN } else { k as f64 * 0.5 }),
+            if k % 4 == 3 {
+                Value::Null
+            } else {
+                Value::Int(k % 3)
+            },
+        ])
+    });
+    Relation::new(schema(&["k", "tag", "x", "nk"]), rows.collect())
+}
+
 fn col(i: usize) -> PhysExpr {
     PhysExpr::Column(i)
 }
@@ -129,7 +149,7 @@ fn gamma(input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>) -> Arc<PhysNo
 fn hash_join(
     left: Arc<PhysNode>,
     right: Arc<PhysNode>,
-    (left_key, right_key): (usize, usize),
+    (left_keys, right_keys): (&[usize], &[usize]),
     defaults: Option<Vec<(usize, Value)>>,
 ) -> Arc<PhysNode> {
     let out = schema(&vec!["c"; left.schema.arity() + right.schema.arity()]);
@@ -139,8 +159,8 @@ fn hash_join(
             spec: JoinSpec {
                 right,
                 on: JoinOn::Hash {
-                    left_keys: vec![col(left_key)],
-                    right_keys: vec![col(right_key)],
+                    left_keys: left_keys.iter().map(|&k| col(k)).collect(),
+                    right_keys: right_keys.iter().map(|&k| col(k)).collect(),
                     residual: None,
                 },
                 defaults,
@@ -244,7 +264,7 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
     // build over the fact table admits only the dimension's keys …
     out.push((
         "admitted build".into(),
-        hash_join(d(), f(), (0, 0), None),
+        hash_join(d(), f(), (&[0], &[0]), None),
         both.clone(),
     ));
     // … fact ⋈ dimension builds in full and probes off the fact table,
@@ -252,41 +272,70 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
     // on either side of an integer one, and a key with NULLs.
     out.push((
         "full build".into(),
-        hash_join(f(), d(), (0, 0), None),
+        hash_join(f(), d(), (&[0], &[0]), None),
         both.clone(),
     ));
     out.push((
         "Int = Float".into(),
-        hash_join(f(), d(), (0, 1), None),
+        hash_join(f(), d(), (&[0], &[1]), None),
         both.clone(),
     ));
     out.push((
         "Float = Int".into(),
-        hash_join(f(), d(), (1, 0), None),
+        hash_join(f(), d(), (&[1], &[0]), None),
         both.clone(),
     ));
     out.push((
         "Float = Int, admitted".into(),
-        hash_join(d(), f(), (0, 1), None),
+        hash_join(d(), f(), (&[0], &[1]), None),
         both.clone(),
     ));
     out.push((
         "mixed = Int".into(),
-        hash_join(f(), d(), (5, 0), None),
+        hash_join(f(), d(), (&[5], &[0]), None),
         both.clone(),
     ));
     // Outer joins pad what found no partner — NULL keys included.
     let defaults = || Some(vec![(1, Value::Float(-1.0)), (2, Value::text("none"))]);
     out.push((
         "outer".into(),
-        hash_join(f(), d(), (0, 0), defaults()),
+        hash_join(f(), d(), (&[0], &[0]), defaults()),
         both.clone(),
     ));
     out.push((
         "outer, NULL keys".into(),
-        hash_join(f(), d(), (3, 0), defaults()),
+        hash_join(f(), d(), (&[3], &[0]), defaults()),
         both.clone(),
     ));
+    // Two-column keys, each read off two columns of either table: fact ⋈
+    // pairs builds in full over the pairs and probes off the facts;
+    // pairs ⋈ fact admits the pairs' keys into a build over the facts;
+    // pairs ⟕ fact builds in full over the facts.
+    let pairs = pairs();
+    let p = || table(&pairs, route);
+    let with_pairs = vec![facts.len() as u64, pairs.len() as u64];
+    let pad = || Some(vec![(1, Value::Float(-1.0))]);
+    for (name, fact_key, pair_key) in [
+        ("(Int, text)", &[0, 2], &[0, 1]),
+        ("(Float, NULL-bearing)", &[1, 3], &[2, 3]),
+    ] {
+        for (shape, plan) in [
+            (
+                "full build, probed off the facts",
+                hash_join(f(), p(), (fact_key, pair_key), None),
+            ),
+            (
+                "admitted build",
+                hash_join(p(), f(), (pair_key, fact_key), None),
+            ),
+            (
+                "full build over the facts",
+                hash_join(p(), f(), (pair_key, fact_key), pad()),
+            ),
+        ] {
+            out.push((format!("{name} key, {shape}"), plan, with_pairs.clone()));
+        }
+    }
     out
 }
 

@@ -91,6 +91,19 @@ impl Column {
         }
     }
 
+    /// `f` of slot `r` without the `Cow`: the stored value, or a typed
+    /// slot as a stack temporary — so hashing or comparing a slot through
+    /// `f` is [`Value`]'s own `Hash` or `Eq` on the value [`Self::get`]
+    /// returns. Panics when `r` is out of range.
+    #[inline(always)]
+    pub fn with_slot<T>(&self, r: usize, f: impl FnOnce(&Value) -> T) -> T {
+        match self {
+            Column::Int(xs) => f(&Value::Int(xs[r])),
+            Column::Float(xs) => f(&Value::Float(xs[r])),
+            Column::Values(xs) => f(&xs[r]),
+        }
+    }
+
     /// Bytes of the column's own slots (text a [`Column::Values`] slot
     /// points at is shared with the row it was copied from).
     pub fn bytes(&self) -> u64 {

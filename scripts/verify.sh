@@ -72,11 +72,25 @@ streams="$(grep -rn 'fn streams(' crates/*/src | cut -d: -f1 | tr '\n' ' ')"
 [ "$streams" = "crates/algebra/src/plan/node.rs " ] \
     || { echo "fn streams( defined in: $streams"; exit 1; }
 # The number the next diet has to beat: lines above each file's test module.
-for crate in algebra unnest exec; do
+for crate in algebra unnest types exec; do
     find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
 done
+
+echo "==> one key reader (grep gate)"
+# Γ, the hash build and the scan-left probe hash and compare a base
+# table's keys in place, off its typed columns (KeyRef::Table, DESIGN.md
+# §5c): TableKey has no `read` that writes a key into a value buffer, and
+# the two serial loops that carried such a buffer (`keybuf`) have none —
+# what they still hold is the interpreter's buffer for computed keys.
+keyreads="$(awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    /^impl.* TableKey</ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
+    /fn (hash_aggregate|build_hash_table)\(/ { in_loop = 1 } in_loop && /^    }$/ { in_loop = 0 }
+    counting && (/TableKey::read/ || (in_impl && /fn read[<(]/) || (in_loop && /keybuf/)) {
+        print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
+[ -z "$keyreads" ] || { echo "a table key read through a buffer:"; echo "$keyreads"; exit 1; }
 
 echo "==> one decider for disjunct order (grep gate)"
 # The planned order is the evaluation order (DESIGN.md §8): the strategy
