@@ -288,9 +288,11 @@ fn rank_experiment(cfg: &Config) -> usize {
 ///   unnesting: the saving grows with the cost of the shared subtree,
 ///   and Q1's — a scan under one comparison — is within single-shot
 ///   noise of nothing.
-/// * **Stage-chain fusion** — the `⟕ → σ → Π` run above Q4's bypass join
-///   folded into the join's emit step (DESIGN.md §7) vs materializing
-///   the raw |L|·|R| negative stream and every widening of it first.
+/// * **Stage-chain fusion** — every pipeline of Q4's plan running all the
+///   single-consumer σ, Π and χ above its loop — the `⟕ → σ → Π` above
+///   the bypass join among them (DESIGN.md §7) — vs one stage per
+///   pipeline, materializing the raw |L|·|R| negative stream and every
+///   widening of it first.
 /// * **Column pruning** — the TPC-H Q4-like and Q17-like plans of the
 ///   benchmark's `tpch_costbased` workload (both unnested there) with and
 ///   without `prune_columns` (DESIGN.md §2b): every join pipeline

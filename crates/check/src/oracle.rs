@@ -1466,7 +1466,8 @@ struct Leg {
     /// inputs never pass).
     morsel_rows: Option<usize>,
     batch_rows: Option<usize>,
-    /// Planned with stage-chain fusion, the one [`PlanOptions`] switch.
+    /// Planned with stage-chain fusion, the one [`PlanOptions`] switch
+    /// (off: one σ, Π or χ per pipeline).
     fused: bool,
     /// `None`: the plan as the engine compiles it. `Some(f)`: compiled by
     /// hand — nesting rewrite, join ordering, then `f` where the engine
@@ -1572,8 +1573,8 @@ pub const AXES: [Axis; 4] = [
         ],
         compare: Compare::Exact,
     },
-    // A fused stage sees rows in the order its standalone operator
-    // would, but interleaves its stages row by row (DESIGN.md §7) and
+    // A fused stage sees rows in the order it would in a pipeline of its
+    // own, but interleaves its stages row by row (DESIGN.md §7) and
     // saves governor charges, so counters differ *between* the two
     // plans by design. The unfused plan's own counters must still be
     // worker-count independent (the parallel axis runs the fused one).

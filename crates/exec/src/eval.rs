@@ -10,7 +10,7 @@ use bypass_types::{
     VALUE_BYTES,
 };
 
-use crate::expr::{column_only, identity_projection, PhysExpr};
+use crate::expr::PhysExpr;
 use crate::govern::Governor;
 use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
 use crate::interp::ord_truth;
@@ -70,11 +70,11 @@ pub struct ExecOptions {
     /// Tests shrink it (`2`) to force tiny inputs onto the parallel
     /// path.
     pub morsel_rows: usize,
-    /// Chunk length of the σ/σ±/column-Π loops: how many rows the
-    /// kernel prefix of a predicate chain covers, and the governor
-    /// passes, at a time (clamped to ≥ 1). Results, errors, counters
-    /// and byte accounting are identical at every length (DESIGN.md
-    /// §8); tests shrink it so tiny inputs span several chunks.
+    /// Chunk length of the σ/σ± loops: how many rows the kernel prefix
+    /// of a predicate chain covers, and the governor passes, at a time
+    /// (clamped to ≥ 1). Results, errors, counters and byte accounting
+    /// are identical at every length (DESIGN.md §8); tests shrink it so
+    /// tiny inputs span several chunks.
     pub batch_rows: usize,
 }
 
@@ -208,7 +208,7 @@ impl ExecCounters {
 
 /// Rows one fused stage received and passed on. Semantic counts —
 /// batch size and worker count independent — and all EXPLAIN ANALYZE
-/// can say about a stage: its time is inside the hosting join's.
+/// can say about a stage: its time is inside its host's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     pub rows_in: u64,
@@ -238,9 +238,6 @@ pub struct DisjunctMetrics {
 
 /// Elementwise commutative fold of per-disjunct counters.
 fn merge_disjuncts(into: &mut Vec<DisjunctMetrics>, from: &[DisjunctMetrics]) {
-    if from.is_empty() {
-        return;
-    }
     if into.len() < from.len() {
         into.resize(from.len(), DisjunctMetrics::default());
     }
@@ -286,8 +283,9 @@ pub struct NodeMetrics {
     /// evaluation order — `hits / evals` is the observed decide
     /// selectivity. Empty for unchained operators.
     pub disjuncts: Vec<DisjunctMetrics>,
-    /// Joins with fused stage chains only: rows in/out per stage, in
-    /// chain order (a bypass join lists its positive chain first).
+    /// Pipeline hosts only: rows in/out per stage, in chain order (a
+    /// bypass operator lists its positive chain first; a relation
+    /// pipeline's head is entry 0).
     pub stages: Vec<StageMetrics>,
 }
 
@@ -347,17 +345,15 @@ pub(crate) fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     out
 }
 
-/// Output of a bypass operator: both streams.
-type Dual = (Arc<Relation>, Arc<Relation>);
-
-/// Per-plan-evaluation memo of what has more than one consumer — both
-/// streams of a bypass operator, and the relation of a node the planner
-/// marked [`PhysNode::shared`] — keyed by node address. Fresh for the
-/// root and for every subquery invocation, because results depend on the
-/// current outer bindings.
+/// Per-plan-evaluation memo of what has more than one consumer — the
+/// streams of a bypass operator its taps have yet to read (positive
+/// first), and the relation of a node the planner marked
+/// [`PhysNode::shared`] — keyed by node address. Fresh for the root and
+/// for every subquery invocation, because results depend on the current
+/// outer bindings.
 #[derive(Default)]
 struct Local {
-    duals: FxHashMap<usize, Dual>,
+    duals: FxHashMap<usize, [Option<Arc<Relation>>; 2]>,
     shared: FxHashMap<usize, Arc<Relation>>,
 }
 
@@ -383,45 +379,56 @@ enum ProbeOn<'p> {
     },
 }
 
-impl Probe<'_> {
-    /// Pairs the probe visits per probing row: the `pairs` factor of a
-    /// join loop's work estimate.
-    fn pairs_per_row(&self) -> usize {
-        match self.on {
-            ProbeOn::Loop(_) => self.build.len(),
-            ProbeOn::Hash { .. } => 1,
-        }
-    }
+/// One [`Stage`] of a chain, ready to run: a fused join's build side
+/// is open.
+struct LiveStage<'p> {
+    stage: &'p Stage,
+    probe: Option<Probe<'p>>,
 }
 
-/// One [`Stage`] of a chain, ready to run.
-enum LiveStage<'p> {
-    Filter(&'p PhysExpr),
-    Project(&'p [PhysExpr]),
-    Pick(&'p [usize]),
-    Map(&'p PhysExpr),
-    Probe(Box<Probe<'p>>),
-}
-
-/// The fused joins among `stages`.
-fn probes<'s, 'p>(stages: &'s [LiveStage<'p>]) -> impl Iterator<Item = &'s Probe<'p>> {
-    stages.iter().filter_map(|s| match s {
-        LiveStage::Probe(p) => Some(&**p),
-        _ => None,
-    })
-}
-
-/// What one morsel of a join pipeline produced: the rows that left the
-/// last stage — the only ones materialized — and how many reached each
-/// stage on the way.
+/// What one morsel of a pipeline produced (one per stream of a bypass
+/// operator): the rows that left the last stage — the only ones
+/// materialized — and how many reached each stage on the way.
 struct Sink {
     rows: Vec<Tuple>,
     /// Rows that entered stage `k` of the chain.
     reached: Vec<u64>,
     reverify: u64,
-    /// Reusable value buffers, one per pipeline level (`0`: the hosting
-    /// join, `k + 1`: stage `k`): a hash probe's key, a Π's output row.
+    /// Reusable value buffers, one per pipeline level (`0`: the source,
+    /// `k + 1`: stage `k`): a hash probe's key, a Π's output row.
     scratch: Vec<Vec<Value>>,
+}
+
+/// A pipeline's sinks: the positive stream's (a join's or a relation
+/// pipeline's only one), then the negative stream's.
+type Streams = [Sink; 2];
+
+/// Where a σ head or a σ± hands the rows it routes: into `pos` from
+/// stage `from` (a σ head's stages after itself), and — σ± only — into
+/// `neg`, each stream's chain entered at its first stage.
+struct Routes<'s, 'p> {
+    pos: &'s [LiveStage<'p>],
+    from: usize,
+    neg: Option<&'s [LiveStage<'p>]>,
+}
+
+impl<'s, 'p> Routes<'s, 'p> {
+    /// The stages a row decided as `truth` enters, from which one, and
+    /// the sink it ends in; `None` for a row σ drops.
+    fn of(&self, truth: Truth) -> Option<(&'s [LiveStage<'p>], usize, usize)> {
+        match truth.is_true() {
+            true => Some((self.pos, self.from, 0)),
+            false => self.neg.map(|neg| (neg, 0, 1)),
+        }
+    }
+
+    /// Does a row decided as `truth` meet a stage that does work? One
+    /// that meets relabels only leaves as it is.
+    fn works(&self, truth: Truth) -> bool {
+        let relabel = |s: &LiveStage<'_>| matches!(s.stage, Stage::Relabel);
+        self.of(truth)
+            .is_some_and(|(stages, from, _)| !stages[from..].iter().all(relabel))
+    }
 }
 
 impl Sink {
@@ -450,15 +457,6 @@ impl Sink {
             }
         }
         all
-    }
-
-    /// Rows pushed into the pipeline: what reached the first stage, or
-    /// — without stages — what was materialized.
-    fn entered(&self) -> u64 {
-        self.reached
-            .first()
-            .copied()
-            .unwrap_or(self.rows.len() as u64)
     }
 
     /// A stage's output is the next stage's input; the last stage's is
@@ -510,12 +508,6 @@ impl ExecContext {
         c
     }
 
-    /// Charge `n` shared-row pushes (refcount bumps) in one step.
-    #[inline]
-    fn charge_shared_rows(&mut self, n: usize) -> Result<()> {
-        self.gov.charge(n as u64 * SHARED_ROW_BYTES)
-    }
-
     /// Enforce the intermediate-size guard on a growing buffer.
     #[inline]
     fn check_size(&self, rows: usize) -> Result<()> {
@@ -533,9 +525,9 @@ impl ExecContext {
     // Predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
 
-    /// Drive σ (`bypass == false`, negative stream unused) or σ±
-    /// (`bypass == true`) of `node` over `input`, the evaluated `from`:
-    /// one morsel loop over the whole input, its terms in planned order.
+    /// Drive the σ head of a pipeline or a σ± (`routes`) of `node` over
+    /// `input`, the evaluated `from`: one morsel loop over the whole
+    /// input, its terms in planned order, closed by [`Self::finish`].
     ///
     /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
@@ -547,23 +539,31 @@ impl ExecContext {
         node: &Arc<PhysNode>,
         from: &PhysNode,
         input: &Relation,
-        bypass: bool,
-    ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
-        let chain = node.chain().expect("σ and σ± nodes carry their chain");
+        routes: &Routes<'_, '_>,
+    ) -> Result<Streams> {
+        let chain = node
+            .chain()
+            .expect("σ heads and σ± nodes carry their chain");
         let rows = input.rows();
         let batch = chain_bindable(chain, &self.outer).then(|| chain_batch(from, input, chain));
         let batch = batch.as_ref();
-        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-            ctx.chain_slice(chain, &rows[range.clone()], batch, range.start, bypass)
+        let parts = self.run_morsels(node, rows.len(), 1, |ctx, range| {
+            let rows = &rows[range.clone()];
+            // Two instances: the one no stage follows keeps the σ loop's
+            // own shape, which measured faster than a shared one.
+            match routes.works(Truth::True) || routes.works(Truth::False) {
+                false => ctx.chain_slice::<true>(chain, rows, batch, range.start, routes),
+                true => ctx.chain_slice::<false>(chain, rows, batch, range.start, routes),
+            }
         })?;
         let mut disjuncts = Vec::new();
-        let (pos, neg): (Vec<_>, Vec<_>) = parts
+        let sinks = parts
             .into_iter()
-            .map(|(streams, counts)| {
+            .map(|(sinks, counts)| {
                 merge_disjuncts(&mut disjuncts, &counts);
-                streams
+                sinks
             })
-            .unzip();
+            .collect();
         // Surface per-disjunct selectivities in EXPLAIN ANALYZE and in
         // the always-on counter totals; a single-term chain is not a
         // disjunction and keeps its metrics block unchanged. Folded on
@@ -577,7 +577,7 @@ impl ExecContext {
                 merge_disjuncts(&mut self.pending.disjuncts, &disjuncts);
             }
         }
-        Ok((concat_rows(pos), concat_rows(neg)))
+        self.finish(sinks, std::iter::empty())
     }
 
     /// Evaluate one morsel's rows through the chain, a chunk of
@@ -588,30 +588,30 @@ impl ExecContext {
     /// governor-invisible — and the rows are then finished in input
     /// order: a row the prefix left open evaluates the remaining terms
     /// between its own checkpoints, and every run of rows it settled
-    /// passes its checkpoints in one governor call. `batch` holds the
+    /// is routed (see [`Self::pass_settled`]). `batch` holds the
     /// kernel columns of the *full* input (`None`: no kernel may run,
     /// see [`Self::run_chain`]); `base` is the index of `rows[0]` within
     /// it. Selection vectors carry lane indices within the chunk. Out
     /// of line, as the σ loop it replaced was: inlined into the operator
     /// match that loop ran ~6 % slower per row (benchmark workload
     /// `rst_canonical`).
-    #[allow(clippy::type_complexity)]
     #[inline(never)]
-    fn chain_slice(
+    fn chain_slice<const DIRECT: bool>(
         &mut self,
         chain: &CompiledChain,
         rows: &[Tuple],
         batch: Option<&Batch>,
         base: usize,
-        bypass: bool,
-    ) -> Result<((Vec<Tuple>, Vec<Tuple>), Vec<DisjunctMetrics>)> {
+        routes: &Routes<'_, '_>,
+    ) -> Result<(Streams, Vec<DisjunctMetrics>)> {
         let mut counts = vec![DisjunctMetrics::default(); chain.terms.len()];
         let kernels = if batch.is_some() {
             chain.kernels()
         } else {
             &[]
         };
-        let mut out = (Vec::new(), Vec::new());
+        let mut out = [routes.pos, routes.neg.unwrap_or_default()].map(|s| Sink::new(s.len()));
+        let works = [routes.works(Truth::False), routes.works(Truth::True)];
         let decide = chain.decide();
         // Per-chunk scratch, reused across chunks (allocation-free
         // steady state). `acc[r]` folds row `r`'s term results; the
@@ -705,47 +705,63 @@ impl ExecContext {
                     count.hits += (before - sel.len()) as u64;
                 }
             }
-            // When every term was a kernel the fold is already final.
+            // When every term was a kernel the fold is already final. A
+            // settled row that meets no working stage waits for its run's
+            // batched checkpoints; every other row takes its turn.
             let settled = |truth: Truth| kernels.len() == chain.terms.len() || truth == decide;
             let mut run = 0;
             for r in 0..n {
-                if settled(acc[r]) {
+                if settled(acc[r]) && (DIRECT || !works[acc[r].is_true() as usize]) {
                     continue;
                 }
-                self.pass_settled(&chunk[run..r], &acc[run..r], bypass, &mut out)?;
+                if run < r {
+                    self.pass_settled(&chunk[run..r], &acc[run..r], routes, &mut out)?;
+                }
                 run = r + 1;
                 let t = &chunk[r];
                 self.gov.tick()?;
-                if bypass {
+                // A σ± no working stage follows charges the row before
+                // its predicate runs, as the operator always did; any
+                // other route charges a row where it leaves.
+                let precharge = DIRECT && routes.neg.is_some();
+                if precharge {
                     self.gov.charge(SHARED_ROW_BYTES)?;
                 }
-                let truth = self.chain_eval_row(chain, &mut counts, t, kernels.len(), acc[r])?;
-                if truth.is_true() && !bypass {
-                    self.gov.charge(SHARED_ROW_BYTES)?;
+                let truth = match settled(acc[r]) {
+                    true => acc[r],
+                    false => self.chain_eval_row(chain, &mut counts, t, kernels.len(), acc[r])?,
+                };
+                match routes.of(truth) {
+                    _ if precharge => push_routed(t, truth, routes, &mut out),
+                    Some((stages, from, k)) => {
+                        self.emit(&RowView::of(t), stages, from, &mut out[k])?
+                    }
+                    None => {}
                 }
-                route(t, truth, bypass, &mut out);
             }
-            self.pass_settled(&chunk[run..], &acc[run..], bypass, &mut out)?;
+            self.pass_settled(&chunk[run..], &acc[run..], routes, &mut out)?;
             lo += n;
         }
         Ok((out, counts))
     }
 
     /// Pass the checkpoints of a run of rows whose truth the kernel
-    /// prefix settled (σ: tick, then charge only kept rows; σ±: tick,
-    /// charge) and route the rows.
+    /// prefix settled and that meet no working stage — nothing else is
+    /// governor-visible (σ: tick, then charge only kept rows; σ±: tick,
+    /// charge): one governor call — and route the rows.
     fn pass_settled(
         &mut self,
         rows: &[Tuple],
         truth: &[Truth],
-        bypass: bool,
-        out: &mut (Vec<Tuple>, Vec<Tuple>),
+        routes: &Routes<'_, '_>,
+        out: &mut Streams,
     ) -> Result<()> {
+        let bypass = routes.neg.is_some();
         self.gov.tick_rows(rows.len(), |r| {
             (bypass || truth[r].is_true()).then_some(SHARED_ROW_BYTES)
         })?;
         for (t, &truth) in rows.iter().zip(truth) {
-            route(t, truth, bypass, out);
+            push_routed(t, truth, routes, out);
         }
         Ok(())
     }
@@ -829,9 +845,8 @@ impl ExecContext {
         result
     }
 
-    /// The per-row morsel loop general Π, χ, ν and Γᵇ's left side
-    /// share: tick, build the output row from input row `i`, charge it,
-    /// push it.
+    /// The per-row morsel loop ν and Γᵇ's left side share: tick, build
+    /// the output row from input row `i`, charge it, push it.
     pub(crate) fn build_rows(
         &mut self,
         node: &Arc<PhysNode>,
@@ -839,7 +854,7 @@ impl ExecContext {
         build: impl Fn(&mut ExecContext, usize, &Tuple) -> Result<Tuple> + Sync,
     ) -> Result<Vec<Tuple>> {
         let rows = input.rows();
-        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+        let parts = self.run_morsels(node, rows.len(), 1, |ctx, range| {
             let mut out = Vec::with_capacity(range.len());
             for (i, t) in range.clone().zip(&rows[range]) {
                 ctx.gov.tick()?;
@@ -864,51 +879,32 @@ impl ExecContext {
         let rel = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
             PhysKind::Scan { data, .. } => return Ok(data.clone()),
-            PhysKind::Filter { input, .. } => {
+            PhysKind::Pipeline { input, chain } => {
                 let rel = self.eval_node(input, local)?;
-                let (pos, _neg) = self.run_chain(node, input, &rel, false)?;
-                Relation::new(schema(), pos)
-            }
-            PhysKind::Project { input, exprs } => {
-                let input = self.eval_node(input, local)?;
-                // Column-only projections skip the expression
-                // evaluator; the identity projection is a pure schema
-                // relabel whose rows are refcount bumps of the input's
-                // shared buffers.
-                let arity = input.schema().arity();
-                let cols = column_only(exprs).filter(|cs| cs.iter().all(|&c| c < arity));
-                if let Some(cols) = cols {
-                    if identity_projection(exprs, arity) {
-                        self.charge_shared_rows(input.len())?;
-                        let rel = Relation::new(schema(), input.rows().to_vec());
-                        return Ok(Arc::new(rel));
+                let stages = self.open_chain(Some(chain), local)?;
+                let [sink, _] = match node.chain() {
+                    // A σ head runs chunk-wise and routes what it keeps
+                    // into the stages after it.
+                    Some(_) => {
+                        let routes = Routes {
+                            pos: &stages,
+                            from: 1,
+                            neg: None,
+                        };
+                        self.run_chain(node, input, &rel, &routes)?
                     }
-                    let rows = input.rows();
-                    let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        let mut out: Vec<Tuple> = Vec::with_capacity(range.len());
-                        // Copying columns is infallible and
-                        // governor-invisible: a chunk is projected,
-                        // then passes its checkpoints (per row: tick,
-                        // charge) in one governor call.
-                        for chunk in rows[range].chunks(ctx.options.batch_rows) {
-                            let done = out.len();
-                            out.extend(chunk.iter().map(|t| t.project(&cols)));
-                            ctx.gov
-                                .tick_rows(chunk.len(), |r| Some(tuple_bytes(&out[done + r])))?;
-                        }
-                        Ok(out)
-                    })?;
-                    let rel = Relation::new(schema(), concat_rows(parts));
-                    return Ok(Arc::new(rel));
-                }
-                let rows = self.build_rows(node, &input, |ctx, _, t| {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        vals.push(ctx.eval_expr(e, t)?);
+                    None => {
+                        let parts = self.run_morsels(node, rel.len(), 1, |ctx, range| {
+                            let mut sink = Sink::new(stages.len());
+                            for t in &rel.rows()[range] {
+                                ctx.emit(&RowView::of(t), &stages, 0, &mut sink)?;
+                            }
+                            Ok([sink, Sink::new(0)])
+                        })?;
+                        self.finish(parts, std::iter::empty())?
                     }
-                    Ok(Tuple::new(vals))
-                })?;
-                Relation::new(schema(), rows)
+                };
+                Relation::new(schema(), sink.rows)
             }
             PhysKind::Join { left, spec, chain } => {
                 let l = self.eval_node(left, local)?;
@@ -916,43 +912,32 @@ impl ExecContext {
                 // insertion order); the immutable tables are shared by
                 // the probe morsels.
                 let join = self.open_probe(spec, Some(&l), local)?;
-                let stages = self.open_chain(chain, local)?;
+                let stages = self.open_chain(chain.as_ref(), local)?;
                 // A hash probe straight off a base table looks its keys
                 // up from the table's columns: a row is touched only
-                // once it has a partner or must be padded.
-                let table_key = match &join.on {
+                // once it has a partner or must be padded. A nested
+                // loop visits every build row per probing row.
+                let (table_key, pairs) = match &join.on {
                     ProbeOn::Hash { probe_keys, .. } => {
-                        TableKey::new(left.table_columns(), probe_keys)
+                        (TableKey::new(left.table_columns(), probe_keys), 1)
                     }
-                    ProbeOn::Loop(_) => None,
+                    ProbeOn::Loop(_) => (None, join.build.len()),
                 };
-                let parts = self.run_weighted_morsels(
-                    node,
-                    l.len(),
-                    join.pairs_per_row(),
-                    |ctx, range| {
-                        let mut sink = Sink::new(stages.len());
-                        for (i, t) in range.clone().zip(&l.rows()[range]) {
-                            ctx.check_size(sink.rows.len())?;
-                            let row = RowView::new(t.values());
-                            let key_at = table_key.as_ref().map(|key| (key, i));
-                            ctx.probe(&join, &row, key_at, &stages, 0, &mut sink)?;
-                        }
-                        Ok(sink)
-                    },
-                )?;
-                let fanned_out = parts.len() > 1;
-                let sink = Sink::merge(parts);
-                if fanned_out {
-                    self.check_size(sink.rows.len())?;
-                }
-                self.close_probes(std::iter::once(&join).chain(probes(&stages)));
-                if self.metrics.is_some() {
-                    self.pending.reverify += sink.reverify;
-                    self.pending.stages = sink.stage_metrics();
-                    if matches!(join.on, ProbeOn::Hash { .. }) {
-                        self.pending.input_rows += l.len() as u64;
+                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range| {
+                    let mut sink = Sink::new(stages.len());
+                    for (i, t) in range.clone().zip(&l.rows()[range]) {
+                        ctx.check_size(sink.rows.len())?;
+                        let row = RowView::new(t.values());
+                        let key_at = table_key.as_ref().map(|key| (key, i));
+                        ctx.probe(&join, &row, key_at, &stages, 0, &mut sink)?;
                     }
+                    Ok([sink, Sink::new(0)])
+                })?;
+                let probes = stages.iter().filter_map(|s| s.probe.as_ref());
+                let probes = std::iter::once(&join).chain(probes);
+                let [sink, _] = self.finish(parts, probes)?;
+                if self.metrics.is_some() && matches!(join.on, ProbeOn::Hash { .. }) {
+                    self.pending.input_rows += l.len() as u64;
                 }
                 Relation::new(schema(), sink.rows)
             }
@@ -989,13 +974,6 @@ impl ExecContext {
                 let r = self.eval_node(right, local)?;
                 self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema())?
             }
-            PhysKind::Map { input, expr } => {
-                let input = self.eval_node(input, local)?;
-                let rows = self.build_rows(node, &input, |ctx, _, t| {
-                    Ok(t.extended(ctx.eval_expr(expr, t)?))
-                })?;
-                Relation::new(schema(), rows)
-            }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
                 // The global row index is position-derived, so each
@@ -1008,7 +986,7 @@ impl ExecContext {
                 let input = self.eval_node(input, local)?;
                 // The copied row vector plus the transient dedup set are
                 // both O(n) shared handles; charged as one step.
-                self.charge_shared_rows(input.len())?;
+                self.gov.charge(input.len() as u64 * SHARED_ROW_BYTES)?;
                 let rel = Relation::new(schema(), input.rows().to_vec()).distinct();
                 rel
             }
@@ -1047,19 +1025,21 @@ impl ExecContext {
             }
             PhysKind::Limit { input, n } => {
                 let input = self.eval_node(input, local)?;
-                self.charge_shared_rows(input.len().min(*n))?;
+                self.gov
+                    .charge(input.len().min(*n) as u64 * SHARED_ROW_BYTES)?;
                 let rows = input.rows().iter().take(*n).cloned().collect();
                 Relation::new(schema(), rows)
             }
             PhysKind::Alias { input } => {
                 let input = self.eval_node(input, local)?;
-                self.charge_shared_rows(input.len())?;
+                self.gov.charge(input.len() as u64 * SHARED_ROW_BYTES)?;
                 Relation::new(schema(), input.rows().to_vec())
             }
             PhysKind::UnionAll { left, right } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                self.charge_shared_rows(l.len() + r.len())?;
+                self.gov
+                    .charge((l.len() + r.len()) as u64 * SHARED_ROW_BYTES)?;
                 let mut rows = l.rows().to_vec();
                 rows.extend_from_slice(r.rows());
                 Relation::new(schema(), rows)
@@ -1070,53 +1050,54 @@ impl ExecContext {
                 ))
             }
             PhysKind::Stream { source, positive } => {
-                let (pos, neg) = self.eval_bypass(source, local)?;
-                return Ok(if *positive { pos } else { neg });
+                return self.eval_stream(source, *positive, local)
             }
         };
         Ok(Arc::new(rel))
     }
 
-    /// Evaluate a bypass operator once per plan evaluation; both streams
-    /// are memoized so the second Stream consumer gets the cached half.
-    fn eval_bypass(&mut self, source: &Arc<PhysNode>, local: &mut Local) -> Result<Dual> {
+    /// One stream of a bypass operator, which runs once per plan
+    /// evaluation: its streams wait in `local` for their taps. A stream a
+    /// chain consumes has one tap, which takes it, so its rows die with
+    /// their consumer; any other is handed on by refcount.
+    fn eval_stream(
+        &mut self,
+        source: &Arc<PhysNode>,
+        positive: bool,
+        local: &mut Local,
+    ) -> Result<Arc<Relation>> {
         let ptr = Arc::as_ptr(source) as usize;
-        if let Some(d) = local.duals.get(&ptr) {
-            return Ok(d.clone());
+        if !local.duals.contains_key(&ptr) {
+            let dual = self.metered(source, |ctx| ctx.eval_bypass(source, local), |_, _| {})?;
+            local.duals.insert(ptr, dual.map(Some));
         }
-        let run = |ctx: &mut Self| ctx.eval_bypass_inner(source, local);
-        let (dual, _) = self.metered(source, run, |m, (_, routed)| {
-            // The bypass-specific split — what the operator itself
-            // routed to each side, before any fused stage: the
-            // negative stream is the quantity the paper's cost
-            // argument needs small.
-            m.rows += routed[0] + routed[1];
-            m.pos_rows += routed[0];
-            m.neg_rows += routed[1];
-        })?;
-        local.duals.insert(ptr, dual.clone());
-        Ok(dual)
+        let stream = &mut local.duals.get_mut(&ptr).expect("evaluated above")[!positive as usize];
+        let tapped = match source.stream_chain(positive) {
+            Some(_) => stream.take(),
+            None => stream.clone(),
+        };
+        tapped.ok_or_else(|| Error::execution("a bypass stream a chain consumes has one tap"))
     }
 
-    /// Both streams of a bypass operator and how many rows the operator
-    /// routed to each (more than the streams hold when a fused stage
-    /// chain dropped some on the way).
-    fn eval_bypass_inner(
+    /// Both streams of a bypass operator, positive first.
+    fn eval_bypass(
         &mut self,
         source: &Arc<PhysNode>,
         local: &mut Local,
-    ) -> Result<(Dual, [u64; 2])> {
-        let schema = source.schema.clone();
-        Ok(match &source.kind {
-            PhysKind::BypassFilter { input, .. } => {
+    ) -> Result<[Arc<Relation>; 2]> {
+        let sinks = match &source.kind {
+            PhysKind::BypassFilter {
+                input, pos, neg, ..
+            } => {
                 let rel = self.eval_node(input, local)?;
-                let (pos, neg) = self.run_chain(source, input, &rel, true)?;
-                let routed = [pos.len() as u64, neg.len() as u64];
-                let dual = (
-                    Arc::new(Relation::new(schema.clone(), pos)),
-                    Arc::new(Relation::new(schema, neg)),
-                );
-                (dual, routed)
+                let pos_stages = self.open_chain(pos.as_ref(), local)?;
+                let neg_stages = self.open_chain(neg.as_ref(), local)?;
+                let routes = Routes {
+                    pos: &pos_stages,
+                    from: 0,
+                    neg: Some(&neg_stages),
+                };
+                self.run_chain(source, input, &rel, &routes)?
             }
             PhysKind::BypassNLJoin {
                 left,
@@ -1127,9 +1108,9 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let pos_stages = self.open_chain(pos, local)?;
-                let neg_stages = self.open_chain(neg, local)?;
-                let parts = self.run_weighted_morsels(source, l.len(), r.len(), |ctx, range| {
+                let pos_stages = self.open_chain(pos.as_ref(), local)?;
+                let neg_stages = self.open_chain(neg.as_ref(), local)?;
+                let parts = self.run_morsels(source, l.len(), r.len(), |ctx, range| {
                     let mut pos = Sink::new(pos_stages.len());
                     let mut neg = Sink::new(neg_stages.len());
                     for lt in &l.rows()[range] {
@@ -1145,48 +1126,69 @@ impl ExecContext {
                             }
                         }
                     }
-                    Ok((pos, neg))
+                    Ok([pos, neg])
                 })?;
-                // Morsels guard their local buffers; a parallel run
-                // adds one post-merge check over the combined size (the
-                // serial path keeps the exact per-left-row guard).
-                let fanned_out = parts.len() > 1;
-                let (pos_parts, neg_parts): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-                let (pos_sink, neg_sink) = (Sink::merge(pos_parts), Sink::merge(neg_parts));
-                let routed = [pos_sink.entered(), neg_sink.entered()];
-                if fanned_out {
-                    self.check_size(pos_sink.rows.len().max(neg_sink.rows.len()))?;
-                }
-                self.close_probes(probes(&pos_stages).chain(probes(&neg_stages)));
-                if self.metrics.is_some() {
-                    self.pending.reverify += pos_sink.reverify + neg_sink.reverify;
-                    self.pending.stages = pos_sink.stage_metrics();
-                    self.pending.stages.extend(neg_sink.stage_metrics());
-                }
-                let stream = |chain: &Option<Chain>, sink: Sink| {
-                    let schema = chain.as_ref().map_or(&schema, |c| &c.schema).clone();
-                    Arc::new(Relation::new(schema, sink.rows))
-                };
-                let dual = (stream(pos, pos_sink), stream(neg, neg_sink));
-                (dual, routed)
+                let probes = pos_stages.iter().chain(&neg_stages);
+                self.finish(parts, probes.filter_map(|s| s.probe.as_ref()))?
             }
             _ => {
                 return Err(Error::execution(
                     "Stream node must point at a bypass operator",
                 ))
             }
-        })
+        };
+        if self.metrics.is_some() {
+            // What the operator routed to each stream, before any stage:
+            // the negative stream is what the paper's cost argument
+            // needs small.
+            let [pos, neg] = sinks
+                .each_ref()
+                .map(|s| *s.reached.first().unwrap_or(&(s.rows.len() as u64)));
+            self.pending.rows += pos + neg;
+            self.pending.pos_rows += pos;
+            self.pending.neg_rows += neg;
+        }
+        let [pos, neg] = sinks.map(|sink| sink.rows);
+        let stream =
+            |positive, rows| Arc::new(Relation::new(source.stream_schema(positive).clone(), rows));
+        Ok([stream(true, pos), stream(false, neg)])
     }
 
-    // ----- join pipelines (DESIGN.md §7) ---------------------------------
+    // ----- pipelines (DESIGN.md §7) --------------------------------------
     //
-    // A join loop never builds a pair it does not emit: it evaluates
-    // its predicate on a borrowed `RowView` of the two rows, pushes
-    // matches through the stage chain fused into it — still on the
-    // view — and materializes (and charges) only what leaves the last
-    // stage. Every stage ticks once per row it receives, exactly as the
-    // standalone operator would; the charges of the intermediate
-    // relations are what disappears.
+    // A row loop — a join's probe, a ⋈±'s pairs, a σ/σ±'s chunks, a pass
+    // over a relation — pushes a borrowed `RowView` through its stages
+    // and materializes (and charges) only what leaves the last one;
+    // every stage ticks where its operator did.
+
+    /// Close a pipeline loop, whichever its source: fold each stream's
+    /// per-morsel sinks in morsel (= input) order, re-check the row cap
+    /// on what was kept (morsels only saw their own buffers), release
+    /// the build sides of `probes` and book collision re-verifies and
+    /// per-stage counts (positive stream first).
+    fn finish<'s, 'p: 's>(
+        &mut self,
+        parts: Vec<Streams>,
+        probes: impl Iterator<Item = &'s Probe<'p>>,
+    ) -> Result<Streams> {
+        let (pos, neg): (Vec<_>, Vec<_>) = parts.into_iter().map(|[p, n]| (p, n)).unzip();
+        let sinks = [Sink::merge(pos), Sink::merge(neg)];
+        self.check_size(sinks[0].rows.len().max(sinks[1].rows.len()))?;
+        // The hash tables' key arenas die with the pipeline.
+        for probe in probes {
+            if let ProbeOn::Hash { table, charged, .. } = &probe.on {
+                if self.metrics.is_some() {
+                    self.pending.build_rows += table.len() as u64;
+                }
+                self.gov.release(*charged);
+            }
+        }
+        if self.metrics.is_some() {
+            self.pending.reverify += sinks[0].reverify + sinks[1].reverify;
+            self.pending.stages = sinks.iter().flat_map(Sink::stage_metrics).collect();
+        }
+        Ok(sinks)
+    }
 
     /// Evaluate a join's right input and make the join probe-ready. Runs
     /// on the master before the loop fans out. `left` is the join's
@@ -1245,36 +1247,19 @@ impl ExecContext {
     /// joins, in chain order.
     fn open_chain<'p>(
         &mut self,
-        chain: &'p Option<Chain>,
+        chain: Option<&'p Chain>,
         local: &mut Local,
     ) -> Result<Vec<LiveStage<'p>>> {
-        chain
-            .iter()
-            .flat_map(|c| &c.stages)
+        let stages = chain.into_iter().flat_map(|c| &c.stages);
+        stages
             .map(|stage| {
-                Ok(match stage {
-                    Stage::Filter(p) => LiveStage::Filter(p),
-                    Stage::Project(exprs) => LiveStage::Project(exprs),
-                    Stage::Pick(cols) => LiveStage::Pick(cols),
-                    Stage::Map(e) => LiveStage::Map(e),
-                    Stage::Probe(spec) => {
-                        LiveStage::Probe(Box::new(self.open_probe(spec, None, local)?))
-                    }
-                })
+                let probe = match stage {
+                    Stage::Probe(spec) => Some(self.open_probe(spec, None, local)?),
+                    _ => None,
+                };
+                Ok(LiveStage { stage, probe })
             })
             .collect()
-    }
-
-    /// The pipeline is done: the hash tables' key arenas die with it.
-    fn close_probes<'s, 'p: 's>(&mut self, probes: impl Iterator<Item = &'s Probe<'p>>) {
-        for probe in probes {
-            if let ProbeOn::Hash { table, charged, .. } = &probe.on {
-                if self.metrics.is_some() {
-                    self.pending.build_rows += table.len() as u64;
-                }
-                self.gov.release(*charged);
-            }
-        }
     }
 
     /// Join one probing row against `probe`'s build side and hand every
@@ -1360,7 +1345,9 @@ impl ExecContext {
     }
 
     /// Push one row into stage `at` of the chain; past the last stage
-    /// the row has survived — materialize and charge it.
+    /// the row has survived — materialize and charge it: a source row
+    /// no stage changed by refcount, as σ hands rows on, any other as
+    /// the tuple it has become.
     fn emit(
         &mut self,
         row: &RowView<'_>,
@@ -1369,38 +1356,49 @@ impl ExecContext {
         sink: &mut Sink,
     ) -> Result<()> {
         let Some(stage) = stages.get(at) else {
-            let row = row.to_tuple();
-            self.gov.charge(tuple_bytes(&row))?;
+            let (row, bytes) = match row.whole {
+                Some(t) => (t.clone(), SHARED_ROW_BYTES),
+                None => {
+                    let t = row.to_tuple();
+                    let bytes = tuple_bytes(&t);
+                    (t, bytes)
+                }
+            };
+            self.gov.charge(bytes)?;
             sink.rows.push(row);
             return Ok(());
         };
         sink.reached[at] += 1;
-        match stage {
-            LiveStage::Filter(predicate) => {
+        match stage.stage {
+            Stage::Filter(predicate) => {
                 self.gov.tick()?;
                 if self.eval_truth(predicate, row)?.is_true() {
                     self.emit(row, stages, at + 1, sink)?;
                 }
                 Ok(())
             }
-            LiveStage::Map(expr) => {
+            Stage::Map(expr) => {
                 self.gov.tick()?;
                 let v = [self.eval_expr(expr, row)?];
                 self.emit(&row.with(&v), stages, at + 1, sink)
             }
-            LiveStage::Project(exprs) => {
+            Stage::Project(exprs) => {
                 self.gov.tick()?;
                 let mut out = std::mem::take(&mut sink.scratch[at + 1]);
                 out.clear();
-                for e in *exprs {
+                for e in exprs {
                     out.push(self.eval_expr(e, row)?);
                 }
                 let done = self.emit(&RowView::new(&out), stages, at + 1, sink);
                 sink.scratch[at + 1] = out;
                 done
             }
-            LiveStage::Pick(cols) => self.keep_picked(row, cols, sink),
-            LiveStage::Probe(probe) => self.probe(probe, row, None, stages, at + 1, sink),
+            Stage::Relabel => self.emit(row, stages, at + 1, sink),
+            Stage::Pick(cols) => self.keep_picked(row, cols, sink),
+            Stage::Probe(_) => {
+                let probe = stage.probe.as_ref().expect("opened with its chain");
+                self.probe(probe, row, None, stages, at + 1, sink)
+            }
         }
     }
 
@@ -1497,15 +1495,14 @@ fn retain_compared(
     sel.retain(|&lane| settle(lane, ord_truth(op, ord(lane as usize))));
 }
 
-/// Hand a filtered row on — a refcount bump, the buffer stays shared
-/// with the input: to the positive stream if the predicate held, else
-/// (σ± only) to the negative one.
+/// Hand a filtered row on through relabels only — a refcount bump, the
+/// buffer stays shared with the input: to the positive route if the
+/// predicate held, else (σ± only) to the negative one.
 #[inline]
-fn route(t: &Tuple, truth: Truth, bypass: bool, out: &mut (Vec<Tuple>, Vec<Tuple>)) {
-    if truth.is_true() {
-        out.0.push(t.clone());
-    } else if bypass {
-        out.1.push(t.clone());
+fn push_routed(t: &Tuple, truth: Truth, routes: &Routes<'_, '_>, out: &mut Streams) {
+    if let Some((_, from, k)) = routes.of(truth) {
+        out[k].reached[from..].iter_mut().for_each(|r| *r += 1);
+        out[k].rows.push(t.clone());
     }
 }
 
@@ -1593,25 +1590,21 @@ pub(crate) mod tests {
     #[test]
     fn filter_and_project() {
         let scan = int_rel("r", &["a", "b"], &[&[1, 10], &[2, 20], &[3, 30]]);
-        let filter = PhysNode::new(
-            PhysKind::Filter {
-                input: scan,
-                predicate: PhysExpr::Binary {
-                    op: BinOp::Gt,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Literal(Value::Int(1))),
-                },
-            },
+        let filter = PhysNode::pipeline(
+            scan,
+            vec![Stage::Filter(PhysExpr::Binary {
+                op: BinOp::Gt,
+                left: Box::new(PhysExpr::Column(0)),
+                right: Box::new(PhysExpr::Literal(Value::Int(1))),
+            })],
             Schema::new(vec![
                 Field::new("a", DataType::Int),
                 Field::new("b", DataType::Int),
             ]),
         );
-        let project = PhysNode::new(
-            PhysKind::Project {
-                input: filter,
-                exprs: vec![PhysExpr::Column(1)],
-            },
+        let project = PhysNode::pipeline(
+            filter,
+            vec![Stage::Project(vec![PhysExpr::Column(1)])],
             Schema::new(vec![Field::new("b", DataType::Int)]),
         );
         let out = run(&project);
@@ -1636,15 +1629,13 @@ pub(crate) mod tests {
     fn filter_passes_rows_by_refcount() {
         let scan = int_rel("r", &["a"], &[&[1], &[2], &[3]]);
         let schema = scan.schema.clone();
-        let filter = PhysNode::new(
-            PhysKind::Filter {
-                input: scan.clone(),
-                predicate: PhysExpr::Binary {
-                    op: BinOp::Gt,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Literal(Value::Int(1))),
-                },
-            },
+        let filter = PhysNode::pipeline(
+            scan.clone(),
+            vec![Stage::Filter(PhysExpr::Binary {
+                op: BinOp::Gt,
+                left: Box::new(PhysExpr::Column(0)),
+                right: Box::new(PhysExpr::Literal(Value::Int(1))),
+            })],
             schema,
         );
         let input = evaluate_shared(&scan, ExecOptions::default()).unwrap();
@@ -1709,6 +1700,8 @@ pub(crate) mod tests {
                     left: Box::new(PhysExpr::Column(0)),
                     right: Box::new(PhysExpr::Literal(Value::Int(2))),
                 },
+                pos: None,
+                neg: None,
             },
             schema.clone(),
         );
@@ -1795,15 +1788,8 @@ pub(crate) mod tests {
         assert_eq!(run(&tap(true)).rows(), &[ints(&[1, 1, 100, 2])]);
         assert_eq!(run(&tap(false)).rows(), &[ints(&[2, 0])]);
 
-        let union = PhysNode::new(
-            PhysKind::UnionAll {
-                left: tap(false),
-                right: tap(false),
-            },
-            Schema::new(vec![int("a"), int("n")]),
-        );
         let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
-        assert_eq!(ctx.eval_plan(&union).unwrap().len(), 2);
+        assert_eq!(ctx.eval_plan(&tap(false)).unwrap().len(), 1);
         let m = &ctx.take_metrics()[&(Arc::as_ptr(&bj) as usize)];
         // What the join routed, not what survived the chains.
         assert_eq!((m.calls, m.pos_rows, m.neg_rows), (1, 1, 3));
@@ -1828,6 +1814,8 @@ pub(crate) mod tests {
                     left: Box::new(PhysExpr::Column(0)),
                     right: Box::new(PhysExpr::Literal(Value::Int(2))),
                 },
+                pos: None,
+                neg: None,
             },
             schema.clone(),
         );
@@ -1898,27 +1886,23 @@ pub(crate) mod tests {
         // 2 distinct correlation values → 2 misses + 2 hits.
         let outer = int_rel("o", &["a"], &[&[1], &[2], &[1], &[2]]);
         let inner = int_rel("i", &["b"], &[&[1], &[2]]);
-        let sub = PhysNode::new(
-            PhysKind::Filter {
-                input: inner,
-                predicate: PhysExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(PhysExpr::Column(0)),
-                    right: Box::new(PhysExpr::Outer { depth: 1, index: 0 }),
-                },
-            },
+        let sub = PhysNode::pipeline(
+            inner,
+            vec![Stage::Filter(PhysExpr::Binary {
+                op: BinOp::Eq,
+                left: Box::new(PhysExpr::Column(0)),
+                right: Box::new(PhysExpr::Outer { depth: 1, index: 0 }),
+            })],
             Schema::new(vec![Field::new("b", DataType::Int)]),
         );
-        let filter = PhysNode::new(
-            PhysKind::Filter {
-                input: outer.clone(),
-                predicate: PhysExpr::Exists {
-                    negated: false,
-                    plan: sub,
-                    correlated: true,
-                    outer_keys: vec![0],
-                },
-            },
+        let filter = PhysNode::pipeline(
+            outer.clone(),
+            vec![Stage::Filter(PhysExpr::Exists {
+                negated: false,
+                plan: sub,
+                correlated: true,
+                outer_keys: vec![0],
+            })],
             outer.schema.clone(),
         );
         let mut ctx = ExecContext::new(ExecOptions {
@@ -1953,13 +1937,8 @@ pub(crate) mod tests {
         let outer = int_rel("o", &["a"], &[&[1]]);
         let inner = int_rel("i", &["b"], &[&[1], &[2]]);
         // π_{}(i): a projection with no expressions → zero-width rows.
-        let empty_proj = PhysNode::new(
-            PhysKind::Project {
-                input: inner,
-                exprs: vec![],
-            },
-            Schema::new(vec![]),
-        );
+        let empty_proj =
+            PhysNode::pipeline(inner, vec![Stage::Project(vec![])], Schema::new(vec![]));
         for predicate in [
             PhysExpr::InSubquery {
                 negated: false,
@@ -1977,11 +1956,9 @@ pub(crate) mod tests {
                 outer_keys: vec![],
             },
         ] {
-            let filter = PhysNode::new(
-                PhysKind::Filter {
-                    input: outer.clone(),
-                    predicate,
-                },
+            let filter = PhysNode::pipeline(
+                outer.clone(),
+                vec![Stage::Filter(predicate)],
                 outer.schema.clone(),
             );
             let err = ExecContext::new(ExecOptions::default())
@@ -2042,27 +2019,23 @@ pub(crate) mod tests {
             let inner_rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i]).collect();
             let inner_slices: Vec<&[i64]> = inner_rows.iter().map(|v| v.as_slice()).collect();
             let inner = int_rel("i", &["b"], &inner_slices);
-            let sub = PhysNode::new(
-                PhysKind::Filter {
-                    input: inner,
-                    predicate: PhysExpr::Binary {
-                        op: BinOp::Gt,
-                        left: Box::new(PhysExpr::Column(0)),
-                        right: Box::new(PhysExpr::Outer { depth: 1, index: 0 }),
-                    },
-                },
+            let sub = PhysNode::pipeline(
+                inner,
+                vec![Stage::Filter(PhysExpr::Binary {
+                    op: BinOp::Gt,
+                    left: Box::new(PhysExpr::Column(0)),
+                    right: Box::new(PhysExpr::Outer { depth: 1, index: 0 }),
+                })],
                 Schema::new(vec![Field::new("b", DataType::Int)]),
             );
-            let filter = PhysNode::new(
-                PhysKind::Filter {
-                    input: outer.clone(),
-                    predicate: PhysExpr::Exists {
-                        negated: false,
-                        plan: sub,
-                        correlated: true,
-                        outer_keys: vec![0],
-                    },
-                },
+            let filter = PhysNode::pipeline(
+                outer.clone(),
+                vec![Stage::Filter(PhysExpr::Exists {
+                    negated: false,
+                    plan: sub,
+                    correlated: true,
+                    outer_keys: vec![0],
+                })],
                 outer.schema.clone(),
             );
             let mut ctx = ExecContext::new(ExecOptions::default());

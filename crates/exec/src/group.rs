@@ -194,7 +194,7 @@ impl ExecContext {
             scratch += bytes;
             right_kv.push((k, rt));
         }
-        let parts = self.run_morsels(node, l.len(), |ctx, range| {
+        let parts = self.run_morsels(node, l.len(), 1, |ctx, range| {
             let mut out = Vec::with_capacity(range.len());
             // One single-group state per morsel, reset per left row.
             let mut states = AggStates::new(std::slice::from_ref(agg), 0);

@@ -1,16 +1,15 @@
 //! Physical planning and execution for the bypass query engine.
 //!
-//! The executor is **operator-at-a-time**: each physical operator
-//! materializes its full output [`bypass_types::Relation`]. This is the
-//! simplest model that handles DAG-structured plans correctly — a bypass
-//! operator produces *two* materialized streams which are memoized so a
-//! shared node is evaluated exactly once per plan evaluation — and it
-//! preserves the asymptotic behaviour the paper measures (nested-loop
-//! canonical plans vs hash-based unnested plans). The one exception is
-//! the boundary above a join: the single-consumer streaming operators
-//! there run inside the join's loop as a fused [`Chain`] of [`Stage`]s
-//! over borrowed [`RowView`]s, and only rows leaving the chain are
-//! materialized.
+//! Blocking operators materialize their full output
+//! [`bypass_types::Relation`]: the simplest model that handles
+//! DAG-structured plans correctly — a bypass operator produces *two*
+//! streams, memoized so a shared node is evaluated exactly once per plan
+//! evaluation — and it preserves the asymptotic behaviour the paper
+//! measures. σ, Π and χ are not operators but [`Stage`]s of a pipeline:
+//! every row loop (a join's probe, a bypass join's pairs, a σ/σ±'s
+//! chunks, a pass over a relation) pushes borrowed [`RowView`]s through
+//! the [`Chain`] of single-consumer stages above it, and only rows
+//! leaving the chain are materialized.
 //!
 //! Nested query blocks embedded in selection predicates are evaluated by
 //! the expression interpreter (`interp.rs`, the one module that knows
@@ -22,14 +21,13 @@
 //! values.
 //!
 //! The other modules: `eval.rs` dispatches operators and runs the
-//! σ/σ±/Π chunk loops and the join pipelines; `vector.rs` compiles a
-//! filter predicate into a chain of terms in planned order;
-//! `morsel.rs` decides which loops fork and merges what comes back;
-//! `govern.rs` is the governor (checkpoints, byte budget, cancellation,
-//! deadline); `hash.rs` the one hash index; `agg.rs`/`group.rs` the
-//! grouping operators; `plan.rs` turns a logical plan into a
-//! [`PhysNode`] DAG. A loop whose input is a base-table scan — a σ/σ±
-//! chunk, Γ, a hash build, a hash probe — reads plain column
+//! pipelines; `vector.rs` compiles a filter predicate into a chain of
+//! terms in planned order; `morsel.rs` decides which loops fork and
+//! merges what comes back; `govern.rs` is the governor (checkpoints, byte
+//! budget, cancellation, deadline); `hash.rs` the one hash index;
+//! `agg.rs`/`group.rs` the grouping operators; `plan.rs` turns a logical
+//! plan into a [`PhysNode`] DAG. A loop whose input is a base-table scan
+//! — a σ/σ± chunk, Γ, a hash build, a hash probe — reads plain column
 //! expressions off the table's typed columns
 //! (`bypass_catalog::TableColumns`) instead of the rows.
 

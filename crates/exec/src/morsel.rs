@@ -185,29 +185,15 @@ impl ExecContext {
         }
     }
 
-    /// Drive one operator loop over `total` input rows, either serially
-    /// (the body runs on `self` over the full range — governor
-    /// sequence identical to the pre-parallel executor) or across
-    /// scoped threads in morsels. Returns the per-morsel payloads in
-    /// input order; the caller concatenates.
+    /// Drive one operator loop over `total` input rows, each visiting
+    /// `pairs` partners (a nested-loop join: |R|; else 1), either
+    /// serially (the body runs on `self` over the full range — governor
+    /// sequence identical to the pre-parallel executor) or across scoped
+    /// threads in morsels. The gate and the morsel size count work, not
+    /// rows, so a 500 × 500 pair loop fans out although its rows alone
+    /// would not. Returns the per-morsel payloads in input order; the
+    /// caller concatenates.
     pub(crate) fn run_morsels<P, F>(
-        &mut self,
-        node: &Arc<PhysNode>,
-        total: usize,
-        body: F,
-    ) -> Result<Vec<P>>
-    where
-        P: Send,
-        F: Fn(&mut ExecContext, Range<usize>) -> Result<P> + Sync,
-    {
-        self.run_weighted_morsels(node, total, 1, body)
-    }
-
-    /// [`Self::run_morsels`] for a loop that visits `pairs` partners per
-    /// input row (a nested-loop join: |R|). The gate and the morsel size
-    /// count work, not rows, so a 500 × 500 pair loop fans out although
-    /// its rows alone would not.
-    pub(crate) fn run_weighted_morsels<P, F>(
         &mut self,
         node: &Arc<PhysNode>,
         total: usize,

@@ -5,7 +5,7 @@ use bypass_catalog::TableColumns;
 use bypass_types::{Relation, Schema, Value};
 
 use crate::agg::AggSpec;
-use crate::expr::{identity_projection, PhysExpr};
+use crate::expr::PhysExpr;
 use crate::vector::{compile_chain, CompiledChain};
 
 /// A physical plan node: an operator kind plus its (pre-computed) output
@@ -15,10 +15,10 @@ use crate::vector::{compile_chain, CompiledChain};
 pub struct PhysNode {
     pub kind: PhysKind,
     pub schema: Schema,
-    /// σ/σ± only: the predicate as a chain of terms in planned order
-    /// (`vector.rs`) — a function of the predicate and the input's arity,
-    /// so compiled here, once per plan, and read by every context and
-    /// worker that runs the node.
+    /// σ± and a pipeline headed by a σ only: the predicate as a chain of
+    /// terms in planned order (`vector.rs`) — a function of the predicate
+    /// and the input's arity, so compiled here, once per plan, and read by
+    /// every context and worker that runs the node.
     chain: Option<CompiledChain>,
     /// The planner saw more than one consumer of this node in its query
     /// block: an evaluation of the block runs it once and hands every
@@ -29,12 +29,17 @@ pub struct PhysNode {
 
 impl PhysNode {
     pub fn new(kind: PhysKind, schema: Schema) -> Arc<PhysNode> {
-        let chain = match &kind {
-            PhysKind::Filter { input, predicate } | PhysKind::BypassFilter { input, predicate } => {
-                Some(compile_chain(predicate, input.schema.arity()))
-            }
+        let predicate = match &kind {
+            PhysKind::Pipeline { input, chain } => match chain.stages.first() {
+                Some(Stage::Filter(predicate)) => Some((input, predicate)),
+                _ => None,
+            },
+            PhysKind::BypassFilter {
+                input, predicate, ..
+            } => Some((input, predicate)),
             _ => None,
         };
+        let chain = predicate.map(|(input, p)| compile_chain(p, input.schema.arity()));
         Arc::new(PhysNode {
             kind,
             schema,
@@ -43,19 +48,29 @@ impl PhysNode {
         })
     }
 
-    /// Record that `node`, just built, has several consumers. Scans and
-    /// stream taps hand out what exists already; there is nothing to
-    /// keep for them.
+    /// Record that `node`, just built, has several consumers. A scan
+    /// hands out what exists already; there is nothing to keep for it.
     pub(crate) fn mark_shared(node: &mut Arc<PhysNode>) {
-        if !matches!(node.kind, PhysKind::Scan { .. } | PhysKind::Stream { .. }) {
+        if !matches!(node.kind, PhysKind::Scan { .. }) {
             Arc::get_mut(node).expect("not handed out yet").shared = true;
         }
     }
 
-    /// The compiled predicate chain of a σ/σ± node; `None` for every
-    /// other operator.
+    /// The compiled predicate chain of a σ± or of a pipeline's σ head;
+    /// `None` for every other operator.
     pub fn chain(&self) -> Option<&CompiledChain> {
         self.chain.as_ref()
+    }
+
+    /// A pipeline of `stages` over the relation `input` (`schema`: of the
+    /// rows leaving the last stage) — how σ, Π and χ are built by hand;
+    /// a one-stage pipeline is the operator.
+    pub fn pipeline(input: Arc<PhysNode>, stages: Vec<Stage>, schema: Schema) -> Arc<PhysNode> {
+        let chain = Chain {
+            stages,
+            schema: schema.clone(),
+        };
+        PhysNode::new(PhysKind::Pipeline { input, chain }, schema)
     }
 
     /// A scan of the base table `columns` belongs to.
@@ -132,10 +147,10 @@ impl JoinSpec {
     }
 }
 
-/// One streaming operator folded into a join's emit step (DESIGN.md
-/// §7): it sees each row the join (or the stage before it) emits as a
-/// borrowed view and passes zero or more rows on, without an
-/// intermediate relation. All stage expressions are subquery-free.
+/// One streaming operator of a pipeline (DESIGN.md §7): it sees each
+/// row its source (or the stage before it) hands on as a borrowed view
+/// and passes zero or more rows on, without an intermediate relation.
+/// Only the head of a relation pipeline may hold a subquery.
 #[derive(Debug)]
 pub enum Stage {
     /// σ_p.
@@ -146,6 +161,9 @@ pub enum Stage {
     /// list: the row that leaves is built once, from these columns of
     /// the view, and no wider.
     Pick(Vec<usize>),
+    /// A Π that keeps every column in place: it renames, so it passes
+    /// the row on as it is, without a checkpoint.
+    Relabel,
     /// χ.
     Map(PhysExpr),
     /// A further join whose probe (left) input is the chain.
@@ -156,7 +174,7 @@ impl Stage {
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Filter(_) => "Filter",
-            Stage::Project(_) | Stage::Pick(_) => "Project",
+            Stage::Project(_) | Stage::Pick(_) | Stage::Relabel => "Project",
             Stage::Map(_) => "Map",
             Stage::Probe(spec) => spec.name(),
         }
@@ -166,36 +184,18 @@ impl Stage {
         match self {
             Stage::Filter(e) | Stage::Map(e) => vec![e],
             Stage::Project(es) => es.iter().collect(),
-            Stage::Pick(_) => vec![],
+            Stage::Pick(_) | Stage::Relabel => vec![],
             Stage::Probe(spec) => spec.exprs(),
         }
     }
 }
 
-/// The maximal run of single-consumer [`Stage`]s directly above a join
-/// (or above one stream of a bypass join), bottom-up, plus the schema
-/// of the rows leaving the last of them. Only those rows are ever
-/// materialized.
+/// The stages of one pipeline, bottom-up, plus the schema of the rows
+/// leaving the last of them. Only those rows are ever materialized.
 #[derive(Debug)]
 pub struct Chain {
     pub stages: Vec<Stage>,
     pub schema: Schema,
-}
-
-impl Chain {
-    fn builds(chain: &Option<Chain>) -> impl Iterator<Item = &Arc<PhysNode>> {
-        chain
-            .iter()
-            .flat_map(|c| &c.stages)
-            .filter_map(|s| match s {
-                Stage::Probe(spec) => Some(&spec.right),
-                _ => None,
-            })
-    }
-
-    fn exprs(chain: &Option<Chain>) -> impl Iterator<Item = &PhysExpr> {
-        chain.iter().flat_map(|c| &c.stages).flat_map(Stage::exprs)
-    }
 }
 
 /// Physical operator kinds.
@@ -208,16 +208,11 @@ pub enum PhysKind {
         data: Arc<Relation>,
         columns: Arc<TableColumns>,
     },
-    /// σ_p — keeps tuples whose predicate is TRUE (3-valued logic).
-    Filter {
-        input: Arc<PhysNode>,
-        predicate: PhysExpr,
-    },
-    /// Π — evaluates one expression per output column.
-    Project {
-        input: Arc<PhysNode>,
-        exprs: Vec<PhysExpr>,
-    },
+    /// σ, Π and χ: a pass over the evaluated `input` pushing each row
+    /// through `chain`. A σ head runs its predicate chunk-wise
+    /// ([`PhysNode::chain`]) and hands the rows it keeps to the stages
+    /// after it; any other head takes every row.
+    Pipeline { input: Arc<PhysNode>, chain: Chain },
     /// Inner or left outer join, nested-loop or hash (see [`JoinSpec`]).
     /// Pairs are matched on a borrowed view of the two rows and pushed
     /// through `chain`; only what leaves it is materialized.
@@ -252,11 +247,6 @@ pub enum PhysKind {
         cmp: BinOp,
         agg: AggSpec,
     },
-    /// χ — extends each tuple by one computed value.
-    Map {
-        input: Arc<PhysNode>,
-        expr: PhysExpr,
-    },
     /// ν — extends each tuple by its (deterministic) input position.
     Numbering { input: Arc<PhysNode> },
     /// Duplicate elimination.
@@ -268,8 +258,9 @@ pub enum PhysKind {
     },
     /// LIMIT — first n rows.
     Limit { input: Arc<PhysNode>, n: usize },
-    /// Derived-table alias — identity on rows (the schema on the node
-    /// carries the re-qualified columns).
+    /// Identity on rows (the schema on the node carries the new names):
+    /// a derived-table alias, or a Π that keeps every column in place
+    /// over a relation — it hands the rows on in one charge.
     Alias { input: Arc<PhysNode> },
     /// Disjoint union ∪̇ (bag concatenation).
     UnionAll {
@@ -277,10 +268,13 @@ pub enum PhysKind {
         right: Arc<PhysNode>,
     },
     /// σ± — evaluated once, produces (positive, negative) outputs that
-    /// the memoizing evaluator hands to the two Stream consumers.
+    /// the memoizing evaluator hands to the two Stream consumers. Each
+    /// stream has its own σ/Π/χ chain, as a bypass join's does.
     BypassFilter {
         input: Arc<PhysNode>,
         predicate: PhysExpr,
+        pos: Option<Chain>,
+        neg: Option<Chain>,
     },
     /// ⋈± — nested-loop bypass join. Each stream has its own stage
     /// chain: Eqv. 5 plans widen and filter the |L|·|R| negative stream
@@ -301,32 +295,13 @@ pub enum PhysKind {
 }
 
 impl PhysNode {
-    /// Number of operators in the DAG (shared nodes counted once) —
-    /// used by tests asserting plan compactness.
-    pub fn node_count(&self) -> usize {
-        use std::collections::HashSet;
-        fn walk(n: &PhysNode, seen: &mut HashSet<*const PhysNode>) -> usize {
-            let mut count = 1;
-            for c in n.children() {
-                let ptr = Arc::as_ptr(c);
-                if seen.insert(ptr) {
-                    count += walk(c, seen);
-                }
-            }
-            count
-        }
-        walk(self, &mut HashSet::new())
-    }
-
     /// The operator's own inputs, without the build sides of joins
     /// fused into its stage chains.
     fn inputs(&self) -> Vec<&Arc<PhysNode>> {
         match &self.kind {
             PhysKind::Scan { .. } => vec![],
-            PhysKind::Filter { input, .. }
-            | PhysKind::Project { input, .. }
+            PhysKind::Pipeline { input, .. }
             | PhysKind::HashAggregate { input, .. }
-            | PhysKind::Map { input, .. }
             | PhysKind::Numbering { input }
             | PhysKind::Distinct { input }
             | PhysKind::Sort { input, .. }
@@ -342,39 +317,60 @@ impl PhysNode {
         }
     }
 
+    /// The stages this operator hosts, in `NodeMetrics::stages` order
+    /// (a bypass operator: positive stream first).
+    fn stages(&self) -> impl Iterator<Item = &Stage> {
+        let chains = match &self.kind {
+            PhysKind::Pipeline { chain, .. } => [Some(chain), None],
+            PhysKind::Join { chain, .. } => [chain.as_ref(), None],
+            _ => [self.stream_chain(true), self.stream_chain(false)],
+        };
+        chains.into_iter().flatten().flat_map(|c| &c.stages)
+    }
+
+    /// The chain of a bypass operator's positive (or negative) stream.
+    pub(crate) fn stream_chain(&self, positive: bool) -> Option<&Chain> {
+        match &self.kind {
+            PhysKind::BypassFilter { pos, neg, .. } | PhysKind::BypassNLJoin { pos, neg, .. } => {
+                if positive { pos } else { neg }.as_ref()
+            }
+            _ => None,
+        }
+    }
+
+    /// The schema of the rows a tap of this bypass operator's stream
+    /// carries: what leaves the stream's chain.
+    pub(crate) fn stream_schema(&self, positive: bool) -> &Schema {
+        self.stream_chain(positive)
+            .map_or(&self.schema, |c| &c.schema)
+    }
+
     /// Every plan this operator evaluates: its inputs, then the build
     /// sides of the joins fused into its stage chains.
     pub fn children(&self) -> Vec<&Arc<PhysNode>> {
         let mut out = self.inputs();
-        match &self.kind {
-            PhysKind::Join { chain, .. } => out.extend(Chain::builds(chain)),
-            PhysKind::BypassNLJoin { pos, neg, .. } => {
-                out.extend(Chain::builds(pos).chain(Chain::builds(neg)))
-            }
-            _ => {}
-        }
+        out.extend(self.stages().filter_map(|s| match s {
+            Stage::Probe(spec) => Some(&spec.right),
+            _ => None,
+        }));
         out
     }
 
     /// The expressions evaluated by this operator, fused stages included.
     pub fn exprs(&self) -> Vec<&PhysExpr> {
-        match &self.kind {
+        let mut own = match &self.kind {
             PhysKind::Scan { .. }
+            | PhysKind::Pipeline { .. }
             | PhysKind::Numbering { .. }
             | PhysKind::Distinct { .. }
             | PhysKind::Limit { .. }
             | PhysKind::Alias { .. }
             | PhysKind::UnionAll { .. }
             | PhysKind::Stream { .. } => vec![],
-            PhysKind::Filter { predicate, .. } | PhysKind::BypassFilter { predicate, .. } => {
+            PhysKind::BypassFilter { predicate, .. } | PhysKind::BypassNLJoin { predicate, .. } => {
                 vec![predicate]
             }
-            PhysKind::Project { exprs, .. } => exprs.iter().collect(),
-            PhysKind::Join { spec, chain, .. } => spec
-                .exprs()
-                .into_iter()
-                .chain(Chain::exprs(chain))
-                .collect(),
+            PhysKind::Join { spec, .. } => spec.exprs(),
             PhysKind::HashAggregate { keys, aggs, .. } => keys
                 .iter()
                 .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
@@ -395,18 +391,10 @@ impl PhysNode {
                 v.extend(agg.arg.as_ref());
                 v
             }
-            PhysKind::Map { expr, .. } => vec![expr],
             PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
-            PhysKind::BypassNLJoin {
-                predicate,
-                pos,
-                neg,
-                ..
-            } => std::iter::once(predicate)
-                .chain(Chain::exprs(pos))
-                .chain(Chain::exprs(neg))
-                .collect(),
-        }
+        };
+        own.extend(self.stages().flat_map(Stage::exprs));
+        own
     }
 
     /// Nested plans held inside this operator's expressions.
@@ -417,17 +405,18 @@ impl PhysNode {
             .collect()
     }
 
-    /// Short operator name (used in physical EXPLAIN output).
+    /// Short operator name (used in physical EXPLAIN output); a pipeline
+    /// is named after its head.
     pub fn name(&self) -> &'static str {
         match &self.kind {
             PhysKind::Scan { .. } => "Scan",
-            PhysKind::Filter { .. } => "Filter",
-            PhysKind::Project { .. } => "Project",
+            PhysKind::Pipeline { chain, .. } => {
+                chain.stages.first().map_or("Pipeline", Stage::name)
+            }
             PhysKind::Join { spec, .. } => spec.name(),
             PhysKind::HashAggregate { .. } => "HashAggregate",
             PhysKind::BinaryGroupEq { .. } => "BinaryGroup(eq)",
             PhysKind::BinaryGroupTheta { .. } => "BinaryGroup(θ)",
-            PhysKind::Map { .. } => "Map",
             PhysKind::Numbering { .. } => "Numbering",
             PhysKind::Distinct { .. } => "Distinct",
             PhysKind::Sort { .. } => "Sort",
@@ -446,52 +435,49 @@ impl PhysNode {
         }
     }
 
-    /// The width of the rows this operator builds (a bypass join: of its
-    /// positive / negative stream), `None` for one that hands on the rows
-    /// it was given.
+    /// The width of the rows this operator builds (a bypass operator: of
+    /// its positive / negative stream), `None` for one that hands on the
+    /// rows it was given.
     fn built_width(&self) -> Option<String> {
-        let width =
-            |chain: &Option<Chain>| chain.as_ref().map_or(&self.schema, |c| &c.schema).arity();
         match &self.kind {
-            PhysKind::Project { input, exprs }
-                if identity_projection(exprs, input.schema.arity()) =>
+            // A pipeline of σs and relabels hands its source rows on.
+            PhysKind::Pipeline { chain, .. }
+                if chain
+                    .stages
+                    .iter()
+                    .all(|s| matches!(s, Stage::Filter(_) | Stage::Relabel)) =>
             {
                 None
             }
-            PhysKind::Project { .. }
+            PhysKind::Pipeline { .. }
             | PhysKind::Join { .. }
             | PhysKind::BinaryGroupEq { .. }
             | PhysKind::BinaryGroupTheta { .. }
-            | PhysKind::Map { .. }
             | PhysKind::Numbering { .. } => Some(self.schema.arity().to_string()),
-            PhysKind::BypassNLJoin { pos, neg, .. } => {
-                Some(format!("{}/{}", width(pos), width(neg)))
-            }
+            PhysKind::BypassNLJoin { .. } => Some(format!(
+                "{}/{}",
+                self.stream_schema(true).arity(),
+                self.stream_schema(false).arity()
+            )),
             _ => None,
         }
     }
 
     /// The stage chain whose rows leave its host through this node — a
-    /// join's own chain, or the chain of the bypass-join stream this
-    /// `Stream` node taps.
+    /// join's or a relation pipeline's own chain (the pipeline's head
+    /// prints as the operator itself), or the chain of the bypass stream
+    /// this `Stream` node taps.
     fn exit_chain(&self) -> Option<ExitChain<'_>> {
-        let (host, chain, offset) = match &self.kind {
+        let (host, chain, offset, first) = match &self.kind {
             PhysKind::Join {
                 chain: Some(chain), ..
-            } => (self, chain, 0),
-            PhysKind::Stream { source, positive } => match &source.kind {
-                PhysKind::BypassNLJoin { pos, neg, .. } => {
-                    let host: &PhysNode = source;
-                    match (positive, pos, neg) {
-                        (true, Some(chain), _) => (host, chain, 0),
-                        (false, _, Some(chain)) => {
-                            (host, chain, pos.as_ref().map_or(0, |c| c.stages.len()))
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => return None,
-            },
+            } => (self, chain, 0, 0),
+            PhysKind::Pipeline { chain, .. } if chain.stages.len() > 1 => (self, chain, 0, 1),
+            PhysKind::Stream { source, positive } => {
+                let chain = source.stream_chain(*positive)?;
+                let pos = source.stream_chain(true).filter(|_| !positive);
+                (&**source, chain, pos.map_or(0, |c| c.stages.len()), 0)
+            }
             _ => return None,
         };
         Some(ExitChain {
@@ -499,13 +485,14 @@ impl PhysNode {
             host,
             chain,
             offset,
+            first,
         })
     }
 
     /// The operator tree as display lines, top-down: DAG-shared
     /// operators appear once (`(#k)`) and as `(shared #k)` afterwards;
     /// fused stages stay where the unfused plan has them, marked
-    /// `fused→#k` with the number of the join that runs them; a
+    /// `fused→#k` with the number of the operator that runs them; a
     /// subquery plan hangs below a `subquery:` line of its own. Both
     /// renderers — EXPLAIN and EXPLAIN ANALYZE — are formatters over
     /// these lines.
@@ -519,44 +506,42 @@ impl PhysNode {
     /// collected runtime counters (calls, total rows, inclusive wall
     /// time, and exclusive/self time with child time subtracted). Fused
     /// stages report the rows they received and passed on; their time
-    /// is part of the hosting join's.
+    /// is part of the host's.
     pub fn explain_with_metrics(
         &self,
         metrics: &std::collections::HashMap<usize, crate::eval::NodeMetrics>,
+    ) -> String {
+        self.render(Some(metrics))
+    }
+
+    /// Physical EXPLAIN: indented operator names with DAG sharing marks.
+    pub fn explain(&self) -> String {
+        self.render(None)
+    }
+
+    fn render(
+        &self,
+        metrics: Option<&std::collections::HashMap<usize, crate::eval::NodeMetrics>>,
     ) -> String {
         let mut out = String::new();
         for line in self.lines() {
             out.push_str(&"  ".repeat(line.depth));
             out.push_str(&line.label);
+            let at = |n: &PhysNode| metrics?.get(&(n as *const PhysNode as usize));
             match line.source {
+                _ if metrics.is_none() => {}
                 LineSource::Shared | LineSource::Header => {}
-                LineSource::Stage { host, index } => {
-                    match metrics
-                        .get(&(host as *const PhysNode as usize))
-                        .and_then(|m| m.stages.get(index))
-                    {
-                        Some(st) => {
-                            out.push_str(&format!("  [in={} out={}]", st.rows_in, st.rows_out))
-                        }
-                        None => out.push_str("  [not executed]"),
-                    }
-                }
-                LineSource::Node(n) => match metrics.get(&(n as *const PhysNode as usize)) {
+                LineSource::Stage { host, index } => match at(host)
+                    .and_then(|m| m.stages.get(index))
+                {
+                    Some(st) => out.push_str(&format!("  [in={} out={}]", st.rows_in, st.rows_out)),
+                    None => out.push_str("  [not executed]"),
+                },
+                LineSource::Node(n) => match at(n) {
                     Some(m) => annotate(&mut out, n, m),
                     None => out.push_str("  [not executed]"),
                 },
             }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Physical EXPLAIN: indented operator names with DAG sharing marks.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        for line in self.lines() {
-            out.push_str(&"  ".repeat(line.depth));
-            out.push_str(&line.label);
             out.push('\n');
         }
         out
@@ -592,6 +577,9 @@ struct ExitChain<'a> {
     /// Of the chain's first stage in the host's stage list
     /// (`NodeMetrics::stages`: positive chain first).
     offset: usize,
+    /// The lowest stage printed as `fused→#k`: 1 for a relation
+    /// pipeline, whose head is the operator line itself.
+    first: usize,
 }
 
 #[derive(Default)]
@@ -617,8 +605,9 @@ impl<'a> LineWalker<'a> {
     }
 
     /// Stage `k` of a chain, then what feeds it (the stage below, or the
-    /// node the chain hangs off), then — for a fused join — its build
-    /// side: the shape of the unfused tree.
+    /// node the chain hangs off — for a relation pipeline, its head),
+    /// then — for a fused join — its build side: the shape of the
+    /// unfused tree.
     fn stage(&mut self, fused: ExitChain<'a>, k: usize, depth: usize) {
         let id = self.id(fused.host);
         let stage = &fused.chain.stages[k];
@@ -630,9 +619,10 @@ impl<'a> LineWalker<'a> {
                 index: fused.offset + k,
             },
         });
-        match k {
-            0 => self.operator(fused.exit, depth + 1),
-            _ => self.stage(fused, k - 1, depth + 1),
+        if k == fused.first {
+            self.operator(fused.exit, depth + 1);
+        } else {
+            self.stage(fused, k - 1, depth + 1);
         }
         if let Stage::Probe(spec) = stage {
             self.node(&spec.right, depth + 1);
@@ -645,7 +635,7 @@ impl<'a> LineWalker<'a> {
             n.kind,
             PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
         );
-        let is_host = matches!(n.kind, PhysKind::Join { chain: Some(_), .. });
+        let is_host = n.exit_chain().is_some_and(|c| std::ptr::eq(c.host, n));
         if is_bypass || is_host || n.shared {
             let id = self.id(n);
             if !self.listed.insert(n) && (is_bypass || n.shared) {
@@ -715,7 +705,7 @@ fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
         }
     }
     if !m.disjuncts.is_empty() {
-        // Per-disjunct selectivities (syntactic order): `evals` counts
+        // Per-disjunct selectivities (planned order): `evals` counts
         // rows that reached the term, `hits` rows it decided.
         // Counter-derived, so deterministic — unlike the `ms` timings.
         out.push_str(" disjuncts=[");

@@ -7,7 +7,7 @@ use bypass_types::{
 };
 
 use crate::agg::AggSpec;
-use crate::expr::{column_only, PhysExpr};
+use crate::expr::{column_only, identity_projection, PhysExpr};
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 
 /// Physical planning options — the defaults are what the engine always
@@ -15,9 +15,9 @@ use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 /// flip the switch off to measure and cross-check its contribution.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Fold the streaming operators directly above a join (or above one
-    /// stream of a bypass join) into that join's emit step, so only the
-    /// rows leaving the last of them are materialized (DESIGN.md §7).
+    /// Fold the single-consumer σ, Π and χ above a row loop into that
+    /// loop, so only the rows leaving the last of them are materialized
+    /// (DESIGN.md §7). Off, every pipeline has one stage.
     pub fuse_stage_chains: bool,
 }
 
@@ -32,7 +32,7 @@ impl Default for PlanOptions {
 /// Compile a logical plan into a physical one: resolve all column names
 /// to positions, bind scans to catalog storage, pick join strategies
 /// (hash for equi predicates, nested-loop otherwise), preserve the
-/// bypass DAG structure and fuse stage chains into their joins.
+/// bypass DAG structure and build every σ, Π and χ into a pipeline.
 pub fn physical_plan(logical: &Arc<LogicalPlan>, catalog: &Catalog) -> Result<Arc<PhysNode>> {
     physical_plan_with(logical, catalog, PlanOptions::default())
 }
@@ -53,20 +53,22 @@ pub fn physical_plan_with(
 
 type Ptr = *const LogicalPlan;
 
-/// The stage chains of one query block (a subquery is its own block,
-/// compiled with its own chains in `resolve_subquery`).
+/// The pipelines of one query block (a subquery is its own block).
 ///
-/// A chain starts at an *exit* — an inner/outer/cross join, or the one
-/// `Stream` node tapping a stream of a bypass join — and climbs while
-/// the current node has exactly one consumer and that consumer streams
-/// it: a subquery-free σ, Π or χ over it, or a subquery-free join whose
-/// *left* input it is. Anything else (a second consumer, a blocking
-/// operator, a subquery) ends the chain.
+/// A chain climbs from a row loop while the current node has exactly one
+/// consumer and that consumer streams it. *Pair sources* — a join, the
+/// one `Stream` tapping a stream of a ⋈± — absorb subquery-free σ, Π, χ
+/// and joins whose *left* input the chain is. *Row sources* — the one
+/// `Stream` tapping a stream of a σ±, and every σ, Π or χ no chain
+/// absorbed, which heads a pipeline over its input (and may hold a
+/// subquery) — absorb subquery-free σ, Π and χ only: a join over them
+/// keeps its own loop, to restrict its build and read a scan's keys.
 #[derive(Default)]
 struct BlockChains<'a> {
-    /// Host join → the logical stage nodes of its chains, bottom-up
-    /// (`[0]`: a join's only chain / the positive stream's, `[1]`: the
-    /// negative stream's).
+    /// Host → the logical stage nodes of its chains, bottom-up (`[0]`: a
+    /// join's or a pipeline head's only chain — the head first — or a
+    /// bypass operator's positive stream's, `[1]`: its negative
+    /// stream's).
     hosts: HashMap<Ptr, [Vec<&'a Arc<LogicalPlan>>; 2]>,
     /// Top stage of a chain → the exit its rows leave the host through;
     /// the top stage compiles to that node.
@@ -80,25 +82,38 @@ fn is_join(plan: &LogicalPlan) -> bool {
     )
 }
 
+fn is_row_stage(plan: &LogicalPlan) -> bool {
+    matches!(
+        plan,
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } | LogicalPlan::Map { .. }
+    )
+}
+
 /// Consumers per node of one block (one entry per edge).
 type Consumers<'a> = HashMap<Ptr, Vec<&'a Arc<LogicalPlan>>>;
 
 impl<'a> BlockChains<'a> {
-    /// `order` lists the block's nodes in post-order: a join that is a
-    /// stage of a deeper join's chain is claimed by it before it could
-    /// start a chain of its own.
-    fn collect(consumers: &Consumers<'a>, order: Vec<&'a Arc<LogicalPlan>>) -> BlockChains<'a> {
+    /// `order` lists the block's nodes in post-order: a node that is a
+    /// stage of a deeper chain is claimed by it before it could start a
+    /// chain of its own. Without `fuse`, chains are the heads alone.
+    fn collect(
+        consumers: &Consumers<'a>,
+        order: Vec<&'a Arc<LogicalPlan>>,
+        fuse: bool,
+    ) -> BlockChains<'a> {
         let mut chains = BlockChains::default();
         let mut staged: HashSet<Ptr> = HashSet::default();
         let mut bypass_hosts = Vec::new();
         for exit in order {
-            let (host, slot) = match exit.as_ref() {
-                p if is_join(p) && !staged.contains(&Arc::as_ptr(exit)) => (exit, 0),
-                LogicalPlan::Stream { source, stream }
-                    if matches!(source.as_ref(), LogicalPlan::BypassJoin { .. }) =>
-                {
+            if staged.contains(&Arc::as_ptr(exit)) {
+                continue;
+            }
+            let (host, slot, pairs) = match exit.as_ref() {
+                p if is_join(p) => (exit, 0, true),
+                p if is_row_stage(p) => (exit, 0, false),
+                LogicalPlan::Stream { source, stream } => {
                     // A second tap of the same stream would observe the
-                    // chain's output instead of the join's.
+                    // chain's output instead of the operator's.
                     let taps = consumers[&Arc::as_ptr(source)]
                         .iter()
                         .filter(|c| matches!(c.as_ref(), LogicalPlan::Stream { stream: s, .. } if s == stream))
@@ -107,14 +122,19 @@ impl<'a> BlockChains<'a> {
                         continue;
                     }
                     bypass_hosts.push(source);
-                    (source, (*stream == Stream::Negative) as usize)
+                    let pairs = matches!(source.as_ref(), LogicalPlan::BypassJoin { .. });
+                    (source, (*stream == Stream::Negative) as usize, pairs)
                 }
                 _ => continue,
             };
-            let mut chain = Vec::new();
+            // A pipeline over a relation starts with its head.
+            let mut chain = match Arc::ptr_eq(host, exit) && !pairs {
+                true => vec![exit],
+                false => vec![],
+            };
             let mut cur = exit;
             while let Some([consumer]) = consumers.get(&Arc::as_ptr(cur)).map(Vec::as_slice) {
-                if !consumer.streams(cur) {
+                if !fuse || !consumer.streams(cur) || !(pairs || is_row_stage(consumer)) {
                     break;
                 }
                 chain.push(*consumer);
@@ -133,11 +153,12 @@ impl<'a> BlockChains<'a> {
         chains
     }
 
-    /// A bypass join runs when its first stream is tapped, and with it
-    /// both chains — including the build sides of their fused joins. A
-    /// build side that (through any fused dependency) taps the same
-    /// bypass join would need its result while producing it: cut the
-    /// chain below that stage. The stages above it compile unfused.
+    /// A bypass operator runs when its first stream is tapped, and with
+    /// it both chains — including the build sides of their fused joins
+    /// (a σ±'s chains have none). A build side that (through any fused
+    /// dependency) taps the same bypass join would need its result while
+    /// producing it: cut the chain below that stage. The stages above it
+    /// compile unfused, a σ, Π or χ among them as a pipeline of its own.
     fn break_cycles(&mut self, host: &'a Arc<LogicalPlan>) {
         let key = Arc::as_ptr(host);
         for slot in 0..2 {
@@ -157,6 +178,9 @@ impl<'a> BlockChains<'a> {
                     self.tops.insert(Arc::as_ptr(chain[cut - 1]), exit);
                 }
                 self.hosts.get_mut(&key).expect("host recorded")[slot].truncate(cut);
+                for &stage in chain[cut..].iter().filter(|s| is_row_stage(s)) {
+                    self.hosts.insert(Arc::as_ptr(stage), [vec![stage], vec![]]);
+                }
             }
         }
     }
@@ -241,11 +265,7 @@ impl<'a> Resolver<'a> {
         let mut consumers = Consumers::default();
         let mut order = Vec::new();
         post_order(plan, &mut HashSet::default(), &mut consumers, &mut order);
-        let chains = if self.options.fuse_stage_chains {
-            BlockChains::collect(&consumers, order)
-        } else {
-            BlockChains::default()
-        };
+        let chains = BlockChains::collect(&consumers, order, self.options.fuse_stage_chains);
         let mut block = Block {
             consumers,
             chains,
@@ -264,12 +284,14 @@ impl<'a> Resolver<'a> {
             return Ok(done.clone());
         }
         // The top stage of a fused chain compiles to the node the
-        // chain's rows leave their join through; the stages below it
-        // exist only inside that join.
+        // chain's rows leave their host through; the stages below it
+        // exist only inside that host.
         if let Some(exit) = block.chains.tops.get(&ptr).copied() {
-            let node = self.plan_node(exit, block)?;
-            block.memo.insert(ptr, node.clone());
-            return Ok(node);
+            if !Arc::ptr_eq(exit, plan) {
+                let node = self.plan_node(exit, block)?;
+                block.memo.insert(ptr, node.clone());
+                return Ok(node);
+            }
         }
         // Schemas come from the planned inputs — a node's is derived
         // once, not once per ancestor.
@@ -286,29 +308,26 @@ impl<'a> Resolver<'a> {
                 let one_row = Relation::new(Schema::empty(), vec![Tuple::new(vec![])]);
                 PhysNode::scan(TableColumns::new(one_row), Schema::empty())
             }
-            LogicalPlan::Filter { input, predicate } => {
-                let child = self.plan_node(input, block)?;
-                let pred = self.resolve(predicate, &child.schema)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(
-                    PhysKind::Filter {
-                        input: child,
-                        predicate: pred,
-                    },
-                    schema,
-                )
-            }
-            LogicalPlan::Project { input, exprs } => {
-                let child = self.plan_node(input, block)?;
-                let exprs = self.resolve_projection(exprs, &child.schema)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(
-                    PhysKind::Project {
-                        input: child,
-                        exprs,
-                    },
-                    schema,
-                )
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Map { input, .. } => {
+                let mut input = self.plan_node(input, block)?;
+                let mut chain = self
+                    .chain(ptr, 0, &input.schema, block)?
+                    .expect("a σ, Π or χ no chain absorbed heads its own");
+                // A leading Π that keeps every column in place renames
+                // the relation: an alias hands its rows on in one charge.
+                let relabels = chain.stages.iter();
+                let relabels = relabels.take_while(|s| matches!(s, Stage::Relabel)).count();
+                for stage in &block.chains.hosts[&ptr][0][..relabels] {
+                    let schema = stage.schema_over(&[&input.schema]);
+                    input = PhysNode::new(PhysKind::Alias { input }, schema);
+                }
+                chain.stages.drain(..relabels);
+                match chain.stages.is_empty() {
+                    true => input,
+                    false => PhysNode::pipeline(input, chain.stages, chain.schema),
+                }
             }
             LogicalPlan::CrossJoin { left, .. }
             | LogicalPlan::Join { left, .. }
@@ -389,18 +408,6 @@ impl<'a> Resolver<'a> {
                 };
                 PhysNode::new(kind, schema)
             }
-            LogicalPlan::Map { input, expr, .. } => {
-                let child = self.plan_node(input, block)?;
-                let e = self.resolve(expr, &child.schema)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(
-                    PhysKind::Map {
-                        input: child,
-                        expr: e,
-                    },
-                    schema,
-                )
-            }
             LogicalPlan::Numbering { input, .. } => {
                 let child = self.plan_node(input, block)?;
                 let schema = schema_over(&[&child]);
@@ -453,10 +460,14 @@ impl<'a> Resolver<'a> {
                 let child = self.plan_node(input, block)?;
                 let pred = self.resolve(predicate, &child.schema)?;
                 let schema = schema_over(&[&child]);
+                let pos = self.chain(ptr, 0, &schema, block)?;
+                let neg = self.chain(ptr, 1, &schema, block)?;
                 PhysNode::new(
                     PhysKind::BypassFilter {
                         input: child,
                         predicate: pred,
+                        pos,
+                        neg,
                     },
                     schema,
                 )
@@ -487,13 +498,7 @@ impl<'a> Resolver<'a> {
                 let src = self.plan_node(source, block)?;
                 let positive = *stream == Stream::Positive;
                 // A tapped stream carries what leaves its stage chain.
-                let chain = match &src.kind {
-                    PhysKind::BypassNLJoin { pos, neg, .. } => {
-                        if positive { pos } else { neg }.as_ref()
-                    }
-                    _ => None,
-                };
-                let schema = chain.map_or_else(|| src.schema.clone(), |c| c.schema.clone());
+                let schema = src.stream_schema(positive).clone();
                 PhysNode::new(
                     PhysKind::Stream {
                         source: src,
@@ -503,25 +508,24 @@ impl<'a> Resolver<'a> {
                 )
             }
         };
-        // The rows of a join leave through the top of its chain: its
-        // consumers are theirs.
-        let top = match block.chains.hosts.get(&ptr) {
-            Some([chain, _]) if is_join(plan) => chain.last().map_or(ptr, |top| Arc::as_ptr(top)),
-            _ => ptr,
+        // The rows of a join, a pipeline or a bypass stream leave through
+        // the top of its chain: its consumers are theirs.
+        let chain = match plan.as_ref() {
+            LogicalPlan::Stream { source, stream } => {
+                let chains = block.chains.hosts.get(&Arc::as_ptr(source));
+                chains.map(|c| &c[(*stream == Stream::Negative) as usize])
+            }
+            p if is_join(p) || is_row_stage(p) => block.chains.hosts.get(&ptr).map(|c| &c[0]),
+            _ => None,
         };
+        let top = chain
+            .and_then(|c| c.last())
+            .map_or(ptr, |top| Arc::as_ptr(top));
         if block.consumers.get(&top).is_some_and(|c| c.len() > 1) {
             PhysNode::mark_shared(&mut node);
         }
         block.memo.insert(ptr, node.clone());
         Ok(node)
-    }
-
-    fn resolve_projection(
-        &mut self,
-        exprs: &[(Scalar, Option<String>)],
-        input: &Schema,
-    ) -> Result<Vec<PhysExpr>> {
-        exprs.iter().map(|(e, _)| self.resolve(e, input)).collect()
     }
 
     /// The [`JoinSpec`] of an inner/outer/cross join node whose probe
@@ -583,13 +587,13 @@ impl<'a> Resolver<'a> {
         })
     }
 
-    /// Compile chain `slot` of the join at `host`, if it has one, over
-    /// the pairs (`pairs` is their schema) the join emits into it.
+    /// Compile chain `slot` of the host at `host`, if it has one, over
+    /// the rows (`rows` is their schema) that enter its first stage.
     fn chain(
         &mut self,
         host: Ptr,
         slot: usize,
-        pairs: &Schema,
+        rows: &Schema,
         block: &mut Block<'_>,
     ) -> Result<Option<Chain>> {
         let logical = match block.chains.hosts.get(&host) {
@@ -598,7 +602,7 @@ impl<'a> Resolver<'a> {
         };
         let mut stages = Vec::with_capacity(logical.len());
         // The schema of the rows entering the next stage.
-        let mut schema = pairs.clone();
+        let mut schema = rows.clone();
         for stage in &logical {
             let mut build = None;
             stages.push(match stage.as_ref() {
@@ -606,7 +610,12 @@ impl<'a> Resolver<'a> {
                     Stage::Filter(self.resolve(predicate, &schema)?)
                 }
                 LogicalPlan::Project { exprs, .. } => {
-                    Stage::Project(self.resolve_projection(exprs, &schema)?)
+                    let exprs = exprs.iter().map(|(e, _)| self.resolve(e, &schema));
+                    let exprs = exprs.collect::<Result<Vec<_>>>()?;
+                    match identity_projection(&exprs, schema.arity()) {
+                        true => Stage::Relabel,
+                        false => Stage::Project(exprs),
+                    }
                 }
                 LogicalPlan::Map { expr, .. } => Stage::Map(self.resolve(expr, &schema)?),
                 _ => {

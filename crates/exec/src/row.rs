@@ -128,6 +128,8 @@ pub struct RowView<'a> {
     /// Arity of `prev`: columns below it resolve there.
     base: usize,
     seg: &'a [Value],
+    /// The materialized row this view is all of, if no stage changed it.
+    pub(crate) whole: Option<&'a Tuple>,
 }
 
 impl<'a> RowView<'a> {
@@ -136,6 +138,16 @@ impl<'a> RowView<'a> {
             prev: None,
             base: 0,
             seg,
+            whole: None,
+        }
+    }
+
+    /// The view of a whole materialized row.
+    pub fn of(t: &'a Tuple) -> RowView<'a> {
+        let whole = Some(t);
+        RowView {
+            whole,
+            ..RowView::new(t.values())
         }
     }
 
@@ -148,6 +160,7 @@ impl<'a> RowView<'a> {
             prev: Some(self),
             base: self.base + self.seg.len(),
             seg,
+            whole: None,
         }
     }
 }
@@ -165,6 +178,9 @@ impl Columns for RowView<'_> {
 
 impl Row for RowView<'_> {
     fn to_tuple(&self) -> Tuple {
+        if let Some(t) = self.whole {
+            return t.clone();
+        }
         match self.prev {
             None => self.seg.iter().cloned().collect(),
             Some(p) if p.prev.is_none() => Tuple::from_pair(p.seg, self.seg),
@@ -197,5 +213,10 @@ mod tests {
         assert_eq!(vc.to_tuple(), Tuple::new(ints(&[1, 2, 3])));
         assert_eq!(vb.to_tuple(), Tuple::new(a.clone()));
         assert_eq!(va.to_tuple(), Tuple::new(a.clone()));
+        // A view of a whole row hands that row on; widening it does not.
+        let t = Tuple::new(a.clone());
+        let whole = RowView::of(&t);
+        assert!(whole.to_tuple().shares_buffer(&t));
+        assert!(whole.with(&c).whole.is_none());
     }
 }

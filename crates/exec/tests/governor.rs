@@ -10,7 +10,7 @@ use bypass_algebra::{AggFunc, BinOp};
 use bypass_catalog::TableColumns;
 use bypass_exec::{
     evaluate_with, AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr,
-    PhysKind, PhysNode,
+    PhysKind, PhysNode, Stage,
 };
 use bypass_types::{
     tuple_bytes, CancelToken, DataType, Error, FaultKind, Field, InjectedFault, Relation,
@@ -78,11 +78,9 @@ fn governed_plan() -> Arc<PhysNode> {
         },
         schema3.clone(),
     );
-    let filter = PhysNode::new(
-        PhysKind::Filter {
-            input: joined,
-            predicate: cmp(BinOp::Gt, PhysExpr::Column(1), int(0)),
-        },
+    let filter = PhysNode::pipeline(
+        joined,
+        vec![Stage::Filter(cmp(BinOp::Gt, PhysExpr::Column(1), int(0)))],
         schema3,
     );
     PhysNode::new(
@@ -180,10 +178,11 @@ fn cancel_token_stops_evaluation() {
 /// Scan → σ → Π → σ± → ∪̇ of both streams over 40 rows `(x, y, s)`, `s`
 /// a text of varying length so Π's charges differ per row. σ mixes a
 /// kernel term with one the interpreter must evaluate, so its chunks
-/// interleave settled runs and open rows. Returns the plan and its
-/// checkpoint sequence under the per-row definition: entry `k - 1` is
-/// the bytes in use when checkpoint `k` is passed.
-fn chunked_plan() -> (Arc<PhysNode>, Vec<u64>) {
+/// interleave settled runs and open rows. The plan twice — one pipeline
+/// per stage, and σ and Π as one pipeline — each with its checkpoint
+/// sequence under the per-row definition: entry `k - 1` is the bytes in
+/// use when checkpoint `k` is passed.
+fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
     let schema = Schema::new(vec![
         Field::new("x", DataType::Int),
         Field::new("y", DataType::Int),
@@ -203,86 +202,96 @@ fn chunked_plan() -> (Arc<PhysNode>, Vec<u64>) {
         schema.clone(),
     );
     // σ: x > 2 OR y + 0 < 12
-    let filter = PhysNode::new(
-        PhysKind::Filter {
-            input: scan,
-            predicate: cmp(
-                BinOp::Or,
-                cmp(BinOp::Gt, PhysExpr::Column(0), int(2)),
-                cmp(
-                    BinOp::Lt,
-                    cmp(BinOp::Add, PhysExpr::Column(1), int(0)),
-                    int(12),
-                ),
+    let sigma = || {
+        Stage::Filter(cmp(
+            BinOp::Or,
+            cmp(BinOp::Gt, PhysExpr::Column(0), int(2)),
+            cmp(
+                BinOp::Lt,
+                cmp(BinOp::Add, PhysExpr::Column(1), int(0)),
+                int(12),
             ),
-        },
-        schema.clone(),
-    );
+        ))
+    };
     let kept = |t: &&Tuple| t[0] > Value::Int(2) || t[1] < Value::Int(12);
     let projected = schema.project(&[2, 1]);
-    let project = PhysNode::new(
-        PhysKind::Project {
-            input: filter,
-            exprs: vec![PhysExpr::Column(2), PhysExpr::Column(1)],
-        },
+    let pi = Stage::Project(vec![PhysExpr::Column(2), PhysExpr::Column(1)]);
+    let split = PhysNode::pipeline(
+        PhysNode::pipeline(scan.clone(), vec![sigma()], schema.clone()),
+        vec![pi],
         projected.clone(),
     );
-    // σ±: y >= 20
-    let bypass = PhysNode::new(
-        PhysKind::BypassFilter {
-            input: project,
-            predicate: cmp(BinOp::GtEq, PhysExpr::Column(1), int(20)),
-        },
+    let fused = PhysNode::pipeline(
+        scan,
+        vec![sigma(), Stage::Pick(vec![2, 1])],
         projected.clone(),
     );
-    let tap = |positive| {
-        PhysNode::new(
-            PhysKind::Stream {
-                source: bypass.clone(),
-                positive,
+    let plan = |input: Arc<PhysNode>| {
+        // σ±: y >= 20
+        let bypass = PhysNode::new(
+            PhysKind::BypassFilter {
+                input,
+                predicate: cmp(BinOp::GtEq, PhysExpr::Column(1), int(20)),
+                pos: None,
+                neg: None,
             },
             projected.clone(),
-        )
+        );
+        let tap = |positive| {
+            let source = bypass.clone();
+            PhysNode::new(PhysKind::Stream { source, positive }, projected.clone())
+        };
+        let (left, right) = (tap(true), tap(false));
+        PhysNode::new(PhysKind::UnionAll { left, right }, projected.clone())
     };
-    let plan = PhysNode::new(
-        PhysKind::UnionAll {
-            left: tap(true),
-            right: tap(false),
-        },
-        projected,
-    );
 
-    let mut used = 0u64;
-    let mut sequence = Vec::new();
-    let mut pass = |charge: Option<u64>| {
-        used += charge.unwrap_or(0);
-        sequence.push(used);
-    };
-    // σ: tick, then charge the row if kept.
-    for t in &rows {
-        pass(None);
-        if kept(&t) {
-            pass(Some(SHARED_ROW_BYTES));
-        }
-    }
-    // Π: tick, charge the fresh row.
     let survivors: Vec<Tuple> = rows
         .iter()
         .filter(kept)
         .map(|t| t.project(&[2, 1]))
         .collect();
-    for p in &survivors {
-        pass(None);
-        pass(Some(tuple_bytes(p)));
-    }
-    // σ±: tick, charge, route.
-    for _ in &survivors {
-        pass(None);
-        pass(Some(SHARED_ROW_BYTES));
-    }
-    // ∪̇: one charge for both streams.
-    pass(Some(survivors.len() as u64 * SHARED_ROW_BYTES));
-    (plan, sequence)
+    let sequence = |fused: bool| {
+        let mut used = 0u64;
+        let mut sequence = Vec::new();
+        let mut pass = |charge: Option<u64>| {
+            used += charge.unwrap_or(0);
+            sequence.push(used);
+        };
+        let mut kept_rows = survivors.iter();
+        for t in &rows {
+            // σ: tick, then — fused — the row goes on to Π at once.
+            pass(None);
+            match (kept(&t), fused) {
+                (false, _) => {}
+                // Π: tick, charge the fresh row; σ's charge is gone.
+                (true, true) => {
+                    pass(None);
+                    pass(Some(tuple_bytes(kept_rows.next().unwrap())));
+                }
+                // σ: charge the row it keeps.
+                (true, false) => pass(Some(SHARED_ROW_BYTES)),
+            }
+        }
+        if !fused {
+            // Π over σ's relation: tick, charge the fresh row.
+            for p in &survivors {
+                pass(None);
+                pass(Some(tuple_bytes(p)));
+            }
+        }
+        // σ±: tick, charge, route.
+        for _ in &survivors {
+            pass(None);
+            pass(Some(SHARED_ROW_BYTES));
+        }
+        // ∪̇: one charge for both streams.
+        pass(Some(survivors.len() as u64 * SHARED_ROW_BYTES));
+        sequence
+    };
+    [
+        (plan(split), sequence(false)),
+        (plan(fused), sequence(true)),
+    ]
 }
 
 /// Chunk lengths × worker counts (2-row morsels, so 40 rows fan out).
@@ -303,22 +312,28 @@ fn mechanisms() -> Vec<ExecOptions> {
 
 #[test]
 fn counters_follow_the_per_row_sequence_at_every_chunk_length() {
-    let (plan, sequence) = chunked_plan();
-    for options in mechanisms() {
-        let c = counters(&plan, options.clone());
-        assert_eq!(c.checkpoints, sequence.len() as u64, "{options:?}");
-        assert_eq!(
-            c.peak_memory_bytes,
-            *sequence.last().unwrap(),
-            "{options:?}"
-        );
+    for (plan, sequence) in chunked_plans() {
+        for options in mechanisms() {
+            let c = counters(&plan, options.clone());
+            assert_eq!(c.checkpoints, sequence.len() as u64, "{options:?}");
+            assert_eq!(
+                c.peak_memory_bytes,
+                *sequence.last().unwrap(),
+                "{options:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn injected_faults_fire_at_exact_checkpoints() {
-    let (plan, sequence) = chunked_plan();
-    for (k, &used) in (1u64..).zip(&sequence) {
+    for (plan, sequence) in chunked_plans() {
+        faults_fire_at_exact_checkpoints(&plan, &sequence);
+    }
+}
+
+fn faults_fire_at_exact_checkpoints(plan: &Arc<PhysNode>, sequence: &[u64]) {
+    for (k, &used) in (1u64..).zip(sequence) {
         for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
             let expected = match kind {
                 FaultKind::Memory => Error::resource_exhausted(ResourceKind::Memory, used, used),
@@ -330,7 +345,7 @@ fn injected_faults_fire_at_exact_checkpoints() {
                     fault: Some(InjectedFault::new(k, kind)),
                     ..options.clone()
                 });
-                let err = ctx.eval_plan(&plan).unwrap_err();
+                let err = ctx.eval_plan(plan).unwrap_err();
                 assert_eq!(err, expected, "checkpoint {k} {kind:?} under {options:?}");
                 assert_eq!(ctx.counters().checkpoints, k, "{kind:?} under {options:?}");
             }
@@ -339,7 +354,7 @@ fn injected_faults_fire_at_exact_checkpoints() {
     // One past the final checkpoint: the fault never fires.
     for options in mechanisms() {
         evaluate_with(
-            &plan,
+            plan,
             ExecOptions {
                 fault: Some(InjectedFault::new(
                     sequence.len() as u64 + 1,
@@ -354,16 +369,21 @@ fn injected_faults_fire_at_exact_checkpoints() {
 
 #[test]
 fn memory_budget_trips_at_the_exact_charge_inside_a_chunk() {
-    let (plan, sequence) = chunked_plan();
+    for (plan, sequence) in chunked_plans() {
+        budgets_trip_at_the_exact_charge(&plan, &sequence);
+    }
+}
+
+fn budgets_trip_at_the_exact_charge(plan: &Arc<PhysNode>, sequence: &[u64]) {
     let mut before = 0;
-    for &used in &sequence {
+    for &used in sequence {
         // A budget one byte short of what a charge needs trips at that
         // charge, wherever in a chunk or morsel it falls.
         if used > before {
             let expected = Error::resource_exhausted(ResourceKind::Memory, used - 1, used);
             for options in mechanisms() {
                 let err = evaluate_with(
-                    &plan,
+                    plan,
                     ExecOptions {
                         max_memory_bytes: Some(used - 1),
                         ..options.clone()
@@ -387,19 +407,17 @@ fn nested_plan() -> Arc<PhysNode> {
     let outer = int_rel("o", &["x", "y"], &outer);
     let inner = int_rel("i", &["k", "v"], &inner);
     let inner_schema = inner.schema.clone();
-    let matching = PhysNode::new(
-        PhysKind::Filter {
-            input: inner,
-            predicate: cmp(
-                BinOp::Or,
-                cmp(
-                    BinOp::Eq,
-                    PhysExpr::Column(0),
-                    PhysExpr::Outer { depth: 1, index: 0 },
-                ),
-                cmp(BinOp::Gt, PhysExpr::Column(1), int(4)),
+    let matching = PhysNode::pipeline(
+        inner,
+        vec![Stage::Filter(cmp(
+            BinOp::Or,
+            cmp(
+                BinOp::Eq,
+                PhysExpr::Column(0),
+                PhysExpr::Outer { depth: 1, index: 0 },
             ),
-        },
+            cmp(BinOp::Gt, PhysExpr::Column(1), int(4)),
+        ))],
         inner_schema,
     );
     let count = PhysNode::new(
@@ -415,19 +433,17 @@ fn nested_plan() -> Arc<PhysNode> {
         Schema::new(vec![Field::new("n", DataType::Int)]),
     );
     let schema = outer.schema.clone();
-    PhysNode::new(
-        PhysKind::Filter {
-            input: outer,
-            predicate: cmp(
-                BinOp::Lt,
-                PhysExpr::Column(0),
-                PhysExpr::Subquery {
-                    plan: count,
-                    correlated: true,
-                    outer_keys: vec![0],
-                },
-            ),
-        },
+    PhysNode::pipeline(
+        outer,
+        vec![Stage::Filter(cmp(
+            BinOp::Lt,
+            PhysExpr::Column(0),
+            PhysExpr::Subquery {
+                plan: count,
+                correlated: true,
+                outer_keys: vec![0],
+            },
+        ))],
         schema,
     )
 }

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_catalog::TableColumns;
-use bypass_exec::{AggSpec, ExecContext, ExecCounters, ExecOptions, PhysExpr, PhysKind, PhysNode};
+use bypass_exec::{
+    AggSpec, ExecContext, ExecCounters, ExecOptions, PhysExpr, PhysKind, PhysNode, Stage,
+};
 use bypass_types::{DataType, Field, Relation, Schema, Tuple, Value};
 
 fn schema(names: &[&str]) -> Schema {
@@ -47,7 +49,7 @@ fn bin(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
 
 fn filter(input: Arc<PhysNode>, predicate: PhysExpr) -> Arc<PhysNode> {
     let schema = input.schema.clone();
-    PhysNode::new(PhysKind::Filter { input, predicate }, schema)
+    PhysNode::pipeline(input, vec![Stage::Filter(predicate)], schema)
 }
 
 fn alias(input: Arc<PhysNode>) -> Arc<PhysNode> {
@@ -79,11 +81,9 @@ fn plan() -> Arc<PhysNode> {
         &["b1", "b2", "b3"],
         (0..30).map(|j| vec![j, j % 11, j % 25]),
     );
-    let swapped = PhysNode::new(
-        PhysKind::Project {
-            input: s.clone(),
-            exprs: vec![col(0), col(2), col(1)],
-        },
+    let swapped = PhysNode::pipeline(
+        s.clone(),
+        vec![Stage::Project(vec![col(0), col(2), col(1)])],
         schema(&["b1", "b3", "b2"]),
     );
     let branches = union(
@@ -166,6 +166,8 @@ fn filters_carry_their_chain_from_plan_time() {
         PhysKind::BypassFilter {
             input: s.clone(),
             predicate,
+            pos: None,
+            neg: None,
         },
         s.schema.clone(),
     );

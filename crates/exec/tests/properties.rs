@@ -25,7 +25,9 @@ use std::sync::Arc;
 
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_catalog::TableColumns;
-use bypass_check::{forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen};
+use bypass_check::{
+    bool_any, forall_cases, int_range, option_weighted, tuple2, tuple3, tuple4, vec_of, Gen,
+};
 use bypass_exec::{
     evaluate, value_truth, AggSpec, Chain, ExecContext, ExecOptions, JoinOn, JoinSpec, PhysExpr,
     PhysKind, PhysNode, RowView, Stage,
@@ -126,6 +128,8 @@ fn bypass_filter_partitions_input() {
                 PhysKind::BypassFilter {
                     input: scan,
                     predicate: cmp(BinOp::Gt, col(0), PhysExpr::Literal(Value::Int(*threshold))),
+                    pos: None,
+                    neg: None,
                 },
                 input.schema().clone(),
             );
@@ -294,12 +298,110 @@ fn distinct_is_idempotent_and_bounded() {
     );
 }
 
-/// `Π_{x, z, s}(χ_{s: x + z}(σ_{z ≥ t}(⋈±⁻_{l.x = r.x}(l, r) ⟕_{l.y = g.x} g)))`
-/// with the `⟕ σ χ Π` run once as standalone operators over the
-/// materialized negative stream and once as that stream's stage chain:
-/// same rows in the same order, NULL keys, padded defaults and all.
+/// Every source a pipeline can have, each run once with its stages
+/// fused and once as one pipeline per stage: same rows in the same order
+/// per stream, the same error, and counters that differ by exactly the
+/// intermediate charges fusion drops, at chunk lengths 1 and 256 and at
+/// 1 and 8 workers (2-row morsels).
+///
+/// * A pair source: `Π_{x, z, s}(χ_{s: x + z}(σ_{z ≥ t}(⋈±⁻_{l.x = r.x}(l, r)
+///   ⟕_{l.y = g.x} g)))`, the `⟕ σ χ Π` a stream chain of the ⋈±.
+/// * Row sources, each under a random stack of σ, Π and χ over NULL-heavy
+///   rows with divisions that can raise: a scan under a σ head whose
+///   kernel prefix reads an `Int`, a `Float` and a `Values` column, a Γ
+///   output, and each stream of a σ±.
 #[test]
 fn fused_stage_chain_equals_standalone_operators() {
+    forall_cases(
+        CASES,
+        &tuple3(
+            vec_of(
+                tuple4(
+                    int_range(0, 6),
+                    int_range(0, 6),
+                    option_weighted(0.5, int_range(0, 3)),
+                    option_weighted(0.6, int_range(0, 3)),
+                ),
+                0,
+                12,
+            ),
+            tuple4(
+                int_range(0, 7),
+                int_range(0, 6),
+                int_range(0, 3),
+                bool_any(),
+            ),
+            tuple4(stack(), stack(), stack(), stack()),
+        ),
+        |(rows, (k0, f1, k2, raise), (on_scan, on_gamma, on_pos, on_neg))| {
+            let int = |v: i64| PhysExpr::Literal(Value::Int(v));
+            let rows = rows
+                .iter()
+                .map(|&(a, b, c, d)| {
+                    let null_or = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+                    Tuple::new(vec![
+                        Value::Int(a),
+                        Value::Float(b as f64 * 0.5),
+                        null_or(c),
+                        null_or(d),
+                    ])
+                })
+                .collect();
+            let scan = PhysNode::scan(TableColumns::new(Relation::new(ints(4), rows)), ints(4));
+            // A division term after the kernel prefix runs row by row
+            // and may raise.
+            let or_raise = |p: PhysExpr| match raise {
+                true => cmp(
+                    BinOp::Or,
+                    p,
+                    cmp(BinOp::Gt, cmp(BinOp::Div, int(6), col(3)), int(1)),
+                ),
+                false => p,
+            };
+            let head = or_raise(cmp(
+                BinOp::Or,
+                cmp(
+                    BinOp::Or,
+                    cmp(BinOp::Gt, col(0), int(*k0)),
+                    cmp(
+                        BinOp::Lt,
+                        col(1),
+                        PhysExpr::Literal(Value::Float(*f1 as f64 * 0.5)),
+                    ),
+                ),
+                cmp(BinOp::Eq, col(2), int(*k2)),
+            ));
+            let mut sigma_head = vec![(0, 0, 0, 0)];
+            sigma_head.extend(on_scan);
+            check_row_source(&scan, Some(&head), &sigma_head);
+            let gamma = PhysNode::new(
+                PhysKind::HashAggregate {
+                    input: scan.clone(),
+                    keys: vec![col(2)],
+                    aggs: vec![
+                        AggSpec {
+                            func: AggFunc::Count,
+                            distinct: false,
+                            arg: None,
+                        },
+                        AggSpec {
+                            func: AggFunc::Sum,
+                            distinct: false,
+                            arg: Some(col(0)),
+                        },
+                    ],
+                },
+                ints(3),
+            );
+            check_row_source(&gamma, None, on_gamma);
+            let split = or_raise(cmp(
+                BinOp::Or,
+                cmp(BinOp::Gt, col(3), int(*k2)),
+                cmp(BinOp::Eq, col(2), int(*k2)),
+            ));
+            check_bypass_streams(&scan, &split, [on_pos, on_neg]);
+        },
+    );
     forall_cases(
         CASES,
         &tuple4(
@@ -365,30 +467,276 @@ fn fused_stage_chain_equals_standalone_operators() {
                 },
                 wide.clone(),
             );
-            let filter = PhysNode::new(
-                PhysKind::Filter {
-                    input: oj,
-                    predicate: keep(),
-                },
-                wide,
-            );
-            let map = PhysNode::new(
-                PhysKind::Map {
-                    input: filter,
-                    expr: sum(),
-                },
-                mapped,
-            );
-            let project = PhysNode::new(
-                PhysKind::Project {
-                    input: map,
-                    exprs: picks(),
-                },
-                out,
-            );
+            let filter = PhysNode::pipeline(oj, vec![Stage::Filter(keep())], wide);
+            let map = PhysNode::pipeline(filter, vec![Stage::Map(sum())], mapped);
+            let project = PhysNode::pipeline(map, vec![Stage::Project(picks())], out);
             assert_eq!(fused.rows(), evaluate(&project).unwrap().rows());
         },
     );
+}
+
+/// A random σ, Π or χ as `(kind, a, b, k)`, its operands chosen modulo
+/// the width of the rows it meets.
+type StackOp = (i64, i64, i64, i64);
+
+fn stack() -> Gen<Vec<StackOp>> {
+    vec_of(
+        tuple4(
+            int_range(0, 8),
+            int_range(0, 8),
+            int_range(0, 8),
+            int_range(-1, 5),
+        ),
+        0,
+        4,
+    )
+}
+
+fn ints(width: usize) -> Schema {
+    Schema::new(
+        (0..width)
+            .map(|i| Field::new(format!("c{i}"), DataType::Int))
+            .collect(),
+    )
+}
+
+/// The stage `op` is over rows of width `w`, and the width of the rows it
+/// hands on; kind 0 is the σ head `head`. Kinds 2 and 4 divide, and
+/// raise on an integer zero.
+fn stack_stage(op: StackOp, w: usize, head: Option<&PhysExpr>) -> (Stage, usize) {
+    let (kind, a, b, k) = op;
+    let (a, b) = (col(a as usize % w), col(b as usize % w));
+    let int = |v: i64| PhysExpr::Literal(Value::Int(v));
+    match (kind, head) {
+        (0, Some(head)) => (Stage::Filter(head.clone()), w),
+        (0 | 1, _) => (Stage::Filter(cmp(BinOp::GtEq, a, int(k))), w),
+        (2, _) => (
+            Stage::Filter(cmp(BinOp::Gt, cmp(BinOp::Div, int(12), a), int(k))),
+            w,
+        ),
+        (3, _) => (Stage::Map(cmp(BinOp::Add, a, b)), w + 1),
+        (4, _) => (Stage::Map(cmp(BinOp::Div, a, b)), w + 1),
+        (5, _) => (Stage::Project(vec![b, a]), 2),
+        (6, _) => (
+            Stage::Project(vec![cmp(BinOp::Add, a.clone(), int(k)), b, a]),
+            3,
+        ),
+        _ => (Stage::Project(vec![a]), 1),
+    }
+}
+
+/// `ops` over `input` twice: as one pipeline — a column-only Π at the
+/// top made the exit's pick list, as the planner does — and as one
+/// pipeline per stage, with every intermediate of the second. `head` is
+/// a σ head's predicate, the stage of kind 0.
+fn fused_and_split(
+    input: &Arc<PhysNode>,
+    ops: &[StackOp],
+    head: Option<&PhysExpr>,
+) -> (Option<Chain>, Vec<Arc<PhysNode>>) {
+    let mut stages = Vec::new();
+    let mut split = vec![input.clone()];
+    let mut w = input.schema.arity();
+    for &op in ops {
+        let (stage, out) = stack_stage(op, w, head);
+        let alone = stack_stage(op, w, head).0;
+        split.push(PhysNode::pipeline(
+            split.last().unwrap().clone(),
+            vec![alone],
+            ints(out),
+        ));
+        stages.push(stage);
+        w = out;
+    }
+    if let Some(Stage::Project(exprs)) = stages.last() {
+        let cols: Option<Vec<usize>> = exprs
+            .iter()
+            .map(|e| match e {
+                PhysExpr::Column(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        if let Some(cols) = cols {
+            *stages.last_mut().unwrap() = Stage::Pick(cols);
+        }
+    }
+    let chain = (!stages.is_empty()).then(|| Chain {
+        stages,
+        schema: ints(w),
+    });
+    (chain, split)
+}
+
+/// Checkpoints and bytes the unfused pipelines of `split` (a source, then
+/// one pipeline per stage) charge that one fused pipeline does not: every
+/// intermediate row (a σ's by refcount, any other stage's as the row it
+/// built) and — for a σ± stream, `routed` — the rows the σ± charged; the
+/// last stage's charge becomes the exit's, of the source row if no stage
+/// built a row.
+fn dropped_charges(split: &[Arc<PhysNode>], routed: usize) -> Option<(u64, i64)> {
+    let mut outs = Vec::new();
+    for node in &split[1..] {
+        outs.push(evaluate(node).ok()?.rows().to_vec());
+    }
+    let builds: Vec<bool> = split[1..]
+        .iter()
+        .map(|n| !matches!(&n.kind, PhysKind::Pipeline { chain, .. } if matches!(chain.stages[0], Stage::Filter(_))))
+        .collect();
+    let Some(last) = outs.pop() else {
+        return Some((0, 0));
+    };
+    let charge = |k: usize, t: &Tuple| match builds[k] {
+        true => tuple_bytes(t) as i64,
+        false => SHARED_ROW_BYTES as i64,
+    };
+    let mut checkpoints = routed as u64;
+    let mut bytes = (routed as u64 * SHARED_ROW_BYTES) as i64;
+    for (k, rows) in outs.iter().enumerate() {
+        checkpoints += rows.len() as u64;
+        bytes += rows.iter().map(|t| charge(k, t)).sum::<i64>();
+    }
+    let exit = |t: &Tuple| match builds.iter().any(|&b| b) {
+        true => tuple_bytes(t) as i64,
+        false => SHARED_ROW_BYTES as i64,
+    };
+    bytes += last
+        .iter()
+        .map(|t| charge(outs.len(), t) - exit(t))
+        .sum::<i64>();
+    Some((checkpoints, bytes))
+}
+
+/// What a plan run under `options` gave: rows or the error, and counters.
+fn outcome(plan: &Arc<PhysNode>, options: &ExecOptions) -> (Result<Vec<Tuple>, String>, u64, u64) {
+    let mut ctx = ExecContext::new(options.clone());
+    let rows = ctx
+        .eval_plan(plan)
+        .map(|r| r.rows().to_vec())
+        .map_err(|e| e.to_string());
+    let c = ctx.counters();
+    (rows, c.checkpoints, c.peak_memory_bytes)
+}
+
+/// The fused plan against the split one under every mechanism: same
+/// rows or error and, on success, counters apart by `dropped`.
+fn assert_fusion_drops(fused: &Arc<PhysNode>, split: &Arc<PhysNode>, dropped: Option<(u64, i64)>) {
+    for options in fanouts() {
+        let (rows, checkpoints, peak) = outcome(fused, &options);
+        let (want, split_checkpoints, split_peak) = outcome(split, &options);
+        assert_eq!(rows, want, "{options:?}\n{}", fused.explain());
+        if let (Ok(_), Some((cp, bytes))) = (&rows, dropped) {
+            // Nothing is released in these plans: the peak is the total.
+            assert_eq!(
+                checkpoints + cp,
+                split_checkpoints,
+                "{options:?}\n{}",
+                fused.explain()
+            );
+            assert_eq!(
+                peak as i64 + bytes,
+                split_peak as i64,
+                "{options:?}\n{}",
+                fused.explain()
+            );
+        }
+    }
+}
+
+fn fanouts() -> Vec<ExecOptions> {
+    let mut out = Vec::new();
+    for batch_rows in [1, 256] {
+        for (threads, morsel_rows) in [(1, 4096), (8, 2)] {
+            out.push(ExecOptions {
+                batch_rows,
+                threads,
+                morsel_rows,
+                ..Default::default()
+            });
+        }
+    }
+    out
+}
+
+/// A relation source under `ops`, fused against split.
+fn check_row_source(input: &Arc<PhysNode>, head: Option<&PhysExpr>, ops: &[StackOp]) {
+    let (Some(chain), split) = fused_and_split(input, ops, head) else {
+        return;
+    };
+    let fused = PhysNode::new(
+        PhysKind::Pipeline {
+            input: input.clone(),
+            chain: Chain {
+                schema: chain.schema.clone(),
+                stages: chain.stages,
+            },
+        },
+        chain.schema,
+    );
+    let dropped = dropped_charges(&split, 0);
+    assert_fusion_drops(&fused, split.last().unwrap(), dropped);
+}
+
+/// Both streams of `σ±_p(input)` under their own stacks, fused into the
+/// σ± against split above its taps; the plan reads both, so every stage
+/// runs in either form.
+fn check_bypass_streams(input: &Arc<PhysNode>, p: &PhysExpr, ops: [&Vec<StackOp>; 2]) {
+    let sigma = |pos, neg| {
+        PhysNode::new(
+            PhysKind::BypassFilter {
+                input: input.clone(),
+                predicate: p.clone(),
+                pos,
+                neg,
+            },
+            input.schema.clone(),
+        )
+    };
+    let plain = sigma(None, None);
+    let [(pos, pos_split), (neg, neg_split)] = [(true, ops[0]), (false, ops[1])]
+        .map(|(positive, ops)| fused_and_split(&stream(&plain, positive), ops, None));
+    let fused = sigma(pos, neg);
+    // ∪̇ of the streams' row counts: the streams may differ in width.
+    let both = |tops: [Arc<PhysNode>; 2]| {
+        let count = |input| {
+            let aggs = vec![AggSpec {
+                func: AggFunc::Count,
+                distinct: false,
+                arg: None,
+            }];
+            let kind = PhysKind::HashAggregate {
+                input,
+                keys: vec![],
+                aggs,
+            };
+            PhysNode::new(kind, ints(1))
+        };
+        let [left, right] = tops.map(count);
+        PhysNode::new(PhysKind::UnionAll { left, right }, ints(1))
+    };
+    let fused_union = both([stream(&fused, true), stream(&fused, false)]);
+    let split_union = both([
+        pos_split.last().unwrap().clone(),
+        neg_split.last().unwrap().clone(),
+    ]);
+    let routed = |positive: bool, split: &[Arc<PhysNode>]| {
+        let rows = evaluate(&stream(&plain, positive)).ok()?.len();
+        dropped_charges(split, if split.len() > 1 { rows } else { 0 })
+    };
+    let dropped = match (routed(true, &pos_split), routed(false, &neg_split)) {
+        (Some(a), Some(b)) => Some((a.0 + b.0, a.1 + b.1)),
+        _ => None,
+    };
+    assert_fusion_drops(&fused_union, &split_union, dropped);
+    // Stream by stream, once both ran clean.
+    if outcome(&fused_union, &ExecOptions::default()).0.is_ok() {
+        for (positive, split) in [(true, &pos_split), (false, &neg_split)] {
+            let want = evaluate(split.last().unwrap()).unwrap();
+            assert_eq!(
+                evaluate(&stream(&fused, positive)).unwrap().rows(),
+                want.rows()
+            );
+        }
+    }
 }
 
 /// `SELECT COUNT(*) FROM s WHERE s.k = <column 1 of the outer row>` over
@@ -397,11 +745,13 @@ fn fused_stage_chain_equals_standalone_operators() {
 fn count_matching_subquery() -> PhysExpr {
     let k = |v| vec![Some(v)];
     let s = rel2("s", &[k(0), k(1), k(1)].concat(), &[None, None, None]);
-    let matching = PhysNode::new(
-        PhysKind::Filter {
-            predicate: cmp(BinOp::Eq, col(0), PhysExpr::Outer { depth: 1, index: 1 }),
-            input: s.clone(),
-        },
+    let matching = PhysNode::pipeline(
+        s.clone(),
+        vec![Stage::Filter(cmp(
+            BinOp::Eq,
+            col(0),
+            PhysExpr::Outer { depth: 1, index: 1 },
+        ))],
         s.schema.clone(),
     );
     let count = PhysNode::new(
@@ -506,17 +856,17 @@ fn chunked_operators_match_row_by_row_evaluation() {
         let scan = rel2("r", &column(7, 3), &column(3, 5));
         let rows = evaluate(&scan).unwrap().rows().to_vec();
         for predicate in &predicates {
-            let filter = PhysNode::new(
-                PhysKind::Filter {
-                    input: scan.clone(),
-                    predicate: predicate.clone(),
-                },
+            let filter = PhysNode::pipeline(
+                scan.clone(),
+                vec![Stage::Filter(predicate.clone())],
                 scan.schema.clone(),
             );
             let bypass = PhysNode::new(
                 PhysKind::BypassFilter {
                     input: scan.clone(),
                     predicate: predicate.clone(),
+                    pos: None,
+                    neg: None,
                 },
                 scan.schema.clone(),
             );
@@ -542,11 +892,9 @@ fn chunked_operators_match_row_by_row_evaluation() {
             }
         }
         // Column-only Π: per row a tick and the charge of the fresh row.
-        let swap = PhysNode::new(
-            PhysKind::Project {
-                input: scan.clone(),
-                exprs: vec![col(1), col(1), col(0)],
-            },
+        let swap = PhysNode::pipeline(
+            scan.clone(),
+            vec![Stage::Project(vec![col(1), col(1), col(0)])],
             scan.schema.project(&[1, 1, 0]),
         );
         let projected: Vec<Tuple> = rows.iter().map(|t| t.project(&[1, 1, 0])).collect();
@@ -631,11 +979,9 @@ fn operand_scan(rows: Vec<Tuple>) -> Arc<PhysNode> {
 }
 
 fn sigma(input: &Arc<PhysNode>, predicate: PhysExpr) -> Arc<PhysNode> {
-    PhysNode::new(
-        PhysKind::Filter {
-            input: input.clone(),
-            predicate,
-        },
+    PhysNode::pipeline(
+        input.clone(),
+        vec![Stage::Filter(predicate)],
         input.schema.clone(),
     )
 }

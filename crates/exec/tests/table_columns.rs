@@ -13,7 +13,8 @@ use std::sync::Arc;
 use bypass_algebra::{AggFunc, BinOp};
 use bypass_catalog::TableColumns;
 use bypass_exec::{
-    AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode,
+    AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr, PhysKind,
+    PhysNode, Stage,
 };
 use bypass_types::{DataType, Field, Relation, Result, Schema, Tuple, Value, SHARED_ROW_BYTES};
 
@@ -210,20 +211,16 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
     for (k, predicate) in predicates.iter().enumerate() {
         let input = f();
         let schema = input.schema.clone();
-        let filter = PhysKind::Filter {
-            input: f(),
-            predicate: predicate.clone(),
-        };
-        out.push((
-            format!("σ #{k}"),
-            PhysNode::new(filter, schema.clone()),
-            nf.clone(),
-        ));
+        let filter =
+            PhysNode::pipeline(f(), vec![Stage::Filter(predicate.clone())], schema.clone());
+        out.push((format!("σ #{k}"), filter, nf.clone()));
         // σ±, both streams, negative first.
         let bypass = PhysNode::new(
             PhysKind::BypassFilter {
                 input,
                 predicate: predicate.clone(),
+                pos: None,
+                neg: None,
             },
             schema.clone(),
         );

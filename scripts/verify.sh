@@ -130,6 +130,21 @@ caches="$(grep -nE '^ *(pub(\(crate\))? +)?(chains|batches) *:|\b(struct|enum|ty
     crates/exec/src/eval.rs crates/exec/src/morsel.rs || true)"
 [ -z "$caches" ] || { echo "per-context cache or team in the executor:"; echo "$caches"; exit 1; }
 
+echo "==> one pipeline (grep gate)"
+# σ, Π and χ exist only as Stages of a pipeline (DESIGN.md §7): PhysKind has
+# no Filter, Project or Map, the per-row build loop serves ν and Γᵇ alone
+# (one call site each, eval.rs and group.rs), and every row loop hands its
+# rows to the one `emit`.
+standalone="$(grep -rnE 'PhysKind::(Filter|Project|Map)\b' crates/*/src crates/*/tests || true)"
+[ -z "$standalone" ] || { echo "a standalone σ/Π/χ operator:"; echo "$standalone"; exit 1; }
+builders="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /build_rows\(/ && !/fn build_rows\(/ { print FILENAME }' | sort | tr '\n' ' ')"
+[ "$builders" = "crates/exec/src/eval.rs crates/exec/src/group.rs " ] \
+    || { echo "build_rows( called outside ν and Γᵇ: $builders"; exit 1; }
+emits="$(grep -rn 'fn emit(' crates/*/src | wc -l)"
+[ "$emits" -eq 1 ] || { echo "fn emit( defined $emits times"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
