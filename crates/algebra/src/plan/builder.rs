@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use bypass_types::{DataType, Field, Schema, Value};
 
-use crate::expr::{AggCall, BinOp, Scalar};
+use crate::expr::{AggCall, Scalar};
 use crate::plan::node::{LogicalPlan, Stream};
 
 /// Fluent construction of logical plans — the rewrite code and the test
@@ -124,13 +124,11 @@ impl PlanBuilder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub fn binary_group(
         self,
         other: PlanBuilder,
         left_key: Scalar,
         right_key: Scalar,
-        cmp: BinOp,
         agg: AggCall,
         name: impl Into<String>,
     ) -> PlanBuilder {
@@ -140,7 +138,6 @@ impl PlanBuilder {
                 right: other.plan,
                 left_key,
                 right_key,
-                cmp,
                 agg,
                 name: name.into(),
             }),

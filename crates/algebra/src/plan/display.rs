@@ -145,14 +145,10 @@ fn label(plan: &LogicalPlan) -> String {
         LogicalPlan::BinaryGroup {
             left_key,
             right_key,
-            cmp,
             agg,
             name,
             ..
-        } => format!(
-            "Γᵇ[{name}: {agg} | {left_key} {} {right_key}]",
-            cmp.symbol()
-        ),
+        } => format!("Γᵇ[{name}: {agg} | {left_key} = {right_key}]"),
         LogicalPlan::Map { expr, name, .. } => format!("χ[{name}: {expr}]"),
         LogicalPlan::Numbering { name, .. } => format!("ν[{name}]"),
         LogicalPlan::Distinct { .. } => "δ".to_string(),

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use bypass_types::{DataType, Field, Schema, Value};
 
-use crate::expr::{AggCall, BinOp, ColumnRef, Scalar};
+use crate::expr::{AggCall, ColumnRef, Scalar};
 
 /// Which output stream of a bypass operator a [`LogicalPlan::Stream`]
 /// node consumes. The paper draws the positive stream as a solid line and
@@ -84,15 +84,16 @@ pub enum LogicalPlan {
         keys: Vec<Scalar>,
         aggs: Vec<(AggCall, String)>,
     },
-    /// Binary grouping Γ_{g;A1θA2;f}: for every left tuple `x`, compute
-    /// `g = f({y ∈ right | x.left_key θ y.right_key})`. Handles empty
-    /// groups natively (`g = f(∅)`), which is why Eqv. 5 uses it.
+    /// Binary grouping Γ_{g;A1=A2;f}: for every left tuple `x`, compute
+    /// `g = f({y ∈ right | x.left_key = y.right_key})`. Handles empty
+    /// groups natively (`g = f(∅)`), which is why Eqv. 5 uses it. The
+    /// paper's Γᵇ takes any θ; every plan here groups on the numbering
+    /// key `t = t'`.
     BinaryGroup {
         left: Arc<LogicalPlan>,
         right: Arc<LogicalPlan>,
         left_key: Scalar,
         right_key: Scalar,
-        cmp: BinOp,
         agg: AggCall,
         name: String,
     },
@@ -473,6 +474,7 @@ fn project_field(e: &Scalar, alias: Option<&str>, in_schema: &Schema, idx: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::BinOp;
     use crate::plan::PlanBuilder;
 
     fn scan_r() -> Arc<LogicalPlan> {

@@ -6,7 +6,6 @@
 use bypass_check::{forall, vec_of, Gen, Rng};
 use bypass_metrics::{
     bucket_index, bucket_upper, ExecObservation, Histogram, MetricsHub, Registry, MAX_FINGERPRINTS,
-    SLOW_RING_CAPACITY,
 };
 
 /// Log-uniform `u64`s: random magnitude, then random bits — so the
@@ -145,7 +144,7 @@ fn record_threaded(hub: &MetricsHub, obs: &[ExecObservation], workers: usize) {
 /// Below the table capacity nothing is ever evicted, and every
 /// per-fingerprint accumulation (exec/row/checkpoint sums, peak-memory
 /// max, latency histogram) is commutative — so 8-thread recording must
-/// reproduce the serial hub bit-for-bit, slow-query ring included.
+/// reproduce the serial hub bit-for-bit.
 #[test]
 fn hub_concurrent_recording_below_capacity_matches_serial() {
     for seed in [1u64, 0xFEED, 0x1CDE_2007] {
@@ -174,11 +173,6 @@ fn hub_concurrent_recording_below_capacity_matches_serial() {
         };
         assert_eq!(sorted(&serial), sorted(&threaded), "seed {seed:#x}");
         assert_eq!(
-            serial.slow_queries(),
-            threaded.slow_queries(),
-            "seed {seed:#x}"
-        );
-        assert_eq!(
             serial.snapshot().deterministic(),
             threaded.snapshot().deterministic(),
             "seed {seed:#x}"
@@ -189,9 +183,8 @@ fn hub_concurrent_recording_below_capacity_matches_serial() {
 /// Over capacity, the fewest-execs eviction policy is loss-bounded and
 /// deterministic under 8-thread recording: hot shapes (recorded first,
 /// multiple times) always out-rank the one-shot flood at victim
-/// selection, the table never exceeds its capacity, the eviction count
-/// is exact, and the slow ring converges to the true top-K regardless
-/// of arrival order.
+/// selection, the table never exceeds its capacity and the eviction
+/// count is exact.
 #[test]
 fn hub_eviction_under_concurrent_pressure_is_loss_bounded() {
     let hot = 32u64; // distinct hot shapes, well under capacity
@@ -245,18 +238,6 @@ fn hub_eviction_under_concurrent_pressure_is_loss_bounded() {
         })
         .sum();
     assert_eq!(evictions, hot + flood - MAX_FINGERPRINTS as u64);
-
-    // The slow ring holds the true top-K latencies of everything
-    // offered, one slot per shape, independent of arrival order. The
-    // hot-phase latencies (~1ms) dominate the flood (~10µs), so the
-    // top-K is the upper tail of the hot shapes.
-    let slow = hub.slow_queries();
-    assert_eq!(slow.len(), SLOW_RING_CAPACITY);
-    let want: Vec<u64> = (0..SLOW_RING_CAPACITY as u64)
-        .map(|i| 1_000_000 + hot - i)
-        .collect();
-    let got: Vec<u64> = slow.iter().map(|q| q.total_nanos).collect();
-    assert_eq!(got, want, "slow ring is not the true top-K");
 }
 
 #[test]

@@ -147,7 +147,6 @@ impl Prepared {
             memo_misses,
             disjunct_evals: counters.disjunct_evals,
             disjunct_hits: counters.disjunct_hits,
-            detail: String::new(),
         });
         Ok(RunOutput {
             rel,

@@ -16,7 +16,7 @@ pub use bypass_catalog::{Catalog, TableBuilder};
 pub use bypass_exec::{ExecCounters, ExecOptions};
 pub use bypass_metrics::{
     format_fingerprint, render_json, render_prometheus, validate_prometheus, ExecObservation,
-    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, QueryStatsSnapshot, SlowQuery,
+    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, QueryStatsSnapshot,
     Snapshot as MetricsSnapshot,
 };
 pub use bypass_sql::{fingerprint, fingerprint_sql, normalized_sql};

@@ -161,18 +161,6 @@ impl<'p> AggStates<'p> {
         self.accs.extend(self.specs.iter().map(Accumulator::new));
     }
 
-    /// Back to a single empty group 0, keeping the memory.
-    pub(crate) fn reset(&mut self) {
-        self.accs.clear();
-        self.push_group();
-        for seen in self.seen.iter_mut().flatten() {
-            match seen {
-                Seen::Rows(set) => set.clear(),
-                Seen::Values(set) => set.clear(),
-            }
-        }
-    }
-
     /// Fold `row` into every aggregate of group `g`; `arg` evaluates an
     /// aggregate's argument expression over the row (the whole-row
     /// COUNTs have none).
@@ -313,22 +301,6 @@ mod tests {
             states.finish().collect::<Vec<_>>(),
             vec![Value::Int(1), Value::Int(1)]
         );
-    }
-
-    #[test]
-    fn reset_forgets_the_distinct_set() {
-        let specs = [spec(AggFunc::Count, true, false)];
-        let mut states = AggStates::new(&specs, 0);
-        let t = Tuple::new(vec![Value::Int(7)]);
-        for _ in 0..2 {
-            states.reset();
-            assert_eq!(
-                states.fold(0, &t, |_| unreachable!()).unwrap(),
-                tuple_bytes(&t)
-            );
-            assert_eq!(states.fold(0, &t, |_| unreachable!()).unwrap(), 0);
-        }
-        assert_eq!(states.finish().collect::<Vec<_>>(), vec![Value::Int(1)]);
     }
 
     #[test]

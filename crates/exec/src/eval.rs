@@ -333,7 +333,7 @@ const JOIN_ENTRY_BYTES: u64 = 16;
 /// Concatenate per-morsel row buffers in morsel (= input) order. The
 /// single-part case is the serial path: the buffer is moved, not
 /// copied.
-pub(crate) fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     if parts.len() == 1 {
         return parts.pop().unwrap();
     }
@@ -881,7 +881,10 @@ impl ExecContext {
             PhysKind::Scan { data, .. } => return Ok(data.clone()),
             PhysKind::Pipeline { input, chain } => {
                 let rel = self.eval_node(input, local)?;
-                let stages = self.open_chain(Some(chain), local)?;
+                // Build sides stay on the master (charge order is
+                // insertion order); the immutable tables are shared by
+                // the morsels.
+                let stages = self.open_chain(Some(chain), Some(&rel), local)?;
                 let [sink, _] = match node.chain() {
                     // A σ head runs chunk-wise and routes what it keeps
                     // into the stages after it.
@@ -893,52 +896,8 @@ impl ExecContext {
                         };
                         self.run_chain(node, input, &rel, &routes)?
                     }
-                    None => {
-                        let parts = self.run_morsels(node, rel.len(), 1, |ctx, range| {
-                            let mut sink = Sink::new(stages.len());
-                            for t in &rel.rows()[range] {
-                                ctx.emit(&RowView::of(t), &stages, 0, &mut sink)?;
-                            }
-                            Ok([sink, Sink::new(0)])
-                        })?;
-                        self.finish(parts, std::iter::empty())?
-                    }
+                    None => self.run_pass(node, input, &rel, &stages)?,
                 };
-                Relation::new(schema(), sink.rows)
-            }
-            PhysKind::Join { left, spec, chain } => {
-                let l = self.eval_node(left, local)?;
-                // Build sides stay on the master (charge order is
-                // insertion order); the immutable tables are shared by
-                // the probe morsels.
-                let join = self.open_probe(spec, Some(&l), local)?;
-                let stages = self.open_chain(chain.as_ref(), local)?;
-                // A hash probe straight off a base table looks its keys
-                // up from the table's columns: a row is touched only
-                // once it has a partner or must be padded. A nested
-                // loop visits every build row per probing row.
-                let (table_key, pairs) = match &join.on {
-                    ProbeOn::Hash { probe_keys, .. } => {
-                        (TableKey::new(left.table_columns(), probe_keys), 1)
-                    }
-                    ProbeOn::Loop(_) => (None, join.build.len()),
-                };
-                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range| {
-                    let mut sink = Sink::new(stages.len());
-                    for (i, t) in range.clone().zip(&l.rows()[range]) {
-                        ctx.check_size(sink.rows.len())?;
-                        let row = RowView::new(t.values());
-                        let key_at = table_key.as_ref().map(|key| (key, i));
-                        ctx.probe(&join, &row, key_at, &stages, 0, &mut sink)?;
-                    }
-                    Ok([sink, Sink::new(0)])
-                })?;
-                let probes = stages.iter().filter_map(|s| s.probe.as_ref());
-                let probes = std::iter::once(&join).chain(probes);
-                let [sink, _] = self.finish(parts, probes)?;
-                if self.metrics.is_some() && matches!(join.on, ProbeOn::Hash { .. }) {
-                    self.pending.input_rows += l.len() as u64;
-                }
                 Relation::new(schema(), sink.rows)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
@@ -951,7 +910,7 @@ impl ExecContext {
                 }
                 out
             }
-            PhysKind::BinaryGroupEq {
+            PhysKind::BinaryGroup {
                 left,
                 right,
                 left_key,
@@ -960,19 +919,7 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                self.binary_group_eq(node, &l, &r, left_key, right_key, agg, schema())?
-            }
-            PhysKind::BinaryGroupTheta {
-                left,
-                right,
-                left_key,
-                right_key,
-                cmp,
-                agg,
-            } => {
-                let l = self.eval_node(left, local)?;
-                let r = self.eval_node(right, local)?;
-                self.binary_group_theta(node, &l, &r, left_key, right_key, *cmp, agg, schema())?
+                self.binary_group(node, &l, &r, left_key, right_key, agg, schema())?
             }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
@@ -1090,8 +1037,8 @@ impl ExecContext {
                 input, pos, neg, ..
             } => {
                 let rel = self.eval_node(input, local)?;
-                let pos_stages = self.open_chain(pos.as_ref(), local)?;
-                let neg_stages = self.open_chain(neg.as_ref(), local)?;
+                let pos_stages = self.open_chain(pos.as_ref(), None, local)?;
+                let neg_stages = self.open_chain(neg.as_ref(), None, local)?;
                 let routes = Routes {
                     pos: &pos_stages,
                     from: 0,
@@ -1108,8 +1055,8 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let pos_stages = self.open_chain(pos.as_ref(), local)?;
-                let neg_stages = self.open_chain(neg.as_ref(), local)?;
+                let pos_stages = self.open_chain(pos.as_ref(), None, local)?;
+                let neg_stages = self.open_chain(neg.as_ref(), None, local)?;
                 let parts = self.run_morsels(source, l.len(), r.len(), |ctx, range| {
                     let mut pos = Sink::new(pos_stages.len());
                     let mut neg = Sink::new(neg_stages.len());
@@ -1156,10 +1103,55 @@ impl ExecContext {
 
     // ----- pipelines (DESIGN.md §7) --------------------------------------
     //
-    // A row loop — a join's probe, a ⋈±'s pairs, a σ/σ±'s chunks, a pass
-    // over a relation — pushes a borrowed `RowView` through its stages
-    // and materializes (and charges) only what leaves the last one;
-    // every stage ticks where its operator did.
+    // A row loop — a ⋈±'s pairs, a σ/σ±'s chunks, a pass over a relation
+    // — pushes a borrowed `RowView` through its stages and materializes
+    // (and charges) only what leaves the last one; every stage ticks
+    // where its operator did.
+
+    /// The pass of a pipeline whose head is not a σ: every row of
+    /// `input`, the evaluated `from`, enters the head. A probe head — a
+    /// join — re-checks the row cap before each probing row; a hash head
+    /// over a base table reads the row's key off the table's columns, so
+    /// a row is touched only once it has a partner or must be padded; a
+    /// nested-loop head visits every build row per probing row.
+    fn run_pass(
+        &mut self,
+        node: &Arc<PhysNode>,
+        from: &PhysNode,
+        input: &Relation,
+        stages: &[LiveStage<'_>],
+    ) -> Result<Streams> {
+        let head = stages.first().and_then(|s| s.probe.as_ref());
+        let (table_key, pairs) = match head {
+            Some(Probe {
+                on: ProbeOn::Hash { probe_keys, .. },
+                ..
+            }) => (TableKey::new(from.table_columns(), probe_keys), 1),
+            Some(Probe { build, .. }) => (None, build.len()),
+            None => (None, 1),
+        };
+        let parts = self.run_morsels(node, input.len(), pairs, |ctx, range| {
+            let mut sink = Sink::new(stages.len());
+            for (i, t) in range.clone().zip(&input.rows()[range]) {
+                let row = RowView::of(t);
+                let Some(probe) = head else {
+                    ctx.emit(&row, stages, 0, &mut sink)?;
+                    continue;
+                };
+                ctx.check_size(sink.rows.len())?;
+                sink.reached[0] += 1;
+                let key_at = table_key.as_ref().map(|key| (key, i));
+                ctx.probe(probe, &row, key_at, stages, 1, &mut sink)?;
+            }
+            Ok([sink, Sink::new(0)])
+        })?;
+        let streams = self.finish(parts, stages.iter().filter_map(|s| s.probe.as_ref()))?;
+        let hash_head = matches!(head.map(|p| &p.on), Some(ProbeOn::Hash { .. }));
+        if self.metrics.is_some() && hash_head {
+            self.pending.input_rows += input.len() as u64;
+        }
+        Ok(streams)
+    }
 
     /// Close a pipeline loop, whichever its source: fold each stream's
     /// per-morsel sinks in morsel (= input) order, re-check the row cap
@@ -1192,11 +1184,11 @@ impl ExecContext {
 
     /// Evaluate a join's right input and make the join probe-ready. Runs
     /// on the master before the loop fans out. `left` is the join's
-    /// evaluated left input — absent for a join fused into a chain, whose
-    /// left input is a stream. An inner hash join with the smaller input
-    /// on the left keys its table by *that* input and inserts only the
-    /// right rows that have one of its keys; ties, outer joins and fused
-    /// joins hash the whole right input.
+    /// evaluated left input — given for a pipeline's head, absent for a
+    /// join fused into a chain, whose left input is a stream. An inner
+    /// hash join with the smaller input on the left keys its table by
+    /// *that* input and inserts only the right rows that have one of its
+    /// keys; ties, outer joins and fused joins hash the whole right input.
     fn open_probe<'p>(
         &mut self,
         spec: &'p JoinSpec,
@@ -1243,18 +1235,23 @@ impl ExecContext {
         })
     }
 
-    /// Make a stage chain runnable: open the build sides of its fused
-    /// joins, in chain order.
+    /// Make a stage chain runnable: open the build sides of its joins, in
+    /// chain order. A probe head is handed `left`, the evaluated input of
+    /// its pipeline.
     fn open_chain<'p>(
         &mut self,
         chain: Option<&'p Chain>,
+        left: Option<&Arc<Relation>>,
         local: &mut Local,
     ) -> Result<Vec<LiveStage<'p>>> {
         let stages = chain.into_iter().flat_map(|c| &c.stages);
         stages
-            .map(|stage| {
+            .enumerate()
+            .map(|(k, stage)| {
                 let probe = match stage {
-                    Stage::Probe(spec) => Some(self.open_probe(spec, None, local)?),
+                    Stage::Probe(spec) => {
+                        Some(self.open_probe(spec, left.filter(|_| k == 0), local)?)
+                    }
                     _ => None,
                 };
                 Ok(LiveStage { stage, probe })
@@ -1557,18 +1554,12 @@ pub(crate) mod tests {
         defaults: Option<Vec<(usize, Value)>>,
         schema: Schema,
     ) -> Arc<PhysNode> {
-        PhysNode::new(
-            PhysKind::Join {
-                left,
-                spec: JoinSpec {
-                    right,
-                    on,
-                    defaults,
-                },
-                chain: None,
-            },
-            schema,
-        )
+        let spec = JoinSpec {
+            right,
+            on,
+            defaults,
+        };
+        PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
     }
 
     fn hash_on(left_key: usize, right_key: usize) -> JoinOn {

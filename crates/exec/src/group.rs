@@ -1,23 +1,20 @@
 //! The grouping operators: unary Γ (hash grouping, or scalar aggregation
-//! without keys) and the binary groupings Γᵇ of the paper's Fig. 1.
+//! without keys) and the binary grouping Γᵇ of the paper's Fig. 1 on the
+//! equality its plans use.
 //!
-//! All three keep their groups in a [`KeyTable`] — dense ids in
+//! Both keep their groups in a [`KeyTable`] — dense ids in
 //! first-appearance order, which is Γ's output order — and their
 //! aggregate state in an [`AggStates`] arena indexed by those ids.
 
 use std::sync::Arc;
 
-use bypass_algebra::BinOp;
 use bypass_catalog::TableColumns;
-use bypass_types::{
-    tuple_bytes, value_heap_bytes, Relation, Result, Schema, Tuple, Value, VALUE_BYTES,
-};
+use bypass_types::{value_heap_bytes, Relation, Result, Schema, Tuple, Value, VALUE_BYTES};
 
 use crate::agg::{AggSpec, AggStates};
-use crate::eval::{concat_rows, ExecContext};
+use crate::eval::ExecContext;
 use crate::expr::PhysExpr;
 use crate::hash::{KeyReader, KeyRef, KeyTable, TableKey};
-use crate::interp::{eval_binop, value_truth};
 use crate::node::PhysNode;
 
 /// Fixed state of one aggregate accumulator in the byte model (the
@@ -119,10 +116,11 @@ impl ExecContext {
         Ok(Relation::new(schema, groups.into_rows(width, aggs.len())))
     }
 
-    /// Γᵇ with an equality θ: aggregate the right side per distinct key
-    /// once, then every left row looks its group up — O(|L| + |R|).
+    /// Γᵇ on `left_key = right_key`: aggregate the right side per
+    /// distinct key once, then every left row looks its group up —
+    /// O(|L| + |R|).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn binary_group_eq(
+    pub(crate) fn binary_group(
         &mut self,
         node: &Arc<PhysNode>,
         l: &Relation,
@@ -168,60 +166,6 @@ impl ExecContext {
         })?;
         self.gov.release(scratch);
         Ok(Relation::new(schema, rows))
-    }
-
-    /// Γᵇ with an arbitrary comparison θ (nested loop, O(|L|·|R|)); kept
-    /// for completeness of the Fig. 1 operator set.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn binary_group_theta(
-        &mut self,
-        node: &Arc<PhysNode>,
-        l: &Relation,
-        r: &Relation,
-        left_key: &PhysExpr,
-        right_key: &PhysExpr,
-        cmp: BinOp,
-        agg: &AggSpec,
-        schema: Schema,
-    ) -> Result<Relation> {
-        let mut right_kv: Vec<(Value, &Tuple)> = Vec::with_capacity(r.len());
-        let mut scratch = 0u64; // key decoration, released below
-        for rt in r.rows() {
-            self.gov.tick()?;
-            let k = self.eval_expr(right_key, rt)?;
-            let bytes = VALUE_BYTES + value_heap_bytes(&k);
-            self.gov.charge(bytes)?;
-            scratch += bytes;
-            right_kv.push((k, rt));
-        }
-        let parts = self.run_morsels(node, l.len(), 1, |ctx, range| {
-            let mut out = Vec::with_capacity(range.len());
-            // One single-group state per morsel, reset per left row.
-            let mut states = AggStates::new(std::slice::from_ref(agg), 0);
-            for lt in &l.rows()[range] {
-                let lk = ctx.eval_cow(left_key, lt)?;
-                states.reset();
-                let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
-                for &(ref rk, rt) in &right_kv {
-                    ctx.gov.tick()?;
-                    if value_truth(&eval_binop(cmp, &lk, rk)?).is_true() {
-                        let grown = states.fold(0, rt, |a| ctx.eval_cow(a, rt))?;
-                        if grown != 0 {
-                            ctx.gov.charge(grown)?;
-                            acc_bytes += grown;
-                        }
-                    }
-                }
-                let value = states.finish().next().expect("one group");
-                let row = lt.extended(value);
-                ctx.gov.release(acc_bytes);
-                ctx.gov.charge(tuple_bytes(&row))?;
-                out.push(row);
-            }
-            Ok(out)
-        })?;
-        self.gov.release(scratch);
-        Ok(Relation::new(schema, concat_rows(parts)))
     }
 }
 
@@ -344,7 +288,7 @@ mod tests {
             Field::new("g", DataType::Int),
         ]);
         let bg = PhysNode::new(
-            PhysKind::BinaryGroupEq {
+            PhysKind::BinaryGroup {
                 left: l,
                 right: r,
                 left_key: PhysExpr::Column(0),
@@ -364,41 +308,6 @@ mod tests {
             &[Value::Int(3), Value::Int(0)],
             "empty group gets f(∅) = 0 — no count bug"
         );
-    }
-
-    #[test]
-    fn binary_group_theta_less_than() {
-        let l = int_rel("l", &["a"], &[&[1], &[2], &[3]]);
-        let r = int_rel("r", &["b"], &[&[1], &[2], &[3]]);
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::new("n", DataType::Int),
-        ]);
-        let bg = PhysNode::new(
-            PhysKind::BinaryGroupTheta {
-                left: l,
-                right: r,
-                left_key: PhysExpr::Column(0),
-                right_key: PhysExpr::Column(0),
-                cmp: BinOp::Gt, // count right values with a > b
-                agg: AggSpec {
-                    func: AggFunc::Count,
-                    distinct: false,
-                    arg: None,
-                },
-            },
-            schema,
-        );
-        let out = run(&bg);
-        let counts: Vec<i64> = out
-            .rows()
-            .iter()
-            .map(|t| match t[1] {
-                Value::Int(i) => i,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(counts, vec![0, 1, 2]);
     }
 
     fn count_distinct_rows() -> AggSpec {
@@ -460,7 +369,7 @@ mod tests {
         let left: Vec<[i64; 1]> = (0..9).map(|k| [k]).collect();
         let left_slices: Vec<&[i64]> = left.iter().map(|r| &r[..]).collect();
         let bg = PhysNode::new(
-            PhysKind::BinaryGroupEq {
+            PhysKind::BinaryGroup {
                 left: int_rel("l", &["a"], &left_slices),
                 right: int_rel("r", &["k", "v"], &slices),
                 left_key: PhysExpr::Column(0),

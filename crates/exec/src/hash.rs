@@ -91,12 +91,6 @@ impl FlatIndex {
         self.hashes.len()
     }
 
-    /// Forget every entry, keep the memory.
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill(VACANT);
-        self.hashes.clear();
-    }
-
     #[inline]
     fn home(&self, hash: u64) -> usize {
         // FxHash's own top bits will not do: its multiplier is 2⁶⁴/π,
@@ -504,13 +498,6 @@ impl<T: Hash + Eq + Clone> DistinctSet<T> {
         }
         fresh
     }
-
-    /// Forget everything, keep the memory.
-    pub(crate) fn clear(&mut self) {
-        self.index.clear();
-        self.groups.clear();
-        self.items.clear();
-    }
 }
 
 /// Correlated-subquery memo: `(plan, correlation values)` → result. The
@@ -862,9 +849,8 @@ mod tests {
                 "({group}, {item:?})"
             );
         }
-        set.clear();
-        assert!(set.insert(0, &Value::Int(1)), "cleared");
-        assert!(!set.insert(0, &Value::Float(1.0)));
+        assert!(set.insert(7, &Value::Int(1)), "a fresh group");
+        assert!(!set.insert(7, &Value::Float(1.0)));
     }
 
     #[test]

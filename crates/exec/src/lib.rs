@@ -5,11 +5,12 @@
 //! DAG-structured plans correctly — a bypass operator produces *two*
 //! streams, memoized so a shared node is evaluated exactly once per plan
 //! evaluation — and it preserves the asymptotic behaviour the paper
-//! measures. σ, Π and χ are not operators but [`Stage`]s of a pipeline:
-//! every row loop (a join's probe, a bypass join's pairs, a σ/σ±'s
-//! chunks, a pass over a relation) pushes borrowed [`RowView`]s through
-//! the [`Chain`] of single-consumer stages above it, and only rows
-//! leaving the chain are materialized.
+//! measures. σ, Π, χ and joins are not operators but [`Stage`]s of a
+//! pipeline: every row loop (a bypass join's pairs, a σ/σ±'s chunks, a
+//! pass over a relation — a join is the pass over its left input headed
+//! by its probe) pushes borrowed [`RowView`]s through the [`Chain`] of
+//! single-consumer stages above it, and only rows leaving the chain are
+//! materialized.
 //!
 //! Nested query blocks embedded in selection predicates are evaluated by
 //! the expression interpreter (`interp.rs`, the one module that knows

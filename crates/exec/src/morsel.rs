@@ -28,7 +28,7 @@ use bypass_types::{par, Error, Result};
 
 use crate::eval::{ExecContext, ExecCounters, ExecOptions, NodeMetrics};
 use crate::govern::GovLog;
-use crate::node::{JoinOn, JoinSpec, PhysKind, PhysNode};
+use crate::node::{JoinOn, PhysKind, PhysNode};
 
 /// Everything a worker hands back to the master per morsel for the
 /// in-order merge.
@@ -119,19 +119,15 @@ impl ExecContext {
             .map(|c| self.visits(c))
             .collect::<Option<Vec<u64>>>()?;
         let sum = |xs: &[u64]| xs.iter().fold(0u64, |a, &b| a.saturating_add(b));
+        // A pipeline headed by a nested-loop probe, or a ⋈±.
+        let pair_loop = match plan.head_probe() {
+            Some(spec) => matches!(spec.on, JoinOn::Loop(_)),
+            None => matches!(plan.kind, PhysKind::BypassNLJoin { .. }),
+        };
         let rows = match &plan.kind {
             PhysKind::Scan { data, .. } => data.len() as u64,
             // Left × right, plus the build sides of fused probes.
-            PhysKind::Join {
-                spec:
-                    JoinSpec {
-                        on: JoinOn::Loop(_),
-                        ..
-                    },
-                ..
-            }
-            | PhysKind::BypassNLJoin { .. }
-            | PhysKind::BinaryGroupTheta { .. } => inputs[0]
+            _ if pair_loop => inputs[0]
                 .saturating_mul(inputs[1])
                 .saturating_add(sum(&inputs[2..])),
             _ => sum(&inputs),

@@ -1,6 +1,5 @@
 use std::sync::Arc;
 
-use bypass_algebra::BinOp;
 use bypass_catalog::TableColumns;
 use bypass_types::{Relation, Schema, Value};
 
@@ -88,12 +87,24 @@ impl PhysNode {
             _ => None,
         }
     }
+
+    /// The join heading this pipeline, if its first stage is a probe: a
+    /// join is a pipeline over its left input.
+    pub fn head_probe(&self) -> Option<&JoinSpec> {
+        match &self.kind {
+            PhysKind::Pipeline { chain, .. } => match chain.stages.first() {
+                Some(Stage::Probe(spec)) => Some(spec),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// How a join finds, for one probe (left) row, its partners among the
-/// rows of a materialized build (right) side — shared by the join
-/// operators themselves and by joins fused into another join's stage
-/// chain ([`Stage::Probe`]).
+/// rows of a materialized build (right) side: a [`Stage::Probe`], at the
+/// head of a pipeline over the join's left input or fused into another
+/// host's chain.
 #[derive(Debug)]
 pub struct JoinSpec {
     /// Build side: evaluated (and, for a hash join, hashed) before the
@@ -208,43 +219,26 @@ pub enum PhysKind {
         data: Arc<Relation>,
         columns: Arc<TableColumns>,
     },
-    /// σ, Π and χ: a pass over the evaluated `input` pushing each row
-    /// through `chain`. A σ head runs its predicate chunk-wise
+    /// σ, Π, χ and joins: a pass over the evaluated `input` pushing each
+    /// row through `chain`. A σ head runs its predicate chunk-wise
     /// ([`PhysNode::chain`]) and hands the rows it keeps to the stages
-    /// after it; any other head takes every row.
+    /// after it; a probe head ([`PhysNode::head_probe`]) is the join of
+    /// `input` with its build side; any other head takes every row.
     Pipeline { input: Arc<PhysNode>, chain: Chain },
-    /// Inner or left outer join, nested-loop or hash (see [`JoinSpec`]).
-    /// Pairs are matched on a borrowed view of the two rows and pushed
-    /// through `chain`; only what leaves it is materialized.
-    Join {
-        left: Arc<PhysNode>,
-        spec: JoinSpec,
-        chain: Option<Chain>,
-    },
     /// Unary grouping Γ (hash) / scalar aggregation when `keys` is empty.
     HashAggregate {
         input: Arc<PhysNode>,
         keys: Vec<PhysExpr>,
         aggs: Vec<AggSpec>,
     },
-    /// Binary grouping Γᵇ with an equality θ: per-right-key aggregates
-    /// are computed once, then every left tuple probes the table —
-    /// O(|L| + |R|).
-    BinaryGroupEq {
+    /// Binary grouping Γᵇ on `left_key = right_key`: per-right-key
+    /// aggregates are computed once, then every left tuple probes the
+    /// table — O(|L| + |R|).
+    BinaryGroup {
         left: Arc<PhysNode>,
         right: Arc<PhysNode>,
         left_key: PhysExpr,
         right_key: PhysExpr,
-        agg: AggSpec,
-    },
-    /// Binary grouping with an arbitrary comparison θ (nested loop,
-    /// O(|L|·|R|)); kept for completeness of the Fig. 1 operator set.
-    BinaryGroupTheta {
-        left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
-        left_key: PhysExpr,
-        right_key: PhysExpr,
-        cmp: BinOp,
         agg: AggSpec,
     },
     /// ν — extends each tuple by its (deterministic) input position.
@@ -295,22 +289,22 @@ pub enum PhysKind {
 }
 
 impl PhysNode {
-    /// The operator's own inputs, without the build sides of joins
-    /// fused into its stage chains.
+    /// The operator's own inputs — a probe head's build side among them
+    /// — without the build sides of joins fused into its stage chains.
     fn inputs(&self) -> Vec<&Arc<PhysNode>> {
         match &self.kind {
             PhysKind::Scan { .. } => vec![],
-            PhysKind::Pipeline { input, .. }
-            | PhysKind::HashAggregate { input, .. }
+            PhysKind::Pipeline { input, .. } => std::iter::once(input)
+                .chain(self.head_probe().map(|s| &s.right))
+                .collect(),
+            PhysKind::HashAggregate { input, .. }
             | PhysKind::Numbering { input }
             | PhysKind::Distinct { input }
             | PhysKind::Sort { input, .. }
             | PhysKind::Limit { input, .. }
             | PhysKind::Alias { input }
             | PhysKind::BypassFilter { input, .. } => vec![input],
-            PhysKind::Join { left, spec, .. } => vec![left, &spec.right],
-            PhysKind::BinaryGroupEq { left, right, .. }
-            | PhysKind::BinaryGroupTheta { left, right, .. }
+            PhysKind::BinaryGroup { left, right, .. }
             | PhysKind::UnionAll { left, right }
             | PhysKind::BypassNLJoin { left, right, .. } => vec![left, right],
             PhysKind::Stream { source, .. } => vec![source],
@@ -322,7 +316,6 @@ impl PhysNode {
     fn stages(&self) -> impl Iterator<Item = &Stage> {
         let chains = match &self.kind {
             PhysKind::Pipeline { chain, .. } => [Some(chain), None],
-            PhysKind::Join { chain, .. } => [chain.as_ref(), None],
             _ => [self.stream_chain(true), self.stream_chain(false)],
         };
         chains.into_iter().flatten().flat_map(|c| &c.stages)
@@ -349,7 +342,8 @@ impl PhysNode {
     /// sides of the joins fused into its stage chains.
     pub fn children(&self) -> Vec<&Arc<PhysNode>> {
         let mut out = self.inputs();
-        out.extend(self.stages().filter_map(|s| match s {
+        let fused = self.stages().skip(self.head_probe().is_some() as usize);
+        out.extend(fused.filter_map(|s| match s {
             Stage::Probe(spec) => Some(&spec.right),
             _ => None,
         }));
@@ -370,18 +364,11 @@ impl PhysNode {
             PhysKind::BypassFilter { predicate, .. } | PhysKind::BypassNLJoin { predicate, .. } => {
                 vec![predicate]
             }
-            PhysKind::Join { spec, .. } => spec.exprs(),
             PhysKind::HashAggregate { keys, aggs, .. } => keys
                 .iter()
                 .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
                 .collect(),
-            PhysKind::BinaryGroupEq {
-                left_key,
-                right_key,
-                agg,
-                ..
-            }
-            | PhysKind::BinaryGroupTheta {
+            PhysKind::BinaryGroup {
                 left_key,
                 right_key,
                 agg,
@@ -413,10 +400,8 @@ impl PhysNode {
             PhysKind::Pipeline { chain, .. } => {
                 chain.stages.first().map_or("Pipeline", Stage::name)
             }
-            PhysKind::Join { spec, .. } => spec.name(),
             PhysKind::HashAggregate { .. } => "HashAggregate",
-            PhysKind::BinaryGroupEq { .. } => "BinaryGroup(eq)",
-            PhysKind::BinaryGroupTheta { .. } => "BinaryGroup(θ)",
+            PhysKind::BinaryGroup { .. } => "BinaryGroup(eq)",
             PhysKind::Numbering { .. } => "Numbering",
             PhysKind::Distinct { .. } => "Distinct",
             PhysKind::Sort { .. } => "Sort",
@@ -450,9 +435,7 @@ impl PhysNode {
                 None
             }
             PhysKind::Pipeline { .. }
-            | PhysKind::Join { .. }
-            | PhysKind::BinaryGroupEq { .. }
-            | PhysKind::BinaryGroupTheta { .. }
+            | PhysKind::BinaryGroup { .. }
             | PhysKind::Numbering { .. } => Some(self.schema.arity().to_string()),
             PhysKind::BypassNLJoin { .. } => Some(format!(
                 "{}/{}",
@@ -464,14 +447,10 @@ impl PhysNode {
     }
 
     /// The stage chain whose rows leave its host through this node — a
-    /// join's or a relation pipeline's own chain (the pipeline's head
-    /// prints as the operator itself), or the chain of the bypass stream
-    /// this `Stream` node taps.
+    /// pipeline's own chain (its head prints as the operator itself), or
+    /// the chain of the bypass stream this `Stream` node taps.
     fn exit_chain(&self) -> Option<ExitChain<'_>> {
         let (host, chain, offset, first) = match &self.kind {
-            PhysKind::Join {
-                chain: Some(chain), ..
-            } => (self, chain, 0, 0),
             PhysKind::Pipeline { chain, .. } if chain.stages.len() > 1 => (self, chain, 0, 1),
             PhysKind::Stream { source, positive } => {
                 let chain = source.stream_chain(*positive)?;
@@ -577,8 +556,8 @@ struct ExitChain<'a> {
     /// Of the chain's first stage in the host's stage list
     /// (`NodeMetrics::stages`: positive chain first).
     offset: usize,
-    /// The lowest stage printed as `fused→#k`: 1 for a relation
-    /// pipeline, whose head is the operator line itself.
+    /// The lowest stage printed as `fused→#k`: 1 for a pipeline, whose
+    /// head is the operator line itself.
     first: usize,
 }
 
@@ -699,10 +678,12 @@ fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
     if m.build_rows > 0 || m.reverify > 0 {
         out.push_str(&format!(" build={} reverify={}", m.build_rows, m.reverify));
     }
-    if let PhysKind::Join { spec, .. } = &n.kind {
-        if matches!(spec.on, JoinOn::Hash { .. }) {
-            out.push_str(&format!(" probe={}", m.input_rows));
-        }
+    if let Some(JoinSpec {
+        on: JoinOn::Hash { .. },
+        ..
+    }) = n.head_probe()
+    {
+        out.push_str(&format!(" probe={}", m.input_rows));
     }
     if !m.disjuncts.is_empty() {
         // Per-disjunct selectivities (planned order): `evals` counts

@@ -56,19 +56,20 @@ type Ptr = *const LogicalPlan;
 /// The pipelines of one query block (a subquery is its own block).
 ///
 /// A chain climbs from a row loop while the current node has exactly one
-/// consumer and that consumer streams it. *Pair sources* — a join, the
+/// consumer and that consumer streams it. *Pair sources* — a join no
+/// chain absorbed, which heads a pipeline over its left input, and the
 /// one `Stream` tapping a stream of a ⋈± — absorb subquery-free σ, Π, χ
 /// and joins whose *left* input the chain is. *Row sources* — the one
 /// `Stream` tapping a stream of a σ±, and every σ, Π or χ no chain
 /// absorbed, which heads a pipeline over its input (and may hold a
 /// subquery) — absorb subquery-free σ, Π and χ only: a join over them
-/// keeps its own loop, to restrict its build and read a scan's keys.
+/// heads its own pipeline, whose probe sees the whole left relation to
+/// restrict its build and read a scan's keys.
 #[derive(Default)]
 struct BlockChains<'a> {
     /// Host → the logical stage nodes of its chains, bottom-up (`[0]`: a
-    /// join's or a pipeline head's only chain — the head first — or a
-    /// bypass operator's positive stream's, `[1]`: its negative
-    /// stream's).
+    /// pipeline head's only chain — the head first — or a bypass
+    /// operator's positive stream's, `[1]`: its negative stream's).
     hosts: HashMap<Ptr, [Vec<&'a Arc<LogicalPlan>>; 2]>,
     /// Top stage of a chain → the exit its rows leave the host through;
     /// the top stage compiles to that node.
@@ -128,7 +129,7 @@ impl<'a> BlockChains<'a> {
                 _ => continue,
             };
             // A pipeline over a relation starts with its head.
-            let mut chain = match Arc::ptr_eq(host, exit) && !pairs {
+            let mut chain = match Arc::ptr_eq(host, exit) {
                 true => vec![exit],
                 false => vec![],
             };
@@ -158,7 +159,7 @@ impl<'a> BlockChains<'a> {
     /// (a σ±'s chains have none). A build side that (through any fused
     /// dependency) taps the same bypass join would need its result while
     /// producing it: cut the chain below that stage. The stages above it
-    /// compile unfused, a σ, Π or χ among them as a pipeline of its own.
+    /// compile unfused, each as a pipeline of its own.
     fn break_cycles(&mut self, host: &'a Arc<LogicalPlan>) {
         let key = Arc::as_ptr(host);
         for slot in 0..2 {
@@ -178,7 +179,7 @@ impl<'a> BlockChains<'a> {
                     self.tops.insert(Arc::as_ptr(chain[cut - 1]), exit);
                 }
                 self.hosts.get_mut(&key).expect("host recorded")[slot].truncate(cut);
-                for &stage in chain[cut..].iter().filter(|s| is_row_stage(s)) {
+                for &stage in &chain[cut..] {
                     self.hosts.insert(Arc::as_ptr(stage), [vec![stage], vec![]]);
                 }
             }
@@ -310,11 +311,14 @@ impl<'a> Resolver<'a> {
             }
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Map { input, .. } => {
+            | LogicalPlan::Map { input, .. }
+            | LogicalPlan::CrossJoin { left: input, .. }
+            | LogicalPlan::Join { left: input, .. }
+            | LogicalPlan::OuterJoin { left: input, .. } => {
                 let mut input = self.plan_node(input, block)?;
                 let mut chain = self
                     .chain(ptr, 0, &input.schema, block)?
-                    .expect("a σ, Π or χ no chain absorbed heads its own");
+                    .expect("a σ, Π, χ or join no chain absorbed heads its own");
                 // A leading Π that keeps every column in place renames
                 // the relation: an alias hands its rows on in one charge.
                 let relabels = chain.stages.iter();
@@ -328,24 +332,6 @@ impl<'a> Resolver<'a> {
                     true => input,
                     false => PhysNode::pipeline(input, chain.stages, chain.schema),
                 }
-            }
-            LogicalPlan::CrossJoin { left, .. }
-            | LogicalPlan::Join { left, .. }
-            | LogicalPlan::OuterJoin { left, .. } => {
-                let l = self.plan_node(left, block)?;
-                let spec = self.join_spec(plan, &l.schema, block)?;
-                let pairs = schema_over(&[&l, &spec.right]);
-                let chain = self.chain(ptr, 0, &pairs, block)?;
-                // The node's schema is that of the rows it hands on.
-                let schema = chain.as_ref().map_or(pairs, |c| c.schema.clone());
-                PhysNode::new(
-                    PhysKind::Join {
-                        left: l,
-                        spec,
-                        chain,
-                    },
-                    schema,
-                )
             }
             LogicalPlan::Aggregate { input, keys, aggs } => {
                 let child = self.plan_node(input, block)?;
@@ -372,39 +358,21 @@ impl<'a> Resolver<'a> {
                 right,
                 left_key,
                 right_key,
-                cmp,
                 agg,
                 ..
             } => {
                 let l = self.plan_node(left, block)?;
                 let r = self.plan_node(right, block)?;
-                let lk = self.resolve(left_key, &l.schema)?;
-                let rk = self.resolve(right_key, &r.schema)?;
+                let left_key = self.resolve(left_key, &l.schema)?;
+                let right_key = self.resolve(right_key, &r.schema)?;
                 let agg = self.resolve_agg(agg, &r.schema)?;
                 let schema = schema_over(&[&l, &r]);
-                let kind = if *cmp == BinOp::Eq {
-                    PhysKind::BinaryGroupEq {
-                        left: l,
-                        right: r,
-                        left_key: lk,
-                        right_key: rk,
-                        agg,
-                    }
-                } else {
-                    if !cmp.is_comparison() {
-                        return Err(Error::plan(format!(
-                            "binary grouping θ must be a comparison, got {}",
-                            cmp.symbol()
-                        )));
-                    }
-                    PhysKind::BinaryGroupTheta {
-                        left: l,
-                        right: r,
-                        left_key: lk,
-                        right_key: rk,
-                        cmp: *cmp,
-                        agg,
-                    }
+                let kind = PhysKind::BinaryGroup {
+                    left: l,
+                    right: r,
+                    left_key,
+                    right_key,
+                    agg,
                 };
                 PhysNode::new(kind, schema)
             }
@@ -508,8 +476,8 @@ impl<'a> Resolver<'a> {
                 )
             }
         };
-        // The rows of a join, a pipeline or a bypass stream leave through
-        // the top of its chain: its consumers are theirs.
+        // The rows of a pipeline or a bypass stream leave through the top
+        // of its chain: its consumers are theirs.
         let chain = match plan.as_ref() {
             LogicalPlan::Stream { source, stream } => {
                 let chains = block.chains.hosts.get(&Arc::as_ptr(source));

@@ -66,18 +66,12 @@ fn governed_plan() -> Arc<PhysNode> {
         PhysExpr::Column(0),
         PhysExpr::Column(2),
     )));
-    let joined = PhysNode::new(
-        PhysKind::Join {
-            left: a,
-            spec: JoinSpec {
-                right: b,
-                on,
-                defaults: None,
-            },
-            chain: None,
-        },
-        schema3.clone(),
-    );
+    let spec = JoinSpec {
+        right: b,
+        on,
+        defaults: None,
+    };
+    let joined = PhysNode::pipeline(a, vec![Stage::Probe(spec)], schema3.clone());
     let filter = PhysNode::pipeline(
         joined,
         vec![Stage::Filter(cmp(BinOp::Gt, PhysExpr::Column(1), int(0)))],
@@ -531,22 +525,16 @@ fn scan_rooted_plans(aliased: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u6
     let join = |left: Arc<PhysNode>, right: Arc<PhysNode>| {
         let fields = left.schema.fields().iter().chain(right.schema.fields());
         let schema = Schema::new(fields.cloned().collect());
-        PhysNode::new(
-            PhysKind::Join {
-                left,
-                spec: JoinSpec {
-                    right,
-                    on: JoinOn::Hash {
-                        left_keys: vec![PhysExpr::Column(0)],
-                        right_keys: vec![PhysExpr::Column(0)],
-                        residual: None,
-                    },
-                    defaults: None,
-                },
-                chain: None,
+        let spec = JoinSpec {
+            right,
+            on: JoinOn::Hash {
+                left_keys: vec![PhysExpr::Column(0)],
+                right_keys: vec![PhysExpr::Column(0)],
+                residual: None,
             },
-            schema,
-        )
+            defaults: None,
+        };
+        PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
     };
     vec![
         ("Γ over facts", gamma, 1, 40),

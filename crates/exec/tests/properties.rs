@@ -5,12 +5,13 @@
 //!   duplicated, for any predicate, including UNKNOWN outcomes),
 //! * a bypass join partitions the cross product,
 //! * hash join ≡ nested-loop join on equality predicates,
-//! * binary grouping with θ== agrees with its nested-loop variant and
-//!   handles empty groups with `f(∅)`,
+//! * binary grouping is the outerjoin-with-defaults of its left input
+//!   with the grouped right input, empty groups getting `f(∅)`,
 //! * the outerjoin-with-defaults has exactly the left cardinality when
 //!   the right side has unique keys,
-//! * a stage chain fused into a join's emit step returns exactly the
-//!   rows of the same operators run one after another,
+//! * a fused pipeline — headed by a σ, Π, χ or join, or a bypass
+//!   operator's stream — returns exactly the rows of the same operators
+//!   run one pipeline each, and charges the same but the intermediates,
 //! * the chunked σ/σ±/column-Π loops produce the row sequences, the
 //!   checkpoint count and the peak bytes of evaluating the predicate
 //!   row by row,
@@ -88,14 +89,7 @@ fn join(
         on,
         defaults,
     };
-    PhysNode::new(
-        PhysKind::Join {
-            left,
-            spec,
-            chain: None,
-        },
-        schema,
-    )
+    PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
 }
 
 fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
@@ -194,52 +188,103 @@ fn hash_join_equals_nl_join() {
     );
 }
 
+/// A NULL-heavy key column whose numbers come as `Int` or as the equal
+/// `Float`.
+fn arb_twin_keys(len: usize) -> Gen<Vec<Option<(i64, bool)>>> {
+    vec_of(
+        option_weighted(0.5, tuple2(int_range(0, 3), bool_any())),
+        len,
+        len,
+    )
+}
+
+/// `(key, y)` rows: keys from [`arb_twin_keys`], `y` from [`arb_column`].
+fn twin_keyed(name: &str, keys: &[Option<(i64, bool)>], ys: &[Option<i64>]) -> Arc<PhysNode> {
+    let schema = Schema::new(vec![
+        Field::qualified(name, "k", DataType::Int),
+        Field::qualified(name, "y", DataType::Int),
+    ]);
+    let rows = keys
+        .iter()
+        .zip(ys)
+        .map(|(k, y)| {
+            let k = match k {
+                None => Value::Null,
+                Some((k, false)) => Value::Int(*k),
+                Some((k, true)) => Value::Float(*k as f64),
+            };
+            Tuple::new(vec![k, y.map_or(Value::Null, Value::Int)])
+        })
+        .collect();
+    let rel = Relation::new(schema.clone(), rows);
+    PhysNode::scan(TableColumns::new(rel), schema)
+}
+
 #[test]
-fn binary_group_eq_equals_theta_variant() {
+fn binary_group_equals_outer_join_over_grouping() {
     forall_cases(
         CASES,
         &tuple4(
-            arb_column(12),
-            arb_column(12),
-            arb_column(12),
+            arb_twin_keys(10),
+            arb_column(10),
+            arb_twin_keys(12),
             arb_column(12),
         ),
-        |(xs, ys, zs, ws)| {
-            let l = rel2("l", xs, ys);
-            let r = rel2("r", zs, ws);
-            let out_schema = l.schema.extended(Field::new("g", DataType::Int));
-            let agg = AggSpec {
+        |(lk, ly, rk, ry)| {
+            let l = twin_keyed("l", lk, ly);
+            let r = twin_keyed("r", rk, ry);
+            let out = l.schema.extended(Field::new("g", DataType::Int));
+            let count = |distinct| AggSpec {
                 func: AggFunc::Count,
-                distinct: false,
+                distinct,
                 arg: None,
             };
-            let eq = PhysNode::new(
-                PhysKind::BinaryGroupEq {
-                    left: l.clone(),
-                    right: r.clone(),
-                    left_key: col(0),
-                    right_key: col(0),
-                    agg: agg.clone(),
-                },
-                out_schema.clone(),
-            );
-            let theta = PhysNode::new(
-                PhysKind::BinaryGroupTheta {
-                    left: l.clone(),
-                    right: r,
-                    left_key: col(0),
-                    right_key: col(0),
-                    cmp: BinOp::Eq,
-                    agg,
-                },
-                out_schema,
-            );
-            let a = evaluate(&eq).unwrap();
-            let b = evaluate(&theta).unwrap();
-            assert!(a.bag_eq(&b));
-            // Cardinality: exactly one output row per left tuple.
-            let left_rows = evaluate(&l).unwrap().len();
-            assert_eq!(a.len(), left_rows);
+            let sum = AggSpec {
+                func: AggFunc::Sum,
+                distinct: false,
+                arg: Some(col(1)),
+            };
+            // f and f(∅): COUNT(*), SUM(y), COUNT(DISTINCT *).
+            for (agg, empty) in [
+                (count(false), Value::Int(0)),
+                (sum, Value::Null),
+                (count(true), Value::Int(0)),
+            ] {
+                let grouped = PhysNode::new(
+                    PhysKind::BinaryGroup {
+                        left: l.clone(),
+                        right: r.clone(),
+                        left_key: col(0),
+                        right_key: col(0),
+                        agg: agg.clone(),
+                    },
+                    out.clone(),
+                );
+                // ⟕_{l.k = r.k; g: f(∅)}(L, Γ_{k; g: f}(R)), then the
+                // left row and g.
+                let gamma = PhysNode::new(
+                    PhysKind::HashAggregate {
+                        input: r.clone(),
+                        keys: vec![col(0)],
+                        aggs: vec![agg],
+                    },
+                    ints(2),
+                );
+                let spec = JoinSpec {
+                    right: gamma,
+                    on: hash_on(0, 0),
+                    defaults: Some(vec![(1, empty)]),
+                };
+                let joined = PhysNode::pipeline(
+                    l.clone(),
+                    vec![Stage::Probe(spec), Stage::Pick(vec![0, 1, 3])],
+                    out.clone(),
+                );
+                let want = evaluate(&joined).unwrap();
+                let got = evaluate(&grouped).unwrap();
+                assert_eq!(got.rows(), want.rows());
+                assert_eq!(got.len(), lk.len(), "one row per left tuple");
+            }
         },
     );
 }
@@ -304,27 +349,22 @@ fn distinct_is_idempotent_and_bounded() {
 /// intermediate charges fusion drops, at chunk lengths 1 and 256 and at
 /// 1 and 8 workers (2-row morsels).
 ///
-/// * A pair source: `Π_{x, z, s}(χ_{s: x + z}(σ_{z ≥ t}(⋈±⁻_{l.x = r.x}(l, r)
+/// * A ⋈± stream: `Π_{x, z, s}(χ_{s: x + z}(σ_{z ≥ t}(⋈±⁻_{l.x = r.x}(l, r)
 ///   ⟕_{l.y = g.x} g)))`, the `⟕ σ χ Π` a stream chain of the ⋈±.
 /// * Row sources, each under a random stack of σ, Π and χ over NULL-heavy
 ///   rows with divisions that can raise: a scan under a σ head whose
 ///   kernel prefix reads an `Int`, a `Float` and a `Values` column, a Γ
 ///   output, and each stream of a σ±.
+/// * Join heads, each under such a stack with a fused probe somewhere in
+///   it: an inner hash join of a scan with a larger one (a restricted
+///   build, keys read off the table), a ⟕ with `f(∅)` defaults over a Γ
+///   output and a nested loop.
 #[test]
 fn fused_stage_chain_equals_standalone_operators() {
     forall_cases(
         CASES,
         &tuple3(
-            vec_of(
-                tuple4(
-                    int_range(0, 6),
-                    int_range(0, 6),
-                    option_weighted(0.5, int_range(0, 3)),
-                    option_weighted(0.6, int_range(0, 3)),
-                ),
-                0,
-                12,
-            ),
+            typed_rows(12),
             tuple4(
                 int_range(0, 7),
                 int_range(0, 6),
@@ -335,19 +375,7 @@ fn fused_stage_chain_equals_standalone_operators() {
         ),
         |(rows, (k0, f1, k2, raise), (on_scan, on_gamma, on_pos, on_neg))| {
             let int = |v: i64| PhysExpr::Literal(Value::Int(v));
-            let rows = rows
-                .iter()
-                .map(|&(a, b, c, d)| {
-                    let null_or = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
-                    Tuple::new(vec![
-                        Value::Int(a),
-                        Value::Float(b as f64 * 0.5),
-                        null_or(c),
-                        null_or(d),
-                    ])
-                })
-                .collect();
-            let scan = PhysNode::scan(TableColumns::new(Relation::new(ints(4), rows)), ints(4));
+            let scan = typed_scan(rows);
             // A division term after the kernel prefix runs row by row
             // and may raise.
             let or_raise = |p: PhysExpr| match raise {
@@ -374,26 +402,7 @@ fn fused_stage_chain_equals_standalone_operators() {
             let mut sigma_head = vec![(0, 0, 0, 0)];
             sigma_head.extend(on_scan);
             check_row_source(&scan, Some(&head), &sigma_head);
-            let gamma = PhysNode::new(
-                PhysKind::HashAggregate {
-                    input: scan.clone(),
-                    keys: vec![col(2)],
-                    aggs: vec![
-                        AggSpec {
-                            func: AggFunc::Count,
-                            distinct: false,
-                            arg: None,
-                        },
-                        AggSpec {
-                            func: AggFunc::Sum,
-                            distinct: false,
-                            arg: Some(col(0)),
-                        },
-                    ],
-                },
-                ints(3),
-            );
-            check_row_source(&gamma, None, on_gamma);
+            check_row_source(&gamma_of(&scan), None, on_gamma);
             let split = or_raise(cmp(
                 BinOp::Or,
                 cmp(BinOp::Gt, col(3), int(*k2)),
@@ -459,12 +468,9 @@ fn fused_stage_chain_equals_standalone_operators() {
             }));
             let fused = evaluate(&stream(&fused, false)).unwrap();
 
-            let oj = PhysNode::new(
-                PhysKind::Join {
-                    left: stream(&bypass(None), false),
-                    spec: spec(),
-                    chain: None,
-                },
+            let oj = PhysNode::pipeline(
+                stream(&bypass(None), false),
+                vec![Stage::Probe(spec())],
                 wide.clone(),
             );
             let filter = PhysNode::pipeline(oj, vec![Stage::Filter(keep())], wide);
@@ -473,6 +479,114 @@ fn fused_stage_chain_equals_standalone_operators() {
             assert_eq!(fused.rows(), evaluate(&project).unwrap().rows());
         },
     );
+    forall_cases(
+        CASES,
+        &tuple4(
+            typed_rows(8),
+            tuple4(arb_column(14), arb_column(14), arb_column(4), arb_column(4)),
+            tuple3(stack(), stack(), stack()),
+            tuple4(
+                int_range(0, 4),
+                int_range(0, 7),
+                bool_any(),
+                int_range(0, 3),
+            ),
+        ),
+        |(rows, (rx, ry, gx, gy), (on_inner, on_outer, on_loop), (at, key, hash_top, k))| {
+            let scan = typed_scan(rows);
+            let r = rel2("r", rx, ry);
+            let g = rel2("g", gx, gy);
+            let top = |w: usize| match hash_top {
+                true => JoinSpec {
+                    right: g.clone(),
+                    on: hash_on(*key as usize % w, 0),
+                    defaults: Some(vec![(1, Value::Int(0))]),
+                },
+                false => JoinSpec {
+                    right: g.clone(),
+                    on: JoinOn::Loop(Some(cmp(BinOp::GtEq, col(*key as usize % w), col(w)))),
+                    defaults: None,
+                },
+            };
+            // At most 8 left rows against 14: the build admits only the
+            // right rows whose key some scan row asks for.
+            let inner = || JoinSpec {
+                right: r.clone(),
+                on: hash_on(0, 0),
+                defaults: None,
+            };
+            check_join_source(&scan, &inner, &top, on_inner, *at);
+            let outer = || JoinSpec {
+                right: g.clone(),
+                on: hash_on(0, 0),
+                defaults: Some(vec![(1, Value::Int(*k))]),
+            };
+            check_join_source(&gamma_of(&scan), &outer, &top, on_outer, *at);
+            let nested = || JoinSpec {
+                right: g.clone(),
+                on: JoinOn::Loop(Some(cmp(BinOp::Lt, col(3), col(4)))),
+                defaults: None,
+            };
+            check_join_source(&scan, &nested, &top, on_loop, *at);
+        },
+    );
+}
+
+/// A row `(a, b, c, d)` of a [`typed_scan`].
+type TypedRow = (i64, i64, Option<i64>, Option<i64>);
+
+/// Up to `max` rows for [`typed_scan`].
+fn typed_rows(max: usize) -> Gen<Vec<TypedRow>> {
+    vec_of(
+        tuple4(
+            int_range(0, 6),
+            int_range(0, 6),
+            option_weighted(0.5, int_range(0, 3)),
+            option_weighted(0.6, int_range(0, 3)),
+        ),
+        0,
+        max,
+    )
+}
+
+/// A scan whose columns are typed `Int` (`a`), `Float` (`b / 2`) and —
+/// NULL-heavy — `Values` (`c`, `d`).
+fn typed_scan(rows: &[TypedRow]) -> Arc<PhysNode> {
+    let null_or = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let rows = rows
+        .iter()
+        .map(|&(a, b, c, d)| {
+            Tuple::new(vec![
+                Value::Int(a),
+                Value::Float(b as f64 * 0.5),
+                null_or(c),
+                null_or(d),
+            ])
+        })
+        .collect();
+    PhysNode::scan(TableColumns::new(Relation::new(ints(4), rows)), ints(4))
+}
+
+/// `Γ_{c; COUNT(*), SUM(a)}` over a [`typed_scan`].
+fn gamma_of(scan: &Arc<PhysNode>) -> Arc<PhysNode> {
+    let aggs = vec![
+        AggSpec {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        },
+        AggSpec {
+            func: AggFunc::Sum,
+            distinct: false,
+            arg: Some(col(0)),
+        },
+    ];
+    let kind = PhysKind::HashAggregate {
+        input: scan.clone(),
+        keys: vec![col(2)],
+        aggs,
+    };
+    PhysNode::new(kind, ints(3))
 }
 
 /// A random σ, Π or χ as `(kind, a, b, k)`, its operands chosen modulo
@@ -525,27 +639,28 @@ fn stack_stage(op: StackOp, w: usize, head: Option<&PhysExpr>) -> (Stage, usize)
     }
 }
 
-/// `ops` over `input` twice: as one pipeline — a column-only Π at the
-/// top made the exit's pick list, as the planner does — and as one
-/// pipeline per stage, with every intermediate of the second. `head` is
-/// a σ head's predicate, the stage of kind 0.
+/// `n` stages over `input` twice — `stage(k, w)` is stage `k` over rows
+/// of width `w`, and the width it hands on: as one pipeline — a
+/// column-only Π at the top made the exit's pick list, as the planner
+/// does — and as one pipeline per stage, with every intermediate of the
+/// second.
 fn fused_and_split(
     input: &Arc<PhysNode>,
-    ops: &[StackOp],
-    head: Option<&PhysExpr>,
+    n: usize,
+    stage: impl Fn(usize, usize) -> (Stage, usize),
 ) -> (Option<Chain>, Vec<Arc<PhysNode>>) {
     let mut stages = Vec::new();
     let mut split = vec![input.clone()];
     let mut w = input.schema.arity();
-    for &op in ops {
-        let (stage, out) = stack_stage(op, w, head);
-        let alone = stack_stage(op, w, head).0;
+    for k in 0..n {
+        let (fused, out) = stage(k, w);
+        let alone = stage(k, w).0;
         split.push(PhysNode::pipeline(
             split.last().unwrap().clone(),
             vec![alone],
             ints(out),
         ));
-        stages.push(stage);
+        stages.push(fused);
         w = out;
     }
     if let Some(Stage::Project(exprs)) = stages.last() {
@@ -567,42 +682,48 @@ fn fused_and_split(
     (chain, split)
 }
 
-/// Checkpoints and bytes the unfused pipelines of `split` (a source, then
-/// one pipeline per stage) charge that one fused pipeline does not: every
-/// intermediate row (a σ's by refcount, any other stage's as the row it
-/// built) and — for a σ± stream, `routed` — the rows the σ± charged; the
-/// last stage's charge becomes the exit's, of the source row if no stage
-/// built a row.
-fn dropped_charges(split: &[Arc<PhysNode>], routed: usize) -> Option<(u64, i64)> {
-    let mut outs = Vec::new();
-    for node in &split[1..] {
-        outs.push(evaluate(node).ok()?.rows().to_vec());
-    }
+/// What each pipeline of `split` (a source, then one pipeline per stage)
+/// keeps, in rows and in the bytes charged for them — a σ's by refcount,
+/// any other stage's as the rows it built — plus what the last one's
+/// rows charge as the exit of one fused pipeline: as built rows if any
+/// stage builds a row, else by refcount. `None` if a pipeline fails.
+fn kept_charges(split: &[Arc<PhysNode>]) -> Option<(Vec<(u64, i64)>, i64)> {
     let builds: Vec<bool> = split[1..]
         .iter()
         .map(|n| !matches!(&n.kind, PhysKind::Pipeline { chain, .. } if matches!(chain.stages[0], Stage::Filter(_))))
         .collect();
-    let Some(last) = outs.pop() else {
+    let bytes = |built: bool, t: &Tuple| match built {
+        true => tuple_bytes(t) as i64,
+        false => SHARED_ROW_BYTES as i64,
+    };
+    let mut kept = Vec::new();
+    let mut exit = 0;
+    for (node, &built) in split[1..].iter().zip(&builds) {
+        let rows = evaluate(node).ok()?;
+        kept.push((
+            rows.len() as u64,
+            rows.rows().iter().map(|t| bytes(built, t)).sum(),
+        ));
+        let any = builds.iter().any(|&b| b);
+        exit = rows.rows().iter().map(|t| bytes(any, t)).sum();
+    }
+    Some((kept, exit))
+}
+
+/// Checkpoints and bytes the unfused pipelines of `split` charge that one
+/// fused pipeline does not: every intermediate row and — for a σ± stream,
+/// `routed` — the rows the σ± charged; the last stage's charge becomes
+/// the exit's.
+fn dropped_charges(split: &[Arc<PhysNode>], routed: usize) -> Option<(u64, i64)> {
+    let (kept, exit) = kept_charges(split)?;
+    let Some(((_, last), intermediate)) = kept.split_last() else {
         return Some((0, 0));
     };
-    let charge = |k: usize, t: &Tuple| match builds[k] {
-        true => tuple_bytes(t) as i64,
-        false => SHARED_ROW_BYTES as i64,
-    };
-    let mut checkpoints = routed as u64;
-    let mut bytes = (routed as u64 * SHARED_ROW_BYTES) as i64;
-    for (k, rows) in outs.iter().enumerate() {
-        checkpoints += rows.len() as u64;
-        bytes += rows.iter().map(|t| charge(k, t)).sum::<i64>();
-    }
-    let exit = |t: &Tuple| match builds.iter().any(|&b| b) {
-        true => tuple_bytes(t) as i64,
-        false => SHARED_ROW_BYTES as i64,
-    };
-    bytes += last
-        .iter()
-        .map(|t| charge(outs.len(), t) - exit(t))
-        .sum::<i64>();
+    let checkpoints = routed as u64 + intermediate.iter().map(|k| k.0).sum::<u64>();
+    let bytes = (routed as u64 * SHARED_ROW_BYTES) as i64
+        + intermediate.iter().map(|k| k.1).sum::<i64>()
+        + last
+        - exit;
     Some((checkpoints, bytes))
 }
 
@@ -659,7 +780,9 @@ fn fanouts() -> Vec<ExecOptions> {
 
 /// A relation source under `ops`, fused against split.
 fn check_row_source(input: &Arc<PhysNode>, head: Option<&PhysExpr>, ops: &[StackOp]) {
-    let (Some(chain), split) = fused_and_split(input, ops, head) else {
+    let (Some(chain), split) =
+        fused_and_split(input, ops.len(), |k, w| stack_stage(ops[k], w, head))
+    else {
         return;
     };
     let fused = PhysNode::new(
@@ -674,6 +797,72 @@ fn check_row_source(input: &Arc<PhysNode>, head: Option<&PhysExpr>, ops: &[Stack
     );
     let dropped = dropped_charges(&split, 0);
     assert_fusion_drops(&fused, split.last().unwrap(), dropped);
+}
+
+/// The join `head` of `left` under `ops` with the join `top(w)` — over
+/// rows of width `w` — fused in at position `at` of the stack, against one
+/// pipeline per stage. Fusion holds every build side while the loop runs
+/// and releases them as it ends, one pipeline each holds its own: the
+/// peaks are of those two shapes, the build bytes measured on the join
+/// heading the split plan and on the top join over no rows (it is outer
+/// or a nested loop, so its build is never restricted).
+fn check_join_source(
+    left: &Arc<PhysNode>,
+    head: &dyn Fn() -> JoinSpec,
+    top: &dyn Fn(usize) -> JoinSpec,
+    ops: &[StackOp],
+    at: i64,
+) {
+    let at = 1 + at as usize % (ops.len() + 1);
+    let op = |k: usize| ops[k - 1 - (k > at) as usize];
+    let joined = |spec: JoinSpec, w: usize| {
+        let width = w + spec.right.schema.arity();
+        (Stage::Probe(spec), width)
+    };
+    let (chain, split) = fused_and_split(left, ops.len() + 2, |k, w| match k {
+        0 => joined(head(), w),
+        k if k == at => joined(top(w), w),
+        k => stack_stage(op(k), w, None),
+    });
+    let chain = chain.expect("a join heads it");
+    let fused = PhysNode::pipeline(left.clone(), chain.stages, chain.schema);
+    let peak = |plan: &Arc<PhysNode>| outcome(plan, &ExecOptions::default()).2;
+    let top_build = {
+        let w = split[at].schema.arity();
+        let none = PhysNode::scan(TableColumns::new(Relation::new(ints(w), vec![])), ints(w));
+        peak(&PhysNode::pipeline(
+            none,
+            vec![joined(top(w), w).0],
+            ints(w + 2),
+        ))
+    };
+    let expected = kept_charges(&split).map(|(kept, exit)| {
+        let head_build = peak(&split[1]) - kept[0].1 as u64;
+        let mut held = vec![0; kept.len()];
+        (held[0], held[at]) = (head_build, top_build);
+        let (mut total, mut split_peak) = (0, 0);
+        for ((_, bytes), held) in kept.iter().zip(&held) {
+            split_peak = split_peak.max(total + held + *bytes as u64);
+            total += *bytes as u64;
+        }
+        let (checkpoints, _) = dropped_charges(&split, 0).expect("every pipeline ran");
+        (
+            checkpoints,
+            head_build + top_build + exit as u64,
+            split_peak,
+        )
+    });
+    let split = split.last().unwrap();
+    for options in fanouts() {
+        let (rows, checkpoints, peak) = outcome(&fused, &options);
+        let (want, split_checkpoints, split_peak) = outcome(split, &options);
+        assert_eq!(rows, want, "{options:?}\n{}", fused.explain());
+        if let (Ok(_), Some((dropped, fused_peak, unfused_peak))) = (&rows, expected) {
+            let at = format!("{options:?}\n{}", fused.explain());
+            assert_eq!(checkpoints + dropped, split_checkpoints, "{at}");
+            assert_eq!((peak, split_peak), (fused_peak, unfused_peak), "{at}");
+        }
+    }
 }
 
 /// Both streams of `σ±_p(input)` under their own stacks, fused into the
@@ -692,8 +881,12 @@ fn check_bypass_streams(input: &Arc<PhysNode>, p: &PhysExpr, ops: [&Vec<StackOp>
         )
     };
     let plain = sigma(None, None);
-    let [(pos, pos_split), (neg, neg_split)] = [(true, ops[0]), (false, ops[1])]
-        .map(|(positive, ops)| fused_and_split(&stream(&plain, positive), ops, None));
+    let [(pos, pos_split), (neg, neg_split)] =
+        [(true, ops[0]), (false, ops[1])].map(|(positive, ops)| {
+            fused_and_split(&stream(&plain, positive), ops.len(), |k, w| {
+                stack_stage(ops[k], w, None)
+            })
+        });
     let fused = sigma(pos, neg);
     // ∪̇ of the streams' row counts: the streams may differ in width.
     let both = |tops: [Arc<PhysNode>; 2]| {

@@ -154,22 +154,16 @@ fn hash_join(
     defaults: Option<Vec<(usize, Value)>>,
 ) -> Arc<PhysNode> {
     let out = schema(&vec!["c"; left.schema.arity() + right.schema.arity()]);
-    PhysNode::new(
-        PhysKind::Join {
-            left,
-            spec: JoinSpec {
-                right,
-                on: JoinOn::Hash {
-                    left_keys: left_keys.iter().map(|&k| col(k)).collect(),
-                    right_keys: right_keys.iter().map(|&k| col(k)).collect(),
-                    residual: None,
-                },
-                defaults,
-            },
-            chain: None,
+    let spec = JoinSpec {
+        right,
+        on: JoinOn::Hash {
+            left_keys: left_keys.iter().map(|&k| col(k)).collect(),
+            right_keys: right_keys.iter().map(|&k| col(k)).collect(),
+            residual: None,
         },
-        out,
-    )
+        defaults,
+    };
+    PhysNode::pipeline(left, vec![Stage::Probe(spec)], out)
 }
 
 /// Every plan shape that reads a base table by column, over `route`,

@@ -1,9 +1,6 @@
-//! Per-fingerprint stores: the query-stats table and the slow-query
-//! ring.
-//!
-//! Both are bounded and keyed by the normalized-AST query fingerprint,
-//! so recurring query *shapes* accumulate history across executions
-//! regardless of literal values.
+//! The per-fingerprint store: the query-stats table, bounded and keyed
+//! by the normalized-AST query fingerprint, so recurring query *shapes*
+//! accumulate history across executions regardless of literal values.
 
 use std::collections::HashMap;
 
@@ -36,9 +33,6 @@ pub struct ExecObservation {
     /// evaluations performed and disjuncts decided.
     pub disjunct_evals: u64,
     pub disjunct_hits: u64,
-    /// Optional rendered profile (EXPLAIN ANALYZE text) retained in
-    /// the slow-query ring; empty when not profiled.
-    pub detail: String,
 }
 
 /// Accumulated statistics for one query fingerprint.
@@ -117,74 +111,6 @@ impl QueryTable {
     }
 }
 
-/// One retained slow query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowQuery {
-    pub fingerprint: u64,
-    pub sql: String,
-    pub strategy: String,
-    pub total_nanos: u64,
-    pub rows: u64,
-    pub peak_memory_bytes: u64,
-    /// Rendered profile when the run was profiled; empty otherwise.
-    pub detail: String,
-}
-
-/// Bounded top-K ring of the slowest executions seen, one slot per
-/// fingerprint (a hot shape does not monopolize the ring).
-#[derive(Debug, Default)]
-pub(crate) struct SlowQueryRing {
-    entries: Vec<SlowQuery>,
-    capacity: usize,
-}
-
-impl SlowQueryRing {
-    pub fn new(capacity: usize) -> SlowQueryRing {
-        SlowQueryRing {
-            entries: Vec::new(),
-            capacity,
-        }
-    }
-
-    pub fn offer(&mut self, q: SlowQuery) {
-        if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.fingerprint == q.fingerprint)
-        {
-            if q.total_nanos > existing.total_nanos {
-                *existing = q;
-            }
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push(q);
-            return;
-        }
-        if let Some((idx, min)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.total_nanos)
-        {
-            if q.total_nanos > min.total_nanos {
-                self.entries[idx] = q;
-            }
-        }
-    }
-
-    /// Slowest-first.
-    pub fn sorted(&self) -> Vec<SlowQuery> {
-        let mut out = self.entries.clone();
-        out.sort_by(|a, b| {
-            b.total_nanos
-                .cmp(&a.total_nanos)
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,31 +142,5 @@ mod tests {
         assert_eq!((s1.execs, s1.rows, s1.checkpoints), (2, 4, 6));
         assert_eq!(s1.peak_memory_bytes, 100);
         assert_eq!(s1.latency.count(), 2);
-    }
-
-    #[test]
-    fn slow_ring_keeps_topk_one_slot_per_fingerprint() {
-        let mut r = SlowQueryRing::new(2);
-        let slow = |fp, nanos| SlowQuery {
-            fingerprint: fp,
-            sql: String::new(),
-            strategy: String::new(),
-            total_nanos: nanos,
-            rows: 0,
-            peak_memory_bytes: 0,
-            detail: String::new(),
-        };
-        r.offer(slow(1, 100));
-        r.offer(slow(2, 50));
-        r.offer(slow(3, 10)); // too fast, dropped
-        r.offer(slow(3, 500)); // now displaces the min (fp 2)
-        r.offer(slow(1, 40)); // same shape, faster: ignored
-        let got = r.sorted();
-        assert_eq!(
-            got.iter()
-                .map(|q| (q.fingerprint, q.total_nanos))
-                .collect::<Vec<_>>(),
-            vec![(3, 500), (1, 100)]
-        );
     }
 }

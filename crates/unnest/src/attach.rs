@@ -335,7 +335,6 @@ fn eqv5_binary_grouping(
         renamed,
         Scalar::col(t),
         Scalar::col(t2),
-        BinOp::Eq,
         (*agg).clone(),
         g.clone(),
     );
@@ -366,7 +365,6 @@ fn join_binary_grouping(
         renamed,
         Scalar::col(t),
         Scalar::col(t2),
-        BinOp::Eq,
         (*agg).clone(),
         g.clone(),
     );

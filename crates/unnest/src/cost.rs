@@ -146,19 +146,12 @@ pub fn estimate(plan: &Arc<LogicalPlan>, stats: &dyn StatsSource) -> Estimate {
                 cost: e.cost + e.rows * per_row,
             }
         }
-        LogicalPlan::BinaryGroup {
-            left, right, cmp, ..
-        } => {
+        LogicalPlan::BinaryGroup { left, right, .. } => {
             let l = estimate(left, stats);
             let r = estimate(right, stats);
-            let work = if *cmp == BinOp::Eq {
-                l.rows + r.rows
-            } else {
-                l.rows * r.rows
-            };
             Estimate {
                 rows: l.rows,
-                cost: l.cost + r.cost + work,
+                cost: l.cost + r.cost + l.rows + r.rows,
             }
         }
         LogicalPlan::Map { input, expr, .. } => {

@@ -72,7 +72,7 @@ streams="$(grep -rn 'fn streams(' crates/*/src | cut -d: -f1 | tr '\n' ' ')"
 [ "$streams" = "crates/algebra/src/plan/node.rs " ] \
     || { echo "fn streams( defined in: $streams"; exit 1; }
 # The number the next diet has to beat: lines above each file's test module.
-for crate in algebra unnest types exec; do
+for crate in algebra unnest types exec metrics; do
     find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
@@ -144,6 +144,23 @@ builders="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     || { echo "build_rows( called outside ν and Γᵇ: $builders"; exit 1; }
 emits="$(grep -rn 'fn emit(' crates/*/src | wc -l)"
 [ "$emits" -eq 1 ] || { echo "fn emit( defined $emits times"; exit 1; }
+
+echo "==> one join loop (grep gate)"
+# A join is a pipeline headed by its probe, and Γᵇ groups on the equality
+# every plan builds it with (DESIGN.md §7): PhysKind has no Join and no θ
+# grouping, one function opens probes — open_chain, which hands a head
+# probe its left relation — and the logical Γᵇ carries no comparison.
+forks="$(grep -rnE 'PhysKind::Join\b|BinaryGroupTheta' crates/*/src crates/*/tests || true)"
+[ -z "$forks" ] || { echo "a second join loop or a θ grouping:"; echo "$forks"; exit 1; }
+openers="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    counting && /open_probe\(/ && !/fn open_probe/ { print fn }' | tr '\n' ' ')"
+[ "$openers" = "open_chain " ] || { echo "open_probe( called from: $openers"; exit 1; }
+variant="crates/algebra/src/plan/node.rs"
+grep -q '^    BinaryGroup {' "$variant" || { echo "LogicalPlan::BinaryGroup not found in $variant"; exit 1; }
+theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside = 0 } inside && /cmp/' "$variant")"
+[ -z "$theta" ] || { echo "LogicalPlan::BinaryGroup carries a comparison:"; echo "$theta"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
