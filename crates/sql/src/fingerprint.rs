@@ -5,7 +5,7 @@
 //! surface formatting hash identically, while any structural change
 //! (operators, nesting, quantifiers, DISTINCT, ORDER BY direction…)
 //! changes the hash. The metrics hub keys its per-query stats table
-//! and slow-query ring by this hash, and EXPLAIN ANALYZE / oracle
+//! by this hash, and EXPLAIN ANALYZE / oracle
 //! reports print it so repros correlate with metrics entries.
 //!
 //! Normalization rules (DESIGN.md §9):
