@@ -2,7 +2,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bypass_algebra::BinOp;
 use bypass_catalog::TableColumns;
 use bypass_types::{
     compare_tuples, par, tuple_bytes, Batch, CancelToken, Column, Error, FxHashMap, InjectedFault,
@@ -13,7 +12,7 @@ use bypass_types::{
 use crate::expr::PhysExpr;
 use crate::govern::Governor;
 use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
-use crate::interp::ord_truth;
+use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
 use crate::vector::{chain_bindable, CompiledChain, SliceLoop};
@@ -614,11 +613,10 @@ impl ExecContext {
         let works = [routes.works(Truth::False), routes.works(Truth::True)];
         let decide = chain.decide();
         // Per-chunk scratch, reused across chunks (allocation-free
-        // steady state). `acc[r]` folds row `r`'s term results; the
-        // fold absorbs `decide` and non-deciding results can never
-        // produce it, so `decide` marks a decided row. `sel` holds the
-        // chunk's undecided lanes and is filtered in place per kernel
-        // term.
+        // steady state). `acc[r]` is row `r`'s truth so far (see
+        // [`settle_lanes`]): `decide` marks a decided row. `sel` holds
+        // the chunk's undecided lanes and is compacted in place per
+        // kernel term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
         let mut values = batch.map(ChunkValues::new);
@@ -636,13 +634,7 @@ impl ExecContext {
                         break;
                     }
                     let before = sel.len();
-                    // Deciding lanes drop out of the selection; the
-                    // rest fold into the per-row accumulator and stay.
-                    let settle = |lane: u32, t: Truth| {
-                        let row = lane as usize;
-                        acc[row] = chain.combine(acc[row], t);
-                        t != decide
-                    };
+                    let (sel, acc) = (&mut sel, &mut acc);
                     let batch = values.batch;
                     let column = |c: usize| batch.column(c).expect("kernel columns are built");
                     let chunk = lo..lo + n;
@@ -653,35 +645,37 @@ impl ExecContext {
                         // agree in type, over values otherwise …
                         Some(SliceLoop::ColConst(op, c, rhs)) => match (column(c), rhs) {
                             (Column::Int(xs), Value::Int(k)) => {
-                                let xs = &xs[chunk];
-                                retain_compared(&mut sel, op, settle, |at| Some(xs[at].cmp(k)));
+                                let (xs, truth) = (&xs[chunk], ord_lookup(op));
+                                settle_lanes(sel, acc, chain, |at| truth(Some(xs[at].cmp(k))));
                             }
                             (Column::Float(xs), Value::Float(k)) => {
-                                let xs = &xs[chunk];
-                                retain_compared(&mut sel, op, settle, |at| xs[at].partial_cmp(k));
+                                let (xs, truth) = (&xs[chunk], ord_lookup(op));
+                                settle_lanes(sel, acc, chain, |at| truth(xs[at].partial_cmp(k)));
                             }
                             _ => {
                                 values.fill(&[c]);
                                 let xs = values.column(c);
-                                retain_compared(&mut sel, op, settle, |at| xs[at].sql_cmp(rhs));
+                                settle_lanes(sel, acc, chain, |at| cmp_truth(op, &xs[at], rhs));
                             }
                         },
                         // … or against a second column.
                         Some(SliceLoop::ColCol(op, l, r)) => match (column(l), column(r)) {
                             (Column::Int(l), Column::Int(r)) => {
                                 let (l, r) = (&l[chunk.clone()], &r[chunk]);
-                                retain_compared(&mut sel, op, settle, |at| Some(l[at].cmp(&r[at])));
+                                let truth = ord_lookup(op);
+                                settle_lanes(sel, acc, chain, |at| truth(Some(l[at].cmp(&r[at]))));
                             }
                             (Column::Float(l), Column::Float(r)) => {
                                 let (l, r) = (&l[chunk.clone()], &r[chunk]);
-                                retain_compared(&mut sel, op, settle, |at| {
-                                    l[at].partial_cmp(&r[at])
+                                let truth = ord_lookup(op);
+                                settle_lanes(sel, acc, chain, |at| {
+                                    truth(l[at].partial_cmp(&r[at]))
                                 });
                             }
                             _ => {
                                 values.fill(&[l, r]);
                                 let (l, r) = (values.column(l), values.column(r));
-                                retain_compared(&mut sel, op, settle, |at| l[at].sql_cmp(&r[at]));
+                                settle_lanes(sel, acc, chain, |at| cmp_truth(op, &l[at], &r[at]));
                             }
                         },
                         // Any other kernel: the interpreter's fast path
@@ -690,14 +684,11 @@ impl ExecContext {
                         // references resolve.
                         None => {
                             values.fill(&chain.cols);
-                            let mut settle = settle;
-                            sel.retain(|&lane| {
-                                let row = Lane {
-                                    chunk: values,
-                                    row: lane as usize,
-                                };
-                                let truth = self.truth_fast(&term.expr, &row);
-                                settle(lane, truth.expect("kernel terms never leave the fast path"))
+                            let values = &*values;
+                            settle_lanes(sel, acc, chain, |row| {
+                                let truth =
+                                    self.truth_fast(&term.expr, &Lane { chunk: values, row });
+                                truth.expect("kernel terms never leave the fast path")
                             });
                         }
                     }
@@ -745,10 +736,12 @@ impl ExecContext {
         Ok((out, counts))
     }
 
-    /// Pass the checkpoints of a run of rows whose truth the kernel
-    /// prefix settled and that meet no working stage — nothing else is
+    /// Route a run of rows whose truth the kernel prefix settled and
+    /// that meet no working stage — a σ keeps its TRUE rows, a σ± routes
+    /// every row — and pass their checkpoints, nothing else being
     /// governor-visible (σ: tick, then charge only kept rows; σ±: tick,
-    /// charge): one governor call — and route the rows.
+    /// charge): one governor call. Should the governor stop the run, the
+    /// rows go with the sinks.
     fn pass_settled(
         &mut self,
         rows: &[Tuple],
@@ -757,13 +750,25 @@ impl ExecContext {
         out: &mut Streams,
     ) -> Result<()> {
         let bypass = routes.neg.is_some();
-        self.gov.tick_rows(rows.len(), |r| {
-            (bypass || truth[r].is_true()).then_some(SHARED_ROW_BYTES)
-        })?;
-        for (t, &truth) in rows.iter().zip(truth) {
-            push_routed(t, truth, routes, out);
-        }
-        Ok(())
+        let charges = if bypass {
+            for (t, &truth) in rows.iter().zip(truth) {
+                push_routed(t, truth, routes, out);
+            }
+            rows.len()
+        } else {
+            let sink = &mut out[0];
+            let before = sink.rows.len();
+            let kept = rows.iter().zip(truth).filter(|(_, t)| t.is_true());
+            sink.rows.extend(kept.map(|(t, _)| t.clone()));
+            let kept = sink.rows.len() - before;
+            sink.reached[routes.from..]
+                .iter_mut()
+                .for_each(|r| *r += kept as u64);
+            kept
+        };
+        let charged = |r: usize| bypass || truth[r].is_true();
+        self.gov
+            .tick_rows(rows.len(), charges, SHARED_ROW_BYTES, charged)
     }
 
     /// Evaluate the chain's terms from term `from` on for one row, with
@@ -1480,16 +1485,30 @@ fn chain_batch(from: &PhysNode, input: &Relation, chain: &CompiledChain) -> Batc
     Batch::new(columns, input.len())
 }
 
-/// One slice loop of the chunked σ: settle every selected lane with the
-/// truth of `op` over how the lane's two operands compare.
-#[inline]
-fn retain_compared(
+/// Settle the chunk's undecided lanes `sel` with one kernel term's
+/// `truth` of each and compact `sel` in place. An undecided lane's
+/// accumulator is the chain's identity or UNKNOWN, so no 3VL fold is
+/// needed: `decide` drops the lane and marks it decided, UNKNOWN keeps
+/// it and marks it, the identity keeps it as it is.
+#[inline(always)]
+fn settle_lanes(
     sel: &mut Vec<u32>,
-    op: BinOp,
-    mut settle: impl FnMut(u32, Truth) -> bool,
-    ord: impl Fn(usize) -> Option<std::cmp::Ordering>,
+    acc: &mut [Truth],
+    chain: &CompiledChain,
+    truth: impl Fn(usize) -> Truth,
 ) {
-    sel.retain(|&lane| settle(lane, ord_truth(op, ord(lane as usize))));
+    let (decide, identity) = (chain.decide(), chain.identity());
+    let mut kept = 0;
+    for i in 0..sel.len() {
+        let lane = sel[i];
+        let t = truth(lane as usize);
+        sel[kept] = lane;
+        if t != identity {
+            acc[lane as usize] = t;
+        }
+        kept += (t != decide) as usize;
+    }
+    sel.truncate(kept);
 }
 
 /// Hand a filtered row on through relabels only — a refcount bump, the

@@ -14,10 +14,10 @@
 //!
 //! [`Governor::tick_n`] is the only function that advances the index.
 //! It passes `n` checkpoints arithmetically and stops at the exact
-//! index an armed fault names; loops whose rows have no other
-//! governor-visible effect hand it a whole chunk through
-//! [`Governor::tick_rows`], and the in-order merge of morsel workers
-//! ([`Governor::replay`]) goes through the same function.
+//! index an armed fault names; the σ/σ± chunk loop hands it a run of
+//! rows with no other governor-visible effect, its charges counted,
+//! through [`Governor::tick_rows`], and the in-order merge of morsel
+//! workers ([`Governor::replay`]) goes through the same function.
 
 use std::time::{Duration, Instant};
 
@@ -275,35 +275,37 @@ impl Governor {
     }
 
     /// The checkpoints of `n` rows whose per-row sequence is `tick`,
-    /// then `charge(b)` where `charge_of(row)` is `Some(b)` — with
+    /// then `charge(bytes)` if `charged(row)` — `charges` of them, with
     /// nothing else governor-visible in between. One [`Self::tick_n`]
-    /// call for the chunk; only when the fault index or the byte cap
-    /// falls inside it (or a worker must log the order for replay) are
-    /// the rows stepped through one by one, to stop at the exact index
-    /// with the exact `used_bytes`.
+    /// call for the run; only when the fault index or the byte cap falls
+    /// inside it (or a worker must log the order for replay) are the rows
+    /// stepped through one by one, to stop at the exact index with the
+    /// exact `used_bytes`.
     pub(crate) fn tick_rows(
         &mut self,
         n: usize,
-        charge_of: impl Fn(usize) -> Option<u64>,
+        charges: usize,
+        bytes: u64,
+        charged: impl Fn(usize) -> bool,
     ) -> Result<()> {
-        let (charges, bytes) = (0..n)
-            .filter_map(&charge_of)
-            .fold((0, 0), |(k, sum), b| (k + 1, sum + b));
-        let checkpoints = n as u64 + charges;
+        let checkpoints = (n + charges) as u64;
+        let total = charges as u64 * bytes;
         let over_cap = self
             .max_memory_bytes
-            .is_some_and(|cap| self.used_bytes + bytes > cap);
+            .is_some_and(|cap| self.used_bytes + total > cap);
         if self.log.is_some() || over_cap || self.fault_within(checkpoints).is_some() {
             for row in 0..n {
                 self.tick_n(1)?;
-                if let Some(b) = charge_of(row) {
-                    self.charge(b)?;
+                if charged(row) {
+                    self.charge(bytes)?;
                 }
             }
             return Ok(());
         }
-        self.grow(bytes)?;
-        self.tick_n(checkpoints)
+        // Ticks first: a cancelled token stops the run at its first
+        // checkpoint, before any row was charged.
+        self.tick_n(checkpoints)?;
+        self.grow(total)
     }
 
     /// End a worker's morsel: hand out what the master replays for it
@@ -402,6 +404,104 @@ mod tests {
     fn a_call_of_a_whole_window_always_reads_the_clock() {
         assert!(is_timeout(expired_at(1).tick_n(4096)));
         assert!(is_timeout(expired_at(4097).tick_n(5000)));
+    }
+
+    /// A governor's log as comparable numbers: `(kind, n)` per event.
+    fn events(g: &mut Governor) -> Vec<(u8, u64)> {
+        let GovLog::Events(events) = g.cut() else {
+            return Vec::new();
+        };
+        let event = |e: GovEvent| match e {
+            GovEvent::Ticks(n) => (0, n),
+            GovEvent::Charge(b) => (1, b),
+            GovEvent::Release(b) => (2, b),
+        };
+        events.into_iter().map(event).collect()
+    }
+
+    /// A run of `n` rows, the `kept` ones charged `bytes` each, passed by
+    /// one counted [`Governor::tick_rows`] call and stepped row by row
+    /// (tick, then charge if kept) on two governors `make` builds: the
+    /// same outcome, checkpoints, bytes and log.
+    fn counted_matches_stepping(make: &dyn Fn() -> Governor, n: usize, kept: &[usize]) {
+        let bytes = 40;
+        let charged = |row: usize| kept.contains(&row);
+        let mut counted = make();
+        let got = counted.tick_rows(n, kept.len(), bytes, charged);
+        let mut stepped = make();
+        let want = (0..n).try_for_each(|row| {
+            stepped.tick()?;
+            match charged(row) {
+                true => stepped.charge(bytes),
+                false => Ok(()),
+            }
+        });
+        let at = format!("{n} rows, kept {kept:?}");
+        assert_eq!(got, want, "{at}");
+        assert_eq!(counted.checkpoints(), stepped.checkpoints(), "{at}");
+        assert_eq!(counted.used_bytes(), stepped.used_bytes(), "{at}");
+        assert_eq!(counted.peak_bytes(), stepped.peak_bytes(), "{at}");
+        assert_eq!(events(&mut counted), events(&mut stepped), "{at}");
+    }
+
+    #[test]
+    fn counted_row_ticks_match_stepping_row_by_row() {
+        let (n, kept) = (9, [0, 3, 4, 8]);
+        // A governor three checkpoints and 100 bytes into its query.
+        let started = |options: ExecOptions| {
+            let mut g = governor(options);
+            g.tick_n(2).unwrap();
+            g.charge(100).unwrap();
+            g
+        };
+        // A fault at every index of the run, and one past its end.
+        let run = 4..=3 + (n + kept.len()) as u64 + 1;
+        for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
+            for at in run.clone() {
+                let fault = Some(InjectedFault::new(at, kind));
+                counted_matches_stepping(
+                    &|| {
+                        started(ExecOptions {
+                            fault,
+                            ..Default::default()
+                        })
+                    },
+                    n,
+                    &kept,
+                );
+            }
+        }
+        // A cap one byte short of each charge, and one the run fits.
+        for charges in 1..=kept.len() as u64 + 1 {
+            let cap = Some(100 + 40 * charges - 1);
+            let make = || {
+                started(ExecOptions {
+                    max_memory_bytes: cap,
+                    ..Default::default()
+                })
+            };
+            counted_matches_stepping(&make, n, &kept);
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = || {
+            let mut g = governor(ExecOptions {
+                cancel: Some(token.clone()),
+                ..Default::default()
+            });
+            g.charge(100).unwrap_err();
+            g
+        };
+        counted_matches_stepping(&cancelled, n, &kept);
+        // A forked worker under a fault plan logs every effect in order.
+        let master = governor(ExecOptions {
+            fault: Some(InjectedFault::new(5, FaultKind::Memory)),
+            ..Default::default()
+        });
+        counted_matches_stepping(&|| master.fork(), n, &kept);
+        // Nothing armed: the counted call's own path.
+        counted_matches_stepping(&|| started(ExecOptions::default()), n, &kept);
+        counted_matches_stepping(&|| started(ExecOptions::default()), 0, &[]);
     }
 
     #[test]

@@ -77,6 +77,15 @@ pub(crate) fn ord_truth(op: BinOp, ord: Option<Ordering>) -> Truth {
     })
 }
 
+/// [`ord_truth`] of `op`, tabulated once: the typed column loops of the
+/// chunked σ look a lane's truth up instead of matching `op` per lane.
+#[inline]
+pub(crate) fn ord_lookup(op: BinOp) -> impl Fn(Option<Ordering>) -> Truth + Copy {
+    let table =
+        [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|o| ord_truth(op, Some(o)));
+    move |ord| ord.map_or(Truth::Unknown, |o| table[(o as i8 + 1) as usize])
+}
+
 /// Truth of `l ⟨op⟩ r` for one of the six comparison operators:
 /// [`eval_binop`], the row fast path and the `Value` column loops of the
 /// chunked σ.

@@ -34,7 +34,9 @@
 //! two loops compare bare numbers — `Ord` / `PartialOrd` through the
 //! interpreter's one comparison table; every other kernel term reads
 //! `Value`s, in place from a `Column::Values`, through a per-chunk copy
-//! of at most `batch_rows` slots from a typed column.
+//! of at most `batch_rows` slots from a typed column. Every route hands
+//! its truths to one settle rule, `eval.rs`'s `settle_lanes`, which needs
+//! no 3VL fold (DESIGN.md §8).
 
 use bypass_algebra::BinOp;
 use bypass_types::{Truth, Tuple, Value};

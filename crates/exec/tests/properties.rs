@@ -974,21 +974,37 @@ struct Expected {
     neg: Vec<Tuple>,
     checkpoints: u64,
     peak: u64,
+    /// `(disjunct_evals, disjunct_hits)`.
+    disjuncts: (u64, u64),
 }
 
 /// σ (`bypass == false`) or σ± by definition: per row a tick, σ±'s
 /// charge, the predicate through `eval_truth` — on a fresh context, so
 /// the nested plan's checkpoints and transient peak of this row alone
-/// are known — then σ's charge if the row is kept.
+/// are known — then σ's charge if the row is kept. A chain of two or
+/// more terms counts per row the terms it evaluates, in order, up to
+/// the first that decides it.
 fn filter_by_definition(rows: &[Tuple], predicate: &PhysExpr, bypass: bool) -> Expected {
     let mut e = Expected {
         pos: vec![],
         neg: vec![],
         checkpoints: 0,
         peak: 0,
+        disjuncts: (0, 0),
     };
+    let (is_or, terms) = chain_terms(predicate);
     let mut used = 0;
     for t in rows {
+        if terms.len() >= 2 {
+            let mut ctx = ExecContext::new(ExecOptions::default());
+            for term in &terms {
+                e.disjuncts.0 += 1;
+                if ctx.eval_truth(term, t).unwrap() == Truth::from_bool(is_or) {
+                    e.disjuncts.1 += 1;
+                    break;
+                }
+            }
+        }
         e.checkpoints += 1;
         if bypass {
             used += SHARED_ROW_BYTES;
@@ -1012,12 +1028,39 @@ fn filter_by_definition(rows: &[Tuple], predicate: &PhysExpr, bypass: bool) -> E
     e
 }
 
+/// The terms of a σ's chain, in order, and whether they are ORed: a
+/// top-level OR's (or AND's) operands, nested ones of the same
+/// connective flattened; any other predicate is one term.
+fn chain_terms(predicate: &PhysExpr) -> (bool, Vec<&PhysExpr>) {
+    fn flatten<'a>(e: &'a PhysExpr, op: BinOp, out: &mut Vec<&'a PhysExpr>) {
+        match e {
+            PhysExpr::Binary { op: o, left, right } if *o == op => {
+                flatten(left, op, out);
+                flatten(right, op, out);
+            }
+            _ => out.push(e),
+        }
+    }
+    match predicate {
+        PhysExpr::Binary {
+            op: op @ (BinOp::Or | BinOp::And),
+            ..
+        } => {
+            let mut terms = Vec::new();
+            flatten(predicate, *op, &mut terms);
+            (*op == BinOp::Or, terms)
+        }
+        _ => (true, vec![predicate]),
+    }
+}
+
 /// Evaluate `plan` under `options` and report it like [`Expected`].
-fn observed(plan: &Arc<PhysNode>, options: &ExecOptions) -> (Vec<Tuple>, u64, u64) {
+fn observed(plan: &Arc<PhysNode>, options: &ExecOptions) -> (Vec<Tuple>, u64, u64, (u64, u64)) {
     let mut ctx = ExecContext::new(options.clone());
     let rows = ctx.eval_plan(plan).unwrap().rows().to_vec();
     let c = ctx.counters();
-    (rows, c.checkpoints, c.peak_memory_bytes)
+    let disjuncts = (c.disjunct_evals, c.disjunct_hits);
+    (rows, c.checkpoints, c.peak_memory_bytes, disjuncts)
 }
 
 #[test]
@@ -1072,13 +1115,23 @@ fn chunked_operators_match_row_by_row_evaluation() {
                 );
                 assert_eq!(
                     observed(&filter, options),
-                    (sigma.pos.clone(), sigma.checkpoints, sigma.peak),
+                    (
+                        sigma.pos.clone(),
+                        sigma.checkpoints,
+                        sigma.peak,
+                        sigma.disjuncts
+                    ),
                     "σ over {at}"
                 );
                 for (positive, stream_rows) in [(true, &split.pos), (false, &split.neg)] {
                     assert_eq!(
                         observed(&stream(&bypass, positive), options),
-                        (stream_rows.clone(), split.checkpoints, split.peak),
+                        (
+                            stream_rows.clone(),
+                            split.checkpoints,
+                            split.peak,
+                            split.disjuncts
+                        ),
                         "σ± over {at}"
                     );
                 }
@@ -1095,10 +1148,112 @@ fn chunked_operators_match_row_by_row_evaluation() {
         for options in &chunkings {
             assert_eq!(
                 observed(&swap, options),
-                (projected.clone(), 2 * len as u64, bytes),
+                (projected.clone(), 2 * len as u64, bytes, (0, 0)),
                 "Π over {len} rows, chunks of {}",
                 options.batch_rows
             );
+        }
+    }
+    // The typed routes. Over an all-`Int` and an all-`Float` scan (NaN:
+    // UNKNOWN on the typed route) the kernel prefix mixes a typed
+    // column-constant loop, a `Value` slice loop (the constant of the
+    // other type) or an interpreter lane (an inner AND/OR with a NULL
+    // operand), and a typed column-column loop; the terms decide, stay
+    // open or go UNKNOWN on different rows, and a non-kernel term
+    // follows. At chunk lengths 1, 7 and 256, serial and forked.
+    // `int(v)` is `v`, `float(v)` is `v / 2`: the `Float` scan holds halves.
+    type Literal = fn(i64) -> PhysExpr;
+    let int: Literal = |v| PhysExpr::Literal(Value::Int(v));
+    let float: Literal = |v| PhysExpr::Literal(Value::Float(v as f64 / 2.0));
+    let null = || PhysExpr::Literal(Value::Null);
+    let options: Vec<ExecOptions> = [1, 7, 256]
+        .into_iter()
+        .flat_map(|batch_rows| {
+            [(1, ExecOptions::default().morsel_rows), (8, 2)].map(|(threads, morsel_rows)| {
+                ExecOptions {
+                    batch_rows,
+                    threads,
+                    morsel_rows,
+                    ..Default::default()
+                }
+            })
+        })
+        .collect();
+    for len in [1, 9, 300] {
+        let ints = (0..len).map(|i| [i % 7, i % 3].map(Value::Int));
+        let floats = (0..len).map(|i| {
+            let f = |v: i64, nan: bool| Value::Float(if nan { f64::NAN } else { v as f64 / 2.0 });
+            [f(i % 7, i % 5 == 2), f(i % 3, i % 4 == 1)]
+        });
+        let sources: [(Vec<[Value; 2]>, Literal, Literal); 2] = [
+            (ints.collect(), int, float),
+            (floats.collect(), float, |v| {
+                PhysExpr::Literal(Value::Int(v / 2))
+            }),
+        ];
+        for (values, num, other) in sources {
+            let rows: Vec<Tuple> = (0..len)
+                .zip(values)
+                .map(|(i, [x, y])| Tuple::new(vec![x, y, Value::Int(i)]))
+                .collect();
+            let scan = operand_scan(rows.clone());
+            for (or, op) in [(true, BinOp::Or), (false, BinOp::And)] {
+                let (inner, first, third) = match or {
+                    true => (BinOp::And, 4, BinOp::Lt),
+                    false => (BinOp::Or, 1, BinOp::Gt),
+                };
+                let value_route = cmp(if or { BinOp::Eq } else { BinOp::Neq }, col(1), other(2));
+                let lane = cmp(
+                    inner,
+                    cmp(if or { BinOp::Lt } else { BinOp::Gt }, col(0), num(2)),
+                    cmp(BinOp::Eq, col(1), null()),
+                );
+                for middle in [value_route, lane] {
+                    let tail = cmp(BinOp::Gt, cmp(BinOp::Add, col(1), num(2)), num(2));
+                    let predicate = [middle, cmp(third, col(0), col(1)), tail]
+                        .into_iter()
+                        .fold(cmp(BinOp::Gt, col(0), num(first)), |acc, t| cmp(op, acc, t));
+                    let filter = PhysNode::pipeline(
+                        scan.clone(),
+                        vec![Stage::Filter(predicate.clone())],
+                        scan.schema.clone(),
+                    );
+                    let bypass = PhysNode::new(
+                        PhysKind::BypassFilter {
+                            input: scan.clone(),
+                            predicate: predicate.clone(),
+                            pos: None,
+                            neg: None,
+                        },
+                        scan.schema.clone(),
+                    );
+                    let sigma = filter_by_definition(&rows, &predicate, false);
+                    let split = filter_by_definition(&rows, &predicate, true);
+                    for options in &options {
+                        let at = format!(
+                            "{len} rows, {predicate}, chunks of {}, {} workers",
+                            options.batch_rows, options.threads
+                        );
+                        assert_eq!(
+                            observed(&filter, options),
+                            (
+                                sigma.pos.clone(),
+                                sigma.checkpoints,
+                                sigma.peak,
+                                sigma.disjuncts
+                            ),
+                            "σ over {at}"
+                        );
+                        for (positive, want) in [(true, &split.pos), (false, &split.neg)] {
+                            assert_eq!(
+                                observed(&stream(&bypass, positive), options),
+                                (want.clone(), split.checkpoints, split.peak, split.disjuncts),
+                                "σ± over {at}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -1349,7 +1504,12 @@ fn check_operand_table(ls: &[Value], rs: &[Value]) -> [Column; 2] {
                     for options in &chunkings() {
                         assert_eq!(
                             observed(&sigma(scan, p.clone()), options),
-                            (kept.clone(), by_row.checkpoints, by_row.peak),
+                            (
+                                kept.clone(),
+                                by_row.checkpoints,
+                                by_row.peak,
+                                by_row.disjuncts
+                            ),
                             "σ of {p}, chunks of {}",
                             options.batch_rows
                         );

@@ -162,6 +162,27 @@ grep -q '^    BinaryGroup {' "$variant" || { echo "LogicalPlan::BinaryGroup not 
 theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside = 0 } inside && /cmp/' "$variant")"
 [ -z "$theta" ] || { echo "LogicalPlan::BinaryGroup carries a comparison:"; echo "$theta"; exit 1; }
 
+echo "==> one settle rule (grep gate)"
+# The σ/σ± chunk loop settles a kernel lane without a 3VL fold and compacts
+# its selection in place through one helper, settle_lanes; a run of settled
+# rows reaches the governor as one counted tick_rows call from pass_settled
+# (DESIGN.md §8). Only the row-by-row tail, chain_eval_row, folds with
+# CompiledChain::combine.
+retains="$(grep -rn 'retain_compared' crates/exec/src || true)"
+[ -z "$retains" ] || { echo "retain_compared is back:"; echo "$retains"; exit 1; }
+callers() { # $1: the call, $2: its definition; prints file:fn per call outside tests
+    find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v call="$1" -v def="$2" '
+        FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        counting && $0 ~ call && $0 !~ def { print FILENAME ":" fn }'
+}
+folds="$(callers '\\.combine\\(' 'fn combine' | grep '^crates/exec/src/eval.rs:' | sort -u | tr '\n' ' ')"
+[ "$folds" = "crates/exec/src/eval.rs:chain_eval_row " ] \
+    || { echo ".combine( in eval.rs outside chain_eval_row: $folds"; exit 1; }
+tickers="$(callers 'tick_rows\\(' 'fn tick_rows' | sort -u | tr '\n' ' ')"
+[ "$tickers" = "crates/exec/src/eval.rs:pass_settled " ] \
+    || { echo "tick_rows( called from: $tickers"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
