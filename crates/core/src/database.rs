@@ -6,8 +6,7 @@ use std::time::{Duration, Instant};
 use bypass_algebra::{prune_columns, LogicalPlan};
 use bypass_catalog::Catalog;
 use bypass_exec::{
-    physical_plan, ExecContext, ExecCounters, ExecOptions, NodeMetrics, PhysExpr, PhysKind,
-    PhysNode,
+    physical_plan, ExecContext, ExecCounters, ExecOptions, NodeMetrics, PhysExpr, PhysNode,
 };
 use bypass_metrics::{ExecObservation, MetricsHub};
 use bypass_sql::{parse_statement, Expr, SelectStmt, Statement};
@@ -375,10 +374,7 @@ impl QueryProfile {
             if !seen.insert(Arc::as_ptr(n)) {
                 continue;
             }
-            if matches!(
-                n.kind,
-                PhysKind::BypassFilter { .. } | PhysKind::BypassNLJoin { .. }
-            ) {
+            if n.is_bypass() {
                 nodes += 1;
                 if let Some(m) = self.metrics.get(&(Arc::as_ptr(n) as usize)) {
                     pos += m.pos_rows;

@@ -119,11 +119,10 @@ impl ExecContext {
             .map(|c| self.visits(c))
             .collect::<Option<Vec<u64>>>()?;
         let sum = |xs: &[u64]| xs.iter().fold(0u64, |a, &b| a.saturating_add(b));
-        // A pipeline headed by a nested-loop probe, or a ⋈±.
-        let pair_loop = match plan.head_probe() {
-            Some(spec) => matches!(spec.on, JoinOn::Loop(_)),
-            None => matches!(plan.kind, PhysKind::BypassNLJoin { .. }),
-        };
+        // A pipeline headed by a nested-loop probe (a ⋈± among them).
+        let pair_loop = plan
+            .head_probe()
+            .is_some_and(|spec| matches!(spec.on, JoinOn::Loop(_)));
         let rows = match &plan.kind {
             PhysKind::Scan { data, .. } => data.len() as u64,
             // Left × right, plus the build sides of fused probes.

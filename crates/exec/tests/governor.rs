@@ -222,14 +222,12 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
     );
     let plan = |input: Arc<PhysNode>| {
         // σ±: y >= 20
-        let bypass = PhysNode::new(
-            PhysKind::BypassFilter {
-                input,
-                predicate: cmp(BinOp::GtEq, PhysExpr::Column(1), int(20)),
-                pos: None,
-                neg: None,
-            },
+        let bypass = PhysNode::bypass(
+            input,
+            Stage::Filter(cmp(BinOp::GtEq, PhysExpr::Column(1), int(20))),
             projected.clone(),
+            None,
+            None,
         );
         let tap = |positive| {
             let source = bypass.clone();

@@ -162,14 +162,12 @@ fn filters_carry_their_chain_from_plan_time() {
         bin(BinOp::Gt, bin(BinOp::Div, int(10), col(0)), int(2)),
     );
     let sigma = filter(s.clone(), predicate.clone());
-    let bypass = PhysNode::new(
-        PhysKind::BypassFilter {
-            input: s.clone(),
-            predicate,
-            pos: None,
-            neg: None,
-        },
+    let bypass = PhysNode::bypass(
+        s.clone(),
+        Stage::Filter(predicate),
         s.schema.clone(),
+        None,
+        None,
     );
     for node in [&sigma, &bypass] {
         let chain = node
