@@ -10,8 +10,8 @@
 //!
 //! On top of it:
 //!
-//! * [`KeyTable`] — distinct `width`-column keys → dense group ids (Γ,
-//!   Γᵇ, and the key side of [`JoinTable`]);
+//! * [`KeyTable`] — distinct `width`-column keys → dense group ids (Γ
+//!   and the key side of [`JoinTable`]);
 //! * [`JoinTable`] — a key table plus, per distinct key, its build rows
 //!   in build order, stored contiguously;
 //! * [`DistinctSet`] — one `(group id, item)` set per DISTINCT aggregate
@@ -249,13 +249,6 @@ impl<R> Clone for KeyRef<'_, R> {
 }
 
 impl<R> Copy for KeyRef<'_, R> {}
-
-impl<'a> KeyRef<'a, Tuple> {
-    /// A key that is not part of any row.
-    pub(crate) fn vals(vals: &'a [Value]) -> KeyRef<'a, Tuple> {
-        KeyRef::Vals(vals)
-    }
-}
 
 impl<'a, R: Row> KeyRef<'a, R> {
     pub(crate) fn width(&self) -> usize {
@@ -536,6 +529,13 @@ mod tests {
     use super::*;
     use bypass_types::Rng;
     use std::collections::HashMap;
+
+    impl<'a> KeyRef<'a, Tuple> {
+        /// A key that is not part of any row.
+        fn vals(vals: &'a [Value]) -> KeyRef<'a, Tuple> {
+            KeyRef::Vals(vals)
+        }
+    }
 
     /// A random key of `width` values drawn from a small domain that
     /// mixes NULLs, integers, floats equal to integers, other floats and

@@ -5,12 +5,14 @@
 //! DAG-structured plans correctly — a bypass operator produces *two*
 //! streams, memoized so a shared node is evaluated exactly once per plan
 //! evaluation — and it preserves the asymptotic behaviour the paper
-//! measures. σ, Π, χ and joins are not operators but [`Stage`]s of a
-//! pipeline: every row loop (a bypass join's pairs, a σ/σ±'s chunks, a
-//! pass over a relation — a join is the pass over its left input headed
-//! by its probe) pushes borrowed [`RowView`]s through the [`Chain`] of
-//! single-consumer stages above it, and only rows leaving the chain are
-//! materialized.
+//! measures. σ, Π, χ, ν and joins are not operators but [`Stage`]s of a
+//! pipeline: every row loop (a σ/σ±'s chunks, a pass over a relation — a
+//! join is the pass over its left input headed by its probe) pushes
+//! borrowed [`RowView`]s through the [`Chain`] of single-consumer stages
+//! above it, and only rows leaving the chain are materialized. A bypass
+//! operator is a pipeline whose head routes what it fails into a second,
+//! negative chain; the binary grouping Γᵇ is planned as an outer join
+//! over a Γ.
 //!
 //! Nested query blocks embedded in selection predicates are evaluated by
 //! the expression interpreter (`interp.rs`, the one module that knows
@@ -26,7 +28,7 @@
 //! terms in planned order; `morsel.rs` decides which loops fork and
 //! merges what comes back; `govern.rs` is the governor (checkpoints, byte
 //! budget, cancellation, deadline); `hash.rs` the one hash index;
-//! `agg.rs`/`group.rs` the grouping operators; `plan.rs` turns a logical
+//! `agg.rs`/`group.rs` the grouping operator Γ; `plan.rs` turns a logical
 //! plan into a [`PhysNode`] DAG. A loop whose input is a base-table scan
 //! — a σ/σ± chunk, Γ, a hash build, a hash probe — reads plain column
 //! expressions off the table's typed columns

@@ -132,16 +132,10 @@ caches="$(grep -nE '^ *(pub(\(crate\))? +)?(chains|batches) *:|\b(struct|enum|ty
 
 echo "==> one pipeline (grep gate)"
 # σ, Π and χ exist only as Stages of a pipeline (DESIGN.md §7): PhysKind has
-# no Filter, Project or Map, the per-row build loop serves ν and Γᵇ alone
-# (one call site each, eval.rs and group.rs), and every row loop hands its
-# rows to the one `emit`.
+# no Filter, Project or Map, and every row loop hands its rows to the one
+# `emit`.
 standalone="$(grep -rnE 'PhysKind::(Filter|Project|Map)\b' crates/*/src crates/*/tests || true)"
 [ -z "$standalone" ] || { echo "a standalone σ/Π/χ operator:"; echo "$standalone"; exit 1; }
-builders="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
-    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
-    counting && /build_rows\(/ && !/fn build_rows\(/ { print FILENAME }' | sort | tr '\n' ' ')"
-[ "$builders" = "crates/exec/src/eval.rs crates/exec/src/group.rs " ] \
-    || { echo "build_rows( called outside ν and Γᵇ: $builders"; exit 1; }
 emits="$(grep -rn 'fn emit(' crates/*/src | wc -l)"
 [ "$emits" -eq 1 ] || { echo "fn emit( defined $emits times"; exit 1; }
 
@@ -162,6 +156,30 @@ grep -q '^    BinaryGroup {' "$variant" || { echo "LogicalPlan::BinaryGroup not 
 theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside = 0 } inside && /cmp/' "$variant")"
 [ -z "$theta" ] || { echo "LogicalPlan::BinaryGroup carries a comparison:"; echo "$theta"; exit 1; }
 
+echo "==> one row-loop operator (grep gate)"
+# Every row loop is a pipeline (DESIGN.md §7): a bypass operator is one with
+# a negative chain, ν heads one, and Γᵇ is planned as ⟕ over Γ. PhysKind
+# keeps nine variants, none of the four operators that ran their own loops
+# comes back, nor does the per-row build loop they shared, and `probe` forms
+# every nested-loop pair.
+variants="$(awk '/^pub enum PhysKind \{/ { inside = 1; next } inside && /^\}/ { inside = 0 }
+    inside && /^    [A-Z]/ { n++ } END { print n + 0 }' crates/exec/src/node.rs)"
+[ "$variants" -eq 9 ] || { echo "PhysKind has $variants variants, not 9"; exit 1; }
+loops="$(grep -rnE 'PhysKind::(BypassFilter|BypassNLJoin|BinaryGroup|Numbering)\b' \
+    crates/*/src crates/*/tests || true)"
+[ -z "$loops" ] || { echo "an operator with its own row loop:"; echo "$loops"; exit 1; }
+builds="$(grep -rnE 'build_rows\(|fn binary_group\(' crates/exec/src || true)"
+[ -z "$builds" ] || { echo "a per-row build loop outside the pipeline:"; echo "$builds"; exit 1; }
+callers() { # $1: the call, $2: its definition; prints file:fn per call outside tests
+    find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v call="$1" -v def="$2" '
+        FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        counting && $0 ~ call && $0 !~ def { print FILENAME ":" fn }'
+}
+pairs="$(callers '\\.with\\(rt\\.values\\(\\)\\)' 'fn with' | sort -u | tr '\n' ' ')"
+[ "$pairs" = "crates/exec/src/eval.rs:probe " ] \
+    || { echo "a nested-loop pair formed outside eval.rs:probe: $pairs"; exit 1; }
+
 echo "==> one settle rule (grep gate)"
 # The σ/σ± chunk loop settles a kernel lane without a 3VL fold and compacts
 # its selection in place through one helper, settle_lanes; a run of settled
@@ -170,12 +188,6 @@ echo "==> one settle rule (grep gate)"
 # CompiledChain::combine.
 retains="$(grep -rn 'retain_compared' crates/exec/src || true)"
 [ -z "$retains" ] || { echo "retain_compared is back:"; echo "$retains"; exit 1; }
-callers() { # $1: the call, $2: its definition; prints file:fn per call outside tests
-    find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v call="$1" -v def="$2" '
-        FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
-        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-        counting && $0 ~ call && $0 !~ def { print FILENAME ":" fn }'
-}
 folds="$(callers '\\.combine\\(' 'fn combine' | grep '^crates/exec/src/eval.rs:' | sort -u | tr '\n' ' ')"
 [ "$folds" = "crates/exec/src/eval.rs:chain_eval_row " ] \
     || { echo ".combine( in eval.rs outside chain_eval_row: $folds"; exit 1; }
