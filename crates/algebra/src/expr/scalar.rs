@@ -185,10 +185,6 @@ impl Scalar {
         Scalar::binary(BinOp::Eq, self, other)
     }
 
-    pub fn neq(self, other: Scalar) -> Scalar {
-        Scalar::binary(BinOp::Neq, self, other)
-    }
-
     pub fn gt(self, other: Scalar) -> Scalar {
         Scalar::binary(BinOp::Gt, self, other)
     }

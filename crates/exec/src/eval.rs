@@ -57,17 +57,17 @@ pub struct ExecOptions {
     /// Intra-query worker count for morsel-driven parallelism
     /// (`BYPASS_THREADS`; 1 disables it). An operator loop whose
     /// estimated work passes the gate below runs its morsels
-    /// speculatively on this many threads; their governor effects are
-    /// replayed in morsel order, so every counter, budget trip and
-    /// injected fault is worker-count-independent (DESIGN.md §7).
+    /// speculatively on this many threads; their governor tallies are
+    /// merged in morsel order and a morsel that stops the run is re-run
+    /// on the master, so every counter, budget trip and injected fault
+    /// is worker-count-independent (DESIGN.md §7).
     pub threads: usize,
     /// The fork gate, in work units (DESIGN.md §7): a loop fans out
     /// only if `rows × row weight` exceeds this — one unit is one value
     /// of an input row, a nested-loop pair or a row of a nested plan
     /// re-evaluated per outer row — and a morsel holds at most this
-    /// much work. The name dates from when the gate counted input rows.
-    /// Tests shrink it (`2`) to force tiny inputs onto the parallel
-    /// path.
+    /// much work. Tests shrink it (`2`) to force tiny inputs onto the
+    /// parallel path.
     pub morsel_rows: usize,
     /// Chunk length of the σ/σ± loops: how many rows the kernel prefix
     /// of a predicate chain covers, and the governor passes, at a time
@@ -694,23 +694,12 @@ impl ExecContext {
                 run = r + 1;
                 let t = &chunk[r];
                 self.gov.tick()?;
-                // A σ± no working stage follows charges the row before
-                // its predicate runs, as the operator always did; any
-                // other route charges a row where it leaves.
-                let precharge = DIRECT && routes.neg.is_some();
-                if precharge {
-                    self.gov.charge(SHARED_ROW_BYTES)?;
-                }
                 let truth = match settled(acc[r]) {
                     true => acc[r],
                     false => self.chain_eval_row(chain, &mut counts, t, kernels.len(), acc[r])?,
                 };
-                match routes.of(truth) {
-                    _ if precharge => push_routed(t, truth, routes, &mut out),
-                    Some((stages, from, k)) => {
-                        self.emit(&RowView::of(t), stages, from, &mut out[k])?
-                    }
-                    None => {}
+                if let Some((stages, from, k)) = routes.of(truth) {
+                    self.emit(&RowView::of(t), stages, from, &mut out[k])?;
                 }
             }
             self.pass_settled(&chunk[run..], &acc[run..], routes, &mut out)?;
@@ -722,9 +711,9 @@ impl ExecContext {
     /// Route a run of rows whose truth the kernel prefix settled and
     /// that meet no working stage — a σ keeps its TRUE rows, a σ± routes
     /// every row — and pass their checkpoints, nothing else being
-    /// governor-visible (σ: tick, then charge only kept rows; σ±: tick,
-    /// charge): one governor call. Should the governor stop the run, the
-    /// rows go with the sinks.
+    /// governor-visible (each row ticks and is charged if it leaves):
+    /// one governor call. Should the governor stop the run, the rows go
+    /// with the sinks.
     fn pass_settled(
         &mut self,
         rows: &[Tuple],
@@ -735,7 +724,10 @@ impl ExecContext {
         let bypass = routes.neg.is_some();
         let charges = if bypass {
             for (t, &truth) in rows.iter().zip(truth) {
-                push_routed(t, truth, routes, out);
+                if let Some((_, from, k)) = routes.of(truth) {
+                    out[k].reached[from..].iter_mut().for_each(|r| *r += 1);
+                    out[k].rows.push(t.clone());
+                }
             }
             rows.len()
         } else {
@@ -1438,17 +1430,6 @@ fn settle_lanes(
         kept += (t != decide) as usize;
     }
     sel.truncate(kept);
-}
-
-/// Hand a filtered row on through relabels only — a refcount bump, the
-/// buffer stays shared with the input: to the positive route if the
-/// predicate held, else (σ± only) to the negative one.
-#[inline]
-fn push_routed(t: &Tuple, truth: Truth, routes: &Routes<'_, '_>, out: &mut Streams) {
-    if let Some((_, from, k)) = routes.of(truth) {
-        out[k].reached[from..].iter_mut().for_each(|r| *r += 1);
-        out[k].rows.push(t.clone());
-    }
 }
 
 /// The padded right-hand tuple for unmatched outer-join rows: NULLs with

@@ -3,21 +3,21 @@
 //! of `bypass_types::govern`, cooperative cancellation and the
 //! wall-clock deadline.
 //!
-//! The sequence is *defined* row by row: an operator loop passes one
-//! checkpoint per row it visits ([`Governor::tick`]) and one per
-//! materialization ([`Governor::charge`]), in arrival order — σ: tick,
-//! then charge the row if kept; σ±: tick, charge, route; Π: tick,
-//! charge. Checkpoint `k` therefore depends only on plan and data,
-//! never on wall time, metrics collection, chunk length or worker
-//! count, which is what makes an [`InjectedFault`] at `k` and a budget
-//! trip exactly reproducible.
+//! The sequence is *defined* row by row: a loop ticks once per row it
+//! visits and charges a row where it leaves ([`Governor::tick`],
+//! [`Governor::charge`]; a charge is a checkpoint too), in arrival
+//! order. Checkpoint `k` therefore depends only on plan and data, never
+//! on wall time, metrics collection, chunk length or worker count,
+//! which is what makes an [`InjectedFault`] at `k` and a budget trip
+//! exactly reproducible.
 //!
 //! [`Governor::tick_n`] is the only function that advances the index.
 //! It passes `n` checkpoints arithmetically and stops at the exact
-//! index an armed fault names; the σ/σ± chunk loop hands it a run of
-//! rows with no other governor-visible effect, its charges counted,
-//! through [`Governor::tick_rows`], and the in-order merge of morsel
-//! workers ([`Governor::replay`]) goes through the same function.
+//! index an armed fault names. The σ/σ± chunk loop hands it a run of
+//! settled rows through [`Governor::tick_rows`]. A morsel worker's
+//! governor only counts: the master applies its [`Tally`] through
+//! [`Governor::replay`], or re-runs the morsel itself when the tally
+//! [stops](Governor::stops_in) the run (`ExecContext::run_morsels`).
 
 use std::time::{Duration, Instant};
 
@@ -30,41 +30,16 @@ use crate::eval::ExecOptions;
 /// `Instant::now` is the only check that is not free.
 const DEADLINE_WINDOW_BITS: u32 = 12;
 
-/// One governor effect recorded by a speculative morsel worker;
-/// consecutive checkpoints are run-length encoded.
-pub(crate) enum GovEvent {
-    /// `n` consecutive checkpoints.
-    Ticks(u64),
-    /// Bytes charged; the checkpoint of the charge is the tick after it.
-    Charge(u64),
-    /// Operator-local scratch returned to the budget.
-    Release(u64),
-}
-
-/// A morsel worker's governor effects, replayed in morsel order on the
-/// master (see [`Governor::replay`]).
-pub(crate) enum GovLog {
-    /// No fault plan, no byte budget: the worker's checkpoint count, net
-    /// byte delta and local peak reproduce the serial trajectory exactly
-    /// when merged in order (the serial state at a morsel boundary *is*
-    /// the master's state at merge time, so `peak = max(peak, used +
-    /// local_peak)` is not an approximation).
-    Summary {
-        checkpoints: u64,
-        net_bytes: u64,
-        peak_bytes: u64,
-    },
-    /// Fault plan or byte budget armed: the full event stream, so budget
-    /// trips and injected faults land on the same checkpoint and byte
-    /// count as a serial run.
-    Events(Vec<GovEvent>),
-}
-
-impl GovLog {
-    /// The log of a morsel that never ran.
-    pub(crate) fn empty() -> GovLog {
-        GovLog::Events(Vec::new())
-    }
+/// What a worker's governor counted over one morsel: checkpoints
+/// passed, net bytes and local peak. Applied in morsel order it is
+/// exact — the serial state at a morsel boundary *is* the master's
+/// state at merge time, so `peak = max(peak, used + local peak)` is not
+/// an approximation.
+#[derive(Default)]
+pub(crate) struct Tally {
+    checkpoints: u64,
+    net_bytes: u64,
+    peak_bytes: u64,
 }
 
 pub(crate) struct Governor {
@@ -74,16 +49,13 @@ pub(crate) struct Governor {
     timeout: Option<Duration>,
     deadline: Option<Instant>,
     /// Something besides the deadline watches the checkpoints (a fault
-    /// plan, a cancel token, a worker's event log): [`Self::tick_n`]
-    /// takes its cold half.
+    /// plan or a cancel token): [`Self::tick_n`] takes its cold half.
     armed: bool,
     checkpoints: u64,
     /// Bytes currently charged to the query.
     used_bytes: u64,
     /// High-water mark of `used_bytes`.
     peak_bytes: u64,
-    /// Morsel workers under an armed fault plan or byte budget only.
-    log: Option<Vec<GovEvent>>,
 }
 
 impl Governor {
@@ -98,30 +70,25 @@ impl Governor {
             checkpoints: 0,
             used_bytes: 0,
             peak_bytes: 0,
-            log: None,
         }
     }
 
     /// The governor of a speculative morsel worker: it starts at zero,
-    /// never sees the fault plan (faults fire during replay on the
-    /// master, at the exact global checkpoint) and shares the token and
-    /// the deadline. Under a fault plan or byte budget it logs every
-    /// effect and keeps the cap as an early abort — replay reproduces
-    /// the authoritative error; otherwise its `used_bytes` is relative
-    /// and a cap check would be meaningless.
+    /// only counts — the fault plan stays with the master — and shares
+    /// the token and the deadline. It keeps the cap as an early abort on
+    /// its relative bytes: a relative peak over the cap is a global one
+    /// too.
     pub(crate) fn fork(&self) -> Governor {
-        let exact = self.fault.is_some() || self.max_memory_bytes.is_some();
         Governor {
             fault: None,
             cancel: self.cancel.clone(),
-            max_memory_bytes: self.max_memory_bytes.filter(|_| exact),
+            max_memory_bytes: self.max_memory_bytes,
             timeout: self.timeout,
             deadline: self.deadline,
-            armed: exact || self.cancel.is_some(),
+            armed: self.cancel.is_some(),
             checkpoints: 0,
             used_bytes: 0,
             peak_bytes: 0,
-            log: exact.then(Vec::new),
         }
     }
 
@@ -172,18 +139,11 @@ impl Governor {
     }
 
     /// Cold half of [`Self::tick_n`], split out so production runs (no
-    /// fault plan, no token, no log) pay one predictable branch per
-    /// call: the error the next `n` checkpoints run into, if any, and
-    /// how many of them are passed on the way (the failing one
-    /// included).
+    /// fault plan, no token) pay one predictable branch per call: the
+    /// error the next `n` checkpoints run into, if any, and how many of
+    /// them are passed on the way (the failing one included).
     #[cold]
     fn armed_stop(&mut self, n: u64) -> Option<(u64, Error)> {
-        if let Some(log) = &mut self.log {
-            match log.last_mut() {
-                Some(GovEvent::Ticks(m)) => *m += n,
-                _ => log.push(GovEvent::Ticks(n)),
-            }
-        }
         let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         let reach = if cancelled { 1 } else { n };
         if let Some(f) = self.fault_within(reach) {
@@ -196,6 +156,15 @@ impl Governor {
     fn fault_within(&self, n: u64) -> Option<InjectedFault> {
         self.fault
             .filter(|f| self.checkpoints < f.checkpoint && f.checkpoint <= self.checkpoints + n)
+    }
+
+    /// Would the next `checkpoints`, with the bytes in use rising by at
+    /// most `peak` on the way, reach the armed fault or the byte cap?
+    fn stops_within(&self, checkpoints: u64, peak: u64) -> bool {
+        self.fault_within(checkpoints).is_some()
+            || self
+                .max_memory_bytes
+                .is_some_and(|cap| self.used_bytes + peak > cap)
     }
 
     /// The typed error an injected fault of `kind` raises, built from
@@ -248,9 +217,6 @@ impl Governor {
     /// The byte half of a charge: apply, enforce the cap.
     #[inline]
     fn grow(&mut self, bytes: u64) -> Result<()> {
-        if let Some(log) = &mut self.log {
-            log.push(GovEvent::Charge(bytes));
-        }
         self.used_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.used_bytes);
         match self.max_memory_bytes {
@@ -268,9 +234,6 @@ impl Governor {
     /// Releases are not checkpoints — nothing can fail while freeing.
     #[inline]
     pub(crate) fn release(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.log {
-            log.push(GovEvent::Release(bytes));
-        }
         self.used_bytes = self.used_bytes.saturating_sub(bytes);
     }
 
@@ -278,9 +241,8 @@ impl Governor {
     /// then `charge(bytes)` if `charged(row)` — `charges` of them, with
     /// nothing else governor-visible in between. One [`Self::tick_n`]
     /// call for the run; only when the fault index or the byte cap falls
-    /// inside it (or a worker must log the order for replay) are the rows
-    /// stepped through one by one, to stop at the exact index with the
-    /// exact `used_bytes`.
+    /// inside it are the rows stepped through one by one, to stop at the
+    /// exact index with the exact `used_bytes`.
     pub(crate) fn tick_rows(
         &mut self,
         n: usize,
@@ -290,10 +252,7 @@ impl Governor {
     ) -> Result<()> {
         let checkpoints = (n + charges) as u64;
         let total = charges as u64 * bytes;
-        let over_cap = self
-            .max_memory_bytes
-            .is_some_and(|cap| self.used_bytes + total > cap);
-        if self.log.is_some() || over_cap || self.fault_within(checkpoints).is_some() {
+        if self.stops_within(checkpoints, total) {
             for row in 0..n {
                 self.tick_n(1)?;
                 if charged(row) {
@@ -308,48 +267,32 @@ impl Governor {
         self.grow(total)
     }
 
-    /// End a worker's morsel: hand out what the master replays for it
-    /// and start the next morsel from zero, as a fresh fork would. A
-    /// worker serves many morsels of one operator call; cutting its log
-    /// per morsel is what lets the master merge them in morsel order
-    /// whichever worker ran which.
-    pub(crate) fn cut(&mut self) -> GovLog {
-        let log = match &mut self.log {
-            Some(events) => GovLog::Events(std::mem::take(events)),
-            None => GovLog::Summary {
-                checkpoints: self.checkpoints,
-                net_bytes: self.used_bytes,
-                peak_bytes: self.peak_bytes,
-            },
-        };
-        self.checkpoints = 0;
-        self.used_bytes = 0;
-        self.peak_bytes = 0;
-        log
+    /// End a worker's morsel: hand out its tally and start the next
+    /// morsel from zero, as a fresh fork would. A worker serves many
+    /// morsels of one operator call; one tally per morsel is what lets
+    /// the master merge them in morsel order whichever worker ran which.
+    pub(crate) fn cut(&mut self) -> Tally {
+        Tally {
+            checkpoints: std::mem::take(&mut self.checkpoints),
+            net_bytes: std::mem::take(&mut self.used_bytes),
+            peak_bytes: std::mem::take(&mut self.peak_bytes),
+        }
     }
 
-    /// Replay one worker's recorded effects, as if its morsel had run
-    /// here.
-    pub(crate) fn replay(&mut self, log: GovLog) -> Result<()> {
-        match log {
-            GovLog::Summary {
-                checkpoints,
-                net_bytes,
-                peak_bytes,
-            } => {
-                self.peak_bytes = self.peak_bytes.max(self.used_bytes + peak_bytes);
-                self.used_bytes += net_bytes;
-                self.tick_n(checkpoints)
-            }
-            GovLog::Events(events) => events.into_iter().try_for_each(|ev| match ev {
-                GovEvent::Ticks(n) => self.tick_n(n),
-                GovEvent::Charge(b) => self.grow(b),
-                GovEvent::Release(b) => {
-                    self.release(b);
-                    Ok(())
-                }
-            }),
-        }
+    /// Does the morsel `tally` counts stop the run here — the armed
+    /// fault's index among its checkpoints, or its peak over the cap?
+    /// Then only running it again on this governor finds the exact
+    /// checkpoint and byte count.
+    pub(crate) fn stops_in(&self, tally: &Tally) -> bool {
+        self.stops_within(tally.checkpoints, tally.peak_bytes)
+    }
+
+    /// Apply a worker's tally that does not [stop](Self::stops_in) the
+    /// run, as if its morsel had run here.
+    pub(crate) fn replay(&mut self, tally: Tally) -> Result<()> {
+        self.peak_bytes = self.peak_bytes.max(self.used_bytes + tally.peak_bytes);
+        self.used_bytes += tally.net_bytes;
+        self.tick_n(tally.checkpoints)
     }
 }
 
@@ -406,42 +349,44 @@ mod tests {
         assert!(is_timeout(expired_at(4097).tick_n(5000)));
     }
 
-    /// A governor's log as comparable numbers: `(kind, n)` per event.
-    fn events(g: &mut Governor) -> Vec<(u8, u64)> {
-        let GovLog::Events(events) = g.cut() else {
-            return Vec::new();
-        };
-        let event = |e: GovEvent| match e {
-            GovEvent::Ticks(n) => (0, n),
-            GovEvent::Charge(b) => (1, b),
-            GovEvent::Release(b) => (2, b),
-        };
-        events.into_iter().map(event).collect()
-    }
-
-    /// A run of `n` rows, the `kept` ones charged `bytes` each, passed by
-    /// one counted [`Governor::tick_rows`] call and stepped row by row
-    /// (tick, then charge if kept) on two governors `make` builds: the
-    /// same outcome, checkpoints, bytes and log.
+    /// A run of `n` rows, the `kept` ones charged `bytes` each, on
+    /// governors `make` builds: stepped row by row (tick, then charge if
+    /// kept), passed by one counted [`Governor::tick_rows`] call, and
+    /// counted on a forked worker whose tally the master then merges as
+    /// `run_morsels` does — replayed, or the run repeated on the master
+    /// if the tally stops it. The same outcome, checkpoints and bytes.
     fn counted_matches_stepping(make: &dyn Fn() -> Governor, n: usize, kept: &[usize]) {
         let bytes = 40;
         let charged = |row: usize| kept.contains(&row);
+        let step = |g: &mut Governor| {
+            (0..n).try_for_each(|row| {
+                g.tick()?;
+                match charged(row) {
+                    true => g.charge(bytes),
+                    false => Ok(()),
+                }
+            })
+        };
+        let mut stepped = make();
+        let want = step(&mut stepped);
         let mut counted = make();
         let got = counted.tick_rows(n, kept.len(), bytes, charged);
-        let mut stepped = make();
-        let want = (0..n).try_for_each(|row| {
-            stepped.tick()?;
-            match charged(row) {
-                true => stepped.charge(bytes),
-                false => Ok(()),
-            }
-        });
-        let at = format!("{n} rows, kept {kept:?}");
-        assert_eq!(got, want, "{at}");
-        assert_eq!(counted.checkpoints(), stepped.checkpoints(), "{at}");
-        assert_eq!(counted.used_bytes(), stepped.used_bytes(), "{at}");
-        assert_eq!(counted.peak_bytes(), stepped.peak_bytes(), "{at}");
-        assert_eq!(events(&mut counted), events(&mut stepped), "{at}");
+        let mut merged = make();
+        let mut worker = merged.fork();
+        let ran = worker.tick_rows(n, kept.len(), bytes, charged);
+        let tally = worker.cut();
+        let rerun = merged.stops_in(&tally);
+        let got_merged = match rerun {
+            true => step(&mut merged),
+            false => merged.replay(tally).and(ran),
+        };
+        for (g, got, how) in [(&counted, got, "counted"), (&merged, got_merged, "merged")] {
+            let at = format!("{how}: {n} rows, kept {kept:?}, re-run {rerun}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!(g.checkpoints(), stepped.checkpoints(), "{at}");
+            assert_eq!(g.used_bytes(), stepped.used_bytes(), "{at}");
+            assert_eq!(g.peak_bytes(), stepped.peak_bytes(), "{at}");
+        }
     }
 
     #[test]
@@ -493,12 +438,6 @@ mod tests {
             g
         };
         counted_matches_stepping(&cancelled, n, &kept);
-        // A forked worker under a fault plan logs every effect in order.
-        let master = governor(ExecOptions {
-            fault: Some(InjectedFault::new(5, FaultKind::Memory)),
-            ..Default::default()
-        });
-        counted_matches_stepping(&|| master.fork(), n, &kept);
         // Nothing armed: the counted call's own path.
         counted_matches_stepping(&|| started(ExecOptions::default()), n, &kept);
         counted_matches_stepping(&|| started(ExecOptions::default()), 0, &[]);

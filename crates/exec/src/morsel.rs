@@ -11,13 +11,15 @@
 //! estimate only decides whether to fork, never what is computed. A
 //! forked loop splits its range into morsels pulled by scoped threads,
 //! each thread on its own context, forked for that fan-out.
-//! Workers are speculative — their governor starts every morsel at zero
-//! bytes and they never see the fault plan — and their effects are
-//! replayed on the master in morsel order, which makes every determinism
-//! invariant hold by construction: checkpoint indices, peak/used bytes,
-//! memory-budget trip points and injected-fault landing sites are
-//! identical to a serial run, regardless of the worker count and of
-//! which worker served which morsel.
+//! Workers are speculative: their governor starts every morsel at zero
+//! and only counts (see [`Tally`]). The master merges the morsels in
+//! order, applying each tally arithmetically; the one morsel whose
+//! tally crosses the armed fault index or the byte cap it re-runs
+//! itself, serially as the worker ran it, and drops the morsels after
+//! it. So checkpoint indices, peak/used bytes, memory-budget trip
+//! points and injected-fault landing sites are identical to a serial
+//! run, whatever the worker count and whichever worker served which
+//! morsel.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -27,13 +29,13 @@ use std::sync::Arc;
 use bypass_types::{par, Error, Result};
 
 use crate::eval::{ExecContext, ExecCounters, ExecOptions, NodeMetrics};
-use crate::govern::GovLog;
+use crate::govern::Tally;
 use crate::node::{JoinOn, PhysKind, PhysNode};
 
 /// Everything a worker hands back to the master per morsel for the
 /// in-order merge.
 struct MorselOut<P> {
-    gov: GovLog,
+    gov: Tally,
     metrics: Option<HashMap<usize, NodeMetrics>>,
     pending: NodeMetrics,
     /// Inclusive nanos of nested-plan evaluations inside worker
@@ -53,7 +55,7 @@ struct MorselOut<P> {
 impl<P> MorselOut<P> {
     fn skipped() -> MorselOut<P> {
         MorselOut {
-            gov: GovLog::empty(),
+            gov: Tally::default(),
             metrics: None,
             pending: NodeMetrics::default(),
             child_nanos: 0,
@@ -234,7 +236,7 @@ impl ExecContext {
         // — budget trips and injected faults — surface here at their
         // exact serial checkpoint), then the payload.
         let mut payloads = Vec::with_capacity(outs.len());
-        for out in outs {
+        for (out, range) in outs.into_iter().zip(ranges) {
             debug_assert!(
                 out.skipped
                     || (out.counters.memo_uncorr_hits
@@ -244,6 +246,16 @@ impl ExecContext {
                         == 0,
                 "morsel worker probed a memo cache despite the safety gate"
             );
+            if self.gov.stops_in(&out.gov) {
+                // The run stops inside this morsel: run it again here,
+                // on one thread as the worker did, to stop at the exact
+                // checkpoint with the exact bytes.
+                let threads = std::mem::replace(&mut self.options.threads, 1);
+                let rerun = body(self, range);
+                self.options.threads = threads;
+                payloads.push(rerun?);
+                continue;
+            }
             self.gov.replay(out.gov)?;
             let p = out.payload?;
             if let (Some(master), Some(worker)) = (self.metrics.as_mut(), out.metrics) {

@@ -172,11 +172,13 @@ fn cancel_token_stops_evaluation() {
 /// Scan → σ → Π → σ± → ∪̇ of both streams over 40 rows `(x, y, s)`, `s`
 /// a text of varying length so Π's charges differ per row. σ mixes a
 /// kernel term with one the interpreter must evaluate, so its chunks
-/// interleave settled runs and open rows. The plan twice — one pipeline
-/// per stage, and σ and Π as one pipeline — each with its checkpoint
-/// sequence under the per-row definition: entry `k - 1` is the bytes in
-/// use when checkpoint `k` is passed.
-fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
+/// interleave settled runs and open rows. The plan three times — one
+/// pipeline per stage; σ and Π as one pipeline; and the latter with a
+/// third σ term that raises a value error at row 25 — each with its
+/// checkpoint sequence under the per-row definition, up to the raising
+/// row's tick: entry `k - 1` is the bytes in use when checkpoint `k` is
+/// passed. Then the error the run ends with, if any.
+fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 3] {
     let schema = Schema::new(vec![
         Field::new("x", DataType::Int),
         Field::new("y", DataType::Int),
@@ -196,8 +198,8 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
         schema.clone(),
     );
     // σ: x > 2 OR y + 0 < 12
-    let sigma = || {
-        Stage::Filter(cmp(
+    let two_terms = || {
+        cmp(
             BinOp::Or,
             cmp(BinOp::Gt, PhysExpr::Column(0), int(2)),
             cmp(
@@ -205,8 +207,23 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
                 cmp(BinOp::Add, PhysExpr::Column(1), int(0)),
                 int(12),
             ),
-        ))
+        )
     };
+    let sigma = || Stage::Filter(two_terms());
+    // … OR 100 / (y - 25) > 0: reached by the rows the first two terms
+    // leave open (x <= 2, y >= 12), FALSE on those before row 25, which
+    // divides by zero.
+    let raising = 25;
+    let third = cmp(
+        BinOp::Gt,
+        cmp(
+            BinOp::Div,
+            int(100),
+            cmp(BinOp::Sub, PhysExpr::Column(1), int(raising)),
+        ),
+        int(0),
+    );
+    let raising_sigma = Stage::Filter(cmp(BinOp::Or, two_terms(), third));
     let kept = |t: &&Tuple| t[0] > Value::Int(2) || t[1] < Value::Int(12);
     let projected = schema.project(&[2, 1]);
     let pi = Stage::Project(vec![PhysExpr::Column(2), PhysExpr::Column(1)]);
@@ -215,11 +232,13 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
         vec![pi],
         projected.clone(),
     );
-    let fused = PhysNode::pipeline(
-        scan,
-        vec![sigma(), Stage::Pick(vec![2, 1])],
-        projected.clone(),
-    );
+    let fused = |sigma| {
+        PhysNode::pipeline(
+            scan.clone(),
+            vec![sigma, Stage::Pick(vec![2, 1])],
+            projected.clone(),
+        )
+    };
     let plan = |input: Arc<PhysNode>| {
         // σ±: y >= 20
         let bypass = PhysNode::bypass(
@@ -242,7 +261,7 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
         .filter(kept)
         .map(|t| t.project(&[2, 1]))
         .collect();
-    let sequence = |fused: bool| {
+    let sequence = |fused: bool, raises: Option<i64>| {
         let mut used = 0u64;
         let mut sequence = Vec::new();
         let mut pass = |charge: Option<u64>| {
@@ -253,6 +272,9 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
         for t in &rows {
             // σ: tick, then — fused — the row goes on to Π at once.
             pass(None);
+            if raises.is_some_and(|y| t[1] == Value::Int(y)) {
+                return sequence;
+            }
             match (kept(&t), fused) {
                 (false, _) => {}
                 // Π: tick, charge the fresh row; σ's charge is gone.
@@ -271,7 +293,7 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
                 pass(Some(tuple_bytes(p)));
             }
         }
-        // σ±: tick, charge, route.
+        // σ±: tick, then charge the row it routes.
         for _ in &survivors {
             pass(None);
             pass(Some(SHARED_ROW_BYTES));
@@ -280,9 +302,15 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>); 2] {
         pass(Some(survivors.len() as u64 * SHARED_ROW_BYTES));
         sequence
     };
+    let division = Error::execution("integer division by zero");
     [
-        (plan(split), sequence(false)),
-        (plan(fused), sequence(true)),
+        (plan(split), sequence(false, None), None),
+        (plan(fused(sigma())), sequence(true, None), None),
+        (
+            plan(fused(raising_sigma)),
+            sequence(true, Some(raising)),
+            Some(division),
+        ),
     ]
 }
 
@@ -304,9 +332,11 @@ fn mechanisms() -> Vec<ExecOptions> {
 
 #[test]
 fn counters_follow_the_per_row_sequence_at_every_chunk_length() {
-    for (plan, sequence) in chunked_plans() {
+    for (plan, sequence, error) in chunked_plans() {
         for options in mechanisms() {
-            let c = counters(&plan, options.clone());
+            let mut ctx = ExecContext::new(options.clone());
+            assert_eq!(ctx.eval_plan(&plan).err(), error, "{options:?}");
+            let c = ctx.counters();
             assert_eq!(c.checkpoints, sequence.len() as u64, "{options:?}");
             assert_eq!(
                 c.peak_memory_bytes,
@@ -319,12 +349,15 @@ fn counters_follow_the_per_row_sequence_at_every_chunk_length() {
 
 #[test]
 fn injected_faults_fire_at_exact_checkpoints() {
-    for (plan, sequence) in chunked_plans() {
-        faults_fire_at_exact_checkpoints(&plan, &sequence);
+    for (plan, sequence, error) in chunked_plans() {
+        faults_fire_at_exact_checkpoints(&plan, &sequence, error);
     }
 }
 
-fn faults_fire_at_exact_checkpoints(plan: &Arc<PhysNode>, sequence: &[u64]) {
+/// A fault at any checkpoint of `sequence` fires there; one past it is
+/// never reached, and the run ends as it does without one — with
+/// `error`, raised after the sequence's last checkpoint, if any.
+fn faults_fire_at_exact_checkpoints(plan: &Arc<PhysNode>, sequence: &[u64], error: Option<Error>) {
     for (k, &used) in (1u64..).zip(sequence) {
         for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
             let expected = match kind {
@@ -343,30 +376,30 @@ fn faults_fire_at_exact_checkpoints(plan: &Arc<PhysNode>, sequence: &[u64]) {
             }
         }
     }
-    // One past the final checkpoint: the fault never fires.
     for options in mechanisms() {
-        evaluate_with(
-            plan,
-            ExecOptions {
-                fault: Some(InjectedFault::new(
-                    sequence.len() as u64 + 1,
-                    FaultKind::Cancel,
-                )),
-                ..options
-            },
-        )
-        .unwrap();
+        let mut ctx = ExecContext::new(ExecOptions {
+            fault: Some(InjectedFault::new(
+                sequence.len() as u64 + 1,
+                FaultKind::Cancel,
+            )),
+            ..options.clone()
+        });
+        assert_eq!(ctx.eval_plan(plan).err(), error, "under {options:?}");
+        let at = ctx.counters().checkpoints;
+        assert_eq!(at, sequence.len() as u64, "under {options:?}");
     }
 }
 
 #[test]
 fn memory_budget_trips_at_the_exact_charge_inside_a_chunk() {
-    for (plan, sequence) in chunked_plans() {
-        budgets_trip_at_the_exact_charge(&plan, &sequence);
+    for (plan, sequence, error) in chunked_plans() {
+        budgets_trip_at_the_exact_charge(&plan, &sequence, error);
     }
 }
 
-fn budgets_trip_at_the_exact_charge(plan: &Arc<PhysNode>, sequence: &[u64]) {
+/// A budget one byte short of any charge of `sequence` trips there; one
+/// the whole sequence fits lets the run end as it does unbudgeted.
+fn budgets_trip_at_the_exact_charge(plan: &Arc<PhysNode>, sequence: &[u64], error: Option<Error>) {
     let mut before = 0;
     for &used in sequence {
         // A budget one byte short of what a charge needs trips at that
@@ -386,6 +419,13 @@ fn budgets_trip_at_the_exact_charge(plan: &Arc<PhysNode>, sequence: &[u64]) {
             }
         }
         before = used;
+    }
+    for options in mechanisms() {
+        let fits = ExecOptions {
+            max_memory_bytes: Some(before),
+            ..options.clone()
+        };
+        assert_eq!(evaluate_with(plan, fits).err(), error, "under {options:?}");
     }
 }
 
@@ -440,9 +480,9 @@ fn nested_plan() -> Arc<PhysNode> {
     )
 }
 
-/// The per-morsel log cut: a worker keeps its context — and with it its
-/// governor — for every morsel it pulls, and hands the master one log
-/// per morsel. A fault at any checkpoint of the nested evaluations must
+/// The per-morsel tally cut: a worker keeps its context — and with it
+/// its governor — for every morsel it pulls, and hands the master one
+/// tally per morsel. A fault at any checkpoint of the nested evaluations must
 /// land where the serial run puts it, whichever worker ran the morsel
 /// and whatever it had run before.
 #[test]

@@ -1033,10 +1033,11 @@ struct Expected {
     disjuncts: (u64, u64),
 }
 
-/// σ (`bypass == false`) or σ± by definition: per row a tick, σ±'s
-/// charge, the predicate through `eval_truth` — on a fresh context, so
-/// the nested plan's checkpoints and transient peak of this row alone
-/// are known — then σ's charge if the row is kept. A chain of two or
+/// σ (`bypass == false`) or σ± by definition: per row a tick, the
+/// predicate through `eval_truth` — on a fresh context, so the nested
+/// plan's checkpoints and transient peak of this row alone are known —
+/// then the charge of a row that leaves: every row of a σ±, a kept row
+/// of a σ. A chain of two or
 /// more terms counts per row the terms it evaluates, in order, up to
 /// the first that decides it.
 fn filter_by_definition(rows: &[Tuple], predicate: &PhysExpr, bypass: bool) -> Expected {
@@ -1061,24 +1062,20 @@ fn filter_by_definition(rows: &[Tuple], predicate: &PhysExpr, bypass: bool) -> E
             }
         }
         e.checkpoints += 1;
-        if bypass {
-            used += SHARED_ROW_BYTES;
-            e.checkpoints += 1;
-        }
         let mut ctx = ExecContext::new(ExecOptions::default());
         let keep = ctx.eval_truth(predicate, t).unwrap().is_true();
         e.checkpoints += ctx.counters().checkpoints;
         e.peak = e.peak.max(used + ctx.counters().peak_memory_bytes);
-        if keep {
-            if !bypass {
-                used += SHARED_ROW_BYTES;
-                e.checkpoints += 1;
-            }
-            e.pos.push(t.clone());
-        } else if bypass {
-            e.neg.push(t.clone());
+        if keep || bypass {
+            used += SHARED_ROW_BYTES;
+            e.checkpoints += 1;
+            e.peak = e.peak.max(used);
         }
-        e.peak = e.peak.max(used);
+        match keep {
+            true => e.pos.push(t.clone()),
+            false if bypass => e.neg.push(t.clone()),
+            false => {}
+        }
     }
     e
 }

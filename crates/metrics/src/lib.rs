@@ -5,8 +5,7 @@
 //! 1. [`Registry`] — counters, max-gauges and log-linear
 //!    [`Histogram`]s written through per-thread shards and folded
 //!    with commutative operations, so snapshots are worker-count
-//!    independent (the PR 6 governor-replay discipline applied to
-//!    telemetry). Wall-clock-derived series carry a `timing` flag;
+//!    independent whichever thread recorded what. Wall-clock-derived series carry a `timing` flag;
 //!    [`Snapshot::deterministic`] strips them, and what remains is
 //!    bit-identical across thread counts, batch sizes and reruns —
 //!    which is what `tests/counters.golden` gates.

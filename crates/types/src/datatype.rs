@@ -43,11 +43,6 @@ impl DataType {
             _ => None,
         }
     }
-
-    /// True for `Int` and `Float` (arithmetic operand types).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float | DataType::Unknown)
-    }
 }
 
 impl fmt::Display for DataType {

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::{compare_tuples, Schema, SortKey, Tuple, Value};
+use crate::{Schema, Tuple, Value};
 
 /// A fully materialized relation: a schema plus a bag of rows.
 ///
@@ -75,15 +75,6 @@ impl Relation {
     pub fn disjoint_union(mut self, other: Relation) -> Relation {
         debug_assert_eq!(self.schema.arity(), other.schema.arity());
         self.rows.extend(other.rows);
-        Relation {
-            schema: self.schema,
-            rows: self.rows,
-        }
-    }
-
-    /// Stable sort by the given keys.
-    pub fn sorted(mut self, keys: &[SortKey]) -> Relation {
-        self.rows.sort_by(|a, b| compare_tuples(a, b, keys));
         Relation {
             schema: self.schema,
             rows: self.rows,
@@ -228,15 +219,6 @@ mod tests {
         assert!(a.bag_eq(&b));
         assert!(!a.bag_eq(&c));
         assert!(!a.bag_eq(&d));
-    }
-
-    #[test]
-    fn sorted_is_stable() {
-        let r = rel(&[&[2, 1], &[1, 1], &[2, 2], &[1, 2]]);
-        let s = r.sorted(&[SortKey::asc(0)]);
-        // Rows with equal keys keep input order: (1,1) before (1,2).
-        assert_eq!(s.rows()[0][1], Value::Int(1));
-        assert_eq!(s.rows()[1][1], Value::Int(2));
     }
 
     #[test]

@@ -51,9 +51,8 @@ pub struct Estimate {
 /// Estimate a logical plan bottom-up.
 pub fn estimate(plan: &Arc<LogicalPlan>, stats: &dyn StatsSource) -> Estimate {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => {
+        LogicalPlan::Scan { table, .. } => {
             let rows = stats.table_rows(table).unwrap_or(1000.0);
-            let _ = schema;
             Estimate { rows, cost: rows }
         }
         LogicalPlan::Singleton => Estimate {
@@ -284,8 +283,7 @@ mod tests {
         move |_: &str| Some(rows)
     }
 
-    fn nested_filter(n: f64) -> Arc<LogicalPlan> {
-        let _ = n;
+    fn nested_filter() -> Arc<LogicalPlan> {
         let sub = PlanBuilder::test_scan("s", &["b2"])
             .filter(Scalar::col("a2").eq(Scalar::qcol("s", "b2")))
             .aggregate(vec![], vec![(AggCall::count_star(), "c".into())])
@@ -301,8 +299,8 @@ mod tests {
 
     #[test]
     fn canonical_nested_filter_is_quadratic() {
-        let s1 = estimate(&nested_filter(0.0), &stats(100.0));
-        let s2 = estimate(&nested_filter(0.0), &stats(1000.0));
+        let s1 = estimate(&nested_filter(), &stats(100.0));
+        let s2 = estimate(&nested_filter(), &stats(1000.0));
         // ×10 data → ~×100 cost (n rows × n-row subplan each).
         let ratio = s2.cost / s1.cost;
         assert!(
@@ -313,7 +311,7 @@ mod tests {
 
     #[test]
     fn unnested_beats_canonical_at_scale() {
-        let canonical = nested_filter(0.0);
+        let canonical = nested_filter();
         let unnested = crate::unnest(&canonical, crate::RewriteOptions::default()).unwrap();
         let s = stats(10_000.0);
         let c = estimate(&canonical, &s);
@@ -332,7 +330,7 @@ mod tests {
         // unnesting pays fixed overhead — the cost model must be able to
         // prefer canonical ("not always better", Section 1).
         let tiny = |t: &str| Some(if t == "s" { 1.0 } else { 30.0 });
-        let canonical = nested_filter(0.0);
+        let canonical = nested_filter();
         let unnested = crate::unnest(&canonical, crate::RewriteOptions::default()).unwrap();
         let c = estimate(&canonical, &tiny);
         let u = estimate(&unnested, &tiny);

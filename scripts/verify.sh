@@ -195,6 +195,16 @@ tickers="$(callers 'tick_rows\\(' 'fn tick_rows' | sort -u | tr '\n' ' ')"
 [ "$tickers" = "crates/exec/src/eval.rs:pass_settled " ] \
     || { echo "tick_rows( called from: $tickers"; exit 1; }
 
+echo "==> one replay (grep gate)"
+# A morsel worker's governor only counts (DESIGN.md §5f, §7): the master
+# applies one tally per morsel and re-runs the one morsel that stops the
+# run, so there is no event log to replay; and a σ± charges a row where
+# it leaves, as every route does, not ahead of its predicate.
+replays="$(find crates/exec/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /GovEvent|GovLog|precharge/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$replays" ] || { echo "a governor event log or a σ± precharge:"; echo "$replays"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
