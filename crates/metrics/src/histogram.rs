@@ -6,7 +6,7 @@
 //! `1/SUB` across the whole 64-bit range in [`NUM_BUCKETS`] buckets
 //! total. Bucket boundaries are a pure function of the value, so two
 //! histograms fed the same multiset of observations are structurally
-//! identical regardless of observation order or which thread shard
+//! identical regardless of observation order or which thread
 //! recorded them — the property the registry's deterministic fold
 //! (and the `tests/counters.golden` gate) relies on.
 
@@ -70,8 +70,8 @@ impl Histogram {
     }
 
     /// Fold another histogram into this one (elementwise bucket add).
-    /// Commutative and associative, so shard fold order cannot change
-    /// the result.
+    /// Commutative and associative, so merge order cannot change the
+    /// result.
     pub fn merge(&mut self, other: &Histogram) {
         if other.buckets.is_empty() {
             return;

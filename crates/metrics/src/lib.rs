@@ -3,9 +3,10 @@
 //! Three layers (DESIGN.md §9):
 //!
 //! 1. [`Registry`] — counters, max-gauges and log-linear
-//!    [`Histogram`]s written through per-thread shards and folded
-//!    with commutative operations, so snapshots are worker-count
-//!    independent whichever thread recorded what. Wall-clock-derived series carry a `timing` flag;
+//!    [`Histogram`]s, one slot per series under one mutex. Every write
+//!    folds commutatively (counters sum, gauges max, histograms add
+//!    bucket by bucket), so a snapshot does not depend on which thread
+//!    recorded what. Wall-clock-derived series carry a `timing` flag;
 //!    [`Snapshot::deterministic`] strips them, and what remains is
 //!    bit-identical across thread counts, batch sizes and reruns —
 //!    which is what `tests/counters.golden` gates.
@@ -14,9 +15,10 @@
 //! 3. Exposition — Prometheus text ([`render_prometheus`] +
 //!    [`validate_prometheus`]) and JSON ([`render_json`]).
 //!
-//! The hot path is deliberately cheap: recording one query execution
-//! is a handful of uncontended-mutex shard writes plus one bounded
-//! table update — gated at <= 2% overhead on the fig7a q1 sf1 bench.
+//! Recording one query execution is about fifteen slot writes plus
+//! one bounded table update: under a microsecond on a 2-vCPU VM, beside
+//! statements that run for milliseconds. `metrics.snapshot_us` in
+//! `benchmark/run.sh --trace 1` measures the read side.
 
 mod expose;
 mod histogram;
@@ -165,10 +167,10 @@ impl MetricsHub {
     }
 
     /// The governor's peak-memory watermark (bytes) across every
-    /// execution recorded into this hub — a cheap single-series fold,
-    /// polled by the service's degradation controller on each submit.
+    /// execution recorded into this hub — one slot read, polled by the
+    /// service's degradation controller on each submit.
     pub fn peak_memory_bytes(&self) -> u64 {
-        self.registry.fold_value(self.ids.peak_memory)
+        self.registry.value(self.ids.peak_memory)
     }
 
     /// What the catalog's lazily built base-table columns occupy. A

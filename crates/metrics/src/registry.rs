@@ -1,21 +1,17 @@
-//! The sharded metrics registry.
+//! The metrics registry: one slot per series, all under one mutex.
 //!
-//! Layout mirrors `bypass-trace`'s thread-buffer design: each thread
-//! owns one shard per registry (created lazily, registered in the
-//! registry's collector, kept alive by the registry after thread
-//! exit), so the write path locks only the calling thread's own
-//! uncontended mutex. [`Registry::snapshot`] folds all shards with
-//! commutative operations — counters sum, gauges take the max,
-//! histograms add buckets elementwise — so the folded result is
-//! independent of worker count, shard registration order and
-//! observation interleaving. That is the same replay discipline the
-//! governor uses (DESIGN.md §6/§7) and what lets timing-free
-//! snapshots gate exactly in `tests/counters.golden`.
+//! Registration appends a series' slot; [`Registry::add`],
+//! [`Registry::observe_max`] and [`Registry::observe`] update it in
+//! place; [`Registry::snapshot`] reads every slot in one pass. Each
+//! write folds with a commutative operation — counters sum, gauges
+//! take the max, histograms add bucket by bucket — so a snapshot is
+//! independent of which thread wrote what and in which order. That
+//! is what lets timing-free snapshots gate exactly in
+//! `tests/counters.golden`. A statement writes about fifteen series
+//! (DESIGN.md §9), so the one lock is not a contended path.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 
@@ -27,16 +23,17 @@ pub struct MetricId(usize);
 /// The three supported metric kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonic sum across shards.
+    /// Monotonic sum of every write.
     Counter,
-    /// Max across shards (e.g. peak memory).
+    /// Max of every sample (e.g. peak memory).
     GaugeMax,
-    /// Log-linear histogram, merged elementwise.
+    /// Log-linear histogram, bucket counts added per observation.
     Histogram,
 }
 
-#[derive(Debug, Clone)]
-struct Desc {
+/// One registered series: its description and its folded value.
+#[derive(Debug)]
+struct Series {
     name: String,
     labels: Vec<(String, String)>,
     help: String,
@@ -44,13 +41,7 @@ struct Desc {
     /// Timing-derived series are excluded from deterministic
     /// snapshots (they vary run to run; counts do not).
     timing: bool,
-}
-
-/// Per-thread slot storage, dense by [`MetricId`]. Slots materialize
-/// on first write; an absent slot folds as the kind's identity.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: Vec<Option<Slot>>,
+    slot: Slot,
 }
 
 #[derive(Debug)]
@@ -60,50 +51,28 @@ enum Slot {
     Histogram(Histogram),
 }
 
-impl Shard {
-    fn slot(&mut self, id: MetricId) -> &mut Option<Slot> {
-        if self.slots.len() <= id.0 {
-            self.slots.resize_with(id.0 + 1, || None);
-        }
-        &mut self.slots[id.0]
-    }
-}
-
 #[derive(Default)]
 struct Inner {
-    descs: Vec<Desc>,
+    /// Dense by [`MetricId`].
+    series: Vec<Series>,
     index: HashMap<(String, Vec<(String, String)>), MetricId>,
-    shards: Vec<Arc<Mutex<Shard>>>,
 }
 
 /// A process- or instance-scoped metrics registry. Most callers use
 /// the hub-owned instance; tests create isolated registries so
 /// parallel test binaries cannot observe each other's traffic.
+#[derive(Default)]
 pub struct Registry {
-    /// Distinguishes registries in the thread-local shard cache.
-    uid: u64,
     inner: Mutex<Inner>,
-}
-
-thread_local! {
-    /// (registry uid -> this thread's shard). A small scan-vector:
-    /// a process holds very few registries.
-    static SHARDS: RefCell<Vec<(u64, Arc<Mutex<Shard>>)>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
 }
 
 impl Registry {
     pub fn new() -> Registry {
-        static NEXT_UID: AtomicU64 = AtomicU64::new(1);
-        Registry {
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
-            inner: Mutex::new(Inner::default()),
-        }
+        Registry::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("metrics lock poisoned")
     }
 
     fn register(
@@ -119,21 +88,26 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         labels.sort();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if let Some(&id) = inner.index.get(&(name.to_string(), labels.clone())) {
             debug_assert_eq!(
-                inner.descs[id.0].kind, kind,
+                inner.series[id.0].kind, kind,
                 "metric {name} re-registered with a different kind"
             );
             return id;
         }
-        let id = MetricId(inner.descs.len());
-        inner.descs.push(Desc {
+        let id = MetricId(inner.series.len());
+        inner.series.push(Series {
             name: name.to_string(),
             labels: labels.clone(),
             help: help.to_string(),
             kind,
             timing,
+            slot: match kind {
+                MetricKind::Counter => Slot::Counter(0),
+                MetricKind::GaugeMax => Slot::GaugeMax(0),
+                MetricKind::Histogram => Slot::Histogram(Histogram::new()),
+            },
         });
         inner.index.insert((name.to_string(), labels), id);
         id
@@ -161,113 +135,64 @@ impl Registry {
         self.register(name, help, labels, MetricKind::Histogram, timing)
     }
 
-    /// The calling thread's shard for this registry, creating and
-    /// registering it on first use.
-    fn shard(&self) -> Arc<Mutex<Shard>> {
-        SHARDS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((_, shard)) = cache.iter().find(|(uid, _)| *uid == self.uid) {
-                return Arc::clone(shard);
-            }
-            let shard = Arc::new(Mutex::new(Shard::default()));
-            self.inner.lock().unwrap().shards.push(Arc::clone(&shard));
-            cache.push((self.uid, Arc::clone(&shard)));
-            shard
-        })
-    }
-
     /// Add to a counter.
     pub fn add(&self, id: MetricId, delta: u64) {
         if delta == 0 {
             return;
         }
-        let shard = self.shard();
-        let mut shard = shard.lock().unwrap();
-        match shard.slot(id) {
-            Some(Slot::Counter(c)) => *c += delta,
-            slot @ None => *slot = Some(Slot::Counter(delta)),
+        match &mut self.lock().series[id.0].slot {
+            Slot::Counter(c) => *c += delta,
             _ => debug_assert!(false, "add() on a non-counter metric"),
         }
     }
 
     /// Fold a sample into a max-gauge.
     pub fn observe_max(&self, id: MetricId, value: u64) {
-        let shard = self.shard();
-        let mut shard = shard.lock().unwrap();
-        match shard.slot(id) {
-            Some(Slot::GaugeMax(g)) => *g = (*g).max(value),
-            slot @ None => *slot = Some(Slot::GaugeMax(value)),
+        match &mut self.lock().series[id.0].slot {
+            Slot::GaugeMax(g) => *g = (*g).max(value),
             _ => debug_assert!(false, "observe_max() on a non-gauge metric"),
         }
     }
 
     /// Record a histogram observation.
     pub fn observe(&self, id: MetricId, value: u64) {
-        let shard = self.shard();
-        let mut shard = shard.lock().unwrap();
-        match shard.slot(id) {
-            Some(Slot::Histogram(h)) => h.observe(value),
-            slot @ None => {
-                let mut h = Histogram::new();
-                h.observe(value);
-                *slot = Some(Slot::Histogram(h));
-            }
+        match &mut self.lock().series[id.0].slot {
+            Slot::Histogram(h) => h.observe(value),
             _ => debug_assert!(false, "observe() on a non-histogram metric"),
         }
     }
 
-    /// Fold one series across all shards without building a full
-    /// snapshot: counters sum, gauges max, histograms report their
-    /// total observation count. The admission controller polls the
-    /// peak-memory watermark on every submit, so this path must stay
-    /// O(shards), not O(shards x series).
-    pub fn fold_value(&self, id: MetricId) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        let mut acc = 0u64;
-        for shard in &inner.shards {
-            let shard = shard.lock().unwrap();
-            match shard.slots.get(id.0) {
-                Some(Some(Slot::Counter(c))) => acc += *c,
-                Some(Some(Slot::GaugeMax(g))) => acc = acc.max(*g),
-                Some(Some(Slot::Histogram(h))) => acc += h.count(),
-                _ => {}
-            }
+    /// One series' value without building a snapshot: a counter's
+    /// sum, a gauge's max, a histogram's observation count.
+    pub fn value(&self, id: MetricId) -> u64 {
+        match &self.lock().series[id.0].slot {
+            Slot::Counter(c) => *c,
+            Slot::GaugeMax(g) => *g,
+            Slot::Histogram(h) => h.count(),
         }
-        acc
     }
 
-    /// Fold every shard into one consistent snapshot. Registered but
+    /// Every series in one consistent snapshot. Registered but
     /// never-written series appear with their identity value, so
     /// "required family present" checks hold on an idle engine.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap();
-        let mut entries: Vec<MetricEntry> = Vec::with_capacity(inner.descs.len());
-        for (i, desc) in inner.descs.iter().enumerate() {
-            let mut counter = 0u64;
-            let mut gauge = 0u64;
-            let mut hist = Histogram::new();
-            for shard in &inner.shards {
-                let shard = shard.lock().unwrap();
-                match shard.slots.get(i) {
-                    Some(Some(Slot::Counter(c))) => counter += *c,
-                    Some(Some(Slot::GaugeMax(g))) => gauge = gauge.max(*g),
-                    Some(Some(Slot::Histogram(h))) => hist.merge(h),
-                    _ => {}
-                }
-            }
-            let value = match desc.kind {
-                MetricKind::Counter => MetricValue::Counter(counter),
-                MetricKind::GaugeMax => MetricValue::Gauge(gauge),
-                MetricKind::Histogram => MetricValue::Histogram(hist.snapshot()),
-            };
-            entries.push(MetricEntry {
-                name: desc.name.clone(),
-                labels: desc.labels.clone(),
-                help: desc.help.clone(),
-                timing: desc.timing,
-                value,
-            });
-        }
+        let inner = self.lock();
+        let mut entries: Vec<MetricEntry> = inner
+            .series
+            .iter()
+            .map(|s| MetricEntry {
+                name: s.name.clone(),
+                labels: s.labels.clone(),
+                help: s.help.clone(),
+                timing: s.timing,
+                value: match &s.slot {
+                    Slot::Counter(c) => MetricValue::Counter(*c),
+                    Slot::GaugeMax(g) => MetricValue::Gauge(*g),
+                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                },
+            })
+            .collect();
+        drop(inner);
         entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         Snapshot { entries }
     }
@@ -344,6 +269,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn counters_sum_gauges_max_across_threads() {

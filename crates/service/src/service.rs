@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bypass_core::{Database, ExecCounters, RunLimits, Strategy};
+use bypass_metrics::{MetricId, Registry};
 use bypass_types::rng::Rng;
 use bypass_types::{tuple_bytes, CancelToken, Error, QuotaKind, Relation, Result};
 
@@ -92,23 +93,52 @@ pub struct SessionQuotas {
     pub max_statement_bytes: Option<usize>,
 }
 
-/// Count-derived service counters (no timing content) — mirrored into
-/// the database's [`MetricsHub`] registry as `bypass_service_*_total`
-/// series and pinned, per scenario, in `tests/counters.golden`.
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    admission_timeouts: AtomicU64,
-    retries: AtomicU64,
-    degraded: AtomicU64,
-    quota_rejected: AtomicU64,
-    oversized: AtomicU64,
-    drain_rejected: AtomicU64,
-    cancelled: AtomicU64,
+/// One service counter: the service's own count and the id of its
+/// `bypass_service_{field}_total` series in the database's registry.
+struct Counter {
+    n: AtomicU64,
+    id: MetricId,
+}
+
+macro_rules! counters {
+    ($($field:ident),* $(,)?) => {
+        /// Count-derived service counters (no timing content) — mirrored
+        /// into the database's [`MetricsHub`] registry as
+        /// `bypass_service_*_total` series, registered once by
+        /// [`QueryService::new`], and pinned, per scenario, in
+        /// `tests/counters.golden`.
+        struct Counters {
+            $($field: Counter,)*
+        }
+
+        impl Counters {
+            /// Registration is idempotent: services sharing a hub share
+            /// its series.
+            fn register(reg: &Registry) -> Counters {
+                Counters {
+                    $($field: Counter {
+                        n: AtomicU64::new(0),
+                        id: reg.counter(
+                            concat!("bypass_service_", stringify!($field), "_total"),
+                            concat!("Service admission counter: ", stringify!($field)),
+                            &[],
+                        ),
+                    },)*
+                }
+            }
+
+            fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot {
+                    $($field: self.$field.n.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    submitted, admitted, completed, failed, shed, admission_timeouts,
+    retries, degraded, quota_rejected, oversized, drain_rejected, cancelled,
 }
 
 /// A point-in-time copy of the service counters.
@@ -156,15 +186,9 @@ struct Inner {
 
 macro_rules! bump {
     ($inner:expr, $field:ident) => {{
-        $inner.counters.$field.fetch_add(1, Ordering::Relaxed);
-        $inner.db.metrics_hub().registry().add(
-            $inner.db.metrics_hub().registry().counter(
-                concat!("bypass_service_", stringify!($field), "_total"),
-                concat!("Service admission counter: ", stringify!($field)),
-                &[],
-            ),
-            1,
-        );
+        let counter = &$inner.counters.$field;
+        counter.n.fetch_add(1, Ordering::Relaxed);
+        $inner.db.metrics_hub().registry().add(counter.id, 1);
     }};
 }
 
@@ -173,6 +197,9 @@ impl Inner {
     /// (0 = none). Signals: live admission-queue depth and the hub's
     /// governor peak-memory watermark — both count-derived.
     fn resolve_tier(&self) -> usize {
+        if self.cfg.degrade.tiers.is_empty() {
+            return 0;
+        }
         let queue_depth = self.adm.queue_depth();
         let peak = self.db.metrics_hub().peak_memory_bytes();
         let mut tier = 0;
@@ -198,10 +225,10 @@ impl QueryService {
         QueryService {
             inner: Arc::new(Inner {
                 adm: AdmissionController::new(cfg.max_concurrency, cfg.queue_limit),
+                counters: Counters::register(db.metrics_hub().registry()),
                 db,
                 strategy,
                 cfg,
-                counters: Counters::default(),
                 active: Mutex::new(Vec::new()),
                 next_session: AtomicU64::new(1),
                 next_statement: AtomicU64::new(1),
@@ -236,11 +263,6 @@ impl QueryService {
         &self.inner.adm
     }
 
-    /// The strictest currently-active degradation tier (0 = none).
-    pub fn current_tier(&self) -> usize {
-        self.inner.resolve_tier()
-    }
-
     /// Stop admissions, cancel every in-flight statement via its
     /// [`CancelToken`], and wait until the engine is quiescent. The
     /// `Database` is untouched and reusable; call
@@ -265,21 +287,7 @@ impl QueryService {
 
     /// A point-in-time copy of the count-derived service counters.
     pub fn counters(&self) -> CountersSnapshot {
-        let c = &self.inner.counters;
-        CountersSnapshot {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            admission_timeouts: c.admission_timeouts.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
-            quota_rejected: c.quota_rejected.load(Ordering::Relaxed),
-            oversized: c.oversized.load(Ordering::Relaxed),
-            drain_rejected: c.drain_rejected.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 }
 

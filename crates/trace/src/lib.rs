@@ -3,9 +3,9 @@
 //! Design goals (in priority order):
 //!
 //! 1. **Free when off.** Tracing is disabled by default; every entry
-//!    point starts with a single relaxed atomic load and bails. The
-//!    `fig7a_q1_sf1` bench gate asserts the disabled-mode overhead
-//!    stays under the noise floor.
+//!    point starts with a single relaxed atomic load and bails;
+//!    `trace.engine_overhead_pct` in `benchmark/run.sh --trace 1`
+//!    measures what turning it on costs.
 //! 2. **Thread-isolated when on.** Each thread owns a bounded
 //!    ring-buffer of events guarded by its own mutex; the global
 //!    collector only holds `Arc` handles to those buffers, so workers

@@ -12,7 +12,7 @@
 //!
 //! Keys are `&'static str` and the tally is a tiny scan-vector, so a
 //! record costs a TLS access plus a few pointer compares — cheap
-//! enough to leave on for the fig7a q1 sf1 overhead gate.
+//! enough to leave on for every statement.
 
 use std::cell::RefCell;
 

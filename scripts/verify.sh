@@ -205,6 +205,18 @@ replays="$(find crates/exec/src -name '*.rs' -print0 | xargs -0 awk '
     counting && /GovEvent|GovLog|precharge/ { print FILENAME ":" FNR ": " $0 }')"
 [ -z "$replays" ] || { echo "a governor event log or a σ± precharge:"; echo "$replays"; exit 1; }
 
+echo "==> one metrics store (grep gate)"
+# The registry keeps one slot per series under its one mutex (DESIGN.md §9):
+# no per-thread shard to fold. The service registers its twelve counters in
+# QueryService::new, so bump! only adds to a series it already holds.
+shards="$(grep -rnE 'thread_local!|\bShard\b' crates/metrics/src || true)"
+[ -z "$shards" ] || { echo "a per-thread shard in the metrics registry:"; echo "$shards"; exit 1; }
+service="crates/service/src/service.rs"
+grep -q '^macro_rules! bump {' "$service" || { echo "macro bump! not found in $service"; exit 1; }
+registers="$(awk '/^macro_rules! bump \{/ { inside = 1 } inside && /\.counter\(/ { print FNR ": " $0 }
+    inside && /^\}/ { inside = 0 }' "$service")"
+[ -z "$registers" ] || { echo "bump! registers a series:"; echo "$registers"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

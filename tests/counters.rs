@@ -32,10 +32,9 @@ use std::time::Duration;
 
 use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4, Q_COMBINED, Q_EXISTS};
 use bypass::service::{
-    CountersSnapshot, DegradePolicy, DegradeTier, QueryService, RetryPolicy, ServiceConfig,
-    SessionQuotas,
+    DegradePolicy, DegradeTier, QueryService, RetryPolicy, ServiceConfig, SessionQuotas,
 };
-use bypass::{Database, MetricsHub, RunLimits, Strategy};
+use bypass::{Database, MetricValue, MetricsHub, RunLimits, Strategy};
 
 const GOLDEN: &str = include_str!("counters.golden");
 const RECOMPUTED: &str = concat!(env!("CARGO_TARGET_TMPDIR"), "/counters.golden");
@@ -350,9 +349,10 @@ fn s1_evaluates_the_nested_block_for_every_outer_row() {
 /// memory-headroom retry, drain/resume — all on a single thread with
 /// artificial slot holds, so every counter is an exact function of the
 /// scenario. The full `CountersSnapshot` of each is pinned under
-/// `service/counters/{scenario}/…`.
+/// `service/counters/{scenario}/…`, after checking that the hub's
+/// `bypass_service_{field}_total` series holds the same count.
 fn service_scenarios(run: &mut Entries) {
-    for (scenario, c) in [
+    for (scenario, svc) in [
         ("steady", steady()),
         ("shed", shed()),
         ("admission_timeout", admission_timeout()),
@@ -360,6 +360,8 @@ fn service_scenarios(run: &mut Entries) {
         ("degrade_retry", degrade_retry()),
         ("drain_resume", drain_resume()),
     ] {
+        let c = svc.counters();
+        let hub = svc.database().metrics();
         for (field, value) in [
             ("submitted", c.submitted),
             ("admitted", c.admitted),
@@ -374,6 +376,11 @@ fn service_scenarios(run: &mut Entries) {
             ("drain_rejected", c.drain_rejected),
             ("cancelled", c.cancelled),
         ] {
+            assert_eq!(
+                hub.get(&format!("bypass_service_{field}_total"), &[]),
+                Some(&MetricValue::Counter(value)),
+                "{scenario}/{field}: the registry and CountersSnapshot disagree"
+            );
             run.insert(format!("service/counters/{scenario}/{field}"), value);
         }
     }
@@ -400,7 +407,7 @@ fn base_config() -> ServiceConfig {
 
 /// Steady state: every submission admits on the fast path and
 /// completes; one statement is a plan error (typed failure).
-fn steady() -> CountersSnapshot {
+fn steady() -> QueryService {
     let svc = service(base_config());
     let session = svc.session(SessionQuotas::default());
     for _ in 0..3 {
@@ -409,12 +416,12 @@ fn steady() -> CountersSnapshot {
     session
         .execute("SELECT no_such_column FROM r")
         .expect_err("plan error");
-    svc.counters()
+    svc
 }
 
 /// Queue-full shedding: with every slot held and a zero-length queue,
 /// submissions shed immediately; after release the service recovers.
-fn shed() -> CountersSnapshot {
+fn shed() -> QueryService {
     let svc = service(ServiceConfig {
         queue_limit: 0,
         ..base_config()
@@ -427,28 +434,30 @@ fn shed() -> CountersSnapshot {
         }
     }
     session.execute(Q1).expect("recovers after release");
-    svc.counters()
+    svc
 }
 
 /// Deadline-bounded admission: a held gate plus a session deadline
 /// makes every attempt time out in the queue; the retry policy
 /// resubmits with a fresh deadline until attempts are exhausted.
-fn admission_timeout() -> CountersSnapshot {
+fn admission_timeout() -> QueryService {
     let svc = service(base_config());
     let session = svc.session(SessionQuotas {
         timeout: Some(Duration::from_millis(2)),
         ..SessionQuotas::default()
     });
-    let _hold = svc.admission().hold_slots(1);
-    for _ in 0..2 {
-        session.execute(Q1).expect_err("deadline expires queued");
+    {
+        let _hold = svc.admission().hold_slots(1);
+        for _ in 0..2 {
+            session.execute(Q1).expect_err("deadline expires queued");
+        }
     }
-    svc.counters()
+    svc
 }
 
 /// Session quotas: a spent byte budget rejects before admission, an
 /// over-cap statement is rejected O(1) before the parser.
-fn quotas() -> CountersSnapshot {
+fn quotas() -> QueryService {
     let svc = service(base_config());
     let session = svc.session(SessionQuotas {
         byte_budget: Some(1),
@@ -461,14 +470,14 @@ fn quotas() -> CountersSnapshot {
     session
         .execute(&oversized)
         .expect_err("statement over the session cap");
-    svc.counters()
+    svc
 }
 
 /// Graceful degradation + retry: once the hub's peak-memory watermark
 /// is set by the first run, the tier caps the next admission below the
 /// query's real peak; the memory trip is retried with raised headroom
 /// up to the session cap and completes degraded.
-fn degrade_retry() -> CountersSnapshot {
+fn degrade_retry() -> QueryService {
     // Measure the query's deterministic governor peak on a throwaway
     // database so the scenario thresholds derive from the byte model,
     // not hard-coded sizes.
@@ -496,12 +505,12 @@ fn degrade_retry() -> CountersSnapshot {
     let second = session.execute(Q1).expect("retry raises to the cap");
     assert_eq!(second.tier, 1);
     assert_eq!(second.retry.retries(), 1);
-    svc.counters()
+    svc
 }
 
 /// Drain/resume: draining rejects new work with a typed error and
 /// leaves the service reusable after `resume`.
-fn drain_resume() -> CountersSnapshot {
+fn drain_resume() -> QueryService {
     let svc = service(base_config());
     let session = svc.session(SessionQuotas::default());
     session.execute(Q1).expect("pre-drain");
@@ -509,5 +518,5 @@ fn drain_resume() -> CountersSnapshot {
     session.execute(Q1).expect_err("draining");
     svc.resume();
     session.execute(Q1).expect("post-resume");
-    svc.counters()
+    svc
 }
