@@ -5,6 +5,7 @@ use bypass_types::{tuple_bytes, value_heap_bytes, Error, Result, Tuple, Value, V
 
 use crate::expr::PhysExpr;
 use crate::hash::DistinctSet;
+use crate::row::Row;
 
 /// A resolved aggregate call: function, DISTINCT flag and the (optional)
 /// argument expression. `arg == None` aggregates whole input tuples
@@ -146,8 +147,8 @@ pub(crate) struct AggStates<'p> {
 
 impl<'p> AggStates<'p> {
     /// No groups yet. `rows` is how many rows are about to be folded in
-    /// at most: the DISTINCT sets — which typically keep most of them —
-    /// are sized for it up front (0: grow on demand).
+    /// at most, if that is known: the DISTINCT sets — which typically
+    /// keep most of them — are sized for it up front (0: grow on demand).
     pub(crate) fn new(specs: &'p [AggSpec], rows: usize) -> AggStates<'p> {
         AggStates {
             specs,
@@ -156,14 +157,35 @@ impl<'p> AggStates<'p> {
         }
     }
 
+    /// Do the aggregates only count rows — `COUNT(*)`, no DISTINCT? Then
+    /// a run of `n` rows folds as [`Self::count_rows`]`(n)`.
+    pub(crate) fn counts_rows(&self) -> bool {
+        let count =
+            |s: &AggSpec| matches!(s.func, AggFunc::Count) && s.arg.is_none() && !s.distinct;
+        self.specs.iter().all(count)
+    }
+
+    /// Fold `n` rows into every aggregate of the last group at once; only
+    /// for aggregates that [count rows](Self::counts_rows).
+    pub(crate) fn count_rows(&mut self, n: u64) {
+        let n = n as i64;
+        let last = self.accs.len() - self.specs.len();
+        let accs = &mut self.accs[last..];
+        for acc in accs {
+            if let Accumulator::CountRows { n: count } = acc {
+                *count += n;
+            }
+        }
+    }
+
     /// Open the next group (ids count up from 0).
     pub(crate) fn push_group(&mut self) {
         self.accs.extend(self.specs.iter().map(Accumulator::new));
     }
 
-    /// Fold `row` into every aggregate of group `g`; `arg` evaluates an
-    /// aggregate's argument expression over the row (the whole-row
-    /// COUNTs have none).
+    /// Fold `row` — a row or a pipeline's view of one — into every
+    /// aggregate of group `g`; `arg` evaluates an aggregate's argument
+    /// expression over the row (the whole-row COUNTs have none).
     ///
     /// Returns the bytes of state newly *retained* under the
     /// deterministic byte model: a DISTINCT set grows without bound, so
@@ -176,10 +198,10 @@ impl<'p> AggStates<'p> {
     /// iteration order — and an overflow or type error is raised at the
     /// row that causes it, as without DISTINCT.
     #[inline]
-    pub(crate) fn fold<'a>(
+    pub(crate) fn fold<'a, R: Row>(
         &mut self,
         g: u32,
-        row: &'a Tuple,
+        row: &R,
         mut arg: impl FnMut(&PhysExpr) -> Result<Cow<'a, Value>>,
     ) -> Result<u64> {
         let n = self.specs.len();
@@ -194,6 +216,14 @@ impl<'p> AggStates<'p> {
             match seen {
                 None => {}
                 Some(Seen::Rows(set)) => {
+                    let built;
+                    let row = match row.whole() {
+                        Some(t) => t,
+                        None => {
+                            built = row.to_tuple();
+                            &built
+                        }
+                    };
                     if !set.insert(g, row) {
                         continue;
                     }

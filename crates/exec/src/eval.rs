@@ -11,9 +11,10 @@ use bypass_types::{
 
 use crate::expr::PhysExpr;
 use crate::govern::Governor;
+use crate::group::Fold;
 use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
-use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
+use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
 use crate::vector::{chain_bindable, CompiledChain, SliceLoop};
 
@@ -272,9 +273,11 @@ pub struct NodeMetrics {
     /// Hash joins only: probe candidates whose full key comparison
     /// failed after a hash-tag match (collision re-verifies).
     pub reverify: u64,
-    /// Γ: rows consumed; hash joins: rows that probed the table. With
-    /// `self_nanos` this is the operator's ns/row.
+    /// Hash joins only: rows that probed the table. With `self_nanos`
+    /// this is the operator's ns/row.
     pub input_rows: u64,
+    /// Γ only (a pipeline that ends in one): rows folded into its groups.
+    pub group_rows: u64,
     /// Γ only: groups produced.
     pub groups: u64,
     /// Chained σ/σ± only (predicates with ≥ 2 disjuncts/conjuncts):
@@ -319,6 +322,7 @@ impl NodeMetrics {
         self.build_rows += from.build_rows;
         self.reverify += from.reverify;
         self.input_rows += from.input_rows;
+        self.group_rows += from.group_rows;
         self.groups += from.groups;
         merge_disjuncts(&mut self.disjuncts, &from.disjuncts);
         merge_stages(&mut self.stages, &from.stages);
@@ -373,7 +377,7 @@ struct LiveStage<'p> {
 /// What one morsel of a pipeline produced (one per stream of a bypass
 /// operator): the rows that left the last stage — the only ones
 /// materialized — and how many reached each stage on the way.
-struct Sink {
+struct Sink<'p> {
     rows: Vec<Tuple>,
     /// Rows that entered stage `k` of the chain.
     reached: Vec<u64>,
@@ -381,11 +385,45 @@ struct Sink {
     /// Reusable value buffers, one per pipeline level (`0`: the source,
     /// `k + 1`: stage `k`): a hash probe's key, a Π's output row.
     scratch: Vec<Vec<Value>>,
+    /// Where the rows leaving the last stage go.
+    exit: Exit<'p>,
+}
+
+/// Where the rows leaving a chain go (DESIGN.md §7).
+enum Exit<'p> {
+    /// Into `rows`, materialized and charged.
+    Keep,
+    /// Into the pipeline's Γ, folded as they leave.
+    Fold(Box<Fold<'p>>),
+    /// A morsel of a loop that forks, before the pipeline's Γ: held
+    /// uncharged, for Γ to fold in morsel order once the loop is merged.
+    Buffer(Vec<Tuple>),
+}
+
+impl<'p> Exit<'p> {
+    /// The exit of a morsel handed `fold` — the serial loop's Γ — or,
+    /// in a pipeline with a Γ (`grouped`), of a forked one.
+    fn of(fold: Option<Box<Fold<'p>>>, grouped: bool) -> Exit<'p> {
+        match (fold, grouped) {
+            (Some(fold), _) => Exit::Fold(fold),
+            (None, true) => Exit::Buffer(Vec::new()),
+            (None, false) => Exit::Keep,
+        }
+    }
+
+    /// The rows it took that are not in `rows`.
+    fn taken(&self) -> u64 {
+        match self {
+            Exit::Keep => 0,
+            Exit::Fold(fold) => fold.rows(),
+            Exit::Buffer(rows) => rows.len() as u64,
+        }
+    }
 }
 
 /// A pipeline's sinks: the positive stream's (a join's or a relation
 /// pipeline's only one), then the negative stream's.
-type Streams = [Sink; 2];
+type Streams<'p> = [Sink<'p>; 2];
 
 /// Where a σ head hands the rows it routes: its TRUE rows into `pos`,
 /// the head's own chain, at the stage after the head, and — a σ± —
@@ -414,19 +452,20 @@ impl<'s, 'p> Routes<'s, 'p> {
     }
 }
 
-impl Sink {
-    fn new(stages: usize) -> Sink {
+impl<'p> Sink<'p> {
+    fn new(stages: usize) -> Sink<'p> {
         Sink {
             rows: Vec::new(),
             reached: vec![0; stages],
             reverify: 0,
             scratch: vec![Vec::new(); stages + 1],
+            exit: Exit::Keep,
         }
     }
 
     /// Fold per-morsel sinks in morsel (= input) order; the single-part
     /// case is the serial path and moves the buffer.
-    fn merge(mut parts: Vec<Sink>) -> Sink {
+    fn merge(mut parts: Vec<Sink<'p>>) -> Sink<'p> {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
         }
@@ -434,6 +473,12 @@ impl Sink {
         all.rows.reserve(parts.iter().map(|p| p.rows.len()).sum());
         for p in parts {
             all.rows.extend(p.rows);
+            if let Exit::Buffer(rows) = p.exit {
+                match &mut all.exit {
+                    Exit::Buffer(all) => all.extend(rows),
+                    exit => *exit = Exit::Buffer(rows),
+                }
+            }
             all.reverify += p.reverify;
             for (a, b) in all.reached.iter_mut().zip(&p.reached) {
                 *a += b;
@@ -443,12 +488,13 @@ impl Sink {
     }
 
     /// A stage's output is the next stage's input; the last stage's is
-    /// what got materialized.
+    /// what left the chain.
     fn stage_metrics(&self) -> Vec<StageMetrics> {
         let outs = self.reached.iter().skip(1).copied();
+        let left = self.rows.len() as u64 + self.exit.taken();
         self.reached
             .iter()
-            .zip(outs.chain(std::iter::once(self.rows.len() as u64)))
+            .zip(outs.chain(std::iter::once(left)))
             .map(|(&rows_in, rows_out)| StageMetrics { rows_in, rows_out })
             .collect()
     }
@@ -511,31 +557,35 @@ impl ExecContext {
     /// Drive the σ head of a pipeline — a σ±'s among them — (`routes`) of
     /// `node` over `input`, the evaluated `from`: one morsel loop over the
     /// whole input, its terms in planned order, closed by
-    /// [`Self::finish`].
+    /// [`Self::finish`]. A serial loop takes the pipeline's Γ (`fold`)
+    /// and folds what it keeps.
     ///
     /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
     /// same node can run under different stacks inside nested subplans)
     /// gets no kernel columns: the first row to reach the unbound
     /// reference raises `eval_truth`'s error.
-    fn run_chain(
+    fn run_chain<'f>(
         &mut self,
         node: &Arc<PhysNode>,
         from: &PhysNode,
         input: &Relation,
         routes: &Routes<'_, '_>,
-    ) -> Result<Streams> {
+        fold: &mut Option<Box<Fold<'f>>>,
+    ) -> Result<Streams<'f>> {
         let chain = node.chain().expect("σ heads carry their chain");
         let rows = input.rows();
         let batch = chain_bindable(chain, &self.outer).then(|| chain_batch(from, input, chain));
         let batch = batch.as_ref();
-        let parts = self.run_morsels(node, rows.len(), 1, |ctx, range| {
+        let grouped = node.group().is_some();
+        let parts = self.run_morsels(node, rows.len(), 1, fold, |ctx, range, fold| {
             let rows = &rows[range.clone()];
+            let exit = Exit::of(fold, grouped);
             // Two instances: the one no stage follows keeps the σ loop's
             // own shape, which measured faster than a shared one.
             match routes.works(Truth::True) || routes.works(Truth::False) {
-                false => ctx.chain_slice::<true>(chain, rows, batch, range.start, routes),
-                true => ctx.chain_slice::<false>(chain, rows, batch, range.start, routes),
+                false => ctx.chain_slice::<true>(chain, rows, batch, range.start, routes, exit),
+                true => ctx.chain_slice::<false>(chain, rows, batch, range.start, routes, exit),
             }
         })?;
         let mut disjuncts = Vec::new();
@@ -578,14 +628,15 @@ impl ExecContext {
     /// match that loop ran ~6 % slower per row (benchmark workload
     /// `rst_canonical`).
     #[inline(never)]
-    fn chain_slice<const DIRECT: bool>(
+    fn chain_slice<'f, const DIRECT: bool>(
         &mut self,
         chain: &CompiledChain,
         rows: &[Tuple],
         batch: Option<&Batch>,
         base: usize,
         routes: &Routes<'_, '_>,
-    ) -> Result<(Streams, Vec<DisjunctMetrics>)> {
+        exit: Exit<'f>,
+    ) -> Result<(Streams<'f>, Vec<DisjunctMetrics>)> {
         let mut counts = vec![DisjunctMetrics::default(); chain.terms.len()];
         let kernels = if batch.is_some() {
             chain.kernels()
@@ -593,6 +644,7 @@ impl ExecContext {
             &[]
         };
         let mut out = [routes.pos, routes.neg.unwrap_or_default()].map(|s| Sink::new(s.len()));
+        out[0].exit = exit;
         let works = [routes.works(Truth::False), routes.works(Truth::True)];
         let decide = chain.decide();
         // Per-chunk scratch, reused across chunks (allocation-free
@@ -689,7 +741,7 @@ impl ExecContext {
                     continue;
                 }
                 if run < r {
-                    self.pass_settled(&chunk[run..r], &acc[run..r], routes, &mut out)?;
+                    self.pass_settled(&chunk[run..r], lo + run, &acc[run..r], routes, &mut out)?;
                 }
                 run = r + 1;
                 let t = &chunk[r];
@@ -702,7 +754,7 @@ impl ExecContext {
                     self.emit(&RowView::of(t), stages, from, &mut out[k])?;
                 }
             }
-            self.pass_settled(&chunk[run..], &acc[run..], routes, &mut out)?;
+            self.pass_settled(&chunk[run..], lo + run, &acc[run..], routes, &mut out)?;
             lo += n;
         }
         Ok((out, counts))
@@ -712,16 +764,20 @@ impl ExecContext {
     /// that meet no working stage — a σ keeps its TRUE rows, a σ± routes
     /// every row — and pass their checkpoints, nothing else being
     /// governor-visible (each row ticks and is charged if it leaves):
-    /// one governor call. Should the governor stop the run, the rows go
-    /// with the sinks.
+    /// one governor call. A σ's Γ folds the rows it keeps — a Γ that
+    /// counts them, their number — and charges nothing here. Should the
+    /// governor stop the run, the rows go with the sinks. `base` is the
+    /// position of `rows[0]` in the input.
     fn pass_settled(
         &mut self,
         rows: &[Tuple],
+        base: usize,
         truth: &[Truth],
         routes: &Routes<'_, '_>,
-        out: &mut Streams,
+        out: &mut Streams<'_>,
     ) -> Result<()> {
         let bypass = routes.neg.is_some();
+        let keeps = bypass || matches!(out[0].exit, Exit::Keep);
         let charges = if bypass {
             for (t, &truth) in rows.iter().zip(truth) {
                 if let Some((_, from, k)) = routes.of(truth) {
@@ -732,16 +788,55 @@ impl ExecContext {
             rows.len()
         } else {
             let sink = &mut out[0];
-            let before = sink.rows.len();
-            let kept = rows.iter().zip(truth).filter(|(_, t)| t.is_true());
-            sink.rows.extend(kept.map(|(t, _)| t.clone()));
-            let kept = sink.rows.len() - before;
-            sink.reached[1..].iter_mut().for_each(|r| *r += kept as u64);
-            kept
+            let into = match &mut sink.exit {
+                Exit::Fold(fold) => Err(fold),
+                Exit::Buffer(rows) => Ok(rows),
+                Exit::Keep => Ok(&mut sink.rows),
+            };
+            let n = match into {
+                Ok(into) => {
+                    let before = into.len();
+                    let kept = rows.iter().zip(truth).filter(|(_, t)| t.is_true());
+                    into.extend(kept.map(|(t, _)| t.clone()));
+                    into.len() - before
+                }
+                Err(fold) => self.fold_settled(fold, rows, base, truth)?,
+            };
+            sink.reached[1..].iter_mut().for_each(|r| *r += n as u64);
+            if keeps {
+                n
+            } else {
+                0
+            }
         };
-        let charged = |r: usize| bypass || truth[r].is_true();
+        let charged = |r: usize| bypass || (keeps && truth[r].is_true());
         self.gov
             .tick_rows(rows.len(), charges, SHARED_ROW_BYTES, charged)
+    }
+
+    /// Fold the TRUE rows of a settled run (`base`: the position of
+    /// `rows[0]` in the input) into a σ's Γ — a Γ that counts rows, their
+    /// number — and return how many there were. Out of line: inlined, it
+    /// slowed the σ loop of every other pipeline by 9 % per row.
+    #[inline(never)]
+    fn fold_settled(
+        &mut self,
+        fold: &mut Fold<'_>,
+        rows: &[Tuple],
+        base: usize,
+        truth: &[Truth],
+    ) -> Result<usize> {
+        let kept = rows.iter().zip(truth).enumerate();
+        let mut kept = kept.filter_map(|(j, (t, truth))| truth.is_true().then_some((j, t)));
+        if fold.counts() {
+            let n = kept.count();
+            fold.count(self, n)?;
+            return Ok(n);
+        }
+        kept.try_fold(0, |n, (j, t)| {
+            fold.fold(self, t, Some(base + j))?;
+            Ok(n + 1)
+        })
     }
 
     /// Evaluate the chain's terms from term `from` on for one row, with
@@ -843,16 +938,6 @@ impl ExecContext {
             PhysKind::Pipeline { .. } => {
                 let [sink, _] = self.run_pipeline(node, local)?;
                 Relation::new(schema(), sink.rows)
-            }
-            PhysKind::HashAggregate { input, keys, aggs } => {
-                let table = input.table_columns();
-                let input = self.eval_node(input, local)?;
-                let out = self.hash_aggregate(&input, table, keys, aggs, schema())?;
-                if self.metrics.is_some() {
-                    self.pending.input_rows += input.len() as u64;
-                    self.pending.groups += out.len() as u64;
-                }
-                out
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
@@ -979,25 +1064,48 @@ impl ExecContext {
     // A row loop — a σ/σ±'s chunks, a pass over a relation (a join's and
     // a ⋈±'s headed by their probe) — pushes a borrowed `RowView` through
     // its stages and materializes (and charges) only what leaves the last
-    // one; every stage ticks where its operator did.
+    // one, or folds it into the Γ the pipeline ends in; every stage ticks
+    // where its operator did.
 
     /// Run the pipeline `node` over its evaluated input: the positive
     /// sink (a relation pipeline's only one), then — a bypass operator —
     /// the negative one. Build sides stay on the master (charge order is
     /// insertion order): the head's and the positive chain's joins first,
     /// then the negative chain's; the immutable tables are shared by the
-    /// morsels.
-    fn run_pipeline(&mut self, node: &Arc<PhysNode>, local: &mut Local) -> Result<Streams> {
-        let PhysKind::Pipeline { input, chain, neg } = &node.kind else {
+    /// morsels. A pipeline that ends in a Γ hands back its groups.
+    fn run_pipeline<'p>(
+        &mut self,
+        node: &'p Arc<PhysNode>,
+        local: &mut Local,
+    ) -> Result<Streams<'p>> {
+        let PhysKind::Pipeline {
+            input,
+            chain,
+            neg,
+            group,
+        } = &node.kind
+        else {
             return Err(Error::execution("not a pipeline"));
         };
         let rel = self.eval_node(input, local)?;
+        let table = input.table_columns();
+        if chain.stages.is_empty() {
+            let group = group.as_ref().expect("only Γ has an empty chain");
+            let mut sink = Sink::new(0);
+            sink.rows = self.group_relation(group, &rel, table)?;
+            return Ok([sink, Sink::new(0)]);
+        }
+        // The effects of a Γ folding inside the loop wait for its end.
+        let mut fold = match group {
+            Some(group) => Some(Box::new(Fold::start(self, group, table, None)?)),
+            None => None,
+        };
         let stages = self.open_chain(chain, Some(&rel), local)?;
         let neg = match neg {
             Some(neg) => Some(self.open_chain(neg, None, local)?),
             None => None,
         };
-        match node.chain() {
+        let [mut sink, neg] = match node.chain() {
             // A σ head runs chunk-wise and routes what it keeps into the
             // stages after it — what it fails, into a σ±'s negative chain.
             Some(_) => {
@@ -1005,10 +1113,55 @@ impl ExecContext {
                     pos: &stages,
                     neg: neg.as_deref(),
                 };
-                self.run_chain(node, input, &rel, &routes)
+                self.run_chain(node, input, &rel, &routes, &mut fold)?
             }
-            None => self.run_pass(node, input, &rel, &stages, neg.as_deref()),
+            None => self.run_pass(node, input, &rel, &stages, neg.as_deref(), &mut fold)?,
+        };
+        if group.is_some() {
+            // A serial loop hands Γ back in its sink; a forked one left it
+            // here and its morsels' rows in the sink, in morsel order.
+            let fold = match std::mem::replace(&mut sink.exit, Exit::Keep) {
+                Exit::Fold(fold) => fold,
+                Exit::Buffer(rows) => {
+                    let mut fold = fold.take().expect("a forked loop leaves Γ here");
+                    for t in &rows {
+                        fold.fold(self, t, None)?;
+                    }
+                    fold
+                }
+                Exit::Keep => return Err(Error::execution("Γ's pipeline kept its rows")),
+            };
+            sink.rows = self.close_group(*fold)?;
         }
+        Ok([sink, neg])
+    }
+
+    /// Γ over a relation: one pass on the master, folding in place, its
+    /// effects as they happen. The loop has no work of its own to share
+    /// out, so it never forks (DESIGN.md §7). Keys and arguments that are
+    /// plain columns are read off the row — or, when the input is a base
+    /// table (`table`), off the table's columns.
+    fn group_relation(
+        &mut self,
+        group: &Group,
+        input: &Relation,
+        table: Option<&TableColumns>,
+    ) -> Result<Vec<Tuple>> {
+        let mut fold = Fold::start(self, group, table, Some(input.len()))?;
+        fold.fold_relation(self, input.rows())?;
+        self.close_group(fold)
+    }
+
+    /// Γ's output rows, its effects replayed, and its EXPLAIN ANALYZE
+    /// counts.
+    fn close_group(&mut self, fold: Fold<'_>) -> Result<Vec<Tuple>> {
+        let folded = fold.rows();
+        let groups = fold.finish(self)?;
+        if self.metrics.is_some() {
+            self.pending.group_rows += folded;
+            self.pending.groups += groups.len() as u64;
+        }
+        Ok(groups)
     }
 
     /// The pass of a pipeline whose head is not a σ: every row of
@@ -1019,14 +1172,15 @@ impl ExecContext {
     /// columns, so a row is touched only once it has a partner or must be
     /// padded; a nested-loop head visits every build row per probing row
     /// and hands a ⋈±'s failing pairs into `neg`.
-    fn run_pass(
+    fn run_pass<'f>(
         &mut self,
         node: &Arc<PhysNode>,
         from: &PhysNode,
         input: &Relation,
         stages: &[LiveStage<'_>],
         neg: Option<&[LiveStage<'_>]>,
-    ) -> Result<Streams> {
+        fold: &mut Option<Box<Fold<'f>>>,
+    ) -> Result<Streams<'f>> {
         let head = stages.first().and_then(|s| s.probe.as_ref());
         let (table_key, pairs) = match head {
             Some(Probe {
@@ -1037,8 +1191,10 @@ impl ExecContext {
             None => (None, 1),
         };
         let number = matches!(stages.first().map(|s| s.stage), Some(Stage::Number));
-        let parts = self.run_morsels(node, input.len(), pairs, |ctx, range| {
+        let grouped = node.group().is_some();
+        let parts = self.run_morsels(node, input.len(), pairs, fold, |ctx, range, fold| {
             let [mut sink, mut miss] = [stages.len(), neg.map_or(0, <[_]>::len)].map(Sink::new);
+            sink.exit = Exit::of(fold, grouped);
             for (i, t) in range.clone().zip(&input.rows()[range]) {
                 let row = RowView::of(t);
                 let Some(probe) = head else {
@@ -1076,11 +1232,11 @@ impl ExecContext {
     /// on what was kept (morsels only saw their own buffers), release
     /// the build sides of `probes` and book collision re-verifies and
     /// per-stage counts (positive stream first).
-    fn finish<'s, 'p: 's>(
+    fn finish<'s, 'p: 's, 'f>(
         &mut self,
-        parts: Vec<Streams>,
+        parts: Vec<Streams<'f>>,
         probes: impl Iterator<Item = &'s Probe<'p>>,
-    ) -> Result<Streams> {
+    ) -> Result<Streams<'f>> {
         let (pos, neg): (Vec<_>, Vec<_>) = parts.into_iter().map(|[p, n]| (p, n)).unzip();
         let sinks = [Sink::merge(pos), Sink::merge(neg)];
         self.check_size(sinks[0].rows.len().max(sinks[1].rows.len()))?;
@@ -1260,16 +1416,44 @@ impl ExecContext {
     fn keep_picked(&mut self, row: &RowView<'_>, cols: &[usize], sink: &mut Sink) -> Result<()> {
         self.gov.tick()?;
         let cell = |&c: &usize| row.get(c).expect("planned against the view").clone();
+        if let Exit::Fold(fold) = &mut sink.exit {
+            // Γ reads the picked columns in place: a level's buffer.
+            let picked = sink.scratch.last_mut().expect("a buffer per level");
+            picked.clear();
+            picked.extend(cols.iter().map(cell));
+            return fold.fold(self, &RowView::new(picked), None);
+        }
         let picked: Tuple = cols.iter().map(cell).collect();
-        self.gov.charge(tuple_bytes(&picked))?;
-        sink.rows.push(picked);
+        match &mut sink.exit {
+            Exit::Buffer(rows) => rows.push(picked),
+            _ => {
+                self.gov.charge(tuple_bytes(&picked))?;
+                sink.rows.push(picked);
+            }
+        }
         Ok(())
     }
 
+    /// Hand a row leaving the chain to the pipeline's Γ: folded, or held
+    /// by a forked loop's morsel. Out of line, like [`Self::keep_picked`]:
+    /// `emit` is every pipeline's per-row path.
+    #[inline(never)]
+    fn exit_to_group(&mut self, row: &RowView<'_>, sink: &mut Sink) -> Result<()> {
+        match &mut sink.exit {
+            Exit::Fold(fold) => fold.fold(self, row, None),
+            Exit::Buffer(rows) => {
+                rows.push(row.to_tuple());
+                Ok(())
+            }
+            Exit::Keep => Err(Error::execution("a kept row is no Γ's")),
+        }
+    }
+
     /// Push one row into stage `at` of the chain; past the last stage
-    /// the row has survived — materialize and charge it: a source row
-    /// no stage changed by refcount, as σ hands rows on, any other as
-    /// the tuple it has become.
+    /// the row has survived — fold it into the pipeline's Γ, or
+    /// materialize and charge it: a source row no stage changed by
+    /// refcount, as σ hands rows on, any other as the tuple it has
+    /// become.
     fn emit(
         &mut self,
         row: &RowView<'_>,
@@ -1278,6 +1462,9 @@ impl ExecContext {
         sink: &mut Sink,
     ) -> Result<()> {
         let Some(stage) = stages.get(at) else {
+            if !matches!(sink.exit, Exit::Keep) {
+                return self.exit_to_group(row, sink);
+            }
             let (row, bytes) = match row.whole {
                 Some(t) => (t.clone(), SHARED_ROW_BYTES),
                 None => {

@@ -1,141 +1,276 @@
-//! Unary grouping Γ: hash grouping, or scalar aggregation without keys.
-//! (The paper's binary grouping Γᵇ is planned as an outer join over a Γ,
-//! `plan.rs`.)
+//! Unary grouping Γ: hash grouping, or scalar aggregation without keys
+//! — the sink of a pipeline (DESIGN.md §7). (The paper's binary grouping
+//! Γᵇ is planned as an outer join over a Γ, `plan.rs`.)
 //!
 //! Γ keeps its groups in a [`KeyTable`] — dense ids in first-appearance
 //! order, which is its output order — and their aggregate state in an
-//! [`AggStates`] arena indexed by those ids.
+//! [`AggStates`] arena indexed by those ids. Rows reach it one at a time
+//! as they leave their pipeline's chain ([`Fold::fold`]), or — a σ's
+//! settled run under `COUNT(*)` — as a count ([`Fold::count`]).
+//!
+//! Γ's governor effects are its own, in fold order: a scalar
+//! aggregation's state charged up front, a tick per row, a charge per new
+//! group and per first-seen DISTINCT row or value, the first fold error,
+//! then a charge per output row. Over a relation — an empty chain —
+//! they happen as the rows are folded. Folded inside a loop that passes
+//! checkpoints of its own they are recorded and replayed after it
+//! ([`Fold::finish`]): where a Γ over the loop's output put them.
 
 use bypass_catalog::TableColumns;
-use bypass_types::{tuple_bytes, Relation, Result, Schema, Tuple, VALUE_BYTES};
+use bypass_types::{tuple_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
 
-use crate::agg::{AggSpec, AggStates};
+use crate::agg::AggStates;
 use crate::eval::ExecContext;
 use crate::expr::PhysExpr;
-use crate::hash::{KeyReader, KeyRef, KeyTable, TableKey};
+use crate::hash::{KeyReader, KeyTable, TableKey};
+use crate::node::Group;
+use crate::row::Row;
 
-/// Fixed state of one aggregate accumulator in the byte model (the
-/// DISTINCT sets additionally report their growth through
-/// [`AggStates::fold`]).
-const ACC_BYTES: u64 = 48;
+/// Fixed state of one aggregate accumulator in the byte model (a
+/// DISTINCT set additionally charges what it keeps as it grows).
+pub const ACC_BYTES: u64 = 48;
 
-/// Γ's groups and their aggregate state.
-struct Groups<'p> {
+/// Γ's effects recorded inside a loop, for [`Fold::finish`] to replay:
+/// each charge with the number of rows folded when it was made (the
+/// scalar state's: 0), and the first fold error with the rows folded up
+/// to the failing one. No row is folded after it.
+#[derive(Default)]
+struct Deferred {
+    charges: Vec<(u64, u64)>,
+    error: Option<(u64, Error)>,
+}
+
+/// A running Γ: its groups, their aggregate states and how it reads keys.
+pub(crate) struct Fold<'p> {
+    keys: KeyReader<'p>,
+    /// The key columns of the base table whose unchanged rows reach Γ.
+    table_key: Option<TableKey<'p>>,
+    table: Option<&'p TableColumns>,
     /// `None` for a scalar aggregation: one group, there from the start
-    /// (`f(∅)` over empty input), and nothing to hash.
-    table: Option<KeyTable>,
+    /// (`f(∅)` over no rows), and nothing to hash.
+    groups: Option<KeyTable>,
     states: AggStates<'p>,
+    width: usize,
+    naggs: usize,
+    /// What a new group retains besides its key's text: a slot per key
+    /// value and an accumulator per aggregate.
+    fixed: u64,
+    /// Only `COUNT(*)`s, no keys: a run of rows folds as its length.
+    counts: bool,
+    /// The values of a computed key.
+    computed: Vec<Value>,
+    /// Rows folded: Γ's `in`, a checkpoint each.
+    rows: u64,
+    /// Group state charged so far; released once the output is built.
+    scratch: u64,
+    /// `Some` while the effects wait for the replay.
+    deferred: Option<Deferred>,
 }
 
-impl<'p> Groups<'p> {
-    fn new(width: usize, aggs: &'p [AggSpec], rows: usize) -> Groups<'p> {
-        let mut states = AggStates::new(aggs, rows);
-        let table = (width > 0).then(|| KeyTable::new(width));
-        if table.is_none() {
-            states.push_group();
-        }
-        Groups { table, states }
-    }
-
-    /// The group of the row whose key is `key`, opened if new; a new
-    /// group reports the bytes it retains: its key and an accumulator
-    /// per aggregate.
-    #[inline]
-    fn of<R: crate::row::Row>(&mut self, hash: u64, key: KeyRef<'_, R>, fixed: u64) -> (u32, u64) {
-        let table = self.table.as_mut().expect("keyed grouping");
-        let (g, created) = table.intern(hash, key);
-        if !created {
-            return (g, 0);
-        }
-        self.states.push_group();
-        (g, fixed + key.heap_bytes())
-    }
-
-    /// One output row per group, `key ◦ aggregates`, in first-appearance
-    /// order.
-    fn into_rows(self, width: usize, naggs: usize) -> Vec<Tuple> {
-        let ngroups = self.table.as_ref().map_or(1, KeyTable::len);
-        let mut keys = self
-            .table
-            .map_or_else(Vec::new, KeyTable::into_keys)
-            .into_iter();
-        let mut states = self.states;
-        let mut values = states.finish();
-        (0..ngroups)
-            .map(|_| {
-                keys.by_ref()
-                    .take(width)
-                    .chain(values.by_ref().take(naggs))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-impl ExecContext {
-    /// Γ over a materialized input: one pass on the master, grouping in
-    /// place. Keys and arguments that are plain columns are read off the
-    /// row — or, when the input is a base table (`table`), off the
-    /// table's columns; a fan-out would hand rows to workers and values
-    /// back for less work than that costs (DESIGN.md §7).
-    pub(crate) fn hash_aggregate(
-        &mut self,
-        input: &Relation,
-        table: Option<&TableColumns>,
-        keys: &[PhysExpr],
-        aggs: &[AggSpec],
-        schema: Schema,
-    ) -> Result<Relation> {
-        let rows = input.rows();
-        let width = keys.len();
-        let reader = KeyReader::new(keys);
-        let table_key = TableKey::new(table, &reader);
-        let table_arg = |a: &PhysExpr| match (table, a) {
-            (Some(table), PhysExpr::Column(c)) => table.get(*c),
-            _ => None,
+impl<'p> Fold<'p> {
+    /// Γ `group` over rows that are, when no stage changed them, rows of
+    /// the base table `table`: their keys and arguments are then read off
+    /// its columns. `relation` is the length of the relation Γ folds, if
+    /// it folds one: its effects happen as they come — the scalar state is
+    /// charged here — and its DISTINCT sets are sized for it. Folding
+    /// inside a loop (`None`) Γ cannot know how many rows will reach it:
+    /// the sets grow on demand, and the effects wait for [`Self::finish`].
+    pub(crate) fn start(
+        ctx: &mut ExecContext,
+        group: &'p Group,
+        table: Option<&'p TableColumns>,
+        relation: Option<usize>,
+    ) -> Result<Fold<'p>> {
+        let keys = KeyReader::new(&group.keys);
+        let (width, naggs) = (group.keys.len(), group.aggs.len());
+        let states = AggStates::new(&group.aggs, relation.unwrap_or(0));
+        let mut fold = Fold {
+            table_key: TableKey::new(table, &keys),
+            keys,
+            table,
+            groups: (width > 0).then(|| KeyTable::new(width)),
+            counts: width == 0 && states.counts_rows(),
+            states,
+            width,
+            naggs,
+            fixed: width as u64 * VALUE_BYTES + naggs as u64 * ACC_BYTES,
+            computed: Vec::new(),
+            rows: 0,
+            scratch: 0,
+            deferred: relation.is_none().then(Deferred::default),
         };
-        let mut groups = Groups::new(width, aggs, rows.len());
-        // Group state is scratch, released once the output rows are built.
-        let fixed = width as u64 * VALUE_BYTES + aggs.len() as u64 * ACC_BYTES;
-        let mut scratch = 0u64;
         if width == 0 {
-            self.gov.charge(fixed)?;
-            scratch += fixed;
+            fold.states.push_group();
+            fold.charge(ctx, fold.fixed)?;
         }
-        let mut computed = Vec::new();
-        for (i, t) in rows.iter().enumerate() {
-            self.gov.tick()?;
-            let g = if width == 0 {
-                0
-            } else {
-                let key = match &table_key {
-                    Some(table_key) => table_key.at(i, true),
-                    None => self.read_key(&reader, t, &mut computed, true)?,
-                };
-                let (hash, key) = key.expect("grouping keys keep their NULLs");
-                let (g, created) = groups.of(hash, key, fixed);
-                if created != 0 {
-                    self.gov.charge(created)?;
-                    scratch += created;
-                }
-                g
-            };
-            let grown = groups.states.fold(g, t, |a| match table_arg(a) {
-                Some(column) => Ok(column.get(i)),
-                None => self.eval_cow(a, t),
-            })?;
-            if grown != 0 {
-                self.gov.charge(grown)?;
-                scratch += grown;
+        Ok(fold)
+    }
+
+    /// Rows folded so far.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Does a run of rows fold as its length ([`Self::count`])?
+    pub(crate) fn counts(&self) -> bool {
+        self.counts
+    }
+
+    /// A recorded fold error ends the fold: nothing after it is replayed.
+    fn failed(&self) -> bool {
+        self.deferred.as_ref().is_some_and(|d| d.error.is_some())
+    }
+
+    fn tick(&mut self, ctx: &mut ExecContext) -> Result<()> {
+        self.rows += 1;
+        match self.deferred {
+            None => ctx.gov.tick(),
+            Some(_) => Ok(()),
+        }
+    }
+
+    fn charge(&mut self, ctx: &mut ExecContext, bytes: u64) -> Result<()> {
+        self.scratch += bytes;
+        match &mut self.deferred {
+            None => ctx.gov.charge(bytes),
+            Some(d) => {
+                d.charges.push((self.rows, bytes));
+                Ok(())
             }
         }
-        let mut out = Vec::new();
-        for row in groups.into_rows(width, aggs.len()) {
-            self.gov.charge(tuple_bytes(&row))?;
+    }
+
+    /// Fold `n` rows into a Γ that [counts](Self::counts).
+    pub(crate) fn count(&mut self, ctx: &mut ExecContext, n: usize) -> Result<()> {
+        if self.failed() {
+            return Ok(());
+        }
+        self.rows += n as u64;
+        self.states.count_rows(n as u64);
+        match self.deferred {
+            None => ctx.gov.tick_n(n as u64),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Fold every row of the relation `rows` — row `i` of the base table
+    /// Γ reads, if it reads one — with the effects as they happen.
+    pub(crate) fn fold_relation(&mut self, ctx: &mut ExecContext, rows: &[Tuple]) -> Result<()> {
+        debug_assert!(
+            self.deferred.is_none(),
+            "Γ over a relation has no loop to wait for"
+        );
+        if self.counts {
+            return self.count(ctx, rows.len());
+        }
+        for (i, t) in rows.iter().enumerate() {
+            self.fold_row(ctx, t, Some(i))?;
+        }
+        Ok(())
+    }
+
+    /// Fold one row leaving the chain. `at` is its position in the base
+    /// table, if the caller knows it for a row of it no stage changed:
+    /// its keys and arguments are read off the table. A deferred fold
+    /// records its error and returns `Ok`: the loop goes on, and an error
+    /// of its own comes first, as it would before a Γ over its output.
+    #[inline]
+    pub(crate) fn fold<R: Row>(
+        &mut self,
+        ctx: &mut ExecContext,
+        row: &R,
+        at: Option<usize>,
+    ) -> Result<()> {
+        if self.failed() {
+            return Ok(());
+        }
+        let folded = self.fold_row(ctx, row, at);
+        match (&mut self.deferred, folded) {
+            (Some(d), Err(e)) => {
+                d.error = Some((self.rows, e));
+                Ok(())
+            }
+            (_, folded) => folded,
+        }
+    }
+
+    #[inline(always)]
+    fn fold_row<R: Row>(
+        &mut self,
+        ctx: &mut ExecContext,
+        row: &R,
+        at: Option<usize>,
+    ) -> Result<()> {
+        self.tick(ctx)?;
+        let (g, created) = match &mut self.groups {
+            None => (0, None),
+            Some(groups) => {
+                let key = match (&self.table_key, at) {
+                    (Some(table_key), Some(i)) => table_key.at(i, true),
+                    _ => ctx.read_key(&self.keys, row, &mut self.computed, true)?,
+                };
+                let (hash, key) = key.expect("grouping keys keep their NULLs");
+                let (g, created) = groups.intern(hash, key);
+                (g, created.then(|| key.heap_bytes()))
+            }
+        };
+        if let Some(heap) = created {
+            self.states.push_group();
+            self.charge(ctx, self.fixed + heap)?;
+        }
+        let table = self.table.zip(at);
+        let grown = self.states.fold(g, row, |a| {
+            let column = match (table, a) {
+                (Some((table, i)), PhysExpr::Column(c)) => table.get(*c).map(|col| (col, i)),
+                _ => None,
+            };
+            match column {
+                Some((column, i)) => Ok(column.get(i)),
+                None => ctx.eval_cow(a, row),
+            }
+        })?;
+        if grown != 0 {
+            self.charge(ctx, grown)?;
+        }
+        Ok(())
+    }
+
+    /// Close Γ: replay what was recorded — the charges in fold order,
+    /// each after the ticks of the rows folded before it, then the first
+    /// error — and build the output, one charged row per group (`key ◦
+    /// aggregates`, first-appearance order). The group state is released.
+    pub(crate) fn finish(mut self, ctx: &mut ExecContext) -> Result<Vec<Tuple>> {
+        if let Some(deferred) = self.deferred.take() {
+            let mut ticked = 0;
+            for (at, bytes) in deferred.charges {
+                ctx.gov.tick_n(at - ticked)?;
+                ticked = at;
+                ctx.gov.charge(bytes)?;
+            }
+            let (end, error) = match deferred.error {
+                Some((at, e)) => (at, Some(e)),
+                None => (self.rows, None),
+            };
+            ctx.gov.tick_n(end - ticked)?;
+            if let Some(e) = error {
+                return Err(e);
+            }
+        }
+        let ngroups = self.groups.as_ref().map_or(1, KeyTable::len);
+        let keys = self
+            .groups
+            .take()
+            .map_or_else(Vec::new, KeyTable::into_keys);
+        let (mut keys, mut values) = (keys.into_iter(), self.states.finish());
+        let mut out = Vec::with_capacity(ngroups);
+        for _ in 0..ngroups {
+            let key = keys.by_ref().take(self.width);
+            let row: Tuple = key.chain(values.by_ref().take(self.naggs)).collect();
+            ctx.gov.charge(tuple_bytes(&row))?;
             out.push(row);
         }
-        self.gov.release(scratch);
-        Ok(Relation::new(schema, out))
+        ctx.gov.release(self.scratch);
+        Ok(out)
     }
 }
 
@@ -144,12 +279,14 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     use bypass_algebra::AggFunc;
-    use bypass_types::{DataType, Field, Value, ROW_OVERHEAD_BYTES};
+    use bypass_catalog::TableColumns;
+    use bypass_types::{DataType, Field, Relation, Schema, ROW_OVERHEAD_BYTES};
 
     use super::*;
+    use crate::agg::AggSpec;
     use crate::eval::tests::{int_rel, run};
     use crate::eval::ExecOptions;
-    use crate::node::{PhysKind, PhysNode};
+    use crate::node::PhysNode;
 
     #[test]
     fn scalar_aggregate_on_empty_input() {
@@ -158,23 +295,21 @@ mod tests {
             Field::new("c", DataType::Int),
             Field::new("s", DataType::Int),
         ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: empty,
-                keys: vec![],
-                aggs: vec![
-                    AggSpec {
-                        func: AggFunc::Count,
-                        distinct: false,
-                        arg: None,
-                    },
-                    AggSpec {
-                        func: AggFunc::Sum,
-                        distinct: false,
-                        arg: Some(PhysExpr::Column(0)),
-                    },
-                ],
-            },
+        let agg = PhysNode::aggregate(
+            empty,
+            vec![],
+            vec![
+                AggSpec {
+                    func: AggFunc::Count,
+                    distinct: false,
+                    arg: None,
+                },
+                AggSpec {
+                    func: AggFunc::Sum,
+                    distinct: false,
+                    arg: Some(PhysExpr::Column(0)),
+                },
+            ],
             schema,
         );
         let out = run(&agg);
@@ -190,16 +325,14 @@ mod tests {
             Field::new("k", DataType::Int),
             Field::new("s", DataType::Int),
         ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: scan,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Sum,
-                    distinct: false,
-                    arg: Some(PhysExpr::Column(1)),
-                }],
-            },
+        let agg = PhysNode::aggregate(
+            scan,
+            vec![PhysExpr::Column(0)],
+            vec![AggSpec {
+                func: AggFunc::Sum,
+                distinct: false,
+                arg: Some(PhysExpr::Column(1)),
+            }],
             schema,
         );
         let out = run(&agg);
@@ -231,16 +364,14 @@ mod tests {
             Field::new("k", DataType::Text),
             Field::new("s", DataType::Int),
         ]);
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: scan,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Sum,
-                    distinct: false,
-                    arg: Some(PhysExpr::Column(1)),
-                }],
-            },
+        let agg = PhysNode::aggregate(
+            scan,
+            vec![PhysExpr::Column(0)],
+            vec![AggSpec {
+                func: AggFunc::Sum,
+                distinct: false,
+                arg: Some(PhysExpr::Column(1)),
+            }],
             schema,
         );
         let out = run(&agg);
@@ -267,12 +398,10 @@ mod tests {
     fn one_distinct_set_counts_like_a_set_per_group() {
         let rows = duplicated_rows();
         let slices: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: int_rel("r", &["k", "v"], &slices),
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![count_distinct_rows()],
-            },
+        let agg = PhysNode::aggregate(
+            int_rel("r", &["k", "v"], &slices),
+            vec![PhysExpr::Column(0)],
+            vec![count_distinct_rows()],
             Schema::new(vec![
                 Field::new("k", DataType::Int),
                 Field::new("n", DataType::Int),
@@ -305,12 +434,10 @@ mod tests {
     fn grouped_distinct_retains_what_a_set_per_group_did() {
         let rows = duplicated_rows();
         let slices: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: int_rel("r", &["k", "v"], &slices),
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![count_distinct_rows()],
-            },
+        let agg = PhysNode::aggregate(
+            int_rel("r", &["k", "v"], &slices),
+            vec![PhysExpr::Column(0)],
+            vec![count_distinct_rows()],
             Schema::new(vec![
                 Field::new("k", DataType::Int),
                 Field::new("n", DataType::Int),

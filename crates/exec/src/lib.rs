@@ -53,7 +53,8 @@ pub use eval::{
     ExecOptions, NodeMetrics, StageMetrics,
 };
 pub use expr::PhysExpr;
+pub use group::ACC_BYTES;
 pub use interp::value_truth;
-pub use node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
+pub use node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 pub use plan::{physical_plan, physical_plan_with, PlanOptions, Resolver};
 pub use row::{Columns, Row, RowView};

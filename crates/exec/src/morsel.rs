@@ -189,20 +189,24 @@ impl ExecContext {
     /// threads in morsels. The gate and the morsel size count work, not
     /// rows, so a 500 × 500 pair loop fans out although its rows alone
     /// would not. Returns the per-morsel payloads in input order; the
-    /// caller concatenates.
-    pub(crate) fn run_morsels<P, F>(
+    /// caller concatenates. `serial` is state only a serial loop may
+    /// use — the Γ a pipeline folds into as its loop runs: the serial
+    /// body takes it, a forked loop leaves it where it is and hands every
+    /// morsel `None`, the master's re-run of one included.
+    pub(crate) fn run_morsels<P, S, F>(
         &mut self,
         node: &Arc<PhysNode>,
         total: usize,
         pairs: usize,
+        serial: &mut Option<S>,
         body: F,
     ) -> Result<Vec<P>>
     where
         P: Send,
-        F: Fn(&mut ExecContext, Range<usize>) -> Result<P> + Sync,
+        F: Fn(&mut ExecContext, Range<usize>, Option<S>) -> Result<P> + Sync,
     {
         let Some(weight) = self.fork_weight(node, total, pairs) else {
-            return Ok(vec![body(self, 0..total)?]);
+            return Ok(vec![body(self, 0..total, serial.take())?]);
         };
         let threads = self.options.threads;
         // Aim for ~4 morsels per worker (pull-based balancing without
@@ -226,7 +230,7 @@ impl ExecContext {
                 let mut span = bypass_trace::span("exec.morsel");
                 // 0 unless this loop itself runs inside a nested plan.
                 span.arg("depth", w.outer.len());
-                let payload = body(w, range.clone());
+                let payload = body(w, range.clone(), None);
                 if payload.is_err() {
                     stop.fetch_min(idx, Ordering::Relaxed);
                 }
@@ -251,7 +255,7 @@ impl ExecContext {
                 // on one thread as the worker did, to stop at the exact
                 // checkpoint with the exact bytes.
                 let threads = std::mem::replace(&mut self.options.threads, 1);
-                let rerun = body(self, range);
+                let rerun = body(self, range, None);
                 self.options.threads = threads;
                 payloads.push(rerun?);
                 continue;

@@ -66,8 +66,61 @@ impl PhysNode {
             stages,
             schema: schema.clone(),
         };
-        let neg = None;
-        PhysNode::new(PhysKind::Pipeline { input, chain, neg }, schema)
+        PhysNode::pipe(input, chain, None, None, schema)
+    }
+
+    /// The pipeline over `input` that pushes its rows through `chain` —
+    /// into a bypass operator's `neg` too, into a Γ's `group` at its end.
+    fn pipe(
+        input: Arc<PhysNode>,
+        chain: Chain,
+        neg: Option<Chain>,
+        group: Option<Group>,
+        schema: Schema,
+    ) -> Arc<PhysNode> {
+        let kind = PhysKind::Pipeline {
+            input,
+            chain,
+            neg,
+            group,
+        };
+        PhysNode::new(kind, schema)
+    }
+
+    /// Γ over `input` (`schema`: its output rows, the keys then the
+    /// aggregates). When `input` is a relation pipeline that nothing else
+    /// holds — the planner lets go of a pipeline whose only consumer is
+    /// Γ — and no key or aggregate runs a subquery, Γ becomes that
+    /// pipeline's sink: the rows leaving its chain are folded as they
+    /// leave. Otherwise Γ is a pipeline with an empty chain over `input`.
+    pub fn aggregate(
+        input: Arc<PhysNode>,
+        keys: Vec<PhysExpr>,
+        aggs: Vec<AggSpec>,
+        schema: Schema,
+    ) -> Arc<PhysNode> {
+        let group = Group { keys, aggs };
+        let nested = group.exprs().any(|e| !e.subquery_plans().is_empty());
+        let input = match Arc::try_unwrap(input) {
+            Ok(PhysNode {
+                kind:
+                    PhysKind::Pipeline {
+                        input,
+                        chain,
+                        neg: None,
+                        group: None,
+                    },
+                shared: false,
+                ..
+            }) if !nested => return PhysNode::pipe(input, chain, None, Some(group), schema),
+            Ok(node) => Arc::new(node),
+            Err(input) => input,
+        };
+        let chain = Chain {
+            stages: vec![],
+            schema: input.schema.clone(),
+        };
+        PhysNode::pipe(input, chain, None, Some(group), schema)
     }
 
     /// A bypass operator over `input`: the pipeline headed by `head` — a
@@ -92,8 +145,7 @@ impl PhysNode {
             schema: pos.schema,
         };
         let schema = chain.schema.clone();
-        let neg = Some(neg);
-        PhysNode::new(PhysKind::Pipeline { input, chain, neg }, schema)
+        PhysNode::pipe(input, chain, Some(neg), None, schema)
     }
 
     /// Is this a bypass operator — a pipeline with a negative stream?
@@ -105,6 +157,22 @@ impl PhysNode {
     pub fn scan(columns: Arc<TableColumns>, schema: Schema) -> Arc<PhysNode> {
         let data = columns.data().clone();
         PhysNode::new(PhysKind::Scan { data, columns }, schema)
+    }
+
+    /// The Γ this pipeline ends in, if any.
+    pub fn group(&self) -> Option<&Group> {
+        match &self.kind {
+            PhysKind::Pipeline { group, .. } => group.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Is this Γ over a relation — a pipeline with an empty chain?
+    fn groups_relation(&self) -> bool {
+        match &self.kind {
+            PhysKind::Pipeline { chain, group, .. } => group.is_some() && chain.stages.is_empty(),
+            _ => false,
+        }
     }
 
     /// The base table's columns, if this node is a scan: what the
@@ -235,8 +303,25 @@ impl Stage {
     }
 }
 
+/// Γ at the end of a pipeline (DESIGN.md §7): grouping keys — none for
+/// a scalar aggregation — and aggregates over the rows leaving the
+/// chain, which are folded into the groups as they leave.
+#[derive(Debug)]
+pub struct Group {
+    pub keys: Vec<PhysExpr>,
+    pub aggs: Vec<AggSpec>,
+}
+
+impl Group {
+    fn exprs(&self) -> impl Iterator<Item = &PhysExpr> {
+        let args = self.aggs.iter().filter_map(|a| a.arg.as_ref());
+        self.keys.iter().chain(args)
+    }
+}
+
 /// The stages of one pipeline, bottom-up, plus the schema of the rows
-/// leaving the last of them. Only those rows are ever materialized.
+/// leaving the last of them. Only those rows are ever materialized —
+/// or, in a pipeline that ends in a Γ, folded into its groups.
 #[derive(Debug)]
 pub struct Chain {
     pub stages: Vec<Stage>,
@@ -253,7 +338,7 @@ pub enum PhysKind {
         data: Arc<Relation>,
         columns: Arc<TableColumns>,
     },
-    /// σ, Π, χ, ν, joins and the bypass operators: a pass over the
+    /// σ, Π, χ, ν, joins, Γ and the bypass operators: a pass over the
     /// evaluated `input` pushing each row through `chain`. A σ head runs
     /// its predicate chunk-wise ([`PhysNode::chain`]) and hands the rows
     /// it keeps to the stages after it; a probe head
@@ -262,16 +347,14 @@ pub enum PhysKind {
     /// With `neg` the pipeline is a bypass operator
     /// ([`PhysNode::bypass`]): the rows or pairs its head fails enter
     /// `neg`, and its two streams are read through [`PhysKind::Stream`].
+    /// With `group` the rows leaving `chain` are Γ's input and the
+    /// groups are the pipeline's rows ([`PhysNode::aggregate`]); Γ over
+    /// a relation is a pipeline with an empty chain.
     Pipeline {
         input: Arc<PhysNode>,
         chain: Chain,
         neg: Option<Chain>,
-    },
-    /// Unary grouping Γ (hash) / scalar aggregation when `keys` is empty.
-    HashAggregate {
-        input: Arc<PhysNode>,
-        keys: Vec<PhysExpr>,
-        aggs: Vec<AggSpec>,
+        group: Option<Group>,
     },
     /// Duplicate elimination.
     Distinct { input: Arc<PhysNode> },
@@ -308,8 +391,7 @@ impl PhysNode {
             PhysKind::Pipeline { input, .. } => std::iter::once(input)
                 .chain(self.head_probe().map(|s| &s.right))
                 .collect(),
-            PhysKind::HashAggregate { input, .. }
-            | PhysKind::Distinct { input }
+            PhysKind::Distinct { input }
             | PhysKind::Sort { input, .. }
             | PhysKind::Limit { input, .. }
             | PhysKind::Alias { input } => vec![input],
@@ -370,17 +452,13 @@ impl PhysNode {
     /// The expressions evaluated by this operator, fused stages included.
     pub fn exprs(&self) -> Vec<&PhysExpr> {
         let mut own = match &self.kind {
+            PhysKind::Pipeline { group, .. } => group.iter().flat_map(Group::exprs).collect(),
             PhysKind::Scan { .. }
-            | PhysKind::Pipeline { .. }
             | PhysKind::Distinct { .. }
             | PhysKind::Limit { .. }
             | PhysKind::Alias { .. }
             | PhysKind::UnionAll { .. }
             | PhysKind::Stream { .. } => vec![],
-            PhysKind::HashAggregate { keys, aggs, .. } => keys
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                .collect(),
             PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
         };
         own.extend(self.stages().flat_map(Stage::exprs));
@@ -406,9 +484,8 @@ impl PhysNode {
                 None => "BypassFilter",
             },
             PhysKind::Pipeline { chain, .. } => {
-                chain.stages.first().map_or("Pipeline", Stage::name)
+                chain.stages.first().map_or("HashAggregate", Stage::name)
             }
-            PhysKind::HashAggregate { .. } => "HashAggregate",
             PhysKind::Distinct { .. } => "Distinct",
             PhysKind::Sort { .. } => "Sort",
             PhysKind::Limit { .. } => "Limit",
@@ -425,8 +502,9 @@ impl PhysNode {
     }
 
     /// The width of the rows this operator builds (a bypass operator: of
-    /// its positive / negative stream), `None` for one that hands on the
-    /// rows it was given.
+    /// its positive / negative stream; a pipeline that ends in a Γ: of
+    /// the rows leaving its chain), `None` for one that hands on the rows
+    /// it was given.
     fn built_width(&self) -> Option<String> {
         match &self.kind {
             // A σ± hands its source rows on; a ⋈± builds its pairs.
@@ -443,19 +521,25 @@ impl PhysNode {
             {
                 None
             }
-            PhysKind::Pipeline { .. } => Some(self.schema.arity().to_string()),
+            PhysKind::Pipeline { chain, .. } => Some(chain.schema.arity().to_string()),
             _ => None,
         }
     }
 
     /// The stage chain whose rows leave its host through this node — a
-    /// pipeline's own chain (its head prints as the operator itself), or
-    /// the chain of the bypass stream this `Stream` node taps.
+    /// pipeline's own chain (its head prints as the operator itself, a Γ
+    /// it ends in above its top stage), or the chain of the bypass
+    /// stream this `Stream` node taps.
     fn exit_chain(&self) -> Option<ExitChain<'_>> {
         let (host, chain, offset, first) = match &self.kind {
             PhysKind::Pipeline {
-                chain, neg: None, ..
-            } if chain.stages.len() > 1 => (self, chain, 0, 1),
+                chain,
+                neg: None,
+                group,
+                ..
+            } if chain.stages.len() > 1 || (group.is_some() && !chain.stages.is_empty()) => {
+                (self, chain, 0, 1)
+            }
             PhysKind::Stream { source, positive } if source.stream_chained(*positive) => {
                 let (chain, first) = source.stream(*positive)?;
                 let (pos, _) = source.stream(true)?;
@@ -515,6 +599,12 @@ impl PhysNode {
             match line.source {
                 _ if metrics.is_none() => {}
                 LineSource::Shared | LineSource::Header => {}
+                LineSource::Group(host) => match at(host) {
+                    Some(m) => {
+                        out.push_str(&format!("  [in={} groups={}]", m.group_rows, m.groups))
+                    }
+                    None => out.push_str("  [not executed]"),
+                },
                 LineSource::Stage { host, index } => match at(host)
                     .and_then(|m| m.stages.get(index))
                 {
@@ -548,6 +638,8 @@ enum LineSource<'a> {
     Shared,
     /// The `subquery:` line above a subquery plan.
     Header,
+    /// The Γ a pipeline (`host`) ends in, printed above its chain.
+    Group(&'a PhysNode),
     /// Entry `index` of `host`'s `NodeMetrics::stages`.
     Stage { host: &'a PhysNode, index: usize },
 }
@@ -581,10 +673,22 @@ impl<'a> LineWalker<'a> {
         *self.ids.entry(n).or_insert(next)
     }
 
-    fn node(&mut self, n: &'a PhysNode, depth: usize) {
-        match n.exit_chain() {
-            Some(fused) => self.stage(fused, fused.chain.stages.len() - 1, depth),
-            None => self.operator(n, depth),
+    fn node(&mut self, n: &'a PhysNode, mut depth: usize) {
+        let Some(fused) = n.exit_chain() else {
+            return self.operator(n, depth);
+        };
+        if fused.exit.group().is_some() {
+            let id = self.id(fused.host);
+            self.out.push(PlanLine {
+                depth,
+                label: format!("HashAggregate fused→#{id}"),
+                source: LineSource::Group(fused.host),
+            });
+            depth += 1;
+        }
+        match fused.chain.stages.len() - 1 {
+            top if top >= fused.first => self.stage(fused, top, depth),
+            _ => self.operator(fused.exit, depth),
         }
     }
 
@@ -671,8 +775,8 @@ fn annotate(out: &mut String, n: &PhysNode, m: &crate::eval::NodeMetrics) {
         ));
     }
     // Exact counts: with `self=` they give the operator's ns/row.
-    if matches!(n.kind, PhysKind::HashAggregate { .. }) {
-        out.push_str(&format!(" in={} groups={}", m.input_rows, m.groups));
+    if n.groups_relation() {
+        out.push_str(&format!(" in={} groups={}", m.group_rows, m.groups));
     }
     if m.build_rows > 0 || m.reverify > 0 {
         out.push_str(&format!(" build={} reverify={}", m.build_rows, m.reverify));

@@ -344,14 +344,12 @@ impl<'a> Resolver<'a> {
                     .map(|(call, _)| self.resolve_agg(call, &child.schema))
                     .collect::<Result<Vec<_>>>()?;
                 let schema = schema_over(&[&child]);
-                PhysNode::new(
-                    PhysKind::HashAggregate {
-                        input: child,
-                        keys,
-                        aggs,
-                    },
-                    schema,
-                )
+                // Γ is the only consumer of its input: the block lets go of
+                // it, so Γ can take its pipeline over as that pipeline's sink.
+                if block.consumers[&Arc::as_ptr(input)].len() == 1 {
+                    block.memo.retain(|_, node| !Arc::ptr_eq(node, &child));
+                }
+                self.aggregate(child, keys, aggs, schema)
             }
             // Γᵇ_{g; l = r; f}(L, R) is Eqv. 1's outer join over a Γ:
             // Π_{L, g}(L ⟕_{l = k; g: f(∅)} Γ_{k: r; g: f}(σ_{r IS NOT NULL}(R))).
@@ -381,12 +379,8 @@ impl<'a> Resolver<'a> {
                 let width = l.schema.arity();
                 let g = schema.field(width).clone();
                 let defaults = Some(vec![(1, agg.empty_value())]);
-                let grouped = PhysKind::HashAggregate {
-                    input: keyed,
-                    keys: vec![right_key],
-                    aggs: vec![agg],
-                };
-                let grouped = PhysNode::new(grouped, Schema::new(vec![key_field, g]));
+                let schema_g = Schema::new(vec![key_field, g]);
+                let grouped = self.aggregate(keyed, vec![right_key], vec![agg], schema_g);
                 let probe = Stage::Probe(JoinSpec {
                     right: grouped,
                     on: JoinOn::Hash {
@@ -566,6 +560,20 @@ impl<'a> Resolver<'a> {
             on,
             defaults,
         })
+    }
+
+    /// Γ over the planned `input` ([`PhysNode::aggregate`]): the sink of
+    /// `input`'s pipeline if nothing else holds it. Without fusion a
+    /// second handle keeps every Γ a pipeline of its own.
+    fn aggregate(
+        &self,
+        input: Arc<PhysNode>,
+        keys: Vec<PhysExpr>,
+        aggs: Vec<AggSpec>,
+        schema: Schema,
+    ) -> Arc<PhysNode> {
+        let _held = (!self.options.fuse_stage_chains).then(|| input.clone());
+        PhysNode::aggregate(input, keys, aggs, schema)
     }
 
     /// Compile chain `slot` of the host at `host`, if it has one, over

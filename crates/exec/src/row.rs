@@ -19,6 +19,9 @@ pub trait Row: Columns {
     /// An owned copy: a refcount bump for a [`Tuple`], one allocation
     /// for a view.
     fn to_tuple(&self) -> Tuple;
+
+    /// The materialized row this is all of, if there is one.
+    fn whole(&self) -> Option<&Tuple>;
 }
 
 impl Columns for Tuple {
@@ -32,6 +35,10 @@ impl Row for Tuple {
     #[inline]
     fn to_tuple(&self) -> Tuple {
         self.clone()
+    }
+
+    fn whole(&self) -> Option<&Tuple> {
+        Some(self)
     }
 }
 
@@ -177,6 +184,10 @@ impl Columns for RowView<'_> {
 }
 
 impl Row for RowView<'_> {
+    fn whole(&self) -> Option<&Tuple> {
+        self.whole
+    }
+
     fn to_tuple(&self) -> Tuple {
         if let Some(t) = self.whole {
             return t.clone();

@@ -10,11 +10,11 @@ use bypass_algebra::{AggFunc, BinOp};
 use bypass_catalog::TableColumns;
 use bypass_exec::{
     evaluate_with, AggSpec, ExecContext, ExecCounters, ExecOptions, JoinOn, JoinSpec, PhysExpr,
-    PhysKind, PhysNode, Stage,
+    PhysKind, PhysNode, Stage, ACC_BYTES,
 };
 use bypass_types::{
-    tuple_bytes, CancelToken, DataType, Error, FaultKind, Field, InjectedFault, Relation,
-    ResourceKind, Schema, Tuple, Value, SHARED_ROW_BYTES,
+    tuple_bytes, value_heap_bytes, CancelToken, DataType, Error, FaultKind, Field, InjectedFault,
+    Relation, ResourceKind, Schema, Tuple, Value, SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 fn int_rel(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Arc<PhysNode> {
@@ -77,16 +77,14 @@ fn governed_plan() -> Arc<PhysNode> {
         vec![Stage::Filter(cmp(BinOp::Gt, PhysExpr::Column(1), int(0)))],
         schema3,
     );
-    PhysNode::new(
-        PhysKind::HashAggregate {
-            input: filter,
-            keys: vec![PhysExpr::Column(0)],
-            aggs: vec![AggSpec {
-                func: AggFunc::Count,
-                distinct: true,
-                arg: Some(PhysExpr::Column(1)),
-            }],
-        },
+    PhysNode::aggregate(
+        filter,
+        vec![PhysExpr::Column(0)],
+        vec![AggSpec {
+            func: AggFunc::Count,
+            distinct: true,
+            arg: Some(PhysExpr::Column(1)),
+        }],
         Schema::new(vec![
             Field::new("x", DataType::Int),
             Field::new("n", DataType::Int),
@@ -174,11 +172,13 @@ fn cancel_token_stops_evaluation() {
 /// kernel term with one the interpreter must evaluate, so its chunks
 /// interleave settled runs and open rows. The plan three times — one
 /// pipeline per stage; σ and Π as one pipeline; and the latter with a
-/// third σ term that raises a value error at row 25 — each with its
-/// checkpoint sequence under the per-row definition, up to the raising
-/// row's tick: entry `k - 1` is the bytes in use when checkpoint `k` is
-/// passed. Then the error the run ends with, if any.
-fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 3] {
+/// third σ term that raises a value error at row 25 — then σ and the
+/// raising σ as the pipeline a `Γ_{x; COUNT(DISTINCT s)}` sinks into,
+/// whose effects are replayed after σ's loop. Each with its checkpoint
+/// sequence under the per-row definition, up to the raising row's tick:
+/// entry `k - 1` is the bytes in use when checkpoint `k` is passed. Then
+/// the error the run ends with, if any.
+fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 5] {
     let schema = Schema::new(vec![
         Field::new("x", DataType::Int),
         Field::new("y", DataType::Int),
@@ -223,7 +223,7 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 3] {
         ),
         int(0),
     );
-    let raising_sigma = Stage::Filter(cmp(BinOp::Or, two_terms(), third));
+    let raising_sigma = || Stage::Filter(cmp(BinOp::Or, two_terms(), third.clone()));
     let kept = |t: &&Tuple| t[0] > Value::Int(2) || t[1] < Value::Int(12);
     let projected = schema.project(&[2, 1]);
     let pi = Stage::Project(vec![PhysExpr::Column(2), PhysExpr::Column(1)]);
@@ -302,13 +302,74 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 3] {
         pass(Some(survivors.len() as u64 * SHARED_ROW_BYTES));
         sequence
     };
+    // Γ_{x; COUNT(DISTINCT s)} as the sink of σ: it charges a new group
+    // and each value first seen in a group.
+    let gamma = |sigma| {
+        let input = PhysNode::pipeline(scan.clone(), vec![sigma], schema.clone());
+        let aggs = vec![AggSpec {
+            func: AggFunc::Count,
+            distinct: true,
+            arg: Some(PhysExpr::Column(2)),
+        }];
+        let out = Schema::new(vec![
+            Field::new("x", DataType::Int),
+            Field::new("n", DataType::Int),
+        ]);
+        PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs, out)
+    };
+    let grouped = |raises: Option<i64>| {
+        let mut used = 0u64;
+        let mut sequence = Vec::new();
+        let mut pass = |charge: Option<u64>| {
+            used += charge.unwrap_or(0);
+            sequence.push(used);
+        };
+        // σ: tick; the rows it keeps are not charged but folded.
+        for t in &rows {
+            pass(None);
+            if raises.is_some_and(|y| t[1] == Value::Int(y)) {
+                return sequence;
+            }
+        }
+        // Γ, replayed after σ's loop: tick per kept row, charge its group
+        // if new and its value if new to the group, then the output rows.
+        let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+        for t in rows.iter().filter(kept) {
+            pass(None);
+            let g = match groups.iter().position(|(x, _)| *x == t[0]) {
+                Some(g) => g,
+                None => {
+                    groups.push((t[0].clone(), Vec::new()));
+                    pass(Some(VALUE_BYTES + ACC_BYTES));
+                    groups.len() - 1
+                }
+            };
+            if !groups[g].1.contains(&t[2]) {
+                groups[g].1.push(t[2].clone());
+                pass(Some(VALUE_BYTES + value_heap_bytes(&t[2])));
+            }
+        }
+        for (x, seen) in &groups {
+            pass(Some(tuple_bytes(&Tuple::new(vec![
+                x.clone(),
+                Value::Int(seen.len() as i64),
+            ]))));
+        }
+        sequence
+    };
     let division = Error::execution("integer division by zero");
     [
         (plan(split), sequence(false, None), None),
         (plan(fused(sigma())), sequence(true, None), None),
         (
-            plan(fused(raising_sigma)),
+            plan(fused(raising_sigma())),
             sequence(true, Some(raising)),
+            Some(division.clone()),
+        ),
+        (gamma(sigma()), grouped(None), None),
+        (
+            gamma(raising_sigma()),
+            grouped(Some(raising)),
             Some(division),
         ),
     ]
@@ -452,16 +513,14 @@ fn nested_plan() -> Arc<PhysNode> {
         ))],
         inner_schema,
     );
-    let count = PhysNode::new(
-        PhysKind::HashAggregate {
-            input: matching,
-            keys: vec![],
-            aggs: vec![AggSpec {
-                func: AggFunc::Count,
-                distinct: false,
-                arg: None,
-            }],
-        },
+    let count = PhysNode::aggregate(
+        matching,
+        vec![],
+        vec![AggSpec {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        }],
         Schema::new(vec![Field::new("n", DataType::Int)]),
     );
     let schema = outer.schema.clone();
@@ -545,15 +604,13 @@ fn scan_rooted_plans(aliased: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u6
         distinct,
         arg: arg.map(PhysExpr::Column),
     };
-    let gamma = PhysNode::new(
-        PhysKind::HashAggregate {
-            input: f(),
-            keys: vec![PhysExpr::Column(0)],
-            aggs: vec![
-                agg(AggFunc::Sum, false, Some(1)),
-                agg(AggFunc::Count, true, None),
-            ],
-        },
+    let gamma = PhysNode::aggregate(
+        f(),
+        vec![PhysExpr::Column(0)],
+        vec![
+            agg(AggFunc::Sum, false, Some(1)),
+            agg(AggFunc::Count, true, None),
+        ],
         Schema::new(
             ["k", "s", "n"]
                 .map(|n| Field::new(n, DataType::Int))

@@ -93,16 +93,14 @@ fn plan() -> Arc<PhysNode> {
         ),
         filter(swapped, linking(2, 1)),
     );
-    let count = PhysNode::new(
-        PhysKind::HashAggregate {
-            input: branches,
-            keys: vec![],
-            aggs: vec![AggSpec {
-                func: AggFunc::Count,
-                distinct: false,
-                arg: None,
-            }],
-        },
+    let count = PhysNode::aggregate(
+        branches,
+        vec![],
+        vec![AggSpec {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        }],
         schema(&["c"]),
     );
     let nested = PhysExpr::Subquery {

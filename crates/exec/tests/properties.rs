@@ -13,6 +13,9 @@
 //! * a fused pipeline — headed by a σ, Π, χ or join, or a bypass
 //!   operator's stream — returns exactly the rows of the same operators
 //!   run one pipeline each, and charges the same but the intermediates,
+//! * a Γ that sinks its input pipeline returns the rows, floats bit for
+//!   bit, or the first error of its unfused twin, with exactly the
+//!   intermediate charges fewer,
 //! * the chunked σ/σ±/column-Π loops produce the row sequences, the
 //!   checkpoint count and the peak bytes of evaluating the predicate
 //!   row by row,
@@ -611,12 +614,7 @@ fn gamma_of(scan: &Arc<PhysNode>) -> Arc<PhysNode> {
             arg: Some(col(0)),
         },
     ];
-    let kind = PhysKind::HashAggregate {
-        input: scan.clone(),
-        keys: vec![col(2)],
-        aggs,
-    };
-    PhysNode::new(kind, ints(3))
+    PhysNode::aggregate(scan.clone(), vec![col(2)], aggs, ints(3))
 }
 
 /// A random σ, Π or χ as `(kind, a, b, k)`, its operands chosen modulo
@@ -951,12 +949,7 @@ fn check_bypass_streams(input: &Arc<PhysNode>, p: &PhysExpr, ops: [&Vec<StackOp>
                 distinct: false,
                 arg: None,
             }];
-            let kind = PhysKind::HashAggregate {
-                input,
-                keys: vec![],
-                aggs,
-            };
-            PhysNode::new(kind, ints(1))
+            PhysNode::aggregate(input, vec![], aggs, ints(1))
         };
         let [left, right] = tops.map(count);
         PhysNode::new(PhysKind::UnionAll { left, right }, ints(1))
@@ -1002,16 +995,14 @@ fn count_matching_subquery() -> PhysExpr {
         ))],
         s.schema.clone(),
     );
-    let count = PhysNode::new(
-        PhysKind::HashAggregate {
-            input: matching,
-            keys: vec![],
-            aggs: vec![AggSpec {
-                func: AggFunc::Count,
-                distinct: false,
-                arg: None,
-            }],
-        },
+    let count = PhysNode::aggregate(
+        matching,
+        vec![],
+        vec![AggSpec {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        }],
         Schema::new(vec![Field::new("n", DataType::Int)]),
     );
     PhysExpr::Subquery {
@@ -1582,16 +1573,14 @@ fn check_operand_table(ls: &[Value], rs: &[Value]) -> [Column; 2] {
                     .filter(|&li| truth(li) == want)
                     .map(|li| 1 << li)
                     .sum();
-                let sum = PhysNode::new(
-                    PhysKind::HashAggregate {
-                        input: sigma(&left_scan, p.clone()),
-                        keys: vec![],
-                        aggs: vec![AggSpec {
-                            func: AggFunc::Sum,
-                            distinct: false,
-                            arg: Some(col(2)),
-                        }],
-                    },
+                let sum = PhysNode::aggregate(
+                    sigma(&left_scan, p.clone()),
+                    vec![],
+                    vec![AggSpec {
+                        func: AggFunc::Sum,
+                        distinct: false,
+                        arg: Some(col(2)),
+                    }],
                     Schema::new(vec![Field::new("bits", DataType::Int)]),
                 );
                 let subquery = PhysExpr::Subquery {
@@ -1662,4 +1651,242 @@ fn sigma_raises_an_unresolved_outer_reference_at_the_first_row_that_reaches_it()
             assert_eq!(ctx.counters().checkpoints, checkpoints, "σ of {predicate}");
         }
     }
+}
+
+/// One generated row of [`gamma_table`]: a twin key, `y`, an index into
+/// [`FLOATS`] and a divisor `d` (`b` is big where `d` is 6 or 7).
+type GammaRow = (Option<(i64, bool)>, Option<i64>, i64, i64);
+
+/// Floats whose sums depend on the order they are added in.
+const FLOATS: [Option<f64>; 6] = [
+    Some(1e16),
+    Some(1.0),
+    Some(-1e16),
+    Some(0.5),
+    Some(-0.0),
+    None,
+];
+
+fn gamma_rows(len: usize) -> Gen<Vec<GammaRow>> {
+    let key = option_weighted(0.6, tuple2(int_range(0, 3), bool_any()));
+    let row = tuple4(
+        key,
+        option_weighted(0.85, int_range(0, 7)),
+        int_range(0, 6),
+        int_range(0, 8),
+    );
+    vec_of(row, len, len)
+}
+
+/// `t(k, y, f, b, d)`: `k` NULL, `Int` or the equal `Float`; `f` from
+/// [`FLOATS`]; `b` past `i64::MAX / 2` where `d` is 6 or 7, so that two
+/// such rows in one SUM overflow; `d` zero where `100 / d` divides by it.
+fn gamma_table(rows: &[GammaRow]) -> Relation {
+    let schema = Schema::new(
+        ["k", "y", "f", "b", "d"]
+            .map(|c| Field::qualified("t", c, DataType::Int))
+            .to_vec(),
+    );
+    let rows = rows
+        .iter()
+        .map(|&(k, y, f, d)| {
+            let k = match k {
+                None => Value::Null,
+                Some((k, false)) => Value::Int(k),
+                Some((k, true)) => Value::Float(k as f64),
+            };
+            let b = if d >= 6 { i64::MAX / 2 + d } else { d };
+            let f = FLOATS[f as usize].map_or(Value::Null, Value::Float);
+            let vals = [
+                y.map_or(Value::Null, Value::Int),
+                f,
+                Value::Int(b),
+                Value::Int(d),
+            ];
+            Tuple::new(std::iter::once(k).chain(vals).collect())
+        })
+        .collect();
+    Relation::new(schema, rows)
+}
+
+/// Every Γ over every chain shape the planner sinks it into, and over a
+/// relation: keyed and scalar, against the same logical plan planned
+/// without fusion — where Γ folds a relation its input pipeline built.
+fn gamma_plans() -> Vec<(String, Arc<bypass_algebra::LogicalPlan>)> {
+    let t = || PlanBuilder::scan("t", "t", gamma_table(&[]).schema().clone());
+    let u = PlanBuilder::scan(
+        "u",
+        "u",
+        Schema::new(vec![Field::qualified("u", "uk", DataType::Int)]),
+    );
+    let c = |name| Scalar::col(name);
+    let gt = |l, r: i64| Scalar::binary(BinOp::Gt, l, Scalar::lit(r));
+    let kept = gt(c("y"), 3);
+    let is_null = Scalar::IsNull {
+        negated: false,
+        expr: Box::new(c("k")),
+    };
+    let divides = gt(Scalar::binary(BinOp::Div, Scalar::lit(100i64), c("d")), 1);
+    let predicates = [kept.clone().or(is_null), kept.or(divides)];
+    let mut inputs: Vec<(String, PlanBuilder)> = vec![("relation".to_string(), t())];
+    for (i, p) in predicates.iter().enumerate() {
+        let sigma = t().filter(p.clone());
+        let columns = ["k", "y", "f", "b", "d"].map(|n| (c(n), None));
+        let z = (
+            Scalar::binary(BinOp::Add, c("y"), Scalar::lit(1i64)),
+            Some("z".to_string()),
+        );
+        let pi = t()
+            .filter(p.clone())
+            .project(columns.into_iter().chain([z]).collect());
+        inputs.push((format!("σ{i}"), sigma));
+        inputs.push((format!("σ{i}→Π"), pi));
+    }
+    let on = Scalar::binary(BinOp::Eq, c("k"), c("uk"));
+    inputs.push(("probe".to_string(), t().join(u, on)));
+    let sum = |arg| AggCall::new(AggFunc::Sum, false, Some(arg));
+    let all = || {
+        vec![
+            (AggCall::count_star(), "n".to_string()),
+            (sum(c("y")), "sy".to_string()),
+            (sum(c("f")), "sf".to_string()),
+            (
+                AggCall::new(AggFunc::Avg, false, Some(c("f"))),
+                "af".to_string(),
+            ),
+            (AggCall::count_distinct_star(), "nd".to_string()),
+            (sum(c("b")), "sb".to_string()),
+        ]
+    };
+    let mut plans = Vec::new();
+    for (name, input) in inputs {
+        let gammas = [
+            ("keyed", vec![c("k")], all()),
+            ("scalar", vec![], all()),
+            (
+                "count",
+                vec![],
+                vec![(AggCall::count_star(), "n".to_string())],
+            ),
+        ];
+        for (kind, keys, aggs) in gammas {
+            plans.push((
+                format!("{kind} Γ over {name}"),
+                input.clone().aggregate(keys, aggs).build(),
+            ));
+        }
+    }
+    plans
+}
+
+/// Rows — floats bit for bit — or the error, the counters, and the rows
+/// that entered the plan's fused Γs and stages (their EXPLAIN ANALYZE
+/// `in=`): the rows the unfused plan charges once more, as it
+/// materializes them below each.
+type GammaOutcome = (Result<Vec<String>, bypass_types::Error>, u64, u64, u64);
+
+fn gamma_outcome(plan: &Arc<PhysNode>, options: &ExecOptions) -> GammaOutcome {
+    let mut ctx = ExecContext::new(options.clone()).with_metrics();
+    let rows = ctx.eval_plan(plan).map(|r| {
+        r.rows()
+            .iter()
+            .map(|t| format!("{:?}", t.values()))
+            .collect()
+    });
+    let c = ctx.counters();
+    let text = plan.explain_with_metrics(&ctx.take_metrics());
+    let folded = text
+        .lines()
+        .filter_map(|l| l.split_once(" fused→").map(|(_, rest)| rest))
+        // A run that fails keeps no metrics: `[not executed]`.
+        .filter_map(|rest| rest.split_once("[in=").map(|(_, n)| n))
+        .map(|n| n[..n.find(' ').unwrap_or(n.len())].parse::<u64>().unwrap())
+        .sum();
+    (rows, c.checkpoints, c.peak_memory_bytes, folded)
+}
+
+/// Each plan of [`gamma_plans`] over `t`, with Γ sinking into its input
+/// pipeline against its unfused twin at threads {1, 8} × chunk lengths
+/// {1, 3, 256}: the same rows, floats bit for bit, or the same first
+/// error — a σ's error before any fold error, as the twin's σ runs
+/// before its Γ — and, on success, exactly Γ's `in` fewer checkpoints
+/// (the rows its input no longer charges; a fused Π's `in` besides: the
+/// twin also charges the rows σ keeps for it) and no higher peak.
+fn check_gamma_sinks(t: &Relation) -> Vec<(String, GammaOutcome)> {
+    let u = Relation::new(
+        Schema::new(vec![Field::qualified("u", "uk", DataType::Int)]),
+        [0, 1, 1, 2]
+            .map(|k| Tuple::new(vec![Value::Int(k)]))
+            .to_vec(),
+    );
+    let mut catalog = Catalog::new();
+    catalog.register("t", t.clone()).unwrap();
+    catalog.register("u", u).unwrap();
+    let mut outcomes = Vec::new();
+    for (name, plan) in gamma_plans() {
+        let fused = bypass_exec::physical_plan_with(&plan, &catalog, Default::default()).unwrap();
+        let unfused = bypass_exec::PlanOptions {
+            fuse_stage_chains: false,
+        };
+        let twin = bypass_exec::physical_plan_with(&plan, &catalog, unfused).unwrap();
+        let sinks = fused.explain().contains("HashAggregate fused→");
+        assert_eq!(
+            sinks,
+            !name.ends_with("relation"),
+            "{name}\n{}",
+            fused.explain()
+        );
+        assert!(
+            !twin.explain().contains("fused"),
+            "{name}\n{}",
+            twin.explain()
+        );
+        let mut first = None;
+        for batch_rows in [1, 3, 256] {
+            for (threads, morsel_rows) in [(1, 4096), (8, 2)] {
+                let options = ExecOptions {
+                    batch_rows,
+                    threads,
+                    morsel_rows,
+                    ..Default::default()
+                };
+                let at = format!("{name} under {options:?}\n{}", fused.explain());
+                let (rows, checkpoints, peak, folded) = gamma_outcome(&fused, &options);
+                let (want, twin_checkpoints, twin_peak, _) = gamma_outcome(&twin, &options);
+                assert_eq!(rows, want, "{at}");
+                if rows.is_ok() {
+                    assert_eq!(checkpoints, twin_checkpoints - folded, "{at}");
+                    assert!(peak <= twin_peak, "{at}: peak {peak} > {twin_peak}");
+                }
+                let first = first.get_or_insert_with(|| rows.clone());
+                assert_eq!(&rows, first, "{at}: against the first mechanism");
+            }
+        }
+        outcomes.push((name, gamma_outcome(&fused, &ExecOptions::default())));
+    }
+    outcomes
+}
+
+#[test]
+fn gamma_sinks_fold_what_their_unfused_twins_materialize() {
+    // Rows 1 and 2 are kept and their `b`s overflow SUM(b) at row 2;
+    // row 4's `y` leaves `100 / d` to divide by zero.
+    let fixed: Vec<GammaRow> = vec![
+        (Some((1, false)), Some(0), 0, 1),
+        (Some((1, true)), Some(5), 1, 7),
+        (Some((1, false)), Some(6), 2, 7),
+        (None, Some(4), 3, 2),
+        (Some((2, false)), Some(1), 4, 0),
+        (Some((2, false)), None, 5, 3),
+    ];
+    let error = |outcomes: &[(String, GammaOutcome)], name: &str| {
+        let (_, (rows, ..)) = outcomes.iter().find(|(n, _)| n == name).unwrap();
+        rows.clone().unwrap_err().to_string()
+    };
+    let outcomes = check_gamma_sinks(&gamma_table(&fixed));
+    assert!(error(&outcomes, "scalar Γ over σ0").contains("overflow"));
+    assert!(error(&outcomes, "scalar Γ over σ1").contains("division by zero"));
+    forall_cases(CASES / 4, &gamma_rows(12), |rows| {
+        check_gamma_sinks(&gamma_table(rows));
+    });
 }

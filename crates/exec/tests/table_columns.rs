@@ -137,14 +137,7 @@ fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
 
 fn gamma(input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>) -> Arc<PhysNode> {
     let out = schema(&vec!["c"; keys.len() + aggs.len()]);
-    PhysNode::new(
-        PhysKind::HashAggregate {
-            input,
-            keys: keys.iter().map(|&k| col(k)).collect(),
-            aggs,
-        },
-        out,
-    )
+    PhysNode::aggregate(input, keys.iter().map(|&k| col(k)).collect(), aggs, out)
 }
 
 fn hash_join(

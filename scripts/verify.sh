@@ -82,12 +82,13 @@ echo "==> one key reader (grep gate)"
 # Γ, the hash build and the scan-left probe hash and compare a base
 # table's keys in place, off its typed columns (KeyRef::Table, DESIGN.md
 # §5c): TableKey has no `read` that writes a key into a value buffer, and
-# the two serial loops that carried such a buffer (`keybuf`) have none —
-# what they still hold is the interpreter's buffer for computed keys.
+# neither Γ's fold (the sink's `fold_row`) nor the hash build carries such
+# a buffer (`keybuf`) — what they still hold is the interpreter's buffer
+# for computed keys.
 keyreads="$(awk '
     FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
     /^impl.* TableKey</ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
-    /fn (hash_aggregate|build_hash_table)\(/ { in_loop = 1 } in_loop && /^    }$/ { in_loop = 0 }
+    /fn (fold_row|build_hash_table)[<(]/ { in_loop = 1 } in_loop && /^    }$/ { in_loop = 0 }
     counting && (/TableKey::read/ || (in_impl && /fn read[<(]/) || (in_loop && /keybuf/)) {
         print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
 [ -z "$keyreads" ] || { echo "a table key read through a buffer:"; echo "$keyreads"; exit 1; }
@@ -158,13 +159,13 @@ theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside
 
 echo "==> one row-loop operator (grep gate)"
 # Every row loop is a pipeline (DESIGN.md §7): a bypass operator is one with
-# a negative chain, ν heads one, and Γᵇ is planned as ⟕ over Γ. PhysKind
-# keeps nine variants, none of the four operators that ran their own loops
-# comes back, nor does the per-row build loop they shared, and `probe` forms
-# every nested-loop pair.
+# a negative chain, ν heads one, Γ is one's sink, and Γᵇ is planned as ⟕
+# over Γ. PhysKind keeps eight variants, none of the four operators that ran
+# their own loops comes back, nor does the per-row build loop they shared,
+# and `probe` forms every nested-loop pair.
 variants="$(awk '/^pub enum PhysKind \{/ { inside = 1; next } inside && /^\}/ { inside = 0 }
     inside && /^    [A-Z]/ { n++ } END { print n + 0 }' crates/exec/src/node.rs)"
-[ "$variants" -eq 9 ] || { echo "PhysKind has $variants variants, not 9"; exit 1; }
+[ "$variants" -eq 8 ] || { echo "PhysKind has $variants variants, not 8"; exit 1; }
 loops="$(grep -rnE 'PhysKind::(BypassFilter|BypassNLJoin|BinaryGroup|Numbering)\b' \
     crates/*/src crates/*/tests || true)"
 [ -z "$loops" ] || { echo "an operator with its own row loop:"; echo "$loops"; exit 1; }
@@ -179,6 +180,13 @@ callers() { # $1: the call, $2: its definition; prints file:fn per call outside 
 pairs="$(callers '\\.with\\(rt\\.values\\(\\)\\)' 'fn with' | sort -u | tr '\n' ' ')"
 [ "$pairs" = "crates/exec/src/eval.rs:probe " ] \
     || { echo "a nested-loop pair formed outside eval.rs:probe: $pairs"; exit 1; }
+
+echo "==> one Γ (grep gate)"
+# Γ is the sink of the pipeline that feeds it (DESIGN.md §7): the rows
+# leaving a chain are folded as they leave, and Γ over a relation is a
+# pipeline with an empty chain. No Γ operator with a loop of its own.
+gammas="$(grep -rnE 'PhysKind::HashAggregate\b|fn hash_aggregate\b' crates || true)"
+[ -z "$gammas" ] || { echo "a Γ with its own loop:"; echo "$gammas"; exit 1; }
 
 echo "==> one settle rule (grep gate)"
 # The σ/σ± chunk loop settles a kernel lane without a 3VL fold and compacts
