@@ -205,6 +205,12 @@ impl Prepared {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+
+    /// The logical plan the physical one was compiled from — rewritten
+    /// and pruned; its root's schema names the result's columns.
+    pub fn logical_plan(&self) -> &Arc<LogicalPlan> {
+        &self.logical
+    }
 }
 
 /// Per-run resource-governance overrides layered on top of a strategy's

@@ -4,9 +4,9 @@ use std::time::{Duration, Instant};
 
 use bypass_catalog::TableColumns;
 use bypass_types::{
-    compare_tuples, par, tuple_bytes, Batch, CancelToken, Column, Error, FxHashMap, InjectedFault,
-    Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS, SHARED_ROW_BYTES,
-    VALUE_BYTES,
+    compare_tuples, par, tuple_bytes, Batch, CancelToken, Column, Error, FxHashMap, FxHashSet,
+    InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS,
+    SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 use crate::expr::PhysExpr;
@@ -443,12 +443,10 @@ impl<'s, 'p> Routes<'s, 'p> {
         }
     }
 
-    /// Does a row decided as `truth` meet a stage that does work? One
-    /// that meets relabels only leaves as it is.
+    /// Does a row decided as `truth` meet a stage?
     fn works(&self, truth: Truth) -> bool {
-        let relabel = |s: &LiveStage<'_>| matches!(s.stage, Stage::Relabel);
         self.of(truth)
-            .is_some_and(|(stages, from, _)| !stages[from..].iter().all(relabel))
+            .is_some_and(|(stages, from, _)| stages.len() > from)
     }
 }
 
@@ -863,10 +861,19 @@ impl ExecContext {
         Ok(acc)
     }
 
-    /// Evaluate a plan root (fresh bypass memo).
+    /// Evaluate a plan root (fresh bypass memo) under the root's names.
+    /// An operator builds its relation under its node's schema, but a
+    /// scan's table or a tapped stream exists already, with names of its
+    /// own: under a root the planner renamed, its row handles are copied
+    /// in one charge.
     pub fn eval_plan(&mut self, node: &Arc<PhysNode>) -> Result<Arc<Relation>> {
-        let mut local = Local::default();
-        self.eval_node(node, &mut local)
+        let rel = self.eval_node(node, &mut Local::default())?;
+        if rel.schema() == &node.schema {
+            return Ok(rel);
+        }
+        self.gov.charge(rel.len() as u64 * SHARED_ROW_BYTES)?;
+        let rows = rel.rows().to_vec();
+        Ok(Arc::new(Relation::new(node.schema.clone(), rows)))
     }
 
     fn eval_node(&mut self, node: &Arc<PhysNode>, local: &mut Local) -> Result<Arc<Relation>> {
@@ -941,11 +948,13 @@ impl ExecContext {
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
-                // The copied row vector plus the transient dedup set are
-                // both O(n) shared handles; charged as one step.
+                // The kept rows plus the transient set of borrowed rows
+                // are both O(n) handles; charged as one step. The first
+                // occurrence of each row is kept, in input order.
                 self.gov.charge(input.len() as u64 * SHARED_ROW_BYTES)?;
-                let rel = Relation::new(schema(), input.rows().to_vec()).distinct();
-                rel
+                let mut seen = FxHashSet::with_capacity_and_hasher(input.len(), Default::default());
+                let kept = input.rows().iter().filter(|t| seen.insert(*t));
+                Relation::new(schema(), kept.cloned().collect())
             }
             PhysKind::Sort { input, keys } => {
                 let input = self.eval_node(input, local)?;
@@ -987,19 +996,12 @@ impl ExecContext {
                 let rows = input.rows().iter().take(*n).cloned().collect();
                 Relation::new(schema(), rows)
             }
-            PhysKind::Alias { input } => {
-                let input = self.eval_node(input, local)?;
-                self.gov.charge(input.len() as u64 * SHARED_ROW_BYTES)?;
-                Relation::new(schema(), input.rows().to_vec())
-            }
             PhysKind::UnionAll { left, right } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
                 self.gov
                     .charge((l.len() + r.len()) as u64 * SHARED_ROW_BYTES)?;
-                let mut rows = l.rows().to_vec();
-                rows.extend_from_slice(r.rows());
-                Relation::new(schema(), rows)
+                Relation::new(schema(), [l.rows(), r.rows()].concat())
             }
             PhysKind::Stream { source, positive } => {
                 return self.eval_stream(source, *positive, local)
@@ -1502,7 +1504,6 @@ impl ExecContext {
                 sink.scratch[at + 1] = out;
                 done
             }
-            Stage::Relabel => self.emit(row, stages, at + 1, sink),
             Stage::Pick(cols) => self.keep_picked(row, cols, sink),
             Stage::Probe(_) => {
                 let probe = stage.probe.as_ref().expect("opened with its chain");
@@ -1647,7 +1648,7 @@ pub(crate) mod tests {
                 .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
                 .collect(),
         );
-        PhysNode::scan(TableColumns::new(rel), schema)
+        PhysNode::scan(TableColumns::new(rel))
     }
 
     pub(crate) fn run(node: &Arc<PhysNode>) -> Relation {
@@ -1717,6 +1718,33 @@ pub(crate) mod tests {
         let out = run(&project);
         assert_eq!(out.len(), 2);
         assert_eq!(out.rows()[0][0], Value::Int(20));
+    }
+
+    /// δ keeps the first occurrence of each row, in input order, under
+    /// value equality: `Int(1)` and `Float(1.0)` are one value.
+    #[test]
+    fn distinct_keeps_first_occurrence() {
+        let distinct = |rows: Vec<Value>| {
+            let schema = Schema::new(vec![Field::new("a", DataType::Float)]);
+            let rows = rows.into_iter().map(|v| Tuple::new(vec![v])).collect();
+            let scan = PhysNode::scan(TableColumns::new(Relation::new(schema.clone(), rows)));
+            let rel = run(&PhysNode::new(PhysKind::Distinct { input: scan }, schema));
+            rel.rows().iter().map(|t| t[0].clone()).collect::<Vec<_>>()
+        };
+        let ints = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        assert_eq!(distinct(ints(&[1, 2, 1, 3, 2])), ints(&[1, 2, 3]));
+        let mixed = vec![
+            Value::Int(1),
+            Value::Float(1.5),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(1.5),
+        ];
+        let kept = distinct(mixed);
+        assert_eq!(kept, vec![Value::Int(1), Value::Float(1.5), Value::Int(2)]);
+        let firsts = matches!(kept[..], [Value::Int(1), Value::Float(_), Value::Int(2)]);
+        assert!(firsts, "the first occurrences, not their twins: {kept:?}");
     }
 
     #[test]
@@ -1891,7 +1919,7 @@ pub(crate) mod tests {
                     source: bj.clone(),
                     positive,
                 },
-                schema.clone(),
+                bj.stream_schema(positive).clone(),
             )
         };
         let ints = |vs: &[i64]| Tuple::new(vs.iter().map(|&v| Value::Int(v)).collect());

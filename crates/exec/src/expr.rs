@@ -179,7 +179,7 @@ pub(crate) fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
 }
 
 /// Is `exprs` the projection `#0, #1, …` of all `arity` input columns —
-/// a relabelling that hands its rows on as they are?
+/// a rename, which the planner compiles to no stage?
 pub(crate) fn identity_projection(exprs: &[PhysExpr], arity: usize) -> bool {
     exprs.len() == arity
         && exprs

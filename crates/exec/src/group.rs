@@ -359,7 +359,7 @@ mod tests {
                 Tuple::new(vec![Value::Null, Value::Int(4)]),
             ],
         );
-        let scan = PhysNode::scan(TableColumns::new(rel), schema_in);
+        let scan = PhysNode::scan(TableColumns::new(rel));
         let schema = Schema::new(vec![
             Field::new("k", DataType::Text),
             Field::new("s", DataType::Int),

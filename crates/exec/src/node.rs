@@ -7,12 +7,15 @@ use crate::agg::AggSpec;
 use crate::expr::PhysExpr;
 use crate::vector::{compile_chain, CompiledChain};
 
-/// A physical plan node: an operator kind plus its (pre-computed) output
-/// schema. Children are `Arc`-shared; bypass operators are shared by two
+/// A physical plan node: an operator kind plus the schema of its rows.
+/// Children are `Arc`-shared; bypass operators are shared by two
 /// [`PhysKind::Stream`] consumers, exactly mirroring the logical DAG.
 #[derive(Debug)]
 pub struct PhysNode {
     pub kind: PhysKind,
+    /// The arity and types of the rows. Names are the planner's: only a
+    /// plan's root carries the names a caller sees (a scan's are its
+    /// table's, which a renamed root scan hands on under the root's).
     pub schema: Schema,
     /// A pipeline headed by a σ (a σ± among them) only: the predicate as
     /// a chain of terms in planned order (`vector.rs`) — a function of
@@ -42,14 +45,6 @@ impl PhysNode {
             chain,
             shared: false,
         })
-    }
-
-    /// Record that `node`, just built, has several consumers. A scan
-    /// hands out what exists already; there is nothing to keep for it.
-    pub(crate) fn mark_shared(node: &mut Arc<PhysNode>) {
-        if !matches!(node.kind, PhysKind::Scan { .. }) {
-            Arc::get_mut(node).expect("not handed out yet").shared = true;
-        }
     }
 
     /// The compiled predicate chain of a pipeline's σ head (a σ±'s
@@ -153,9 +148,11 @@ impl PhysNode {
         matches!(self.kind, PhysKind::Pipeline { neg: Some(_), .. })
     }
 
-    /// A scan of the base table `columns` belongs to.
-    pub fn scan(columns: Arc<TableColumns>, schema: Schema) -> Arc<PhysNode> {
+    /// A scan of the base table `columns` belongs to, under the table's
+    /// own schema.
+    pub fn scan(columns: Arc<TableColumns>) -> Arc<PhysNode> {
         let data = columns.data().clone();
+        let schema = data.schema().clone();
         PhysNode::new(PhysKind::Scan { data, columns }, schema)
     }
 
@@ -269,9 +266,6 @@ pub enum Stage {
     /// list: the row that leaves is built once, from these columns of
     /// the view, and no wider.
     Pick(Vec<usize>),
-    /// A Π that keeps every column in place: it renames, so it passes
-    /// the row on as it is, without a checkpoint.
-    Relabel,
     /// χ.
     Map(PhysExpr),
     /// A further join whose probe (left) input is the chain.
@@ -286,7 +280,7 @@ impl Stage {
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Filter(_) => "Filter",
-            Stage::Project(_) | Stage::Pick(_) | Stage::Relabel => "Project",
+            Stage::Project(_) | Stage::Pick(_) => "Project",
             Stage::Map(_) => "Map",
             Stage::Probe(spec) => spec.name(),
             Stage::Number => "Numbering",
@@ -297,7 +291,7 @@ impl Stage {
         match self {
             Stage::Filter(e) | Stage::Map(e) => vec![e],
             Stage::Project(es) => es.iter().collect(),
-            Stage::Pick(_) | Stage::Relabel | Stage::Number => vec![],
+            Stage::Pick(_) | Stage::Number => vec![],
             Stage::Probe(spec) => spec.exprs(),
         }
     }
@@ -365,10 +359,6 @@ pub enum PhysKind {
     },
     /// LIMIT — first n rows.
     Limit { input: Arc<PhysNode>, n: usize },
-    /// Identity on rows (the schema on the node carries the new names):
-    /// a derived-table alias, or a Π that keeps every column in place
-    /// over a relation — it hands the rows on in one charge.
-    Alias { input: Arc<PhysNode> },
     /// Disjoint union ∪̇ (bag concatenation).
     UnionAll {
         left: Arc<PhysNode>,
@@ -393,8 +383,7 @@ impl PhysNode {
                 .collect(),
             PhysKind::Distinct { input }
             | PhysKind::Sort { input, .. }
-            | PhysKind::Limit { input, .. }
-            | PhysKind::Alias { input } => vec![input],
+            | PhysKind::Limit { input, .. } => vec![input],
             PhysKind::UnionAll { left, right } => vec![left, right],
             PhysKind::Stream { source, .. } => vec![source],
         }
@@ -456,7 +445,6 @@ impl PhysNode {
             PhysKind::Scan { .. }
             | PhysKind::Distinct { .. }
             | PhysKind::Limit { .. }
-            | PhysKind::Alias { .. }
             | PhysKind::UnionAll { .. }
             | PhysKind::Stream { .. } => vec![],
             PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
@@ -489,7 +477,6 @@ impl PhysNode {
             PhysKind::Distinct { .. } => "Distinct",
             PhysKind::Sort { .. } => "Sort",
             PhysKind::Limit { .. } => "Limit",
-            PhysKind::Alias { .. } => "Alias",
             PhysKind::UnionAll { .. } => "UnionAll",
             PhysKind::Stream { positive, .. } => {
                 if *positive {
@@ -512,12 +499,9 @@ impl PhysNode {
                 let arity = |positive| self.stream_schema(positive).arity();
                 format!("{}/{}", arity(true), arity(false))
             }),
-            // A pipeline of σs and relabels hands its source rows on.
+            // A pipeline of σs hands its source rows on.
             PhysKind::Pipeline { chain, .. }
-                if chain
-                    .stages
-                    .iter()
-                    .all(|s| matches!(s, Stage::Filter(_) | Stage::Relabel)) =>
+                if chain.stages.iter().all(|s| matches!(s, Stage::Filter(_))) =>
             {
                 None
             }

@@ -32,7 +32,10 @@ impl Default for PlanOptions {
 /// Compile a logical plan into a physical one: resolve all column names
 /// to positions, bind scans to catalog storage, pick join strategies
 /// (hash for equi predicates, nested-loop otherwise), preserve the
-/// bypass DAG structure and build every σ, Π and χ into a pipeline.
+/// bypass DAG structure and build every σ, Π and χ into a pipeline. A
+/// rename — a ρ, or a Π that keeps every column in place — compiles to
+/// nothing: names are the planner's. The root node alone carries the
+/// logical root's names, the only ones a caller sees.
 pub fn physical_plan(logical: &Arc<LogicalPlan>, catalog: &Catalog) -> Result<Arc<PhysNode>> {
     physical_plan_with(logical, catalog, PlanOptions::default())
 }
@@ -48,7 +51,11 @@ pub fn physical_plan_with(
         scopes: Vec::new(),
         options,
     };
-    resolver.plan_block(logical)
+    let Planned { mut node, names } = resolver.plan_block(logical)?;
+    Arc::get_mut(&mut node)
+        .expect("only its block held the root")
+        .schema = names;
+    Ok(node)
 }
 
 type Ptr = *const LogicalPlan;
@@ -251,18 +258,29 @@ impl<'a> Resolver<'a> {
     }
 }
 
+/// A planned logical node: the physical node its rows come from, and
+/// the names its consumers resolve against. A rename shares its input's
+/// node under names of its own.
+#[derive(Clone)]
+struct Planned {
+    node: Arc<PhysNode>,
+    names: Schema,
+}
+
 /// Per-block planning state: who consumes what, the block's stage
-/// chains and the logical → physical memo that preserves DAG sharing.
+/// chains, the logical → physical memo that preserves DAG sharing, and
+/// the names of the rows each stream of a bypass operator carries.
 struct Block<'a> {
     consumers: Consumers<'a>,
     chains: BlockChains<'a>,
-    memo: HashMap<Ptr, Arc<PhysNode>>,
+    memo: HashMap<Ptr, Planned>,
+    streams: HashMap<Ptr, [Schema; 2]>,
 }
 
 impl<'a> Resolver<'a> {
     /// Compile one query block (the root plan, or a subquery plan under
     /// the scopes pushed for it).
-    fn plan_block(&mut self, plan: &Arc<LogicalPlan>) -> Result<Arc<PhysNode>> {
+    fn plan_block(&mut self, plan: &Arc<LogicalPlan>) -> Result<Planned> {
         let mut consumers = Consumers::default();
         let mut order = Vec::new();
         post_order(plan, &mut HashSet::default(), &mut consumers, &mut order);
@@ -271,15 +289,12 @@ impl<'a> Resolver<'a> {
             consumers,
             chains,
             memo: HashMap::default(),
+            streams: HashMap::default(),
         };
         self.plan_node(plan, &mut block)
     }
 
-    fn plan_node(
-        &mut self,
-        plan: &Arc<LogicalPlan>,
-        block: &mut Block<'_>,
-    ) -> Result<Arc<PhysNode>> {
+    fn plan_node(&mut self, plan: &Arc<LogicalPlan>, block: &mut Block<'_>) -> Result<Planned> {
         let ptr = Arc::as_ptr(plan);
         if let Some(done) = block.memo.get(&ptr) {
             return Ok(done.clone());
@@ -289,95 +304,86 @@ impl<'a> Resolver<'a> {
         // exist only inside that host.
         if let Some(exit) = block.chains.tops.get(&ptr).copied() {
             if !Arc::ptr_eq(exit, plan) {
-                let node = self.plan_node(exit, block)?;
-                block.memo.insert(ptr, node.clone());
-                return Ok(node);
+                let planned = self.plan_node(exit, block)?;
+                block.memo.insert(ptr, planned.clone());
+                return Ok(planned);
             }
         }
-        // Schemas come from the planned inputs — a node's is derived
+        // A node's names come from its planned inputs' names — derived
         // once, not once per ancestor.
-        let schema_over = |inputs: &[&Arc<PhysNode>]| {
-            let schemas: Vec<&Schema> = inputs.iter().map(|n| &n.schema).collect();
-            plan.schema_over(&schemas)
-        };
+        let mut inputs = Vec::new();
+        for input in plan.children() {
+            inputs.push(self.plan_node(input, block)?);
+        }
+        let mut names = plan.schema_over(&inputs.iter().map(|p| &p.names).collect::<Vec<_>>());
+        let mut inputs = inputs.into_iter();
+        let mut next = || inputs.next().expect("planned above");
         let mut node = match plan.as_ref() {
             LogicalPlan::Scan { table, .. } => {
-                let t = self.catalog.get(table)?;
-                PhysNode::scan(t.columns().clone(), schema_over(&[]))
+                PhysNode::scan(self.catalog.get(table)?.columns().clone())
             }
             LogicalPlan::Singleton => {
                 let one_row = Relation::new(Schema::empty(), vec![Tuple::new(vec![])]);
-                PhysNode::scan(TableColumns::new(one_row), Schema::empty())
+                PhysNode::scan(TableColumns::new(one_row))
             }
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Map { input, .. }
-            | LogicalPlan::CrossJoin { left: input, .. }
-            | LogicalPlan::Join { left: input, .. }
-            | LogicalPlan::OuterJoin { left: input, .. } => {
-                let mut input = self.plan_node(input, block)?;
-                let mut chain = self
-                    .chain(ptr, 0, &input.schema, block)?
+            LogicalPlan::Filter { .. }
+            | LogicalPlan::Project { .. }
+            | LogicalPlan::Map { .. }
+            | LogicalPlan::CrossJoin { .. }
+            | LogicalPlan::Join { .. }
+            | LogicalPlan::OuterJoin { .. } => {
+                let input = next();
+                let chain = self
+                    .chain(ptr, 0, &input.names, block)?
                     .expect("a σ, Π, χ or join no chain absorbed heads its own");
-                // A leading Π that keeps every column in place renames
-                // the relation: an alias hands its rows on in one charge.
-                let relabels = chain.stages.iter();
-                let relabels = relabels.take_while(|s| matches!(s, Stage::Relabel)).count();
-                for stage in &block.chains.hosts[&ptr][0][..relabels] {
-                    let schema = stage.schema_over(&[&input.schema]);
-                    input = PhysNode::new(PhysKind::Alias { input }, schema);
-                }
-                chain.stages.drain(..relabels);
+                names = chain.schema.clone();
+                // A chain of renames is its input's node.
                 match chain.stages.is_empty() {
-                    true => input,
-                    false => PhysNode::pipeline(input, chain.stages, chain.schema),
+                    true => input.node,
+                    false => PhysNode::pipeline(input.node, chain.stages, chain.schema),
                 }
             }
             LogicalPlan::Aggregate { input, keys, aggs } => {
-                let child = self.plan_node(input, block)?;
+                let child = next();
                 let keys = keys
                     .iter()
-                    .map(|k| self.resolve(k, &child.schema))
+                    .map(|k| self.resolve(k, &child.names))
                     .collect::<Result<Vec<_>>>()?;
                 let aggs = aggs
                     .iter()
-                    .map(|(call, _)| self.resolve_agg(call, &child.schema))
+                    .map(|(call, _)| self.resolve_agg(call, &child.names))
                     .collect::<Result<Vec<_>>>()?;
-                let schema = schema_over(&[&child]);
                 // Γ is the only consumer of its input: the block lets go of
-                // it, so Γ can take its pipeline over as that pipeline's sink.
-                if block.consumers[&Arc::as_ptr(input)].len() == 1 {
-                    block.memo.retain(|_, node| !Arc::ptr_eq(node, &child));
+                // its node, so Γ can take its pipeline over as that
+                // pipeline's sink — unless, handed on by a rename, the node
+                // is another consumer's too.
+                if block.consumers[&Arc::as_ptr(input)].len() == 1 && !child.node.shared {
+                    block.memo.retain(|_, p| !Arc::ptr_eq(&p.node, &child.node));
                 }
-                self.aggregate(child, keys, aggs, schema)
+                self.aggregate(child.node, keys, aggs, names.clone())
             }
             // Γᵇ_{g; l = r; f}(L, R) is Eqv. 1's outer join over a Γ:
             // Π_{L, g}(L ⟕_{l = k; g: f(∅)} Γ_{k: r; g: f}(σ_{r IS NOT NULL}(R))).
             // A right row whose key is NULL joins no left row, so it is
             // never folded — nor can its arguments raise.
             LogicalPlan::BinaryGroup {
-                left,
-                right,
                 left_key,
                 right_key,
                 agg,
                 ..
             } => {
-                let l = self.plan_node(left, block)?;
-                let r = self.plan_node(right, block)?;
-                let schema = schema_over(&[&l, &r]);
-                let key_field = Field::new(right_key.to_string(), right_key.data_type(&r.schema));
-                let left_key = self.resolve(left_key, &l.schema)?;
-                let right_key = self.resolve(right_key, &r.schema)?;
-                let agg = self.resolve_agg(agg, &r.schema)?;
+                let (l, r) = (next(), next());
+                let key_field = Field::new(right_key.to_string(), right_key.data_type(&r.names));
+                let left_key = self.resolve(left_key, &l.names)?;
+                let right_key = self.resolve(right_key, &r.names)?;
+                let agg = self.resolve_agg(agg, &r.names)?;
                 let keyed = PhysExpr::IsNull {
                     negated: true,
                     expr: Box::new(right_key.clone()),
                 };
-                let keyed =
-                    PhysNode::pipeline(r.clone(), vec![Stage::Filter(keyed)], r.schema.clone());
-                let width = l.schema.arity();
-                let g = schema.field(width).clone();
+                let keyed = PhysNode::pipeline(r.node, vec![Stage::Filter(keyed)], r.names);
+                let width = l.names.arity();
+                let g = names.field(width).clone();
                 let defaults = Some(vec![(1, agg.empty_value())]);
                 let schema_g = Schema::new(vec![key_field, g]);
                 let grouped = self.aggregate(keyed, vec![right_key], vec![agg], schema_g);
@@ -391,96 +397,65 @@ impl<'a> Resolver<'a> {
                     defaults,
                 });
                 let pick = Stage::Pick((0..width).chain([width + 1]).collect());
-                PhysNode::pipeline(l, vec![probe, pick], schema)
+                PhysNode::pipeline(l.node, vec![probe, pick], names.clone())
             }
-            LogicalPlan::Numbering { input, .. } => {
-                let child = self.plan_node(input, block)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::pipeline(child, vec![Stage::Number], schema)
+            LogicalPlan::Numbering { .. } => {
+                PhysNode::pipeline(next().node, vec![Stage::Number], names.clone())
             }
-            LogicalPlan::Distinct { input } => {
-                let child = self.plan_node(input, block)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(PhysKind::Distinct { input: child }, schema)
+            LogicalPlan::Distinct { .. } => {
+                PhysNode::new(PhysKind::Distinct { input: next().node }, names.clone())
             }
-            LogicalPlan::Limit { input, n } => {
-                let child = self.plan_node(input, block)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(
-                    PhysKind::Limit {
-                        input: child,
-                        n: *n,
-                    },
-                    schema,
-                )
+            LogicalPlan::Limit { n, .. } => {
+                let input = next().node;
+                PhysNode::new(PhysKind::Limit { input, n: *n }, names.clone())
             }
-            LogicalPlan::Alias { input, .. } => {
-                let child = self.plan_node(input, block)?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(PhysKind::Alias { input: child }, schema)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let child = self.plan_node(input, block)?;
+            // ρ renames: its input's node under names of its own.
+            LogicalPlan::Alias { .. } => next().node,
+            LogicalPlan::Sort { keys, .. } => {
+                let child = next();
                 let keys = keys
                     .iter()
-                    .map(|(e, desc)| Ok((self.resolve(e, &child.schema)?, *desc)))
+                    .map(|(e, desc)| Ok((self.resolve(e, &child.names)?, *desc)))
                     .collect::<Result<Vec<_>>>()?;
-                let schema = schema_over(&[&child]);
-                PhysNode::new(PhysKind::Sort { input: child, keys }, schema)
+                let input = child.node;
+                PhysNode::new(PhysKind::Sort { input, keys }, names.clone())
             }
-            LogicalPlan::Union { left, right } => {
-                let l = self.plan_node(left, block)?;
-                let r = self.plan_node(right, block)?;
-                if l.schema.arity() != r.schema.arity() {
+            LogicalPlan::Union { .. } => {
+                let (l, r) = (next(), next());
+                if l.names.arity() != r.names.arity() {
                     return Err(Error::plan(format!(
                         "union arity mismatch: {} vs {}",
-                        l.schema.arity(),
-                        r.schema.arity()
+                        l.names.arity(),
+                        r.names.arity()
                     )));
                 }
-                let schema = schema_over(&[&l, &r]);
-                PhysNode::new(PhysKind::UnionAll { left: l, right: r }, schema)
+                let (left, right) = (l.node, r.node);
+                PhysNode::new(PhysKind::UnionAll { left, right }, names.clone())
             }
-            LogicalPlan::BypassFilter { input, predicate } => {
-                let child = self.plan_node(input, block)?;
-                let pred = self.resolve(predicate, &child.schema)?;
-                let rows = schema_over(&[&child]);
-                let pos = self.chain(ptr, 0, &rows, block)?;
-                let neg = self.chain(ptr, 1, &rows, block)?;
-                PhysNode::bypass(child, Stage::Filter(pred), rows, pos, neg)
+            LogicalPlan::BypassFilter { predicate, .. } => {
+                let child = next();
+                let pred = self.resolve(predicate, &child.names)?;
+                self.bypass(ptr, child.node, Stage::Filter(pred), &names, block)?
             }
             // A nested loop, whatever the predicate: every pair that fails
             // it is the negative stream's.
-            LogicalPlan::BypassJoin {
-                left,
-                right,
-                predicate,
-            } => {
-                let l = self.plan_node(left, block)?;
-                let r = self.plan_node(right, block)?;
-                let pairs = schema_over(&[&l, &r]);
-                let pred = self.resolve(predicate, &pairs)?;
-                let pos = self.chain(ptr, 0, &pairs, block)?;
-                let neg = self.chain(ptr, 1, &pairs, block)?;
+            LogicalPlan::BypassJoin { predicate, .. } => {
+                let (l, r) = (next(), next());
                 let head = Stage::Probe(JoinSpec {
-                    right: r,
-                    on: JoinOn::Loop(Some(pred)),
+                    right: r.node,
+                    on: JoinOn::Loop(Some(self.resolve(predicate, &names)?)),
                     defaults: None,
                 });
-                PhysNode::bypass(l, head, pairs, pos, neg)
+                self.bypass(ptr, l.node, head, &names, block)?
             }
             LogicalPlan::Stream { source, stream } => {
-                let src = self.plan_node(source, block)?;
                 let positive = *stream == Stream::Positive;
                 // A tapped stream carries what leaves its stage chain.
-                let schema = src.stream_schema(positive).clone();
-                PhysNode::new(
-                    PhysKind::Stream {
-                        source: src,
-                        positive,
-                    },
-                    schema,
-                )
+                if let Some(streams) = block.streams.get(&Arc::as_ptr(source)) {
+                    names = streams[!positive as usize].clone();
+                }
+                let source = next().node;
+                PhysNode::new(PhysKind::Stream { source, positive }, names.clone())
             }
         };
         // The rows of a pipeline or a bypass stream leave through the top
@@ -496,22 +471,46 @@ impl<'a> Resolver<'a> {
         let top = chain
             .and_then(|c| c.last())
             .map_or(ptr, |top| Arc::as_ptr(top));
-        if block.consumers.get(&top).is_some_and(|c| c.len() > 1) {
-            PhysNode::mark_shared(&mut node);
+        // A scan hands out what exists already; there is nothing to keep
+        // for it.
+        let scan = matches!(node.kind, PhysKind::Scan { .. });
+        if block.consumers.get(&top).is_some_and(|c| c.len() > 1) && !scan && !node.shared {
+            // A rename hands on its input's node, which — the rename being
+            // its one consumer — only the memo holds.
+            block.memo.retain(|_, p| !Arc::ptr_eq(&p.node, &node));
+            Arc::get_mut(&mut node).expect("not handed out").shared = true;
         }
-        block.memo.insert(ptr, node.clone());
-        Ok(node)
+        let planned = Planned { node, names };
+        block.memo.insert(ptr, planned.clone());
+        Ok(planned)
+    }
+
+    /// The bypass operator at `host` over `input`, whose head hands on
+    /// rows or pairs named `rows`; records the names each stream carries.
+    fn bypass(
+        &mut self,
+        host: Ptr,
+        input: Arc<PhysNode>,
+        head: Stage,
+        rows: &Schema,
+        block: &mut Block<'_>,
+    ) -> Result<Arc<PhysNode>> {
+        let pos = self.chain(host, 0, rows, block)?;
+        let neg = self.chain(host, 1, rows, block)?;
+        let carried = |c: &Option<Chain>| c.as_ref().map_or(rows, |c| &c.schema).clone();
+        block.streams.insert(host, [carried(&pos), carried(&neg)]);
+        Ok(PhysNode::bypass(input, head, rows.clone(), pos, neg))
     }
 
     /// The [`JoinSpec`] of an inner/outer/cross join node whose probe
-    /// rows have the schema `left`: plan its build side, then pick hash
-    /// (equi conjuncts) or nested loop.
+    /// rows are named `left`, and the names of its build side: plan the
+    /// build side, then pick hash (equi conjuncts) or nested loop.
     fn join_spec(
         &mut self,
         join: &Arc<LogicalPlan>,
         left: &Schema,
         block: &mut Block<'_>,
-    ) -> Result<JoinSpec> {
+    ) -> Result<(JoinSpec, Schema)> {
         let (right, predicate, defaults) = match join.as_ref() {
             LogicalPlan::CrossJoin { right, .. } => (right, None, None),
             LogicalPlan::Join {
@@ -525,14 +524,13 @@ impl<'a> Resolver<'a> {
             } => (right, Some(predicate), Some(defaults)),
             _ => return Err(Error::plan("join_spec: not a join node")),
         };
-        let r = self.plan_node(right, block)?;
-        let right_schema = &r.schema;
+        let Planned { node: r, names } = self.plan_node(right, block)?;
         let defaults = defaults
             .map(|defaults| {
                 defaults
                     .iter()
                     .map(|(name, v)| {
-                        right_schema
+                        names
                             .resolve(None, name)
                             .map(|i| (i, v.clone()))
                             .map_err(|e| Error::plan(format!("outerjoin default column: {e}")))
@@ -543,9 +541,9 @@ impl<'a> Resolver<'a> {
         let on = match predicate {
             None => JoinOn::Loop(None),
             Some(predicate) => {
-                let (lk, rk, residual) = self.split_equi_keys(predicate, left, right_schema)?;
+                let (lk, rk, residual) = self.split_equi_keys(predicate, left, &names)?;
                 if lk.is_empty() {
-                    JoinOn::Loop(Some(self.resolve(predicate, &left.concat(right_schema))?))
+                    JoinOn::Loop(Some(self.resolve(predicate, &left.concat(&names))?))
                 } else {
                     JoinOn::Hash {
                         left_keys: lk,
@@ -555,11 +553,12 @@ impl<'a> Resolver<'a> {
                 }
             }
         };
-        Ok(JoinSpec {
+        let spec = JoinSpec {
             right: r,
             on,
             defaults,
-        })
+        };
+        Ok((spec, names))
     }
 
     /// Γ over the planned `input` ([`PhysNode::aggregate`]): the sink of
@@ -577,7 +576,8 @@ impl<'a> Resolver<'a> {
     }
 
     /// Compile chain `slot` of the host at `host`, if it has one, over
-    /// the rows (`rows` is their schema) that enter its first stage.
+    /// the rows (named `rows`) that enter its first stage. A rename adds
+    /// no stage: it only names the rows anew.
     fn chain(
         &mut self,
         host: Ptr,
@@ -590,31 +590,30 @@ impl<'a> Resolver<'a> {
             _ => return Ok(None),
         };
         let mut stages = Vec::with_capacity(logical.len());
-        // The schema of the rows entering the next stage.
-        let mut schema = rows.clone();
+        // The names of the rows entering the next stage.
+        let mut names = rows.clone();
         for stage in &logical {
             let mut build = None;
-            stages.push(match stage.as_ref() {
+            let compiled = match stage.as_ref() {
                 LogicalPlan::Filter { predicate, .. } => {
-                    Stage::Filter(self.resolve(predicate, &schema)?)
+                    Some(Stage::Filter(self.resolve(predicate, &names)?))
                 }
                 LogicalPlan::Project { exprs, .. } => {
-                    let exprs = exprs.iter().map(|(e, _)| self.resolve(e, &schema));
+                    let exprs = exprs.iter().map(|(e, _)| self.resolve(e, &names));
                     let exprs = exprs.collect::<Result<Vec<_>>>()?;
-                    match identity_projection(&exprs, schema.arity()) {
-                        true => Stage::Relabel,
-                        false => Stage::Project(exprs),
-                    }
+                    // A Π that keeps every column in place renames.
+                    (!identity_projection(&exprs, names.arity())).then_some(Stage::Project(exprs))
                 }
-                LogicalPlan::Map { expr, .. } => Stage::Map(self.resolve(expr, &schema)?),
+                LogicalPlan::Map { expr, .. } => Some(Stage::Map(self.resolve(expr, &names)?)),
                 _ => {
-                    let spec = self.join_spec(stage, &schema, block)?;
-                    build = Some(spec.right.clone());
-                    Stage::Probe(spec)
+                    let (spec, right) = self.join_spec(stage, &names, block)?;
+                    build = Some(right);
+                    Some(Stage::Probe(spec))
                 }
-            });
-            let inputs = std::iter::once(&schema).chain(build.as_ref().map(|b| &b.schema));
-            schema = stage.schema_over(&inputs.collect::<Vec<_>>());
+            };
+            stages.extend(compiled);
+            let inputs = std::iter::once(&names).chain(build.as_ref());
+            names = stage.schema_over(&inputs.collect::<Vec<_>>());
         }
         // A column-only Π at the top is where the rows get built: the
         // exit picks its columns straight off the row view.
@@ -623,7 +622,10 @@ impl<'a> Resolver<'a> {
                 *stages.last_mut().expect("matched above") = Stage::Pick(cols);
             }
         }
-        Ok(Some(Chain { stages, schema }))
+        Ok(Some(Chain {
+            stages,
+            schema: names,
+        }))
     }
 
     /// Split a join predicate into hash keys and a residual: conjuncts of
@@ -830,7 +832,7 @@ impl<'a> Resolver<'a> {
         self.scopes.push(local.clone());
         let result = self.plan_block(plan);
         self.scopes.pop();
-        Ok((result?, correlated, outer_keys))
+        Ok((result?.node, correlated, outer_keys))
     }
 
     fn resolve_agg(&mut self, call: &AggCall, schema: &Schema) -> Result<AggSpec> {

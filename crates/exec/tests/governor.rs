@@ -29,7 +29,7 @@ fn int_rel(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Arc<PhysNode> {
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect(),
     );
-    PhysNode::scan(TableColumns::new(rel), schema)
+    PhysNode::scan(TableColumns::new(rel))
 }
 
 fn cmp(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
@@ -193,10 +193,10 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 5] {
             ])
         })
         .collect();
-    let scan = PhysNode::scan(
-        TableColumns::new(Relation::new(schema.clone(), rows.clone())),
+    let scan = PhysNode::scan(TableColumns::new(Relation::new(
         schema.clone(),
-    );
+        rows.clone(),
+    )));
     // σ: x > 2 OR y + 0 < 12
     let two_terms = || {
         cmp(
@@ -581,19 +581,21 @@ fn faults_inside_nested_plans_land_identically_on_reused_workers() {
 
 /// `facts(k, v)` of 40 rows grouped by `k`, and both ways of hash-joining
 /// it with a 10-row `dims(k)` — the loops that read a base table by
-/// column — over the scans themselves or over an `Alias` of each, an
-/// intermediate with the same rows that takes the row route. With each
-/// plan, how many `Alias` nodes it holds and the rows they charge for.
-fn scan_rooted_plans(aliased: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64)> {
+/// column — over the scans themselves or over a copy of each (a `Limit`
+/// that keeps every row), an intermediate with the same rows that takes
+/// the row route. With each plan, how many copies it holds and the rows
+/// they charge for.
+fn scan_rooted_plans(copied: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64)> {
     let facts: Vec<Vec<i64>> = (0..40).map(|i| vec![(i * 7) % 13, i]).collect();
     let dims: Vec<Vec<i64>> = (0..10).map(|k| vec![2 * k]).collect();
     let table = |name: &str, cols: &[&str], rows: &[Vec<i64>]| {
         let scan = int_rel(name, cols, rows);
-        match aliased {
+        match copied {
             false => scan,
             true => {
                 let schema = scan.schema.clone();
-                PhysNode::new(PhysKind::Alias { input: scan }, schema)
+                let n = usize::MAX;
+                PhysNode::new(PhysKind::Limit { input: scan, n }, schema)
             }
         }
     };
@@ -643,8 +645,8 @@ fn scan_rooted_plans(aliased: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u6
 
 /// A fault at any checkpoint of a Γ, a hash build or a hash probe over a
 /// scan lands where it does over an intermediate holding the same rows:
-/// the same checkpoint of the same loop — each `Alias` passes one of its
-/// own first — with the same bytes in use besides the `Alias`es' own.
+/// the same checkpoint of the same loop — each copy passes one of its
+/// own first — with the same bytes in use besides the copies' own.
 #[test]
 fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
     let mechanisms = [(1, 4096), (8, 2)].map(|(threads, morsel_rows)| ExecOptions {
@@ -652,20 +654,20 @@ fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
         morsel_rows,
         ..Default::default()
     });
-    for ((name, scan, ..), (_, alias, aliases, alias_rows)) in scan_rooted_plans(false)
+    for ((name, scan, ..), (_, copy, copies, copy_rows)) in scan_rooted_plans(false)
         .into_iter()
         .zip(scan_rooted_plans(true))
     {
         let total = counters(&scan, mechanisms[0].clone());
-        let held = alias_rows * SHARED_ROW_BYTES;
-        let through_alias = counters(&alias, mechanisms[0].clone());
+        let held = copy_rows * SHARED_ROW_BYTES;
+        let through_copy = counters(&copy, mechanisms[0].clone());
         assert_eq!(
-            through_alias.checkpoints,
-            total.checkpoints + aliases,
+            through_copy.checkpoints,
+            total.checkpoints + copies,
             "{name}"
         );
         assert_eq!(
-            through_alias.peak_memory_bytes,
+            through_copy.peak_memory_bytes,
             total.peak_memory_bytes + held,
             "{name}"
         );
@@ -698,9 +700,9 @@ fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
                     let at = format!("{name}: checkpoint {k} {kind:?} under {options:?}");
                     assert_eq!(run(&scan, k, options), (err.clone(), k), "{at}");
                     assert_eq!(
-                        run(&alias, k + aliases, options),
-                        (shifted.clone(), k + aliases),
-                        "{at}, over the alias"
+                        run(&copy, k + copies, options),
+                        (shifted.clone(), k + copies),
+                        "{at}, over the copy"
                     );
                 }
             }

@@ -2,8 +2,8 @@
 //! built, and the node is all that is shared: contexts, worker threads
 //! and morsel forks read the same chain and keep nothing of their own
 //! between calls. One `Arc<PhysNode>` — a correlated subquery whose
-//! nested σs read a `Scan`, an `Alias` and a `Π` (the last two transpose
-//! their input on every invocation) under an outer σ over an `Alias` —
+//! nested σs read a `Scan`, a copy and a `Π` (the last two transpose
+//! their input on every invocation) under an outer σ over a copy —
 //! must therefore give the same rows, counters and timing-stripped
 //! profile whoever runs it, however often, at every fan-out.
 
@@ -28,7 +28,7 @@ fn schema(names: &[&str]) -> Schema {
 fn scan(names: &[&str], rows: impl Iterator<Item = Vec<i64>>) -> Arc<PhysNode> {
     let rows = rows.map(|r| Tuple::new(r.into_iter().map(Value::Int).collect()));
     let rel = Relation::new(schema(names), rows.collect());
-    PhysNode::scan(TableColumns::new(rel), schema(names))
+    PhysNode::scan(TableColumns::new(rel))
 }
 
 fn col(i: usize) -> PhysExpr {
@@ -52,9 +52,11 @@ fn filter(input: Arc<PhysNode>, predicate: PhysExpr) -> Arc<PhysNode> {
     PhysNode::pipeline(input, vec![Stage::Filter(predicate)], schema)
 }
 
-fn alias(input: Arc<PhysNode>) -> Arc<PhysNode> {
+/// A `Limit` that keeps every row: a copy of `input`, an intermediate.
+fn copy(input: Arc<PhysNode>) -> Arc<PhysNode> {
     let schema = input.schema.clone();
-    PhysNode::new(PhysKind::Alias { input }, schema)
+    let n = usize::MAX;
+    PhysNode::new(PhysKind::Limit { input, n }, schema)
 }
 
 fn union(left: Arc<PhysNode>, right: Arc<PhysNode>) -> Arc<PhysNode> {
@@ -72,8 +74,8 @@ fn linking(key: usize, other: usize) -> PhysExpr {
     )
 }
 
-/// σ_{a1 = (SELECT COUNT(*) FROM σ(s) ∪̇ σ(alias s) ∪̇ σ(Π s)) OR a2 > 8}
-/// over an alias of `r` — 600 outer rows, the subquery term written
+/// σ_{a1 = (SELECT COUNT(*) FROM σ(s) ∪̇ σ(copy s) ∪̇ σ(Π s)) OR a2 > 8}
+/// over a copy of `r` — 600 outer rows, the subquery term written
 /// first and so evaluated for every one of them.
 fn plan() -> Arc<PhysNode> {
     let r = scan(&["a1", "a2"], (0..600).map(|i| vec![i % 25, i % 11]));
@@ -89,7 +91,7 @@ fn plan() -> Arc<PhysNode> {
     let branches = union(
         union(
             filter(s.clone(), linking(1, 2)),
-            filter(alias(s), linking(1, 2)),
+            filter(copy(s), linking(1, 2)),
         ),
         filter(swapped, linking(2, 1)),
     );
@@ -113,7 +115,7 @@ fn plan() -> Arc<PhysNode> {
         bin(BinOp::Eq, col(0), nested),
         bin(BinOp::Gt, col(1), int(8)),
     );
-    filter(alias(r), predicate)
+    filter(copy(r), predicate)
 }
 
 /// `time=…ms self=…ms` → `time=_ms self=_ms`.
@@ -189,7 +191,7 @@ fn filters_carry_their_chain_from_plan_time() {
         },
         s.schema.clone(),
     );
-    for node in [&s, &alias(s.clone()), &tap] {
+    for node in [&s, &copy(s.clone()), &tap] {
         assert!(node.chain().is_none(), "{}", node.name());
     }
 }

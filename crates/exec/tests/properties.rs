@@ -63,10 +63,7 @@ fn rel2(name: &str, a: &[Option<i64>], b: &[Option<i64>]) -> Arc<PhysNode> {
             ])
         })
         .collect();
-    PhysNode::scan(
-        TableColumns::new(Relation::new(schema.clone(), rows)),
-        schema,
-    )
+    PhysNode::scan(TableColumns::new(Relation::new(schema.clone(), rows)))
 }
 
 fn col(i: usize) -> PhysExpr {
@@ -104,14 +101,15 @@ fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
     }
 }
 
+/// A tap of `source`'s positive or negative stream, under the schema of
+/// the rows that stream carries.
 fn stream(source: &Arc<PhysNode>, positive: bool) -> Arc<PhysNode> {
-    PhysNode::new(
-        PhysKind::Stream {
-            source: source.clone(),
-            positive,
-        },
-        source.schema.clone(),
-    )
+    let schema = match &source.kind {
+        PhysKind::Pipeline { neg: Some(neg), .. } if !positive => neg.schema.clone(),
+        _ => source.schema.clone(),
+    };
+    let source = source.clone();
+    PhysNode::new(PhysKind::Stream { source, positive }, schema)
 }
 
 #[test]
@@ -597,7 +595,7 @@ fn typed_scan(rows: &[TypedRow]) -> Arc<PhysNode> {
             ])
         })
         .collect();
-    PhysNode::scan(TableColumns::new(Relation::new(ints(4), rows)), ints(4))
+    PhysNode::scan(TableColumns::new(Relation::new(ints(4), rows)))
 }
 
 /// `Γ_{c; COUNT(*), SUM(a)}` over a [`typed_scan`].
@@ -891,13 +889,13 @@ fn check_join_source(
     // nothing: what its build holds.
     let head_alone = {
         let rows = evaluate(left).unwrap();
-        let table = PhysNode::scan(TableColumns::new(rows), left.schema.clone());
+        let table = PhysNode::scan(TableColumns::new(rows));
         let w = left.schema.arity();
         PhysNode::pipeline(table, vec![joined(head(), w).0], split[1].schema.clone())
     };
     let top_build = {
         let w = split[at].schema.arity();
-        let none = PhysNode::scan(TableColumns::new(Relation::new(ints(w), vec![])), ints(w));
+        let none = PhysNode::scan(TableColumns::new(Relation::new(ints(w), vec![])));
         peak(&PhysNode::pipeline(
             none,
             vec![joined(top(w), w).0],
@@ -1359,10 +1357,7 @@ fn operand_scan(rows: Vec<Tuple>) -> Arc<PhysNode> {
             .map(|n| Field::qualified("v", n, DataType::Int))
             .to_vec(),
     );
-    PhysNode::scan(
-        TableColumns::new(Relation::new(schema.clone(), rows)),
-        schema,
-    )
+    PhysNode::scan(TableColumns::new(Relation::new(schema.clone(), rows)))
 }
 
 fn sigma(input: &Arc<PhysNode>, predicate: PhysExpr) -> Arc<PhysNode> {

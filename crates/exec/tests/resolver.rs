@@ -7,7 +7,8 @@ use std::sync::Arc;
 use bypass_algebra::{AggCall, LogicalPlan, PlanBuilder, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
 use bypass_exec::{
-    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecOptions, PhysNode, PlanOptions,
+    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecContext, ExecOptions, PhysNode,
+    PlanOptions,
 };
 use bypass_types::{DataType, Error, ResourceKind, Value};
 
@@ -496,4 +497,64 @@ fn restricted_build_keeps_the_fused_row_sequence() {
     let fused = evaluate(&phys).unwrap();
     assert_eq!(fused.len(), 30);
     assert_eq!(fused.rows(), unfused(&plan, &c).rows());
+}
+
+/// A rename compiles to its input's node: a Γ over a rename of a node
+/// that another consumer also reads — through the rename, or around it —
+/// must leave that node unsunk and planned once, or the other consumer
+/// would plan, and run, a second copy. Under either fusion setting.
+#[test]
+fn a_gamma_over_a_rename_of_a_shared_node_leaves_it_unsunk() {
+    let c = catalog();
+    let kept = scan(&c, "s")
+        .filter(Scalar::qcol("s", "b4").gt(Scalar::lit(1i64)))
+        .build();
+    let renamed = PlanBuilder::from_plan(kept.clone()).aliased("x").build();
+    let count = PlanBuilder::from_plan(renamed.clone())
+        .aggregate(vec![], vec![(AggCall::count_star(), "n".into())]);
+    for other in [renamed, kept] {
+        let plan = count
+            .clone()
+            .cross_join(PlanBuilder::from_plan(other))
+            .build();
+        for fuse_stage_chains in [true, false] {
+            let phys = physical_plan_with(&plan, &c, PlanOptions { fuse_stage_chains }).unwrap();
+            let text = phys.explain();
+            assert_eq!(text.matches("Filter (#").count(), 1, "{text}");
+            assert_eq!(text.matches("Filter (shared #").count(), 1, "{text}");
+            assert!(!text.contains("HashAggregate fused"), "{text}");
+            let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
+            let rows = ctx.eval_plan(&phys).unwrap();
+            let analyzed = phys.explain_with_metrics(&ctx.take_metrics());
+            let host = analyzed.lines().find(|l| l.contains("Filter (#")).unwrap();
+            assert!(host.contains("[calls=1 "), "{analyzed}");
+            // σ keeps three of the six rows of `s`; each pairs with the count.
+            assert_eq!(rows.len(), 3, "{analyzed}");
+            assert!(
+                rows.rows().iter().all(|t| t[0] == Value::Int(3)),
+                "{analyzed}"
+            );
+        }
+    }
+}
+
+/// A ρ, and a Π that keeps every column in place, compile to nothing
+/// under either fusion setting: a chain of renames over a scan is the
+/// scan, and only the root carries the names a caller sees.
+#[test]
+fn a_chain_of_renames_is_its_input() {
+    let c = catalog();
+    let names = ["a1", "a2", "a3", "a4"];
+    let plan = scan(&c, "r")
+        .aliased("x")
+        .project(names.map(|n| (Scalar::qcol("x", n), None)).to_vec())
+        .aliased("y")
+        .build();
+    for fuse_stage_chains in [true, false] {
+        let phys = physical_plan_with(&plan, &c, PlanOptions { fuse_stage_chains }).unwrap();
+        assert_eq!(phys.explain(), "Scan\n");
+        let rel = evaluate(&phys).unwrap();
+        assert_eq!(rel.schema(), &plan.schema());
+        assert_eq!(rel.len(), 6);
+    }
 }

@@ -2,11 +2,11 @@
 //! what it computes: every plan shape that consults
 //! `bypass_catalog::TableColumns` (σ and σ± chunks, Γ keys and
 //! arguments, hash build, scan-left hash probe) is run over a `Scan` and
-//! over an `Alias` of that scan — the same rows as an intermediate,
-//! which takes the row route — and must hand on the same rows in the
-//! same order, raise the same error, and pass the same governor
-//! trajectory once the `Alias` node's own shared-row charge is taken
-//! out, at every worker count.
+//! over a copy of that scan — a `Limit` that keeps every row: the same
+//! rows as an intermediate, which takes the row route — and must hand on
+//! the same rows in the same order, raise the same error, and pass the
+//! same governor trajectory once the copy's own shared-row charge is
+//! taken out, at every worker count.
 
 use std::sync::Arc;
 
@@ -111,19 +111,26 @@ fn bin(op: BinOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
 }
 
 /// How a plan reaches a base table: straight from the scan, or through
-/// an alias of it — an intermediate relation with the same rows.
+/// a copy of it — an intermediate relation with the same rows, which a
+/// Γ cannot take over as its pipeline's sink.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Route {
     Scan,
-    Alias,
+    Copy,
 }
 
 fn table(rel: &Relation, route: Route) -> Arc<PhysNode> {
     let schema = rel.schema().clone();
-    let scan = PhysNode::scan(TableColumns::new(rel.clone()), schema.clone());
+    let scan = PhysNode::scan(TableColumns::new(rel.clone()));
     match route {
         Route::Scan => scan,
-        Route::Alias => PhysNode::new(PhysKind::Alias { input: scan }, schema),
+        Route::Copy => PhysNode::new(
+            PhysKind::Limit {
+                input: scan,
+                n: usize::MAX,
+            },
+            schema,
+        ),
     }
 }
 
@@ -160,7 +167,7 @@ fn hash_join(
 }
 
 /// Every plan shape that reads a base table by column, over `route`,
-/// with the tables it reaches: under [`Route::Alias`] one `Alias` node
+/// with the tables it reaches: under [`Route::Copy`] one `Limit` node
 /// each, charging for that table's rows.
 fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
     let (facts, dims) = (facts(), dims());
@@ -334,38 +341,38 @@ fn run(plan: &Arc<PhysNode>, threads: usize) -> (Result<Vec<Tuple>>, ExecCounter
 
 #[test]
 fn a_scan_and_an_intermediate_of_the_same_rows_are_one_input() {
-    for ((name, scan, _), (_, alias, aliased)) in
-        plans(Route::Scan).into_iter().zip(plans(Route::Alias))
+    for ((name, scan, _), (_, copy, copied)) in
+        plans(Route::Scan).into_iter().zip(plans(Route::Copy))
     {
         let (want_rows, want) = run(&scan, 1);
         for threads in [1, 2, 8] {
             let at = format!("{name}, {threads} threads");
             let (rows, counters) = run(&scan, threads);
-            let (alias_rows_out, alias_counters) = run(&alias, threads);
-            match (&want_rows, &rows, &alias_rows_out) {
-                (Ok(want), Ok(rows), Ok(through_alias)) => {
+            let (copy_rows_out, copy_counters) = run(&copy, threads);
+            match (&want_rows, &rows, &copy_rows_out) {
+                (Ok(want), Ok(rows), Ok(through_copy)) => {
                     assert!(!want.is_empty(), "{at}: a vacuous case");
                     assert_eq!(rows, want, "{at}: rows, in order");
-                    assert_eq!(through_alias, want, "{at}: rows through the alias");
+                    assert_eq!(through_copy, want, "{at}: rows through the copy");
                 }
-                (Err(want), Err(e), Err(through_alias)) => {
+                (Err(want), Err(e), Err(through_copy)) => {
                     assert_eq!(e.to_string(), want.to_string(), "{at}");
-                    assert_eq!(through_alias.to_string(), want.to_string(), "{at}");
+                    assert_eq!(through_copy.to_string(), want.to_string(), "{at}");
                 }
                 other => panic!("{at}: routes disagree on success: {other:?}"),
             }
             assert_eq!(counters, want, "{at}: counters across worker counts");
             if want_rows.is_ok() {
-                // An `Alias` hands its rows on by refcount: one charge —
+                // A `Limit` copies its rows by refcount: one charge —
                 // one checkpoint — of a shared-row handle each, held
                 // until the statement ends.
                 let through_scan = ExecCounters {
-                    checkpoints: alias_counters.checkpoints - aliased.len() as u64,
-                    peak_memory_bytes: alias_counters.peak_memory_bytes
-                        - aliased.iter().sum::<u64>() * SHARED_ROW_BYTES,
-                    ..alias_counters
+                    checkpoints: copy_counters.checkpoints - copied.len() as u64,
+                    peak_memory_bytes: copy_counters.peak_memory_bytes
+                        - copied.iter().sum::<u64>() * SHARED_ROW_BYTES,
+                    ..copy_counters
                 };
-                assert_eq!(through_scan, want, "{at}: counters without the alias");
+                assert_eq!(through_scan, want, "{at}: counters without the copy");
             }
         }
     }
@@ -377,17 +384,17 @@ fn an_overflowing_sum_fails_alike_on_either_route() {
     let values = [i64::MAX, 0, 1, i64::MAX];
     let rows = values.map(|v| Tuple::new(vec![Value::Int(1), Value::Int(v)]));
     let rel = Relation::new(schema(&["k", "v"]), rows.to_vec());
-    let errors = [Route::Scan, Route::Alias].map(|route| {
+    let errors = [Route::Scan, Route::Copy].map(|route| {
         let sum = gamma(
             table(&rel, route),
             &[0],
             vec![agg(AggFunc::Sum, false, Some(1))],
         );
         let (rows, counters) = run(&sum, 1);
-        let aliases = u64::from(route == Route::Alias);
+        let copies = u64::from(route == Route::Copy);
         (
             rows.expect_err("SUM overflows").to_string(),
-            counters.checkpoints - aliases,
+            counters.checkpoints - copies,
         )
     });
     assert!(errors[0].0.contains("integer overflow"), "{}", errors[0].0);

@@ -1,14 +1,14 @@
 use std::fmt;
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::{Schema, Tuple, Value};
 
 /// A fully materialized relation: a schema plus a bag of rows.
 ///
 /// The operator-at-a-time executor passes `Relation`s between physical
-/// operators. Bag semantics are the default; the explicit set operations
-/// (`distinct`, `disjoint_union`) implement the paper's Section 3.7
-/// duplicate-handling requirements.
+/// operators. Bag semantics are the default; `disjoint_union` is the
+/// paper's ∪̇, and δ (the executor's `Distinct`) its duplicate
+/// elimination (Section 3.7).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
@@ -54,19 +54,6 @@ impl Relation {
     pub fn push(&mut self, row: Tuple) {
         debug_assert_eq!(row.arity(), self.schema.arity());
         self.rows.push(row);
-    }
-
-    /// Duplicate elimination preserving first occurrence order.
-    /// Tuples are shared-row, so the `seen` set holds refcount bumps,
-    /// not deep copies; hashing uses the in-tree FxHash kernel.
-    pub fn distinct(mut self) -> Relation {
-        let mut seen: FxHashSet<Tuple> =
-            FxHashSet::with_capacity_and_hasher(self.rows.len(), Default::default());
-        self.rows.retain(|r| seen.insert(r.clone()));
-        Relation {
-            schema: self.schema,
-            rows: self.rows,
-        }
     }
 
     /// The paper's disjoint union `∪̇`: concatenates the two bags. The
@@ -193,15 +180,6 @@ mod tests {
                 .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
                 .collect(),
         )
-    }
-
-    #[test]
-    fn distinct_keeps_first_occurrence() {
-        let r = rel(&[&[1], &[2], &[1], &[3], &[2]]).distinct();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.rows()[0][0], Value::Int(1));
-        assert_eq!(r.rows()[1][0], Value::Int(2));
-        assert_eq!(r.rows()[2][0], Value::Int(3));
     }
 
     #[test]

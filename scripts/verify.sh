@@ -160,12 +160,12 @@ theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside
 echo "==> one row-loop operator (grep gate)"
 # Every row loop is a pipeline (DESIGN.md §7): a bypass operator is one with
 # a negative chain, ν heads one, Γ is one's sink, and Γᵇ is planned as ⟕
-# over Γ. PhysKind keeps eight variants, none of the four operators that ran
+# over Γ. PhysKind keeps seven variants, none of the four operators that ran
 # their own loops comes back, nor does the per-row build loop they shared,
 # and `probe` forms every nested-loop pair.
 variants="$(awk '/^pub enum PhysKind \{/ { inside = 1; next } inside && /^\}/ { inside = 0 }
     inside && /^    [A-Z]/ { n++ } END { print n + 0 }' crates/exec/src/node.rs)"
-[ "$variants" -eq 8 ] || { echo "PhysKind has $variants variants, not 8"; exit 1; }
+[ "$variants" -eq 7 ] || { echo "PhysKind has $variants variants, not 7"; exit 1; }
 loops="$(grep -rnE 'PhysKind::(BypassFilter|BypassNLJoin|BinaryGroup|Numbering)\b' \
     crates/*/src crates/*/tests || true)"
 [ -z "$loops" ] || { echo "an operator with its own row loop:"; echo "$loops"; exit 1; }
@@ -187,6 +187,13 @@ echo "==> one Γ (grep gate)"
 # pipeline with an empty chain. No Γ operator with a loop of its own.
 gammas="$(grep -rnE 'PhysKind::HashAggregate\b|fn hash_aggregate\b' crates || true)"
 [ -z "$gammas" ] || { echo "a Γ with its own loop:"; echo "$gammas"; exit 1; }
+
+echo "==> one namer (grep gate)"
+# Column names are the physical planner's (DESIGN.md §7 *Names*): a ρ, or a
+# Π that keeps every column in place, compiles to its input's node, and
+# inside a chain to no stage. No operator and no stage exists to rename.
+namers="$(grep -rnE 'PhysKind::Alias\b|Relabel' crates/*/src crates/*/tests || true)"
+[ -z "$namers" ] || { echo "an operator or a stage that renames:"; echo "$namers"; exit 1; }
 
 echo "==> one settle rule (grep gate)"
 # The σ/σ± chunk loop settles a kernel lane without a 3VL fold and compacts

@@ -121,3 +121,70 @@ fn aggregate_over_derived_with_nested_filter() {
         .unwrap();
     assert_eq!(n as usize, direct.len());
 }
+
+/// S2's OR → UNION rewrite reads one uncorrelated Γ from both branches,
+/// each through a Π that renames its column (`avg(b2) AS __g0`, `… AS
+/// __g1`). A rename compiles to nothing: the Γ's pipeline is planned
+/// once, runs once and is copied by nothing.
+#[test]
+fn a_shared_gamma_under_two_renames_runs_once_uncopied() {
+    let db = db();
+    let sql = "SELECT * FROM r WHERE a2 = (SELECT AVG(b2) FROM s WHERE b3 < 2) OR a2 <> 5";
+    let reference = db.sql_with(sql, Strategy::Canonical, None).unwrap();
+    let got = db.sql_with(sql, Strategy::S2UnionRewrite, None).unwrap();
+    assert!(
+        got.bag_eq(&reference),
+        "{} vs {} rows",
+        got.len(),
+        reference.len()
+    );
+
+    let text = db.explain(sql, Strategy::S2UnionRewrite).unwrap();
+    let physical = text
+        .split("-- physical plan")
+        .nth(1)
+        .expect("a physical plan");
+    assert_eq!(
+        physical.matches("HashAggregate fused→").count(),
+        2,
+        "{physical}"
+    );
+    assert_eq!(physical.matches("Filter (#").count(), 1, "{physical}");
+    assert_eq!(
+        physical.matches("Filter (shared #").count(),
+        1,
+        "{physical}"
+    );
+    assert!(!physical.contains("Alias"), "{physical}");
+
+    let analyzed = db.explain_analyze(sql, Strategy::S2UnionRewrite).unwrap();
+    let host = analyzed.lines().find(|l| l.contains("Filter (#"));
+    let host = host.expect("the Γ's pipeline is listed");
+    assert!(host.contains("[calls=1 "), "{analyzed}");
+}
+
+/// The result's columns are named by the prepared logical root, under
+/// every strategy — a root ρ, a root Π that renames, and the paper's
+/// queries, whose roots rename the columns of a ∪̇ or a δ. Names are the
+/// planner's: only the physical root carries them.
+#[test]
+fn result_columns_are_named_by_the_logical_root() {
+    let db = db();
+    let queries = [
+        "SELECT * FROM (SELECT a1 AS x FROM r) AS y",
+        "SELECT a1 AS x, a2 FROM r",
+        "SELECT * FROM r AS y",
+        rst::Q1,
+        rst::Q2,
+        rst::Q3,
+        rst::Q4,
+    ];
+    for sql in queries {
+        for strategy in Strategy::all() {
+            let prepared = db.prepare(sql, strategy).unwrap();
+            let rel = prepared.execute().unwrap();
+            let root = prepared.logical_plan().schema();
+            assert_eq!(rel.schema(), &root, "{strategy}: {sql}");
+        }
+    }
+}
