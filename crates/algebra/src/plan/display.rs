@@ -1,7 +1,8 @@
 //! Plan rendering: an indented, paper-style notation (σ, Π, Γ, ⟕, χ, ν,
 //! σ±, ⋈±, ∪̇) with DAG-aware printing — a bypass node shared by two
-//! streams is printed once and referenced by id afterwards, mirroring the
-//! solid/dotted edge notation of the paper's figures.
+//! streams, and any node two consumers read, is printed once and
+//! referenced by id afterwards, mirroring the solid/dotted edge notation
+//! of the paper's figures.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,8 +16,11 @@ impl LogicalPlan {
     /// golden tests assert on.
     pub fn explain(&self) -> String {
         let mut out = String::new();
+        let mut reached = HashMap::new();
+        count_reaches(self, &mut reached);
         let mut printer = Printer {
             out: &mut out,
+            reached,
             seen: HashMap::new(),
             next_id: 1,
         };
@@ -31,9 +35,25 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
+/// How many edges — inputs and subquery plans — reach each node below
+/// `plan`, each node's own edges counted once.
+fn count_reaches(plan: &LogicalPlan, reached: &mut HashMap<*const LogicalPlan, usize>) {
+    let exprs = plan.exprs();
+    let subqueries = exprs.iter().flat_map(|e| e.subquery_plans());
+    for c in plan.children().into_iter().chain(subqueries) {
+        let n = reached.entry(Arc::as_ptr(c)).or_insert(0);
+        *n += 1;
+        if *n == 1 {
+            count_reaches(c, reached);
+        }
+    }
+}
+
 struct Printer<'a> {
     out: &'a mut String,
-    /// Bypass nodes already printed, by pointer → id.
+    /// Edges reaching each node: a node reached twice is numbered.
+    reached: HashMap<*const LogicalPlan, usize>,
+    /// Numbered nodes (every bypass node) already printed → id.
     seen: HashMap<*const LogicalPlan, usize>,
     next_id: usize,
 }
@@ -47,13 +67,28 @@ impl Printer<'_> {
         self.out.push('\n');
     }
 
+    /// The id of a node printed for the first time.
+    fn number(&mut self, ptr: *const LogicalPlan) -> usize {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.seen.insert(ptr, id);
+        id
+    }
+
     fn node(&mut self, plan: &LogicalPlan, depth: usize) {
         // Stream nodes print their bypass source inline with a +/- tag.
         if let LogicalPlan::Stream { source, stream } = plan {
             self.stream(source, *stream, depth);
             return;
         }
-        self.line(depth, &label(plan));
+        let (ptr, mut text) = (plan as *const LogicalPlan, label(plan));
+        if self.reached.get(&ptr).is_some_and(|&n| n > 1) {
+            if let Some(&id) = self.seen.get(&ptr) {
+                return self.line(depth, &format!("{text} (shared #{id})"));
+            }
+            text = format!("{text} (#{})", self.number(ptr));
+        }
+        self.line(depth, &text);
         self.subqueries(plan, depth + 1);
         for c in plan.children() {
             self.node(c, depth + 1);
@@ -68,9 +103,7 @@ impl Printer<'_> {
             self.line(depth, &format!("{sym}{} (shared #{id})", stream.sign()));
             return;
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.seen.insert(ptr, id);
+        let id = self.number(ptr);
         let sym = bypass_symbol(source);
         let pred = source
             .exprs()

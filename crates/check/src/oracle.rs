@@ -1601,7 +1601,7 @@ pub const AXES: [Axis; 4] = [
     PRUNED_VS_UNPRUNED,
 ];
 
-type LegRun = Result<(Arc<Relation>, ExecCounters)>;
+type LegRun = Result<(Relation, ExecCounters)>;
 
 fn run_leg(db: &Database, sql: &str, strategy: Strategy, leg: &Leg) -> LegRun {
     if leg.fused && leg.columns.is_none() {
@@ -1611,9 +1611,7 @@ fn run_leg(db: &Database, sql: &str, strategy: Strategy, leg: &Leg) -> LegRun {
             batch_rows: leg.batch_rows,
             ..RunLimits::default()
         };
-        return db
-            .run_governed(sql, strategy, &limits)
-            .map(|(rows, counters)| (rows.into(), counters));
+        return db.run_governed(sql, strategy, &limits);
     }
     // No SQL entry point plans without fusion or without column
     // pruning: compile by hand.

@@ -503,7 +503,7 @@ impl ExecContext {
         // pair under a subquery predicate is materialized here).
         self.outer.push(t.to_tuple());
         let before = self.gov.used_bytes();
-        let result = self.eval_plan(plan);
+        let result = self.eval_block(plan);
         self.outer.pop();
         // Transient charges made while evaluating the nested plan are
         // returned to the budget when the invocation completes — the

@@ -49,8 +49,8 @@ pub mod vector;
 
 pub use agg::AggSpec;
 pub use eval::{
-    evaluate, evaluate_shared, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters,
-    ExecOptions, NodeMetrics, StageMetrics,
+    evaluate, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters, ExecOptions, NodeMetrics,
+    StageMetrics,
 };
 pub use expr::PhysExpr;
 pub use group::ACC_BYTES;

@@ -350,8 +350,6 @@ pub enum PhysKind {
         neg: Option<Chain>,
         group: Option<Group>,
     },
-    /// Duplicate elimination.
-    Distinct { input: Arc<PhysNode> },
     /// ORDER BY; `true` = descending.
     Sort {
         input: Arc<PhysNode>,
@@ -359,10 +357,14 @@ pub enum PhysKind {
     },
     /// LIMIT — first n rows.
     Limit { input: Arc<PhysNode>, n: usize },
-    /// Disjoint union ∪̇ (bag concatenation).
-    UnionAll {
-        left: Arc<PhysNode>,
-        right: Arc<PhysNode>,
+    /// SQL's UNION ALL (the paper's ∪̇ when `distinct` is unset) or
+    /// UNION: one loop appends each input's rows in order, and with
+    /// `distinct` keeps only the first occurrence of each row — δ is a
+    /// union of one input. The planner folds an unshared ∪̇ into the
+    /// union or δ that consumes it.
+    Union {
+        inputs: Vec<Arc<PhysNode>>,
+        distinct: bool,
     },
     /// Consumes one stream of a bypass operator, which runs once per
     /// plan evaluation for both.
@@ -381,10 +383,8 @@ impl PhysNode {
             PhysKind::Pipeline { input, .. } => std::iter::once(input)
                 .chain(self.head_probe().map(|s| &s.right))
                 .collect(),
-            PhysKind::Distinct { input }
-            | PhysKind::Sort { input, .. }
-            | PhysKind::Limit { input, .. } => vec![input],
-            PhysKind::UnionAll { left, right } => vec![left, right],
+            PhysKind::Sort { input, .. } | PhysKind::Limit { input, .. } => vec![input],
+            PhysKind::Union { inputs, .. } => inputs.iter().collect(),
             PhysKind::Stream { source, .. } => vec![source],
         }
     }
@@ -443,9 +443,8 @@ impl PhysNode {
         let mut own = match &self.kind {
             PhysKind::Pipeline { group, .. } => group.iter().flat_map(Group::exprs).collect(),
             PhysKind::Scan { .. }
-            | PhysKind::Distinct { .. }
             | PhysKind::Limit { .. }
-            | PhysKind::UnionAll { .. }
+            | PhysKind::Union { .. }
             | PhysKind::Stream { .. } => vec![],
             PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
         };
@@ -474,10 +473,10 @@ impl PhysNode {
             PhysKind::Pipeline { chain, .. } => {
                 chain.stages.first().map_or("HashAggregate", Stage::name)
             }
-            PhysKind::Distinct { .. } => "Distinct",
             PhysKind::Sort { .. } => "Sort",
             PhysKind::Limit { .. } => "Limit",
-            PhysKind::UnionAll { .. } => "UnionAll",
+            PhysKind::Union { distinct: true, .. } => "Distinct",
+            PhysKind::Union { .. } => "UnionAll",
             PhysKind::Stream { positive, .. } => {
                 if *positive {
                     "Stream(+)"

@@ -402,9 +402,6 @@ impl<'a> Resolver<'a> {
             LogicalPlan::Numbering { .. } => {
                 PhysNode::pipeline(next().node, vec![Stage::Number], names.clone())
             }
-            LogicalPlan::Distinct { .. } => {
-                PhysNode::new(PhysKind::Distinct { input: next().node }, names.clone())
-            }
             LogicalPlan::Limit { n, .. } => {
                 let input = next().node;
                 PhysNode::new(PhysKind::Limit { input, n: *n }, names.clone())
@@ -420,17 +417,28 @@ impl<'a> Resolver<'a> {
                 let input = child.node;
                 PhysNode::new(PhysKind::Sort { input, keys }, names.clone())
             }
-            LogicalPlan::Union { .. } => {
-                let (l, r) = (next(), next());
-                if l.names.arity() != r.names.arity() {
-                    return Err(Error::plan(format!(
-                        "union arity mismatch: {} vs {}",
-                        l.names.arity(),
-                        r.names.arity()
-                    )));
+            // δ and ∪̇ are one union, which takes in the inputs of a ∪̇
+            // below it that nothing else reads (a second consumer marks it
+            // shared): δ(∪̇(a, b)) and ∪̇(∪̇(a, b), c) each run as one loop.
+            LogicalPlan::Distinct { .. } | LogicalPlan::Union { .. } => {
+                let mut parts = Vec::new();
+                for input in &mut inputs {
+                    let (width, arity) = (names.arity(), input.names.arity());
+                    if width != arity {
+                        let msg = format!("union arity mismatch: {width} vs {arity}");
+                        return Err(Error::plan(msg));
+                    }
+                    let fuse = self.options.fuse_stage_chains && !input.node.shared;
+                    match (&input.node.kind, fuse) {
+                        (PhysKind::Union { inputs, distinct }, true) if !distinct => {
+                            parts.extend(inputs.iter().cloned())
+                        }
+                        _ => parts.push(input.node),
+                    }
                 }
-                let (left, right) = (l.node, r.node);
-                PhysNode::new(PhysKind::UnionAll { left, right }, names.clone())
+                let (inputs, distinct) =
+                    (parts, matches!(plan.as_ref(), LogicalPlan::Distinct { .. }));
+                PhysNode::new(PhysKind::Union { inputs, distinct }, names.clone())
             }
             LogicalPlan::BypassFilter { predicate, .. } => {
                 let child = next();

@@ -61,7 +61,14 @@ fn copy(input: Arc<PhysNode>) -> Arc<PhysNode> {
 
 fn union(left: Arc<PhysNode>, right: Arc<PhysNode>) -> Arc<PhysNode> {
     let schema = left.schema.clone();
-    PhysNode::new(PhysKind::UnionAll { left, right }, schema)
+    let inputs = vec![left, right];
+    PhysNode::new(
+        PhysKind::Union {
+            inputs,
+            distinct: false,
+        },
+        schema,
+    )
 }
 
 /// `key = <outer a2> OR other > 20`: two kernel terms, so the nested

@@ -135,8 +135,8 @@ fn bypass_filter_partitions_input() {
             let neg = evaluate(&stream(&bypass, false)).unwrap();
             // Partition: pos ∪̇ neg == input as bags.
             assert_eq!(pos.len() + neg.len(), input.len());
-            let union = pos.disjoint_union(neg);
-            assert!(union.bag_eq(&input));
+            let union = [pos.rows(), neg.rows()].concat();
+            assert!(Relation::new(input.schema().clone(), union).bag_eq(&input));
         },
     );
 }
@@ -166,7 +166,8 @@ fn bypass_join_partitions_cross_product() {
             let cross = join(l, r, JoinOn::Loop(None), None, joined_schema);
             let cross = evaluate(&cross).unwrap();
             assert_eq!(pos.len() + neg.len(), cross.len());
-            assert!(pos.disjoint_union(neg).bag_eq(&cross));
+            let union = [pos.rows(), neg.rows()].concat();
+            assert!(Relation::new(cross.schema().clone(), union).bag_eq(&cross));
         },
     );
 }
@@ -358,13 +359,15 @@ fn distinct_is_idempotent_and_bounded() {
         |(xs, ys)| {
             let scan = rel2("r", xs, ys);
             let schema = scan.schema.clone();
-            let d1 = PhysNode::new(
-                PhysKind::Distinct {
-                    input: scan.clone(),
-                },
-                schema.clone(),
-            );
-            let d2 = PhysNode::new(PhysKind::Distinct { input: d1.clone() }, schema);
+            let distinct = |input| {
+                let kind = PhysKind::Union {
+                    inputs: vec![input],
+                    distinct: true,
+                };
+                PhysNode::new(kind, schema.clone())
+            };
+            let d1 = distinct(scan.clone());
+            let d2 = distinct(d1.clone());
             let once = evaluate(&d1).unwrap();
             let twice = evaluate(&d2).unwrap();
             assert!(once.bag_eq(&twice));
@@ -949,8 +952,14 @@ fn check_bypass_streams(input: &Arc<PhysNode>, p: &PhysExpr, ops: [&Vec<StackOp>
             }];
             PhysNode::aggregate(input, vec![], aggs, ints(1))
         };
-        let [left, right] = tops.map(count);
-        PhysNode::new(PhysKind::UnionAll { left, right }, ints(1))
+        let inputs = tops.map(count).into();
+        PhysNode::new(
+            PhysKind::Union {
+                inputs,
+                distinct: false,
+            },
+            ints(1),
+        )
     };
     let fused_union = both([stream(&fused, true), stream(&fused, false)]);
     let split_union = both([

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bypass_algebra::{AggCall, LogicalPlan, PlanBuilder, Scalar};
+use bypass_algebra::{AggCall, BinOp, LogicalPlan, PlanBuilder, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
 use bypass_exec::{
     evaluate, evaluate_with, physical_plan, physical_plan_with, ExecContext, ExecOptions, PhysNode,
@@ -557,4 +557,59 @@ fn a_chain_of_renames_is_its_input() {
         assert_eq!(rel.schema(), &plan.schema());
         assert_eq!(rel.len(), 6);
     }
+}
+
+/// A ∪̇ that a second consumer also reads stays a node of its own — the
+/// δ over it does not take in its inputs — and runs once for both.
+#[test]
+fn a_union_all_with_a_second_consumer_is_not_absorbed() {
+    let c = catalog();
+    let both = scan(&c, "r").union(scan(&c, "s")).build();
+    let plan = PlanBuilder::from_plan(both.clone())
+        .distinct()
+        .union(PlanBuilder::from_plan(both).filter(Scalar::qcol("r", "a1").gt(Scalar::lit(1i64))))
+        .build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    let text = phys.explain();
+    assert_eq!(text.matches("UnionAll (#").count(), 1, "{text}");
+    assert_eq!(text.matches("UnionAll (shared #").count(), 1, "{text}");
+    let distinct = text.lines().position(|l| l.trim() == "Distinct").unwrap();
+    let shared = text.lines().nth(distinct + 1).unwrap();
+    assert!(shared.trim().starts_with("UnionAll (#"), "{text}");
+    let mut ctx = ExecContext::new(ExecOptions::default()).with_metrics();
+    let rows = ctx.eval_plan(&phys).unwrap();
+    let analyzed = phys.explain_with_metrics(&ctx.take_metrics());
+    let once = analyzed
+        .lines()
+        .find(|l| l.contains("UnionAll (#"))
+        .unwrap();
+    assert!(once.contains("[calls=1 rows=12 "), "{analyzed}");
+    // δ keeps the four distinct rows of the twelve; σ keeps the four of
+    // them whose first value exceeds 1.
+    assert_eq!(rows.len(), 4 + 4, "{analyzed}");
+}
+
+/// δ over ∪̇ runs as one loop over the ∪̇'s inputs, evaluated in the
+/// order the unmerged plan evaluates them: when the second input raises,
+/// both plans raise its error.
+#[test]
+fn distinct_over_a_failing_union_raises_the_unmerged_error() {
+    let c = catalog();
+    let ten_over = |col| Scalar::binary(BinOp::Div, Scalar::lit(10i64), Scalar::qcol("s", col));
+    let plan = scan(&c, "r")
+        .union(scan(&c, "s").filter(ten_over("b1").gt(Scalar::lit(2i64))))
+        .distinct()
+        .build();
+    let merged = physical_plan(&plan, &c).unwrap();
+    let text = merged.explain();
+    assert!(text.starts_with("Distinct\n  Scan\n  Filter"), "{text}");
+    let options = PlanOptions {
+        fuse_stage_chains: false,
+    };
+    let unmerged = physical_plan_with(&plan, &c, options).unwrap();
+    let text = unmerged.explain();
+    assert!(text.starts_with("Distinct\n  UnionAll\n"), "{text}");
+    let err = evaluate(&merged).unwrap_err();
+    assert_eq!(err, evaluate(&unmerged).unwrap_err());
+    assert!(err.to_string().contains("division by zero"), "{err}");
 }

@@ -220,9 +220,9 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
             let source = bypass.clone();
             PhysNode::new(PhysKind::Stream { source, positive }, schema.clone())
         };
-        let union = PhysKind::UnionAll {
-            left: stream(false),
-            right: stream(true),
+        let union = PhysKind::Union {
+            inputs: vec![stream(false), stream(true)],
+            distinct: false,
         };
         out.push((format!("σ± #{k}"), PhysNode::new(union, schema), nf.clone()));
     }

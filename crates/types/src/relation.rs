@@ -1,14 +1,16 @@
 use std::fmt;
 
 use crate::fxhash::FxHashMap;
-use crate::{Schema, Tuple, Value};
+use crate::{Schema, Tuple};
 
-/// A fully materialized relation: a schema plus a bag of rows.
+/// A fully materialized relation: a schema plus a bag of rows, in order.
 ///
-/// The operator-at-a-time executor passes `Relation`s between physical
-/// operators. Bag semantics are the default; `disjoint_union` is the
-/// paper's ∪̇, and δ (the executor's `Distinct`) its duplicate
-/// elimination (Section 3.7).
+/// A base table's storage, what an executor operator that is no
+/// pipeline stage materializes — a scan's rows handed on by refcount, a
+/// bypass operator's stream, the union that re-joins its two streams —
+/// and the result a caller receives. Rows are shared handles, so a copy
+/// of a relation copies handles, not values. Bag semantics are the
+/// default: duplicates are kept unless a δ removes them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
@@ -54,18 +56,6 @@ impl Relation {
     pub fn push(&mut self, row: Tuple) {
         debug_assert_eq!(row.arity(), self.schema.arity());
         self.rows.push(row);
-    }
-
-    /// The paper's disjoint union `∪̇`: concatenates the two bags. The
-    /// *caller* (the bypass rewrite) guarantees disjointness; a debug
-    /// assertion validates matching schema arity.
-    pub fn disjoint_union(mut self, other: Relation) -> Relation {
-        debug_assert_eq!(self.schema.arity(), other.schema.arity());
-        self.rows.extend(other.rows);
-        Relation {
-            schema: self.schema,
-            rows: self.rows,
-        }
     }
 
     /// Multiset equality: same rows with the same multiplicities,
@@ -145,16 +135,6 @@ impl Relation {
         ));
         out
     }
-
-    /// Convenience: single-column, single-row relation holding one value
-    /// (the result shape of a scalar subquery).
-    pub fn scalar(&self) -> Option<&Value> {
-        if self.rows.len() == 1 && self.schema.arity() == 1 {
-            Some(&self.rows[0][0])
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Relation {
@@ -166,7 +146,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, Field};
+    use crate::{DataType, Field, Value};
 
     fn rel(rows: &[&[i64]]) -> Relation {
         let schema = Schema::new(
@@ -183,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_union_concatenates() {
-        let r = rel(&[&[1], &[2]]).disjoint_union(rel(&[&[3]]));
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
     fn bag_eq_ignores_order_not_multiplicity() {
         let a = rel(&[&[1], &[2], &[2]]);
         let b = rel(&[&[2], &[1], &[2]]);
@@ -197,15 +171,6 @@ mod tests {
         assert!(a.bag_eq(&b));
         assert!(!a.bag_eq(&c));
         assert!(!a.bag_eq(&d));
-    }
-
-    #[test]
-    fn scalar_extraction() {
-        let one = rel(&[&[42]]);
-        assert_eq!(one.scalar(), Some(&Value::Int(42)));
-        assert_eq!(rel(&[&[1], &[2]]).scalar(), None);
-        let two_cols = rel(&[&[1, 2]]);
-        assert_eq!(two_cols.scalar(), None);
     }
 
     #[test]

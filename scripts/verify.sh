@@ -160,12 +160,12 @@ theta="$(awk '/^    BinaryGroup \{/ { inside = 1 } inside && /^    \},/ { inside
 echo "==> one row-loop operator (grep gate)"
 # Every row loop is a pipeline (DESIGN.md §7): a bypass operator is one with
 # a negative chain, ν heads one, Γ is one's sink, and Γᵇ is planned as ⟕
-# over Γ. PhysKind keeps seven variants, none of the four operators that ran
+# over Γ. PhysKind keeps six variants, none of the four operators that ran
 # their own loops comes back, nor does the per-row build loop they shared,
 # and `probe` forms every nested-loop pair.
 variants="$(awk '/^pub enum PhysKind \{/ { inside = 1; next } inside && /^\}/ { inside = 0 }
     inside && /^    [A-Z]/ { n++ } END { print n + 0 }' crates/exec/src/node.rs)"
-[ "$variants" -eq 7 ] || { echo "PhysKind has $variants variants, not 7"; exit 1; }
+[ "$variants" -eq 6 ] || { echo "PhysKind has $variants variants, not 6"; exit 1; }
 loops="$(grep -rnE 'PhysKind::(BypassFilter|BypassNLJoin|BinaryGroup|Numbering)\b' \
     crates/*/src crates/*/tests || true)"
 [ -z "$loops" ] || { echo "an operator with its own row loop:"; echo "$loops"; exit 1; }
@@ -194,6 +194,15 @@ echo "==> one namer (grep gate)"
 # inside a chain to no stage. No operator and no stage exists to rename.
 namers="$(grep -rnE 'PhysKind::Alias\b|Relabel' crates/*/src crates/*/tests || true)"
 [ -z "$namers" ] || { echo "an operator or a stage that renames:"; echo "$namers"; exit 1; }
+
+echo "==> one union (grep gate)"
+# δ and ∪̇ are one operator, SQL's UNION / UNION ALL (DESIGN.md §7): one loop
+# appends its inputs' rows and, for δ, keeps each row's first occurrence;
+# the planner folds an unshared ∪̇ into the union above it. A root's names
+# are attached where the caller's relation is built (`eval_plan`), so no
+# second entry point hands out a shared result.
+unions="$(grep -rnE 'PhysKind::(Distinct|UnionAll)\b|evaluate_shared' crates/*/src crates/*/tests || true)"
+[ -z "$unions" ] || { echo "a second union operator or a shared-result entry point:"; echo "$unions"; exit 1; }
 
 echo "==> one settle rule (grep gate)"
 # The σ/σ± chunk loop settles a kernel lane without a 3VL fold and compacts

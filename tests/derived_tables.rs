@@ -188,3 +188,82 @@ fn result_columns_are_named_by_the_logical_root() {
         }
     }
 }
+
+/// S2 reads one Γ from both branches of its ∪̇: the logical plan prints
+/// it once, numbered, and then as a reference — as the physical plan
+/// lists its pipeline once and runs it once.
+#[test]
+fn logical_explain_prints_a_shared_node_once() {
+    let db = db();
+    let sql = "SELECT * FROM r WHERE a2 = (SELECT AVG(b2) FROM s WHERE b3 < 2) OR a2 <> 5";
+    let text = db.explain(sql, Strategy::S2UnionRewrite).unwrap();
+    let logical = text.split("-- physical plan").next().unwrap();
+    let gamma = "Γ[; avg(b2): avg(b2)]";
+    assert_eq!(logical.matches(gamma).count(), 2, "{logical}");
+    let first = logical.lines().find(|l| l.contains(gamma)).unwrap();
+    let id = first.trim().strip_prefix(gamma).unwrap().trim();
+    let id = id.strip_prefix("(#").and_then(|s| s.strip_suffix(')'));
+    let id = id.unwrap_or_else(|| panic!("the first Γ is numbered: {logical}"));
+    let reference = format!("{gamma} (shared #{id})");
+    assert!(logical.contains(&reference), "{logical}");
+    // The shared subtree is printed once.
+    assert_eq!(logical.matches("σ[(b3 < 2)]").count(), 1, "{logical}");
+}
+
+/// δ and ∪̇ are one union operator, which takes in every ∪̇ below it that
+/// nothing else reads: the paper's Q1 unnests to δ over the ∪̇ of its two
+/// streams, and Q3 with a plain third disjunct (the benchmark's pool
+/// shape) to δ over ∪̇ over ∪̇ — one loop over two and three inputs. The
+/// rows and their order are the unmerged plan's.
+#[test]
+fn distinct_over_union_all_runs_as_one_loop() {
+    use bypass_exec::{physical_plan_with, ExecContext, ExecOptions, PhysKind, PlanOptions};
+    let db = db();
+    let q3 = format!("{} OR a4 > 1500", rst::Q3);
+    for (sql, inputs) in [(rst::Q1, 2), (q3.as_str(), 3)] {
+        let prepared = db.prepare(sql, Strategy::Unnested).unwrap();
+        let run = |fuse_stage_chains| {
+            let options = PlanOptions { fuse_stage_chains };
+            let plan = physical_plan_with(prepared.logical_plan(), db.catalog(), options);
+            let plan = plan.unwrap();
+            let rel = ExecContext::new(ExecOptions::default()).eval_plan(&plan);
+            (plan, rel.unwrap())
+        };
+        let (merged, rows) = run(true);
+        let text = merged.explain();
+        match &merged.kind {
+            PhysKind::Union {
+                inputs: got,
+                distinct: true,
+            } => {
+                assert_eq!(got.len(), inputs, "{text}")
+            }
+            _ => panic!("{sql}: the root is δ\n{text}"),
+        }
+        assert!(!text.contains("UnionAll"), "{text}");
+        let (unmerged, unmerged_rows) = run(false);
+        let text = unmerged.explain();
+        assert_eq!(text.matches("UnionAll").count(), inputs - 1, "{text}");
+        assert_eq!(rows.rows(), unmerged_rows.rows(), "{sql}");
+        assert_eq!(rows.schema(), unmerged_rows.schema(), "{sql}");
+    }
+}
+
+/// A statement whose root is a scan — `SELECT *`, or a ρ over a table —
+/// hands the caller the table's rows under the logical root's names: no
+/// operator runs, so no checkpoint is passed and nothing is charged.
+#[test]
+fn a_scan_root_runs_uncharged_under_the_root_names() {
+    let db = db();
+    for sql in ["SELECT * FROM r", "SELECT * FROM r AS y"] {
+        for strategy in Strategy::all() {
+            let limits = bypass::RunLimits::default();
+            let (rel, counters) = db.run_governed(sql, strategy, &limits).unwrap();
+            let prepared = db.prepare(sql, strategy).unwrap();
+            assert_eq!(rel.schema(), &prepared.logical_plan().schema(), "{sql}");
+            assert_eq!(rel.len(), 100, "{strategy}: {sql}");
+            assert_eq!(counters.checkpoints, 0, "{strategy}: {sql}");
+            assert_eq!(counters.peak_memory_bytes, 0, "{strategy}: {sql}");
+        }
+    }
+}
