@@ -104,6 +104,14 @@ impl Governor {
         self.peak_bytes
     }
 
+    /// The cancel token and the deadline, observed without a checkpoint.
+    pub(crate) fn poll(&self) -> Result<()> {
+        match &self.cancel {
+            Some(token) if token.is_cancelled() => Err(Error::cancelled()),
+            _ => self.check_deadline(),
+        }
+    }
+
     /// One checkpoint.
     #[inline]
     pub(crate) fn tick(&mut self) -> Result<()> {
