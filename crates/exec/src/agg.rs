@@ -1,7 +1,9 @@
 use std::borrow::Cow;
 
 use bypass_algebra::AggFunc;
-use bypass_types::{tuple_bytes, value_heap_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
+use bypass_types::{
+    tuple_bytes, value_heap_bytes, Column, Error, Result, Tuple, Value, VALUE_BYTES,
+};
 
 use crate::expr::PhysExpr;
 use crate::hash::DistinctSet;
@@ -91,6 +93,52 @@ impl Accumulator {
         Ok(())
     }
 
+    /// [`Self::update`] with an `Int` argument, the common states folded
+    /// in place. SUM adds with `checked_add` and overflows with
+    /// [`Value::add`]'s error.
+    #[inline(always)]
+    fn add_int(&mut self, x: i64) -> Result<()> {
+        match self {
+            Accumulator::CountValues { n } => *n += 1,
+            Accumulator::Sum {
+                acc: Some(Value::Int(a)),
+            } => match a.checked_add(x) {
+                Some(sum) => *a = sum,
+                None => return Value::Int(*a).add(&Value::Int(x)).map(drop),
+            },
+            Accumulator::Avg { sum, n } => {
+                *sum += x as f64;
+                *n += 1;
+            }
+            Accumulator::Min {
+                acc: Some(Value::Int(a)),
+            } => *a = (*a).min(x),
+            Accumulator::Max {
+                acc: Some(Value::Int(a)),
+            } => *a = (*a).max(x),
+            other => other.update(Some(&Value::Int(x)))?,
+        }
+        Ok(())
+    }
+
+    /// [`Self::update`] with a `Float` argument, the common states folded
+    /// in place: a float SUM adds as [`Value::add`] does.
+    #[inline(always)]
+    fn add_float(&mut self, x: f64) -> Result<()> {
+        match self {
+            Accumulator::CountValues { n } => *n += 1,
+            Accumulator::Sum {
+                acc: Some(Value::Float(a)),
+            } => *a += x,
+            Accumulator::Avg { sum, n } => {
+                *sum += x;
+                *n += 1;
+            }
+            other => other.update(Some(&Value::Float(x)))?,
+        }
+        Ok(())
+    }
+
     fn finish(self) -> Value {
         match self {
             Accumulator::CountRows { n } | Accumulator::CountValues { n } => Value::Int(n),
@@ -155,6 +203,10 @@ impl<'p> AggStates<'p> {
             accs: Vec::new(),
             seen: specs.iter().map(|spec| Seen::new(spec, rows)).collect(),
         }
+    }
+
+    pub(crate) fn specs(&self) -> &'p [AggSpec] {
+        self.specs
     }
 
     /// Do the aggregates only count rows — `COUNT(*)`, no DISTINCT? Then
@@ -237,6 +289,74 @@ impl<'p> AggStates<'p> {
             acc.update(value)?;
         }
         Ok(retained)
+    }
+
+    /// Fold aggregate `j` over a chunk of base-table rows, in lane
+    /// order: lane `k` is `rows[lanes[k]]` — slot `base + lanes[k]` of
+    /// `column`, the argument's column (none for the whole-row COUNTs) —
+    /// and belongs to group `groups[k]`. A typed column folds in a loop
+    /// over its numbers; DISTINCT keeps its gate. Adds what a lane's
+    /// first-seen value or row retains to `grown[k]`, and stops at the
+    /// first lane that fails, handing back its index and error.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold_chunk(
+        &mut self,
+        j: usize,
+        column: Option<&Column>,
+        rows: &[Tuple],
+        base: usize,
+        lanes: &[u32],
+        groups: &[u32],
+        grown: &mut [u64],
+    ) -> Option<(usize, Error)> {
+        let n = self.specs.len();
+        let accs = &mut self.accs;
+        let acc = |g: u32| g as usize * n + j;
+        let slots = lanes.iter().map(|&l| base + l as usize);
+        let lanes = groups.iter().zip(slots).enumerate();
+        let fail = |k: usize| move |e| (k, e);
+        match (&mut self.seen[j], column) {
+            (None, None) => {
+                for &g in groups {
+                    if let Accumulator::CountRows { n } = &mut accs[acc(g)] {
+                        *n += 1;
+                    }
+                }
+                None
+            }
+            (None, Some(Column::Int(xs))) => lanes
+                .map(|(k, (&g, r))| accs[acc(g)].add_int(xs[r]).map_err(fail(k)))
+                .find_map(Result::err),
+            (None, Some(Column::Float(xs))) => lanes
+                .map(|(k, (&g, r))| accs[acc(g)].add_float(xs[r]).map_err(fail(k)))
+                .find_map(Result::err),
+            (None, Some(Column::Values(xs))) => lanes
+                .map(|(k, (&g, r))| accs[acc(g)].update(Some(&xs[r])).map_err(fail(k)))
+                .find_map(Result::err),
+            (Some(seen), column) => {
+                for (k, (&g, r)) in lanes {
+                    let value = column.map(|c| c.get(r));
+                    let value = value.as_deref();
+                    let retained = match seen {
+                        Seen::Rows(set) => {
+                            let row = &rows[r - base];
+                            set.insert(g, row).then(|| tuple_bytes(row))
+                        }
+                        Seen::Values(set) => value
+                            .filter(|v| !v.is_null() && set.insert(g, v))
+                            .map(|v| VALUE_BYTES + value_heap_bytes(v)),
+                    };
+                    let Some(bytes) = retained else {
+                        continue;
+                    };
+                    grown[k] += bytes;
+                    if let Err(e) = accs[acc(g)].update(value) {
+                        return Some((k, e));
+                    }
+                }
+                None
+            }
+        }
     }
 
     /// The final aggregate values, group after group. Leaves no groups

@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,7 +13,7 @@ use bypass_types::{
 use crate::expr::PhysExpr;
 use crate::govern::Governor;
 use crate::group::Fold;
-use crate::hash::{CorrMemo, JoinTable, KeyReader, TableKey};
+use crate::hash::{ChunkHashes, CorrMemo, JoinTable, Key, KeyReader, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
@@ -796,14 +797,19 @@ impl ExecContext {
             }
         };
         let charged = |r: usize| bypass || (keeps && truth[r].is_true());
+        let bytes = charges as u64 * SHARED_ROW_BYTES;
         self.gov
-            .tick_rows(rows.len(), charges, SHARED_ROW_BYTES, charged)
+            .tick_rows(rows.len(), charges, bytes, |gov, r| match charged(r) {
+                true => gov.charge(SHARED_ROW_BYTES),
+                false => Ok(()),
+            })
     }
 
     /// Fold the TRUE rows of a settled run (`base`: the position of
     /// `rows[0]` in the input) into a σ's Γ — a Γ that counts rows, their
-    /// number — and return how many there were. Out of line: inlined, it
-    /// slowed the σ loop of every other pipeline by 9 % per row.
+    /// number; one over its input's base table, as a chunk — and return
+    /// how many there were. Out of line: inlined, it slowed the σ loop of
+    /// every other pipeline by 9 % per row.
     #[inline(never)]
     fn fold_settled(
         &mut self,
@@ -812,15 +818,18 @@ impl ExecContext {
         base: usize,
         truth: &[Truth],
     ) -> Result<usize> {
-        let kept = rows.iter().zip(truth).enumerate();
-        let mut kept = kept.filter_map(|(j, (t, truth))| truth.is_true().then_some((j, t)));
+        let kept = truth.iter().enumerate();
+        let mut kept = kept.filter_map(|(j, truth)| truth.is_true().then_some(j));
         if fold.counts() {
             let n = kept.count();
             fold.count(self, n)?;
             return Ok(n);
         }
-        kept.try_fold(0, |n, (j, t)| {
-            fold.fold(self, t, Some(base + j))?;
+        if fold.folds_table() {
+            return fold.fold_table(self, rows, base, kept.map(|j| j as u32));
+        }
+        kept.try_fold(0, |n, j| {
+            fold.fold(self, &rows[j])?;
             Ok(n + 1)
         })
     }
@@ -1095,7 +1104,7 @@ impl ExecContext {
             Some(group) => Some(Box::new(Fold::start(self, group, table, None)?)),
             None => None,
         };
-        let stages = self.open_chain(chain, Some(&rel), local)?;
+        let stages = self.open_chain(chain, Some((&rel, table)), local)?;
         let neg = match neg {
             Some(neg) => Some(self.open_chain(neg, None, local)?),
             None => None,
@@ -1120,7 +1129,7 @@ impl ExecContext {
                 Exit::Buffer(rows) => {
                     let mut fold = fold.take().expect("a forked loop leaves Γ here");
                     for t in &rows {
-                        fold.fold(self, t, None)?;
+                        fold.fold(self, t)?;
                     }
                     fold
                 }
@@ -1190,6 +1199,12 @@ impl ExecContext {
         let parts = self.run_morsels(node, input.len(), pairs, fold, |ctx, range, fold| {
             let [mut sink, mut miss] = [stages.len(), neg.map_or(0, <[_]>::len)].map(Sink::new);
             sink.exit = Exit::of(fold, grouped);
+            if let (Some(probe), Some(key)) = (head, &table_key) {
+                let rows = input.rows();
+                let to = (stages, neg);
+                ctx.probe_table(probe, key, rows, range, to, &mut sink, &mut miss)?;
+                return Ok([sink, miss]);
+            }
             for (i, t) in range.clone().zip(&input.rows()[range]) {
                 let row = RowView::of(t);
                 let Some(probe) = head else {
@@ -1207,9 +1222,8 @@ impl ExecContext {
                 };
                 ctx.check_size(sink.rows.len().max(miss.rows.len()))?;
                 sink.reached[0] += 1;
-                let key_at = table_key.as_ref().map(|key| (key, i));
                 let miss = neg.map(|neg| (neg, &mut miss));
-                ctx.probe(probe, &row, key_at, stages, 1, &mut sink, miss)?;
+                ctx.probe(probe, &row, None, stages, 1, &mut sink, miss)?;
             }
             Ok([sink, miss])
         })?;
@@ -1220,6 +1234,64 @@ impl ExecContext {
             self.pending.input_rows += input.len() as u64;
         }
         Ok(streams)
+    }
+
+    /// The rows `range` of a base table (`rows`) through the hash probe
+    /// head `probe` whose key is plain columns of it (`key`), a chunk of
+    /// `batch_rows` at a time: the chunk's keys are hashed a column at a
+    /// time, then each row's partners found. A row with partners, or one
+    /// an outer join pads, goes through [`Self::probe`]; a run of rows
+    /// with neither only ticks, one [`Governor::tick_rows`] call for the
+    /// run — so the checkpoints, the row cap and what reaches the chain
+    /// are those of probing row by row.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_table(
+        &mut self,
+        probe: &Probe<'_>,
+        key: &TableKey<'_>,
+        rows: &[Tuple],
+        range: Range<usize>,
+        (stages, neg): (&[LiveStage<'_>], Option<&[LiveStage<'_>]>),
+        sink: &mut Sink,
+        miss: &mut Sink,
+    ) -> Result<()> {
+        let ProbeOn::Hash { table, .. } = &probe.on else {
+            return Err(Error::execution("a table probe is a hash probe"));
+        };
+        let mut hashes = ChunkHashes::default();
+        for chunk in chunks(range, self.options.batch_rows) {
+            key.hash_chunk(chunk.clone(), &mut hashes);
+            let mut idle = chunk.start;
+            for (k, i) in chunk.clone().enumerate() {
+                let partners = match hashes.null(k) {
+                    true => &[][..],
+                    false => table.matches(hashes.hash(k), key.key(i), &mut sink.reverify),
+                };
+                if partners.is_empty() && probe.pad.is_none() {
+                    continue;
+                }
+                self.pass_unmatched(i - idle, sink, miss)?;
+                idle = i + 1;
+                self.check_size(sink.rows.len().max(miss.rows.len()))?;
+                sink.reached[0] += 1;
+                let miss = neg.map(|neg| (neg, &mut *miss));
+                let row = RowView::of(&rows[i]);
+                self.probe(probe, &row, Some(partners), stages, 1, sink, miss)?;
+            }
+            self.pass_unmatched(chunk.end - idle, sink, miss)?;
+        }
+        Ok(())
+    }
+
+    /// `n` probing rows that find no partner and are not padded: each
+    /// re-checks the row cap and ticks, nothing else.
+    fn pass_unmatched(&mut self, n: usize, sink: &mut Sink, miss: &Sink) -> Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        self.check_size(sink.rows.len().max(miss.rows.len()))?;
+        sink.reached[0] += n as u64;
+        self.gov.tick_rows(n, 0, 0, |_, _| Ok(()))
     }
 
     /// Close a pipeline loop, whichever its source: fold each stream's
@@ -1261,7 +1333,7 @@ impl ExecContext {
     fn open_probe<'p>(
         &mut self,
         spec: &'p JoinSpec,
-        left: Option<&Arc<Relation>>,
+        left: Option<(&Arc<Relation>, Option<&TableColumns>)>,
         local: &mut Local,
     ) -> Result<Probe<'p>> {
         let right = self.eval_node(&spec.right, local)?;
@@ -1288,8 +1360,8 @@ impl ExecContext {
         // raise an error the probe would have raised later (or never):
         // plain column reads only.
         let smaller_left = left
-            .filter(|l| pad.is_none() && l.len() < right.len() && probe_keys.borrows())
-            .map(|l| (&**l, &probe_keys));
+            .filter(|(l, _)| pad.is_none() && l.len() < right.len() && probe_keys.borrows())
+            .map(|(l, columns)| (&**l, columns, &probe_keys));
         let table = spec.right.table_columns();
         let (table, charged) = self.build_hash_table(&right, table, right_keys, smaller_left)?;
         Ok(Probe {
@@ -1306,11 +1378,11 @@ impl ExecContext {
 
     /// Make a stage chain runnable: open the build sides of its joins, in
     /// chain order. A probe head is handed `left`, the evaluated input of
-    /// its pipeline.
+    /// its pipeline, with its base table's columns if it is one.
     fn open_chain<'p>(
         &mut self,
         chain: &'p Chain,
-        left: Option<&Arc<Relation>>,
+        left: Option<(&Arc<Relation>, Option<&TableColumns>)>,
         local: &mut Local,
     ) -> Result<Vec<LiveStage<'p>>> {
         chain
@@ -1330,17 +1402,17 @@ impl ExecContext {
     }
 
     /// Join one probing row against `probe`'s build side and hand every
-    /// emitted pair to stage `next` of `stages`. `key_at` is where a
-    /// hash probe reads the row's key instead of from the row itself:
-    /// the key columns of the base table `left` is row `i` of. With
-    /// `miss` — a ⋈± head — a nested-loop pair that fails the predicate
-    /// enters that chain.
+    /// emitted pair to stage `next` of `stages`. `found` are the row's
+    /// partners when a chunk loop over a base table already looked them
+    /// up ([`Self::probe_table`]); otherwise a hash probe reads the row's
+    /// key off the row. With `miss` — a ⋈± head — a nested-loop pair that
+    /// fails the predicate enters that chain.
     #[allow(clippy::too_many_arguments)]
     fn probe(
         &mut self,
         probe: &Probe<'_>,
         left: &RowView<'_>,
-        key_at: Option<(&TableKey<'_>, usize)>,
+        found: Option<&[u32]>,
         stages: &[LiveStage<'_>],
         next: usize,
         sink: &mut Sink,
@@ -1374,15 +1446,15 @@ impl ExecContext {
                 self.gov.tick()?;
                 // The key is done with once its partners are found; the
                 // pairs travel down the chain (which borrows the sink)
-                // without it.
-                let key = match key_at {
-                    Some((table_key, i)) => table_key.at(i, false),
-                    None => self.read_key(probe_keys, left, &mut sink.scratch[next], false)?,
-                };
-                // NULL keys never match.
-                let partners = match key {
-                    Some((hash, key)) => table.matches(hash, key, &mut sink.reverify),
-                    None => &[],
+                // without it. NULL keys never match.
+                let partners = match found {
+                    Some(partners) => partners,
+                    None => {
+                        match self.read_key(probe_keys, left, &mut sink.scratch[next], false)? {
+                            Some((hash, key)) => table.matches(hash, key, &mut sink.reverify),
+                            None => &[],
+                        }
+                    }
                 };
                 for &bi in partners {
                     let pair = left.with(build[bi as usize].values());
@@ -1416,7 +1488,7 @@ impl ExecContext {
             let picked = sink.scratch.last_mut().expect("a buffer per level");
             picked.clear();
             picked.extend(cols.iter().map(cell));
-            return fold.fold(self, &RowView::new(picked), None);
+            return fold.fold(self, &RowView::new(picked));
         }
         let picked: Tuple = cols.iter().map(cell).collect();
         match &mut sink.exit {
@@ -1435,7 +1507,7 @@ impl ExecContext {
     #[inline(never)]
     fn exit_to_group(&mut self, row: &RowView<'_>, sink: &mut Sink) -> Result<()> {
         match &mut sink.exit {
-            Exit::Fold(fold) => fold.fold(self, row, None),
+            Exit::Fold(fold) => fold.fold(self, row),
             Exit::Buffer(rows) => {
                 rows.push(row.to_tuple());
                 Ok(())
@@ -1511,64 +1583,118 @@ impl ExecContext {
     /// (they can never match); every other row charges its entry overhead
     /// and key values, whether or not its key is new.
     ///
-    /// With `only` — the (smaller) probing input and its key columns —
-    /// the table is keyed by *that* input's distinct keys, each charged
-    /// once, and a build row is inserted, and its entry charged, only if
-    /// a probing row will ask for it. The table answers every probe as
-    /// the full one would, so the join emits the same rows in the same
-    /// order whichever way it was built.
+    /// With `only` — the (smaller) probing input, its key columns and,
+    /// if it is a base table, that table's columns — the table is keyed by
+    /// *that* input's distinct keys, each charged once, and a build row is
+    /// inserted, and its entry charged, only if a probing row will ask for
+    /// it. The table answers every probe as the full one would, so the
+    /// join emits the same rows in the same order whichever way it was
+    /// built.
     ///
     /// `columns` are those of the base table `rel` is, if it is one:
-    /// build keys that are plain columns are then read off them.
+    /// build keys that are plain columns are then hashed a chunk of
+    /// `batch_rows` at a time off them, and the chunk's ticks and charges
+    /// pass in one [`Governor::tick_rows`] call.
     fn build_hash_table(
         &mut self,
         rel: &Relation,
         columns: Option<&TableColumns>,
         keys: &[PhysExpr],
-        only: Option<(&Relation, &KeyReader<'_>)>,
+        only: Option<(&Relation, Option<&TableColumns>, &KeyReader<'_>)>,
     ) -> Result<(JoinTable, u64)> {
         let reader = KeyReader::new(keys);
         let table_key = TableKey::new(columns, &reader);
         let key_bytes = keys.len() as u64 * VALUE_BYTES;
-        let distinct_keys = only.map_or(rel.len(), |(probing, _)| probing.len());
+        let distinct_keys = only.map_or(rel.len(), |(probing, ..)| probing.len());
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
         let mut charged = 0;
         let mut computed: Vec<Value> = Vec::new();
-        if let Some((probing, probe_keys)) = only {
-            for t in probing.rows() {
-                match self.read_key(probe_keys, t, &mut computed, false)? {
-                    Some((hash, key)) if table.admit(hash, key) => {
-                        let bytes = key_bytes + key.heap_bytes();
-                        self.gov.charge(bytes)?;
-                        charged += bytes;
+        let mut hashes = ChunkHashes::default();
+        if let Some((probing, probing_columns, probe_keys)) = only {
+            // A key is charged once, when it is first admitted.
+            match TableKey::new(probing_columns, probe_keys) {
+                Some(key) => {
+                    for chunk in chunks(0..probing.len(), self.options.batch_rows) {
+                        key.hash_chunk(chunk.clone(), &mut hashes);
+                        for (k, i) in chunk.enumerate() {
+                            if !hashes.null(k) && table.admit(hashes.hash(k), key.key(i)) {
+                                let bytes = key_bytes + key.key(i).heap_bytes();
+                                charged += bytes;
+                                self.gov.charge(bytes)?;
+                            }
+                        }
                     }
-                    _ => {}
+                }
+                None => {
+                    for t in probing.rows() {
+                        match self.read_key(probe_keys, t, &mut computed, false)? {
+                            Some((hash, key)) if table.admit(hash, key) => {
+                                let bytes = key_bytes + key.heap_bytes();
+                                charged += bytes;
+                                self.gov.charge(bytes)?;
+                            }
+                            _ => {}
+                        }
+                    }
                 }
             }
+            table.spread();
         }
-        for (i, t) in rel.rows().iter().enumerate() {
-            self.gov.tick()?;
-            let key = match &table_key {
-                Some(table_key) => table_key.at(i, false),
-                None => self.read_key(&reader, t, &mut computed, false)?,
-            };
-            let Some((hash, key)) = key else {
-                continue;
-            };
-            let bytes = if only.is_none() {
-                table.insert(hash, key, i);
-                JOIN_ENTRY_BYTES + key_bytes + key.heap_bytes()
-            } else if table.insert_admitted(hash, key, i) {
-                JOIN_ENTRY_BYTES
-            } else {
-                continue;
-            };
-            self.gov.charge(bytes)?;
+        let Some(key) = table_key else {
+            for (i, t) in rel.rows().iter().enumerate() {
+                self.gov.tick()?;
+                let Some((hash, key)) = self.read_key(&reader, t, &mut computed, false)? else {
+                    continue;
+                };
+                let bytes = if only.is_none() {
+                    table.insert(hash, key, i);
+                    JOIN_ENTRY_BYTES + key_bytes + key.heap_bytes()
+                } else if table.insert_admitted(hash, key, i) {
+                    JOIN_ENTRY_BYTES
+                } else {
+                    continue;
+                };
+                self.gov.charge(bytes)?;
+                charged += bytes;
+            }
+            table.seal();
+            return Ok((table, charged));
+        };
+        // Per row of a chunk, the bytes its entry charges (0: none).
+        let mut entries: Vec<u64> = Vec::new();
+        for chunk in chunks(0..rel.len(), self.options.batch_rows) {
+            key.hash_chunk(chunk.clone(), &mut hashes);
+            entries.clear();
+            for (k, i) in chunk.clone().enumerate() {
+                let (hash, row_key) = (hashes.hash(k), key.key(i));
+                entries.push(match hashes.null(k) {
+                    true => 0,
+                    false if only.is_none() => {
+                        table.insert(hash, row_key, i);
+                        JOIN_ENTRY_BYTES + key_bytes + row_key.heap_bytes()
+                    }
+                    false if table.insert_admitted(hash, row_key, i) => JOIN_ENTRY_BYTES,
+                    false => 0,
+                });
+            }
+            let charges = entries.iter().filter(|&&b| b > 0).count();
+            let bytes = entries.iter().sum();
             charged += bytes;
+            self.gov
+                .tick_rows(chunk.len(), charges, bytes, |gov, k| match entries[k] {
+                    0 => Ok(()),
+                    bytes => gov.charge(bytes),
+                })?;
         }
         table.seal();
         Ok((table, charged))
     }
+}
+
+/// `range` cut into consecutive chunks of at most `len` rows.
+fn chunks(range: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>> {
+    let end = range.end;
+    range.step_by(len).map(move |lo| lo..(lo + len).min(end))
 }
 
 /// The kernel columns of `input` — the evaluated `from` — for one call

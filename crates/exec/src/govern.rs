@@ -246,33 +246,32 @@ impl Governor {
     }
 
     /// The checkpoints of `n` rows whose per-row sequence is `tick`,
-    /// then `charge(bytes)` if `charged(row)` — `charges` of them, with
-    /// nothing else governor-visible in between. One [`Self::tick_n`]
-    /// call for the run; only when the fault index or the byte cap falls
-    /// inside it are the rows stepped through one by one, to stop at the
-    /// exact index with the exact `used_bytes`.
+    /// then the row's own charges — `charges` of them over the run,
+    /// `bytes` in all, with nothing else governor-visible in between —
+    /// which `step(governor, row)` makes. One [`Self::tick_n`] call for
+    /// the run; only when the fault index or the byte cap falls inside
+    /// it are the rows stepped through one by one, to stop at the exact
+    /// index with the exact `used_bytes`. Every chunk loop reaches the
+    /// governor this way (DESIGN.md §5f).
     pub(crate) fn tick_rows(
         &mut self,
         n: usize,
         charges: usize,
         bytes: u64,
-        charged: impl Fn(usize) -> bool,
+        mut step: impl FnMut(&mut Governor, usize) -> Result<()>,
     ) -> Result<()> {
         let checkpoints = (n + charges) as u64;
-        let total = charges as u64 * bytes;
-        if self.stops_within(checkpoints, total) {
+        if self.stops_within(checkpoints, bytes) {
             for row in 0..n {
                 self.tick_n(1)?;
-                if charged(row) {
-                    self.charge(bytes)?;
-                }
+                step(self, row)?;
             }
             return Ok(());
         }
         // Ticks first: a cancelled token stops the run at its first
         // checkpoint, before any row was charged.
         self.tick_n(checkpoints)?;
-        self.grow(total)
+        self.grow(bytes)
     }
 
     /// End a worker's morsel: hand out its tally and start the next
@@ -364,24 +363,32 @@ mod tests {
     /// `run_morsels` does — replayed, or the run repeated on the master
     /// if the tally stops it. The same outcome, checkpoints and bytes.
     fn counted_matches_stepping(make: &dyn Fn() -> Governor, n: usize, kept: &[usize]) {
-        let bytes = 40;
-        let charged = |row: usize| kept.contains(&row);
+        // A kept row charges 40 bytes; every third row a second 8.
+        let charges_of = |row: usize| {
+            let first = kept.contains(&row).then_some(40);
+            [first, first.filter(|_| row.is_multiple_of(3)).map(|_| 8)]
+        };
+        let charge = |g: &mut Governor, row: usize| {
+            charges_of(row)
+                .into_iter()
+                .flatten()
+                .try_for_each(|bytes| g.charge(bytes))
+        };
         let step = |g: &mut Governor| {
             (0..n).try_for_each(|row| {
                 g.tick()?;
-                match charged(row) {
-                    true => g.charge(bytes),
-                    false => Ok(()),
-                }
+                charge(g, row)
             })
         };
+        let all = (0..n).flat_map(charges_of).flatten();
+        let (charges, bytes) = (all.clone().count(), all.sum());
         let mut stepped = make();
         let want = step(&mut stepped);
         let mut counted = make();
-        let got = counted.tick_rows(n, kept.len(), bytes, charged);
+        let got = counted.tick_rows(n, charges, bytes, charge);
         let mut merged = make();
         let mut worker = merged.fork();
-        let ran = worker.tick_rows(n, kept.len(), bytes, charged);
+        let ran = worker.tick_rows(n, charges, bytes, charge);
         let tally = worker.cut();
         let rerun = merged.stops_in(&tally);
         let got_merged = match rerun {
@@ -407,8 +414,10 @@ mod tests {
             g.charge(100).unwrap();
             g
         };
+        // Rows 0 and 3 charge twice, 4 and 8 once: 40, 8, 40, 8, 40, 40.
+        let charges = [40, 48, 88, 96, 136, 176];
         // A fault at every index of the run, and one past its end.
-        let run = 4..=3 + (n + kept.len()) as u64 + 1;
+        let run = 4..=3 + (n + charges.len()) as u64 + 1;
         for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
             for at in run.clone() {
                 let fault = Some(InjectedFault::new(at, kind));
@@ -425,8 +434,8 @@ mod tests {
             }
         }
         // A cap one byte short of each charge, and one the run fits.
-        for charges in 1..=kept.len() as u64 + 1 {
-            let cap = Some(100 + 40 * charges - 1);
+        for charged in charges.into_iter().chain([177]) {
+            let cap = Some(100 + charged - 1);
             let make = || {
                 started(ExecOptions {
                     max_memory_bytes: cap,

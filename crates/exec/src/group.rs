@@ -5,8 +5,17 @@
 //! Γ keeps its groups in a [`KeyTable`] — dense ids in first-appearance
 //! order, which is its output order — and their aggregate state in an
 //! [`AggStates`] arena indexed by those ids. Rows reach it one at a time
-//! as they leave their pipeline's chain ([`Fold::fold`]), or — a σ's
-//! settled run under `COUNT(*)` — as a count ([`Fold::count`]).
+//! as they leave their pipeline's chain ([`Fold::fold`]), a chunk at a
+//! time when they are a base table's own rows ([`Fold::fold_table`]), or
+//! — a σ's settled run under `COUNT(*)` — as a count ([`Fold::count`]).
+//!
+//! A chunk of table rows is folded in phases: its keys hashed a column at
+//! a time and interned lane by lane, then each aggregate folded over its
+//! argument column in lane order, then the chunk's ticks and charges
+//! passed to the governor in one [`Governor::tick_rows`] call — the same
+//! checkpoints, bytes and first error as folding the rows one by one.
+//!
+//! [`Governor::tick_rows`]: crate::govern::Governor::tick_rows
 //!
 //! Γ's governor effects are its own, in fold order: a scalar
 //! aggregation's state charged up front, a tick per row, a charge per new
@@ -22,7 +31,8 @@ use bypass_types::{tuple_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
 use crate::agg::AggStates;
 use crate::eval::ExecContext;
 use crate::expr::PhysExpr;
-use crate::hash::{KeyReader, KeyTable, TableKey};
+use crate::govern::Governor;
+use crate::hash::{ChunkHashes, Key, KeyReader, KeyTable, TableKey};
 use crate::node::Group;
 use crate::row::Row;
 
@@ -40,12 +50,29 @@ struct Deferred {
     error: Option<(u64, Error)>,
 }
 
+/// A chunk of table rows on its way into Γ: scratch reused from chunk
+/// to chunk.
+#[derive(Default)]
+struct Lanes {
+    /// Lane `k` is row `base + rows[k]` of the table.
+    rows: Vec<u32>,
+    hashes: ChunkHashes,
+    groups: Vec<u32>,
+    /// Per lane, the bytes its new group charges (0: none) …
+    created: Vec<u64>,
+    /// … and the bytes its first-seen DISTINCT values or row retain.
+    grown: Vec<u64>,
+}
+
 /// A running Γ: its groups, their aggregate states and how it reads keys.
 pub(crate) struct Fold<'p> {
     keys: KeyReader<'p>,
     /// The key columns of the base table whose unchanged rows reach Γ.
     table_key: Option<TableKey<'p>>,
+    /// That table, when its rows fold a chunk at a time: every key and
+    /// every argument a plain column of it.
     table: Option<&'p TableColumns>,
+    lanes: Lanes,
     /// `None` for a scalar aggregation: one group, there from the start
     /// (`f(∅)` over no rows), and nothing to hash.
     groups: Option<KeyTable>,
@@ -84,10 +111,25 @@ impl<'p> Fold<'p> {
         let keys = KeyReader::new(&group.keys);
         let (width, naggs) = (group.keys.len(), group.aggs.len());
         let states = AggStates::new(&group.aggs, relation.unwrap_or(0));
+        let table_key = TableKey::new(table, &keys);
+        let arity = table.map_or(0, |t| t.data().schema().arity());
+        let plain = |arg: &Option<PhysExpr>| match arg {
+            None => true,
+            Some(PhysExpr::Column(c)) => *c < arity,
+            Some(_) => false,
+        };
+        // With no key and no argument there is no column to read: a
+        // whole-row COUNT(DISTINCT *) folds row by row (canonical Q1 runs
+        // one per outer row, about a row each).
+        let reads = width > 0 || group.aggs.iter().any(|a| a.arg.is_some());
+        let chunked = reads
+            && (width == 0 || table_key.is_some())
+            && group.aggs.iter().all(|a| plain(&a.arg));
         let mut fold = Fold {
-            table_key: TableKey::new(table, &keys),
+            table_key,
             keys,
-            table,
+            table: table.filter(|_| chunked),
+            lanes: Lanes::default(),
             groups: (width > 0).then(|| KeyTable::new(width)),
             counts: width == 0 && states.counts_rows(),
             states,
@@ -153,8 +195,8 @@ impl<'p> Fold<'p> {
         }
     }
 
-    /// Fold every row of the relation `rows` — row `i` of the base table
-    /// Γ reads, if it reads one — with the effects as they happen.
+    /// Fold every row of the relation `rows` — the rows of the base
+    /// table Γ reads, if it reads one — with the effects as they happen.
     pub(crate) fn fold_relation(&mut self, ctx: &mut ExecContext, rows: &[Tuple]) -> Result<()> {
         debug_assert!(
             self.deferred.is_none(),
@@ -163,28 +205,33 @@ impl<'p> Fold<'p> {
         if self.counts {
             return self.count(ctx, rows.len());
         }
-        for (i, t) in rows.iter().enumerate() {
-            self.fold_row(ctx, t, Some(i))?;
+        if self.table.is_some() {
+            let chunk = ctx.options.batch_rows;
+            for (lo, rows) in (0..).step_by(chunk).zip(rows.chunks(chunk)) {
+                self.fold_table(ctx, rows, lo, 0..rows.len() as u32)?;
+            }
+            return Ok(());
+        }
+        for t in rows {
+            self.fold_row(ctx, t)?;
         }
         Ok(())
     }
 
-    /// Fold one row leaving the chain. `at` is its position in the base
-    /// table, if the caller knows it for a row of it no stage changed:
-    /// its keys and arguments are read off the table. A deferred fold
-    /// records its error and returns `Ok`: the loop goes on, and an error
-    /// of its own comes first, as it would before a Γ over its output.
+    /// Does Γ fold its table's rows a chunk at a time ([`Self::fold_table`])?
+    pub(crate) fn folds_table(&self) -> bool {
+        self.table.is_some()
+    }
+
+    /// Fold one row leaving the chain. A deferred fold records its error
+    /// and returns `Ok`: the loop goes on, and an error of its own comes
+    /// first, as it would before a Γ over its output.
     #[inline]
-    pub(crate) fn fold<R: Row>(
-        &mut self,
-        ctx: &mut ExecContext,
-        row: &R,
-        at: Option<usize>,
-    ) -> Result<()> {
+    pub(crate) fn fold<R: Row>(&mut self, ctx: &mut ExecContext, row: &R) -> Result<()> {
         if self.failed() {
             return Ok(());
         }
-        let folded = self.fold_row(ctx, row, at);
+        let folded = self.fold_row(ctx, row);
         match (&mut self.deferred, folded) {
             (Some(d), Err(e)) => {
                 d.error = Some((self.rows, e));
@@ -195,20 +242,12 @@ impl<'p> Fold<'p> {
     }
 
     #[inline(always)]
-    fn fold_row<R: Row>(
-        &mut self,
-        ctx: &mut ExecContext,
-        row: &R,
-        at: Option<usize>,
-    ) -> Result<()> {
+    fn fold_row<R: Row>(&mut self, ctx: &mut ExecContext, row: &R) -> Result<()> {
         self.tick(ctx)?;
         let (g, created) = match &mut self.groups {
             None => (0, None),
             Some(groups) => {
-                let key = match (&self.table_key, at) {
-                    (Some(table_key), Some(i)) => table_key.at(i, true),
-                    _ => ctx.read_key(&self.keys, row, &mut self.computed, true)?,
-                };
+                let key = ctx.read_key(&self.keys, row, &mut self.computed, true)?;
                 let (hash, key) = key.expect("grouping keys keep their NULLs");
                 let (g, created) = groups.intern(hash, key);
                 (g, created.then(|| key.heap_bytes()))
@@ -218,21 +257,107 @@ impl<'p> Fold<'p> {
             self.states.push_group();
             self.charge(ctx, self.fixed + heap)?;
         }
-        let table = self.table.zip(at);
-        let grown = self.states.fold(g, row, |a| {
-            let column = match (table, a) {
-                (Some((table, i)), PhysExpr::Column(c)) => table.get(*c).map(|col| (col, i)),
-                _ => None,
-            };
-            match column {
-                Some((column, i)) => Ok(column.get(i)),
-                None => ctx.eval_cow(a, row),
-            }
-        })?;
+        let grown = self.states.fold(g, row, |a| ctx.eval_cow(a, row))?;
         if grown != 0 {
             self.charge(ctx, grown)?;
         }
         Ok(())
+    }
+
+    /// Fold the rows `lanes` of `rows` — `rows[l]` is row `base + l` of
+    /// the table Γ [reads](Self::folds_table), and there are at most
+    /// `batch_rows` of them — as [`Self::fold`] folds them one by one:
+    /// the same groups in the same order, the same states, the same
+    /// checkpoints and charges and the same first error. Returns how many
+    /// rows there were.
+    pub(crate) fn fold_table(
+        &mut self,
+        ctx: &mut ExecContext,
+        rows: &[Tuple],
+        base: usize,
+        lanes: impl Iterator<Item = u32>,
+    ) -> Result<usize> {
+        let table = self.table.expect("a chunked Γ reads a table");
+        self.lanes.rows.clear();
+        self.lanes.rows.extend(lanes);
+        let n = self.lanes.rows.len();
+        if self.failed() || n == 0 {
+            return Ok(n);
+        }
+        let mut at = std::mem::take(&mut self.lanes);
+        at.groups.clear();
+        at.created.clear();
+        at.created.resize(n, 0);
+        match (&mut self.groups, &self.table_key) {
+            (Some(groups), Some(key)) => {
+                let slots = at.rows.iter().map(|&l| base + l as usize);
+                key.hash_chunk(slots.clone(), &mut at.hashes);
+                for (k, i) in slots.enumerate() {
+                    let key = key.key(i);
+                    let (g, created) = groups.intern(at.hashes.hash(k), key);
+                    if created {
+                        self.states.push_group();
+                        at.created[k] = self.fixed + key.heap_bytes();
+                    }
+                    at.groups.push(g);
+                }
+            }
+            _ => at.groups.resize(n, 0),
+        }
+        // Aggregate by aggregate over the chunk. A lane that fails ends
+        // the chunk there: no later aggregate folds it or what follows.
+        at.grown.clear();
+        at.grown.resize(n, 0);
+        let mut failed: Option<(usize, Error)> = None;
+        for (j, spec) in self.states.specs().iter().enumerate() {
+            let upto = failed.as_ref().map_or(n, |(k, _)| *k);
+            let column = spec.arg.as_ref().map(|arg| match arg {
+                PhysExpr::Column(c) => &**table.get(*c).expect("checked in range"),
+                _ => unreachable!("a chunked Γ's arguments are plain columns"),
+            });
+            let (lanes, groups) = (&at.rows[..upto], &at.groups[..upto]);
+            let grown = &mut at.grown[..upto];
+            if let Some(fail) = self
+                .states
+                .fold_chunk(j, column, rows, base, lanes, groups, grown)
+            {
+                failed = Some(fail);
+            }
+        }
+        // The effects, in the order folding row by row has them: per
+        // row a tick, its new group's charge, then — unless it failed —
+        // what its DISTINCT sets retained.
+        let upto = failed.as_ref().map_or(n, |(k, _)| *k);
+        let end = failed.as_ref().map_or(n, |(k, _)| k + 1);
+        let charges_of = |k: usize| {
+            let grown = if k < upto { at.grown[k] } else { 0 };
+            [at.created[k], grown].into_iter().filter(|&b| b > 0)
+        };
+        let (charges, bytes) = (0..end)
+            .flat_map(charges_of)
+            .fold((0, 0), |(n, sum), b| (n + 1, sum + b));
+        self.scratch += bytes;
+        let error = failed.map(|(_, e)| e);
+        let done = match &mut self.deferred {
+            None => {
+                self.rows += end as u64;
+                let step =
+                    |gov: &mut Governor, k: usize| charges_of(k).try_for_each(|b| gov.charge(b));
+                ctx.gov
+                    .tick_rows(end, charges, bytes, step)
+                    .and(error.map_or(Ok(()), Err))
+            }
+            Some(d) => {
+                for k in 0..end {
+                    self.rows += 1;
+                    d.charges.extend(charges_of(k).map(|b| (self.rows, b)));
+                }
+                d.error = error.map(|e| (self.rows, e));
+                Ok(())
+            }
+        };
+        self.lanes = at;
+        done.map(|()| n)
     }
 
     /// Close Γ: replay what was recorded — the charges in fold order,

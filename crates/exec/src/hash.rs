@@ -18,13 +18,15 @@
 //!   of an operator, replacing a set per group;
 //! * [`CorrMemo`] — the correlated-subquery memo.
 //!
-//! Keys are presented as a [`KeyRef`]: plain column references are read
-//! in place from the row, keys a loop over a base table reads off the
-//! table's columns ([`TableKey`]) in place from those, and only computed
-//! keys go through a value buffer. Every form hashes and compares one
-//! value at a time with [`Value`]'s own `Hash` and `Eq` — a typed column
-//! slot as a stack temporary — so there is one key function, and a
-//! stored key is built only when it is new.
+//! Keys are presented as a [`Key`]: plain column references are read in
+//! place from the row ([`KeyRef`]), keys a loop over a base table reads
+//! off the table's columns ([`TableKey`], a chunk of keys hashed a column
+//! at a time) in place from those ([`TableRow`]), and only computed keys
+//! go through a value buffer. Every form hashes and compares as
+//! [`Value`]'s own `Hash` and `Eq` do — a typed column slot as a stack
+//! temporary — so there is one key function, and a stored key is built
+//! only when it is new. A sealed [`JoinTable`] is spread sparser than
+//! the ¾ load a growing index keeps: most of its lookups miss.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -36,6 +38,12 @@ use crate::expr::PhysExpr;
 use crate::row::Row;
 
 const MIN_SLOTS: usize = 8;
+/// The largest slot array a sealed [`JoinTable`] is spread to: 2 MiB of
+/// slots, a core's L2 cache on the 2-vCPU Xeon the benchmark runs on.
+/// On a 75 000-key build probed 299 976 times, caps of 2¹⁶ to 2²⁰ slots
+/// read alike within that host's noise (EXPERIMENTS.md *PR 38*); past
+/// the L2 the slots a miss saves turn into cache misses.
+const SPARSE_SLOTS: usize = 1 << 18;
 /// 2⁶⁴/φ, the Fibonacci-hashing multiplier.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -102,7 +110,7 @@ impl FlatIndex {
     /// The entry with this `hash` that `eq` accepts. `eq` only sees
     /// entries on `hash`'s probe run whose 32-bit tag matches, oldest
     /// first — a `false` from it is a hash collision, not a probe step.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -123,7 +131,7 @@ impl FlatIndex {
 
     /// [`Self::find`], appending a new entry on a miss: `(id, inserted)`.
     /// A new entry's id is the previous [`Self::len`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn find_or_insert(
         &mut self,
         hash: u64,
@@ -149,11 +157,27 @@ impl FlatIndex {
         }
     }
 
-    /// Double the slot array and re-seat every entry in id order, which
-    /// keeps equal-hash entries in insertion order along their probe run.
+    /// Double the slot array.
     #[cold]
     fn grow(&mut self) {
-        self.slots = vec![VACANT; (self.slots.len() * 2).max(MIN_SLOTS)];
+        self.reseat((self.slots.len() * 2).max(MIN_SLOTS));
+    }
+
+    /// Re-seat the entries at most a quarter full, so a lookup that
+    /// finds nothing stops within a slot or two — unless that takes
+    /// more than `max_slots` slots (or fewer than there are).
+    fn spread(&mut self, max_slots: usize) {
+        let sparse = (self.len() * 4).next_power_of_two().max(MIN_SLOTS);
+        if sparse > self.slots.len() && sparse <= max_slots {
+            self.reseat(sparse);
+        }
+    }
+
+    /// Move to a slot array of `slots` slots and re-seat every entry in
+    /// id order, which keeps equal-hash entries in insertion order along
+    /// their probe run.
+    fn reseat(&mut self, slots: usize) {
+        self.slots = vec![VACANT; slots];
         let mask = self.slots.len() - 1;
         for (entry, &hash) in self.hashes.iter().enumerate() {
             let mut at = self.home(hash);
@@ -196,11 +220,34 @@ impl<'p> KeyReader<'p> {
     }
 }
 
-/// The key columns of a base table: how a loop that knows its rows'
-/// positions in the table reads their keys without touching the rows.
-/// A key travels as [`KeyRef::Table`] and is read in place, slot by
-/// slot, so it hashes and compares as the row's own key would.
+/// The key columns of a base table: how a loop over its rows reads
+/// their keys without touching the rows. A chunk of keys is hashed a
+/// key column at a time ([`Self::hash_chunk`]); each key then travels as
+/// a [`TableRow`] and is compared in place, slot by slot, so it hashes
+/// and compares as the row's own key would.
 pub(crate) struct TableKey<'t>(Vec<&'t Column>);
+
+/// The hashes of a chunk of table keys, one per lane, and which lanes
+/// hold a NULL key value. Scratch a loop reuses from chunk to chunk.
+#[derive(Default)]
+pub(crate) struct ChunkHashes {
+    lanes: Vec<FxHasher>,
+    null: Vec<bool>,
+}
+
+impl ChunkHashes {
+    /// Lane `k`'s hash.
+    #[inline]
+    pub(crate) fn hash(&self, k: usize) -> u64 {
+        self.lanes[k].finish()
+    }
+
+    /// Does lane `k`'s key hold a NULL?
+    #[inline]
+    pub(crate) fn null(&self, k: usize) -> bool {
+        self.null[k]
+    }
+}
 
 impl<'t> TableKey<'t> {
     /// `Some` when the rows come straight from a base table (`table`)
@@ -216,30 +263,83 @@ impl<'t> TableKey<'t> {
         cols.collect::<Option<_>>().map(TableKey)
     }
 
-    /// The key of row `i` of the table, with its hash. With
-    /// `nulls_match` unset (joins) a NULL key value yields `None`.
-    ///
-    /// Forced inline, as are [`KeyRef`]'s `with`, `hash` and `matches`:
-    /// left to `#[inline]`, the returned key made a round trip through
-    /// memory whose reload stalled (a quarter of a Γ loop's samples) and
-    /// a typed slot's `Value::hash` stayed a call on a temporary.
-    #[inline(always)]
-    pub(crate) fn at<R: Row>(&self, i: usize, nulls_match: bool) -> Option<(u64, KeyRef<'_, R>)> {
-        let key = KeyRef::Table(self, i);
-        if !nulls_match && (0..key.width()).any(|j| key.with(j, Value::is_null)) {
-            return None;
+    /// Hash the keys of table rows `rows`, lane by lane into `out`: the
+    /// hash [`KeyRef::hash`] gives each key, bit for bit, computed one
+    /// key column at a time — a typed column in a loop over its numbers,
+    /// a [`Column::Values`] through [`Value`]'s own `Hash`, which also
+    /// marks the lanes whose value is NULL.
+    pub(crate) fn hash_chunk(
+        &self,
+        rows: impl Iterator<Item = usize> + Clone,
+        out: &mut ChunkHashes,
+    ) {
+        let mut start = FxHasher::default();
+        start.write_usize(self.0.len());
+        out.lanes.clear();
+        out.lanes.extend(rows.clone().map(|_| start));
+        out.null.clear();
+        out.null.resize(out.lanes.len(), false);
+        for column in &self.0 {
+            let lanes = out.lanes.iter_mut().zip(rows.clone());
+            match column {
+                Column::Int(xs) => lanes.for_each(|(h, r)| Value::Int(xs[r]).hash(h)),
+                Column::Float(xs) => lanes.for_each(|(h, r)| Value::Float(xs[r]).hash(h)),
+                Column::Values(xs) => {
+                    for ((h, r), null) in lanes.zip(&mut out.null) {
+                        xs[r].hash(h);
+                        *null |= xs[r].is_null();
+                    }
+                }
+            }
         }
-        Some((key.hash(), key))
+    }
+
+    /// Row `i`'s key, read in place.
+    #[inline(always)]
+    pub(crate) fn key(&self, i: usize) -> TableRow<'_> {
+        TableRow { key: self, row: i }
     }
 }
 
-/// One row's key, borrowed: columns of the row itself, a slice of
-/// already evaluated values, or row `i` of a base table's key columns.
+/// A key the keyed structures hash, compare and store one value at a
+/// time — with [`Value`]'s own `Hash` and `Eq`, whatever holds it.
+pub(crate) trait Key: Copy {
+    fn width(&self) -> usize;
+
+    /// `f` of the key's `j`-th value — the one reader every key
+    /// operation goes through.
+    fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T;
+
+    /// Same function as `fxhash::hash_values` over the key's values.
+    #[inline(always)]
+    fn hash(&self) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_usize(self.width());
+        for j in 0..self.width() {
+            self.with(j, |v| v.hash(&mut h));
+        }
+        h.finish()
+    }
+
+    /// Text bytes the key's values own beyond their inline slots.
+    fn heap_bytes(&self) -> u64 {
+        (0..self.width())
+            .map(|j| self.with(j, value_heap_bytes))
+            .sum()
+    }
+
+    #[inline(always)]
+    fn matches(&self, stored: &[Value]) -> bool {
+        (0..stored.len()).all(|j| self.with(j, |v| stored[j] == *v))
+    }
+}
+
+/// One row's key, borrowed: columns of the row itself, or a slice of
+/// already evaluated values.
 pub(crate) enum KeyRef<'a, R> {
     /// Every index is in range of `row` (checked where the key is read).
     Cols(&'a R, &'a [usize]),
     Vals(&'a [Value]),
-    Table(&'a TableKey<'a>, usize),
 }
 
 impl<R> Clone for KeyRef<'_, R> {
@@ -250,47 +350,55 @@ impl<R> Clone for KeyRef<'_, R> {
 
 impl<R> Copy for KeyRef<'_, R> {}
 
-impl<'a, R: Row> KeyRef<'a, R> {
-    pub(crate) fn width(&self) -> usize {
+impl<R: Row> Key for KeyRef<'_, R> {
+    fn width(&self) -> usize {
         match self {
             KeyRef::Cols(_, cols) => cols.len(),
             KeyRef::Vals(vals) => vals.len(),
-            KeyRef::Table(key, _) => key.0.len(),
         }
     }
 
-    /// `f` of the key's `j`-th value — the one reader every key operation
-    /// goes through: a table slot is read by [`Column::with_slot`].
     #[inline(always)]
     fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
         match self {
             KeyRef::Cols(row, cols) => f(row.get(cols[j]).expect("key column checked on read")),
             KeyRef::Vals(vals) => f(&vals[j]),
-            KeyRef::Table(key, i) => key.0[j].with_slot(*i, f),
         }
     }
+}
 
-    /// Same function as `fxhash::hash_values` over the key's values.
+/// Row `row` of a base table's key columns, read in place: a typed slot
+/// by [`Column::with_slot`]. Two words, no variant: a loop keeps it in
+/// registers where an enum of key forms went through memory, and its
+/// reload stalled.
+#[derive(Clone, Copy)]
+pub(crate) struct TableRow<'a> {
+    key: &'a TableKey<'a>,
+    row: usize,
+}
+
+impl Key for TableRow<'_> {
+    fn width(&self) -> usize {
+        self.key.0.len()
+    }
+
     #[inline(always)]
-    pub(crate) fn hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.width());
-        for j in 0..self.width() {
-            self.with(j, |v| v.hash(&mut h));
-        }
-        h.finish()
+    fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
+        self.key.0[j].with_slot(self.row, f)
     }
 
-    /// Text bytes the key's values own beyond their inline slots.
-    pub(crate) fn heap_bytes(&self) -> u64 {
-        (0..self.width())
-            .map(|j| self.with(j, value_heap_bytes))
-            .sum()
-    }
-
+    /// [`Key::matches`], an `Int` slot against a stored `Int` compared
+    /// as the numbers they are — `Value`'s `Eq` on that pair.
     #[inline(always)]
     fn matches(&self, stored: &[Value]) -> bool {
-        (0..stored.len()).all(|j| self.with(j, |v| stored[j] == *v))
+        self.key
+            .0
+            .iter()
+            .zip(stored)
+            .all(|(column, v)| match (column, v) {
+                (Column::Int(xs), Value::Int(a)) => xs[self.row] == *a,
+                (column, v) => column.with_slot(self.row, |x| v == x),
+            })
     }
 }
 
@@ -323,8 +431,8 @@ impl KeyTable {
 
     /// The group of `key` (hashing to `hash`), created if new:
     /// `(id, created)`.
-    #[inline]
-    pub(crate) fn intern<R: Row>(&mut self, hash: u64, key: KeyRef<'_, R>) -> (u32, bool) {
+    #[inline(always)]
+    pub(crate) fn intern(&mut self, hash: u64, key: impl Key) -> (u32, bool) {
         debug_assert_eq!(key.width(), self.width);
         let (width, keys) = (self.width, &self.keys);
         let (g, created) = self
@@ -340,13 +448,8 @@ impl KeyTable {
     /// The group of `key`, if any. Every stored key that collides with
     /// it (same slot run, same hash tag) but differs adds one to
     /// `collisions`.
-    #[inline]
-    pub(crate) fn find<R: Row>(
-        &self,
-        hash: u64,
-        key: KeyRef<'_, R>,
-        collisions: &mut u64,
-    ) -> Option<u32> {
+    #[inline(always)]
+    pub(crate) fn find(&self, hash: u64, key: impl Key, collisions: &mut u64) -> Option<u32> {
         let (width, keys) = (self.width, &self.keys);
         self.index.find(hash, |g| {
             let hit = key.matches(&keys[g as usize * width..][..width]);
@@ -390,7 +493,8 @@ impl JoinTable {
         self.rows.len() + self.pending.len()
     }
 
-    pub(crate) fn insert<R: Row>(&mut self, hash: u64, key: KeyRef<'_, R>, row: usize) {
+    #[inline(always)]
+    pub(crate) fn insert(&mut self, hash: u64, key: impl Key, row: usize) {
         let row = u32::try_from(row).expect("build row ids are 32-bit");
         let (g, _) = self.keys.intern(hash, key);
         self.pending.push((g, row));
@@ -398,27 +502,35 @@ impl JoinTable {
 
     /// Make `key` one that [`Self::insert_admitted`] accepts rows under;
     /// `true` when it is new.
-    pub(crate) fn admit<R: Row>(&mut self, hash: u64, key: KeyRef<'_, R>) -> bool {
+    #[inline(always)]
+    pub(crate) fn admit(&mut self, hash: u64, key: impl Key) -> bool {
         self.keys.intern(hash, key).1
     }
 
     /// [`Self::insert`], unless no such key was admitted: the row is
     /// then dropped — nothing will ever probe for it — and `false`
     /// returned.
-    pub(crate) fn insert_admitted<R: Row>(
-        &mut self,
-        hash: u64,
-        key: KeyRef<'_, R>,
-        row: usize,
-    ) -> bool {
+    #[inline(always)]
+    pub(crate) fn insert_admitted(&mut self, hash: u64, key: impl Key, row: usize) -> bool {
         let row = u32::try_from(row).expect("build row ids are 32-bit");
         let found = self.keys.find(hash, key, &mut 0);
         self.pending.extend(found.map(|g| (g, row)));
         found.is_some()
     }
 
-    /// Lay the rows out per key — a stable counting sort on the group id.
+    /// Spread the keys to at most a quarter load, within
+    /// [`SPARSE_SLOTS`]: most lookups of a join find no partner, and
+    /// there a miss ends within a slot or two. [`Self::seal`] does it; a
+    /// restricted table also once its keys are admitted, before its
+    /// rows look them up.
+    pub(crate) fn spread(&mut self) {
+        self.keys.index.spread(SPARSE_SLOTS);
+    }
+
+    /// [Spread](Self::spread) the keys and lay the rows out per key — a
+    /// stable counting sort on the group id.
     pub(crate) fn seal(&mut self) {
+        self.spread();
         let mut starts = vec![0u32; self.keys.len() + 1];
         for &(g, _) in &self.pending {
             starts[g as usize + 1] += 1;
@@ -438,13 +550,8 @@ impl JoinTable {
     }
 
     /// The build rows whose key equals `key`, in build order.
-    #[inline]
-    pub(crate) fn matches<R: Row>(
-        &self,
-        hash: u64,
-        key: KeyRef<'_, R>,
-        collisions: &mut u64,
-    ) -> &[u32] {
+    #[inline(always)]
+    pub(crate) fn matches(&self, hash: u64, key: impl Key, collisions: &mut u64) -> &[u32] {
         debug_assert!(self.pending.is_empty(), "probed before seal()");
         match self.keys.find(hash, key, collisions) {
             Some(g) => {
@@ -726,6 +833,8 @@ mod tests {
                 let table = TableKey(columns.iter().collect());
                 let row =
                     |i| -> Vec<Value> { columns.iter().map(|c| c.get(i).into_owned()).collect() };
+                let mut chunk = ChunkHashes::default();
+                table.hash_chunk(0..rows, &mut chunk);
                 // Stored keys: the twins of the first half's rows, and
                 // the rows themselves interned both ways.
                 let mut twins = KeyTable::new(width);
@@ -740,11 +849,8 @@ mod tests {
                     let at = format!("{vals:?}");
                     // Joins: a NULL anywhere in the key is no key.
                     let has_null = vals.iter().any(Value::is_null);
-                    match table.at::<Tuple>(i, false) {
-                        None => assert!(has_null, "{at}"),
-                        Some((hash, _)) => assert!(!has_null && hash == val_key.hash(), "{at}"),
-                    }
-                    let (hash, key) = table.at::<Tuple>(i, true).expect("NULLs match");
+                    assert_eq!(chunk.null(i), has_null, "{at}");
+                    let (hash, key) = (chunk.hash(i), table.key(i));
                     assert_eq!(hash, val_key.hash(), "{at}");
                     assert_eq!(key.heap_bytes(), val_key.heap_bytes(), "{at}");
                     let twin_of: Vec<Value> = vals.iter().map(twin).collect();
@@ -763,6 +869,73 @@ mod tests {
                 let (got, want) = (by_row.into_keys(), by_vals.into_keys());
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "stored as read");
             }
+        }
+    }
+
+    /// The corners of the typed hash: a chunk of table rows hashes, lane
+    /// by lane, to what the row's values hash to — the extremes of
+    /// `i64`, an integral float, both zeros, NaN and the infinities, in
+    /// typed columns and beside a `Values` column — and a key read off
+    /// an `Int` column meets the equal key read off a `Float` column.
+    #[test]
+    fn typed_chunk_hashes_are_the_hashes_of_the_values() {
+        let ints = [i64::MIN, i64::MAX, 2, 0, -1, 1 << 53];
+        let floats = [2.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let values = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Null,
+            Value::text("x"),
+            Value::Float(-0.0),
+            Value::Bool(true),
+        ];
+        let columns = [
+            Column::Int(ints.into()),
+            Column::Float(floats.into()),
+            Column::Values(values.clone().into()),
+        ];
+        for width in 1..=3 {
+            for first in 0..3 {
+                let key = TableKey((0..width).map(|j| &columns[(first + j) % 3]).collect());
+                let mut chunk = ChunkHashes::default();
+                key.hash_chunk(0..6, &mut chunk);
+                for i in 0..6 {
+                    let vals: Vec<Value> = key.0.iter().map(|c| c.get(i).into_owned()).collect();
+                    assert_eq!(chunk.hash(i), hash_of(&vals), "{vals:?}");
+                    assert_eq!(key.key(i).hash(), hash_of(&vals), "{vals:?}");
+                    assert_eq!(chunk.null(i), vals.iter().any(Value::is_null), "{vals:?}");
+                    assert!(key.key(i).matches(&vals), "{vals:?}");
+                }
+                // A lane subset hashes as the same rows do.
+                key.hash_chunk([5, 0, 3].into_iter(), &mut chunk);
+                let mut all = ChunkHashes::default();
+                key.hash_chunk(0..6, &mut all);
+                for (k, i) in [5, 0, 3].into_iter().enumerate() {
+                    assert_eq!(chunk.hash(k), all.hash(i));
+                }
+            }
+        }
+        // `2` and `2.0`, `0` and `-0.0`: one key, whichever column holds it.
+        let as_ints = Column::Int([2, 0, 7].into());
+        let as_floats = Column::Float([2.0, -0.0, 7.5].into());
+        let (int_key, float_key) = (TableKey(vec![&as_ints]), TableKey(vec![&as_floats]));
+        let (mut ih, mut fh) = (ChunkHashes::default(), ChunkHashes::default());
+        int_key.hash_chunk(0..3, &mut ih);
+        float_key.hash_chunk(0..3, &mut fh);
+        for (build, build_hashes, probe, probe_hashes) in [
+            (&float_key, &fh, &int_key, &ih),
+            (&int_key, &ih, &float_key, &fh),
+        ] {
+            let mut table = JoinTable::with_capacity(1, 3);
+            for row in 0..3 {
+                table.insert(build_hashes.hash(row), build.key(row), row);
+            }
+            table.seal();
+            let found = |row| table.matches(probe_hashes.hash(row), probe.key(row), &mut 0);
+            assert_eq!(
+                (found(0), found(1), found(2)),
+                (&[0][..], &[1][..], &[][..])
+            );
         }
     }
 

@@ -32,7 +32,7 @@ use bypass_types::{tuple_bytes, Error, Relation, Result, Truth, Tuple, Value, SH
 
 use crate::eval::ExecContext;
 use crate::expr::{PhysExpr, SubqueryRef};
-use crate::hash::{KeyReader, KeyRef};
+use crate::hash::{Key, KeyReader, KeyRef};
 use crate::node::PhysNode;
 use crate::row::{Columns, Row};
 
@@ -247,8 +247,10 @@ impl ExecContext {
                     Some(l.or(self.truth_fast(right, t)?))
                 }
                 _ if op.is_comparison() => {
-                    let (l, r) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
-                    Some(cmp_truth(*op, l, r))
+                    match (self.value_ref(left, t), self.value_ref(right, t)) {
+                        (Some(l), Some(r)) => Some(cmp_truth(*op, l, r)),
+                        _ => self.sum_truth(*op, left, right, t),
+                    }
                 }
                 _ => None,
             },
@@ -259,6 +261,40 @@ impl ExecContext {
             }
             _ => Some(value_truth(self.value_ref(e, t)?)),
         }
+    }
+
+    /// [`Self::truth_fast`] of a comparison a side of which is `a ± b`
+    /// over leaf operands, such as a join residual's `l_shipdate >
+    /// o_orderdate + 60`. The sum is [`eval_binop`]'s where that cannot
+    /// fail: NULL if an operand is, else `Int ± Int` by checked
+    /// arithmetic or `Float ± Float`. On an overflow or any other mix of
+    /// operands it answers `None`, and the general evaluator raises or
+    /// computes what it does. Out of line: the comparisons of simple
+    /// predicates never get here.
+    #[inline(never)]
+    fn sum_truth<R: Columns>(
+        &self,
+        op: BinOp,
+        left: &PhysExpr,
+        right: &PhysExpr,
+        t: &R,
+    ) -> Option<Truth> {
+        let side = |e: &PhysExpr| -> Option<Value> {
+            let PhysExpr::Binary { op, left, right } = e else {
+                return self.value_ref(e, t).cloned();
+            };
+            let (a, b) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
+            Some(match (op, a, b) {
+                (BinOp::Add | BinOp::Sub, Value::Null, _)
+                | (BinOp::Add | BinOp::Sub, _, Value::Null) => Value::Null,
+                (BinOp::Add, Value::Int(a), Value::Int(b)) => Value::Int(a.checked_add(*b)?),
+                (BinOp::Sub, Value::Int(a), Value::Int(b)) => Value::Int(a.checked_sub(*b)?),
+                (BinOp::Add, Value::Float(a), Value::Float(b)) => Value::Float(a + b),
+                (BinOp::Sub, Value::Float(a), Value::Float(b)) => Value::Float(a - b),
+                _ => return None,
+            })
+        };
+        Some(cmp_truth(op, &side(left)?, &side(right)?))
     }
 
     /// Borrowed view of a leaf operand; `None` for anything that is not

@@ -212,7 +212,7 @@ fn a_bare_scan_root_polls_the_token_and_the_deadline() {
 /// sequence under the per-row definition, up to the raising row's tick:
 /// entry `k - 1` is the bytes in use when checkpoint `k` is passed. Then
 /// the error the run ends with, if any.
-fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 5] {
+fn chunked_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
     let schema = Schema::new(vec![
         Field::new("x", DataType::Int),
         Field::new("y", DataType::Int),
@@ -398,7 +398,7 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 5] {
         sequence
     };
     let division = Error::execution("integer division by zero");
-    [
+    let mut plans = vec![
         (plan(split), sequence(false, None), None),
         (plan(fused(sigma())), sequence(true, None), None),
         (
@@ -412,6 +412,182 @@ fn chunked_plans() -> [(Arc<PhysNode>, Vec<u64>, Option<Error>); 5] {
             grouped(Some(raising)),
             Some(division),
         ),
+    ];
+    plans.extend(table_hash_plans());
+    plans
+}
+
+/// The hash loops that read a base table a chunk at a time, over 40
+/// rows `(x, y, s)` as in [`chunked_plans`], each with its checkpoint
+/// sequence under the per-row definition: `Γ_{x; SUM(y), COUNT(DISTINCT
+/// s)}` over the scan — and again with an overflowing SUM at row 27 —,
+/// a dimension of 10 keys `3j` joined with the rows on `y` by a build
+/// over the rows restricted to its keys, and the rows joined with it by
+/// a probe head over the scan.
+fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Int),
+        Field::new("y", DataType::Int),
+        Field::new("s", DataType::Text),
+    ]);
+    let overflowing = 27;
+    let rows = |overflow: bool| -> Vec<Tuple> {
+        (0..40i64)
+            .map(|i| {
+                let y = if overflow && i == overflowing {
+                    i64::MAX
+                } else {
+                    i
+                };
+                Tuple::new(vec![
+                    Value::Int(i % 5),
+                    Value::Int(y),
+                    Value::text("ab".repeat(i as usize % 4)),
+                ])
+            })
+            .collect()
+    };
+    let scan =
+        |rows: Vec<Tuple>| PhysNode::scan(TableColumns::new(Relation::new(schema.clone(), rows)));
+    let aggs = vec![
+        AggSpec {
+            func: AggFunc::Sum,
+            distinct: false,
+            arg: Some(PhysExpr::Column(1)),
+        },
+        AggSpec {
+            func: AggFunc::Count,
+            distinct: true,
+            arg: Some(PhysExpr::Column(2)),
+        },
+    ];
+    let out = Schema::new(
+        ["x", "s", "n"]
+            .map(|n| Field::new(n, DataType::Int))
+            .to_vec(),
+    );
+    let gamma = |overflow| {
+        let input = scan(rows(overflow));
+        PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs.clone(), out.clone())
+    };
+    // Γ: per row a tick, its new group's charge, the charge of its value
+    // if new to the group; then the output rows. At the overflowing row
+    // the run ends after its tick: its group is there already.
+    let grouped = |overflow: bool| {
+        let (mut used, mut sequence) = (0u64, Vec::new());
+        let mut pass = |charge: u64| {
+            used += charge;
+            sequence.push(used);
+        };
+        let mut groups: Vec<(i64, i64, Vec<Value>)> = Vec::new();
+        for (i, t) in rows(false).iter().enumerate() {
+            pass(0);
+            if overflow && i as i64 == overflowing {
+                return sequence;
+            }
+            let x = i as i64 % 5;
+            let g = match groups.iter().position(|g| g.0 == x) {
+                Some(g) => g,
+                None => {
+                    groups.push((x, 0, Vec::new()));
+                    pass(VALUE_BYTES + 2 * ACC_BYTES);
+                    groups.len() - 1
+                }
+            };
+            groups[g].1 += i as i64;
+            if !groups[g].2.contains(&t[2]) {
+                groups[g].2.push(t[2].clone());
+                pass(VALUE_BYTES + value_heap_bytes(&t[2]));
+            }
+        }
+        for (x, sum, seen) in &groups {
+            let row = [*x, *sum, seen.len() as i64].map(Value::Int);
+            pass(tuple_bytes(&Tuple::new(row.to_vec())));
+        }
+        sequence
+    };
+    let before = (2..overflowing).step_by(5).sum::<i64>();
+    let overflow = Error::execution(format!("integer overflow in {before} + {}", i64::MAX));
+
+    let dims = || {
+        let dims: Vec<Vec<i64>> = (0..10).map(|j| vec![3 * j]).collect();
+        int_rel("d", &["k"], &dims)
+    };
+    let join = |left: Arc<PhysNode>, right: Arc<PhysNode>, keys: (usize, usize)| {
+        let fields = left.schema.fields().iter().chain(right.schema.fields());
+        let schema = Schema::new(fields.cloned().collect());
+        let spec = JoinSpec {
+            right,
+            on: JoinOn::Hash {
+                left_keys: vec![PhysExpr::Column(keys.0)],
+                right_keys: vec![PhysExpr::Column(keys.1)],
+                residual: None,
+            },
+            defaults: None,
+        };
+        PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
+    };
+    // A join entry's overhead beyond its key values (`JOIN_ENTRY_BYTES`).
+    let entry = 16;
+    let partner = |y: i64| y % 3 == 0 && y < 30;
+    let pair_bytes = |y: i64| {
+        let t = &rows(false)[y as usize];
+        let mut values = vec![Value::Int(y)];
+        values.extend(t.values().iter().cloned());
+        tuple_bytes(&Tuple::new(values))
+    };
+    let pair_bytes_right = |y: i64| {
+        let t = &rows(false)[y as usize];
+        let mut values = t.values().to_vec();
+        values.push(Value::Int(y));
+        tuple_bytes(&Tuple::new(values))
+    };
+    // dims ⋈ rows: the dimension's ten keys admitted (a charge each),
+    // then per row a tick and — its key admitted — its entry's charge;
+    // then per dimension row a tick and its one pair's charge.
+    let mut restricted = Vec::new();
+    let mut used = 0u64;
+    let mut pass = |charge: u64, sequence: &mut Vec<u64>| {
+        used += charge;
+        sequence.push(used);
+    };
+    for _ in 0..10 {
+        pass(VALUE_BYTES, &mut restricted);
+    }
+    for y in 0..40 {
+        pass(0, &mut restricted);
+        if partner(y) {
+            pass(entry, &mut restricted);
+        }
+    }
+    for j in 0..10 {
+        pass(0, &mut restricted);
+        pass(pair_bytes(3 * j), &mut restricted);
+    }
+    // rows ⋈ dims: a full build over the dimension (a tick and an entry
+    // with its key per row), then per row a tick and, with a partner,
+    // its pair's charge.
+    let mut probed = Vec::new();
+    let mut used = 0u64;
+    let mut pass = |charge: u64, sequence: &mut Vec<u64>| {
+        used += charge;
+        sequence.push(used);
+    };
+    for _ in 0..10 {
+        pass(0, &mut probed);
+        pass(entry + VALUE_BYTES, &mut probed);
+    }
+    for y in 0..40 {
+        pass(0, &mut probed);
+        if partner(y) {
+            pass(pair_bytes_right(y), &mut probed);
+        }
+    }
+    vec![
+        (gamma(false), grouped(false), None),
+        (gamma(true), grouped(true), Some(overflow)),
+        (join(dims(), scan(rows(false)), (0, 1)), restricted, None),
+        (join(scan(rows(false)), dims(), (1, 0)), probed, None),
     ]
 }
 

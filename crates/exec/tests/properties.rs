@@ -1894,3 +1894,278 @@ fn gamma_sinks_fold_what_their_unfused_twins_materialize() {
         check_gamma_sinks(&gamma_table(rows));
     });
 }
+
+// ---------------------------------------------------------------------------
+// Hash loops over a base table, a chunk at a time.
+// ---------------------------------------------------------------------------
+
+/// `n` fact rows `[k, f, v, s, nk, m]`: an `Int` key over 37 values, a
+/// `Float` with both zeros and NaN among its values, an `Int` argument,
+/// a text, an `Int` with NULLs and a column mixing `Int(k)` with
+/// `Float(k)` — the last two stay `Column::Values`.
+fn hash_facts(n: usize) -> Relation {
+    let rows = (0..n as i64).map(|i| {
+        let f = match i % 13 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::NAN,
+            k => (k % 5) as f64 * 0.5,
+        };
+        Tuple::new(vec![
+            Value::Int((i * 7919) % 37),
+            Value::Float(f),
+            Value::Int((i * 13) % 101 - 50),
+            Value::text(format!("t{}", i % 11)),
+            if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 6)
+            },
+            if i % 2 == 0 {
+                Value::Int(i % 4)
+            } else {
+                Value::Float((i % 4) as f64)
+            },
+        ])
+    });
+    Relation::new(ints(6), rows.collect())
+}
+
+/// 20 dimension rows `[k, x, name]`: even keys, the same number as a
+/// float, a text — half the facts' keys find a partner.
+fn hash_dims() -> Relation {
+    let rows = (0..20i64).map(|j| {
+        Tuple::new(vec![
+            Value::Int(2 * j),
+            Value::Float(2.0 * j as f64),
+            Value::text(format!("t{}", j % 11)),
+        ])
+    });
+    Relation::new(ints(3), rows.collect())
+}
+
+/// A base table straight from its scan, or through a copy of it — a
+/// `Limit` that keeps every row, an intermediate the row-at-a-time
+/// loops read.
+fn scan_or_copy(rel: &Relation, copy: bool) -> Arc<PhysNode> {
+    let scan = PhysNode::scan(TableColumns::new(rel.clone()));
+    match copy {
+        false => scan,
+        true => {
+            let schema = rel.schema().clone();
+            PhysNode::new(
+                PhysKind::Limit {
+                    input: scan,
+                    n: usize::MAX,
+                },
+                schema,
+            )
+        }
+    }
+}
+
+fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
+    AggSpec {
+        func,
+        distinct,
+        arg: arg.map(col),
+    }
+}
+
+/// Every hash loop that reads a base table by column — Γ with 0, 1 and
+/// 2 keys over a scan and over a σ of one (its settled runs), with and
+/// without DISTINCT; full and restricted builds; probe heads over a scan
+/// with and without padding, ⋈± heads among them — over `facts` rows,
+/// read from the scans or (`copy`) from copies of them.
+fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)> {
+    let dims = hash_dims();
+    let f = || scan_or_copy(facts, copy);
+    let d = || scan_or_copy(&dims, copy);
+    let plain = || {
+        vec![
+            agg(AggFunc::Count, false, None),
+            agg(AggFunc::Sum, false, Some(2)),
+            agg(AggFunc::Avg, false, Some(1)),
+            agg(AggFunc::Min, false, Some(3)),
+            agg(AggFunc::Max, false, Some(2)),
+            agg(AggFunc::Sum, false, Some(1)),
+            agg(AggFunc::Count, false, Some(4)),
+            agg(AggFunc::Max, false, Some(5)),
+        ]
+    };
+    let distinct = || {
+        vec![
+            agg(AggFunc::Count, true, None),
+            agg(AggFunc::Sum, true, Some(2)),
+            agg(AggFunc::Avg, true, Some(1)),
+            agg(AggFunc::Count, true, Some(3)),
+            agg(AggFunc::Min, true, Some(0)),
+        ]
+    };
+    let gamma = |input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>| {
+        let out = ints(keys.len() + aggs.len());
+        PhysNode::aggregate(input, keys.iter().map(|&k| col(k)).collect(), aggs, out)
+    };
+    let sigma = || {
+        let kept = cmp(BinOp::Gt, col(2), PhysExpr::Literal(Value::Int(-20)));
+        PhysNode::pipeline(f(), vec![Stage::Filter(kept)], ints(6))
+    };
+    let mut out = Vec::new();
+    for keys in [&[][..], &[0], &[4], &[0, 3], &[1, 5]] {
+        for (what, aggs) in [("plain", plain()), ("DISTINCT", distinct())] {
+            let at = |over| format!("Γ by {keys:?}, {what}, over {over}");
+            out.push((at("a scan"), gamma(f(), keys, aggs.clone())));
+            out.push((at("σ"), gamma(sigma(), keys, aggs)));
+        }
+    }
+    let hash = |left_keys: &[usize], right_keys: &[usize]| JoinOn::Hash {
+        left_keys: left_keys.iter().map(|&k| col(k)).collect(),
+        right_keys: right_keys.iter().map(|&k| col(k)).collect(),
+        residual: None,
+    };
+    let join = |left: Arc<PhysNode>, right: Arc<PhysNode>, on, defaults| {
+        let schema = left.schema.concat(&right.schema);
+        let spec = JoinSpec {
+            right,
+            on,
+            defaults,
+        };
+        PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
+    };
+    let pad = || Some(vec![(1, Value::Float(-1.0)), (2, Value::text("none"))]);
+    // Facts probe a full build over the dimension, with and without
+    // padding; the dimension probes a build over the facts restricted
+    // to its keys (when it is the smaller input) — one- and two-column
+    // keys, an `Int` against a `Float` column and a key with NULLs.
+    for (name, fk, dk) in [
+        ("k = k", &[0][..], &[0][..]),
+        ("k = x", &[0], &[1]),
+        ("f = k", &[1], &[0]),
+        ("nk = k", &[4], &[0]),
+        ("(k, s) = (k, name)", &[0, 3], &[0, 2]),
+    ] {
+        out.push((
+            format!("{name}, full build"),
+            join(f(), d(), hash(fk, dk), None),
+        ));
+        out.push((
+            format!("{name}, padded"),
+            join(f(), d(), hash(fk, dk), pad()),
+        ));
+        out.push((
+            format!("{name}, restricted"),
+            join(d(), f(), hash(dk, fk), None),
+        ));
+    }
+    // ⋈± heads over the facts: a hash head, and a nested-loop one.
+    for (name, on) in [
+        ("hash", hash(&[0], &[0])),
+        ("loop", JoinOn::Loop(Some(cmp(BinOp::Eq, col(0), col(6))))),
+    ] {
+        let schema = facts.schema().concat(dims.schema());
+        let spec = JoinSpec {
+            right: d(),
+            on,
+            defaults: None,
+        };
+        let bypass = PhysNode::bypass(f(), Stage::Probe(spec), schema.clone(), None, None);
+        let union = PhysKind::Union {
+            inputs: vec![stream(&bypass, true), stream(&bypass, false)],
+            distinct: false,
+        };
+        out.push((format!("⋈± {name} head"), PhysNode::new(union, schema)));
+    }
+    out
+}
+
+/// What a run shows: its rows, its counters and — per operator, sorted —
+/// the EXPLAIN ANALYZE counts of the hash loops.
+type HashRun = (Vec<Tuple>, bypass_exec::ExecCounters, Vec<[u64; 5]>);
+
+fn hash_run(plan: &Arc<PhysNode>, options: &ExecOptions) -> HashRun {
+    let mut ctx = ExecContext::new(options.clone()).with_metrics();
+    let rows = ctx.eval_plan(plan).unwrap().rows().to_vec();
+    let mut counts: Vec<[u64; 5]> = ctx
+        .take_metrics()
+        .values()
+        .map(|m| {
+            [
+                m.build_rows,
+                m.reverify,
+                m.input_rows,
+                m.group_rows,
+                m.groups,
+            ]
+        })
+        .filter(|c| c.iter().any(|&x| x > 0))
+        .collect();
+    counts.sort();
+    (rows, ctx.counters(), counts)
+}
+
+#[test]
+fn hash_loops_over_a_table_match_row_at_a_time_evaluation() {
+    let mechanisms: Vec<ExecOptions> = [1, 3, 256]
+        .into_iter()
+        .flat_map(|batch_rows| {
+            [(1, 4096), (2, 2), (8, 2)].map(|(threads, morsel_rows)| ExecOptions {
+                batch_rows,
+                threads,
+                morsel_rows,
+                ..Default::default()
+            })
+        })
+        .collect();
+    let dims = hash_dims().len() as u64;
+    for n in [0, 1, 255, 256, 257, 3000] {
+        let facts = hash_facts(n);
+        let chunked = hash_loop_plans(&facts, false);
+        let by_row = hash_loop_plans(&facts, true);
+        for ((name, plan), (_, copy)) in chunked.iter().zip(&by_row) {
+            // The reference: one worker, rows read off a copy one at a
+            // time. The copies charge one shared-row handle per row they
+            // hold — one checkpoint each, held to the end.
+            let (want_rows, copied, want_counts) = hash_run(copy, &mechanisms[0]);
+            let copies = plan_copies(copy);
+            let want = bypass_exec::ExecCounters {
+                checkpoints: copied.checkpoints - copies.len() as u64,
+                peak_memory_bytes: copied.peak_memory_bytes
+                    - copies.iter().map(|&c| c as u64).sum::<u64>() * SHARED_ROW_BYTES,
+                ..copied
+            };
+            assert!(copies
+                .iter()
+                .all(|&c| c as u64 == n as u64 || c as u64 == dims));
+            for options in &mechanisms {
+                let at = format!("{name} over {n} rows under {options:?}");
+                let (rows, counters, counts) = hash_run(plan, options);
+                assert_eq!(rows, want_rows, "{at}: rows, in order");
+                assert_eq!(counters, want, "{at}: counters");
+                assert_eq!(
+                    counts, want_counts,
+                    "{at}: build= reverify= probe= in= groups="
+                );
+            }
+        }
+    }
+}
+
+/// The row counts of the copies (`Limit` nodes) `plan` holds.
+fn plan_copies(plan: &Arc<PhysNode>) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut stack = vec![plan.clone()];
+    let mut seen = std::collections::HashSet::new();
+    while let Some(node) = stack.pop() {
+        if !seen.insert(Arc::as_ptr(&node) as usize) {
+            continue;
+        }
+        match &node.kind {
+            PhysKind::Limit { input, .. } => match &input.kind {
+                PhysKind::Scan { data, .. } => out.push(data.len()),
+                _ => unreachable!("a copy is a Limit over a scan"),
+            },
+            _ => stack.extend(node.children().into_iter().cloned()),
+        }
+    }
+    out
+}

@@ -20,6 +20,11 @@ use crate::parse::{Expected, LoadKind, Record, RecordKind, SltFile};
 /// Thread counts every query record is executed under.
 pub const THREAD_AXIS: [usize; 2] = [1, 8];
 
+/// Chunk lengths a `statement error` query is executed under besides:
+/// one row, a few, and the default — an error must not depend on where
+/// a chunk of a loop ends.
+pub const ERROR_BATCH_AXIS: [usize; 3] = [1, 3, bypass_types::BATCH_ROWS];
+
 /// Per-query wall-clock budget; a hang is reported as a failure, not a
 /// stuck test process.
 const QUERY_TIMEOUT: Duration = Duration::from_secs(120);
@@ -195,8 +200,9 @@ fn statement(
         (true, Ok(())) => return Err("statement succeeded but an error was expected".to_string()),
         (true, Err(e)) => expected_error(e)?,
     }
-    // A query that must fail must fail alike on the whole grid: no
-    // strategy's rewrite may lose the error (or turn it into another).
+    // A query that must fail must fail alike on the whole grid, chunk
+    // lengths included: no strategy's rewrite may lose the error (or
+    // turn it into another).
     let select = sql
         .trim_start()
         .get(..6)
@@ -206,20 +212,23 @@ fn statement(
     }
     for strategy in Strategy::all() {
         for threads in THREAD_AXIS {
-            let limits = RunLimits {
-                timeout: Some(QUERY_TIMEOUT),
-                threads: Some(threads),
-                ..RunLimits::default()
-            };
-            let grid = format!("{strategy} / threads={threads}");
-            match typed(&mut || db.run_governed(sql, strategy, &limits).map(drop)) {
-                Err(e) => return Err(format!("[{grid}] {e}")),
-                Ok(Ok(())) => {
-                    return Err(format!(
-                        "[{grid}] statement succeeded but an error was expected"
-                    ))
+            for batch_rows in ERROR_BATCH_AXIS {
+                let limits = RunLimits {
+                    timeout: Some(QUERY_TIMEOUT),
+                    threads: Some(threads),
+                    batch_rows: Some(batch_rows),
+                    ..RunLimits::default()
+                };
+                let grid = format!("{strategy} / threads={threads} / batch={batch_rows}");
+                match typed(&mut || db.run_governed(sql, strategy, &limits).map(drop)) {
+                    Err(e) => return Err(format!("[{grid}] {e}")),
+                    Ok(Ok(())) => {
+                        return Err(format!(
+                            "[{grid}] statement succeeded but an error was expected"
+                        ))
+                    }
+                    Ok(Err(e)) => expected_error(e).map_err(|e| format!("[{grid}] {e}"))?,
                 }
-                Ok(Err(e)) => expected_error(e).map_err(|e| format!("[{grid}] {e}"))?,
             }
         }
     }

@@ -209,15 +209,34 @@ echo "==> one settle rule (grep gate)"
 # its selection in place through one helper, settle_lanes; a run of settled
 # rows reaches the governor as one counted tick_rows call from pass_settled
 # (DESIGN.md §8). Only the row-by-row tail, chain_eval_row, folds with
-# CompiledChain::combine.
+# CompiledChain::combine. The hash loops over a base table pass their
+# chunks' checkpoints the same way, and only they (DESIGN.md §5c, §5f): Γ's
+# fold_table, build_hash_table, and pass_unmatched — the run of probing rows
+# probe_table found no partner for.
 retains="$(grep -rn 'retain_compared' crates/exec/src || true)"
 [ -z "$retains" ] || { echo "retain_compared is back:"; echo "$retains"; exit 1; }
 folds="$(callers '\\.combine\\(' 'fn combine' | grep '^crates/exec/src/eval.rs:' | sort -u | tr '\n' ' ')"
 [ "$folds" = "crates/exec/src/eval.rs:chain_eval_row " ] \
     || { echo ".combine( in eval.rs outside chain_eval_row: $folds"; exit 1; }
 tickers="$(callers 'tick_rows\\(' 'fn tick_rows' | sort -u | tr '\n' ' ')"
-[ "$tickers" = "crates/exec/src/eval.rs:pass_settled " ] \
+[ "$tickers" = "crates/exec/src/eval.rs:build_hash_table crates/exec/src/eval.rs:pass_settled crates/exec/src/eval.rs:pass_unmatched crates/exec/src/group.rs:fold_table " ] \
     || { echo "tick_rows( called from: $tickers"; exit 1; }
+
+echo "==> one key hash (grep gate)"
+# A base table's keys are hashed a chunk at a time, a key column at a time,
+# by TableKey::hash_chunk (DESIGN.md §5c): TableKey has no per-row reader
+# (`fn at`), and no hash loop — Γ's fold_row and fold_table, the hash build,
+# the probe head (run_pass, probe_table, probe) — reads a table key per row
+# through one (`.at(`) or hashes a table row's key by itself
+# (`.key(i).hash()`).
+keyhashes="$(awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    /^impl.* TableKey</ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
+    /fn (fold_row|fold_table|build_hash_table|run_pass|probe_table|probe)[<(]/ { in_loop = 1 }
+    in_loop && /^    }$/ { in_loop = 0 }
+    counting && ((in_impl && /fn at[<(]/) || /TableKey::at\b/ || (in_loop && /\.at\(|\.key\([^)]*\)\.hash\(\)/)) {
+        print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
+[ -z "$keyhashes" ] || { echo "a table key read or hashed per row:"; echo "$keyhashes"; exit 1; }
 
 echo "==> one replay (grep gate)"
 # A morsel worker's governor only counts (DESIGN.md §5f, §7): the master
