@@ -2,15 +2,17 @@ use std::sync::{Arc, OnceLock};
 
 use bypass_types::{Column, Relation, Schema, TableStats};
 
-/// A base table's rows and, beside them, one lazily materialised
-/// [`Column`] per field.
+/// A relation's rows and, beside them, one lazily materialised
+/// [`Column`] per field: how every executor loop over a materialized
+/// input reads it by column.
 ///
 /// A column is built from the rows on its first read — typed (`i64` /
 /// `f64`) when every row agrees, [`Column::Values`] otherwise — and
-/// kept for as long as the table holds this data, so only the columns
-/// some statement's scan-rooted loop actually read cost memory. They
-/// are copies of what the rows hold: never written, never charged to a
-/// statement's memory budget.
+/// kept for as long as this set is. A base table keeps one set with its
+/// data, so only the columns some statement read cost memory; a loop
+/// over an intermediate relation builds a transient set that dies with
+/// the loop. Either way the columns are copies of what the rows hold:
+/// never written, never charged to a statement's memory budget.
 #[derive(Debug)]
 pub struct TableColumns {
     data: Arc<Relation>,
@@ -18,8 +20,8 @@ pub struct TableColumns {
 }
 
 impl TableColumns {
-    /// Shared from the start: tables, their clones and every scan of
-    /// them hold the same columns.
+    /// Shared from the start: a table, its clones and every scan of it
+    /// hold the same columns.
     pub fn new(data: impl Into<Arc<Relation>>) -> Arc<TableColumns> {
         let data = data.into();
         let cells = (0..data.schema().arity()).map(|_| OnceLock::new());

@@ -947,9 +947,9 @@ pub fn materialize_case(seed: u64, cfg: &OracleConfig) -> (QuerySpec, Database) 
 }
 
 /// Process-wide gate serializing every enable-trace / run / drain
-/// window (shared by [`rewrite_fingerprint`] and the fault campaign)
-/// so concurrent users never steal each other's span events or clobber
-/// the global enable flag mid-window.
+/// window (shared by the fault and service oracles, which check span
+/// balance) so concurrent users never steal each other's span events or
+/// clobber the global enable flag mid-window.
 pub(crate) fn trace_gate() -> std::sync::MutexGuard<'static, ()> {
     use std::sync::{Mutex, OnceLock};
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -980,45 +980,27 @@ fn fingerprint_database() -> Database {
 }
 
 /// The rewrite-shape fingerprint of `sql`: which of the paper's
-/// equivalences fired (or why attachment was rejected), read off the
-/// `unnest.attach` / `unnest.bypass_chain` spans of a traced
-/// `Strategy::Unnested` rewrite. Tags are the span outcome strings
-/// (`eqv1:gamma-outerjoin`, `rejected:hidden-correlation`, …) plus
-/// `bypass-chain` when the disjunction rewrite (Eqv. 2/3) ran.
-///
-/// A process-wide gate serializes the enable-trace / rewrite / drain
-/// window so concurrent oracle runs never steal each other's spans
-/// (events are additionally filtered to the calling thread).
+/// equivalences fired (or why attachment was rejected) in a
+/// `Strategy::Unnested` rewrite, read off the unnest outcome tally
+/// (`bypass_unnest::take_outcomes`), which every attachment attempt and
+/// the disjunction rewrite bump on the calling thread. Tags are the
+/// outcome keys (`eqv1:gamma-outerjoin`, `rejected:hidden-correlation`,
+/// …), with the disjunction rewrite's (Eqv. 2/3) `bypass:chain` tagged
+/// `bypass-chain`.
 pub fn rewrite_fingerprint(db: &Database, sql: &str) -> Vec<String> {
-    let _guard = trace_gate();
-
     let plan = match db.logical_plan(sql) {
         Ok(p) => p,
         Err(_) => return vec!["reject:untranslatable".to_string()],
     };
-    let was_enabled = bypass_trace::enabled();
-    bypass_trace::set_enabled(true);
-    let _stale = bypass_trace::take_events();
+    let _stale = bypass_unnest::take_outcomes();
     let prepared = Strategy::Unnested.prepare(&plan);
-    let events = bypass_trace::take_events();
-    bypass_trace::set_enabled(was_enabled);
-
-    let tid = bypass_trace::current_tid();
-    let mut tags: BTreeSet<String> = BTreeSet::new();
-    for e in &events {
-        if e.tid != tid {
-            continue;
-        }
-        if e.name == "unnest.attach" {
-            if let Some((_, bypass_trace::ArgValue::Str(outcome))) =
-                e.args.iter().find(|(k, _)| k == "outcome")
-            {
-                tags.insert(outcome.clone());
-            }
-        } else if e.name == "unnest.bypass_chain" {
-            tags.insert("bypass-chain".to_string());
-        }
-    }
+    let outcomes = bypass_unnest::take_outcomes().into_iter();
+    let mut tags: BTreeSet<String> = outcomes
+        .map(|(key, _)| match key {
+            "bypass:chain" => "bypass-chain".to_string(),
+            key => key.to_string(),
+        })
+        .collect();
     if prepared.is_err() {
         tags.insert("reject:rewrite-error".to_string());
     }

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use bypass_catalog::TableColumns;
 use bypass_types::{
-    compare_tuples, par, tuple_bytes, Batch, CancelToken, Column, Error, FxHashMap, FxHashSet,
+    compare_tuples, par, tuple_bytes, CancelToken, Column, Error, FxHashMap, FxHashSet,
     InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS,
     SHARED_ROW_BYTES, VALUE_BYTES,
 };
@@ -17,7 +17,7 @@ use crate::hash::{ChunkHashes, CorrMemo, JoinTable, Key, KeyReader, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
-use crate::vector::{chain_bindable, CompiledChain, SliceLoop};
+use crate::vector::{chain_bindable, ChainTerm, CompiledChain, SliceLoop};
 
 /// Execution options — these implement the evaluation-strategy knobs the
 /// benchmark harness uses to emulate the commercial systems of the
@@ -542,37 +542,44 @@ impl ExecContext {
     // -----------------------------------------------------------------
 
     /// Drive the σ head of a pipeline — a σ±'s among them — (`routes`) of
-    /// `node` over `input`, the evaluated `from`: one morsel loop over the
-    /// whole input, its terms in planned order, closed by
+    /// `node` over `input` (`columns`: its columns): one morsel loop over
+    /// the whole input, its terms in planned order, closed by
     /// [`Self::finish`]. A serial loop takes the pipeline's Γ (`fold`)
-    /// and folds what it keeps.
+    /// and folds what it keeps. The kernel columns are built here, on the
+    /// master, before the loop forks.
     ///
     /// Kernel evaluation has no error path, so a call under a
     /// binding stack that does not resolve all of the chain's (the
     /// same node can run under different stacks inside nested subplans)
-    /// gets no kernel columns: the first row to reach the unbound
-    /// reference raises `eval_truth`'s error.
+    /// runs no kernel: the first row to reach the unbound reference
+    /// raises `eval_truth`'s error.
     fn run_chain<'f>(
         &mut self,
         node: &Arc<PhysNode>,
-        from: &PhysNode,
+        columns: &TableColumns,
         input: &Relation,
         routes: &Routes<'_, '_>,
         fold: &mut Option<Box<Fold<'f>>>,
     ) -> Result<Streams<'f>> {
         let chain = node.chain().expect("σ heads carry their chain");
         let rows = input.rows();
-        let batch = chain_bindable(chain, &self.outer).then(|| chain_batch(from, input, chain));
-        let batch = batch.as_ref();
+        let kernels = match chain_bindable(chain, &self.outer) {
+            true => {
+                chain.cols.iter().for_each(|&c| _ = columns.get(c));
+                chain.kernels()
+            }
+            false => &[],
+        };
         let grouped = node.group().is_some();
         let parts = self.run_morsels(node, rows.len(), 1, fold, |ctx, range, fold| {
             let rows = &rows[range.clone()];
             let exit = Exit::of(fold, grouped);
+            let from = (columns, kernels, range.start);
             // Two instances: the one no stage follows keeps the σ loop's
             // own shape, which measured faster than a shared one.
             match routes.works(Truth::True) || routes.works(Truth::False) {
-                false => ctx.chain_slice::<true>(chain, rows, batch, range.start, routes, exit),
-                true => ctx.chain_slice::<false>(chain, rows, batch, range.start, routes, exit),
+                false => ctx.chain_slice::<true>(chain, rows, from, routes, exit),
+                true => ctx.chain_slice::<false>(chain, rows, from, routes, exit),
             }
         })?;
         let mut disjuncts = Vec::new();
@@ -607,10 +614,10 @@ impl ExecContext {
     /// governor-invisible — and the rows are then finished in input
     /// order: a row the prefix left open evaluates the remaining terms
     /// between its own checkpoints, and every run of rows it settled
-    /// is routed (see [`Self::pass_settled`]). `batch` holds the
-    /// kernel columns of the *full* input (`None`: no kernel may run,
-    /// see [`Self::run_chain`]); `base` is the index of `rows[0]` within
-    /// it. Selection vectors carry lane indices within the chunk. Out
+    /// is routed (see [`Self::pass_settled`]). `columns` are those of
+    /// the *full* input, `kernels` the prefix that may run (none, see
+    /// [`Self::run_chain`]) and `base` the index of `rows[0]` within the
+    /// input. Selection vectors carry lane indices within the chunk. Out
     /// of line, as the σ loop it replaced was: inlined into the operator
     /// match that loop ran ~6 % slower per row (benchmark workload
     /// `rst_canonical`).
@@ -619,17 +626,11 @@ impl ExecContext {
         &mut self,
         chain: &CompiledChain,
         rows: &[Tuple],
-        batch: Option<&Batch>,
-        base: usize,
+        (columns, kernels, base): (&TableColumns, &[ChainTerm], usize),
         routes: &Routes<'_, '_>,
         exit: Exit<'f>,
     ) -> Result<(Streams<'f>, Vec<DisjunctMetrics>)> {
         let mut counts = vec![DisjunctMetrics::default(); chain.terms.len()];
-        let kernels = if batch.is_some() {
-            chain.kernels()
-        } else {
-            &[]
-        };
         let mut out = [routes.pos, routes.neg.unwrap_or_default()].map(|s| Sink::new(s.len()));
         out[0].exit = exit;
         let works = [routes.works(Truth::False), routes.works(Truth::True)];
@@ -641,7 +642,7 @@ impl ExecContext {
         // kernel term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        let mut values = batch.map(ChunkValues::new);
+        let mut values = ChunkValues::new(columns);
         let mut lo = base;
         for chunk in rows.chunks(self.options.batch_rows) {
             let n = chunk.len();
@@ -649,74 +650,68 @@ impl ExecContext {
             acc.resize(n, chain.identity());
             sel.clear();
             sel.extend(0..n as u32);
-            if let Some(values) = values.as_mut() {
-                values.start(lo, n);
-                for (term, count) in kernels.iter().zip(&mut counts) {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    let before = sel.len();
-                    let (sel, acc) = (&mut sel, &mut acc);
-                    let batch = values.batch;
-                    let column = |c: usize| batch.column(c).expect("kernel columns are built");
-                    let chunk = lo..lo + n;
-                    match term.slice_loop(self) {
-                        // Hot shapes: one tight loop over the chunk of
-                        // a column against a pre-resolved constant —
-                        // over bare numbers when column and constant
-                        // agree in type, over values otherwise …
-                        Some(SliceLoop::ColConst(op, c, rhs)) => match (column(c), rhs) {
-                            (Column::Int(xs), Value::Int(k)) => {
-                                let (xs, truth) = (&xs[chunk], ord_lookup(op));
-                                settle_lanes(sel, acc, chain, |at| truth(Some(xs[at].cmp(k))));
-                            }
-                            (Column::Float(xs), Value::Float(k)) => {
-                                let (xs, truth) = (&xs[chunk], ord_lookup(op));
-                                settle_lanes(sel, acc, chain, |at| truth(xs[at].partial_cmp(k)));
-                            }
-                            _ => {
-                                values.fill(&[c]);
-                                let xs = values.column(c);
-                                settle_lanes(sel, acc, chain, |at| cmp_truth(op, &xs[at], rhs));
-                            }
-                        },
-                        // … or against a second column.
-                        Some(SliceLoop::ColCol(op, l, r)) => match (column(l), column(r)) {
-                            (Column::Int(l), Column::Int(r)) => {
-                                let (l, r) = (&l[chunk.clone()], &r[chunk]);
-                                let truth = ord_lookup(op);
-                                settle_lanes(sel, acc, chain, |at| truth(Some(l[at].cmp(&r[at]))));
-                            }
-                            (Column::Float(l), Column::Float(r)) => {
-                                let (l, r) = (&l[chunk.clone()], &r[chunk]);
-                                let truth = ord_lookup(op);
-                                settle_lanes(sel, acc, chain, |at| {
-                                    truth(l[at].partial_cmp(&r[at]))
-                                });
-                            }
-                            _ => {
-                                values.fill(&[l, r]);
-                                let (l, r) = (values.column(l), values.column(r));
-                                settle_lanes(sel, acc, chain, |at| cmp_truth(op, &l[at], &r[at]));
-                            }
-                        },
-                        // Any other kernel: the interpreter's fast path
-                        // over the lane. Total here — the term is in
-                        // its class and `run_chain` saw the outer
-                        // references resolve.
-                        None => {
-                            values.fill(&chain.cols);
-                            let values = &*values;
-                            settle_lanes(sel, acc, chain, |row| {
-                                let truth =
-                                    self.truth_fast(&term.expr, &Lane { chunk: values, row });
-                                truth.expect("kernel terms never leave the fast path")
-                            });
-                        }
-                    }
-                    count.evals += before as u64;
-                    count.hits += (before - sel.len()) as u64;
+            values.start(lo, n);
+            for (term, count) in kernels.iter().zip(&mut counts) {
+                if sel.is_empty() {
+                    break;
                 }
+                let before = sel.len();
+                let (sel, acc) = (&mut sel, &mut acc);
+                let column = |c: usize| &**columns.get(c).expect("kernel columns are in range");
+                let chunk = lo..lo + n;
+                match term.slice_loop(self) {
+                    // Hot shapes: one tight loop over the chunk of
+                    // a column against a pre-resolved constant —
+                    // over bare numbers when column and constant
+                    // agree in type, over values otherwise …
+                    Some(SliceLoop::ColConst(op, c, rhs)) => match (column(c), rhs) {
+                        (Column::Int(xs), Value::Int(k)) => {
+                            let (xs, truth) = (&xs[chunk], ord_lookup(op));
+                            settle_lanes(sel, acc, chain, |at| truth(Some(xs[at].cmp(k))));
+                        }
+                        (Column::Float(xs), Value::Float(k)) => {
+                            let (xs, truth) = (&xs[chunk], ord_lookup(op));
+                            settle_lanes(sel, acc, chain, |at| truth(xs[at].partial_cmp(k)));
+                        }
+                        _ => {
+                            values.fill(&[c]);
+                            let xs = values.column(c);
+                            settle_lanes(sel, acc, chain, |at| cmp_truth(op, &xs[at], rhs));
+                        }
+                    },
+                    // … or against a second column.
+                    Some(SliceLoop::ColCol(op, l, r)) => match (column(l), column(r)) {
+                        (Column::Int(l), Column::Int(r)) => {
+                            let (l, r) = (&l[chunk.clone()], &r[chunk]);
+                            let truth = ord_lookup(op);
+                            settle_lanes(sel, acc, chain, |at| truth(Some(l[at].cmp(&r[at]))));
+                        }
+                        (Column::Float(l), Column::Float(r)) => {
+                            let (l, r) = (&l[chunk.clone()], &r[chunk]);
+                            let truth = ord_lookup(op);
+                            settle_lanes(sel, acc, chain, |at| truth(l[at].partial_cmp(&r[at])));
+                        }
+                        _ => {
+                            values.fill(&[l, r]);
+                            let (l, r) = (values.column(l), values.column(r));
+                            settle_lanes(sel, acc, chain, |at| cmp_truth(op, &l[at], &r[at]));
+                        }
+                    },
+                    // Any other kernel: the interpreter's fast path
+                    // over the lane. Total here — the term is in
+                    // its class and `run_chain` saw the outer
+                    // references resolve.
+                    None => {
+                        values.fill(&chain.cols);
+                        let values = &values;
+                        settle_lanes(sel, acc, chain, |row| {
+                            let truth = self.truth_fast(&term.expr, &Lane { chunk: values, row });
+                            truth.expect("kernel terms never leave the fast path")
+                        });
+                    }
+                }
+                count.evals += before as u64;
+                count.hits += (before - sel.len()) as u64;
             }
             // When every term was a kernel the fold is already final. A
             // settled row that meets no working stage waits for its run's
@@ -807,9 +802,9 @@ impl ExecContext {
 
     /// Fold the TRUE rows of a settled run (`base`: the position of
     /// `rows[0]` in the input) into a σ's Γ — a Γ that counts rows, their
-    /// number; one over its input's base table, as a chunk — and return
-    /// how many there were. Out of line: inlined, it slowed the σ loop of
-    /// every other pipeline by 9 % per row.
+    /// number; one that reads the input by column, as a chunk — and
+    /// return how many there were. Out of line: inlined, it slowed the σ
+    /// loop of every other pipeline by 9 % per row.
     #[inline(never)]
     fn fold_settled(
         &mut self,
@@ -819,19 +814,13 @@ impl ExecContext {
         truth: &[Truth],
     ) -> Result<usize> {
         let kept = truth.iter().enumerate();
-        let mut kept = kept.filter_map(|(j, truth)| truth.is_true().then_some(j));
+        let kept = kept.filter_map(|(j, truth)| truth.is_true().then_some(j));
         if fold.counts() {
             let n = kept.count();
             fold.count(self, n)?;
             return Ok(n);
         }
-        if fold.folds_table() {
-            return fold.fold_table(self, rows, base, kept.map(|j| j as u32));
-        }
-        kept.try_fold(0, |n, j| {
-            fold.fold(self, &rows[j])?;
-            Ok(n + 1)
-        })
+        fold.fold_run(self, rows, base, kept)
     }
 
     /// Evaluate the chain's terms from term `from` on for one row, with
@@ -938,7 +927,7 @@ impl ExecContext {
         let schema = || node.schema.clone();
         let rel = match &node.kind {
             // Zero-copy: hand out the catalog's shared storage handle.
-            PhysKind::Scan { data, .. } => return Ok(data.clone()),
+            PhysKind::Scan { columns } => return Ok(columns.data().clone()),
             PhysKind::Pipeline { neg: Some(_), .. } => {
                 return Err(Error::execution(
                     "bypass operators must be consumed through Stream nodes",
@@ -1092,19 +1081,26 @@ impl ExecContext {
             return Err(Error::execution("not a pipeline"));
         };
         let rel = self.eval_node(input, local)?;
-        let table = input.table_columns();
+        let columns = columns_of(input, &rel);
         if chain.stages.is_empty() {
             let group = group.as_ref().expect("only Γ has an empty chain");
             let mut sink = Sink::new(0);
-            sink.rows = self.group_relation(group, &rel, table)?;
+            sink.rows = self.group_relation(group, &rel, &columns)?;
             return Ok([sink, Sink::new(0)]);
         }
         // The effects of a Γ folding inside the loop wait for its end.
+        // Under a σ that is the whole chain it folds the input's own rows.
         let mut fold = match group {
-            Some(group) => Some(Box::new(Fold::start(self, group, table, None)?)),
+            Some(group) => {
+                let mut fold = Fold::start(self, group, None)?;
+                if chain.stages.len() == 1 && node.chain().is_some() {
+                    fold.by_column(&columns);
+                }
+                Some(Box::new(fold))
+            }
             None => None,
         };
-        let stages = self.open_chain(chain, Some((&rel, table)), local)?;
+        let stages = self.open_chain(chain, Some((&rel, &columns)), local)?;
         let neg = match neg {
             Some(neg) => Some(self.open_chain(neg, None, local)?),
             None => None,
@@ -1117,9 +1113,9 @@ impl ExecContext {
                     pos: &stages,
                     neg: neg.as_deref(),
                 };
-                self.run_chain(node, input, &rel, &routes, &mut fold)?
+                self.run_chain(node, &columns, &rel, &routes, &mut fold)?
             }
-            None => self.run_pass(node, input, &rel, &stages, neg.as_deref(), &mut fold)?,
+            None => self.run_pass(node, &columns, &rel, &stages, neg.as_deref(), &mut fold)?,
         };
         if group.is_some() {
             // A serial loop hands Γ back in its sink; a forked one left it
@@ -1143,15 +1139,15 @@ impl ExecContext {
     /// Γ over a relation: one pass on the master, folding in place, its
     /// effects as they happen. The loop has no work of its own to share
     /// out, so it never forks (DESIGN.md §7). Keys and arguments that are
-    /// plain columns are read off the row — or, when the input is a base
-    /// table (`table`), off the table's columns.
+    /// plain columns are read off the input's `columns`.
     fn group_relation(
         &mut self,
         group: &Group,
         input: &Relation,
-        table: Option<&TableColumns>,
+        columns: &Arc<TableColumns>,
     ) -> Result<Vec<Tuple>> {
-        let mut fold = Fold::start(self, group, table, Some(input.len()))?;
+        let mut fold = Fold::start(self, group, Some(input.len()))?;
+        fold.by_column(columns);
         fold.fold_relation(self, input.rows())?;
         self.close_group(fold)
     }
@@ -1169,17 +1165,17 @@ impl ExecContext {
     }
 
     /// The pass of a pipeline whose head is not a σ: every row of
-    /// `input`, the evaluated `from`, enters the head. A ν head numbers
+    /// `input` (`columns`: its columns) enters the head. A ν head numbers
     /// the row by its position in `input`. A probe head — a join or a
     /// ⋈± — re-checks the row cap on both sinks before each probing row;
-    /// a hash head over a base table reads the row's key off the table's
-    /// columns, so a row is touched only once it has a partner or must be
-    /// padded; a nested-loop head visits every build row per probing row
-    /// and hands a ⋈±'s failing pairs into `neg`.
+    /// a hash head whose key is plain columns reads it off `columns`, so
+    /// a row is touched only once it has a partner or must be padded; a
+    /// nested-loop head visits every build row per probing row and hands
+    /// a ⋈±'s failing pairs into `neg`.
     fn run_pass<'f>(
         &mut self,
         node: &Arc<PhysNode>,
-        from: &PhysNode,
+        columns: &TableColumns,
         input: &Relation,
         stages: &[LiveStage<'_>],
         neg: Option<&[LiveStage<'_>]>,
@@ -1190,7 +1186,7 @@ impl ExecContext {
             Some(Probe {
                 on: ProbeOn::Hash { probe_keys, .. },
                 ..
-            }) => (TableKey::new(from.table_columns(), probe_keys), 1),
+            }) => (TableKey::new(columns, probe_keys), 1),
             Some(Probe { build, .. }) => (None, build.len()),
             None => (None, 1),
         };
@@ -1236,7 +1232,7 @@ impl ExecContext {
         Ok(streams)
     }
 
-    /// The rows `range` of a base table (`rows`) through the hash probe
+    /// The rows `range` of the input (`rows`) through the hash probe
     /// head `probe` whose key is plain columns of it (`key`), a chunk of
     /// `batch_rows` at a time: the chunk's keys are hashed a column at a
     /// time, then each row's partners found. A row with partners, or one
@@ -1248,7 +1244,7 @@ impl ExecContext {
     fn probe_table(
         &mut self,
         probe: &Probe<'_>,
-        key: &TableKey<'_>,
+        key: &TableKey,
         rows: &[Tuple],
         range: Range<usize>,
         (stages, neg): (&[LiveStage<'_>], Option<&[LiveStage<'_>]>),
@@ -1325,15 +1321,17 @@ impl ExecContext {
 
     /// Evaluate a join's right input and make the join probe-ready. Runs
     /// on the master before the loop fans out. `left` is the join's
-    /// evaluated left input — given for a pipeline's head, absent for a
-    /// join fused into a chain, whose left input is a stream. An inner
-    /// hash join with the smaller input on the left keys its table by
-    /// *that* input and inserts only the right rows that have one of its
-    /// keys; ties, outer joins and fused joins hash the whole right input.
+    /// evaluated left input and its columns — given for a pipeline's
+    /// head, absent for a join fused into a chain, whose left input is a
+    /// stream. An inner hash join with the smaller input on the left
+    /// whose keys are plain columns of it keys its table by *that*
+    /// input and inserts only the right rows that have one of its keys;
+    /// ties, outer joins, computed left keys and fused joins hash the
+    /// whole right input.
     fn open_probe<'p>(
         &mut self,
         spec: &'p JoinSpec,
-        left: Option<(&Arc<Relation>, Option<&TableColumns>)>,
+        left: Option<(&Arc<Relation>, &TableColumns)>,
         local: &mut Local,
     ) -> Result<Probe<'p>> {
         let right = self.eval_node(&spec.right, local)?;
@@ -1358,12 +1356,13 @@ impl ExecContext {
         let probe_keys = KeyReader::new(left_keys);
         // Reading the left keys ahead of the probe must not be able to
         // raise an error the probe would have raised later (or never):
-        // plain column reads only.
-        let smaller_left = left
-            .filter(|(l, _)| pad.is_none() && l.len() < right.len() && probe_keys.borrows())
-            .map(|(l, columns)| (&**l, columns, &probe_keys));
-        let table = spec.right.table_columns();
-        let (table, charged) = self.build_hash_table(&right, table, right_keys, smaller_left)?;
+        // plain columns in range only.
+        let only = left
+            .filter(|(l, _)| pad.is_none() && l.len() < right.len())
+            .and_then(|(l, columns)| Some((l.len(), TableKey::new(columns, &probe_keys)?)));
+        let columns = columns_of(&spec.right, &right);
+        let (table, charged) =
+            self.build_hash_table(&right, &columns, right_keys, only.as_ref())?;
         Ok(Probe {
             build: right,
             on: ProbeOn::Hash {
@@ -1378,11 +1377,11 @@ impl ExecContext {
 
     /// Make a stage chain runnable: open the build sides of its joins, in
     /// chain order. A probe head is handed `left`, the evaluated input of
-    /// its pipeline, with its base table's columns if it is one.
+    /// its pipeline, with its columns.
     fn open_chain<'p>(
         &mut self,
         chain: &'p Chain,
-        left: Option<(&Arc<Relation>, Option<&TableColumns>)>,
+        left: Option<(&Arc<Relation>, &TableColumns)>,
         local: &mut Local,
     ) -> Result<Vec<LiveStage<'p>>> {
         chain
@@ -1403,8 +1402,8 @@ impl ExecContext {
 
     /// Join one probing row against `probe`'s build side and hand every
     /// emitted pair to stage `next` of `stages`. `found` are the row's
-    /// partners when a chunk loop over a base table already looked them
-    /// up ([`Self::probe_table`]); otherwise a hash probe reads the row's
+    /// partners when a chunk loop over the input already looked them up
+    /// ([`Self::probe_table`]); otherwise a hash probe reads the row's
     /// key off the row. With `miss` — a ⋈± head — a nested-loop pair that
     /// fails the predicate enters that chain.
     #[allow(clippy::too_many_arguments)]
@@ -1583,64 +1582,47 @@ impl ExecContext {
     /// (they can never match); every other row charges its entry overhead
     /// and key values, whether or not its key is new.
     ///
-    /// With `only` — the (smaller) probing input, its key columns and,
-    /// if it is a base table, that table's columns — the table is keyed by
-    /// *that* input's distinct keys, each charged once, and a build row is
-    /// inserted, and its entry charged, only if a probing row will ask for
-    /// it. The table answers every probe as the full one would, so the
-    /// join emits the same rows in the same order whichever way it was
-    /// built.
+    /// With `only` — the length of the (smaller) probing input and its
+    /// key columns — the table is keyed by *that* input's distinct keys,
+    /// each charged once, and a build row is inserted, and its entry
+    /// charged, only if a probing row will ask for it. The table answers
+    /// every probe as the full one would, so the join emits the same rows
+    /// in the same order whichever way it was built.
     ///
-    /// `columns` are those of the base table `rel` is, if it is one:
-    /// build keys that are plain columns are then hashed a chunk of
-    /// `batch_rows` at a time off them, and the chunk's ticks and charges
-    /// pass in one [`Governor::tick_rows`] call.
+    /// Build keys that are plain columns of `rel` are hashed a chunk of
+    /// `batch_rows` at a time off its `columns`, and the chunk's ticks
+    /// and charges pass in one [`Governor::tick_rows`] call; computed
+    /// keys are read row by row.
     fn build_hash_table(
         &mut self,
         rel: &Relation,
-        columns: Option<&TableColumns>,
+        columns: &TableColumns,
         keys: &[PhysExpr],
-        only: Option<(&Relation, Option<&TableColumns>, &KeyReader<'_>)>,
+        only: Option<&(usize, TableKey)>,
     ) -> Result<(JoinTable, u64)> {
         let reader = KeyReader::new(keys);
         let table_key = TableKey::new(columns, &reader);
         let key_bytes = keys.len() as u64 * VALUE_BYTES;
-        let distinct_keys = only.map_or(rel.len(), |(probing, ..)| probing.len());
+        let distinct_keys = only.map_or(rel.len(), |&(probing, _)| probing);
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
         let mut charged = 0;
-        let mut computed: Vec<Value> = Vec::new();
         let mut hashes = ChunkHashes::default();
-        if let Some((probing, probing_columns, probe_keys)) = only {
+        if let Some((probing, key)) = only {
             // A key is charged once, when it is first admitted.
-            match TableKey::new(probing_columns, probe_keys) {
-                Some(key) => {
-                    for chunk in chunks(0..probing.len(), self.options.batch_rows) {
-                        key.hash_chunk(chunk.clone(), &mut hashes);
-                        for (k, i) in chunk.enumerate() {
-                            if !hashes.null(k) && table.admit(hashes.hash(k), key.key(i)) {
-                                let bytes = key_bytes + key.key(i).heap_bytes();
-                                charged += bytes;
-                                self.gov.charge(bytes)?;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for t in probing.rows() {
-                        match self.read_key(probe_keys, t, &mut computed, false)? {
-                            Some((hash, key)) if table.admit(hash, key) => {
-                                let bytes = key_bytes + key.heap_bytes();
-                                charged += bytes;
-                                self.gov.charge(bytes)?;
-                            }
-                            _ => {}
-                        }
+            for chunk in chunks(0..*probing, self.options.batch_rows) {
+                key.hash_chunk(chunk.clone(), &mut hashes);
+                for (k, i) in chunk.enumerate() {
+                    if !hashes.null(k) && table.admit(hashes.hash(k), key.key(i)) {
+                        let bytes = key_bytes + key.key(i).heap_bytes();
+                        charged += bytes;
+                        self.gov.charge(bytes)?;
                     }
                 }
             }
             table.spread();
         }
         let Some(key) = table_key else {
+            let mut computed = Vec::new();
             for (i, t) in rel.rows().iter().enumerate() {
                 self.gov.tick()?;
                 let Some((hash, key)) = self.read_key(&reader, t, &mut computed, false)? else {
@@ -1697,20 +1679,16 @@ fn chunks(range: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>>
     range.step_by(len).map(move |lo| lo..(lo + len).min(end))
 }
 
-/// The kernel columns of `input` — the evaluated `from` — for one call
-/// of a σ/σ±. A base-table scan hands out the table's own columns (built
-/// on their first read, then shared by every statement and worker); any
-/// other input is transposed for the call — uncharged scratch of one
-/// kernel-column set that dies with it.
-fn chain_batch(from: &PhysNode, input: &Relation, chain: &CompiledChain) -> Batch {
-    let Some(table) = from.table_columns() else {
-        return Batch::from_rows_cols(input.rows(), &chain.cols);
-    };
-    let mut columns = vec![None; input.schema().arity()];
-    for &c in &chain.cols {
-        columns[c] = table.get(c).cloned();
+/// How a loop reads its materialized input `rel` — the evaluated `from`
+/// — by column. A scan hands out its table's own columns, built on their
+/// first read, then shared by every statement and worker. Any other
+/// relation gets a transient set, built a column at a time as the loop
+/// asks, uncharged like every column, and dropped with the loop.
+fn columns_of(from: &PhysNode, rel: &Arc<Relation>) -> Arc<TableColumns> {
+    match &from.kind {
+        PhysKind::Scan { columns } => columns.clone(),
+        _ => TableColumns::new(rel.clone()),
     }
-    Batch::new(columns, input.len())
 }
 
 /// Settle the chunk's undecided lanes `sel` with one kernel term's
@@ -1881,13 +1859,13 @@ pub(crate) mod tests {
     #[test]
     fn scan_result_shares_storage_with_catalog() {
         let scan = int_rel("r", &["a"], &[&[1], &[2]]);
-        let PhysKind::Scan { data, .. } = &scan.kind else {
+        let PhysKind::Scan { columns } = &scan.kind else {
             panic!()
         };
         let mut ctx = ExecContext::new(ExecOptions::default());
         let out = ctx.eval_block(&scan).unwrap();
         assert!(
-            Arc::ptr_eq(&out, data),
+            Arc::ptr_eq(&out, columns.data()),
             "scan must return the shared relation, not a copy"
         );
         assert_eq!(ctx.counters().checkpoints, 0);

@@ -5,15 +5,18 @@
 //! Γ keeps its groups in a [`KeyTable`] — dense ids in first-appearance
 //! order, which is its output order — and their aggregate state in an
 //! [`AggStates`] arena indexed by those ids. Rows reach it one at a time
-//! as they leave their pipeline's chain ([`Fold::fold`]), a chunk at a
-//! time when they are a base table's own rows ([`Fold::fold_table`]), or
-//! — a σ's settled run under `COUNT(*)` — as a count ([`Fold::count`]).
+//! as they leave their pipeline's chain ([`Fold::fold`]), a run at a
+//! time when they are the rows of the loop's input — Γ over a relation,
+//! a σ's settled runs ([`Fold::fold_run`]) — or, a σ's settled run under
+//! `COUNT(*)`, as a count ([`Fold::count`]).
 //!
-//! A chunk of table rows is folded in phases: its keys hashed a column at
-//! a time and interned lane by lane, then each aggregate folded over its
-//! argument column in lane order, then the chunk's ticks and charges
-//! passed to the governor in one [`Governor::tick_rows`] call — the same
-//! checkpoints, bytes and first error as folding the rows one by one.
+//! A run whose keys and arguments are all plain columns is folded a
+//! chunk at a time off the input's columns, in phases: its keys hashed a
+//! column at a time and interned lane by lane, then each aggregate
+//! folded over its argument column in lane order, then the chunk's ticks
+//! and charges passed to the governor in one [`Governor::tick_rows`]
+//! call — the same checkpoints, bytes and first error as folding the
+//! rows one by one.
 //!
 //! [`Governor::tick_rows`]: crate::govern::Governor::tick_rows
 //!
@@ -24,6 +27,8 @@
 //! they happen as the rows are folded. Folded inside a loop that passes
 //! checkpoints of its own they are recorded and replayed after it
 //! ([`Fold::finish`]): where a Γ over the loop's output put them.
+
+use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
 use bypass_types::{tuple_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
@@ -50,11 +55,11 @@ struct Deferred {
     error: Option<(u64, Error)>,
 }
 
-/// A chunk of table rows on its way into Γ: scratch reused from chunk
+/// A chunk of input rows on its way into Γ: scratch reused from chunk
 /// to chunk.
 #[derive(Default)]
 struct Lanes {
-    /// Lane `k` is row `base + rows[k]` of the table.
+    /// Lane `k` is row `base + rows[k]` of the input.
     rows: Vec<u32>,
     hashes: ChunkHashes,
     groups: Vec<u32>,
@@ -67,11 +72,9 @@ struct Lanes {
 /// A running Γ: its groups, their aggregate states and how it reads keys.
 pub(crate) struct Fold<'p> {
     keys: KeyReader<'p>,
-    /// The key columns of the base table whose unchanged rows reach Γ.
-    table_key: Option<TableKey<'p>>,
-    /// That table, when its rows fold a chunk at a time: every key and
-    /// every argument a plain column of it.
-    table: Option<&'p TableColumns>,
+    /// Set by [`Self::by_column`]: the input's columns, and the key
+    /// columns among them. Its runs then fold a chunk at a time.
+    chunks: Option<(Arc<TableColumns>, Option<TableKey>)>,
     lanes: Lanes,
     /// `None` for a scalar aggregation: one group, there from the start
     /// (`f(∅)` over no rows), and nothing to hash.
@@ -95,40 +98,23 @@ pub(crate) struct Fold<'p> {
 }
 
 impl<'p> Fold<'p> {
-    /// Γ `group` over rows that are, when no stage changed them, rows of
-    /// the base table `table`: their keys and arguments are then read off
-    /// its columns. `relation` is the length of the relation Γ folds, if
-    /// it folds one: its effects happen as they come — the scalar state is
-    /// charged here — and its DISTINCT sets are sized for it. Folding
-    /// inside a loop (`None`) Γ cannot know how many rows will reach it:
-    /// the sets grow on demand, and the effects wait for [`Self::finish`].
+    /// Γ `group`, folding row by row. `relation` is the length of the
+    /// relation Γ folds, if it folds one: its effects happen as they come
+    /// — the scalar state is charged here — and its DISTINCT sets are
+    /// sized for it. Folding inside a loop (`None`) Γ cannot know how many
+    /// rows will reach it: the sets grow on demand, and the effects wait
+    /// for [`Self::finish`].
     pub(crate) fn start(
         ctx: &mut ExecContext,
         group: &'p Group,
-        table: Option<&'p TableColumns>,
         relation: Option<usize>,
     ) -> Result<Fold<'p>> {
         let keys = KeyReader::new(&group.keys);
         let (width, naggs) = (group.keys.len(), group.aggs.len());
         let states = AggStates::new(&group.aggs, relation.unwrap_or(0));
-        let table_key = TableKey::new(table, &keys);
-        let arity = table.map_or(0, |t| t.data().schema().arity());
-        let plain = |arg: &Option<PhysExpr>| match arg {
-            None => true,
-            Some(PhysExpr::Column(c)) => *c < arity,
-            Some(_) => false,
-        };
-        // With no key and no argument there is no column to read: a
-        // whole-row COUNT(DISTINCT *) folds row by row (canonical Q1 runs
-        // one per outer row, about a row each).
-        let reads = width > 0 || group.aggs.iter().any(|a| a.arg.is_some());
-        let chunked = reads
-            && (width == 0 || table_key.is_some())
-            && group.aggs.iter().all(|a| plain(&a.arg));
         let mut fold = Fold {
-            table_key,
             keys,
-            table: table.filter(|_| chunked),
+            chunks: None,
             lanes: Lanes::default(),
             groups: (width > 0).then(|| KeyTable::new(width)),
             counts: width == 0 && states.counts_rows(),
@@ -146,6 +132,27 @@ impl<'p> Fold<'p> {
             fold.charge(ctx, fold.fixed)?;
         }
         Ok(fold)
+    }
+
+    /// The runs Γ folds are rows of the relation `columns` reads: fold
+    /// them a chunk at a time when every key and argument is a plain
+    /// column of it, in range — the key columns built here, before a
+    /// loop forks.
+    pub(crate) fn by_column(&mut self, columns: &Arc<TableColumns>) {
+        let arity = columns.data().schema().arity();
+        let plain = |arg: &PhysExpr| matches!(arg, PhysExpr::Column(c) if *c < arity);
+        let mut args = self.states.specs().iter().map(|a| a.arg.as_ref());
+        // With no key and no argument there is no column to read: a
+        // whole-row COUNT(DISTINCT *) folds row by row (canonical Q1 runs
+        // one per outer row, about a row each).
+        let reads = self.width > 0 || args.clone().any(|arg| arg.is_some());
+        if !reads || !args.all(|arg| arg.is_none_or(plain)) {
+            return;
+        }
+        let key = TableKey::new(columns, &self.keys);
+        if self.width == 0 || key.is_some() {
+            self.chunks = Some((columns.clone(), key));
+        }
     }
 
     /// Rows folded so far.
@@ -195,8 +202,8 @@ impl<'p> Fold<'p> {
         }
     }
 
-    /// Fold every row of the relation `rows` — the rows of the base
-    /// table Γ reads, if it reads one — with the effects as they happen.
+    /// Fold every row of the relation `rows`, with the effects as they
+    /// happen.
     pub(crate) fn fold_relation(&mut self, ctx: &mut ExecContext, rows: &[Tuple]) -> Result<()> {
         debug_assert!(
             self.deferred.is_none(),
@@ -205,22 +212,11 @@ impl<'p> Fold<'p> {
         if self.counts {
             return self.count(ctx, rows.len());
         }
-        if self.table.is_some() {
-            let chunk = ctx.options.batch_rows;
-            for (lo, rows) in (0..).step_by(chunk).zip(rows.chunks(chunk)) {
-                self.fold_table(ctx, rows, lo, 0..rows.len() as u32)?;
-            }
-            return Ok(());
-        }
-        for t in rows {
-            self.fold_row(ctx, t)?;
+        let chunk = ctx.options.batch_rows;
+        for (lo, rows) in (0..).step_by(chunk).zip(rows.chunks(chunk)) {
+            self.fold_run(ctx, rows, lo, 0..rows.len())?;
         }
         Ok(())
-    }
-
-    /// Does Γ fold its table's rows a chunk at a time ([`Self::fold_table`])?
-    pub(crate) fn folds_table(&self) -> bool {
-        self.table.is_some()
     }
 
     /// Fold one row leaving the chain. A deferred fold records its error
@@ -265,30 +261,53 @@ impl<'p> Fold<'p> {
     }
 
     /// Fold the rows `lanes` of `rows` — `rows[l]` is row `base + l` of
-    /// the table Γ [reads](Self::folds_table), and there are at most
-    /// `batch_rows` of them — as [`Self::fold`] folds them one by one:
-    /// the same groups in the same order, the same states, the same
-    /// checkpoints and charges and the same first error. Returns how many
-    /// rows there were.
-    pub(crate) fn fold_table(
+    /// the loop's input, and there are at most `batch_rows` of them —
+    /// and return how many there were: read [by column](Self::by_column)
+    /// a chunk at a time, else one by one. Inline, so a σ's settled run
+    /// folded row by row is the loop of its caller.
+    #[inline]
+    pub(crate) fn fold_run(
         &mut self,
         ctx: &mut ExecContext,
         rows: &[Tuple],
         base: usize,
-        lanes: impl Iterator<Item = u32>,
+        lanes: impl Iterator<Item = usize>,
     ) -> Result<usize> {
-        let table = self.table.expect("a chunked Γ reads a table");
+        if self.chunks.is_some() {
+            return self.fold_columns(ctx, rows, base, lanes);
+        }
+        let mut n = 0;
+        for l in lanes {
+            self.fold(ctx, &rows[l])?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// [`Self::fold_run`] off the input's columns: the same groups in
+    /// the same order, the same states, the same checkpoints and charges
+    /// and the same first error as folding the rows one by one.
+    fn fold_columns(
+        &mut self,
+        ctx: &mut ExecContext,
+        rows: &[Tuple],
+        base: usize,
+        lanes: impl Iterator<Item = usize>,
+    ) -> Result<usize> {
         self.lanes.rows.clear();
-        self.lanes.rows.extend(lanes);
+        self.lanes.rows.extend(lanes.map(|l| l as u32));
         let n = self.lanes.rows.len();
         if self.failed() || n == 0 {
             return Ok(n);
         }
+        let Some((columns, table_key)) = &self.chunks else {
+            unreachable!("read by column")
+        };
         let mut at = std::mem::take(&mut self.lanes);
         at.groups.clear();
         at.created.clear();
         at.created.resize(n, 0);
-        match (&mut self.groups, &self.table_key) {
+        match (&mut self.groups, table_key) {
             (Some(groups), Some(key)) => {
                 let slots = at.rows.iter().map(|&l| base + l as usize);
                 key.hash_chunk(slots.clone(), &mut at.hashes);
@@ -312,7 +331,7 @@ impl<'p> Fold<'p> {
         for (j, spec) in self.states.specs().iter().enumerate() {
             let upto = failed.as_ref().map_or(n, |(k, _)| *k);
             let column = spec.arg.as_ref().map(|arg| match arg {
-                PhysExpr::Column(c) => &**table.get(*c).expect("checked in range"),
+                PhysExpr::Column(c) => &**columns.get(*c).expect("checked in range"),
                 _ => unreachable!("a chunked Γ's arguments are plain columns"),
             });
             let (lanes, groups) = (&at.rows[..upto], &at.groups[..upto]);

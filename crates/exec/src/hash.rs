@@ -18,11 +18,11 @@
 //!   of an operator, replacing a set per group;
 //! * [`CorrMemo`] — the correlated-subquery memo.
 //!
-//! Keys are presented as a [`Key`]: plain column references are read in
-//! place from the row ([`KeyRef`]), keys a loop over a base table reads
-//! off the table's columns ([`TableKey`], a chunk of keys hashed a column
-//! at a time) in place from those ([`TableRow`]), and only computed keys
-//! go through a value buffer. Every form hashes and compares as
+//! Keys are presented as a [`Key`]: keys that are plain columns of a
+//! loop's input are read off its columns ([`TableKey`], a chunk of keys
+//! hashed a column at a time) in place ([`TableRow`]), plain columns of
+//! a row streaming through a chain in place from the row ([`KeyRef`]),
+//! and only computed keys go through a value buffer. Every form hashes and compares as
 //! [`Value`]'s own `Hash` and `Eq` do — a typed column slot as a stack
 //! temporary — so there is one key function, and a stored key is built
 //! only when it is new. A sealed [`JoinTable`] is spread sparser than
@@ -213,19 +213,15 @@ impl<'p> KeyReader<'p> {
             .collect();
         cols.map_or(KeyReader::Exprs(exprs), KeyReader::Cols)
     }
-
-    /// Nothing but column reads: no per-row work worth fanning out.
-    pub(crate) fn borrows(&self) -> bool {
-        matches!(self, KeyReader::Cols(_))
-    }
 }
 
-/// The key columns of a base table: how a loop over its rows reads
-/// their keys without touching the rows. A chunk of keys is hashed a
-/// key column at a time ([`Self::hash_chunk`]); each key then travels as
-/// a [`TableRow`] and is compared in place, slot by slot, so it hashes
-/// and compares as the row's own key would.
-pub(crate) struct TableKey<'t>(Vec<&'t Column>);
+/// The key columns of a loop's input: how the loop reads its rows' keys
+/// without touching the rows. A chunk of keys is hashed a key column at
+/// a time ([`Self::hash_chunk`]); each key then travels as a
+/// [`TableRow`] and is compared in place, slot by slot, so it hashes and
+/// compares as the row's own key would. The columns are shared handles,
+/// so a key outlives the loop frame that built a transient column set.
+pub(crate) struct TableKey(Vec<Arc<Column>>);
 
 /// The hashes of a chunk of table keys, one per lane, and which lanes
 /// hold a NULL key value. Scratch a loop reuses from chunk to chunk.
@@ -249,17 +245,16 @@ impl ChunkHashes {
     }
 }
 
-impl<'t> TableKey<'t> {
-    /// `Some` when the rows come straight from a base table (`table`)
-    /// and the key is plain columns of it.
-    pub(crate) fn new(
-        table: Option<&'t TableColumns>,
-        reader: &KeyReader<'_>,
-    ) -> Option<TableKey<'t>> {
-        let (table, KeyReader::Cols(cols)) = (table?, reader) else {
+impl TableKey {
+    /// `Some` when the key is plain columns of `columns`' rows, each in
+    /// range — built here, on the caller's thread. A computed key, or a
+    /// column beyond the arity, is read row by row, where the row that
+    /// reads it raises the interpreter's error.
+    pub(crate) fn new(columns: &TableColumns, reader: &KeyReader<'_>) -> Option<TableKey> {
+        let KeyReader::Cols(cols) = reader else {
             return None;
         };
-        let cols = cols.iter().map(|&c| table.get(c).map(|col| &**col));
+        let cols = cols.iter().map(|&c| columns.get(c).cloned());
         cols.collect::<Option<_>>().map(TableKey)
     }
 
@@ -281,7 +276,7 @@ impl<'t> TableKey<'t> {
         out.null.resize(out.lanes.len(), false);
         for column in &self.0 {
             let lanes = out.lanes.iter_mut().zip(rows.clone());
-            match column {
+            match &**column {
                 Column::Int(xs) => lanes.for_each(|(h, r)| Value::Int(xs[r]).hash(h)),
                 Column::Float(xs) => lanes.for_each(|(h, r)| Value::Float(xs[r]).hash(h)),
                 Column::Values(xs) => {
@@ -367,13 +362,13 @@ impl<R: Row> Key for KeyRef<'_, R> {
     }
 }
 
-/// Row `row` of a base table's key columns, read in place: a typed slot
+/// Row `row` of a loop input's key columns, read in place: a typed slot
 /// by [`Column::with_slot`]. Two words, no variant: a loop keeps it in
 /// registers where an enum of key forms went through memory, and its
 /// reload stalled.
 #[derive(Clone, Copy)]
 pub(crate) struct TableRow<'a> {
-    key: &'a TableKey<'a>,
+    key: &'a TableKey,
     row: usize,
 }
 
@@ -395,7 +390,7 @@ impl Key for TableRow<'_> {
             .0
             .iter()
             .zip(stored)
-            .all(|(column, v)| match (column, v) {
+            .all(|(column, v)| match (&**column, v) {
                 (Column::Int(xs), Value::Int(a)) => xs[self.row] == *a,
                 (column, v) => column.with_slot(self.row, |x| v == x),
             })
@@ -828,9 +823,10 @@ mod tests {
         let rows = 200;
         for width in 1..=3 {
             for _ in 0..30 {
-                let columns: Vec<Column> =
-                    (0..width).map(|_| random_column(&mut rng, rows)).collect();
-                let table = TableKey(columns.iter().collect());
+                let columns: Vec<Arc<Column>> = (0..width)
+                    .map(|_| Arc::new(random_column(&mut rng, rows)))
+                    .collect();
+                let table = TableKey(columns.clone());
                 let row =
                     |i| -> Vec<Value> { columns.iter().map(|c| c.get(i).into_owned()).collect() };
                 let mut chunk = ChunkHashes::default();
@@ -893,10 +889,15 @@ mod tests {
             Column::Int(ints.into()),
             Column::Float(floats.into()),
             Column::Values(values.clone().into()),
-        ];
+        ]
+        .map(Arc::new);
         for width in 1..=3 {
             for first in 0..3 {
-                let key = TableKey((0..width).map(|j| &columns[(first + j) % 3]).collect());
+                let key = TableKey(
+                    (0..width)
+                        .map(|j| columns[(first + j) % 3].clone())
+                        .collect(),
+                );
                 let mut chunk = ChunkHashes::default();
                 key.hash_chunk(0..6, &mut chunk);
                 for i in 0..6 {
@@ -916,9 +917,9 @@ mod tests {
             }
         }
         // `2` and `2.0`, `0` and `-0.0`: one key, whichever column holds it.
-        let as_ints = Column::Int([2, 0, 7].into());
-        let as_floats = Column::Float([2.0, -0.0, 7.5].into());
-        let (int_key, float_key) = (TableKey(vec![&as_ints]), TableKey(vec![&as_floats]));
+        let as_ints = Arc::new(Column::Int([2, 0, 7].into()));
+        let as_floats = Arc::new(Column::Float([2.0, -0.0, 7.5].into()));
+        let (int_key, float_key) = (TableKey(vec![as_ints]), TableKey(vec![as_floats]));
         let (mut ih, mut fh) = (ChunkHashes::default(), ChunkHashes::default());
         int_key.hash_chunk(0..3, &mut ih);
         float_key.hash_chunk(0..3, &mut fh);

@@ -12,7 +12,7 @@
 //!   evaluate tens of millions of such predicates per query;
 //! * the σ/σ± chunk loop runs a chain's *kernel terms* — the terms
 //!   [`is_simple`] admits — column-wise through the same `truth_fast`
-//!   over a lane of the batch (`vector.rs`), so kernel and
+//!   over a lane of the input's columns (`vector.rs`), so kernel and
 //!   row evaluation are one function, not two kept equal by hand.
 //!
 //! Every comparison, whichever route reaches it, is [`ord_truth`] of how

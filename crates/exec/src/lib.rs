@@ -29,10 +29,11 @@
 //! merges what comes back; `govern.rs` is the governor (checkpoints, byte
 //! budget, cancellation, deadline); `hash.rs` the one hash index;
 //! `agg.rs`/`group.rs` the grouping operator Γ; `plan.rs` turns a logical
-//! plan into a [`PhysNode`] DAG. A loop whose input is a base-table scan
-//! — a σ/σ± chunk, Γ, a hash build, a hash probe — reads plain column
-//! expressions off the table's typed columns
-//! (`bypass_catalog::TableColumns`) instead of the rows.
+//! plan into a [`PhysNode`] DAG. A loop over a materialized input — a
+//! σ/σ± chunk, Γ, a hash build, a hash probe head — reads plain column
+//! expressions off that input's typed columns
+//! (`bypass_catalog::TableColumns`: a scan's own, any other relation's
+//! built for the loop) instead of the rows.
 
 mod agg;
 mod eval;

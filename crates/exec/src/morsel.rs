@@ -126,7 +126,7 @@ impl ExecContext {
             .head_probe()
             .is_some_and(|spec| matches!(spec.on, JoinOn::Loop(_)));
         let rows = match &plan.kind {
-            PhysKind::Scan { data, .. } => data.len() as u64,
+            PhysKind::Scan { columns } => columns.data().len() as u64,
             // Left × right, plus the build sides of fused probes.
             _ if pair_loop => inputs[0]
                 .saturating_mul(inputs[1])

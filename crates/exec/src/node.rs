@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
-use bypass_types::{Relation, Schema, Value};
+use bypass_types::{Schema, Value};
 
 use crate::agg::AggSpec;
 use crate::expr::PhysExpr;
@@ -151,9 +151,8 @@ impl PhysNode {
     /// A scan of the base table `columns` belongs to, under the table's
     /// own schema.
     pub fn scan(columns: Arc<TableColumns>) -> Arc<PhysNode> {
-        let data = columns.data().clone();
-        let schema = data.schema().clone();
-        PhysNode::new(PhysKind::Scan { data, columns }, schema)
+        let schema = columns.data().schema().clone();
+        PhysNode::new(PhysKind::Scan { columns }, schema)
     }
 
     /// The Γ this pipeline ends in, if any.
@@ -169,16 +168,6 @@ impl PhysNode {
         match &self.kind {
             PhysKind::Pipeline { chain, group, .. } => group.is_some() && chain.stages.is_empty(),
             _ => false,
-        }
-    }
-
-    /// The base table's columns, if this node is a scan: what the
-    /// scan-rooted loops (σ/σ± chunks, Γ, hash build, hash probe) read
-    /// plain column expressions from instead of the rows.
-    pub(crate) fn table_columns(&self) -> Option<&TableColumns> {
-        match &self.kind {
-            PhysKind::Scan { columns, .. } => Some(columns),
-            _ => None,
         }
     }
 
@@ -325,13 +314,10 @@ pub struct Chain {
 /// Physical operator kinds.
 #[derive(Debug)]
 pub enum PhysKind {
-    /// Base-table scan over shared storage (zero-copy): the rows, and
-    /// the table's lazily built columns over the same rows
-    /// ([`PhysNode::scan`] keeps the two together).
-    Scan {
-        data: Arc<Relation>,
-        columns: Arc<TableColumns>,
-    },
+    /// Base-table scan over shared storage (zero-copy): the table's
+    /// rows ([`TableColumns::data`]) and its lazily built columns over
+    /// them.
+    Scan { columns: Arc<TableColumns> },
     /// σ, Π, χ, ν, joins, Γ and the bypass operators: a pass over the
     /// evaluated `input` pushing each row through `chain`. A σ head runs
     /// its predicate chunk-wise ([`PhysNode::chain`]) and hands the rows

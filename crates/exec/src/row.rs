@@ -1,4 +1,5 @@
-use bypass_types::{Batch, Column, Tuple, Value};
+use bypass_catalog::TableColumns;
+use bypass_types::{Column, Tuple, Value};
 
 /// Positional access to a row's values — all the interpreter's
 /// borrow-only fast path ever asks of a row.
@@ -43,12 +44,12 @@ impl Row for Tuple {
 }
 
 /// The kernel columns of one chunk (`rows` consecutive rows from `lo`)
-/// of a [`Batch`] as [`Value`] slices, for the kernel terms no typed
+/// of a loop's input as [`Value`] slices, for the kernel terms no typed
 /// loop runs: a [`Column::Values`] is read in place, a typed column
 /// through a copy of the chunk's slots — at most `batch_rows` values,
 /// made when a term first asks for the column in this chunk.
 pub(crate) struct ChunkValues<'a> {
-    pub(crate) batch: &'a Batch,
+    columns: &'a TableColumns,
     /// By column, once a typed column has been asked for: the `lo` of
     /// the chunk its slots were last copied for, and the copies.
     copies: Vec<(usize, Vec<Value>)>,
@@ -57,9 +58,9 @@ pub(crate) struct ChunkValues<'a> {
 }
 
 impl<'a> ChunkValues<'a> {
-    pub(crate) fn new(batch: &'a Batch) -> ChunkValues<'a> {
+    pub(crate) fn new(columns: &'a TableColumns) -> ChunkValues<'a> {
         ChunkValues {
-            batch,
+            columns,
             copies: Vec::new(),
             lo: 0,
             rows: 0,
@@ -74,13 +75,13 @@ impl<'a> ChunkValues<'a> {
     /// Make [`Self::column`] answer for `cols`, typed ones included.
     pub(crate) fn fill(&mut self, cols: &[usize]) {
         for &c in cols {
-            let col = self.batch.column(c).expect("kernel columns are built");
-            if matches!(col, Column::Values(_)) {
+            let col = self.columns.get(c).expect("kernel columns are in range");
+            if matches!(**col, Column::Values(_)) {
                 continue;
             }
             if self.copies.is_empty() {
-                self.copies
-                    .resize(self.batch.arity(), (usize::MAX, Vec::new()));
+                let arity = self.columns.data().schema().arity();
+                self.copies.resize(arity, (usize::MAX, Vec::new()));
             }
             let (copied_at, slots) = &mut self.copies[c];
             if *copied_at != self.lo {
@@ -92,10 +93,10 @@ impl<'a> ChunkValues<'a> {
     }
 
     /// Column `c` of the chunk, indexed from the chunk's first row;
-    /// empty for a column the batch was not built with.
+    /// empty for a column beyond the input's arity.
     #[inline]
     pub(crate) fn column(&self, c: usize) -> &[Value] {
-        match self.batch.column(c) {
+        match self.columns.get(c).map(|col| &**col) {
             Some(Column::Values(xs)) => &xs[self.lo..self.lo + self.rows],
             Some(_) => {
                 let (copied_at, slots) = &self.copies[c];
@@ -108,9 +109,9 @@ impl<'a> ChunkValues<'a> {
 }
 
 /// Row `row` of a chunk, read in place: how the chunked σ runs a kernel
-/// term through the interpreter's fast path. Only [`Columns`] — a batch
-/// holds just the columns the kernels read, so there is no tuple to
-/// hand out — and only over those columns, which is what the
+/// term through the interpreter's fast path. Only [`Columns`] — the
+/// lane is a position in the input's columns, not a tuple to hand out —
+/// and only over the columns the kernels read, which is what the
 /// kernel-term test guarantees.
 pub(crate) struct Lane<'a> {
     pub(crate) chunk: &'a ChunkValues<'a>,

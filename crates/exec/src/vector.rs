@@ -6,8 +6,9 @@
 //! per top-level ORed disjunct (or ANDed conjunct; any other predicate
 //! is a chain of one term) — each term carrying a `kernel` flag: the
 //! term is in the interpreter's simple-predicate class (`interp.rs`), so
-//! the chunk loop may run it column-wise over a columnar
-//! [`bypass_types::Batch`] and a selection vector of surviving lanes.
+//! the chunk loop may run it column-wise over the input's columns
+//! (`bypass_catalog::TableColumns`) and a selection vector of surviving
+//! lanes.
 //!
 //! **Order.** The terms run in their syntactic order, which is the
 //! planned order: the strategy decides it at plan time (`unnest::rank`
@@ -21,15 +22,17 @@
 //!
 //! **Kernels.** A kernel term has no compiled form of its own: it is
 //! its [`PhysExpr`], evaluated by the interpreter's borrow-only fast
-//! path over a lane of the batch — the function that evaluates the same
-//! expression over a row, so the two cannot disagree. Two shapes
+//! path over a lane of the input's columns — the function that
+//! evaluates the same expression over a row, so the two cannot
+//! disagree. Two shapes
 //! (`SliceLoop`) skip even the per-lane expression walk and run as a
 //! tight loop over the column slices: `column ⟨cmp⟩ constant` (a
 //! literal, or an outer reference resolved once per call — the
 //! correlation predicate of a canonical plan's nested block) and
 //! `column ⟨cmp⟩ column` (the linking predicate an unnested plan
-//! filters its outer join by). The batch of a σ/σ± over a base table
-//! is the table's own typed columns (`bypass_types::Column`): where
+//! filters its outer join by). The columns of a σ/σ±'s input — a base
+//! table's own, or an intermediate relation's built for the call — are
+//! typed (`bypass_types::Column`) where every row agrees: where
 //! column and constant, or both columns, are `i64`s or `f64`s, those
 //! two loops compare bare numbers — `Ord` / `PartialOrd` through the
 //! interpreter's one comparison table; every other kernel term reads
@@ -49,8 +52,8 @@ use crate::PhysExpr;
 #[derive(Debug)]
 pub struct ChainTerm {
     /// The term itself: what the interpreter evaluates, over a lane of
-    /// the batch for a kernel term, else (or when no kernel may run)
-    /// over the row.
+    /// the input's columns for a kernel term, else (or when no kernel may
+    /// run) over the row.
     pub expr: PhysExpr,
     /// Is the whole term in the simple-predicate class, and so may run
     /// column-wise?

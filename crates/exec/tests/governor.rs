@@ -417,13 +417,16 @@ fn chunked_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
     plans
 }
 
-/// The hash loops that read a base table a chunk at a time, over 40
+/// The hash loops that read their input a chunk at a time, over 40
 /// rows `(x, y, s)` as in [`chunked_plans`], each with its checkpoint
 /// sequence under the per-row definition: `Γ_{x; SUM(y), COUNT(DISTINCT
 /// s)}` over the scan — and again with an overflowing SUM at row 27 —,
 /// a dimension of 10 keys `3j` joined with the rows on `y` by a build
 /// over the rows restricted to its keys, and the rows joined with it by
-/// a probe head over the scan.
+/// a probe head over the scan. Then each again over an intermediate
+/// relation, read through transient columns: Γ over a copy of the rows,
+/// the restricted build probed by a copy of the dimension, and the probe
+/// head over the output of a σ.
 fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
     let schema = Schema::new(vec![
         Field::new("x", DataType::Int),
@@ -449,6 +452,18 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
     };
     let scan =
         |rows: Vec<Tuple>| PhysNode::scan(TableColumns::new(Relation::new(schema.clone(), rows)));
+    // An intermediate relation with the rows of `input`: one charge of
+    // their handles.
+    let copy = |input: Arc<PhysNode>| {
+        let schema = input.schema.clone();
+        PhysNode::new(
+            PhysKind::Limit {
+                input,
+                n: usize::MAX,
+            },
+            schema,
+        )
+    };
     let aggs = vec![
         AggSpec {
             func: AggFunc::Sum,
@@ -466,10 +481,8 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
             .map(|n| Field::new(n, DataType::Int))
             .to_vec(),
     );
-    let gamma = |overflow| {
-        let input = scan(rows(overflow));
-        PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs.clone(), out.clone())
-    };
+    let gamma =
+        |input| PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs.clone(), out.clone());
     // Γ: per row a tick, its new group's charge, the charge of its value
     // if new to the group; then the output rows. At the overflowing row
     // the run ends after its tick: its group is there already.
@@ -583,11 +596,72 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
             pass(pair_bytes_right(y), &mut probed);
         }
     }
+    // rows ⋈ dims over σ_{x > 0}(rows): σ ticks each row and charges the
+    // handle of each it keeps; then as above over the rows it kept.
+    let kept = |y: i64| y % 5 > 0;
+    let sigma = PhysNode::pipeline(
+        scan(rows(false)),
+        vec![Stage::Filter(cmp(BinOp::Gt, PhysExpr::Column(0), int(0)))],
+        schema.clone(),
+    );
+    let mut filtered = Vec::new();
+    let mut used = 0u64;
+    let mut pass = |charge: u64, sequence: &mut Vec<u64>| {
+        used += charge;
+        sequence.push(used);
+    };
+    for y in 0..40 {
+        pass(0, &mut filtered);
+        if kept(y) {
+            pass(SHARED_ROW_BYTES, &mut filtered);
+        }
+    }
+    for _ in 0..10 {
+        pass(0, &mut filtered);
+        pass(entry + VALUE_BYTES, &mut filtered);
+    }
+    for y in (0..40).filter(|&y| kept(y)) {
+        pass(0, &mut filtered);
+        if partner(y) {
+            pass(pair_bytes_right(y), &mut filtered);
+        }
+    }
+    // A copy charges its rows' handles at one checkpoint before the loop.
+    let copied = |rows: u64, sequence: &[u64]| {
+        let bytes = rows * SHARED_ROW_BYTES;
+        std::iter::once(bytes)
+            .chain(sequence.iter().map(|used| used + bytes))
+            .collect::<Vec<u64>>()
+    };
     vec![
-        (gamma(false), grouped(false), None),
-        (gamma(true), grouped(true), Some(overflow)),
-        (join(dims(), scan(rows(false)), (0, 1)), restricted, None),
+        (gamma(scan(rows(false))), grouped(false), None),
+        (
+            gamma(scan(rows(true))),
+            grouped(true),
+            Some(overflow.clone()),
+        ),
+        (
+            join(dims(), scan(rows(false)), (0, 1)),
+            restricted.clone(),
+            None,
+        ),
         (join(scan(rows(false)), dims(), (1, 0)), probed, None),
+        (
+            gamma(copy(scan(rows(false)))),
+            copied(40, &grouped(false)),
+            None,
+        ),
+        (
+            gamma(copy(scan(rows(true)))),
+            copied(40, &grouped(true)),
+            Some(overflow),
+        ),
+        (
+            join(copy(dims()), scan(rows(false)), (0, 1)),
+            copied(10, &restricted),
+            None,
+        ),
+        (join(sigma, dims(), (1, 0)), filtered, None),
     ]
 }
 

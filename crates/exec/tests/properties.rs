@@ -19,6 +19,10 @@
 //! * the chunked σ/σ±/column-Π loops produce the row sequences, the
 //!   checkpoint count and the peak bytes of evaluating the predicate
 //!   row by row,
+//! * the hash loops — Γ, the full and restricted build, the probe head —
+//!   read a scan's columns or an intermediate's alike, and produce the
+//!   rows of a test-side fold or of the nested-loop twin and the
+//!   checkpoints and peak bytes of a per-row governor model,
 //! * a simple predicate has one truth value, whichever route evaluates
 //!   it: the `Value` interpreter, the borrow-only fast path over a
 //!   tuple or a join's row view, or σ's column loops.
@@ -35,10 +39,11 @@ use bypass_check::{
 };
 use bypass_exec::{
     evaluate, evaluate_with, physical_plan, value_truth, AggSpec, Chain, ExecContext, ExecOptions,
-    JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, RowView, Stage,
+    JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, RowView, Stage, ACC_BYTES,
 };
 use bypass_types::{
-    tuple_bytes, Column, DataType, Field, Relation, Schema, Truth, Tuple, Value, SHARED_ROW_BYTES,
+    tuple_bytes, value_heap_bytes, Column, DataType, Field, Relation, Schema, Truth, Tuple, Value,
+    SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 const CASES: u32 = 64;
@@ -1431,7 +1436,7 @@ fn float_operands() -> Vec<Value> {
 
 /// Which representation a scan's columns `l` and `r` take.
 fn operand_columns(scan: &PhysNode) -> [Column; 2] {
-    let PhysKind::Scan { columns, .. } = &scan.kind else {
+    let PhysKind::Scan { columns } = &scan.kind else {
         panic!("operand_scan builds a scan")
     };
     [0, 1].map(|c| Column::clone(columns.get(c).expect("l and r exist")))
@@ -1896,7 +1901,7 @@ fn gamma_sinks_fold_what_their_unfused_twins_materialize() {
 }
 
 // ---------------------------------------------------------------------------
-// Hash loops over a base table, a chunk at a time.
+// Hash loops over a loop's input, a chunk at a time.
 // ---------------------------------------------------------------------------
 
 /// `n` fact rows `[k, f, v, s, nk, m]`: an `Int` key over 37 values, a
@@ -1944,9 +1949,10 @@ fn hash_dims() -> Relation {
     Relation::new(ints(3), rows.collect())
 }
 
-/// A base table straight from its scan, or through a copy of it — a
-/// `Limit` that keeps every row, an intermediate the row-at-a-time
-/// loops read.
+/// A base table straight from its scan — the chunk loops read the
+/// table's own columns — or through a copy of it: a `Limit` that keeps
+/// every row, an intermediate relation they read through transient
+/// columns.
 fn scan_or_copy(rel: &Relation, copy: bool) -> Arc<PhysNode> {
     let scan = PhysNode::scan(TableColumns::new(rel.clone()));
     match copy {
@@ -1972,15 +1978,268 @@ fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
     }
 }
 
-/// Every hash loop that reads a base table by column — Γ with 0, 1 and
-/// 2 keys over a scan and over a σ of one (its settled runs), with and
-/// without DISTINCT; full and restricted builds; probe heads over a scan
-/// with and without padding, ⋈± heads among them — over `facts` rows,
-/// read from the scans or (`copy`) from copies of them.
-fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)> {
+/// The governor as the per-row definition has it (DESIGN.md §5f): a
+/// tick and a charge are one checkpoint each, and the peak is the
+/// high-water mark of the bytes in use.
+#[derive(Default, Debug)]
+struct PerRow {
+    checkpoints: u64,
+    used: u64,
+    peak: u64,
+}
+
+impl PerRow {
+    fn tick(&mut self) {
+        self.checkpoints += 1;
+    }
+
+    fn charge(&mut self, bytes: u64) {
+        self.checkpoints += 1;
+        self.used += bytes;
+        self.peak = self.peak.max(self.used);
+    }
+
+    fn release(&mut self, bytes: u64) {
+        self.used -= bytes;
+    }
+}
+
+/// What a hash loop plan must produce, worked out without a chunk loop:
+/// its rows, and its checkpoints and peak bytes under [`PerRow`].
+struct Reference {
+    rows: Vec<Tuple>,
+    model: PerRow,
+}
+
+/// One group of [`fold_by_row`]: its key and, per aggregate, the rows it
+/// counted, the non-NULL values fed to it and what its DISTINCT gate saw.
+struct RefGroup {
+    key: Vec<Value>,
+    counted: Vec<i64>,
+    fed: Vec<Vec<Value>>,
+    seen: Vec<Vec<Value>>,
+    seen_rows: Vec<Vec<Tuple>>,
+}
+
+/// Γ by the columns `keys` with `aggs` over `rows`, folded in the test a
+/// row at a time: groups in first-appearance order under `Value`
+/// equality, each aggregate fed what passes its DISTINCT gate (none for
+/// MIN/MAX), and the per-row sequence into `model` — the scalar state
+/// charged up front, per row a tick, its new group's charge and one
+/// charge of what its DISTINCT sets retain, per group its output row.
+fn fold_by_row(rows: &[Tuple], keys: &[usize], aggs: &[AggSpec], model: &mut PerRow) -> Vec<Tuple> {
+    let fixed = keys.len() as u64 * VALUE_BYTES + aggs.len() as u64 * ACC_BYTES;
+    let new_group = |key: Vec<Value>| RefGroup {
+        key,
+        counted: vec![0; aggs.len()],
+        fed: vec![Vec::new(); aggs.len()],
+        seen: vec![Vec::new(); aggs.len()],
+        seen_rows: vec![Vec::new(); aggs.len()],
+    };
+    let mut scratch = 0;
+    let mut groups = Vec::new();
+    if keys.is_empty() {
+        model.charge(fixed);
+        scratch += fixed;
+        groups.push(new_group(Vec::new()));
+    }
+    for row in rows {
+        model.tick();
+        let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
+        let g = match groups.iter().position(|g: &RefGroup| g.key == key) {
+            Some(g) => g,
+            None => {
+                let bytes = fixed + key.iter().map(value_heap_bytes).sum::<u64>();
+                model.charge(bytes);
+                scratch += bytes;
+                groups.push(new_group(key));
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[g];
+        let mut grown = 0;
+        for (j, spec) in aggs.iter().enumerate() {
+            let gated = spec.distinct && !matches!(spec.func, AggFunc::Min | AggFunc::Max);
+            match &spec.arg {
+                None => {
+                    if gated {
+                        if group.seen_rows[j].contains(row) {
+                            continue;
+                        }
+                        group.seen_rows[j].push(row.clone());
+                        grown += tuple_bytes(row);
+                    }
+                    group.counted[j] += 1;
+                }
+                Some(arg) => {
+                    let PhysExpr::Column(c) = arg else {
+                        unreachable!("plain column arguments")
+                    };
+                    let v = &row[*c];
+                    if v.is_null() {
+                        continue;
+                    }
+                    if gated {
+                        if group.seen[j].contains(v) {
+                            continue;
+                        }
+                        group.seen[j].push(v.clone());
+                        grown += VALUE_BYTES + value_heap_bytes(v);
+                    }
+                    group.fed[j].push(v.clone());
+                }
+            }
+        }
+        if grown > 0 {
+            model.charge(grown);
+            scratch += grown;
+        }
+    }
+    let extreme = |fed: &[Value], wanted| {
+        let pick = |a: Value, v: &Value| match v.sql_cmp(&a) == Some(wanted) {
+            true => v.clone(),
+            false => a,
+        };
+        let mut fed = fed.iter();
+        let first = fed.next().cloned();
+        first.map_or(Value::Null, |first| fed.fold(first, pick))
+    };
+    let out: Vec<Tuple> = groups
+        .iter()
+        .map(|g| {
+            let values = aggs.iter().enumerate().map(|(j, spec)| {
+                let fed = &g.fed[j];
+                match spec.func {
+                    AggFunc::Count if spec.arg.is_none() => Value::Int(g.counted[j]),
+                    AggFunc::Count => Value::Int(fed.len() as i64),
+                    AggFunc::Sum => match fed.split_first() {
+                        None => Value::Null,
+                        Some((first, rest)) => rest
+                            .iter()
+                            .fold(first.clone(), |a, v| a.add(v).expect("no overflow")),
+                    },
+                    AggFunc::Avg if fed.is_empty() => Value::Null,
+                    AggFunc::Avg => {
+                        let sum = fed.iter().fold(0.0, |sum, v| match v {
+                            Value::Int(i) => sum + *i as f64,
+                            Value::Float(x) => sum + x,
+                            other => panic!("AVG over {other}"),
+                        });
+                        Value::Float(sum / fed.len() as f64)
+                    }
+                    AggFunc::Min => extreme(fed, std::cmp::Ordering::Less),
+                    AggFunc::Max => extreme(fed, std::cmp::Ordering::Greater),
+                }
+            });
+            g.key.iter().cloned().chain(values).collect()
+        })
+        .collect();
+    for row in &out {
+        model.charge(tuple_bytes(row));
+    }
+    model.release(scratch);
+    out
+}
+
+/// The values of `row` at `cols`, or `None` if one is NULL: no join key.
+fn join_key(row: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
+    let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+    (!key.iter().any(Value::is_null)).then_some(key)
+}
+
+/// `left ◦ right`.
+fn pair(left: &Tuple, right: &Tuple) -> Tuple {
+    left.values()
+        .iter()
+        .chain(right.values())
+        .cloned()
+        .collect()
+}
+
+/// The per-row sequence of a hash join of `left` with `right` on
+/// `left_keys = right_keys`, padded with `pad` where given, into
+/// `model`: the build — keyed by the probing side's distinct keys, a
+/// charge each, when that side is the smaller and nothing pads — a tick
+/// per build row and a charge per entry; then per probing row a tick and
+/// a charge per pair it emits; the build released at the end. Returns
+/// the number of pairs.
+fn join_by_row(
+    left: &[Tuple],
+    right: &[Tuple],
+    (left_keys, right_keys): (&[usize], &[usize]),
+    pad: Option<&Tuple>,
+    model: &mut PerRow,
+) -> usize {
+    const JOIN_ENTRY_BYTES: u64 = 16;
+    let key_bytes = right_keys.len() as u64 * VALUE_BYTES;
+    let heap = |key: &[Value]| key.iter().map(value_heap_bytes).sum::<u64>();
+    let restricted = pad.is_none() && left.len() < right.len();
+    let mut admitted: Vec<Vec<Value>> = Vec::new();
+    let mut built = 0;
+    if restricted {
+        for key in left.iter().filter_map(|l| join_key(l, left_keys)) {
+            if !admitted.contains(&key) {
+                let bytes = key_bytes + heap(&key);
+                model.charge(bytes);
+                built += bytes;
+                admitted.push(key);
+            }
+        }
+    }
+    for r in right {
+        model.tick();
+        let Some(key) = join_key(r, right_keys) else {
+            continue;
+        };
+        let bytes = match restricted {
+            false => JOIN_ENTRY_BYTES + key_bytes + heap(&key),
+            true if admitted.contains(&key) => JOIN_ENTRY_BYTES,
+            true => continue,
+        };
+        model.charge(bytes);
+        built += bytes;
+    }
+    let mut pairs = 0;
+    for l in left {
+        model.tick();
+        let key = join_key(l, left_keys);
+        let partners = right
+            .iter()
+            .filter(|r| key.is_some() && join_key(r, right_keys) == key);
+        let before = pairs;
+        for r in partners {
+            model.charge(tuple_bytes(&pair(l, r)));
+            pairs += 1;
+        }
+        if let (true, Some(pad)) = (pairs == before, pad) {
+            model.charge(tuple_bytes(&pair(l, pad)));
+            pairs += 1;
+        }
+    }
+    model.release(built);
+    pairs
+}
+
+/// Every hash loop that reads its input by column — Γ with 0, 1 and 2
+/// keys over a scan and over a σ of one (its settled runs), with and
+/// without DISTINCT; full and restricted builds; probe heads with and
+/// without padding, ⋈± heads among them — over `facts` rows, read from
+/// the scans or (`copy`) from copies of them, each with its
+/// [`Reference`]: Γ's rows folded by [`fold_by_row`], a join's those of
+/// its nested-loop twin, which emits the same left-major, build-order
+/// sequence.
+fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>, Reference)> {
     let dims = hash_dims();
     let f = || scan_or_copy(facts, copy);
     let d = || scan_or_copy(&dims, copy);
+    // The copies a plan reads charge their row handles first, once each.
+    let copied = |tables: &[&Relation]| {
+        let mut model = PerRow::default();
+        for t in tables.iter().filter(|_| copy) {
+            model.charge(t.len() as u64 * SHARED_ROW_BYTES);
+        }
+        model
+    };
     let plain = || {
         vec![
             agg(AggFunc::Count, false, None),
@@ -2006,6 +2265,7 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)>
         let out = ints(keys.len() + aggs.len());
         PhysNode::aggregate(input, keys.iter().map(|&k| col(k)).collect(), aggs, out)
     };
+    let kept = |t: &Tuple| t[2] > Value::Int(-20);
     let sigma = || {
         let kept = cmp(BinOp::Gt, col(2), PhysExpr::Literal(Value::Int(-20)));
         PhysNode::pipeline(f(), vec![Stage::Filter(kept)], ints(6))
@@ -2014,14 +2274,34 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)>
     for keys in [&[][..], &[0], &[4], &[0, 3], &[1, 5]] {
         for (what, aggs) in [("plain", plain()), ("DISTINCT", distinct())] {
             let at = |over| format!("Γ by {keys:?}, {what}, over {over}");
-            out.push((at("a scan"), gamma(f(), keys, aggs.clone())));
-            out.push((at("σ"), gamma(sigma(), keys, aggs)));
+            let mut model = copied(&[facts]);
+            let rows = fold_by_row(facts.rows(), keys, &aggs, &mut model);
+            let over_scan = Reference { rows, model };
+            out.push((at("a scan"), gamma(f(), keys, aggs.clone()), over_scan));
+            // σ ticks every row; Γ folds the rows it keeps.
+            let mut model = copied(&[facts]);
+            facts.rows().iter().for_each(|_| model.tick());
+            let survivors: Vec<Tuple> = facts.rows().iter().filter(|t| kept(t)).cloned().collect();
+            let rows = fold_by_row(&survivors, keys, &aggs, &mut model);
+            out.push((
+                at("σ"),
+                gamma(sigma(), keys, aggs),
+                Reference { rows, model },
+            ));
         }
     }
     let hash = |left_keys: &[usize], right_keys: &[usize]| JoinOn::Hash {
         left_keys: left_keys.iter().map(|&k| col(k)).collect(),
         right_keys: right_keys.iter().map(|&k| col(k)).collect(),
         residual: None,
+    };
+    // The nested-loop twin: the same equalities, ANDed, one build row at
+    // a time.
+    let nested = |left_keys: &[usize], right_keys: &[usize], left_arity: usize| {
+        let eq = |(&l, &r): (&usize, &usize)| cmp(BinOp::Eq, col(l), col(left_arity + r));
+        let mut eqs = left_keys.iter().zip(right_keys).map(eq);
+        let first = eqs.next().expect("a key");
+        JoinOn::Loop(Some(eqs.fold(first, |a, e| cmp(BinOp::And, a, e))))
     };
     let join = |left: Arc<PhysNode>, right: Arc<PhysNode>, on, defaults| {
         let schema = left.schema.concat(&right.schema);
@@ -2032,7 +2312,16 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)>
         };
         PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
     };
-    let pad = || Some(vec![(1, Value::Float(-1.0)), (2, Value::text("none"))]);
+    let twin_rows = |plan: &Arc<PhysNode>| {
+        let serial = ExecOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        evaluate_with(plan, serial).unwrap().rows().to_vec()
+    };
+    let scan = |rel: &Relation| scan_or_copy(rel, false);
+    let defaults = vec![(1, Value::Float(-1.0)), (2, Value::text("none"))];
+    let padded = Tuple::new(vec![Value::Null, Value::Float(-1.0), Value::text("none")]);
     // Facts probe a full build over the dimension, with and without
     // padding; the dimension probes a build over the facts restricted
     // to its keys (when it is the smaller input) — one- and two-column
@@ -2044,25 +2333,31 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)>
         ("nk = k", &[4], &[0]),
         ("(k, s) = (k, name)", &[0, 3], &[0, 2]),
     ] {
-        out.push((
-            format!("{name}, full build"),
-            join(f(), d(), hash(fk, dk), None),
-        ));
-        out.push((
-            format!("{name}, padded"),
-            join(f(), d(), hash(fk, dk), pad()),
-        ));
-        out.push((
-            format!("{name}, restricted"),
-            join(d(), f(), hash(dk, fk), None),
-        ));
+        for (shape, (left, right), (lk, rk), pad) in [
+            ("full build", (facts, &dims), (fk, dk), None),
+            ("padded", (facts, &dims), (fk, dk), Some(&padded)),
+            ("restricted", (&dims, facts), (dk, fk), None),
+        ] {
+            let defaults = pad.map(|_| defaults.clone());
+            let twin = join(
+                scan(left),
+                scan(right),
+                nested(lk, rk, left.schema().arity()),
+                defaults.clone(),
+            );
+            let mut model = copied(&[left, right]);
+            join_by_row(left.rows(), right.rows(), (lk, rk), pad, &mut model);
+            let rows = twin_rows(&twin);
+            let (l, r) = (scan_or_copy(left, copy), scan_or_copy(right, copy));
+            let plan = join(l, r, hash(lk, rk), defaults);
+            out.push((format!("{name}, {shape}"), plan, Reference { rows, model }));
+        }
     }
-    // ⋈± heads over the facts: a hash head, and a nested-loop one.
-    for (name, on) in [
-        ("hash", hash(&[0], &[0])),
-        ("loop", JoinOn::Loop(Some(cmp(BinOp::Eq, col(0), col(6))))),
-    ] {
-        let schema = facts.schema().concat(dims.schema());
+    // ⋈± heads over the facts, their two streams re-united: a hash head —
+    // whose pairs are the twin's, and whose negative stream stays empty
+    // — and a nested-loop one, every failing pair in its negative stream.
+    let schema = facts.schema().concat(dims.schema());
+    let bypass = |on| {
         let spec = JoinSpec {
             right: d(),
             on,
@@ -2073,8 +2368,37 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>)>
             inputs: vec![stream(&bypass, true), stream(&bypass, false)],
             distinct: false,
         };
-        out.push((format!("⋈± {name} head"), PhysNode::new(union, schema)));
+        PhysNode::new(union, schema.clone())
+    };
+    let mut model = copied(&[facts, &dims]);
+    let pairs = join_by_row(facts.rows(), dims.rows(), (&[0], &[0]), None, &mut model);
+    model.charge(pairs as u64 * SHARED_ROW_BYTES);
+    let rows = twin_rows(&join(scan(facts), scan(&dims), nested(&[0], &[0], 6), None));
+    out.push((
+        "⋈± hash head".into(),
+        bypass(hash(&[0], &[0])),
+        Reference { rows, model },
+    ));
+    let mut model = copied(&[facts, &dims]);
+    let (mut pos, mut neg) = (Vec::new(), Vec::new());
+    for l in facts.rows() {
+        for r in dims.rows() {
+            model.tick();
+            let pair = pair(l, r);
+            model.charge(tuple_bytes(&pair));
+            match l[0] == r[0] {
+                true => pos.push(pair),
+                false => neg.push(pair),
+            }
+        }
     }
+    model.charge((pos.len() + neg.len()) as u64 * SHARED_ROW_BYTES);
+    pos.extend(neg);
+    out.push((
+        "⋈± loop head".into(),
+        bypass(nested(&[0], &[0], 6)),
+        Reference { rows: pos, model },
+    ));
     out
 }
 
@@ -2103,6 +2427,12 @@ fn hash_run(plan: &Arc<PhysNode>, options: &ExecOptions) -> HashRun {
     (rows, ctx.counters(), counts)
 }
 
+/// Every hash loop, over a scan (the table's own columns) and over a
+/// copy (transient columns), at every chunk length and worker count,
+/// against its row-at-a-time [`Reference`] — the rows in order, the
+/// checkpoints and the peak bytes — and with the same EXPLAIN ANALYZE
+/// counts and counters on either input, the copies' own charges taken
+/// out.
 #[test]
 fn hash_loops_over_a_table_match_row_at_a_time_evaluation() {
     let mechanisms: Vec<ExecOptions> = [1, 3, 256]
@@ -2116,35 +2446,36 @@ fn hash_loops_over_a_table_match_row_at_a_time_evaluation() {
             })
         })
         .collect();
-    let dims = hash_dims().len() as u64;
     for n in [0, 1, 255, 256, 257, 3000] {
         let facts = hash_facts(n);
-        let chunked = hash_loop_plans(&facts, false);
-        let by_row = hash_loop_plans(&facts, true);
-        for ((name, plan), (_, copy)) in chunked.iter().zip(&by_row) {
-            // The reference: one worker, rows read off a copy one at a
-            // time. The copies charge one shared-row handle per row they
-            // hold — one checkpoint each, held to the end.
-            let (want_rows, copied, want_counts) = hash_run(copy, &mechanisms[0]);
+        let over_scan = hash_loop_plans(&facts, false);
+        let over_copy = hash_loop_plans(&facts, true);
+        for ((name, scan, by_row), (_, copy, copy_by_row)) in over_scan.iter().zip(&over_copy) {
+            let (_, first, want_counts) = hash_run(scan, &mechanisms[0]);
             let copies = plan_copies(copy);
-            let want = bypass_exec::ExecCounters {
-                checkpoints: copied.checkpoints - copies.len() as u64,
-                peak_memory_bytes: copied.peak_memory_bytes
-                    - copies.iter().map(|&c| c as u64).sum::<u64>() * SHARED_ROW_BYTES,
-                ..copied
-            };
-            assert!(copies
-                .iter()
-                .all(|&c| c as u64 == n as u64 || c as u64 == dims));
             for options in &mechanisms {
-                let at = format!("{name} over {n} rows under {options:?}");
-                let (rows, counters, counts) = hash_run(plan, options);
-                assert_eq!(rows, want_rows, "{at}: rows, in order");
-                assert_eq!(counters, want, "{at}: counters");
-                assert_eq!(
-                    counts, want_counts,
-                    "{at}: build= reverify= probe= in= groups="
-                );
+                for (input, plan, want) in [("scan", scan, by_row), ("copy", copy, copy_by_row)] {
+                    let at = format!("{name} over {n} rows, a {input}, under {options:?}");
+                    let (rows, counters, counts) = hash_run(plan, options);
+                    assert_eq!(rows, want.rows, "{at}: rows, in order");
+                    let governed = (counters.checkpoints, counters.peak_memory_bytes);
+                    let per_row = (want.model.checkpoints, want.model.peak);
+                    assert_eq!(governed, per_row, "{at}: checkpoints and peak bytes");
+                    assert_eq!(
+                        counts, want_counts,
+                        "{at}: build= reverify= probe= in= groups="
+                    );
+                    let counters = match input {
+                        "scan" => counters,
+                        _ => bypass_exec::ExecCounters {
+                            checkpoints: counters.checkpoints - copies.len() as u64,
+                            peak_memory_bytes: counters.peak_memory_bytes
+                                - copies.iter().map(|&c| c as u64).sum::<u64>() * SHARED_ROW_BYTES,
+                            ..counters
+                        },
+                    };
+                    assert_eq!(counters, first, "{at}: counters, the copies taken out");
+                }
             }
         }
     }
@@ -2161,7 +2492,7 @@ fn plan_copies(plan: &Arc<PhysNode>) -> Vec<usize> {
         }
         match &node.kind {
             PhysKind::Limit { input, .. } => match &input.kind {
-                PhysKind::Scan { data, .. } => out.push(data.len()),
+                PhysKind::Scan { columns } => out.push(columns.data().len()),
                 _ => unreachable!("a copy is a Limit over a scan"),
             },
             _ => stack.extend(node.children().into_iter().cloned()),

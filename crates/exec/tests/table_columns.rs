@@ -1,12 +1,14 @@
-//! Base-table columns change where a scan-rooted loop reads from, never
-//! what it computes: every plan shape that consults
-//! `bypass_catalog::TableColumns` (σ and σ± chunks, Γ keys and
-//! arguments, hash build, scan-left hash probe) is run over a `Scan` and
-//! over a copy of that scan — a `Limit` that keeps every row: the same
-//! rows as an intermediate, which takes the row route — and must hand on
-//! the same rows in the same order, raise the same error, and pass the
-//! same governor trajectory once the copy's own shared-row charge is
-//! taken out, at every worker count.
+//! Columns change where a loop reads its input from, never what it
+//! computes: every plan shape that reads `bypass_catalog::TableColumns`
+//! (σ and σ± chunks, Γ keys and arguments, hash build, hash probe head)
+//! is run over a `Scan` — the table's own columns — and over a copy of
+//! that scan — a `Limit` that keeps every row: the same rows as an
+//! intermediate, read through transient columns — and must hand on the
+//! same rows in the same order, raise the same error, and pass the same
+//! governor trajectory once the copy's own shared-row charge is taken
+//! out, at every worker count. Both inputs run the chunk loops, so each
+//! hash loop is also held to a twin that runs none: Γ fed row by row by
+//! a stage in front of it, a hash join by its nested-loop twin.
 
 use std::sync::Arc;
 
@@ -401,4 +403,104 @@ fn an_overflowing_sum_fails_alike_on_either_route() {
     // Three row ticks and the one group's charge.
     assert_eq!(errors[0].1, 4, "raised at the row that overflows");
     assert_eq!(errors[0], errors[1]);
+}
+
+/// The row-at-a-time twin of a hash loop plan over scans, which runs no
+/// chunk loop: Γ folding the rows that stream through a Π keeping every
+/// column — one more tick per row, nothing else, so the extra
+/// checkpoints are given — and a hash join's nested-loop twin on the
+/// same equalities, which emits the same pairs in the same order but
+/// ticks per pair. A join's twin comes with the left key columns: a hash
+/// key matches NaN with NaN, as `Value` equality does, where SQL's `=`
+/// is UNKNOWN, so rows whose left key holds a NaN are compared on
+/// neither side.
+fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>, Vec<usize>)> {
+    let PhysKind::Pipeline { input, chain, .. } = &plan.kind else {
+        return None;
+    };
+    if let Some(group) = plan.group().filter(|_| chain.stages.is_empty()) {
+        let PhysKind::Scan { columns } = &input.kind else {
+            return None;
+        };
+        let every = (0..input.schema.arity()).map(col).collect();
+        let streamed = PhysNode::pipeline(
+            input.clone(),
+            vec![Stage::Project(every)],
+            input.schema.clone(),
+        );
+        let (keys, aggs) = (group.keys.clone(), group.aggs.clone());
+        let twin = PhysNode::aggregate(streamed, keys, aggs, plan.schema.clone());
+        return Some((twin, Some(columns.data().len() as u64), Vec::new()));
+    }
+    let spec = plan.head_probe().filter(|_| chain.stages.len() == 1)?;
+    let JoinOn::Hash {
+        left_keys,
+        right_keys,
+        residual: None,
+    } = &spec.on
+    else {
+        return None;
+    };
+    let arity = input.schema.arity();
+    let eq = |(l, r): (&PhysExpr, &PhysExpr)| {
+        let PhysExpr::Column(r) = r else {
+            unreachable!("plain key columns")
+        };
+        bin(BinOp::Eq, l.clone(), col(arity + r))
+    };
+    let mut eqs = left_keys.iter().zip(right_keys).map(eq);
+    let first = eqs.next()?;
+    let spec = JoinSpec {
+        right: spec.right.clone(),
+        on: JoinOn::Loop(Some(eqs.fold(first, |a, e| bin(BinOp::And, a, e)))),
+        defaults: spec.defaults.clone(),
+    };
+    let twin = PhysNode::pipeline(input.clone(), vec![Stage::Probe(spec)], plan.schema.clone());
+    let cols = left_keys.iter().map(|k| match k {
+        PhysExpr::Column(c) => *c,
+        _ => unreachable!("plain key columns"),
+    });
+    Some((twin, None, cols.collect()))
+}
+
+#[test]
+fn every_hash_loop_matches_its_row_at_a_time_twin() {
+    let mut twins = 0;
+    for (name, plan, _) in plans(Route::Scan) {
+        let Some((twin, extra, nan_free)) = twin(&plan) else {
+            continue;
+        };
+        twins += 1;
+        let comparable = |rows: Vec<Tuple>| -> Vec<Tuple> {
+            let nan = |t: &Tuple| {
+                nan_free
+                    .iter()
+                    .any(|&c| matches!(t[c], Value::Float(x) if x.is_nan()))
+            };
+            rows.into_iter().filter(|t| !nan(t)).collect()
+        };
+        let (want_rows, want) = run(&twin, 1);
+        let want_rows = want_rows.map(comparable);
+        for threads in [1, 2, 8] {
+            let at = format!("{name}, {threads} threads");
+            let (rows, counters) = run(&plan, threads);
+            match (&rows.map(comparable), &want_rows) {
+                (Ok(rows), Ok(want)) => assert_eq!(rows, want, "{at}: the twin's rows, in order"),
+                (Err(e), Err(want)) => assert_eq!(e.to_string(), want.to_string(), "{at}"),
+                other => panic!("{at}: the twin disagrees on success: {other:?}"),
+            }
+            if let (Some(extra), true) = (extra, want_rows.is_ok()) {
+                let by_row = ExecCounters {
+                    checkpoints: want.checkpoints - extra,
+                    ..want
+                };
+                assert_eq!(
+                    (counters.checkpoints, counters.peak_memory_bytes),
+                    (by_row.checkpoints, by_row.peak_memory_bytes),
+                    "{at}: checkpoints and peak bytes of folding row by row"
+                );
+            }
+        }
+    }
+    assert!(twins >= 20, "every Γ and hash join has a twin: {twins}");
 }

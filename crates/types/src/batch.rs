@@ -1,19 +1,17 @@
-//! Columns: the typed columnar form of a run of rows, and the σ/σ±
-//! chunk loop's view of them.
+//! Columns: the typed columnar form of a run of rows.
 //!
 //! A [`Column`] is one field of a run of rows laid out contiguously —
 //! as bare `i64`s or `f64`s when every row holds that type, as
-//! [`Value`]s otherwise. The catalog builds one lazily per field of a
-//! base table (`bypass_catalog::TableColumns`); a [`Batch`] is the set
-//! of columns a predicate's kernels read, plus an explicit length (so
-//! zero-arity rows keep their count). σ and σ± evaluate those kernels
-//! over a *selection vector* of surviving lane indices and hand on the
-//! ordinary row-oriented [`Tuple`]s. Columns are read-only copies of
-//! what the rows already hold and are deliberately *not* charged to the
-//! memory governor.
+//! [`Value`]s otherwise. `bypass_catalog::TableColumns` builds one
+//! lazily per field of whatever relation a loop reads — a base table's,
+//! kept with the table, or an intermediate one's, dropped with the loop.
+//! σ and σ± evaluate their kernels over those columns and a *selection
+//! vector* of surviving lane indices and hand on the ordinary
+//! row-oriented [`Tuple`]s; the hash loops hash and compare keys off
+//! them. Columns are read-only copies of what the rows already hold and
+//! are deliberately *not* charged to the memory governor.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -58,12 +56,7 @@ impl Column {
                 .map(Column::Float),
             _ => None,
         }
-        .unwrap_or_else(|| Column::values_from_rows(rows, c))
-    }
-
-    /// Column `c` of `rows` as [`Column::Values`], whatever it holds.
-    fn values_from_rows(rows: &[Tuple], c: usize) -> Column {
-        Column::Values(rows.iter().map(|row| row.values()[c].clone()).collect())
+        .unwrap_or_else(|| Column::Values(cells().cloned().collect()))
     }
 
     /// Number of rows.
@@ -116,114 +109,9 @@ impl Column {
     }
 }
 
-/// A columnar batch: `column(c)` is column `c` of the rows it stands
-/// for, present only for the columns the batch was built with.
-///
-/// All present columns have length [`Batch::len`]; the arity may be
-/// zero, so the row count is tracked separately.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Batch {
-    columns: Vec<Option<Arc<Column>>>,
-    len: usize,
-}
-
-impl Batch {
-    /// A batch over columns built elsewhere (a base table's): slot `c`
-    /// of `columns` is column `c`, each present one `len` rows long.
-    pub fn new(columns: Vec<Option<Arc<Column>>>, len: usize) -> Self {
-        debug_assert!(columns.iter().flatten().all(|c| c.len() == len));
-        Batch { columns, len }
-    }
-
-    /// Transpose the named columns of a run of row-oriented tuples
-    /// (late materialization) into [`Column::Values`]: columns not
-    /// listed in `cols` stay absent. A filter transposes exactly the
-    /// columns its kernels read, so unreferenced columns cost nothing.
-    /// All rows must share the arity of the first.
-    pub fn from_rows_cols(rows: &[Tuple], cols: &[usize]) -> Self {
-        // No rows: no lanes can ever be selected, so no column
-        // (whatever the caller's arity) needs backing storage.
-        let arity = rows.first().map_or(0, Tuple::arity);
-        debug_assert!(rows.iter().all(|row| row.arity() == arity), "ragged batch");
-        let mut columns = vec![None; arity];
-        for &c in cols {
-            // `cols` may repeat a column; fill each slot once.
-            if arity > 0 && columns[c].is_none() {
-                columns[c] = Some(Arc::new(Column::values_from_rows(rows, c)));
-            }
-        }
-        Batch {
-            columns,
-            len: rows.len(),
-        }
-    }
-
-    /// Number of rows in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of columns, present or not.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Column `i`, if the batch was built with it.
-    pub fn column(&self, i: usize) -> Option<&Column> {
-        self.columns.get(i)?.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(vals: &[i64]) -> Tuple {
-        Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect())
-    }
-
-    fn values(vals: &[i64]) -> Column {
-        Column::Values(vals.iter().map(|&v| Value::Int(v)).collect())
-    }
-
-    #[test]
-    fn zero_arity_rows_keep_their_count() {
-        let batch = Batch::from_rows_cols(&[Tuple::empty(), Tuple::empty()], &[]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.arity(), 0);
-    }
-
-    #[test]
-    fn selective_transpose_of_no_rows_is_empty() {
-        let batch = Batch::from_rows_cols(&[], &[5]);
-        assert!(batch.is_empty());
-        assert_eq!(batch.arity(), 0);
-    }
-
-    #[test]
-    fn selective_transpose_builds_only_named_columns() {
-        let rows = vec![row(&[1, 2, 3]), row(&[4, 5, 6])];
-        let batch = Batch::from_rows_cols(&rows, &[2]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.arity(), 3);
-        assert_eq!(batch.column(2), Some(&values(&[3, 6])));
-        assert!(batch.column(0).is_none());
-        assert!(batch.column(1).is_none());
-    }
-
-    #[test]
-    fn selective_transpose_fills_repeated_columns_once() {
-        let rows = vec![row(&[1, 2, 3]), row(&[4, 5, 6])];
-        let batch = Batch::from_rows_cols(&rows, &[2, 2, 2, 1]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.column(2), Some(&values(&[3, 6])));
-        assert_eq!(batch.column(1), Some(&values(&[2, 5])));
-    }
 
     #[test]
     fn a_column_is_typed_only_when_every_row_agrees() {

@@ -30,7 +30,7 @@ mod stats;
 mod tuple;
 mod value;
 
-pub use batch::{Batch, Column, BATCH_ROWS};
+pub use batch::{Column, BATCH_ROWS};
 pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
 pub use fxhash::{hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -72,22 +72,22 @@ streams="$(grep -rn 'fn streams(' crates/*/src | cut -d: -f1 | tr '\n' ' ')"
 [ "$streams" = "crates/algebra/src/plan/node.rs " ] \
     || { echo "fn streams( defined in: $streams"; exit 1; }
 # The number the next diet has to beat: lines above each file's test module.
-for crate in algebra unnest types exec metrics; do
+for crate in algebra unnest types catalog exec metrics; do
     find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ }
         END { printf "    crates/'"$crate"'/src: %d non-test lines\n", n }'
 done
 
 echo "==> one key reader (grep gate)"
-# Γ, the hash build and the scan-left probe hash and compare a base
-# table's keys in place, off its typed columns (KeyRef::Table, DESIGN.md
-# §5c): TableKey has no `read` that writes a key into a value buffer, and
-# neither Γ's fold (the sink's `fold_row`) nor the hash build carries such
-# a buffer (`keybuf`) — what they still hold is the interpreter's buffer
-# for computed keys.
+# Γ, the hash build and the probe head hash and compare their input's keys
+# in place, off its typed columns (TableKey, DESIGN.md §5c): TableKey has
+# no `read` that writes a key into a value buffer, and neither Γ's fold
+# (the sink's `fold_row`) nor the hash build carries such a buffer
+# (`keybuf`) — what they still hold is the interpreter's buffer for
+# computed keys.
 keyreads="$(awk '
     FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
-    /^impl.* TableKey</ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
+    /^impl.* TableKey[ <]/ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
     /fn (fold_row|build_hash_table)[<(]/ { in_loop = 1 } in_loop && /^    }$/ { in_loop = 0 }
     counting && (/TableKey::read/ || (in_impl && /fn read[<(]/) || (in_loop && /keybuf/)) {
         print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
@@ -103,19 +103,24 @@ deciders="$(find crates/exec/src -name '*.rs' -print0 | xargs -0 awk '
     counting && /EPOCH_ROWS|ranked_order|ChainOrder|movable|can_raise/ { print FILENAME ":" FNR ": " $0 }')"
 [ -z "$deciders" ] || { echo "run-time disjunct reordering in the executor:"; echo "$deciders"; exit 1; }
 
-echo "==> one column type, one transpose (grep gate)"
-# Base tables are read by column (DESIGN.md §5c "Base-table columns"):
-# the column enum is bypass_types::Column and nothing else, and rows are
-# transposed into a Batch in one place only — the branch of
-# ExecContext::chain_batch that serves a σ/σ± over an intermediate.
+echo "==> one column type (grep gate)"
+# The column enum is bypass_types::Column and nothing else.
 columns="$(grep -rlE 'enum Column( |\{)' crates/*/src | tr '\n' ' ')"
 [ "$columns" = "crates/types/src/batch.rs " ] \
     || { echo "a second column enum: $columns"; exit 1; }
-transposes="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
-    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
-    counting && /from_rows_cols\(/ && !/fn from_rows_cols\(/ { print FILENAME }' | tr '\n' ' ')"
-[ "$transposes" = "crates/exec/src/eval.rs " ] \
-    || { echo "from_rows_cols( called outside chain_batch: $transposes"; exit 1; }
+
+echo "==> one columnar view (grep gate)"
+# Every loop over a materialized input reads it by column through one
+# reader, TableColumns, and one function, eval.rs:columns_of, decides
+# whose: a scan's own, or a transient set over any other relation
+# (DESIGN.md §5c "Columns of a loop's input"). No second column set
+# (`struct Batch`, the `from_rows_cols` transpose), no node that answers
+# "am I a base table?" (`table_columns(`), and no loop that takes
+# optional columns (`Option<&TableColumns>`) to pick a row-at-a-time twin.
+views="$(grep -rnE 'struct Batch\b|from_rows_cols' crates || true)"
+views="$views$(grep -rn 'table_columns(' crates/*/src crates/*/tests || true)"
+views="$views$(grep -rn 'Option<&TableColumns>' crates/exec/src || true)"
+[ -z "$views" ] || { echo "a second columnar view:"; echo "$views"; exit 1; }
 
 echo "==> chains compiled at plan time, contexts carry run state (grep gate)"
 # A σ/σ± predicate is compiled where its node is built (DESIGN.md §8):
@@ -209,9 +214,9 @@ echo "==> one settle rule (grep gate)"
 # its selection in place through one helper, settle_lanes; a run of settled
 # rows reaches the governor as one counted tick_rows call from pass_settled
 # (DESIGN.md §8). Only the row-by-row tail, chain_eval_row, folds with
-# CompiledChain::combine. The hash loops over a base table pass their
+# CompiledChain::combine. The hash loops over a loop's input pass their
 # chunks' checkpoints the same way, and only they (DESIGN.md §5c, §5f): Γ's
-# fold_table, build_hash_table, and pass_unmatched — the run of probing rows
+# fold_columns, build_hash_table, and pass_unmatched — the run of probing rows
 # probe_table found no partner for.
 retains="$(grep -rn 'retain_compared' crates/exec/src || true)"
 [ -z "$retains" ] || { echo "retain_compared is back:"; echo "$retains"; exit 1; }
@@ -219,20 +224,20 @@ folds="$(callers '\\.combine\\(' 'fn combine' | grep '^crates/exec/src/eval.rs:'
 [ "$folds" = "crates/exec/src/eval.rs:chain_eval_row " ] \
     || { echo ".combine( in eval.rs outside chain_eval_row: $folds"; exit 1; }
 tickers="$(callers 'tick_rows\\(' 'fn tick_rows' | sort -u | tr '\n' ' ')"
-[ "$tickers" = "crates/exec/src/eval.rs:build_hash_table crates/exec/src/eval.rs:pass_settled crates/exec/src/eval.rs:pass_unmatched crates/exec/src/group.rs:fold_table " ] \
+[ "$tickers" = "crates/exec/src/eval.rs:build_hash_table crates/exec/src/eval.rs:pass_settled crates/exec/src/eval.rs:pass_unmatched crates/exec/src/group.rs:fold_columns " ] \
     || { echo "tick_rows( called from: $tickers"; exit 1; }
 
 echo "==> one key hash (grep gate)"
-# A base table's keys are hashed a chunk at a time, a key column at a time,
+# A loop input's keys are hashed a chunk at a time, a key column at a time,
 # by TableKey::hash_chunk (DESIGN.md §5c): TableKey has no per-row reader
-# (`fn at`), and no hash loop — Γ's fold_row and fold_table, the hash build,
+# (`fn at`), and no hash loop — Γ's fold_row and fold_columns, the hash build,
 # the probe head (run_pass, probe_table, probe) — reads a table key per row
 # through one (`.at(`) or hashes a table row's key by itself
 # (`.key(i).hash()`).
 keyhashes="$(awk '
     FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
-    /^impl.* TableKey</ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
-    /fn (fold_row|fold_table|build_hash_table|run_pass|probe_table|probe)[<(]/ { in_loop = 1 }
+    /^impl.* TableKey[ <]/ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
+    /fn (fold_row|fold_columns|build_hash_table|run_pass|probe_table|probe)[<(]/ { in_loop = 1 }
     in_loop && /^    }$/ { in_loop = 0 }
     counting && ((in_impl && /fn at[<(]/) || /TableKey::at\b/ || (in_loop && /\.at\(|\.key\([^)]*\)\.hash\(\)/)) {
         print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
