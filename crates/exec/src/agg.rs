@@ -5,18 +5,17 @@ use bypass_types::{
     tuple_bytes, value_heap_bytes, Column, Error, Result, Tuple, Value, VALUE_BYTES,
 };
 
-use crate::expr::PhysExpr;
-use crate::hash::DistinctSet;
+use crate::hash::{out_of_range, DistinctSet};
 use crate::row::Row;
 
 /// A resolved aggregate call: function, DISTINCT flag and the (optional)
-/// argument expression. `arg == None` aggregates whole input tuples
-/// (`COUNT(*)` / `COUNT(DISTINCT *)`).
+/// argument column of Γ's input rows. `arg == None` aggregates whole
+/// input tuples (`COUNT(*)` / `COUNT(DISTINCT *)`).
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     pub func: AggFunc,
     pub distinct: bool,
-    pub arg: Option<PhysExpr>,
+    pub arg: Option<usize>,
 }
 
 /// Streaming state of one aggregate over one group — a few words, no
@@ -171,6 +170,16 @@ enum Seen {
     Values(DistinctSet<Value>),
 }
 
+/// The first `width` columns of `row`: what a whole-row aggregate reads,
+/// without the χ columns the planner appended — the row itself, shared,
+/// when it has no others.
+fn whole_row<R: Row>(row: &R, width: usize) -> Cow<'_, Tuple> {
+    match row.whole() {
+        Some(t) if t.arity() == width => Cow::Borrowed(t),
+        _ => Cow::Owned((0..width).map_while(|i| row.get(i).cloned()).collect()),
+    }
+}
+
 impl Seen {
     /// MIN/MAX are duplicate-insensitive: DISTINCT is a no-op there.
     fn new(spec: &AggSpec, rows: usize) -> Option<Seen> {
@@ -187,6 +196,8 @@ impl Seen {
 /// DISTINCT aggregate (not per group).
 pub(crate) struct AggStates<'p> {
     specs: &'p [AggSpec],
+    /// The columns of a whole row ([`whole_row`]).
+    width: usize,
     /// Group `g`'s accumulator for aggregate `j` is
     /// `accs[g * specs.len() + j]`.
     accs: Vec<Accumulator>,
@@ -197,9 +208,10 @@ impl<'p> AggStates<'p> {
     /// No groups yet. `rows` is how many rows are about to be folded in
     /// at most, if that is known: the DISTINCT sets — which typically
     /// keep most of them — are sized for it up front (0: grow on demand).
-    pub(crate) fn new(specs: &'p [AggSpec], rows: usize) -> AggStates<'p> {
+    pub(crate) fn new(specs: &'p [AggSpec], width: usize, rows: usize) -> AggStates<'p> {
         AggStates {
             specs,
+            width,
             accs: Vec::new(),
             seen: specs.iter().map(|spec| Seen::new(spec, rows)).collect(),
         }
@@ -236,8 +248,8 @@ impl<'p> AggStates<'p> {
     }
 
     /// Fold `row` — a row or a pipeline's view of one — into every
-    /// aggregate of group `g`; `arg` evaluates an aggregate's argument
-    /// expression over the row (the whole-row COUNTs have none).
+    /// aggregate of group `g`, each reading its argument column of the
+    /// row (the whole-row COUNTs read none).
     ///
     /// Returns the bytes of state newly *retained* under the
     /// deterministic byte model: a DISTINCT set grows without bound, so
@@ -250,36 +262,23 @@ impl<'p> AggStates<'p> {
     /// iteration order — and an overflow or type error is raised at the
     /// row that causes it, as without DISTINCT.
     #[inline]
-    pub(crate) fn fold<'a, R: Row>(
-        &mut self,
-        g: u32,
-        row: &R,
-        mut arg: impl FnMut(&PhysExpr) -> Result<Cow<'a, Value>>,
-    ) -> Result<u64> {
+    pub(crate) fn fold<R: Row>(&mut self, g: u32, row: &R) -> Result<u64> {
         let n = self.specs.len();
         let accs = &mut self.accs[g as usize * n..][..n];
         let mut retained = 0;
         for ((acc, seen), spec) in accs.iter_mut().zip(&mut self.seen).zip(self.specs) {
-            let value = match &spec.arg {
-                Some(e) => Some(arg(e)?),
+            let value = match spec.arg {
+                Some(c) => Some(row.get(c).ok_or_else(|| out_of_range(c))?),
                 None => None,
             };
-            let value = value.as_deref();
             match seen {
                 None => {}
                 Some(Seen::Rows(set)) => {
-                    let built;
-                    let row = match row.whole() {
-                        Some(t) => t,
-                        None => {
-                            built = row.to_tuple();
-                            &built
-                        }
-                    };
-                    if !set.insert(g, row) {
+                    let row = whole_row(row, self.width);
+                    if !set.insert(g, &row) {
                         continue;
                     }
-                    retained += tuple_bytes(row);
+                    retained += tuple_bytes(&row);
                 }
                 Some(Seen::Values(set)) => match value.filter(|v| !v.is_null()) {
                     Some(v) if set.insert(g, v) => retained += VALUE_BYTES + value_heap_bytes(v),
@@ -339,8 +338,8 @@ impl<'p> AggStates<'p> {
                     let value = value.as_deref();
                     let retained = match seen {
                         Seen::Rows(set) => {
-                            let row = &rows[r - base];
-                            set.insert(g, row).then(|| tuple_bytes(row))
+                            let row = whole_row(&rows[r - base], self.width);
+                            set.insert(g, &row).then(|| tuple_bytes(&row))
                         }
                         Seen::Values(set) => value
                             .filter(|v| !v.is_null() && set.insert(g, v))
@@ -374,7 +373,7 @@ mod tests {
         AggSpec {
             func,
             distinct,
-            arg: with_arg.then_some(PhysExpr::Column(0)),
+            arg: with_arg.then_some(0),
         }
     }
 
@@ -382,12 +381,12 @@ mod tests {
     /// retained bytes.
     fn run_retained(spec: &AggSpec, values: &[Value]) -> (Value, u64) {
         let specs = [spec.clone()];
-        let mut states = AggStates::new(&specs, 0);
+        let mut states = AggStates::new(&specs, 1, 0);
         states.push_group();
         let mut retained = 0;
         for v in values {
             let t = Tuple::new(vec![v.clone()]);
-            retained += states.fold(0, &t, |_| Ok(Cow::Borrowed(v))).unwrap();
+            retained += states.fold(0, &t).unwrap();
         }
         let value = states.finish().next().unwrap();
         (value, retained)
@@ -440,12 +439,12 @@ mod tests {
     fn distinct_sets_are_per_group() {
         // The same row in two groups counts once in each.
         let specs = [spec(AggFunc::Count, true, false)];
-        let mut states = AggStates::new(&specs, 0);
+        let mut states = AggStates::new(&specs, 1, 0);
         states.push_group();
         states.push_group();
         let t = Tuple::new(vec![Value::Int(7)]);
         for g in [0, 1, 0, 1, 1] {
-            states.fold(g, &t, |_| unreachable!()).unwrap();
+            states.fold(g, &t).unwrap();
         }
         assert_eq!(
             states.finish().collect::<Vec<_>>(),
@@ -490,13 +489,13 @@ mod tests {
     fn distinct_sum_and_avg_fail_at_the_offending_row() {
         let fold_all = |func, values: &[Value]| -> Vec<bool> {
             let specs = [spec(func, true, true)];
-            let mut states = AggStates::new(&specs, 0);
+            let mut states = AggStates::new(&specs, 1, 0);
             states.push_group();
             values
                 .iter()
                 .map(|v| {
                     let t = Tuple::new(vec![v.clone()]);
-                    states.fold(0, &t, |_| Ok(Cow::Borrowed(v))).is_ok()
+                    states.fold(0, &t).is_ok()
                 })
                 .collect()
         };

@@ -13,7 +13,7 @@ use bypass_types::{
 use crate::expr::PhysExpr;
 use crate::govern::Governor;
 use crate::group::Fold;
-use crate::hash::{ChunkHashes, CorrMemo, JoinTable, Key, KeyReader, TableKey};
+use crate::hash::{out_of_range, ChunkHashes, CorrMemo, JoinTable, Key, KeyRef, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
@@ -347,7 +347,7 @@ struct Probe<'p> {
 enum ProbeOn<'p> {
     Loop(Option<&'p PhysExpr>),
     Hash {
-        probe_keys: KeyReader<'p>,
+        probe_keys: &'p [usize],
         table: JoinTable,
         residual: Option<&'p PhysExpr>,
         /// Governor bytes charged while building the table (per-entry
@@ -372,7 +372,7 @@ struct Sink<'p> {
     reached: Vec<u64>,
     reverify: u64,
     /// Reusable value buffers, one per pipeline level (`0`: the source,
-    /// `k + 1`: stage `k`): a hash probe's key, a Π's output row.
+    /// `k + 1`: stage `k`): a Π's output row, the columns a `Pick` hands Γ.
     scratch: Vec<Vec<Value>>,
     /// Where the rows leaving the last stage go.
     exit: Exit<'p>,
@@ -1168,8 +1168,9 @@ impl ExecContext {
     /// `input` (`columns`: its columns) enters the head. A ν head numbers
     /// the row by its position in `input`. A probe head — a join or a
     /// ⋈± — re-checks the row cap on both sinks before each probing row;
-    /// a hash head whose key is plain columns reads it off `columns`, so
-    /// a row is touched only once it has a partner or must be padded; a
+    /// a hash head reads its key off `columns` (row by row, where the key
+    /// column past the arity raises, if there is one), so a row is
+    /// touched only once it has a partner or must be padded; a
     /// nested-loop head visits every build row per probing row and hands
     /// a ⋈±'s failing pairs into `neg`.
     fn run_pass<'f>(
@@ -1186,7 +1187,7 @@ impl ExecContext {
             Some(Probe {
                 on: ProbeOn::Hash { probe_keys, .. },
                 ..
-            }) => (TableKey::new(columns, probe_keys), 1),
+            }) => (TableKey::new(columns, probe_keys).ok(), 1),
             Some(Probe { build, .. }) => (None, build.len()),
             None => (None, 1),
         };
@@ -1233,7 +1234,7 @@ impl ExecContext {
     }
 
     /// The rows `range` of the input (`rows`) through the hash probe
-    /// head `probe` whose key is plain columns of it (`key`), a chunk of
+    /// head `probe` whose key columns are `key`, a chunk of
     /// `batch_rows` at a time: the chunk's keys are hashed a column at a
     /// time, then each row's partners found. A row with partners, or one
     /// an outer join pads, goes through [`Self::probe`]; a run of rows
@@ -1259,7 +1260,7 @@ impl ExecContext {
             key.hash_chunk(chunk.clone(), &mut hashes);
             let mut idle = chunk.start;
             for (k, i) in chunk.clone().enumerate() {
-                let partners = match hashes.null(k) {
+                let partners = match hashes.unequal(k) {
                     true => &[][..],
                     false => table.matches(hashes.hash(k), key.key(i), &mut sink.reverify),
                 };
@@ -1324,10 +1325,9 @@ impl ExecContext {
     /// evaluated left input and its columns — given for a pipeline's
     /// head, absent for a join fused into a chain, whose left input is a
     /// stream. An inner hash join with the smaller input on the left
-    /// whose keys are plain columns of it keys its table by *that*
+    /// whose key columns are in its range keys its table by *that*
     /// input and inserts only the right rows that have one of its keys;
-    /// ties, outer joins, computed left keys and fused joins hash the
-    /// whole right input.
+    /// ties, outer joins and fused joins hash the whole right input.
     fn open_probe<'p>(
         &mut self,
         spec: &'p JoinSpec,
@@ -1353,20 +1353,19 @@ impl ExecContext {
                 residual,
             } => (left_keys, right_keys, residual.as_ref()),
         };
-        let probe_keys = KeyReader::new(left_keys);
         // Reading the left keys ahead of the probe must not be able to
         // raise an error the probe would have raised later (or never):
-        // plain columns in range only.
+        // columns in range only.
         let only = left
             .filter(|(l, _)| pad.is_none() && l.len() < right.len())
-            .and_then(|(l, columns)| Some((l.len(), TableKey::new(columns, &probe_keys)?)));
+            .and_then(|(l, columns)| Some((l.len(), TableKey::new(columns, left_keys).ok()?)));
         let columns = columns_of(&spec.right, &right);
         let (table, charged) =
             self.build_hash_table(&right, &columns, right_keys, only.as_ref())?;
         Ok(Probe {
             build: right,
             on: ProbeOn::Hash {
-                probe_keys,
+                probe_keys: left_keys,
                 table,
                 residual,
                 charged,
@@ -1445,15 +1444,13 @@ impl ExecContext {
                 self.gov.tick()?;
                 // The key is done with once its partners are found; the
                 // pairs travel down the chain (which borrows the sink)
-                // without it. NULL keys never match.
+                // without it. NULL and NaN keys never match.
                 let partners = match found {
                     Some(partners) => partners,
-                    None => {
-                        match self.read_key(probe_keys, left, &mut sink.scratch[next], false)? {
-                            Some((hash, key)) => table.matches(hash, key, &mut sink.reverify),
-                            None => &[],
-                        }
-                    }
+                    None => match KeyRef::read(left, probe_keys, false)? {
+                        Some(key) => table.matches(key.hash(), key, &mut sink.reverify),
+                        None => &[],
+                    },
                 };
                 for &bi in partners {
                     let pair = left.with(build[bi as usize].values());
@@ -1578,9 +1575,9 @@ impl ExecContext {
     }
 
     /// Single-pass build of a join hash table, plus the bytes charged
-    /// for it: one tick per build row; rows with a NULL key are skipped
-    /// (they can never match); every other row charges its entry overhead
-    /// and key values, whether or not its key is new.
+    /// for it: one tick per build row; rows whose key holds a NULL or a
+    /// NaN are skipped (they can never match); every other row charges
+    /// its entry overhead and key values, whether or not its key is new.
     ///
     /// With `only` — the length of the (smaller) probing input and its
     /// key columns — the table is keyed by *that* input's distinct keys,
@@ -1589,19 +1586,17 @@ impl ExecContext {
     /// every probe as the full one would, so the join emits the same rows
     /// in the same order whichever way it was built.
     ///
-    /// Build keys that are plain columns of `rel` are hashed a chunk of
+    /// The build keys, columns of `rel`, are hashed a chunk of
     /// `batch_rows` at a time off its `columns`, and the chunk's ticks
-    /// and charges pass in one [`Governor::tick_rows`] call; computed
-    /// keys are read row by row.
+    /// and charges pass in one [`Governor::tick_rows`] call. A key column
+    /// past the arity raises at the first build row, after its tick.
     fn build_hash_table(
         &mut self,
         rel: &Relation,
         columns: &TableColumns,
-        keys: &[PhysExpr],
+        keys: &[usize],
         only: Option<&(usize, TableKey)>,
     ) -> Result<(JoinTable, u64)> {
-        let reader = KeyReader::new(keys);
-        let table_key = TableKey::new(columns, &reader);
         let key_bytes = keys.len() as u64 * VALUE_BYTES;
         let distinct_keys = only.map_or(rel.len(), |&(probing, _)| probing);
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
@@ -1612,7 +1607,7 @@ impl ExecContext {
             for chunk in chunks(0..*probing, self.options.batch_rows) {
                 key.hash_chunk(chunk.clone(), &mut hashes);
                 for (k, i) in chunk.enumerate() {
-                    if !hashes.null(k) && table.admit(hashes.hash(k), key.key(i)) {
+                    if !hashes.unequal(k) && table.admit(hashes.hash(k), key.key(i)) {
                         let bytes = key_bytes + key.key(i).heap_bytes();
                         charged += bytes;
                         self.gov.charge(bytes)?;
@@ -1621,26 +1616,13 @@ impl ExecContext {
             }
             table.spread();
         }
-        let Some(key) = table_key else {
-            let mut computed = Vec::new();
-            for (i, t) in rel.rows().iter().enumerate() {
-                self.gov.tick()?;
-                let Some((hash, key)) = self.read_key(&reader, t, &mut computed, false)? else {
-                    continue;
-                };
-                let bytes = if only.is_none() {
-                    table.insert(hash, key, i);
-                    JOIN_ENTRY_BYTES + key_bytes + key.heap_bytes()
-                } else if table.insert_admitted(hash, key, i) {
-                    JOIN_ENTRY_BYTES
-                } else {
-                    continue;
-                };
-                self.gov.charge(bytes)?;
-                charged += bytes;
+        let key = match TableKey::new(columns, keys) {
+            Ok(key) => key,
+            Err(_) if rel.is_empty() => {
+                table.seal();
+                return Ok((table, charged));
             }
-            table.seal();
-            return Ok((table, charged));
+            Err(c) => return self.gov.tick().and(Err(out_of_range(c))),
         };
         // Per row of a chunk, the bytes its entry charges (0: none).
         let mut entries: Vec<u64> = Vec::new();
@@ -1649,7 +1631,7 @@ impl ExecContext {
             entries.clear();
             for (k, i) in chunk.clone().enumerate() {
                 let (hash, row_key) = (hashes.hash(k), key.key(i));
-                entries.push(match hashes.null(k) {
+                entries.push(match hashes.unequal(k) {
                     true => 0,
                     false if only.is_none() => {
                         table.insert(hash, row_key, i);
@@ -1778,8 +1760,8 @@ pub(crate) mod tests {
 
     fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
         JoinOn::Hash {
-            left_keys: vec![PhysExpr::Column(left_key)],
-            right_keys: vec![PhysExpr::Column(right_key)],
+            left_keys: vec![left_key],
+            right_keys: vec![right_key],
             residual: None,
         }
     }

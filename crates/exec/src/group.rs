@@ -10,13 +10,13 @@
 //! a σ's settled runs ([`Fold::fold_run`]) — or, a σ's settled run under
 //! `COUNT(*)`, as a count ([`Fold::count`]).
 //!
-//! A run whose keys and arguments are all plain columns is folded a
-//! chunk at a time off the input's columns, in phases: its keys hashed a
-//! column at a time and interned lane by lane, then each aggregate
-//! folded over its argument column in lane order, then the chunk's ticks
-//! and charges passed to the governor in one [`Governor::tick_rows`]
-//! call — the same checkpoints, bytes and first error as folding the
-//! rows one by one.
+//! Γ's keys and arguments are columns of its rows: the planner adds a
+//! computed one as a χ column first. A run is folded a chunk at a time
+//! off the input's columns, in phases: its keys hashed a column at a
+//! time and interned lane by lane, then each aggregate folded over its
+//! argument column in lane order, then the chunk's ticks and charges
+//! passed to the governor in one [`Governor::tick_rows`] call — the same
+//! checkpoints, bytes and first error as folding the rows one by one.
 //!
 //! [`Governor::tick_rows`]: crate::govern::Governor::tick_rows
 //!
@@ -31,13 +31,12 @@
 use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
-use bypass_types::{tuple_bytes, Error, Result, Tuple, Value, VALUE_BYTES};
+use bypass_types::{tuple_bytes, Error, Result, Tuple, VALUE_BYTES};
 
 use crate::agg::AggStates;
 use crate::eval::ExecContext;
-use crate::expr::PhysExpr;
 use crate::govern::Governor;
-use crate::hash::{ChunkHashes, Key, KeyReader, KeyTable, TableKey};
+use crate::hash::{ChunkHashes, Key, KeyRef, KeyTable, TableKey};
 use crate::node::Group;
 use crate::row::Row;
 
@@ -69,26 +68,22 @@ struct Lanes {
     grown: Vec<u64>,
 }
 
-/// A running Γ: its groups, their aggregate states and how it reads keys.
+/// A running Γ: its groups, their aggregate states and its key columns.
 pub(crate) struct Fold<'p> {
-    keys: KeyReader<'p>,
+    keys: &'p [usize],
     /// Set by [`Self::by_column`]: the input's columns, and the key
     /// columns among them. Its runs then fold a chunk at a time.
-    chunks: Option<(Arc<TableColumns>, Option<TableKey>)>,
+    chunks: Option<(Arc<TableColumns>, TableKey)>,
     lanes: Lanes,
     /// `None` for a scalar aggregation: one group, there from the start
     /// (`f(∅)` over no rows), and nothing to hash.
     groups: Option<KeyTable>,
     states: AggStates<'p>,
-    width: usize,
-    naggs: usize,
     /// What a new group retains besides its key's text: a slot per key
     /// value and an accumulator per aggregate.
     fixed: u64,
     /// Only `COUNT(*)`s, no keys: a run of rows folds as its length.
     counts: bool,
-    /// The values of a computed key.
-    computed: Vec<Value>,
     /// Rows folded: Γ's `in`, a checkpoint each.
     rows: u64,
     /// Group state charged so far; released once the output is built.
@@ -109,20 +104,16 @@ impl<'p> Fold<'p> {
         group: &'p Group,
         relation: Option<usize>,
     ) -> Result<Fold<'p>> {
-        let keys = KeyReader::new(&group.keys);
         let (width, naggs) = (group.keys.len(), group.aggs.len());
-        let states = AggStates::new(&group.aggs, relation.unwrap_or(0));
+        let states = AggStates::new(&group.aggs, group.width, relation.unwrap_or(0));
         let mut fold = Fold {
-            keys,
+            keys: &group.keys,
             chunks: None,
             lanes: Lanes::default(),
             groups: (width > 0).then(|| KeyTable::new(width)),
             counts: width == 0 && states.counts_rows(),
             states,
-            width,
-            naggs,
             fixed: width as u64 * VALUE_BYTES + naggs as u64 * ACC_BYTES,
-            computed: Vec::new(),
             rows: 0,
             scratch: 0,
             deferred: relation.is_none().then(Deferred::default),
@@ -135,22 +126,21 @@ impl<'p> Fold<'p> {
     }
 
     /// The runs Γ folds are rows of the relation `columns` reads: fold
-    /// them a chunk at a time when every key and argument is a plain
-    /// column of it, in range — the key columns built here, before a
-    /// loop forks.
+    /// them a chunk at a time off its key and argument columns — built
+    /// here, before a loop forks. Row by row when one of them is past the
+    /// arity, where the row that reads it raises.
     pub(crate) fn by_column(&mut self, columns: &Arc<TableColumns>) {
-        let arity = columns.data().schema().arity();
-        let plain = |arg: &PhysExpr| matches!(arg, PhysExpr::Column(c) if *c < arity);
-        let mut args = self.states.specs().iter().map(|a| a.arg.as_ref());
+        let mut args = self.states.specs().iter().filter_map(|a| a.arg);
         // With no key and no argument there is no column to read: a
         // whole-row COUNT(DISTINCT *) folds row by row (canonical Q1 runs
         // one per outer row, about a row each).
-        let reads = self.width > 0 || args.clone().any(|arg| arg.is_some());
-        if !reads || !args.all(|arg| arg.is_none_or(plain)) {
+        if self.keys.is_empty() && args.clone().next().is_none() {
             return;
         }
-        let key = TableKey::new(columns, &self.keys);
-        if self.width == 0 || key.is_some() {
+        if let (Ok(key), true) = (
+            TableKey::new(columns, self.keys),
+            args.all(|c| columns.get(c).is_some()),
+        ) {
             self.chunks = Some((columns.clone(), key));
         }
     }
@@ -243,9 +233,9 @@ impl<'p> Fold<'p> {
         let (g, created) = match &mut self.groups {
             None => (0, None),
             Some(groups) => {
-                let key = ctx.read_key(&self.keys, row, &mut self.computed, true)?;
-                let (hash, key) = key.expect("grouping keys keep their NULLs");
-                let (g, created) = groups.intern(hash, key);
+                let key = KeyRef::read(row, self.keys, true)?;
+                let key = key.expect("grouping keys keep their NULLs");
+                let (g, created) = groups.intern(key.hash(), key);
                 (g, created.then(|| key.heap_bytes()))
             }
         };
@@ -253,7 +243,7 @@ impl<'p> Fold<'p> {
             self.states.push_group();
             self.charge(ctx, self.fixed + heap)?;
         }
-        let grown = self.states.fold(g, row, |a| ctx.eval_cow(a, row))?;
+        let grown = self.states.fold(g, row)?;
         if grown != 0 {
             self.charge(ctx, grown)?;
         }
@@ -307,8 +297,9 @@ impl<'p> Fold<'p> {
         at.groups.clear();
         at.created.clear();
         at.created.resize(n, 0);
-        match (&mut self.groups, table_key) {
-            (Some(groups), Some(key)) => {
+        match &mut self.groups {
+            Some(groups) => {
+                let key = table_key;
                 let slots = at.rows.iter().map(|&l| base + l as usize);
                 key.hash_chunk(slots.clone(), &mut at.hashes);
                 for (k, i) in slots.enumerate() {
@@ -321,7 +312,7 @@ impl<'p> Fold<'p> {
                     at.groups.push(g);
                 }
             }
-            _ => at.groups.resize(n, 0),
+            None => at.groups.resize(n, 0),
         }
         // Aggregate by aggregate over the chunk. A lane that fails ends
         // the chunk there: no later aggregate folds it or what follows.
@@ -330,10 +321,9 @@ impl<'p> Fold<'p> {
         let mut failed: Option<(usize, Error)> = None;
         for (j, spec) in self.states.specs().iter().enumerate() {
             let upto = failed.as_ref().map_or(n, |(k, _)| *k);
-            let column = spec.arg.as_ref().map(|arg| match arg {
-                PhysExpr::Column(c) => &**columns.get(*c).expect("checked in range"),
-                _ => unreachable!("a chunked Γ's arguments are plain columns"),
-            });
+            let column = spec
+                .arg
+                .map(|c| &**columns.get(c).expect("checked in range"));
             let (lanes, groups) = (&at.rows[..upto], &at.groups[..upto]);
             let grown = &mut at.grown[..upto];
             if let Some(fail) = self
@@ -405,11 +395,12 @@ impl<'p> Fold<'p> {
             .groups
             .take()
             .map_or_else(Vec::new, KeyTable::into_keys);
+        let (width, naggs) = (self.keys.len(), self.states.specs().len());
         let (mut keys, mut values) = (keys.into_iter(), self.states.finish());
         let mut out = Vec::with_capacity(ngroups);
         for _ in 0..ngroups {
-            let key = keys.by_ref().take(self.width);
-            let row: Tuple = key.chain(values.by_ref().take(self.naggs)).collect();
+            let key = keys.by_ref().take(width);
+            let row: Tuple = key.chain(values.by_ref().take(naggs)).collect();
             ctx.gov.charge(tuple_bytes(&row))?;
             out.push(row);
         }
@@ -424,7 +415,7 @@ mod tests {
 
     use bypass_algebra::AggFunc;
     use bypass_catalog::TableColumns;
-    use bypass_types::{DataType, Field, Relation, Schema, ROW_OVERHEAD_BYTES};
+    use bypass_types::{DataType, Field, Relation, Schema, Value, ROW_OVERHEAD_BYTES};
 
     use super::*;
     use crate::agg::AggSpec;
@@ -451,7 +442,7 @@ mod tests {
                 AggSpec {
                     func: AggFunc::Sum,
                     distinct: false,
-                    arg: Some(PhysExpr::Column(0)),
+                    arg: Some(0),
                 },
             ],
             schema,
@@ -471,11 +462,11 @@ mod tests {
         ]);
         let agg = PhysNode::aggregate(
             scan,
-            vec![PhysExpr::Column(0)],
+            vec![0],
             vec![AggSpec {
                 func: AggFunc::Sum,
                 distinct: false,
-                arg: Some(PhysExpr::Column(1)),
+                arg: Some(1),
             }],
             schema,
         );
@@ -510,11 +501,11 @@ mod tests {
         ]);
         let agg = PhysNode::aggregate(
             scan,
-            vec![PhysExpr::Column(0)],
+            vec![0],
             vec![AggSpec {
                 func: AggFunc::Sum,
                 distinct: false,
-                arg: Some(PhysExpr::Column(1)),
+                arg: Some(1),
             }],
             schema,
         );
@@ -544,7 +535,7 @@ mod tests {
         let slices: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
         let agg = PhysNode::aggregate(
             int_rel("r", &["k", "v"], &slices),
-            vec![PhysExpr::Column(0)],
+            vec![0],
             vec![count_distinct_rows()],
             Schema::new(vec![
                 Field::new("k", DataType::Int),
@@ -580,7 +571,7 @@ mod tests {
         let slices: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
         let agg = PhysNode::aggregate(
             int_rel("r", &["k", "v"], &slices),
-            vec![PhysExpr::Column(0)],
+            vec![0],
             vec![count_distinct_rows()],
             Schema::new(vec![
                 Field::new("k", DataType::Int),

@@ -18,23 +18,22 @@
 //!   of an operator, replacing a set per group;
 //! * [`CorrMemo`] — the correlated-subquery memo.
 //!
-//! Keys are presented as a [`Key`]: keys that are plain columns of a
-//! loop's input are read off its columns ([`TableKey`], a chunk of keys
-//! hashed a column at a time) in place ([`TableRow`]), plain columns of
-//! a row streaming through a chain in place from the row ([`KeyRef`]),
-//! and only computed keys go through a value buffer. Every form hashes and compares as
-//! [`Value`]'s own `Hash` and `Eq` do — a typed column slot as a stack
-//! temporary — so there is one key function, and a stored key is built
-//! only when it is new. A sealed [`JoinTable`] is spread sparser than
-//! the ¾ load a growing index keeps: most of its lookups miss.
+//! A key is columns of its operator's rows — the planner adds a computed
+//! key as a χ column first — presented as a [`Key`]: a loop's input's
+//! key is read off its columns ([`TableKey`], a chunk of keys hashed a
+//! column at a time) in place ([`TableRow`]), a row streaming through a
+//! chain's in place from the row ([`KeyRef`]). Both forms hash and
+//! compare as [`Value`]'s own `Hash` and `Eq` do — a typed column slot
+//! as a stack temporary — so there is one key function, and a stored key
+//! is built only when it is new. A sealed [`JoinTable`] is spread sparser
+//! than the ¾ load a growing index keeps: most of its lookups miss.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
-use bypass_types::{value_heap_bytes, Column, FxHasher, Relation, Tuple, Value};
+use bypass_types::{value_heap_bytes, Column, Error, FxHasher, Relation, Result, Tuple, Value};
 
-use crate::expr::PhysExpr;
 use crate::row::Row;
 
 const MIN_SLOTS: usize = 8;
@@ -194,24 +193,19 @@ fn slots_for(entries: usize) -> usize {
     (entries * 4).div_ceil(3).next_power_of_two().max(MIN_SLOTS)
 }
 
-/// How an operator reads a key (or any expression list) off its rows,
-/// decided once per operator: in place when every expression is a plain
-/// column reference, through the interpreter otherwise.
-pub(crate) enum KeyReader<'p> {
-    Cols(Vec<usize>),
-    Exprs(&'p [PhysExpr]),
+/// The error a key or argument column past its row's arity raises.
+pub(crate) fn out_of_range(c: usize) -> Error {
+    Error::execution(format!("column #{c} out of range"))
 }
 
-impl<'p> KeyReader<'p> {
-    pub(crate) fn new(exprs: &'p [PhysExpr]) -> KeyReader<'p> {
-        let cols: Option<Vec<usize>> = exprs
-            .iter()
-            .map(|e| match e {
-                PhysExpr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        cols.map_or(KeyReader::Exprs(exprs), KeyReader::Cols)
+/// Is `v` a value SQL's `=` is never TRUE on — NULL, or a NaN? A join
+/// key holding one matches no key.
+#[inline]
+fn never_equal(v: &Value) -> bool {
+    match v {
+        Value::Null => true,
+        Value::Float(f) => f.is_nan(),
+        _ => false,
     }
 }
 
@@ -224,11 +218,12 @@ impl<'p> KeyReader<'p> {
 pub(crate) struct TableKey(Vec<Arc<Column>>);
 
 /// The hashes of a chunk of table keys, one per lane, and which lanes
-/// hold a NULL key value. Scratch a loop reuses from chunk to chunk.
+/// hold a key value SQL's `=` is never TRUE on. Scratch a loop reuses
+/// from chunk to chunk.
 #[derive(Default)]
 pub(crate) struct ChunkHashes {
     lanes: Vec<FxHasher>,
-    null: Vec<bool>,
+    unequal: Vec<bool>,
 }
 
 impl ChunkHashes {
@@ -238,31 +233,28 @@ impl ChunkHashes {
         self.lanes[k].finish()
     }
 
-    /// Does lane `k`'s key hold a NULL?
+    /// Does lane `k`'s key hold a NULL or a NaN, so that a join finds
+    /// it no partner? (Γ groups such keys like any other.)
     #[inline]
-    pub(crate) fn null(&self, k: usize) -> bool {
-        self.null[k]
+    pub(crate) fn unequal(&self, k: usize) -> bool {
+        self.unequal[k]
     }
 }
 
 impl TableKey {
-    /// `Some` when the key is plain columns of `columns`' rows, each in
-    /// range — built here, on the caller's thread. A computed key, or a
-    /// column beyond the arity, is read row by row, where the row that
-    /// reads it raises the interpreter's error.
-    pub(crate) fn new(columns: &TableColumns, reader: &KeyReader<'_>) -> Option<TableKey> {
-        let KeyReader::Cols(cols) = reader else {
-            return None;
-        };
-        let cols = cols.iter().map(|&c| columns.get(c).cloned());
-        cols.collect::<Option<_>>().map(TableKey)
+    /// The key on columns `cols` of `columns`' rows — built here, on the
+    /// caller's thread — or the first of them past the arity, which the
+    /// row that reads it raises.
+    pub(crate) fn new(columns: &TableColumns, cols: &[usize]) -> Result<TableKey, usize> {
+        let key = cols.iter().map(|&c| columns.get(c).cloned().ok_or(c));
+        key.collect::<Result<_, _>>().map(TableKey)
     }
 
     /// Hash the keys of table rows `rows`, lane by lane into `out`: the
-    /// hash [`KeyRef::hash`] gives each key, bit for bit, computed one
-    /// key column at a time — a typed column in a loop over its numbers,
-    /// a [`Column::Values`] through [`Value`]'s own `Hash`, which also
-    /// marks the lanes whose value is NULL.
+    /// hash [`Key::hash`] gives each key, bit for bit, computed one key
+    /// column at a time — a typed column in a loop over its numbers, a
+    /// [`Column::Values`] through [`Value`]'s own `Hash` — marking the
+    /// lanes whose value is NULL or NaN.
     pub(crate) fn hash_chunk(
         &self,
         rows: impl Iterator<Item = usize> + Clone,
@@ -272,17 +264,22 @@ impl TableKey {
         start.write_usize(self.0.len());
         out.lanes.clear();
         out.lanes.extend(rows.clone().map(|_| start));
-        out.null.clear();
-        out.null.resize(out.lanes.len(), false);
+        out.unequal.clear();
+        out.unequal.resize(out.lanes.len(), false);
         for column in &self.0 {
             let lanes = out.lanes.iter_mut().zip(rows.clone());
             match &**column {
                 Column::Int(xs) => lanes.for_each(|(h, r)| Value::Int(xs[r]).hash(h)),
-                Column::Float(xs) => lanes.for_each(|(h, r)| Value::Float(xs[r]).hash(h)),
+                Column::Float(xs) => {
+                    for ((h, r), unequal) in lanes.zip(&mut out.unequal) {
+                        Value::Float(xs[r]).hash(h);
+                        *unequal |= xs[r].is_nan();
+                    }
+                }
                 Column::Values(xs) => {
-                    for ((h, r), null) in lanes.zip(&mut out.null) {
+                    for ((h, r), unequal) in lanes.zip(&mut out.unequal) {
                         xs[r].hash(h);
-                        *null |= xs[r].is_null();
+                        *unequal |= never_equal(&xs[r]);
                     }
                 }
             }
@@ -329,12 +326,11 @@ pub(crate) trait Key: Copy {
     }
 }
 
-/// One row's key, borrowed: columns of the row itself, or a slice of
-/// already evaluated values.
-pub(crate) enum KeyRef<'a, R> {
-    /// Every index is in range of `row` (checked where the key is read).
-    Cols(&'a R, &'a [usize]),
-    Vals(&'a [Value]),
+/// One row's key, borrowed: columns of the row itself, each in range
+/// (checked by [`KeyRef::read`]).
+pub(crate) struct KeyRef<'a, R> {
+    row: &'a R,
+    cols: &'a [usize],
 }
 
 impl<R> Clone for KeyRef<'_, R> {
@@ -345,20 +341,35 @@ impl<R> Clone for KeyRef<'_, R> {
 
 impl<R> Copy for KeyRef<'_, R> {}
 
+impl<'a, R: Row> KeyRef<'a, R> {
+    /// `row`'s key on columns `cols`, read in column order: a column past
+    /// the row's arity raises. With `nulls_match` unset (joins) a NULL or
+    /// NaN value — `=` is never TRUE on it — is no key: `None` at once,
+    /// the columns after it unread.
+    #[inline]
+    pub(crate) fn read(row: &'a R, cols: &'a [usize], nulls_match: bool) -> Result<Option<Self>> {
+        for &c in cols {
+            match row.get(c) {
+                None => return Err(out_of_range(c)),
+                Some(v) if !nulls_match && never_equal(v) => return Ok(None),
+                Some(_) => {}
+            }
+        }
+        Ok(Some(KeyRef { row, cols }))
+    }
+}
+
 impl<R: Row> Key for KeyRef<'_, R> {
     fn width(&self) -> usize {
-        match self {
-            KeyRef::Cols(_, cols) => cols.len(),
-            KeyRef::Vals(vals) => vals.len(),
-        }
+        self.cols.len()
     }
 
     #[inline(always)]
     fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
-        match self {
-            KeyRef::Cols(row, cols) => f(row.get(cols[j]).expect("key column checked on read")),
-            KeyRef::Vals(vals) => f(&vals[j]),
-        }
+        f(self
+            .row
+            .get(self.cols[j])
+            .expect("key column checked on read"))
     }
 }
 
@@ -632,11 +643,22 @@ mod tests {
     use bypass_types::Rng;
     use std::collections::HashMap;
 
-    impl<'a> KeyRef<'a, Tuple> {
-        /// A key that is not part of any row.
-        fn vals(vals: &'a [Value]) -> KeyRef<'a, Tuple> {
-            KeyRef::Vals(vals)
+    /// A key that is not part of any row: its values.
+    #[derive(Clone, Copy)]
+    struct Vals<'a>(&'a [Value]);
+
+    impl Key for Vals<'_> {
+        fn width(&self) -> usize {
+            self.0.len()
         }
+
+        fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
+            f(&self.0[j])
+        }
+    }
+
+    fn key_of(vals: &[Value]) -> Vals<'_> {
+        Vals(vals)
     }
 
     /// A random key of `width` values drawn from a small domain that
@@ -655,7 +677,7 @@ mod tests {
     }
 
     fn hash_of(key: &[Value]) -> u64 {
-        KeyRef::vals(key).hash()
+        key_of(key).hash()
     }
 
     /// Interns `keys` under `hash` and checks every id against a
@@ -672,12 +694,12 @@ mod tests {
                 order.push(key.clone());
                 next
             });
-            let (g, created) = table.intern(hash(key), KeyRef::vals(key));
+            let (g, created) = table.intern(hash(key), key_of(key));
             assert_eq!((g, created), (expected, expected == next), "key {key:?}");
         }
         assert_eq!(table.len(), order.len());
         for (g, key) in order.iter().enumerate() {
-            let found = table.find(hash(key), KeyRef::vals(key), &mut 0);
+            let found = table.find(hash(key), key_of(key), &mut 0);
             assert_eq!(found, Some(g as u32), "key {key:?}");
         }
         let arena = table.into_keys();
@@ -704,12 +726,12 @@ mod tests {
 
         let mut table = KeyTable::new(1);
         for i in 0..5 {
-            table.intern(7, KeyRef::vals(&[Value::Int(i)]));
+            table.intern(7, key_of(&[Value::Int(i)]));
         }
         let mut collisions = 0;
-        let hit = table.find(7, KeyRef::vals(&[Value::Int(3)]), &mut collisions);
+        let hit = table.find(7, key_of(&[Value::Int(3)]), &mut collisions);
         assert_eq!((hit, collisions), (Some(3), 3), "older entries first");
-        let miss = table.find(7, KeyRef::vals(&[Value::Int(9)]), &mut collisions);
+        let miss = table.find(7, key_of(&[Value::Int(9)]), &mut collisions);
         assert_eq!((miss, collisions), (None, 8));
     }
 
@@ -750,7 +772,7 @@ mod tests {
         let mut table = KeyTable::new(1);
         let mut group = |v: Value| {
             let key = [v];
-            table.intern(hash_of(&key), KeyRef::vals(&key)).0
+            table.intern(hash_of(&key), key_of(&key)).0
         };
         assert_eq!(group(Value::Null), 0);
         assert_eq!(group(Value::Int(1)), 1);
@@ -768,7 +790,11 @@ mod tests {
         let row = Tuple::new(vec![Value::Int(4), Value::text("x"), Value::Null]);
         let cols = [2usize, 0, 1];
         let vals = [Value::Null, Value::Float(4.0), Value::text("x")];
-        let (by_col, by_val) = (KeyRef::Cols(&row, &cols), KeyRef::vals(&vals));
+        let by_col = KeyRef::read(&row, &cols, true).unwrap().unwrap();
+        let by_val = key_of(&vals);
+        assert!(KeyRef::read(&row, &cols, false).unwrap().is_none());
+        let err = KeyRef::read(&row, &[0, 3], true).err().unwrap();
+        assert!(err.to_string().contains("column #3 out of range"), "{err}");
         assert_eq!(by_col.hash(), by_val.hash());
         assert_eq!(by_col.heap_bytes(), 1);
         let mut table = KeyTable::new(3);
@@ -836,16 +862,16 @@ mod tests {
                 let mut twins = KeyTable::new(width);
                 for i in 0..rows / 2 {
                     let key: Vec<Value> = row(i).iter().map(twin).collect();
-                    twins.intern(hash_of(&key), KeyRef::vals(&key));
+                    twins.intern(hash_of(&key), key_of(&key));
                 }
                 let (mut by_row, mut by_vals) = (KeyTable::new(width), KeyTable::new(width));
                 for i in 0..rows {
                     let vals = row(i);
-                    let val_key = KeyRef::vals(&vals);
+                    let val_key = key_of(&vals);
                     let at = format!("{vals:?}");
-                    // Joins: a NULL anywhere in the key is no key.
-                    let has_null = vals.iter().any(Value::is_null);
-                    assert_eq!(chunk.null(i), has_null, "{at}");
+                    // Joins: a NULL or a NaN anywhere in the key is no key.
+                    let unequal = vals.iter().any(never_equal);
+                    assert_eq!(chunk.unequal(i), unequal, "{at}");
                     let (hash, key) = (chunk.hash(i), table.key(i));
                     assert_eq!(hash, val_key.hash(), "{at}");
                     assert_eq!(key.heap_bytes(), val_key.heap_bytes(), "{at}");
@@ -904,7 +930,7 @@ mod tests {
                     let vals: Vec<Value> = key.0.iter().map(|c| c.get(i).into_owned()).collect();
                     assert_eq!(chunk.hash(i), hash_of(&vals), "{vals:?}");
                     assert_eq!(key.key(i).hash(), hash_of(&vals), "{vals:?}");
-                    assert_eq!(chunk.null(i), vals.iter().any(Value::is_null), "{vals:?}");
+                    assert_eq!(chunk.unequal(i), vals.iter().any(never_equal), "{vals:?}");
                     assert!(key.key(i).matches(&vals), "{vals:?}");
                 }
                 // A lane subset hashes as the same rows do.
@@ -943,7 +969,7 @@ mod tests {
     #[test]
     fn zero_width_keys_are_one_group() {
         let mut table = KeyTable::new(0);
-        let empty = KeyRef::vals(&[]);
+        let empty = key_of(&[]);
         assert_eq!(table.find(empty.hash(), empty, &mut 0), None);
         assert_eq!(table.intern(empty.hash(), empty), (0, true));
         assert_eq!(table.intern(empty.hash(), empty), (0, false));
@@ -969,7 +995,7 @@ mod tests {
         let mut table = JoinTable::with_capacity(1, 0);
         let mut reference: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for (row, key) in build.iter().enumerate() {
-            table.insert(hash_of(key), KeyRef::vals(key), row);
+            table.insert(hash_of(key), key_of(key), row);
             reference.entry(key.clone()).or_default().push(row as u32);
         }
         assert_eq!(table.len(), 5000);
@@ -979,7 +1005,7 @@ mod tests {
         for k in 0..50 {
             // A float probe finds the integer build keys.
             let probe = [Value::Float(k as f64)];
-            let rows = table.matches(hash_of(&probe), KeyRef::vals(&probe), &mut collisions);
+            let rows = table.matches(hash_of(&probe), key_of(&probe), &mut collisions);
             let expected = reference.get(&vec![Value::Int(k)]);
             assert_eq!(rows, expected.map_or(&[][..], Vec::as_slice), "key {k}");
         }
@@ -990,12 +1016,12 @@ mod tests {
         let mut restricted = JoinTable::with_capacity(1, 0);
         for k in (0..50).step_by(2).rev() {
             let key = [Value::Float(k as f64)];
-            assert!(restricted.admit(hash_of(&key), KeyRef::vals(&key)));
-            assert!(!restricted.admit(hash_of(&key), KeyRef::vals(&key)));
+            assert!(restricted.admit(hash_of(&key), key_of(&key)));
+            assert!(!restricted.admit(hash_of(&key), key_of(&key)));
         }
         let even = |key: &[Value]| matches!(key[0], Value::Int(k) if k % 2 == 0);
         for (row, key) in build.iter().enumerate() {
-            let kept = restricted.insert_admitted(hash_of(key), KeyRef::vals(key), row);
+            let kept = restricted.insert_admitted(hash_of(key), key_of(key), row);
             assert_eq!(kept, even(key), "row {row}");
         }
         restricted.seal();
@@ -1003,8 +1029,8 @@ mod tests {
         assert_eq!(restricted.len(), even_rows);
         for k in 0..50 {
             let probe = [Value::Int(k)];
-            let rows = restricted.matches(hash_of(&probe), KeyRef::vals(&probe), &mut 0);
-            let full = table.matches(hash_of(&probe), KeyRef::vals(&probe), &mut 0);
+            let rows = restricted.matches(hash_of(&probe), key_of(&probe), &mut 0);
+            let full = table.matches(hash_of(&probe), key_of(&probe), &mut 0);
             assert_eq!(rows, if k % 2 == 0 { full } else { &[] }, "key {k}");
         }
     }

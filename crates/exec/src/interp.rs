@@ -23,7 +23,6 @@
 //! stack (the paper's nested-loop evaluation), behind the two memo
 //! caches of [`crate::ExecOptions`].
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -32,7 +31,6 @@ use bypass_types::{tuple_bytes, Error, Relation, Result, Truth, Tuple, Value, SH
 
 use crate::eval::ExecContext;
 use crate::expr::{PhysExpr, SubqueryRef};
-use crate::hash::{Key, KeyReader, KeyRef};
 use crate::node::PhysNode;
 use crate::row::{Columns, Row};
 
@@ -429,59 +427,6 @@ impl ExecContext {
                 acc.to_value()
             }
         })
-    }
-
-    /// `e` over `row`: borrowed from the row when `e` is a plain column
-    /// reference, evaluated otherwise.
-    #[inline]
-    pub(crate) fn eval_cow<'a, R: Row>(
-        &mut self,
-        e: &PhysExpr,
-        row: &'a R,
-    ) -> Result<Cow<'a, Value>> {
-        if let PhysExpr::Column(i) = e {
-            if let Some(v) = row.get(*i) {
-                return Ok(Cow::Borrowed(v));
-            }
-        }
-        self.eval_expr(e, row).map(Cow::Owned)
-    }
-
-    /// One row's key under `reader`, with its hash: columns are borrowed
-    /// from the row, computed keys land in `buf`. With `nulls_match`
-    /// unset (joins) a NULL key value yields `None` at once — the key
-    /// expressions after it are not evaluated.
-    pub(crate) fn read_key<'a, R: Row>(
-        &mut self,
-        reader: &'a KeyReader<'_>,
-        row: &'a R,
-        buf: &'a mut Vec<Value>,
-        nulls_match: bool,
-    ) -> Result<Option<(u64, KeyRef<'a, R>)>> {
-        let key = match reader {
-            KeyReader::Cols(cols) => {
-                for &c in cols {
-                    match row.get(c) {
-                        None => return Err(Error::execution(format!("column #{c} out of range"))),
-                        Some(v) if v.is_null() && !nulls_match => return Ok(None),
-                        Some(_) => {}
-                    }
-                }
-                KeyRef::Cols(row, cols)
-            }
-            KeyReader::Exprs(exprs) => {
-                buf.clear();
-                for e in *exprs {
-                    let v = self.eval_expr(e, row)?;
-                    if v.is_null() && !nulls_match {
-                        return Ok(None);
-                    }
-                    buf.push(v);
-                }
-                KeyRef::Vals(buf)
-            }
-        };
-        Ok(Some((key.hash(), key)))
     }
 
     /// Evaluate the nested plan of `e` — one of the four subquery nodes

@@ -83,19 +83,24 @@ impl PhysNode {
     }
 
     /// Γ over `input` (`schema`: its output rows, the keys then the
-    /// aggregates). When `input` is a relation pipeline that nothing else
-    /// holds — the planner lets go of a pipeline whose only consumer is
-    /// Γ — and no key or aggregate runs a subquery, Γ becomes that
-    /// pipeline's sink: the rows leaving its chain are folded as they
-    /// leave. Otherwise Γ is a pipeline with an empty chain over `input`.
+    /// aggregates), grouping on and aggregating columns of `input`'s
+    /// rows. When `input` is a relation pipeline that nothing else holds
+    /// — the planner lets go of a pipeline whose only consumer is Γ — Γ
+    /// becomes that pipeline's sink: the rows leaving its chain are
+    /// folded as they leave. Otherwise Γ is a pipeline with an empty chain
+    /// over `input`.
     pub fn aggregate(
         input: Arc<PhysNode>,
-        keys: Vec<PhysExpr>,
+        keys: Vec<usize>,
         aggs: Vec<AggSpec>,
         schema: Schema,
     ) -> Arc<PhysNode> {
-        let group = Group { keys, aggs };
-        let nested = group.exprs().any(|e| !e.subquery_plans().is_empty());
+        let width = input.schema.arity();
+        PhysNode::grouped(input, Group { keys, aggs, width }, schema)
+    }
+
+    /// [`Self::aggregate`] of a [`Group`] as the planner built it.
+    pub(crate) fn grouped(input: Arc<PhysNode>, group: Group, schema: Schema) -> Arc<PhysNode> {
         let input = match Arc::try_unwrap(input) {
             Ok(PhysNode {
                 kind:
@@ -107,7 +112,7 @@ impl PhysNode {
                     },
                 shared: false,
                 ..
-            }) if !nested => return PhysNode::pipe(input, chain, None, Some(group), schema),
+            }) => return PhysNode::pipe(input, chain, None, Some(group), schema),
             Ok(node) => Arc::new(node),
             Err(input) => input,
         };
@@ -206,10 +211,12 @@ pub struct JoinSpec {
 pub enum JoinOn {
     /// Nested loop over every build row; `None` is a cross product.
     Loop(Option<PhysExpr>),
-    /// Hash equi-join with optional residual predicate over the pair.
+    /// Hash equi-join on columns of the probing and the build rows, with
+    /// an optional residual predicate over the pair. The planner adds a
+    /// computed key to its side's rows as a χ column first.
     Hash {
-        left_keys: Vec<PhysExpr>,
-        right_keys: Vec<PhysExpr>,
+        left_keys: Vec<usize>,
+        right_keys: Vec<usize>,
         residual: Option<PhysExpr>,
     },
 }
@@ -227,16 +234,7 @@ impl JoinSpec {
 
     fn exprs(&self) -> Vec<&PhysExpr> {
         match &self.on {
-            JoinOn::Loop(p) => p.iter().collect(),
-            JoinOn::Hash {
-                left_keys,
-                right_keys,
-                residual,
-            } => left_keys
-                .iter()
-                .chain(right_keys)
-                .chain(residual.iter())
-                .collect(),
+            JoinOn::Loop(p) | JoinOn::Hash { residual: p, .. } => p.iter().collect(),
         }
     }
 }
@@ -288,18 +286,17 @@ impl Stage {
 
 /// Γ at the end of a pipeline (DESIGN.md §7): grouping keys — none for
 /// a scalar aggregation — and aggregates over the rows leaving the
-/// chain, which are folded into the groups as they leave.
+/// chain, which are folded into the groups as they leave. Keys and
+/// arguments are columns of those rows: the planner adds a computed one
+/// as a χ column first.
 #[derive(Debug)]
 pub struct Group {
-    pub keys: Vec<PhysExpr>,
+    pub keys: Vec<usize>,
     pub aggs: Vec<AggSpec>,
-}
-
-impl Group {
-    fn exprs(&self) -> impl Iterator<Item = &PhysExpr> {
-        let args = self.aggs.iter().filter_map(|a| a.arg.as_ref());
-        self.keys.iter().chain(args)
-    }
+    /// The columns of Γ's input as the query sees it, which a whole-row
+    /// aggregate (`COUNT(DISTINCT *)`) reads: the χ columns the planner
+    /// added for computed keys and arguments follow them.
+    pub width: usize,
 }
 
 /// The stages of one pipeline, bottom-up, plus the schema of the rows
@@ -427,8 +424,8 @@ impl PhysNode {
     /// The expressions evaluated by this operator, fused stages included.
     pub fn exprs(&self) -> Vec<&PhysExpr> {
         let mut own = match &self.kind {
-            PhysKind::Pipeline { group, .. } => group.iter().flat_map(Group::exprs).collect(),
             PhysKind::Scan { .. }
+            | PhysKind::Pipeline { .. }
             | PhysKind::Limit { .. }
             | PhysKind::Union { .. }
             | PhysKind::Stream { .. } => vec![],

@@ -3,12 +3,13 @@ use std::sync::Arc;
 use bypass_algebra::{AggCall, BinOp, ColumnRef, LogicalPlan, Scalar, Stream};
 use bypass_catalog::{Catalog, TableColumns};
 use bypass_types::{
-    Error, Field, FxHashMap as HashMap, FxHashSet as HashSet, Relation, Result, Schema, Tuple,
+    DataType, Error, Field, FxHashMap as HashMap, FxHashSet as HashSet, Relation, Result, Schema,
+    Tuple,
 };
 
 use crate::agg::AggSpec;
 use crate::expr::{column_only, identity_projection, PhysExpr};
-use crate::node::{Chain, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
+use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 
 /// Physical planning options — the defaults are what the engine always
 /// uses; the ablation benchmark and the fused-vs-unfused oracle axis
@@ -36,6 +37,8 @@ impl Default for PlanOptions {
 /// rename — a ρ, or a Π that keeps every column in place — compiles to
 /// nothing: names are the planner's. The root node alone carries the
 /// logical root's names, the only ones a caller sees.
+/// A computed Γ key or argument, or hash join key, is a hidden column a χ
+/// appends ahead of its operator (DESIGN.md §5c).
 pub fn physical_plan(logical: &Arc<LogicalPlan>, catalog: &Catalog) -> Result<Arc<PhysNode>> {
     physical_plan_with(logical, catalog, PlanOptions::default())
 }
@@ -59,6 +62,76 @@ pub fn physical_plan_with(
 }
 
 type Ptr = *const LogicalPlan;
+
+/// Does `e` refer to columns of `schema` only — no outer scope, no
+/// subquery?
+fn local(e: &Scalar, schema: &Schema) -> Result<bool> {
+    let mut local = !e.contains_subquery();
+    for c in e.column_refs() {
+        local &= schema
+            .resolve_opt(c.qualifier.as_deref(), &c.name)?
+            .is_some();
+    }
+    Ok(local)
+}
+
+/// Hash key pairs `(left, right)` of a join predicate.
+type KeyPairs<'e> = Vec<(&'e Scalar, &'e Scalar)>;
+
+/// Split a join predicate into hash keys and a residual: conjuncts of
+/// the form `l = r` where `l` refers purely to the left schema and `r`
+/// purely to the right (or vice versa) become key pairs `(l, r)`.
+fn split_equi_keys<'e>(
+    predicate: &'e Scalar,
+    left: &Schema,
+    right: &Schema,
+) -> Result<(KeyPairs<'e>, Vec<Scalar>)> {
+    let mut keys = Vec::new();
+    let mut residual = Vec::new();
+    for c in predicate.conjuncts() {
+        if let Scalar::Binary {
+            op: BinOp::Eq,
+            left: a,
+            right: b,
+        } = c
+        {
+            if local(a, left)? && local(b, right)? {
+                keys.push((&**a, &**b));
+                continue;
+            }
+            if local(a, right)? && local(b, left)? {
+                keys.push((&**b, &**a));
+                continue;
+            }
+        }
+        residual.push(c.clone());
+    }
+    Ok((keys, residual))
+}
+
+/// A hidden column: one no column reference can resolve to.
+fn hidden() -> Field {
+    Field::new("#key", DataType::Unknown)
+}
+
+/// `chain` over `input` without fusion: a pipeline per stage — a join's
+/// χs and the `Pick` that drops their columns among them.
+fn split(input: Arc<PhysNode>, chain: Chain) -> Arc<PhysNode> {
+    let last = chain.stages.len() - 1;
+    let stages = chain.stages.into_iter().enumerate();
+    stages.fold(input, |node, (k, stage)| {
+        let schema = match &stage {
+            _ if k == last => chain.schema.clone(),
+            Stage::Probe(spec) => node.schema.concat(&spec.right.schema),
+            _ => node.schema.extended(hidden()),
+        };
+        PhysNode::pipeline(node, vec![stage], schema)
+    })
+}
+
+/// Computed keys and arguments of one operator's input, in the order
+/// their hidden columns are appended.
+type Maps = Vec<PhysExpr>;
 
 /// The pipelines of one query block (a subquery is its own block).
 ///
@@ -338,21 +411,14 @@ impl<'a> Resolver<'a> {
                     .expect("a σ, Π, χ or join no chain absorbed heads its own");
                 names = chain.schema.clone();
                 // A chain of renames is its input's node.
-                match chain.stages.is_empty() {
-                    true => input.node,
-                    false => PhysNode::pipeline(input.node, chain.stages, chain.schema),
+                match (chain.stages.is_empty(), self.options.fuse_stage_chains) {
+                    (true, _) => input.node,
+                    (false, true) => PhysNode::pipeline(input.node, chain.stages, chain.schema),
+                    (false, false) => split(input.node, chain),
                 }
             }
             LogicalPlan::Aggregate { input, keys, aggs } => {
                 let child = next();
-                let keys = keys
-                    .iter()
-                    .map(|k| self.resolve(k, &child.names))
-                    .collect::<Result<Vec<_>>>()?;
-                let aggs = aggs
-                    .iter()
-                    .map(|(call, _)| self.resolve_agg(call, &child.names))
-                    .collect::<Result<Vec<_>>>()?;
                 // Γ is the only consumer of its input: the block lets go of
                 // its node, so Γ can take its pipeline over as that
                 // pipeline's sink — unless, handed on by a rename, the node
@@ -360,7 +426,8 @@ impl<'a> Resolver<'a> {
                 if block.consumers[&Arc::as_ptr(input)].len() == 1 && !child.node.shared {
                     block.memo.retain(|_, p| !Arc::ptr_eq(&p.node, &child.node));
                 }
-                self.aggregate(child.node, keys, aggs, names.clone())
+                let calls = aggs.iter().map(|(call, _)| call);
+                self.aggregate(child.node, &child.names, keys, calls, names.clone())?
             }
             // Γᵇ_{g; l = r; f}(L, R) is Eqv. 1's outer join over a Γ:
             // Π_{L, g}(L ⟕_{l = k; g: f(∅)} Γ_{k: r; g: f}(σ_{r IS NOT NULL}(R))).
@@ -374,30 +441,29 @@ impl<'a> Resolver<'a> {
             } => {
                 let (l, r) = (next(), next());
                 let key_field = Field::new(right_key.to_string(), right_key.data_type(&r.names));
-                let left_key = self.resolve(left_key, &l.names)?;
-                let right_key = self.resolve(right_key, &r.names)?;
-                let agg = self.resolve_agg(agg, &r.names)?;
                 let keyed = PhysExpr::IsNull {
                     negated: true,
-                    expr: Box::new(right_key.clone()),
+                    expr: Box::new(self.resolve(right_key, &r.names)?),
                 };
-                let keyed = PhysNode::pipeline(r.node, vec![Stage::Filter(keyed)], r.names);
-                let width = l.names.arity();
+                let keyed = PhysNode::pipeline(r.node, vec![Stage::Filter(keyed)], r.names.clone());
+                let (width, mut maps) = (l.names.arity(), Maps::new());
                 let g = names.field(width).clone();
-                let defaults = Some(vec![(1, agg.empty_value())]);
                 let schema_g = Schema::new(vec![key_field, g]);
-                let grouped = self.aggregate(keyed, vec![right_key], vec![agg], schema_g);
+                let keys = std::slice::from_ref(right_key);
+                let grouped = self.aggregate(keyed, &r.names, keys, [agg], schema_g)?;
+                let defaults = grouped.group().map(|g| vec![(1, g.aggs[0].empty_value())]);
                 let probe = Stage::Probe(JoinSpec {
-                    right: grouped,
                     on: JoinOn::Hash {
-                        left_keys: vec![left_key],
-                        right_keys: vec![PhysExpr::Column(0)],
+                        left_keys: vec![self.column(left_key, &l.names, &mut maps)?],
+                        right_keys: vec![0],
                         residual: None,
                     },
+                    right: grouped,
                     defaults,
                 });
-                let pick = Stage::Pick((0..width).chain([width + 1]).collect());
-                PhysNode::pipeline(l.node, vec![probe, pick], names.clone())
+                let pick = Stage::Pick((0..width).chain([width + maps.len() + 1]).collect());
+                let (left, _) = self.map(l.node, &l.names, maps);
+                PhysNode::pipeline(left, vec![probe, pick], names.clone())
             }
             LogicalPlan::Numbering { .. } => {
                 PhysNode::pipeline(next().node, vec![Stage::Number], names.clone())
@@ -511,14 +577,17 @@ impl<'a> Resolver<'a> {
     }
 
     /// The [`JoinSpec`] of an inner/outer/cross join node whose probe
-    /// rows are named `left`, and the names of its build side: plan the
-    /// build side, then pick hash (equi conjuncts) or nested loop.
+    /// rows are named `left`: plan the build side, then pick hash (equi
+    /// conjuncts) or nested loop. A computed key is a hidden column: a χ
+    /// over the build side, or one of the χ stages returned to run ahead
+    /// of the probe. Also returns the names of the probing and the build
+    /// rows, hidden columns included.
     fn join_spec(
         &mut self,
         join: &Arc<LogicalPlan>,
         left: &Schema,
         block: &mut Block<'_>,
-    ) -> Result<(JoinSpec, Schema)> {
+    ) -> Result<(Vec<Stage>, JoinSpec, Schema, Schema)> {
         let (right, predicate, defaults) = match join.as_ref() {
             LogicalPlan::CrossJoin { right, .. } => (right, None, None),
             LogicalPlan::Join {
@@ -546,46 +615,113 @@ impl<'a> Resolver<'a> {
                     .collect::<Result<Vec<_>>>()
             })
             .transpose()?;
+        let (keys, residual) = match predicate {
+            Some(p) => split_equi_keys(p, left, &names)?,
+            None => (vec![], vec![]),
+        };
+        let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+        let (mut left_maps, mut right_maps) = (Maps::new(), Maps::new());
+        for (l, r) in keys {
+            left_keys.push(self.column(l, left, &mut left_maps)?);
+            right_keys.push(self.column(r, &names, &mut right_maps)?);
+        }
+        let left = left_maps
+            .iter()
+            .fold(left.clone(), |s, _| s.extended(hidden()));
+        let (r, names) = self.map(r, &names, right_maps);
+        let pair = left.concat(&names);
         let on = match predicate {
             None => JoinOn::Loop(None),
-            Some(predicate) => {
-                let (lk, rk, residual) = self.split_equi_keys(predicate, left, &names)?;
-                if lk.is_empty() {
-                    JoinOn::Loop(Some(self.resolve(predicate, &left.concat(&names))?))
-                } else {
-                    JoinOn::Hash {
-                        left_keys: lk,
-                        right_keys: rk,
-                        residual,
-                    }
-                }
-            }
+            Some(p) if left_keys.is_empty() => JoinOn::Loop(Some(self.resolve(p, &pair)?)),
+            Some(_) => JoinOn::Hash {
+                left_keys,
+                right_keys,
+                residual: Scalar::conjunction(residual)
+                    .map(|p| self.resolve(&p, &pair))
+                    .transpose()?,
+            },
         };
+        let stages = left_maps.into_iter().map(Stage::Map).collect();
         let spec = JoinSpec {
             right: r,
             on,
             defaults,
         };
-        Ok((spec, names))
+        Ok((stages, spec, left, names))
     }
 
-    /// Γ over the planned `input` ([`PhysNode::aggregate`]): the sink of
-    /// `input`'s pipeline if nothing else holds it. Without fusion a
-    /// second handle keeps every Γ a pipeline of its own.
-    fn aggregate(
-        &self,
+    /// Γ over the planned `input`, whose rows are named `names`, grouping
+    /// on `keys` with the aggregates `calls` — a computed key or argument
+    /// a hidden column a χ appends first ([`Self::map`]). Γ is the sink of
+    /// `input`'s pipeline if nothing else holds it ([`PhysNode::aggregate`]);
+    /// without fusion a second handle keeps every Γ a pipeline of its own.
+    fn aggregate<'c>(
+        &mut self,
         input: Arc<PhysNode>,
-        keys: Vec<PhysExpr>,
-        aggs: Vec<AggSpec>,
+        names: &Schema,
+        keys: &[Scalar],
+        calls: impl IntoIterator<Item = &'c AggCall>,
         schema: Schema,
-    ) -> Arc<PhysNode> {
+    ) -> Result<Arc<PhysNode>> {
+        let mut maps = Maps::new();
+        let keys = keys.iter().map(|k| self.column(k, names, &mut maps));
+        let keys = keys.collect::<Result<Vec<_>>>()?;
+        let mut aggs = Vec::new();
+        for call in calls {
+            let arg = call.arg.as_deref();
+            aggs.push(AggSpec {
+                func: call.func,
+                distinct: call.distinct,
+                arg: arg.map(|a| self.column(a, names, &mut maps)).transpose()?,
+            });
+        }
+        let group = Group {
+            keys,
+            aggs,
+            width: names.arity(),
+        };
+        let (input, _) = self.map(input, names, maps);
         let _held = (!self.options.fuse_stage_chains).then(|| input.clone());
-        PhysNode::aggregate(input, keys, aggs, schema)
+        Ok(PhysNode::grouped(input, group, schema))
+    }
+
+    /// The column of rows named `names` that `e` is: its own if `e` is a
+    /// plain column, else the hidden one a χ appends for it (recorded in
+    /// `maps`).
+    fn column(&mut self, e: &Scalar, names: &Schema, maps: &mut Maps) -> Result<usize> {
+        match self.resolve(e, names)? {
+            PhysExpr::Column(c) => Ok(c),
+            computed => {
+                maps.push(computed);
+                Ok(names.arity() + maps.len() - 1)
+            }
+        }
+    }
+
+    /// `input` (its rows named `names`) with a hidden column appended per
+    /// computed expression of `maps` by a χ, and the names of the rows
+    /// that leave. A χ that runs a subquery heads a pipeline, and without
+    /// fusion every χ does.
+    fn map(&self, mut input: Arc<PhysNode>, names: &Schema, maps: Maps) -> (Arc<PhysNode>, Schema) {
+        let (mut names, mut stages) = (names.clone(), Vec::new());
+        for e in maps {
+            let heads = !self.options.fuse_stage_chains || !e.subquery_plans().is_empty();
+            if heads && !stages.is_empty() {
+                input = PhysNode::pipeline(input, std::mem::take(&mut stages), names.clone());
+            }
+            names = names.extended(hidden());
+            stages.push(Stage::Map(e));
+        }
+        if !stages.is_empty() {
+            input = PhysNode::pipeline(input, stages, names.clone());
+        }
+        (input, names)
     }
 
     /// Compile chain `slot` of the host at `host`, if it has one, over
     /// the rows (named `rows`) that enter its first stage. A rename adds
-    /// no stage: it only names the rows anew.
+    /// no stage: it only names the rows anew. Hidden key columns that
+    /// reach the top are dropped there by a `Pick`.
     fn chain(
         &mut self,
         host: Ptr,
@@ -601,7 +737,6 @@ impl<'a> Resolver<'a> {
         // The names of the rows entering the next stage.
         let mut names = rows.clone();
         for stage in &logical {
-            let mut build = None;
             let compiled = match stage.as_ref() {
                 LogicalPlan::Filter { predicate, .. } => {
                     Some(Stage::Filter(self.resolve(predicate, &names)?))
@@ -614,14 +749,15 @@ impl<'a> Resolver<'a> {
                 }
                 LogicalPlan::Map { expr, .. } => Some(Stage::Map(self.resolve(expr, &names)?)),
                 _ => {
-                    let (spec, right) = self.join_spec(stage, &names, block)?;
-                    build = Some(right);
-                    Some(Stage::Probe(spec))
+                    let (maps, spec, left, right) = self.join_spec(stage, &names, block)?;
+                    stages.extend(maps);
+                    names = stage.schema_over(&[&left, &right]);
+                    stages.push(Stage::Probe(spec));
+                    continue;
                 }
             };
+            names = stage.schema_over(&[&names]);
             stages.extend(compiled);
-            let inputs = std::iter::once(&names).chain(build.as_ref());
-            names = stage.schema_over(&inputs.collect::<Vec<_>>());
         }
         // A column-only Π at the top is where the rows get built: the
         // exit picks its columns straight off the row view.
@@ -630,94 +766,35 @@ impl<'a> Resolver<'a> {
                 *stages.last_mut().expect("matched above") = Stage::Pick(cols);
             }
         }
+        let visible: Vec<usize> = (0..names.arity())
+            .filter(|&i| *names.field(i) != hidden())
+            .collect();
+        if visible.len() < names.arity() {
+            names = names.project(&visible);
+            stages.push(Stage::Pick(visible));
+        }
         Ok(Some(Chain {
             stages,
             schema: names,
         }))
     }
 
-    /// Split a join predicate into hash keys and a residual: conjuncts of
-    /// the form `l = r` where `l` resolves purely against the left schema
-    /// and `r` purely against the right (or vice versa) become key pairs.
-    fn split_equi_keys(
-        &mut self,
-        predicate: &Scalar,
-        left: &Schema,
-        right: &Schema,
-    ) -> Result<(Vec<PhysExpr>, Vec<PhysExpr>, Option<PhysExpr>)> {
-        let mut lk = Vec::new();
-        let mut rk = Vec::new();
-        let mut residual = Vec::new();
-        for c in predicate.conjuncts() {
-            if let Scalar::Binary {
-                op: BinOp::Eq,
-                left: a,
-                right: b,
-            } = c
-            {
-                if !a.contains_subquery() && !b.contains_subquery() {
-                    if let (Some(al), Some(br)) =
-                        (self.resolve_local(a, left)?, self.resolve_local(b, right)?)
-                    {
-                        lk.push(al);
-                        rk.push(br);
-                        continue;
-                    }
-                    if let (Some(ar), Some(bl)) =
-                        (self.resolve_local(a, right)?, self.resolve_local(b, left)?)
-                    {
-                        lk.push(bl);
-                        rk.push(ar);
-                        continue;
-                    }
-                }
-            }
-            residual.push(c.clone());
-        }
-        let residual = match Scalar::conjunction(residual) {
-            None => None,
-            Some(r) => Some(self.resolve(&r, &left.concat(right))?),
-        };
-        Ok((lk, rk, residual))
-    }
-
-    /// Resolve an expression strictly against one schema (no outer
-    /// scopes, no subqueries). `Ok(None)` if it references anything else.
-    fn resolve_local(&mut self, e: &Scalar, schema: &Schema) -> Result<Option<PhysExpr>> {
-        if e.contains_subquery() {
-            return Ok(None);
-        }
-        for c in e.column_refs() {
-            match schema.resolve_opt(c.qualifier.as_deref(), &c.name) {
-                Ok(Some(_)) => {}
-                Ok(None) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
-        // All refs are local: a plain resolve cannot produce Outer refs.
-        Ok(Some(self.resolve_inner(e, schema, false)?))
-    }
-
     /// Resolve an expression against the local schema with correlation
     /// into the enclosing scopes.
     pub fn resolve(&mut self, e: &Scalar, local: &Schema) -> Result<PhysExpr> {
-        self.resolve_inner(e, local, true)
-    }
-
-    fn resolve_inner(&mut self, e: &Scalar, local: &Schema, allow_outer: bool) -> Result<PhysExpr> {
         Ok(match e {
-            Scalar::Column(c) => self.resolve_column(c, local, allow_outer)?,
+            Scalar::Column(c) => self.resolve_column(c, local)?,
             Scalar::Literal(v) => PhysExpr::Literal(v.clone()),
             Scalar::Binary { op, left, right } => PhysExpr::Binary {
                 op: *op,
-                left: Box::new(self.resolve_inner(left, local, allow_outer)?),
-                right: Box::new(self.resolve_inner(right, local, allow_outer)?),
+                left: Box::new(self.resolve(left, local)?),
+                right: Box::new(self.resolve(right, local)?),
             },
-            Scalar::Not(x) => PhysExpr::Not(Box::new(self.resolve_inner(x, local, allow_outer)?)),
-            Scalar::Neg(x) => PhysExpr::Neg(Box::new(self.resolve_inner(x, local, allow_outer)?)),
+            Scalar::Not(x) => PhysExpr::Not(Box::new(self.resolve(x, local)?)),
+            Scalar::Neg(x) => PhysExpr::Neg(Box::new(self.resolve(x, local)?)),
             Scalar::IsNull { negated, expr } => PhysExpr::IsNull {
                 negated: *negated,
-                expr: Box::new(self.resolve_inner(expr, local, allow_outer)?),
+                expr: Box::new(self.resolve(expr, local)?),
             },
             Scalar::Like {
                 negated,
@@ -725,8 +802,8 @@ impl<'a> Resolver<'a> {
                 pattern,
             } => PhysExpr::Like {
                 negated: *negated,
-                expr: Box::new(self.resolve_inner(expr, local, allow_outer)?),
-                pattern: Box::new(self.resolve_inner(pattern, local, allow_outer)?),
+                expr: Box::new(self.resolve(expr, local)?),
+                pattern: Box::new(self.resolve(pattern, local)?),
             },
             Scalar::InList {
                 negated,
@@ -734,10 +811,10 @@ impl<'a> Resolver<'a> {
                 list,
             } => PhysExpr::InList {
                 negated: *negated,
-                expr: Box::new(self.resolve_inner(expr, local, allow_outer)?),
+                expr: Box::new(self.resolve(expr, local)?),
                 list: list
                     .iter()
-                    .map(|x| self.resolve_inner(x, local, allow_outer))
+                    .map(|x| self.resolve(x, local))
                     .collect::<Result<_>>()?,
             },
             Scalar::Subquery(plan) => {
@@ -765,7 +842,7 @@ impl<'a> Resolver<'a> {
                 let (phys, correlated, outer_keys) = self.resolve_subquery(plan, local)?;
                 PhysExpr::InSubquery {
                     negated: *negated,
-                    expr: Box::new(self.resolve_inner(expr, local, allow_outer)?),
+                    expr: Box::new(self.resolve(expr, local)?),
                     plan: phys,
                     correlated,
                     outer_keys,
@@ -781,7 +858,7 @@ impl<'a> Resolver<'a> {
                 PhysExpr::QuantifiedCmp {
                     op: *op,
                     all: *all,
-                    expr: Box::new(self.resolve_inner(expr, local, allow_outer)?),
+                    expr: Box::new(self.resolve(expr, local)?),
                     plan: phys,
                     correlated,
                     outer_keys,
@@ -790,19 +867,17 @@ impl<'a> Resolver<'a> {
         })
     }
 
-    fn resolve_column(&self, c: &ColumnRef, local: &Schema, allow_outer: bool) -> Result<PhysExpr> {
+    fn resolve_column(&self, c: &ColumnRef, local: &Schema) -> Result<PhysExpr> {
         if let Some(i) = local.resolve_opt(c.qualifier.as_deref(), &c.name)? {
             return Ok(PhysExpr::Column(i));
         }
-        if allow_outer {
-            // Innermost enclosing scope first (direct correlation).
-            for (k, scope) in self.scopes.iter().rev().enumerate() {
-                if let Some(i) = scope.resolve_opt(c.qualifier.as_deref(), &c.name)? {
-                    return Ok(PhysExpr::Outer {
-                        depth: k + 1,
-                        index: i,
-                    });
-                }
+        // Innermost enclosing scope first (direct correlation).
+        for (k, scope) in self.scopes.iter().rev().enumerate() {
+            if let Some(i) = scope.resolve_opt(c.qualifier.as_deref(), &c.name)? {
+                return Ok(PhysExpr::Outer {
+                    depth: k + 1,
+                    index: i,
+                });
             }
         }
         Err(Error::plan(format!(
@@ -841,17 +916,5 @@ impl<'a> Resolver<'a> {
         let result = self.plan_block(plan);
         self.scopes.pop();
         Ok((result?.node, correlated, outer_keys))
-    }
-
-    fn resolve_agg(&mut self, call: &AggCall, schema: &Schema) -> Result<AggSpec> {
-        Ok(AggSpec {
-            func: call.func,
-            distinct: call.distinct,
-            arg: call
-                .arg
-                .as_deref()
-                .map(|a| self.resolve(a, schema))
-                .transpose()?,
-        })
     }
 }

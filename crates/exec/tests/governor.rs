@@ -79,11 +79,11 @@ fn governed_plan() -> Arc<PhysNode> {
     );
     PhysNode::aggregate(
         filter,
-        vec![PhysExpr::Column(0)],
+        vec![0],
         vec![AggSpec {
             func: AggFunc::Count,
             distinct: true,
-            arg: Some(PhysExpr::Column(1)),
+            arg: Some(1),
         }],
         Schema::new(vec![
             Field::new("x", DataType::Int),
@@ -349,13 +349,13 @@ fn chunked_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
         let aggs = vec![AggSpec {
             func: AggFunc::Count,
             distinct: true,
-            arg: Some(PhysExpr::Column(2)),
+            arg: Some(2),
         }];
         let out = Schema::new(vec![
             Field::new("x", DataType::Int),
             Field::new("n", DataType::Int),
         ]);
-        PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs, out)
+        PhysNode::aggregate(input, vec![0], aggs, out)
     };
     let grouped = |raises: Option<i64>| {
         let mut used = 0u64;
@@ -468,12 +468,12 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
         AggSpec {
             func: AggFunc::Sum,
             distinct: false,
-            arg: Some(PhysExpr::Column(1)),
+            arg: Some(1),
         },
         AggSpec {
             func: AggFunc::Count,
             distinct: true,
-            arg: Some(PhysExpr::Column(2)),
+            arg: Some(2),
         },
     ];
     let out = Schema::new(
@@ -481,8 +481,7 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
             .map(|n| Field::new(n, DataType::Int))
             .to_vec(),
     );
-    let gamma =
-        |input| PhysNode::aggregate(input, vec![PhysExpr::Column(0)], aggs.clone(), out.clone());
+    let gamma = |input| PhysNode::aggregate(input, vec![0], aggs.clone(), out.clone());
     // Γ: per row a tick, its new group's charge, the charge of its value
     // if new to the group; then the output rows. At the overflowing row
     // the run ends after its tick: its group is there already.
@@ -532,8 +531,8 @@ fn table_hash_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
         let spec = JoinSpec {
             right,
             on: JoinOn::Hash {
-                left_keys: vec![PhysExpr::Column(keys.0)],
-                right_keys: vec![PhysExpr::Column(keys.1)],
+                left_keys: vec![keys.0],
+                right_keys: vec![keys.1],
                 residual: None,
             },
             defaults: None,
@@ -894,11 +893,11 @@ fn scan_rooted_plans(copied: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64
     let agg = |func, distinct, arg: Option<usize>| AggSpec {
         func,
         distinct,
-        arg: arg.map(PhysExpr::Column),
+        arg,
     };
     let gamma = PhysNode::aggregate(
         f(),
-        vec![PhysExpr::Column(0)],
+        vec![0],
         vec![
             agg(AggFunc::Sum, false, Some(1)),
             agg(AggFunc::Count, true, None),
@@ -915,8 +914,8 @@ fn scan_rooted_plans(copied: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64
         let spec = JoinSpec {
             right,
             on: JoinOn::Hash {
-                left_keys: vec![PhysExpr::Column(0)],
-                right_keys: vec![PhysExpr::Column(0)],
+                left_keys: vec![0],
+                right_keys: vec![0],
                 residual: None,
             },
             defaults: None,

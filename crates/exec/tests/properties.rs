@@ -100,8 +100,8 @@ fn join(
 
 fn hash_on(left_key: usize, right_key: usize) -> JoinOn {
     JoinOn::Hash {
-        left_keys: vec![col(left_key)],
-        right_keys: vec![col(right_key)],
+        left_keys: vec![left_key],
+        right_keys: vec![right_key],
         residual: None,
     }
 }
@@ -617,10 +617,10 @@ fn gamma_of(scan: &Arc<PhysNode>) -> Arc<PhysNode> {
         AggSpec {
             func: AggFunc::Sum,
             distinct: false,
-            arg: Some(col(0)),
+            arg: Some(0),
         },
     ];
-    PhysNode::aggregate(scan.clone(), vec![col(2)], aggs, ints(3))
+    PhysNode::aggregate(scan.clone(), vec![2], aggs, ints(3))
 }
 
 /// A random σ, Π or χ as `(kind, a, b, k)`, its operands chosen modulo
@@ -1588,7 +1588,7 @@ fn check_operand_table(ls: &[Value], rs: &[Value]) -> [Column; 2] {
                     vec![AggSpec {
                         func: AggFunc::Sum,
                         distinct: false,
-                        arg: Some(col(2)),
+                        arg: Some(2),
                     }],
                     Schema::new(vec![Field::new("bits", DataType::Int)]),
                 );
@@ -1974,7 +1974,7 @@ fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
     AggSpec {
         func,
         distinct,
-        arg: arg.map(col),
+        arg,
     }
 }
 
@@ -2072,10 +2072,7 @@ fn fold_by_row(rows: &[Tuple], keys: &[usize], aggs: &[AggSpec], model: &mut Per
                     group.counted[j] += 1;
                 }
                 Some(arg) => {
-                    let PhysExpr::Column(c) = arg else {
-                        unreachable!("plain column arguments")
-                    };
-                    let v = &row[*c];
+                    let v = &row[*arg];
                     if v.is_null() {
                         continue;
                     }
@@ -2263,7 +2260,7 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>, 
     };
     let gamma = |input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>| {
         let out = ints(keys.len() + aggs.len());
-        PhysNode::aggregate(input, keys.iter().map(|&k| col(k)).collect(), aggs, out)
+        PhysNode::aggregate(input, keys.to_vec(), aggs, out)
     };
     let kept = |t: &Tuple| t[2] > Value::Int(-20);
     let sigma = || {
@@ -2291,8 +2288,8 @@ fn hash_loop_plans(facts: &Relation, copy: bool) -> Vec<(String, Arc<PhysNode>, 
         }
     }
     let hash = |left_keys: &[usize], right_keys: &[usize]| JoinOn::Hash {
-        left_keys: left_keys.iter().map(|&k| col(k)).collect(),
-        right_keys: right_keys.iter().map(|&k| col(k)).collect(),
+        left_keys: left_keys.to_vec(),
+        right_keys: right_keys.to_vec(),
         residual: None,
     };
     // The nested-loop twin: the same equalities, ANDed, one build row at

@@ -613,3 +613,33 @@ fn distinct_over_a_failing_union_raises_the_unmerged_error() {
     assert_eq!(err, evaluate(&unmerged).unwrap_err());
     assert!(err.to_string().contains("division by zero"), "{err}");
 }
+
+#[test]
+fn a_computed_join_key_is_a_hidden_column_a_pick_drops() {
+    let c = catalog();
+    // r.a1 + 1 = s.b1 - 1: a χ below the probe on each side; the join's
+    // rows are r's and s's columns again, dropped to them by a Pick.
+    let side = |q, col, op| Scalar::binary(op, Scalar::qcol(q, col), Scalar::lit(1i64));
+    let plan = scan(&c, "r")
+        .join(
+            scan(&c, "s"),
+            side("r", "a1", BinOp::Add).eq(side("s", "b1", BinOp::Sub)),
+        )
+        .build();
+    let explain = |fuse_stage_chains| {
+        let options = PlanOptions { fuse_stage_chains };
+        physical_plan_with(&plan, &c, options).unwrap().explain()
+    };
+    assert_eq!(
+        explain(true),
+        "Project fused→#1\n  HashJoin fused→#1\n    Map (#1)\n      Scan\n    Map\n      Scan\n"
+    );
+    assert_eq!(
+        explain(false),
+        "Project\n  HashJoin\n    Map\n      Scan\n    Map\n      Scan\n"
+    );
+    let fused = evaluate(&physical_plan(&plan, &c).unwrap()).unwrap();
+    assert_eq!(fused.schema().arity(), 8);
+    assert!(fused.rows().iter().all(|t| t.arity() == 8));
+    assert_eq!(fused.rows(), unfused(&plan, &c).rows());
+}

@@ -140,13 +140,13 @@ fn agg(func: AggFunc, distinct: bool, arg: Option<usize>) -> AggSpec {
     AggSpec {
         func,
         distinct,
-        arg: arg.map(col),
+        arg,
     }
 }
 
 fn gamma(input: Arc<PhysNode>, keys: &[usize], aggs: Vec<AggSpec>) -> Arc<PhysNode> {
     let out = schema(&vec!["c"; keys.len() + aggs.len()]);
-    PhysNode::aggregate(input, keys.iter().map(|&k| col(k)).collect(), aggs, out)
+    PhysNode::aggregate(input, keys.to_vec(), aggs, out)
 }
 
 fn hash_join(
@@ -159,8 +159,8 @@ fn hash_join(
     let spec = JoinSpec {
         right,
         on: JoinOn::Hash {
-            left_keys: left_keys.iter().map(|&k| col(k)).collect(),
-            right_keys: right_keys.iter().map(|&k| col(k)).collect(),
+            left_keys: left_keys.to_vec(),
+            right_keys: right_keys.to_vec(),
             residual: None,
         },
         defaults,
@@ -410,11 +410,9 @@ fn an_overflowing_sum_fails_alike_on_either_route() {
 /// column — one more tick per row, nothing else, so the extra
 /// checkpoints are given — and a hash join's nested-loop twin on the
 /// same equalities, which emits the same pairs in the same order but
-/// ticks per pair. A join's twin comes with the left key columns: a hash
-/// key matches NaN with NaN, as `Value` equality does, where SQL's `=`
-/// is UNKNOWN, so rows whose left key holds a NaN are compared on
-/// neither side.
-fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>, Vec<usize>)> {
+/// ticks per pair. A NULL or a NaN key matches nothing either way: SQL's
+/// `=` is UNKNOWN on it.
+fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>)> {
     let PhysKind::Pipeline { input, chain, .. } = &plan.kind else {
         return None;
     };
@@ -430,7 +428,7 @@ fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>, Vec<usize>)
         );
         let (keys, aggs) = (group.keys.clone(), group.aggs.clone());
         let twin = PhysNode::aggregate(streamed, keys, aggs, plan.schema.clone());
-        return Some((twin, Some(columns.data().len() as u64), Vec::new()));
+        return Some((twin, Some(columns.data().len() as u64)));
     }
     let spec = plan.head_probe().filter(|_| chain.stages.len() == 1)?;
     let JoinOn::Hash {
@@ -442,12 +440,7 @@ fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>, Vec<usize>)
         return None;
     };
     let arity = input.schema.arity();
-    let eq = |(l, r): (&PhysExpr, &PhysExpr)| {
-        let PhysExpr::Column(r) = r else {
-            unreachable!("plain key columns")
-        };
-        bin(BinOp::Eq, l.clone(), col(arity + r))
-    };
+    let eq = |(&l, &r): (&usize, &usize)| bin(BinOp::Eq, col(l), col(arity + r));
     let mut eqs = left_keys.iter().zip(right_keys).map(eq);
     let first = eqs.next()?;
     let spec = JoinSpec {
@@ -456,35 +449,22 @@ fn twin(plan: &Arc<PhysNode>) -> Option<(Arc<PhysNode>, Option<u64>, Vec<usize>)
         defaults: spec.defaults.clone(),
     };
     let twin = PhysNode::pipeline(input.clone(), vec![Stage::Probe(spec)], plan.schema.clone());
-    let cols = left_keys.iter().map(|k| match k {
-        PhysExpr::Column(c) => *c,
-        _ => unreachable!("plain key columns"),
-    });
-    Some((twin, None, cols.collect()))
+    Some((twin, None))
 }
 
 #[test]
 fn every_hash_loop_matches_its_row_at_a_time_twin() {
     let mut twins = 0;
     for (name, plan, _) in plans(Route::Scan) {
-        let Some((twin, extra, nan_free)) = twin(&plan) else {
+        let Some((twin, extra)) = twin(&plan) else {
             continue;
         };
         twins += 1;
-        let comparable = |rows: Vec<Tuple>| -> Vec<Tuple> {
-            let nan = |t: &Tuple| {
-                nan_free
-                    .iter()
-                    .any(|&c| matches!(t[c], Value::Float(x) if x.is_nan()))
-            };
-            rows.into_iter().filter(|t| !nan(t)).collect()
-        };
         let (want_rows, want) = run(&twin, 1);
-        let want_rows = want_rows.map(comparable);
         for threads in [1, 2, 8] {
             let at = format!("{name}, {threads} threads");
             let (rows, counters) = run(&plan, threads);
-            match (&rows.map(comparable), &want_rows) {
+            match (&rows, &want_rows) {
                 (Ok(rows), Ok(want)) => assert_eq!(rows, want, "{at}: the twin's rows, in order"),
                 (Err(e), Err(want)) => assert_eq!(e.to_string(), want.to_string(), "{at}"),
                 other => panic!("{at}: the twin disagrees on success: {other:?}"),
@@ -503,4 +483,39 @@ fn every_hash_loop_matches_its_row_at_a_time_twin() {
         }
     }
     assert!(twins >= 20, "every Γ and hash join has a twin: {twins}");
+}
+
+/// A key or argument column past its input's arity raises `column #c
+/// out of range` at the first row that reads it, after that row's
+/// checkpoints: Γ's key at its first row's tick, its argument after the
+/// first group's charge too, a build key at the first build row's tick,
+/// a probe key after the whole build and the first probing row's tick.
+#[test]
+fn a_key_column_past_the_arity_raises_at_the_first_row_that_reads_it() {
+    let (dims, facts) = (table(&dims(), Route::Scan), table(&facts(), Route::Scan));
+    let count = || vec![agg(AggFunc::Count, false, None)];
+    let cases = [
+        ("Γ key", gamma(dims.clone(), &[7], count())),
+        (
+            "Γ argument",
+            gamma(dims.clone(), &[0], vec![agg(AggFunc::Sum, false, Some(7))]),
+        ),
+        (
+            "build key",
+            hash_join(facts.clone(), dims.clone(), (&[0], &[7]), None),
+        ),
+        ("probe key", hash_join(dims, facts, (&[7], &[0]), None)),
+    ];
+    // The probe: 600 build ticks and entry charges, then its own tick.
+    for ((name, plan), checkpoints) in cases.into_iter().zip([1, 2, 1, 1_201]) {
+        for threads in [1, 2, 8] {
+            let (rows, counters) = run(&plan, threads);
+            let err = rows.expect_err(name).to_string();
+            assert!(err.contains("column #7 out of range"), "{name}: {err}");
+            assert_eq!(
+                counters.checkpoints, checkpoints,
+                "{name}, {threads} threads"
+            );
+        }
+    }
 }

@@ -137,19 +137,20 @@ impl Value {
     }
 
     /// SQL comparison under three-valued logic. Returns `None` when either
-    /// side is `NULL` (→ `UNKNOWN`) or the types are incomparable.
+    /// side is `NULL` (→ `UNKNOWN`) or the types are incomparable. An
+    /// `Int` and a `Float` compare as the numbers they are, exactly: equal
+    /// just when `Eq` says so, as a hash join and Γ match them.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {
             (Null, _) | (_, Null) => None,
             (Int(a), Int(b)) => Some(a.cmp(b)),
+            (Float(a), Float(b)) => a.partial_cmp(b),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).map(Ordering::reverse),
             (Text(a), Text(b)) => Some(a.as_ref().cmp(b.as_ref())),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
-            // Numeric cross-type comparison via f64.
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-            }
+            _ => None,
         }
     }
 
@@ -259,6 +260,22 @@ impl Value {
         } else {
             None
         }
+    }
+}
+
+/// How `a` compares with `b`, exactly — not through `a as f64`, which
+/// rounds integers past 2⁵³; `None` for a NaN. A float at or past ±2⁶³
+/// lies beyond every i64; any other's integral part is one.
+fn int_float_cmp(a: i64, b: f64) -> Option<Ordering> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    match b {
+        _ if b.is_nan() => None,
+        _ if b >= TWO_63 => Some(Ordering::Less),
+        _ if b < -TWO_63 => Some(Ordering::Greater),
+        _ => Some(
+            a.cmp(&(b.trunc() as i64))
+                .then(0.0.partial_cmp(&b.fract())?),
+        ),
     }
 }
 
@@ -380,16 +397,9 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.as_ref().cmp(b.as_ref()),
             (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.partial_cmp(&y).unwrap_or_else(|| {
-                    // NaN sorts above everything else, deterministically.
-                    match (x.is_nan(), y.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Greater,
-                        (false, true) => Ordering::Less,
-                        _ => unreachable!(),
-                    }
-                })
+                // NaN sorts above every other number, deterministically.
+                let nan = |v: &Value| matches!(v, Float(f) if f.is_nan());
+                a.sql_cmp(b).unwrap_or_else(|| nan(a).cmp(&nan(b)))
             }
             (a, b) => rank(a).cmp(&rank(b)),
         }
@@ -483,6 +493,37 @@ mod tests {
             Value::Float(0.5).sql_cmp(&Value::Int(1)),
             Some(Ordering::Less)
         );
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact_and_agrees_with_eq() {
+        let big = 9_007_199_254_740_993i64; // 2⁵³ + 1: no f64 holds it
+        let cases = [
+            (big, big as f64, Some(Ordering::Greater)),
+            (big - 1, (big - 1) as f64, Some(Ordering::Equal)),
+            (i64::MAX, i64::MAX as f64, Some(Ordering::Less)),
+            (i64::MIN, i64::MIN as f64, Some(Ordering::Equal)),
+            (i64::MIN, -1e19, Some(Ordering::Greater)),
+            (-1, -1.5, Some(Ordering::Greater)),
+            (-2, -1.5, Some(Ordering::Less)),
+            (1, 1.5, Some(Ordering::Less)),
+            (0, -0.0, Some(Ordering::Equal)),
+            (7, f64::INFINITY, Some(Ordering::Less)),
+            (7, f64::NEG_INFINITY, Some(Ordering::Greater)),
+            (7, f64::NAN, None),
+        ];
+        for (i, f, want) in cases {
+            let (int, float) = (Value::Int(i), Value::Float(f));
+            assert_eq!(int.sql_cmp(&float), want, "{i} vs {f}");
+            assert_eq!(
+                float.sql_cmp(&int),
+                want.map(Ordering::reverse),
+                "{f} vs {i}"
+            );
+            assert_eq!(int == float, want == Some(Ordering::Equal), "{i} vs {f}");
+            let sorted = want.unwrap_or(Ordering::Less);
+            assert_eq!(int.cmp(&float), sorted, "sorts as it compares: {i} vs {f}");
+        }
     }
 
     #[test]

@@ -83,8 +83,7 @@ echo "==> one key reader (grep gate)"
 # in place, off its typed columns (TableKey, DESIGN.md §5c): TableKey has
 # no `read` that writes a key into a value buffer, and neither Γ's fold
 # (the sink's `fold_row`) nor the hash build carries such a buffer
-# (`keybuf`) — what they still hold is the interpreter's buffer for
-# computed keys.
+# (`keybuf`).
 keyreads="$(awk '
     FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
     /^impl.* TableKey[ <]/ { in_impl = 1 } in_impl && /^}/ { in_impl = 0 }
@@ -242,6 +241,17 @@ keyhashes="$(awk '
     counting && ((in_impl && /fn at[<(]/) || /TableKey::at\b/ || (in_loop && /\.at\(|\.key\([^)]*\)\.hash\(\)/)) {
         print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
 [ -z "$keyhashes" ] || { echo "a table key read or hashed per row:"; echo "$keyhashes"; exit 1; }
+
+echo "==> hash operators read positions (grep gate)"
+# Γ's keys and arguments and a hash join's keys are columns of their
+# operator's rows (DESIGN.md §5c): the planner computes any other in a χ
+# stage ahead of the operator. No key reader that asks "column or
+# expression?" (`KeyReader`), no borrow-or-evaluate helper (`eval_cow`),
+# and no expression evaluation in Γ, its aggregates or the hash structures.
+readers="$(grep -rnE '\bKeyReader\b|\beval_cow\b' crates/*/src || true)"
+readers="$readers$(grep -nE '\b(eval_expr|eval_truth|eval_cow)\b' \
+    crates/exec/src/group.rs crates/exec/src/agg.rs crates/exec/src/hash.rs || true)"
+[ -z "$readers" ] || { echo "a hash operator that evaluates expressions:"; echo "$readers"; exit 1; }
 
 echo "==> one replay (grep gate)"
 # A morsel worker's governor only counts (DESIGN.md §5f, §7): the master

@@ -16,9 +16,9 @@ fn corpus_root() -> PathBuf {
 }
 
 /// Directories with a dedicated `#[test]` below.
-const DIRS: [&str; 12] = [
-    "agg", "basics", "corpus", "corr", "dates", "errors", "nulls", "plans", "skew", "strings",
-    "surface", "tpch",
+const DIRS: [&str; 13] = [
+    "agg", "basics", "corpus", "corr", "dates", "errors", "keys", "nulls", "plans", "skew",
+    "strings", "surface", "tpch",
 ];
 
 fn run_dir(sub: &str) {
@@ -93,6 +93,11 @@ fn slt_dates() {
 #[test]
 fn slt_errors() {
     run_dir("errors");
+}
+
+#[test]
+fn slt_keys() {
+    run_dir("keys");
 }
 
 #[test]
