@@ -2,7 +2,7 @@ use std::fmt;
 
 use bypass_types::{DataType, Schema, Value};
 
-use super::scalar::{BinOp, Scalar};
+use super::scalar::{BinOp, ColumnRef, Scalar};
 
 /// The aggregate functions of the paper (Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,10 +61,27 @@ impl AggCall {
     /// AVG are **not** decomposable (a value may occur in both partitions
     /// and must not be double-counted). MIN/MAX are insensitive to
     /// duplicates, so their DISTINCT variants remain decomposable.
+    ///
+    /// Over a partition that keeps every class of values DISTINCT treats
+    /// as one inside one part, DISTINCT COUNT/SUM/AVG decompose too. The
+    /// unnesting crate's Eqv. 4 takes them when its bypass selection
+    /// splits that way (`keeps_distinct_classes` in `bypass_unnest`),
+    /// which it can check only for `*` or a bare column argument
+    /// ([`Self::arg_column`]).
     pub fn is_decomposable(&self) -> bool {
         match self.func {
             AggFunc::Min | AggFunc::Max => true,
             AggFunc::Count | AggFunc::Sum | AggFunc::Avg => !self.distinct,
+        }
+    }
+
+    /// The argument, when it is one bare column: the column whose values
+    /// make up the classes a DISTINCT call counts once. `None` for `*`
+    /// (the classes are whole rows) and for a computed argument.
+    pub fn arg_column(&self) -> Option<&ColumnRef> {
+        match self.arg.as_deref() {
+            Some(Scalar::Column(c)) => Some(c),
+            _ => None,
         }
     }
 
@@ -148,6 +165,17 @@ mod tests {
         // DISTINCT min/max: still decomposable.
         assert!(AggCall::new(AggFunc::Min, true, Some(Scalar::col("x"))).is_decomposable());
         assert!(AggCall::new(AggFunc::Max, true, Some(Scalar::col("x"))).is_decomposable());
+    }
+
+    #[test]
+    fn arg_column_is_a_bare_column_only() {
+        let col = AggCall::new(AggFunc::Sum, true, Some(Scalar::qcol("s", "b1")));
+        assert_eq!(col.arg_column().map(|c| c.name.as_str()), Some("b1"));
+        assert!(AggCall::count_distinct_star().arg_column().is_none());
+        let computed = Scalar::binary(BinOp::Add, Scalar::col("b1"), Scalar::lit(1i64));
+        assert!(AggCall::new(AggFunc::Sum, true, Some(computed))
+            .arg_column()
+            .is_none());
     }
 
     #[test]

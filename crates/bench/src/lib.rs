@@ -13,7 +13,7 @@
 pub mod report;
 pub mod runner;
 
-pub use bypass_datagen::rst::{q1_with_threshold, Q1, Q2, Q3, Q4, Q_COMBINED, Q_EXISTS};
+pub use bypass_datagen::rst::{q1_with_threshold, Q1, Q2, Q3, Q4, Q4_FIG6, Q_COMBINED, Q_EXISTS};
 pub use bypass_datagen::tpch::QUERY_2D;
 pub use report::Table;
 pub use runner::{audit, measure, measure_with, rst_database, tpch_database, Measurement};

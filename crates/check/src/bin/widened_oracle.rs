@@ -24,12 +24,14 @@ use std::process::ExitCode;
 use bypass_check::{run_differential_parallel, DefaultExecutor, OracleConfig, AXES};
 
 /// Shapes the gate insists on: every Eqv. 1–5 rewrite outcome (Eqv. 2/3
-/// are the bypass chain), the fallback, plus the PR 4 grammar shapes.
-const REQUIRED_SHAPES: [&str; 10] = [
+/// are the bypass chain; Eqv. 4 counts a DISTINCT aggregate split by
+/// its own predicate apart), the fallback, plus the PR 4 grammar shapes.
+const REQUIRED_SHAPES: [&str; 11] = [
     "type-a:cross-join",
     "eqv1:gamma-outerjoin",
     "bypass-chain",
     "eqv4:decomposed-bypass-filter",
+    "eqv4:distinct-split",
     "eqv5:bypass-join-binary-grouping",
     "fallback:theta-join-binary-grouping",
     "depth2",

@@ -88,6 +88,15 @@ pub const Q4: &str = "SELECT DISTINCT * FROM r \
                  WHERE a2 = b2 \
                     OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))";
 
+/// Q4 with a quantified inner-inner block: the plan of the paper's
+/// Fig. 6. Q4 itself unnests its scalar inner-inner block over S first
+/// and then splits S by Eqv. 4; an EXISTS is left to the driver, which
+/// unnests it with a ⟕ over Eqv. 5's negative join stream.
+pub const Q4_FIG6: &str = "SELECT DISTINCT * FROM r \
+     WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                 WHERE a2 = b2 \
+                    OR EXISTS (SELECT * FROM t WHERE b4 = c2))";
+
 /// Quantified variant (technical-report extension): EXISTS inside a
 /// disjunction.
 pub const Q_EXISTS: &str = "SELECT DISTINCT * FROM r \

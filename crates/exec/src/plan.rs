@@ -410,12 +410,7 @@ impl<'a> Resolver<'a> {
                     .chain(ptr, 0, &input.names, block)?
                     .expect("a σ, Π, χ or join no chain absorbed heads its own");
                 names = chain.schema.clone();
-                // A chain of renames is its input's node.
-                match (chain.stages.is_empty(), self.options.fuse_stage_chains) {
-                    (true, _) => input.node,
-                    (false, true) => PhysNode::pipeline(input.node, chain.stages, chain.schema),
-                    (false, false) => split(input.node, chain),
-                }
+                self.pipeline(input.node, chain)
             }
             LogicalPlan::Aggregate { input, keys, aggs } => {
                 let child = next();
@@ -463,7 +458,8 @@ impl<'a> Resolver<'a> {
                 });
                 let pick = Stage::Pick((0..width).chain([width + maps.len() + 1]).collect());
                 let (left, _) = self.map(l.node, &l.names, maps);
-                PhysNode::pipeline(left, vec![probe, pick], names.clone())
+                let (stages, schema) = (vec![probe, pick], names.clone());
+                self.pipeline(left, Chain { stages, schema })
             }
             LogicalPlan::Numbering { .. } => {
                 PhysNode::pipeline(next().node, vec![Stage::Number], names.clone())
@@ -683,6 +679,16 @@ impl<'a> Resolver<'a> {
         let (input, _) = self.map(input, names, maps);
         let _held = (!self.options.fuse_stage_chains).then(|| input.clone());
         Ok(PhysNode::grouped(input, group, schema))
+    }
+
+    /// `chain` run over `input`: one pipeline, or without fusion one per
+    /// stage. A chain of renames is its input's node.
+    fn pipeline(&self, input: Arc<PhysNode>, chain: Chain) -> Arc<PhysNode> {
+        match (chain.stages.is_empty(), self.options.fuse_stage_chains) {
+            (true, _) => input,
+            (false, true) => PhysNode::pipeline(input, chain.stages, chain.schema),
+            (false, false) => split(input, chain),
+        }
     }
 
     /// The column of rows named `names` that `e` is: its own if `e` is a

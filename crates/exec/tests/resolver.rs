@@ -279,6 +279,30 @@ fn stage_chain_fuses_only_single_consumer_streams() {
     assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
 }
 
+/// Γᵇ is a probe into its Γ and a `Pick`: one pipeline with fusion, one
+/// per stage without, like every other chain — same rows either way.
+#[test]
+fn binary_group_obeys_the_fusion_flag() {
+    let c = catalog();
+    let plan = scan(&c, "r")
+        .binary_group(
+            scan(&c, "s"),
+            Scalar::qcol("r", "a1"),
+            Scalar::qcol("s", "b1"),
+            AggCall::count_distinct_star(),
+            "g",
+        )
+        .build();
+    let phys = physical_plan(&plan, &c).unwrap();
+    let text = phys.explain();
+    assert!(
+        text.starts_with("Project fused→#1\n  HashOuterJoin (#1)\n"),
+        "{text}"
+    );
+    // `unfused` asserts that no operator prints `fused`.
+    assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
+}
+
 /// `max_intermediate_rows` guards what a join loop *materializes*: the
 /// standalone join builds all 36 pairs and trips the cap, the fused
 /// one only the 12 rows its σ lets through (DESIGN.md §7) — until the

@@ -12,24 +12,30 @@
 //! 1. **Uncorrelated (type A)** — cross join with the one-row aggregate.
 //! 2. **Conjunctive equality correlation** — Γ on the correlation keys +
 //!    leftouterjoin with `f(∅)` defaults (the core of Eqv. 1/2/3).
-//! 3. **Disjunctive correlation, Eqv. 4 conditions** (single equality
-//!    correlation disjunct, decomposable aggregate, subquery-free rest
-//!    `p`) — bypass selection on `p`, partial aggregates on both
-//!    streams, χ to combine.
-//! 4. **Disjunctive correlation, general (Eqv. 5)** — ν numbering,
-//!    bypass join on the correlation disjunct(s), `σ_p` on the negative
-//!    stream, disjoint union, ρ rename, binary grouping.
-//! 5. **Fallback** — ν numbering, θ-join on the entire inner predicate,
+//! 3. **Disjunctive correlation** — the scalar subqueries of the local
+//!    disjuncts `p` attach to the inner source first (*inner blocks
+//!    first*, recursively through this function), so `p` is
+//!    subquery-free for what follows; then
+//!    * **Eqv. 4** (single equality correlation disjunct, an aggregate
+//!      that decomposes over σ±_p's streams) — bypass selection on `p`,
+//!      partial aggregates on both streams, χ to combine. A DISTINCT
+//!      COUNT/SUM/AVG qualifies when `p` keeps its classes of equal
+//!      values in one stream ([`keeps_distinct_classes`],
+//!      `eqv4:distinct-split`);
+//!    * **Eqv. 5** otherwise — ν numbering, bypass join on the
+//!      correlation disjunct(s), `σ_p` on the negative stream, disjoint
+//!      union, ρ rename, binary grouping.
+//! 4. **Fallback** — ν numbering, θ-join on the entire inner predicate,
 //!    binary grouping (correct for any inner predicate; the join is
 //!    hash-based whenever equality conjuncts exist).
 
 use std::sync::Arc;
 
-use bypass_algebra::{AggCall, AggFunc, BinOp, LogicalPlan, PlanBuilder, Scalar};
+use bypass_algebra::{AggCall, AggFunc, BinOp, ColumnRef, LogicalPlan, PlanBuilder, Scalar};
 use bypass_types::Schema;
 
 use crate::analysis::{eq_correlation, is_local, EqCorrelation};
-use crate::driver::{Ctx, Split};
+use crate::driver::{attach_subqueries, project_to, Ctx, Split};
 use crate::names::NameGen;
 use crate::outcomes::record_outcome;
 
@@ -50,7 +56,6 @@ pub(crate) fn attach_aggregate(
     agg_plan: &Arc<LogicalPlan>,
     ctx: &mut Ctx,
 ) -> Option<(PlanBuilder, String)> {
-    let names = &mut ctx.names;
     // One span per attempted equivalence: `outcome` records which of
     // Eqv. 1–5 fired, or why the subquery was rejected (stays nested).
     let mut sp = bypass_trace::span("unnest.attach");
@@ -69,7 +74,7 @@ pub(crate) fn attach_aggregate(
     // Type A: evaluate once, attach via cross product (cardinality ×1).
     if agg_plan.free_refs().is_empty() {
         outcome(&mut sp, rec, "type-a:cross-join");
-        let g = names.fresh("g");
+        let g = ctx.names.fresh("g");
         let one_row = PlanBuilder::from_plan(agg_plan.clone())
             .project(vec![(Scalar::col(agg_name.clone()), Some(g.clone()))]);
         return Some((current.cross_join(one_row), g));
@@ -118,7 +123,12 @@ pub(crate) fn attach_aggregate(
         outcome(&mut sp, rec, "eqv1:gamma-outerjoin");
         let corrs: Vec<EqCorrelation> = eq_corrs.into_iter().flatten().collect();
         return Some(gamma_outerjoin(
-            current, &source, &local_cs, &corrs, agg, names,
+            current,
+            &source,
+            &local_cs,
+            &corrs,
+            agg,
+            &mut ctx.names,
         ));
     }
 
@@ -129,48 +139,86 @@ pub(crate) fn attach_aggregate(
         return None;
     }
 
-    // Cases 3/4: exactly one correlated conjunct which is a disjunction.
+    // Case 3: exactly one correlated conjunct which is a disjunction,
+    // with subquery-free correlation disjuncts.
     if free_cs.len() == 1 {
-        let disjuncts: Vec<Scalar> = free_cs[0].disjuncts().into_iter().cloned().collect();
-        if disjuncts.len() >= 2 {
-            let (corr_ds, local_ds): (Vec<Scalar>, Vec<Scalar>) = disjuncts
-                .into_iter()
-                .partition(|d| !is_local(d, &inner_schema));
-            if !corr_ds.is_empty() {
-                // Eqv. 4: single equality correlation disjunct,
-                // decomposable aggregate, subquery-free p.
-                if corr_ds.len() == 1
-                    && !local_ds.is_empty()
-                    && agg.is_decomposable()
-                    && local_ds.iter().all(|d| !d.contains_subquery())
-                {
-                    if let Some(corr) = eq_correlation(&corr_ds[0], &inner_schema) {
-                        outcome(&mut sp, rec, "eqv4:decomposed-bypass-filter");
-                        return Some(eqv4_decomposed(
-                            current, &source, &local_cs, &corr, &local_ds, agg, names,
-                        ));
-                    }
+        let disjuncts = free_cs[0].disjuncts();
+        let (corr_ds, local_ds): (Vec<Scalar>, Vec<Scalar>) = disjuncts
+            .iter()
+            .map(|&d| d.clone())
+            .partition(|d| !is_local(d, &inner_schema));
+        if disjuncts.len() >= 2
+            && !corr_ds.is_empty()
+            && corr_ds.iter().all(|d| !d.contains_subquery())
+        {
+            let mut p = Scalar::disjunction(local_ds);
+            // Read off p as written: the side condition looks into the
+            // nested blocks that inner-first attachment replaces.
+            let class_split = !agg.is_decomposable()
+                && p.as_ref()
+                    .is_some_and(|p| keeps_distinct_classes(agg, p, &inner_schema));
+            let mut x = apply_locals(PlanBuilder::from_plan(source.clone()), &local_cs);
+            // Inner blocks first: p's own subqueries attach to the inner
+            // source, once per inner row, so p is subquery-free for the
+            // split below. A block that cannot attach leaves p nested.
+            if let Some(nested) = p.as_ref().filter(|p| p.contains_subquery()) {
+                if let Some((attached, p_attached)) = attach_subqueries(x.clone(), nested, ctx) {
+                    (x, p) = (attached, Some(p_attached));
                 }
-                // Eqv. 5: general disjunctive correlation. The
-                // correlation disjuncts become the bypass-join predicate;
-                // p may itself contain nested subqueries (linear
-                // queries) — they are unnested by the driver afterwards.
-                if corr_ds.iter().all(|d| !d.contains_subquery()) {
-                    outcome(&mut sp, rec, "eqv5:bypass-join-binary-grouping");
-                    return Some(eqv5_binary_grouping(
-                        current, &source, &local_cs, &corr_ds, &local_ds, agg, names,
+            }
+            // Eqv. 4: single equality correlation disjunct, an aggregate
+            // that decomposes over σ±_p's streams, subquery-free p.
+            if let ([corr_d], Some(p)) = (corr_ds.as_slice(), &p) {
+                let decomposes = agg.is_decomposable() || class_split;
+                if let Some(corr) = eq_correlation(corr_d, &inner_schema)
+                    .filter(|_| decomposes && !p.contains_subquery())
+                {
+                    let key = if class_split {
+                        "eqv4:distinct-split"
+                    } else {
+                        "eqv4:decomposed-bypass-filter"
+                    };
+                    outcome(&mut sp, rec, key);
+                    return Some(eqv4_decomposed(
+                        current,
+                        x,
+                        &inner_schema,
+                        &corr,
+                        p.clone(),
+                        agg,
+                        &mut ctx.names,
                     ));
                 }
             }
+            // Eqv. 5: general disjunctive correlation. The correlation
+            // disjuncts become the bypass-join predicate; a block of p
+            // that could not attach above is unnested by the driver on
+            // the negative stream.
+            outcome(&mut sp, rec, "eqv5:bypass-join-binary-grouping");
+            return Some(eqv5_binary_grouping(
+                current,
+                x,
+                &inner_schema,
+                &corr_ds,
+                p,
+                agg,
+                &mut ctx.names,
+            ));
         }
     }
 
-    // Case 5: general fallback — θ-join on the whole inner predicate +
+    // Case 4: general fallback — θ-join on the whole inner predicate +
     // binary grouping.
     outcome(&mut sp, rec, "fallback:theta-join-binary-grouping");
     let whole = Scalar::conjunction(free_cs.into_iter().chain(local_cs).collect())
         .expect("non-empty predicate");
-    Some(join_binary_grouping(current, &source, &whole, agg, names))
+    Some(join_binary_grouping(
+        current,
+        &source,
+        &whole,
+        agg,
+        &mut ctx.names,
+    ))
 }
 
 /// Descend through consecutive selections, collecting their conjuncts.
@@ -236,22 +284,28 @@ fn gamma_outerjoin(
     (attached, g)
 }
 
-/// Eqv. 4 core: split the inner relation with a bypass selection on the
-/// correlation-independent predicate `p`; aggregate the positive stream
-/// once (uncorrelated partial), group the negative stream by the
-/// correlation key; recombine with χ.
+/// Eqv. 4 core: split the inner relation `x` with a bypass selection on
+/// the correlation-independent predicate `p`; aggregate the positive
+/// stream once (uncorrelated partial), group the negative stream by the
+/// correlation key; recombine with χ. Both streams leave σ± as `A(S)`
+/// (`inner`): a `*` argument counts the inner rows, not the columns
+/// that inner-first attachment added for `p`.
 fn eqv4_decomposed(
     current: PlanBuilder,
-    source: &Arc<LogicalPlan>,
-    local_cs: &[Scalar],
+    x: PlanBuilder,
+    inner: &Schema,
     corr: &EqCorrelation,
-    local_ds: &[Scalar],
+    p: Scalar,
     agg: &AggCall,
     names: &mut NameGen,
 ) -> (PlanBuilder, String) {
-    let x = apply_locals(PlanBuilder::from_plan(source.clone()), local_cs);
-    let p = Scalar::disjunction(local_ds.to_vec()).expect("p is non-empty");
+    let attached = x.schema().arity() != inner.arity();
     let (pos, neg) = x.bypass_filter(p);
+    let (pos, neg) = if attached {
+        (project_to(pos, inner), project_to(neg, inner))
+    } else {
+        (pos, neg)
+    };
 
     let partials = decompose(agg);
     // Correlated partials over the negative stream, grouped by the key.
@@ -296,23 +350,22 @@ fn eqv4_decomposed(
 }
 
 /// Eqv. 5 core: ν + bypass join on the correlation disjunct(s) + σ_p on
-/// the negative stream + ∪̇ + ρ + binary grouping.
+/// the negative stream + ∪̇ + ρ + binary grouping. The ρ's Π also drops
+/// what inner-first attachment added to `x` beyond `A(S)` (`inner`).
 fn eqv5_binary_grouping(
     current: PlanBuilder,
-    source: &Arc<LogicalPlan>,
-    local_cs: &[Scalar],
+    x: PlanBuilder,
+    inner: &Schema,
     corr_ds: &[Scalar],
-    local_ds: &[Scalar],
+    p: Option<Scalar>,
     agg: &AggCall,
     names: &mut NameGen,
 ) -> (PlanBuilder, String) {
     let t = names.fresh("t");
     let numbered = current.numbering(t.clone());
-    let x = apply_locals(PlanBuilder::from_plan(source.clone()), local_cs);
-
     let join_pred =
         Scalar::disjunction(corr_ds.to_vec()).expect("at least one correlation disjunct");
-    let u = match Scalar::disjunction(local_ds.to_vec()) {
+    let u = match p {
         // e2 = σ_p(negative stream); the physical planner fuses this
         // filter into the bypass join's negative emission.
         Some(p) => {
@@ -327,7 +380,7 @@ fn eqv5_binary_grouping(
     // ρ_{t'←t}: rename the numbering column in the joined stream so it
     // can be matched against the left copy.
     let t2 = names.fresh("t");
-    let u_schema = u.schema();
+    let u_schema = numbered.schema().concat(inner);
     let renamed = u.project(rename_projection(&u_schema, &t, &t2));
 
     let g = names.fresh("g");
@@ -398,20 +451,123 @@ fn rename_projection(schema: &Schema, from: &str, to: &str) -> Vec<(Scalar, Opti
 }
 
 /// The partial aggregates `f_I` of a decomposable aggregate
-/// (Section 3.3). AVG decomposes into (SUM, COUNT); everything else is
-/// its own partial.
+/// (Section 3.3), or of a DISTINCT one over a split that keeps its
+/// classes apart ([`keeps_distinct_classes`]). AVG decomposes into
+/// (SUM, COUNT), each as DISTINCT as the AVG; everything else is its own
+/// partial.
 fn decompose(agg: &AggCall) -> Vec<AggCall> {
-    debug_assert!(agg.is_decomposable());
+    let arg = || agg.arg.as_deref().cloned();
     match agg.func {
         AggFunc::Avg => vec![
-            AggCall::new(AggFunc::Sum, false, agg.arg.as_deref().cloned()),
-            AggCall::new(AggFunc::Count, false, agg.arg.as_deref().cloned()),
+            AggCall::new(AggFunc::Sum, agg.distinct, arg()),
+            AggCall::new(AggFunc::Count, agg.distinct, arg()),
         ],
         // MIN/MAX DISTINCT ≡ MIN/MAX.
-        AggFunc::Min | AggFunc::Max => {
-            vec![AggCall::new(agg.func, false, agg.arg.as_deref().cloned())]
-        }
+        AggFunc::Min | AggFunc::Max => vec![AggCall::new(agg.func, false, arg())],
         _ => vec![agg.clone()],
+    }
+}
+
+/// The DISTINCT side condition of Eqv. 4: does σ±_p send every class of
+/// inner rows that `agg`'s DISTINCT counts once to the same stream? Then
+/// the two streams share no class, and a DISTINCT COUNT/SUM/AVG over
+/// their union is the sum of its partials over each.
+///
+/// It holds when `p` reads nothing but the class's own columns — the
+/// whole row for `*`, else a bare argument column ([`AggCall::arg_column`];
+/// a computed argument never qualifies) — and reads them only as bare
+/// operands of a comparison, IS [NOT] NULL or IN (BETWEEN is two
+/// comparisons). These tell apart no two values DISTINCT treats as one:
+/// `-0.0` and `0.0`, `1` and `1.0` compare equal and both NaNs are
+/// UNKNOWN. Arithmetic can (`1.0 / b1 > 0`, `b1 / 2 > 0.4`), so it must
+/// not touch those columns. A scalar subquery of `p` qualifies when each
+/// of its correlation conjuncts is an equality whose outer side is such a
+/// bare column: inner-first attachment turns it into a ⟕ keyed on that
+/// column, whose hash equality is `=`'s, so its value is one per class.
+fn keeps_distinct_classes(agg: &AggCall, p: &Scalar, inner: &Schema) -> bool {
+    let class = match (&agg.arg, agg.arg_column()) {
+        (None, _) => None,
+        (_, Some(c)) => Some(inner.find(c.qualifier.as_deref(), &c.name)),
+        _ => return false,
+    };
+    let reads = |c: &ColumnRef| {
+        let at = inner.find(c.qualifier.as_deref(), &c.name);
+        at.is_some() && class.is_none_or(|class| class == at)
+    };
+    Classes { reads }.predicate(p)
+}
+
+/// The walk of [`keeps_distinct_classes`] over `p`: `reads` admits the
+/// inner columns a class is made of.
+struct Classes<F> {
+    reads: F,
+}
+
+impl<F: Fn(&ColumnRef) -> bool> Classes<F> {
+    fn predicate(&self, p: &Scalar) -> bool {
+        match p {
+            Scalar::Binary {
+                op: BinOp::And | BinOp::Or,
+                left,
+                right,
+            } => self.predicate(left) && self.predicate(right),
+            Scalar::Not(e) => self.predicate(e),
+            Scalar::Binary { op, left, right } if op.is_comparison() => {
+                self.operand(left) && self.operand(right)
+            }
+            Scalar::IsNull { expr, .. } => self.operand(expr),
+            Scalar::InList { expr, list, .. } => {
+                self.operand(expr) && list.iter().all(|e| self.operand(e))
+            }
+            e => self.opaque(e),
+        }
+    }
+
+    fn operand(&self, e: &Scalar) -> bool {
+        match e {
+            Scalar::Column(c) => (self.reads)(c),
+            e => self.opaque(e),
+        }
+    }
+
+    /// An expression that may compute anything, so it must read no inner
+    /// column itself; its scalar subqueries must correlate on admitted
+    /// bare columns only.
+    fn opaque(&self, e: &Scalar) -> bool {
+        let mut ok = true;
+        e.walk(&mut |x| match x {
+            Scalar::Column(_)
+            | Scalar::Exists { .. }
+            | Scalar::InSubquery { .. }
+            | Scalar::QuantifiedCmp { .. } => ok = false,
+            Scalar::Subquery(plan) => ok &= self.block(plan),
+            _ => {}
+        });
+        ok
+    }
+
+    /// A scalar-aggregate block whose free references are all bare
+    /// admitted columns on the outer side of correlation equalities.
+    fn block(&self, plan: &Arc<LogicalPlan>) -> bool {
+        if plan.free_refs().is_empty() {
+            return true;
+        }
+        let LogicalPlan::Aggregate { input, keys, aggs } = plan.as_ref() else {
+            return false;
+        };
+        let (source, conjuncts) = split_filters(input);
+        let scope = source.schema();
+        let local_arg = |a: &AggCall| a.arg.as_deref().is_none_or(|a| is_local(a, &scope));
+        keys.is_empty()
+            && aggs.len() == 1
+            && local_arg(&aggs[0].0)
+            && source.free_refs().is_empty()
+            && conjuncts.iter().all(|c| {
+                is_local(c, &scope)
+                    || eq_correlation(c, &scope).is_some_and(
+                        |corr| matches!(&corr.outer, Scalar::Column(o) if (self.reads)(o)),
+                    )
+            })
     }
 }
 
@@ -455,6 +611,129 @@ mod tests {
         // MIN DISTINCT decomposes to plain MIN.
         let mind = AggCall::new(AggFunc::Min, true, Some(Scalar::col("x")));
         assert!(!decompose(&mind)[0].distinct);
+    }
+
+    #[test]
+    fn decompose_keeps_distinct_on_avg_partials() {
+        let avg = AggCall::new(AggFunc::Avg, true, Some(Scalar::col("x")));
+        assert!(decompose(&avg).iter().all(|p| p.distinct));
+        let sum = AggCall::new(AggFunc::Sum, true, Some(Scalar::col("x")));
+        assert!(decompose(&sum)[0].distinct);
+    }
+
+    /// `A(S)` of the side-condition tests.
+    fn s_schema() -> Schema {
+        use bypass_types::{DataType, Field};
+        let field = |c| Field::qualified("s", c, DataType::Int);
+        Schema::new(vec![field("b1"), field("b2"), field("b3")])
+    }
+
+    fn col(c: &str) -> Scalar {
+        Scalar::col(c)
+    }
+
+    fn num(v: i64) -> Scalar {
+        Scalar::lit(v)
+    }
+
+    /// `(SELECT COUNT(*) FROM t WHERE corr)`.
+    fn block(corr: Scalar) -> Scalar {
+        let plan = PlanBuilder::test_scan("t", &["c1", "c2"])
+            .filter(corr)
+            .aggregate(vec![], vec![(AggCall::count_star(), "n".into())])
+            .build();
+        Scalar::Subquery(plan)
+    }
+
+    /// `1 <= e`, the desugared `EXISTS` form.
+    fn one_le(e: Scalar) -> Scalar {
+        Scalar::binary(BinOp::LtEq, num(1), e)
+    }
+
+    fn keeps(agg: &AggCall, p: &Scalar) -> bool {
+        keeps_distinct_classes(agg, p, &s_schema())
+    }
+
+    #[test]
+    fn the_whole_row_admits_bare_reads_of_any_column() {
+        let star = AggCall::count_distinct_star();
+        assert!(keeps(&star, &col("b3").gt(num(4))));
+        let in_list = Scalar::InList {
+            negated: true,
+            expr: Box::new(col("b2")),
+            list: vec![num(1), num(2)],
+        };
+        let is_null = Scalar::IsNull {
+            negated: false,
+            expr: Box::new(col("b1")),
+        };
+        let both = Scalar::Not(Box::new(in_list.or(is_null)));
+        assert!(keeps(&star, &both));
+        // Two columns of one row compared with each other.
+        assert!(keeps(&star, &col("b1").lt(Scalar::qcol("s", "b3"))));
+    }
+
+    #[test]
+    fn a_column_argument_admits_reads_of_that_column_only() {
+        let b1 = AggCall::new(AggFunc::Sum, true, Some(col("b1")));
+        assert!(keeps(&b1, &Scalar::qcol("s", "b1").gt(num(4))));
+        assert!(!keeps(&b1, &col("b3").gt(num(4))));
+        assert!(!keeps(&b1, &col("b1").gt(num(4)).or(col("b2").eq(num(1)))));
+        // A computed argument has no class column to check p against.
+        let computed = Scalar::binary(BinOp::Add, col("b1"), num(1));
+        let sum = AggCall::new(AggFunc::Sum, true, Some(computed));
+        assert!(!keeps(&sum, &col("b1").gt(num(4))));
+    }
+
+    #[test]
+    fn arithmetic_or_like_on_a_class_column_refuses() {
+        let star = AggCall::count_distinct_star();
+        let b1 = AggCall::new(AggFunc::Count, true, Some(col("b1")));
+        // 1.0 / b1 > 0 tells -0.0 from 0.0; b1 / 2 > 0.4 tells 1 from 1.0.
+        let inverse = Scalar::binary(BinOp::Div, Scalar::lit(1.0f64), col("b1")).gt(num(0));
+        let half = Scalar::binary(BinOp::Div, col("b1"), num(2)).gt(Scalar::lit(0.4f64));
+        for p in [&inverse, &half] {
+            assert!(!keeps(&star, p), "{p}");
+            assert!(!keeps(&b1, p), "{p}");
+        }
+        let negated = Scalar::Neg(Box::new(col("b1"))).lt(num(0));
+        assert!(!keeps(&b1, &negated));
+        let like = Scalar::Like {
+            negated: false,
+            expr: Box::new(col("b1")),
+            pattern: Box::new(Scalar::lit("1%")),
+        };
+        assert!(!keeps(&star, &like));
+        // Arithmetic on constants only reads no column.
+        assert!(keeps(
+            &b1,
+            &col("b1").gt(Scalar::binary(BinOp::Add, num(1), num(2)))
+        ));
+    }
+
+    #[test]
+    fn a_block_of_p_correlates_on_bare_class_columns_only() {
+        let star = AggCall::count_distinct_star();
+        let b1 = AggCall::new(AggFunc::Count, true, Some(col("b1")));
+        let c1 = || Scalar::qcol("t", "c1");
+        // The block is a value of the class whatever p does with it.
+        let bare = block(col("b1").eq(c1()));
+        let plus = Scalar::binary(BinOp::Add, bare.clone(), num(1));
+        assert!(keeps(&b1, &one_le(plus)));
+        assert!(keeps(&star, &col("b3").eq(bare.clone())));
+        // ... but p reads b3 beside it, outside b1's class.
+        assert!(!keeps(&b1, &col("b3").eq(bare)));
+        // Correlated on another column, or through arithmetic.
+        assert!(!keeps(&b1, &one_le(block(col("b2").eq(c1())))));
+        let computed = Scalar::binary(BinOp::Mul, col("b1"), Scalar::lit(1.0f64));
+        assert!(!keeps(&star, &one_le(block(computed.eq(c1())))));
+        // A disjunctive or non-equality correlation.
+        let either = col("b1").eq(c1()).or(Scalar::qcol("t", "c2").gt(num(0)));
+        assert!(!keeps(&star, &one_le(block(either))));
+        assert!(!keeps(&star, &one_le(block(col("b1").lt(c1())))));
+        // Uncorrelated: one value for every row.
+        let type_a = block(Scalar::qcol("t", "c2").gt(num(0)));
+        assert!(keeps(&b1, &one_le(type_a)));
     }
 
     #[test]

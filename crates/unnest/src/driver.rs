@@ -80,9 +80,10 @@ pub fn unnest(plan: &Arc<LogicalPlan>, options: RewriteOptions) -> Result<Arc<Lo
 
 impl Rule for Ctx {
     /// The rewrites leave selections with nested blocks in bypass streams
-    /// (`σ_p` on a negative stream — how linear queries such as Q4
-    /// unfold, Fig. 6); the rewriter visits what `pre` returns, so those
-    /// are unnested in turn.
+    /// (`σ_p` on a negative stream when p holds a block that inner-first
+    /// attachment does not take, such as `Q4_FIG6`'s EXISTS — Fig. 6);
+    /// the rewriter visits what `pre` returns, so those are unnested in
+    /// turn.
     fn pre(&mut self, node: &Arc<LogicalPlan>) -> Option<Arc<LogicalPlan>> {
         match node.as_ref() {
             LogicalPlan::Filter { input, predicate } => rewrite_selection(input, predicate, self),

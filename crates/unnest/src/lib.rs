@@ -12,7 +12,15 @@
 //! * **Eqv. 4** — disjunctive *correlation* with a decomposable
 //!   aggregate: the inner relation is split by a bypass selection into a
 //!   correlation-independent part (aggregated once) and a correlated
-//!   part (grouped), recombined by a map operator,
+//!   part (grouped), recombined by a map operator. A DISTINCT
+//!   COUNT/SUM/AVG counts as decomposable when the bypass selection
+//!   keeps each class of equal argument values in one stream (its
+//!   predicate compares the argument's bare columns only),
+//! * **inner blocks first** — a scalar subquery in the correlation-free
+//!   part of a disjunctively correlated block is unnested over that
+//!   block's source before Eqv. 4 or 5 is chosen, so the linear query Q4
+//!   splits its middle relation by Eqv. 4 instead of visiting every
+//!   pair (a deviation from the paper's Fig. 6),
 //! * **Eqv. 5** — the general disjunctive-correlation rewrite: numbering
 //!   ν, a bypass join on the correlation predicate, and binary grouping,
 //! * quantified table subqueries (`EXISTS` / `NOT EXISTS` / positive

@@ -429,7 +429,7 @@ fn unnested_eqv5_contains_numbering_and_binary_group() {
     let canonical = logical(
         &c,
         "SELECT * FROM r \
-         WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 OR b4 > 6)",
+         WHERE a1 = (SELECT COUNT(DISTINCT b1) FROM s WHERE a2 = b2 OR b4 > 6)",
     );
     let plan = unnest(&canonical, RewriteOptions::default()).unwrap();
     let text = plan.explain();

@@ -1,12 +1,13 @@
 //! Plan gallery: render the canonical and unnested plans for the
 //! paper's example queries Q1–Q4, reproducing the plan shapes of
-//! Figures 2, 3, 5 and 6.
+//! Figures 2, 3, 5 and 6 (Fig. 6 through Q4 with an EXISTS inner block;
+//! Q4 itself unnests its inner block first and takes Eqv. 4).
 //!
 //! ```text
 //! cargo run --example plan_gallery
 //! ```
 
-use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4};
+use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4, Q4_FIG6};
 use bypass::{Database, Strategy};
 
 fn main() -> bypass::Result<()> {
@@ -24,7 +25,11 @@ fn main() -> bypass::Result<()> {
         ),
         ("Fig. 5 — Q3: tree query (Eqv. 3 then Eqv. 1)", Q3),
         (
-            "Fig. 6 — Q4: linear query (Eqv. 5: ν, ⋈±, Γᵇ; then Eqv. 1 in σ_p)",
+            "Fig. 6 — Q4 with an EXISTS inner block: linear query (Eqv. 5: ν, ⋈±, Γᵇ; then Eqv. 1 in σ_p)",
+            Q4_FIG6,
+        ),
+        (
+            "Q4: linear query, inner block first (Eqv. 1 over S), then Eqv. 4 (DISTINCT split)",
             Q4,
         ),
     ];

@@ -4,7 +4,7 @@
 //! text of the same queries is pinned in `tests/slt/plans/*.slt`; what
 //! stays here names, operator by operator, what each figure shows.
 
-use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4};
+use bypass::datagen::rst::{self, Q1, Q2, Q3, Q4, Q4_FIG6};
 use bypass::{Database, Strategy};
 
 fn db() -> Database {
@@ -95,7 +95,8 @@ fn fig5_unnested_q3_tree_structure() {
 
 #[test]
 fn fig6_unnested_q4_linear_structure() {
-    let text = unnested_plan(Q4);
+    // Q4 with an EXISTS inner-inner block keeps the plan of Fig. 6.
+    let text = unnested_plan(Q4_FIG6);
     // Eqv. 5 at the top: numbering, bypass join on the correlation
     // predicate, binary grouping on the numbering column.
     assert!(text.contains("ν[__t"), "{text}");
@@ -104,6 +105,39 @@ fn fig6_unnested_q4_linear_structure() {
     // The inner-inner block is unnested with Eqv. 1 inside σ_p on the
     // negative join stream: Γ over T and an outerjoin with default 0.
     assert!(text.contains("Γ[c2; __g"), "{text}");
+    assert!(!text.contains("subquery:"), "{text}");
+}
+
+#[test]
+fn q4_unnests_its_inner_block_first_and_splits_s_by_eqv4() {
+    let text = unnested_plan(Q4);
+    // The T-block attaches to S once per s-row (Eqv. 1) before S is
+    // split: a ⟕ on the correlation column b4 right over the scan of S.
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let join = lines
+        .iter()
+        .position(|l| l.starts_with("⟕[(b4 = __k"))
+        .unwrap_or_else(|| panic!("no inner-first ⟕:\n{text}"));
+    assert_eq!(lines[join + 1], "Scan s", "{text}");
+    assert!(text.contains("Γ[c2; __g0: count(distinct *)]"), "{text}");
+    // Eqv. 4 under the DISTINCT side condition: σ±_p on the now
+    // subquery-free p, a grouped partial on the negative stream, a
+    // scalar one on the positive stream, both over A(S) only.
+    assert!(text.contains("σ±-[(b3 = __g0)] (#"), "{text}");
+    assert!(text.contains("Γ[b2; __p"), "{text}");
+    assert!(text.contains("Γ[; __q"), "{text}");
+    assert!(text.contains("χ[__g"), "{text}");
+    assert_eq!(
+        text.matches("Π[s.b1, s.b2, s.b3, s.b4]").count(),
+        2,
+        "{text}"
+    );
+    // No pair loop: no numbering, no bypass join, no binary grouping.
+    for eqv5 in ["ν[", "⋈±", "Γᵇ["] {
+        assert!(!text.contains(eqv5), "{eqv5} in:\n{text}");
+    }
+    assert_eq!(text.matches("Scan s").count(), 1, "{text}");
+    assert_eq!(text.matches("Scan t").count(), 1, "{text}");
     assert!(!text.contains("subquery:"), "{text}");
 }
 
@@ -120,7 +154,7 @@ fn physical_q1_uses_hash_operators_and_shared_bypass() {
 #[test]
 fn physical_q4_fuses_the_negative_stream_pipeline_into_its_bypass_join() {
     let db = db();
-    let text = db.explain(Q4, Strategy::Unnested).unwrap();
+    let text = db.explain(Q4_FIG6, Strategy::Unnested).unwrap();
     // The Eqv. 5 plan contains the bypass NL join, and the ⟕ → σ → Π run
     // over its negative stream is that join's stage chain: the three
     // operators stay visible, in place, marked with the join's number.
@@ -150,7 +184,7 @@ fn physical_q4_fuses_the_negative_stream_pipeline_into_its_bypass_join() {
 #[test]
 fn all_strategies_agree_on_all_figure_queries() {
     let db = db();
-    for sql in [Q1, Q2, Q3, Q4] {
+    for sql in [Q1, Q2, Q3, Q4, Q4_FIG6] {
         let reference = db.sql_with(sql, Strategy::Canonical, None).unwrap();
         for strategy in Strategy::all() {
             let got = db.sql_with(sql, strategy, None).unwrap();

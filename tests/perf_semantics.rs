@@ -15,9 +15,9 @@
 //!    worker count. This is the determinism contract of
 //!    `bypass_types::par`: results return in input order and the lowest
 //!    failing index wins.
-//! 3. **Worker-count independence of morsel-driven execution** — Q1
-//!    and a fused Q4 plan (a stage chain inside a bypass join, DESIGN.md
-//!    §7) executed at 1, 2 and 8 intra-query workers must produce the
+//! 3. **Worker-count independence of morsel-driven execution** — Q1,
+//!    Q4 and Q4's Fig. 6 sibling (a stage chain inside a bypass join,
+//!    DESIGN.md §7) executed at 1, 2 and 8 intra-query workers must produce the
 //!    identical row sequence, `ExecCounters`, `QueryProfile` counters
 //!    and (timing-stripped) EXPLAIN ANALYZE report. This is the
 //!    determinism contract of the morsel executor (DESIGN.md §7):
@@ -117,15 +117,24 @@ const Q1_ORDERED: &str = "SELECT DISTINCT * FROM r \
                           ORDER BY a1, a2, a3, a4 LIMIT 50";
 
 /// The paper's linear query Q4 with the benchmark's plain disjunct:
-/// under `Unnested` the `⟕ → σ → Π` run above the inner bypass join is
-/// one fused stage chain (DESIGN.md §7), so its tick/charge sequence,
-/// stage counters and `fused→#k` report lines are part of what must not
-/// depend on workers or batch size.
+/// under `Unnested` its inner-inner block attaches to S first and Eqv. 4
+/// splits S, so a σ± stream feeds each partial Γ.
 const Q4: &str = "SELECT DISTINCT * FROM r \
                   WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
                               WHERE a2 = b2 \
                                  OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2)) \
                      OR a4 > 1500";
+
+/// Q4 with an EXISTS inner-inner block (Fig. 6's plan): under
+/// `Unnested` the `⟕ → σ → Π` run above the inner bypass join is one
+/// fused stage chain (DESIGN.md §7), so its tick/charge sequence, stage
+/// counters and `fused→#k` report lines are part of what must not
+/// depend on workers or batch size.
+const Q4_FIG6: &str = "SELECT DISTINCT * FROM r \
+                       WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
+                                   WHERE a2 = b2 \
+                                      OR EXISTS (SELECT * FROM t WHERE b4 = c2)) \
+                          OR a4 > 1500";
 
 fn rst_database(sf: f64) -> Database {
     let mut db = Database::new();
@@ -137,19 +146,22 @@ fn morsel_database() -> Database {
     rst_database(0.05)
 }
 
-/// The (instance, query) pairs of angles 3 and 4. Q4 runs on a smaller
-/// instance: its canonical plan is cubic.
+/// The (instance, query) pairs of angles 3 and 4. Q4 and its Fig. 6
+/// sibling run on a smaller instance: their canonical plans are cubic.
 fn cases() -> Vec<(Database, &'static str)> {
-    let q4_db = rst_database(0.01);
-    let report = q4_db.explain_analyze(Q4, Strategy::Unnested).unwrap();
+    let fig6_db = rst_database(0.01);
+    let report = fig6_db
+        .explain_analyze(Q4_FIG6, Strategy::Unnested)
+        .unwrap();
     assert!(
         report.contains("HashOuterJoin fused→#") && report.contains("Filter fused→#"),
-        "Q4's negative stream must run as a fused stage chain:\n{report}"
+        "Q4_FIG6's negative stream must run as a fused stage chain:\n{report}"
     );
     vec![
         (morsel_database(), Q1),
         (morsel_database(), Q1_ORDERED),
-        (q4_db, Q4),
+        (rst_database(0.01), Q4),
+        (fig6_db, Q4_FIG6),
     ]
 }
 
