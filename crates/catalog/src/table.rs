@@ -36,11 +36,27 @@ impl TableColumns {
         &self.data
     }
 
+    /// The number of columns, built or not.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.cells.len()
+    }
+
     /// Column `c`, materialised now if this is its first read; `None`
     /// beyond the table's arity.
+    #[inline(always)]
     pub fn get(&self, c: usize) -> Option<&Arc<Column>> {
         let cell = self.cells.get(c)?;
-        Some(cell.get_or_init(|| Arc::new(Column::from_rows(self.data.rows(), c))))
+        Some(cell.get().unwrap_or_else(|| self.build(c)))
+    }
+
+    /// [`Self::get`]'s first read of column `c`: out of line, so a read
+    /// of a built column — every cell a join pair reads by position — is
+    /// a load and a test.
+    #[cold]
+    #[inline(never)]
+    fn build(&self, c: usize) -> &Arc<Column> {
+        self.cells[c].get_or_init(|| Arc::new(Column::from_rows(self.data.rows(), c)))
     }
 
     /// Bytes of the columns materialised so far.

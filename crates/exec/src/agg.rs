@@ -176,7 +176,11 @@ enum Seen {
 fn whole_row<R: Row>(row: &R, width: usize) -> Cow<'_, Tuple> {
     match row.whole() {
         Some(t) if t.arity() == width => Cow::Borrowed(t),
-        _ => Cow::Owned((0..width).map_while(|i| row.get(i).cloned()).collect()),
+        _ => Cow::Owned(
+            (0..width)
+                .map_while(|i| row.with_cell(i, Value::clone))
+                .collect(),
+        ),
     }
 }
 
@@ -266,26 +270,33 @@ impl<'p> AggStates<'p> {
         let n = self.specs.len();
         let accs = &mut self.accs[g as usize * n..][..n];
         let mut retained = 0;
+        let width = self.width;
         for ((acc, seen), spec) in accs.iter_mut().zip(&mut self.seen).zip(self.specs) {
-            let value = match spec.arg {
-                Some(c) => Some(row.get(c).ok_or_else(|| out_of_range(c))?),
-                None => None,
-            };
-            match seen {
-                None => {}
-                Some(Seen::Rows(set)) => {
-                    let row = whole_row(row, self.width);
-                    if !set.insert(g, &row) {
-                        continue;
+            let mut step = |value: Option<&Value>| {
+                match seen {
+                    None => {}
+                    Some(Seen::Rows(set)) => {
+                        let row = whole_row(row, width);
+                        if !set.insert(g, &row) {
+                            return Ok(());
+                        }
+                        retained += tuple_bytes(&row);
                     }
-                    retained += tuple_bytes(&row);
+                    Some(Seen::Values(set)) => match value.filter(|v| !v.is_null()) {
+                        Some(v) if set.insert(g, v) => {
+                            retained += VALUE_BYTES + value_heap_bytes(v)
+                        }
+                        _ => return Ok(()),
+                    },
                 }
-                Some(Seen::Values(set)) => match value.filter(|v| !v.is_null()) {
-                    Some(v) if set.insert(g, v) => retained += VALUE_BYTES + value_heap_bytes(v),
-                    _ => continue,
-                },
+                acc.update(value)
+            };
+            match spec.arg {
+                Some(c) => row
+                    .with_cell(c, |v| step(Some(v)))
+                    .ok_or_else(|| out_of_range(c))??,
+                None => step(None)?,
             }
-            acc.update(value)?;
         }
         Ok(retained)
     }

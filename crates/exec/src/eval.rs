@@ -16,7 +16,7 @@ use crate::group::Fold;
 use crate::hash::{out_of_range, ChunkHashes, CorrMemo, JoinTable, Key, KeyRef, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
-use crate::row::{ChunkValues, Columns, Lane, Row, RowView};
+use crate::row::{ChunkValues, Columns, Lane, Row, RowView, Seg, Source};
 use crate::vector::{chain_bindable, ChainTerm, CompiledChain, SliceLoop};
 
 /// Execution options — these implement the evaluation-strategy knobs the
@@ -338,10 +338,11 @@ struct Local {
 /// join, hashed. Immutable during the probe loop, so morsel workers
 /// share it.
 struct Probe<'p> {
-    build: Arc<Relation>,
+    /// The build rows, a scan's read by position.
+    build: Source<'p>,
     on: ProbeOn<'p>,
     /// Outer joins: the right side an unmatched left row is padded with.
-    pad: Option<Tuple>,
+    pad: Option<Vec<Value>>,
 }
 
 enum ProbeOn<'p> {
@@ -557,7 +558,7 @@ impl ExecContext {
         &mut self,
         node: &Arc<PhysNode>,
         columns: &TableColumns,
-        input: &Relation,
+        input: &Source<'_>,
         routes: &Routes<'_, '_>,
         fold: &mut Option<Box<Fold<'f>>>,
     ) -> Result<Streams<'f>> {
@@ -574,7 +575,7 @@ impl ExecContext {
         let parts = self.run_morsels(node, rows.len(), 1, fold, |ctx, range, fold| {
             let rows = &rows[range.clone()];
             let exit = Exit::of(fold, grouped);
-            let from = (columns, kernels, range.start);
+            let from = (input, columns, kernels, range.start);
             // Two instances: the one no stage follows keeps the σ loop's
             // own shape, which measured faster than a shared one.
             match routes.works(Truth::True) || routes.works(Truth::False) {
@@ -626,7 +627,7 @@ impl ExecContext {
         &mut self,
         chain: &CompiledChain,
         rows: &[Tuple],
-        (columns, kernels, base): (&TableColumns, &[ChainTerm], usize),
+        (input, columns, kernels, base): (&Source<'_>, &TableColumns, &[ChainTerm], usize),
         routes: &Routes<'_, '_>,
         exit: Exit<'f>,
     ) -> Result<(Streams<'f>, Vec<DisjunctMetrics>)> {
@@ -733,7 +734,7 @@ impl ExecContext {
                     false => self.chain_eval_row(chain, &mut counts, t, kernels.len(), acc[r])?,
                 };
                 if let Some((stages, from, k)) = routes.of(truth) {
-                    self.emit(&RowView::of(t), stages, from, &mut out[k])?;
+                    self.emit(&input.view(lo + r), stages, from, &mut out[k])?;
                 }
             }
             self.pass_settled(&chunk[run..], lo + run, &acc[run..], routes, &mut out)?;
@@ -1081,11 +1082,12 @@ impl ExecContext {
             return Err(Error::execution("not a pipeline"));
         };
         let rel = self.eval_node(input, local)?;
-        let columns = columns_of(input, &rel);
+        let source = Source::of(input, rel);
+        let columns = source.columns();
         if chain.stages.is_empty() {
             let group = group.as_ref().expect("only Γ has an empty chain");
             let mut sink = Sink::new(0);
-            sink.rows = self.group_relation(group, &rel, &columns)?;
+            sink.rows = self.group_relation(group, source.rows(), &columns)?;
             return Ok([sink, Sink::new(0)]);
         }
         // The effects of a Γ folding inside the loop wait for its end.
@@ -1100,7 +1102,7 @@ impl ExecContext {
             }
             None => None,
         };
-        let stages = self.open_chain(chain, Some((&rel, &columns)), local)?;
+        let stages = self.open_chain(chain, Some((source.len(), &columns)), local)?;
         let neg = match neg {
             Some(neg) => Some(self.open_chain(neg, None, local)?),
             None => None,
@@ -1113,9 +1115,9 @@ impl ExecContext {
                     pos: &stages,
                     neg: neg.as_deref(),
                 };
-                self.run_chain(node, &columns, &rel, &routes, &mut fold)?
+                self.run_chain(node, &columns, &source, &routes, &mut fold)?
             }
-            None => self.run_pass(node, &columns, &rel, &stages, neg.as_deref(), &mut fold)?,
+            None => self.run_pass(node, &columns, &source, &stages, neg.as_deref(), &mut fold)?,
         };
         if group.is_some() {
             // A serial loop hands Γ back in its sink; a forked one left it
@@ -1143,12 +1145,12 @@ impl ExecContext {
     fn group_relation(
         &mut self,
         group: &Group,
-        input: &Relation,
+        input: &[Tuple],
         columns: &Arc<TableColumns>,
     ) -> Result<Vec<Tuple>> {
         let mut fold = Fold::start(self, group, Some(input.len()))?;
         fold.by_column(columns);
-        fold.fold_relation(self, input.rows())?;
+        fold.fold_relation(self, input)?;
         self.close_group(fold)
     }
 
@@ -1177,7 +1179,7 @@ impl ExecContext {
         &mut self,
         node: &Arc<PhysNode>,
         columns: &TableColumns,
-        input: &Relation,
+        input: &Source<'_>,
         stages: &[LiveStage<'_>],
         neg: Option<&[LiveStage<'_>]>,
         fold: &mut Option<Box<Fold<'f>>>,
@@ -1197,13 +1199,12 @@ impl ExecContext {
             let [mut sink, mut miss] = [stages.len(), neg.map_or(0, <[_]>::len)].map(Sink::new);
             sink.exit = Exit::of(fold, grouped);
             if let (Some(probe), Some(key)) = (head, &table_key) {
-                let rows = input.rows();
                 let to = (stages, neg);
-                ctx.probe_table(probe, key, rows, range, to, &mut sink, &mut miss)?;
+                ctx.probe_table(probe, key, input, range, to, &mut sink, &mut miss)?;
                 return Ok([sink, miss]);
             }
-            for (i, t) in range.clone().zip(&input.rows()[range]) {
-                let row = RowView::of(t);
+            for i in range {
+                let row = input.view(i);
                 let Some(probe) = head else {
                     if !number {
                         ctx.emit(&row, stages, 0, &mut sink)?;
@@ -1214,7 +1215,7 @@ impl ExecContext {
                     sink.reached[0] += 1;
                     ctx.gov.tick()?;
                     let at = [Value::Int(i as i64)];
-                    ctx.emit(&row.with(&at), stages, 1, &mut sink)?;
+                    ctx.emit(&row.with(Seg::Values(&at)), stages, 1, &mut sink)?;
                     continue;
                 };
                 ctx.check_size(sink.rows.len().max(miss.rows.len()))?;
@@ -1246,7 +1247,7 @@ impl ExecContext {
         &mut self,
         probe: &Probe<'_>,
         key: &TableKey,
-        rows: &[Tuple],
+        input: &Source<'_>,
         range: Range<usize>,
         (stages, neg): (&[LiveStage<'_>], Option<&[LiveStage<'_>]>),
         sink: &mut Sink,
@@ -1272,7 +1273,7 @@ impl ExecContext {
                 self.check_size(sink.rows.len().max(miss.rows.len()))?;
                 sink.reached[0] += 1;
                 let miss = neg.map(|neg| (neg, &mut *miss));
-                let row = RowView::of(&rows[i]);
+                let row = input.view(i);
                 self.probe(probe, &row, Some(partners), stages, 1, sink, miss)?;
             }
             self.pass_unmatched(chunk.end - idle, sink, miss)?;
@@ -1331,7 +1332,7 @@ impl ExecContext {
     fn open_probe<'p>(
         &mut self,
         spec: &'p JoinSpec,
-        left: Option<(&Arc<Relation>, &TableColumns)>,
+        left: Option<(usize, &TableColumns)>,
         local: &mut Local,
     ) -> Result<Probe<'p>> {
         let right = self.eval_node(&spec.right, local)?;
@@ -1339,10 +1340,11 @@ impl ExecContext {
             .defaults
             .as_ref()
             .map(|d| padded_right(right.schema().arity(), d));
+        let build = Source::of(&spec.right, right);
         let (left_keys, right_keys, residual) = match &spec.on {
             JoinOn::Loop(predicate) => {
                 return Ok(Probe {
-                    build: right,
+                    build,
                     on: ProbeOn::Loop(predicate.as_ref()),
                     pad,
                 })
@@ -1357,13 +1359,13 @@ impl ExecContext {
         // raise an error the probe would have raised later (or never):
         // columns in range only.
         let only = left
-            .filter(|(l, _)| pad.is_none() && l.len() < right.len())
-            .and_then(|(l, columns)| Some((l.len(), TableKey::new(columns, left_keys).ok()?)));
-        let columns = columns_of(&spec.right, &right);
+            .filter(|&(l, _)| pad.is_none() && l < build.len())
+            .and_then(|(l, columns)| Some((l, TableKey::new(columns, left_keys).ok()?)));
+        let columns = build.columns();
         let (table, charged) =
-            self.build_hash_table(&right, &columns, right_keys, only.as_ref())?;
+            self.build_hash_table(build.len(), &columns, right_keys, only.as_ref())?;
         Ok(Probe {
-            build: right,
+            build,
             on: ProbeOn::Hash {
                 probe_keys: left_keys,
                 table,
@@ -1380,7 +1382,7 @@ impl ExecContext {
     fn open_chain<'p>(
         &mut self,
         chain: &'p Chain,
-        left: Option<(&Arc<Relation>, &TableColumns)>,
+        left: Option<(usize, &TableColumns)>,
         local: &mut Local,
     ) -> Result<Vec<LiveStage<'p>>> {
         chain
@@ -1416,13 +1418,13 @@ impl ExecContext {
         sink: &mut Sink,
         mut miss: Option<(&[LiveStage<'_>], &mut Sink)>,
     ) -> Result<()> {
-        let build = probe.build.rows();
+        let build = &probe.build;
         let mut matched = false;
         match &probe.on {
             ProbeOn::Loop(predicate) => {
-                for rt in build {
+                for bi in 0..build.len() {
                     self.gov.tick()?;
-                    let pair = left.with(rt.values());
+                    let pair = left.with(build.seg(bi));
                     let hit = match predicate {
                         None => true,
                         Some(p) => self.eval_truth(p, &pair)?.is_true(),
@@ -1453,7 +1455,7 @@ impl ExecContext {
                     },
                 };
                 for &bi in partners {
-                    let pair = left.with(build[bi as usize].values());
+                    let pair = left.with(build.seg(bi as usize));
                     if let Some(p) = residual {
                         if !self.eval_truth(p, &pair)?.is_true() {
                             continue;
@@ -1465,7 +1467,7 @@ impl ExecContext {
             }
         }
         if let (false, Some(pad)) = (matched, &probe.pad) {
-            self.emit(&left.with(pad.values()), stages, next, sink)?;
+            self.emit(&left.with(Seg::Values(pad)), stages, next, sink)?;
         }
         Ok(())
     }
@@ -1478,7 +1480,10 @@ impl ExecContext {
     #[inline(never)]
     fn keep_picked(&mut self, row: &RowView<'_>, cols: &[usize], sink: &mut Sink) -> Result<()> {
         self.gov.tick()?;
-        let cell = |&c: &usize| row.get(c).expect("planned against the view").clone();
+        let cell = |&c: &usize| {
+            row.with_cell(c, Value::clone)
+                .expect("planned against the view")
+        };
         if let Exit::Fold(fold) = &mut sink.exit {
             // Γ reads the picked columns in place: a level's buffer.
             let picked = sink.scratch.last_mut().expect("a buffer per level");
@@ -1552,7 +1557,7 @@ impl ExecContext {
             Stage::Map(expr) => {
                 self.gov.tick()?;
                 let v = [self.eval_expr(expr, row)?];
-                self.emit(&row.with(&v), stages, at + 1, sink)
+                self.emit(&row.with(Seg::Values(&v)), stages, at + 1, sink)
             }
             Stage::Project(exprs) => {
                 self.gov.tick()?;
@@ -1586,19 +1591,19 @@ impl ExecContext {
     /// every probe as the full one would, so the join emits the same rows
     /// in the same order whichever way it was built.
     ///
-    /// The build keys, columns of `rel`, are hashed a chunk of
-    /// `batch_rows` at a time off its `columns`, and the chunk's ticks
+    /// The build keys, columns of the `rows` build rows, are hashed a
+    /// chunk of `batch_rows` at a time off their `columns`, and the chunk's ticks
     /// and charges pass in one [`Governor::tick_rows`] call. A key column
     /// past the arity raises at the first build row, after its tick.
     fn build_hash_table(
         &mut self,
-        rel: &Relation,
+        rows: usize,
         columns: &TableColumns,
         keys: &[usize],
         only: Option<&(usize, TableKey)>,
     ) -> Result<(JoinTable, u64)> {
         let key_bytes = keys.len() as u64 * VALUE_BYTES;
-        let distinct_keys = only.map_or(rel.len(), |&(probing, _)| probing);
+        let distinct_keys = only.map_or(rows, |&(probing, _)| probing);
         let mut table = JoinTable::with_capacity(keys.len(), distinct_keys);
         let mut charged = 0;
         let mut hashes = ChunkHashes::default();
@@ -1618,7 +1623,7 @@ impl ExecContext {
         }
         let key = match TableKey::new(columns, keys) {
             Ok(key) => key,
-            Err(_) if rel.is_empty() => {
+            Err(_) if rows == 0 => {
                 table.seal();
                 return Ok((table, charged));
             }
@@ -1626,7 +1631,7 @@ impl ExecContext {
         };
         // Per row of a chunk, the bytes its entry charges (0: none).
         let mut entries: Vec<u64> = Vec::new();
-        for chunk in chunks(0..rel.len(), self.options.batch_rows) {
+        for chunk in chunks(0..rows, self.options.batch_rows) {
             key.hash_chunk(chunk.clone(), &mut hashes);
             entries.clear();
             for (k, i) in chunk.clone().enumerate() {
@@ -1661,18 +1666,6 @@ fn chunks(range: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>>
     range.step_by(len).map(move |lo| lo..(lo + len).min(end))
 }
 
-/// How a loop reads its materialized input `rel` — the evaluated `from`
-/// — by column. A scan hands out its table's own columns, built on their
-/// first read, then shared by every statement and worker. Any other
-/// relation gets a transient set, built a column at a time as the loop
-/// asks, uncharged like every column, and dropped with the loop.
-fn columns_of(from: &PhysNode, rel: &Arc<Relation>) -> Arc<TableColumns> {
-    match &from.kind {
-        PhysKind::Scan { columns } => columns.clone(),
-        _ => TableColumns::new(rel.clone()),
-    }
-}
-
 /// Settle the chunk's undecided lanes `sel` with one kernel term's
 /// `truth` of each and compact `sel` in place. An undecided lane's
 /// accumulator is the chain's identity or UNKNOWN, so no 3VL fold is
@@ -1701,12 +1694,12 @@ fn settle_lanes(
 
 /// The padded right-hand tuple for unmatched outer-join rows: NULLs with
 /// the `g: f(∅)` defaults applied.
-fn padded_right(arity: usize, defaults: &[(usize, Value)]) -> Tuple {
+fn padded_right(arity: usize, defaults: &[(usize, Value)]) -> Vec<Value> {
     let mut vals = vec![Value::Null; arity];
     for (i, v) in defaults {
         vals[*i] = v.clone();
     }
-    Tuple::new(vals)
+    vals
 }
 
 #[cfg(test)]

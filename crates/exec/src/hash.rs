@@ -346,12 +346,12 @@ impl<'a, R: Row> KeyRef<'a, R> {
     /// the row's arity raises. With `nulls_match` unset (joins) a NULL or
     /// NaN value — `=` is never TRUE on it — is no key: `None` at once,
     /// the columns after it unread.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read(row: &'a R, cols: &'a [usize], nulls_match: bool) -> Result<Option<Self>> {
         for &c in cols {
-            match row.get(c) {
+            match row.with_cell(c, never_equal) {
                 None => return Err(out_of_range(c)),
-                Some(v) if !nulls_match && never_equal(v) => return Ok(None),
+                Some(true) if !nulls_match => return Ok(None),
                 Some(_) => {}
             }
         }
@@ -366,10 +366,9 @@ impl<R: Row> Key for KeyRef<'_, R> {
 
     #[inline(always)]
     fn with<T>(&self, j: usize, f: impl FnOnce(&Value) -> T) -> T {
-        f(self
-            .row
-            .get(self.cols[j])
-            .expect("key column checked on read"))
+        self.row
+            .with_cell(self.cols[j], f)
+            .expect("key column checked on read")
     }
 }
 

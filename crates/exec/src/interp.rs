@@ -245,19 +245,19 @@ impl ExecContext {
                     Some(l.or(self.truth_fast(right, t)?))
                 }
                 _ if op.is_comparison() => {
-                    match (self.value_ref(left, t), self.value_ref(right, t)) {
-                        (Some(l), Some(r)) => Some(cmp_truth(*op, l, r)),
-                        _ => self.sum_truth(*op, left, right, t),
+                    let cmp = |l: &Value| self.with_value(right, t, |r| cmp_truth(*op, l, r));
+                    match self.with_value(left, t, cmp).flatten() {
+                        Some(truth) => Some(truth),
+                        None => self.sum_truth(*op, left, right, t),
                     }
                 }
                 _ => None,
             },
             PhysExpr::Not(x) => Some(self.truth_fast(x, t)?.not()),
             PhysExpr::IsNull { negated, expr } => {
-                let v = self.value_ref(expr, t)?;
-                Some(Truth::from_bool(v.is_null() != *negated))
+                self.with_value(expr, t, |v| Truth::from_bool(v.is_null() != *negated))
             }
-            _ => Some(value_truth(self.value_ref(e, t)?)),
+            _ => self.with_value(e, t, value_truth),
         }
     }
 
@@ -279,29 +279,36 @@ impl ExecContext {
     ) -> Option<Truth> {
         let side = |e: &PhysExpr| -> Option<Value> {
             let PhysExpr::Binary { op, left, right } = e else {
-                return self.value_ref(e, t).cloned();
+                return self.with_value(e, t, Value::clone);
             };
-            let (a, b) = (self.value_ref(left, t)?, self.value_ref(right, t)?);
-            Some(match (op, a, b) {
+            let sum = |a: &Value, b: &Value| match (op, a, b) {
                 (BinOp::Add | BinOp::Sub, Value::Null, _)
-                | (BinOp::Add | BinOp::Sub, _, Value::Null) => Value::Null,
-                (BinOp::Add, Value::Int(a), Value::Int(b)) => Value::Int(a.checked_add(*b)?),
-                (BinOp::Sub, Value::Int(a), Value::Int(b)) => Value::Int(a.checked_sub(*b)?),
-                (BinOp::Add, Value::Float(a), Value::Float(b)) => Value::Float(a + b),
-                (BinOp::Sub, Value::Float(a), Value::Float(b)) => Value::Float(a - b),
-                _ => return None,
-            })
+                | (BinOp::Add | BinOp::Sub, _, Value::Null) => Some(Value::Null),
+                (BinOp::Add, Value::Int(a), Value::Int(b)) => a.checked_add(*b).map(Value::Int),
+                (BinOp::Sub, Value::Int(a), Value::Int(b)) => a.checked_sub(*b).map(Value::Int),
+                (BinOp::Add, Value::Float(a), Value::Float(b)) => Some(Value::Float(a + b)),
+                (BinOp::Sub, Value::Float(a), Value::Float(b)) => Some(Value::Float(a - b)),
+                _ => None,
+            };
+            let a = |a: &Value| self.with_value(right, t, |b| sum(a, b));
+            self.with_value(left, t, a).flatten().flatten()
         };
         Some(cmp_truth(op, &side(left)?, &side(right)?))
     }
 
-    /// Borrowed view of a leaf operand; `None` for anything that is not
-    /// a (valid) column, outer or literal reference.
-    #[inline]
-    fn value_ref<'a, R: Columns>(&'a self, e: &'a PhysExpr, t: &'a R) -> Option<&'a Value> {
+    /// `f` of a leaf operand — a row's cell through [`Columns::with_cell`],
+    /// or a literal or outer value; `None` for anything that is not a
+    /// (valid) column, outer or literal reference.
+    #[inline(always)]
+    fn with_value<R: Columns, T>(
+        &self,
+        e: &PhysExpr,
+        t: &R,
+        f: impl FnOnce(&Value) -> T,
+    ) -> Option<T> {
         match e {
-            PhysExpr::Column(i) => t.get(*i),
-            _ => self.const_ref(e),
+            PhysExpr::Column(i) => t.with_cell(*i, f),
+            _ => self.const_ref(e).map(f),
         }
     }
 
@@ -319,8 +326,7 @@ impl ExecContext {
     pub fn eval_expr<R: Row>(&mut self, e: &PhysExpr, t: &R) -> Result<Value> {
         Ok(match e {
             PhysExpr::Column(i) => t
-                .get(*i)
-                .cloned()
+                .with_cell(*i, Value::clone)
                 .ok_or_else(|| Error::execution(format!("column #{i} out of range")))?,
             PhysExpr::Outer { depth, index } => outer_value(&self.outer, *depth, *index)?,
             PhysExpr::Literal(v) => v.clone(),
@@ -469,7 +475,7 @@ impl ExecContext {
             // Materialize the key only on first miss (shared-row Tuple).
             let key: Tuple = outer_keys
                 .iter()
-                .map(|&i| corr_value(t, i).clone())
+                .map(|&i| with_corr(t, i, Value::clone))
                 .collect();
             self.gov
                 .charge(MEMO_ENTRY_BYTES + tuple_bytes(&key) + r.len() as u64 * SHARED_ROW_BYTES)?;
@@ -498,11 +504,12 @@ impl ExecContext {
     }
 }
 
-/// Correlation column `i` of the outer row; the planner resolved it
-/// against that row's schema.
+/// `f` of correlation column `i` of the outer row; the planner resolved
+/// it against that row's schema.
 #[inline]
-fn corr_value<R: Row>(t: &R, i: usize) -> &Value {
-    t.get(i).expect("correlation key within the outer row")
+fn with_corr<R: Row, T>(t: &R, i: usize, f: impl FnOnce(&Value) -> T) -> T {
+    t.with_cell(i, f)
+        .expect("correlation key within the outer row")
 }
 
 /// Precomputed FxHash of `(plan ptr, t[outer_keys...])`, matching the
@@ -513,7 +520,7 @@ fn corr_hash<R: Row>(ptr: usize, outer_keys: &[usize], t: &R) -> u64 {
     h.write_usize(ptr);
     h.write_usize(outer_keys.len());
     for &i in outer_keys {
-        corr_value(t, i).hash(&mut h);
+        with_corr(t, i, |v| v.hash(&mut h));
     }
     h.finish()
 }
@@ -523,7 +530,7 @@ fn corr_key_matches<R: Row>(key: &Tuple, outer_keys: &[usize], t: &R) -> bool {
         && outer_keys
             .iter()
             .enumerate()
-            .all(|(k, &i)| key[k] == *corr_value(t, i))
+            .all(|(k, &i)| with_corr(t, i, |v| key[k] == *v))
 }
 
 #[cfg(test)]

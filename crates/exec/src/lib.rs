@@ -58,4 +58,4 @@ pub use group::ACC_BYTES;
 pub use interp::value_truth;
 pub use node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
 pub use plan::{physical_plan, physical_plan_with, PlanOptions, Resolver};
-pub use row::{Columns, Row, RowView};
+pub use row::{Columns, Row, RowView, Seg};

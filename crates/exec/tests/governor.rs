@@ -922,13 +922,140 @@ fn scan_rooted_plans(copied: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64
         };
         PhysNode::pipeline(left, vec![Stage::Probe(spec)], schema)
     };
-    vec![
+    let mut plans = vec![
         ("Γ over facts", gamma, 1, 40),
         // The larger input probes: a full build over `dims`.
         ("facts ⋈ dims", join(f(), d()), 2, 50),
         // The smaller input probes: the build over `facts` admits only
         // the keys `dims` holds.
         ("dims ⋈ facts", join(d(), f()), 2, 50),
+    ];
+    plans.extend(pair_plans(copied));
+    plans
+}
+
+/// Joins whose pairs are read cell by cell — by position over a scan,
+/// by value over a copy — with what each plan's copies charge, as in
+/// [`scan_rooted_plans`]: `wide(k, v, x, s)` of 40 rows (`x` a float
+/// with NaN and `-0.0`, `s` a text of varying length or NULL) and
+/// `names(k, name)` of 10, joined on `k` with a full build, a build
+/// restricted to `names`' keys and a nested loop, each with a residual
+/// over both sides and a `Pick` of text and numbers — the kept rows'
+/// charges depend on the cells picked — and Γ folding the picked rows.
+fn pair_plans(copied: bool) -> Vec<(&'static str, Arc<PhysNode>, u64, u64)> {
+    let field = |n: &str, t| Field::new(n, t);
+    let wide = (0..40i64).map(|i| {
+        let x = match i % 9 {
+            0 => f64::NAN,
+            1 => -0.0,
+            r => r as f64 * 1.5,
+        };
+        let s = match i % 4 {
+            0 => Value::Null,
+            r => Value::text("w".repeat(r as usize * 3)),
+        };
+        Tuple::new(vec![
+            Value::Int((i * 7) % 13),
+            Value::Int(i),
+            Value::Float(x),
+            s,
+        ])
+    });
+    let names = (0..10i64)
+        .map(|k| Tuple::new(vec![Value::Int(2 * k), Value::text("n".repeat(k as usize))]));
+    let table = |fields: Vec<Field>, rows: Vec<Tuple>| {
+        let scan = PhysNode::scan(TableColumns::new(Relation::new(Schema::new(fields), rows)));
+        match copied {
+            false => scan,
+            true => {
+                let schema = scan.schema.clone();
+                let n = usize::MAX;
+                PhysNode::new(PhysKind::Limit { input: scan, n }, schema)
+            }
+        }
+    };
+    let w = || {
+        let fields = vec![
+            field("k", DataType::Int),
+            field("v", DataType::Int),
+            field("x", DataType::Float),
+            field("s", DataType::Text),
+        ];
+        table(fields, wide.clone().collect())
+    };
+    let n = || {
+        let fields = vec![field("k", DataType::Int), field("name", DataType::Text)];
+        table(fields, names.clone().collect())
+    };
+    // `residual(wide, names)`: where each side's columns start in the pair.
+    let residual = |wide: usize, names: usize| {
+        let null = PhysExpr::IsNull {
+            negated: false,
+            expr: Box::new(PhysExpr::Column(wide + 3)),
+        };
+        let sum = cmp(
+            BinOp::Add,
+            PhysExpr::Column(wide + 1),
+            PhysExpr::Column(names),
+        );
+        let x = cmp(
+            BinOp::GtEq,
+            PhysExpr::Column(wide + 2),
+            PhysExpr::Literal(Value::Float(0.0)),
+        );
+        cmp(
+            BinOp::Or,
+            cmp(BinOp::Gt, sum, int(20)),
+            cmp(BinOp::And, x, null),
+        )
+    };
+    let join = |left: Arc<PhysNode>, right: Arc<PhysNode>, on, pick: Vec<usize>| {
+        let schema = Schema::new(pick.iter().map(|_| field("c", DataType::Unknown)).collect());
+        let spec = JoinSpec {
+            right,
+            on,
+            defaults: None,
+        };
+        PhysNode::pipeline(left, vec![Stage::Probe(spec), Stage::Pick(pick)], schema)
+    };
+    let hash = |residual| JoinOn::Hash {
+        left_keys: vec![0],
+        right_keys: vec![0],
+        residual: Some(residual),
+    };
+    // wide ◦ names: k v x s | k name; names ◦ wide: k name | k v x s.
+    let full = || join(w(), n(), hash(residual(0, 4)), vec![5, 3, 2, 1]);
+    let admitted = join(n(), w(), hash(residual(2, 0)), vec![1, 5, 4, 3]);
+    let on = cmp(
+        BinOp::And,
+        cmp(BinOp::Eq, PhysExpr::Column(0), PhysExpr::Column(2)),
+        residual(2, 0),
+    );
+    let nested = join(n(), w(), JoinOn::Loop(Some(on)), vec![1, 5, 4, 3]);
+    let agg = |func, distinct, arg: Option<usize>| AggSpec {
+        func,
+        distinct,
+        arg,
+    };
+    let gamma = PhysNode::aggregate(
+        full(),
+        vec![0],
+        vec![
+            agg(AggFunc::Count, true, None),
+            agg(AggFunc::Count, true, Some(1)),
+            agg(AggFunc::Sum, false, Some(3)),
+        ],
+        Schema::new(
+            ["name", "n", "d", "s"]
+                .map(|n| field(n, DataType::Unknown))
+                .to_vec(),
+        ),
+    );
+    vec![
+        ("wide ⋈ names, pairs picked", full(), 2, 50),
+        ("names ⋈ wide, pairs picked", admitted, 2, 50),
+        ("names ⋈ wide by a nested loop, pairs picked", nested, 2, 50),
+        ("Γ over picked pairs", gamma, 2, 50),
     ]
 }
 
@@ -961,6 +1088,7 @@ fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
             "{name}"
         );
         assert!(total.checkpoints >= 40, "{name}: a tick per fact row");
+        assert!(total.peak_memory_bytes > 0, "{name}: a vacuous case");
         for k in 1..=total.checkpoints {
             for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
                 let run = |plan: &Arc<PhysNode>, at: u64, options: &ExecOptions| {
@@ -996,5 +1124,64 @@ fn faults_over_a_scan_land_where_they_do_over_an_intermediate() {
                 }
             }
         }
+    }
+}
+
+/// A budget one byte short of a new high-water mark of a plan over
+/// scans trips there, and one as much short of the same mark over an
+/// intermediate holding the same rows trips at the same charge: the
+/// bytes in use at every checkpoint are what a Memory fault there
+/// reports, and over the copy they come on top of what the copies hold.
+#[test]
+fn budgets_over_a_scan_trip_where_they_do_over_an_intermediate() {
+    let mechanisms = [(1, 4096), (8, 2)].map(|(threads, morsel_rows)| ExecOptions {
+        threads,
+        morsel_rows,
+        ..Default::default()
+    });
+    for ((name, scan, ..), (_, copy, _, copy_rows)) in scan_rooted_plans(false)
+        .into_iter()
+        .zip(scan_rooted_plans(true))
+    {
+        let held = copy_rows * SHARED_ROW_BYTES;
+        let checkpoints = counters(&scan, mechanisms[0].clone()).checkpoints;
+        let used = (1..=checkpoints).map(|k| {
+            let mut ctx = ExecContext::new(ExecOptions {
+                fault: Some(InjectedFault::new(k, FaultKind::Memory)),
+                ..mechanisms[0].clone()
+            });
+            match ctx.eval_plan(&scan).unwrap_err() {
+                Error::ResourceExhausted { observed, .. } => observed,
+                other => panic!("{name}: checkpoint {k}: {other}"),
+            }
+        });
+        let mut peak = 0;
+        let mut charges = 0;
+        for used in used.collect::<Vec<_>>() {
+            // A charge past every earlier one: nothing before it trips.
+            if used > peak {
+                charges += 1;
+                for options in &mechanisms {
+                    let at = format!("{name}: {used} bytes under {options:?}");
+                    let run = |plan, budget| {
+                        let options = ExecOptions {
+                            max_memory_bytes: Some(budget),
+                            ..options.clone()
+                        };
+                        evaluate_with(plan, options).unwrap_err()
+                    };
+                    let short = Error::resource_exhausted(ResourceKind::Memory, used - 1, used);
+                    assert_eq!(run(&scan, used - 1), short, "{at}");
+                    let shifted = Error::resource_exhausted(
+                        ResourceKind::Memory,
+                        used - 1 + held,
+                        used + held,
+                    );
+                    assert_eq!(run(&copy, used - 1 + held), shifted, "{at}, over the copy");
+                }
+            }
+            peak = peak.max(used);
+        }
+        assert!(charges > 0, "{name}: a vacuous case");
     }
 }

@@ -39,7 +39,7 @@ use bypass_check::{
 };
 use bypass_exec::{
     evaluate, evaluate_with, physical_plan, value_truth, AggSpec, Chain, ExecContext, ExecOptions,
-    JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, RowView, Stage, ACC_BYTES,
+    JoinOn, JoinSpec, PhysExpr, PhysKind, PhysNode, RowView, Seg, Stage, ACC_BYTES,
 };
 use bypass_types::{
     tuple_bytes, value_heap_bytes, Column, DataType, Field, Relation, Schema, Truth, Tuple, Value,
@@ -1519,22 +1519,42 @@ fn check_operand_table(ls: &[Value], rs: &[Value]) -> [Column; 2] {
     let (pair_scan, left_scan) = (operand_scan(pairs.clone()), operand_scan(lefts.clone()));
     let col_col = simple_predicates(&col(0), &col(1));
     let mut ctx = ExecContext::new(ExecOptions::default());
+    // Each operand as a base table of its own, read by position.
+    let one_column = |vs: &[Value]| {
+        let schema = Schema::new(vec![Field::new("x", DataType::Unknown)]);
+        let rows = vs.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+        TableColumns::new(Relation::new(schema, rows))
+    };
+    let (l_table, r_table) = (one_column(ls), one_column(rs));
     for (k, p) in col_col.iter().enumerate() {
-        // The truth table by the `Value` route, and the two row routes
-        // of the fast path against it.
+        // The truth table by the `Value` route, and the row routes of
+        // the fast path against it: a tuple, two value segments, and
+        // either operand a position in its table.
         let table: Vec<Truth> = pairs
             .iter()
-            .map(|t| {
+            .enumerate()
+            .map(|(i, t)| {
                 let truth = value_truth(&ctx.eval_expr(p, t).unwrap());
                 assert_eq!(ctx.eval_truth(p, t).unwrap(), truth, "{p} over tuple {t:?}");
                 let (l, r) = t.values().split_at(1);
-                let view = RowView::new(l);
-                let view = view.with(&r[..1]);
-                assert_eq!(
-                    ctx.eval_truth(p, &view).unwrap(),
-                    truth,
-                    "{p} over view {t:?}"
+                let (values, none) = (RowView::new(l), RowView::new(&[]));
+                let (l_at, r_at) = (
+                    none.with(Seg::At(&l_table, i / nr)),
+                    Seg::At(&r_table, i % nr),
                 );
+                let views = [
+                    values.with(Seg::Values(&r[..1])),
+                    values.with(r_at),
+                    l_at.with(Seg::Values(&r[..1])),
+                    l_at.with(r_at),
+                ];
+                for view in &views {
+                    assert_eq!(
+                        ctx.eval_truth(p, view).unwrap(),
+                        truth,
+                        "{p} over view {t:?}"
+                    );
+                }
                 truth
             })
             .collect();

@@ -63,17 +63,22 @@ fn facts() -> Relation {
     Relation::new(schema(&["i", "f", "s", "n", "v", "m"]), rows.collect())
 }
 
-/// 30 dimension rows `[k, x, name]` with even keys `k`, `x` the same
-/// number as a float: half of the fact keys find a partner.
+/// 30 dimension rows `[k, x, name, note]` with even keys `k`, `x` the
+/// same number as a float: half of the fact keys find a partner. `note`
+/// is a text or NULL, a `Values` column.
 fn dims() -> Relation {
     let rows = (0..30i64).map(|k| {
         Tuple::new(vec![
             Value::Int(2 * k),
             Value::Float(2.0 * k as f64),
             Value::text(format!("d{k}")),
+            match k % 3 {
+                0 => Value::Null,
+                r => Value::text(format!("note{r}")),
+            },
         ])
     });
-    Relation::new(schema(&["k", "x", "name"]), rows.collect())
+    Relation::new(schema(&["k", "x", "name", "note"]), rows.collect())
 }
 
 /// 30 rows `[k, tag, x, nk]` for two-column keys against the facts:
@@ -98,6 +103,17 @@ fn pairs() -> Relation {
 
 fn col(i: usize) -> PhysExpr {
     PhysExpr::Column(i)
+}
+
+fn float(v: f64) -> PhysExpr {
+    PhysExpr::Literal(Value::Float(v))
+}
+
+fn is_null(e: PhysExpr, negated: bool) -> PhysExpr {
+    PhysExpr::IsNull {
+        negated,
+        expr: Box::new(e),
+    }
 }
 
 fn int(v: i64) -> PhysExpr {
@@ -327,6 +343,156 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
             out.push((format!("{name} key, {shape}"), plan, with_pairs.clone()));
         }
     }
+    out.extend(pair_plans(f, d, &both));
+    out
+}
+
+/// A residual over a fact ⋈ dimension pair (`fact` and `dim`: where each
+/// side's columns start) that reads a column of every kind on both
+/// sides, through each route of the interpreter: the fast path's
+/// comparisons, its `a ± b` sums, the general evaluator (`*`, LIKE).
+fn residual(fact: usize, dim: usize) -> PhysExpr {
+    let [i, f, s, n, v, m]: [PhysExpr; 6] = std::array::from_fn(|c| col(fact + c));
+    let [k, x, name, note]: [PhysExpr; 4] = std::array::from_fn(|c| col(dim + c));
+    let like = PhysExpr::Like {
+        negated: false,
+        expr: Box::new(name.clone()),
+        pattern: Box::new(PhysExpr::Literal(Value::text("d1%"))),
+    };
+    let any = |terms: Vec<PhysExpr>| {
+        terms
+            .into_iter()
+            .reduce(|a, b| bin(BinOp::Or, a, b))
+            .unwrap()
+    };
+    any(vec![
+        bin(BinOp::GtEq, f, bin(BinOp::Sub, x, float(3.0))),
+        bin(
+            BinOp::And,
+            bin(BinOp::LtEq, m, int(1)),
+            bin(BinOp::Neq, s, name),
+        ),
+        bin(BinOp::And, is_null(note, false), is_null(n.clone(), true)),
+        bin(BinOp::Gt, bin(BinOp::Add, v.clone(), k.clone()), int(90)),
+        bin(
+            BinOp::Gt,
+            bin(BinOp::Mul, v, int(2)),
+            bin(BinOp::Mul, k, int(3)),
+        ),
+        bin(BinOp::And, like, bin(BinOp::Lt, n, i)),
+    ])
+}
+
+/// Pairs read by position: joins of the facts and the dimensions whose
+/// residual ([`residual`]) and `Pick` read every column kind on both
+/// sides — typed `Int` (`i`, `v`, `k`), typed `Float` with NaN and
+/// `-0.0` (`f`) and without (`x`), `Values` of text and of NULLs (`s`,
+/// `n`, `name`, `note`), a mixed Int/Float column (`m`) — with a full
+/// build, a build restricted to the probing side's keys, an outer join's
+/// padding, a nested loop, a Γ folding the picked rows and one folding
+/// the pairs themselves, and σ's rows through a χ and a `Pick`.
+fn pair_plans(
+    f: impl Fn() -> Arc<PhysNode>,
+    d: impl Fn() -> Arc<PhysNode>,
+    both: &[u64],
+) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
+    let out_schema = |n: usize| schema(&vec!["c"; n]);
+    let join = |left: Arc<PhysNode>, right: Arc<PhysNode>, on: JoinOn, defaults, pick: &[usize]| {
+        let spec = JoinSpec {
+            right,
+            on,
+            defaults,
+        };
+        let stages = vec![Stage::Probe(spec), Stage::Pick(pick.to_vec())];
+        PhysNode::pipeline(left, stages, out_schema(pick.len()))
+    };
+    let hash = |l: usize, r: usize, residual| JoinOn::Hash {
+        left_keys: vec![l],
+        right_keys: vec![r],
+        residual: Some(residual),
+    };
+    // fact ◦ dim: i f s n v m | k x name note; dim ◦ fact the other way.
+    let fact_dim = [8, 1, 9, 5, 7, 3, 2, 0, 4, 6];
+    let dim_fact = [2, 5, 3, 9, 1, 7, 6, 4, 8, 0];
+    let pad = || Some(vec![(1, Value::Float(-0.0)), (3, Value::text("pad"))]);
+    let mut plans = vec![
+        (
+            "pairs, full build",
+            join(f(), d(), hash(0, 0, residual(0, 6)), None, &fact_dim),
+        ),
+        (
+            "pairs, admitted build",
+            join(d(), f(), hash(0, 0, residual(4, 0)), None, &dim_fact),
+        ),
+        (
+            "pairs, outer",
+            join(f(), d(), hash(5, 0, residual(0, 6)), pad(), &fact_dim),
+        ),
+        (
+            "pairs, nested loop",
+            join(
+                d(),
+                f(),
+                JoinOn::Loop(Some(bin(
+                    BinOp::And,
+                    bin(BinOp::Eq, col(0), col(4)),
+                    residual(4, 0),
+                ))),
+                None,
+                &dim_fact,
+            ),
+        ),
+    ];
+    // Γ over the picked rows: keyed by `name` and `m`, folding `f`, `x`
+    // and `note`.
+    let picked = join(f(), d(), hash(0, 0, residual(0, 6)), None, &fact_dim);
+    let aggs = vec![
+        agg(AggFunc::Count, true, None),
+        agg(AggFunc::Avg, false, Some(1)),
+        agg(AggFunc::Max, false, Some(6)),
+        agg(AggFunc::Min, false, Some(2)),
+        agg(AggFunc::Sum, true, Some(4)),
+    ];
+    plans.push(("Γ over picked pairs", gamma(picked, &[0, 3], aggs.clone())));
+    // Γ over the pairs themselves: its keys and arguments, and the whole
+    // row COUNT(DISTINCT *) reads, are cells of both sides.
+    let spec = JoinSpec {
+        right: f(),
+        on: hash(0, 0, residual(4, 0)),
+        defaults: None,
+    };
+    let pairs = PhysNode::pipeline(d(), vec![Stage::Probe(spec)], out_schema(10));
+    let aggs = vec![
+        agg(AggFunc::Count, true, None),
+        agg(AggFunc::Sum, false, Some(8)),
+        agg(AggFunc::Avg, true, Some(5)),
+        agg(AggFunc::Min, false, Some(6)),
+        agg(AggFunc::Max, false, Some(3)),
+        agg(AggFunc::Count, false, Some(7)),
+    ];
+    plans.push(("Γ over pairs", gamma(pairs, &[2, 9], aggs)));
+    let mut out: Vec<_> = plans
+        .into_iter()
+        .map(|(name, plan)| (name.to_string(), plan, both.to_vec()))
+        .collect();
+    // σ hands its rows on by position: a χ and a `Pick` read them.
+    let keep = bin(
+        BinOp::Or,
+        bin(BinOp::Gt, col(4), int(50)),
+        is_null(col(3), false),
+    );
+    let mapped = bin(BinOp::Add, bin(BinOp::Mul, col(4), int(2)), col(5));
+    let stages = vec![
+        Stage::Filter(keep),
+        Stage::Map(mapped),
+        Stage::Pick(vec![6, 2, 1, 5, 3]),
+    ];
+    let facts = both[..1].to_vec();
+    out.push((
+        "σ, χ and Pick".into(),
+        PhysNode::pipeline(f(), stages, out_schema(5)),
+        facts,
+    ));
     out
 }
 

@@ -16,6 +16,7 @@
 //! parallelism; `1` disables threading entirely and runs inline).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable controlling the worker count.
 pub const THREADS_ENV: &str = "BYPASS_THREADS";
@@ -37,10 +38,16 @@ pub fn thread_count_or(default: usize) -> usize {
         .max(1)
 }
 
+/// The machine's available parallelism, asked once per process: std
+/// reads the cgroup quota files on every call, and every statement's
+/// options ask (`BYPASS_THREADS` is still read per call).
 fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Apply `f` to every item on up to `threads` workers — the calling

@@ -181,9 +181,9 @@ callers() { # $1: the call, $2: its definition; prints file:fn per call outside 
         match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
         counting && $0 ~ call && $0 !~ def { print FILENAME ":" fn }'
 }
-pairs="$(callers '\\.with\\(rt\\.values\\(\\)\\)' 'fn with' | sort -u | tr '\n' ' ')"
+pairs="$(callers '\\.with\\(build\\.seg\\(' 'fn with' | sort -u | tr '\n' ' ')"
 [ "$pairs" = "crates/exec/src/eval.rs:probe " ] \
-    || { echo "a nested-loop pair formed outside eval.rs:probe: $pairs"; exit 1; }
+    || { echo "a join pair formed outside eval.rs:probe: $pairs"; exit 1; }
 
 echo "==> one Γ (grep gate)"
 # Γ is the sink of the pipeline that feeds it (DESIGN.md §7): the rows
@@ -252,6 +252,25 @@ readers="$(grep -rnE '\bKeyReader\b|\beval_cow\b' crates/*/src || true)"
 readers="$readers$(grep -nE '\b(eval_expr|eval_truth|eval_cow)\b' \
     crates/exec/src/group.rs crates/exec/src/agg.rs crates/exec/src/hash.rs || true)"
 [ -z "$readers" ] || { echo "a hash operator that evaluates expressions:"; echo "$readers"; exit 1; }
+
+echo "==> pairs read cells by position (grep gate)"
+# A join pair is the probing row's segment ◦ the build row's, and a
+# segment that is row i of a scan is a position in the table's columns
+# (DESIGN.md §5c "Segments"): `probe` pairs a build row through
+# `Source::seg` (checked above), never through its tuple's values
+# (`.values()` in `probe`), and every reader of a row's cells — keep_picked,
+# the interpreter's operands, KeyRef, AggStates::fold — goes through the
+# one closure accessor `Columns::with_cell`: row.rs defines no accessor
+# that lends a cell out by reference (`Option<&Value>`, `-> &Value`).
+tuples="$(awk '
+    /^    fn probe[<(]/ { inside = 1 } inside && /^    }$/ { inside = 0 }
+    inside && /\.values\(\)/ { print FILENAME ":" FNR ": " $0 }' crates/exec/src/eval.rs)"
+[ -z "$tuples" ] || { echo "probe reads a build row through its tuple:"; echo "$tuples"; exit 1; }
+borrowed="$(awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting && /Option<&('"'"'[a-z]+ )?Value>|-> &('"'"'[a-z]+ )?Value\b/ {
+        print FILENAME ":" FNR ": " $0 }' crates/exec/src/row.rs)"
+[ -z "$borrowed" ] || { echo "a cell accessor besides Columns::with_cell:"; echo "$borrowed"; exit 1; }
 
 echo "==> one replay (grep gate)"
 # A morsel worker's governor only counts (DESIGN.md §5f, §7): the master

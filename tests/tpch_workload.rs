@@ -123,3 +123,41 @@ fn unnested_wins_on_this_workload_too() {
         );
     }
 }
+
+/// The physical plan of the benchmark's Q4-like statement, cost-based
+/// (unnested). Γᵇ's Γ sinks into the join of its right input (`#5`):
+/// `σ_{__t1 IS NOT NULL}` runs inside that join's chain, ahead of the
+/// `Pick` of the key, so the join's pairs are folded as they leave and
+/// never materialized.
+#[test]
+fn q4_like_folds_its_join_in_place() {
+    let text = db()
+        .explain(tpch::QUERY_4_LIKE, Strategy::CostBased)
+        .unwrap();
+    let physical = text.split("-- physical plan\n").nth(1).unwrap();
+    assert_eq!(
+        physical,
+        "HashAggregate
+  UnionAll
+    Project fused→#1
+      Stream(+)
+        BypassFilter (#1)
+          Filter
+            Scan
+    Project fused→#2
+      Filter (#2)
+        Project fused→#3
+          HashOuterJoin (#3)
+            Numbering (#4)
+              Project fused→#1
+                Stream(-)
+                  BypassFilter (shared #1)
+            HashAggregate fused→#5
+              Project fused→#5
+                Filter fused→#5
+                  HashJoin (#5)
+                    Numbering (shared #4)
+                    Scan
+"
+    );
+}
