@@ -345,22 +345,27 @@ impl<'p> AggStates<'p> {
                 .find_map(Result::err),
             (Some(seen), column) => {
                 for (k, (&g, r)) in lanes {
-                    let value = column.map(|c| c.get(r));
-                    let value = value.as_deref();
-                    let retained = match seen {
-                        Seen::Rows(set) => {
-                            let row = whole_row(&rows[r - base], self.width);
-                            set.insert(g, &row).then(|| tuple_bytes(&row))
-                        }
-                        Seen::Values(set) => value
-                            .filter(|v| !v.is_null() && set.insert(g, v))
-                            .map(|v| VALUE_BYTES + value_heap_bytes(v)),
+                    let mut step = |value: Option<&Value>| {
+                        let retained = match seen {
+                            Seen::Rows(set) => {
+                                let row = whole_row(&rows[r - base], self.width);
+                                set.insert(g, &row).then(|| tuple_bytes(&row))
+                            }
+                            Seen::Values(set) => value
+                                .filter(|v| !v.is_null() && set.insert(g, v))
+                                .map(|v| VALUE_BYTES + value_heap_bytes(v)),
+                        };
+                        retained.map(|bytes| (bytes, accs[acc(g)].update(value)))
                     };
-                    let Some(bytes) = retained else {
+                    let folded = match column {
+                        Some(c) => c.with_slot(r, |v| step(Some(v))),
+                        None => step(None),
+                    };
+                    let Some((bytes, done)) = folded else {
                         continue;
                     };
                     grown[k] += bytes;
-                    if let Err(e) = accs[acc(g)].update(value) {
+                    if let Err(e) = done {
                         return Some((k, e));
                     }
                 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use bypass_catalog::TableColumns;
 use bypass_types::{
     compare_tuples, par, tuple_bytes, CancelToken, Column, Error, FxHashMap, FxHashSet,
-    InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BATCH_ROWS,
+    InjectedFault, Relation, ResourceKind, Result, Truth, Tuple, Value, BATCH_ROWS,
     SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
@@ -16,7 +16,7 @@ use crate::group::Fold;
 use crate::hash::{out_of_range, ChunkHashes, CorrMemo, JoinTable, Key, KeyRef, TableKey};
 use crate::interp::{cmp_truth, ord_lookup};
 use crate::node::{Chain, Group, JoinOn, JoinSpec, PhysKind, PhysNode, Stage};
-use crate::row::{ChunkValues, Columns, Lane, Row, RowView, Seg, Source};
+use crate::row::{Columns, Row, RowView, Seg, Source};
 use crate::vector::{chain_bindable, ChainTerm, CompiledChain, SliceLoop};
 
 /// Execution options — these implement the evaluation-strategy knobs the
@@ -41,8 +41,8 @@ pub struct ExecOptions {
     /// disables the guard.
     pub max_intermediate_rows: Option<usize>,
     /// Byte-accurate memory budget: the governor charges every
-    /// materialization point (output rows, join key arenas, group
-    /// arenas, DISTINCT accumulators, sort decorations, memo caches)
+    /// materialization point (output rows, a sort's row handles, join
+    /// key arenas, group arenas, DISTINCT accumulators, memo caches)
     /// against this cap using the deterministic byte model of
     /// `bypass_types::govern`. Exceeding it returns
     /// [`Error::ResourceExhausted`] with `resource = Memory`.
@@ -643,7 +643,6 @@ impl ExecContext {
         // kernel term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        let mut values = ChunkValues::new(columns);
         let mut lo = base;
         for chunk in rows.chunks(self.options.batch_rows) {
             let n = chunk.len();
@@ -651,7 +650,6 @@ impl ExecContext {
             acc.resize(n, chain.identity());
             sel.clear();
             sel.extend(0..n as u32);
-            values.start(lo, n);
             for (term, count) in kernels.iter().zip(&mut counts) {
                 if sel.is_empty() {
                     break;
@@ -664,7 +662,8 @@ impl ExecContext {
                     // Hot shapes: one tight loop over the chunk of
                     // a column against a pre-resolved constant —
                     // over bare numbers when column and constant
-                    // agree in type, over values otherwise …
+                    // agree in type, over the column's slots in
+                    // place otherwise …
                     Some(SliceLoop::ColConst(op, c, rhs)) => match (column(c), rhs) {
                         (Column::Int(xs), Value::Int(k)) => {
                             let (xs, truth) = (&xs[chunk], ord_lookup(op));
@@ -674,11 +673,13 @@ impl ExecContext {
                             let (xs, truth) = (&xs[chunk], ord_lookup(op));
                             settle_lanes(sel, acc, chain, |at| truth(xs[at].partial_cmp(k)));
                         }
-                        _ => {
-                            values.fill(&[c]);
-                            let xs = values.column(c);
+                        (Column::Values(xs), _) => {
+                            let xs = &xs[chunk];
                             settle_lanes(sel, acc, chain, |at| cmp_truth(op, &xs[at], rhs));
                         }
+                        (xs, _) => settle_lanes(sel, acc, chain, |at| {
+                            xs.with_slot(lo + at, |x| cmp_truth(op, x, rhs))
+                        }),
                     },
                     // … or against a second column.
                     Some(SliceLoop::ColCol(op, l, r)) => match (column(l), column(r)) {
@@ -692,24 +693,23 @@ impl ExecContext {
                             let truth = ord_lookup(op);
                             settle_lanes(sel, acc, chain, |at| truth(l[at].partial_cmp(&r[at])));
                         }
-                        _ => {
-                            values.fill(&[l, r]);
-                            let (l, r) = (values.column(l), values.column(r));
+                        (Column::Values(l), Column::Values(r)) => {
+                            let (l, r) = (&l[chunk.clone()], &r[chunk]);
                             settle_lanes(sel, acc, chain, |at| cmp_truth(op, &l[at], &r[at]));
                         }
+                        (l, r) => settle_lanes(sel, acc, chain, |at| {
+                            let cmp = |x: &Value| r.with_slot(lo + at, |y| cmp_truth(op, x, y));
+                            l.with_slot(lo + at, cmp)
+                        }),
                     },
-                    // Any other kernel: the interpreter's fast path
-                    // over the lane. Total here — the term is in
-                    // its class and `run_chain` saw the outer
-                    // references resolve.
-                    None => {
-                        values.fill(&chain.cols);
-                        let values = &values;
-                        settle_lanes(sel, acc, chain, |row| {
-                            let truth = self.truth_fast(&term.expr, &Lane { chunk: values, row });
-                            truth.expect("kernel terms never leave the fast path")
-                        });
-                    }
+                    // Any other kernel: the interpreter's fast path on
+                    // the row's position in the input's columns. Total
+                    // here — the term is in its class and `run_chain`
+                    // saw the outer references resolve.
+                    None => settle_lanes(sel, acc, chain, |at| {
+                        let truth = self.truth_fast(&term.expr, &Seg::At(columns, lo + at));
+                        truth.expect("kernel terms never leave the fast path")
+                    }),
                 }
                 count.evals += before as u64;
                 count.hits += (before - sel.len()) as u64;
@@ -938,37 +938,16 @@ impl ExecContext {
                 let [sink, _] = self.run_pipeline(node, local)?;
                 Relation::new(schema(), sink.rows)
             }
+            // The keys are columns of the input's rows: a stable sort of
+            // their handles, each row's checkpoint and charge in input order.
             PhysKind::Sort { input, keys } => {
                 let input = self.eval_node(input, local)?;
-                // Evaluate sort keys once per row, then argsort.
-                let mut decorated: Vec<(Tuple, Tuple)> = Vec::with_capacity(input.len());
-                let mut scratch = 0u64; // sort-key decoration, released below
-                for t in input.rows() {
+                for _ in input.rows() {
                     self.gov.tick()?;
-                    let mut kv = Vec::with_capacity(keys.len());
-                    for (e, _) in keys {
-                        kv.push(self.eval_expr(e, t)?);
-                    }
-                    let key = Tuple::new(kv);
-                    let bytes = tuple_bytes(&key) + SHARED_ROW_BYTES;
-                    self.gov.charge(bytes)?;
-                    scratch += tuple_bytes(&key); // keys die after the argsort
-                    decorated.push((key, t.clone()));
+                    self.gov.charge(SHARED_ROW_BYTES)?;
                 }
-                let spec: Vec<SortKey> = keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, desc))| {
-                        if *desc {
-                            SortKey::desc(i)
-                        } else {
-                            SortKey::asc(i)
-                        }
-                    })
-                    .collect();
-                decorated.sort_by(|a, b| compare_tuples(&a.0, &b.0, &spec));
-                self.gov.release(scratch);
-                let rows = decorated.into_iter().map(|(_, t)| t).collect();
+                let mut rows = input.rows().to_vec();
+                rows.sort_by(|a, b| compare_tuples(a, b, keys));
                 Relation::new(schema(), rows)
             }
             PhysKind::Limit { input, n } => {

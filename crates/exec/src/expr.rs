@@ -159,6 +159,30 @@ impl PhysExpr {
         out
     }
 
+    /// This expression read through a `Pick` of `cols`: column `c` is
+    /// column `cols[c]`. `None` beyond comparisons, their negations and
+    /// NULL tests of columns, literals and outer references — for a
+    /// subquery, whose correlation keys are columns too, among them.
+    pub(crate) fn through(&self, cols: &[usize]) -> Option<PhysExpr> {
+        let at = |e: &PhysExpr| e.through(cols).map(Box::new);
+        Some(match self {
+            PhysExpr::Column(c) => PhysExpr::Column(cols[*c]),
+            PhysExpr::Outer { .. } | PhysExpr::Literal(_) => self.clone(),
+            PhysExpr::Binary { op, left, right } => PhysExpr::Binary {
+                op: *op,
+                left: at(left)?,
+                right: at(right)?,
+            },
+            PhysExpr::Not(e) => PhysExpr::Not(at(e)?),
+            PhysExpr::Neg(e) => PhysExpr::Neg(at(e)?),
+            PhysExpr::IsNull { negated, expr } => PhysExpr::IsNull {
+                negated: *negated,
+                expr: at(expr)?,
+            },
+            _ => return None,
+        })
+    }
+
     /// Does this expression (transitively, excluding subquery plans)
     /// contain a subquery? Used by the planner to order disjuncts.
     pub fn contains_subquery(&self) -> bool {

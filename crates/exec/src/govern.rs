@@ -237,8 +237,8 @@ impl Governor {
         }
     }
 
-    /// Return operator-local scratch (join key arenas, sort
-    /// decorations, group maps) to the budget when its scope ends.
+    /// Return operator-local scratch (join key arenas, group maps) to
+    /// the budget when its scope ends.
     /// Releases are not checkpoints — nothing can fail while freeing.
     #[inline]
     pub(crate) fn release(&mut self, bytes: u64) {

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
-use bypass_types::{Schema, Value};
+use bypass_types::{Schema, SortKey, Value};
 
 use crate::agg::AggSpec;
 use crate::expr::PhysExpr;
@@ -333,10 +333,11 @@ pub enum PhysKind {
         neg: Option<Chain>,
         group: Option<Group>,
     },
-    /// ORDER BY; `true` = descending.
+    /// ORDER BY, a stable sort on columns of the input's rows: the
+    /// planner adds a computed key as a χ column first.
     Sort {
         input: Arc<PhysNode>,
-        keys: Vec<(PhysExpr, bool)>,
+        keys: Vec<SortKey>,
     },
     /// LIMIT — first n rows.
     Limit { input: Arc<PhysNode>, n: usize },
@@ -421,18 +422,10 @@ impl PhysNode {
         out
     }
 
-    /// The expressions evaluated by this operator, fused stages included.
+    /// The expressions this operator evaluates: its stages', fused ones
+    /// included — no other operator holds one.
     pub fn exprs(&self) -> Vec<&PhysExpr> {
-        let mut own = match &self.kind {
-            PhysKind::Scan { .. }
-            | PhysKind::Pipeline { .. }
-            | PhysKind::Limit { .. }
-            | PhysKind::Union { .. }
-            | PhysKind::Stream { .. } => vec![],
-            PhysKind::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
-        };
-        own.extend(self.stages().flat_map(Stage::exprs));
-        own
+        self.stages().flat_map(Stage::exprs).collect()
     }
 
     /// Nested plans held inside this operator's expressions.

@@ -4,7 +4,7 @@ use bypass_algebra::{AggCall, BinOp, ColumnRef, LogicalPlan, Scalar, Stream};
 use bypass_catalog::{Catalog, TableColumns};
 use bypass_types::{
     DataType, Error, Field, FxHashMap as HashMap, FxHashSet as HashSet, Relation, Result, Schema,
-    Tuple,
+    SortKey, SortOrder, Tuple,
 };
 
 use crate::agg::AggSpec;
@@ -37,8 +37,8 @@ impl Default for PlanOptions {
 /// rename — a ρ, or a Π that keeps every column in place — compiles to
 /// nothing: names are the planner's. The root node alone carries the
 /// logical root's names, the only ones a caller sees.
-/// A computed Γ key or argument, or hash join key, is a hidden column a χ
-/// appends ahead of its operator (DESIGN.md §5c).
+/// A computed Γ key or argument, hash join key or sort key is a hidden
+/// column a χ appends ahead of its operator (DESIGN.md §5c).
 pub fn physical_plan(logical: &Arc<LogicalPlan>, catalog: &Catalog) -> Result<Arc<PhysNode>> {
     physical_plan_with(logical, catalog, PlanOptions::default())
 }
@@ -75,19 +75,37 @@ fn local(e: &Scalar, schema: &Schema) -> Result<bool> {
     Ok(local)
 }
 
-/// Hash key pairs `(left, right)` of a join predicate.
-type KeyPairs<'e> = Vec<(&'e Scalar, &'e Scalar)>;
+/// Does `e` read a column of `schema`, and nothing but `schema`'s?
+fn reads(e: &Scalar, schema: &Schema) -> Result<bool> {
+    Ok(!e.column_refs().is_empty() && local(e, schema)?)
+}
 
-/// Split a join predicate into hash keys and a residual: conjuncts of
-/// the form `l = r` where `l` refers purely to the left schema and `r`
-/// purely to the right (or vice versa) become key pairs `(l, r)`.
+/// A join predicate's conjuncts by where they run.
+#[derive(Default)]
+struct EquiSplit<'e> {
+    /// Hash key pairs `(left, right)`.
+    keys: Vec<(&'e Scalar, &'e Scalar)>,
+    /// Equalities that read only the build rows: a σ over them.
+    build: Vec<Scalar>,
+    /// Equalities that read only the probing rows of an inner join: a σ
+    /// ahead of the probe.
+    probe: Vec<Scalar>,
+    residual: Vec<Scalar>,
+}
+
+/// Split a join predicate: a conjunct `l = r` where `l` reads columns
+/// of the left rows only and `r` of the right rows only (or vice versa)
+/// is a key pair `(l, r)`; an equality that reads one side only filters
+/// that side — the probing side's only under an inner join, a ⟕ having
+/// to pad the rows it fails. The rest, an equality that reads no column
+/// among them, is the residual.
 fn split_equi_keys<'e>(
     predicate: &'e Scalar,
     left: &Schema,
     right: &Schema,
-) -> Result<(KeyPairs<'e>, Vec<Scalar>)> {
-    let mut keys = Vec::new();
-    let mut residual = Vec::new();
+    outer: bool,
+) -> Result<EquiSplit<'e>> {
+    let mut split = EquiSplit::default();
     for c in predicate.conjuncts() {
         if let Scalar::Binary {
             op: BinOp::Eq,
@@ -95,18 +113,26 @@ fn split_equi_keys<'e>(
             right: b,
         } = c
         {
-            if local(a, left)? && local(b, right)? {
-                keys.push((&**a, &**b));
+            if reads(a, left)? && reads(b, right)? {
+                split.keys.push((&**a, &**b));
                 continue;
             }
-            if local(a, right)? && local(b, left)? {
-                keys.push((&**b, &**a));
+            if reads(a, right)? && reads(b, left)? {
+                split.keys.push((&**b, &**a));
+                continue;
+            }
+            if reads(c, right)? {
+                split.build.push(c.clone());
+                continue;
+            }
+            if !outer && reads(c, left)? {
+                split.probe.push(c.clone());
                 continue;
             }
         }
-        residual.push(c.clone());
+        split.residual.push(c.clone());
     }
-    Ok((keys, residual))
+    Ok(split)
 }
 
 /// A hidden column: one no column reference can resolve to.
@@ -123,6 +149,7 @@ fn split(input: Arc<PhysNode>, chain: Chain) -> Arc<PhysNode> {
         let schema = match &stage {
             _ if k == last => chain.schema.clone(),
             Stage::Probe(spec) => node.schema.concat(&spec.right.schema),
+            Stage::Filter(_) => node.schema.clone(),
             _ => node.schema.extended(hidden()),
         };
         PhysNode::pipeline(node, vec![stage], schema)
@@ -350,6 +377,17 @@ struct Block<'a> {
     streams: HashMap<Ptr, [Schema; 2]>,
 }
 
+impl Block<'_> {
+    /// `plan`, planned as `node`, has one consumer, which takes `node`
+    /// over: the block lets go of it — unless, handed on by a rename, the
+    /// node is another consumer's too.
+    fn let_go(&mut self, plan: &Arc<LogicalPlan>, node: &Arc<PhysNode>) {
+        if self.consumers[&Arc::as_ptr(plan)].len() == 1 && !node.shared {
+            self.memo.retain(|_, p| !Arc::ptr_eq(&p.node, node));
+        }
+    }
+}
+
 impl<'a> Resolver<'a> {
     /// Compile one query block (the root plan, or a subquery plan under
     /// the scopes pushed for it).
@@ -416,11 +454,8 @@ impl<'a> Resolver<'a> {
                 let child = next();
                 // Γ is the only consumer of its input: the block lets go of
                 // its node, so Γ can take its pipeline over as that
-                // pipeline's sink — unless, handed on by a rename, the node
-                // is another consumer's too.
-                if block.consumers[&Arc::as_ptr(input)].len() == 1 && !child.node.shared {
-                    block.memo.retain(|_, p| !Arc::ptr_eq(&p.node, &child.node));
-                }
+                // pipeline's sink.
+                block.let_go(input, &child.node);
                 let calls = aggs.iter().map(|(call, _)| call);
                 self.aggregate(child.node, &child.names, keys, calls, names.clone())?
             }
@@ -438,12 +473,14 @@ impl<'a> Resolver<'a> {
                 let (l, r) = (next(), next());
                 let key_field = Field::new(right_key.to_string(), right_key.data_type(&r.names));
                 // Γᵇ alone reads R: the block lets go of R's node, so the
-                // σ and Γ can join its pipeline (Self::keyed).
-                if block.consumers[&Arc::as_ptr(right)].len() == 1 && !r.node.shared {
-                    block.memo.retain(|_, p| !Arc::ptr_eq(&p.node, &r.node));
-                }
-                let key = self.resolve(right_key, &r.names)?;
-                let keyed = self.keyed(r.node, key, &r.names);
+                // σ and Γ can join its pipeline (Self::filtered).
+                block.let_go(right, &r.node);
+                let key = Box::new(self.resolve(right_key, &r.names)?);
+                let not_null = PhysExpr::IsNull {
+                    negated: true,
+                    expr: key,
+                };
+                let keyed = self.filtered(r.node, not_null, &r.names);
                 let (width, mut maps) = (l.names.arity(), Maps::new());
                 let g = names.field(width).clone();
                 let schema_g = Schema::new(vec![key_field, g]);
@@ -473,14 +510,33 @@ impl<'a> Resolver<'a> {
             }
             // ρ renames: its input's node under names of its own.
             LogicalPlan::Alias { .. } => next().node,
+            // Sort on columns: a computed key is a hidden column a χ
+            // appends and a `Pick` drops once the rows are sorted.
             LogicalPlan::Sort { keys, .. } => {
                 let child = next();
-                let keys = keys
-                    .iter()
-                    .map(|(e, desc)| Ok((self.resolve(e, &child.names)?, *desc)))
-                    .collect::<Result<Vec<_>>>()?;
-                let input = child.node;
-                PhysNode::new(PhysKind::Sort { input, keys }, names.clone())
+                let mut maps = Maps::new();
+                let mut sort_keys = Vec::with_capacity(keys.len());
+                for (e, desc) in keys {
+                    let column = self.column(e, &child.names, &mut maps)?;
+                    let order = match desc {
+                        true => SortOrder::Desc,
+                        false => SortOrder::Asc,
+                    };
+                    sort_keys.push(SortKey { column, order });
+                }
+                let (input, wide) = self.map(child.node, &child.names, maps);
+                let sort = PhysKind::Sort {
+                    input,
+                    keys: sort_keys,
+                };
+                let sort = PhysNode::new(sort, wide);
+                match sort.schema.arity() > names.arity() {
+                    true => {
+                        let pick = Stage::Pick((0..names.arity()).collect());
+                        PhysNode::pipeline(sort, vec![pick], names.clone())
+                    }
+                    false => sort,
+                }
             }
             // δ and ∪̇ are one union, which takes in the inputs of a ∪̇
             // below it that nothing else reads (a second consumer marks it
@@ -579,8 +635,10 @@ impl<'a> Resolver<'a> {
     /// rows are named `left`: plan the build side, then pick hash (equi
     /// conjuncts) or nested loop. A computed key is a hidden column: a χ
     /// over the build side, or one of the χ stages returned to run ahead
-    /// of the probe. Also returns the names of the probing and the build
-    /// rows, hidden columns included.
+    /// of the probe. An equality that reads one side only is a σ: over
+    /// the build side ([`Self::filtered`]), or — an inner join's probing
+    /// side — the first of the stages returned. Also returns the names of
+    /// the probing and the build rows, hidden columns included.
     fn join_spec(
         &mut self,
         join: &Arc<LogicalPlan>,
@@ -600,7 +658,7 @@ impl<'a> Resolver<'a> {
             } => (right, Some(predicate), Some(defaults)),
             _ => return Err(Error::plan("join_spec: not a join node")),
         };
-        let Planned { node: r, names } = self.plan_node(right, block)?;
+        let Planned { node: mut r, names } = self.plan_node(right, block)?;
         let defaults = defaults
             .map(|defaults| {
                 defaults
@@ -614,13 +672,22 @@ impl<'a> Resolver<'a> {
                     .collect::<Result<Vec<_>>>()
             })
             .transpose()?;
-        let (keys, residual) = match predicate {
-            Some(p) => split_equi_keys(p, left, &names)?,
-            None => (vec![], vec![]),
+        let split = match predicate {
+            Some(p) => split_equi_keys(p, left, &names, defaults.is_some())?,
+            None => EquiSplit::default(),
         };
+        let mut stages = Vec::new();
+        if let Some(p) = Scalar::conjunction(split.probe) {
+            stages.push(Stage::Filter(self.resolve(&p, left)?));
+        }
+        if let Some(p) = Scalar::conjunction(split.build) {
+            let p = self.resolve(&p, &names)?;
+            block.let_go(right, &r);
+            r = self.filtered(r, p, &names);
+        }
         let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
         let (mut left_maps, mut right_maps) = (Maps::new(), Maps::new());
-        for (l, r) in keys {
+        for (l, r) in split.keys {
             left_keys.push(self.column(l, left, &mut left_maps)?);
             right_keys.push(self.column(r, &names, &mut right_maps)?);
         }
@@ -629,18 +696,18 @@ impl<'a> Resolver<'a> {
             .fold(left.clone(), |s, _| s.extended(hidden()));
         let (r, names) = self.map(r, &names, right_maps);
         let pair = left.concat(&names);
-        let on = match predicate {
-            None => JoinOn::Loop(None),
-            Some(p) if left_keys.is_empty() => JoinOn::Loop(Some(self.resolve(p, &pair)?)),
-            Some(_) => JoinOn::Hash {
+        let residual = Scalar::conjunction(split.residual)
+            .map(|p| self.resolve(&p, &pair))
+            .transpose()?;
+        let on = match left_keys.is_empty() {
+            true => JoinOn::Loop(residual),
+            false => JoinOn::Hash {
                 left_keys,
                 right_keys,
-                residual: Scalar::conjunction(residual)
-                    .map(|p| self.resolve(&p, &pair))
-                    .transpose()?,
+                residual,
             },
         };
-        let stages = left_maps.into_iter().map(Stage::Map).collect();
+        stages.extend(left_maps.into_iter().map(Stage::Map));
         let spec = JoinSpec {
             right: r,
             on,
@@ -684,47 +751,42 @@ impl<'a> Resolver<'a> {
         Ok(PhysNode::grouped(input, group, schema))
     }
 
-    /// `σ_{key IS NOT NULL}` over `input`, whose rows are named `names`.
-    /// With fusion, a plain-column `key` and an `input` that is a
-    /// relation pipeline nothing else holds, σ joins that pipeline's
-    /// chain as a stage at its end — ahead of the `Pick` that builds the
-    /// rows, reading `key` through it. A σ head's predicate is left as it
-    /// is: ANDed into it, an OR head would no longer compile to a
-    /// disjunctive chain of kernel terms. Otherwise σ heads a pipeline of
-    /// its own over `input`.
-    fn keyed(&self, input: Arc<PhysNode>, key: PhysExpr, names: &Schema) -> Arc<PhysNode> {
-        let not_null = |key| PhysExpr::IsNull {
-            negated: true,
-            expr: Box::new(key),
-        };
-        let input = match (&key, self.options.fuse_stage_chains) {
-            (&PhysExpr::Column(c), true) => match Arc::try_unwrap(input) {
-                Ok(PhysNode {
-                    kind:
-                        PhysKind::Pipeline {
-                            input,
-                            chain: Chain { mut stages, schema },
-                            neg: None,
-                            group: None,
-                        },
-                    shared: false,
-                    ..
-                }) => {
-                    let exit = match stages.last() {
-                        Some(Stage::Pick(cols)) => Some(cols[c]),
-                        _ => None,
-                    };
-                    let p = not_null(PhysExpr::Column(exit.unwrap_or(c)));
-                    let at = stages.len() - exit.is_some() as usize;
+    /// `σ_predicate` over `input`, whose rows are named `names`: Γᵇ's
+    /// `key IS NOT NULL`, a join's equality that reads its build side
+    /// only. With fusion and an `input` that is a relation pipeline
+    /// nothing else holds, σ joins that pipeline's chain as a stage at
+    /// its end — ahead of the `Pick` that builds the rows, reading its
+    /// columns through it ([`PhysExpr::through`]: no subquery). A σ head's
+    /// predicate is left as it is: ANDed into it, an OR head would no
+    /// longer compile to a disjunctive chain of kernel terms. Otherwise σ
+    /// heads a pipeline of its own over `input`.
+    fn filtered(&self, input: Arc<PhysNode>, predicate: PhysExpr, names: &Schema) -> Arc<PhysNode> {
+        let input = match Arc::try_unwrap(input) {
+            Ok(PhysNode {
+                kind:
+                    PhysKind::Pipeline {
+                        input,
+                        chain: Chain { mut stages, schema },
+                        neg: None,
+                        group: None,
+                    },
+                shared: false,
+                ..
+            }) if self.options.fuse_stage_chains => {
+                let (at, cols) = match stages.last() {
+                    Some(Stage::Pick(cols)) => (stages.len() - 1, cols.clone()),
+                    _ => (stages.len(), (0..schema.arity()).collect()),
+                };
+                if let Some(p) = predicate.through(&cols) {
                     stages.insert(at, Stage::Filter(p));
                     return PhysNode::pipeline(input, stages, schema);
                 }
-                Ok(node) => Arc::new(node),
-                Err(input) => input,
-            },
-            _ => input,
+                PhysNode::pipeline(input, stages, schema)
+            }
+            Ok(node) => Arc::new(node),
+            Err(input) => input,
         };
-        PhysNode::pipeline(input, vec![Stage::Filter(not_null(key))], names.clone())
+        PhysNode::pipeline(input, vec![Stage::Filter(predicate)], names.clone())
     }
 
     /// `chain` run over `input`: one pipeline, or without fusion one per

@@ -1,14 +1,14 @@
 use std::sync::Arc;
 
 use bypass_catalog::TableColumns;
-use bypass_types::{Column, Relation, Tuple, Value};
+use bypass_types::{Relation, Tuple, Value};
 
 use crate::node::{PhysKind, PhysNode};
 
 /// Positional access to a row's cells — all the interpreter's
 /// borrow-only fast path ever asks of a row. A cell is lent to `f`, not
 /// returned: a cell of a typed base-table column exists only as the
-/// stack temporary [`Column::with_slot`] builds.
+/// stack temporary [`bypass_types::Column::with_slot`] builds.
 pub trait Columns {
     /// `f` of cell `i`; `None` past the row's arity, `f` not called.
     fn with_cell<T>(&self, i: usize, f: impl FnOnce(&Value) -> T) -> Option<T>;
@@ -50,88 +50,6 @@ impl Row for Tuple {
     }
 }
 
-/// The kernel columns of one chunk (`rows` consecutive rows from `lo`)
-/// of a loop's input as [`Value`] slices, for the kernel terms no typed
-/// loop runs: a [`Column::Values`] is read in place, a typed column
-/// through a copy of the chunk's slots — at most `batch_rows` values,
-/// made when a term first asks for the column in this chunk.
-pub(crate) struct ChunkValues<'a> {
-    columns: &'a TableColumns,
-    /// By column, once a typed column has been asked for: the `lo` of
-    /// the chunk its slots were last copied for, and the copies.
-    copies: Vec<(usize, Vec<Value>)>,
-    lo: usize,
-    rows: usize,
-}
-
-impl<'a> ChunkValues<'a> {
-    pub(crate) fn new(columns: &'a TableColumns) -> ChunkValues<'a> {
-        ChunkValues {
-            columns,
-            copies: Vec::new(),
-            lo: 0,
-            rows: 0,
-        }
-    }
-
-    /// Move on to the chunk of `rows` rows from `lo`.
-    pub(crate) fn start(&mut self, lo: usize, rows: usize) {
-        (self.lo, self.rows) = (lo, rows);
-    }
-
-    /// Make [`Self::column`] answer for `cols`, typed ones included.
-    pub(crate) fn fill(&mut self, cols: &[usize]) {
-        for &c in cols {
-            let col = self.columns.get(c).expect("kernel columns are in range");
-            if matches!(**col, Column::Values(_)) {
-                continue;
-            }
-            if self.copies.is_empty() {
-                let arity = self.columns.data().schema().arity();
-                self.copies.resize(arity, (usize::MAX, Vec::new()));
-            }
-            let (copied_at, slots) = &mut self.copies[c];
-            if *copied_at != self.lo {
-                slots.clear();
-                slots.extend((self.lo..self.lo + self.rows).map(|r| col.get(r).into_owned()));
-                *copied_at = self.lo;
-            }
-        }
-    }
-
-    /// Column `c` of the chunk, indexed from the chunk's first row;
-    /// empty for a column beyond the input's arity.
-    #[inline]
-    pub(crate) fn column(&self, c: usize) -> &[Value] {
-        match self.columns.get(c).map(|col| &**col) {
-            Some(Column::Values(xs)) => &xs[self.lo..self.lo + self.rows],
-            Some(_) => {
-                let (copied_at, slots) = &self.copies[c];
-                debug_assert_eq!(*copied_at, self.lo, "fill() before reading");
-                slots
-            }
-            None => &[],
-        }
-    }
-}
-
-/// Row `row` of a chunk, read in place: how the chunked σ runs a kernel
-/// term through the interpreter's fast path. Only [`Columns`] — the
-/// lane is a position in the input's columns, not a tuple to hand out —
-/// and only over the columns the kernels read, which is what the
-/// kernel-term test guarantees.
-pub(crate) struct Lane<'a> {
-    pub(crate) chunk: &'a ChunkValues<'a>,
-    pub(crate) row: usize,
-}
-
-impl Columns for Lane<'_> {
-    #[inline(always)]
-    fn with_cell<T>(&self, i: usize, f: impl FnOnce(&Value) -> T) -> Option<T> {
-        self.chunk.column(i).get(self.row).map(f)
-    }
-}
-
 /// One segment of a [`RowView`]: cells held as values, or row `i` of a
 /// base table, read by position off the table's columns — the table's
 /// row itself is never touched for it.
@@ -149,9 +67,13 @@ impl Seg<'_> {
             Seg::At(columns, _) => columns.arity(),
         }
     }
+}
 
-    /// The one reader of a segment's cells: `f` of cell `c`, a position's
-    /// off the table's column `c` ([`Column::with_slot`]).
+/// The one reader of a segment's cells: `f` of cell `c`, a position's off
+/// the table's column `c` ([`bypass_types::Column::with_slot`]). A
+/// position alone is a row too: the σ chunk loop runs a kernel term
+/// through the interpreter's fast path on `Seg::At(columns, row)`.
+impl Columns for Seg<'_> {
     #[inline(always)]
     fn with_cell<T>(&self, c: usize, f: impl FnOnce(&Value) -> T) -> Option<T> {
         match *self {

@@ -14,7 +14,7 @@ use bypass_exec::{
 };
 use bypass_types::{
     tuple_bytes, value_heap_bytes, CancelToken, DataType, Error, FaultKind, Field, InjectedFault,
-    Relation, ResourceKind, Schema, Tuple, Value, SHARED_ROW_BYTES, VALUE_BYTES,
+    Relation, ResourceKind, Schema, SortKey, Tuple, Value, SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 fn int_rel(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Arc<PhysNode> {
@@ -208,7 +208,8 @@ fn a_bare_scan_root_polls_the_token_and_the_deadline() {
 /// pipeline per stage; σ and Π as one pipeline; and the latter with a
 /// third σ term that raises a value error at row 25 — then σ and the
 /// raising σ as the pipeline a `Γ_{x; COUNT(DISTINCT s)}` sinks into,
-/// whose effects are replayed after σ's loop. Each with its checkpoint
+/// whose effects are replayed after σ's loop, and a Sort over σ and Π's
+/// pipeline, which charges a handle per row. Each with its checkpoint
 /// sequence under the per-row definition, up to the raising row's tick:
 /// entry `k - 1` is the bytes in use when checkpoint `k` is passed. Then
 /// the error the run ends with, if any.
@@ -397,8 +398,34 @@ fn chunked_plans() -> Vec<(Arc<PhysNode>, Vec<u64>, Option<Error>)> {
         }
         sequence
     };
+    // Sort over the fused σ/Π, on `y` descending then `s`: the pipeline's
+    // sequence, then per row a tick and the charge of its handle.
+    let sort = PhysKind::Sort {
+        input: fused(sigma()),
+        keys: vec![SortKey::desc(1), SortKey::asc(0)],
+    };
+    let sorted = PhysNode::new(sort, projected.clone());
+    let sorted_sequence = {
+        let mut sequence = Vec::new();
+        let mut used = 0u64;
+        for t in &rows {
+            sequence.push(used);
+            if kept(&t) {
+                sequence.push(used);
+                used += tuple_bytes(&t.project(&[2, 1]));
+                sequence.push(used);
+            }
+        }
+        for _ in &survivors {
+            sequence.push(used);
+            used += SHARED_ROW_BYTES;
+            sequence.push(used);
+        }
+        sequence
+    };
     let division = Error::execution("integer division by zero");
     let mut plans = vec![
+        (sorted, sorted_sequence, None),
         (plan(split), sequence(false, None), None),
         (plan(fused(sigma())), sequence(true, None), None),
         (

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use bypass_algebra::{AggCall, BinOp, LogicalPlan, PlanBuilder, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
 use bypass_exec::{
-    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecContext, ExecOptions, PhysNode,
-    PlanOptions,
+    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecContext, ExecOptions, JoinOn,
+    PhysNode, PlanOptions,
 };
 use bypass_types::{DataType, Error, ResourceKind, Value};
 
@@ -798,4 +798,68 @@ fn a_computed_join_key_is_a_hidden_column_a_pick_drops() {
     assert_eq!(fused.schema().arity(), 8);
     assert!(fused.rows().iter().all(|t| t.arity() == 8));
     assert_eq!(fused.rows(), unfused(&plan, &c).rows());
+}
+
+/// An equality that reads one side of a join only is no key pair: over
+/// the build side a σ (`3 = s.b2`: no hidden column holds the 3), over an
+/// inner join's probing side a σ stage ahead of the probe, and under a ⟕
+/// a residual, the probing row it fails being padded. An equality that
+/// reads no column stays residual. Same rows fused and unfused.
+#[test]
+fn a_one_side_equality_is_a_sigma_on_its_side() {
+    let c = catalog();
+    let key = || Scalar::qcol("r", "a1").eq(Scalar::qcol("s", "b1"));
+    let build = || Scalar::lit(3i64).eq(Scalar::qcol("s", "b2"));
+    let probe = || Scalar::qcol("r", "a2").eq(Scalar::lit(1i64));
+    let none = || Scalar::lit(1i64).eq(Scalar::lit(0i64));
+    let inner = |p: Scalar| scan(&c, "r").join(scan(&c, "s"), p).build();
+    let outer = |p: Scalar| {
+        let defaults = vec![("b4".to_string(), Value::Int(0))];
+        scan(&c, "r").outer_join(scan(&c, "s"), p, defaults).build()
+    };
+    let cases = [
+        (
+            inner(key().and(build())),
+            "HashJoin\n  Scan\n  Filter\n    Scan\n",
+        ),
+        (
+            outer(key().and(build())),
+            "HashOuterJoin\n  Scan\n  Filter\n    Scan\n",
+        ),
+        (
+            inner(key().and(probe())),
+            "HashJoin fused→#1\n  Filter (#1)\n    Scan\n  Scan\n",
+        ),
+        (outer(key().and(probe())), "HashOuterJoin\n  Scan\n  Scan\n"),
+        (inner(key().and(none())), "HashJoin\n  Scan\n  Scan\n"),
+        // No key pair left: a nested loop over the filtered build side.
+        (inner(build()), "CrossJoin\n  Scan\n  Filter\n    Scan\n"),
+    ];
+    for (plan, want) in cases {
+        let phys = physical_plan(&plan, &c).unwrap();
+        assert_eq!(phys.explain(), want);
+        assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
+    }
+    // One key pair, of plain columns; the ⟕'s `r.a2 = 1` and `1 = 0`
+    // are the probe's residual.
+    let residual = |plan| match &physical_plan(&plan, &c).unwrap().head_probe().unwrap().on {
+        JoinOn::Hash {
+            left_keys,
+            right_keys,
+            residual,
+        } => {
+            assert_eq!((&left_keys[..], &right_keys[..]), (&[0][..], &[0][..]));
+            residual.as_ref().map(ToString::to_string)
+        }
+        JoinOn::Loop(_) => panic!("a hash join"),
+    };
+    assert_eq!(
+        residual(outer(key().and(probe()))).as_deref(),
+        Some("(#1 = 1)")
+    );
+    assert_eq!(
+        residual(inner(key().and(none()))).as_deref(),
+        Some("(1 = 0)")
+    );
+    assert_eq!(residual(inner(key().and(build()))), None);
 }

@@ -195,7 +195,11 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
     let d = || table(&dims, route);
     let mut out: Vec<(String, Arc<PhysNode>, Vec<u64>)> = Vec::new();
 
-    // σ: typed kernels, a text and an IS NULL kernel, an interpreter term.
+    // σ: typed kernels, a text and an IS NULL kernel, an interpreter term;
+    // then the kernels that read a column's slots by position — an Int
+    // column against a Float constant, a Float column against an Int one,
+    // IS NULL over a typed column, `a AND b` inside the OR — ahead of a
+    // LIKE over the text column.
     let predicates = [
         bin(
             BinOp::Or,
@@ -219,6 +223,24 @@ fn plans(route: Route) -> Vec<(String, Arc<PhysNode>, Vec<u64>)> {
                 bin(BinOp::Gt, bin(BinOp::Add, col(4), int(1)), int(90)),
             ),
         ),
+        [
+            bin(BinOp::Gt, col(0), float(30.5)),
+            bin(BinOp::Lt, col(1), col(0)),
+            is_null(col(4), false),
+            bin(
+                BinOp::And,
+                bin(BinOp::Gt, col(1), float(4.0)),
+                bin(BinOp::Lt, col(0), int(10)),
+            ),
+            PhysExpr::Like {
+                negated: false,
+                expr: Box::new(col(2)),
+                pattern: Box::new(PhysExpr::Literal(Value::text("k1%"))),
+            },
+        ]
+        .into_iter()
+        .reduce(|a, b| bin(BinOp::Or, a, b))
+        .expect("five terms"),
     ];
     for (k, predicate) in predicates.iter().enumerate() {
         let input = f();
@@ -497,10 +519,19 @@ fn pair_plans(
 }
 
 fn run(plan: &Arc<PhysNode>, threads: usize) -> (Result<Vec<Tuple>>, ExecCounters) {
+    run_chunked(plan, threads, ExecOptions::default().batch_rows)
+}
+
+fn run_chunked(
+    plan: &Arc<PhysNode>,
+    threads: usize,
+    batch_rows: usize,
+) -> (Result<Vec<Tuple>>, ExecCounters) {
     // Two work units per morsel: every loop that may fork does.
     let mut ctx = ExecContext::new(ExecOptions {
         threads,
         morsel_rows: 2,
+        batch_rows,
         ..Default::default()
     });
     let rows = ctx.eval_plan(plan).map(|rel| rel.rows().to_vec());
@@ -513,10 +544,13 @@ fn a_scan_and_an_intermediate_of_the_same_rows_are_one_input() {
         plans(Route::Scan).into_iter().zip(plans(Route::Copy))
     {
         let (want_rows, want) = run(&scan, 1);
-        for threads in [1, 2, 8] {
-            let at = format!("{name}, {threads} threads");
-            let (rows, counters) = run(&scan, threads);
-            let (copy_rows_out, copy_counters) = run(&copy, threads);
+        let grid = [1, 2, 8]
+            .into_iter()
+            .flat_map(|t| [1, 3, 1024].map(|b| (t, b)));
+        for (threads, batch_rows) in grid {
+            let at = format!("{name}, {threads} threads, chunks of {batch_rows}");
+            let (rows, counters) = run_chunked(&scan, threads, batch_rows);
+            let (copy_rows_out, copy_counters) = run_chunked(&copy, threads, batch_rows);
             match (&want_rows, &rows, &copy_rows_out) {
                 (Ok(want), Ok(rows), Ok(through_copy)) => {
                     assert!(!want.is_empty(), "{at}: a vacuous case");
@@ -529,7 +563,10 @@ fn a_scan_and_an_intermediate_of_the_same_rows_are_one_input() {
                 }
                 other => panic!("{at}: routes disagree on success: {other:?}"),
             }
-            assert_eq!(counters, want, "{at}: counters across worker counts");
+            assert_eq!(
+                counters, want,
+                "{at}: counters across worker counts and chunks"
+            );
             if want_rows.is_ok() {
                 // A `Limit` copies its rows by refcount: one charge —
                 // one checkpoint — of a shared-row handle each, held

@@ -110,13 +110,14 @@ columns="$(grep -rlE 'enum Column( |\{)' crates/*/src | tr '\n' ' ')"
 
 echo "==> one columnar view (grep gate)"
 # Every loop over a materialized input reads it by column through one
-# reader, TableColumns, and one function, eval.rs:columns_of, decides
+# reader, TableColumns, and one function, row.rs::Source::columns, decides
 # whose: a scan's own, or a transient set over any other relation
 # (DESIGN.md §5c "Columns of a loop's input"). No second column set
-# (`struct Batch`, the `from_rows_cols` transpose), no node that answers
-# "am I a base table?" (`table_columns(`), and no loop that takes
+# (`struct Batch`, the `from_rows_cols` transpose, a chunk's cells copied
+# into value buffers — `ChunkValues` and its `struct Lane`), no node that
+# answers "am I a base table?" (`table_columns(`), and no loop that takes
 # optional columns (`Option<&TableColumns>`) to pick a row-at-a-time twin.
-views="$(grep -rnE 'struct Batch\b|from_rows_cols' crates || true)"
+views="$(grep -rnE 'struct Batch\b|from_rows_cols|\bChunkValues\b|struct Lane\b' crates || true)"
 views="$views$(grep -rn 'table_columns(' crates/*/src crates/*/tests || true)"
 views="$views$(grep -rn 'Option<&TableColumns>' crates/exec/src || true)"
 [ -z "$views" ] || { echo "a second columnar view:"; echo "$views"; exit 1; }
@@ -242,16 +243,30 @@ keyhashes="$(awk '
         print FILENAME ":" FNR ": " $0 }' crates/exec/src/*.rs)"
 [ -z "$keyhashes" ] || { echo "a table key read or hashed per row:"; echo "$keyhashes"; exit 1; }
 
-echo "==> hash operators read positions (grep gate)"
-# Γ's keys and arguments and a hash join's keys are columns of their
-# operator's rows (DESIGN.md §5c): the planner computes any other in a χ
-# stage ahead of the operator. No key reader that asks "column or
-# expression?" (`KeyReader`), no borrow-or-evaluate helper (`eval_cow`),
-# and no expression evaluation in Γ, its aggregates or the hash structures.
+echo "==> expressions only in stages (grep gate)"
+# χ computes expressions and σ tests them; joins, Γ, Γᵇ and Sort only
+# compare columns of their rows (DESIGN.md §5c): the planner computes any
+# other key, argument or sort key in a χ stage ahead of the operator. No
+# key reader that asks "column or expression?" (`KeyReader`), no
+# borrow-or-evaluate helper (`eval_cow`), no expression in a Sort, and
+# outside the interpreter (interp.rs) the evaluators (`eval_expr`,
+# `eval_truth`, `truth_fast`) are called only where a stage or a chain
+# term runs: eval.rs's chain_slice (the kernel prefix), chain_eval_row
+# (the rest of a σ's chain), probe (a join's predicate over a pair) and
+# emit (σ, χ, Π).
 readers="$(grep -rnE '\bKeyReader\b|\beval_cow\b' crates/*/src || true)"
-readers="$readers$(grep -nE '\b(eval_expr|eval_truth|eval_cow)\b' \
-    crates/exec/src/group.rs crates/exec/src/agg.rs crates/exec/src/hash.rs || true)"
-[ -z "$readers" ] || { echo "a hash operator that evaluates expressions:"; echo "$readers"; exit 1; }
+[ -z "$readers" ] || { echo "a key reader that evaluates expressions:"; echo "$readers"; exit 1; }
+evaluators="$(find crates/exec/src -name '*.rs' ! -name interp.rs -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    counting && !/^ *\/\// && /(^|[^a-z_])(eval_expr|eval_truth|truth_fast)([^a-z_]|$)/ {
+        print FILENAME ":" fn }' | sort -u | tr '\n' ' ')"
+[ "$evaluators" = "crates/exec/src/eval.rs:chain_eval_row crates/exec/src/eval.rs:chain_slice crates/exec/src/eval.rs:emit crates/exec/src/eval.rs:probe " ] \
+    || { echo "an expression evaluated outside a stage: $evaluators"; exit 1; }
+sorts="$(awk '/^    Sort \{/ { inside = 1 } inside && /^    \},/ { inside = 0 }
+    inside && /PhysExpr/ { print FILENAME ":" FNR ": " $0 }' crates/exec/src/node.rs)"
+grep -q '^    Sort {' crates/exec/src/node.rs || { echo "PhysKind::Sort not found in node.rs"; exit 1; }
+[ -z "$sorts" ] || { echo "a Sort that holds an expression:"; echo "$sorts"; exit 1; }
 
 echo "==> pairs read cells by position (grep gate)"
 # A join pair is the probing row's segment ◦ the build row's, and a
@@ -297,7 +312,7 @@ registers="$(awk '/^macro_rules! bump \{/ { inside = 1 } inside && /\.counter\(/
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Intra-doc links (`[`Self::run_chain`]`, `[`bypass_types::Batch`]`, …)
+# Intra-doc links (`[`Self::run_chain`]`, `[`bypass_types::Column::with_slot`]`, …)
 # break silently when documented code moves between modules; rustdoc
 # finds them, and public docs linking to private items, as warnings.
 echo "==> cargo doc (warnings are errors)"
