@@ -176,7 +176,6 @@ fn outcome_label(res: &Result<ServiceResponse, Error>) -> Option<&'static str> {
         Err(Error::ResourceExhausted { resource, .. }) => Some(match resource {
             bypass_core::ResourceKind::Memory => "memory_exhausted",
             bypass_core::ResourceKind::Time => "deadline_exhausted",
-            bypass_core::ResourceKind::Rows => "rows_exhausted",
         }),
         Err(Error::Overloaded { .. }) => Some("overloaded"),
         Err(Error::AdmissionTimeout { .. }) => Some("admission_timeout"),

@@ -220,7 +220,10 @@ pub struct RunLimits {
     /// Wall-clock deadline for this run.
     pub timeout: Option<Duration>,
     /// Byte-accurate memory budget (deterministic byte model; see
-    /// DESIGN.md §5f).
+    /// DESIGN.md §5f). `None` means the engine default,
+    /// [`DEFAULT_MAX_MEMORY_BYTES`](crate::DEFAULT_MAX_MEMORY_BYTES),
+    /// which is also the retry ceiling of a service session without a
+    /// memory quota.
     pub max_memory_bytes: Option<u64>,
     /// Cooperative cancellation token polled at every governor
     /// checkpoint.

@@ -13,7 +13,7 @@ pub use strategy::Strategy;
 
 pub use bypass_algebra::LogicalPlan;
 pub use bypass_catalog::{Catalog, TableBuilder};
-pub use bypass_exec::{ExecCounters, ExecOptions};
+pub use bypass_exec::{ExecCounters, ExecOptions, DEFAULT_MAX_MEMORY_BYTES};
 pub use bypass_metrics::{
     format_fingerprint, render_json, render_prometheus, validate_prometheus, ExecObservation,
     HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, QueryStatsSnapshot,

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 use bypass_catalog::TableColumns;
 use bypass_types::{
     compare_tuples, par, tuple_bytes, CancelToken, Column, Error, FxHashMap, FxHashSet,
-    InjectedFault, Relation, ResourceKind, Result, Truth, Tuple, Value, BATCH_ROWS,
-    SHARED_ROW_BYTES, VALUE_BYTES,
+    InjectedFault, Relation, Result, Truth, Tuple, Value, BATCH_ROWS, SHARED_ROW_BYTES,
+    VALUE_BYTES,
 };
 
 use crate::expr::PhysExpr;
@@ -35,19 +35,17 @@ pub struct ExecOptions {
     /// Abort evaluation after this long (the paper aborted runs at six
     /// hours and reports `n/a`).
     pub timeout: Option<Duration>,
-    /// Refuse to materialize a single intermediate result larger than
-    /// this many rows (nested-loop and bypass joins can produce
-    /// |L|·|R| tuples). A clean error beats the OOM killer; `None`
-    /// disables the guard.
-    pub max_intermediate_rows: Option<usize>,
     /// Byte-accurate memory budget: the governor charges every
     /// materialization point (output rows, a sort's row handles, join
     /// key arenas, group arenas, DISTINCT accumulators, memo caches)
     /// against this cap using the deterministic byte model of
     /// `bypass_types::govern`. Exceeding it returns
-    /// [`Error::ResourceExhausted`] with `resource = Memory`.
-    /// `None` disables the budget (accounting still runs, so peak
-    /// memory is always reported).
+    /// [`Error::ResourceExhausted`] with `resource = Memory`, at the
+    /// same charge at every worker count. The default is
+    /// [`DEFAULT_MAX_MEMORY_BYTES`], the one guard against a runaway
+    /// pair loop (nested-loop and bypass joins can produce |L|·|R|
+    /// tuples); `None` disables the budget (accounting still runs, so
+    /// peak memory is always reported).
     pub max_memory_bytes: Option<u64>,
     /// Cooperative cancellation: when set, every governor checkpoint
     /// polls the token and returns [`Error::Cancelled`] once it fires.
@@ -89,14 +87,17 @@ pub struct ExecOptions {
 /// over 9- to 16-column rows, which gain (EXPERIMENTS.md, PR 19).
 pub const MORSEL_ROWS: usize = 65_536;
 
+/// Default memory budget in bytes (see [`ExecOptions::max_memory_bytes`]):
+/// 4 GiB, about 67 M two-column rows at the byte model's 64 bytes each.
+pub const DEFAULT_MAX_MEMORY_BYTES: u64 = 4 << 30;
+
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             memo_uncorrelated: true,
             memo_correlated: false,
             timeout: None,
-            max_intermediate_rows: Some(50_000_000),
-            max_memory_bytes: None,
+            max_memory_bytes: Some(DEFAULT_MAX_MEMORY_BYTES),
             cancel: None,
             fault: None,
             threads: par::thread_count(),
@@ -525,19 +526,6 @@ impl ExecContext {
         c
     }
 
-    /// Enforce the intermediate-size guard on a growing buffer.
-    #[inline]
-    fn check_size(&self, rows: usize) -> Result<()> {
-        match self.options.max_intermediate_rows {
-            Some(cap) if rows > cap => Err(Error::resource_exhausted(
-                ResourceKind::Rows,
-                cap as u64,
-                rows as u64,
-            )),
-            _ => Ok(()),
-        }
-    }
-
     // -----------------------------------------------------------------
     // Predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
@@ -604,7 +592,7 @@ impl ExecContext {
                 merge_disjuncts(&mut self.pending.disjuncts, &disjuncts);
             }
         }
-        self.finish(sinks, std::iter::empty())
+        Ok(self.finish(sinks, std::iter::empty()))
     }
 
     /// Evaluate one morsel's rows through the chain, a chunk of
@@ -1148,12 +1136,11 @@ impl ExecContext {
     /// The pass of a pipeline whose head is not a σ: every row of
     /// `input` (`columns`: its columns) enters the head. A ν head numbers
     /// the row by its position in `input`. A probe head — a join or a
-    /// ⋈± — re-checks the row cap on both sinks before each probing row;
-    /// a hash head reads its key off `columns` (row by row, where the key
-    /// column past the arity raises, if there is one), so a row is
-    /// touched only once it has a partner or must be padded; a
-    /// nested-loop head visits every build row per probing row and hands
-    /// a ⋈±'s failing pairs into `neg`.
+    /// ⋈± — counts each probing row; a hash head reads its key off
+    /// `columns` (row by row, where the key column past the arity
+    /// raises, if there is one), so a row is touched only once it has a
+    /// partner or must be padded; a nested-loop head visits every build
+    /// row per probing row and hands a ⋈±'s failing pairs into `neg`.
     fn run_pass<'f>(
         &mut self,
         node: &Arc<PhysNode>,
@@ -1197,7 +1184,6 @@ impl ExecContext {
                     ctx.emit(&row.with(Seg::Values(&at)), stages, 1, &mut sink)?;
                     continue;
                 };
-                ctx.check_size(sink.rows.len().max(miss.rows.len()))?;
                 sink.reached[0] += 1;
                 let miss = neg.map(|neg| (neg, &mut miss));
                 ctx.probe(probe, &row, None, stages, 1, &mut sink, miss)?;
@@ -1205,7 +1191,7 @@ impl ExecContext {
             Ok([sink, miss])
         })?;
         let probes = stages.iter().chain(neg.unwrap_or_default());
-        let streams = self.finish(parts, probes.filter_map(|s| s.probe.as_ref()))?;
+        let streams = self.finish(parts, probes.filter_map(|s| s.probe.as_ref()));
         let hash_head = matches!(head.map(|p| &p.on), Some(ProbeOn::Hash { .. }));
         if self.metrics.is_some() && hash_head {
             self.pending.input_rows += input.len() as u64;
@@ -1219,8 +1205,8 @@ impl ExecContext {
     /// time, then each row's partners found. A row with partners, or one
     /// an outer join pads, goes through [`Self::probe`]; a run of rows
     /// with neither only ticks, one [`Governor::tick_rows`] call for the
-    /// run — so the checkpoints, the row cap and what reaches the chain
-    /// are those of probing row by row.
+    /// run — so the checkpoints and what reaches the chain are those of
+    /// probing row by row.
     #[allow(clippy::too_many_arguments)]
     fn probe_table(
         &mut self,
@@ -1247,43 +1233,39 @@ impl ExecContext {
                 if partners.is_empty() && probe.pad.is_none() {
                     continue;
                 }
-                self.pass_unmatched(i - idle, sink, miss)?;
+                self.pass_unmatched(i - idle, sink)?;
                 idle = i + 1;
-                self.check_size(sink.rows.len().max(miss.rows.len()))?;
                 sink.reached[0] += 1;
                 let miss = neg.map(|neg| (neg, &mut *miss));
                 let row = input.view(i);
                 self.probe(probe, &row, Some(partners), stages, 1, sink, miss)?;
             }
-            self.pass_unmatched(chunk.end - idle, sink, miss)?;
+            self.pass_unmatched(chunk.end - idle, sink)?;
         }
         Ok(())
     }
 
     /// `n` probing rows that find no partner and are not padded: each
-    /// re-checks the row cap and ticks, nothing else.
-    fn pass_unmatched(&mut self, n: usize, sink: &mut Sink, miss: &Sink) -> Result<()> {
+    /// ticks, nothing else.
+    fn pass_unmatched(&mut self, n: usize, sink: &mut Sink) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
-        self.check_size(sink.rows.len().max(miss.rows.len()))?;
         sink.reached[0] += n as u64;
         self.gov.tick_rows(n, 0, 0, |_, _| Ok(()))
     }
 
     /// Close a pipeline loop, whichever its source: fold each stream's
-    /// per-morsel sinks in morsel (= input) order, re-check the row cap
-    /// on what was kept (morsels only saw their own buffers), release
-    /// the build sides of `probes` and book collision re-verifies and
-    /// per-stage counts (positive stream first).
+    /// per-morsel sinks in morsel (= input) order, release the build
+    /// sides of `probes` and book collision re-verifies and per-stage
+    /// counts (positive stream first).
     fn finish<'s, 'p: 's, 'f>(
         &mut self,
         parts: Vec<Streams<'f>>,
         probes: impl Iterator<Item = &'s Probe<'p>>,
-    ) -> Result<Streams<'f>> {
+    ) -> Streams<'f> {
         let (pos, neg): (Vec<_>, Vec<_>) = parts.into_iter().map(|[p, n]| (p, n)).unzip();
         let sinks = [Sink::merge(pos), Sink::merge(neg)];
-        self.check_size(sinks[0].rows.len().max(sinks[1].rows.len()))?;
         // The hash tables' key arenas die with the pipeline.
         for probe in probes {
             if let ProbeOn::Hash { table, charged, .. } = &probe.on {
@@ -1297,7 +1279,7 @@ impl ExecContext {
             self.pending.reverify += sinks[0].reverify + sinks[1].reverify;
             self.pending.stages = sinks.iter().flat_map(Sink::stage_metrics).collect();
         }
-        Ok(sinks)
+        sinks
     }
 
     /// Evaluate a join's right input and make the join probe-ready. Runs
@@ -1685,7 +1667,7 @@ fn padded_right(arity: usize, defaults: &[(usize, Value)]) -> Vec<Value> {
 pub(crate) mod tests {
     use super::*;
     use bypass_algebra::BinOp;
-    use bypass_types::{DataType, Field, Schema};
+    use bypass_types::{DataType, Field, ResourceKind, Schema};
 
     pub(crate) fn int_rel(name: &str, cols: &[&str], rows: &[&[i64]]) -> Arc<PhysNode> {
         let schema = Schema::new(

@@ -176,14 +176,14 @@ impl Governor {
     }
 
     /// The typed error an injected fault of `kind` raises, built from
-    /// the governor's current state.
+    /// the governor's current state. A memory fault reports the bytes in
+    /// use as both limit and observed, whatever the budget, so its
+    /// payload is the same with or without one.
     fn fault_error(&self, kind: FaultKind) -> Error {
         match kind {
-            FaultKind::Memory => Error::resource_exhausted(
-                ResourceKind::Memory,
-                self.max_memory_bytes.unwrap_or(self.used_bytes),
-                self.used_bytes,
-            ),
+            FaultKind::Memory => {
+                Error::resource_exhausted(ResourceKind::Memory, self.used_bytes, self.used_bytes)
+            }
             FaultKind::Deadline => {
                 Error::resource_exhausted(ResourceKind::Time, self.timeout_millis(), 0)
             }

@@ -51,7 +51,7 @@ pub mod vector;
 pub use agg::AggSpec;
 pub use eval::{
     evaluate, evaluate_with, DisjunctMetrics, ExecContext, ExecCounters, ExecOptions, NodeMetrics,
-    StageMetrics,
+    StageMetrics, DEFAULT_MAX_MEMORY_BYTES,
 };
 pub use expr::PhysExpr;
 pub use group::ACC_BYTES;

@@ -1212,3 +1212,67 @@ fn budgets_over_a_scan_trip_where_they_do_over_an_intermediate() {
         assert!(charges > 0, "{name}: a vacuous case");
     }
 }
+
+/// A nested-loop join `r ⋈_{a1 < b1} s` over two 40-row tables keeps
+/// 780 pairs. Under a byte budget those pairs cross, every worker count,
+/// fork gate and chunk length stops at the same charge: the same error,
+/// checkpoints and peak bytes as the serial run. The budget is the one
+/// size guard (DESIGN.md §5f), so where a runaway pair loop stops
+/// depends on the plan and the data only.
+#[test]
+fn a_stop_in_a_forked_pair_loop_is_worker_count_independent() {
+    let keys: Vec<Vec<i64>> = (0..40).map(|i| vec![i]).collect();
+    let schema = Schema::new(vec![
+        Field::qualified("r", "a1", DataType::Int),
+        Field::qualified("s", "b1", DataType::Int),
+    ]);
+    let spec = JoinSpec {
+        right: int_rel("s", &["b1"], &keys),
+        on: JoinOn::Loop(Some(cmp(
+            BinOp::Lt,
+            PhysExpr::Column(0),
+            PhysExpr::Column(1),
+        ))),
+        defaults: None,
+    };
+    let plan = PhysNode::pipeline(
+        int_rel("r", &["a1"], &keys),
+        vec![Stage::Probe(spec)],
+        schema,
+    );
+    let serial = ExecOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    assert_eq!(evaluate_with(&plan, serial.clone()).unwrap().len(), 780);
+    let budget = 3_000;
+    let pair = tuple_bytes(&Tuple::new(vec![Value::Int(0), Value::Int(1)]));
+    assert!(780 * pair > budget, "the kept pairs cross the budget");
+    let run = |options: ExecOptions| {
+        let mut ctx = ExecContext::new(ExecOptions {
+            max_memory_bytes: Some(budget),
+            ..options
+        });
+        let err = ctx.eval_plan(&plan).unwrap_err();
+        (err, ctx.counters())
+    };
+    let expected = run(serial);
+    let stop =
+        Error::resource_exhausted(ResourceKind::Memory, budget, budget.div_ceil(pair) * pair);
+    assert_eq!(expected.0, stop);
+    assert_eq!(expected.1.peak_memory_bytes, budget.div_ceil(pair) * pair);
+    for threads in [1, 2, 8] {
+        for morsel_rows in [65_536, 2] {
+            for batch_rows in [1, 256] {
+                let options = ExecOptions {
+                    threads,
+                    morsel_rows,
+                    batch_rows,
+                    ..Default::default()
+                };
+                let at = format!("{options:?}");
+                assert_eq!(run(options), expected, "{at}");
+            }
+        }
+    }
+}

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bypass_algebra::{AggCall, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
 use bypass_exec::{physical_plan, ExecContext, ExecOptions, PhysNode};
-use bypass_types::{DataType, Error, ResourceKind, Value};
+use bypass_types::{DataType, Error, ResourceKind, Value, ROW_OVERHEAD_BYTES, VALUE_BYTES};
 
 /// R has `n` rows whose a2 takes only two distinct values; S is small.
 fn catalog(n: i64) -> Catalog {
@@ -121,9 +121,10 @@ fn uncorrelated_memo_runs_type_a_subquery_once() {
 }
 
 #[test]
-fn intermediate_size_guard_fires() {
+fn memory_budget_stops_a_runaway_pair_loop() {
     let c = catalog(3000);
-    // Self-join 3000 × 3000 = 9M pairs > 1M cap (non-equi → NL join).
+    // Self-join 3000 × 3000 = 9M pairs, about 4.5M of them kept
+    // (non-equi → NL join), against a budget of 1M kept pairs.
     let plan = bypass_algebra::PlanBuilder::scan("r", "a", c.get("r").unwrap().schema().clone())
         .cross_join(bypass_algebra::PlanBuilder::scan(
             "r",
@@ -133,21 +134,29 @@ fn intermediate_size_guard_fires() {
         .filter(Scalar::qcol("a", "a1").lt(Scalar::qcol("b", "a1")))
         .build();
     let phys = physical_plan(&plan, &c).unwrap();
+    // A kept pair is 4 Int cells.
+    let pair = ROW_OVERHEAD_BYTES + 4 * VALUE_BYTES;
+    let budget = 1_000_000 * pair;
     let mut ctx = ExecContext::new(ExecOptions {
-        max_intermediate_rows: Some(1_000_000),
+        max_memory_bytes: Some(budget),
         ..Default::default()
     });
     let err = ctx.eval_plan(&phys).unwrap_err();
+    match err {
+        Error::ResourceExhausted {
+            resource: ResourceKind::Memory,
+            limit,
+            observed,
+        } => {
+            assert_eq!(limit, budget, "{err}");
+            assert!(observed > budget && observed <= budget + pair, "{err}");
+        }
+        _ => panic!("expected a memory trip, got {err}"),
+    }
     assert!(
-        matches!(
-            err,
-            Error::ResourceExhausted {
-                resource: ResourceKind::Rows,
-                limit: 1_000_000,
-                ..
-            }
-        ),
+        err.to_string().contains(&format!("limit {budget}")),
         "{err}"
     );
-    assert!(err.to_string().contains("limit 1000000"), "{err}");
+    // It stopped at the charge that crossed the budget, not after the loop.
+    assert!(ctx.counters().peak_memory_bytes <= budget + pair);
 }

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use bypass_algebra::{AggCall, BinOp, LogicalPlan, PlanBuilder, Scalar};
 use bypass_catalog::{Catalog, TableBuilder};
 use bypass_exec::{
-    evaluate, evaluate_with, physical_plan, physical_plan_with, ExecContext, ExecOptions, JoinOn,
-    PhysNode, PlanOptions,
+    evaluate, physical_plan, physical_plan_with, ExecContext, ExecOptions, JoinOn, PhysNode,
+    PlanOptions,
 };
-use bypass_types::{DataType, Error, ResourceKind, Value};
+use bypass_types::{DataType, Error, ResourceKind, Value, ROW_OVERHEAD_BYTES, VALUE_BYTES};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -435,12 +435,12 @@ fn a_sigma_headed_right_input_gets_the_key_as_a_stage() {
     assert_eq!(evaluate(&phys).unwrap().rows(), unfused(&plan, &c).rows());
 }
 
-/// `max_intermediate_rows` guards what a join loop *materializes*: the
-/// standalone join builds all 36 pairs and trips the cap, the fused
-/// one only the 12 rows its σ lets through (DESIGN.md §7) — until the
-/// survivors alone exceed it.
+/// The memory budget guards what a join loop *materializes*: the
+/// standalone join builds all 36 pairs and trips a budget the fused one
+/// fits, because the fused loop keeps only the 12 rows its σ lets
+/// through (DESIGN.md §7) — until the survivors alone exceed it.
 #[test]
-fn row_cap_counts_the_survivors_of_a_fused_chain() {
+fn budget_counts_the_survivors_of_a_fused_chain() {
     let c = catalog();
     let plan = |min_b4: i64| {
         scan(&c, "r")
@@ -448,30 +448,46 @@ fn row_cap_counts_the_survivors_of_a_fused_chain() {
             .filter(Scalar::qcol("s", "b4").gt(Scalar::lit(min_b4)))
             .build()
     };
-    let run = |plan: &std::sync::Arc<LogicalPlan>, fuse_stage_chains: bool| {
+    // A pair row is 8 Int cells.
+    let pair = ROW_OVERHEAD_BYTES + 8 * VALUE_BYTES;
+    let run = |plan: &Arc<LogicalPlan>, fuse_stage_chains: bool, budget: Option<u64>| {
         let phys = physical_plan_with(plan, &c, PlanOptions { fuse_stage_chains }).unwrap();
-        let capped = ExecOptions {
-            max_intermediate_rows: Some(12),
+        let mut ctx = ExecContext::new(ExecOptions {
+            max_memory_bytes: budget,
             ..ExecOptions::default()
-        };
-        evaluate_with(&phys, capped)
+        });
+        let result = ctx.eval_plan(&phys);
+        (result, ctx.counters().peak_memory_bytes)
     };
-    let tripped = |r: bypass_types::Result<bypass_types::Relation>| {
+    // b4 > 2 keeps 2 of the 6 `s` rows.
+    let (fused, fused_peak) = run(&plan(2), true, None);
+    assert_eq!(fused.unwrap().len(), 12);
+    assert_eq!(
+        fused_peak,
+        12 * pair,
+        "the fused loop keeps the survivors only"
+    );
+    let (_, unfused_peak) = run(&plan(2), false, None);
+    assert!(
+        unfused_peak >= 36 * pair,
+        "the standalone join keeps every pair"
+    );
+    let budget = Some(fused_peak);
+    let tripped = |(r, _): (bypass_types::Result<bypass_types::Relation>, u64)| {
         matches!(
             r,
             Err(Error::ResourceExhausted {
-                resource: ResourceKind::Rows,
-                limit: 12,
+                resource: ResourceKind::Memory,
+                limit,
                 ..
-            })
+            }) if Some(limit) == budget
         )
     };
-    // b4 > 2 keeps 2 of the 6 `s` rows.
-    assert_eq!(run(&plan(2), true).unwrap().len(), 12);
-    assert!(tripped(run(&plan(2), false)));
-    // b4 > -1 keeps every pair: fused or not, the cap trips.
-    assert!(tripped(run(&plan(-1), true)));
-    assert!(tripped(run(&plan(-1), false)));
+    assert_eq!(run(&plan(2), true, budget).0.unwrap().len(), 12);
+    assert!(tripped(run(&plan(2), false, budget)));
+    // b4 > -1 keeps every pair: fused or not, the budget trips.
+    assert!(tripped(run(&plan(-1), true, budget)));
+    assert!(tripped(run(&plan(-1), false, budget)));
 }
 
 #[test]

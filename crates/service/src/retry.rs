@@ -5,7 +5,8 @@
 //! the same limits. A useful retry therefore has to change something —
 //! this policy re-runs [`Error::ResourceExhausted`] (memory) failures
 //! with the budget raised by a configurable headroom factor, clamped to
-//! the session's hard cap, and re-runs [`Error::AdmissionTimeout`]s
+//! the session's hard cap (the engine's default budget for a session
+//! without one), and re-runs [`Error::AdmissionTimeout`]s
 //! (each attempt gets a fresh deadline). Everything else — parse/plan
 //! errors, deadline exhaustion, explicit cancellation, overload
 //! shedding — is returned to the caller unchanged: retrying a shed
@@ -22,6 +23,7 @@
 
 use std::time::Duration;
 
+use bypass_core::DEFAULT_MAX_MEMORY_BYTES;
 use bypass_types::rng::Rng;
 use bypass_types::{Error, ResourceKind};
 
@@ -65,8 +67,10 @@ pub enum RetryDecision {
 
 impl RetryPolicy {
     /// Classify one failure. `attempt` is 0-based (the first run is
-    /// attempt 0); `current_memory`/`memory_cap` are the failing run's
-    /// budget and the session's hard ceiling.
+    /// attempt 0); `current_memory` is the failing run's budget (`None`:
+    /// the error's limit) and `memory_cap` the session's hard ceiling
+    /// (`None`: the engine default, [`DEFAULT_MAX_MEMORY_BYTES`], so a
+    /// session without a quota is never raised above it).
     pub fn decide(
         &self,
         err: &Error,
@@ -88,10 +92,7 @@ impl RetryPolicy {
                 let raised = current.saturating_add(
                     current.saturating_mul(u64::from(self.memory_headroom_pct)) / 100,
                 );
-                let raised = match memory_cap {
-                    Some(cap) => raised.min(cap),
-                    None => raised,
-                };
+                let raised = raised.min(memory_cap.unwrap_or(DEFAULT_MAX_MEMORY_BYTES));
                 if raised > current {
                     RetryDecision::RaiseMemory(raised)
                 } else {
@@ -190,7 +191,6 @@ mod tests {
             },
             Error::Cancelled,
             Error::resource_exhausted(ResourceKind::Time, 5, 9),
-            Error::resource_exhausted(ResourceKind::Rows, 10, 20),
             Error::parse("x"),
             Error::Draining,
         ] {

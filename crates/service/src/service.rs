@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bypass_core::{Database, ExecCounters, RunLimits, Strategy};
+use bypass_core::{Database, ExecCounters, RunLimits, Strategy, DEFAULT_MAX_MEMORY_BYTES};
 use bypass_metrics::{MetricId, Registry};
 use bypass_types::rng::Rng;
 use bypass_types::{tuple_bytes, CancelToken, Error, QuotaKind, Relation, Result};
@@ -81,7 +81,10 @@ pub struct SessionQuotas {
     /// (`None` = unlimited).
     pub max_in_flight: Option<u64>,
     /// Per-statement governor memory cap (bytes) — also the ceiling
-    /// the retry policy may raise a degraded budget back up to.
+    /// the retry policy may raise a degraded budget back up to. `None`
+    /// means the engine default,
+    /// [`DEFAULT_MAX_MEMORY_BYTES`](bypass_core::DEFAULT_MAX_MEMORY_BYTES),
+    /// which is then also the retry ceiling.
     pub max_memory_bytes: Option<u64>,
     /// Per-statement wall-clock deadline (also bounds queueing time).
     pub timeout: Option<Duration>,
@@ -460,8 +463,12 @@ impl Session {
                 }
             }
             if let Some(raised) = raised_memory {
-                // Never exceed the session's own cap.
-                let cap = self.quotas.max_memory_bytes.unwrap_or(u64::MAX);
+                // Never exceed the session's own cap, or the engine
+                // default for a session without one.
+                let cap = self
+                    .quotas
+                    .max_memory_bytes
+                    .unwrap_or(DEFAULT_MAX_MEMORY_BYTES);
                 limits.max_memory_bytes = Some(raised.min(cap));
             }
 

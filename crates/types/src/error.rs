@@ -8,14 +8,13 @@ pub type Result<T, E = Error> = std::result::Result<T, E>;
 ///
 /// Each variant corresponds to one of the per-query guards enforced by the
 /// executor's resource governor: the byte-accurate memory budget
-/// (`max_memory_bytes`), the intermediate-row cap
-/// (`max_intermediate_rows`) and the wall-clock deadline (`timeout`).
+/// (`max_memory_bytes`, on by default; it is also what bounds the rows a
+/// nested-loop or bypass join materializes) and the wall-clock deadline
+/// (`timeout`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// The deterministic byte-accounting budget was exceeded.
     Memory,
-    /// An intermediate relation exceeded the row cap.
-    Rows,
     /// The wall-clock deadline passed (reported in milliseconds).
     Time,
 }
@@ -24,7 +23,6 @@ impl fmt::Display for ResourceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResourceKind::Memory => write!(f, "memory"),
-            ResourceKind::Rows => write!(f, "rows"),
             ResourceKind::Time => write!(f, "time"),
         }
     }

@@ -297,6 +297,15 @@ replays="$(find crates/exec/src -name '*.rs' -print0 | xargs -0 awk '
     counting && /GovEvent|GovLog|precharge/ { print FILENAME ":" FNR ": " $0 }')"
 [ -z "$replays" ] || { echo "a governor event log or a σ± precharge:"; echo "$replays"; exit 1; }
 
+echo "==> one resource governor (grep gate)"
+# Every stop is the governor's (DESIGN.md §5f, §7): its byte budget, on by
+# default, is the one size guard, charged where a loop materializes, so a
+# run stops at the same charge at every worker count. No row cap beside it
+# (`max_intermediate_rows`, `check_size(`) and no error kind for one
+# (`ResourceKind::Rows`).
+guards="$(grep -rnE 'max_intermediate_rows|\bcheck_size\(|ResourceKind::Rows\b' crates/*/src crates/*/tests || true)"
+[ -z "$guards" ] || { echo "a size guard beside the governor's budget:"; echo "$guards"; exit 1; }
+
 echo "==> one metrics store (grep gate)"
 # The registry keeps one slot per series under its one mutex (DESIGN.md §9):
 # no per-thread shard to fold. The service registers its twelve counters in

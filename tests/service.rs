@@ -10,9 +10,13 @@ use std::time::Duration;
 
 use bypass::datagen::rst::{self, Q1};
 use bypass::service::{
-    DegradePolicy, DegradeTier, QueryService, RetryPolicy, ServiceConfig, SessionQuotas,
+    DegradePolicy, DegradeTier, QueryService, RetryDecision, RetryPolicy, ServiceConfig,
+    SessionQuotas,
 };
-use bypass::{Database, Error, QuotaKind, ResourceKind, RunLimits, Strategy};
+use bypass::{
+    DataType, Database, Error, FaultKind, InjectedFault, QuotaKind, ResourceKind, RunLimits,
+    Strategy, TableBuilder, Value, DEFAULT_MAX_MEMORY_BYTES,
+};
 
 fn service(cfg: ServiceConfig) -> QueryService {
     let mut db = Database::new();
@@ -230,6 +234,87 @@ fn retry_raises_memory_headroom_up_to_the_session_cap() {
         "{err:?}"
     );
     assert_eq!(svc.counters().retries, 0);
+}
+
+/// A session without a memory quota runs under the engine's default
+/// budget, which is also its retry ceiling: a statement that trips the
+/// default is not re-run and fails typed at attempt 0. One 1 MiB text
+/// cell crossed with 5 000 rows crosses 4 GiB after about 4 096 pairs:
+/// the byte model charges the text to every pair, the pairs share it.
+#[test]
+fn a_session_without_a_memory_quota_gives_up_at_the_engine_default() {
+    let mut db = Database::new();
+    let wide = TableBuilder::new()
+        .column("t", DataType::Text)
+        .row(vec![Value::text("x".repeat(1 << 20))])
+        .unwrap()
+        .build();
+    let keys = TableBuilder::new()
+        .column("k", DataType::Int)
+        .rows((0..5_000).map(|k| vec![Value::Int(k)]))
+        .unwrap()
+        .build();
+    db.catalog_mut().register("wide", wide).unwrap();
+    db.catalog_mut().register("keys", keys).unwrap();
+    let svc = QueryService::new(Arc::new(db), Strategy::Unnested, fast_cfg());
+    let err = svc
+        .session(SessionQuotas::default())
+        .execute("SELECT * FROM wide, keys")
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::ResourceExhausted {
+                resource: ResourceKind::Memory,
+                limit: DEFAULT_MAX_MEMORY_BYTES,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let c = svc.counters();
+    assert_eq!((c.completed, c.retries, c.failed), (0, 0, 1));
+}
+
+/// An injected memory fault reports the bytes in use as its limit,
+/// whatever the budget, so a session without a quota still retries it
+/// with the budget doubled from there, well under the engine default.
+#[test]
+fn an_injected_memory_fault_without_a_quota_is_retried_from_the_bytes_in_use() {
+    let fault = InjectedFault::new(40, FaultKind::Memory);
+    let svc = service(fast_cfg());
+    let limits = RunLimits {
+        fault: Some(fault),
+        ..RunLimits::default()
+    };
+    let first = svc
+        .database()
+        .run_governed(Q1, Strategy::Unnested, &limits)
+        .unwrap_err();
+    let Error::ResourceExhausted {
+        resource: ResourceKind::Memory,
+        limit,
+        observed,
+    } = first
+    else {
+        panic!("{first:?}")
+    };
+    assert_eq!(limit, observed, "limit = observed = the bytes in use");
+    assert!(limit > 0, "a vacuous fault point");
+    let policy = fast_cfg().retry;
+    assert_eq!(
+        policy.decide(&first, 0, None, None),
+        RetryDecision::RaiseMemory(2 * limit)
+    );
+    // The fault fires on every attempt: both retries are spent, and the
+    // last error still reports the bytes in use, not the raised budget.
+    let err = svc
+        .session(SessionQuotas::default())
+        .execute_faulted(Q1, Some(fault))
+        .unwrap_err();
+    assert_eq!(err, first);
+    let c = svc.counters();
+    assert_eq!((c.retries, c.failed), (u64::from(policy.max_retries), 1));
 }
 
 #[test]
