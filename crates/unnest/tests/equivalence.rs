@@ -64,10 +64,10 @@ fn run(c: &Catalog, plan: &Arc<bypass_algebra::LogicalPlan>) -> Relation {
 
 /// Check all strategies against canonical on several seeds.
 fn check(sql: &str) {
-    check_sizes(sql, &[(1, 30), (2, 50), (3, 80)]);
+    check_instances(sql, &[(1, 30), (2, 50), (3, 80)]);
 }
 
-fn check_sizes(sql: &str, cases: &[(u64, usize)]) {
+fn check_instances(sql: &str, cases: &[(u64, usize)]) {
     for &(seed, n) in cases {
         let c = random_catalog(seed, n, 12);
         let canonical = logical(&c, sql);
@@ -295,7 +295,7 @@ fn tree_query_conjunctive() {
 
 #[test]
 fn linear_query_q4() {
-    check_sizes(
+    check_instances(
         "SELECT DISTINCT * FROM r \
          WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s \
                      WHERE a2 = b2 \
